@@ -1,10 +1,9 @@
-// pcbench regenerates every table of the paper's evaluation (§8) at laptop
+// pcbench regenerates the tables of the paper's evaluation (§8) at laptop
 // scale, printing measured results next to the paper's reported numbers.
+// (The repo's regression benchmark is benchmark/: bash benchmark/run.sh -all.)
 //
 //	go run ./cmd/pcbench            # all tables
 //	go run ./cmd/pcbench -table 3   # one table
-//	go run ./cmd/pcbench -ablations # design-choice ablations
-//	go run ./cmd/pcbench -chaos     # seeded fault-injection campaign
 package main
 
 import (
@@ -12,99 +11,13 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"repro/internal/bench"
 )
 
 func main() {
 	table := flag.Int("table", 0, "run only this table (2-8); 0 = all")
-	ablations := flag.Bool("ablations", false, "also run the design-choice ablations")
-	scaling := flag.Bool("scaling", false, "run only the thread-scaling, shuffle-overlap, memory-budget, morsel-scheduling, hash-table, transport, and sort ablations (pipeline, aggregation, join, exchange, spill, skew, swiss, wire, order-by); persists BENCH_7.json through BENCH_10.json")
-	chaos := flag.Bool("chaos", false, "run the seeded fault-injection campaign (crash/IO-error schedules across workers x threads x budgets); persists BENCH_6.json")
 	flag.Parse()
-
-	if *chaos {
-		t, err := bench.RunChaosCampaign(bench.DefaultChaos())
-		if t != nil {
-			fmt.Println(t.Format())
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		out := filepath.Join(repoRoot(), "BENCH_6.json")
-		if err := bench.WriteJSON(out, []*bench.Table{t}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", out)
-		return
-	}
-
-	if *scaling {
-		var tables []*bench.Table
-		for _, run := range []func() (*bench.Table, error){
-			func() (*bench.Table, error) { return bench.RunIntraWorkerScaling(bench.DefaultScaling()) },
-			func() (*bench.Table, error) { return bench.RunAggScaling(bench.DefaultAggScaling()) },
-			func() (*bench.Table, error) { return bench.RunJoinScaling(bench.DefaultJoinScaling()) },
-			func() (*bench.Table, error) { return bench.RunShuffleOverlap(bench.DefaultShuffleOverlap()) },
-			func() (*bench.Table, error) { return bench.RunSpillLadder(bench.DefaultSpillLadder()) },
-			func() (*bench.Table, error) { return bench.RunMorselSkewLadder(bench.DefaultMorselLadder()) },
-		} {
-			t, err := run()
-			if err != nil {
-				log.Fatal(err)
-			}
-			tables = append(tables, t)
-			fmt.Println(t.Format())
-		}
-		out := filepath.Join(repoRoot(), "BENCH_7.json")
-		if err := bench.WriteJSON(out, tables); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", out)
-
-		// The hash-ablation ladder persists separately: BENCH_8.json is the
-		// swiss-table acceptance artifact (identity enforced inside the run).
-		ht, err := bench.RunHashTableLadder(bench.DefaultHashLadder())
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(ht.Format())
-		out = filepath.Join(repoRoot(), "BENCH_8.json")
-		if err := bench.WriteJSON(out, []*bench.Table{ht}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", out)
-
-		// The transport ladder persists separately: BENCH_9.json is the
-		// wire-native process-boundary acceptance artifact (mem vs sockets
-		// vs real worker processes, identity enforced inside the run).
-		tt, err := bench.RunTransportLadder(bench.DefaultTransportLadder())
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(tt.Format())
-		out = filepath.Join(repoRoot(), "BENCH_9.json")
-		if err := bench.WriteJSON(out, []*bench.Table{tt}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", out)
-
-		// The sort ladder persists separately: BENCH_10.json is the
-		// relational-surface acceptance artifact (distributed ORDER BY merge
-		// network, identity across thread counts enforced inside the run).
-		st, err := bench.RunSortLadder(bench.DefaultSortScaling())
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(st.Format())
-		out = filepath.Join(repoRoot(), "BENCH_10.json")
-		if err := bench.WriteJSON(out, []*bench.Table{st}); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", out)
-		return
-	}
 
 	type exp struct {
 		id  int
@@ -128,26 +41,6 @@ func main() {
 			log.Fatalf("table %d: %v", e.id, err)
 		}
 		fmt.Println(t.Format())
-	}
-	if *ablations {
-		for _, run := range []func() (*bench.Table, error){
-			func() (*bench.Table, error) { return bench.RunObjectModelVsGob(100000) },
-			func() (*bench.Table, error) { return bench.RunAllocatorPolicies(200000) },
-			func() (*bench.Table, error) { return bench.RunBroadcastVsPartition(5000, 500) },
-			func() (*bench.Table, error) { return bench.RunOptimizerAblation(5000) },
-			func() (*bench.Table, error) { return bench.RunCoPartitionedJoin(5000, 1000) },
-			func() (*bench.Table, error) { return bench.RunIntraWorkerScaling(bench.DefaultScaling()) },
-			func() (*bench.Table, error) { return bench.RunAggScaling(bench.DefaultAggScaling()) },
-			func() (*bench.Table, error) { return bench.RunJoinScaling(bench.DefaultJoinScaling()) },
-			func() (*bench.Table, error) { return bench.RunShuffleOverlap(bench.DefaultShuffleOverlap()) },
-			func() (*bench.Table, error) { return bench.RunSpillLadder(bench.DefaultSpillLadder()) },
-		} {
-			t, err := run()
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println(t.Format())
-		}
 	}
 }
 

@@ -1,13 +1,12 @@
 package bench
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
 
 // Smoke tests: every experiment runner produces a well-formed table at a
-// tiny scale (the real runs live in cmd/pcbench and the root bench suite).
+// tiny scale (the real runs live in cmd/pcbench).
 
 func checkTable(t *testing.T, tab *Table, err error, wantRows int) {
 	t.Helper()
@@ -67,82 +66,6 @@ func TestRunTable7Smoke(t *testing.T) {
 func TestRunTable8Smoke(t *testing.T) {
 	tab, err := RunTable8(Table8Config{Sizes: []int{32}})
 	checkTable(t, tab, err, 1)
-}
-
-func TestRunObjectModelVsGobSmoke(t *testing.T) {
-	tab, err := RunObjectModelVsGob(2000)
-	checkTable(t, tab, err, 1)
-	// The headline claim must hold at any scale: page ship beats gob.
-	if !strings.Contains(tab.Rows[0].Cells[2], "x") {
-		t.Errorf("speedup cell malformed: %q", tab.Rows[0].Cells[2])
-	}
-}
-
-func TestRunAllocatorPoliciesSmoke(t *testing.T) {
-	tab, err := RunAllocatorPolicies(5000)
-	checkTable(t, tab, err, 4)
-}
-
-func TestRunBroadcastVsPartitionSmoke(t *testing.T) {
-	tab, err := RunBroadcastVsPartition(300, 60)
-	checkTable(t, tab, err, 2)
-}
-
-func TestRunOptimizerAblationSmoke(t *testing.T) {
-	tab, err := RunOptimizerAblation(500)
-	checkTable(t, tab, err, 2)
-}
-
-func TestRunCoPartitionedJoinSmoke(t *testing.T) {
-	tab, err := RunCoPartitionedJoin(400, 80)
-	checkTable(t, tab, err, 2)
-	// Zero bytes shuffled on the co-partitioned path.
-	if tab.Rows[0].Cells[1] != "0" {
-		t.Errorf("co-partitioned join shuffled %s bytes, want 0", tab.Rows[0].Cells[1])
-	}
-}
-
-// TestChaosCampaignCI is the CI chaos step: a fixed-seed short sweep (192
-// fault schedules at one cluster shape, both budgets, both schedulers, both
-// hash-table backends, all four workloads — agg, join, sort, outer join)
-// that must uphold the campaign contract — bit-for-bit identity after
-// absorbed crashes, clean failures on injected I/O errors, zero leaks.
-func TestRunTransportLadderSmoke(t *testing.T) {
-	tab, err := RunTransportLadder(TransportLadderConfig{
-		N: 2000, Groups: 16, Workers: 2, Threads: 2, PageSize: 1 << 12})
-	checkTable(t, tab, err, 4)
-}
-
-func TestRunSortLadderSmoke(t *testing.T) {
-	tab, err := RunSortLadder(SortScalingConfig{
-		N: 3000, Groups: 37, SpillRows: 256, Workers: 2, Threads: []int{1, 2}})
-	checkTable(t, tab, err, 2)
-	// The ladder enforces bit-for-bit identity across thread counts
-	// internally; every non-baseline row must report it.
-	for _, r := range tab.Rows[1:] {
-		if r.Cells[2] != "yes" {
-			t.Errorf("row %q not identical to 1-thread baseline", r.Name)
-		}
-	}
-}
-
-func TestChaosCampaignCI(t *testing.T) {
-	tab, err := RunChaosCampaign(CIChaos())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTable(t, tab, nil, 32) // 1 cell × 2 budgets × 2 schedulers × 2 backends × 4 workloads
-	fired := 0
-	for _, r := range tab.Rows {
-		var n int
-		if _, err := fmt.Sscanf(r.Cells[1], "%d", &n); err != nil {
-			t.Fatalf("row %q fired cell %q unparsable", r.Name, r.Cells[1])
-		}
-		fired += n
-	}
-	if fired == 0 {
-		t.Error("no fault schedule fired — the sweep exercised nothing")
-	}
 }
 
 func TestCountSLOC(t *testing.T) {

@@ -1,12 +1,13 @@
-// Package bench is the experiment harness behind every table and figure in
-// the paper's evaluation (§8). Each TableN function runs the corresponding
-// workload on PC and on the baseline engine at laptop scale and returns the
-// measured rows; cmd/pcbench prints them next to the paper's reported
-// numbers, and bench_test.go wraps them as testing.B benchmarks.
+// Package bench is the experiment harness behind every table in the paper's
+// evaluation (§8). Each RunTableN function runs the corresponding workload
+// on PC and on the baseline engine at laptop scale and returns the measured
+// rows; cmd/pcbench prints them next to the paper's reported numbers. The
+// repo's benchmark — fixed workloads, repetitions, regression bounds — is
+// benchmark/ (pcsuite), not this package.
 //
 // Absolute times are not comparable to the paper's 11-node EC2 cluster —
 // the claim under reproduction is the *shape*: who wins, by roughly what
-// factor, and how tuning steps close the gap (EXPERIMENTS.md records both).
+// factor, and how tuning steps close the gap.
 package bench
 
 import (

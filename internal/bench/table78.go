@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/matrix"
-	"repro/internal/object"
 )
 
 // Table 7: source-lines-of-code for each tool implementation (the paper's
@@ -112,59 +111,5 @@ func RunTable8(cfg Table8Config) (*Table, error) {
 			Cells: []string{ms(naive), ms(blocked), ratio(naive, blocked)},
 		})
 	}
-	return t, nil
-}
-
-// RunObjectModelVsGob is the primitive-level ablation behind every PC win:
-// moving one page of n objects as raw bytes vs gob encode+decode of the
-// equivalent records.
-func RunObjectModelVsGob(n int) (*Table, error) {
-	t := &Table{
-		Title:   "Ablation: page ship (PC object model) vs gob round trip (baseline)",
-		Columns: []string{"PC page ship", "gob round trip", "speedup"},
-	}
-	reg := object.NewRegistry()
-	ti := object.NewStruct("Pt").
-		AddField("id", object.KInt64).
-		AddField("x", object.KFloat64).
-		AddField("y", object.KFloat64).
-		MustBuild(reg)
-	pages, err := object.BuildPages(reg, 1<<20, n, func(a *object.Allocator, i int) (object.Ref, error) {
-		r, err := a.MakeObject(ti)
-		if err != nil {
-			return object.NilRef, err
-		}
-		object.SetI64(r, ti.Field("id"), int64(i))
-		object.SetF64(r, ti.Field("x"), float64(i))
-		object.SetF64(r, ti.Field("y"), float64(i)*2)
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	shipTime, err := Timed(func() error {
-		for _, p := range pages {
-			b := make([]byte, len(p.Bytes()))
-			copy(b, p.Bytes())
-			q, err := object.FromBytes(b, reg)
-			if err != nil {
-				return err
-			}
-			_ = q
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	gobTime, err := Timed(func() error { return gobRoundTrip(n) })
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, Row{
-		Name:  fmt.Sprintf("%d objects", n),
-		Cells: []string{ms(shipTime), ms(gobTime), ratio(gobTime, shipTime)},
-	})
 	return t, nil
 }

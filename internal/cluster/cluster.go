@@ -34,9 +34,8 @@
 // (engine's OnSeal streaming-sink contract) tagged (worker, thread,
 // sequence), the transport ships it in flight, and the consumer starts
 // merging immediately. The exchange delivers pages in deterministic tag
-// order regardless of arrival order, so streaming results are bit-for-bit
-// identical to a barrier shuffle's (Config.BarrierShuffle re-creates that
-// schedule for the ablation).
+// order regardless of arrival order, so results do not depend on the
+// schedule.
 //
 // Crash semantics under streaming: a backend that crashes while producing
 // a shuffle is re-forked and its producing run retried from scratch; the
@@ -153,15 +152,10 @@ type Config struct {
 	// cost proportional to aggregate state size — raise it when merged
 	// state is large relative to the stream.
 	CheckpointInterval int
-	// BarrierShuffle disables shuffle streaming (the ablation baseline):
-	// exchanges buffer every page and deliver only after all producers
-	// finish. Results are bit-for-bit identical to streaming mode; only
-	// the schedule (and the bytes-in-flight high-water mark) changes.
-	BarrierShuffle bool
 	// MemoryBudget, in bytes, bounds the exchange memory each worker
 	// backend keeps resident during a streaming step: pages buffered in
-	// lanes (or barrier drain buffers), delivered pages retained for
-	// replay, and in-memory checkpoint snapshots all meter against it,
+	// lanes, delivered pages retained for replay, and in-memory
+	// checkpoint snapshots all meter against it,
 	// and the coldest of them spill to reusable page files — under
 	// DataDir/worker-N/_spill when DataDir is set, a temporary directory
 	// otherwise — reloading transparently on delivery, replay, and
@@ -184,17 +178,6 @@ type Config struct {
 	// identical repeated crash is a deterministic user bug no number of
 	// re-forks will absorb — without consuming the remaining budget.
 	MaxRetries int
-	// MorselPages switches pipeline stages from static chunk assignment to
-	// morsel-driven scheduling: instead of pre-splitting a stage's batches
-	// into Threads contiguous chunks, executor threads pull morsels of up
-	// to MorselPages scan batches (BatchSize-row page ranges) from a
-	// shared per-stage dispatcher, so a skewed batch rebalances across
-	// idle sibling threads. Results stay deterministic — an ordered
-	// releaser consumes each morsel's output strictly in source order — and
-	// per-thread morsel counts surface on the engine's Morsels stat. Zero
-	// (the default) keeps the static SplitRanges path; small values (2–8)
-	// rebalance best, large values approach static behaviour.
-	MorselPages int
 	// SortSpillRows, when positive, bounds each sort producer thread's
 	// in-memory row buffer for unbounded (no-limit) ORDER BY / WINDOW
 	// sorts: past the threshold the thread seals its buffered rows as a
@@ -205,18 +188,6 @@ type Config struct {
 	// memory residence changes. Top-k sorts ignore it (their buffer is
 	// already O(k)). Zero (the default) never spills.
 	SortSpillRows int
-	// NoFusion disables the optimizer's kernel-fusion rule (adjacent
-	// APPLY/FILTER/HASH chains executing as one pass per batch) — the
-	// ablation knob for comparing against statement-at-a-time execution.
-	// Results are bit-for-bit identical either way.
-	NoFusion bool
-	// NoSwissTable disables the swiss open-addressing hash structures on
-	// the agg and join hot paths (internal/swiss), reverting join tables
-	// to plain Go maps and aggregation probes to OMap's own linear-probe
-	// chain — the hash-table ablation baseline. Results, output page
-	// bytes, checkpoint snapshots, and spill streams are bit-for-bit
-	// identical either way; only probe speed and allocation churn differ.
-	NoSwissTable bool
 	// Transport selects the process-boundary implementation: "" or "mem"
 	// (the default) is the in-process copier; "unix" and "tcp" ship every
 	// page through a real socket as wire frames (internal/wire) — the
@@ -243,8 +214,8 @@ type Config struct {
 	// (internal/fault) the runtime consults at every instrumented crash
 	// site — page seals, deliveries, checkpoint writes, spills, finalize,
 	// probe/emit. Nil (the production default) injects nothing and costs
-	// nothing. Crash tests and the chaos campaign (pcbench -chaos) use it
-	// to place reproducible crashes and I/O errors anywhere in a job.
+	// nothing. Crash tests and the chaos campaign (TestChaosCampaign) use
+	// it to place reproducible crashes and I/O errors anywhere in a job.
 	Fault *fault.Plan
 }
 

@@ -30,7 +30,7 @@ type StageShip struct {
 	MaxBytesInFlight int64
 	// MaxReorderPages is the largest undelivered-page backlog any
 	// consumer's exchange lanes reached during the step — hard-bounded by
-	// ShuffleCapacity × Threads per producer in streaming mode.
+	// ShuffleCapacity × Threads per producer.
 	MaxReorderPages int64
 	// Checkpoints counts the consumer-side recovery checkpoints taken
 	// during the step (zero for steps without a streaming shuffle, or
@@ -87,7 +87,7 @@ func (c *Cluster) Execute(writes ...*core.Write) (*ExecStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt, ostats, err := optimizer.OptimizeWith(res.Prog, optimizer.Options{NoFuse: c.Cfg.NoFusion})
+	opt, ostats, err := optimizer.Optimize(res.Prog)
 	if err != nil {
 		return nil, err
 	}
@@ -277,14 +277,10 @@ func (c *Cluster) newStageSink(res *core.CompileResult, stage *physical.JobStage
 	case physical.SinkJoinBuild:
 		if jt := stage.SinkStmt.Info["joinType"]; jt == "semi" || jt == "anti" {
 			// Semi/anti joins build an exact key-value set from the raw
-			// key column — no hash table, so NoSwissTable is moot.
+			// key column — no hash table.
 			return engine.NewKeySetBuildSink(stage.SinkStmt.Applied2.Cols[0]), nil
 		}
-		sink := engine.NewJoinBuildSink(stage.SinkStmt.Applied2.Cols[0], stage.SinkStmt.Copied2.Cols[0])
-		if c.Cfg.NoSwissTable {
-			sink.Table = engine.NewMapJoinTable()
-		}
-		return sink, nil
+		return engine.NewJoinBuildSink(stage.SinkStmt.Applied2.Cols[0], stage.SinkStmt.Copied2.Cols[0]), nil
 	default:
 		return nil, fmt.Errorf("unknown sink %v", stage.Sink)
 	}
@@ -348,67 +344,7 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 		}
 	}
 
-	mkSink := func(stats *engine.Stats) (engine.Sink, *engine.Ctx, error) {
-		sink, err := c.newStageSink(res, stage, w, stats)
-		if err != nil {
-			return nil, nil, err
-		}
-		ctx, err := engine.NewSinkCtx(sink, w.Reg(), w.artTables, c.Cfg.PageSize, c.pool, stats)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sink, ctx, nil
-	}
-	ranges := engine.BatchRanges(pages, engine.BatchSize)
-
-	if c.Cfg.MorselPages > 0 {
-		// Morsel mode: threads pull morsels from the shared dispatcher and
-		// the ordered releaser folds each morsel's sink in source order —
-		// pages concatenate (or the join table merges) exactly as the
-		// static path's thread-ordered merge would.
-		morsels := engine.MorselRanges(ranges, c.Cfg.MorselPages)
-		var out []*object.Page
-		var table *engine.JoinTable
-		mstats, err := engine.RunPipelineMorsels(morsels, stage.SourceCol, stage.Stmts, res.Stages, sinkStmt, c.Cfg.Threads,
-			func(m int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, *engine.Ctx, error) {
-				return mkSink(stats)
-			},
-			func(m int, sink engine.Sink, ctx *engine.Ctx, _ <-chan struct{}) error {
-				if js, ok := sink.(*engine.JoinBuildSink); ok {
-					if table == nil {
-						table = js.Table
-					} else {
-						table.Merge(js.Table)
-					}
-					scratch := append(append([]*object.Page(nil), ctx.Out.Sealed...), ctx.Out.Live)
-					for _, p := range scratch {
-						if p != nil && !js.References(p) {
-							c.pool.Put(p)
-						}
-					}
-					return nil
-				}
-				out = append(out, sink.Pages()...)
-				return nil
-			})
-		for t := range mstats {
-			w.mergeStats(&mstats[t])
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch stage.Sink {
-		case physical.SinkOutput:
-			return &workerArtifacts{pages: out, outputDb: stage.SinkStmt.Db, outputSet: stage.SinkStmt.Set}, nil
-		case physical.SinkMaterialize:
-			return &workerArtifacts{pages: out, pagesKey: stage.Produces}, nil
-		case physical.SinkJoinBuild:
-			return &workerArtifacts{table: table, tableKey: stage.SinkStmt.Applied2.Name}, nil
-		}
-		return nil, nil
-	}
-
-	chunks := engine.SplitRanges(ranges, c.Cfg.Threads)
+	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), c.Cfg.Threads)
 	if len(chunks) == 0 {
 		// No input on this worker: a single empty chunk still builds
 		// the sink, so the stage's artifact contract (possibly empty
@@ -418,7 +354,15 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 
 	pt, err := engine.RunPipelineThreads(chunks, stage.SourceCol, stage.Stmts, res.Stages, sinkStmt,
 		func(t int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, *engine.Ctx, error) {
-			return mkSink(stats)
+			sink, err := c.newStageSink(res, stage, w, stats)
+			if err != nil {
+				return nil, nil, err
+			}
+			ctx, err := engine.NewSinkCtx(sink, w.Reg(), w.artTables, c.Cfg.PageSize, c.pool, stats)
+			if err != nil {
+				return nil, nil, err
+			}
+			return sink, ctx, nil
 		}, nil)
 	// Fold per-thread counters into the backend even on error, matching
 	// the sequential path's incremental accounting.
@@ -446,13 +390,12 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 // newShuffleExchange wires an exchange to the simulated transport: one lane
 // per (producer, executor thread, consumer) so ShuffleCapacity is a hard
 // per-thread bound; shipping copies the page into the consumer's registry
-// (a worker's own pages pass by reference — the barrier path never copied
-// them either); and retry duplicates, dropped at the sender, recycle
-// through the page pool. replayable turns on delivered-page retention for
-// consumer crash recovery; releaseDelivered receives pages once a
-// consumer's checkpoint acknowledges them (nil when the consumer's state
-// keeps referencing them, as the join-table build does). govs, when
-// non-nil, attach the step's per-worker memory governors
+// (a worker's own pages pass by reference); and retry duplicates, dropped
+// at the sender, recycle through the page pool. replayable turns on
+// delivered-page retention for consumer crash recovery; releaseDelivered
+// receives pages once a consumer's checkpoint acknowledges them (nil when
+// the consumer's state keeps referencing them, as the join-table build
+// does). govs, when non-nil, attach the step's per-worker memory governors
 // (Config.MemoryBudget) so over-budget pages spill to disk.
 func (c *Cluster) newShuffleExchange(replayable bool, releaseDelivered func(*object.Page),
 	govs []*exchange.Governor) *exchange.Exchange {
@@ -461,7 +404,6 @@ func (c *Cluster) newShuffleExchange(replayable bool, releaseDelivered func(*obj
 		Consumers:  len(c.Workers),
 		Threads:    c.Cfg.Threads,
 		Capacity:   c.Cfg.ShuffleCapacity,
-		Barrier:    c.Cfg.BarrierShuffle,
 		Replayable: replayable,
 		Ship: func(p *object.Page, producer, consumer int) (*object.Page, error) {
 			if producer == consumer {
@@ -632,64 +574,7 @@ func (c *Cluster) runPreAggStreamOnWorker(res *core.CompileResult, stage *physic
 	if err != nil {
 		return err
 	}
-	mkAggSink := func(stats *engine.Stats) (*engine.AggSink, *engine.Ctx, error) {
-		sink, err := engine.NewAggSink(w.Reg(), c.Cfg.PageSize, len(c.Workers),
-			spec.KeyKind, spec.ValKind, spec.Combine,
-			stage.SinkStmt.Applied.Cols[0], stage.SinkStmt.Applied.Cols[1], c.pool, stats)
-		if err != nil {
-			return nil, nil, err
-		}
-		sink.NoSwiss = c.Cfg.NoSwissTable
-		ctx, err := engine.NewSinkCtx(sink, w.Reg(), w.artTables, c.Cfg.PageSize, c.pool, stats)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sink, ctx, nil
-	}
-	ranges := engine.BatchRanges(pages, engine.BatchSize)
-
-	if c.Cfg.MorselPages > 0 {
-		// Morsel mode streams the whole worker's pre-aggregated pages down
-		// the thread-0 lane under one global sequence: per-morsel AggSinks
-		// buffer their sealed pages locally (no OnSeal hook), the ordered
-		// releaser broadcasts each morsel's pages in morsel index order, and
-		// the remaining lanes get their close markers after the run. The
-		// consumer's producer-major, thread-major, sequence-ordered drain
-		// then sees exactly the send order — and because the emission is a
-		// pure function of the input partition, a crash-retried producer
-		// re-sends identical tags for the sender-side dedup to drop.
-		morsels := engine.MorselRanges(ranges, c.Cfg.MorselPages)
-		seq := 0
-		mstats, err := engine.RunPipelineMorsels(morsels, stage.SourceCol, stage.Stmts, res.Stages, stage.SinkStmt, c.Cfg.Threads,
-			func(m int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, *engine.Ctx, error) {
-				return mkAggSink(stats)
-			},
-			func(m int, sink engine.Sink, ctx *engine.Ctx, stop <-chan struct{}) error {
-				for _, p := range sink.Pages() {
-					c.Cfg.Fault.Hit(fault.PageSeal, w.ID)
-					tag := exchange.Tag{Producer: w.ID, Thread: 0, Seq: seq}
-					if err := streamErr(ex.Broadcast(tag, p, stop)); err != nil {
-						return err
-					}
-					seq++
-				}
-				return nil
-			})
-		for t := range mstats {
-			w.mergeStats(&mstats[t])
-		}
-		if err != nil {
-			return err
-		}
-		for t := 0; t < c.Cfg.Threads; t++ {
-			if err := streamErr(ex.CloseThread(w.ID, t, nil)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	chunks := engine.SplitRanges(ranges, c.Cfg.Threads)
+	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), c.Cfg.Threads)
 	if len(chunks) == 0 {
 		// A worker with no input still streams one page of empty
 		// partition maps, honoring the shuffle's artifact contract.
@@ -697,7 +582,13 @@ func (c *Cluster) runPreAggStreamOnWorker(res *core.CompileResult, stage *physic
 	}
 	pt, err := engine.RunPipelineThreads(chunks, stage.SourceCol, stage.Stmts, res.Stages, stage.SinkStmt,
 		func(t int, stats *engine.Stats, stop <-chan struct{}) (engine.Sink, *engine.Ctx, error) {
-			sink, ctx, err := mkAggSink(stats)
+			sink, err := engine.NewAggSink(w.Reg(), c.Cfg.PageSize, len(c.Workers),
+				spec.KeyKind, spec.ValKind, spec.Combine,
+				stage.SinkStmt.Applied.Cols[0], stage.SinkStmt.Applied.Cols[1], c.pool, stats)
+			if err != nil {
+				return nil, nil, err
+			}
+			ctx, err := engine.NewSinkCtx(sink, w.Reg(), w.artTables, c.Cfg.PageSize, c.pool, stats)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -797,12 +688,8 @@ func (c *Cluster) consumeAggStream(res *core.CompileResult, stage *physical.JobS
 		}
 		return p, ok, err
 	}
-	var mergeOpts []engine.MergeOpt
-	if c.Cfg.NoSwissTable {
-		mergeOpts = append(mergeOpts, engine.NoSwissMerge())
-	}
 	finals, mergePages, err := engine.MergeAggMapsStream(w.Reg(), next, w.ID, len(c.Workers),
-		spec, c.Cfg.PageSize, c.pool, c.Cfg.Threads, release, ckptr, mergeOpts...)
+		spec, c.Cfg.PageSize, c.pool, c.Cfg.Threads, release, ckptr)
 	if err != nil {
 		return nil, err
 	}

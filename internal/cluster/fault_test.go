@@ -3,8 +3,8 @@ package cluster
 // Crash tests for the fault-injection subsystem (internal/fault): the
 // probe/emit recovery the tentpole added, injected spill/checkpoint I/O
 // errors, the bounded retry policy, and the failure path's leak-free
-// cleanup. The chaos campaign (internal/bench, pcbench -chaos) sweeps the
-// same sites across seeds; these tests pin the specific behaviors.
+// cleanup. The chaos campaign (TestChaosCampaign) sweeps the same sites
+// across seeds; these tests pin the specific behaviors.
 
 import (
 	"fmt"
@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exchange"
 	"repro/internal/fault"
 	"repro/internal/lambda"
 	"repro/internal/object"
@@ -38,10 +39,7 @@ func joinFixture(t *testing.T, cfg Config, left, right, groups int) (*Cluster, *
 // need the raw Execute error instead of a t.Fatal on failure.
 func writeIntAgg(t *testing.T, c *Cluster, rec *object.TypeInfo) error {
 	t.Helper()
-	if err := c.CreateSet("db", "sums", "RecovRec"); err != nil {
-		t.Fatal(err)
-	}
-	_, err := c.Execute(core.NewWrite("db", "sums", intSumAgg(rec, nil)))
+	_, _, err := intAggRows(c, rec, nil)
 	return err
 }
 
@@ -127,26 +125,82 @@ func TestProbeEmitCrashRecoverySpill(t *testing.T) {
 	}
 }
 
-// TestProbeEmitCrashRecoveryBarrier runs the probe-phase crash with the
-// barrier-shuffle ablation: recovery rides the same delivery layer, so the
-// rewind-and-replay works identically out of the drain buffers.
-func TestProbeEmitCrashRecoveryBarrier(t *testing.T) {
+// TestJoinSpillEnqueueCrashRecovered crashes the memory governor's spill
+// under a one-page budget on an inner hash-partition join, at the first
+// four spills of each worker's governor. Which goroutine takes the k-th
+// spill depends on timing — a sending producer, the build stream, or the
+// probe-side drain settling its retention window — so each must be
+// absorbed wherever it lands, and the join must emit the fault-free rows.
+func TestJoinSpillEnqueueCrashRecovered(t *testing.T) {
 	const left, right, groups = 600, 90, 18
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 1, BarrierShuffle: true}
-	ref, refRec := joinFixture(t, cfg, left, right, groups)
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
+		ShuffleCapacity: 2, CheckpointInterval: 1}
+	ref, refRec := joinFixture(t, base, left, right, groups)
 	wantRows := joinPairsByWorker(t, ref, refRec)
 
-	c, rec := joinFixture(t, cfg, left, right, groups)
-	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Emit, Worker: 1, K: 3})
-	gotRows := joinPairsByWorker(t, c, rec)
-	if c.Cfg.Fault.Fired() != 1 {
-		t.Fatal("the probe-phase crash never fired in barrier mode")
+	cfg := base
+	cfg.MemoryBudget = spillBudget
+	for worker := 0; worker < cfg.Workers; worker++ {
+		for k := 0; k < 4; k++ {
+			label := fmt.Sprintf("worker=%d k=%d", worker, k)
+			c, rec := joinFixture(t, cfg, left, right, groups)
+			c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.SpillEnqueue, Worker: worker, K: k})
+			gotRows := joinPairsByWorker(t, c, rec)
+			if c.Cfg.Fault.Fired() != 1 {
+				t.Fatalf("%s: the spill crash never fired", label)
+			}
+			if !equalRows(gotRows, wantRows) {
+				t.Errorf("%s: recovered join differs from fault-free join (%d vs %d pairs)",
+					label, len(gotRows), len(wantRows))
+			}
+			assertNoJoinLeaks(t, c, label)
+		}
 	}
-	if !equalRows(gotRows, wantRows) {
-		t.Errorf("barrier-mode recovered join differs from crash-free join (%d vs %d pairs)",
-			len(gotRows), len(wantRows))
+}
+
+// TestProbeDrainCrashReachesBackend pins the one spill of a join that the
+// sweep above cannot place: the probe-side drain of gatherJoinStreams
+// evicting a resident retained page as it settles a page delivered from
+// spill. The streams are filled by hand so the senders' two spills are over
+// before the drain starts and the third is certainly its own. The crash must
+// re-raise on the caller, where runRole absorbs it, as the build goroutine's
+// does; the drain used to have no recover, so it killed the process.
+func TestProbeDrainCrashReachesBackend(t *testing.T) {
+	plan := fault.NewPlan(fault.Injection{Site: fault.SpillEnqueue, Worker: 0, K: 2})
+	c, err := New(Config{Workers: 1, Threads: 1, PageSize: 1 << 12, MemoryBudget: spillBudget, Fault: plan})
+	if err != nil {
+		t.Fatal(err)
 	}
+	rec := intRecType(c)
+	pages, err := object.BuildPages(c.Catalog.Registry(), 1<<12, 400, func(a *object.Allocator, i int) (object.Ref, error) {
+		return a.MakeObject(rec)
+	})
+	if err != nil || len(pages) < 3 {
+		t.Fatalf("need three full pages, got %d (%v)", len(pages), err)
+	}
+	govs, closeGovs := c.stepGovernors()
+	exProbe := c.newShuffleExchange(true, func(*object.Page) {}, govs)
+	exBuild := c.newShuffleExchange(true, nil, govs)
+	// Page 0 takes the whole budget; pages 1 and 2 spill at enqueue.
+	for seq, p := range pages[:3] {
+		if err := exProbe.Send(exchange.Tag{Seq: seq}, 0, p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exProbe.CloseProducer(0)
+	exBuild.CloseProducer(0)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "SpillEnqueue") {
+			t.Errorf("gatherJoinStreams recovered %v, want the injected SpillEnqueue crash", r)
+		}
+		exProbe.Discard()
+		closeGovs()
+		if n := c.Transport.Stats().LeakedSpillSlots; n != 0 {
+			t.Errorf("%d spill slots leaked", n)
+		}
+	}()
+	_, _, err = c.gatherJoinStreams(exBuild, exProbe, 0, nil, 1, &joinRecovery{}, false)
+	t.Fatalf("gatherJoinStreams returned (%v) past the injected crash", err)
 }
 
 // TestEmitExactlyOnce counts emit invocations across an Emit-site crash:

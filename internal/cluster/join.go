@@ -13,15 +13,6 @@ import (
 	"repro/internal/object"
 )
 
-// newJoinTable creates an empty join table on the backend Config selects
-// (swiss by default, Go map under the NoSwissTable ablation).
-func (c *Cluster) newJoinTable() *engine.JoinTable {
-	if c.Cfg.NoSwissTable {
-		return engine.NewMapJoinTable()
-	}
-	return engine.NewJoinTable()
-}
-
 // HashPartitionJoin implements the paper's 2n-job-stage distributed
 // equi-join (Appendix D.3) for two sets, used by the scheduler's
 // large-build-side strategy and benchmarked against broadcast joins. The
@@ -49,9 +40,8 @@ func (c *Cluster) newJoinTable() *engine.JoinTable {
 // matches). keyL, keyR, and eq are called concurrently across workers and
 // executor threads and must be safe for concurrent use (pure functions of
 // their arguments). A worker never calls emit from two executor threads at
-// once, but different workers probe — and emit — in parallel, exactly as
-// the barrier join did: an emit touching state shared across workers must
-// synchronize it.
+// once, but different workers probe — and emit — in parallel: an emit
+// touching state shared across workers must synchronize it.
 //
 // # Probe/emit recovery
 //
@@ -73,8 +63,6 @@ func (c *Cluster) newJoinTable() *engine.JoinTable {
 // match exactly once. Match output is bit-for-bit identical to a
 // crash-free run in every case. With recovery disabled
 // (CheckpointInterval < 0) any consumer crash fails the join.
-// Config.BarrierShuffle restores the ship-everything-then-consume schedule
-// with identical results.
 func (c *Cluster) HashPartitionJoin(dbL, setL, dbR, setR string,
 	keyL, keyR func(object.Ref) uint64,
 	eq func(l, r object.Ref) bool,
@@ -230,7 +218,7 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 							bitmap = make([]uint64, (len(rec.buildRows)+63)/64)
 							rowIdx = buildRowIndex(rec.buildRows)
 						}
-						err = parallelProbe(leftPages, table, keyL, eq, kind, c.Cfg.Threads, c.Cfg.MorselPages, func(l, r object.Ref) error {
+						err = parallelProbe(leftPages, table, keyL, eq, kind, c.Cfg.Threads, func(l, r object.Ref) error {
 							if needTail && r != object.NilRef {
 								markBit(bitmap, rowIdx[r])
 							}
@@ -340,9 +328,7 @@ func dropJoinResumes(recs []*joinRecovery) {
 // Config.Threads executor threads: each thread hashes its contiguous chunk
 // into a private RepartitionSink whose per-partition pages stream to the
 // owning worker the moment they seal. The thread flushes its partitions'
-// final pages and sends its close marker on the way out. With
-// Config.MorselPages set the static chunk split is replaced by the morsel
-// dispatcher (morselRepartition).
+// final pages and sends its close marker on the way out.
 func (c *Cluster) streamRepartition(db, set string, key func(object.Ref) uint64,
 	w *Worker, ex *exchange.Exchange) error {
 	pages, err := w.Front.Store.Pages(db, set)
@@ -350,9 +336,6 @@ func (c *Cluster) streamRepartition(db, set string, key func(object.Ref) uint64,
 		pages = nil // worker may hold no pages of this set
 	}
 	nw := len(c.Workers)
-	if c.Cfg.MorselPages > 0 {
-		return c.morselRepartition(engine.BatchRanges(pages, engine.BatchSize), key, w, ex, nw)
-	}
 	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), c.Cfg.Threads)
 	tstats := make([]engine.Stats, len(chunks))
 	err = engine.ParallelThreads(len(chunks), func(t int, stop <-chan struct{}) error {
@@ -395,94 +378,15 @@ func (c *Cluster) streamRepartition(db, set string, key func(object.Ref) uint64,
 	return err
 }
 
-// morselRepartition is streamRepartition's morsel-mode body: executor
-// threads pull fixed-size morsels from the shared dispatcher and hash each
-// into a private per-morsel RepartitionSink with no OnSeal hook, so
-// partition pages buffer in the sink; the ordered releaser then sends each
-// morsel's partition pages through the exchange strictly in morsel index
-// order. Every page travels on the producer's thread-0 lanes with one
-// per-partition sequence — the exchange drains a producer's lanes
-// sequentially, so spreading ordered releases across per-thread lanes
-// would deadlock against a consumer still waiting on lane 0. The remaining
-// per-thread lanes close with markers after the run (CloseProducer would
-// cover them too; the explicit markers keep the close protocol symmetric
-// with the static path). Crash retries are safe for the same reason the
-// static path's are: page content and tags are a pure function of the
-// stored pages and MorselPages, so a retry re-offers identical (tag, page)
-// pairs and the exchange's sender dedup drops the ones that already landed.
-func (c *Cluster) morselRepartition(ranges []engine.PageRange, key func(object.Ref) uint64,
-	w *Worker, ex *exchange.Exchange, nw int) error {
-	morsels := engine.MorselRanges(ranges, c.Cfg.MorselPages)
-	tstats := make([]engine.Stats, c.Cfg.Threads)
-	seqs := make([]int, nw) // released under the dispatcher's order lock
-	work := func(t, m int, stop <-chan struct{}) (any, error) {
-		tstats[t].Morsels++
-		sink, err := engine.NewRepartitionSink(w.Reg(), c.Cfg.PageSize, nw, "h", "obj", c.pool, &tstats[t])
-		if err != nil {
-			return nil, err
-		}
-		err = engine.ScanRanges(morsels[m], "obj", func(vl *engine.VectorList) error {
-			select {
-			case <-stop:
-				return engine.ErrAborted
-			default:
-			}
-			rc := vl.Col("obj").(engine.RefCol)
-			hashes := make(engine.U64Col, len(rc))
-			for j, r := range rc {
-				hashes[j] = key(r)
-			}
-			vl.Append("h", hashes)
-			return sink.Consume(nil, vl, nil)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return sink, nil
-	}
-	release := func(m int, res any, stop <-chan struct{}) error {
-		sink := res.(*engine.RepartitionSink)
-		for part := 0; part < nw; part++ {
-			for _, p := range sink.PartitionPages(part) {
-				if p.Root() == 0 || object.AsVector(object.Ref{Page: p, Off: p.Root()}).Len() == 0 {
-					// A morsel that routed no rows to this partition leaves
-					// an empty live page; recycle it instead of shipping it.
-					c.pool.Put(p)
-					continue
-				}
-				c.Cfg.Fault.Hit(fault.PageSeal, w.ID)
-				tag := exchange.Tag{Producer: w.ID, Thread: 0, Seq: seqs[part]}
-				seqs[part]++
-				if err := streamErr(ex.Send(tag, part, p, stop)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	err := engine.RunMorsels(len(morsels), c.Cfg.Threads, work, release)
-	for t := range tstats {
-		w.mergeStats(&tstats[t])
-	}
-	if err != nil {
-		return err
-	}
-	for t := 0; t < c.Cfg.Threads; t++ {
-		if err := streamErr(ex.CloseThread(w.ID, t, nil)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // gatherJoinStreams overlaps the join's two shuffles with the build: the
 // build-side stream feeds the hash table as pages arrive while the
 // probe-side stream drains concurrently, so neither side's producers stall
 // on a full lane longer than the backpressure bound. With bufferProbe the
 // drained probe pages are returned for the non-recoverable buffered probe;
 // otherwise they are dropped on delivery — the exchange's replay retention
-// holds them for the checkpointed probe to rewind over. Panics in the user
-// key lambda re-raise on the caller (the backend goroutine).
+// holds them for the checkpointed probe to rewind over. Panics on either
+// goroutine (the user key lambda, a crash under Recv) re-raise on the
+// caller (the backend goroutine).
 func (c *Cluster) gatherJoinStreams(exBuild, exProbe *exchange.Exchange, worker int,
 	key func(object.Ref) uint64, interval int, rec *joinRecovery, bufferProbe bool) (*engine.JoinTable, []*object.Page, error) {
 	var (
@@ -491,6 +395,7 @@ func (c *Cluster) gatherJoinStreams(exBuild, exProbe *exchange.Exchange, worker 
 		buildErr   error
 		probeErr   error
 		buildPanic any
+		probePanic any
 		wg         sync.WaitGroup
 	)
 	wg.Add(2)
@@ -505,6 +410,14 @@ func (c *Cluster) gatherJoinStreams(exBuild, exProbe *exchange.Exchange, worker 
 	}()
 	go func() {
 		defer wg.Done()
+		// Recv settles the governor's accounting and can spill a retained
+		// page: a crash there must reach the backend goroutine like the
+		// build's, not kill the process.
+		defer func() {
+			if r := recover(); r != nil {
+				probePanic = r
+			}
+		}()
 		for {
 			p, ok, err := exProbe.Recv(worker)
 			if err != nil {
@@ -522,6 +435,9 @@ func (c *Cluster) gatherJoinStreams(exBuild, exProbe *exchange.Exchange, worker 
 	wg.Wait()
 	if buildPanic != nil {
 		panic(buildPanic)
+	}
+	if probePanic != nil {
+		panic(probePanic)
 	}
 	if buildErr != nil {
 		return nil, nil, buildErr
@@ -571,7 +487,7 @@ func (c *Cluster) buildTableStream(ex *exchange.Exchange, worker int,
 		}
 	} else {
 		for t := range tables {
-			tables[t] = c.newJoinTable()
+			tables[t] = engine.NewJoinTable()
 		}
 	}
 	resizesBefore := 0
@@ -651,9 +567,8 @@ func statsPtrs(ss []engine.Stats) []*engine.Stats {
 
 // restoreJoinTable rebuilds the probe table from a completed build's
 // checkpointed per-thread clones, merging in thread order so the recovery
-// record stays pristine for the next crash. Seeding from a clone of the
-// first table (Merge never mutates its argument) keeps the restored
-// table on the same backend the build used.
+// record stays pristine for the next crash (Merge never mutates its
+// argument).
 func restoreJoinTable(tables []*engine.JoinTable) *engine.JoinTable {
 	if len(tables) == 0 {
 		return engine.NewJoinTable()
@@ -736,7 +651,7 @@ func (c *Cluster) probeEmitStream(ex *exchange.Exchange, worker int, table *engi
 				}
 			}
 			c.Workers[worker].mergeStats(&pstats)
-			matches, err := collectProbeMatches(window, table, key, eq, kind, c.Cfg.Threads, c.Cfg.MorselPages, scratch[:0])
+			matches, err := collectProbeMatches(window, table, key, eq, kind, c.Cfg.Threads, scratch[:0])
 			if err != nil {
 				return nil, err
 			}
@@ -847,10 +762,8 @@ func buildRowIndex(rows []object.Ref) map[object.Ref]int {
 func markBit(bits []uint64, i int)    { bits[i>>6] |= 1 << (uint(i) & 63) }
 func bitAt(bits []uint64, i int) bool { return bits[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// probeBufPool recycles the per-thread / per-morsel match buffers of
-// collectProbeMatches across calls. Pooling (rather than per-thread
-// locals) is what lets the morsel path — whose buffers are released in
-// morsel order, decoupled from thread reuse — share the same storage.
+// probeBufPool recycles the per-thread match buffers of collectProbeMatches
+// across calls.
 var probeBufPool = sync.Pool{New: func() any {
 	b := make([][2]object.Ref, 0, 1024)
 	return &b
@@ -862,17 +775,14 @@ var probeBufPool = sync.Pool{New: func() any {
 // capacity to recycle the flatten buffer across calls). Inner/right kinds
 // list every matching pair; left/full add (l, NilRef) for matchless probe
 // rows; semi keeps only the first match per probe row; anti keeps only the
-// (l, NilRef) entries. With morselPages == 0 each thread probes a
-// contiguous chunk into a pooled private buffer and the buffers
-// concatenate in thread order; with morselPages > 0 threads pull morsels
-// from the shared dispatcher and the per-morsel buffers concatenate in
-// morsel index order. Either way the result is exactly the sequence a
-// sequential probe over the same pages would emit, regardless of how the
-// work was split — per-row logic is local to the row, so the kind cannot
+// (l, NilRef) entries. Each thread probes a contiguous chunk into a pooled
+// private buffer and the buffers concatenate in thread order, so the
+// result is exactly the sequence a sequential probe over the same pages
+// would emit — per-row logic is local to the row, so the kind cannot
 // perturb determinism.
 func collectProbeMatches(pages []*object.Page, table *engine.JoinTable,
 	key func(object.Ref) uint64, eq func(l, r object.Ref) bool, kind core.JoinKind,
-	threads, morselPages int, reuse [][2]object.Ref) ([][2]object.Ref, error) {
+	threads int, reuse [][2]object.Ref) ([][2]object.Ref, error) {
 	probeRanges := func(ranges []engine.PageRange, out [][2]object.Ref) [][2]object.Ref {
 		for _, rng := range ranges {
 			root := object.AsVector(object.Ref{Page: rng.Page, Off: rng.Page.Root()})
@@ -902,25 +812,6 @@ func collectProbeMatches(pages []*object.Page, table *engine.JoinTable,
 		return out
 	}
 	all := reuse
-	if morselPages > 0 {
-		morsels := engine.MorselRanges(engine.BatchRanges(pages, engine.BatchSize), morselPages)
-		err := engine.RunMorsels(len(morsels), threads,
-			func(t, m int, stop <-chan struct{}) (any, error) {
-				buf := probeBufPool.Get().(*[][2]object.Ref)
-				*buf = probeRanges(morsels[m], (*buf)[:0])
-				return buf, nil
-			},
-			func(m int, res any, stop <-chan struct{}) error {
-				buf := res.(*[][2]object.Ref)
-				all = append(all, *buf...)
-				probeBufPool.Put(buf)
-				return nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		return all, nil
-	}
 	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), threads)
 	matches := make([]*[][2]object.Ref, len(chunks))
 	err := engine.ParallelFor(len(chunks), func(t int) error {
@@ -947,20 +838,12 @@ func collectProbeMatches(pages []*object.Page, table *engine.JoinTable,
 // parallelBuildTable builds a probe hash table over locally materialized
 // pages across threads executor threads: each thread inserts a contiguous
 // chunk of rows into a private table, and tables merge bucket-wise in
-// thread order after the barrier (or, with morselPages > 0, per-morsel
-// tables merge in morsel index order as the dispatcher releases them), so
-// per-bucket row order matches a sequential build over the whole input.
-// (CoPartitionedJoin's zero-shuffle local builds; the shuffled build
-// streams through buildTableStream.)
-func parallelBuildTable(pages []*object.Page, key func(object.Ref) uint64, threads, morselPages int, noSwiss bool) (*engine.JoinTable, error) {
-	newTable := func() *engine.JoinTable {
-		if noSwiss {
-			return engine.NewMapJoinTable()
-		}
-		return engine.NewJoinTable()
-	}
+// thread order after the barrier, so per-bucket row order matches a
+// sequential build over the whole input. (CoPartitionedJoin's zero-shuffle
+// local builds; the shuffled build streams through buildTableStream.)
+func parallelBuildTable(pages []*object.Page, key func(object.Ref) uint64, threads int) (*engine.JoinTable, error) {
 	buildRanges := func(ranges []engine.PageRange) *engine.JoinTable {
-		tbl := newTable()
+		tbl := engine.NewJoinTable()
 		for _, rng := range ranges {
 			root := object.AsVector(object.Ref{Page: rng.Page, Off: rng.Page.Root()})
 			for j := rng.Start; j < rng.End; j++ {
@@ -969,22 +852,6 @@ func parallelBuildTable(pages []*object.Page, key func(object.Ref) uint64, threa
 			}
 		}
 		return tbl
-	}
-	if morselPages > 0 {
-		morsels := engine.MorselRanges(engine.BatchRanges(pages, engine.BatchSize), morselPages)
-		table := newTable()
-		err := engine.RunMorsels(len(morsels), threads,
-			func(t, m int, stop <-chan struct{}) (any, error) {
-				return buildRanges(morsels[m]), nil
-			},
-			func(m int, res any, stop <-chan struct{}) error {
-				table.Merge(res.(*engine.JoinTable))
-				return nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		return table, nil
 	}
 	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), threads)
 	tables := make([]*engine.JoinTable, len(chunks))
@@ -995,7 +862,7 @@ func parallelBuildTable(pages []*object.Page, key func(object.Ref) uint64, threa
 	if err != nil {
 		return nil, err
 	}
-	table := newTable()
+	table := engine.NewJoinTable()
 	for _, tbl := range tables {
 		if tbl != nil {
 			table.Merge(tbl)
@@ -1011,23 +878,9 @@ func parallelBuildTable(pages []*object.Page, key func(object.Ref) uint64, threa
 // invokes emit from two threads at once. An inner join over a single chunk
 // (Threads=1, or fewer batches than threads) streams each match straight
 // to emit with no buffer, like the sequential path always did.
-// morselPages > 0 swaps the static chunk split for the morsel dispatcher
-// inside collectProbeMatches.
 func parallelProbe(pages []*object.Page, table *engine.JoinTable,
 	key func(object.Ref) uint64, eq func(l, r object.Ref) bool, kind core.JoinKind,
-	threads, morselPages int, emit func(l, r object.Ref) error) error {
-	if morselPages > 0 {
-		matches, err := collectProbeMatches(pages, table, key, eq, kind, threads, morselPages, nil)
-		if err != nil {
-			return err
-		}
-		for _, m := range matches {
-			if err := emit(m[0], m[1]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	threads int, emit func(l, r object.Ref) error) error {
 	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), threads)
 	if kind == core.JoinInner && len(chunks) <= 1 {
 		for _, chunk := range chunks {
@@ -1048,7 +901,7 @@ func parallelProbe(pages []*object.Page, table *engine.JoinTable,
 		}
 		return nil
 	}
-	matches, err := collectProbeMatches(pages, table, key, eq, kind, threads, 0, nil)
+	matches, err := collectProbeMatches(pages, table, key, eq, kind, threads, nil)
 	if err != nil {
 		return err
 	}

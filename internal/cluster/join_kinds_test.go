@@ -42,6 +42,16 @@ func loadIntRowsOff(t *testing.T, c *Cluster, rec *object.TypeInfo, db, set stri
 // deterministic, so the flattening is too.
 func runJoinKind(t *testing.T, c *Cluster, rec *object.TypeInfo, kind core.JoinKind) []string {
 	t.Helper()
+	rows, err := joinKindRows(c, rec, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// joinKindRows is runJoinKind returning the join's error instead of failing
+// the test.
+func joinKindRows(c *Cluster, rec *object.TypeInfo, kind core.JoinKind) ([]string, error) {
 	grpField := rec.Field("grp")
 	valField := rec.Field("val")
 	key := func(r object.Ref) uint64 {
@@ -66,13 +76,13 @@ func runJoinKind(t *testing.T, c *Cluster, rec *object.TypeInfo, kind core.JoinK
 			return nil
 		})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	var rows []string
 	for _, ws := range perWorker {
 		rows = append(rows, ws...)
 	}
-	return rows
+	return rows, nil
 }
 
 // joinKindReference nested-loops the logical row sets and returns the
@@ -136,11 +146,11 @@ var joinKinds = []struct {
 // (left groups 0..11, right groups 8..15).
 func TestJoinKindsMatchReference(t *testing.T) {
 	const ln, lg, rn, rg, roff = 120, 12, 48, 8, 8
-	for _, cell := range []struct{ workers, threads, morsel int }{
-		{1, 1, 0}, {2, 2, 0}, {4, 8, 2},
+	for _, cell := range []struct{ workers, threads int }{
+		{1, 1}, {2, 2}, {4, 8},
 	} {
 		c, err := New(Config{Workers: cell.workers, Threads: cell.threads,
-			PageSize: 1 << 12, MorselPages: cell.morsel, ShuffleCapacity: 2, CheckpointInterval: 2})
+			PageSize: 1 << 12, ShuffleCapacity: 2, CheckpointInterval: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,21 +165,21 @@ func TestJoinKindsMatchReference(t *testing.T) {
 			sort.Strings(got)
 			want := joinKindReference(jk.kind, ln, lg, rn, rg, roff)
 			if !equalRows(got, want) {
-				t.Errorf("w=%d t=%d m=%d %s: emit multiset differs (%d vs %d rows)",
-					cell.workers, cell.threads, cell.morsel, jk.name, len(got), len(want))
+				t.Errorf("w=%d t=%d %s: emit multiset differs (%d vs %d rows)",
+					cell.workers, cell.threads, jk.name, len(got), len(want))
 			}
 		}
 	}
 }
 
 // TestJoinKindsDeterministicOrder pins each kind's per-worker emit ORDER
-// across thread and morsel schedules: the flattened worker-order sequence
-// at any (threads, morsels) must be bit-for-bit the 1-thread schedule's.
+// across thread counts: the flattened worker-order sequence at any thread
+// count must be bit-for-bit the 1-thread schedule's.
 func TestJoinKindsDeterministicOrder(t *testing.T) {
 	const ln, lg, rn, rg, roff = 120, 12, 48, 8, 8
-	build := func(threads, morsel int) (*Cluster, *object.TypeInfo) {
+	build := func(threads int) (*Cluster, *object.TypeInfo) {
 		c, err := New(Config{Workers: 2, Threads: threads, PageSize: 1 << 12,
-			MorselPages: morsel, ShuffleCapacity: 2, CheckpointInterval: 2})
+			ShuffleCapacity: 2, CheckpointInterval: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,14 +192,14 @@ func TestJoinKindsDeterministicOrder(t *testing.T) {
 		return c, rec
 	}
 	for _, jk := range joinKinds {
-		refC, refRec := build(1, 0)
+		refC, refRec := build(1)
 		ref := runJoinKind(t, refC, refRec, jk.kind)
-		for _, cell := range []struct{ threads, morsel int }{{2, 0}, {8, 0}, {2, 2}, {8, 2}} {
-			c, rec := build(cell.threads, cell.morsel)
+		for _, threads := range []int{2, 8} {
+			c, rec := build(threads)
 			got := runJoinKind(t, c, rec, jk.kind)
 			if !equalRows(got, ref) {
-				t.Errorf("%s t=%d m=%d: emit order differs from 1-thread schedule (%d vs %d rows)",
-					jk.name, cell.threads, cell.morsel, len(got), len(ref))
+				t.Errorf("%s t=%d: emit order differs from 1-thread schedule (%d vs %d rows)",
+					jk.name, threads, len(got), len(ref))
 			}
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // the single-process core.Executor, and the full cluster on both the mem
 // and unix transports — over seeded corpora chosen to hit the degenerate
 // shapes (NULL-heavy keys, empty input, all-duplicate keys, single-key
-// skew), at every Workers × Threads × MorselPages grid cell. Any
+// skew), at every Workers × Threads grid cell. Any
 // disagreement between two engines is a bug in one of them.
 //
 // NULL modeling: the object model has no NULL scalar, so a NULL key is a
@@ -401,15 +401,13 @@ func matCoreRun(t *testing.T, op string, threads int, left, right []matRow) []ma
 }
 
 // matCell is one cluster grid point.
-type matCell struct{ workers, threads, morsel int }
+type matCell struct{ workers, threads int }
 
 func matGrid() []matCell {
 	var cells []matCell
 	for _, w := range []int{1, 2, 4} {
 		for _, th := range []int{1, 2, 8} {
-			for _, m := range []int{0, 2} {
-				cells = append(cells, matCell{w, th, m})
-			}
+			cells = append(cells, matCell{w, th})
 		}
 	}
 	return cells
@@ -420,8 +418,7 @@ func matGrid() []matCell {
 func matClusterRun(t *testing.T, transport string, cell matCell, left, right []matRow) map[string][]matRow {
 	t.Helper()
 	c, err := New(Config{Workers: cell.workers, Threads: cell.threads,
-		PageSize: 1 << 13, MorselPages: cell.morsel,
-		ShuffleCapacity: 2, CheckpointInterval: 2, Transport: transport})
+		PageSize: 1 << 13, ShuffleCapacity: 2, CheckpointInterval: 2, Transport: transport})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,8 +449,8 @@ func matClusterRun(t *testing.T, transport string, cell matCell, left, right []m
 			t.Fatal(err)
 		}
 		if _, err := c.Execute(matWrite(op.name, ti, set)); err != nil {
-			t.Fatalf("cluster %s (tr=%q w=%d t=%d m=%d): %v",
-				op.name, transport, cell.workers, cell.threads, cell.morsel, err)
+			t.Fatalf("cluster %s (tr=%q w=%d t=%d): %v",
+				op.name, transport, cell.workers, cell.threads, err)
 		}
 		var rows []matRow
 		for _, w := range c.Workers {
@@ -523,8 +520,8 @@ func TestOperatorMatrixCore(t *testing.T) {
 }
 
 // TestOperatorMatrixCluster pins the cluster against the baseline
-// reference for every operator and corpus over the full
-// Workers × Threads × MorselPages grid on the mem transport.
+// reference for every operator and corpus over the full Workers × Threads
+// grid on the mem transport.
 func TestOperatorMatrixCluster(t *testing.T) {
 	for _, corpus := range matCorpora {
 		corpus := corpus
@@ -537,7 +534,7 @@ func TestOperatorMatrixCluster(t *testing.T) {
 			for _, cell := range matGrid() {
 				got := matClusterRun(t, "", cell, left, right)
 				for _, op := range matOps {
-					label := fmt.Sprintf("cluster/%s/w=%d,t=%d,m=%d", corpus, cell.workers, cell.threads, cell.morsel)
+					label := fmt.Sprintf("cluster/%s/w=%d,t=%d", corpus, cell.workers, cell.threads)
 					matCompare(t, op, label, got[op.name], want[op.name])
 				}
 			}
@@ -549,7 +546,7 @@ func TestOperatorMatrixCluster(t *testing.T) {
 // transport: the full grid on the random corpus (pages genuinely traverse
 // a unix stream per hop), the diagonal cells on the degenerate corpora.
 func TestOperatorMatrixUnixTransport(t *testing.T) {
-	diag := []matCell{{1, 1, 0}, {2, 2, 0}, {4, 8, 2}}
+	diag := []matCell{{1, 1}, {2, 2}, {4, 8}}
 	for _, corpus := range matCorpora {
 		corpus := corpus
 		t.Run(corpus, func(t *testing.T) {
@@ -565,7 +562,7 @@ func TestOperatorMatrixUnixTransport(t *testing.T) {
 			for _, cell := range cells {
 				got := matClusterRun(t, "unix", cell, left, right)
 				for _, op := range matOps {
-					label := fmt.Sprintf("unix/%s/w=%d,t=%d,m=%d", corpus, cell.workers, cell.threads, cell.morsel)
+					label := fmt.Sprintf("unix/%s/w=%d,t=%d", corpus, cell.workers, cell.threads)
 					matCompare(t, op, label, got[op.name], want[op.name])
 				}
 			}

@@ -22,7 +22,6 @@ import (
 // hash partition at load time and records the partition key label in the
 // catalog; CoPartitionedJoin then joins two sets sharing a label with zero
 // shuffle: every worker builds and probes purely locally.
-// BenchCoPartitionedJoin (cmd/pcbench -ablations) quantifies the saving.
 
 // SendDataPartitioned loads pages into a set, placing each object on the
 // worker that owns hash(key(obj)) % workers, and records keyLabel as the
@@ -151,7 +150,7 @@ func (c *Cluster) CoPartitionedJoin(dbL, setL, dbR, setR string,
 				if pages, err := w.Front.Store.Pages(dbR, setR); err == nil {
 					rightPages = pages
 				}
-				table, err := parallelBuildTable(rightPages, keyR, c.Cfg.Threads, c.Cfg.MorselPages, c.Cfg.NoSwissTable)
+				table, err := parallelBuildTable(rightPages, keyR, c.Cfg.Threads)
 				if err != nil {
 					return err
 				}
@@ -159,7 +158,7 @@ func (c *Cluster) CoPartitionedJoin(dbL, setL, dbR, setR string,
 				if err != nil {
 					return nil
 				}
-				return parallelProbe(pages, table, keyL, eq, core.JoinInner, c.Cfg.Threads, c.Cfg.MorselPages, func(l, r object.Ref) error {
+				return parallelProbe(pages, table, keyL, eq, core.JoinInner, c.Cfg.Threads, func(l, r object.Ref) error {
 					if counter < emitted {
 						counter++
 						return nil

@@ -134,6 +134,37 @@ func TestProcClusterAggSmoke(t *testing.T) {
 	}
 }
 
+// TestProcClusterCheckpointsOff is the smoke job with consumer recovery
+// disabled: the exchange is then not replayable, and the master's consumer
+// relay must not rewind it (every such job used to fail with "Rewind on a
+// non-replayable exchange").
+func TestProcClusterCheckpointsOff(t *testing.T) {
+	bin := buildPCWorker(t)
+	const n, groups = 2000, 16
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ShuffleCapacity: 2,
+		CheckpointInterval: -1, DataDir: t.TempDir(), ProcBin: bin}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rec := intRecType(c)
+	loadIntRows(t, c, rec, "db", "rows", n, groups)
+	if err := c.CreateSet("db", "sums", "RecovRec"); err != nil {
+		t.Fatal(err)
+	}
+	rows, stats, err := runProcIntAgg(t, c, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIntSums(t, rows, n, groups)
+	for _, s := range stats.Ships {
+		if s.Checkpoints != 0 {
+			t.Errorf("stage %d took %d checkpoints with recovery disabled", s.Stage, s.Checkpoints)
+		}
+	}
+}
+
 // TestProcClusterAggSmokeTCP is the same job over TCP control sockets.
 func TestProcClusterAggSmokeTCP(t *testing.T) {
 	bin := buildPCWorker(t)

@@ -310,10 +310,13 @@ func (c *Cluster) procConsume(pw *procWorker, base *procwork.Msg, cons *physical
 	// Position the exchange against the worker's durable cut.
 	switch {
 	case cut <= 0:
-		// Fresh merge (or recovery disabled): replay from the stream's
-		// start — retention still holds everything unacked.
-		if err := ex.Rewind(pw.id, 0); err != nil {
-			return nil, err
+		// Fresh merge: replay from the stream's start — retention still
+		// holds everything unacked. With recovery disabled the exchange is
+		// not replayable and a first attempt is already at the start.
+		if interval > 0 {
+			if err := ex.Rewind(pw.id, 0); err != nil {
+				return nil, err
+			}
 		}
 		rec.delivered = 0
 	case cut <= rec.delivered:

@@ -102,7 +102,6 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 		Consumers:  1,
 		Threads:    1,
 		Capacity:   c.Cfg.ShuffleCapacity,
-		Barrier:    c.Cfg.BarrierShuffle,
 		Replayable: interval > 0,
 		Ship: func(p *object.Page, producer, consumer int) (*object.Page, error) {
 			if producer == 0 {
@@ -209,27 +208,6 @@ func (c *Cluster) runSortStreamOnWorker(res *core.CompileResult, stage *physical
 
 	var mu sync.Mutex
 	var sinks []*engine.SortSink
-	mkSortSink := func(stats *engine.Stats) (engine.Sink, *engine.Ctx, error) {
-		sink, err := engine.NewSortSink(w.Reg(), c.Cfg.PageSize, keyCols, objCol, valCol,
-			spec.Desc, spec.Limit, c.pool, stats)
-		if err != nil {
-			return nil, nil, err
-		}
-		if spill != nil && spec.Limit == 0 {
-			sink.SpillThreshold = c.Cfg.SortSpillRows
-			sink.Spill = spill
-			sink.Fault = c.Cfg.Fault
-			sink.Worker = w.ID
-		}
-		ctx, err := engine.NewSinkCtx(sink, w.Reg(), w.artTables, c.Cfg.PageSize, c.pool, stats)
-		if err != nil {
-			return nil, nil, err
-		}
-		mu.Lock()
-		sinks = append(sinks, sink)
-		mu.Unlock()
-		return sink, ctx, nil
-	}
 	// Zero-leak sweep: on any failure — an error return or a crash panic
 	// unwinding to the backend — free every sub-run slot the sinks still
 	// hold (a clean Finish frees them as it merges).
@@ -244,49 +222,44 @@ func (c *Cluster) runSortStreamOnWorker(res *core.CompileResult, stage *physical
 		}
 	}()
 
-	ranges := engine.BatchRanges(pages, engine.BatchSize)
-	var runs [][]*object.Page
-	if c.Cfg.MorselPages > 0 {
-		// Morsel mode: one sorted run per morsel, collected by the ordered
-		// releaser in morsel index order — source order, the same tie-break
-		// the static path gets from contiguous chunks.
-		morsels := engine.MorselRanges(ranges, c.Cfg.MorselPages)
-		mstats, err := engine.RunPipelineMorsels(morsels, stage.SourceCol, stage.Stmts, res.Stages,
-			stage.SinkStmt, c.Cfg.Threads,
-			func(m int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, *engine.Ctx, error) {
-				return mkSortSink(stats)
-			},
-			func(m int, sink engine.Sink, ctx *engine.Ctx, _ <-chan struct{}) error {
-				runs = append(runs, sink.(*engine.SortSink).Pages())
-				return nil
-			})
-		for t := range mstats {
-			w.mergeStats(&mstats[t])
-		}
-		if err != nil {
-			return err
-		}
-	} else {
-		chunks := engine.SplitRanges(ranges, c.Cfg.Threads)
-		if len(chunks) == 0 {
-			// A worker with no input still streams its (empty) close
-			// marker, honoring the exchange's lane contract.
-			chunks = [][]engine.PageRange{nil}
-		}
-		pt, err := engine.RunPipelineThreads(chunks, stage.SourceCol, stage.Stmts, res.Stages,
-			stage.SinkStmt,
-			func(t int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, *engine.Ctx, error) {
-				return mkSortSink(stats)
-			}, nil)
-		for t := range pt.Stats {
-			w.mergeStats(&pt.Stats[t])
-		}
-		if err != nil {
-			return err
-		}
-		for _, s := range pt.Sinks {
-			runs = append(runs, s.Pages())
-		}
+	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), c.Cfg.Threads)
+	if len(chunks) == 0 {
+		// A worker with no input still streams its (empty) close
+		// marker, honoring the exchange's lane contract.
+		chunks = [][]engine.PageRange{nil}
+	}
+	pt, err := engine.RunPipelineThreads(chunks, stage.SourceCol, stage.Stmts, res.Stages,
+		stage.SinkStmt,
+		func(t int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, *engine.Ctx, error) {
+			sink, err := engine.NewSortSink(w.Reg(), c.Cfg.PageSize, keyCols, objCol, valCol,
+				spec.Desc, spec.Limit, c.pool, stats)
+			if err != nil {
+				return nil, nil, err
+			}
+			if spill != nil && spec.Limit == 0 {
+				sink.SpillThreshold = c.Cfg.SortSpillRows
+				sink.Spill = spill
+				sink.Fault = c.Cfg.Fault
+				sink.Worker = w.ID
+			}
+			ctx, err := engine.NewSinkCtx(sink, w.Reg(), w.artTables, c.Cfg.PageSize, c.pool, stats)
+			if err != nil {
+				return nil, nil, err
+			}
+			mu.Lock()
+			sinks = append(sinks, sink)
+			mu.Unlock()
+			return sink, ctx, nil
+		}, nil)
+	for t := range pt.Stats {
+		w.mergeStats(&pt.Stats[t])
+	}
+	if err != nil {
+		return err
+	}
+	runs := make([][]*object.Page, 0, len(pt.Sinks))
+	for _, s := range pt.Sinks {
+		runs = append(runs, s.Pages())
 	}
 
 	// Worker-level merge into one run, streamed page by page down the

@@ -24,6 +24,16 @@ func intSortKeys() []core.SortKey {
 // order (worker, page, root order — the sorted sequence).
 func runIntSortVariant(t *testing.T, c *Cluster, rec *object.TypeInfo, variant, out string) []string {
 	t.Helper()
+	rows, err := intSortRows(c, rec, variant, out)
+	if err != nil {
+		t.Fatalf("%s: %v", variant, err)
+	}
+	return rows
+}
+
+// intSortRows is runIntSortVariant returning the job's error instead of
+// failing the test.
+func intSortRows(c *Cluster, rec *object.TypeInfo, variant, out string) ([]string, error) {
 	var comp core.Computation
 	switch variant {
 	case "orderby":
@@ -53,23 +63,21 @@ func runIntSortVariant(t *testing.T, c *Cluster, rec *object.TypeInfo, variant, 
 			},
 		}
 	default:
-		t.Fatalf("unknown sort variant %q", variant)
+		return nil, fmt.Errorf("unknown sort variant %q", variant)
 	}
 	if err := c.CreateSet("db", out, rec.Name); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if _, err := c.Execute(core.NewWrite("db", out, comp)); err != nil {
-		t.Fatalf("%s: %v", variant, err)
+		return nil, err
 	}
 	var rows []string
-	if err := c.ScanSet("db", out, func(r object.Ref) bool {
+	err := c.ScanSet("db", out, func(r object.Ref) bool {
 		rows = append(rows, fmt.Sprintf("%d|%d",
 			object.GetI64(r, rec.Field("grp")), object.GetI64(r, rec.Field("val"))))
 		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return rows
+	})
+	return rows, err
 }
 
 // TestSortCrashRecovery crashes backends at every sort-relevant fault site

@@ -170,11 +170,11 @@ func TestDistributedSemiAntiJoin(t *testing.T) {
 }
 
 // TestSortDeterministicAcrossConfigs pins bit-for-bit identity of the
-// distributed sort across Workers × Threads × MorselPages and both
-// no-limit and top-k paths, against the 1×1 reference schedule.
+// distributed sort across Workers × Threads and both no-limit and top-k
+// paths, against the 1-thread reference schedule.
 func TestSortDeterministicAcrossConfigs(t *testing.T) {
-	run := func(workers, threads, morsel, limit int) []float64 {
-		c, err := New(Config{Workers: workers, Threads: threads, PageSize: 1 << 12, MorselPages: morsel})
+	run := func(workers, threads, limit int) []float64 {
+		c, err := New(Config{Workers: workers, Threads: threads, PageSize: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,9 +226,9 @@ func TestSortDeterministicAcrossConfigs(t *testing.T) {
 	for _, limit := range []int{0, 25} {
 		// Workers > 1 change SendData placement, so the cross-worker pin
 		// uses a total-order key corpus via the differential matrix; here
-		// we pin schedule-only knobs (threads, morsels) per worker count.
+		// we pin the thread count per worker count.
 		for _, workers := range []int{1, 4} {
-			ref := run(workers, 1, 0, limit)
+			ref := run(workers, 1, limit)
 			if limit == 0 && len(ref) != 400 {
 				t.Fatalf("sorted rows = %d, want 400", len(ref))
 			}
@@ -236,15 +236,13 @@ func TestSortDeterministicAcrossConfigs(t *testing.T) {
 				t.Fatalf("top-k rows = %d, want %d", len(ref), limit)
 			}
 			for _, threads := range []int{2, 8} {
-				for _, morsel := range []int{0, 2} {
-					got := run(workers, threads, morsel, limit)
-					if len(got) != len(ref) {
-						t.Fatalf("w=%d t=%d m=%d limit=%d: rows %d != %d", workers, threads, morsel, limit, len(got), len(ref))
-					}
-					for i := range got {
-						if got[i] != ref[i] {
-							t.Fatalf("w=%d t=%d m=%d limit=%d: row %d = %v, ref %v", workers, threads, morsel, limit, i, got[i], ref[i])
-						}
+				got := run(workers, threads, limit)
+				if len(got) != len(ref) {
+					t.Fatalf("w=%d t=%d limit=%d: rows %d != %d", workers, threads, limit, len(got), len(ref))
+				}
+				for i := range got {
+					if got[i] != ref[i] {
+						t.Fatalf("w=%d t=%d limit=%d: row %d = %v, ref %v", workers, threads, limit, i, got[i], ref[i])
 					}
 				}
 			}

@@ -42,42 +42,39 @@ func assertSpillShips(t *testing.T, stats *ExecStats, label string) {
 }
 
 // TestSpillAggIdentityOnePageBudget runs the streaming aggregation with
-// MemoryBudget = 1 page, in streaming and barrier mode, and asserts the
-// result rows are bit-for-bit identical to the unbounded run's.
+// MemoryBudget = 1 page and asserts the result rows are bit-for-bit
+// identical to the unbounded run's.
 func TestSpillAggIdentityOnePageBudget(t *testing.T) {
 	// High cardinality so the shuffled map pages fill to ~PageSize: two
 	// consecutive full pages exceed a one-page budget in every schedule,
 	// making the spill deterministic (tiny maps could be drained fast
 	// enough to never cross the budget).
 	const n, groups = 4000, 499
-	for _, barrier := range []bool{false, true} {
-		base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			ShuffleCapacity: 2, CheckpointInterval: 2, BarrierShuffle: barrier}
-		ref, err := New(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refRec := intRecType(ref)
-		loadIntRows(t, ref, refRec, "db", "rows", n, groups)
-		wantRows, _ := runIntAgg(t, ref, refRec, nil)
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
+		ShuffleCapacity: 2, CheckpointInterval: 2}
+	ref, err := New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRec := intRecType(ref)
+	loadIntRows(t, ref, refRec, "db", "rows", n, groups)
+	wantRows, _ := runIntAgg(t, ref, refRec, nil)
 
-		cfg := base
-		cfg.MemoryBudget = spillBudget
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := intRecType(c)
-		loadIntRows(t, c, rec, "db", "rows", n, groups)
-		gotRows, stats := runIntAgg(t, c, rec, nil)
-		if !equalRows(gotRows, wantRows) {
-			t.Errorf("barrier=%v: governed run differs from unbounded run (%d vs %d rows)",
-				barrier, len(gotRows), len(wantRows))
-		}
-		assertSpillShips(t, stats, "barrier="+map[bool]string{false: "no", true: "yes"}[barrier])
-		if c.Transport.Stats().SpilledPages == 0 || c.Transport.Stats().SpilledBytes == 0 {
-			t.Errorf("barrier=%v: transport spill counters not recorded", barrier)
-		}
+	cfg := base
+	cfg.MemoryBudget = spillBudget
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := intRecType(c)
+	loadIntRows(t, c, rec, "db", "rows", n, groups)
+	gotRows, stats := runIntAgg(t, c, rec, nil)
+	if !equalRows(gotRows, wantRows) {
+		t.Errorf("governed run differs from unbounded run (%d vs %d rows)", len(gotRows), len(wantRows))
+	}
+	assertSpillShips(t, stats, "one-page budget")
+	if c.Transport.Stats().SpilledPages == 0 || c.Transport.Stats().SpilledBytes == 0 {
+		t.Error("transport spill counters not recorded")
 	}
 }
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -10,19 +9,10 @@ import (
 	"repro/internal/object"
 )
 
-// shuffleMatrix is the streaming-identity test matrix from the issue's
-// acceptance criteria: Workers ∈ {1, 2, 4} × Threads ∈ {1, 2, 8}, each run
-// in streaming and in barrier mode.
-var shuffleMatrix = []struct{ workers, threads int }{
-	{1, 1}, {1, 2}, {1, 8},
-	{2, 1}, {2, 2}, {2, 8},
-	{4, 1}, {4, 2}, {4, 8},
-}
-
-// matrixCluster builds a cluster for one matrix cell with n employees.
-func matrixCluster(t testing.TB, workers, threads int, barrier bool, n int) (*Cluster, *object.TypeInfo) {
+// matrixCluster builds a workers × threads cluster with n employees.
+func matrixCluster(t testing.TB, workers, threads int, n int) (*Cluster, *object.TypeInfo) {
 	t.Helper()
-	c, err := New(Config{Workers: workers, Threads: threads, PageSize: 1 << 14, BarrierShuffle: barrier})
+	c, err := New(Config{Workers: workers, Threads: threads, PageSize: 1 << 14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,129 +104,6 @@ func equalRows(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// TestStreamingMatchesBarrierSelectionAggregation is the identity half of
-// the acceptance criteria for Execute: at every (workers, threads) cell,
-// the streaming shuffle must produce byte-identical result sets — order
-// included — to barrier mode.
-func TestStreamingMatchesBarrierSelectionAggregation(t *testing.T) {
-	for _, cell := range shuffleMatrix {
-		var refSel, refAgg []string
-		for _, barrier := range []bool{true, false} {
-			c, emp := matrixCluster(t, cell.workers, cell.threads, barrier, 900)
-			sel, agg := runSelAgg(t, c, emp)
-			if len(sel) == 0 || len(agg) != 5 {
-				t.Fatalf("w=%d t=%d barrier=%v: degenerate results (%d sel, %d agg)",
-					cell.workers, cell.threads, barrier, len(sel), len(agg))
-			}
-			if barrier {
-				refSel, refAgg = sel, agg
-				continue
-			}
-			if !equalRows(sel, refSel) {
-				t.Errorf("w=%d t=%d: streaming selection differs from barrier", cell.workers, cell.threads)
-			}
-			if !equalRows(agg, refAgg) {
-				t.Errorf("w=%d t=%d: streaming aggregation differs from barrier", cell.workers, cell.threads)
-			}
-		}
-	}
-}
-
-// joinRowsByWorker collects emitted pairs per worker and concatenates them
-// in worker order: each worker's emit sequence is serialized and
-// deterministic, while cross-worker interleaving is scheduler noise.
-func joinRowsByWorker(t *testing.T, c *Cluster, emp *object.TypeInfo,
-	run func(key func(object.Ref) uint64, eq func(l, r object.Ref) bool,
-		emit func(workerID int, l, r object.Ref) error) error) []string {
-	t.Helper()
-	deptField := emp.Field("dept")
-	nameField := emp.Field("name")
-	key := func(r object.Ref) uint64 {
-		return object.HashValue(object.StringValue(object.GetStrField(r, deptField)))
-	}
-	eq := func(l, r object.Ref) bool {
-		return object.GetStrField(l, deptField) == object.GetStrField(r, deptField)
-	}
-	perWorker := make([][]string, len(c.Workers))
-	err := run(key, eq, func(workerID int, l, r object.Ref) error {
-		perWorker[workerID] = append(perWorker[workerID],
-			fmt.Sprintf("%s|%s", object.GetStrField(l, nameField), object.GetStrField(r, nameField)))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []string
-	for _, ws := range perWorker {
-		rows = append(rows, ws...)
-	}
-	return rows
-}
-
-// TestStreamingMatchesBarrierJoins is the identity half for the joins: per
-// (workers, threads) cell, hash-partition and co-partitioned joins must
-// emit byte-identical per-worker match sequences in streaming and barrier
-// mode.
-func TestStreamingMatchesBarrierJoins(t *testing.T) {
-	for _, cell := range shuffleMatrix {
-		var refHash, refCo []string
-		for _, barrier := range []bool{true, false} {
-			c, emp := matrixCluster(t, cell.workers, cell.threads, barrier, 400)
-			if err := c.CreateSet("db", "reps", "Emp"); err != nil {
-				t.Fatal(err)
-			}
-			loadEmps(t, c, emp, "db", "reps", 5) // one rep per dept d0..d4
-			hash := joinRowsByWorker(t, c, emp, func(key func(object.Ref) uint64,
-				eq func(l, r object.Ref) bool,
-				emit func(workerID int, l, r object.Ref) error) error {
-				return c.HashPartitionJoin("db", "emps", "db", "reps", key, key, eq, emit)
-			})
-			if len(hash) != 400 {
-				t.Fatalf("w=%d t=%d barrier=%v: hash join rows = %d, want 400",
-					cell.workers, cell.threads, barrier, len(hash))
-			}
-
-			deptField := emp.Field("dept")
-			pkey := func(r object.Ref) uint64 {
-				return object.HashValue(object.StringValue(object.GetStrField(r, deptField)))
-			}
-			if err := c.CreateSet("db", "pl", "Emp"); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.CreateSet("db", "pr", "Emp"); err != nil {
-				t.Fatal(err)
-			}
-			plPages := buildEmpPages(t, c, emp, 300)
-			prPages := buildEmpPages(t, c, emp, 7)
-			if err := c.SendDataPartitioned("db", "pl", plPages, "dept", pkey); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.SendDataPartitioned("db", "pr", prPages, "dept", pkey); err != nil {
-				t.Fatal(err)
-			}
-			co := joinRowsByWorker(t, c, emp, func(key func(object.Ref) uint64,
-				eq func(l, r object.Ref) bool,
-				emit func(workerID int, l, r object.Ref) error) error {
-				return c.CoPartitionedJoin("db", "pl", "db", "pr", key, key, eq, emit)
-			})
-			if len(co) != 300 {
-				t.Fatalf("w=%d t=%d barrier=%v: co-partitioned rows = %d, want 300",
-					cell.workers, cell.threads, barrier, len(co))
-			}
-			if barrier {
-				refHash, refCo = hash, co
-				continue
-			}
-			if !equalRows(hash, refHash) {
-				t.Errorf("w=%d t=%d: streaming hash-partition join differs from barrier", cell.workers, cell.threads)
-			}
-			if !equalRows(co, refCo) {
-				t.Errorf("w=%d t=%d: streaming co-partitioned join differs from barrier", cell.workers, cell.threads)
-			}
-		}
-	}
 }
 
 // TestBackendCrashReForkMidShuffle crashes a producer backend while
@@ -360,7 +227,7 @@ func TestBackendCrashReForkMidShuffle(t *testing.T) {
 // exchange-linked aggregation stage must report shipped bytes/pages and a
 // bytes-in-flight high-water mark on multi-worker clusters.
 func TestShuffleObservability(t *testing.T) {
-	c, emp := matrixCluster(t, 4, 2, false, 800)
+	c, emp := matrixCluster(t, 4, 2, 800)
 	_, agg := runSelAgg(t, c, emp)
 	if len(agg) != 5 {
 		t.Fatalf("aggregation produced %d groups", len(agg))

@@ -44,13 +44,11 @@ type ShipStats struct {
 	BytesShipped int64
 	PagesShipped int
 	// MaxBytesInFlight is the largest bytes-in-flight high-water mark any
-	// shuffle exchange reached (bytes shipped but not yet merged) — the
-	// streaming ablation's memory-bound evidence.
+	// shuffle exchange reached (bytes shipped but not yet merged).
 	MaxBytesInFlight int64
 	// MaxReorderPages is the largest undelivered-page backlog any single
-	// consumer's exchange lanes reached. Streaming mode hard-bounds it at
-	// ShuffleCapacity × Threads × Workers; barrier mode buffers the whole
-	// shuffle.
+	// consumer's exchange lanes reached, hard-bounded at ShuffleCapacity ×
+	// Threads × Workers.
 	MaxReorderPages int64
 	// Checkpoints totals the consumer-side recovery checkpoints taken
 	// across all streaming shuffles.

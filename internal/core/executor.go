@@ -24,7 +24,7 @@ type SetStore interface {
 // Executor runs a compiled query graph's physical plan on a single process
 // — the building block the distributed scheduler replicates per worker. It
 // drives stages through the same engine.RunPipelineThreads /
-// MergeAggMapsParallel machinery the cluster uses, so local ablations and
+// MergeAggMapsParallel machinery the cluster uses, so local runs and
 // tests exercise the identical code path at any Threads setting.
 type Executor struct {
 	Store      SetStore
@@ -34,19 +34,7 @@ type Executor struct {
 	// Threads is the executor-thread budget per stage (the single-process
 	// analogue of cluster Config.Threads). Zero or one runs sequentially.
 	Threads int
-	// MorselPages, when positive, replaces the static SplitRanges chunk
-	// assignment with the shared morsel dispatcher (the single-process
-	// analogue of cluster Config.MorselPages): threads pull morsels of up
-	// to MorselPages batch ranges and results merge in morsel index order,
-	// so output is bit-for-bit identical to the static path. Zero keeps
-	// static splitting.
-	MorselPages int
-	// NoSwissTable disables the swiss hash structures on the agg and join
-	// paths (the single-process analogue of cluster Config.NoSwissTable):
-	// join tables revert to Go maps, aggregation probes to OMap's own
-	// chain. Results and page bytes are bit-for-bit identical either way.
-	NoSwissTable bool
-	Stats        engine.Stats
+	Stats   engine.Stats
 }
 
 // NewExecutor creates an executor with the given storage and type registry,
@@ -123,24 +111,15 @@ func (e *Executor) newStageSink(res *CompileResult, stage *physical.JobStage, st
 		if spec == nil {
 			return nil, fmt.Errorf("no aggregation spec for %q", stage.SinkStmt.Out.Name)
 		}
-		sink, err := engine.NewAggSink(e.Reg, e.PageSize, e.Partitions, spec.KeyKind, spec.ValKind,
+		return engine.NewAggSink(e.Reg, e.PageSize, e.Partitions, spec.KeyKind, spec.ValKind,
 			spec.Combine, stage.SinkStmt.Applied.Cols[0], stage.SinkStmt.Applied.Cols[1], nil, stats)
-		if err != nil {
-			return nil, err
-		}
-		sink.NoSwiss = e.NoSwissTable
-		return sink, nil
 	case physical.SinkJoinBuild:
 		if jt := stage.SinkStmt.Info["joinType"]; jt == "semi" || jt == "anti" {
 			// Semi/anti joins build an exact key-value set from the raw key
-			// column — no hash table, so NoSwissTable is moot.
+			// column — no hash table.
 			return engine.NewKeySetBuildSink(stage.SinkStmt.Applied2.Cols[0]), nil
 		}
-		sink := engine.NewJoinBuildSink(stage.SinkStmt.Applied2.Cols[0], stage.SinkStmt.Copied2.Cols[0])
-		if e.NoSwissTable {
-			sink.Table = engine.NewMapJoinTable()
-		}
-		return sink, nil
+		return engine.NewJoinBuildSink(stage.SinkStmt.Applied2.Cols[0], stage.SinkStmt.Copied2.Cols[0]), nil
 	case physical.SinkSort:
 		spec := res.SortSpecs[stage.SinkStmt.Out.Name]
 		if spec == nil {
@@ -177,10 +156,6 @@ func (e *Executor) runPipelineStage(res *CompileResult, stage *physical.JobStage
 			Op:      tcap.OpOutput,
 			Applied: tcap.ColumnsRef{Name: last.Out.Name, Cols: []string{col}},
 		}
-	}
-
-	if e.MorselPages > 0 {
-		return e.runPipelineStageMorsels(res, stage, arts, sinkStmt, pages)
 	}
 
 	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), e.threads())
@@ -232,86 +207,6 @@ func (e *Executor) runPipelineStage(res *CompileResult, stage *physical.JobStage
 		for _, s := range pt.Sinks {
 			runs = append(runs, s.Pages())
 		}
-		arts.runs[stage.Produces] = runs
-	}
-	return nil
-}
-
-// runPipelineStageMorsels is runPipelineStage's morsel-mode body: executor
-// threads pull fixed-size morsels from the shared dispatcher, each morsel
-// runs through a private sink, and the ordered releaser folds each
-// morsel's result into the stage artifact strictly in morsel index order —
-// output pages concatenate in source order, pre-aggregated maps absorb
-// into the first morsel's sink (associative combine over an ordered
-// concatenation), and join tables merge bucket-wise so per-bucket row
-// order matches a sequential build.
-func (e *Executor) runPipelineStageMorsels(res *CompileResult, stage *physical.JobStage,
-	arts *artifacts, sinkStmt *tcap.Stmt, pages []*object.Page) error {
-	morsels := engine.MorselRanges(engine.BatchRanges(pages, engine.BatchSize), e.MorselPages)
-	var (
-		outPages []*object.Page
-		primary  *engine.AggSink
-		table    *engine.JoinTable
-		runs     [][]*object.Page
-	)
-	mk := func(m int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, *engine.Ctx, error) {
-		sink, err := e.newStageSink(res, stage, stats)
-		if err != nil {
-			return nil, nil, err
-		}
-		ctx, err := engine.NewSinkCtx(sink, e.Reg, arts.tables, e.PageSize, nil, stats)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sink, ctx, nil
-	}
-	emit := func(m int, sink engine.Sink, ctx *engine.Ctx, _ <-chan struct{}) error {
-		switch s := sink.(type) {
-		case *engine.AggSink:
-			if primary == nil {
-				primary = s
-				return nil
-			}
-			return primary.AbsorbPages(s.Pages())
-		case *engine.JoinBuildSink:
-			if table == nil {
-				table = s.Table
-			} else {
-				table.Merge(s.Table)
-			}
-			return nil
-		case *engine.SortSink:
-			// One sorted run per morsel, released in morsel index order —
-			// source order, the same tie-break the static path gets from
-			// contiguous chunks.
-			runs = append(runs, s.Pages())
-			return nil
-		default:
-			outPages = append(outPages, sink.Pages()...)
-			return nil
-		}
-	}
-	mstats, err := engine.RunPipelineMorsels(morsels, stage.SourceCol, stage.Stmts, res.Stages,
-		sinkStmt, e.threads(), mk, emit)
-	for t := range mstats {
-		e.Stats.Merge(&mstats[t])
-	}
-	if err != nil {
-		return err
-	}
-	switch stage.Sink {
-	case physical.SinkOutput:
-		for _, p := range outPages {
-			p.SetManaged(false)
-		}
-		return e.Store.Append(stage.SinkStmt.Db, stage.SinkStmt.Set, outPages)
-	case physical.SinkMaterialize:
-		arts.pages[stage.Produces] = outPages
-	case physical.SinkPreAgg:
-		arts.pages[stage.Produces] = primary.Pages()
-	case physical.SinkJoinBuild:
-		arts.tables[stage.SinkStmt.Applied2.Name] = table
-	case physical.SinkSort:
 		arts.runs[stage.Produces] = runs
 	}
 	return nil
@@ -413,13 +308,9 @@ func (e *Executor) runAggregationStage(res *CompileResult, stage *physical.JobSt
 	}
 	perPart := make([][]*object.Page, e.Partitions)
 	pstats := make([]engine.Stats, e.Partitions)
-	var mergeOpts []engine.MergeOpt
-	if e.NoSwissTable {
-		mergeOpts = append(mergeOpts, engine.NoSwissMerge())
-	}
 	runPart := func(part int) error {
 		finals, _, err := engine.MergeAggMapsParallel(e.Reg, mapPages, part, e.Partitions,
-			spec, e.PageSize, nil, e.threads(), mergeOpts...)
+			spec, e.PageSize, nil, e.threads())
 		if err != nil {
 			return err
 		}

@@ -27,26 +27,6 @@ type AggSpec struct {
 	Finalize func(a *object.Allocator, key, val object.Value) (object.Ref, error)
 }
 
-// MergeOpt configures an aggregation merge (MergeAggMaps,
-// MergeAggMapsParallel, MergeAggMapsStream).
-type MergeOpt func(*mergeOpts)
-
-type mergeOpts struct{ noSwiss bool }
-
-// NoSwissMerge disables the swiss lookup index over the merge's final
-// maps — the Config.NoSwissTable ablation baseline. The final pages'
-// bytes, checkpoint snapshots, and growth points are identical either
-// way; only probe speed differs.
-func NoSwissMerge() MergeOpt { return func(o *mergeOpts) { o.noSwiss = true } }
-
-func applyMergeOpts(opts []MergeOpt) mergeOpts {
-	var o mergeOpts
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return o
-}
-
 // MergeAggMaps implements the consuming stage of distributed aggregation:
 // it folds every pre-aggregated map page assigned to partition part into a
 // single final map. Pages arrive from the shuffle as raw bytes; their maps
@@ -54,10 +34,9 @@ func applyMergeOpts(opts []MergeOpt) mergeOpts {
 // page whose size doubles on overflow (a partition's final aggregate must be
 // map-addressable in one piece).
 func MergeAggMaps(reg *object.Registry, pages []*object.Page, part, partitions int,
-	spec *AggSpec, pageSize int, pool *object.PagePool, opts ...MergeOpt) (object.OMap, *object.Page, error) {
-	mo := applyMergeOpts(opts)
+	spec *AggSpec, pageSize int, pool *object.PagePool) (object.OMap, *object.Page, error) {
 	for {
-		m, pg, err := tryMergeSub(reg, pages, part, partitions, spec, pageSize, pool, 0, 1, mo.noSwiss)
+		m, pg, err := tryMergeSub(reg, pages, part, partitions, spec, pageSize, pool, 0, 1)
 		if err == nil {
 			return m, pg, nil
 		}
@@ -86,6 +65,46 @@ func LogicalKeyHash(reg *object.Registry, keyKind object.Kind, key object.Value)
 	return object.HashValue(key)
 }
 
+// updateAggEntry folds val into key's entry of the page-backed map m with
+// one probe of the map's own chain. It makes exactly the page mutations
+// m.Get + Combine + m.Put would, in the same order — combine allocates
+// before the growth check, growth runs before the insert even when the key
+// exists — so map pages, checkpoint snapshots and fault points are
+// byte-for-byte those of the two-probe form. stats may be nil.
+func updateAggEntry(m object.OMap, a *object.Allocator, key, val object.Value,
+	combine CombineFn, stats *Stats) error {
+	if stats != nil {
+		stats.HashProbes++
+	}
+	i, found := m.FindSlot(key)
+	var cur object.Value
+	ok := false
+	if found {
+		cur = m.ValAt(i)
+		ok = cur.K != object.KInvalid // a faulted earlier write left a zero entry
+	}
+	nv, err := combine(a, cur, ok, val)
+	if err != nil {
+		return err
+	}
+	grown, err := m.MaybeGrow(a)
+	if err != nil {
+		return err
+	}
+	if grown {
+		if stats != nil {
+			stats.HashResizes++
+		}
+		i, found = m.FindSlot(key) // the rehash moved every slot
+	}
+	if !found {
+		if err := m.ClaimSlot(a, i, key); err != nil {
+			return err
+		}
+	}
+	return m.WriteValAt(a, i, nv)
+}
+
 // MergeAggMapsParallel is MergeAggMaps across threads executor threads:
 // partition part's key space is split into threads sub-partitions keyed on
 // (LogicalKeyHash / partitions) % threads — decorrelated from the
@@ -102,10 +121,9 @@ func LogicalKeyHash(reg *object.Registry, keyKind object.Kind, key object.Value)
 // With threads <= 1 this is exactly MergeAggMaps (one sub-map, no
 // goroutines, no key filter).
 func MergeAggMapsParallel(reg *object.Registry, pages []*object.Page, part, partitions int,
-	spec *AggSpec, pageSize int, pool *object.PagePool, threads int, opts ...MergeOpt) ([]object.OMap, []*object.Page, error) {
-	mo := applyMergeOpts(opts)
+	spec *AggSpec, pageSize int, pool *object.PagePool, threads int) ([]object.OMap, []*object.Page, error) {
 	if threads <= 1 {
-		m, pg, err := MergeAggMaps(reg, pages, part, partitions, spec, pageSize, pool, opts...)
+		m, pg, err := MergeAggMaps(reg, pages, part, partitions, spec, pageSize, pool)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -116,7 +134,7 @@ func MergeAggMapsParallel(reg *object.Registry, pages []*object.Page, part, part
 	err := ParallelFor(threads, func(t int) error {
 		size := pageSize
 		for {
-			m, pg, err := tryMergeSub(reg, pages, part, partitions, spec, size, pool, t, threads, mo.noSwiss)
+			m, pg, err := tryMergeSub(reg, pages, part, partitions, spec, size, pool, t, threads)
 			if err == nil {
 				maps[t], mergePages[t] = m, pg
 				return nil
@@ -139,7 +157,7 @@ func MergeAggMapsParallel(reg *object.Registry, pages []*object.Page, part, part
 // tryMergeSub merges partition part's entries whose logical key hash falls
 // in sub-partition sub of subs (subs == 1 disables the filter).
 func tryMergeSub(reg *object.Registry, pages []*object.Page, part, partitions int,
-	spec *AggSpec, pageSize int, pool *object.PagePool, sub, subs int, noSwiss bool) (object.OMap, *object.Page, error) {
+	spec *AggSpec, pageSize int, pool *object.PagePool, sub, subs int) (object.OMap, *object.Page, error) {
 	var pg *object.Page
 	if pool != nil && pool.Size == pageSize {
 		pg = pool.Get(reg)
@@ -153,10 +171,6 @@ func tryMergeSub(reg *object.Registry, pages []*object.Page, part, partitions in
 	}
 	final.Retain()
 	pg.SetRoot(final.Off)
-	var x *indexedOMap
-	if !noSwiss {
-		x = newIndexedOMap(final) // a whole-merge retry restarts on a fresh map: rebuild included
-	}
 
 	for _, src := range pages {
 		if src.Root() == 0 {
@@ -178,25 +192,7 @@ func tryMergeSub(reg *object.Registry, pages []*object.Page, part, partitions in
 			if subs > 1 && int((LogicalKeyHash(reg, spec.KeyKind, key)/uint64(partitions))%uint64(subs)) != sub {
 				return true
 			}
-			if x != nil {
-				if err := x.update(a, key, func(cur object.Value, ok bool) (object.Value, error) {
-					return spec.Combine(a, cur, ok, val)
-				}, nil); err != nil {
-					mergeErr = err
-					return false
-				}
-				return true
-			}
-			cur, ok := final.Get(key)
-			if ok && cur.K == object.KInvalid {
-				ok = false
-			}
-			nv, err := spec.Combine(a, cur, ok, val)
-			if err != nil {
-				mergeErr = err
-				return false
-			}
-			if err := final.Put(a, key, nv); err != nil {
+			if err := updateAggEntry(final, a, key, val, spec.Combine, nil); err != nil {
 				mergeErr = err
 				return false
 			}
@@ -234,15 +230,10 @@ type subMerger struct {
 	pg    *object.Page
 	a     *object.Allocator
 	final object.OMap
-
-	// x is the swiss lookup index over final (nil in NoSwissTable mode).
-	// It never enters snapshots — restoreSubMerger rebuilds it from the
-	// restored page — and is rebuilt after every grow.
-	x *indexedOMap
 }
 
 func newSubMerger(reg *object.Registry, part, partitions int, spec *AggSpec,
-	pageSize int, pool *object.PagePool, sub, subs int, policy object.Policy, noSwiss bool) (*subMerger, error) {
+	pageSize int, pool *object.PagePool, sub, subs int, policy object.Policy) (*subMerger, error) {
 	m := &subMerger{reg: reg, spec: spec, part: part, partitions: partitions,
 		sub: sub, subs: subs, pool: pool, policy: policy}
 	for {
@@ -271,9 +262,6 @@ func newSubMerger(reg *object.Registry, part, partitions int, spec *AggSpec,
 		final.Retain()
 		m.pg.SetRoot(final.Off)
 		m.final = final
-		if !noSwiss {
-			m.x = newIndexedOMap(m.final)
-		}
 		return m, nil
 	}
 }
@@ -304,30 +292,15 @@ func (m *subMerger) fold(src *object.Page) error {
 }
 
 func (m *subMerger) update(key, val object.Value) error {
-	try := func() error {
-		if m.x != nil {
-			return m.x.update(m.a, key, func(cur object.Value, ok bool) (object.Value, error) {
-				return m.spec.Combine(m.a, cur, ok, val)
-			}, nil)
-		}
-		cur, ok := m.final.Get(key)
-		if ok && cur.K == object.KInvalid {
-			ok = false // a faulted earlier write left a zero entry
-		}
-		nv, err := m.spec.Combine(m.a, cur, ok, val)
-		if err != nil {
+	for {
+		err := updateAggEntry(m.final, m.a, key, val, m.spec.Combine, nil)
+		if !errors.Is(err, object.ErrPageFull) {
 			return err
 		}
-		return m.final.Put(m.a, key, nv)
-	}
-	err := try()
-	for errors.Is(err, object.ErrPageFull) {
-		if gerr := m.grow(); gerr != nil {
-			return gerr
+		if err := m.grow(); err != nil {
+			return err
 		}
-		err = try()
 	}
-	return err
 }
 
 // grow rehashes the sub-map onto a page of at least double the size,
@@ -364,9 +337,6 @@ func (m *subMerger) grow() error {
 			m.pool.Put(m.pg)
 		}
 		m.pg, m.a, m.final = npg, na, nm
-		if m.x != nil {
-			m.x.rebuildFrom(nm) // the copy re-probed slots; layout is new
-		}
 		return nil
 	}
 }
@@ -386,7 +356,7 @@ func (m *subMerger) snapshot() SubMapSnapshot {
 // mutates the checkpoint itself — a second crash before the next cut
 // restores the same state again.
 func restoreSubMerger(reg *object.Registry, part, partitions int, spec *AggSpec,
-	pool *object.PagePool, sub, subs int, snap SubMapSnapshot, noSwiss bool) (*subMerger, error) {
+	pool *object.PagePool, sub, subs int, snap SubMapSnapshot) (*subMerger, error) {
 	if snap.PageSize < len(snap.Data) {
 		return nil, fmt.Errorf("engine: sub-map snapshot larger (%d) than its page (%d)", len(snap.Data), snap.PageSize)
 	}
@@ -401,11 +371,6 @@ func restoreSubMerger(reg *object.Registry, part, partitions int, spec *AggSpec,
 		sub: sub, subs: subs, pool: pool, policy: object.PolicyNoReuse, pg: pg}
 	m.a = object.NewAllocator(pg, object.PolicyNoReuse)
 	m.final = object.AsMap(object.Ref{Page: pg, Off: pg.Root()})
-	if !noSwiss {
-		// The index is volatile state: a restore rebuilds it from the
-		// restored page's slots, never from anything persisted.
-		m.x = newIndexedOMap(m.final)
-	}
 	return m, nil
 }
 
@@ -459,8 +424,7 @@ type MergeCheckpointer struct {
 // FinalizeAggParallel, like the batch merge.
 func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, error),
 	part, partitions int, spec *AggSpec, pageSize int, pool *object.PagePool,
-	threads int, release func(*object.Page), ckpt *MergeCheckpointer, opts ...MergeOpt) ([]object.OMap, []*object.Page, error) {
-	mo := applyMergeOpts(opts)
+	threads int, release func(*object.Page), ckpt *MergeCheckpointer) ([]object.OMap, []*object.Page, error) {
 	if threads < 1 {
 		threads = 1
 	}
@@ -473,7 +437,7 @@ func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, e
 		}
 		start = ckpt.Resume.Cut
 		for t := range mergers {
-			m, err := restoreSubMerger(reg, part, partitions, spec, pool, t, threads, ckpt.Resume.Subs[t], mo.noSwiss)
+			m, err := restoreSubMerger(reg, part, partitions, spec, pool, t, threads, ckpt.Resume.Subs[t])
 			if err != nil {
 				return nil, nil, err
 			}
@@ -488,7 +452,7 @@ func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, e
 			policy = object.PolicyNoReuse
 		}
 		for t := range mergers {
-			m, err := newSubMerger(reg, part, partitions, spec, pageSize, pool, t, threads, policy, mo.noSwiss)
+			m, err := newSubMerger(reg, part, partitions, spec, pageSize, pool, t, threads, policy)
 			if err != nil {
 				return nil, nil, err
 			}

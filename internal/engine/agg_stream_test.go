@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -139,5 +141,65 @@ func TestMergeAggMapsStreamGrowsOnOverflow(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rows, mergedRows(t, batchFinals)) {
 		t.Fatal("grown stream merge differs from batch merge")
+	}
+}
+
+// TestUpdateAggEntryMatchesGetPut pins updateAggEntry's contract: its one
+// probe makes the page mutations of Get + Combine + Put, byte for byte —
+// for new keys and repeated ones, through slot-array growth, up to and
+// including the update that overflows the page.
+func TestUpdateAggEntryMatchesGetPut(t *testing.T) {
+	reg := object.NewRegistry()
+	mk := func() (object.OMap, *object.Allocator) {
+		pg := object.NewPage(1<<14, reg)
+		a := object.NewAllocator(pg, object.PolicyNoReuse)
+		m, err := object.MakeMap(a, object.KString, object.KFloat64, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Retain()
+		pg.SetRoot(m.Off)
+		return m, a
+	}
+	one, oneAlloc := mk()
+	two, twoAlloc := mk()
+	// Combine allocates on the page, as a handle-valued aggregate's does, so
+	// its order against the growth check shows in the bytes.
+	combine := func(a *object.Allocator, cur object.Value, ok bool, next object.Value) (object.Value, error) {
+		if _, err := object.MakeString(a, "state"); err != nil {
+			return object.Value{}, err
+		}
+		return sumCombine(a, cur, ok, next)
+	}
+	stats := &Stats{}
+	for i := 0; ; i++ {
+		if i == 1<<16 {
+			t.Fatal("the page never overflowed")
+		}
+		k := i // two updates in three revisit an earlier key
+		if i%3 != 0 {
+			k = i / 2
+		}
+		key := object.StringValue(fmt.Sprintf("key-%05d", k))
+		val := object.Float64Value(float64(i))
+		errOne := updateAggEntry(one, oneAlloc, key, val, combine, stats)
+		cur, ok := two.Get(key)
+		nv, errTwo := combine(twoAlloc, cur, ok, val)
+		if errTwo == nil {
+			errTwo = two.Put(twoAlloc, key, nv)
+		}
+		if !bytes.Equal(one.Page.Bytes(), two.Page.Bytes()) {
+			t.Fatalf("update %d: pages diverge (one-probe err %v, Get+Put err %v)", i, errOne, errTwo)
+		}
+		if errOne != nil || errTwo != nil {
+			if !errors.Is(errOne, object.ErrPageFull) || !errors.Is(errTwo, object.ErrPageFull) {
+				t.Fatalf("update %d: one-probe err %v, Get+Put err %v, want both page-full", i, errOne, errTwo)
+			}
+			break
+		}
+	}
+	if stats.HashResizes == 0 || stats.HashProbes == 0 {
+		t.Errorf("HashResizes = %d, HashProbes = %d: the map never grew or the gauges never counted",
+			stats.HashResizes, stats.HashProbes)
 	}
 }

@@ -22,20 +22,15 @@ type Stats struct {
 	// pushdown rule exists to shrink this).
 	JoinProbeRows int
 
-	// Morsels counts the morsels this executor thread pulled from the
-	// stage dispatcher (zero on the static-split path) — the per-thread
-	// gauge the skew-rebalance tests read.
-	Morsels int
-
 	// HashProbes counts hash-table lookups on the agg and join hot paths
 	// (join build inserts, join probes — two passes per probed row — and
 	// aggregation key probes). Counted at call sites rather than inside
 	// the tables because probe-phase tables are read concurrently.
 	HashProbes int
 
-	// HashResizes counts hash-table growth events: OMap rehashes observed
-	// by the indexed aggregation paths plus swiss control-array growths on
-	// the join build path.
+	// HashResizes counts hash-table growth events: OMap rehashes in the
+	// pre-aggregation sink plus swiss control-array growths on the join
+	// build path.
 	HashResizes int
 }
 
@@ -47,7 +42,6 @@ func (s *Stats) Merge(o *Stats) {
 	s.PagesSealed += o.PagesSealed
 	s.PageRetries += o.PageRetries
 	s.JoinProbeRows += o.JoinProbeRows
-	s.Morsels += o.Morsels
 	s.HashProbes += o.HashProbes
 	s.HashResizes += o.HashResizes
 }
@@ -124,16 +118,11 @@ func (r *StageRegistry) Lookup(comp, stage string) (ApplyKernel, error) {
 // post-join equality filter, as in the paper (hash collisions are not
 // matches).
 //
-// Two backends implement it: a swiss open-addressing RefTable (the
-// default — group-probed control bytes, no per-key slice allocation for
-// unique keys) and a plain Go map (the Config.NoSwissTable ablation
-// baseline). Per-bucket ref order is identical across backends, and no
-// consumer iterates buckets globally, so the backends are result- and
-// byte-stream-equivalent; the equivalence harness pins that. Once built, a
-// table is probed read-only and is safe for concurrent readers.
+// Buckets live in a swiss open-addressing RefTable (group-probed control
+// bytes, no per-key slice allocation for unique keys). Once built, a table
+// is probed read-only and is safe for concurrent readers.
 type JoinTable struct {
 	st *swiss.RefTable
-	m  map[uint64][]object.Ref
 
 	// keys, when non-nil, puts the table in key-set mode: the build side
 	// of a semi/anti join stores only canonicalized key VALUES, and
@@ -145,12 +134,8 @@ type JoinTable struct {
 	Rows int
 }
 
-// NewJoinTable creates an empty join table on the swiss backend.
+// NewJoinTable creates an empty join table.
 func NewJoinTable() *JoinTable { return &JoinTable{st: swiss.NewRefTable()} }
-
-// NewMapJoinTable creates an empty join table on the Go-map baseline
-// backend (the NoSwissTable ablation).
-func NewMapJoinTable() *JoinTable { return &JoinTable{m: map[uint64][]object.Ref{}} }
 
 // NewKeySetTable creates an empty key-set table (semi/anti join build).
 func NewKeySetTable() *JoinTable { return &JoinTable{keys: map[object.Value]struct{}{}} }
@@ -191,67 +176,54 @@ func (t *JoinTable) IsKeySet() bool { return t.keys != nil }
 
 // Add inserts a build row.
 func (t *JoinTable) Add(h uint64, r object.Ref) {
-	if t.st != nil {
-		t.st.Add(h, r)
-	} else {
-		t.m[h] = append(t.m[h], r)
-	}
+	t.st.Add(h, r)
 	t.Rows++
 }
 
 // Bucket is a read-only view of one hash bucket's build refs, in insert
 // order. The view stays valid only until the table's next Add/Merge.
 type Bucket struct {
-	first    object.Ref
-	rest     []object.Ref
-	hasFirst bool
+	first object.Ref
+	rest  []object.Ref
+	found bool
 }
 
 // Len returns the number of refs in the bucket.
 func (b Bucket) Len() int {
-	if b.hasFirst {
-		return 1 + len(b.rest)
+	if !b.found {
+		return 0
 	}
-	return len(b.rest)
+	return 1 + len(b.rest)
 }
 
 // At returns the bucket's i-th ref in build order.
 func (b Bucket) At(i int) object.Ref {
-	if b.hasFirst {
-		if i == 0 {
-			return b.first
-		}
-		return b.rest[i-1]
+	if i == 0 {
+		return b.first
 	}
-	return b.rest[i]
+	return b.rest[i-1]
 }
 
 // Bucket returns hash h's build refs (empty bucket when absent).
 func (t *JoinTable) Bucket(h uint64) Bucket {
-	if t.st != nil {
-		first, rest, found := t.st.Lookup(h)
-		if !found {
-			return Bucket{}
-		}
-		return Bucket{first: first, rest: rest, hasFirst: true}
-	}
-	return Bucket{rest: t.m[h]}
+	first, rest, found := t.st.Lookup(h)
+	return Bucket{first: first, rest: rest, found: found}
 }
 
-// Resizes returns the swiss backend's control-array growth count (zero on
-// the map backend) — the build-side half of Stats.HashResizes.
+// Resizes returns the table's control-array growth count (zero for a
+// key-set table) — the build-side half of Stats.HashResizes.
 func (t *JoinTable) Resizes() uint64 {
-	if t.st != nil {
-		return t.st.Resizes()
+	if t.st == nil {
+		return 0
 	}
-	return 0
+	return t.st.Resizes()
 }
 
 // Clone deep-copies the table's buckets (refs are values; the referenced
 // pages are shared). It is the checkpoint primitive of the streaming join
 // build: a clone taken at a cut point is immune to the live table's later
 // inserts, so a crashed build can restore it and replay only the pages
-// past the cut. The clone keeps the source's backend.
+// past the cut.
 func (t *JoinTable) Clone() *JoinTable {
 	c := &JoinTable{Rows: t.Rows}
 	if t.keys != nil {
@@ -261,24 +233,14 @@ func (t *JoinTable) Clone() *JoinTable {
 		}
 		return c
 	}
-	if t.st != nil {
-		c.st = t.st.Clone()
-		return c
-	}
-	c.m = make(map[uint64][]object.Ref, len(t.m))
-	for h, refs := range t.m {
-		c.m[h] = append([]object.Ref(nil), refs...)
-	}
+	c.st = t.st.Clone()
 	return c
 }
 
 // Merge appends another table's rows bucket by bucket. Called in thread
 // order after a parallel build barrier; because each thread consumed a
 // contiguous slice of the source, per-bucket row order matches what a
-// sequential build over the whole source would produce. (Only per-bucket
-// order is observable — probes look buckets up by hash and nothing
-// iterates the merged table — so the backends' different global layouts
-// cannot surface.)
+// sequential build over the whole source would produce.
 func (t *JoinTable) Merge(o *JoinTable) {
 	if t.keys != nil || o.keys != nil {
 		for k := range o.keys {
@@ -287,29 +249,10 @@ func (t *JoinTable) Merge(o *JoinTable) {
 		t.Rows += o.Rows
 		return
 	}
-	switch {
-	case t.st != nil && o.st != nil:
-		o.st.Range(func(h uint64, first object.Ref, rest []object.Ref) bool {
-			t.st.AddBucket(h, first, rest)
-			return true
-		})
-	case t.m != nil && o.m != nil:
-		for h, refs := range o.m {
-			t.m[h] = append(t.m[h], refs...)
-		}
-	case o.st != nil: // mixed backends: fall back to per-ref inserts
-		o.st.Range(func(h uint64, first object.Ref, rest []object.Ref) bool {
-			t.m[h] = append(t.m[h], first)
-			t.m[h] = append(t.m[h], rest...)
-			return true
-		})
-	default:
-		for h, refs := range o.m {
-			for _, r := range refs {
-				t.st.Add(h, r)
-			}
-		}
-	}
+	o.st.Range(func(h uint64, first object.Ref, rest []object.Ref) bool {
+		t.st.AddBucket(h, first, rest)
+		return true
+	})
 	t.Rows += o.Rows
 }
 

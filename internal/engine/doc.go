@@ -102,5 +102,5 @@
 //
 // Both the distributed runtime (internal/cluster) and the single-process
 // executor (internal/core) drive stages exclusively through this package,
-// so local ablations exercise the identical code path as the cluster.
+// so local runs exercise the identical code path as the cluster.
 package engine

@@ -5,8 +5,8 @@ package engine
 // split a pipeline stage's source into contiguous chunks, run one
 // Pipeline/Ctx/sink per chunk on a dedicated executor thread, and combine
 // the per-thread results with the sink-merge protocol implemented by the
-// PipelineThreads helpers below. Keeping the driver here means the local
-// ablations exercise exactly the code path the cluster runs per worker.
+// PipelineThreads helpers below. Keeping the driver here means local runs
+// exercise exactly the code path the cluster runs per worker.
 
 import (
 	"repro/internal/object"

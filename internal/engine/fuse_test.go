@@ -1,10 +1,9 @@
 package engine
 
 // The fusion-equivalence harness: randomized (seeded) chains of
-// filter/map/hash statements execute fused and unfused, across the static
-// chunk driver and the morsel dispatcher, at Threads 1, 2, and 8 — and
-// every configuration must produce bit-for-bit identical output rows in
-// identical order. A table-driven corpus pins the interesting shapes
+// filter/map/hash statements execute fused and unfused at Threads 1, 2,
+// and 8 — and every configuration must produce bit-for-bit identical
+// output rows in identical order. A table-driven corpus pins the interesting shapes
 // (adjacent filters, compaction before kernels, runs ending in filters,
 // hash columns feeding later kernels, empty results, empty input) and a
 // fuzz target explores chains the corpus missed.
@@ -283,9 +282,8 @@ func (s *collectSink) Consume(ctx *Ctx, vl *VectorList, stmt *tcap.Stmt) error {
 func (s *collectSink) Pages() []*object.Page { return nil }
 
 // runChain executes a statement chain over the fixture's pages and returns
-// the ordered output rows. morselPages == 0 uses the static SplitRanges
-// driver; > 0 uses the morsel dispatcher.
-func runChain(t testing.TB, fx *fuseFixture, stmts []*tcap.Stmt, threads, morselPages int) []string {
+// the ordered output rows.
+func runChain(t testing.TB, fx *fuseFixture, stmts []*tcap.Stmt, threads int) []string {
 	t.Helper()
 	sinkStmt := &tcap.Stmt{Op: tcap.OpOutput}
 	ranges := BatchRanges(fx.pages, BatchSize)
@@ -296,19 +294,6 @@ func runChain(t testing.TB, fx *fuseFixture, stmts []*tcap.Stmt, threads, morsel
 			return nil, nil, err
 		}
 		return sink, ctx, nil
-	}
-	if morselPages > 0 {
-		morsels := MorselRanges(ranges, morselPages)
-		var rows []string
-		_, err := RunPipelineMorsels(morsels, "obj", stmts, fx.sreg, sinkStmt, threads, mk,
-			func(m int, sink Sink, ctx *Ctx, _ <-chan struct{}) error {
-				rows = append(rows, sink.(*collectSink).rows...)
-				return nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows
 	}
 	chunks := SplitRanges(ranges, threads)
 	if len(chunks) == 0 {
@@ -326,25 +311,21 @@ func runChain(t testing.TB, fx *fuseFixture, stmts []*tcap.Stmt, threads, morsel
 }
 
 // checkEquivalence runs the chain unfused sequentially as the reference,
-// then fused and unfused across thread counts and both schedulers, and
-// requires identical rows everywhere.
+// then fused and unfused across thread counts, and requires identical rows
+// everywhere.
 func checkEquivalence(t testing.TB, fx *fuseFixture, chain []*tcap.Stmt, fusedVariants [][]*tcap.Stmt) {
 	t.Helper()
-	ref := runChain(t, fx, cloneChain(chain), 1, 0)
+	ref := runChain(t, fx, cloneChain(chain), 1)
 	for _, threads := range []int{1, 2, 8} {
-		for _, morselPages := range []int{0, 1, 3} {
-			variants := append([][]*tcap.Stmt{cloneChain(chain)}, fusedVariants...)
-			for vi, stmts := range variants {
-				got := runChain(t, fx, stmts, threads, morselPages)
-				if len(got) != len(ref) {
-					t.Fatalf("variant %d threads=%d morselPages=%d: %d rows, want %d",
-						vi, threads, morselPages, len(got), len(ref))
-				}
-				for i := range got {
-					if got[i] != ref[i] {
-						t.Fatalf("variant %d threads=%d morselPages=%d: row %d = %q, want %q",
-							vi, threads, morselPages, i, got[i], ref[i])
-					}
+		variants := append([][]*tcap.Stmt{cloneChain(chain)}, fusedVariants...)
+		for vi, stmts := range variants {
+			got := runChain(t, fx, stmts, threads)
+			if len(got) != len(ref) {
+				t.Fatalf("variant %d threads=%d: %d rows, want %d", vi, threads, len(got), len(ref))
+			}
+			for i := range got {
+				if got[i] != ref[i] {
+					t.Fatalf("variant %d threads=%d: row %d = %q, want %q", vi, threads, i, got[i], ref[i])
 				}
 			}
 		}
@@ -468,19 +449,15 @@ func FuzzFusionEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		chain := buildRandomChain(rng)
-		ref := runChain(t, fx, cloneChain(chain), 1, 0)
-		for _, cfg := range []struct{ threads, morselPages int }{
-			{1, 0}, {2, 0}, {2, 2}, {8, 1},
-		} {
-			got := runChain(t, fx, annotateAll(chain), cfg.threads, cfg.morselPages)
+		ref := runChain(t, fx, cloneChain(chain), 1)
+		for _, threads := range []int{1, 2, 8} {
+			got := runChain(t, fx, annotateAll(chain), threads)
 			if len(got) != len(ref) {
-				t.Fatalf("threads=%d morselPages=%d: %d rows, want %d",
-					cfg.threads, cfg.morselPages, len(got), len(ref))
+				t.Fatalf("threads=%d: %d rows, want %d", threads, len(got), len(ref))
 			}
 			for i := range got {
 				if got[i] != ref[i] {
-					t.Fatalf("threads=%d morselPages=%d: row %d = %q, want %q",
-						cfg.threads, cfg.morselPages, i, got[i], ref[i])
+					t.Fatalf("threads=%d: row %d = %q, want %q", threads, i, got[i], ref[i])
 				}
 			}
 		}

@@ -117,26 +117,14 @@ type AggSink struct {
 	ValKind    object.Kind
 	Combine    CombineFn
 
-	// PreAggregate can be disabled for the ablation benchmark: values
-	// are then appended un-combined (every pair occupies a fresh key
-	// slot via unique suffixing is not possible in a map, so instead
-	// combining still occurs but only at the consuming stage; disabling
-	// simply routes rows round-robin to per-partition vectors).
+	// KeyCol and ValCol name the columns Consume reads each row's key and
+	// value from.
 	KeyCol, ValCol string
-
-	// NoSwiss disables the swiss lookup index over the partition maps —
-	// the Config.NoSwissTable ablation baseline. Set before the first
-	// Consume. The maps' page bytes are identical either way; the index
-	// only replaces the probe chain.
-	NoSwiss bool
 
 	// partCache holds resolved per-partition map handles so the hot
 	// per-row path skips root-vector resolution; rebuilt after each page
-	// rotation (the maps move to a fresh page). indexes holds each map's
-	// swiss lookup index, rebuilt at the same points (rotation hands the
-	// sink fresh empty maps, so the rebuild is O(partitions)).
+	// rotation (the maps move to a fresh page).
 	partCache []object.OMap
-	indexes   []*indexedOMap
 	cachePage *object.Page
 
 	stats *Stats
@@ -181,15 +169,6 @@ func (s *AggSink) partitionMap(i int) object.OMap {
 		s.partCache = s.partCache[:0]
 		for p := 0; p < s.Partitions; p++ {
 			s.partCache = append(s.partCache, object.AsMap(root.HandleAt(p)))
-		}
-		if !s.NoSwiss {
-			for p := range s.partCache {
-				if p < len(s.indexes) {
-					s.indexes[p].rebuildFrom(s.partCache[p])
-				} else {
-					s.indexes = append(s.indexes, newIndexedOMap(s.partCache[p]))
-				}
-			}
 		}
 		s.cachePage = s.Out.Live
 	}
@@ -242,35 +221,14 @@ func (s *AggSink) updateWithRotate(key, val object.Value) error {
 	}
 	part := int(s.partitionHash(key) % uint64(s.Partitions))
 
-	try := func() error {
-		m := s.partitionMap(part)
-		if !s.NoSwiss {
-			return s.indexes[part].update(s.Out.Alloc, key,
-				func(cur object.Value, ok bool) (object.Value, error) {
-					return s.Combine(s.Out.Alloc, cur, ok, val)
-				}, s.stats)
-		}
-		if s.stats != nil {
-			s.stats.HashProbes++ // count the baseline too: the gauge compares modes
-		}
-		cur, ok := m.Get(key)
-		if ok && cur.K == object.KInvalid {
-			ok = false // a faulted earlier write left a zero entry
-		}
-		nv, err := s.Combine(s.Out.Alloc, cur, ok, val)
-		if err != nil {
-			return err
-		}
-		return m.Put(s.Out.Alloc, key, nv)
-	}
-	err := try()
+	err := updateAggEntry(s.partitionMap(part), s.Out.Alloc, key, val, s.Combine, s.stats)
 	if !errors.Is(err, object.ErrPageFull) {
 		return err
 	}
 	if err := s.Out.Rotate(); err != nil {
 		return err
 	}
-	if err := try(); err != nil {
+	if err := updateAggEntry(s.partitionMap(part), s.Out.Alloc, key, val, s.Combine, s.stats); err != nil {
 		return fmt.Errorf("engine: aggregation entry does not fit on an empty page: %w", err)
 	}
 	return nil

@@ -13,7 +13,7 @@ package engine
 // every other shuffle in the system. Determinism: each run is sorted
 // stably by (key, arrival), runs are merged with a lowest-run-index
 // tie-break, and runs are numbered in source order, so any split of the
-// input into runs (threads, morsels, workers) merges to the byte-identical
+// input into runs (threads, workers) merges to the byte-identical
 // stable order.
 
 import (
@@ -458,7 +458,7 @@ func (s *SortSink) Finish() error {
 func (s *SortSink) Pages() []*object.Page { return s.Out.Pages() }
 
 // CloseStream finalizes the run (the stage driver calls this on the owning
-// thread when its chunk or morsel completes) and flushes it through the
+// thread when its chunk completes) and flushes it through the
 // page set's OnSeal hook if one is installed.
 func (s *SortSink) CloseStream() error {
 	if err := s.Finish(); err != nil {

@@ -22,9 +22,8 @@
 //
 // Every page carries a (producer worker, executor thread, sequence) Tag.
 // Recv delivers pages to a consumer in strict Tag order — producer-major,
-// then thread, then sequence — by draining lanes in that order. Because the
-// merge consumes the exact sequence a barrier shuffle would have presented,
-// streaming and barrier executions are bit-for-bit identical.
+// then thread, then sequence — by draining lanes in that order, so what the
+// merge consumes does not depend on arrival order.
 //
 // # Crash retry (producer side)
 //
@@ -49,28 +48,16 @@
 // # Memory governance (disk spill)
 //
 // Config.Governors attaches a per-consumer memory Governor: every page the
-// exchange holds for a consumer — buffered in a lane (or a barrier drain
-// buffer) or retained for replay — is metered against the governor's byte
-// budget, and a page the budget refuses is spilled to the governor's
-// SpillStore at enqueue (the lane then carries only its slot) or evicted
-// from the retention window coldest-first, reloading transparently on
-// delivery and replay. Results are bit-for-bit identical with any budget;
-// only page residence changes. The resident high-water mark
-// (Governor.MaxResidentBytes) never exceeds the budget — the single page
-// in the act of being delivered is the one allowed excursion, and it is
-// excluded from the gauge until the next Recv settles it.
-//
-// # Barrier mode (ablation baseline)
-//
-// Config.Barrier buffers the whole shuffle and releases it only after all
-// producers close, restoring the pre-streaming schedule with the identical
-// delivery order. It exists for the shuffle-overlap ablation
-// (bench.RunShuffleOverlap) and its identity check, not as a second code
-// path in the execution stack: producers and consumers are wired exactly
-// the same way in both modes, and the bytes-in-flight accounting follows
-// the same enqueue→delivery lifecycle (sender-side dedup keeps retry
-// duplicates out of both modes' buffers, so the ablation's memory
-// comparison is apples-to-apples).
+// exchange holds for a consumer — buffered in a lane or retained for
+// replay — is metered against the governor's byte budget, and a page the
+// budget refuses is spilled to the governor's SpillStore at enqueue (the
+// lane then carries only its slot) or evicted from the retention window
+// coldest-first, reloading transparently on delivery and replay. Results
+// are bit-for-bit identical with any budget; only page residence changes.
+// The resident high-water mark (Governor.MaxResidentBytes) never exceeds
+// the budget — the single page in the act of being delivered is the one
+// allowed excursion, and it is excluded from the gauge until the next Recv
+// settles it.
 package exchange
 
 import (
@@ -119,13 +106,8 @@ type Config struct {
 	// or negative picks 1.
 	Threads int
 	// Capacity bounds each lane's pages in flight; a full lane blocks the
-	// producing thread (backpressure). Zero picks DefaultCapacity. Lanes
-	// stay bounded in Barrier mode too — the drain buffers behind them
-	// absorb the whole shuffle, which is the barrier schedule's cost.
+	// producing thread (backpressure). Zero picks DefaultCapacity.
 	Capacity int
-	// Barrier buffers every page and delivers only after all producers
-	// close — the pre-streaming schedule, kept for the overlap ablation.
-	Barrier bool
 	// Replayable retains delivered pages until Ack so a crashed consumer
 	// can Rewind and re-consume them. Off, Ack and Rewind are errors and
 	// delivered pages are forgotten immediately.
@@ -167,14 +149,6 @@ type lane struct {
 
 	sent      int  // next sequence this lane will admit (retry dedup)
 	closeSent bool // thread-close marker already enqueued
-
-	buf *drainBuf // barrier mode: unbounded drain behind the lane
-}
-
-type drainBuf struct {
-	mu   sync.Mutex
-	msgs []message
-	next int // receiver cursor
 }
 
 // Exchange is one shuffle: Producers × Threads × Consumers bounded lanes
@@ -192,16 +166,9 @@ type Exchange struct {
 	inFlight    atomic.Int64
 	maxInFlight atomic.Int64
 	maxReorder  atomic.Int64 // max undelivered-page backlog of any consumer
-
-	// Barrier-mode ready[c] closes when consumer c's whole input is
-	// buffered behind its lanes; drainWG tracks the drainer goroutines so
-	// Discard can wait them out.
-	ready   []chan struct{}
-	drainWG sync.WaitGroup
 }
 
-// New builds an exchange. In Barrier mode it immediately starts the drainer
-// goroutines that buffer the shuffle until all producers close.
+// New builds an exchange.
 func New(cfg Config) *Exchange {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultCapacity
@@ -223,9 +190,6 @@ func New(cfg Config) *Exchange {
 	ex.recvs = make([]*receiver, cfg.Consumers)
 	for c := range ex.recvs {
 		ex.recvs[c] = &receiver{ex: ex, consumer: c, pending: -1}
-	}
-	if cfg.Barrier {
-		ex.startBarrierDrains()
 	}
 	return ex
 }
@@ -435,21 +399,18 @@ func (ex *Exchange) cancelled() error {
 }
 
 // MaxBytesInFlight reports the shuffle's bytes-in-flight high-water mark:
-// bytes enqueued (shipped) but not yet delivered to a merge. Barrier mode
-// buffers the whole shuffle, so its mark approaches the total shuffle
-// volume. Streaming mode is hard-bounded: every lane holds at most
-// Capacity pages, so a consumer's undelivered backlog never exceeds
-// Capacity × Threads pages per producer — backpressure, not buffering,
-// absorbs skew. The gauge counts logical (shipped, undelivered) bytes
-// whether they reside in RAM or in a governor's spill store — it measures
-// the schedule, not residence; Governor.MaxResidentBytes measures memory.
+// bytes enqueued (shipped) but not yet delivered to a merge. It is
+// hard-bounded: every lane holds at most Capacity pages, so a consumer's
+// undelivered backlog never exceeds Capacity × Threads pages per producer
+// — backpressure, not buffering, absorbs skew. The gauge counts logical
+// (shipped, undelivered) bytes whether they reside in RAM or in a
+// governor's spill store — it measures the schedule, not residence;
+// Governor.MaxResidentBytes measures memory.
 func (ex *Exchange) MaxBytesInFlight() int64 { return ex.maxInFlight.Load() }
 
 // MaxReorderPages reports the largest undelivered-page backlog any single
-// consumer reached (pages enqueued on its lanes — or barrier drain buffers
-// — and not yet delivered). In streaming mode it is hard-bounded by
-// Capacity × Threads × Producers; in barrier mode it approaches the
-// shuffle's page count.
+// consumer reached (pages enqueued on its lanes and not yet delivered),
+// hard-bounded by Capacity × Threads × Producers.
 func (ex *Exchange) MaxReorderPages() int64 { return ex.maxReorder.Load() }
 
 // BufferedPages reports one consumer's current undelivered-page backlog.
@@ -574,23 +535,10 @@ func (r *receiver) evict(g *Governor, e *retainedEntry) error {
 	return nil
 }
 
-// next pulls the current lane's next raw message: a live channel receive in
-// streaming mode, a buffer pop in barrier mode (after the consumer's whole
-// input is buffered).
+// next pulls the current lane's next raw message.
 func (r *receiver) next() (message, bool, error) {
 	ex := r.ex
 	ln := ex.lanes[r.producer][r.thread][r.consumer]
-	if ex.cfg.Barrier {
-		b := ln.buf
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if b.next >= len(b.msgs) {
-			return message{}, false, nil
-		}
-		m := b.msgs[b.next]
-		b.next++
-		return m, true, nil
-	}
 	select {
 	case m, ok := <-ln.ch:
 		return m, ok, nil
@@ -627,13 +575,6 @@ func (ex *Exchange) Recv(consumer int) (*object.Page, bool, error) {
 	}
 	if r.ended {
 		return nil, false, nil
-	}
-	if ex.cfg.Barrier {
-		select {
-		case <-ex.ready[consumer]:
-		case <-ex.cancelCh:
-			return nil, false, ex.cancelled()
-		}
 	}
 	for {
 		if r.producer >= ex.cfg.Producers {
@@ -744,7 +685,7 @@ func (ex *Exchange) Ack(consumer, upto int) error {
 }
 
 // Discard releases every page the exchange still holds — undelivered lane
-// messages (and barrier drain buffers) plus the retention windows — ending
+// messages plus the retention windows — ending
 // their governor claims: byte reservations return to the budget and spill
 // slots free, so a failed step's pools close with zero live slots. It is
 // the failure path's cleanup: call it only after every producer and
@@ -754,22 +695,9 @@ func (ex *Exchange) Ack(consumer, upto int) error {
 // a shipped page's capacity need not match the caller's pool, and user
 // code may still hold refs into delivered pages.
 func (ex *Exchange) Discard() {
-	// Abandoned senders are gone by contract, but barrier drainers exit
-	// only on lane close or cancel; cancel (idempotent — the first real
-	// cause wins) and wait so no drainer races the sweep below.
-	ex.Cancel(errors.New("exchange: discarded"))
-	ex.drainWG.Wait()
 	for p := range ex.lanes {
 		for t := range ex.lanes[p] {
 			for c, ln := range ex.lanes[p][t] {
-				if ln.buf != nil {
-					ln.buf.mu.Lock()
-					for _, m := range ln.buf.msgs[ln.buf.next:] {
-						ex.discardMessage(c, m)
-					}
-					ln.buf.msgs, ln.buf.next = nil, 0
-					ln.buf.mu.Unlock()
-				}
 				for drain := true; drain; {
 					select {
 					case m, ok := <-ln.ch:
@@ -831,49 +759,4 @@ func (ex *Exchange) Rewind(consumer, cursor int) error {
 	}
 	r.pos = cursor
 	return nil
-}
-
-// startBarrierDrains spawns one goroutine per lane that moves messages into
-// an unbounded buffer — barrier mode's whole-shuffle buffering, whose cost
-// the in-flight gauge records; ready[c] closes when every lane to consumer
-// c is drained to its end.
-func (ex *Exchange) startBarrierDrains() {
-	ex.ready = make([]chan struct{}, ex.cfg.Consumers)
-	wgs := make([]*sync.WaitGroup, ex.cfg.Consumers)
-	for c := range ex.ready {
-		ex.ready[c] = make(chan struct{})
-		wgs[c] = &sync.WaitGroup{}
-		wgs[c].Add(ex.cfg.Producers * ex.cfg.Threads)
-	}
-	for p := range ex.lanes {
-		for t := range ex.lanes[p] {
-			for c, ln := range ex.lanes[p][t] {
-				ln.buf = &drainBuf{}
-				ex.drainWG.Add(1)
-				go func(ln *lane, wg *sync.WaitGroup) {
-					defer ex.drainWG.Done()
-					defer wg.Done()
-					for {
-						select {
-						case m, ok := <-ln.ch:
-							if !ok {
-								return
-							}
-							ln.buf.mu.Lock()
-							ln.buf.msgs = append(ln.buf.msgs, m)
-							ln.buf.mu.Unlock()
-						case <-ex.cancelCh:
-							return
-						}
-					}
-				}(ln, wgs[c])
-			}
-		}
-	}
-	for c := range ex.ready {
-		go func(c int) {
-			wgs[c].Wait()
-			close(ex.ready[c])
-		}(c)
-	}
 }

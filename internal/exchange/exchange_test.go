@@ -72,32 +72,30 @@ func drain(t *testing.T, ex *Exchange, consumer int, ti *object.TypeInfo) []int6
 // threads in a deliberately scrambled arrival order and asserts delivery in
 // strict (producer, thread, sequence) order.
 func TestOrderedDeliveryAcrossThreads(t *testing.T) {
-	for _, barrier := range []bool{false, true} {
-		reg, ti := testRegistry(t)
-		ex := New(Config{Producers: 2, Consumers: 1, Threads: 2, Capacity: 16, Barrier: barrier})
-		// Producer 1 finishes before producer 0; threads interleave
-		// backwards — all legal arrival orders.
-		send := func(p, th, seq int) {
-			if err := ex.Send(Tag{p, th, seq}, 0, testPage(t, reg, ti, id(p, th, seq)), nil); err != nil {
-				t.Fatal(err)
-			}
+	reg, ti := testRegistry(t)
+	ex := New(Config{Producers: 2, Consumers: 1, Threads: 2, Capacity: 16})
+	// Producer 1 finishes before producer 0; threads interleave
+	// backwards — all legal arrival orders.
+	send := func(p, th, seq int) {
+		if err := ex.Send(Tag{p, th, seq}, 0, testPage(t, reg, ti, id(p, th, seq)), nil); err != nil {
+			t.Fatal(err)
 		}
-		send(1, 1, 0)
-		send(1, 0, 0)
-		send(1, 0, 1)
-		_ = ex.CloseThread(1, 0, nil)
-		_ = ex.CloseThread(1, 1, nil)
-		ex.CloseProducer(1)
-		send(0, 1, 0)
-		_ = ex.CloseThread(0, 1, nil)
-		send(0, 0, 0)
-		_ = ex.CloseThread(0, 0, nil)
-		ex.CloseProducer(0)
+	}
+	send(1, 1, 0)
+	send(1, 0, 0)
+	send(1, 0, 1)
+	_ = ex.CloseThread(1, 0, nil)
+	_ = ex.CloseThread(1, 1, nil)
+	ex.CloseProducer(1)
+	send(0, 1, 0)
+	_ = ex.CloseThread(0, 1, nil)
+	send(0, 0, 0)
+	_ = ex.CloseThread(0, 0, nil)
+	ex.CloseProducer(0)
 
-		want := []int64{id(0, 0, 0), id(0, 1, 0), id(1, 0, 0), id(1, 0, 1), id(1, 1, 0)}
-		if got := drain(t, ex, 0, ti); !reflect.DeepEqual(got, want) {
-			t.Errorf("barrier=%v: delivery order = %v, want %v", barrier, got, want)
-		}
+	want := []int64{id(0, 0, 0), id(0, 1, 0), id(1, 0, 0), id(1, 0, 1), id(1, 1, 0)}
+	if got := drain(t, ex, 0, ti); !reflect.DeepEqual(got, want) {
+		t.Errorf("delivery order = %v, want %v", got, want)
 	}
 }
 

@@ -2,8 +2,7 @@ package exchange
 
 // The memory governor: Config.MemoryBudget's enforcement point. One
 // Governor meters one consumer backend's resident exchange bytes — pages
-// buffered in lanes (or barrier drain buffers), delivered pages retained
-// for replay, and (through the cluster's checkpoint path) in-memory
+// buffered in lanes, delivered pages retained for replay, and (through the cluster's checkpoint path) in-memory
 // checkpoint snapshots. A reservation that would exceed the budget is
 // refused, and the caller spills the page to the governor's SpillStore
 // instead, so resident bytes stay hard-bounded while the stream keeps

@@ -62,32 +62,30 @@ func sendAll(t *testing.T, ex *Exchange, reg *object.Registry, ti *object.TypeIn
 }
 
 // TestGovernorSpillPreservesDeliveryOrder runs the same stream governed at
-// a one-page budget and ungoverned, in both streaming and barrier mode:
-// delivery order and contents must be identical, pages must actually have
-// spilled, and the resident gauge must honor the budget.
+// a one-page budget and ungoverned: delivery order and contents must be
+// identical, pages must actually have spilled, and the resident gauge must
+// honor the budget.
 func TestGovernorSpillPreservesDeliveryOrder(t *testing.T) {
 	const producers, threads, pages = 2, 2, 6
-	for _, barrier := range []bool{false, true} {
-		reg, ti := testRegistry(t)
-		ref := New(Config{Producers: producers, Consumers: 1, Threads: threads, Capacity: 2, Barrier: barrier})
-		sendAll(t, ref, reg, ti, producers, threads, pages)
-		want := drain(t, ref, 0, ti)
+	reg, ti := testRegistry(t)
+	ref := New(Config{Producers: producers, Consumers: 1, Threads: threads, Capacity: 2})
+	sendAll(t, ref, reg, ti, producers, threads, pages)
+	want := drain(t, ref, 0, ti)
 
-		g := testGovernor(t, reg, ti, 1)
-		ex := New(Config{Producers: producers, Consumers: 1, Threads: threads, Capacity: 2,
-			Barrier: barrier, Governors: []*Governor{g}})
-		sendAll(t, ex, reg, ti, producers, threads, pages)
-		got := drain(t, ex, 0, ti)
+	g := testGovernor(t, reg, ti, 1)
+	ex := New(Config{Producers: producers, Consumers: 1, Threads: threads, Capacity: 2,
+		Governors: []*Governor{g}})
+	sendAll(t, ex, reg, ti, producers, threads, pages)
+	got := drain(t, ex, 0, ti)
 
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("barrier=%v: governed delivery %v differs from ungoverned %v", barrier, got, want)
-		}
-		if g.SpilledPages() == 0 {
-			t.Errorf("barrier=%v: a one-page budget over %d pages spilled nothing", barrier, producers*threads*pages)
-		}
-		if g.MaxResidentBytes() > g.Budget() {
-			t.Errorf("barrier=%v: resident high-water %d exceeds budget %d", barrier, g.MaxResidentBytes(), g.Budget())
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("governed delivery %v differs from ungoverned %v", got, want)
+	}
+	if g.SpilledPages() == 0 {
+		t.Errorf("a one-page budget over %d pages spilled nothing", producers*threads*pages)
+	}
+	if g.MaxResidentBytes() > g.Budget() {
+		t.Errorf("resident high-water %d exceeds budget %d", g.MaxResidentBytes(), g.Budget())
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package fault is the deterministic fault-injection subsystem behind the
-// cluster's crash tests and the chaos campaign (pcbench -chaos). A Plan is
+// cluster's crash tests and the chaos campaign (TestChaosCampaign). A Plan is
 // a seeded, reproducible fault schedule: each Injection names a Site (a
 // well-known point in the runtime — a page seal, a lane delivery, a
 // checkpoint write, a spill), a worker, and the 0-based hit index K at

@@ -1,36 +1,17 @@
 package object
 
-// Slot-level OMap access for external lookup accelerators.
+// Slot-level OMap access for the engine's aggregation update.
 //
 // The engine keeps page-backed OMaps as the durable aggregation state (the
-// bytes ARE the checkpoint/spill format) but overlays an in-memory swiss
-// index mapping key hashes to slot numbers. The index needs to read keys
-// and values by slot, claim insertion slots, and write values — with the
-// exact byte effects of Put/Update, in the exact same order — without
-// re-probing the map's own linear-probe chain. These exported wrappers
-// expose just that surface; every one delegates to the corresponding
-// internal method, so the page byte stream cannot diverge from the
-// un-indexed path.
-
-// Slots returns the current slot-array capacity.
-func (m OMap) Slots() int { return m.slots() }
-
-// SlotFull reports whether slot i holds an entry.
-func (m OMap) SlotFull(i int) bool { return m.slotState(i) == slotFull }
-
-// KeyAt reads the key stored in slot i (which must be full).
-func (m OMap) KeyAt(i int) Value { return m.readKey(i) }
+// bytes ARE the checkpoint/spill format) and folds each (key, value) pair
+// in with one probe: find the slot, combine against the value read there,
+// grow, then claim and write. Combine is the engine's (it can fail and it
+// allocates), so the steps of Put/Update are exposed one by one; every
+// wrapper delegates to the corresponding internal method, so the page byte
+// stream cannot diverge from Get + Put.
 
 // ValAt reads the value stored in slot i (which must be full).
 func (m OMap) ValAt(i int) Value { return m.readVal(i) }
-
-// KeyEqualsAt compares the key in slot i against key using the map's
-// key-kind equality (registered type Equal for handle keys).
-func (m OMap) KeyEqualsAt(i int, key Value) bool { return m.keyEquals(i, key) }
-
-// HashKey hashes key exactly as the map's own probing does (registered
-// type Hash for handle keys, HashValue otherwise).
-func (m OMap) HashKey(key Value) uint64 { return m.hashKey(key) }
 
 // FindSlot runs the map's own linear probe for key, returning the holding
 // slot (found=true) or the insertion slot (found=false).
@@ -44,10 +25,10 @@ func (m OMap) WriteValAt(a *Allocator, i int, val Value) error {
 
 // MaybeGrow applies Put/Update's pre-insert growth rule — rehash to double
 // the slots when one more entry would reach 70% load — and reports whether
-// a rehash ran (slot numbers are invalid afterwards). Callers mirroring
-// Put/Update must invoke this BEFORE probing, even when the key turns out
-// to already be present: the baseline grows on updates too, and matching
-// its byte stream means matching its growth points.
+// a rehash ran (slot numbers found earlier are invalid afterwards: probe
+// again). Callers mirroring Put/Update must invoke this before the write
+// even when the key is already present: Put grows on updates too, and
+// matching its byte stream means matching its growth points.
 func (m OMap) MaybeGrow(a *Allocator) (bool, error) {
 	if (m.Len()+1)*10 >= m.slots()*7 {
 		if err := m.rehash(a, m.slots()*2); err != nil {

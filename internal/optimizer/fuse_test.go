@@ -1,8 +1,8 @@
 package optimizer
 
-// Tests for rule 4 (kernel fusion): annotation correctness, the NoFuse
-// ablation knob, and end-to-end semantic preservation through the core
-// executor under every scheduler/fusion combination.
+// Tests for rule 4 (kernel fusion): annotation correctness, and end-to-end
+// semantic preservation through the core executor against the same program
+// with the annotation stripped.
 
 import (
 	"strings"
@@ -67,25 +67,6 @@ func TestFusionAnnotatesAdjacentRuns(t *testing.T) {
 	}
 }
 
-func TestNoFuseDisablesAnnotation(t *testing.T) {
-	res, err := core.Compile(section7Selection())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, st, err := OptimizeWith(res.Prog, Options{NoFuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.KernelsFused != 0 {
-		t.Errorf("NoFuse run reported KernelsFused = %d", st.KernelsFused)
-	}
-	for _, s := range opt.Stmts {
-		if s.FuseGroup != 0 {
-			t.Fatalf("NoFuse run annotated statement %s", s.Out.Name)
-		}
-	}
-}
-
 func TestFusionAnnotationIsStable(t *testing.T) {
 	fx := newFixture(t, 10, 7)
 	res, err := core.Compile(section7Join(fx.emp))
@@ -109,10 +90,11 @@ func TestFusionAnnotationIsStable(t *testing.T) {
 	}
 }
 
-// TestFusionAndMorselsPreserveSemantics is the ablation grid: both knobs —
-// fusion on/off, morsel scheduling on/off — at several thread counts must
-// produce identical results for the §7 selection and join programs.
-func TestFusionAndMorselsPreserveSemantics(t *testing.T) {
+// TestFusionPreservesSemantics runs the §7 selection and join programs with
+// the optimizer's FuseGroup annotation and with it stripped (the engine then
+// executes statement by statement) at several thread counts: results must be
+// identical.
+func TestFusionPreservesSemantics(t *testing.T) {
 	fx := newFixture(t, 150, 7)
 	for _, prog := range []struct {
 		name string
@@ -132,11 +114,14 @@ func TestFusionAndMorselsPreserveSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			unfused, _, err := OptimizeWith(res.Prog, Options{NoFuse: true})
-			if err != nil {
-				t.Fatal(err)
+			if len(fusedRuns(fused)) == 0 {
+				t.Fatal("nothing fused — the comparison would be vacuous")
 			}
-			exec := func(p *tcap.Program, threads, morselPages int) string {
+			unfused := fused.Clone()
+			for _, s := range unfused.Stmts {
+				s.FuseGroup = 0
+			}
+			exec := func(p *tcap.Program, threads int) string {
 				plan, err := physical.Build(p)
 				if err != nil {
 					t.Fatalf("plan: %v\n%s", err, p.Print())
@@ -147,7 +132,6 @@ func TestFusionAndMorselsPreserveSemantics(t *testing.T) {
 				}
 				ex := core.NewExecutor(store, fx.reg, 1<<18, 4)
 				ex.Threads = threads
-				ex.MorselPages = morselPages
 				resCopy := *res
 				resCopy.Prog = p
 				if err := ex.Run(&resCopy, plan); err != nil {
@@ -173,17 +157,14 @@ func TestFusionAndMorselsPreserveSemantics(t *testing.T) {
 				// bit-for-bit contract across every configuration.
 				return strings.Join(names, ",")
 			}
-			want := exec(unfused, 1, 0)
+			want := exec(unfused, 1)
 			if want == "" {
 				t.Fatal("empty baseline result — fixture too small")
 			}
 			for _, threads := range []int{1, 2, 8} {
-				for _, morselPages := range []int{0, 2} {
-					for name, p := range map[string]*tcap.Program{"fused": fused, "unfused": unfused} {
-						if got := exec(p, threads, morselPages); got != want {
-							t.Errorf("%s threads=%d morselPages=%d diverged:\ngot  %s\nwant %s",
-								name, threads, morselPages, got, want)
-						}
+				for name, p := range map[string]*tcap.Program{"fused": fused, "unfused": unfused} {
+					if got := exec(p, threads); got != want {
+						t.Errorf("%s threads=%d diverged:\ngot  %s\nwant %s", name, threads, got, want)
 					}
 				}
 			}

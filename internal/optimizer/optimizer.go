@@ -40,20 +40,8 @@ type Stats struct {
 	Iterations   int
 }
 
-// Options selects which rules run. The zero value enables everything.
-type Options struct {
-	// NoFuse disables the kernel-fusion annotation (rule 4) — the
-	// ablation knob surfaced as cluster.Config.NoFusion.
-	NoFuse bool
-}
-
 // Optimize drives all rules to a fixpoint on a copy of the program.
 func Optimize(prog *tcap.Program) (*tcap.Program, *Stats, error) {
-	return OptimizeWith(prog, Options{})
-}
-
-// OptimizeWith is Optimize with rule selection.
-func OptimizeWith(prog *tcap.Program, opts Options) (*tcap.Program, *Stats, error) {
 	p := prog.Clone()
 	st := &Stats{}
 	for iter := 0; iter < 64; iter++ {
@@ -74,9 +62,7 @@ func OptimizeWith(prog *tcap.Program, opts Options) (*tcap.Program, *Stats, erro
 	eliminateDeadColumns(p, st)
 	// Fusion runs last, over the final statement shapes: the groups it
 	// assigns must describe exactly the columns execution will see.
-	if !opts.NoFuse {
-		fuseAdjacent(p, st)
-	}
+	fuseAdjacent(p, st)
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}

@@ -99,8 +99,7 @@ func findStage(stages []*physical.JobStage, produces string) (*physical.JobStage
 // local partition of the input set, run the stage pipeline across Threads
 // executor threads into buffered AggSinks (one hash partition per cluster
 // worker), and stream every sealed map page back to the master in thread
-// order under a single global sequence — the same single-lane discipline
-// the in-process morsel producer uses, so the master relays each frame
+// order under a single global sequence, so the master relays each frame
 // as exchange tag (worker, 0, seq).
 func produce(conn net.Conn, req *Msg, dataDir string) error {
 	reg, res, stages, store, err := rebuildSession(req, dataDir)

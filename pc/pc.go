@@ -65,8 +65,8 @@
 // state must synchronize it. Join key and equality lambdas must be pure:
 // they are invoked concurrently across workers and threads.
 //
-// The single-process core.Executor used by local ablations drives stages
-// through the same engine machinery, so Threads behaves identically there.
+// The single-process core.Executor drives stages through the same engine
+// machinery, so Threads behaves identically there.
 //
 // Query results are therefore deterministic in Config.Threads, up to
 // floating-point summation order inside aggregations (integer and
@@ -81,7 +81,7 @@
 // transparently. Results are bit-for-bit identical at any budget; only
 // page residence changes. See docs/TUNING.md for the memory model and how
 // MemoryBudget interacts with ShuffleCapacity, Threads,
-// CheckpointInterval, DataDir, and BarrierShuffle.
+// CheckpointInterval, and DataDir.
 package pc
 
 import (
