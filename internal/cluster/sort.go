@@ -2,15 +2,15 @@ package cluster
 
 // Distributed ORDER BY / top-k / window as a merge network over the
 // exchange (the sort half of "finish the relational surface"): every
-// worker sorts its partition into per-thread runs, merges them into one
-// worker run, and streams that run's pages to a single merge consumer on
-// worker 0, which merges the lanes into the global stable order (and folds
-// a window computation's running aggregate over the merged stream). The
-// consumer checkpoints both its delivery cut and its merge cursor, so a
-// crash anywhere resumes bit-for-bit from at most one interval back.
+// worker sorts its partition into per-thread runs and streams their pages,
+// in thread order, to a single merge consumer on worker 0, which merges
+// every delivered page as a lane of one tournament into the global stable
+// order (and folds a window computation's running aggregate over the merged
+// stream). The consumer checkpoints both its delivery cut and its merge
+// cursor, so a crash anywhere resumes bit-for-bit from at most one interval
+// back.
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -41,19 +41,18 @@ type sortRecovery struct {
 	merging      bool // merge cursor fields below are valid
 	mergePos     []engine.RunPos
 	mergeEmitted int
-	running      object.Value // window accumulator at the cursor
-	exists       bool
-	outPages     []*object.Page // committed sealed output pages
+	window       engine.WindowState // window accumulator at the cursor
+	outPages     []*object.Page     // committed sealed output pages
 
 	saves int
 }
 
 // runSortGroup executes a sort-producer / sort-merge-consumer stage pair:
-// every worker runs the producer pipeline into per-thread SortSinks, merges
-// its thread runs into one worker run, and streams the run's pages to the
-// single consumer (worker 0) over a dedicated exchange; the consumer merges
-// every delivered page as its own lane — each page is a sorted contiguous
-// chunk of one worker's run, and delivery order is producer-major, so the
+// every worker runs the producer pipeline into per-thread SortSinks and
+// streams the thread runs' pages to the single consumer (worker 0) over a
+// dedicated exchange; the consumer merges every delivered page as its own
+// lane — each page is a sorted contiguous chunk of one thread's run, and
+// delivery order is (worker, thread, page), which is source order, so the
 // merger's lowest-lane tie-break reproduces the global stable order. Crash
 // retries follow the shuffle's pattern: producers re-send identical tags
 // (sender-side dedup drops duplicates), the consumer rewinds to its last
@@ -184,11 +183,14 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 // runSortStreamOnWorker is the producer half of the merge network on one
 // worker: the stage pipeline runs across Config.Threads executor threads
 // into per-thread SortSinks (bounded-heap top-k when the spec has a limit,
-// optionally spilling sorted sub-runs past Config.SortSpillRows), the
-// thread runs merge into one worker run — thread order is source order, the
-// merge's stability tie-break — and the run's pages stream to consumer 0
-// the moment they seal. A crash-retried producer re-runs deterministically
-// and re-sends identical tags for the sender-side dedup to drop.
+// optionally spilling sorted sub-runs past Config.SortSpillRows), and after
+// the stage barrier every thread run's pages stream to consumer 0. There is
+// no worker-level merge: the consumer's tournament takes each page as a
+// lane at O(log lanes) a row, so merging here would only copy the run. With
+// a limit a worker therefore ships Threads × Limit rows, not Limit; the
+// consumer applies the limit. A crash-retried producer re-runs
+// deterministically and re-sends identical tags for the sender-side dedup
+// to drop.
 func (c *Cluster) runSortStreamOnWorker(res *core.CompileResult, stage *physical.JobStage, w *Worker,
 	ex *exchange.Exchange, spill *storage.SpillPool) error {
 	spec := res.SortSpecs[stage.SinkStmt.Out.Name]
@@ -257,41 +259,22 @@ func (c *Cluster) runSortStreamOnWorker(res *core.CompileResult, stage *physical
 	if err != nil {
 		return err
 	}
-	runs := make([][]*object.Page, 0, len(pt.Sinks))
-	for _, s := range pt.Sinks {
-		runs = append(runs, s.Pages())
-	}
 
-	// Worker-level merge into one run, streamed page by page down the
-	// thread-0 lane. AppendSortRow deep-copies each row onto the outgoing
-	// page, so streamed pages are self-contained for any transport.
-	var mergeStats engine.Stats
-	out, err := engine.NewRunPageSet(w.Reg(), c.Cfg.PageSize, c.pool, &mergeStats)
-	if err != nil {
-		return err
-	}
+	// Thread chunks are contiguous in source order (SplitRanges), so sending
+	// the runs in (thread, page) order down the thread-0 lane with a running
+	// sequence keeps lane order equal to source order — the consumer's
+	// stability tie-break. Run pages are self-contained (AppendSortRow
+	// deep-copied each row onto them), so they ship as they are.
 	seq := 0
-	out.OnSeal = func(p *object.Page) error {
-		c.Cfg.Fault.Hit(fault.PageSeal, w.ID)
-		tag := exchange.Tag{Producer: w.ID, Thread: 0, Seq: seq}
-		seq++
-		return streamErr(ex.Send(tag, 0, p, nil))
-	}
-	m := engine.NewSortMerger(w.Reg(), runs, spec.Limit)
-	ti := engine.SortRowType(w.Reg())
-	for {
-		key, obj, val, ok := m.Next()
-		if !ok {
-			break
-		}
-		if err := engine.AppendSortRow(out, ti, key, obj, val); err != nil {
-			return err
+	for _, sink := range pt.Sinks {
+		for _, p := range sink.Pages() {
+			c.Cfg.Fault.Hit(fault.PageSeal, w.ID)
+			if err := streamErr(ex.Send(exchange.Tag{Producer: w.ID, Seq: seq}, 0, p, nil)); err != nil {
+				return err
+			}
+			seq++
 		}
 	}
-	if err := out.CloseStream(); err != nil {
-		return err
-	}
-	w.mergeStats(&mergeStats)
 	failed = false
 	return streamErr(ex.CloseThread(w.ID, 0, nil))
 }
@@ -361,9 +344,9 @@ func (c *Cluster) consumeSortStream(res *core.CompileResult, stage *physical.Job
 	}
 
 	// Merge phase. Every delivered page is one lane: each is a sorted
-	// contiguous chunk of a worker's merged run, delivery order is
-	// producer-major, and the merger breaks key ties by lowest lane index
-	// — together that reproduces the stable global order.
+	// contiguous chunk of one thread's run, delivery order is (worker,
+	// thread, page), and the merger breaks key ties by lowest lane index —
+	// together that reproduces the stable global order.
 	runs := make([][]*object.Page, len(rec.pages))
 	for i, p := range rec.pages {
 		runs[i] = []*object.Page{p}
@@ -380,41 +363,20 @@ func (c *Cluster) consumeSortStream(res *core.CompileResult, stage *physical.Job
 		return nil, err
 	}
 	out := sink.Out
-	running, exists := rec.running, rec.exists
+	window := rec.window
 	committed := 0 // sealed pages already committed into rec by THIS attempt
 	sealsSinceCut := 0
 	for {
-		posBefore, emittedBefore := m.Cursor()
-		runningBefore, existsBefore := running, exists
-		_, obj, val, ok := m.Next()
+		windowBefore := window
+		_, obj, val, ok := m.NextRow()
 		if !ok {
 			break
 		}
 		sealedBefore := len(out.Sealed)
-		if ws == nil {
-			if err := engine.AppendToRoot(out, obj); err != nil {
-				return nil, err
-			}
-		} else {
-			running, err = ws.Combine(out.Alloc, running, exists, val)
-			if err != nil {
-				return nil, err
-			}
-			exists = true
-			emitted, err := ws.Emit(out.Alloc, obj, running)
-			if errors.Is(err, object.ErrPageFull) {
-				if err = out.Rotate(); err == nil {
-					emitted, err = ws.Emit(out.Alloc, obj, running)
-				}
-			}
-			if err != nil {
-				return nil, err
-			}
-			if err := engine.AppendToRoot(out, emitted); err != nil {
-				return nil, err
-			}
+		if err := engine.EmitMerged(out, ws, &window, obj, val); err != nil {
+			return nil, err
 		}
-		if interval <= 0 {
+		if interval <= 0 || len(out.Sealed) == sealedBefore {
 			continue
 		}
 		sealsSinceCut += len(out.Sealed) - sealedBefore
@@ -423,8 +385,10 @@ func (c *Cluster) consumeSortStream(res *core.CompileResult, stage *physical.Job
 		}
 		// Seal-boundary checkpoint: the row that rode the seal landed
 		// entirely on the fresh live page, so the sealed prefix holds
-		// exactly the rows before the pre-row cursor snapshot — a retry
-		// restores the cursor and re-emits this row first onto a fresh
+		// exactly the rows before this one. The snapshot is the cursor as
+		// it stood before the row (the merger remembers the one lane that
+		// moved, so nothing is copied on the rows that seal nothing) — a
+		// retry restores it and re-emits this row first onto a fresh
 		// (empty) live page, reproducing identical page boundaries.
 		c.Cfg.Fault.Hit(fault.Checkpoint, w.ID)
 		if err := c.Cfg.Fault.ErrAt(fault.CheckpointIO, w.ID); err != nil {
@@ -432,8 +396,8 @@ func (c *Cluster) consumeSortStream(res *core.CompileResult, stage *physical.Job
 		}
 		rec.outPages = append(rec.outPages, out.Sealed[committed:]...)
 		committed = len(out.Sealed)
-		rec.mergePos, rec.mergeEmitted = posBefore, emittedBefore
-		rec.running, rec.exists = runningBefore, existsBefore
+		rec.mergePos, rec.mergeEmitted = m.CursorBeforeLast()
+		rec.window = windowBefore
 		rec.merging = true
 		rec.saves++
 		sealsSinceCut = 0

@@ -159,7 +159,8 @@ func (a *Aggregate) label() string         { return "Agg" }
 // extracting the key from the input object, the key's scalar kind, and the
 // sort direction. NULL-valued keys (terms evaluating to an invalid Value)
 // sort before every present value in ascending order and after in
-// descending order.
+// descending order; float NaNs are all one key, after +Inf ascending and
+// first descending.
 type SortKey struct {
 	Term func(arg *lambda.Arg) lambda.Term
 	Kind object.Kind
@@ -169,9 +170,9 @@ type SortKey struct {
 // OrderBy is the ORDER BY / top-k computation: it totally orders its input
 // on Keys (in precedence order, stable in the input's arrival order) and,
 // when Limit is positive, keeps only the first Limit objects. Distributed
-// execution is a merge network: per-thread sorted runs merge into one run
-// per worker, the runs stream over the exchange, and the consumer merges
-// them — with a bounded-heap fast path when Limit is set.
+// execution is a merge network: per-thread sorted runs stream over the
+// exchange and one consumer merges them page by page — with a bounded-heap
+// fast path when Limit is set.
 type OrderBy struct {
 	In      Computation
 	ArgType string

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/engine"
@@ -233,9 +232,9 @@ func materializeColumn(res *CompileResult, stage *physical.JobStage, last *tcap.
 // runSortMergeStage is the consuming stage of a distributed sort: it merges
 // the producer stage's sorted runs (in run order — source order) into the
 // global stable order, applies the top-k limit, and materializes the output
-// objects onto fresh pages (AppendToRoot's cross-page push deep-copies each
-// object off its run page). A window computation folds its running aggregate
-// over the merged stream here, emitting one output object per input row.
+// objects onto fresh pages (engine.EmitMerged, the step the cluster's merge
+// consumer runs too). A window computation folds its running aggregate over
+// the merged stream here, emitting one output object per input row.
 func (e *Executor) runSortMergeStage(res *CompileResult, stage *physical.JobStage, arts *artifacts) error {
 	spec := res.SortSpecs[stage.AggList]
 	if spec == nil {
@@ -255,34 +254,13 @@ func (e *Executor) runSortMergeStage(res *CompileResult, stage *physical.JobStag
 	if spec.Window && ws == nil {
 		return fmt.Errorf("no window spec for %q", stage.AggList)
 	}
-	var running object.Value
-	exists := false
+	var st engine.WindowState
 	for {
-		_, obj, val, ok := m.Next()
+		_, obj, val, ok := m.NextRow()
 		if !ok {
 			break
 		}
-		if ws == nil {
-			if err := engine.AppendToRoot(out, obj); err != nil {
-				return err
-			}
-			continue
-		}
-		running, err = ws.Combine(out.Alloc, running, exists, val)
-		if err != nil {
-			return err
-		}
-		exists = true
-		emitted, err := ws.Emit(out.Alloc, obj, running)
-		if errors.Is(err, object.ErrPageFull) {
-			if err = out.Rotate(); err == nil {
-				emitted, err = ws.Emit(out.Alloc, obj, running)
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if err := engine.AppendToRoot(out, emitted); err != nil {
+		if err := engine.EmitMerged(out, ws, &st, obj, val); err != nil {
 			return err
 		}
 	}

@@ -4,24 +4,28 @@ package engine
 // rides it. The operator is a merge network over sorted runs:
 //
 //	executor thread   -> SortSink      : one sorted run (SortRow pages)
-//	worker            -> SortMerger    : its threads' runs -> one run
-//	consumer          -> SortMerger    : the workers' runs -> final order
+//	consumer          -> SortMerger    : every run -> final order
 //
 // Rows travel between the layers as SortRow carrier objects — a
-// memcomparable key string plus the original object — so every merge layer
-// compares plain strings and the sealed run pages ARE the wire format, like
-// every other shuffle in the system. Determinism: each run is sorted
-// stably by (key, arrival), runs are merged with a lowest-run-index
-// tie-break, and runs are numbered in source order, so any split of the
-// input into runs (threads, workers) merges to the byte-identical
-// stable order.
+// memcomparable key string plus the original object — so the merge compares
+// plain bytes where they lie on the run page and the sealed run pages ARE
+// the wire format, like every other shuffle in the system. Determinism:
+// each run is sorted by (key, arrival), runs are merged with a
+// lowest-run-index tie-break, and runs are numbered in source order, so any
+// split of the input into runs (threads, workers, pages) merges to the
+// byte-identical stable order.
+//
+// The Go heap is touched per run, not per row: a sink buffers keys in one
+// byte arena and sorts row indices, and a merger holds one cached head per
+// lane in a binary heap.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/object"
@@ -31,6 +35,17 @@ import (
 
 // SortRowTypeName names the carrier type sort runs are made of.
 const SortRowTypeName = "pc.SortRow"
+
+// The carrier's fields, in the order SortRowType declares them. The order
+// is fixed, so the per-row paths index ti.Fields instead of looking each
+// name up.
+const (
+	sortRowKey = iota
+	sortRowObj
+	sortRowVK
+	sortRowVI
+	sortRowVF
+)
 
 // SortRowType returns (registering on first use) the SortRow carrier type:
 // the encoded sort key, the original object, and an optional window value
@@ -50,29 +65,40 @@ func SortRowType(reg *object.Registry) *object.TypeInfo {
 		MustBuild(reg)
 }
 
-// EncodeSortKey encodes one row's key values into a single memcomparable
-// string: byte-wise comparison of encoded keys equals the tuple ordering
-// (object.Value.Less per column, NULLs first, descending columns
-// inverted). Each segment is a presence byte (0x00 for a NULL — sorting
-// first — 0x01 otherwise), a kind tag, and a payload: integers as
+// AppendSortKey appends one row's key values to dst as a single
+// memcomparable key: byte-wise comparison of encoded keys equals the tuple
+// ordering (NULLs first, then object.Value.Less per column, descending
+// columns inverted). Each segment is a presence byte (0x00 for a NULL —
+// sorting first — 0x01 otherwise), a kind tag, and a payload: integers as
 // sign-biased big-endian, floats via the IEEE sign trick, strings
 // 0x00-escaped and terminated. A descending column XORs its whole segment.
-func EncodeSortKey(vals []object.Value, desc []bool) (string, error) {
-	buf := make([]byte, 0, 16*len(vals))
+//
+// Floats get a total order where Value.Less has none: -0.0 encodes as +0.0,
+// and every NaN, whatever its sign and payload, encodes as one pattern that
+// sorts after +Inf ascending (first descending) — so NaN rows tie and keep
+// arrival order.
+func AppendSortKey(dst []byte, vals []object.Value, desc []bool) ([]byte, error) {
 	for i, v := range vals {
-		start := len(buf)
+		start := len(dst)
 		var err error
-		buf, err = appendKeySegment(buf, v)
-		if err != nil {
-			return "", err
+		if dst, err = appendKeySegment(dst, v); err != nil {
+			return nil, err
 		}
 		if i < len(desc) && desc[i] {
-			for j := start; j < len(buf); j++ {
-				buf[j] ^= 0xFF
+			for j := start; j < len(dst); j++ {
+				dst[j] ^= 0xFF
 			}
 		}
 	}
-	return string(buf), nil
+	return dst, nil
+}
+
+// EncodeSortKey is AppendSortKey into a fresh Go string, for callers that
+// keep keys as strings.
+func EncodeSortKey(vals []object.Value, desc []bool) (string, error) {
+	var buf [64]byte
+	key, err := AppendSortKey(buf[:0], vals, desc)
+	return string(key), err
 }
 
 func appendKeySegment(buf []byte, v object.Value) ([]byte, error) {
@@ -89,14 +115,15 @@ func appendKeySegment(buf []byte, v object.Value) ([]byte, error) {
 		return append(buf, 0), nil
 	case object.KInt32, object.KInt64:
 		buf = append(buf, 0x02)
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(v.I)^(1<<63))
-		return append(buf, b[:]...), nil
+		return binary.BigEndian.AppendUint64(buf, uint64(v.I)^(1<<63)), nil
 	case object.KFloat64:
 		buf = append(buf, 0x03)
 		f := v.F
-		if f == 0 {
-			f = 0 // normalize -0.0 so equal keys encode identically
+		switch {
+		case f == 0:
+			f = 0 // -0.0 and +0.0 are equal keys
+		case math.IsNaN(f):
+			f = math.NaN() // one NaN: positive, so it lands after +Inf
 		}
 		bits := math.Float64bits(f)
 		if bits&(1<<63) != 0 {
@@ -104,9 +131,7 @@ func appendKeySegment(buf []byte, v object.Value) ([]byte, error) {
 		} else {
 			bits |= 1 << 63
 		}
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], bits)
-		return append(buf, b[:]...), nil
+		return binary.BigEndian.AppendUint64(buf, bits), nil
 	case object.KString:
 		buf = append(buf, 0x04)
 		for i := 0; i < len(v.S); i++ {
@@ -127,74 +152,70 @@ func appendKeySegment(buf []byte, v object.Value) ([]byte, error) {
 // (the deep-copy handle rule carries obj onto the run page, so runs are
 // self-contained and shippable).
 func AppendSortRow(out *OutputPageSet, ti *object.TypeInfo, key string, obj object.Ref, val object.Value) error {
-	try := func() error {
-		r, err := out.Alloc.MakeObject(ti)
-		if err != nil {
-			return err
-		}
-		if err := object.SetStrField(out.Alloc, r, ti.Field("key"), key); err != nil {
-			return err
-		}
-		if err := object.SetHandleField(out.Alloc, r, ti.Field("obj"), obj); err != nil {
-			return err
-		}
-		object.SetI32(r, ti.Field("vk"), int32(val.K))
-		switch val.K {
-		case object.KInvalid:
-		case object.KBool:
-			if val.B {
-				object.SetI64(r, ti.Field("vi"), 1)
-			}
-		case object.KInt32, object.KInt64:
-			object.SetI64(r, ti.Field("vi"), val.I)
-		case object.KFloat64:
-			object.SetF64(r, ti.Field("vf"), val.F)
-		default:
-			return fmt.Errorf("engine: unsupported sort row value kind %v", val.K)
-		}
-		root := object.AsVector(object.Ref{Page: out.Live, Off: out.Live.Root()})
-		return root.PushBackHandle(out.Alloc, r)
-	}
-	err := try()
+	return appendSortRow(out, ti, []byte(key), obj, val)
+}
+
+func appendSortRow(out *OutputPageSet, ti *object.TypeInfo, key []byte, obj object.Ref, val object.Value) error {
+	err := tryAppendSortRow(out, ti, key, obj, val)
 	if !errors.Is(err, object.ErrPageFull) {
 		return err
 	}
 	if err := out.Rotate(); err != nil {
 		return err
 	}
-	if err := try(); err != nil {
+	if err := tryAppendSortRow(out, ti, key, obj, val); err != nil {
 		return fmt.Errorf("engine: sort row does not fit on an empty run page: %w", err)
 	}
 	return nil
 }
 
-// ReadSortRow decodes a SortRow object back into (key, obj, val).
-func ReadSortRow(ti *object.TypeInfo, r object.Ref) (string, object.Ref, object.Value) {
-	key := object.GetStrField(r, ti.Field("key"))
-	obj := object.GetHandleField(r, ti.Field("obj"))
-	var val object.Value
-	switch object.Kind(object.GetI32(r, ti.Field("vk"))) {
-	case object.KBool:
-		val = object.BoolValue(object.GetI64(r, ti.Field("vi")) != 0)
-	case object.KInt32, object.KInt64:
-		val = object.Int64Value(object.GetI64(r, ti.Field("vi")))
-	case object.KFloat64:
-		val = object.Float64Value(object.GetF64(r, ti.Field("vf")))
+func tryAppendSortRow(out *OutputPageSet, ti *object.TypeInfo, key []byte, obj object.Ref, val object.Value) error {
+	r, err := out.Alloc.MakeObject(ti)
+	if err != nil {
+		return err
 	}
-	return key, obj, val
+	ks, err := object.MakeStringBytes(out.Alloc, key)
+	if err != nil {
+		return err
+	}
+	if err := object.SetHandleField(out.Alloc, r, &ti.Fields[sortRowKey], ks); err != nil {
+		return err
+	}
+	if err := object.SetHandleField(out.Alloc, r, &ti.Fields[sortRowObj], obj); err != nil {
+		return err
+	}
+	object.SetI32(r, &ti.Fields[sortRowVK], int32(val.K))
+	switch val.K {
+	case object.KInvalid:
+	case object.KBool:
+		if val.B {
+			object.SetI64(r, &ti.Fields[sortRowVI], 1)
+		}
+	case object.KInt32, object.KInt64:
+		object.SetI64(r, &ti.Fields[sortRowVI], val.I)
+	case object.KFloat64:
+		object.SetF64(r, &ti.Fields[sortRowVF], val.F)
+	default:
+		return fmt.Errorf("engine: unsupported sort row value kind %v", val.K)
+	}
+	root := object.AsVector(object.Ref{Page: out.Live, Off: out.Live.Root()})
+	return root.PushBackHandle(out.Alloc, r)
 }
 
-// AppendToRoot appends an object handle to out's live root vector with the
-// usual rotate-on-full discipline (exported for the sort-merge consumers
-// materializing final output pages).
-func AppendToRoot(out *OutputPageSet, r object.Ref) error { return appendToRoot(out, r) }
-
-// sortRow is one buffered row awaiting the run sort.
-type sortRow struct {
-	key string
-	obj object.Ref
-	val object.Value
-	seq int // arrival order; the stability tie-break
+// readSortRow decodes a SortRow object's payload: the original object and
+// the window value.
+func readSortRow(ti *object.TypeInfo, r object.Ref) (object.Ref, object.Value) {
+	obj := object.GetHandleField(r, &ti.Fields[sortRowObj])
+	var val object.Value
+	switch object.Kind(object.GetI32(r, &ti.Fields[sortRowVK])) {
+	case object.KBool:
+		val = object.BoolValue(object.GetI64(r, &ti.Fields[sortRowVI]) != 0)
+	case object.KInt32, object.KInt64:
+		val = object.Int64Value(object.GetI64(r, &ti.Fields[sortRowVI]))
+	case object.KFloat64:
+		val = object.Float64Value(object.GetF64(r, &ti.Fields[sortRowVF]))
+	}
+	return obj, val
 }
 
 // SortSink buffers a pipeline's rows and emits them as ONE sorted run of
@@ -218,9 +239,30 @@ type SortSink struct {
 	Fault          *fault.Plan
 	Worker         int
 
-	ti      *object.TypeInfo
-	rows    []sortRow
-	seq     int
+	ti *object.TypeInfo
+
+	// The buffered rows, one slice per column so that a row is no Go object
+	// of its own. Without a limit, encoded keys lie back to back in arena
+	// (row i's is arena[offs[i]:offs[i+1]]) and a row's index is its
+	// arrival order. order holds row indices; it is all the run sort moves.
+	arena []byte
+	offs  []int
+	objs  []object.Ref
+	vals  []object.Value // filled only when ValCol != ""
+	order []int32
+
+	// Top-k keeps at most Limit rows, in slots: slot i's key buffer slots[i]
+	// is reused when the row is evicted, arrival[i] is its arrival number,
+	// and order is a max-heap of slots by (key, arrival). A row that does
+	// not make the cut is compared from scratch and never stored.
+	slots   [][]byte
+	arrival []int
+	seen    int
+	scratch []byte
+
+	keyCols []Column       // per-batch scratch
+	keyVals []object.Value // per-row scratch
+
 	spilled [][]int // sealed sub-runs, as spill-slot lists in seal order
 	stats   *Stats
 	pool    *object.PagePool
@@ -228,8 +270,7 @@ type SortSink struct {
 
 // NewRunPageSet creates an output page set whose pages carry SortRow runs
 // (root vector of SortRow handles) — the page shape SortSink emits and
-// SortMerger consumes. Cluster code uses it to re-materialize a worker's
-// merged run for streaming over the exchange.
+// SortMerger consumes.
 func NewRunPageSet(reg *object.Registry, pageSize int, pool *object.PagePool, stats *Stats) (*OutputPageSet, error) {
 	return NewOutputPageSet(reg, pageSize, object.PolicyLightweightReuse, initRootVector, pool, stats)
 }
@@ -237,12 +278,12 @@ func NewRunPageSet(reg *object.Registry, pageSize int, pool *object.PagePool, st
 // NewSortSink creates a sort sink emitting runs of pageSize pages.
 func NewSortSink(reg *object.Registry, pageSize int, keyCols []string, objCol, valCol string,
 	desc []bool, limit int, pool *object.PagePool, stats *Stats) (*SortSink, error) {
-	ops, err := NewOutputPageSet(reg, pageSize, object.PolicyLightweightReuse, initRootVector, pool, stats)
+	ops, err := NewRunPageSet(reg, pageSize, pool, stats)
 	if err != nil {
 		return nil, err
 	}
 	return &SortSink{Out: ops, KeyCols: keyCols, ObjCol: objCol, ValCol: valCol,
-		Desc: desc, Limit: limit, ti: SortRowType(reg), stats: stats, pool: pool}, nil
+		Desc: desc, Limit: limit, ti: SortRowType(reg), offs: []int{0}, stats: stats, pool: pool}, nil
 }
 
 // Consume buffers each row's (encoded key, object, optional value).
@@ -251,11 +292,13 @@ func (s *SortSink) Consume(ctx *Ctx, vl *VectorList, stmt *tcap.Stmt) error {
 	if !ok {
 		return fmt.Errorf("engine: sort object column %q missing or mistyped", s.ObjCol)
 	}
-	keyCols := make([]Column, len(s.KeyCols))
-	for i, name := range s.KeyCols {
-		if keyCols[i] = vl.Col(name); keyCols[i] == nil {
+	s.keyCols = s.keyCols[:0]
+	for _, name := range s.KeyCols {
+		c := vl.Col(name)
+		if c == nil {
 			return fmt.Errorf("engine: sort key column %q missing", name)
 		}
+		s.keyCols = append(s.keyCols, c)
 	}
 	var valCol Column
 	if s.ValCol != "" {
@@ -263,26 +306,37 @@ func (s *SortSink) Consume(ctx *Ctx, vl *VectorList, stmt *tcap.Stmt) error {
 			return fmt.Errorf("engine: sort value column %q missing", s.ValCol)
 		}
 	}
-	vals := make([]object.Value, len(keyCols))
+	if len(s.objs)+len(oc) > math.MaxInt32 {
+		return fmt.Errorf("engine: sort run exceeds %d buffered rows; set a spill threshold", math.MaxInt32)
+	}
+	if s.keyVals == nil {
+		s.keyVals = make([]object.Value, len(s.KeyCols))
+	}
 	for i := range oc {
-		for k, c := range keyCols {
-			vals[k] = c.Value(i)
+		for k, c := range s.keyCols {
+			s.keyVals[k] = c.Value(i)
 		}
-		key, err := EncodeSortKey(vals, s.Desc)
+		var val object.Value
+		if valCol != nil {
+			val = valCol.Value(i)
+		}
+		if s.Limit > 0 {
+			if err := s.pushBounded(oc[i], val); err != nil {
+				return err
+			}
+			continue
+		}
+		arena, err := AppendSortKey(s.arena, s.keyVals, s.Desc)
 		if err != nil {
 			return err
 		}
-		row := sortRow{key: key, obj: oc[i], seq: s.seq}
-		s.seq++
+		s.arena = arena
+		s.offs = append(s.offs, len(arena))
+		s.objs = append(s.objs, oc[i])
 		if valCol != nil {
-			row.val = valCol.Value(i)
+			s.vals = append(s.vals, val)
 		}
-		if s.Limit > 0 {
-			s.pushBounded(row)
-			continue
-		}
-		s.rows = append(s.rows, row)
-		if s.SpillThreshold > 0 && len(s.rows) >= s.SpillThreshold {
+		if s.SpillThreshold > 0 && len(s.objs) >= s.SpillThreshold {
 			if err := s.spillRun(); err != nil {
 				return err
 			}
@@ -291,56 +345,92 @@ func (s *SortSink) Consume(ctx *Ctx, vl *VectorList, stmt *tcap.Stmt) error {
 	return nil
 }
 
-// rowLess orders rows by (key, arrival) — the stable sort order.
-func rowLess(a, b sortRow) bool {
-	if a.key != b.key {
-		return a.key < b.key
+// key returns buffered row (or top-k slot) i's encoded key.
+func (s *SortSink) key(i int32) []byte {
+	if s.Limit > 0 {
+		return s.slots[i]
 	}
-	return a.seq < b.seq
+	return s.arena[s.offs[i]:s.offs[i+1]]
 }
 
-// pushBounded maintains a max-heap of the Limit smallest (key, seq) rows:
-// evicting the largest is exactly stable-sort-then-truncate.
-func (s *SortSink) pushBounded(row sortRow) {
-	if len(s.rows) < s.Limit {
-		s.rows = append(s.rows, row)
-		s.siftUp(len(s.rows) - 1)
-		return
+// cmpRows orders buffered rows by (key, arrival). Arrival makes the order
+// total, so an unstable sort over it IS the stable sort of the run.
+func (s *SortSink) cmpRows(a, b int32) int {
+	if c := bytes.Compare(s.key(a), s.key(b)); c != 0 {
+		return c
 	}
-	if !rowLess(row, s.rows[0]) {
-		return // not smaller than the current k-th: drop
+	if s.Limit > 0 {
+		return s.arrival[a] - s.arrival[b]
 	}
-	s.rows[0] = row
-	s.siftDown(0)
+	return int(a - b)
 }
 
-func (s *SortSink) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !rowLess(s.rows[p], s.rows[i]) {
-			return
-		}
-		s.rows[i], s.rows[p] = s.rows[p], s.rows[i]
-		i = p
+// pushBounded offers the row whose key values sit in keyVals to the max-heap
+// of the Limit smallest (key, arrival) rows: evicting the largest is exactly
+// stable-sort-then-truncate.
+func (s *SortSink) pushBounded(obj object.Ref, val object.Value) error {
+	key, err := AppendSortKey(s.scratch[:0], s.keyVals, s.Desc)
+	if err != nil {
+		return err
 	}
+	s.scratch = key
+	seq := s.seen
+	s.seen++
+	full := len(s.order) == s.Limit
+	var slot int32
+	if full {
+		// Arrival only grows, so a key tie with the current Limit-th row
+		// loses as well.
+		if slot = s.order[0]; bytes.Compare(key, s.slots[slot]) >= 0 {
+			return nil
+		}
+	} else {
+		slot = int32(len(s.slots))
+		s.slots = append(s.slots, nil)
+		s.arrival = append(s.arrival, 0)
+		s.objs = append(s.objs, object.Ref{})
+		if s.ValCol != "" {
+			s.vals = append(s.vals, object.Value{})
+		}
+	}
+	s.slots[slot] = append(s.slots[slot][:0], key...)
+	s.arrival[slot] = seq
+	s.objs[slot] = obj
+	if s.ValCol != "" {
+		s.vals[slot] = val
+	}
+	if full {
+		siftDown(s.order, 0, s.rowAfter)
+	} else {
+		s.order = append(s.order, slot)
+		siftUp(s.order, len(s.order)-1, s.rowAfter)
+	}
+	return nil
 }
 
-func (s *SortSink) siftDown(i int) {
-	n := len(s.rows)
-	for {
-		l, r, big := 2*i+1, 2*i+2, i
-		if l < n && rowLess(s.rows[big], s.rows[l]) {
-			big = l
+// rowAfter is the max-heap order of the top-k slots: the root is the row
+// that sorts last.
+func (s *SortSink) rowAfter(a, b int32) bool { return s.cmpRows(a, b) > 0 }
+
+// writeRun sorts the buffered rows and appends them to out as one run.
+func (s *SortSink) writeRun(out *OutputPageSet) error {
+	if s.Limit == 0 {
+		s.order = s.order[:0]
+		for i := range s.objs {
+			s.order = append(s.order, int32(i))
 		}
-		if r < n && rowLess(s.rows[big], s.rows[r]) {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		s.rows[i], s.rows[big] = s.rows[big], s.rows[i]
-		i = big
 	}
+	slices.SortFunc(s.order, s.cmpRows)
+	for _, i := range s.order {
+		var val object.Value // invalid unless a window value rides the sort
+		if s.ValCol != "" {
+			val = s.vals[i]
+		}
+		if err := appendSortRow(out, s.ti, s.key(i), s.objs[i], val); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // spillRun seals the in-memory buffer as one sorted sub-run in the spill
@@ -349,19 +439,16 @@ func (s *SortSink) siftDown(i int) {
 // injected SpillWrite error frees the sub-run's already-written slots
 // before surfacing, so a failed job leaks no slots either.
 func (s *SortSink) spillRun() error {
-	if len(s.rows) == 0 {
+	if len(s.objs) == 0 {
 		return nil
 	}
 	s.Fault.Hit(fault.SortSpill, s.Worker)
-	sort.SliceStable(s.rows, func(i, j int) bool { return rowLess(s.rows[i], s.rows[j]) })
-	run, err := NewOutputPageSet(s.Out.Reg, s.Out.PageSize, object.PolicyLightweightReuse, initRootVector, s.pool, s.stats)
+	run, err := NewRunPageSet(s.Out.Reg, s.Out.PageSize, s.pool, s.stats)
 	if err != nil {
 		return err
 	}
-	for _, row := range s.rows {
-		if err := AppendSortRow(run, s.ti, row.key, row.obj, row.val); err != nil {
-			return err
-		}
+	if err := s.writeRun(run); err != nil {
+		return err
 	}
 	var slots []int
 	for _, p := range run.Pages() {
@@ -377,7 +464,7 @@ func (s *SortSink) spillRun() error {
 		slots = append(slots, slot)
 	}
 	s.spilled = append(s.spilled, slots)
-	s.rows = s.rows[:0]
+	s.arena, s.offs, s.objs, s.vals = s.arena[:0], s.offs[:1], s.objs[:0], s.vals[:0]
 	return nil
 }
 
@@ -400,15 +487,9 @@ func (s *SortSink) ReleaseSpilled() {
 // run onto Out, merging any spilled sub-runs back in (loads free their
 // slots immediately, so success leaves zero live slots).
 func (s *SortSink) Finish() error {
-	sort.SliceStable(s.rows, func(i, j int) bool { return rowLess(s.rows[i], s.rows[j]) })
+	defer s.dropRows()
 	if len(s.spilled) == 0 {
-		for _, row := range s.rows {
-			if err := AppendSortRow(s.Out, s.ti, row.key, row.obj, row.val); err != nil {
-				return err
-			}
-		}
-		s.rows = nil
-		return nil
+		return s.writeRun(s.Out)
 	}
 	// Load the spilled sub-runs (sealed in arrival order, so run index
 	// remains the stability tie-break) and merge with the final buffer.
@@ -430,28 +511,29 @@ func (s *SortSink) Finish() error {
 		runs = append(runs, pages)
 	}
 	s.ReleaseSpilled()
-	mem, err := NewOutputPageSet(s.Out.Reg, s.Out.PageSize, object.PolicyLightweightReuse, initRootVector, s.pool, s.stats)
+	mem, err := NewRunPageSet(s.Out.Reg, s.Out.PageSize, s.pool, s.stats)
 	if err != nil {
 		return err
 	}
-	for _, row := range s.rows {
-		if err := AppendSortRow(mem, s.ti, row.key, row.obj, row.val); err != nil {
-			return err
-		}
+	if err := s.writeRun(mem); err != nil {
+		return err
 	}
-	s.rows = nil
 	runs = append(runs, mem.Pages())
 	m := NewSortMerger(s.Out.Reg, runs, 0)
 	for {
-		key, obj, val, ok := m.Next()
+		key, obj, val, ok := m.NextRow()
 		if !ok {
-			break
+			return nil
 		}
-		if err := AppendSortRow(s.Out, s.ti, key, obj, val); err != nil {
+		if err := appendSortRow(s.Out, s.ti, key, obj, val); err != nil {
 			return err
 		}
 	}
-	return nil
+}
+
+// dropRows lets the row buffers go once the run is on pages.
+func (s *SortSink) dropRows() {
+	s.arena, s.offs, s.objs, s.vals, s.order, s.slots, s.arrival = nil, nil, nil, nil, nil, nil, nil
 }
 
 // Pages returns the run pages (valid after Finish/CloseStream).
@@ -475,80 +557,146 @@ type RunPos struct {
 	Elem int `json:"elem"`
 }
 
-// SortMerger merges N sorted SortRow runs into the global order: at each
-// step it emits the smallest (key, run index) head — runs are numbered in
-// source order, so the merge is exactly the stable sort of the whole
-// input. A Limit > 0 stops after that many rows (top-k). The cursor
-// vector is exposed for checkpointing: a consumer snapshots Cursor() at a
-// cut and a restarted merge Restore()s it and continues bit-for-bit.
+// SortMerger merges N sorted SortRow runs (lanes) into the global order: at
+// each step it emits the smallest (key, lane index) head — lanes are
+// numbered in source order, so the merge is exactly the stable sort of the
+// whole input. It is a tournament, not a scan: each lane's head is read
+// once per advance and cached as a view of the key bytes on the run page,
+// the lanes that still have a row sit in a binary min-heap, and a step
+// costs O(log lanes) compares and no allocation. The run pages must stay
+// untouched while the merger lives. A Limit > 0 stops after that many rows
+// (top-k). The cursor vector is exposed for checkpointing: a consumer
+// snapshots Cursor() at a cut and a restarted merge Restore()s it and
+// continues bit-for-bit.
 type SortMerger struct {
 	ti      *object.TypeInfo
 	runs    [][]*object.Page
 	pos     []RunPos
+	heads   []laneHead
+	heap    []int32 // lanes with a head, ordered by (head key, lane)
 	limit   int
 	emitted int
+
+	last    int    // the lane the last row came from; -1 before the first
+	lastPos RunPos // that lane's cursor before the row was taken
+}
+
+// laneHead is a lane's current row: the SortRow carrier and its key bytes,
+// both on the run page.
+type laneHead struct {
+	key []byte
+	row object.Ref
 }
 
 // NewSortMerger builds a merger over runs (each a page list in run order).
 func NewSortMerger(reg *object.Registry, runs [][]*object.Page, limit int) *SortMerger {
-	m := &SortMerger{ti: SortRowType(reg), runs: runs, pos: make([]RunPos, len(runs)), limit: limit}
-	for i := range m.pos {
-		m.skipEmpty(i)
-	}
+	m := &SortMerger{ti: SortRowType(reg), runs: runs, pos: make([]RunPos, len(runs)),
+		heads: make([]laneHead, len(runs)), heap: make([]int32, 0, len(runs)), limit: limit}
+	m.rebuild()
 	return m
 }
 
-// skipEmpty advances run i's cursor past empty or exhausted pages.
-func (m *SortMerger) skipEmpty(i int) {
+// rebuild loads every lane's head at its cursor and heapifies the lanes
+// that have one.
+func (m *SortMerger) rebuild() {
+	m.last = -1
+	m.heap = m.heap[:0]
+	for i := range m.runs {
+		if m.load(i) {
+			m.heap = append(m.heap, int32(i))
+		}
+	}
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		siftDown(m.heap, i, m.laneLess)
+	}
+}
+
+// load advances lane i's cursor past empty or exhausted pages and caches
+// the row it lands on; false when the lane is drained.
+func (m *SortMerger) load(i int) bool {
 	p := &m.pos[i]
 	for p.Page < len(m.runs[i]) {
 		pg := m.runs[i][p.Page]
-		if pg.Root() != 0 && p.Elem < object.AsVector(object.Ref{Page: pg, Off: pg.Root()}).Len() {
-			return
+		if pg.Root() != 0 {
+			if root := object.AsVector(object.Ref{Page: pg, Off: pg.Root()}); p.Elem < root.Len() {
+				row := root.HandleAt(p.Elem)
+				key := object.StringBytes(object.GetHandleField(row, &m.ti.Fields[sortRowKey]))
+				m.heads[i] = laneHead{key: key, row: row}
+				return true
+			}
 		}
 		p.Page++
 		p.Elem = 0
 	}
+	m.heads[i] = laneHead{}
+	return false
 }
 
-// head returns run i's current row, or ok=false when exhausted.
-func (m *SortMerger) head(i int) (string, object.Ref, object.Value, bool) {
-	p := m.pos[i]
-	if p.Page >= len(m.runs[i]) {
-		return "", object.Ref{}, object.Value{}, false
+// laneLess is the min-heap order of the lanes: (head key, lane index).
+func (m *SortMerger) laneLess(a, b int32) bool {
+	if c := bytes.Compare(m.heads[a].key, m.heads[b].key); c != 0 {
+		return c < 0
 	}
-	pg := m.runs[i][p.Page]
-	root := object.AsVector(object.Ref{Page: pg, Off: pg.Root()})
-	key, obj, val := ReadSortRow(m.ti, root.HandleAt(p.Elem))
-	return key, obj, val, true
+	return a < b
 }
 
-// Next emits the next row in global order; ok=false when the merge is done
-// (all runs drained, or the limit reached).
-func (m *SortMerger) Next() (string, object.Ref, object.Value, bool) {
-	if m.limit > 0 && m.emitted >= m.limit {
-		return "", object.Ref{}, object.Value{}, false
-	}
-	best := -1
-	var bestKey string
-	var bestObj object.Ref
-	var bestVal object.Value
-	for i := range m.runs {
-		key, obj, val, ok := m.head(i)
-		if !ok {
-			continue
+// siftUp and siftDown maintain a binary heap of indices (top-k slots, merge
+// lanes) whose root is the element that comes first under before.
+func siftUp(h []int32, i int, before func(a, b int32) bool) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(h[i], h[p]) {
+			return
 		}
-		if best < 0 || key < bestKey {
-			best, bestKey, bestObj, bestVal = i, key, obj, val
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func siftDown(h []int32, i int, before func(a, b int32) bool) {
+	for {
+		l, r, first := 2*i+1, 2*i+2, i
+		if l < len(h) && before(h[l], h[first]) {
+			first = l
 		}
+		if r < len(h) && before(h[r], h[first]) {
+			first = r
+		}
+		if first == i {
+			return
+		}
+		h[i], h[first] = h[first], h[i]
+		i = first
 	}
-	if best < 0 {
-		return "", object.Ref{}, object.Value{}, false
+}
+
+// NextRow emits the next row in global order without touching the Go heap;
+// ok=false when the merge is done (all lanes drained, or the limit
+// reached). The key is a view of the run page.
+func (m *SortMerger) NextRow() (key []byte, obj object.Ref, val object.Value, ok bool) {
+	if len(m.heap) == 0 || (m.limit > 0 && m.emitted >= m.limit) {
+		return nil, object.Ref{}, object.Value{}, false
 	}
-	m.pos[best].Elem++
-	m.skipEmpty(best)
+	lane := int(m.heap[0])
+	head := m.heads[lane]
+	obj, val = readSortRow(m.ti, head.row)
+	m.last, m.lastPos = lane, m.pos[lane]
+	m.pos[lane].Elem++
+	if !m.load(lane) {
+		n := len(m.heap) - 1
+		m.heap[0] = m.heap[n]
+		m.heap = m.heap[:n]
+	}
+	siftDown(m.heap, 0, m.laneLess)
 	m.emitted++
-	return bestKey, bestObj, bestVal, true
+	return head.key, obj, val, true
+}
+
+// Next is NextRow with the key copied into a Go string, for callers that
+// keep keys past the run pages' life.
+func (m *SortMerger) Next() (string, object.Ref, object.Value, bool) {
+	key, obj, val, ok := m.NextRow()
+	return string(key), obj, val, ok
 }
 
 // Emitted reports how many rows the merge has produced.
@@ -559,6 +707,19 @@ func (m *SortMerger) Cursor() ([]RunPos, int) {
 	return append([]RunPos(nil), m.pos...), m.emitted
 }
 
+// CursorBeforeLast is the Cursor as it stood before the row emitted last —
+// what a caller needs when that row turns out to have opened a new output
+// page and the checkpoint must resume with it. Only the emitting lane has
+// moved since, so nothing has to be snapshotted per row to provide it.
+func (m *SortMerger) CursorBeforeLast() ([]RunPos, int) {
+	pos, emitted := m.Cursor()
+	if m.last >= 0 {
+		pos[m.last] = m.lastPos
+		emitted--
+	}
+	return pos, emitted
+}
+
 // Restore rewinds the merge to a snapshot taken by Cursor on a merger
 // built over the identical runs.
 func (m *SortMerger) Restore(pos []RunPos, emitted int) error {
@@ -567,6 +728,7 @@ func (m *SortMerger) Restore(pos []RunPos, emitted int) error {
 	}
 	copy(m.pos, pos)
 	m.emitted = emitted
+	m.rebuild()
 	return nil
 }
 
@@ -579,4 +741,38 @@ type WindowSpec struct {
 	ValKind object.Kind
 	Combine CombineFn
 	Emit    func(a *object.Allocator, obj object.Ref, running object.Value) (object.Ref, error)
+}
+
+// WindowState is a window's running aggregate between two rows of the
+// merged stream — what a merge checkpoint saves beside its cursor.
+type WindowState struct {
+	Running object.Value
+	Exists  bool
+}
+
+// EmitMerged materializes one row of the merged stream onto out: the step
+// every sort-merge consumer repeats per row. Without a window the row's
+// object joins the root vector (the cross-page push deep-copies it off its
+// run page). With one, val is folded into st and the window's Emit builds
+// the output object from the running state, on a fresh page if the live
+// one fills under it.
+func EmitMerged(out *OutputPageSet, ws *WindowSpec, st *WindowState, obj object.Ref, val object.Value) error {
+	if ws == nil {
+		return appendToRoot(out, obj)
+	}
+	running, err := ws.Combine(out.Alloc, st.Running, st.Exists, val)
+	if err != nil {
+		return err
+	}
+	st.Running, st.Exists = running, true
+	emitted, err := ws.Emit(out.Alloc, obj, running)
+	if errors.Is(err, object.ErrPageFull) {
+		if err = out.Rotate(); err == nil {
+			emitted, err = ws.Emit(out.Alloc, obj, running)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return appendToRoot(out, emitted)
 }

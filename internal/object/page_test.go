@@ -74,6 +74,43 @@ func TestBytesIsOccupiedPrefix(t *testing.T) {
 	}
 }
 
+// TestStringBytesRoundTrip pins the byte-slice pair beside MakeString and
+// StringContents: the same object bytes go down, and what comes back is a
+// view of the page (no copy) that an append cannot grow into its neighbour.
+func TestStringBytesRoundTrip(t *testing.T) {
+	p, a := newTestPage(t, 4096)
+	content := "k\x00ey\xff"
+	fromString, err := MakeString(a, content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBytes, err := MakeStringBytes(a, []byte(content))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := MakeString(a, "neighbour")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if StringContents(fromBytes) != content || !Equal(fromString, fromBytes) {
+		t.Errorf("MakeStringBytes stored %q, MakeString %q", StringContents(fromBytes), StringContents(fromString))
+	}
+	view := StringBytes(fromBytes)
+	if string(view) != content || cap(view) != len(view) {
+		t.Fatalf("StringBytes = %q (len %d, cap %d), want %q with no spare capacity", view, len(view), cap(view), content)
+	}
+	if &view[0] != &p.Data[fromBytes.Off] {
+		t.Error("StringBytes copied the contents instead of viewing the page")
+	}
+	_ = append(view, "overflow"...)
+	if got := StringContents(next); got != "neighbour" {
+		t.Errorf("appending to the view reached the next object: %q", got)
+	}
+	if StringBytes(NilRef) != nil {
+		t.Error("StringBytes(NilRef) should be nil")
+	}
+}
+
 func TestShipPagePreservesObjects(t *testing.T) {
 	// The zero-cost movement property: copy the occupied bytes, adopt
 	// them elsewhere, and every object is readable without any decode

@@ -18,6 +18,29 @@ func MakeString(a *Allocator, s string) (Ref, error) {
 	return r, nil
 }
 
+// MakeStringBytes is MakeString for contents held as bytes (an encoded sort
+// key in an arena, say), sparing the caller a Go string per object.
+func MakeStringBytes(a *Allocator, b []byte) (Ref, error) {
+	off, err := a.Alloc(uint32(len(b)), TCString, FullRefCount)
+	if err != nil {
+		return NilRef, err
+	}
+	copy(a.Page.Data[off:], b)
+	return Ref{Page: a.Page, Off: off}, nil
+}
+
+// StringBytes returns a string object's contents as a view of the page — no
+// copy, no Go string. The view is valid while the page's bytes are: callers
+// own the page (a sealed run page held by a merge) and must not write
+// through it. Nil for a nil Ref.
+func StringBytes(r Ref) []byte {
+	if r.IsNil() {
+		return nil
+	}
+	b := r.Payload()
+	return b[:len(b):len(b)]
+}
+
 // StringContents reads the contents of a string object.
 func StringContents(r Ref) string {
 	if r.IsNil() {

@@ -32,8 +32,8 @@ const (
 	// OpSort orders a vector list on one or more key columns (Applied
 	// names the key columns in precedence order; Info carries per-key
 	// directions and an optional top-k limit). Distributed execution is a
-	// merge network over the exchange: per-thread sorted runs merge into
-	// one run per worker, and the consumer merges the workers' runs.
+	// merge network over the exchange: per-thread sorted runs stream to
+	// one consumer, which merges every run page as a lane.
 	OpSort
 	// OpDistinct deduplicates on a key column, riding the aggregation
 	// path as a keys-only sink (Applied names the key column).
