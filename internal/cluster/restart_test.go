@@ -116,7 +116,7 @@ func TestRestartRestoresPersistedSets(t *testing.T) {
 			if err != nil {
 				return object.NilRef, err
 			}
-			if err := object.SetStrField(a, out, emp.Field("dept"), key.S); err != nil {
+			if err := object.SetStrField(a, out, emp.Field("dept"), key.Str()); err != nil {
 				return object.NilRef, err
 			}
 			object.SetF64(out, emp.Field("salary"), val.F)

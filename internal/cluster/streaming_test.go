@@ -71,7 +71,7 @@ func runSelAgg(t *testing.T, c *Cluster, emp *object.TypeInfo) (sel, agg []strin
 			if err != nil {
 				return object.NilRef, err
 			}
-			if err := object.SetStrField(a, out, emp.Field("dept"), key.S); err != nil {
+			if err := object.SetStrField(a, out, emp.Field("dept"), key.Str()); err != nil {
 				return object.NilRef, err
 			}
 			object.SetF64(out, emp.Field("salary"), val.F)
@@ -253,7 +253,7 @@ func TestShuffleObservability(t *testing.T) {
 			if err != nil {
 				return object.NilRef, err
 			}
-			if err := object.SetStrField(a, out, emp.Field("dept"), key.S); err != nil {
+			if err := object.SetStrField(a, out, emp.Field("dept"), key.Str()); err != nil {
 				return object.NilRef, err
 			}
 			object.SetF64(out, emp.Field("salary"), val.F)

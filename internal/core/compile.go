@@ -273,7 +273,7 @@ func constInfo(v object.Value) map[string]string {
 	case object.KFloat64:
 		info["cval"] = strconv.FormatFloat(v.F, 'g', -1, 64)
 	case object.KString:
-		info["cval"] = v.S
+		info["cval"] = v.Str()
 	}
 	return info
 }

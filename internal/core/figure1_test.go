@@ -84,13 +84,13 @@ Flt_1(dep,emp,sup) <= FILTER(WBl_1(bl), WBl_1(dep,emp,sup), 'Join_2212', []);
 	cur = run(1)
 	if nm1 := cur.Col("nm1"); nm1 == nil {
 		t.Fatal("stage 1 did not produce nm1")
-	} else if nm1.(engine.StrCol)[0] != "eng" {
+	} else if nm1.(engine.StrCol)[0].Str() != "eng" {
 		t.Errorf("nm1[0] = %v", nm1.Value(0))
 	}
 	cur = run(2)
 	if nm2 := cur.Col("nm2"); nm2 == nil {
 		t.Fatal("stage 2 did not produce nm2")
-	} else if nm2.(engine.StrCol)[1] != "sales" {
+	} else if nm2.(engine.StrCol)[1].Str() != "sales" {
 		t.Errorf("nm2[1] = %v", nm2.Value(1))
 	}
 	cur = run(3)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/engine"
@@ -31,9 +32,10 @@ func resolveField(ctx *engine.Ctx, tc uint32, field string) (*object.Field, erro
 // Dispatch is through the type code in each handle with a one-entry cache,
 // mirroring vTable lookup amortized over a vector. The output path is
 // monomorphic on the cached field's kind: scalar members fill a typed
-// column directly (I64Col/F64Col/StrCol/...) with no per-row Value boxing;
-// only columns that mix member kinds across type codes fall back to the
-// boxed path.
+// column directly (I64Col/F64Col/...) with no per-row Value boxing, and a
+// string member fills a StrCol with handles to the string objects — the
+// contents stay on the page. Only columns that mix member kinds across type
+// codes fall back to the boxed path.
 func memberKernel(field string) engine.ApplyKernel {
 	return func(ctx *engine.Ctx, in []engine.Column) (engine.Column, error) {
 		rc, ok := in[0].(engine.RefCol)
@@ -132,7 +134,7 @@ func memberKernel(field string) engine.ApplyKernel {
 				if !ok {
 					return memberBoxed(ctx, rc, field)
 				}
-				out[i] = object.GetStrField(rc[i], f)
+				out[i] = object.StringRefValue(object.GetHandleField(rc[i], f))
 			}
 			return out, nil
 		case object.KHandle:
@@ -293,13 +295,11 @@ func methodKernel(method string) engine.ApplyKernel {
 				v := cached.Fn(r)
 				if v.K != object.KString {
 					vals := make([]object.Value, len(rc))
-					for j := 0; j < i; j++ {
-						vals[j] = object.StringValue(out[j])
-					}
+					copy(vals, out[:i])
 					vals[i] = v
 					return boxedFrom(vals, i+1)
 				}
-				out[i] = v.S
+				out[i] = v
 			}
 			return out, nil
 		case object.KHandle:
@@ -353,7 +353,7 @@ func constKernel(v object.Value) engine.ApplyKernel {
 		case object.KString:
 			out := make(engine.StrCol, n)
 			for i := range out {
-				out[i] = v.S
+				out[i] = v
 			}
 			return out, nil
 		default:
@@ -526,13 +526,14 @@ func strBinary(op lambda.Op, l, r engine.StrCol) (engine.Column, error) {
 	case lambda.OpEq, lambda.OpNe, lambda.OpGt, lambda.OpGe, lambda.OpLt, lambda.OpLe:
 		out := make(engine.BoolCol, n)
 		for i := 0; i < n; i++ {
-			out[i] = cmpBool(op, l[i] == r[i], l[i] < r[i])
+			c := bytes.Compare(l[i].StrBytes(), r[i].StrBytes())
+			out[i] = cmpBool(op, c == 0, c < 0)
 		}
 		return out, nil
 	case lambda.OpAdd:
 		out := make(engine.StrCol, n)
 		for i := range out {
-			out[i] = l[i] + r[i]
+			out[i] = object.StringValue(l[i].Str() + r[i].Str())
 		}
 		return out, nil
 	}

@@ -100,7 +100,7 @@ func TestExecutorThreadsDeterministicAggregation(t *testing.T) {
 				if err != nil {
 					return object.NilRef, err
 				}
-				if err := object.SetStrField(a, out, emp.Field("name"), key.S); err != nil {
+				if err := object.SetStrField(a, out, emp.Field("name"), key.Str()); err != nil {
 					return object.NilRef, err
 				}
 				object.SetF64(out, emp.Field("salary"), val.F)

@@ -29,7 +29,7 @@ func buildAggPages(t *testing.T, reg *object.Registry, parts, n, keys, pageSize 
 	kc := make(StrCol, n)
 	vc := make(F64Col, n)
 	for i := range kc {
-		kc[i] = fmt.Sprintf("key-%03d", i%keys)
+		kc[i] = object.StringValue(fmt.Sprintf("key-%03d", i%keys))
 		vc[i] = float64(i)
 	}
 	vl := &VectorList{Names: []string{"key", "val"}, Cols: []Column{kc, vc}}
@@ -45,7 +45,7 @@ func mergedRows(t *testing.T, finals []object.OMap) []string {
 	var rows []string
 	for _, m := range finals {
 		m.Iterate(func(k, v object.Value) bool {
-			rows = append(rows, fmt.Sprintf("%s=%g", k.S, v.F))
+			rows = append(rows, fmt.Sprintf("%s=%g", k.Str(), v.F))
 			return true
 		})
 	}

@@ -94,14 +94,18 @@ func (c U64Col) Gather(idx []int) Column {
 	return out
 }
 
-// StrCol is a vector of strings.
-type StrCol []string
+// StrCol is a vector of strings: KString values in either form, so one
+// column carries views of the string objects on the batch's pages (member
+// reads, flattened string vectors) and Go strings (constants, native
+// results) alike. Nothing is copied off a page until a consumer asks for
+// Str(); the views are valid while the batch's pages are pinned.
+type StrCol []object.Value
 
 // Len reports the number of elements.
 func (c StrCol) Len() int { return len(c) }
 
-// Value returns element i boxed.
-func (c StrCol) Value(i int) object.Value { return object.StringValue(c[i]) }
+// Value returns element i, which is already boxed.
+func (c StrCol) Value(i int) object.Value { return c[i] }
 
 // Gather builds a new column from the selected indices.
 func (c StrCol) Gather(idx []int) Column {
@@ -179,11 +183,7 @@ func ColumnOf(vals []object.Value) Column {
 		}
 		return out
 	case object.KString:
-		out := make(StrCol, len(vals))
-		for i, v := range vals {
-			out[i] = v.S
-		}
-		return out
+		return StrCol(vals)
 	case object.KHandle:
 		out := make(RefCol, len(vals))
 		for i, v := range vals {

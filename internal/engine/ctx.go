@@ -141,8 +141,10 @@ func NewJoinTable() *JoinTable { return &JoinTable{st: swiss.NewRefTable()} }
 func NewKeySetTable() *JoinTable { return &JoinTable{keys: map[object.Value]struct{}{}} }
 
 // canonKey normalizes a key value so logically equal keys compare equal as
-// Go map keys: int32 widens to int64, -0.0 folds to 0.0, and string-object
-// handles fold to their contents.
+// Go map keys: int32 widens to int64, -0.0 folds to 0.0, and strings — views
+// of a page and string-object handles alike — fold to their contents as a Go
+// string. That copy is deliberate: the key set outlives the build side's
+// pages.
 func canonKey(v object.Value) object.Value {
 	switch v.K {
 	case object.KInt32:
@@ -150,6 +152,10 @@ func canonKey(v object.Value) object.Value {
 	case object.KFloat64:
 		if v.F == 0 {
 			return object.Float64Value(0)
+		}
+	case object.KString:
+		if !v.H.IsNil() {
+			return object.StringValue(v.Str())
 		}
 	case object.KHandle:
 		if !v.H.IsNil() && v.H.TypeCode() == object.TCString {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/object"
@@ -27,10 +28,19 @@ func TestColumnOfPicksTightTypes(t *testing.T) {
 	}
 }
 
+// strCol is a StrCol of Go-backed strings.
+func strCol(ss ...string) StrCol {
+	out := make(StrCol, len(ss))
+	for i, s := range ss {
+		out[i] = object.StringValue(s)
+	}
+	return out
+}
+
 func TestVectorListProjectAndGather(t *testing.T) {
 	vl, err := NewVectorList(
 		[]string{"a", "b"},
-		[]Column{F64Col{1, 2, 3}, StrCol{"x", "y", "z"}},
+		[]Column{F64Col{1, 2, 3}, strCol("x", "y", "z")},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +53,7 @@ func TestVectorListProjectAndGather(t *testing.T) {
 		t.Error("Project lost column")
 	}
 	g := vl.GatherAll([]int{2, 0})
-	if g.Col("a").(F64Col)[0] != 3 || g.Col("b").(StrCol)[1] != "x" {
+	if g.Col("a").(F64Col)[0] != 3 || g.Col("b").(StrCol)[1].Str() != "x" {
 		t.Errorf("GatherAll wrong: %+v", g)
 	}
 	if _, err := NewVectorList([]string{"a"}, []Column{F64Col{1}, F64Col{2}}); err == nil {
@@ -95,7 +105,7 @@ func TestExecHashStmt(t *testing.T) {
 		t.Error("different keys should (here) hash differently")
 	}
 	// String and float hash paths.
-	for _, col := range []Column{StrCol{"a", "a", "b"}, F64Col{1, 1, 2}} {
+	for _, col := range []Column{strCol("a", "a", "b"), F64Col{1, 1, 2}} {
 		vl := &VectorList{Names: []string{"k"}, Cols: []Column{col}}
 		out, err := execHash(nil, s, vl)
 		if err != nil {
@@ -212,6 +222,56 @@ func TestExecJoinProbeStmt(t *testing.T) {
 	}
 	if ctx.Stats.JoinProbeRows != 3 {
 		t.Errorf("JoinProbeRows = %d, want 3", ctx.Stats.JoinProbeRows)
+	}
+}
+
+// TestKeySetOutlivesBuildPage: a semi/anti join's key set is Go-side state
+// that outlives the build side's pages, so string keys arriving as views of
+// a page are copied into it (canonKey). The build page is recycled and
+// overwritten before the probe; membership must not change.
+func TestKeySetOutlivesBuildPage(t *testing.T) {
+	reg := object.NewRegistry()
+	build := object.NewPage(1<<12, reg)
+	viewsOn := func(p *object.Page, ss ...string) StrCol {
+		a := object.NewAllocator(p, object.PolicyNoReuse)
+		col := make(StrCol, len(ss))
+		for i, s := range ss {
+			r, err := object.MakeString(a, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col[i] = object.StringRefValue(r)
+		}
+		return col
+	}
+	sink := NewKeySetBuildSink("k")
+	if err := sink.Consume(nil, &VectorList{Names: []string{"k"}, Cols: []Column{viewsOn(build, "d0", "d1", "")}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	build.Reset()
+	viewsOn(build, "zz", "yy", "x") // same offsets, other bytes
+
+	probe := &VectorList{
+		Names: []string{"id", "k"},
+		Cols: []Column{I64Col{0, 1, 2, 3, 4, 5},
+			append(viewsOn(object.NewPage(1<<12, reg), "d0", "zz", ""), strCol("d1", "yy", "d2")...)},
+	}
+	ctx := &Ctx{Reg: reg, Tables: map[string]*JoinTable{"B": sink.Table}, Stats: &Stats{}}
+	for joinType, want := range map[string][]int64{"semi": {0, 2, 3}, "anti": {1, 4, 5}} {
+		stmt := &tcap.Stmt{
+			Op:       tcap.OpJoin,
+			Applied:  tcap.ColumnsRef{Name: "L", Cols: []string{"k"}},
+			Copied:   tcap.ColumnsRef{Name: "L", Cols: []string{"id"}},
+			Applied2: tcap.ColumnsRef{Name: "B", Cols: []string{"k2"}},
+			Info:     map[string]string{"joinType": joinType},
+		}
+		out, err := execJoinSemiAnti(ctx, stmt, probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Col("id").(I64Col); !slices.Equal(got, I64Col(want)) {
+			t.Errorf("%s join over a recycled build page kept rows %v, want %v", joinType, got, want)
+		}
 	}
 }
 
@@ -382,7 +442,7 @@ func TestAggSinkRotatesOnTinyPages(t *testing.T) {
 	keys := make(StrCol, 500)
 	vals := make(F64Col, 500)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d", i%50)
+		keys[i] = object.StringValue(fmt.Sprintf("key-%d", i%50))
 		vals[i] = 2
 	}
 	vl := &VectorList{Names: []string{"key", "val"}, Cols: []Column{keys, vals}}

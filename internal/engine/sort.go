@@ -134,11 +134,11 @@ func appendKeySegment(buf []byte, v object.Value) ([]byte, error) {
 		return binary.BigEndian.AppendUint64(buf, bits), nil
 	case object.KString:
 		buf = append(buf, 0x04)
-		for i := 0; i < len(v.S); i++ {
-			if v.S[i] == 0x00 {
+		for _, c := range v.StrBytes() {
+			if c == 0x00 {
 				buf = append(buf, 0x00, 0x01)
 			} else {
-				buf = append(buf, v.S[i])
+				buf = append(buf, c)
 			}
 		}
 		return append(buf, 0x00, 0x00), nil

@@ -23,8 +23,10 @@ var fuzzSortFloats = [8]float64{
 
 // fuzzSortVal decodes one key value of the given kind off the front of
 // data; ok=false when data ran out. String keys deliberately admit 0x00
-// bytes to exercise the encoder's terminator escaping.
-func fuzzSortVal(kind int, h byte, data []byte) (v object.Value, rest []byte, ok bool) {
+// bytes to exercise the encoder's terminator escaping, and half of them (by
+// the header's top bit) are handle-backed: views of a string object
+// allocated with a, as a member read delivers them.
+func fuzzSortVal(kind int, h byte, data []byte, a *object.Allocator) (v object.Value, rest []byte, ok bool) {
 	switch kind {
 	case 0:
 		if len(data) < 2 {
@@ -43,6 +45,11 @@ func fuzzSortVal(kind int, h byte, data []byte) (v object.Value, rest []byte, ok
 		n := int(h) % 4
 		if len(data) < n {
 			return v, data, false
+		}
+		if h&0x80 != 0 {
+			if r, err := object.MakeStringBytes(a, data[:n]); err == nil {
+				return object.StringRefValue(r), data[n:], true
+			}
 		}
 		return object.StringValue(string(data[:n])), data[n:], true
 	default:
@@ -92,7 +99,7 @@ func fuzzCmpVals(a, b []object.Value, desc []bool) int {
 				c = 1
 			}
 		case x.K == object.KString:
-			c = strings.Compare(x.S, y.S)
+			c = strings.Compare(x.Str(), y.Str())
 		default:
 			if x.I < y.I {
 				c = -1
@@ -157,6 +164,7 @@ func FuzzSortMergeEquivalence(f *testing.F) {
 			run  int
 		}
 		var rows []row
+		keyStrings := object.NewAllocator(object.NewPage(1<<14, nil), object.PolicyNoReuse)
 	decode:
 		for len(data) > 0 && len(rows) < 200 {
 			h := data[0]
@@ -167,7 +175,7 @@ func FuzzSortMergeEquivalence(f *testing.F) {
 					continue // NULL
 				}
 				var ok bool
-				if vals[c], data, ok = fuzzSortVal(kind, h, data); !ok {
+				if vals[c], data, ok = fuzzSortVal(kind, h, data, keyStrings); !ok {
 					break decode
 				}
 			}

@@ -92,6 +92,40 @@ func sortTestRows(t testing.TB, reg *object.Registry, n int) (*object.TypeInfo, 
 // sortTestKey is a cheap deterministic scramble: many duplicates, no order.
 func sortTestKey(i int) int64 { return int64(uint32(i)*2654435761) % 1000 }
 
+// TestSortKeyAgreesAcrossStringForms: a string key encodes from its contents,
+// whether the Value holds a Go string or views a string object on a page —
+// empty, embedded 0x00 and 0xFF included, a nil handle being the empty
+// string — in both directions.
+func TestSortKeyAgreesAcrossStringForms(t *testing.T) {
+	reg := object.NewRegistry()
+	a := object.NewAllocator(object.NewPage(1<<12, reg), object.PolicyNoReuse)
+	for _, s := range []string{"", "\x00", "a", "a\x00", "a\x00b", "ab", "a\xff", "\xff", "pliny"} {
+		r, err := object.MakeString(a, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forms := []object.Value{object.StringRefValue(r)}
+		if s == "" {
+			forms = append(forms, object.StringRefValue(object.NilRef))
+		}
+		for _, desc := range [][]bool{{false}, {true}} {
+			want, err := AppendSortKey(nil, []object.Value{object.StringValue(s)}, desc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range forms {
+				got, err := AppendSortKey(nil, []object.Value{v}, desc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(want) {
+					t.Errorf("%q desc=%v: handle-backed key %x, Go-backed key %x", s, desc[0], got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestSortMergerDrainAllocatesNothing is the guard on the merge: the
 // cluster consumer hands the merger one lane per delivered page, and a step
 // must cost no Go object however many lanes there are.

@@ -105,7 +105,7 @@ func hashColumn(ctx *Ctx, c Column) (U64Col, error) {
 		}
 	case StrCol:
 		for i, v := range col {
-			hashes[i] = object.HashValue(object.StringValue(v))
+			hashes[i] = object.HashValue(v)
 		}
 	case RefCol:
 		if err := hashRefCol(ctx, col, hashes); err != nil {
@@ -141,7 +141,7 @@ func hashRefCol(ctx *Ctx, col RefCol, hashes U64Col) error {
 			switch {
 			case tc == object.TCString:
 				cachedFn = func(r object.Ref) uint64 {
-					return object.HashValue(object.StringValue(object.StringContents(r)))
+					return object.HashValue(object.StringRefValue(r))
 				}
 			case ctx != nil && ctx.Reg != nil:
 				if ti := ctx.Reg.Lookup(tc); ti != nil && ti.Hash != nil {

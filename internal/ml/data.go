@@ -89,6 +89,10 @@ type normTrick struct {
 	Pruned atomic.Int64
 }
 
+// pointStackDims sizes the stack array a native reads one point into
+// (F64Span.AppendTo); a longer point spills to the heap.
+const pointStackDims = 32
+
 func newNormTrick(centroids [][]float64) *normTrick {
 	nt := &normTrick{centroids: centroids, norms: make([]float64, len(centroids))}
 	for i, c := range centroids {

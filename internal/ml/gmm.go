@@ -163,7 +163,9 @@ func (g *GMMPC) Iterate(model *Mixture) (*Mixture, error) {
 		}
 		return st, v, nil
 	}
-	foldPoint := func(v object.F64Span, x []float64) {
+	foldPoint := func(v object.F64Span, point object.Vector) {
+		var buf [pointStackDims]float64
+		x := point.F64Span().AppendTo(buf[:0])
 		lr := model.logResponsibilities(x)
 		for j := 0; j < k; j++ {
 			r := math.Exp(lr[j])
@@ -191,14 +193,14 @@ func (g *GMMPC) Iterate(model *Mixture) (*Mixture, error) {
 					if err != nil {
 						return pc.Value{}, err
 					}
-					foldPoint(v.F64Span(), object.AsVector(next.H).Float64Slice())
+					foldPoint(v.F64Span(), object.AsVector(next.H))
 					return pc.HandleValue(st), nil
 				}
 				return next, nil
 			}
 			acc := object.AsVector(object.GetHandleField(cur.H, fData)).F64Span()
 			if next.H.TypeCode() == object.TCVector {
-				foldPoint(acc, object.AsVector(next.H).Float64Slice())
+				foldPoint(acc, object.AsVector(next.H))
 				return cur, nil
 			}
 			add := object.AsVector(object.GetHandleField(next.H, fData)).F64Span()

@@ -100,8 +100,11 @@ func (km *KMeansPC) Iterate(model [][]float64) ([][]float64, error) {
 		Key: func(arg *pc.Arg) pc.Term {
 			return pc.FromNative("getClose", pc.KInt64,
 				func(ctx *pc.NativeCtx, args []pc.Value) (pc.Value, error) {
+					// The point is read off its page into stack scratch:
+					// no Go slice per point.
+					var buf [pointStackDims]float64
 					v := object.AsVector(object.GetHandleField(args[0].H, dataField))
-					best, _ := nt.closest(v.Float64Slice())
+					best, _ := nt.closest(v.F64Span().AppendTo(buf[:0]))
 					return pc.Int64Value(int64(best)), nil
 				}, pc.FromSelf(arg))
 		},
@@ -125,7 +128,8 @@ func (km *KMeansPC) Iterate(model [][]float64) ([][]float64, error) {
 				if err != nil {
 					return pc.Value{}, err
 				}
-				if err := sum.AppendFloat64s(a, src.Float64Slice()); err != nil {
+				var buf [pointStackDims]float64
+				if err := sum.AppendFloat64s(a, src.F64Span().AppendTo(buf[:0])); err != nil {
 					return pc.Value{}, err
 				}
 				if err := object.SetHandleField(a, acc, cdata, sum.Ref); err != nil {

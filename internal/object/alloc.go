@@ -27,6 +27,7 @@ const (
 	PolicyRecycling
 )
 
+// String names the policy as the paper's Appendix B does.
 func (p Policy) String() string {
 	switch p {
 	case PolicyLightweightReuse:
@@ -79,9 +80,10 @@ type Allocator struct {
 	Policy Policy
 	Stats  AllocStats
 
-	reg     *Registry
-	free    [numBuckets][]uint32 // freed payload offsets by ceil-log2(total size)
-	recycle map[uint32][]uint32  // type code -> freed payload offsets
+	reg      *Registry
+	free     [numBuckets][]uint32 // freed payload offsets by ceil-log2(total size)
+	recycle  map[uint32][]uint32  // type code -> freed payload offsets
+	copyMemo map[Ref]Ref          // DeepCopy's scratch, empty between copies
 }
 
 // NewAllocator makes page the active allocation block with the given reuse

@@ -1,0 +1,192 @@
+package object
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/race"
+)
+
+// Allocation guards: a string key or value stays on its page through every
+// map operation and through a deep copy, so none of them may touch the Go
+// heap. They count with testing.AllocsPerRun, which means nothing under the
+// race detector's instrumentation.
+
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+}
+
+// stringKeyedMap builds a KString -> KInt64 map of n keys on a's page and
+// returns it with its keys in both forms: Go strings, and handle-backed
+// views of string objects on a second page.
+func stringKeyedMap(t *testing.T, a *Allocator, n int) (m OMap, goKeys, pageKeys []Value) {
+	t.Helper()
+	m, err := MakeMap(a, KString, KInt64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Retain()
+	other := NewAllocator(NewPage(1<<20, a.Page.Reg), PolicyNoReuse)
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("Customer#%06d", i)
+		if err := m.Put(a, StringValue(key), Int64Value(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		r, err := MakeString(other, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		goKeys, pageKeys = append(goKeys, StringValue(key)), append(pageKeys, StringRefValue(r))
+	}
+	return m, goKeys, pageKeys
+}
+
+func TestOMapStringProbeAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	_, a := newTestPage(t, 1<<20)
+	m, goKeys, pageKeys := stringKeyedMap(t, a, 500)
+	for _, keys := range [][]Value{goKeys, pageKeys} {
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 10000; i++ {
+				key := keys[i%len(keys)]
+				v, ok := m.Get(key)
+				if !ok || v.I != int64(i%len(keys)) {
+					t.Fatalf("Get(%v) = (%v, %v)", key, v, ok)
+				}
+				if err := m.Put(a, key, v); err != nil { // the key exists: nothing is written but the value
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("10000 Get + Put-existing on a string-keyed map allocated %v Go objects, want 0", allocs)
+		}
+	}
+	if m.Len() != 500 {
+		t.Errorf("Len = %d after Put-existing, want 500", m.Len())
+	}
+}
+
+func TestOMapRehashAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	// No-reuse, so releasing the outgrown slot array does not grow a Go-side
+	// free list: what is counted is the rehash alone.
+	a := NewAllocator(NewPage(1<<22, NewRegistry()), PolicyNoReuse)
+	m, goKeys, _ := stringKeyedMap(t, a, 500)
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := m.rehash(a, m.slots()*2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("rehash of a 500-key string map allocated %v Go objects, want 0", allocs)
+	}
+	for i, key := range goKeys {
+		if v, ok := m.Get(key); !ok || v.I != int64(i) {
+			t.Fatalf("after rehash Get(%v) = (%v, %v)", key, v, ok)
+		}
+	}
+}
+
+func TestOMapIterateStringKeysAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	_, a := newTestPage(t, 1<<20)
+	m, _, _ := stringKeyedMap(t, a, 500)
+	var keyBytes int
+	var sum int64
+	allocs := testing.AllocsPerRun(5, func() {
+		keyBytes, sum = 0, 0
+		m.Iterate(func(k, v Value) bool {
+			keyBytes += len(k.StrBytes())
+			sum += v.I
+			return true
+		})
+	})
+	if allocs != 0 {
+		t.Errorf("Iterate over 500 string keys allocated %v Go objects, want 0", allocs)
+	}
+	if keyBytes != 500*len("Customer#000000") || sum != 499*500/2 {
+		t.Errorf("Iterate saw %d key bytes and value sum %d", keyBytes, sum)
+	}
+}
+
+// nestedCustomer builds a Customer -> orders -> lineitems -> supplier graph
+// with string fields at every level and a string-keyed map beside it: the
+// shape tpch deep-copies.
+func nestedCustomer(t *testing.T, a *Allocator) Ref {
+	t.Helper()
+	reg := a.Page.Reg
+	sup := NewStruct("GSupplier").AddField("name", KString).MustBuild(reg)
+	item := NewStruct("GItem").AddField("part", KInt64).AddField("supplier", KHandle).MustBuild(reg)
+	order := NewStruct("GOrder").AddField("key", KInt64).AddField("items", KHandle).MustBuild(reg)
+	cust := NewStruct("GCustomer").AddField("name", KString).AddField("orders", KHandle).AddField("bySup", KHandle).MustBuild(reg)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := a.MakeObject(cust)
+	must(err)
+	must(SetStrField(a, c, cust.Field("name"), "Customer#000042"))
+	orders, err := MakeVector(a, KHandle, 3)
+	must(err)
+	bySup, err := MakeMap(a, KString, KHandle, 4)
+	must(err)
+	for o := 0; o < 3; o++ {
+		ord, err := a.MakeObject(order)
+		must(err)
+		SetI64(ord, order.Field("key"), int64(o))
+		items, err := MakeVector(a, KHandle, 4)
+		must(err)
+		for l := 0; l < 4; l++ {
+			it, err := a.MakeObject(item)
+			must(err)
+			SetI64(it, item.Field("part"), int64(10*o+l))
+			s, err := a.MakeObject(sup)
+			must(err)
+			name := fmt.Sprintf("Supplier#%04d", (o+l)%5)
+			must(SetStrField(a, s, sup.Field("name"), name))
+			must(SetHandleField(a, it, item.Field("supplier"), s))
+			must(items.PushBackHandle(a, it))
+			parts, err := MakeVector(a, KInt64, 1)
+			must(err)
+			must(parts.PushBackI64(a, int64(10*o+l)))
+			must(bySup.Put(a, StringValue(name), HandleValue(parts.Ref)))
+		}
+		must(SetHandleField(a, ord, order.Field("items"), items.Ref))
+		must(orders.PushBackHandle(a, ord))
+	}
+	must(SetHandleField(a, c, cust.Field("orders"), orders.Ref))
+	must(SetHandleField(a, c, cust.Field("bySup"), bySup.Ref))
+	return c
+}
+
+func TestDeepCopySteadyStateAllocations(t *testing.T) {
+	skipUnderRace(t)
+	reg := NewRegistry()
+	src := nestedCustomer(t, NewAllocator(NewPage(1<<16, reg), PolicyLightweightReuse))
+	dst := NewAllocator(NewPage(1<<22, reg), PolicyLightweightReuse)
+	first, err := DeepCopy(dst, src) // the first copy may allocate the allocator's memo
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(src, first) {
+		t.Fatal("deep copy differs from its source")
+	}
+	var last Ref
+	allocs := testing.AllocsPerRun(20, func() {
+		if last, err = DeepCopy(dst, src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("a second and later deep copy through one allocator allocated %v Go objects each, want at most 1", allocs)
+	}
+	if !Equal(src, last) || last == first {
+		t.Error("a later deep copy is not a fresh, equal copy")
+	}
+}

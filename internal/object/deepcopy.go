@@ -3,9 +3,9 @@ package object
 import "fmt"
 
 // DeepCopy copies the object graph rooted at src into the allocator's active
-// block, returning the copy's Ref. Sharing within the graph is preserved via
-// memoization (two handles to one object copy to two handles to one copy),
-// which also terminates on cyclic graphs.
+// block, returning the copy's Ref. Sharing within the graph is preserved (two
+// handles to one object copy to two handles to one copy), which also
+// terminates on cyclic graphs.
 //
 // This is the mechanism behind the paper's automatic cross-block assignment
 // rule (§6.4): PC never allows a handle to point off its page, so assigning
@@ -17,55 +17,95 @@ func DeepCopy(a *Allocator, src Ref) (Ref, error) {
 		return NilRef, nil
 	}
 	a.Stats.DeepCopies++
-	memo := make(map[Ref]Ref)
-	return deepCopy(a, src, memo)
+	// The memo is the allocator's scratch, taken for the duration of the
+	// copy and handed back empty; note makes it when the first copy needs
+	// one, so an allocator that only ever copies flat rows never does.
+	c := copier{a: a, root: src, memo: a.copyMemo}
+	a.copyMemo = nil
+	dst, err := c.copy(src)
+	if len(c.memo) <= copyMemoKeep {
+		clear(c.memo)
+		a.copyMemo = c.memo
+	}
+	return dst, err
 }
 
-func deepCopy(a *Allocator, src Ref, memo map[Ref]Ref) (Ref, error) {
+// copyMemoKeep bounds the memo an allocator keeps between copies: clearing a
+// map costs its capacity, so one that a graph with many shared objects grew
+// is dropped instead of being cleared before every small copy after it.
+const copyMemoKeep = 1024
+
+// copier is one DeepCopy in progress. memo maps the objects that may be
+// reached a second time to their copies: every object whose header does not
+// show exactly one referent, and the root if it has children (a cycle can
+// lead back to it whatever its count says). An object reached through a
+// handle slot whose reference count is one has that slot as its only way in,
+// so it is copied without touching the memo: a nested graph without sharing
+// (the common case) memoizes its root and nothing else, a flat row nothing.
+type copier struct {
+	a    *Allocator
+	root Ref
+	memo map[Ref]Ref
+}
+
+// note records src's copy before src's children are visited, so a cycle
+// back to src finds it. leaf says src holds no handles.
+func (c *copier) note(src, dst Ref, leaf bool) {
+	if !src.soleReferent() || (src == c.root && !leaf) {
+		if c.memo == nil {
+			c.memo = make(map[Ref]Ref)
+		}
+		c.memo[src] = dst
+	}
+}
+
+func (c *copier) copy(src Ref) (Ref, error) {
 	if src.IsNil() {
 		return NilRef, nil
 	}
-	if dst, ok := memo[src]; ok {
-		return dst, nil
+	if src == c.root || !src.soleReferent() {
+		if dst, ok := c.memo[src]; ok {
+			return dst, nil
+		}
 	}
 	tc := src.TypeCode()
 	switch {
 	case IsSimpleCode(tc), tc == TCString, tc == TCRaw:
-		return copyFlat(a, src, memo)
+		return c.copyFlat(src)
 	case tc == TCArray:
 		// Raw arrays are only meaningful through their containing
 		// Vector/Map, which copy them with element awareness; a bare
 		// array copy is a flat byte copy.
-		return copyFlat(a, src, memo)
+		return c.copyFlat(src)
 	case tc == TCVector:
-		return copyVector(a, Vector{src}, memo)
+		return c.copyVector(Vector{src})
 	case tc == TCMap:
-		return copyMap(a, OMap{src}, memo)
+		return c.copyMap(OMap{src})
 	default:
-		return copyUser(a, src, memo)
+		return c.copyUser(src)
 	}
 }
 
-func copyFlat(a *Allocator, src Ref, memo map[Ref]Ref) (Ref, error) {
+func (c *copier) copyFlat(src Ref) (Ref, error) {
 	size := src.PayloadSize()
-	off, err := a.Alloc(size, src.TypeCode(), FullRefCount)
+	off, err := c.a.Alloc(size, src.TypeCode(), FullRefCount)
 	if err != nil {
 		return NilRef, err
 	}
-	dst := Ref{Page: a.Page, Off: off}
+	dst := Ref{Page: c.a.Page, Off: off}
 	copy(dst.Page.Data[off:off+size], src.Page.Data[src.Off:src.Off+size])
-	memo[src] = dst
+	c.note(src, dst, true)
 	return dst, nil
 }
 
-func copyVector(a *Allocator, src Vector, memo map[Ref]Ref) (Ref, error) {
+func (c *copier) copyVector(src Vector) (Ref, error) {
 	n := src.Len()
 	kind := src.ElemKind()
-	dst, err := MakeVector(a, kind, n)
+	dst, err := MakeVector(c.a, kind, n)
 	if err != nil {
 		return NilRef, err
 	}
-	memo[src.Ref] = dst.Ref
+	c.note(src.Ref, dst.Ref, n == 0 || !kind.IsHandleKind())
 	dst.setLen(n)
 	if n == 0 {
 		return dst.Ref, nil
@@ -77,7 +117,7 @@ func copyVector(a *Allocator, src Vector, memo map[Ref]Ref) (Ref, error) {
 		return dst.Ref, nil
 	}
 	for i := 0; i < n; i++ {
-		child, err := deepCopy(a, src.HandleAt(i), memo)
+		child, err := c.copy(src.HandleAt(i))
 		if err != nil {
 			return NilRef, err
 		}
@@ -87,57 +127,57 @@ func copyVector(a *Allocator, src Vector, memo map[Ref]Ref) (Ref, error) {
 	return dst.Ref, nil
 }
 
-func copyMap(a *Allocator, src OMap, memo map[Ref]Ref) (Ref, error) {
-	dst, err := MakeMap(a, src.KeyKind(), src.ValKind(), src.Len()*2)
+// copyMap re-inserts src's entries in slot order. String keys and values are
+// handle-backed views of src's page, which Put writes as fresh string
+// objects; handle keys and values are copied first and then assigned.
+func (c *copier) copyMap(src OMap) (Ref, error) {
+	dst, err := MakeMap(c.a, src.KeyKind(), src.ValKind(), src.Len()*2)
 	if err != nil {
 		return NilRef, err
 	}
-	memo[src.Ref] = dst.Ref
-	var copyErr error
-	src.Iterate(func(key, val Value) bool {
+	c.note(src.Ref, dst.Ref, false)
+	for i, n := 0, src.slots(); i < n; i++ {
+		if src.slotState(i) != slotFull {
+			continue
+		}
+		key, val := src.keyAt(src.keyOff(i)), src.readVal(i)
 		if key.K == KHandle && !key.H.IsNil() {
-			child, err := deepCopy(a, key.H, memo)
+			child, err := c.copy(key.H)
 			if err != nil {
-				copyErr = err
-				return false
+				return NilRef, err
 			}
 			key = HandleValue(child)
 		}
 		if val.K == KHandle && !val.H.IsNil() {
-			child, err := deepCopy(a, val.H, memo)
+			child, err := c.copy(val.H)
 			if err != nil {
-				copyErr = err
-				return false
+				return NilRef, err
 			}
 			val = HandleValue(child)
 		}
-		if err := dst.Put(a, key, val); err != nil {
-			copyErr = err
-			return false
+		if err := dst.Put(c.a, key, val); err != nil {
+			return NilRef, err
 		}
-		return true
-	})
-	if copyErr != nil {
-		return NilRef, copyErr
 	}
 	return dst.Ref, nil
 }
 
-func copyUser(a *Allocator, src Ref, memo map[Ref]Ref) (Ref, error) {
+func (c *copier) copyUser(src Ref) (Ref, error) {
 	ti := lookupType(src)
 	if ti == nil {
 		return NilRef, fmt.Errorf("object: deep copy of unregistered type code %d", src.TypeCode())
 	}
 	size := src.PayloadSize()
-	off, err := a.Alloc(size, src.TypeCode(), FullRefCount)
+	off, err := c.a.Alloc(size, src.TypeCode(), FullRefCount)
 	if err != nil {
 		return NilRef, err
 	}
-	dst := Ref{Page: a.Page, Off: off}
+	dst := Ref{Page: c.a.Page, Off: off}
 	copy(dst.Page.Data[off:off+size], src.Page.Data[src.Off:src.Off+size])
-	memo[src] = dst
-	for _, f := range ti.HandleFields() {
-		child, err := deepCopy(a, GetHandleField(src, f), memo)
+	handles := ti.HandleFields()
+	c.note(src, dst, len(handles) == 0)
+	for _, f := range handles {
+		child, err := c.copy(GetHandleField(src, f))
 		if err != nil {
 			return NilRef, err
 		}

@@ -100,6 +100,129 @@ func TestDeepCopyPreservesSharing(t *testing.T) {
 	}
 }
 
+// TestDeepCopyPreservesSharingAndCycles covers what the memo is for now that
+// it is the allocator's reused scratch and single-referent objects skip it:
+// sharing survives, cycles terminate (also when the root's only referent is
+// inside the cycle), and one copy's memo is invisible to the next.
+func TestDeepCopyPreservesSharingAndCycles(t *testing.T) {
+	reg := NewRegistry()
+	node := NewStruct("Node").
+		AddField("id", KInt64).
+		AddField("next", KHandle).
+		AddField("data", KHandle).
+		MustBuild(reg)
+	next, data := node.Field("next"), node.Field("data")
+	src := NewAllocator(NewPage(1<<20, reg), PolicyLightweightReuse)
+	dst := NewAllocator(NewPage(1<<20, reg), PolicyLightweightReuse)
+	mk := func(id int64) Ref {
+		n, err := src.MakeObject(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		SetI64(n, node.Field("id"), id)
+		return n
+	}
+	link := func(from Ref, f *Field, to Ref) {
+		t.Helper()
+		if err := SetHandleField(src, from, f, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Two handles to one vector copy to two handles to one copy.
+	shared, err := MakeVector(src, KInt64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 3; i++ {
+		_ = shared.PushBackI64(src, i)
+	}
+	n1, n2 := mk(1), mk(2)
+	link(n1, data, shared.Ref)
+	link(n2, data, shared.Ref)
+	link(n1, next, n2)
+	c1, err := DeepCopy(dst, n1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := GetHandleField(c1, next)
+	if d1, d2 := GetHandleField(c1, data), GetHandleField(c2, data); d1 != d2 || d1.Page != dst.Page {
+		t.Errorf("shared vector copied to %v and %v, want one copy on the destination page", d1, d2)
+	}
+	if !Equal(n1, c1) {
+		t.Error("copy of the shared graph differs from its source")
+	}
+
+	// A second copy through the same allocator starts from an empty memo:
+	// it is a fresh copy, not the first one handed back.
+	again, err := DeepCopy(dst, n1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == c1 || GetHandleField(again, data) == GetHandleField(c1, data) || !Equal(n1, again) {
+		t.Error("a second DeepCopy through one allocator saw the first one's memo")
+	}
+
+	// A two-node cycle entered from outside (the root has two referents)...
+	a, b := mk(10), mk(11)
+	link(a, next, b)
+	link(b, next, a)
+	a.Retain() // the holder outside the cycle
+	ca, err := DeepCopy(dst, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cb := GetHandleField(ca, next); GetHandleField(cb, next) != ca || GetI64(cb, node.Field("id")) != 11 {
+		t.Error("two-node cycle did not copy to a two-node cycle")
+	}
+	// ...and one whose root's only referent is the cycle itself: every
+	// object in it has a reference count of one.
+	p, q := mk(20), mk(21)
+	link(p, next, q)
+	link(q, next, p)
+	if p.RefCount() != 1 || q.RefCount() != 1 {
+		t.Fatalf("cycle refcounts = %d, %d, want 1, 1", p.RefCount(), q.RefCount())
+	}
+	cp, err := DeepCopy(dst, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cq := GetHandleField(cp, next); GetHandleField(cq, next) != cp || cq == cp {
+		t.Error("cycle of single-referent objects did not copy to a two-node cycle")
+	}
+
+	// Sharing at a scale past what the allocator keeps as scratch: two
+	// vectors over the same objects. The copies share too, and the small
+	// copy after it works from a fresh memo.
+	left, _ := MakeVector(src, KHandle, 0)
+	right, _ := MakeVector(src, KHandle, 0)
+	for i := 0; i < copyMemoKeep+100; i++ {
+		n := mk(int64(i))
+		if err := left.PushBackHandle(src, n); err != nil {
+			t.Fatal(err)
+		}
+		if err := right.PushBackHandle(src, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	both, _ := MakeVector(src, KHandle, 2)
+	_ = both.PushBackHandle(src, left.Ref)
+	_ = both.PushBackHandle(src, right.Ref)
+	cboth, err := DeepCopy(dst, both.Ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, cr := AsVector(AsVector(cboth).HandleAt(0)), AsVector(AsVector(cboth).HandleAt(1))
+	for i := 0; i < cl.Len(); i++ {
+		if cl.HandleAt(i) != cr.HandleAt(i) {
+			t.Fatalf("element %d of the two vectors no longer shares one object", i)
+		}
+	}
+	if small, err := DeepCopy(dst, n2); err != nil || !Equal(n2, small) {
+		t.Errorf("copy after a large shared graph: %v", err)
+	}
+}
+
 func TestCrossBlockAssignmentTriggersDeepCopy(t *testing.T) {
 	// The paper's §6.4 example: data allocated in block 1 assigned into an
 	// object on block 2 must be deep-copied to block 2 automatically.

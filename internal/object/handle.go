@@ -138,14 +138,10 @@ func SetHandleField(a *Allocator, r Ref, f *Field, target Ref) error {
 	return WriteHandleSlot(a, r.Page, r.Off+f.Off, target)
 }
 
-// GetStrField reads a string field's contents ("" for nil).
-func GetStrField(r Ref, f *Field) string {
-	t := GetHandleField(r, f)
-	if t.IsNil() {
-		return ""
-	}
-	return StringContents(t)
-}
+// GetStrField copies a string field's contents into a Go string ("" for
+// nil). Hot paths read the field as a handle (GetHandleField, GetField) and
+// work on StringBytes instead.
+func GetStrField(r Ref, f *Field) string { return StringContents(GetHandleField(r, f)) }
 
 // SetStrField allocates a string object on the active block and points the
 // field at it.
@@ -169,7 +165,7 @@ func GetField(r Ref, f *Field) Value {
 	case KFloat64:
 		return Float64Value(GetF64(r, f))
 	case KString:
-		return StringValue(GetStrField(r, f))
+		return StringRefValue(GetHandleField(r, f))
 	case KHandle:
 		return HandleValue(GetHandleField(r, f))
 	default:
@@ -189,7 +185,11 @@ func SetField(a *Allocator, r Ref, f *Field, v Value) error {
 	case KFloat64:
 		SetF64(r, f, v.AsFloat64())
 	case KString:
-		return SetStrField(a, r, f, v.S)
+		sr, err := MakeStringBytes(a, v.StrBytes())
+		if err != nil {
+			return err
+		}
+		return SetHandleField(a, r, f, sr)
 	case KHandle:
 		return SetHandleField(a, r, f, v.H)
 	default:

@@ -33,9 +33,21 @@ func TestHashValuePinned(t *testing.T) {
 		{"string-pliny", StringValue("pliny"), 0xb921be4df0078479},
 		{"string-long", StringValue("hash tables all the way down"), 0xa7ab96674952625b},
 	}
+	_, a := newTestPage(t, 1<<12)
 	for _, c := range cases {
 		if got := HashValue(c.v); got != c.want {
 			t.Errorf("HashValue(%s) = %#x, pinned value %#x", c.name, got, c.want)
+		}
+		if c.v.K != KString {
+			continue
+		}
+		// The same contents read in place off a page: the same hash.
+		r, err := MakeString(a, c.v.Str())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := HashValue(StringRefValue(r)); got != c.want {
+			t.Errorf("HashValue(%s, handle-backed) = %#x, pinned value %#x", c.name, got, c.want)
 		}
 	}
 	// Negative zero normalizes to positive zero before hashing, so the two

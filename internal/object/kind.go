@@ -52,6 +52,7 @@ func (k Kind) Size() uint32 {
 // slots and therefore participate in reference counting and deep copies.
 func (k Kind) IsHandleKind() bool { return k == KHandle || k == KString }
 
+// String names the kind as schemas and error messages spell it.
 func (k Kind) String() string {
 	switch k {
 	case KBool:

@@ -124,8 +124,8 @@ func (m OMap) allocSlots(a *Allocator, n int) error {
 	return nil
 }
 
-// hashKey hashes a key value according to the map's key kind. Handle keys
-// dispatch through the registered type's Hash function.
+// hashKey hashes a key of the map's key kind. Handle keys dispatch through
+// the registered type's Hash function.
 func (m OMap) hashKey(key Value) uint64 {
 	if m.KeyKind() == KHandle && key.K == KHandle && !key.H.IsNil() {
 		if ti := lookupType(key.H); ti != nil && ti.Hash != nil {
@@ -135,9 +135,10 @@ func (m OMap) hashKey(key Value) uint64 {
 	return HashValue(key)
 }
 
-// readKey reads the key stored in slot i as a Value.
-func (m OMap) readKey(i int) Value {
-	off := m.keyOff(i)
+// keyAt reads the key stored at page offset off (m.keyOff(i) for slot i). A
+// string key comes back handle-backed: comparing or hashing it reads the
+// page in place.
+func (m OMap) keyAt(off uint32) Value {
 	d := m.Page.Data
 	switch m.KeyKind() {
 	case KInt64:
@@ -145,7 +146,7 @@ func (m OMap) readKey(i int) Value {
 	case KFloat64:
 		return Float64Value(float64frombits(binary.LittleEndian.Uint64(d[off:])))
 	case KString:
-		return StringValue(StringContents(ReadHandleSlot(m.Page, off)))
+		return StringRefValue(ReadHandleSlot(m.Page, off))
 	case KHandle:
 		return HandleValue(ReadHandleSlot(m.Page, off))
 	default:
@@ -155,7 +156,7 @@ func (m OMap) readKey(i int) Value {
 
 // keyEquals compares the key in slot i with key.
 func (m OMap) keyEquals(i int, key Value) bool {
-	stored := m.readKey(i)
+	stored := m.keyAt(m.keyOff(i))
 	if m.KeyKind() == KHandle && !stored.H.IsNil() && key.K == KHandle && !key.H.IsNil() {
 		if ti := lookupType(stored.H); ti != nil && ti.Equal != nil {
 			return ti.Equal(stored.H, key.H)
@@ -178,7 +179,7 @@ func (m OMap) readVal(i int) Value {
 	case KFloat64:
 		return Float64Value(float64frombits(binary.LittleEndian.Uint64(d[off:])))
 	case KString:
-		return StringValue(StringContents(ReadHandleSlot(m.Page, off)))
+		return StringRefValue(ReadHandleSlot(m.Page, off))
 	case KHandle:
 		return HandleValue(ReadHandleSlot(m.Page, off))
 	default:
@@ -186,7 +187,8 @@ func (m OMap) readVal(i int) Value {
 	}
 }
 
-// writeKey stores key into slot i (allocating string key objects as needed).
+// writeKey stores key into slot i. A string key is always written as a fresh
+// string object on the active block, whichever form the Value has.
 func (m OMap) writeKey(a *Allocator, i int, key Value) error {
 	off := m.keyOff(i)
 	d := m.Page.Data
@@ -196,7 +198,7 @@ func (m OMap) writeKey(a *Allocator, i int, key Value) error {
 	case KFloat64:
 		binary.LittleEndian.PutUint64(d[off:], float64bits(key.AsFloat64()))
 	case KString:
-		sr, err := MakeString(a, key.S)
+		sr, err := MakeStringBytes(a, key.StrBytes())
 		if err != nil {
 			return err
 		}
@@ -225,7 +227,7 @@ func (m OMap) writeVal(a *Allocator, i int, val Value) error {
 	case KFloat64:
 		binary.LittleEndian.PutUint64(d[off:], float64bits(val.AsFloat64()))
 	case KString:
-		sr, err := MakeString(a, val.S)
+		sr, err := MakeStringBytes(a, val.StrBytes())
 		if err != nil {
 			return err
 		}
@@ -239,6 +241,15 @@ func (m OMap) writeVal(a *Allocator, i int, val Value) error {
 // find locates the slot holding key, or the insertion slot. Returns (slot,
 // found).
 func (m OMap) find(key Value) (int, bool) {
+	// A numeric probe is converted to the map's key kind — the form writeKey
+	// stores and rehash re-hashes — so a key that Value.Equal calls equal to
+	// a stored one (3 and 3.0) also hashes to its chain.
+	switch kk := m.KeyKind(); {
+	case kk == KFloat64 && (key.K == KInt32 || key.K == KInt64):
+		key = Float64Value(key.AsFloat64())
+	case kk == KInt64 && key.K == KFloat64:
+		key = Int64Value(key.AsInt64())
+	}
 	n := m.slots()
 	mask := n - 1
 	i := int(m.hashKey(key)) & mask
@@ -308,54 +319,40 @@ func (m OMap) Update(a *Allocator, key Value, fn func(cur Value, ok bool) Value)
 	return m.writeVal(a, i, fn(m.readVal(i), true))
 }
 
-// rehash doubles the slot array. Handle slots are re-anchored with raw
-// rewrites (the logical reference set is unchanged).
+// rehash doubles the slot array, walking the old one in slot order. Handle
+// slots are re-anchored with raw rewrites (the logical reference set is
+// unchanged).
 func (m OMap) rehash(a *Allocator, newSlots int) error {
 	oldArr := m.slotsRef()
 	oldN := m.slots()
-	type entry struct {
-		keyOff, valOff uint32
-	}
-	var live []entry
-	for i := 0; i < oldN; i++ {
-		if m.slotState(i) == slotFull {
-			live = append(live, entry{m.keyOff(i), m.valOff(i)})
-		}
-	}
 	if err := m.allocSlots(a, newSlots); err != nil {
 		return err
 	}
 	d := m.Page.Data
 	kk, vk := m.KeyKind(), m.ValKind()
+	ss := m.slotSize()
 	mask := newSlots - 1
-	for _, e := range live {
-		// Reconstruct the key value from the old slot location.
-		var key Value
-		switch kk {
-		case KInt64:
-			key = Int64Value(int64(binary.LittleEndian.Uint64(d[e.keyOff:])))
-		case KFloat64:
-			key = Float64Value(float64frombits(binary.LittleEndian.Uint64(d[e.keyOff:])))
-		case KString:
-			key = StringValue(StringContents(ReadHandleSlot(m.Page, e.keyOff)))
-		case KHandle:
-			key = HandleValue(ReadHandleSlot(m.Page, e.keyOff))
+	for j := 0; j < oldN; j++ {
+		oldSlot := oldArr.Off + uint32(j)*ss
+		if binary.LittleEndian.Uint32(d[oldSlot:]) != slotFull {
+			continue
 		}
-		i := int(m.hashKey(key)) & mask
+		oldKey, oldVal := oldSlot+4, oldSlot+4+kk.Size()
+		i := int(m.hashKey(m.keyAt(oldKey))) & mask
 		for m.slotState(i) == slotFull {
 			i = (i + 1) & mask
 		}
 		m.setSlotState(i, slotFull)
 		// Move key and value bytes, re-anchoring handle slots.
 		if kk.IsHandleKind() {
-			rewriteHandleSlotRaw(m.Page, m.keyOff(i), ReadHandleSlot(m.Page, e.keyOff))
+			rewriteHandleSlotRaw(m.Page, m.keyOff(i), ReadHandleSlot(m.Page, oldKey))
 		} else {
-			copy(d[m.keyOff(i):m.keyOff(i)+kk.Size()], d[e.keyOff:e.keyOff+kk.Size()])
+			copy(d[m.keyOff(i):m.keyOff(i)+kk.Size()], d[oldKey:oldKey+kk.Size()])
 		}
 		if vk.IsHandleKind() {
-			rewriteHandleSlotRaw(m.Page, m.valOff(i), ReadHandleSlot(m.Page, e.valOff))
+			rewriteHandleSlotRaw(m.Page, m.valOff(i), ReadHandleSlot(m.Page, oldVal))
 		} else {
-			copy(d[m.valOff(i):m.valOff(i)+vk.Size()], d[e.valOff:e.valOff+vk.Size()])
+			copy(d[m.valOff(i):m.valOff(i)+vk.Size()], d[oldVal:oldVal+vk.Size()])
 		}
 	}
 	oldArr.Release() // arrays never traverse children; moved refs stay live
@@ -367,7 +364,7 @@ func (m OMap) Iterate(fn func(key, val Value) bool) {
 	n := m.slots()
 	for i := 0; i < n; i++ {
 		if m.slotState(i) == slotFull {
-			if !fn(m.readKey(i), m.readVal(i)) {
+			if !fn(m.keyAt(m.keyOff(i)), m.readVal(i)) {
 				return
 			}
 		}

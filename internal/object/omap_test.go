@@ -45,6 +45,61 @@ func TestMapOverwrite(t *testing.T) {
 	}
 }
 
+// TestMapNumericProbeUsesKeyKind: a probe is hashed as the map's key kind,
+// the form the key is stored and re-hashed in. 3 and 3.0 are Equal, so they
+// must be one entry whichever kind the probe arrives in — before and after
+// the table grows.
+func TestMapNumericProbeUsesKeyKind(t *testing.T) {
+	_, a := newTestPage(t, 1<<18)
+	for _, c := range []struct {
+		kind       Kind
+		put, probe func(int64) Value
+	}{
+		{KFloat64, func(i int64) Value { return Float64Value(float64(i)) }, Int64Value},
+		{KInt64, Int64Value, func(i int64) Value { return Float64Value(float64(i)) }},
+	} {
+		m, err := MakeMap(a, c.kind, KInt64, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Put(a, c.put(3), Int64Value(30)); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := m.Get(c.probe(3)); !ok || v.I != 30 {
+			t.Fatalf("%v-keyed map: Get(%v) after Put(%v) = (%v, %v)", c.kind, c.probe(3), c.put(3), v, ok)
+		}
+		if err := m.Put(a, c.probe(3), Int64Value(31)); err != nil {
+			t.Fatal(err)
+		}
+		if m.Len() != 1 {
+			t.Fatalf("%v-keyed map: Len = %d after Put(%v) and Put(%v), want 1", c.kind, m.Len(), c.put(3), c.probe(3))
+		}
+		slots := m.slots()
+		for i := int64(100); i < 200; i++ { // grow through several rehashes, alternating kinds
+			key := c.put(i)
+			if i%2 == 0 {
+				key = c.probe(i)
+			}
+			if err := m.Put(a, key, Int64Value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.slots() == slots || m.Len() != 101 {
+			t.Fatalf("%v-keyed map: %d slots, Len %d: want a grown table of 101 keys", c.kind, m.slots(), m.Len())
+		}
+		for _, key := range []Value{c.put(3), c.probe(3), Int32Value(3)} {
+			if v, ok := m.Get(key); !ok || v.I != 31 {
+				t.Errorf("%v-keyed map after growth: Get(%v) = (%v, %v), want 31", c.kind, key, v, ok)
+			}
+		}
+		for i := int64(100); i < 200; i++ {
+			if v, ok := m.Get(c.probe(i)); !ok || v.I != i {
+				t.Fatalf("%v-keyed map after growth: Get(%v) = (%v, %v)", c.kind, c.probe(i), v, ok)
+			}
+		}
+	}
+}
+
 func TestMapStringKeys(t *testing.T) {
 	_, a := newTestPage(t, 1<<18)
 	m, err := MakeMap(a, KString, KInt64, 8)

@@ -222,6 +222,16 @@ func (r Ref) counted() bool {
 	return r.Page.Managed() && r.rcWord()&(rcNoRefCount|rcUniqueOwner) == 0
 }
 
+// soleReferent reports whether the object's header shows exactly one way in:
+// a reference count of one, or unique ownership. Reached through a handle
+// slot, such an object cannot be reached again through another (DeepCopy
+// skips its memo for it). Counts are frozen, not lost, when a page stops
+// being managed, so the answer holds for shipped and stored pages too.
+func (r Ref) soleReferent() bool {
+	w := r.rcWord()
+	return w&rcNoRefCount == 0 && (w&rcUniqueOwner != 0 || w&rcCountMask == 1)
+}
+
 // Retain increments the reference count (a Go-side owning reference, the
 // analogue of holding a Handle variable in the C++ binding).
 func (r Ref) Retain() {

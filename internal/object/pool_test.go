@@ -106,10 +106,10 @@ func TestF64Span(t *testing.T) {
 	if v.F64At(10) != 100 {
 		t.Errorf("after Set+Add, elem = %g, want 100", v.F64At(10))
 	}
-	dst := make([]float64, 64)
-	sp.CopyTo(dst)
-	if dst[63] != 63 || dst[10] != 100 {
-		t.Error("CopyTo wrong")
+	var buf [64]float64
+	dst := sp.AppendTo(buf[:0])
+	if len(dst) != 64 || dst[63] != 63 || dst[10] != 100 || &dst[0] != &buf[0] {
+		t.Error("AppendTo wrong")
 	}
 	empty, _ := MakeVector(a, KFloat64, 0)
 	if empty.F64Span().Len() != 0 {

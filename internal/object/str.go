@@ -1,6 +1,9 @@
 package object
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 func float64bits(f float64) uint64     { return math.Float64bits(f) }
 func float64frombits(b uint64) float64 { return math.Float64frombits(b) }
@@ -41,7 +44,16 @@ func StringBytes(r Ref) []byte {
 	return b[:len(b):len(b)]
 }
 
-// StringContents reads the contents of a string object.
+// bytesOfString views a Go string's bytes without copying them (the Go-backed
+// half of Value.StrBytes). The one use of unsafe in the object model: the
+// result aliases immutable memory and must never be written through.
+func bytesOfString(s string) []byte {
+	return unsafe.Slice(unsafe.StringData(s), len(s))
+}
+
+// StringContents copies the contents of a string object into a Go string:
+// the explicit "these bytes must outlive the page" call. Code that only
+// compares, hashes or rewrites the contents works on StringBytes.
 func StringContents(r Ref) string {
 	if r.IsNil() {
 		return ""

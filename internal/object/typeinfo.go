@@ -42,26 +42,30 @@ type TypeInfo struct {
 	Hash  func(Ref) uint64
 	Equal func(a, b Ref) bool
 
-	// fieldByName is built lazily exactly once. A TypeInfo may be shared
-	// by many registries (the master catalog hands the same registration
-	// to every worker), so the index must not be rebuilt per Register.
-	fieldOnce   sync.Once
-	fieldByName map[string]*Field
+	// The field indexes are built lazily exactly once. A TypeInfo may be
+	// shared by many registries (the master catalog hands the same
+	// registration to every worker), so they must not be rebuilt per
+	// Register.
+	fieldOnce    sync.Once
+	fieldByName  map[string]*Field
+	handleFields []*Field
+}
+
+func (t *TypeInfo) indexFields() {
+	t.fieldByName = make(map[string]*Field, len(t.Fields))
+	for i := range t.Fields {
+		f := &t.Fields[i]
+		t.fieldByName[f.Name] = f
+		if f.Kind.IsHandleKind() {
+			t.handleFields = append(t.handleFields, f)
+		}
+	}
 }
 
 // Field returns the field descriptor by name, or nil.
 func (t *TypeInfo) Field(name string) *Field {
-	t.fieldOnce.Do(func() {
-		m := make(map[string]*Field, len(t.Fields))
-		for i := range t.Fields {
-			m[t.Fields[i].Name] = &t.Fields[i]
-		}
-		t.fieldByName = m
-	})
-	if f, ok := t.fieldByName[name]; ok {
-		return f
-	}
-	return nil
+	t.fieldOnce.Do(t.indexFields)
+	return t.fieldByName[name]
 }
 
 // Method returns the method descriptor by name, or nil... callers that need
@@ -83,15 +87,11 @@ func (t *TypeInfo) IsSimple() bool {
 }
 
 // HandleFields returns the subset of fields holding handles, in offset
-// order; used by destructors and deep copies.
+// order; used by destructors and deep copies. The slice is shared: callers
+// must not modify it.
 func (t *TypeInfo) HandleFields() []*Field {
-	var out []*Field
-	for i := range t.Fields {
-		if t.Fields[i].Kind.IsHandleKind() {
-			out = append(out, &t.Fields[i])
-		}
-	}
-	return out
+	t.fieldOnce.Do(t.indexFields)
+	return t.handleFields
 }
 
 // Registry maps type codes to TypeInfo. Each process (in the simulated

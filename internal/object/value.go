@@ -1,6 +1,7 @@
 package object
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 )
@@ -9,23 +10,75 @@ import (
 // vectorized execution engine: the result of a member access, method call,
 // or lambda evaluation. It is a by-value union; only the field selected by
 // K is meaningful.
+//
+// A KString value has two forms. Go-backed: the contents are a Go string
+// (constants, native-lambda results, StringValue). Handle-backed: H refers
+// to the string object on its page and nothing is copied — every KString
+// read off a page (GetField, Vector.At, OMap.Get/Iterate) has this form, and
+// like any KHandle value it is valid exactly as long as that page is. Equal,
+// Less, HashValue and every write into a page treat the two forms alike;
+// read the contents with StrBytes (a view) or Str (a Go string that outlives
+// the page).
 type Value struct {
 	K Kind
 	I int64
 	F float64
 	B bool
-	S string
+	s string // Go-backed KString contents; unused while H holds the string object
 	H Ref
 }
 
 // Convenience constructors.
 
-func BoolValue(b bool) Value       { return Value{K: KBool, B: b} }
-func Int32Value(i int32) Value     { return Value{K: KInt32, I: int64(i)} }
-func Int64Value(i int64) Value     { return Value{K: KInt64, I: i} }
+// BoolValue boxes a bool.
+func BoolValue(b bool) Value { return Value{K: KBool, B: b} }
+
+// Int32Value boxes an int32 (carried widened in I).
+func Int32Value(i int32) Value { return Value{K: KInt32, I: int64(i)} }
+
+// Int64Value boxes an int64.
+func Int64Value(i int64) Value { return Value{K: KInt64, I: i} }
+
+// Float64Value boxes a float64.
 func Float64Value(f float64) Value { return Value{K: KFloat64, F: f} }
-func StringValue(s string) Value   { return Value{K: KString, S: s} }
-func HandleValue(r Ref) Value      { return Value{K: KHandle, H: r} }
+
+// StringValue boxes a Go string (the Go-backed KString form).
+func StringValue(s string) Value { return Value{K: KString, s: s} }
+
+// StringRefValue boxes the string object r without reading it (the
+// handle-backed KString form); a nil r is the empty string.
+func StringRefValue(r Ref) Value { return Value{K: KString, H: r} }
+
+// HandleValue boxes a handle to any PC object.
+func HandleValue(r Ref) Value { return Value{K: KHandle, H: r} }
+
+// Str returns a KString value's contents as a Go string, copying them off
+// the page when the value is handle-backed: the call for contents that must
+// outlive the page (a Go map key, a result handed to the user). "" for any
+// other kind.
+func (v Value) Str() string {
+	if v.K != KString {
+		return ""
+	}
+	if !v.H.IsNil() {
+		return StringContents(v.H)
+	}
+	return v.s
+}
+
+// StrBytes returns a KString value's contents without copying: a view of
+// the page for a handle-backed value, of the Go string's bytes otherwise.
+// The view is read-only and, for a handle-backed value, valid only while
+// the page's bytes are. Nil for any other kind.
+func (v Value) StrBytes() []byte {
+	if v.K != KString {
+		return nil
+	}
+	if !v.H.IsNil() {
+		return StringBytes(v.H)
+	}
+	return bytesOfString(v.s)
+}
 
 // AsFloat64 widens numeric values to float64 (used by arithmetic lambdas).
 func (v Value) AsFloat64() float64 {
@@ -83,7 +136,7 @@ func (v Value) Equal(o Value) bool {
 		}
 		return false
 	case KString:
-		return o.K == KString && v.S == o.S
+		return o.K == KString && bytes.Equal(v.StrBytes(), o.StrBytes())
 	case KHandle:
 		return o.K == KHandle && v.H == o.H
 	default:
@@ -110,12 +163,13 @@ func (v Value) Less(o Value) bool {
 		}
 	case KString:
 		if o.K == KString {
-			return v.S < o.S
+			return bytes.Compare(v.StrBytes(), o.StrBytes()) < 0
 		}
 	}
 	return false
 }
 
+// String renders the value for diagnostics and test failure messages.
 func (v Value) String() string {
 	switch v.K {
 	case KBool:
@@ -125,7 +179,7 @@ func (v Value) String() string {
 	case KFloat64:
 		return fmt.Sprintf("%g", v.F)
 	case KString:
-		return fmt.Sprintf("%q", v.S)
+		return fmt.Sprintf("%q", v.StrBytes())
 	case KHandle:
 		if v.H.IsNil() {
 			return "nil"
@@ -167,8 +221,8 @@ func HashValue(v Value) uint64 {
 		}
 		mix8(math.Float64bits(f))
 	case KString:
-		for i := 0; i < len(v.S); i++ {
-			mix(v.S[i])
+		for _, c := range v.StrBytes() {
+			mix(c)
 		}
 	case KHandle:
 		mix8(uint64(v.H.Off))

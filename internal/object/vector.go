@@ -3,6 +3,7 @@ package object
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Vector is PC's generic growable array container, stored entirely in-page:
@@ -206,7 +207,7 @@ func (v Vector) Set(a *Allocator, i int, val Value) error {
 		binary.LittleEndian.PutUint64(d[off:], float64bits(val.AsFloat64()))
 	case KString:
 		if val.K == KString {
-			sr, err := MakeString(a, val.S)
+			sr, err := MakeStringBytes(a, val.StrBytes())
 			if err != nil {
 				return err
 			}
@@ -236,7 +237,7 @@ func (v Vector) At(i int) Value {
 	case KFloat64:
 		return Float64Value(float64frombits(binary.LittleEndian.Uint64(d[off:])))
 	case KString:
-		return StringValue(StringContents(ReadHandleSlot(v.Page, off)))
+		return StringRefValue(ReadHandleSlot(v.Page, off))
 	case KHandle:
 		return HandleValue(ReadHandleSlot(v.Page, off))
 	default:
@@ -303,27 +304,24 @@ func (s F64Span) Add(i int, delta float64) {
 	binary.LittleEndian.PutUint64(s.d[off:], float64bits(cur+delta))
 }
 
-// CopyTo copies the span into dst (len(dst) must be >= s.Len()).
-func (s F64Span) CopyTo(dst []float64) {
-	for i := 0; i < s.n; i++ {
-		dst[i] = s.At(i)
+// AppendTo appends the span's elements to dst and returns the extended
+// slice. Over a stack array (buf[:0]) it reads a point off its page into Go
+// floats without allocating; a span longer than the array spills to the heap
+// as append does.
+func (s F64Span) AppendTo(dst []float64) []float64 {
+	n := len(dst)
+	dst = slices.Grow(dst, s.n)[:n+s.n]
+	b := s.d[s.base : s.base+uint32(s.n)*8]
+	for i := range dst[n:] {
+		dst[n+i] = float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
+	return dst
 }
 
-// Float64Slice copies the vector's contents into a Go slice (bridging into
-// numeric kernels, the analogue of Eigen mapping the raw block).
+// Float64Slice copies the vector's contents into a fresh Go slice (bridging
+// into numeric kernels, the analogue of Eigen mapping the raw block).
 func (v Vector) Float64Slice() []float64 {
-	n := v.Len()
-	out := make([]float64, n)
-	if n == 0 {
-		return out
-	}
-	base := v.elemOff(0)
-	d := v.Page.Data
-	for i := 0; i < n; i++ {
-		out[i] = float64frombits(binary.LittleEndian.Uint64(d[base+uint32(i)*8:]))
-	}
-	return out
+	return v.F64Span().AppendTo(make([]float64, 0, v.Len()))
 }
 
 // AppendFloat64s bulk-appends a Go slice into a float64 vector.

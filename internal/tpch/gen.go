@@ -9,6 +9,7 @@ package tpch
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/object"
 	"repro/pc"
@@ -116,6 +117,15 @@ type Schema struct {
 	Part, Supplier, Lineitem, Order, Customer *pc.TypeInfo
 	SupplierInfo                              *pc.TypeInfo
 	TopK                                      *pc.TypeInfo
+
+	// The members the queries read per lineitem and per customer, resolved
+	// once here instead of by name at every access.
+	custKey, custName, custOrders *pc.Field
+	orderItems                    *pc.Field
+	itemSupplier, itemPart        *pc.Field
+	supName, partID               *pc.Field
+	infoSupName, infoCustParts    *pc.Field
+	topKK, topKEntries            *pc.Field
 }
 
 // RegisterSchema registers all PC object types (paper §8.4.1's class
@@ -154,8 +164,15 @@ func RegisterSchema(reg *object.Registry) *Schema {
 		MustBuild(reg)
 	s.TopK = object.NewStruct("TopKQueue").
 		AddField("k", pc.KInt64).
-		AddField("entries", pc.KHandle). // Vector<float64>: (sim, custkey)*
+		AddField("entries", pc.KHandle). // Vector<float64>: (sim, custkey)*, best first
 		MustBuild(reg)
+
+	s.custKey, s.custName, s.custOrders = s.Customer.Field("custkey"), s.Customer.Field("name"), s.Customer.Field("orders")
+	s.orderItems = s.Order.Field("lineItems")
+	s.itemSupplier, s.itemPart = s.Lineitem.Field("supplier"), s.Lineitem.Field("part")
+	s.supName, s.partID = s.Supplier.Field("name"), s.Part.Field("partID")
+	s.infoSupName, s.infoCustParts = s.SupplierInfo.Field("supName"), s.SupplierInfo.Field("custParts")
+	s.topKK, s.topKEntries = s.TopK.Field("k"), s.TopK.Field("entries")
 	return s
 }
 
@@ -249,23 +266,53 @@ func (s *Schema) LoadPC(client *pc.Client, db, set string, customers []GCustomer
 	return client.SendData(db, set, pages)
 }
 
-// CustomerParts walks a PC Customer graph collecting (supplierName →
-// partIDs) and the deduplicated partID set (shared by both queries).
-func (s *Schema) CustomerParts(cust pc.Ref) (name string, bySup map[string][]int64, allParts []int64) {
-	name = object.GetStrField(cust, s.Customer.Field("name"))
-	bySup = map[string][]int64{}
-	orders := object.AsVector(object.GetHandleField(cust, s.Customer.Field("orders")))
-	for i := 0; i < orders.Len(); i++ {
-		items := object.AsVector(object.GetHandleField(orders.HandleAt(i), s.Order.Field("lineItems")))
-		for j := 0; j < items.Len(); j++ {
+// SupplierPart is one lineitem as CustomerParts reports it.
+type SupplierPart struct {
+	Supplier []byte // the supplier's name, a view of the string object on the customer's page
+	PartID   int64
+}
+
+// CustomerWalk is the scratch CustomerParts fills. Reused across customers
+// it makes a walk allocation-free; what it holds are views, valid while the
+// customer's page is.
+type CustomerWalk struct {
+	Name  pc.Ref         // the customer's name (a string object)
+	Items []SupplierPart // one per lineitem, in arrival order
+
+	parts []int64
+}
+
+// PartIDs lists every purchased partID in arrival order, duplicates
+// included, in scratch the caller may reorder and the next call reuses.
+func (w *CustomerWalk) PartIDs() []int64 {
+	w.parts = w.parts[:0]
+	for _, it := range w.Items {
+		w.parts = append(w.parts, it.PartID)
+	}
+	return w.parts
+}
+
+// walkPool lends natives a CustomerWalk for one call: they run concurrently
+// on every worker and thread, and the engine gives them no per-thread state.
+var walkPool = sync.Pool{New: func() any { return new(CustomerWalk) }}
+
+// CustomerParts walks a PC Customer graph into w (shared by both queries):
+// the supplier and part of every lineitem, read where they lie — no name is
+// copied off the page and nothing is grouped yet.
+func (s *Schema) CustomerParts(cust pc.Ref, w *CustomerWalk) {
+	w.Name = object.GetHandleField(cust, s.custName)
+	w.Items = w.Items[:0]
+	orders := object.AsVector(object.GetHandleField(cust, s.custOrders))
+	for i, n := 0, orders.Len(); i < n; i++ {
+		items := object.AsVector(object.GetHandleField(orders.HandleAt(i), s.orderItems))
+		for j, m := 0, items.Len(); j < m; j++ {
 			li := items.HandleAt(j)
-			sup := object.GetHandleField(li, s.Lineitem.Field("supplier"))
-			part := object.GetHandleField(li, s.Lineitem.Field("part"))
-			supName := object.GetStrField(sup, s.Supplier.Field("name"))
-			partID := object.GetI64(part, s.Part.Field("partID"))
-			bySup[supName] = append(bySup[supName], partID)
-			allParts = append(allParts, partID)
+			sup := object.GetHandleField(li, s.itemSupplier)
+			part := object.GetHandleField(li, s.itemPart)
+			w.Items = append(w.Items, SupplierPart{
+				Supplier: object.StringBytes(object.GetHandleField(sup, s.supName)),
+				PartID:   object.GetI64(part, s.partID),
+			})
 		}
 	}
-	return name, bySup, allParts
 }

@@ -103,8 +103,10 @@ func TopCustomersByVolumePC(client *pc.Client, s *Schema, db, inSet, outSet stri
 	volume := func(e *pc.Arg) pc.Term {
 		return pc.FromNative("custVolume", pc.KInt64,
 			func(ctx *pc.NativeCtx, args []pc.Value) (pc.Value, error) {
-				_, _, all := s.CustomerParts(args[0].H)
-				return pc.Int64Value(int64(len(all))), nil
+				w := walkPool.Get().(*CustomerWalk)
+				defer walkPool.Put(w)
+				s.CustomerParts(args[0].H, w)
+				return pc.Int64Value(int64(len(w.Items))), nil
 			}, pc.FromSelf(e))
 	}
 	orderBy := &pc.OrderBy{

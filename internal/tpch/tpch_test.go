@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/object"
 	"repro/pc"
 )
 
@@ -79,9 +80,10 @@ func TestPCLoadPreservesNestedGraph(t *testing.T) {
 		wantParts[c.Name] = len(all)
 	}
 	err = client.ScanSet("TPCH_db", "tpch_bench_set1", func(r pc.Ref) bool {
-		name, _, all := s.CustomerParts(r)
-		if len(all) != wantParts[name] {
-			t.Errorf("customer %s has %d parts, want %d", name, len(all), wantParts[name])
+		var w CustomerWalk
+		s.CustomerParts(r, &w)
+		if name := object.StringContents(w.Name); len(w.Items) != wantParts[name] {
+			t.Errorf("customer %s has %d parts, want %d", name, len(w.Items), wantParts[name])
 		}
 		return true
 	})

@@ -18,6 +18,21 @@ type Arg = lambda.Arg
 type NativeCtx = lambda.NativeCtx
 
 // NativeFn is the opaque native function signature.
+//
+// Strings in native lambdas. A string argument that came off a page — a
+// member read, an element of a string vector, a map key — is handle-backed:
+// the Value refers to the string object where it lies and no Go string
+// exists yet. Compare, order and hash it with Value.Equal, Value.Less and
+// object.HashValue, and hand it to OMap.Put, Vector.PushBack or
+// object.SetField as it is: the contents move page to page. To look at the
+// bytes call v.StrBytes(), a read-only view that is valid while the input
+// page is — for the duration of the call, never beyond it. To keep the
+// contents (a Go map key, a field of a Go struct returned to the driver,
+// concatenation) call v.Str(), which copies them into a Go string; that
+// copy is the only allocation a string costs, so take it outside per-row
+// paths where you can. Results may be returned in either form:
+// StringValue(s) for a Go string, StringRefValue(r) for a string object the
+// native allocated with ctx.Alloc.
 type NativeFn = lambda.NativeFn
 
 // Abstraction families.
@@ -101,8 +116,11 @@ func Int64Value(i int64) Value { return object.Int64Value(i) }
 // Float64Value boxes a float64.
 func Float64Value(f float64) Value { return object.Float64Value(f) }
 
-// StringValue boxes a string.
+// StringValue boxes a Go string.
 func StringValue(s string) Value { return object.StringValue(s) }
+
+// StringRefValue boxes a string object without copying it off its page.
+func StringRefValue(r Ref) Value { return object.StringRefValue(r) }
 
 // HandleValue boxes an object reference.
 func HandleValue(r Ref) Value { return object.HandleValue(r) }

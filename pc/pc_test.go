@@ -156,8 +156,9 @@ func TestAppendixAKMeans(t *testing.T) {
 			Key: func(arg *pc.Arg) pc.Term {
 				return pc.FromNative("getClose", pc.KInt64,
 					func(ctx *pc.NativeCtx, args []pc.Value) (pc.Value, error) {
+						var buf [32]float64 // the point, read off its page into stack scratch
 						v := object.AsVector(object.GetHandleField(args[0].H, dataField))
-						return pc.Int64Value(getClose(v.Float64Slice())), nil
+						return pc.Int64Value(getClose(v.F64Span().AppendTo(buf[:0]))), nil
 					}, pc.FromSelf(arg))
 			},
 			// getValueProjection: the paper's fromMe() pattern —
@@ -177,7 +178,8 @@ func TestAppendixAKMeans(t *testing.T) {
 						if err != nil {
 							return pc.Value{}, err
 						}
-						if err := sum.AppendFloat64s(ctx.Alloc, src.Float64Slice()); err != nil {
+						var buf [32]float64
+						if err := sum.AppendFloat64s(ctx.Alloc, src.F64Span().AppendTo(buf[:0])); err != nil {
 							return pc.Value{}, err
 						}
 						if err := object.SetHandleField(ctx.Alloc, acc, centroid.Field("data"), sum.Ref); err != nil {
