@@ -1,6 +1,10 @@
 package object
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/race"
+)
 
 func TestPageReset(t *testing.T) {
 	reg := NewRegistry()
@@ -32,6 +36,9 @@ func TestPageReset(t *testing.T) {
 }
 
 func TestPagePoolRecyclesWithoutDataBleed(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector, so the page may not come back")
+	}
 	reg := NewRegistry()
 	pool := NewPagePool(8192)
 

@@ -154,12 +154,16 @@ func (s *Server) Append(db, set string, pages []*object.Page) error {
 func (s *Server) Pages(db, set string) ([]*object.Page, error) {
 	s.mu.RLock()
 	sd, ok := s.sets[setKey(db, set)]
+	var resident []*object.Page
+	if ok {
+		resident = sd.pages // read under the lock: Append grows it concurrently
+	}
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("storage: unknown set %s.%s", db, set)
 	}
 	if s.dir == "" {
-		return sd.pages, nil
+		return resident, nil
 	}
 	entries, err := os.ReadDir(s.setDir(db, set))
 	if err != nil {
