@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/engine"
@@ -526,8 +525,7 @@ func strBinary(op lambda.Op, l, r engine.StrCol) (engine.Column, error) {
 	case lambda.OpEq, lambda.OpNe, lambda.OpGt, lambda.OpGe, lambda.OpLt, lambda.OpLe:
 		out := make(engine.BoolCol, n)
 		for i := 0; i < n; i++ {
-			c := bytes.Compare(l[i].StrBytes(), r[i].StrBytes())
-			out[i] = cmpBool(op, c == 0, c < 0)
+			out[i] = cmpBool(op, l[i].Equal(r[i]), l[i].Less(r[i]))
 		}
 		return out, nil
 	case lambda.OpAdd:

@@ -134,17 +134,27 @@ func appendKeySegment(buf []byte, v object.Value) ([]byte, error) {
 		return binary.BigEndian.AppendUint64(buf, bits), nil
 	case object.KString:
 		buf = append(buf, 0x04)
-		for _, c := range v.StrBytes() {
-			if c == 0x00 {
-				buf = append(buf, 0x00, 0x01)
-			} else {
-				buf = append(buf, c)
-			}
+		if v.H.IsNil() {
+			return appendEscaped(buf, v.Str()), nil // Go-backed: Str copies nothing
 		}
-		return append(buf, 0x00, 0x00), nil
+		return appendEscaped(buf, object.StringBytes(v.H)), nil
 	default:
 		return nil, fmt.Errorf("engine: unsupported sort key kind %v", v.K)
 	}
+}
+
+// appendEscaped appends a string key segment's contents, a Go string or a
+// view of the page: 0x00 is escaped as 0x00 0x01 and 0x00 0x00 terminates,
+// so a prefix sorts first.
+func appendEscaped[S ~string | ~[]byte](buf []byte, s S) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == 0x00 {
+			buf = append(buf, 0x00, 0x01)
+		} else {
+			buf = append(buf, c)
+		}
+	}
+	return append(buf, 0x00, 0x00)
 }
 
 // AppendSortRow materializes one (key, obj, val) row as a SortRow object on

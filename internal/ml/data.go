@@ -90,7 +90,12 @@ type normTrick struct {
 }
 
 // pointStackDims sizes the stack array a native reads one point into
-// (F64Span.AppendTo); a longer point spills to the heap.
+// (F64Span.AppendTo) before the distance or density loops run over it; a
+// longer point spills to the heap, one slice a point. The loops read each
+// coordinate once per centroid, and over a Go slice they run twice as fast
+// as over the span (k = d = 10: 105 against 229 ns a point; closest on the
+// span cost the kmeans workload 12–27 % of its job time), so the point is
+// decoded once, not where it lies.
 const pointStackDims = 32
 
 func newNormTrick(centroids [][]float64) *normTrick {

@@ -128,8 +128,7 @@ func (km *KMeansPC) Iterate(model [][]float64) ([][]float64, error) {
 				if err != nil {
 					return pc.Value{}, err
 				}
-				var buf [pointStackDims]float64
-				if err := sum.AppendFloat64s(a, src.F64Span().AppendTo(buf[:0])); err != nil {
+				if err := sum.AppendF64Span(a, src.F64Span()); err != nil {
 					return pc.Value{}, err
 				}
 				if err := object.SetHandleField(a, acc, cdata, sum.Ref); err != nil {

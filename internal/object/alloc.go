@@ -80,10 +80,9 @@ type Allocator struct {
 	Policy Policy
 	Stats  AllocStats
 
-	reg      *Registry
-	free     [numBuckets][]uint32 // freed payload offsets by ceil-log2(total size)
-	recycle  map[uint32][]uint32  // type code -> freed payload offsets
-	copyMemo map[Ref]Ref          // DeepCopy's scratch, empty between copies
+	reg     *Registry
+	free    [numBuckets][]uint32 // freed payload offsets by ceil-log2(total size)
+	recycle map[uint32][]uint32  // type code -> freed payload offsets
 }
 
 // NewAllocator makes page the active allocation block with the given reuse

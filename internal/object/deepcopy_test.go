@@ -101,7 +101,7 @@ func TestDeepCopyPreservesSharing(t *testing.T) {
 }
 
 // TestDeepCopyPreservesSharingAndCycles covers what the memo is for now that
-// it is the allocator's reused scratch and single-referent objects skip it:
+// single-referent objects skip it and the root has a field of its own:
 // sharing survives, cycles terminate (also when the root's only referent is
 // inside the cycle), and one copy's memo is invisible to the next.
 func TestDeepCopyPreservesSharingAndCycles(t *testing.T) {
@@ -191,12 +191,11 @@ func TestDeepCopyPreservesSharingAndCycles(t *testing.T) {
 		t.Error("cycle of single-referent objects did not copy to a two-node cycle")
 	}
 
-	// Sharing at a scale past what the allocator keeps as scratch: two
-	// vectors over the same objects. The copies share too, and the small
-	// copy after it works from a fresh memo.
+	// Sharing at scale: two vectors over the same objects. The copies
+	// share too, and the small copy after it works from a fresh memo.
 	left, _ := MakeVector(src, KHandle, 0)
 	right, _ := MakeVector(src, KHandle, 0)
-	for i := 0; i < copyMemoKeep+100; i++ {
+	for i := 0; i < 1100; i++ {
 		n := mk(int64(i))
 		if err := left.PushBackHandle(src, n); err != nil {
 			t.Fatal(err)

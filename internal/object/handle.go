@@ -185,7 +185,7 @@ func SetField(a *Allocator, r Ref, f *Field, v Value) error {
 	case KFloat64:
 		SetF64(r, f, v.AsFloat64())
 	case KString:
-		sr, err := MakeStringBytes(a, v.StrBytes())
+		sr, err := MakeStringBytes(a, v.strBytes())
 		if err != nil {
 			return err
 		}

@@ -188,17 +188,24 @@ func (m OMap) readVal(i int) Value {
 }
 
 // writeKey stores key into slot i. A string key is always written as a fresh
-// string object on the active block, whichever form the Value has.
+// string object on the active block, whichever form the Value has. A float
+// that no int64 equals is refused by an int64-keyed map: stored truncated it
+// would be a different key.
 func (m OMap) writeKey(a *Allocator, i int, key Value) error {
 	off := m.keyOff(i)
 	d := m.Page.Data
 	switch m.KeyKind() {
 	case KInt64:
+		if key.K == KFloat64 {
+			if _, ok := exactInt64(key.F); !ok {
+				return fmt.Errorf("object: map key %g is not an int64", key.F)
+			}
+		}
 		binary.LittleEndian.PutUint64(d[off:], uint64(key.AsInt64()))
 	case KFloat64:
 		binary.LittleEndian.PutUint64(d[off:], float64bits(key.AsFloat64()))
 	case KString:
-		sr, err := MakeStringBytes(a, key.StrBytes())
+		sr, err := MakeStringBytes(a, key.strBytes())
 		if err != nil {
 			return err
 		}
@@ -227,7 +234,7 @@ func (m OMap) writeVal(a *Allocator, i int, val Value) error {
 	case KFloat64:
 		binary.LittleEndian.PutUint64(d[off:], float64bits(val.AsFloat64()))
 	case KString:
-		sr, err := MakeStringBytes(a, val.StrBytes())
+		sr, err := MakeStringBytes(a, val.strBytes())
 		if err != nil {
 			return err
 		}
@@ -238,17 +245,30 @@ func (m OMap) writeVal(a *Allocator, i int, val Value) error {
 	return nil
 }
 
+// exactInt64 converts f to the int64 it equals; ok is false when there is
+// none (f is fractional, NaN or out of range).
+func exactInt64(f float64) (i int64, ok bool) {
+	if f >= -(1<<63) && f < 1<<63 {
+		i = int64(f)
+		return i, float64(i) == f
+	}
+	return 0, false
+}
+
 // find locates the slot holding key, or the insertion slot. Returns (slot,
 // found).
 func (m OMap) find(key Value) (int, bool) {
 	// A numeric probe is converted to the map's key kind — the form writeKey
 	// stores and rehash re-hashes — so a key that Value.Equal calls equal to
-	// a stored one (3 and 3.0) also hashes to its chain.
+	// a stored one (3 and 3.0) also hashes to its chain. A float that no
+	// int64 equals (3.5, NaN) stays as it is and misses.
 	switch kk := m.KeyKind(); {
 	case kk == KFloat64 && (key.K == KInt32 || key.K == KInt64):
 		key = Float64Value(key.AsFloat64())
 	case kk == KInt64 && key.K == KFloat64:
-		key = Int64Value(key.AsInt64())
+		if i, ok := exactInt64(key.F); ok {
+			key = Int64Value(i)
+		}
 	}
 	n := m.slots()
 	mask := n - 1

@@ -2,6 +2,7 @@ package object
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -97,6 +98,39 @@ func TestMapNumericProbeUsesKeyKind(t *testing.T) {
 				t.Fatalf("%v-keyed map after growth: Get(%v) = (%v, %v)", c.kind, c.probe(i), v, ok)
 			}
 		}
+	}
+
+	// A float that no int64 equals neither finds nor becomes an int64 key.
+	m, err := MakeMap(a, KInt64, KInt64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Put(a, Int64Value(3), Int64Value(30)); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []float64{3.5, -0.5, math.NaN(), math.Inf(1), math.Inf(-1), 1 << 63, -(1 << 63) - 2048} {
+		if v, ok := m.Get(Float64Value(f)); ok {
+			t.Errorf("int64-keyed map: Get(%g) = (%v, true), want a miss", f, v)
+		}
+		if err := m.Put(a, Float64Value(f), Int64Value(99)); err == nil {
+			t.Errorf("int64-keyed map: Put(%g) succeeded, want an error", f)
+		}
+		err := m.Update(a, Float64Value(f), func(Value, bool) Value { return Int64Value(99) })
+		if err == nil {
+			t.Errorf("int64-keyed map: Update(%g) succeeded, want an error", f)
+		}
+	}
+	if v, _ := m.Get(Int64Value(3)); m.Len() != 1 || v.I != 30 {
+		t.Errorf("int64-keyed map after refused keys: Len %d, Get(3) = %v, want 1 and 30", m.Len(), v)
+	}
+	if v, ok := m.Get(Float64Value(-(1 << 63))); ok { // exact, in range, absent
+		t.Errorf("int64-keyed map: Get(-2^63) = (%v, true), want a miss", v)
+	}
+	if err := m.Put(a, Float64Value(-(1 << 63)), Int64Value(7)); err != nil {
+		t.Errorf("int64-keyed map: Put(-2^63): %v", err)
+	}
+	if v, ok := m.Get(Int64Value(math.MinInt64)); !ok || v.I != 7 {
+		t.Errorf("int64-keyed map: Get(MinInt64) = (%v, %v), want 7", v, ok)
 	}
 }
 

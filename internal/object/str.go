@@ -45,8 +45,9 @@ func StringBytes(r Ref) []byte {
 }
 
 // bytesOfString views a Go string's bytes without copying them (the Go-backed
-// half of Value.StrBytes). The one use of unsafe in the object model: the
-// result aliases immutable memory and must never be written through.
+// half of Value.strBytes). The one use of unsafe in the object model: the
+// result aliases immutable memory and must never be written through, so it
+// never leaves the package.
 func bytesOfString(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }

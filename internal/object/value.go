@@ -16,9 +16,10 @@ import (
 // to the string object on its page and nothing is copied — every KString
 // read off a page (GetField, Vector.At, OMap.Get/Iterate) has this form, and
 // like any KHandle value it is valid exactly as long as that page is. Equal,
-// Less, HashValue and every write into a page treat the two forms alike;
-// read the contents with StrBytes (a view) or Str (a Go string that outlives
-// the page).
+// Less, HashValue and every write into a page treat the two forms alike.
+// Read the contents with Str (a Go string that outlives the page); code that
+// must not copy looks at a handle-backed value's bytes with StringBytes(v.H)
+// and at a Go-backed one (H is nil) with Str, which then copies nothing.
 type Value struct {
 	K Kind
 	I int64
@@ -66,11 +67,11 @@ func (v Value) Str() string {
 	return v.s
 }
 
-// StrBytes returns a KString value's contents without copying: a view of
-// the page for a handle-backed value, of the Go string's bytes otherwise.
-// The view is read-only and, for a handle-backed value, valid only while
-// the page's bytes are. Nil for any other kind.
-func (v Value) StrBytes() []byte {
+// strBytes returns a KString value's contents without copying: a view of
+// the page for a handle-backed value, of the Go string's bytes otherwise
+// (bytesOfString: immutable memory, which is why this view stays inside the
+// package, with readers only). Nil for any other kind.
+func (v Value) strBytes() []byte {
 	if v.K != KString {
 		return nil
 	}
@@ -136,7 +137,7 @@ func (v Value) Equal(o Value) bool {
 		}
 		return false
 	case KString:
-		return o.K == KString && bytes.Equal(v.StrBytes(), o.StrBytes())
+		return o.K == KString && bytes.Equal(v.strBytes(), o.strBytes())
 	case KHandle:
 		return o.K == KHandle && v.H == o.H
 	default:
@@ -163,7 +164,7 @@ func (v Value) Less(o Value) bool {
 		}
 	case KString:
 		if o.K == KString {
-			return bytes.Compare(v.StrBytes(), o.StrBytes()) < 0
+			return bytes.Compare(v.strBytes(), o.strBytes()) < 0
 		}
 	}
 	return false
@@ -179,7 +180,7 @@ func (v Value) String() string {
 	case KFloat64:
 		return fmt.Sprintf("%g", v.F)
 	case KString:
-		return fmt.Sprintf("%q", v.StrBytes())
+		return fmt.Sprintf("%q", v.strBytes())
 	case KHandle:
 		if v.H.IsNil() {
 			return "nil"
@@ -221,7 +222,7 @@ func HashValue(v Value) uint64 {
 		}
 		mix8(math.Float64bits(f))
 	case KString:
-		for _, c := range v.StrBytes() {
+		for _, c := range v.strBytes() {
 			mix(c)
 		}
 	case KHandle:

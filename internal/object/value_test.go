@@ -48,8 +48,8 @@ func TestStringFormsAgree(t *testing.T) {
 						t.Errorf("forms %d/%d: equal strings %q hash differently", i, j, x)
 					}
 				}
-				if vx.Str() != x || string(vx.StrBytes()) != x {
-					t.Errorf("form %d of %q reads back as %q / %q", i, x, vx.Str(), vx.StrBytes())
+				if vx.Str() != x || string(vx.strBytes()) != x {
+					t.Errorf("form %d of %q reads back as %q / %q", i, x, vx.Str(), vx.strBytes())
 				}
 			}
 		}
@@ -57,14 +57,14 @@ func TestStringFormsAgree(t *testing.T) {
 	// A nil handle is the empty string, in every respect.
 	null, empty := StringRefValue(NilRef), StringValue("")
 	if !null.Equal(empty) || !empty.Equal(null) || null.Less(empty) || empty.Less(null) ||
-		HashValue(null) != HashValue(empty) || null.Str() != "" || len(null.StrBytes()) != 0 {
+		HashValue(null) != HashValue(empty) || null.Str() != "" || len(null.strBytes()) != 0 {
 		t.Error("a nil string handle does not behave as the empty string")
 	}
 	if !null.Less(StringValue("a")) || StringValue("a").Less(null) {
 		t.Error("a nil string handle does not order before a non-empty string")
 	}
 	// The accessors answer for KString only.
-	if h := HandleValue(stringForms(t, a, "x")[1].H); h.Str() != "" || h.StrBytes() != nil {
+	if h := HandleValue(stringForms(t, a, "x")[1].H); h.Str() != "" || h.strBytes() != nil {
 		t.Error("Str/StrBytes of a KHandle value must be empty")
 	}
 }

@@ -207,7 +207,7 @@ func (v Vector) Set(a *Allocator, i int, val Value) error {
 		binary.LittleEndian.PutUint64(d[off:], float64bits(val.AsFloat64()))
 	case KString:
 		if val.K == KString {
-			sr, err := MakeStringBytes(a, val.StrBytes())
+			sr, err := MakeStringBytes(a, val.strBytes())
 			if err != nil {
 				return err
 			}
@@ -322,6 +322,22 @@ func (s F64Span) AppendTo(dst []float64) []float64 {
 // into numeric kernels, the analogue of Eigen mapping the raw block).
 func (v Vector) Float64Slice() []float64 {
 	return v.F64Span().AppendTo(make([]float64, 0, v.Len()))
+}
+
+// AppendF64Span bulk-appends the elements of another float64 vector's span,
+// page to page: the bytes are copied as they lie, no Go floats in between. s
+// must not be a span of v itself (growing v may move its storage).
+func (v Vector) AppendF64Span(a *Allocator, s F64Span) error {
+	n := v.Len()
+	if err := v.grow(a, n+s.n); err != nil {
+		return err
+	}
+	if s.n > 0 {
+		copy(v.Page.Data[v.dataRef().Off+uint32(n)*8:], s.d[s.base:s.base+uint32(s.n)*8])
+	}
+	v.setLen(n + s.n)
+	v.Page.Dirty = true
+	return nil
 }
 
 // AppendFloat64s bulk-appends a Go slice into a float64 vector.

@@ -2,6 +2,7 @@ package object
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -126,6 +127,20 @@ func TestVectorFloat64SliceAndAppend(t *testing.T) {
 		if out[i] != in[i] {
 			t.Fatalf("elem %d = %g, want %g", i, out[i], in[i])
 		}
+	}
+
+	// Span to vector, onto another page, twice (the second append grows),
+	// and from an empty span.
+	_, a2 := newTestPage(t, 1<<16)
+	w, _ := MakeVector(a2, KFloat64, len(in))
+	empty, _ := MakeVector(a, KFloat64, 0)
+	for _, sp := range []F64Span{v.F64Span(), empty.F64Span(), v.F64Span()} {
+		if err := w.AppendF64Span(a2, sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := w.Float64Slice(), append(append([]float64{}, in...), in...); !slices.Equal(got, want) {
+		t.Errorf("AppendF64Span twice = %v, want %v", got, want)
 	}
 }
 

@@ -25,12 +25,14 @@ type NativeCtx = lambda.NativeCtx
 // exists yet. Compare, order and hash it with Value.Equal, Value.Less and
 // object.HashValue, and hand it to OMap.Put, Vector.PushBack or
 // object.SetField as it is: the contents move page to page. To look at the
-// bytes call v.StrBytes(), a read-only view that is valid while the input
-// page is — for the duration of the call, never beyond it. To keep the
+// bytes without copying them, object.StringBytes(v.H) views a handle-backed
+// value's (v.H is not nil) on its page — read-only, and valid while the input
+// page is: for the duration of the call, never beyond it. To keep the
 // contents (a Go map key, a field of a Go struct returned to the driver,
 // concatenation) call v.Str(), which copies them into a Go string; that
 // copy is the only allocation a string costs, so take it outside per-row
-// paths where you can. Results may be returned in either form:
+// paths where you can (on a Go-backed value, v.H nil, Str copies nothing).
+// Results may be returned in either form:
 // StringValue(s) for a Go string, StringRefValue(r) for a string object the
 // native allocated with ctx.Alloc.
 type NativeFn = lambda.NativeFn

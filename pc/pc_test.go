@@ -178,8 +178,7 @@ func TestAppendixAKMeans(t *testing.T) {
 						if err != nil {
 							return pc.Value{}, err
 						}
-						var buf [32]float64
-						if err := sum.AppendFloat64s(ctx.Alloc, src.F64Span().AppendTo(buf[:0])); err != nil {
+						if err := sum.AppendF64Span(ctx.Alloc, src.F64Span()); err != nil {
 							return pc.Value{}, err
 						}
 						if err := object.SetHandleField(ctx.Alloc, acc, centroid.Field("data"), sum.Ref); err != nil {
