@@ -2,10 +2,11 @@
 // (cluster.Config.ProcBin): one OS process per worker node, hosting the
 // worker's backend. The master spawns it, reads the "ADDR <addr>" banner
 // it prints on stdout, and dials one control connection per role session
-// (internal/procwork). Shipped jobs arrive as optimized TCAP text plus
-// type schemas; the aggregation families they name must be linked into
-// this binary (internal/agglib) — the names cross the wire, the code is
-// shared by the build.
+// (protocol: internal/procwork; serving loop: cluster.ServeWorker, which
+// runs the role functions an in-process backend runs). Shipped jobs arrive
+// as optimized TCAP text plus type schemas; the aggregation families they
+// name must be linked into this binary (internal/agglib) — the names cross
+// the wire, the code is shared by the build.
 package main
 
 import (
@@ -16,7 +17,7 @@ import (
 	"path/filepath"
 
 	_ "repro/internal/agglib" // named aggregation families, shared with the master
-	"repro/internal/procwork"
+	"repro/internal/cluster"
 )
 
 func main() {
@@ -48,7 +49,7 @@ func main() {
 	// The banner is the spawn contract: the master reads exactly this line
 	// to learn where to dial.
 	fmt.Printf("ADDR %s\n", ln.Addr())
-	if err := procwork.Serve(ln, *worker, *data); err != nil {
+	if err := cluster.ServeWorker(ln, *worker, *data); err != nil {
 		fatal(fmt.Sprintf("pcworker: %v", err))
 	}
 }

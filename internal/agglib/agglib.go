@@ -15,8 +15,15 @@ import (
 	"repro/internal/object"
 )
 
+// families is every family this package registers, by name prefix.
+var families = map[string]core.AggFamilyFn{
+	"sumI64": buildSumI64,
+}
+
 func init() {
-	core.RegisterAggFamily("sumI64", buildSumI64)
+	for prefix, fn := range families {
+		core.RegisterAggFamily(prefix, fn)
+	}
 }
 
 // buildSumI64 constructs the spec for "sumI64|<typeName>|<keyField>|<valField>":

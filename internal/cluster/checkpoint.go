@@ -13,9 +13,13 @@ package cluster
 // exists to pay for), and the restore path reads them back through
 // storage.Server.Pages, exercising the real page-file machinery. Memory-
 // only clusters keep the snapshots in the recovery record instead.
+//
+// The aggregation's store is workerEnv methods: a pcworker process keeps
+// its cuts through the same code, set names and resume files.
 
 import (
 	"fmt"
+	"os"
 	"strings"
 
 	"repro/internal/engine"
@@ -59,17 +63,9 @@ type aggRecovery struct {
 	slots    []int  // spill slots holding the snapshots (over-budget memory mode)
 	resident int64  // bytes the in-memory snapshot reserved with the governor
 
-	// produces names the consuming stage's artifact — the key the durable
-	// resume metadata (resume.go) files under.
+	// produces names the consuming stage's artifact — the key the snapshot
+	// set and the durable resume metadata (resume.go) file under.
 	produces string
-	// restored marks a record pre-populated from durable cut metadata a
-	// previous cluster persisted: the consumer must fast-forward the fresh
-	// exchange past the cut instead of rewinding to it. Cleared once the
-	// fast-forward completes.
-	restored bool
-	// resumed records that the cross-restart resume actually engaged
-	// (ExecStats.ConsumerResumes).
-	resumed bool
 }
 
 // releaseSnapshots returns the previous checkpoint's snapshot bytes to the
@@ -91,54 +87,44 @@ func (rec *aggRecovery) releaseSnapshots(gov *exchange.Governor) {
 // ckptSetName derives a storage-safe snapshot set name from a stage
 // artifact name and worker ID.
 func ckptSetName(produces string, worker int) string {
-	s := strings.NewReplacer(":", "-", "/", "-", ".", "-").Replace(produces)
-	return fmt.Sprintf("agg-%s-w%d", s, worker)
+	return fmt.Sprintf("agg-%s-w%d", fileSafe.Replace(produces), worker)
 }
 
-// persistAggCheckpoint installs ck as the worker's recovery point. With
-// DataDir, the snapshot pages are written through the worker's storage
-// server and dropped from memory — the restore proves the round trip.
+// fileSafe makes an artifact or set name usable inside a file name.
+var fileSafe = strings.NewReplacer(":", "-", "/", "-", ".", "-")
+
+// persistAggCheckpoint installs ck as the worker's recovery point. On a
+// disk-backed worker the snapshot pages are written through its storage
+// server and dropped from memory — the restore proves the round trip —
+// and, with durable cuts, the cut's metadata follows into a resume file.
 // Memory-only clusters keep the snapshot bytes in the recovery record,
 // unless the worker's memory governor (Config.MemoryBudget) refuses them:
 // then the snapshots go straight to the step's spill pool and only their
 // slots stay resident.
-func (c *Cluster) persistAggCheckpoint(w *Worker, rec *aggRecovery, produces string,
-	ck *engine.MergeCheckpoint, gov *exchange.Governor) error {
-	c.Cfg.Fault.Hit(fault.Checkpoint, w.ID)
-	if err := c.Cfg.Fault.ErrAt(fault.CheckpointIO, w.ID); err != nil {
+func (e *workerEnv) persistAggCheckpoint(rec *aggRecovery, ck *engine.MergeCheckpoint, gov *exchange.Governor) error {
+	e.fault.Hit(fault.Checkpoint, e.id)
+	if err := e.fault.ErrAt(fault.CheckpointIO, e.id); err != nil {
 		return fmt.Errorf("cluster: persisting consumer checkpoint: %w", err)
 	}
-	if c.Cfg.DataDir != "" {
-		set := ckptSetName(produces, w.ID)
-		_ = w.Front.Store.Drop(checkpointDb, set) // first checkpoint: nothing to drop
+	if e.store.Dir() != "" {
+		set := ckptSetName(rec.produces, e.id)
+		_ = e.store.Drop(checkpointDb, set) // first checkpoint: nothing to drop
 		pages := make([]*object.Page, len(ck.Subs))
 		for i, sub := range ck.Subs {
-			pg, err := object.FromBytes(append([]byte(nil), sub.Data...), w.Reg())
+			pg, err := object.FromBytes(append([]byte(nil), sub.Data...), e.reg)
 			if err != nil {
 				return err
 			}
 			pages[i] = pg
 		}
-		if err := w.Front.Store.Append(checkpointDb, set, pages); err != nil {
+		if err := e.store.Append(checkpointDb, set, pages); err != nil {
 			return err
 		}
 		rec.diskSet = set
 		for i := range ck.Subs {
 			ck.Subs[i].Data = nil // restore re-reads the bytes from storage
 		}
-		rec.ckpt = ck
-		rec.saves++
-		if c.Cfg.ResumeOnRestart {
-			// Make the cut restart-durable: persist its metadata next to
-			// the snapshot set, so a new cluster on this DataDir can
-			// resume the merge from here.
-			if err := c.saveAggResume(w, rec, produces, ck); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if gov != nil {
+	} else if gov != nil {
 		// The new cut supersedes the previous one; its snapshot bytes
 		// return to the budget before the new snapshot claims room.
 		rec.releaseSnapshots(gov)
@@ -163,14 +149,20 @@ func (c *Cluster) persistAggCheckpoint(w *Worker, rec *aggRecovery, produces str
 	}
 	rec.ckpt = ck
 	rec.saves++
+	if rec.diskSet != "" && e.durableCuts {
+		// Make the cut outlive the process: persist its metadata next to
+		// the snapshot set, so a new process on this directory can resume
+		// the merge from here.
+		return e.saveAggResume(rec, ck)
+	}
 	return nil
 }
 
-// loadAggCheckpoint returns the checkpoint a re-forked consumer resumes
-// from (nil when no cut was ever saved — full replay). In DataDir mode the
-// snapshot bytes are read back through the storage server; snapshots the
-// governor spilled are read back from the step's spill pool.
-func (c *Cluster) loadAggCheckpoint(w *Worker, rec *aggRecovery, gov *exchange.Governor) (*engine.MergeCheckpoint, error) {
+// loadAggCheckpoint returns the checkpoint a restarted consumer resumes
+// from (nil when no cut was ever saved — full replay). On a disk-backed
+// worker the snapshot bytes are read back through the storage server;
+// snapshots the governor spilled are read back from the step's spill pool.
+func (e *workerEnv) loadAggCheckpoint(rec *aggRecovery, gov *exchange.Governor) (*engine.MergeCheckpoint, error) {
 	if rec.ckpt == nil {
 		return nil, nil
 	}
@@ -188,7 +180,7 @@ func (c *Cluster) loadAggCheckpoint(w *Worker, rec *aggRecovery, gov *exchange.G
 	if rec.diskSet == "" {
 		return rec.ckpt, nil
 	}
-	pages, err := w.Front.Store.Pages(checkpointDb, rec.diskSet)
+	pages, err := e.store.Pages(checkpointDb, rec.diskSet)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: restoring consumer checkpoint: %w", err)
 	}
@@ -206,15 +198,17 @@ func (c *Cluster) loadAggCheckpoint(w *Worker, rec *aggRecovery, gov *exchange.G
 	return ck, nil
 }
 
-// dropAggCheckpoint discards a committed consumer's snapshots — the
-// storage set in DataDir mode, spill slots and budget reservation under a
-// governor.
-func (c *Cluster) dropAggCheckpoint(w *Worker, rec *aggRecovery, gov *exchange.Governor) {
+// dropAggCheckpoint discards a consumer's snapshots — the storage set and
+// resume file on a disk-backed worker, spill slots and budget reservation
+// under a governor.
+func (e *workerEnv) dropAggCheckpoint(rec *aggRecovery, gov *exchange.Governor) {
 	if rec.diskSet != "" {
-		_ = w.Front.Store.Drop(checkpointDb, rec.diskSet)
+		_ = e.store.Drop(checkpointDb, rec.diskSet)
 		rec.diskSet = ""
 	}
-	c.dropAggResume(w, rec.produces)
+	if e.store.Dir() != "" {
+		os.Remove(e.resumePath(rec.produces))
+	}
 	rec.releaseSnapshots(gov)
 }
 

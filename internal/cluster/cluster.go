@@ -14,14 +14,52 @@
 //
 // Execute compiles a computation graph to TCAP (internal/core), optimizes
 // it (internal/optimizer), plans job stages (internal/physical), and runs
-// each stage on every worker in parallel (runStage), retrying a worker's
-// share once when its backend crashes. Per-worker stage execution goes
-// through the engine's shared parallel driver
-// (engine.RunPipelineThreads): the worker's source batches are split into
-// Config.Threads contiguous chunks, each driven by a dedicated executor
-// thread with a private pipeline, context, output page set, and sink.
-// Output and join-build artifacts are committed only after the all-workers
-// barrier, so no goroutine writes a map a peer is reading.
+// each schedulable step — a barrier stage, or an exchange-linked stage pair
+// — on every worker in parallel. Per-worker stage execution goes through
+// the engine's shared parallel driver (engine.RunPipelineThreads, under
+// workerEnv.drivePipeline, the scaffold every pipeline-running role
+// shares): the worker's source batches are split into Config.Threads
+// contiguous chunks, each driven by a dedicated executor thread with a
+// private pipeline, context, output page set, and sink. Output and
+// join-build artifacts are committed only after the all-workers barrier,
+// so no goroutine writes a map a peer is reading.
+//
+// # Step runner
+//
+// Every step — a barrier stage, the aggregation and sort stage pairs, the
+// hash-partition and co-partitioned joins — is a list of roles, each one
+// worker's share of the work (a stage pipeline, a shuffle producer, a
+// streaming consumer, a join probe), and the protocol around the roles is
+// written once (step.go, retry.go):
+//
+//   - runStep fans the roles out, cancels the step's exchanges on the first
+//     failure so blocked siblings return, waits for every role, discards
+//     the pages a failed step still holds, and reports the step's telemetry
+//     (ExecStats.Ships).
+//   - runRole owns the crash policy. A panic in user code kills the
+//     backend; the front end re-forks it and the role is retried within
+//     Config.MaxRetries, accounted per role in ExecStats.RoleRetries. A
+//     crash that repeats identically on the retried attempt is treated as a
+//     deterministic user bug and fails the job immediately with the failing
+//     role and worker in the error. In proc mode the backend is a pcworker
+//     OS process and the crash is the process dying under the role's
+//     session: same budget, same accounting.
+//   - positionConsumer owns the replay policy. A (re)started consumer names
+//     the cut its restored state covers, and the exchange replays from the
+//     stream's start (a fresh merge), rewinds to the cut (a re-forked
+//     backend or respawned process), or fast-forwards a re-streamed job
+//     past it (a restarted cluster, Config.ResumeOnRestart).
+//
+// An operator keeps only what is its own: its sinks, its recovery record,
+// its failure cleanup. The aggregation's role pair and checkpoint store are
+// functions of a small per-worker environment (workerEnv), not of the
+// Cluster, so a pcworker process runs the very same functions with its
+// control socket as its end of the shuffle (procserve.go): one crash
+// policy, one replay policy, and one durable-cut layout — _ckpt/agg-…
+// snapshot sets and worker-N/resume-*.json files — in both modes.
+// docs/FAULTS.md tabulates the full fault model (role × crash site →
+// recovery outcome), and internal/fault injects deterministic crashes and
+// I/O errors at every site via Config.Fault.
 //
 // # Streaming shuffle
 //
@@ -37,34 +75,20 @@
 // order regardless of arrival order, so results do not depend on the
 // schedule.
 //
-// Crash semantics under streaming: a backend that crashes while producing
-// a shuffle is re-forked and its producing run retried from scratch; the
-// deterministic re-run re-sends the same tagged pages and the exchange
-// drops the retry's duplicates at the sender, so the merge sees every page
-// exactly once. A crash inside the consuming merge (user combine/finalize
-// code, or the join build's key lambda) is replayable too: the consumer
-// checkpoints its merged sub-maps — or cloned join-table buckets — every
-// Config.CheckpointInterval pages and acknowledges each cut to the
-// exchange, which retains delivered pages until they are acknowledged. On
-// a consumer crash the scheduler re-forks the backend, restores the last
+// That determinism is what makes both halves replayable. A retried
+// producer re-runs from scratch and re-sends the same tagged pages; the
+// exchange drops the duplicates at the sender, so the merge sees every page
+// exactly once. A consumer checkpoints its state — merged sub-maps, cloned
+// join-table buckets, the join's probe cursor and emitted-match count,
+// the sort's merge cursor — every Config.CheckpointInterval pages and
+// acknowledges each cut to the exchange, which retains delivered pages
+// until they are acknowledged; a retried consumer restores the last
 // checkpoint (reading snapshot pages back through the storage server when
-// Config.DataDir is set, from in-memory snapshots otherwise), rewinds the
-// exchange to the cut, and resumes the merge over only the replayed
-// suffix — producing output bit-for-bit identical to a crash-free run. The
-// join's probe/emit phase is recoverable the same way: the consumer
-// checkpoints a probe cursor and emitted-match count alongside the build
-// table's cloned buckets, and a replay skips already-emitted matches so
-// user emit code observes each match exactly once (join.go, "Probe/emit
-// recovery").
-//
-// Retries are bounded and accounted: Config.MaxRetries caps the re-fork
-// retries any single role gets, ExecStats.RoleRetries breaks them out per
-// role, and a crash that repeats identically on the retried attempt is
-// treated as a deterministic user bug and fails the job immediately with
-// the failing role and worker in the error. docs/FAULTS.md tabulates the
-// full fault model (role × crash site → recovery outcome), and
-// internal/fault injects deterministic crashes and I/O errors at every
-// site via Config.Fault.
+// Config.DataDir is set, from in-memory snapshots otherwise) and resumes
+// over only the replayed suffix, bit-for-bit identical to a crash-free run
+// and with user emit code observing each match exactly once
+// (runExchangeGroup, consumeSortStream, and HashPartitionJoinKind's
+// "Probe/emit recovery" carry the per-operator detail).
 //
 // # Sink-merge protocol
 //
@@ -76,7 +100,7 @@
 //   - Join build: per-thread hash tables merge bucket-wise, preserving
 //     sequential per-bucket row order (broadcast-join build stages and
 //     CoPartitionedJoin's local builds).
-//   - Join probe (HashPartitionJoin/CoPartitionedJoin): probe threads
+//   - Join probe (HashPartitionJoinKind/CoPartitionedJoin): probe threads
 //     buffer matches and the worker emits them after the barrier in
 //     thread order, so a worker's emit calls stay serialized (workers
 //     still emit in parallel with each other, as they always did).
@@ -89,6 +113,7 @@ package cluster
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -314,12 +339,12 @@ func (w *Worker) Reg() *object.Registry { return w.Front.Local.Registry() }
 
 // mergeStats folds per-thread counters into the current backend's
 // accounting (post-role, under the worker's stats lock).
-func (w *Worker) mergeStats(stats ...*engine.Stats) {
+func (w *Worker) mergeStats(stats ...engine.Stats) {
 	w.statsMu.Lock()
 	defer w.statsMu.Unlock()
 	b := w.Front.Backend()
-	for _, s := range stats {
-		b.Stats.Merge(s)
+	for i := range stats {
+		b.Stats.Merge(&stats[i])
 	}
 }
 
@@ -334,8 +359,8 @@ type Cluster struct {
 	// across job stages and jobs.
 	pool *object.PagePool
 
-	// procs manages spawned pcworker OS processes when Config.Proc is set
-	// (proc.go); nil in the in-process modes.
+	// procs manages spawned pcworker OS processes when Config.ProcBin is
+	// set (procexec.go); nil in the in-process modes.
 	procs *procSet
 
 	// manifestMu serializes catalog-manifest writes (restore.go).
@@ -376,8 +401,7 @@ func New(cfg Config) (*Cluster, error) {
 		ps := &procSet{}
 		for i := 0; i < cfg.Workers; i++ {
 			ps.workers = append(ps.workers, &procWorker{
-				id: i, bin: cfg.ProcBin, network: network,
-				dataDir: fmt.Sprintf("%s/worker-%d", cfg.DataDir, i),
+				id: i, bin: cfg.ProcBin, network: network, dataDir: c.workerSubdir(i, ""),
 			})
 		}
 		c.procs = ps
@@ -390,11 +414,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		local := catalog.NewLocal(c.Catalog)
-		dir := ""
-		if cfg.DataDir != "" {
-			dir = fmt.Sprintf("%s/worker-%d", cfg.DataDir, i)
-		}
-		store, err := storage.NewServer(dir, local.Registry())
+		store, err := storage.NewServer(c.workerSubdir(i, ""), local.Registry())
 		if err != nil {
 			return nil, err
 		}
@@ -407,6 +427,15 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// workerSubdir is worker i's directory under DataDir (DataDir/worker-i) or,
+// with sub, a subdirectory of it; "" on a memory-only cluster.
+func (c *Cluster) workerSubdir(i int, sub string) string {
+	if c.Cfg.DataDir == "" {
+		return ""
+	}
+	return filepath.Join(c.Cfg.DataDir, fmt.Sprintf("worker-%d", i), sub)
 }
 
 // RegisterType registers a user type with the master catalog; workers fault
@@ -468,15 +497,17 @@ func (c *Cluster) SetBytes(db, set string) int64 {
 
 // ScanSet iterates every object of a set across all workers (gathering to
 // the "client": each worker's pages are read in place — no shipping needed
-// inside the simulation, matching a client-side cursor).
+// inside the simulation, matching a client-side cursor). A worker that
+// holds no pages of the set contributes nothing; a worker whose stored
+// pages fail to read or decode fails the scan with the storage error.
 func (c *Cluster) ScanSet(db, set string, fn func(r object.Ref) bool) error {
 	if _, err := c.Catalog.LookupSet(db, set); err != nil {
 		return err
 	}
 	for _, w := range c.Workers {
-		pages, err := w.Front.Store.Pages(db, set)
+		pages, err := storedPages(w.Front.Store, db, set)
 		if err != nil {
-			continue // set may have no data on this worker
+			return err
 		}
 		for _, p := range pages {
 			if p.Root() == 0 {
@@ -501,23 +532,19 @@ func (c *Cluster) CountSet(db, set string) (int, error) {
 }
 
 // Close tears the cluster down: socket transports release their listener,
-// dialed connections, and socket files, and proc mode (Config.Proc) kills
+// dialed connections, and socket files, and proc mode (Config.ProcBin) kills
 // every spawned pcworker process and waits for it to exit. Stored data under
 // Config.DataDir is untouched — a cluster reopened on the same directory
 // restores its sets and resumes any mid-stream job from persisted cut
 // metadata. Idempotent; safe on a cluster whose transport is the default
 // in-process copier (no-op there).
 func (c *Cluster) Close() error {
-	var first error
 	if c.procs != nil {
-		if err := c.procs.Close(); err != nil && first == nil {
-			first = err
+		for _, pw := range c.procs.workers {
+			pw.stop() // kill, reap, remove the control socket
 		}
 	}
-	if err := c.Transport.Close(); err != nil && first == nil {
-		first = err
-	}
-	return first
+	return c.Transport.Close()
 }
 
 // DropSet removes a set cluster-wide.

@@ -342,7 +342,7 @@ func TestHashPartitionJoin(t *testing.T) {
 		return object.GetStrField(l, deptField) == object.GetStrField(r, deptField)
 	}
 	var matches int64
-	err := c.HashPartitionJoin("db", "emps", "db", "others", key, key, eq,
+	_, err := c.HashPartitionJoinKind(core.JoinInner, "db", "emps", "db", "others", key, key, eq,
 		func(workerID int, l, r object.Ref) error {
 			atomic.AddInt64(&matches, 1)
 			return nil

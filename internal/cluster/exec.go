@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/optimizer"
 	"repro/internal/physical"
+	"repro/internal/procwork"
 	"repro/internal/tcap"
 )
 
@@ -121,35 +121,22 @@ func (c *Cluster) Execute(writes ...*core.Write) (*ExecStats, error) {
 			continue
 		}
 		beforeBytes, beforePages := c.Transport.Stats().Counters()
-		var tel exchangeTelemetry
+		var ship StageShip
 		if stage.ExchangeTo != nil {
-			switch {
-			case stage.ExchangeTo.Kind == physical.StageSortMerge:
+			if stage.ExchangeTo.Kind == physical.StageSortMerge {
 				// Sort plans never reach proc mode (prepareProcs rejects
 				// them), so the in-process merge network is the only path.
-				tel, err = c.runSortGroup(res, stage, stage.ExchangeTo, stats)
-			case c.Cfg.ProcBin != "":
-				tel, err = c.procExchangeGroup(res, stage, stage.ExchangeTo, stats)
-			default:
-				tel, err = c.runExchangeGroup(res, stage, stage.ExchangeTo, stats)
+				ship, err = c.runSortGroup(res, stage, stage.ExchangeTo, stats)
+			} else {
+				ship, err = c.runExchangeGroup(res, stage, stage.ExchangeTo, stats)
 			}
 			done[stage.ExchangeTo] = true
 		} else {
 			err = c.runStage(res, stage, stats)
 		}
 		afterBytes, afterPages := c.Transport.Stats().Counters()
-		stats.Ships = append(stats.Ships, StageShip{
-			Stage: stage.ID,
-			Bytes: afterBytes - beforeBytes,
-			Pages: afterPages - beforePages,
-
-			MaxBytesInFlight: tel.hwm,
-			MaxReorderPages:  tel.reorderPages,
-			Checkpoints:      tel.checkpoints,
-			SpilledPages:     tel.spilledPages,
-			SpilledBytes:     tel.spilledBytes,
-			MaxBufferedBytes: tel.maxBuffered,
-		})
+		ship.Stage, ship.Bytes, ship.Pages = stage.ID, afterBytes-beforeBytes, afterPages-beforePages
+		stats.Ships = append(stats.Ships, ship)
 		if err != nil {
 			return stats, fmt.Errorf("cluster: stage %d (%s): %w", stage.ID, stage.Produces, err)
 		}
@@ -194,20 +181,15 @@ func (c *Cluster) commitArtifacts(arts []*workerArtifacts) error {
 	return nil
 }
 
-// noteRetry builds a runRole onRetry callback accounting one crash retry
-// under mu.
-func noteRetry(mu *sync.Mutex, stats *ExecStats, role string, consumerRecovery bool) func() {
+// noteRetry builds a role's onRetry callback accounting one crash retry
+// (runStep serializes the calls).
+func (s *ExecStats) noteRetry(role string, consumerRecovery bool) func() {
 	return func() {
-		mu.Lock()
-		stats.Retries++
-		if stats.RoleRetries == nil {
-			stats.RoleRetries = map[string]int{}
-		}
-		stats.RoleRetries[role]++
+		s.Retries++
+		s.RoleRetries[role]++
 		if consumerRecovery {
-			stats.ConsumerRecoveries++
+			s.ConsumerRecoveries++
 		}
-		mu.Unlock()
 	}
 }
 
@@ -215,65 +197,33 @@ func noteRetry(mu *sync.Mutex, stats *ExecStats, role string, consumerRecovery b
 // retrying a worker's share within Config.MaxRetries if its backend
 // crashes (the front end re-forks it — paper §2's crash-proof front end).
 func (c *Cluster) runStage(res *core.CompileResult, stage *physical.JobStage, stats *ExecStats) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(c.Workers))
-	arts := make([]*workerArtifacts, len(c.Workers))
-	var mu sync.Mutex
-
-	for i, w := range c.Workers {
-		wg.Add(1)
-		go func(i int, w *Worker) {
-			defer wg.Done()
-			errs[i] = c.runRole(w, rolePipeline, stage.Produces, nil,
-				noteRetry(&mu, stats, rolePipeline, false), func() error {
-					out, err := c.runStageOnWorker(res, stage, w)
-					if err != nil {
-						return err
-					}
-					arts[i] = out
-					return nil
-				})
-		}(i, w)
+	if stage.Kind != physical.StagePipeline || stage.Sink == physical.SinkPreAgg {
+		// Pre-aggregation producers and aggregation consumers are
+		// exchange-linked and scheduled by runExchangeGroup.
+		return fmt.Errorf("stage kind %d/sink %v must run through the exchange", stage.Kind, stage.Sink)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	arts := make([]*workerArtifacts, len(c.Workers))
+	roles := make([]role, len(c.Workers))
+	for i, w := range c.Workers {
+		roles[i] = role{w: w, name: rolePipeline, what: stage.Produces,
+			onRetry: stats.noteRetry(rolePipeline, false),
+			body: func() (err error) {
+				arts[i], err = c.runPipelineOnWorker(res, stage, w)
+				return err
+			}}
+	}
+	if _, err := c.runStep(roles, nil); err != nil {
+		return err
 	}
 	return c.commitArtifacts(arts)
 }
 
-// sourcePagesFor resolves a stage's input pages on one worker.
-func (c *Cluster) sourcePagesFor(stage *physical.JobStage, w *Worker) ([]*object.Page, error) {
-	if stage.Scan != nil {
-		pages, err := w.Front.Store.Pages(stage.Scan.Db, stage.Scan.Set)
-		if err != nil {
-			// A worker may simply hold no pages of this set.
-			return nil, nil
-		}
-		return pages, nil
-	}
-	return w.artPages["mat:"+stage.SourceList], nil
-}
-
-func (c *Cluster) runStageOnWorker(res *core.CompileResult, stage *physical.JobStage, w *Worker) (*workerArtifacts, error) {
-	switch {
-	case stage.Kind == physical.StagePipeline && stage.Sink != physical.SinkPreAgg:
-		return c.runPipelineOnWorker(res, stage, w)
-	default:
-		// Pre-aggregation producers and aggregation consumers are
-		// exchange-linked and scheduled by runExchangeGroup.
-		return nil, fmt.Errorf("stage kind %d/sink %v must run through the exchange", stage.Kind, stage.Sink)
-	}
-}
-
 // newStageSink builds one executor thread's private sink for a barrier
 // pipeline stage, charging page counters to the thread's stats.
-func (c *Cluster) newStageSink(res *core.CompileResult, stage *physical.JobStage, w *Worker, stats *engine.Stats) (engine.Sink, error) {
+func (e *workerEnv) newStageSink(stage *physical.JobStage, stats *engine.Stats) (engine.Sink, error) {
 	switch stage.Sink {
 	case physical.SinkOutput, physical.SinkMaterialize:
-		return engine.NewOutputSink(w.Reg(), c.Cfg.PageSize, c.pool, stats)
+		return engine.NewOutputSink(e.reg, e.pageSize, e.pool, stats)
 	case physical.SinkJoinBuild:
 		if jt := stage.SinkStmt.Info["joinType"]; jt == "semi" || jt == "anti" {
 			// Semi/anti joins build an exact key-value set from the raw
@@ -287,11 +237,8 @@ func (c *Cluster) newStageSink(res *core.CompileResult, stage *physical.JobStage
 }
 
 // runPipelineOnWorker executes a barrier pipeline stage on one worker
-// across Config.Threads executor threads via the engine's shared stage
-// driver: the worker's source batches are split into contiguous chunks,
-// each driven through a private Pipeline/Ctx/sink (per-thread output pages,
-// per-thread stats — nothing shared on the hot path), and the per-thread
-// results are combined after the barrier:
+// across Config.Threads executor threads (workerEnv.drivePipeline) and
+// combines the per-thread results after the barrier:
 //
 //   - OUTPUT / materialize sinks: per-thread pages are concatenated in
 //     thread order, which is source order because chunks are contiguous.
@@ -301,7 +248,8 @@ func (c *Cluster) newStageSink(res *core.CompileResult, stage *physical.JobStage
 // (Pre-aggregation sinks stream through the exchange instead; see
 // runExchangeGroup.)
 func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.JobStage, w *Worker) (*workerArtifacts, error) {
-	pages, err := c.sourcePagesFor(stage, w)
+	env := c.env(w)
+	pages, err := env.sourcePages(stage)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +257,7 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 	// Broadcast join build: every worker needs the complete build input,
 	// so pages from the other workers are shipped over (the scheduler
 	// chose broadcast because the build side is small; see
-	// HashPartitionJoin for the large-side strategy). The inputs are
+	// HashPartitionJoinKind for the large-side strategy). The inputs are
 	// already materialized — there is no production to overlap — so this
 	// stays a batch ship, not an exchange.
 	if stage.Sink == physical.SinkJoinBuild {
@@ -317,7 +265,7 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 			if other == w {
 				continue
 			}
-			otherPages, err := c.sourcePagesFor(stage, other)
+			otherPages, err := c.env(other).sourcePages(stage)
 			if err != nil {
 				return nil, err
 			}
@@ -344,31 +292,10 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 		}
 	}
 
-	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), c.Cfg.Threads)
-	if len(chunks) == 0 {
-		// No input on this worker: a single empty chunk still builds
-		// the sink, so the stage's artifact contract (possibly empty
-		// pages, an empty join table) is honored.
-		chunks = [][]engine.PageRange{nil}
-	}
-
-	pt, err := engine.RunPipelineThreads(chunks, stage.SourceCol, stage.Stmts, res.Stages, sinkStmt,
-		func(t int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, *engine.Ctx, error) {
-			sink, err := c.newStageSink(res, stage, w, stats)
-			if err != nil {
-				return nil, nil, err
-			}
-			ctx, err := engine.NewSinkCtx(sink, w.Reg(), w.artTables, c.Cfg.PageSize, c.pool, stats)
-			if err != nil {
-				return nil, nil, err
-			}
-			return sink, ctx, nil
+	pt, err := env.drivePipeline(res, stage, pages, sinkStmt,
+		func(_ int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, error) {
+			return env.newStageSink(stage, stats)
 		}, nil)
-	// Fold per-thread counters into the backend even on error, matching
-	// the sequential path's incremental accounting.
-	for t := range pt.Stats {
-		w.mergeStats(&pt.Stats[t])
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -417,25 +344,6 @@ func (c *Cluster) newShuffleExchange(replayable bool, releaseDelivered func(*obj
 	})
 }
 
-// exchangeTelemetry is one exchange-linked step's observability record.
-type exchangeTelemetry struct {
-	hwm          int64
-	reorderPages int64
-	checkpoints  int
-	spilledPages int64
-	spilledBytes int64
-	maxBuffered  int64
-}
-
-// streamErr translates an exchange send aborted by sibling-thread failure
-// into the engine's abort sentinel, so the root cause wins error reporting.
-func streamErr(err error) error {
-	if errors.Is(err, exchange.ErrProducerStopped) {
-		return engine.ErrAborted
-	}
-	return err
-}
-
 // runExchangeGroup executes an exchange-linked stage pair — a
 // pre-aggregation producer and its aggregation consumer (paper Appendix
 // D.2, Figure 5) — concurrently on every worker. Each producer thread's
@@ -456,257 +364,216 @@ func streamErr(err error) error {
 // crash-free run. When the step fails anyway (retries exhausted, a
 // deterministic crash, or an injected I/O error), the failure path
 // releases everything the step still holds: undelivered and retained
-// exchange pages (Exchange.Discard), checkpoint snapshots, spill slots.
-func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical.JobStage, stats *ExecStats) (exchangeTelemetry, error) {
+// exchange pages (runStep), checkpoint snapshots, spill slots.
+//
+// In proc mode (Config.ProcBin) the step is the same — same exchange, same
+// roles, same retry accounting — with each role's body a session that has
+// the worker's pcworker process run the role function and relays its end
+// of the stream (procrun.go).
+func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical.JobStage, stats *ExecStats) (StageShip, error) {
 	nw := len(c.Workers)
 	interval := c.checkpointEvery(cons)
 	govs, closeGovs := c.stepGovernors()
 	defer closeGovs()
+	proc := c.procs != nil
+	var opener *procwork.Msg
+	if proc {
+		// No governors: the exchange lives in the master, whose memory a
+		// per-backend budget does not describe.
+		govs, opener = nil, c.sessionOpener(res)
+	}
 	ex := c.newShuffleExchange(interval > 0, func(p *object.Page) { c.pool.Put(p) }, govs)
 	arts := make([]*workerArtifacts, nw)
-	errs := make([]error, 2*nw)
 	recs := make([]*aggRecovery, nw)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
+	ends := make([]*exchangeEnd, nw)
+	roles := make([]role, 2*nw)
 	for i, w := range c.Workers {
-		wg.Add(1)
-		go func(i int, w *Worker) { // producer role
-			defer wg.Done()
-			err := c.runRole(w, roleProducer, prod.Produces, nil,
-				noteRetry(&mu, stats, roleProducer, false), func() error {
-					return c.runPreAggStreamOnWorker(res, prod, w, ex)
-				})
-			if err != nil {
-				errs[i] = err
-				ex.Cancel(err)
-				return
-			}
-			ex.CloseProducer(i)
-		}(i, w)
-		wg.Add(1)
-		go func(i int, w *Worker) { // consumer role
-			defer wg.Done()
-			rec := &aggRecovery{produces: cons.Produces}
-			recs[i] = rec
-			err := c.runRole(w, roleConsumer, cons.Produces,
-				func() bool { return interval > 0 },
-				noteRetry(&mu, stats, roleConsumer, true), func() error {
-					var gov *exchange.Governor
-					if govs != nil {
-						gov = govs[w.ID]
-					}
-					a, err := c.consumeAggStream(res, cons, w, ex, interval, rec, gov)
-					if err != nil {
-						return err
-					}
-					arts[i] = a
-					return nil
-				})
-			if err != nil {
-				errs[nw+i] = err
-				ex.Cancel(err)
-			}
-		}(i, w)
+		env, gov := c.env(w), governorOf(govs, i)
+		end := &exchangeEnd{ex: ex, worker: i, replayable: interval > 0}
+		rec := &aggRecovery{produces: cons.Produces}
+		ends[i], recs[i] = end, rec
+		produce := func() error { return env.runPreAggStream(res, prod, end) }
+		consume := func() ([]*object.Page, error) { return env.consumeAggStream(res, cons, end, interval, rec, gov) }
+		if proc {
+			produce = func() error { return c.procProduce(w, opener, prod, end) }
+			consume = func() ([]*object.Page, error) { return c.procConsume(w, opener, cons, end, interval, rec) }
+		}
+		roles[i] = role{w: w, proc: proc, name: roleProducer, what: prod.Produces,
+			onRetry: stats.noteRetry(roleProducer, false),
+			body:    produce,
+			closes:  ex}
+		roles[nw+i] = role{w: w, proc: proc, name: roleConsumer, what: cons.Produces, noRetry: interval <= 0,
+			onRetry: stats.noteRetry(roleConsumer, true),
+			saves:   &rec.saves,
+			body: func() error {
+				pages, err := consume()
+				if err != nil {
+					return err
+				}
+				// The artifact is about to commit: discard the recovery
+				// snapshots (a worker process has dropped its own).
+				arts[i] = &workerArtifacts{pages: pages, pagesKey: cons.Produces}
+				env.dropAggCheckpoint(rec, gov)
+				return nil
+			}}
 	}
-	wg.Wait()
-	tel := exchangeTelemetry{hwm: ex.MaxBytesInFlight(), reorderPages: ex.MaxReorderPages()}
-	for _, rec := range recs {
-		if rec != nil {
-			tel.checkpoints += rec.saves
-			if rec.resumed {
-				stats.ConsumerResumes++
-			}
+	ship, err := c.runStep(roles, govs, ex)
+	for _, end := range ends {
+		if end.resumed {
+			stats.ConsumerResumes++
 		}
 	}
-	c.Transport.Stats().NoteExchange(tel.hwm, tel.reorderPages, tel.checkpoints)
-	for _, err := range errs {
-		if err != nil {
-			// Failure cleanup: both roles have returned, so nothing
-			// touches the exchange or the recovery records anymore.
-			// Release every page the step still holds — undelivered lane
-			// messages, replay retention — and every worker's checkpoint
-			// snapshots, so the step's governors and spill pools close
-			// with zero live slots and no _ckpt sets survive.
-			ex.Discard()
-			// A crash-type failure on a ResumeOnRestart cluster keeps the
-			// durable recovery state (_ckpt snapshot sets and resume
-			// metadata) on disk: that state is exactly what lets a restarted
-			// cluster resume this job mid-stream. Every other failure — and
-			// every cluster without the opt-in — cleans up as always.
-			keep := c.Cfg.ResumeOnRestart && c.Cfg.DataDir != "" &&
-				(errors.Is(err, errBackendCrashed) || errors.Is(err, errBackendDead))
-			for j, w := range c.Workers {
-				if recs[j] == nil {
-					continue
-				}
-				var gov *exchange.Governor
-				if govs != nil {
-					gov = govs[j]
-				}
-				if keep {
-					// Governor bookkeeping still closes (DataDir snapshots
-					// hold no slots or reservations); the disk state stays.
-					recs[j].releaseSnapshots(gov)
-					continue
-				}
-				c.dropAggCheckpoint(w, recs[j], gov)
-			}
-			tel.spilledPages, tel.spilledBytes, tel.maxBuffered = c.spillTelemetry(govs)
-			return tel, err
+	if err != nil {
+		// Proc mode leaves its workers' durable recovery state alone: it
+		// is theirs to keep — exactly what lets a new cluster (or a
+		// respawned worker) resume this job — and a successful future
+		// consume drops it.
+		if !proc {
+			c.cleanAggRecovery(err, recs, govs)
 		}
+		return ship, err
 	}
-	tel.spilledPages, tel.spilledBytes, tel.maxBuffered = c.spillTelemetry(govs)
-	return tel, c.commitArtifacts(arts)
+	return ship, c.commitArtifacts(arts)
 }
 
-// runPreAggStreamOnWorker is the producer half of a streaming shuffle: the
-// pre-aggregation pipeline runs across Config.Threads executor threads, and
-// each thread's AggSink broadcasts every sealed page to all consumers the
-// moment it fills (each consumer owns one hash partition of every page).
-// The thread flushes its final live page and sends its close marker on the
-// way out, so each channel carries the thread's stream in sequence order.
-func (c *Cluster) runPreAggStreamOnWorker(res *core.CompileResult, stage *physical.JobStage, w *Worker, ex *exchange.Exchange) error {
+// cleanAggRecovery is the failed aggregation step's own cleanup, after
+// runStep has discarded the exchange: every worker's checkpoint snapshots
+// go, so the step's governors and spill pools close with zero live slots
+// and no _ckpt sets survive. A crash-type failure on a ResumeOnRestart
+// cluster keeps the durable recovery state (_ckpt snapshot sets and resume
+// metadata) on disk instead: that state is exactly what lets a restarted
+// cluster resume this job mid-stream. Every other failure — and every
+// cluster without the opt-in — cleans up as always.
+func (c *Cluster) cleanAggRecovery(err error, recs []*aggRecovery, govs []*exchange.Governor) {
+	keep := c.keepsResumeState(err)
+	for j, w := range c.Workers {
+		if keep {
+			// Governor bookkeeping still closes (DataDir snapshots hold no
+			// slots or reservations); the disk state stays.
+			recs[j].releaseSnapshots(governorOf(govs, j))
+			continue
+		}
+		c.env(w).dropAggCheckpoint(recs[j], governorOf(govs, j))
+	}
+}
+
+// keepsResumeState reports whether a step that failed with err leaves its
+// durable recovery state on disk for a restarted cluster to resume from: a
+// crash-type failure (backend crash, retries exhausted, worker process
+// death) on a ResumeOnRestart cluster.
+func (c *Cluster) keepsResumeState(err error) bool {
+	return c.Cfg.ResumeOnRestart && c.Cfg.DataDir != "" &&
+		(errors.Is(err, errBackendCrashed) || errors.Is(err, errBackendDead))
+}
+
+// runPreAggStream is the producer half of a streaming shuffle: the
+// pre-aggregation pipeline runs across the worker's executor threads, and
+// each thread's AggSink hands every sealed page to end — every consumer
+// owns one hash partition of every page — the moment it fills. The thread
+// flushes its final live page and sends its close marker on the way out, so
+// each lane carries the thread's stream in sequence order.
+func (e *workerEnv) runPreAggStream(res *core.CompileResult, stage *physical.JobStage, end shuffleEnd) error {
 	spec := res.AggSpecs[stage.SinkStmt.Out.Name]
 	if spec == nil {
 		return fmt.Errorf("no aggregation spec for %q", stage.SinkStmt.Out.Name)
 	}
-	pages, err := c.sourcePagesFor(stage, w)
+	pages, err := e.sourcePages(stage)
 	if err != nil {
 		return err
 	}
-	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), c.Cfg.Threads)
-	if len(chunks) == 0 {
-		// A worker with no input still streams one page of empty
-		// partition maps, honoring the shuffle's artifact contract.
-		chunks = [][]engine.PageRange{nil}
-	}
-	pt, err := engine.RunPipelineThreads(chunks, stage.SourceCol, stage.Stmts, res.Stages, stage.SinkStmt,
-		func(t int, stats *engine.Stats, stop <-chan struct{}) (engine.Sink, *engine.Ctx, error) {
-			sink, err := engine.NewAggSink(w.Reg(), c.Cfg.PageSize, len(c.Workers),
+	_, err = e.drivePipeline(res, stage, pages, stage.SinkStmt,
+		func(t int, stats *engine.Stats, stop <-chan struct{}) (engine.Sink, error) {
+			sink, err := engine.NewAggSink(e.reg, e.pageSize, e.workers,
 				spec.KeyKind, spec.ValKind, spec.Combine,
-				stage.SinkStmt.Applied.Cols[0], stage.SinkStmt.Applied.Cols[1], c.pool, stats)
+				stage.SinkStmt.Applied.Cols[0], stage.SinkStmt.Applied.Cols[1], e.pool, stats)
 			if err != nil {
-				return nil, nil, err
-			}
-			ctx, err := engine.NewSinkCtx(sink, w.Reg(), w.artTables, c.Cfg.PageSize, c.pool, stats)
-			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			seq := 0
 			sink.Out.OnSeal = func(p *object.Page) error {
-				c.Cfg.Fault.Hit(fault.PageSeal, w.ID)
-				tag := exchange.Tag{Producer: w.ID, Thread: t, Seq: seq}
+				e.fault.Hit(fault.PageSeal, e.id)
+				tag := exchange.Tag{Producer: e.id, Thread: t, Seq: seq}
 				seq++
-				return streamErr(ex.Broadcast(tag, p, stop))
+				return end.send(tag, p, stop)
 			}
-			return sink, ctx, nil
-		},
-		func(t int, stop <-chan struct{}) error {
-			return streamErr(ex.CloseThread(w.ID, t, stop))
-		})
-	for t := range pt.Stats {
-		w.mergeStats(&pt.Stats[t])
-	}
+			return sink, nil
+		}, end.closeThread)
 	return err
 }
 
-// consumeAggStream is the consumer half: worker w owns hash partition w and
-// merges it incrementally from the exchange, then finalizes the sub-maps
-// into this worker's share of the result (its "mat:" artifact).
+// consumeAggStream is the consumer half: the worker owns hash partition
+// e.id and merges it incrementally from end's stream, then finalizes the
+// sub-maps into its share of the result (the stage's "mat:" artifact
+// pages). The caller drops rec's snapshots (dropAggCheckpoint) once the
+// pages are handed on.
 //
-// With interval > 0 the merge is replayable: it rewinds the exchange to
-// rec's last cut (a no-op on a fresh first attempt), restores the
-// checkpointed sub-maps if any, and snapshots + acknowledges a new cut
-// every interval pages plus once at stream end — so a crash anywhere in
-// the merge or finalize resumes from at most one interval back. Delivered
-// pages recycle through the exchange's acknowledge path instead of a
-// per-fold release, since the replay window still needs them.
-func (c *Cluster) consumeAggStream(res *core.CompileResult, stage *physical.JobStage, w *Worker,
-	ex *exchange.Exchange, interval int, rec *aggRecovery, gov *exchange.Governor) (*workerArtifacts, error) {
+// With interval > 0 the merge is replayable: it restores rec's checkpointed
+// sub-maps if any — rec's own, or on a disk-backed worker the durable cut a
+// previous process left for this very job (resume.go) — tells end the cut
+// it starts from, and snapshots + acknowledges a new cut every interval
+// pages plus once at stream end — so a crash anywhere in the merge or
+// finalize resumes from at most one interval back. Delivered pages recycle
+// through the exchange's acknowledge path instead of a per-fold release,
+// since the replay window still needs them.
+func (e *workerEnv) consumeAggStream(res *core.CompileResult, stage *physical.JobStage, end shuffleEnd,
+	interval int, rec *aggRecovery, gov *exchange.Governor) ([]*object.Page, error) {
 	spec := res.AggSpecs[stage.AggList]
 	if spec == nil {
 		return nil, fmt.Errorf("no aggregation spec for %q", stage.AggList)
 	}
-	release := func(p *object.Page) { c.pool.Put(p) }
 	var ckptr *engine.MergeCheckpointer
 	cut := 0
 	if interval > 0 {
-		if rec.ckpt == nil && c.Cfg.DataDir != "" {
-			// Fresh record on a disk-backed cluster: a previous cluster may
-			// have left durable cut metadata for this very job (resume.go).
-			c.loadAggResume(w, rec, stage.Produces)
+		if rec.ckpt == nil && e.store.Dir() != "" {
+			e.loadAggResume(rec)
 		}
-		resume, err := c.loadAggCheckpoint(w, rec, gov)
+		resume, err := e.loadAggCheckpoint(rec, gov)
 		if err != nil {
 			return nil, err
 		}
 		if resume != nil {
 			cut = resume.Cut
 		}
-		if rec.restored {
-			// Cross-restart resume: this exchange never delivered the cut —
-			// the producers are re-streaming the job from page zero. The
-			// first cut pages are already merged into the restored
-			// snapshots, so receive and discard them (retention owns the
-			// refs), then acknowledge the cut to empty the replay window.
-			// Rewinding to zero first makes a crash mid-fast-forward
-			// harmless: the retry replays and drains the same prefix.
-			if err := ex.Rewind(w.ID, 0); err != nil {
-				return nil, err
-			}
-			for i := 0; i < cut; i++ {
-				if _, ok, err := ex.Recv(w.ID); err != nil {
-					return nil, err
-				} else if !ok {
-					return nil, fmt.Errorf("cluster: resume cut %d is past the stream's end (page %d)", cut, i)
-				}
-			}
-			if err := ex.Ack(w.ID, cut); err != nil {
-				return nil, err
-			}
-			rec.restored = false
-			rec.resumed = true
-		} else if err := ex.Rewind(w.ID, cut); err != nil {
-			return nil, err
-		}
-		release = nil
 		ckptr = &engine.MergeCheckpointer{
 			Interval: interval,
 			Resume:   resume,
 			Save: func(ck *engine.MergeCheckpoint) error {
-				if err := c.persistAggCheckpoint(w, rec, stage.Produces, ck, gov); err != nil {
+				if err := e.persistAggCheckpoint(rec, ck, gov); err != nil {
 					return err
 				}
-				return ex.Ack(w.ID, ck.Cut)
+				if e.afterSave != nil {
+					e.afterSave()
+				}
+				return end.ack(ck.Cut)
 			},
 		}
 	}
+	if err := end.hello(cut); err != nil {
+		return nil, err
+	}
 	next := func() (*object.Page, bool, error) {
-		p, ok, err := ex.Recv(w.ID)
+		p, ok, err := end.next()
 		if ok {
-			c.Cfg.Fault.Hit(fault.Delivery, w.ID)
+			e.fault.Hit(fault.Delivery, e.id)
 		}
 		return p, ok, err
 	}
-	finals, mergePages, err := engine.MergeAggMapsStream(w.Reg(), next, w.ID, len(c.Workers),
-		spec, c.Cfg.PageSize, c.pool, c.Cfg.Threads, release, ckptr)
+	// MergeAggMapsStream ignores the per-fold release when it checkpoints.
+	finals, mergePages, err := engine.MergeAggMapsStream(e.reg, next, e.id, e.workers,
+		spec, e.pageSize, e.pool, e.threads, e.pool.Put, ckptr)
 	if err != nil {
 		return nil, err
 	}
-	c.Cfg.Fault.Hit(fault.Finalize, w.ID)
+	e.fault.Hit(fault.Finalize, e.id)
 	var fstats engine.Stats
-	out, err := engine.FinalizeAggParallel(w.Reg(), finals, spec, c.Cfg.PageSize, c.pool, &fstats)
-	w.mergeStats(&fstats)
+	out, err := engine.FinalizeAggParallel(e.reg, finals, spec, e.pageSize, e.pool, &fstats)
+	e.noteStats(fstats)
 	if err != nil {
 		return nil, err
 	}
-	// The merge pages' contents were finalized into out; recycle them and
-	// discard the recovery snapshots — the artifact is about to commit.
+	// The merge pages' contents were finalized into out; recycle them.
 	for _, pg := range mergePages {
-		c.pool.Put(pg)
+		e.pool.Put(pg)
 	}
-	if interval > 0 {
-		c.dropAggCheckpoint(w, rec, gov)
-	}
-	return &workerArtifacts{pages: out, pagesKey: stage.Produces}, nil
+	return out, nil
 }

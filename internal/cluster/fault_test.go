@@ -226,7 +226,7 @@ func TestEmitExactlyOnce(t *testing.T) {
 	var emits int64
 	seen := map[string]int{}
 	var mu sync.Mutex
-	stats, err := c.HashPartitionJoinStats("db", "left", "db", "right", key, key, eq,
+	stats, err := c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right", key, key, eq,
 		func(workerID int, l, r object.Ref) error {
 			atomic.AddInt64(&emits, 1)
 			mu.Lock()
@@ -490,7 +490,7 @@ func TestFailedJoinCleansUp(t *testing.T) {
 	eq := func(l, r object.Ref) bool {
 		return object.GetI64(l, grpField) == object.GetI64(r, grpField)
 	}
-	err := c.HashPartitionJoin("db", "left", "db", "right", key, key, eq,
+	_, err := c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right", key, key, eq,
 		func(int, object.Ref, object.Ref) error { return nil })
 	if err == nil {
 		t.Fatal("crashing join with retries disabled succeeded")

@@ -10,9 +10,6 @@ package cluster
 // crashed, recovered, or clean — leaves nothing behind on disk.
 
 import (
-	"fmt"
-	"path/filepath"
-
 	"repro/internal/exchange"
 	"repro/internal/fault"
 	"repro/internal/object"
@@ -89,11 +86,7 @@ func (c *Cluster) stepGovernors() ([]*exchange.Governor, func()) {
 		// DataDir clusters spill under the worker's storage root; without
 		// one the pool picks a temp directory lazily on its first spill,
 		// so an under-budget step touches no filesystem state at all.
-		dir := ""
-		if c.Cfg.DataDir != "" {
-			dir = filepath.Join(c.Cfg.DataDir, fmt.Sprintf("worker-%d", i), "_spill")
-		}
-		sp := storage.NewSpillPool(dir, w.Reg())
+		sp := storage.NewSpillPool(c.workerSubdir(i, "_spill"), w.Reg())
 		pools[i] = sp
 		var store exchange.SpillStore = sp
 		if c.Cfg.Fault != nil {
@@ -102,6 +95,14 @@ func (c *Cluster) stepGovernors() ([]*exchange.Governor, func()) {
 		govs[i] = exchange.NewGovernor(c.Cfg.MemoryBudget, store, func(p *object.Page) { c.pool.Put(p) })
 	}
 	return govs, closeAll
+}
+
+// governorOf returns worker i's governor, nil for an ungoverned step.
+func governorOf(govs []*exchange.Governor, i int) *exchange.Governor {
+	if govs == nil {
+		return nil
+	}
+	return govs[i]
 }
 
 // spillTelemetry records one step's governor gauges on the transport and

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -13,7 +12,22 @@ import (
 	"repro/internal/object"
 )
 
-// HashPartitionJoin implements the paper's 2n-job-stage distributed
+// JoinStats reports one hash-partition join's crash accounting.
+type JoinStats struct {
+	Retries int // backend crash retries, all roles
+	// RoleRetries breaks Retries out per role ("producer", "consumer" for
+	// the build phase, "probe" for the probe/emit phase).
+	RoleRetries map[string]int
+	// BuildRecoveries and ProbeRecoveries split the consumer-side
+	// recoveries by the phase the crash landed in.
+	BuildRecoveries int
+	ProbeRecoveries int
+	// Checkpoints counts the consumer recovery cuts taken (build clones +
+	// probe cursor saves across all workers).
+	Checkpoints int
+}
+
+// HashPartitionJoinKind implements the paper's 2n-job-stage distributed
 // equi-join (Appendix D.3) for two sets, used by the scheduler's
 // large-build-side strategy and benchmarked against broadcast joins. The
 // repartition stages stream: both sides' repartition scans, the shuffle,
@@ -35,13 +49,40 @@ import (
 //     (contiguous-chunk parallel probe, thread-ordered emit).
 //
 // keyL/keyR extract the join key hash from an object (the compiled key
-// lambdas); emit is invoked on each matching pair, running on the owning
-// worker's goroutine. Matches are verified with eq (hash collisions are not
+// lambdas); emit is invoked on each pair kind selects (below), running on
+// the owning worker's goroutine; the returned JoinStats carry the crash
+// accounting. Matches are verified with eq (hash collisions are not
 // matches). keyL, keyR, and eq are called concurrently across workers and
 // executor threads and must be safe for concurrent use (pure functions of
 // their arguments). A worker never calls emit from two executor threads at
 // once, but different workers probe — and emit — in parallel: an emit
 // touching state shared across workers must synchronize it.
+//
+// # Join kinds
+//
+// kind selects the output semantics. The left set is the probe side, the
+// right set the build side:
+//
+//   - JoinInner emits every matching pair.
+//   - JoinLeft emits every matching pair plus (l, NilRef) for each probe
+//     row with no match.
+//   - JoinSemi emits (l, r) once per probe row with at least one match (r
+//     is the first matching build row in bucket order).
+//   - JoinAnti emits (l, NilRef) for each probe row with no match.
+//   - JoinRight emits every matching pair, then — after the probe stream
+//     drains — (NilRef, r) for each build row no probe row matched.
+//   - JoinFull combines JoinLeft's probe behavior with JoinRight's tail.
+//
+// The right/full kinds track build-side matches in a bitmap indexed by
+// exchange delivery order. The bitmap is checkpointed alongside the probe
+// cursor: bits are re-marked idempotently when a crash replays a probe
+// window (marking precedes the exactly-once skip check, under the
+// fault.ProbeBitmap site), and the unmatched-row tail sweep checkpoints
+// its own cursor, so emit stays exactly-once across crashes at every site
+// and output is bit-for-bit identical to a crash-free run. Cross-restart
+// durable resume (Config.ResumeOnRestart) stays armed only for JoinInner —
+// the bitmap lives in memory, and a restarted process cannot reconstruct
+// which matches a previous process already observed for the other kinds.
 //
 // # Probe/emit recovery
 //
@@ -63,66 +104,10 @@ import (
 // match exactly once. Match output is bit-for-bit identical to a
 // crash-free run in every case. With recovery disabled
 // (CheckpointInterval < 0) any consumer crash fails the join.
-func (c *Cluster) HashPartitionJoin(dbL, setL, dbR, setR string,
-	keyL, keyR func(object.Ref) uint64,
-	eq func(l, r object.Ref) bool,
-	emit func(workerID int, l, r object.Ref) error) error {
-	_, err := c.HashPartitionJoinStats(dbL, setL, dbR, setR, keyL, keyR, eq, emit)
-	return err
-}
-
-// JoinStats reports one hash-partition join's crash accounting.
-type JoinStats struct {
-	Retries int // backend crash retries, all roles
-	// RoleRetries breaks Retries out per role ("producer", "consumer" for
-	// the build phase, "probe" for the probe/emit phase).
-	RoleRetries map[string]int
-	// BuildRecoveries and ProbeRecoveries split the consumer-side
-	// recoveries by the phase the crash landed in.
-	BuildRecoveries int
-	ProbeRecoveries int
-	// Checkpoints counts the consumer recovery cuts taken (build clones +
-	// probe cursor saves across all workers).
-	Checkpoints int
-}
-
-// HashPartitionJoinStats is HashPartitionJoin returning its crash
-// accounting (see JoinStats).
-func (c *Cluster) HashPartitionJoinStats(dbL, setL, dbR, setR string,
-	keyL, keyR func(object.Ref) uint64,
-	eq func(l, r object.Ref) bool,
-	emit func(workerID int, l, r object.Ref) error) (*JoinStats, error) {
-	return c.HashPartitionJoinKind(core.JoinInner, dbL, setL, dbR, setR, keyL, keyR, eq, emit)
-}
-
-// HashPartitionJoinKind is HashPartitionJoin with selectable output
-// semantics. The left set is the probe side, the right set the build side:
-//
-//   - JoinInner emits every matching pair, exactly as HashPartitionJoin.
-//   - JoinLeft emits every matching pair plus (l, NilRef) for each probe
-//     row with no match.
-//   - JoinSemi emits (l, r) once per probe row with at least one match (r
-//     is the first matching build row in bucket order).
-//   - JoinAnti emits (l, NilRef) for each probe row with no match.
-//   - JoinRight emits every matching pair, then — after the probe stream
-//     drains — (NilRef, r) for each build row no probe row matched.
-//   - JoinFull combines JoinLeft's probe behavior with JoinRight's tail.
-//
-// The right/full kinds track build-side matches in a bitmap indexed by
-// exchange delivery order. The bitmap is checkpointed alongside the probe
-// cursor: bits are re-marked idempotently when a crash replays a probe
-// window (marking precedes the exactly-once skip check, under the
-// fault.ProbeBitmap site), and the unmatched-row tail sweep checkpoints
-// its own cursor, so emit stays exactly-once across crashes at every site
-// and output is bit-for-bit identical to a crash-free run. Cross-restart
-// durable resume (Config.ResumeOnRestart) stays armed only for JoinInner —
-// the bitmap lives in memory, and a restarted process cannot reconstruct
-// which matches a previous process already observed for the other kinds.
 func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR string,
 	keyL, keyR func(object.Ref) uint64,
 	eq func(l, r object.Ref) bool,
 	emit func(workerID int, l, r object.Ref) error) (*JoinStats, error) {
-
 	needTail := kind == core.JoinRight || kind == core.JoinFull
 	nw := len(c.Workers)
 	interval := c.checkpointEvery(nil)
@@ -139,16 +124,9 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 	defer closeGovs()
 	exL := c.newShuffleExchange(interval > 0, func(*object.Page) {}, govs)
 	exR := c.newShuffleExchange(interval > 0, nil, govs)
-	cancel := func(err error) {
-		exL.Cancel(err)
-		exR.Cancel(err)
-	}
-
 	stats := &JoinStats{RoleRetries: map[string]int{}}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errs := make([]error, 3*nw)
 	recs := make([]*joinRecovery, nw)
+	roles := make([]role, 3*nw)
 	for i, w := range c.Workers {
 		// Producer roles: repartition-stream each side.
 		for s, side := range []struct {
@@ -156,160 +134,117 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 			db, set string
 			key     func(object.Ref) uint64
 		}{{exL, dbL, setL, keyL}, {exR, dbR, setR, keyR}} {
-			wg.Add(1)
-			go func(slot int, w *Worker, ex *exchange.Exchange, db, set string, key func(object.Ref) uint64) {
-				defer wg.Done()
-				err := c.runRole(w, roleProducer, "join repartition "+set, nil, func() {
-					mu.Lock()
+			roles[s*nw+i] = role{w: w, name: roleProducer, what: "join repartition " + side.set,
+				onRetry: func() {
 					stats.Retries++
 					stats.RoleRetries[roleProducer]++
-					mu.Unlock()
-				}, func() error {
-					return c.streamRepartition(db, set, key, w, ex)
-				})
-				if err != nil {
-					errs[slot] = err
-					cancel(err)
-					return
-				}
-				ex.CloseProducer(w.ID)
-			}(s*nw+i, w, side.ex, side.db, side.set, side.key)
+				},
+				body:   func() error { return c.streamRepartition(side.db, side.set, side.key, w, side.ex) },
+				closes: side.ex}
 		}
 		// Consumer role: build from the right stream, retain the left
 		// stream, probe in checkpointed windows, emit.
-		wg.Add(1)
-		go func(i int, w *Worker) {
-			defer wg.Done()
-			rec := &joinRecovery{wantBuildRows: needTail}
-			if interval > 0 && c.Cfg.ResumeOnRestart && c.Cfg.DataDir != "" && kind == core.JoinInner {
-				// Arm durable probe-cut persistence and pick up where a
-				// previous cluster's identical join left off, if anywhere.
-				rec.resumePath = c.joinResumePath(dbL, setL, dbR, setR, i)
-				rec.resumeFP = jobFingerprint(
-					fmt.Sprintf("join|%s.%s|%s.%s|i%d", dbL, setL, dbR, setR, interval),
-					nw, c.Cfg.Threads, c.Cfg.PageSize)
-				c.loadJoinResume(rec)
-			}
-			recs[i] = rec
-			err := c.runRole(w, roleConsumer, "join build/probe",
-				func() bool { return interval > 0 },
-				func() {
-					mu.Lock()
-					stats.Retries++
-					if rec.built {
-						stats.RoleRetries[roleProbe]++
-						stats.ProbeRecoveries++
-					} else {
-						stats.RoleRetries[roleConsumer]++
-						stats.BuildRecoveries++
-					}
-					mu.Unlock()
-				}, func() error {
-					if interval <= 0 {
-						// Recovery disabled: the classic buffered path —
-						// gather both streams, probe the buffer once.
-						table, leftPages, err := c.gatherJoinStreams(exR, exL, i, keyR, interval, rec, true)
-						if err != nil {
-							return err
-						}
-						var bitmap []uint64
-						var rowIdx map[object.Ref]int
-						if needTail {
-							bitmap = make([]uint64, (len(rec.buildRows)+63)/64)
-							rowIdx = buildRowIndex(rec.buildRows)
-						}
-						err = parallelProbe(leftPages, table, keyL, eq, kind, c.Cfg.Threads, func(l, r object.Ref) error {
-							if needTail && r != object.NilRef {
-								markBit(bitmap, rowIdx[r])
-							}
-							return emit(i, l, r)
-						})
-						if err != nil {
-							return err
-						}
-						return c.sweepUnmatchedBuildRows(i, kind, bitmap, 0, rec, func(l, r object.Ref) error {
-							return emit(i, l, r)
-						})
-					}
-					var table *engine.JoinTable
-					if rec.built {
-						// Probe-phase crash: the completed build's clones
-						// rebuild the table without touching the build
-						// stream (already fully delivered and acked).
-						table = restoreJoinTable(rec.tables)
-					} else {
-						if err := exR.Rewind(i, rec.cut); err != nil {
-							return err
-						}
-						// A restart-restored cursor points past this fresh
-						// exchange's (empty) delivery window; the gather
-						// below delivers the whole probe stream into
-						// retention, and the post-build rewind positions it.
-						if !rec.restored {
-							if err := exL.Rewind(i, rec.probeCursor); err != nil {
-								return err
-							}
-						}
-						t, _, err := c.gatherJoinStreams(exR, exL, i, keyR, interval, rec, false)
-						if err != nil {
-							return err
-						}
-						table = t
-						// The epilogue cut cloned the complete tables (or
-						// the last interval cut already covered the stream);
-						// from here on a crash is a probe-phase crash.
-						rec.built = true
-					}
-					if err := exL.Rewind(i, rec.probeCursor); err != nil {
+		rec := &joinRecovery{wantBuildRows: needTail}
+		if interval > 0 && c.Cfg.ResumeOnRestart && c.Cfg.DataDir != "" && kind == core.JoinInner {
+			// Arm durable probe-cut persistence and pick up where a
+			// previous cluster's identical join left off, if anywhere.
+			rec.resumePath = c.joinResumePath(dbL, setL, dbR, setR, i)
+			rec.resumeFP = jobFingerprint(
+				fmt.Sprintf("join|%s.%s|%s.%s|i%d", dbL, setL, dbR, setR, interval),
+				nw, c.Cfg.Threads, c.Cfg.PageSize)
+			loadJoinResume(rec)
+		}
+		recs[i] = rec
+		emitHere := func(l, r object.Ref) error { return emit(i, l, r) }
+		roles[2*nw+i] = role{w: w, name: roleConsumer, what: "join build/probe", noRetry: interval <= 0,
+			saves: &rec.saves,
+			onRetry: func() {
+				stats.Retries++
+				if rec.built {
+					stats.RoleRetries[roleProbe]++
+					stats.ProbeRecoveries++
+				} else {
+					stats.RoleRetries[roleConsumer]++
+					stats.BuildRecoveries++
+				}
+			},
+			body: func() error {
+				if interval <= 0 {
+					// Recovery disabled: the classic buffered path —
+					// gather both streams, probe the buffer once.
+					table, leftPages, err := c.gatherJoinStreams(exR, exL, i, keyR, interval, rec, true)
+					if err != nil {
 						return err
 					}
-					bitmap, err := c.probeEmitStream(exL, i, table, keyL, eq, kind, interval, rec, func(l, r object.Ref) error {
+					var bitmap []uint64
+					var rowIdx map[object.Ref]int
+					if needTail {
+						bitmap = make([]uint64, (len(rec.buildRows)+63)/64)
+						rowIdx = buildRowIndex(rec.buildRows)
+					}
+					err = parallelProbe(leftPages, table, keyL, eq, kind, c.Cfg.Threads, func(l, r object.Ref) error {
+						if needTail && r != object.NilRef {
+							markBit(bitmap, rowIdx[r])
+						}
 						return emit(i, l, r)
 					})
 					if err != nil {
 						return err
 					}
-					return c.sweepUnmatchedBuildRows(i, kind, bitmap, interval, rec, func(l, r object.Ref) error {
-						return emit(i, l, r)
-					})
-				})
-			if err != nil {
-				errs[2*nw+i] = err
-				cancel(err)
-			}
-		}(i, w)
+					return c.sweepUnmatchedBuildRows(i, kind, bitmap, 0, rec, emitHere)
+				}
+				var table *engine.JoinTable
+				if rec.built {
+					// Probe-phase crash: the completed build's clones
+					// rebuild the table without touching the build
+					// stream (already fully delivered and acked).
+					table = restoreJoinTable(rec.tables)
+				} else {
+					if err := exR.Rewind(i, rec.cut); err != nil {
+						return err
+					}
+					// A restart-restored cursor points past this fresh
+					// exchange's (empty) delivery window; the gather
+					// below delivers the whole probe stream into
+					// retention, and the post-build rewind positions it.
+					if !rec.restored {
+						if err := exL.Rewind(i, rec.probeCursor); err != nil {
+							return err
+						}
+					}
+					t, _, err := c.gatherJoinStreams(exR, exL, i, keyR, interval, rec, false)
+					if err != nil {
+						return err
+					}
+					table = t
+					// The epilogue cut cloned the complete tables (or
+					// the last interval cut already covered the stream);
+					// from here on a crash is a probe-phase crash.
+					rec.built = true
+				}
+				if err := exL.Rewind(i, rec.probeCursor); err != nil {
+					return err
+				}
+				bitmap, err := c.probeEmitStream(exL, i, table, keyL, eq, kind, interval, rec, emitHere)
+				if err != nil {
+					return err
+				}
+				return c.sweepUnmatchedBuildRows(i, kind, bitmap, interval, rec, emitHere)
+			}}
 	}
-	wg.Wait()
-	ckpts := 0
-	for _, rec := range recs {
-		if rec != nil {
-			ckpts += rec.saves
+	ship, err := c.runStep(roles, govs, exL, exR)
+	stats.Checkpoints = ship.Checkpoints
+	if err != nil {
+		// Join recovery state is in-memory clones — beyond runStep's
+		// discard of both exchanges there is nothing else to drop, except
+		// the durable probe-cut files: a crash-type failure on a
+		// ResumeOnRestart cluster keeps them, and a restarted cluster
+		// resumes the probe from them.
+		if !c.keepsResumeState(err) {
+			dropJoinResumes(recs)
 		}
+		return stats, fmt.Errorf("cluster: hash-partition join %s.%s ⋈ %s.%s: %w", dbL, setL, dbR, setR, err)
 	}
-	stats.Checkpoints = ckpts
-	c.Transport.Stats().NoteExchange(exL.MaxBytesInFlight(), exL.MaxReorderPages(), 0)
-	c.Transport.Stats().NoteExchange(exR.MaxBytesInFlight(), exR.MaxReorderPages(), ckpts)
-	for _, err := range errs {
-		if err != nil {
-			// Failure cleanup: all roles have returned. Release both
-			// exchanges' undelivered and retained pages so the step's
-			// governors and spill pools close with zero live slots. (Join
-			// recovery state is in-memory clones — nothing else to drop.)
-			// A crash-type failure on a ResumeOnRestart cluster keeps the
-			// durable probe-cut files: a restarted cluster resumes the
-			// probe from them.
-			exL.Discard()
-			exR.Discard()
-			c.spillTelemetry(govs)
-			keep := c.Cfg.ResumeOnRestart && c.Cfg.DataDir != "" &&
-				(errors.Is(err, errBackendCrashed) || errors.Is(err, errBackendDead))
-			if !keep {
-				dropJoinResumes(recs)
-			}
-			return stats, fmt.Errorf("cluster: hash-partition join %s.%s ⋈ %s.%s: %w", dbL, setL, dbR, setR, err)
-		}
-	}
-	c.spillTelemetry(govs)
 	dropJoinResumes(recs)
 	return stats, nil
 }
@@ -318,7 +253,7 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 // records that never armed persistence).
 func dropJoinResumes(recs []*joinRecovery) {
 	for _, rec := range recs {
-		if rec != nil && rec.resumePath != "" {
+		if rec.resumePath != "" {
 			os.Remove(rec.resumePath)
 		}
 	}
@@ -331,9 +266,9 @@ func dropJoinResumes(recs []*joinRecovery) {
 // final pages and sends its close marker on the way out.
 func (c *Cluster) streamRepartition(db, set string, key func(object.Ref) uint64,
 	w *Worker, ex *exchange.Exchange) error {
-	pages, err := w.Front.Store.Pages(db, set)
+	pages, err := storedPages(w.Front.Store, db, set)
 	if err != nil {
-		pages = nil // worker may hold no pages of this set
+		return err
 	}
 	nw := len(c.Workers)
 	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), c.Cfg.Threads)
@@ -372,9 +307,7 @@ func (c *Cluster) streamRepartition(db, set string, key func(object.Ref) uint64,
 		}
 		return streamErr(ex.CloseThread(w.ID, t, stop))
 	})
-	for t := range tstats {
-		w.mergeStats(&tstats[t])
-	}
+	w.mergeStats(tstats...)
 	return err
 }
 
@@ -384,66 +317,32 @@ func (c *Cluster) streamRepartition(db, set string, key func(object.Ref) uint64,
 // on a full lane longer than the backpressure bound. With bufferProbe the
 // drained probe pages are returned for the non-recoverable buffered probe;
 // otherwise they are dropped on delivery — the exchange's replay retention
-// holds them for the checkpointed probe to rewind over. Panics on either
-// goroutine (the user key lambda, a crash under Recv) re-raise on the
-// caller (the backend goroutine).
+// holds them for the checkpointed probe to rewind over. A panic on either
+// goroutine re-raises on the caller, the backend goroutine
+// (engine.ParallelFor): the user key lambda in the build, and in the drain
+// a crash under Recv — which settles the governor's accounting and can
+// spill a retained page — must reach the backend, not kill the process.
 func (c *Cluster) gatherJoinStreams(exBuild, exProbe *exchange.Exchange, worker int,
 	key func(object.Ref) uint64, interval int, rec *joinRecovery, bufferProbe bool) (*engine.JoinTable, []*object.Page, error) {
-	var (
-		table      *engine.JoinTable
-		leftPages  []*object.Page
-		buildErr   error
-		probeErr   error
-		buildPanic any
-		probePanic any
-		wg         sync.WaitGroup
-	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				buildPanic = r
-			}
-		}()
-		table, buildErr = c.buildTableStream(exBuild, worker, key, c.Cfg.Threads, interval, rec)
-	}()
-	go func() {
-		defer wg.Done()
-		// Recv settles the governor's accounting and can spill a retained
-		// page: a crash there must reach the backend goroutine like the
-		// build's, not kill the process.
-		defer func() {
-			if r := recover(); r != nil {
-				probePanic = r
-			}
-		}()
+	var table *engine.JoinTable
+	var leftPages []*object.Page
+	err := engine.ParallelFor(2, func(side int) (err error) {
+		if side == 0 {
+			table, err = c.buildTableStream(exBuild, worker, key, c.Cfg.Threads, interval, rec)
+			return err
+		}
 		for {
 			p, ok, err := exProbe.Recv(worker)
-			if err != nil {
-				probeErr = err
-				return
-			}
-			if !ok {
-				return
+			if err != nil || !ok {
+				return err
 			}
 			if bufferProbe {
 				leftPages = append(leftPages, p)
 			}
 		}
-	}()
-	wg.Wait()
-	if buildPanic != nil {
-		panic(buildPanic)
-	}
-	if probePanic != nil {
-		panic(probePanic)
-	}
-	if buildErr != nil {
-		return nil, nil, buildErr
-	}
-	if probeErr != nil {
-		return nil, nil, probeErr
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return table, leftPages, nil
 }
@@ -552,17 +451,8 @@ func (c *Cluster) buildTableStream(ex *exchange.Exchange, worker int,
 		resizes += int(tbl.Resizes())
 	}
 	tstats[0].HashResizes += resizes
-	c.Workers[worker].mergeStats(statsPtrs(tstats)...)
+	c.Workers[worker].mergeStats(tstats...)
 	return table, nil
-}
-
-// statsPtrs adapts a per-thread stats slice for Worker.mergeStats.
-func statsPtrs(ss []engine.Stats) []*engine.Stats {
-	ptrs := make([]*engine.Stats, len(ss))
-	for i := range ss {
-		ptrs[i] = &ss[i]
-	}
-	return ptrs
 }
 
 // restoreJoinTable rebuilds the probe table from a completed build's
@@ -650,7 +540,7 @@ func (c *Cluster) probeEmitStream(ex *exchange.Exchange, worker int, table *engi
 					pstats.HashProbes += object.AsVector(object.Ref{Page: p, Off: p.Root()}).Len()
 				}
 			}
-			c.Workers[worker].mergeStats(&pstats)
+			c.Workers[worker].mergeStats(pstats)
 			matches, err := collectProbeMatches(window, table, key, eq, kind, c.Cfg.Threads, scratch[:0])
 			if err != nil {
 				return nil, err
@@ -684,7 +574,7 @@ func (c *Cluster) probeEmitStream(ex *exchange.Exchange, worker int, table *engi
 			}
 			rec.saves++
 			if rec.resumePath != "" {
-				if err := c.saveJoinResume(rec); err != nil {
+				if err := saveJoinResume(rec); err != nil {
 					return nil, err
 				}
 			}

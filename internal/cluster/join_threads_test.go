@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/object"
 )
 
@@ -58,7 +59,8 @@ func TestThreadsDeterministicHashPartitionJoin(t *testing.T) {
 		rows := joinRows(t, c, emp, func(key func(object.Ref) uint64,
 			eq func(l, r object.Ref) bool,
 			emit func(workerID int, l, r object.Ref) error) error {
-			return c.HashPartitionJoin("db", "emps", "db", "reps", key, key, eq, emit)
+			_, err := c.HashPartitionJoinKind(core.JoinInner, "db", "emps", "db", "reps", key, key, eq, emit)
+			return err
 		})
 		if len(rows) != 600 {
 			t.Fatalf("threads=%d: join rows = %d, want 600", th, len(rows))

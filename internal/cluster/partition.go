@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -107,7 +106,7 @@ func (c *Cluster) SendDataPartitioned(db, set string, pages []*object.Page,
 // shuffle — each worker builds a table from its local right-side objects
 // and probes with its local left-side objects. Build and probe run across
 // Config.Threads executor threads with the same thread-ordered merge and
-// buffered emit as HashPartitionJoin, so match order is deterministic.
+// buffered emit as HashPartitionJoinKind, so match order is deterministic.
 //
 // A backend crash anywhere in the local build or probe is recovered
 // (within Config.MaxRetries): the inputs are the worker's own stored
@@ -133,52 +132,42 @@ func (c *Cluster) CoPartitionedJoin(dbL, setL, dbR, setR string,
 			dbL, setL, dbR, setR, ml.PartitionKey, mr.PartitionKey)
 	}
 
-	var wg sync.WaitGroup
-	errs := make([]error, len(c.Workers))
+	roles := make([]role, len(c.Workers))
 	for i, w := range c.Workers {
-		wg.Add(1)
-		go func(i int, w *Worker) {
-			defer wg.Done()
-			// emitted survives attempts (scheduler-owned, like a recovery
-			// record): matches below it were already observed by user code
-			// and a retried probe skips them — match order is page order,
-			// so the skip prefix is exact.
-			emitted := 0
-			errs[i] = c.runRole(w, roleProbe, "co-partitioned join", nil, nil, func() error {
-				counter := 0
-				var rightPages []*object.Page
-				if pages, err := w.Front.Store.Pages(dbR, setR); err == nil {
-					rightPages = pages
+		// emitted survives attempts (scheduler-owned, like a recovery
+		// record): matches below it were already observed by user code
+		// and a retried probe skips them — match order is page order,
+		// so the skip prefix is exact.
+		emitted := 0
+		roles[i] = role{w: w, name: roleProbe, what: "co-partitioned join", body: func() error {
+			counter := 0
+			rightPages, err := storedPages(w.Front.Store, dbR, setR)
+			if err != nil {
+				return err
+			}
+			table, err := parallelBuildTable(rightPages, keyR, c.Cfg.Threads)
+			if err != nil {
+				return err
+			}
+			pages, err := storedPages(w.Front.Store, dbL, setL)
+			if err != nil {
+				return err
+			}
+			return parallelProbe(pages, table, keyL, eq, core.JoinInner, c.Cfg.Threads, func(l, r object.Ref) error {
+				if counter < emitted {
+					counter++
+					return nil
 				}
-				table, err := parallelBuildTable(rightPages, keyR, c.Cfg.Threads)
-				if err != nil {
+				c.Cfg.Fault.Hit(fault.Emit, w.ID)
+				if err := emit(i, l, r); err != nil {
 					return err
 				}
-				pages, err := w.Front.Store.Pages(dbL, setL)
-				if err != nil {
-					return nil
-				}
-				return parallelProbe(pages, table, keyL, eq, core.JoinInner, c.Cfg.Threads, func(l, r object.Ref) error {
-					if counter < emitted {
-						counter++
-						return nil
-					}
-					c.Cfg.Fault.Hit(fault.Emit, w.ID)
-					if err := emit(i, l, r); err != nil {
-						return err
-					}
-					counter++
-					emitted = counter
-					return nil
-				})
+				counter++
+				emitted = counter
+				return nil
 			})
-		}(i, w)
+		}}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = c.runStep(roles, nil)
+	return err
 }

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/object"
 )
 
@@ -114,7 +115,7 @@ func TestCoPartitionedJoinMatchesShuffledJoin(t *testing.T) {
 
 	// The shuffled 2n-stage join over the same data must agree.
 	var shufMatches int64
-	err = c.HashPartitionJoin("db", "left", "db", "right", key, key, eq,
+	_, err = c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right", key, key, eq,
 		func(workerID int, l, r object.Ref) error {
 			atomic.AddInt64(&shufMatches, 1)
 			return nil

@@ -6,11 +6,14 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
 )
+
+// procSet tracks the pcworker OS processes a proc-mode cluster spawned, so
+// Cluster.Close can tear them down and leak checks can see them.
+type procSet struct{ workers []*procWorker }
 
 // procWorker is one pcworker OS process a proc-mode cluster spawned: the
 // master starts the binary, reads the listen address it announces on
@@ -160,12 +163,12 @@ func (pw *procWorker) deadWithin(d time.Duration) bool {
 // stop kills the worker process, reaps it, and removes its socket file.
 // Idempotent; a worker that already died (crash, injected ProcKill) just
 // gets reaped.
-func (pw *procWorker) stop() error {
+func (pw *procWorker) stop() {
 	pw.mu.Lock()
 	defer pw.mu.Unlock()
 	if pw.cmd == nil || pw.stopped {
 		pw.cmd = nil
-		return nil
+		return
 	}
 	pw.stopped = true
 	if pw.cmd.Process != nil {
@@ -176,7 +179,6 @@ func (pw *procWorker) stop() error {
 	if pw.network == "unix" && pw.addr != "" {
 		os.Remove(pw.addr)
 	}
-	return nil
 }
 
 // revive ensures the worker process is running: a live process is left
@@ -188,14 +190,6 @@ func (pw *procWorker) revive() error {
 	if pw.alive() {
 		return nil
 	}
-	if err := pw.stop(); err != nil {
-		return err
-	}
+	pw.stop()
 	return pw.spawn()
-}
-
-// procSocketPath is where worker id's unix control socket lives under its
-// DataDir subtree.
-func procSocketPath(dataDir string, id int) string {
-	return filepath.Join(dataDir, fmt.Sprintf("ctl-%d.sock", id))
 }

@@ -260,7 +260,7 @@ func joinPairsByWorker(t *testing.T, c *Cluster, rec *object.TypeInfo) []string 
 	}
 	perWorker := make([][]string, len(c.Workers))
 	var mu sync.Mutex
-	err := c.HashPartitionJoin("db", "left", "db", "right", key, key, eq,
+	_, err := c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right", key, key, eq,
 		func(workerID int, l, r object.Ref) error {
 			mu.Lock()
 			perWorker[workerID] = append(perWorker[workerID],
@@ -364,7 +364,7 @@ func TestJoinKeyLambdaCrashRecovered(t *testing.T) {
 	}
 	perWorker := make([][]string, len(c.Workers))
 	var mu sync.Mutex
-	err := c.HashPartitionJoin("db", "left", "db", "right", keyL, keyR, eq,
+	_, err := c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right", keyL, keyR, eq,
 		func(workerID int, l, r object.Ref) error {
 			mu.Lock()
 			perWorker[workerID] = append(perWorker[workerID],

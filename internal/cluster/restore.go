@@ -46,9 +46,9 @@ func (c *Cluster) manifestPath() string {
 	return filepath.Join(c.Cfg.DataDir, "catalog.json")
 }
 
-// saveManifest snapshots the master catalog to DataDir/catalog.json via a
-// temp-file rename, so a crash mid-write never leaves a torn manifest; the
-// mutex keeps concurrent DDL from interleaving stale snapshots. Memory-only
+// saveManifest snapshots the master catalog to DataDir/catalog.json
+// atomically, so a crash mid-write never leaves a torn manifest; the mutex
+// keeps concurrent DDL from interleaving stale snapshots. Memory-only
 // clusters skip it.
 func (c *Cluster) saveManifest() error {
 	if c.Cfg.DataDir == "" {
@@ -66,15 +66,26 @@ func (c *Cluster) saveManifest() error {
 			Db: sm.Db, Set: sm.Set, TypeName: sm.TypeName, PartitionKey: sm.PartitionKey,
 		})
 	}
-	b, err := json.MarshalIndent(&m, "", "  ")
+	return writeJSONAtomic(c.manifestPath(), &m)
+}
+
+// writeJSONAtomic replaces path with v's JSON through a temp file and a
+// rename, so a crash mid-write leaves the old file or the new one, never a
+// torn one. Every small metadata file the cluster persists — the catalog
+// manifest, the aggregation and join resume files, in-process and in a
+// pcworker process alike — goes through here, which makes this the single
+// place ROADMAP item 6's fsync (the file before the rename, then the
+// directory) goes; it is not added here because it may move setup_s.
+func writeJSONAtomic(path string, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := c.manifestPath() + ".tmp"
+	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
+		return err // a *PathError: it names the operation and the file
 	}
-	return os.Rename(tmp, c.manifestPath())
+	return os.Rename(tmp, path)
 }
 
 // loadManifest restores catalog state persisted by a previous cluster on

@@ -1,6 +1,7 @@
 package cluster
 
-// Cross-restart consumer resume (Config.ResumeOnRestart): the recovery
+// Cross-restart consumer resume (Config.ResumeOnRestart; always on in a
+// pcworker process, whose memory outlives no kill): the recovery
 // record that lets a re-forked backend resume a mid-stream merge already
 // lives on the scheduler side; this file makes its cut metadata durable,
 // so a whole-cluster restart — not just a backend re-fork — can resume
@@ -8,8 +9,8 @@ package cluster
 // storage pages under <worker>/_ckpt (checkpoint.go); what a restart was
 // missing is the metadata describing them: which cut they capture, how
 // many saves preceded it, and each sub-map snapshot's page size. That
-// metadata is a few dozen bytes of JSON written atomically (temp file +
-// rename) next to the snapshot set at every cut.
+// metadata is a few dozen bytes of JSON written atomically
+// (writeJSONAtomic) next to the snapshot set at every cut.
 //
 // On restart, the job's producers re-run from their deterministic
 // sources, so the fresh exchange re-streams the same tagged pages; the
@@ -25,7 +26,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/engine"
 )
@@ -57,47 +57,34 @@ func jobFingerprint(progText string, workers, threads, pageSize int) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// resumePath is where worker's durable cut metadata for a consuming stage
-// lives under DataDir.
-func (c *Cluster) resumePath(produces string, worker int) string {
-	return filepath.Join(c.Cfg.DataDir, fmt.Sprintf("worker-%d", worker),
-		"resume-"+ckptSetName(produces, worker)+".json")
+// resumePath is where the worker's durable cut metadata for a consuming
+// stage lives: in its storage directory (DataDir/worker-N), next to _ckpt.
+func (e *workerEnv) resumePath(produces string) string {
+	return filepath.Join(e.store.Dir(), "resume-"+ckptSetName(produces, e.id)+".json")
 }
 
 // saveAggResume atomically persists the cut metadata for the checkpoint
 // persistAggCheckpoint just wrote.
-func (c *Cluster) saveAggResume(w *Worker, rec *aggRecovery, produces string, ck *engine.MergeCheckpoint) error {
+func (e *workerEnv) saveAggResume(rec *aggRecovery, ck *engine.MergeCheckpoint) error {
 	sizes := make([]int, len(ck.Subs))
 	for i := range ck.Subs {
 		sizes[i] = ck.Subs[i].PageSize
 	}
-	b, err := json.Marshal(&aggResume{
-		Fingerprint:  c.jobFP,
-		Produces:     produces,
+	return writeJSONAtomic(e.resumePath(rec.produces), &aggResume{
+		Fingerprint:  e.jobFP,
+		Produces:     rec.produces,
 		Cut:          ck.Cut,
 		Saves:        rec.saves,
 		SubPageSizes: sizes,
 	})
-	if err != nil {
-		return err
-	}
-	path := c.resumePath(produces, w.ID)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("cluster: persisting resume metadata: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("cluster: persisting resume metadata: %w", err)
-	}
-	return nil
 }
 
 // loadAggResume pre-populates a fresh recovery record from durable cut
-// metadata a previous cluster left under DataDir, if it matches this job.
-// Any mismatch or damage means "no resume" — the job simply starts over
-// (and its first cut overwrites the stale state).
-func (c *Cluster) loadAggResume(w *Worker, rec *aggRecovery, produces string) {
-	b, err := os.ReadFile(c.resumePath(produces, w.ID))
+// metadata a previous process left in the worker's directory, if it
+// matches this job. Any mismatch or damage means "no resume" — the job
+// simply starts over (and its first cut overwrites the stale state).
+func (e *workerEnv) loadAggResume(rec *aggRecovery) {
+	b, err := os.ReadFile(e.resumePath(rec.produces))
 	if err != nil {
 		return
 	}
@@ -105,11 +92,11 @@ func (c *Cluster) loadAggResume(w *Worker, rec *aggRecovery, produces string) {
 	if json.Unmarshal(b, &r) != nil {
 		return
 	}
-	if r.Fingerprint != c.jobFP || r.Produces != produces || r.Cut <= 0 {
+	if r.Fingerprint != e.jobFP || r.Produces != rec.produces || r.Cut <= 0 {
 		return
 	}
-	set := ckptSetName(produces, w.ID)
-	pages, err := w.Front.Store.Pages(checkpointDb, set)
+	set := ckptSetName(rec.produces, e.id)
+	pages, err := e.store.Pages(checkpointDb, set)
 	if err != nil || len(pages) != len(r.SubPageSizes) {
 		return // snapshots missing or torn: start over
 	}
@@ -120,15 +107,6 @@ func (c *Cluster) loadAggResume(w *Worker, rec *aggRecovery, produces string) {
 	rec.ckpt = &engine.MergeCheckpoint{Cut: r.Cut, Subs: subs}
 	rec.diskSet = set
 	rec.saves = r.Saves
-	rec.restored = true
-}
-
-// dropAggResume removes a worker's durable cut metadata for a stage.
-func (c *Cluster) dropAggResume(w *Worker, produces string) {
-	if c.Cfg.DataDir == "" || produces == "" {
-		return
-	}
-	os.Remove(c.resumePath(produces, w.ID))
 }
 
 // joinResume is the durable cut metadata for a hash-partition join's
@@ -149,38 +127,25 @@ type joinResume struct {
 // joinResumePath is where worker's durable probe cut for one join job
 // lives under DataDir.
 func (c *Cluster) joinResumePath(dbL, setL, dbR, setR string, worker int) string {
-	s := func(v string) string {
-		return strings.NewReplacer(":", "-", "/", "-", ".", "-").Replace(v)
-	}
-	return filepath.Join(c.Cfg.DataDir, fmt.Sprintf("worker-%d", worker),
+	s := fileSafe.Replace
+	return c.workerSubdir(worker,
 		fmt.Sprintf("resume-join-%s-%s-%s-%s-w%d.json", s(dbL), s(setL), s(dbR), s(setR), worker))
 }
 
 // saveJoinResume atomically persists the probe cut rec just checkpointed.
-func (c *Cluster) saveJoinResume(rec *joinRecovery) error {
-	b, err := json.Marshal(&joinResume{
+func saveJoinResume(rec *joinRecovery) error {
+	return writeJSONAtomic(rec.resumePath, &joinResume{
 		Fingerprint:  rec.resumeFP,
 		ProbeCursor:  rec.probeCursor,
 		EmittedAtCut: rec.emittedAtCut,
 		Saves:        rec.saves,
 	})
-	if err != nil {
-		return err
-	}
-	tmp := rec.resumePath + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("cluster: persisting join resume metadata: %w", err)
-	}
-	if err := os.Rename(tmp, rec.resumePath); err != nil {
-		return fmt.Errorf("cluster: persisting join resume metadata: %w", err)
-	}
-	return nil
 }
 
 // loadJoinResume pre-populates a fresh join recovery record from durable
 // probe-cut metadata a previous cluster left behind, if it matches this
 // job's fingerprint. Mismatch or damage means the join starts over.
-func (c *Cluster) loadJoinResume(rec *joinRecovery) {
+func loadJoinResume(rec *joinRecovery) {
 	b, err := os.ReadFile(rec.resumePath)
 	if err != nil {
 		return

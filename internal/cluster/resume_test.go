@@ -152,7 +152,7 @@ func TestJoinRestartResumesProbeCut(t *testing.T) {
 	// far is covered by it.
 	c1.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.ProbePage, Worker: 0, K: interval})
 	var firstLife []string
-	err = c1.HashPartitionJoin("db", "left", "db", "right",
+	_, err = c1.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right",
 		joinKeyOn(rec1), joinKeyOn(rec1), joinEqOn(rec1),
 		func(workerID int, l, r object.Ref) error {
 			firstLife = append(firstLife, joinPairString(rec1, l, r))
@@ -175,7 +175,7 @@ func TestJoinRestartResumesProbeCut(t *testing.T) {
 	}
 	rec2 := intRecType(c2)
 	var secondLife []string
-	err = c2.HashPartitionJoin("db", "left", "db", "right",
+	_, err = c2.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right",
 		joinKeyOn(rec2), joinKeyOn(rec2), joinEqOn(rec2),
 		func(workerID int, l, r object.Ref) error {
 			secondLife = append(secondLife, joinPairString(rec2, l, r))

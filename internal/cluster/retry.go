@@ -22,6 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"time"
 )
 
 // Role labels for retry accounting (ExecStats.RoleRetries keys) and
@@ -56,12 +58,10 @@ func crashMessage(err error) string {
 	return s
 }
 
-// runRole executes body on w's live backend, applying the crash policy
-// above. recoverable gates retries (e.g. consumer recovery needs a
-// checkpoint interval); onRetry runs before each recovery attempt, on the
-// scheduler goroutine, for stats accounting. what names the work in errors
-// ("stage 2 pre-aggregation", "join probe").
-func (c *Cluster) runRole(w *Worker, role, what string, recoverable func() bool, onRetry func(), body func() error) error {
+// runRole runs r.body under the crash policy above. r.noRetry fails the
+// role on its first crash; r.onRetry runs before each recovery attempt, on
+// the scheduler goroutine and under mu, for stats accounting.
+func (c *Cluster) runRole(r *role, mu *sync.Mutex) error {
 	max := c.maxRetries()
 	attempt := 0
 	lastCrash := ""
@@ -69,38 +69,70 @@ func (c *Cluster) runRole(w *Worker, role, what string, recoverable func() bool,
 	// free but bounded so a persistently crashing sibling cannot spin us.
 	deadBudget := 4 * (max + 2)
 	for {
-		entered := false
-		err := w.Front.Backend().Run(func() error {
-			entered = true
-			return body()
-		})
+		entered, err := c.attempt(r)
 		if err == nil {
 			return nil
 		}
 		if errors.Is(err, errBackendDead) && !entered {
 			if deadBudget <= 0 {
-				return fmt.Errorf("cluster: %s role (%s) on worker %d could not start: %w", role, what, w.ID, err)
+				return fmt.Errorf("cluster: %s role (%s) on worker %d could not start: %w", r.name, r.what, r.w.ID, err)
 			}
 			deadBudget--
 			continue
 		}
-		if !errors.Is(err, errBackendCrashed) {
+		if !errors.Is(err, errBackendCrashed) || r.noRetry {
 			return err
 		}
-		if recoverable != nil && !recoverable() {
-			return err
-		}
+		// A dead process leaves no panic text to compare: only an
+		// in-process crash can be recognized as repeating.
 		msg := crashMessage(err)
-		if lastCrash != "" && msg == lastCrash {
-			return fmt.Errorf("cluster: %s role (%s) on worker %d failed deterministically (identical crash on retry): %w", role, what, w.ID, err)
+		if !r.proc && lastCrash != "" && msg == lastCrash {
+			return fmt.Errorf("cluster: %s role (%s) on worker %d failed deterministically (identical crash on retry): %w", r.name, r.what, r.w.ID, err)
 		}
 		if attempt >= max {
-			return fmt.Errorf("cluster: %s role (%s) on worker %d exhausted %d crash retries: %w", role, what, w.ID, max, err)
+			return fmt.Errorf("cluster: %s role (%s) on worker %d exhausted %d crash retries: %w", r.name, r.what, r.w.ID, max, err)
 		}
 		lastCrash = msg
 		attempt++
-		if onRetry != nil {
-			onRetry()
+		if r.onRetry != nil {
+			mu.Lock()
+			r.onRetry()
+			mu.Unlock()
 		}
 	}
+}
+
+// attempt is one try at r.body on r.w's backend, wherever that lives, and
+// reports a crash as errBackendCrashed. In-process the body runs on the
+// live backend (re-forked if a crash killed the last one) and a panic is
+// the crash; entered tells a body that never started — the backend was
+// already dead — from one that ran.
+//
+// A proc role's body talks to the worker's pcworker process over a session
+// connection; if it fails and the process is found dead, the failure is a
+// worker crash. A body failure with the process still alive is a protocol
+// or job error and fails the role. Crash detection is incarnation-aware:
+// the session ran against one spawn generation, and a sibling role's retry
+// may have respawned the worker already — a changed generation is a lost
+// process even though something is alive now. Same-generation death gets a
+// short grace window, since a session error races the kernel reaping the
+// dying process.
+func (c *Cluster) attempt(r *role) (entered bool, err error) {
+	if !r.proc {
+		err = r.w.Front.Backend().Run(func() error {
+			entered = true
+			return r.body()
+		})
+		return entered, err
+	}
+	pw := c.procs.workers[r.w.ID]
+	if err := pw.revive(); err != nil {
+		return true, err
+	}
+	gen := pw.generation()
+	err = r.body()
+	if err == nil || (pw.generation() == gen && !pw.deadWithin(2*time.Second)) {
+		return true, err
+	}
+	return true, fmt.Errorf("%w (worker %d): process died: %v", errBackendCrashed, pw.id, err)
 }

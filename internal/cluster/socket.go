@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/object"
+	"repro/internal/procwork"
 	"repro/internal/wire"
 )
 
@@ -268,18 +269,10 @@ func (t *SocketTransport) decodePage(f *wire.Frame, regID uint32) (*object.Page,
 	if dst == nil {
 		return nil, fmt.Errorf("cluster: wire frame for unknown registry %d", regID)
 	}
-	for _, tb := range f.Types {
-		ti := dst.LookupName(tb.Name)
-		if ti == nil {
-			return nil, fmt.Errorf("cluster: wire frame binds unregistered type %q", tb.Name)
-		}
-		if ti.Code != tb.Code {
-			return nil, fmt.Errorf("cluster: wire type drift: %q is code %d here, %d on the wire", tb.Name, ti.Code, tb.Code)
-		}
-	}
-	// The payload slice is freshly allocated by wire.Read and aliased
-	// nowhere else — the page takes ownership without another copy.
-	return object.FromBytes(f.Payload, dst)
+	// The same check-and-adopt proc mode's sessions use. The payload slice
+	// is freshly allocated by wire.Read and aliased nowhere else — the page
+	// takes ownership without another copy.
+	return procwork.DecodePage(f, dst)
 }
 
 // Close tears the transport down: the listener, every idle dialed

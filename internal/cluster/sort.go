@@ -12,7 +12,6 @@ package cluster
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/core"
@@ -57,7 +56,7 @@ type sortRecovery struct {
 // retries follow the shuffle's pattern: producers re-send identical tags
 // (sender-side dedup drops duplicates), the consumer rewinds to its last
 // committed cut and restores its merge cursor.
-func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.JobStage, stats *ExecStats) (exchangeTelemetry, error) {
+func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.JobStage, stats *ExecStats) (StageShip, error) {
 	nw := len(c.Workers)
 	interval := c.checkpointEvery(cons)
 
@@ -74,27 +73,20 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 	// Per-worker sort-spill pools (Config.SortSpillRows). Like the
 	// governors' pools they live exactly as long as the step, and any slot
 	// still live at close is a leak the chaos campaign asserts against.
-	var spills []*storage.SpillPool
-	closeSpills := func() {}
+	spills := make([]*storage.SpillPool, nw)
 	if c.Cfg.SortSpillRows > 0 {
-		spills = make([]*storage.SpillPool, nw)
 		for i, w := range c.Workers {
-			dir := ""
-			if c.Cfg.DataDir != "" {
-				dir = filepath.Join(c.Cfg.DataDir, fmt.Sprintf("worker-%d", i), "_sortspill")
-			}
-			spills[i] = storage.NewSpillPool(dir, w.Reg())
+			spills[i] = storage.NewSpillPool(c.workerSubdir(i, "_sortspill"), w.Reg())
 		}
-		closeSpills = func() {
+		defer func() {
 			for _, sp := range spills {
 				if n := sp.LiveSlots(); n > 0 {
 					c.Transport.Stats().NoteLeakedSlots(int64(n))
 				}
 				_ = sp.Close()
 			}
-		}
+		}()
 	}
-	defer closeSpills()
 
 	ex := exchange.New(exchange.Config{
 		Producers:  nw,
@@ -113,71 +105,32 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 		// pages — the merge reads rows off them in place.
 	})
 
-	errs := make([]error, nw+1)
+	// The recovery record is in-memory only (run pages, merge cursor): a
+	// failed step has nothing durable to drop beyond runStep's discard.
 	rec := &sortRecovery{}
-	var arts0 *workerArtifacts
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i, w := range c.Workers {
-		wg.Add(1)
-		go func(i int, w *Worker) { // producer role
-			defer wg.Done()
-			var spill *storage.SpillPool
-			if spills != nil {
-				spill = spills[i]
-			}
-			err := c.runRole(w, roleProducer, prod.Produces, nil,
-				noteRetry(&mu, stats, roleProducer, false), func() error {
-					return c.runSortStreamOnWorker(res, prod, w, ex, spill)
-				})
-			if err != nil {
-				errs[i] = err
-				ex.Cancel(err)
-				return
-			}
-			ex.CloseProducer(i)
-		}(i, w)
-	}
-	wg.Add(1)
-	go func() { // merge consumer role, on worker 0's backend
-		defer wg.Done()
-		w := c.Workers[0]
-		err := c.runRole(w, roleConsumer, cons.Produces,
-			func() bool { return interval > 0 },
-			noteRetry(&mu, stats, roleConsumer, true), func() error {
-				a, err := c.consumeSortStream(res, cons, w, ex, interval, rec)
-				if err != nil {
-					return err
-				}
-				arts0 = a
-				return nil
-			})
-		if err != nil {
-			errs[nw] = err
-			ex.Cancel(err)
-		}
-	}()
-	wg.Wait()
-
-	tel := exchangeTelemetry{hwm: ex.MaxBytesInFlight(), reorderPages: ex.MaxReorderPages(), checkpoints: rec.saves}
-	c.Transport.Stats().NoteExchange(tel.hwm, tel.reorderPages, tel.checkpoints)
-	for _, err := range errs {
-		if err != nil {
-			// Both roles have returned; release undelivered and retained
-			// exchange pages. The recovery record is in-memory only (run
-			// pages, merge cursor) — nothing durable to drop.
-			ex.Discard()
-			return tel, err
-		}
-	}
 	// All sorted output concentrates on worker 0; the other workers still
 	// get the artifact key so downstream scans find (empty) partitions.
 	arts := make([]*workerArtifacts, nw)
-	arts[0] = arts0
-	for i := 1; i < nw; i++ {
+	roles := make([]role, nw+1)
+	for i, w := range c.Workers {
 		arts[i] = &workerArtifacts{pagesKey: cons.Produces}
+		roles[i] = role{w: w, name: roleProducer, what: prod.Produces,
+			onRetry: stats.noteRetry(roleProducer, false),
+			body:    func() error { return c.runSortStreamOnWorker(res, prod, w, ex, spills[i]) },
+			closes:  ex}
 	}
-	return tel, c.commitArtifacts(arts)
+	roles[nw] = role{w: c.Workers[0], name: roleConsumer, what: cons.Produces, noRetry: interval <= 0,
+		onRetry: stats.noteRetry(roleConsumer, true),
+		saves:   &rec.saves,
+		body: func() (err error) { // the merge consumer, on worker 0's backend
+			arts[0], err = c.consumeSortStream(res, cons, c.Workers[0], ex, interval, rec)
+			return err
+		}}
+	ship, err := c.runStep(roles, nil, ex)
+	if err != nil {
+		return ship, err
+	}
+	return ship, c.commitArtifacts(arts)
 }
 
 // runSortStreamOnWorker is the producer half of the merge network on one
@@ -203,7 +156,8 @@ func (c *Cluster) runSortStreamOnWorker(res *core.CompileResult, stage *physical
 		valCol = stage.SinkStmt.Applied.Cols[spec.NumKeys]
 	}
 	objCol := stage.SinkStmt.Copied.Cols[0]
-	pages, err := c.sourcePagesFor(stage, w)
+	env := c.env(w)
+	pages, err := env.sourcePages(stage)
 	if err != nil {
 		return err
 	}
@@ -224,19 +178,14 @@ func (c *Cluster) runSortStreamOnWorker(res *core.CompileResult, stage *physical
 		}
 	}()
 
-	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), c.Cfg.Threads)
-	if len(chunks) == 0 {
-		// A worker with no input still streams its (empty) close
-		// marker, honoring the exchange's lane contract.
-		chunks = [][]engine.PageRange{nil}
-	}
-	pt, err := engine.RunPipelineThreads(chunks, stage.SourceCol, stage.Stmts, res.Stages,
-		stage.SinkStmt,
-		func(t int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, *engine.Ctx, error) {
+	// A worker with no input still streams its (empty) close marker,
+	// honoring the exchange's lane contract.
+	pt, err := env.drivePipeline(res, stage, pages, stage.SinkStmt,
+		func(_ int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, error) {
 			sink, err := engine.NewSortSink(w.Reg(), c.Cfg.PageSize, keyCols, objCol, valCol,
 				spec.Desc, spec.Limit, c.pool, stats)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if spill != nil && spec.Limit == 0 {
 				sink.SpillThreshold = c.Cfg.SortSpillRows
@@ -244,18 +193,11 @@ func (c *Cluster) runSortStreamOnWorker(res *core.CompileResult, stage *physical
 				sink.Fault = c.Cfg.Fault
 				sink.Worker = w.ID
 			}
-			ctx, err := engine.NewSinkCtx(sink, w.Reg(), w.artTables, c.Cfg.PageSize, c.pool, stats)
-			if err != nil {
-				return nil, nil, err
-			}
 			mu.Lock()
 			sinks = append(sinks, sink)
 			mu.Unlock()
-			return sink, ctx, nil
+			return sink, nil
 		}, nil)
-	for t := range pt.Stats {
-		w.mergeStats(&pt.Stats[t])
-	}
 	if err != nil {
 		return err
 	}
@@ -404,6 +346,6 @@ func (c *Cluster) consumeSortStream(res *core.CompileResult, stage *physical.Job
 	}
 	c.Cfg.Fault.Hit(fault.Finalize, w.ID)
 	final := append(append([]*object.Page{}, rec.outPages...), out.Pages()[committed:]...)
-	w.mergeStats(&stats)
+	w.mergeStats(stats)
 	return &workerArtifacts{pages: final, pagesKey: stage.Produces}, nil
 }

@@ -88,7 +88,7 @@
 // sub-map pages byte-for-byte; the join build clones its tables) and a
 // re-forked consumer can restore it and replay only the stream's suffix,
 // reproducing the crash-free output exactly.
-//   - Join build/probe (internal/cluster.HashPartitionJoin): the shuffled
+//   - Join build/probe (internal/cluster.HashPartitionJoinKind): the shuffled
 //     build side streams into per-thread tables (pages dealt round-robin
 //     by delivery index) merged bucket-wise; probe threads buffer their
 //     matches, which are emitted after the barrier in thread order — so

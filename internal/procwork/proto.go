@@ -1,6 +1,9 @@
-// Package procwork is the process boundary: the control protocol and
-// serving loop that let a worker backend run as a real OS process
-// (cmd/pcworker) dialed by the master over a unix or TCP socket.
+// Package procwork is the process boundary's protocol: the control
+// messages and page frames a master and a worker backend running as a real
+// OS process (cmd/pcworker) exchange over a unix or TCP socket. Both ends
+// live in internal/cluster — the master's relays (procrun.go) and the
+// worker's serving loop (cluster.ServeWorker), which runs the same role
+// functions an in-process backend runs.
 //
 // Every conversation is one session on one connection, framed with
 // internal/wire: KindControl frames carry JSON Msg values (requests,

@@ -6,6 +6,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +15,12 @@ import (
 
 	"repro/internal/object"
 )
+
+// ErrUnknownSet marks a read or drop of a set this server never stored.
+// For a cluster worker that is the ordinary "no pages of this set landed
+// here" case; every other error from Pages (a failed read, a corrupt page
+// file) means stored data is damaged and must fail the caller.
+var ErrUnknownSet = errors.New("storage: unknown set")
 
 // Server stores sets of pages. With a directory it persists pages to
 // db/set/page-N.pcp files; without one it keeps everything in memory (used
@@ -103,6 +110,9 @@ func (s *Server) PageCount(db, set string) int {
 
 func setKey(db, set string) string { return db + "." + set }
 
+// Dir reports the server's data directory ("" for a memory-only server).
+func (s *Server) Dir() string { return s.dir }
+
 func (s *Server) setDir(db, set string) string {
 	return filepath.Join(s.dir, db, set)
 }
@@ -150,7 +160,9 @@ func (s *Server) Append(db, set string, pages []*object.Page) error {
 	return nil
 }
 
-// Pages returns all pages of a set, loading from disk in disk mode.
+// Pages returns all pages of a set, loading from disk in disk mode. An
+// unknown set is ErrUnknownSet; any other error is a failed or corrupt
+// read of data the server does hold.
 func (s *Server) Pages(db, set string) ([]*object.Page, error) {
 	s.mu.RLock()
 	sd, ok := s.sets[setKey(db, set)]
@@ -160,7 +172,7 @@ func (s *Server) Pages(db, set string) ([]*object.Page, error) {
 	}
 	s.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("storage: unknown set %s.%s", db, set)
+		return nil, fmt.Errorf("%w %s.%s", ErrUnknownSet, db, set)
 	}
 	if s.dir == "" {
 		return resident, nil
@@ -200,7 +212,7 @@ func (s *Server) Drop(db, set string) error {
 	defer s.mu.Unlock()
 	key := setKey(db, set)
 	if _, ok := s.sets[key]; !ok {
-		return fmt.Errorf("storage: unknown set %s.%s", db, set)
+		return fmt.Errorf("%w %s.%s", ErrUnknownSet, db, set)
 	}
 	delete(s.sets, key)
 	if s.dir != "" {

@@ -1,6 +1,9 @@
 package storage
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -122,6 +125,33 @@ func TestUnknownSetErrors(t *testing.T) {
 	s, _ := NewServer("", object.NewRegistry())
 	if _, err := s.Pages("no", "set"); err == nil {
 		t.Error("unknown set should error")
+	}
+}
+
+// TestPagesTellsUnknownFromDamaged pins the one distinction callers rely on:
+// a set the server never stored is ErrUnknownSet (from Pages and Drop
+// alike), a stored set whose page file is damaged is a different error.
+func TestPagesTellsUnknownFromDamaged(t *testing.T) {
+	dir := t.TempDir()
+	reg := object.NewRegistry()
+	s, err := NewServer(dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Pages("no", "set"); !errors.Is(err, ErrUnknownSet) {
+		t.Errorf("Pages of an unknown set = %v, want ErrUnknownSet", err)
+	}
+	if err := s.Drop("no", "set"); !errors.Is(err, ErrUnknownSet) {
+		t.Errorf("Drop of an unknown set = %v, want ErrUnknownSet", err)
+	}
+	if err := s.Append("db", "set", []*object.Page{buildPage(t, reg, 1, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, "db", "set", "page-000000.pcp"), 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Pages("db", "set"); err == nil || errors.Is(err, ErrUnknownSet) {
+		t.Errorf("Pages over a truncated page file = %v, want a corrupt-page error that is not ErrUnknownSet", err)
 	}
 }
 
