@@ -2,6 +2,10 @@
 // §2, Appendix D.1): a bounded cache of pages with pin/unpin semantics and
 // LRU eviction of unpinned pages to a backing store. Because PC pages need
 // no (de)serialization, eviction and reload are raw byte copies.
+//
+// Nothing imports this package yet: internal/storage serves whole sets
+// without a pool in front of it. ROADMAP item 8 wires it in or deletes it,
+// by measurement.
 package buffer
 
 import (

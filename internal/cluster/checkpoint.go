@@ -244,22 +244,18 @@ type joinRecovery struct {
 	// (marking is idempotent), keeping emit exactly-once while the bitmap
 	// still converges to the crash-free run's. tailCursor is the
 	// unmatched-build-row sweep's committed position.
-	wantBuildRows bool
-	buildRows     []object.Ref
-	buildRowsCut  int
-	bitmapAtCut   []uint64
-	tailCursor    int
+	buildRows    []object.Ref
+	buildRowsCut int
+	bitmapAtCut  []uint64
+	tailCursor   int
 
 	// resumePath/resumeFP arm durable probe-cut persistence (resume.go):
 	// set when Config.ResumeOnRestart is on, every probe checkpoint also
-	// writes its cut metadata there.
+	// writes its cut metadata there. A record loadJoinResume pre-populated
+	// needs no mark: the build re-runs from scratch, and positioning the
+	// probe end at the cursor acknowledges the already-emitted prefix.
 	resumePath string
 	resumeFP   string
-	// restored marks a record pre-populated from a previous cluster's
-	// durable probe cut: the build re-runs from scratch, and the probe
-	// phase acknowledges the already-emitted prefix instead of replaying
-	// it. Cleared once the probe fast-forward completes.
-	restored bool
 }
 
 // CheckpointSets counts live consumer-recovery snapshot sets (the _ckpt

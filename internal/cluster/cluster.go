@@ -51,12 +51,12 @@
 //     past it (a restarted cluster, Config.ResumeOnRestart).
 //
 // An operator keeps only what is its own: its sinks, its recovery record,
-// its failure cleanup. The aggregation's role pair and checkpoint store are
-// functions of a small per-worker environment (workerEnv), not of the
-// Cluster, so a pcworker process runs the very same functions with its
-// control socket as its end of the shuffle (procserve.go): one crash
-// policy, one replay policy, and one durable-cut layout — _ckpt/agg-…
-// snapshot sets and worker-N/resume-*.json files — in both modes.
+// its failure cleanup. Every role — the aggregation, sort and join pairs —
+// is a function of a small per-worker environment (workerEnv), not of the
+// Cluster, and a pcworker process runs the aggregation's with its control
+// socket as its end of the shuffle (procserve.go; sort and join do not ship
+// yet): one crash policy, one replay policy, and one durable-cut layout —
+// _ckpt/agg-… sets and worker-N/resume-*.json files — in both modes.
 // docs/FAULTS.md tabulates the full fault model (role × crash site →
 // recovery outcome), and internal/fault injects deterministic crashes and
 // I/O errors at every site via Config.Fault.
@@ -97,11 +97,11 @@
 // contiguous):
 //
 //   - Output/materialize: per-thread pages are concatenated.
-//   - Join build: per-thread hash tables merge bucket-wise, preserving
-//     sequential per-bucket row order (broadcast-join build stages and
-//     CoPartitionedJoin's local builds).
-//   - Join probe (HashPartitionJoinKind/CoPartitionedJoin): probe threads
-//     buffer matches and the worker emits them after the barrier in
+//   - Join build (broadcast-join build stages): per-thread hash tables
+//     merge bucket-wise, preserving sequential per-bucket row order.
+//   - Join probe (HashPartitionJoinKind and CoPartitionedJoin, one consumer
+//     body — consumeJoin): per window of probe pages, probe threads buffer
+//     matches and the worker emits them after the window's barrier in
 //     thread order, so a worker's emit calls stay serialized (workers
 //     still emit in parallel with each other, as they always did).
 //
@@ -170,12 +170,14 @@ type Config struct {
 	// of shuffled pages a streaming consumer merges between recovery
 	// checkpoints. Zero uses the physical plan's policy
 	// (physical.DefaultCheckpointInterval); a positive value overrides
-	// it; a negative value disables consumer recovery entirely (a crash
-	// inside a consuming merge then fails the job, and the exchange
-	// retains nothing). Each cut snapshots the consumer's whole merge
-	// state, so the interval trades the replay window against a per-cut
-	// cost proportional to aggregate state size — raise it when merged
-	// state is large relative to the stream.
+	// it; a negative value disables consumer recovery: consumers run the
+	// same path with no cuts and no retry (a crash inside a consuming merge
+	// fails the job), and the exchange retains only the join's probe side,
+	// its buffer while the build runs, metered against MemoryBudget. Each
+	// cut snapshots the consumer's whole merge state, so the interval trades
+	// the replay window against a per-cut cost proportional to aggregate
+	// state size — raise it when merged state is large relative to the
+	// stream.
 	CheckpointInterval int
 	// MemoryBudget, in bytes, bounds the exchange memory each worker
 	// backend keeps resident during a streaming step: pages buffered in

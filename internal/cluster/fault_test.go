@@ -199,7 +199,8 @@ func TestProbeDrainCrashReachesBackend(t *testing.T) {
 			t.Errorf("%d spill slots leaked", n)
 		}
 	}()
-	_, _, err = c.gatherJoinStreams(exBuild, exProbe, 0, nil, 1, &joinRecovery{}, false)
+	_, err = c.env(c.Workers[0]).gatherJoinStreams(&exchangeEnd{ex: exBuild, replayable: true},
+		&exchangeEnd{ex: exProbe, replayable: true}, &joinSpec{}, 1, &joinRecovery{})
 	t.Fatalf("gatherJoinStreams returned (%v) past the injected crash", err)
 }
 
@@ -549,14 +550,21 @@ func TestCoPartitionedJoinCrashRecovered(t *testing.T) {
 		t.Fatal("no worker owns enough matches to crash")
 	}
 
-	c, emp, key := partitionFixture(t, 400, 60)
-	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Emit, Worker: target, K: 4})
-	gotRows := flatten(run(c, emp, key))
-	if c.Cfg.Fault.Fired() != 1 {
-		t.Fatal("the co-partitioned emit crash never fired")
-	}
-	if !equalRows(gotRows, wantRows) {
-		t.Errorf("recovered co-partitioned join differs from crash-free run (%d vs %d pairs)",
-			len(gotRows), len(wantRows))
+	// Emit mid-window, and ProbePage — a site the zero-shuffle join has
+	// since it runs the shared consumer body — before anything was emitted.
+	for _, inj := range []fault.Injection{
+		{Site: fault.Emit, Worker: target, K: 4},
+		{Site: fault.ProbePage, Worker: target, K: 0},
+	} {
+		c, emp, key := partitionFixture(t, 400, 60)
+		c.Cfg.Fault = fault.NewPlan(inj)
+		gotRows := flatten(run(c, emp, key))
+		if c.Cfg.Fault.Fired() != 1 {
+			t.Fatalf("the co-partitioned %s crash never fired", inj.Site)
+		}
+		if !equalRows(gotRows, wantRows) {
+			t.Errorf("%s: recovered co-partitioned join differs from crash-free run (%d vs %d pairs)",
+				inj.Site, len(gotRows), len(wantRows))
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/fault"
 	"repro/internal/object"
+	"repro/internal/physical"
 )
 
 // JoinStats reports one hash-partition join's crash accounting.
@@ -42,11 +43,12 @@ type JoinStats struct {
 //     tag order and dealt round-robin across Config.Threads builder
 //     threads, whose tables merge bucket-wise in thread order — while
 //     draining the probe (left) side's stream into the exchange's
-//     replay retention (metered against Config.MemoryBudget like any
-//     retained page).
+//     replay retention: retention is the probe buffer, metered against
+//     Config.MemoryBudget (and spillable) like any retained page.
 //  3. When its build stream closes, each worker rewinds the probe stream
 //     and probes it in windows of Config.CheckpointInterval pages
-//     (contiguous-chunk parallel probe, thread-ordered emit).
+//     (contiguous-chunk parallel probe, thread-ordered emit), releasing
+//     each window from retention as it goes.
 //
 // keyL/keyR extract the join key hash from an object (the compiled key
 // lambdas); emit is invoked on each pair kind selects (below), running on
@@ -103,12 +105,13 @@ type JoinStats struct {
 // order equals page order, so the skip prefix is exact and emit sees every
 // match exactly once. Match output is bit-for-bit identical to a
 // crash-free run in every case. With recovery disabled
-// (CheckpointInterval < 0) any consumer crash fails the join.
+// (CheckpointInterval < 0) the consumer runs the same path with the cuts
+// absent — no table clones, no saved cursor, no retry: any consumer crash
+// fails the join — in windows of physical.DefaultCheckpointInterval pages.
 func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR string,
 	keyL, keyR func(object.Ref) uint64,
 	eq func(l, r object.Ref) bool,
 	emit func(workerID int, l, r object.Ref) error) (*JoinStats, error) {
-	needTail := kind == core.JoinRight || kind == core.JoinFull
 	nw := len(c.Workers)
 	interval := c.checkpointEvery(nil)
 	// One governor per consumer backend, shared by both exchanges: the
@@ -116,35 +119,36 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 	// pages are consumer-owned (the tables reference them in place, so they
 	// live for the join regardless); probe-side delivered pages are
 	// exchange-owned replay retention — metered, evictable, and released
-	// once the probe acknowledges past them. The release is a no-op rather
-	// than a pool recycle because user emit code may hold refs into probe
-	// pages; dropping the exchange's reference lets the garbage collector
-	// reclaim them exactly when user code is done.
+	// once the probe acknowledges past them — with recovery on or off:
+	// retention is what holds the probe side while the build runs. The
+	// release is a no-op rather than a pool recycle because user emit code
+	// may hold refs into probe pages; dropping the exchange's reference lets
+	// the garbage collector reclaim them exactly when user code is done.
 	govs, closeGovs := c.stepGovernors()
 	defer closeGovs()
-	exL := c.newShuffleExchange(interval > 0, func(*object.Page) {}, govs)
+	exL := c.newShuffleExchange(true, func(*object.Page) {}, govs)
 	exR := c.newShuffleExchange(interval > 0, nil, govs)
 	stats := &JoinStats{RoleRetries: map[string]int{}}
 	recs := make([]*joinRecovery, nw)
 	roles := make([]role, 3*nw)
 	for i, w := range c.Workers {
+		env := c.env(w)
 		// Producer roles: repartition-stream each side.
-		for s, side := range []struct {
-			ex      *exchange.Exchange
-			db, set string
-			key     func(object.Ref) uint64
-		}{{exL, dbL, setL, keyL}, {exR, dbR, setR, keyR}} {
-			roles[s*nw+i] = role{w: w, name: roleProducer, what: "join repartition " + side.set,
+		produce := func(ex *exchange.Exchange, db, set string, key func(object.Ref) uint64) role {
+			return role{w: w, name: roleProducer, what: "join repartition " + set,
 				onRetry: func() {
 					stats.Retries++
 					stats.RoleRetries[roleProducer]++
 				},
-				body:   func() error { return c.streamRepartition(side.db, side.set, side.key, w, side.ex) },
-				closes: side.ex}
+				body:   func() error { return env.streamRepartition(db, set, key, ex) },
+				closes: ex}
 		}
+		roles[i], roles[nw+i] = produce(exL, dbL, setL, keyL), produce(exR, dbR, setR, keyR)
 		// Consumer role: build from the right stream, retain the left
-		// stream, probe in checkpointed windows, emit.
-		rec := &joinRecovery{wantBuildRows: needTail}
+		// stream, probe in windows, emit.
+		j := &joinSpec{kind: kind, keyL: keyL, keyR: keyR, eq: eq,
+			emit: func(l, r object.Ref) error { return emit(i, l, r) }}
+		rec := &joinRecovery{}
 		if interval > 0 && c.Cfg.ResumeOnRestart && c.Cfg.DataDir != "" && kind == core.JoinInner {
 			// Arm durable probe-cut persistence and pick up where a
 			// previous cluster's identical join left off, if anywhere.
@@ -155,7 +159,8 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 			loadJoinResume(rec)
 		}
 		recs[i] = rec
-		emitHere := func(l, r object.Ref) error { return emit(i, l, r) }
+		build := &exchangeEnd{ex: exR, worker: i, replayable: interval > 0}
+		probe := &exchangeEnd{ex: exL, worker: i, replayable: true}
 		roles[2*nw+i] = role{w: w, name: roleConsumer, what: "join build/probe", noRetry: interval <= 0,
 			saves: &rec.saves,
 			onRetry: func() {
@@ -168,84 +173,20 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 					stats.BuildRecoveries++
 				}
 			},
-			body: func() error {
-				if interval <= 0 {
-					// Recovery disabled: the classic buffered path —
-					// gather both streams, probe the buffer once.
-					table, leftPages, err := c.gatherJoinStreams(exR, exL, i, keyR, interval, rec, true)
-					if err != nil {
-						return err
-					}
-					var bitmap []uint64
-					var rowIdx map[object.Ref]int
-					if needTail {
-						bitmap = make([]uint64, (len(rec.buildRows)+63)/64)
-						rowIdx = buildRowIndex(rec.buildRows)
-					}
-					err = parallelProbe(leftPages, table, keyL, eq, kind, c.Cfg.Threads, func(l, r object.Ref) error {
-						if needTail && r != object.NilRef {
-							markBit(bitmap, rowIdx[r])
-						}
-						return emit(i, l, r)
-					})
-					if err != nil {
-						return err
-					}
-					return c.sweepUnmatchedBuildRows(i, kind, bitmap, 0, rec, emitHere)
-				}
-				var table *engine.JoinTable
-				if rec.built {
-					// Probe-phase crash: the completed build's clones
-					// rebuild the table without touching the build
-					// stream (already fully delivered and acked).
-					table = restoreJoinTable(rec.tables)
-				} else {
-					if err := exR.Rewind(i, rec.cut); err != nil {
-						return err
-					}
-					// A restart-restored cursor points past this fresh
-					// exchange's (empty) delivery window; the gather
-					// below delivers the whole probe stream into
-					// retention, and the post-build rewind positions it.
-					if !rec.restored {
-						if err := exL.Rewind(i, rec.probeCursor); err != nil {
-							return err
-						}
-					}
-					t, _, err := c.gatherJoinStreams(exR, exL, i, keyR, interval, rec, false)
-					if err != nil {
-						return err
-					}
-					table = t
-					// The epilogue cut cloned the complete tables (or
-					// the last interval cut already covered the stream);
-					// from here on a crash is a probe-phase crash.
-					rec.built = true
-				}
-				if err := exL.Rewind(i, rec.probeCursor); err != nil {
-					return err
-				}
-				bitmap, err := c.probeEmitStream(exL, i, table, keyL, eq, kind, interval, rec, emitHere)
-				if err != nil {
-					return err
-				}
-				return c.sweepUnmatchedBuildRows(i, kind, bitmap, interval, rec, emitHere)
-			}}
+			body: func() error { return env.consumeJoin(build, probe, j, interval, interval, rec) }}
 	}
 	ship, err := c.runStep(roles, govs, exL, exR)
 	stats.Checkpoints = ship.Checkpoints
+	// Join recovery state is in-memory clones — beyond runStep's discard of
+	// both exchanges there is nothing else to drop, except the durable
+	// probe-cut files: a crash-type failure on a ResumeOnRestart cluster
+	// keeps them, and a restarted cluster resumes the probe from them.
+	if err == nil || !c.keepsResumeState(err) {
+		dropJoinResumes(recs)
+	}
 	if err != nil {
-		// Join recovery state is in-memory clones — beyond runStep's
-		// discard of both exchanges there is nothing else to drop, except
-		// the durable probe-cut files: a crash-type failure on a
-		// ResumeOnRestart cluster keeps them, and a restarted cluster
-		// resumes the probe from them.
-		if !c.keepsResumeState(err) {
-			dropJoinResumes(recs)
-		}
 		return stats, fmt.Errorf("cluster: hash-partition join %s.%s ⋈ %s.%s: %w", dbL, setL, dbR, setR, err)
 	}
-	dropJoinResumes(recs)
 	return stats, nil
 }
 
@@ -259,29 +200,40 @@ func dropJoinResumes(recs []*joinRecovery) {
 	}
 }
 
-// streamRepartition runs one worker's repartition of one set across
-// Config.Threads executor threads: each thread hashes its contiguous chunk
-// into a private RepartitionSink whose per-partition pages stream to the
-// owning worker the moment they seal. The thread flushes its partitions'
-// final pages and sends its close marker on the way out.
-func (c *Cluster) streamRepartition(db, set string, key func(object.Ref) uint64,
-	w *Worker, ex *exchange.Exchange) error {
-	pages, err := storedPages(w.Front.Store, db, set)
+// joinSpec is the user's side of one worker's join: the kind, the compiled
+// key lambdas and equality check, and emit bound to the worker.
+type joinSpec struct {
+	kind       core.JoinKind
+	keyL, keyR func(object.Ref) uint64
+	eq         func(l, r object.Ref) bool
+	emit       func(l, r object.Ref) error
+}
+
+// needTail reports whether the kind sweeps unmatched build rows after the
+// probe (and so tracks build-side matches in a bitmap).
+func (j *joinSpec) needTail() bool { return j.kind == core.JoinRight || j.kind == core.JoinFull }
+
+// streamRepartition runs one worker's repartition of one set across its
+// executor threads: each thread hashes its contiguous chunk into a private
+// RepartitionSink whose per-partition pages stream to the owning worker the
+// moment they seal. The thread flushes its partitions' final pages and
+// sends its close marker on the way out.
+func (e *workerEnv) streamRepartition(db, set string, key func(object.Ref) uint64, ex *exchange.Exchange) error {
+	pages, err := storedPages(e.store, db, set)
 	if err != nil {
 		return err
 	}
-	nw := len(c.Workers)
-	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), c.Cfg.Threads)
+	chunks := e.threadChunks(pages)
 	tstats := make([]engine.Stats, len(chunks))
 	err = engine.ParallelThreads(len(chunks), func(t int, stop <-chan struct{}) error {
-		sink, err := engine.NewRepartitionSink(w.Reg(), c.Cfg.PageSize, nw, "h", "obj", c.pool, &tstats[t])
+		sink, err := engine.NewRepartitionSink(e.reg, e.pageSize, e.workers, "h", "obj", e.pool, &tstats[t])
 		if err != nil {
 			return err
 		}
-		seqs := make([]int, nw)
+		seqs := make([]int, e.workers)
 		sink.SetOnSeal(func(part int, p *object.Page) error {
-			c.Cfg.Fault.Hit(fault.PageSeal, w.ID)
-			tag := exchange.Tag{Producer: w.ID, Thread: t, Seq: seqs[part]}
+			e.fault.Hit(fault.PageSeal, e.id)
+			tag := exchange.Tag{Producer: e.id, Thread: t, Seq: seqs[part]}
 			seqs[part]++
 			return streamErr(ex.Send(tag, part, p, stop))
 		})
@@ -305,81 +257,111 @@ func (c *Cluster) streamRepartition(db, set string, key func(object.Ref) uint64,
 		if err := sink.CloseStream(); err != nil {
 			return err
 		}
-		return streamErr(ex.CloseThread(w.ID, t, stop))
+		return streamErr(ex.CloseThread(e.id, t, stop))
 	})
-	w.mergeStats(tstats...)
+	e.noteStats(tstats...)
 	return err
+}
+
+// consumeJoin is the join's one consumer body, whatever carries its two page
+// streams (exchange ends for HashPartitionJoinKind, the worker's stored
+// pages for CoPartitionedJoin): build the table while the probe stream
+// drains into its end's retention, probe the rewound stream in windows, then
+// sweep the outer tail. buildEvery and probeEvery are the two phases' cut
+// intervals; at <= 0 a phase runs the same code with its cut hooks absent.
+func (e *workerEnv) consumeJoin(build, probe consumerEnd, j *joinSpec, buildEvery, probeEvery int, rec *joinRecovery) error {
+	var table *engine.JoinTable
+	if rec.built {
+		// Probe-phase crash: the completed build's clones rebuild the
+		// table without touching the build stream (already fully
+		// delivered and acked) — merged in thread order onto a clone, so
+		// the record stays pristine for the next crash (Merge never
+		// mutates its argument).
+		table = rec.tables[0].Clone()
+		for _, tbl := range rec.tables[1:] {
+			table.Merge(tbl)
+		}
+	} else {
+		var err error
+		if table, err = e.gatherJoinStreams(build, probe, j, buildEvery, rec); err != nil {
+			return err
+		}
+		// The epilogue cut cloned the complete tables (or the last
+		// interval cut already covered the stream); from here on a crash
+		// is a probe-phase crash. A build without cuts holds no clones:
+		// its retry, where there is one, rebuilds.
+		rec.built = buildEvery > 0
+	}
+	// The gather delivered the whole probe stream, so the cursor — zero, a
+	// probe cut of this attempt's predecessor, or one a previous cluster
+	// persisted — is at most what this end has delivered: hello rewinds to it
+	// and acknowledges the prefix the cut already covers.
+	if err := probe.hello(rec.probeCursor); err != nil {
+		return err
+	}
+	bitmap, counter, err := e.probeEmitStream(probe, table, j, probeEvery, rec)
+	if err != nil {
+		return err
+	}
+	return e.sweepUnmatchedBuildRows(j, bitmap, counter, probeEvery, rec)
 }
 
 // gatherJoinStreams overlaps the join's two shuffles with the build: the
 // build-side stream feeds the hash table as pages arrive while the
 // probe-side stream drains concurrently, so neither side's producers stall
-// on a full lane longer than the backpressure bound. With bufferProbe the
-// drained probe pages are returned for the non-recoverable buffered probe;
-// otherwise they are dropped on delivery — the exchange's replay retention
-// holds them for the checkpointed probe to rewind over. A panic on either
-// goroutine re-raises on the caller, the backend goroutine
-// (engine.ParallelFor): the user key lambda in the build, and in the drain
-// a crash under Recv — which settles the governor's accounting and can
-// spill a retained page — must reach the backend, not kill the process.
-func (c *Cluster) gatherJoinStreams(exBuild, exProbe *exchange.Exchange, worker int,
-	key func(object.Ref) uint64, interval int, rec *joinRecovery, bufferProbe bool) (*engine.JoinTable, []*object.Page, error) {
+// on a full lane longer than the backpressure bound. The drained probe
+// pages are dropped on delivery — the end's retention holds them for the
+// windowed probe to rewind over. The build (re)starts at its last cut; the
+// probe side from zero, since nothing of it is acknowledged before the build
+// completes. A panic on either goroutine re-raises on the caller, the
+// backend goroutine (engine.ParallelFor): the user key lambda in the build,
+// and in the drain a crash under Recv — which settles the governor's
+// accounting and can spill a retained page — must reach the backend, not
+// kill the process.
+func (e *workerEnv) gatherJoinStreams(build, probe consumerEnd, j *joinSpec, interval int, rec *joinRecovery) (*engine.JoinTable, error) {
+	if err := build.hello(rec.cut); err != nil {
+		return nil, err
+	}
+	if err := probe.hello(0); err != nil {
+		return nil, err
+	}
 	var table *engine.JoinTable
-	var leftPages []*object.Page
 	err := engine.ParallelFor(2, func(side int) (err error) {
 		if side == 0 {
-			table, err = c.buildTableStream(exBuild, worker, key, c.Cfg.Threads, interval, rec)
+			table, err = e.buildTableStream(build, j, interval, rec)
 			return err
 		}
 		for {
-			p, ok, err := exProbe.Recv(worker)
-			if err != nil || !ok {
+			if _, ok, err := probe.next(); err != nil || !ok {
 				return err
-			}
-			if bufferProbe {
-				leftPages = append(leftPages, p)
 			}
 		}
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return table, leftPages, nil
+	return table, err
 }
 
-// buildTableStream builds the probe hash table incrementally from the
-// shuffled build stream: pages are dealt round-robin by global delivery
-// index across threads builder threads (a pure function of the
-// deterministic delivery order), and the per-thread tables merge
-// bucket-wise in thread order after the stream closes. Build pages are
-// never recycled — the table references their objects for the life of the
-// join.
+// buildTableStream builds the probe hash table incrementally from the build
+// stream: pages are dealt round-robin by global delivery index across the
+// worker's builder threads (a pure function of the deterministic delivery
+// order), and the per-thread tables merge bucket-wise in thread order after
+// the stream closes. Build pages are never recycled — the table references
+// their objects for the life of the join.
 //
 // With interval > 0 the build checkpoints for consumer crash recovery:
 // every interval pages — and once more at stream end — the quiesced
 // per-thread tables are cloned into rec and the cut acknowledged to the
-// exchange; a resumed build (rec already holding clones) starts from those
-// tables at rec.cut, fed by an exchange rewound to the same cut, and
+// end; a resumed build (rec already holding clones) starts from those
+// tables at rec.cut, fed by an end positioned at the same cut, and
 // reproduces the crash-free table exactly. The epilogue clone means rec
 // always holds the complete table set once the stream closes, which is
 // what probe-phase recovery restores from.
-func (c *Cluster) buildTableStream(ex *exchange.Exchange, worker int,
-	key func(object.Ref) uint64, threads, interval int, rec *joinRecovery) (*engine.JoinTable, error) {
-	if threads < 1 {
-		threads = 1
-	}
-	if rec != nil && rec.wantBuildRows {
-		// Drop build rows appended past the last committed cut: the rewound
-		// exchange redelivers those pages and next re-appends their rows.
-		rec.buildRows = rec.buildRows[:rec.buildRowsCut]
-	}
-	tables := make([]*engine.JoinTable, threads)
+func (e *workerEnv) buildTableStream(end consumerEnd, j *joinSpec, interval int, rec *joinRecovery) (*engine.JoinTable, error) {
+	// Drop build rows appended past the last committed cut: the rewound
+	// stream redelivers those pages and next re-appends their rows.
+	rec.buildRows = rec.buildRows[:rec.buildRowsCut]
+	tables := make([]*engine.JoinTable, e.threads)
 	start := 0
-	if rec != nil && rec.tables != nil {
-		if len(rec.tables) != threads {
-			return nil, fmt.Errorf("cluster: join checkpoint holds %d tables, build runs %d threads",
-				len(rec.tables), threads)
-		}
+	if rec.tables != nil {
 		start = rec.cut
 		for t := range tables {
 			tables[t] = rec.tables[t].Clone()
@@ -394,10 +376,10 @@ func (c *Cluster) buildTableStream(ex *exchange.Exchange, worker int,
 		resizesBefore += int(tbl.Resizes())
 	}
 	next := func() (*object.Page, bool, error) {
-		p, ok, err := ex.Recv(worker)
+		p, ok, err := end.next()
 		if ok {
-			c.Cfg.Fault.Hit(fault.BuildPage, worker)
-			if rec != nil && rec.wantBuildRows {
+			e.fault.Hit(fault.BuildPage, e.id)
+			if j.needTail() {
 				// Delivery order defines the match bitmap's index space;
 				// next runs on the dispatch goroutine, so the append stays
 				// aligned with the delivered-page count the cuts commit.
@@ -406,40 +388,34 @@ func (c *Cluster) buildTableStream(ex *exchange.Exchange, worker int,
 		}
 		return p, ok, err
 	}
-	tstats := make([]engine.Stats, threads)
+	tstats := make([]engine.Stats, len(tables))
 	fold := func(t int, p *object.Page) error {
 		if p.Root() == 0 {
 			return nil
 		}
 		root := object.AsVector(object.Ref{Page: p, Off: p.Root()})
-		tbl := tables[t]
-		for j, n := 0, root.Len(); j < n; j++ {
-			r := root.HandleAt(j)
+		tbl, key := tables[t], j.keyR
+		for i, n := 0, root.Len(); i < n; i++ {
+			r := root.HandleAt(i)
 			tbl.Add(key(r), r)
 		}
 		tstats[t].HashProbes += root.Len()
 		return nil
 	}
-	var err error
-	if interval <= 0 {
-		err = engine.StreamPages(next, threads, false, nil, fold)
-	} else {
-		err = engine.StreamPagesCheckpointed(next, threads, false, start, interval, fold,
-			func(delivered int, final bool) error {
-				c.Cfg.Fault.Hit(fault.Checkpoint, worker)
-				clones := make([]*engine.JoinTable, len(tables))
-				for t := range tables {
-					clones[t] = tables[t].Clone()
-				}
-				rec.cut, rec.tables = delivered, clones
-				if rec.wantBuildRows {
-					rec.buildRowsCut = len(rec.buildRows)
-				}
-				rec.saves++
-				return ex.Ack(worker, delivered)
-			})
+	var cut func(delivered int, final bool) error
+	if interval > 0 {
+		cut = func(delivered int, _ bool) error {
+			e.fault.Hit(fault.Checkpoint, e.id)
+			clones := make([]*engine.JoinTable, len(tables))
+			for t := range tables {
+				clones[t] = tables[t].Clone()
+			}
+			rec.cut, rec.tables, rec.buildRowsCut = delivered, clones, len(rec.buildRows)
+			rec.saves++
+			return end.ack(delivered)
+		}
 	}
-	if err != nil {
+	if err := engine.StreamPagesCheckpointed(next, len(tables), false, start, interval, fold, cut); err != nil {
 		return nil, err
 	}
 	table := tables[0]
@@ -451,29 +427,14 @@ func (c *Cluster) buildTableStream(ex *exchange.Exchange, worker int,
 		resizes += int(tbl.Resizes())
 	}
 	tstats[0].HashResizes += resizes
-	c.Workers[worker].mergeStats(tstats...)
+	e.noteStats(tstats...)
 	return table, nil
 }
 
-// restoreJoinTable rebuilds the probe table from a completed build's
-// checkpointed per-thread clones, merging in thread order so the recovery
-// record stays pristine for the next crash (Merge never mutates its
-// argument).
-func restoreJoinTable(tables []*engine.JoinTable) *engine.JoinTable {
-	if len(tables) == 0 {
-		return engine.NewJoinTable()
-	}
-	table := tables[0].Clone()
-	for _, tbl := range tables[1:] {
-		table.Merge(tbl)
-	}
-	return table
-}
-
-// probeEmitStream is the checkpointed probe/emit phase: it consumes the
-// rewound probe stream in windows of interval pages, probes each window in
-// parallel (collectProbeMatches — match order is page order, independent
-// of the thread split), and emits the matches in order, maintaining the
+// probeEmitStream is the probe/emit phase: it consumes the rewound probe
+// stream in windows of interval pages, probes each window in parallel
+// (collectProbeMatches — match order is page order, independent of the
+// thread split), and emits the matches in order, maintaining the
 // exactly-once cursor as it goes. After each window it checkpoints
 // (rec.probeCursor/rec.emittedAtCut) and acknowledges the window's pages,
 // bounding both the replay window and — under Config.MemoryBudget — the
@@ -481,7 +442,10 @@ func restoreJoinTable(tables []*engine.JoinTable) *engine.JoinTable {
 // rec.emitted were already observed by user code and are skipped: window
 // boundaries are a pure function of the cursor, so the replayed window's
 // match sequence is identical to the crashed attempt's and the skip prefix
-// is exact.
+// is exact. With interval <= 0 nothing is checkpointed (no saved cursor, no
+// counted cut, no Checkpoint site) but the windows stay, at the planner's
+// default size: the acknowledgement releases retention, the window bounds
+// the match buffer.
 //
 // For the right/full kinds the returned bitmap records which build rows
 // (delivery-order index) matched some probe row. Marking happens before the
@@ -489,127 +453,113 @@ func restoreJoinTable(tables []*engine.JoinTable) *engine.JoinTable {
 // snapshot, so its marks must be re-applied even for matches user code
 // already observed; setting a set bit is idempotent, and each checkpoint
 // snapshots the bitmap alongside the cursor it describes.
-func (c *Cluster) probeEmitStream(ex *exchange.Exchange, worker int, table *engine.JoinTable,
-	key func(object.Ref) uint64, eq func(l, r object.Ref) bool, kind core.JoinKind,
-	interval int, rec *joinRecovery, emit func(l, r object.Ref) error) ([]uint64, error) {
-	counter := rec.emittedAtCut
-	cursor := rec.probeCursor
-	needTail := kind == core.JoinRight || kind == core.JoinFull
+func (e *workerEnv) probeEmitStream(end consumerEnd, table *engine.JoinTable, j *joinSpec,
+	interval int, rec *joinRecovery) ([]uint64, int, error) {
+	counter, cursor := rec.emittedAtCut, rec.probeCursor
+	pagesPerWindow := interval
+	if interval <= 0 {
+		pagesPerWindow = physical.DefaultCheckpointInterval
+	}
 	var bitmap []uint64
 	var rowIdx map[object.Ref]int
-	if needTail {
+	if j.needTail() {
 		bitmap = make([]uint64, (len(rec.buildRows)+63)/64)
 		copy(bitmap, rec.bitmapAtCut)
 		rowIdx = buildRowIndex(rec.buildRows)
-	}
-	if rec.restored {
-		// Cross-restart resume: the pages below the restored cursor were
-		// probed and their matches emitted by a previous cluster, so this
-		// probe never replays them — acknowledge them straight out of the
-		// gather's retention.
-		if cursor > 0 {
-			if err := ex.Ack(worker, cursor); err != nil {
-				return nil, err
-			}
-		}
-		rec.restored = false
 	}
 	// scratch backs each window's flattened match list and is recycled
 	// across windows, so a long probe stream allocates the flatten buffer
 	// O(1) times instead of once per window.
 	var scratch [][2]object.Ref
-	for {
+	for done := false; !done; {
 		var window []*object.Page
-		done := false
-		for len(window) < interval {
-			p, ok, err := ex.Recv(worker)
+		var pstats engine.Stats
+		for len(window) < pagesPerWindow {
+			p, ok, err := end.next()
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if !ok {
 				done = true
 				break
 			}
-			c.Cfg.Fault.Hit(fault.ProbePage, worker)
+			e.fault.Hit(fault.ProbePage, e.id)
 			window = append(window, p)
+			if p.Root() != 0 {
+				pstats.HashProbes += object.AsVector(object.Ref{Page: p, Off: p.Root()}).Len()
+			}
 		}
-		if len(window) > 0 {
-			var pstats engine.Stats
-			for _, p := range window {
-				if p.Root() != 0 {
-					pstats.HashProbes += object.AsVector(object.Ref{Page: p, Off: p.Root()}).Len()
-				}
+		if len(window) == 0 {
+			break // the stream ended on a window boundary
+		}
+		e.noteStats(pstats)
+		matches, err := e.collectProbeMatches(window, table, j, scratch[:0])
+		if err != nil {
+			return nil, 0, err
+		}
+		scratch = matches
+		for _, m := range matches {
+			if bitmap != nil && m[1] != object.NilRef {
+				e.fault.Hit(fault.ProbeBitmap, e.id)
+				markBit(bitmap, rowIdx[m[1]])
 			}
-			c.Workers[worker].mergeStats(pstats)
-			matches, err := collectProbeMatches(window, table, key, eq, kind, c.Cfg.Threads, scratch[:0])
-			if err != nil {
-				return nil, err
-			}
-			scratch = matches
-			for _, m := range matches {
-				if needTail && m[1] != object.NilRef {
-					c.Cfg.Fault.Hit(fault.ProbeBitmap, worker)
-					markBit(bitmap, rowIdx[m[1]])
-				}
-				if counter < rec.emitted {
-					// Replay of a match user code already observed.
-					counter++
-					continue
-				}
-				c.Cfg.Fault.Hit(fault.Emit, worker)
-				if err := emit(m[0], m[1]); err != nil {
-					return nil, err
-				}
+			if counter < rec.emitted {
+				// Replay of a match user code already observed.
 				counter++
-				// The emit landed; a crash past this point replays the
-				// window but skips this match.
-				rec.emitted = counter
+				continue
 			}
-			cursor += len(window)
-			c.Cfg.Fault.Hit(fault.Checkpoint, worker)
+			e.fault.Hit(fault.Emit, e.id)
+			if err := j.emit(m[0], m[1]); err != nil {
+				return nil, 0, err
+			}
+			counter++
+			// The emit landed; a crash past this point replays the
+			// window but skips this match.
+			rec.emitted = counter
+		}
+		cursor += len(window)
+		if interval > 0 {
+			e.fault.Hit(fault.Checkpoint, e.id)
 			rec.probeCursor = cursor
 			rec.emittedAtCut = counter
-			if needTail {
+			if bitmap != nil {
 				rec.bitmapAtCut = append(rec.bitmapAtCut[:0], bitmap...)
 			}
 			rec.saves++
 			if rec.resumePath != "" {
 				if err := saveJoinResume(rec); err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 			}
-			if err := ex.Ack(worker, cursor); err != nil {
-				return nil, err
-			}
 		}
-		if done {
-			return bitmap, nil
+		if err := end.ack(cursor); err != nil {
+			return nil, 0, err
 		}
 	}
+	return bitmap, counter, nil
 }
 
 // sweepUnmatchedBuildRows is the right/full outer tail: after the probe
 // stream drains — so the bitmap is final — it walks the build rows in
 // delivery order and emits (NilRef, r) for each row no probe row matched.
-// The sweep continues the probe phase's global emit counter and, with
-// interval > 0, checkpoints its cursor every interval rows scanned:
+// The sweep continues the probe phase's global emit counter (counter: what
+// the probe returned — the committed count when a retry had nothing left to
+// probe) and, with interval > 0, checkpoints its cursor every interval rows:
 // boundaries are a pure function of the committed cursor and the emit
 // sequence a pure function of (bitmap, cursor), so a replayed sweep skips
 // exactly the rows user code already observed.
-func (c *Cluster) sweepUnmatchedBuildRows(worker int, kind core.JoinKind, bitmap []uint64,
-	interval int, rec *joinRecovery, emit func(l, r object.Ref) error) error {
-	if kind != core.JoinRight && kind != core.JoinFull {
+func (e *workerEnv) sweepUnmatchedBuildRows(j *joinSpec, bitmap []uint64, counter, interval int, rec *joinRecovery) error {
+	if !j.needTail() {
 		return nil
 	}
-	counter := rec.emittedAtCut
 	scanned := 0
 	for i := rec.tailCursor; i < len(rec.buildRows); i++ {
 		if !bitAt(bitmap, i) {
 			if counter < rec.emitted {
 				counter++
 			} else {
-				c.Cfg.Fault.Hit(fault.Emit, worker)
-				if err := emit(object.NilRef, rec.buildRows[i]); err != nil {
+				e.fault.Hit(fault.Emit, e.id)
+				if err := j.emit(object.NilRef, rec.buildRows[i]); err != nil {
 					return err
 				}
 				counter++
@@ -618,7 +568,7 @@ func (c *Cluster) sweepUnmatchedBuildRows(worker int, kind core.JoinKind, bitmap
 		}
 		scanned++
 		if interval > 0 && scanned%interval == 0 {
-			c.Cfg.Fault.Hit(fault.Checkpoint, worker)
+			e.fault.Hit(fault.Checkpoint, e.id)
 			rec.tailCursor = i + 1
 			rec.emittedAtCut = counter
 			rec.saves++
@@ -659,40 +609,40 @@ var probeBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// collectProbeMatches probes pages through the read-only build table
-// across threads executor threads and returns the kind's emit sequence in
-// page order, appended to reuse (pass a zero-length slice with retained
-// capacity to recycle the flatten buffer across calls). Inner/right kinds
-// list every matching pair; left/full add (l, NilRef) for matchless probe
-// rows; semi keeps only the first match per probe row; anti keeps only the
-// (l, NilRef) entries. Each thread probes a contiguous chunk into a pooled
-// private buffer and the buffers concatenate in thread order, so the
-// result is exactly the sequence a sequential probe over the same pages
-// would emit — per-row logic is local to the row, so the kind cannot
-// perturb determinism.
-func collectProbeMatches(pages []*object.Page, table *engine.JoinTable,
-	key func(object.Ref) uint64, eq func(l, r object.Ref) bool, kind core.JoinKind,
-	threads int, reuse [][2]object.Ref) ([][2]object.Ref, error) {
+// collectProbeMatches is the join's one probe loop: it probes pages through
+// the read-only build table across the worker's executor threads and
+// returns the kind's emit sequence in page order, appended to reuse (pass a
+// zero-length slice with retained capacity to recycle the flatten buffer
+// across calls). Inner/right kinds list every matching pair; left/full add
+// (l, NilRef) for matchless probe rows; semi keeps only the first match per
+// probe row; anti keeps only the (l, NilRef) entries. Each thread probes a
+// contiguous chunk into a pooled private buffer and the buffers concatenate
+// in thread order, so the result is exactly the sequence a sequential probe
+// over the same pages would emit — per-row logic is local to the row, so
+// the kind cannot perturb determinism — and the caller emits it on its own
+// goroutine: one worker never invokes emit from two threads at once.
+func (e *workerEnv) collectProbeMatches(pages []*object.Page, table *engine.JoinTable, j *joinSpec,
+	reuse [][2]object.Ref) ([][2]object.Ref, error) {
+	kind, key, eq := j.kind, j.keyL, j.eq
 	probeRanges := func(ranges []engine.PageRange, out [][2]object.Ref) [][2]object.Ref {
 		for _, rng := range ranges {
 			root := object.AsVector(object.Ref{Page: rng.Page, Off: rng.Page.Root()})
-			for j := rng.Start; j < rng.End; j++ {
-				l := root.HandleAt(j)
+			for i := rng.Start; i < rng.End; i++ {
+				l := root.HandleAt(i)
 				b := table.Bucket(key(l))
 				matched := false
-				for i, n := 0, b.Len(); i < n; i++ {
-					r := b.At(i)
+				for k, n := 0, b.Len(); k < n; k++ {
+					r := b.At(k)
 					if !eq(l, r) {
 						continue
 					}
 					matched = true
+					if kind != core.JoinAnti {
+						out = append(out, [2]object.Ref{l, r})
+					}
 					if kind == core.JoinSemi || kind == core.JoinAnti {
-						if kind == core.JoinSemi {
-							out = append(out, [2]object.Ref{l, r})
-						}
 						break // membership decided; later matches are moot
 					}
-					out = append(out, [2]object.Ref{l, r})
 				}
 				if !matched && (kind == core.JoinAnti || kind == core.JoinLeft || kind == core.JoinFull) {
 					out = append(out, [2]object.Ref{l, object.NilRef})
@@ -701,104 +651,19 @@ func collectProbeMatches(pages []*object.Page, table *engine.JoinTable,
 		}
 		return out
 	}
-	all := reuse
-	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), threads)
+	chunks := e.threadChunks(pages)
 	matches := make([]*[][2]object.Ref, len(chunks))
-	err := engine.ParallelFor(len(chunks), func(t int) error {
+	if err := engine.ParallelFor(len(chunks), func(t int) error {
 		buf := probeBufPool.Get().(*[][2]object.Ref)
 		*buf = probeRanges(chunks[t], (*buf)[:0])
 		matches[t] = buf
 		return nil
-	})
-	if err != nil {
-		for _, buf := range matches {
-			if buf != nil {
-				probeBufPool.Put(buf)
-			}
-		}
+	}); err != nil {
 		return nil, err
 	}
 	for _, buf := range matches {
-		all = append(all, *buf...)
+		reuse = append(reuse, *buf...)
 		probeBufPool.Put(buf)
 	}
-	return all, nil
-}
-
-// parallelBuildTable builds a probe hash table over locally materialized
-// pages across threads executor threads: each thread inserts a contiguous
-// chunk of rows into a private table, and tables merge bucket-wise in
-// thread order after the barrier, so per-bucket row order matches a
-// sequential build over the whole input. (CoPartitionedJoin's zero-shuffle
-// local builds; the shuffled build streams through buildTableStream.)
-func parallelBuildTable(pages []*object.Page, key func(object.Ref) uint64, threads int) (*engine.JoinTable, error) {
-	buildRanges := func(ranges []engine.PageRange) *engine.JoinTable {
-		tbl := engine.NewJoinTable()
-		for _, rng := range ranges {
-			root := object.AsVector(object.Ref{Page: rng.Page, Off: rng.Page.Root()})
-			for j := rng.Start; j < rng.End; j++ {
-				r := root.HandleAt(j)
-				tbl.Add(key(r), r)
-			}
-		}
-		return tbl
-	}
-	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), threads)
-	tables := make([]*engine.JoinTable, len(chunks))
-	err := engine.ParallelFor(len(chunks), func(t int) error {
-		tables[t] = buildRanges(chunks[t])
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	table := engine.NewJoinTable()
-	for _, tbl := range tables {
-		if tbl != nil {
-			table.Merge(tbl)
-		}
-	}
-	return table, nil
-}
-
-// parallelProbe probes the buffered probe side through the read-only build
-// table across threads executor threads (the CheckpointInterval < 0 path
-// and CoPartitionedJoin's local probes). Matches are emitted in page order
-// via collectProbeMatches on the calling goroutine, so one worker never
-// invokes emit from two threads at once. An inner join over a single chunk
-// (Threads=1, or fewer batches than threads) streams each match straight
-// to emit with no buffer, like the sequential path always did.
-func parallelProbe(pages []*object.Page, table *engine.JoinTable,
-	key func(object.Ref) uint64, eq func(l, r object.Ref) bool, kind core.JoinKind,
-	threads int, emit func(l, r object.Ref) error) error {
-	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), threads)
-	if kind == core.JoinInner && len(chunks) <= 1 {
-		for _, chunk := range chunks {
-			for _, rng := range chunk {
-				root := object.AsVector(object.Ref{Page: rng.Page, Off: rng.Page.Root()})
-				for j := rng.Start; j < rng.End; j++ {
-					l := root.HandleAt(j)
-					b := table.Bucket(key(l))
-					for i, n := 0, b.Len(); i < n; i++ {
-						if r := b.At(i); eq(l, r) {
-							if err := emit(l, r); err != nil {
-								return err
-							}
-						}
-					}
-				}
-			}
-		}
-		return nil
-	}
-	matches, err := collectProbeMatches(pages, table, key, eq, kind, threads, nil)
-	if err != nil {
-		return err
-	}
-	for _, m := range matches {
-		if err := emit(m[0], m[1]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return reuse, nil
 }

@@ -261,3 +261,85 @@ func TestOuterJoinCrashRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinKindsCheckpointsOff runs every kind with consumer recovery
+// disabled — the same consumer body with its cut hooks absent — with and
+// without a memory budget: the per-worker emit order must equal the
+// checkpointed run's, the multiset the nested-loop reference's, no
+// checkpoint may be counted, and under a budget the probe side's retention
+// (the probe buffer while the build runs) must be metered and spill.
+func TestJoinKindsCheckpointsOff(t *testing.T) {
+	const ln, lg, rn, rg, roff = 600, 12, 240, 8, 8
+	for _, cell := range []struct{ workers, threads int }{{1, 1}, {2, 2}, {4, 8}} {
+		build := func(interval int, budget int64) (*Cluster, *object.TypeInfo) {
+			c, err := New(Config{Workers: cell.workers, Threads: cell.threads, PageSize: 1 << 12,
+				ShuffleCapacity: 2, CheckpointInterval: interval, MemoryBudget: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := intRecType(c)
+			if err := c.CreateDatabase("db"); err != nil {
+				t.Fatal(err)
+			}
+			loadIntRowsOff(t, c, rec, "db", "left", ln, lg, 0)
+			loadIntRowsOff(t, c, rec, "db", "right", rn, rg, roff)
+			return c, rec
+		}
+		for _, jk := range joinKinds {
+			onC, onRec := build(2, 0)
+			want := runJoinKind(t, onC, onRec, jk.kind)
+			ref := joinKindReference(jk.kind, ln, lg, rn, rg, roff)
+			for _, budget := range []int64{0, spillBudget} {
+				label := fmt.Sprintf("w=%d t=%d %s budget=%d", cell.workers, cell.threads, jk.name, budget)
+				c, rec := build(-1, budget)
+				got := runJoinKind(t, c, rec, jk.kind)
+				if !equalRows(got, want) {
+					t.Errorf("%s: emit order differs from the checkpointed run (%d vs %d rows)", label, len(got), len(want))
+				}
+				sorted := append([]string(nil), got...)
+				sort.Strings(sorted)
+				if !equalRows(sorted, ref) {
+					t.Errorf("%s: emit multiset differs from the reference (%d vs %d rows)", label, len(sorted), len(ref))
+				}
+				ts := c.Transport.Stats()
+				if ts.Checkpoints != 0 {
+					t.Errorf("%s: %d checkpoints counted with recovery disabled", label, ts.Checkpoints)
+				}
+				if budget > 0 && (ts.SpilledPages == 0 || ts.MaxBufferedBytes == 0 || ts.MaxBufferedBytes > budget) {
+					t.Errorf("%s: spilled %d pages, MaxBufferedBytes %d, want spills and a gauge in (0, %d]",
+						label, ts.SpilledPages, ts.MaxBufferedBytes, budget)
+				}
+				assertNoJoinLeaks(t, c, label)
+			}
+		}
+	}
+}
+
+// TestJoinCheckpointsOffCrashFailsClean crashes the recovery-off consumer
+// at each of its sites: the join must fail on the first crash — no retry,
+// whatever Config.MaxRetries allows — and release every retained probe
+// page and spill slot.
+func TestJoinCheckpointsOffCrashFailsClean(t *testing.T) {
+	for _, site := range []fault.Site{fault.BuildPage, fault.ProbePage, fault.Emit} {
+		cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ShuffleCapacity: 2,
+			CheckpointInterval: -1, MemoryBudget: spillBudget, MaxRetries: 3}
+		c, rec := joinFixture(t, cfg, 600, 90, 18)
+		c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: site, Worker: 0, K: 1})
+		stats, err := c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right",
+			joinKeyOn(rec), joinKeyOn(rec), joinEqOn(rec),
+			func(int, object.Ref, object.Ref) error { return nil })
+		if err == nil {
+			t.Fatalf("%s: a consumer crash with recovery disabled did not fail the join", site)
+		}
+		if c.Cfg.Fault.Fired() != 1 {
+			t.Errorf("%s: injection fired %d times, want 1 (no retried attempt)", site, c.Cfg.Fault.Fired())
+		}
+		// (A producer the failure cancelled mid-send may still count a retry
+		// of its own; the consumer must not.)
+		if stats.BuildRecoveries+stats.ProbeRecoveries != 0 || stats.Checkpoints != 0 {
+			t.Errorf("%s: %d build + %d probe recoveries, %d checkpoints, want none",
+				site, stats.BuildRecoveries, stats.ProbeRecoveries, stats.Checkpoints)
+		}
+		assertNoJoinLeaks(t, c, "recovery off, "+site.String())
+	}
+}

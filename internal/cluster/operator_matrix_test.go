@@ -417,8 +417,16 @@ func matGrid() []matCell {
 // the corpus, and runs every operator, returning rows per op name.
 func matClusterRun(t *testing.T, transport string, cell matCell, left, right []matRow) map[string][]matRow {
 	t.Helper()
+	rows, _ := matClusterRunAt(t, transport, cell, 2, left, right)
+	return rows
+}
+
+// matClusterRunAt is matClusterRun at a given Config.CheckpointInterval; it
+// also returns the consumer checkpoints ExecStats counted, per op name.
+func matClusterRunAt(t *testing.T, transport string, cell matCell, interval int, left, right []matRow) (map[string][]matRow, map[string]int) {
+	t.Helper()
 	c, err := New(Config{Workers: cell.workers, Threads: cell.threads,
-		PageSize: 1 << 13, ShuffleCapacity: 2, CheckpointInterval: 2, Transport: transport})
+		PageSize: 1 << 13, ShuffleCapacity: 2, CheckpointInterval: interval, Transport: transport})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,15 +450,19 @@ func matClusterRun(t *testing.T, transport string, cell matCell, left, right []m
 	}
 	load("left", left)
 	load("right", right)
-	out := map[string][]matRow{}
+	out, checkpoints := map[string][]matRow{}, map[string]int{}
 	for _, op := range matOps {
 		set := "out_" + op.name
 		if err := c.CreateSet("db", set, "MatRow"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Execute(matWrite(op.name, ti, set)); err != nil {
+		stats, err := c.Execute(matWrite(op.name, ti, set))
+		if err != nil {
 			t.Fatalf("cluster %s (tr=%q w=%d t=%d): %v",
 				op.name, transport, cell.workers, cell.threads, err)
+		}
+		for _, ship := range stats.Ships {
+			checkpoints[op.name] += ship.Checkpoints
 		}
 		var rows []matRow
 		for _, w := range c.Workers {
@@ -462,7 +474,7 @@ func matClusterRun(t *testing.T, transport string, cell matCell, left, right []m
 		}
 		out[op.name] = rows
 	}
-	return out
+	return out, checkpoints
 }
 
 // matCompare asserts got agrees with want under the op's contract.
@@ -567,5 +579,31 @@ func TestOperatorMatrixUnixTransport(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOperatorMatrixCheckpointsOff is the "recovery disabled" rung: every
+// operator at Workers {1,2} × Threads {1,2} with CheckpointInterval -1 must
+// produce the checkpointed cell's rows in the same order — "off" is the same
+// path with no cuts, not a second algorithm — and count no checkpoint.
+func TestOperatorMatrixCheckpointsOff(t *testing.T) {
+	for _, corpus := range matCorpora {
+		left, right := matCorpus(corpus)
+		for _, cell := range []matCell{{1, 1}, {1, 2}, {2, 1}, {2, 2}} {
+			want, onCuts := matClusterRunAt(t, "", cell, 2, left, right)
+			got, offCuts := matClusterRunAt(t, "", cell, -1, left, right)
+			for _, op := range matOps {
+				label := fmt.Sprintf("off/%s/w=%d,t=%d %s", corpus, cell.workers, cell.threads, op.name)
+				if g, w := canonKV(got[op.name]), canonKV(want[op.name]); !equalRows(g, w) {
+					t.Errorf("%s: rows differ from the checkpointed cell (%d vs %d)", label, len(g), len(w))
+				}
+				if offCuts[op.name] != 0 {
+					t.Errorf("%s: %d checkpoints counted with recovery disabled", label, offCuts[op.name])
+				}
+				if op.name != "semi" && op.name != "anti" && corpus != "empty" && onCuts[op.name] == 0 {
+					t.Errorf("%s: the checkpointed cell counted no checkpoints: the comparison proves nothing", label)
+				}
+			}
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/object"
 )
 
@@ -104,21 +103,23 @@ func (c *Cluster) SendDataPartitioned(db, set string, pages []*object.Page,
 // CoPartitionedJoin joins two sets that were loaded with
 // SendDataPartitioned under the same key label: no repartition stages, no
 // shuffle — each worker builds a table from its local right-side objects
-// and probes with its local left-side objects. Build and probe run across
-// Config.Threads executor threads with the same thread-ordered merge and
-// buffered emit as HashPartitionJoinKind, so match order is deterministic.
+// and probes with its local left-side objects, through the very consumer
+// body HashPartitionJoinKind runs (consumeJoin) with the worker's stored
+// pages as both streams, so build threading, probe windows and match order
+// are that join's.
 //
 // A backend crash anywhere in the local build or probe is recovered
 // (within Config.MaxRetries): the inputs are the worker's own stored
-// pages, owned by the crash-proof front end, so the re-forked backend
-// rebuilds the table and re-probes deterministically; an emitted-match
-// cursor skips the matches user code already observed, keeping emit
+// pages, owned by the crash-proof front end, so the build takes no cuts —
+// the re-forked backend rebuilds the table deterministically — and the
+// probe resumes from its last window cut (from the start with
+// CheckpointInterval < 0), the shared recovery record's emitted-match
+// cursor skipping the matches user code already observed: emit stays
 // exactly-once across crashes.
 func (c *Cluster) CoPartitionedJoin(dbL, setL, dbR, setR string,
 	keyL, keyR func(object.Ref) uint64,
 	eq func(l, r object.Ref) bool,
 	emit func(workerID int, l, r object.Ref) error) error {
-
 	ml, err := c.Catalog.LookupSet(dbL, setL)
 	if err != nil {
 		return err
@@ -132,40 +133,23 @@ func (c *Cluster) CoPartitionedJoin(dbL, setL, dbR, setR string,
 			dbL, setL, dbR, setR, ml.PartitionKey, mr.PartitionKey)
 	}
 
+	interval := c.checkpointEvery(nil)
 	roles := make([]role, len(c.Workers))
 	for i, w := range c.Workers {
-		// emitted survives attempts (scheduler-owned, like a recovery
-		// record): matches below it were already observed by user code
-		// and a retried probe skips them — match order is page order,
-		// so the skip prefix is exact.
-		emitted := 0
+		env := c.env(w)
+		j := &joinSpec{kind: core.JoinInner, keyL: keyL, keyR: keyR, eq: eq,
+			emit: func(l, r object.Ref) error { return emit(i, l, r) }}
+		rec := &joinRecovery{} // scheduler-owned: survives the role's attempts
 		roles[i] = role{w: w, name: roleProbe, what: "co-partitioned join", body: func() error {
-			counter := 0
-			rightPages, err := storedPages(w.Front.Store, dbR, setR)
+			right, err := storedPages(env.store, dbR, setR)
 			if err != nil {
 				return err
 			}
-			table, err := parallelBuildTable(rightPages, keyR, c.Cfg.Threads)
+			left, err := storedPages(env.store, dbL, setL)
 			if err != nil {
 				return err
 			}
-			pages, err := storedPages(w.Front.Store, dbL, setL)
-			if err != nil {
-				return err
-			}
-			return parallelProbe(pages, table, keyL, eq, core.JoinInner, c.Cfg.Threads, func(l, r object.Ref) error {
-				if counter < emitted {
-					counter++
-					return nil
-				}
-				c.Cfg.Fault.Hit(fault.Emit, w.ID)
-				if err := emit(i, l, r); err != nil {
-					return err
-				}
-				counter++
-				emitted = counter
-				return nil
-			})
+			return env.consumeJoin(&storedEnd{pages: right}, &storedEnd{pages: left}, j, 0, interval, rec)
 		}}
 	}
 	_, err = c.runStep(roles, nil)

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/object"
 )
 
@@ -143,5 +145,83 @@ func TestCoPartitionedJoinRejectsMismatchedKeys(t *testing.T) {
 		func(int, object.Ref, object.Ref) error { return nil })
 	if err == nil {
 		t.Fatal("join of non-co-partitioned sets must be rejected")
+	}
+}
+
+// TestCoPartitionedJoinResumesFromProbeCut gives every worker several pages
+// of each side and a one-page checkpoint interval, then crashes the probe
+// past its first window cuts — with and without cuts: the retried attempt
+// rebuilds the table, repositions the stored-page stream at the saved cursor
+// (or the start) and skips what was emitted, so per-worker emit order equals
+// the crash-free run's with every pair seen exactly once.
+func TestCoPartitionedJoinResumesFromProbeCut(t *testing.T) {
+	run := func(interval int, inj *fault.Injection) []string {
+		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: interval})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := intRecType(c)
+		if err := c.CreateDatabase("db"); err != nil {
+			t.Fatal(err)
+		}
+		for set, n := range map[string]int{"left": 900, "right": 90} {
+			if err := c.CreateSet("db", set, rec.Name); err != nil {
+				t.Fatal(err)
+			}
+			pages, err := object.BuildPages(c.Catalog.Registry(), 1<<12, n, func(a *object.Allocator, i int) (object.Ref, error) {
+				r, err := a.MakeObject(rec)
+				if err != nil {
+					return object.NilRef, err
+				}
+				object.SetI64(r, rec.Field("grp"), int64(i%18))
+				object.SetI64(r, rec.Field("val"), int64(i))
+				return r, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SendDataPartitioned("db", set, pages, "grp", joinKeyOn(rec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if inj != nil {
+			c.Cfg.Fault = fault.NewPlan(*inj)
+		}
+		perWorker := make([][]string, len(c.Workers))
+		var mu sync.Mutex
+		err = c.CoPartitionedJoin("db", "left", "db", "right", joinKeyOn(rec), joinKeyOn(rec), joinEqOn(rec),
+			func(w int, l, r object.Ref) error {
+				mu.Lock()
+				perWorker[w] = append(perWorker[w], joinPairString(rec, l, r))
+				mu.Unlock()
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inj != nil && c.Cfg.Fault.Fired() != 1 {
+			t.Fatalf("interval %d: the %s crash never fired", interval, inj.Site)
+		}
+		var rows []string
+		for _, ws := range perWorker {
+			rows = append(rows, ws...)
+		}
+		return rows
+	}
+	want := run(1, nil)
+	if len(want) != 900*5 {
+		t.Fatalf("crash-free join emitted %d pairs, want %d", len(want), 900*5)
+	}
+	for _, interval := range []int{1, -1} {
+		for _, inj := range []fault.Injection{
+			{Site: fault.ProbePage, Worker: 0, K: 3},
+			{Site: fault.Emit, Worker: 0, K: 1200},
+			{Site: fault.BuildPage, Worker: 1, K: 0},
+		} {
+			if got := run(interval, &inj); !equalRows(got, want) {
+				t.Errorf("interval %d, %s: recovered join differs from the crash-free run (%d vs %d pairs)",
+					interval, inj.Site, len(got), len(want))
+			}
+		}
 	}
 }

@@ -161,5 +161,4 @@ func loadJoinResume(rec *joinRecovery) {
 	rec.emitted = r.EmittedAtCut
 	rec.emittedAtCut = r.EmittedAtCut
 	rec.saves = r.Saves
-	rec.restored = true
 }

@@ -54,8 +54,8 @@ type sortRecovery struct {
 // delivery order is (worker, thread, page), which is source order, so the
 // merger's lowest-lane tie-break reproduces the global stable order. Crash
 // retries follow the shuffle's pattern: producers re-send identical tags
-// (sender-side dedup drops duplicates), the consumer rewinds to its last
-// committed cut and restores its merge cursor.
+// (sender-side dedup drops duplicates), the consumer positions its end at its
+// last committed cut (hello) and restores its merge cursor.
 func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.JobStage, stats *ExecStats) (StageShip, error) {
 	nw := len(c.Workers)
 	interval := c.checkpointEvery(cons)
@@ -108,22 +108,24 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 	// The recovery record is in-memory only (run pages, merge cursor): a
 	// failed step has nothing durable to drop beyond runStep's discard.
 	rec := &sortRecovery{}
+	end := &exchangeEnd{ex: ex, worker: 0, replayable: interval > 0}
 	// All sorted output concentrates on worker 0; the other workers still
 	// get the artifact key so downstream scans find (empty) partitions.
 	arts := make([]*workerArtifacts, nw)
 	roles := make([]role, nw+1)
 	for i, w := range c.Workers {
+		env := c.env(w)
 		arts[i] = &workerArtifacts{pagesKey: cons.Produces}
 		roles[i] = role{w: w, name: roleProducer, what: prod.Produces,
 			onRetry: stats.noteRetry(roleProducer, false),
-			body:    func() error { return c.runSortStreamOnWorker(res, prod, w, ex, spills[i]) },
+			body:    func() error { return env.runSortStreamOnWorker(res, prod, ex, spills[i], c.Cfg.SortSpillRows) },
 			closes:  ex}
 	}
 	roles[nw] = role{w: c.Workers[0], name: roleConsumer, what: cons.Produces, noRetry: interval <= 0,
 		onRetry: stats.noteRetry(roleConsumer, true),
 		saves:   &rec.saves,
 		body: func() (err error) { // the merge consumer, on worker 0's backend
-			arts[0], err = c.consumeSortStream(res, cons, c.Workers[0], ex, interval, rec)
+			arts[0], err = c.env(c.Workers[0]).consumeSortStream(res, cons, end, interval, rec)
 			return err
 		}}
 	ship, err := c.runStep(roles, nil, ex)
@@ -136,7 +138,7 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 // runSortStreamOnWorker is the producer half of the merge network on one
 // worker: the stage pipeline runs across Config.Threads executor threads
 // into per-thread SortSinks (bounded-heap top-k when the spec has a limit,
-// optionally spilling sorted sub-runs past Config.SortSpillRows), and after
+// optionally spilling sorted sub-runs past spillRows into spill), and after
 // the stage barrier every thread run's pages stream to consumer 0. There is
 // no worker-level merge: the consumer's tournament takes each page as a
 // lane at O(log lanes) a row, so merging here would only copy the run. With
@@ -144,8 +146,8 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 // consumer applies the limit. A crash-retried producer re-runs
 // deterministically and re-sends identical tags for the sender-side dedup
 // to drop.
-func (c *Cluster) runSortStreamOnWorker(res *core.CompileResult, stage *physical.JobStage, w *Worker,
-	ex *exchange.Exchange, spill *storage.SpillPool) error {
+func (e *workerEnv) runSortStreamOnWorker(res *core.CompileResult, stage *physical.JobStage,
+	ex *exchange.Exchange, spill *storage.SpillPool, spillRows int) error {
 	spec := res.SortSpecs[stage.SinkStmt.Out.Name]
 	if spec == nil {
 		return fmt.Errorf("no sort spec for %q", stage.SinkStmt.Out.Name)
@@ -156,8 +158,7 @@ func (c *Cluster) runSortStreamOnWorker(res *core.CompileResult, stage *physical
 		valCol = stage.SinkStmt.Applied.Cols[spec.NumKeys]
 	}
 	objCol := stage.SinkStmt.Copied.Cols[0]
-	env := c.env(w)
-	pages, err := env.sourcePages(stage)
+	pages, err := e.sourcePages(stage)
 	if err != nil {
 		return err
 	}
@@ -180,18 +181,18 @@ func (c *Cluster) runSortStreamOnWorker(res *core.CompileResult, stage *physical
 
 	// A worker with no input still streams its (empty) close marker,
 	// honoring the exchange's lane contract.
-	pt, err := env.drivePipeline(res, stage, pages, stage.SinkStmt,
+	pt, err := e.drivePipeline(res, stage, pages, stage.SinkStmt,
 		func(_ int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, error) {
-			sink, err := engine.NewSortSink(w.Reg(), c.Cfg.PageSize, keyCols, objCol, valCol,
-				spec.Desc, spec.Limit, c.pool, stats)
+			sink, err := engine.NewSortSink(e.reg, e.pageSize, keyCols, objCol, valCol,
+				spec.Desc, spec.Limit, e.pool, stats)
 			if err != nil {
 				return nil, err
 			}
 			if spill != nil && spec.Limit == 0 {
-				sink.SpillThreshold = c.Cfg.SortSpillRows
+				sink.SpillThreshold = spillRows
 				sink.Spill = spill
-				sink.Fault = c.Cfg.Fault
-				sink.Worker = w.ID
+				sink.Fault = e.fault
+				sink.Worker = e.id
 			}
 			mu.Lock()
 			sinks = append(sinks, sink)
@@ -210,26 +211,28 @@ func (c *Cluster) runSortStreamOnWorker(res *core.CompileResult, stage *physical
 	seq := 0
 	for _, sink := range pt.Sinks {
 		for _, p := range sink.Pages() {
-			c.Cfg.Fault.Hit(fault.PageSeal, w.ID)
-			if err := streamErr(ex.Send(exchange.Tag{Producer: w.ID, Seq: seq}, 0, p, nil)); err != nil {
+			e.fault.Hit(fault.PageSeal, e.id)
+			if err := streamErr(ex.Send(exchange.Tag{Producer: e.id, Seq: seq}, 0, p, nil)); err != nil {
 				return err
 			}
 			seq++
 		}
 	}
 	failed = false
-	return streamErr(ex.CloseThread(w.ID, 0, nil))
+	return streamErr(ex.CloseThread(e.id, 0, nil))
 }
 
 // consumeSortStream is the consumer half: gather every producer's run pages
-// off the exchange (acknowledging delivery cuts every interval pages so the
-// replay window stays bounded), then merge them into the global order —
-// each delivered page is its own merge lane — materializing output objects
-// onto fresh pages, with the window fold riding the merged stream. With
-// interval > 0 both phases checkpoint into rec, and a crash-retried attempt
-// rewinds the exchange to the committed cut and restores the merge cursor.
-func (c *Cluster) consumeSortStream(res *core.CompileResult, stage *physical.JobStage, w *Worker,
-	ex *exchange.Exchange, interval int, rec *sortRecovery) (*workerArtifacts, error) {
+// off its end of the exchange (acknowledging delivery cuts every interval
+// pages so the replay window stays bounded), then merge them into the
+// global order — each delivered page is its own merge lane — materializing
+// output objects onto fresh pages, with the window fold riding the merged
+// stream. With interval > 0 both phases checkpoint into rec, and a
+// crash-retried attempt positions the end at the committed cut and restores
+// the merge cursor; with interval <= 0 the same code takes no cut (no
+// Checkpoint site, no CheckpointIO consult, no counted save).
+func (e *workerEnv) consumeSortStream(res *core.CompileResult, stage *physical.JobStage, end consumerEnd,
+	interval int, rec *sortRecovery) (*workerArtifacts, error) {
 	spec := res.SortSpecs[stage.AggList]
 	if spec == nil {
 		return nil, fmt.Errorf("no sort spec for %q", stage.AggList)
@@ -240,38 +243,35 @@ func (c *Cluster) consumeSortStream(res *core.CompileResult, stage *physical.Job
 	}
 
 	if !rec.gatherDone {
-		if interval > 0 {
-			if err := ex.Rewind(0, rec.cut); err != nil {
-				return nil, err
-			}
+		if err := end.hello(rec.cut); err != nil {
+			return nil, err
 		}
 		var pending []*object.Page
 		commit := func() error {
 			if len(pending) == 0 {
 				return nil
 			}
-			c.Cfg.Fault.Hit(fault.Checkpoint, w.ID)
-			if err := c.Cfg.Fault.ErrAt(fault.CheckpointIO, w.ID); err != nil {
-				return err
+			if interval > 0 {
+				e.fault.Hit(fault.Checkpoint, e.id)
+				if err := e.fault.ErrAt(fault.CheckpointIO, e.id); err != nil {
+					return err
+				}
+				rec.saves++
 			}
 			rec.pages = append(rec.pages, pending...)
 			rec.cut += len(pending)
 			pending = nil
-			rec.saves++
-			if interval > 0 {
-				return ex.Ack(0, rec.cut)
-			}
-			return nil
+			return end.ack(rec.cut) // a no-op on an end that retains nothing
 		}
 		for {
-			p, ok, err := ex.Recv(0)
+			p, ok, err := end.next()
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
 				break
 			}
-			c.Cfg.Fault.Hit(fault.Delivery, w.ID)
+			e.fault.Hit(fault.Delivery, e.id)
 			pending = append(pending, p)
 			if interval > 0 && len(pending) >= interval {
 				if err := commit(); err != nil {
@@ -293,14 +293,14 @@ func (c *Cluster) consumeSortStream(res *core.CompileResult, stage *physical.Job
 	for i, p := range rec.pages {
 		runs[i] = []*object.Page{p}
 	}
-	m := engine.NewSortMerger(w.Reg(), runs, spec.Limit)
+	m := engine.NewSortMerger(e.reg, runs, spec.Limit)
 	if rec.merging {
 		if err := m.Restore(rec.mergePos, rec.mergeEmitted); err != nil {
 			return nil, err
 		}
 	}
 	var stats engine.Stats
-	sink, err := engine.NewOutputSink(w.Reg(), c.Cfg.PageSize, c.pool, &stats)
+	sink, err := engine.NewOutputSink(e.reg, e.pageSize, e.pool, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -332,8 +332,8 @@ func (c *Cluster) consumeSortStream(res *core.CompileResult, stage *physical.Job
 		// moved, so nothing is copied on the rows that seal nothing) — a
 		// retry restores it and re-emits this row first onto a fresh
 		// (empty) live page, reproducing identical page boundaries.
-		c.Cfg.Fault.Hit(fault.Checkpoint, w.ID)
-		if err := c.Cfg.Fault.ErrAt(fault.CheckpointIO, w.ID); err != nil {
+		e.fault.Hit(fault.Checkpoint, e.id)
+		if err := e.fault.ErrAt(fault.CheckpointIO, e.id); err != nil {
 			return nil, err
 		}
 		rec.outPages = append(rec.outPages, out.Sealed[committed:]...)
@@ -344,8 +344,8 @@ func (c *Cluster) consumeSortStream(res *core.CompileResult, stage *physical.Job
 		rec.saves++
 		sealsSinceCut = 0
 	}
-	c.Cfg.Fault.Hit(fault.Finalize, w.ID)
+	e.fault.Hit(fault.Finalize, e.id)
 	final := append(append([]*object.Page{}, rec.outPages...), out.Pages()[committed:]...)
-	w.mergeStats(stats)
+	e.noteStats(stats)
 	return &workerArtifacts{pages: final, pagesKey: stage.Produces}, nil
 }

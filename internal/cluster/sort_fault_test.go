@@ -137,3 +137,53 @@ func TestSortCrashRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestSortCheckpointsOffTakesNoCut pins "recovery disabled" for ORDER BY:
+// with CheckpointInterval < 0 the merge consumer takes no cut — no ship
+// counts a checkpoint and an armed CheckpointIO error has no cut to fail —
+// and the sorted output equals the checkpointed run's. (The gather epilogue
+// used to commit, count and consult once regardless.)
+func TestSortCheckpointsOffTakesNoCut(t *testing.T) {
+	run := func(interval int, plan *fault.Plan) ([]string, *ExecStats) {
+		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
+			ShuffleCapacity: 2, CheckpointInterval: interval, Fault: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := intRecType(c)
+		loadIntRows(t, c, rec, "db", "rows", 700, 13)
+		if err := c.CreateSet("db", "out", rec.Name); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := c.Execute(core.NewWrite("db", "out", &core.OrderBy{
+			In: core.NewScan("db", "rows", rec.Name), ArgType: rec.Name, Keys: intSortKeys()}))
+		if err != nil {
+			t.Fatalf("interval %d: %v", interval, err)
+		}
+		var rows []string
+		if err := c.ScanSet("db", "out", func(r object.Ref) bool {
+			rows = append(rows, fmt.Sprintf("%d|%d", object.GetI64(r, rec.Field("grp")), object.GetI64(r, rec.Field("val"))))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return rows, stats
+	}
+	want, onStats := run(1, nil)
+	if onStats.Ships[0].Checkpoints == 0 {
+		t.Fatal("the checkpointed sort counted no checkpoints: the comparison proves nothing")
+	}
+	plan := fault.NewPlan(fault.Injection{Site: fault.CheckpointIO, Worker: 0, K: 0})
+	got, stats := run(-1, plan)
+	if plan.Fired() != 0 {
+		t.Errorf("CheckpointIO fired %d times on a job that takes no checkpoints", plan.Fired())
+	}
+	for i, ship := range stats.Ships {
+		if ship.Checkpoints != 0 {
+			t.Errorf("ship %d counts %d checkpoints with recovery disabled", i, ship.Checkpoints)
+		}
+	}
+	if !equalRows(got, want) {
+		t.Errorf("sorted output differs from the checkpointed run (%d vs %d rows)", len(got), len(want))
+	}
+}

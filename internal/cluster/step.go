@@ -1,7 +1,7 @@
 package cluster
 
-// The step runner (package doc, "Step runner"): runStep, the shuffle ends
-// the aggregation roles talk to, positionConsumer, and the per-worker
+// The step runner (package doc, "Step runner"): runStep, the stream ends
+// the consumer roles talk to, positionConsumer, and the per-worker
 // environment with its producer scaffold. runRole lives in retry.go.
 
 import (
@@ -112,6 +112,12 @@ type shuffleEnd interface {
 	// thread t's stream. Both return early when stop closes.
 	send(tag exchange.Tag, p *object.Page, stop <-chan struct{}) error
 	closeThread(t int, stop <-chan struct{}) error
+	consumerEnd
+}
+
+// consumerEnd is the consuming half of a stream end: all the join and sort
+// consumers need of one.
+type consumerEnd interface {
 	// hello announces the cut a consumer (re)starts from — the pages its
 	// restored state already holds, 0 for a fresh merge — before its first
 	// next. next yields the stream from there; ack reports a durable cut.
@@ -164,7 +170,35 @@ func (x *exchangeEnd) next() (*object.Page, bool, error) {
 	return p, ok, err
 }
 
-func (x *exchangeEnd) ack(cut int) error { return x.ex.Ack(x.worker, cut) }
+func (x *exchangeEnd) ack(cut int) error {
+	if !x.replayable {
+		return nil // nothing is retained, so there is nothing to release
+	}
+	return x.ex.Ack(x.worker, cut)
+}
+
+// storedEnd is a consumerEnd over pages the worker stores (CoPartitionedJoin's
+// zero-shuffle inputs). They are durable and owned by the front end, so
+// positioning is an index and an acknowledgement releases nothing.
+type storedEnd struct {
+	pages []*object.Page
+	pos   int
+}
+
+func (s *storedEnd) hello(cut int) error {
+	s.pos = cut
+	return nil
+}
+
+func (s *storedEnd) next() (*object.Page, bool, error) {
+	if s.pos >= len(s.pages) {
+		return nil, false, nil
+	}
+	s.pos++
+	return s.pages[s.pos-1], true, nil
+}
+
+func (s *storedEnd) ack(int) error { return nil }
 
 // streamErr translates an exchange send aborted by sibling-thread failure
 // into the engine's abort sentinel, so the root cause wins error reporting.
@@ -280,6 +314,13 @@ func (e *workerEnv) sourcePages(stage *physical.JobStage) ([]*object.Page, error
 	return e.artPages["mat:"+stage.SourceList], nil
 }
 
+// threadChunks is the worker's pages → per-thread chunks step (pipeline
+// scaffold, repartition producer, join probe): batch ranges split into one
+// contiguous chunk per executor thread, so thread order is source order.
+func (e *workerEnv) threadChunks(pages []*object.Page) [][]engine.PageRange {
+	return engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), e.threads)
+}
+
 // drivePipeline is the producer scaffold every pipeline-running role
 // shares: pages are split into one contiguous chunk per executor thread,
 // each chunk is driven through a private Pipeline/Ctx into the sink mk
@@ -292,7 +333,7 @@ func (e *workerEnv) sourcePages(stage *physical.JobStage) ([]*object.Page, error
 func (e *workerEnv) drivePipeline(res *core.CompileResult, stage *physical.JobStage, pages []*object.Page, sinkStmt *tcap.Stmt,
 	mk func(t int, stats *engine.Stats, stop <-chan struct{}) (engine.Sink, error),
 	done func(t int, stop <-chan struct{}) error) (*engine.PipelineThreads, error) {
-	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), e.threads)
+	chunks := e.threadChunks(pages)
 	if len(chunks) == 0 {
 		chunks = [][]engine.PageRange{nil}
 	}

@@ -418,7 +418,8 @@ type MergeCheckpointer struct {
 // pages, which no artifact list retains in streaming mode. With ckpt set,
 // the merge checkpoints through it instead (release is ignored; page
 // recycling belongs to the exchange's Ack path, driven from ckpt.Save) and
-// can resume from ckpt.Resume after a consumer crash.
+// can resume from ckpt.Resume after a consumer crash. Either way the pages
+// travel the same fan-out (streamPages).
 //
 // Sub-maps and their pages are returned in sub-partition order for
 // FinalizeAggParallel, like the batch merge.
@@ -429,7 +430,24 @@ func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, e
 		threads = 1
 	}
 	mergers := make([]*subMerger, threads)
-	start := 0
+	start, interval := 0, 0
+	// Recoverable mergers allocate no-reuse so their page bytes are their
+	// complete state (snapshot invariant); without a checkpointer the merge
+	// keeps the tighter reuse policy.
+	policy := object.PolicyLightweightReuse
+	var cut func(delivered int, final bool) error
+	if ckpt != nil {
+		policy, interval, release = object.PolicyNoReuse, ckpt.Interval, nil
+		// The final cut matters here too: it is the recovery point for
+		// crashes in the user Finalize code downstream.
+		cut = func(delivered int, _ bool) error {
+			ck := &MergeCheckpoint{Cut: delivered, Subs: make([]SubMapSnapshot, len(mergers))}
+			for t, m := range mergers {
+				ck.Subs[t] = m.snapshot()
+			}
+			return ckpt.Save(ck)
+		}
+	}
 	if ckpt != nil && ckpt.Resume != nil {
 		if len(ckpt.Resume.Subs) != threads {
 			return nil, nil, fmt.Errorf("engine: checkpoint has %d sub-maps, merge runs %d threads",
@@ -444,13 +462,6 @@ func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, e
 			mergers[t] = m
 		}
 	} else {
-		// Recoverable mergers allocate no-reuse so their page bytes are
-		// their complete state (snapshot invariant); without a
-		// checkpointer the merge keeps the tighter reuse policy.
-		policy := object.PolicyLightweightReuse
-		if ckpt != nil {
-			policy = object.PolicyNoReuse
-		}
 		for t := range mergers {
 			m, err := newSubMerger(reg, part, partitions, spec, pageSize, pool, t, threads, policy)
 			if err != nil {
@@ -460,22 +471,7 @@ func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, e
 		}
 	}
 	fold := func(t int, p *object.Page) error { return mergers[t].fold(p) }
-	var err error
-	if ckpt == nil {
-		err = StreamPages(next, threads, true, release, fold)
-	} else {
-		err = StreamPagesCheckpointed(next, threads, true, start, ckpt.Interval, fold,
-			func(delivered int, _ bool) error {
-				// The final cut matters here too: it is the recovery
-				// point for crashes in the user Finalize code downstream.
-				ck := &MergeCheckpoint{Cut: delivered, Subs: make([]SubMapSnapshot, len(mergers))}
-				for t, m := range mergers {
-					ck.Subs[t] = m.snapshot()
-				}
-				return ckpt.Save(ck)
-			})
-	}
-	if err != nil {
+	if err := streamPages(next, threads, true, start, interval, release, fold, cut); err != nil {
 		return nil, nil, err
 	}
 	maps := make([]object.OMap, threads)

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/object"
 )
@@ -157,6 +160,102 @@ func TestStreamPagesCheckpointedPanic(t *testing.T) {
 			return nil
 		})
 	t.Fatal("StreamPagesCheckpointed returned instead of panicking")
+}
+
+// TestStreamPagesReleaseWithoutCuts drives the one fan-out with recovery off
+// — a nil cut — and a release hook, broadcast and round-robin, inline and
+// threaded: the page→thread assignment is the checkpointed run's, every page
+// is released exactly once, and only after its last consumer folded it.
+func TestStreamPagesReleaseWithoutCuts(t *testing.T) {
+	reg := object.NewRegistry()
+	const n = 23
+	pages := intPages(t, reg, n)
+	for _, threads := range []int{1, 2, 8} {
+		for _, broadcast := range []bool{true, false} {
+			label := fmt.Sprintf("threads=%d broadcast=%v", threads, broadcast)
+			var mu sync.Mutex
+			folds := map[int64]int{}    // consumers that have folded the page
+			released := map[int64]int{} // times the page was released
+			perThread := make([][]int64, threads)
+			consumers := 1
+			if broadcast {
+				consumers = threads
+			}
+			err := streamPages(pagesSource(pages), threads, broadcast, 0, 3,
+				func(p *object.Page) {
+					mu.Lock()
+					defer mu.Unlock()
+					if folds[pageTag(p)] != consumers {
+						t.Errorf("%s: page %d released after %d of %d folds", label, pageTag(p), folds[pageTag(p)], consumers)
+					}
+					released[pageTag(p)]++
+				},
+				func(th int, p *object.Page) error {
+					mu.Lock()
+					defer mu.Unlock()
+					folds[pageTag(p)]++
+					perThread[th] = append(perThread[th], pageTag(p))
+					return nil
+				}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := int64(0); i < n; i++ {
+				if released[i] != 1 {
+					t.Errorf("%s: page %d released %d times, want 1", label, i, released[i])
+				}
+			}
+			for th := range perThread {
+				var want []int64
+				for i := 0; i < n; i++ {
+					if broadcast || i%threads == th {
+						want = append(want, int64(i))
+					}
+				}
+				if !reflect.DeepEqual(perThread[th], want) {
+					t.Errorf("%s: thread %d folded %v, want %v", label, th, perThread[th], want)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamPagesPanicWithoutCuts checks the crash discipline with recovery
+// off: a fold panic re-raises on the caller, and the dispatcher has torn
+// every consumer thread down by then — a panicking source included.
+func TestStreamPagesPanicWithoutCuts(t *testing.T) {
+	reg := object.NewRegistry()
+	pages := intPages(t, reg, 40)
+	before := runtime.NumGoroutine()
+	crash := func(next func() (*object.Page, bool, error), body func(int, *object.Page) error) (r any) {
+		defer func() { r = recover() }()
+		_ = streamPages(next, 4, true, 0, 0, func(*object.Page) {}, body, nil)
+		return nil
+	}
+	if r := crash(pagesSource(pages), func(th int, p *object.Page) error {
+		if pageTag(p) == 17 && th == 2 {
+			panic("user combine bug")
+		}
+		return nil
+	}); r != "user combine bug" {
+		t.Errorf("fold panic recovered as %v", r)
+	}
+	src := pagesSource(pages)
+	if r := crash(func() (*object.Page, bool, error) {
+		p, ok, err := src()
+		if ok && pageTag(p) == 9 {
+			panic("crash under Recv")
+		}
+		return p, ok, err
+	}, func(int, *object.Page) error { return nil }); r != "crash under Recv" {
+		t.Errorf("source panic recovered as %v", r)
+	}
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines left behind", runtime.NumGoroutine()-before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestMergeAggMapsStreamCheckpointResume is the engine half of the

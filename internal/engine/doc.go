@@ -77,22 +77,27 @@
 //     (LogicalKeyHash, so handle keys route by logical value, not page
 //     offset); each thread folds only its sub-partition's keys into a
 //     private sub-map, consuming pages in the stream's deterministic
-//     order (StreamPages, or StreamPagesCheckpointed when the merge is
-//     recoverable). FinalizeAggParallel then materializes the sub-maps
-//     concurrently and concatenates their pages in sub-partition order.
+//     order through the one stream fan-out (streamPages; exported as
+//     StreamPagesCheckpointed for the join build). FinalizeAggParallel
+//     then materializes the sub-maps concurrently and concatenates their
+//     pages in sub-partition order.
+//   - Join build/probe (internal/cluster.HashPartitionJoinKind and
+//     CoPartitionedJoin, one consumer body): the build side streams into
+//     per-thread tables (pages dealt round-robin by delivery index)
+//     merged bucket-wise; per window of probe pages, probe threads buffer
+//     their matches, which are emitted after the window's barrier in
+//     thread order — so user emit callbacks never run concurrently on one
+//     worker.
 //
-// The streaming contract carries a checkpoint epilogue for consumer-side
-// crash recovery: StreamPagesCheckpointed quiesces every consumer thread
-// at interval cuts — and once more at stream end — so the caller can
-// snapshot a mutually consistent merge state (MergeCheckpointer snapshots
-// sub-map pages byte-for-byte; the join build clones its tables) and a
-// re-forked consumer can restore it and replay only the stream's suffix,
-// reproducing the crash-free output exactly.
-//   - Join build/probe (internal/cluster.HashPartitionJoinKind): the shuffled
-//     build side streams into per-thread tables (pages dealt round-robin
-//     by delivery index) merged bucket-wise; probe threads buffer their
-//     matches, which are emitted after the barrier in thread order — so
-//     user emit callbacks never run concurrently on one worker.
+// The fan-out carries a checkpoint epilogue for consumer-side crash
+// recovery: given a cut hook it quiesces every consumer thread at interval
+// cuts — and once more at stream end — so the caller can snapshot a
+// mutually consistent merge state (MergeCheckpointer snapshots sub-map
+// pages byte-for-byte; the join build clones its tables) and a re-forked
+// consumer can restore it and replay only the stream's suffix, reproducing
+// the crash-free output exactly. With the hook nil — recovery disabled —
+// the same dispatch runs with no barriers and no epilogue, and a release
+// hook recycles each page after its last consumer.
 //
 // Error and panic discipline: the first failing thread sets a shared abort
 // flag checked once per batch (never per row); panics in user kernels are

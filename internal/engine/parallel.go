@@ -12,7 +12,7 @@ package engine
 // (MergeAggMapsParallel / MergeAggMapsStream), finalization
 // (FinalizeAggParallel), and the hash-partition join's repartition, build,
 // and probe loops all run their per-thread bodies through ParallelFor,
-// ParallelThreads, or StreamPages.
+// ParallelThreads, or the one stream fan-out (streamPages).
 
 import (
 	"errors"
@@ -137,32 +137,42 @@ func ParallelThreads(n int, body func(t int, stop <-chan struct{}) error) error 
 	})
 }
 
-// StreamPagesCheckpointed drives a shuffle stream like StreamPages, but
-// with consistent cut points for consumer-side crash recovery: after every
-// interval pages — and once more when the stream ends, the checkpoint
-// epilogue — every consumer thread quiesces at a barrier and cut(delivered)
-// runs on the calling goroutine, where delivered is the total number of
-// pages folded. A caller that snapshots its per-thread merge state inside
-// cut and later resumes with start = the snapshot's cut (feeding a next
-// that replays the stream from that index) reproduces the uncrashed run
-// bit-for-bit: broadcast hands every page to every thread, and round-robin
-// deals page i to thread i%threads using the global delivery index, so
-// resumed work lands on the same threads in the same order.
+// streamPages is the one fan-out of a shuffle stream over consumer threads.
+// next yields pages in the exchange's deterministic delivery order and
+// body(t, p) folds a page on thread t: broadcast hands every page to every
+// thread (the aggregation merge, where each thread filters its own hash
+// range); otherwise page i goes to thread i%threads by global delivery index
+// (the join build). Both assignments are pure functions of the delivery
+// order, so consumption is deterministic. release, when set, runs once a
+// page's last consumer is done with it — the recycling hook for a stream
+// whose exchange does not own delivered pages. With threads <= 1 everything
+// runs inline on the caller.
 //
-// interval <= 0 disables the periodic cuts; the end-of-stream cut still
-// runs, with final=true — it is skipped only when the last periodic cut
-// already covered every delivered page, so after a clean return the
-// caller's latest snapshot always describes the complete stream (the join
-// build relies on this: its epilogue clone is what probe-phase recovery
-// restores the table from). Panics in body re-raise on the caller
-// after all threads drain
-// (preserving the backend-crash discipline) and skip any pending cut, so
-// the last successful checkpoint remains the recovery point. Unlike
-// StreamPages there is no release hook: with recovery in play, page
-// lifetime belongs to the replay window's owner (the exchange), not the
-// fold.
-func StreamPagesCheckpointed(next func() (*object.Page, bool, error), threads int, broadcast bool,
-	start, interval int, body func(t int, p *object.Page) error, cut func(delivered int, final bool) error) error {
+// cut, when set, gives the stream consistent cut points for consumer-side
+// crash recovery: after every interval pages — and once more when the
+// stream ends, the checkpoint epilogue — every thread quiesces at a barrier
+// and cut(delivered, final) runs on the calling goroutine, delivered being
+// the total number of pages folded. A caller that snapshots its per-thread
+// state inside cut and later resumes with start = the snapshot's cut
+// (feeding a next that replays the stream from that index) reproduces the
+// uncrashed run bit-for-bit: resumed work lands on the same threads in the
+// same order. interval <= 0 disables the periodic cuts but not the
+// epilogue, which is skipped only when the last periodic cut already covered
+// every delivered page — so after a clean return the caller's latest
+// snapshot always describes the complete stream (the join build relies on
+// this: its epilogue clone is what probe-phase recovery restores the table
+// from). A nil cut means no barriers and no epilogue: the same dispatch with
+// recovery off.
+//
+// A panic in body (user combine/key code) re-raises on the caller after all
+// threads drain, preserving the backend-crash discipline, and skips any
+// pending cut, so the last successful checkpoint remains the recovery point.
+// A body error stops the dispatch and is returned; the stream itself is
+// abandoned — the caller is expected to cancel the exchange, unblocking
+// producers.
+func streamPages(next func() (*object.Page, bool, error), threads int, broadcast bool,
+	start, interval int, release func(*object.Page),
+	body func(t int, p *object.Page) error, cut func(delivered int, final bool) error) error {
 	delivered := start
 	lastCut := -1
 	if threads <= 1 {
@@ -177,23 +187,32 @@ func StreamPagesCheckpointed(next func() (*object.Page, bool, error), threads in
 			if err := body(0, p); err != nil {
 				return err
 			}
+			if release != nil {
+				release(p)
+			}
 			delivered++
-			if interval > 0 && delivered%interval == 0 {
+			if cut != nil && interval > 0 && delivered%interval == 0 {
 				if err := cut(delivered, false); err != nil {
 					return err
 				}
 				lastCut = delivered
 			}
 		}
-		if lastCut == delivered {
-			return nil // the end-of-stream state is already checkpointed
+		if cut == nil || lastCut == delivered {
+			return nil // recovery off, or the end-of-stream state is already checkpointed
 		}
 		return cut(delivered, true)
 	}
 
 	type msg struct {
 		p       *object.Page
+		refs    *atomic.Int32 // consumers still to finish a broadcast page with a release hook
 		barrier bool
+	}
+	finish := func(m msg) {
+		if release != nil && (m.refs == nil || m.refs.Add(-1) == 0) {
+			release(m.p)
+		}
 	}
 	feeds := make([]chan msg, threads)
 	acks := make(chan struct{}, threads)
@@ -215,6 +234,8 @@ func StreamPagesCheckpointed(next func() (*object.Page, bool, error), threads in
 					for m := range feeds[t] {
 						if m.barrier {
 							acks <- struct{}{}
+						} else {
+							finish(m)
 						}
 					}
 				}
@@ -230,6 +251,7 @@ func StreamPagesCheckpointed(next func() (*object.Page, bool, error), threads in
 						failed.Store(true)
 					}
 				}
+				finish(m)
 			}
 		}(t)
 	}
@@ -265,14 +287,19 @@ func StreamPagesCheckpointed(next func() (*object.Page, bool, error), threads in
 				return
 			}
 			if broadcast {
+				m := msg{p: p}
+				if release != nil {
+					m.refs = new(atomic.Int32)
+					m.refs.Store(int32(threads))
+				}
 				for t := range feeds {
-					feeds[t] <- msg{p: p}
+					feeds[t] <- m
 				}
 			} else {
 				feeds[delivered%threads] <- msg{p: p}
 			}
 			delivered++
-			if interval > 0 && delivered%interval == 0 {
+			if cut != nil && interval > 0 && delivered%interval == 0 {
 				quiesce()
 				if failed.Load() {
 					return
@@ -295,125 +322,17 @@ func StreamPagesCheckpointed(next func() (*object.Page, bool, error), threads in
 			return fmt.Errorf("stream consumer thread %d: %w", t, err)
 		}
 	}
-	if srcErr != nil {
-		return srcErr
-	}
-	if lastCut == delivered {
-		return nil // the end-of-stream state is already checkpointed
+	if srcErr != nil || cut == nil || lastCut == delivered {
+		return srcErr // failed, recovery off, or the end-of-stream state is already checkpointed
 	}
 	return cut(delivered, true)
 }
 
-// StreamPages fans a shuffle stream out over consumer threads: next yields
-// pages in the exchange's deterministic delivery order; body(t, p) folds a
-// page on thread t. broadcast hands every page to every thread (the
-// aggregation merge, where each thread filters its own hash range);
-// otherwise pages are dealt round-robin by delivery index (the join build)
-// — both assignments are pure functions of the delivery order, so the
-// consumption stays deterministic. release runs once a page's last
-// consumer is done with it (recycling hook; nil skips). With threads <= 1
-// everything runs inline on the caller.
-//
-// Panics in body (user combine/key code) re-raise on the caller after all
-// threads drain, preserving the backend-crash discipline; a body error
-// stops the dispatch and is returned (the stream itself is abandoned — the
-// caller is expected to cancel the exchange, unblocking producers).
-func StreamPages(next func() (*object.Page, bool, error), threads int, broadcast bool,
-	release func(*object.Page), body func(t int, p *object.Page) error) error {
-	if threads <= 1 {
-		for {
-			p, ok, err := next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if err := body(0, p); err != nil {
-				return err
-			}
-			if release != nil {
-				release(p)
-			}
-		}
-	}
-
-	type counted struct {
-		p    *object.Page
-		refs atomic.Int32
-	}
-	finish := func(cp *counted) {
-		if cp.refs.Add(-1) == 0 && release != nil {
-			release(cp.p)
-		}
-	}
-	feeds := make([]chan *counted, threads)
-	errs := make([]error, threads)
-	panics := make([]*threadPanic, threads)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for t := range feeds {
-		feeds[t] = make(chan *counted, 4)
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[t] = &threadPanic{v: r}
-					failed.Store(true)
-					// Keep draining so the dispatcher never blocks on a
-					// dead thread's feed.
-					for cp := range feeds[t] {
-						finish(cp)
-					}
-				}
-			}()
-			for cp := range feeds[t] {
-				if errs[t] == nil {
-					if err := body(t, cp.p); err != nil {
-						errs[t] = err
-						failed.Store(true)
-					}
-				}
-				finish(cp)
-			}
-		}(t)
-	}
-	var srcErr error
-	for i := 0; !failed.Load(); i++ {
-		p, ok, err := next()
-		if err != nil {
-			srcErr = err
-			break
-		}
-		if !ok {
-			break
-		}
-		if broadcast {
-			cp := &counted{p: p}
-			cp.refs.Store(int32(threads))
-			for t := range feeds {
-				feeds[t] <- cp
-			}
-		} else {
-			cp := &counted{p: p}
-			cp.refs.Store(1)
-			feeds[i%threads] <- cp
-		}
-	}
-	for t := range feeds {
-		close(feeds[t])
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p.v)
-		}
-	}
-	for t, err := range errs {
-		if err != nil {
-			return fmt.Errorf("stream consumer thread %d: %w", t, err)
-		}
-	}
-	return srcErr
+// StreamPagesCheckpointed is the fan-out for a consumer whose state keeps
+// referencing delivered pages (the join build's tables), so no fold ever
+// releases one: page lifetime belongs to the replay window's owner, the
+// exchange.
+func StreamPagesCheckpointed(next func() (*object.Page, bool, error), threads int, broadcast bool,
+	start, interval int, body func(t int, p *object.Page) error, cut func(delivered int, final bool) error) error {
+	return streamPages(next, threads, broadcast, start, interval, nil, body, cut)
 }

@@ -1,8 +1,11 @@
 // Package storage implements the worker-local storage server (paper §2,
-// Appendix D.1): persistent sets of PC pages on a user-level file layout,
-// fronted by a buffer pool. Because pages are self-contained byte arrays,
-// persistence is a single write of the occupied prefix and loading is a
-// single read — no (de)serialization.
+// Appendix D.1): persistent sets of PC pages on a user-level file layout.
+// Because pages are self-contained byte arrays, persistence is a single
+// write of the occupied prefix and loading is a single read — no
+// (de)serialization. The paper's server reads pages through a buffer pool;
+// this one does not: Pages returns every page of a set at once, and
+// nothing imports internal/buffer, the pool written for it. ROADMAP item 8
+// decides between wiring the pool in and deleting it.
 package storage
 
 import (

@@ -191,3 +191,58 @@ func TestBaselinePaysSerializationPCDoesNot(t *testing.T) {
 		t.Error("hot-storage baseline should pay (de)serialization")
 	}
 }
+
+// TestLargePagesCheckpointsOffMatchReferences pins the configuration that
+// once failed with "deep copy of unregistered type code 1005": pcsuite's
+// tpch_objects shape (2 workers × 1 thread, 4 MiB pages, the generator's
+// default customer size) with consumer recovery disabled, on enough
+// customers that every worker rotates input pages. Both §8.4.2 queries must
+// match their references.
+func TestLargePagesCheckpointsOffMatchReferences(t *testing.T) {
+	const customers = 6000
+	data := Generate(Params{Customers: customers, Seed: 1})
+	client, err := pc.Connect(pc.Config{Workers: 2, Threads: 1, PageSize: 1 << 22, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	s := RegisterSchema(client.Registry())
+	if err := client.CreateDatabase("db"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadPC(client, "db", "customers", data); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range client.Cluster.Workers {
+		if pages, err := w.Front.Store.Pages("db", "customers"); err != nil || len(pages) < 2 {
+			t.Fatalf("worker %d holds %d input pages (%v): too few customers to rotate pages", w.ID, len(pages), err)
+		}
+	}
+	if err := CustomersPerSupplierPC(client, s, "db", "customers", "q1"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := CountCustomersPerSupplierPC(client, s, "db", "q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceCustomersPerSupplier(data); !reflect.DeepEqual(got, want) {
+		t.Errorf("customers-per-supplier = %v\nwant %v", got, want)
+	}
+	query := []int64{1, 5, 9, 13, 17, 21, 25, 29, 33, 37}
+	const k = 16
+	pcRes, err := TopKJaccardPC(client, s, "db", "customers", "q2", k, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd, err := LoadBaseline(2, ModeInRAM, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blRes, err := bd.TopKJaccardBaseline(k, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pcRes, blRes) {
+		t.Errorf("top-%d Jaccard disagrees with the baseline:\nPC: %v\nBL: %v", k, pcRes, blRes)
+	}
+}

@@ -56,11 +56,14 @@
 // regardless of arrival order — into a disjoint sub-map as they arrive,
 // then finalizing independently with output pages concatenated in
 // sub-partition order.
-// The hash-partition and co-partitioned joins parallelize their
-// repartition scans, hash-table builds (bucket-wise merged, as above), and
-// probe loops; probe matches are buffered per thread and emitted after the
-// barrier in thread order, so each worker's emit calls stay serialized in
-// the sequential match order. Workers emit in parallel with each other (as
+// The hash-partition and co-partitioned joins run one consumer body: they
+// parallelize their repartition scans, hash-table builds (bucket-wise
+// merged, as above), and probe loops; the probe runs in windows of
+// Config.CheckpointInterval pages (the planner's default with recovery
+// disabled), each window's matches buffered per thread and emitted after the
+// window's barrier in thread order, so each worker's emit calls stay
+// serialized in the sequential match order and the match buffer is bounded
+// by a window. Workers emit in parallel with each other (as
 // they always have), so an emit callback touching cross-worker shared
 // state must synchronize it. Join key and equality lambdas must be pure:
 // they are invoked concurrently across workers and threads.
