@@ -1,8 +1,11 @@
-// linkcheck verifies relative links in markdown files: every *.md under
-// the given roots (skipping .git and vendor-like dirs) is scanned for
-// [text](target) links, and each non-URL target must exist on disk
-// relative to the file that links it — the documentation gate that keeps
-// README/ARCHITECTURE/TUNING cross-references from rotting.
+// linkcheck verifies the repository's references to its markdown files.
+// Every *.md under the given roots (skipping .git and vendor-like dirs) is
+// scanned for [text](target) links, and each non-URL target must exist on
+// disk relative to the file that links it — the documentation gate that
+// keeps README/ARCHITECTURE/TUNING cross-references from rotting. Every
+// *.go file's comments are scanned for mentions of a markdown file
+// ("docs/TUNING.md", "FAULTS.md"), and each must name a file that exists
+// under the roots, by its path or by the tail of its path.
 //
 //	go run ./cmd/linkcheck .
 //
@@ -14,6 +17,8 @@ package main
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -25,12 +30,18 @@ import (
 // (![alt](target)) match too — their targets must exist just the same.
 var linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
+// mentionRe matches a markdown file named in running text, with any
+// directories written before it. A bare "*.md" or ".md" names no file.
+var mentionRe = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
 func main() {
 	roots := os.Args[1:]
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
 	broken := 0
+	var goFiles []string
+	var mdFiles []string // every markdown file seen, as "/" + its slash-separated path
 	for _, root := range roots {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
@@ -42,9 +53,13 @@ func main() {
 				}
 				return nil
 			}
+			if strings.HasSuffix(d.Name(), ".go") {
+				goFiles = append(goFiles, path)
+			}
 			if !strings.HasSuffix(d.Name(), ".md") {
 				return nil
 			}
+			mdFiles = append(mdFiles, "/"+filepath.ToSlash(path))
 			// Retrieved reference corpora quote other repos' docs, whose
 			// relative links point inside those repos — not checkable here.
 			if n := d.Name(); n == "SNIPPETS.md" || n == "PAPERS.md" || n == "PAPER.md" {
@@ -63,10 +78,50 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	for _, path := range goFiles {
+		mentions, err := commentMentions(path)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "linkcheck: %v\n", err)
+			os.Exit(2)
+		}
+		for _, m := range mentions {
+			if !resolves(m, mdFiles) {
+				fmt.Printf("%s: comment cites %q, which is no markdown file here\n", path, m)
+				broken++
+			}
+		}
+	}
 	if broken > 0 {
-		fmt.Fprintf(os.Stderr, "linkcheck: %d broken relative link(s)\n", broken)
+		fmt.Fprintf(os.Stderr, "linkcheck: %d broken reference(s)\n", broken)
 		os.Exit(1)
 	}
+}
+
+// commentMentions returns the markdown files one Go file's comments name.
+func commentMentions(path string) ([]string, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, group := range f.Comments {
+		for _, c := range group.List {
+			out = append(out, mentionRe.FindAllString(c.Text, -1)...)
+		}
+	}
+	return out, nil
+}
+
+// resolves reports whether a mention is the path of one of mdFiles, or the
+// tail of one: "TUNING.md" and "docs/TUNING.md" both name ./docs/TUNING.md.
+func resolves(mention string, mdFiles []string) bool {
+	tail := "/" + strings.TrimPrefix(mention, "./")
+	for _, f := range mdFiles {
+		if strings.HasSuffix(f, tail) {
+			return true
+		}
+	}
+	return false
 }
 
 // fileLinks extracts the checkable relative targets of one markdown file.

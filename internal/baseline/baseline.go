@@ -1,6 +1,6 @@
 // Package baseline is the comparator engine standing in for Apache Spark in
-// every benchmark (DESIGN.md §2). It is deliberately shaped like a
-// JVM dataflow system:
+// every benchmark (docs/ARCHITECTURE.md, concept → package map). It is
+// deliberately shaped like a JVM dataflow system:
 //
 //   - records are boxed (interface{} — the analogue of Java objects);
 //   - every storage boundary serializes with encoding/gob (the Kryo

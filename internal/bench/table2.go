@@ -14,7 +14,7 @@ import (
 // regression, and nearest-neighbour search at several dimensionalities,
 // lilLinAlg-on-PC vs the baseline dataflow engine. (The paper compares
 // against SystemML, Spark mllib, and SciDB; the baseline plays the
-// JVM-dataflow role — DESIGN.md §2.)
+// JVM-dataflow role.)
 
 // Table2Config sizes the experiment.
 type Table2Config struct {

@@ -9,8 +9,7 @@
 // and patches the object's vTable pointer. Go cannot load native code at
 // runtime in an offline build, so the "library" shipped here is the
 // TypeInfo record (layout + method table); the fetch protocol, caching, and
-// unknown-type fault path are the same. See DESIGN.md §2 for the
-// substitution note.
+// unknown-type fault path are the same.
 package catalog
 
 import (

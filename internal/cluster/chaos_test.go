@@ -56,7 +56,7 @@ var chaosWorkloads = []struct {
 	{"sort", 1,
 		func(int64) []fault.Site {
 			return []fault.Site{fault.PageSeal, fault.Delivery, fault.Checkpoint,
-				fault.Finalize, fault.CheckpointIO, fault.SortSpill}
+				fault.Finalize, fault.CheckpointIO}
 		},
 		func(t *testing.T, c *Cluster, rec *object.TypeInfo) {
 			loadIntRows(t, c, rec, "db", "rows", 1400, 23)
@@ -104,7 +104,7 @@ func TestChaosCampaign(t *testing.T) {
 					build := func(plan *fault.Plan) (*Cluster, *object.TypeInfo) {
 						c, err := New(Config{Workers: w, Threads: th, PageSize: 1 << 12,
 							ShuffleCapacity: 2, CheckpointInterval: wl.interval,
-							MemoryBudget: budget, SortSpillRows: 48, Fault: plan})
+							MemoryBudget: budget, Fault: plan})
 						if err != nil {
 							t.Fatal(err)
 						}

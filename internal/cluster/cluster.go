@@ -5,7 +5,7 @@
 // storage server, message proxy) and a backend process that runs potentially
 // unsafe user code and is re-forked by the front end when it crashes.
 //
-// Substitution note (DESIGN.md §2): "processes" are goroutine-owned memory
+// Substitution note (docs/ARCHITECTURE.md): "processes" are goroutine-owned memory
 // spaces; the transport copies page bytes between them and counts traffic,
 // so every algorithm (shuffle, broadcast join, two-stage aggregation, crash
 // re-fork) executes the real code path with only the wire simulated.
@@ -157,9 +157,6 @@ type Config struct {
 	// bit-for-bit identical to a crash-free run. Off by default: failures
 	// then clean up all recovery state, the historical contract.
 	ResumeOnRestart bool
-	// BroadcastThreshold is the build-side byte size under which the
-	// scheduler chooses a broadcast join (paper: 2 GB).
-	BroadcastThreshold int64
 	// ShuffleCapacity bounds each exchange lane's pages in flight; a full
 	// lane backpressures exactly the producing thread that owns it, so a
 	// consumer never holds more than ShuffleCapacity × Threads
@@ -191,10 +188,12 @@ type Config struct {
 	// SpilledPages/SpilledBytes/MaxBufferedBytes per step. Zero or
 	// negative disables governance: everything stays resident and nothing
 	// is metered. The join's probe-side pages are exchange retention and
-	// meter against the budget like any other retained page; consumer
+	// meter against the budget like any other retained page; a job's
 	// working state (merged sub-maps, join tables and their referenced
-	// build pages) is the job's own state, not exchange memory, and is
-	// outside the budget — see docs/TUNING.md for the full memory model.
+	// build pages, an ORDER BY's sorted runs — a partition sorted without
+	// a limit is buffered whole) is not exchange memory and is outside
+	// the budget, and no other setting bounds it — see docs/TUNING.md for
+	// the full memory model.
 	MemoryBudget int64
 	// MaxRetries bounds how many crash re-fork retries any single role
 	// (stage pipeline, shuffle producer, shuffle consumer, join probe)
@@ -205,16 +204,6 @@ type Config struct {
 	// identical repeated crash is a deterministic user bug no number of
 	// re-forks will absorb — without consuming the remaining budget.
 	MaxRetries int
-	// SortSpillRows, when positive, bounds each sort producer thread's
-	// in-memory row buffer for unbounded (no-limit) ORDER BY / WINDOW
-	// sorts: past the threshold the thread seals its buffered rows as a
-	// sorted sub-run into a per-worker spill pool (under
-	// DataDir/worker-N/_sortspill when DataDir is set, a temporary
-	// directory otherwise) and merges the sub-runs back when its stream
-	// closes. Results are bit-for-bit identical at any threshold; only
-	// memory residence changes. Top-k sorts ignore it (their buffer is
-	// already O(k)). Zero (the default) never spills.
-	SortSpillRows int
 	// Transport selects the process-boundary implementation: "" or "mem"
 	// (the default) is the in-process copier; "unix" and "tcp" ship every
 	// page through a real socket as wire frames (internal/wire) — the
@@ -258,9 +247,6 @@ func (c *Config) fill() {
 	}
 	if c.PageSize <= 0 {
 		c.PageSize = 1 << 18
-	}
-	if c.BroadcastThreshold <= 0 {
-		c.BroadcastThreshold = 64 << 20
 	}
 }
 
@@ -486,15 +472,6 @@ func (c *Cluster) SendData(db, set string, pages []*object.Page) error {
 		c.Catalog.UpdateSetStats(db, set, 1, int64(p.Used()))
 	}
 	return nil
-}
-
-// SetBytes totals a set's stored bytes across workers (join strategy input).
-func (c *Cluster) SetBytes(db, set string) int64 {
-	var total int64
-	for _, w := range c.Workers {
-		total += w.Front.Store.SetBytes(db, set)
-	}
-	return total
 }
 
 // ScanSet iterates every object of a set across all workers (gathering to

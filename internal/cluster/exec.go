@@ -255,11 +255,11 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 	}
 
 	// Broadcast join build: every worker needs the complete build input,
-	// so pages from the other workers are shipped over (the scheduler
-	// chose broadcast because the build side is small; see
-	// HashPartitionJoinKind for the large-side strategy). The inputs are
-	// already materialized — there is no production to overlap — so this
-	// stays a batch ship, not an exchange.
+	// so pages from the other workers are shipped over (a planned
+	// core.Join always broadcasts; a caller with a large build side calls
+	// HashPartitionJoinKind instead). The inputs are already materialized
+	// — there is no production to overlap — so this stays a batch ship,
+	// not an exchange.
 	if stage.Sink == physical.SinkJoinBuild {
 		for _, other := range c.Workers {
 			if other == w {

@@ -400,6 +400,40 @@ func TestMaxRetriesBoundsRecovery(t *testing.T) {
 	}
 }
 
+// TestCancelObserverIsNotRetried crashes worker 1's merge consumer past its
+// retry budget while one-page lanes hold both producers blocked on it. The
+// step's cancellation wraps the consumer's crash, and a producer that
+// returns it has not crashed: it must not be retried or accounted, and the
+// job's error must name the consumer, not the first observer in role order.
+func TestCancelObserverIsNotRetried(t *testing.T) {
+	c, err := New(Config{Workers: 2, Threads: 1, PageSize: 1 << 12,
+		ShuffleCapacity: 1, CheckpointInterval: 2,
+		Fault: fault.NewPlan(
+			fault.Injection{Site: fault.Delivery, Worker: 1, K: 0},
+			fault.Injection{Site: fault.Delivery, Worker: 1, K: 1},
+		)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := intRecType(c)
+	loadIntRows(t, c, rec, "db", "rows", 4000, 499)
+	if err := c.CreateSet("db", "out", rec.Name); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := c.Execute(core.NewWrite("db", "out", intSumAgg(rec, nil)))
+	if err == nil {
+		t.Fatal("two consumer crashes under MaxRetries=1 succeeded")
+	}
+	if !strings.Contains(err.Error(), "consumer role") || !strings.Contains(err.Error(), "worker 1 exhausted 1 crash retries") ||
+		strings.Contains(err.Error(), "producer role") || strings.Contains(err.Error(), "cancelled") {
+		t.Errorf("error is not the crashed consumer's own: %v", err)
+	}
+	if stats.RoleRetries[roleProducer] != 0 || stats.Retries != 1 || stats.RoleRetries[roleConsumer] != 1 {
+		t.Errorf("retries = %d %v, want only the consumer's one", stats.Retries, stats.RoleRetries)
+	}
+	assertNoJoinLeaks(t, c, "cancel observer")
+}
+
 // TestDeterministicCrashFailsFast arms a generous retry budget against a
 // deterministic user bug (identical panic on every attempt): the policy
 // must fail after a single confirming retry instead of burning the budget,

@@ -29,9 +29,9 @@ type JoinStats struct {
 }
 
 // HashPartitionJoinKind implements the paper's 2n-job-stage distributed
-// equi-join (Appendix D.3) for two sets, used by the scheduler's
-// large-build-side strategy and benchmarked against broadcast joins. The
-// repartition stages stream: both sides' repartition scans, the shuffle,
+// equi-join (Appendix D.3) for two sets: the strategy for a build side too
+// large to broadcast, chosen by the caller (a planned core.Join always
+// broadcasts its build side). The repartition stages stream: both sides' repartition scans, the shuffle,
 // and the build all run concurrently, connected by exchanges —
 //
 //  1. Every worker repartitions its local objects of both sets across

@@ -13,6 +13,10 @@ package cluster
 //     deterministic work produced the same crash — and fails the job
 //     immediately, naming the role and worker, instead of burning the
 //     remaining retry budget on a bug no re-fork will absorb.
+//   - A role that returns because the step's exchange was cancelled
+//     (exchange.ErrCancelled) did not crash, whatever the cancellation's
+//     cause was: it observed a sibling's failure and returns as it is, with
+//     no retry and no accounting.
 //   - errBackendDead at entry (a sibling role crashed the shared backend
 //     between our Backend() fetch and Run) is not this role's crash: the
 //     role re-fetches a fresh backend without consuming a retry, bounded
@@ -24,6 +28,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/exchange"
 )
 
 // Role labels for retry accounting (ExecStats.RoleRetries keys) and
@@ -80,7 +86,7 @@ func (c *Cluster) runRole(r *role, mu *sync.Mutex) error {
 			deadBudget--
 			continue
 		}
-		if !errors.Is(err, errBackendCrashed) || r.noRetry {
+		if errors.Is(err, exchange.ErrCancelled) || !errors.Is(err, errBackendCrashed) || r.noRetry {
 			return err
 		}
 		// A dead process leaves no panic text to compare: only an

@@ -12,7 +12,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/object"
 	"repro/internal/physical"
-	"repro/internal/storage"
 )
 
 // sortRecovery is the scheduler-side recovery record for one sort-merge
@@ -70,24 +68,6 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 		w.Reg().PinCode(engine.SortRowTypeName, carrier.Code)
 	}
 
-	// Per-worker sort-spill pools (Config.SortSpillRows). Like the
-	// governors' pools they live exactly as long as the step, and any slot
-	// still live at close is a leak the chaos campaign asserts against.
-	spills := make([]*storage.SpillPool, nw)
-	if c.Cfg.SortSpillRows > 0 {
-		for i, w := range c.Workers {
-			spills[i] = storage.NewSpillPool(c.workerSubdir(i, "_sortspill"), w.Reg())
-		}
-		defer func() {
-			for _, sp := range spills {
-				if n := sp.LiveSlots(); n > 0 {
-					c.Transport.Stats().NoteLeakedSlots(int64(n))
-				}
-				_ = sp.Close()
-			}
-		}()
-	}
-
 	ex := exchange.New(exchange.Config{
 		Producers:  nw,
 		Consumers:  1,
@@ -118,7 +98,7 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 		arts[i] = &workerArtifacts{pagesKey: cons.Produces}
 		roles[i] = role{w: w, name: roleProducer, what: prod.Produces,
 			onRetry: stats.noteRetry(roleProducer, false),
-			body:    func() error { return env.runSortStreamOnWorker(res, prod, ex, spills[i], c.Cfg.SortSpillRows) },
+			body:    func() error { return env.runSortStreamOnWorker(res, prod, ex) },
 			closes:  ex}
 	}
 	roles[nw] = role{w: c.Workers[0], name: roleConsumer, what: cons.Produces, noRetry: interval <= 0,
@@ -138,16 +118,14 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 // runSortStreamOnWorker is the producer half of the merge network on one
 // worker: the stage pipeline runs across Config.Threads executor threads
 // into per-thread SortSinks (bounded-heap top-k when the spec has a limit,
-// optionally spilling sorted sub-runs past spillRows into spill), and after
-// the stage barrier every thread run's pages stream to consumer 0. There is
-// no worker-level merge: the consumer's tournament takes each page as a
-// lane at O(log lanes) a row, so merging here would only copy the run. With
-// a limit a worker therefore ships Threads × Limit rows, not Limit; the
-// consumer applies the limit. A crash-retried producer re-runs
-// deterministically and re-sends identical tags for the sender-side dedup
-// to drop.
-func (e *workerEnv) runSortStreamOnWorker(res *core.CompileResult, stage *physical.JobStage,
-	ex *exchange.Exchange, spill *storage.SpillPool, spillRows int) error {
+// the whole thread chunk buffered otherwise), and after the stage barrier
+// every thread run's pages stream to consumer 0. There is no worker-level
+// merge: the consumer's tournament takes each page as a lane at
+// O(log lanes) a row, so merging here would only copy the run. With a limit
+// a worker therefore ships Threads × Limit rows, not Limit; the consumer
+// applies the limit. A crash-retried producer re-runs deterministically and
+// re-sends identical tags for the sender-side dedup to drop.
+func (e *workerEnv) runSortStreamOnWorker(res *core.CompileResult, stage *physical.JobStage, ex *exchange.Exchange) error {
 	spec := res.SortSpecs[stage.SinkStmt.Out.Name]
 	if spec == nil {
 		return fmt.Errorf("no sort spec for %q", stage.SinkStmt.Out.Name)
@@ -163,41 +141,12 @@ func (e *workerEnv) runSortStreamOnWorker(res *core.CompileResult, stage *physic
 		return err
 	}
 
-	var mu sync.Mutex
-	var sinks []*engine.SortSink
-	// Zero-leak sweep: on any failure — an error return or a crash panic
-	// unwinding to the backend — free every sub-run slot the sinks still
-	// hold (a clean Finish frees them as it merges).
-	failed := true
-	defer func() {
-		if failed {
-			mu.Lock()
-			for _, s := range sinks {
-				s.ReleaseSpilled()
-			}
-			mu.Unlock()
-		}
-	}()
-
 	// A worker with no input still streams its (empty) close marker,
 	// honoring the exchange's lane contract.
 	pt, err := e.drivePipeline(res, stage, pages, stage.SinkStmt,
 		func(_ int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, error) {
-			sink, err := engine.NewSortSink(e.reg, e.pageSize, keyCols, objCol, valCol,
+			return engine.NewSortSink(e.reg, e.pageSize, keyCols, objCol, valCol,
 				spec.Desc, spec.Limit, e.pool, stats)
-			if err != nil {
-				return nil, err
-			}
-			if spill != nil && spec.Limit == 0 {
-				sink.SpillThreshold = spillRows
-				sink.Spill = spill
-				sink.Fault = e.fault
-				sink.Worker = e.id
-			}
-			mu.Lock()
-			sinks = append(sinks, sink)
-			mu.Unlock()
-			return sink, nil
 		}, nil)
 	if err != nil {
 		return err
@@ -218,7 +167,6 @@ func (e *workerEnv) runSortStreamOnWorker(res *core.CompileResult, stage *physic
 			seq++
 		}
 	}
-	failed = false
 	return streamErr(ex.CloseThread(e.id, 0, nil))
 }
 

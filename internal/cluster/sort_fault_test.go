@@ -81,15 +81,13 @@ func intSortRows(c *Cluster, rec *object.TypeInfo, variant, out string) ([]strin
 }
 
 // TestSortCrashRecovery crashes backends at every sort-relevant fault site
-// — including the SortSpill site, hit as a producer thread spills a sorted
-// sub-run past SortSpillRows — and asserts every sort-family job recovers
-// with output bit-for-bit identical to the crash-free run, leaking no
-// spill slots and no _ckpt sets.
+// and asserts every sort-family job recovers with output bit-for-bit
+// identical to the crash-free run, leaking no spill slots and no _ckpt sets.
 func TestSortCrashRecovery(t *testing.T) {
 	const n, groups = 700, 13
 	build := func(plan *fault.Plan) (*Cluster, *object.TypeInfo) {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			ShuffleCapacity: 2, CheckpointInterval: 1, SortSpillRows: 48, Fault: plan})
+			ShuffleCapacity: 2, CheckpointInterval: 1, Fault: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,18 +104,13 @@ func TestSortCrashRecovery(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: crash-free run emitted nothing", variant)
 		}
-		sites := []fault.Site{fault.PageSeal, fault.Delivery, fault.SortSpill, fault.Checkpoint, fault.Finalize}
-		if variant == "topk" {
-			// Top-k truncates every per-thread run to the limit: runs stay
-			// under the spill threshold (SortSpill never arms) and each
-			// worker seals only a page or two, so only the first ordinal
-			// of each remaining site is reachable.
-			sites = []fault.Site{fault.PageSeal, fault.Delivery, fault.Checkpoint, fault.Finalize}
-		}
-		for _, site := range sites {
+		for _, site := range []fault.Site{fault.PageSeal, fault.Delivery, fault.Checkpoint, fault.Finalize} {
 			ks := []int{0, 2}
 			if site == fault.Finalize || variant == "topk" {
-				// The single sort consumer finalizes once.
+				// The single sort consumer finalizes once, and top-k
+				// truncates every per-thread run to the limit: each worker
+				// seals only a page or two, so only the first ordinal of
+				// each site is reachable.
 				ks = []int{0}
 			}
 			for _, k := range ks {

@@ -129,10 +129,10 @@ func pinComputation(variant string, ti *object.TypeInfo) core.Computation {
 
 // pinHash runs one variant on a fresh cluster and hashes the output set's
 // page bytes (occupied prefix, length-framed) in worker, page order.
-func pinHash(t *testing.T, variant string, workers, threads, spillRows int) string {
+func pinHash(t *testing.T, variant string, workers, threads int) string {
 	t.Helper()
 	c, err := New(Config{Workers: workers, Threads: threads, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 2, SortSpillRows: spillRows})
+		ShuffleCapacity: 2, CheckpointInterval: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func pinHash(t *testing.T, variant string, workers, threads, spillRows int) stri
 		t.Fatal(err)
 	}
 	if _, err := c.Execute(core.NewWrite("db", "out", pinComputation(variant, ti))); err != nil {
-		t.Fatalf("%s w=%d t=%d spill=%d: %v", variant, workers, threads, spillRows, err)
+		t.Fatalf("%s w=%d t=%d: %v", variant, workers, threads, err)
 	}
 	h := sha256.New()
 	var frame [8]byte
@@ -180,9 +180,9 @@ func pinHash(t *testing.T, variant string, workers, threads, spillRows int) stri
 // TestSortOutputPinned pins the bytes of the sorted output pages, not just
 // the field values the other sort tests read: one SHA-256 per (variant,
 // Workers, Threads), recorded at the commit before the sort path was
-// rewritten and required to hold at every SortSpillRows setting. Worker
-// counts differ legitimately — rows tying on every key keep SendData's
-// placement order. Thread counts differ too, though the row order does not:
+// rewritten. Worker counts differ legitimately — rows tying on every key
+// keep SendData's placement order. Thread counts differ too, though the
+// row order does not:
 // the write stage after the merge copies the sorted pages out in per-thread
 // chunks, and a chunk's last page ends without the orphaned half-copied
 // object that a page sealed by a failed append carries. Top-k fits one page
@@ -192,11 +192,8 @@ func TestSortOutputPinned(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			for _, threads := range []int{1, 2, 8} {
 				cell := fmt.Sprintf("%s/w=%d/t=%d", variant, workers, threads)
-				for _, spillRows := range []int{0, 48} {
-					if got := pinHash(t, variant, workers, threads, spillRows); got != pinnedSortHashes[cell] {
-						t.Errorf("%s spill=%d: output pages hash %s, pinned %q",
-							cell, spillRows, got, pinnedSortHashes[cell])
-					}
+				if got := pinHash(t, variant, workers, threads); got != pinnedSortHashes[cell] {
+					t.Errorf("%s: output pages hash %s, pinned %q", cell, got, pinnedSortHashes[cell])
 				}
 			}
 		}

@@ -50,7 +50,8 @@ type role struct {
 // recovery records anymore — a failed step discards every page the
 // exchanges still hold (undelivered lane messages, replay retention), so
 // the step's governors and spill pools close with zero live slots, and the
-// error of the first failed role in list order is the step's error. The
+// step's error is that of the first role in list order that failed on its
+// own — not of a sibling that only observed the cancellation. The
 // returned StageShip carries the step's exchange, checkpoint and spill
 // telemetry, also recorded on the transport; the caller adds its own
 // failure cleanup and commit.
@@ -88,12 +89,20 @@ func (c *Cluster) runStep(roles []role, govs []*exchange.Governor, exs ...*excha
 	}
 	var err error
 	for _, e := range errs {
-		if e != nil {
+		if e == nil {
+			continue
+		}
+		if !errors.Is(e, exchange.ErrCancelled) {
 			err = e
-			for _, ex := range exs {
-				ex.Discard()
-			}
 			break
+		}
+		if err == nil {
+			err = e
+		}
+	}
+	if err != nil {
+		for _, ex := range exs {
+			ex.Discard()
 		}
 	}
 	if govs != nil {

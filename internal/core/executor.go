@@ -218,8 +218,6 @@ func materializeColumn(res *CompileResult, stage *physical.JobStage, last *tcap.
 	if len(last.Out.Cols) == 1 {
 		return last.Out.Cols[0], nil
 	}
-	name := stage.Produces[len("mat:"):]
-	_ = name
 	// The planner guarantees single-column boundaries; multiple columns
 	// mean the final object column is the newest one.
 	newCols := last.NewColumns()

@@ -66,6 +66,69 @@ func pagesSource(pages []*object.Page) func() (*object.Page, bool, error) {
 	}
 }
 
+// TestAggSinkKeepsSealedPagesUntilBatchFolds streams a pre-aggregation whose
+// values are objects the "kernels" allocated on the sink's own live page
+// (Ctx.Out is the sink's page set), through an OnSeal hook that does what
+// the exchange may do the moment it is handed a page: deliver it, fold it
+// and recycle it. A page that seals mid-batch still holds the values of the
+// batch's later rows, so the hook must not see it before the batch is
+// folded; every key must arrive on some page exactly once, with its value.
+func TestAggSinkKeepsSealedPagesUntilBatchFolds(t *testing.T) {
+	reg := object.NewRegistry()
+	ti := object.NewStruct("AggVal").AddField("a", object.KInt64).AddField("b", object.KInt64).
+		AddField("c", object.KInt64).AddField("d", object.KInt64).MustBuild(reg)
+	const pageSize, parts, n = 1 << 12, 2, 40
+	pool := object.NewPagePool(pageSize) // the consumer's side: the sink itself draws fresh pages
+	first := func(a *object.Allocator, cur object.Value, exists bool, next object.Value) (object.Value, error) {
+		if exists {
+			return cur, nil
+		}
+		return next, nil
+	}
+	sink, err := NewAggSink(reg, pageSize, parts, object.KInt64, object.KHandle, first, "key", "val", nil, &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, entries := 0, 0
+	sink.Out.OnSeal = func(p *object.Page) error {
+		sealed++
+		root := object.AsVector(object.Ref{Page: p, Off: p.Root()})
+		for i := 0; i < parts; i++ {
+			object.AsMap(root.HandleAt(i)).Iterate(func(key, val object.Value) bool {
+				entries++
+				if got := object.GetI64(val.H, ti.Field("a")); got != key.AsInt64() {
+					t.Errorf("key %d arrived with value %d", key.AsInt64(), got)
+				}
+				return true
+			})
+		}
+		pool.Put(p)
+		return nil
+	}
+	kc, vc := make(I64Col, n), make(RefCol, n)
+	for i := range kc {
+		kc[i] = int64(i)
+		if vc[i], err = sink.Out.Alloc.MakeObject(ti); err != nil {
+			t.Fatal(err)
+		}
+		object.SetI64(vc[i], ti.Field("a"), int64(i))
+	}
+	vl := &VectorList{Names: []string{"key", "val"}, Cols: []Column{kc, vc}}
+	stmt := &tcap.Stmt{Op: tcap.OpAggregate, Applied: tcap.ColumnsRef{Name: "in", Cols: []string{"key", "val"}}}
+	if err := sink.Consume(&Ctx{Reg: reg, Out: sink.Out}, vl, stmt); err != nil {
+		t.Fatal(err)
+	}
+	if sealed == 0 {
+		t.Fatal("no page sealed mid-batch: the batch is too small to test anything")
+	}
+	if err := sink.CloseStream(); err != nil {
+		t.Fatal(err)
+	}
+	if entries != n {
+		t.Errorf("%d entries reached the stream over %d pages, want %d", entries, sealed, n)
+	}
+}
+
 // TestMergeAggMapsStreamMatchesBatch feeds the same shuffled pages through
 // the streaming merge and the batch merge at several thread counts; the
 // merged (key, sum) sets must agree exactly, and the streaming merge must

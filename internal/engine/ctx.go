@@ -295,6 +295,11 @@ type OutputPageSet struct {
 	// final live page through it when the thread's chunk is done.
 	OnSeal func(*object.Page) error
 
+	// holdSeals keeps Rotate from handing a sealed page to OnSeal: it waits
+	// in held, in seal order, until releaseSeals.
+	holdSeals bool
+	held      []*object.Page
+
 	stats *Stats
 }
 
@@ -330,13 +335,30 @@ func (o *OutputPageSet) Rotate() error {
 		o.stats.PagesSealed++
 	}
 	if o.OnSeal != nil {
-		if err := o.OnSeal(o.Live); err != nil {
+		if o.holdSeals {
+			o.held = append(o.held, o.Live)
+		} else if err := o.OnSeal(o.Live); err != nil {
 			return err
 		}
 		return o.fresh()
 	}
 	o.Sealed = append(o.Sealed, o.Live)
 	return o.fresh()
+}
+
+// releaseSeals ends a holdSeals stretch and hands the pages sealed during it
+// to OnSeal.
+func (o *OutputPageSet) releaseSeals() error {
+	o.holdSeals = false
+	for i, p := range o.held {
+		o.held[i] = nil
+		if err := o.OnSeal(p); err != nil {
+			o.held = o.held[:0]
+			return err
+		}
+	}
+	o.held = o.held[:0]
+	return nil
 }
 
 // CloseStream seals the final live page and hands it to OnSeal, ending the

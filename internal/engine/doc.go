@@ -55,7 +55,10 @@
 // A sink whose output feeds a shuffle does not accumulate an artifact
 // list. Installing OutputPageSet.OnSeal turns the sink into a stream:
 // every page is handed to the hook — an exchange channel — the moment
-// Rotate seals it, and the hook takes ownership. When an executor thread
+// Rotate seals it, and the hook takes ownership (the hook may recycle the
+// page at once, so AggSink, whose batch rows can be objects the kernels
+// allocated on its own live page, keeps a page that seals while it is
+// folding a batch back until the batch is done). When an executor thread
 // finishes its chunk, RunPipelineThreads calls the sink's CloseStream on
 // that same thread, flushing the final live page through the hook; the
 // optional done epilogue then lets the caller send its thread-close

@@ -2,12 +2,43 @@ package engine
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/object"
 	"repro/internal/tcap"
 )
+
+// TestEngineImports pins the engine's place in the layering: it executes
+// TCAP over pages of objects and knows nothing of where pages are stored
+// or how faults are injected — the storage server and the fault plan
+// belong to the runtime above it (internal/cluster).
+func TestEngineImports(t *testing.T) {
+	allowed := map[string]bool{
+		"repro/internal/object": true, "repro/internal/tcap": true, "repro/internal/swiss": true,
+	}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				if strings.HasPrefix(path, "repro/") && !allowed[path] {
+					t.Errorf("%s imports %s", name, path)
+				}
+			}
+		}
+	}
+}
 
 func TestColumnOfPicksTightTypes(t *testing.T) {
 	cases := []struct {

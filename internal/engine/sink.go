@@ -182,15 +182,22 @@ func (s *AggSink) Consume(ctx *Ctx, vl *VectorList, stmt *tcap.Stmt) error {
 	if keyCol == nil || valCol == nil {
 		return fmt.Errorf("engine: AGGREGATE needs columns %q and %q", s.KeyCol, s.ValCol)
 	}
+	// The batch's keys and values may be objects the kernels allocated on
+	// the live page (Ctx.Out is this sink's page set). A page that seals
+	// mid-batch is therefore kept back from OnSeal until the batch is
+	// folded: the exchange may deliver, fold and recycle a page it was
+	// handed while later rows still read their values off it.
+	s.Out.holdSeals = true
 	n := keyCol.Len()
 	for i := 0; i < n; i++ {
 		key := keyCol.Value(i)
 		val := valCol.Value(i)
 		if err := s.updateWithRotate(key, val); err != nil {
+			s.Out.holdSeals = false
 			return err
 		}
 	}
-	return nil
+	return s.Out.releaseSeals()
 }
 
 // rotateThreshold keeps headroom on the live page so a single map update

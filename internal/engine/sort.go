@@ -27,9 +27,7 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/fault"
 	"repro/internal/object"
-	"repro/internal/storage"
 	"repro/internal/tcap"
 )
 
@@ -232,8 +230,8 @@ func readSortRow(ti *object.TypeInfo, r object.Ref) (object.Ref, object.Value) {
 // SortRow pages when its stream closes — the per-thread leaf of the merge
 // network. With Limit > 0 it keeps a bounded heap of the Limit smallest
 // rows (the top-k fast path: memory is O(k) whatever the input size).
-// Without a limit, an optional spill threshold bounds memory by sealing
-// sorted sub-runs to a SpillPool and merging them back at close.
+// Without a limit the whole run is buffered: a thread's share of the
+// partition must fit in memory.
 type SortSink struct {
 	Out     *OutputPageSet
 	KeyCols []string
@@ -241,13 +239,6 @@ type SortSink struct {
 	ValCol  string // "" unless a window aggregate rides the sort
 	Desc    []bool
 	Limit   int
-
-	// SpillThreshold (rows) bounds the in-memory buffer when Limit == 0;
-	// 0 means never spill. Spill must be set when the threshold is.
-	SpillThreshold int
-	Spill          *storage.SpillPool
-	Fault          *fault.Plan
-	Worker         int
 
 	ti *object.TypeInfo
 
@@ -272,10 +263,6 @@ type SortSink struct {
 
 	keyCols []Column       // per-batch scratch
 	keyVals []object.Value // per-row scratch
-
-	spilled [][]int // sealed sub-runs, as spill-slot lists in seal order
-	stats   *Stats
-	pool    *object.PagePool
 }
 
 // NewRunPageSet creates an output page set whose pages carry SortRow runs
@@ -293,7 +280,7 @@ func NewSortSink(reg *object.Registry, pageSize int, keyCols []string, objCol, v
 		return nil, err
 	}
 	return &SortSink{Out: ops, KeyCols: keyCols, ObjCol: objCol, ValCol: valCol,
-		Desc: desc, Limit: limit, ti: SortRowType(reg), offs: []int{0}, stats: stats, pool: pool}, nil
+		Desc: desc, Limit: limit, ti: SortRowType(reg), offs: []int{0}}, nil
 }
 
 // Consume buffers each row's (encoded key, object, optional value).
@@ -317,7 +304,7 @@ func (s *SortSink) Consume(ctx *Ctx, vl *VectorList, stmt *tcap.Stmt) error {
 		}
 	}
 	if len(s.objs)+len(oc) > math.MaxInt32 {
-		return fmt.Errorf("engine: sort run exceeds %d buffered rows; set a spill threshold", math.MaxInt32)
+		return fmt.Errorf("engine: sort run exceeds %d buffered rows; spread the input over more Workers or Threads, or give the sort a Limit", math.MaxInt32)
 	}
 	if s.keyVals == nil {
 		s.keyVals = make([]object.Value, len(s.KeyCols))
@@ -345,11 +332,6 @@ func (s *SortSink) Consume(ctx *Ctx, vl *VectorList, stmt *tcap.Stmt) error {
 		s.objs = append(s.objs, oc[i])
 		if valCol != nil {
 			s.vals = append(s.vals, val)
-		}
-		if s.SpillThreshold > 0 && len(s.objs) >= s.SpillThreshold {
-			if err := s.spillRun(); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -422,8 +404,10 @@ func (s *SortSink) pushBounded(obj object.Ref, val object.Value) error {
 // that sorts last.
 func (s *SortSink) rowAfter(a, b int32) bool { return s.cmpRows(a, b) > 0 }
 
-// writeRun sorts the buffered rows and appends them to out as one run.
-func (s *SortSink) writeRun(out *OutputPageSet) error {
+// Finish sorts the buffered rows and materializes them onto Out as the
+// sink's single run.
+func (s *SortSink) Finish() error {
+	defer s.dropRows()
 	if s.Limit == 0 {
 		s.order = s.order[:0]
 		for i := range s.objs {
@@ -436,109 +420,11 @@ func (s *SortSink) writeRun(out *OutputPageSet) error {
 		if s.ValCol != "" {
 			val = s.vals[i]
 		}
-		if err := appendSortRow(out, s.ti, s.key(i), s.objs[i], val); err != nil {
+		if err := appendSortRow(s.Out, s.ti, s.key(i), s.objs[i], val); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// spillRun seals the in-memory buffer as one sorted sub-run in the spill
-// pool. The SortSpill fault site fires before the first slot write, so a
-// crashed producer's retry re-spills from scratch with nothing leaked; an
-// injected SpillWrite error frees the sub-run's already-written slots
-// before surfacing, so a failed job leaks no slots either.
-func (s *SortSink) spillRun() error {
-	if len(s.objs) == 0 {
-		return nil
-	}
-	s.Fault.Hit(fault.SortSpill, s.Worker)
-	run, err := NewRunPageSet(s.Out.Reg, s.Out.PageSize, s.pool, s.stats)
-	if err != nil {
-		return err
-	}
-	if err := s.writeRun(run); err != nil {
-		return err
-	}
-	var slots []int
-	for _, p := range run.Pages() {
-		if err := s.Fault.ErrAt(fault.SpillWrite, s.Worker); err != nil {
-			s.freeSlots(slots)
-			return err
-		}
-		slot, err := s.Spill.Spill(p)
-		if err != nil {
-			s.freeSlots(slots)
-			return err
-		}
-		slots = append(slots, slot)
-	}
-	s.spilled = append(s.spilled, slots)
-	s.arena, s.offs, s.objs, s.vals = s.arena[:0], s.offs[:1], s.objs[:0], s.vals[:0]
-	return nil
-}
-
-func (s *SortSink) freeSlots(slots []int) {
-	for _, slot := range slots {
-		s.Spill.Free(slot)
-	}
-}
-
-// ReleaseSpilled frees every sub-run slot still held (the failure path's
-// zero-leak guarantee; a successful Finish already freed them).
-func (s *SortSink) ReleaseSpilled() {
-	for _, slots := range s.spilled {
-		s.freeSlots(slots)
-	}
-	s.spilled = nil
-}
-
-// Finish sorts the buffered rows and materializes the sink's single output
-// run onto Out, merging any spilled sub-runs back in (loads free their
-// slots immediately, so success leaves zero live slots).
-func (s *SortSink) Finish() error {
-	defer s.dropRows()
-	if len(s.spilled) == 0 {
-		return s.writeRun(s.Out)
-	}
-	// Load the spilled sub-runs (sealed in arrival order, so run index
-	// remains the stability tie-break) and merge with the final buffer.
-	runs := make([][]*object.Page, 0, len(s.spilled)+1)
-	for _, slots := range s.spilled {
-		var pages []*object.Page
-		for _, slot := range slots {
-			if err := s.Fault.ErrAt(fault.SpillRead, s.Worker); err != nil {
-				s.ReleaseSpilled()
-				return err
-			}
-			p, err := s.Spill.Load(slot)
-			if err != nil {
-				s.ReleaseSpilled()
-				return err
-			}
-			pages = append(pages, p)
-		}
-		runs = append(runs, pages)
-	}
-	s.ReleaseSpilled()
-	mem, err := NewRunPageSet(s.Out.Reg, s.Out.PageSize, s.pool, s.stats)
-	if err != nil {
-		return err
-	}
-	if err := s.writeRun(mem); err != nil {
-		return err
-	}
-	runs = append(runs, mem.Pages())
-	m := NewSortMerger(s.Out.Reg, runs, 0)
-	for {
-		key, obj, val, ok := m.NextRow()
-		if !ok {
-			return nil
-		}
-		if err := appendSortRow(s.Out, s.ti, key, obj, val); err != nil {
-			return err
-		}
-	}
 }
 
 // dropRows lets the row buffers go once the run is on pages.

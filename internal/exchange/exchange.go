@@ -86,6 +86,11 @@ type Tag struct {
 // sentinel so the root cause wins error reporting.
 var ErrProducerStopped = errors.New("exchange: producer stopped by sibling failure")
 
+// ErrCancelled marks an error returned because the exchange was cancelled:
+// the caller did not fail, it observed a sibling's failure (which the error
+// also wraps, as the cause).
+var ErrCancelled = errors.New("exchange: cancelled")
+
 // message is one lane entry: a tagged page — resident in page, or spilled
 // to disk under slot when the consumer's memory governor refused it — or
 // (size == 0) a marker that the lane's thread finished its stream.
@@ -395,7 +400,7 @@ func (ex *Exchange) Cancel(err error) {
 func (ex *Exchange) cancelled() error {
 	ex.cancelMu.Lock()
 	defer ex.cancelMu.Unlock()
-	return fmt.Errorf("exchange: cancelled: %w", ex.cancelErr)
+	return fmt.Errorf("%w: %w", ErrCancelled, ex.cancelErr)
 }
 
 // MaxBytesInFlight reports the shuffle's bytes-in-flight high-water mark:

@@ -94,12 +94,6 @@ const (
 	// resumes from the worker's durable cut exactly as for an in-process
 	// crash.
 	ProcKill
-	// SortSpill fires as a sort sink seals a sorted in-memory run and
-	// spills it to its spill pool (the sort's memory-bounded path),
-	// before the run's first slot write — so a crashed producer retries
-	// with no leaked slots. Panic site; recovered by the producer-role
-	// retry with sender-side dedup.
-	SortSpill
 	// ProbeBitmap fires as an outer-join probe records a build-side match
 	// in the match bitmap, immediately before the bit mutates. Panic
 	// site; recovered by the bitmap + probe-cursor checkpoint.
@@ -124,7 +118,6 @@ func (s Site) String() string {
 		CheckpointIO: "CheckpointIO",
 		ConnDrop:     "ConnDrop",
 		ProcKill:     "ProcKill",
-		SortSpill:    "SortSpill",
 		ProbeBitmap:  "ProbeBitmap",
 	}
 	if s >= 0 && int(s) < len(names) {
@@ -363,7 +356,6 @@ var defaultMaxK = map[Site]int{
 	CheckpointIO: 1,
 	ConnDrop:     3,
 	ProcKill:     3,
-	SortSpill:    2,
 	ProbeBitmap:  8,
 }
 

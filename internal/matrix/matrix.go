@@ -1,7 +1,7 @@
 // Package matrix provides the dense linear-algebra kernels PC's tools use —
 // the stand-in for the native math libraries of the paper (Eigen inside
 // lilLinAlg, GSL inside the ML codes, breeze inside the Spark baselines;
-// see Table 8 and DESIGN.md §2). Two multiplication kernels are provided:
+// see Table 8). Two multiplication kernels are provided:
 // MulNaive (a straightforward triple loop, the GSL analogue) and Mul (a
 // transposed, cache-blocked kernel, the Eigen/breeze analogue); Table 8's
 // ordering is reproduced by benchmarking them against each other.

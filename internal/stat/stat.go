@@ -1,7 +1,7 @@
-// Package stat is the GSL substitute (DESIGN.md §2): the random sampling
-// and numeric helpers PC's ML codes need — multinomial and Dirichlet
-// sampling for the non-collapsed Gibbs LDA, multivariate normal density in
-// log space for GMM, and log-sum-exp (the "log space trick" of §8.5.1).
+// Package stat is the GSL substitute: the random sampling and numeric
+// helpers PC's ML codes need — multinomial and Dirichlet sampling for the
+// non-collapsed Gibbs LDA, multivariate normal density in log space for
+// GMM, and log-sum-exp (the "log space trick" of §8.5.1).
 package stat
 
 import (
@@ -120,7 +120,7 @@ func SampleDirichlet(rng *rand.Rand, alphas []float64) []float64 {
 // Gaussian is a diagonal-covariance multivariate normal — the model
 // component used by the GMM benchmark (diagonal covariance keeps the
 // laptop-scale reproduction tractable while exercising the same EM code
-// path; see EXPERIMENTS.md Table 5 notes).
+// path).
 type Gaussian struct {
 	Mean []float64
 	Var  []float64 // per-dimension variance

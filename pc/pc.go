@@ -8,8 +8,11 @@
 //     MultiSelection, Join, and Aggregate computations whose behaviour is
 //     specified with lambda *term construction functions* (FromMember,
 //     FromMethod, FromNative, composed with Eq/And/Gt/...). The system —
-//     not the user — picks join orders, join algorithms, filter placement,
-//     and materialization by compiling to TCAP and optimizing it.
+//     not the user — picks join orders, filter placement, and
+//     materialization by compiling to TCAP and optimizing it. (The join
+//     algorithm is the caller's choice in this reproduction: a Join
+//     computation broadcasts its build side, and a build side too large
+//     for that goes through Cluster.HashPartitionJoinKind.)
 //
 //   - In the small, all data live in the PC object model: objects are
 //     allocated in place on pages, referenced by offset handles, and move
@@ -82,9 +85,12 @@
 // and checkpoint snapshots — spilling the coldest pages to reusable page
 // files (under Config.DataDir, or a temp directory) and reloading them
 // transparently. Results are bit-for-bit identical at any budget; only
-// page residence changes. See docs/TUNING.md for the memory model and how
-// MemoryBudget interacts with ShuffleCapacity, Threads,
-// CheckpointInterval, and DataDir.
+// page residence changes. It is the only memory setting: what a job holds
+// as its own working state — merged aggregation maps, join tables, an
+// ORDER BY's sorted runs (a partition sorted without a Limit is buffered
+// whole) — is outside it and must fit in RAM. See docs/TUNING.md for the
+// memory model and how MemoryBudget interacts with ShuffleCapacity,
+// Threads, CheckpointInterval, and DataDir.
 package pc
 
 import (
@@ -97,7 +103,7 @@ import (
 type Config = cluster.Config
 
 // Client is a connection to a PC cluster (in this reproduction, an owned
-// in-process simulated cluster; see DESIGN.md §2).
+// in-process simulated cluster; see docs/ARCHITECTURE.md).
 type Client struct {
 	Cluster *cluster.Cluster
 }
