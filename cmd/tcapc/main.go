@@ -134,12 +134,7 @@ func fig3Example() *core.Write {
 		Val:     func(arg *lambda.Arg) lambda.Term { return lambda.ConstF64(1) },
 		KeyKind: object.KInt64,
 		ValKind: object.KFloat64,
-		Combine: func(a *object.Allocator, cur object.Value, exists bool, next object.Value) (object.Value, error) {
-			if !exists {
-				return next, nil
-			}
-			return object.Float64Value(cur.F + next.F), nil
-		},
+		Fold:    object.FoldSum,
 		Finalize: func(a *object.Allocator, key, val object.Value) (object.Ref, error) {
 			return a.MakeRaw(8)
 		},

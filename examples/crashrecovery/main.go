@@ -104,12 +104,7 @@ func main() {
 		},
 		KeyKind: pc.KInt64,
 		ValKind: pc.KInt64,
-		Combine: func(a *pc.Allocator, cur pc.Value, exists bool, next pc.Value) (pc.Value, error) {
-			if !exists {
-				return next, nil
-			}
-			return object.Int64Value(cur.I + next.I), nil
-		},
+		Fold:    pc.FoldSum,
 		Finalize: func(a *pc.Allocator, key, val pc.Value) (pc.Ref, error) {
 			if atomic.CompareAndSwapInt32(&finalizeCrashes, 0, 1) {
 				panic("segfault in user finalize code (simulated)")
@@ -189,12 +184,7 @@ func main() {
 		},
 		KeyKind: pc.KInt64,
 		ValKind: pc.KInt64,
-		Combine: func(a *pc.Allocator, cur pc.Value, exists bool, next pc.Value) (pc.Value, error) {
-			if !exists {
-				return next, nil
-			}
-			return object.Int64Value(cur.I + next.I), nil
-		},
+		Fold:    pc.FoldSum,
 		Finalize: func(a *pc.Allocator, key, val pc.Value) (pc.Ref, error) {
 			if atomic.CompareAndSwapInt32(&spillCrashes, 0, 1) {
 				panic("segfault in user finalize code under memory pressure (simulated)")

@@ -483,8 +483,7 @@ func (e *workerEnv) runPreAggStream(res *core.CompileResult, stage *physical.Job
 	}
 	_, err = e.drivePipeline(res, stage, pages, stage.SinkStmt,
 		func(t int, stats *engine.Stats, stop <-chan struct{}) (engine.Sink, error) {
-			sink, err := engine.NewAggSink(e.reg, e.pageSize, e.workers,
-				spec.KeyKind, spec.ValKind, spec.Combine,
+			sink, err := engine.NewAggSink(e.reg, e.pageSize, e.workers, spec,
 				stage.SinkStmt.Applied.Cols[0], stage.SinkStmt.Applied.Cols[1], e.pool, stats)
 			if err != nil {
 				return nil, err

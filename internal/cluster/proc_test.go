@@ -134,6 +134,52 @@ func TestProcClusterAggSmoke(t *testing.T) {
 	}
 }
 
+// TestProcClusterShipsFoldFamilies runs the other agglib folds over the
+// process boundary: the family name is all that crosses, the worker
+// rebuilds the same typed fold from it, and each result matches the
+// directly computed one.
+func TestProcClusterShipsFoldFamilies(t *testing.T) {
+	const n, groups = 2000, 16
+	c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ShuffleCapacity: 2,
+		DataDir: t.TempDir(), ProcBin: buildPCWorker(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rec := intRecType(c)
+	loadIntRows(t, c, rec, "db", "rows", n, groups) // row i: grp i%groups, val i
+	for name, want := range map[string]func(g int64) int64{
+		"minI64":   func(g int64) int64 { return g },
+		"maxI64":   func(g int64) int64 { return n - groups + g },
+		"countI64": func(int64) int64 { return n / groups },
+	} {
+		if err := c.CreateSet("db", name, "RecovRec"); err != nil {
+			t.Fatal(err)
+		}
+		agg, err := agglib.New(c.Catalog.Registry(), name, "db", "rows", "RecovRec", "grp", "val")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Execute(core.NewWrite("db", name, agg)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		seen := 0
+		if err := c.ScanSet("db", name, func(r object.Ref) bool {
+			g, v := object.GetI64(r, rec.Field("grp")), object.GetI64(r, rec.Field("val"))
+			if v != want(g) {
+				t.Errorf("%s: group %d = %d, want %d", name, g, v, want(g))
+			}
+			seen++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if seen != groups {
+			t.Errorf("%s: %d result rows, want %d", name, seen, groups)
+		}
+	}
+}
+
 // TestProcClusterCheckpointsOff is the smoke job with consumer recovery
 // disabled: the exchange is then not replayable, and the master's consumer
 // relay must not rewind it (every such job used to fail with "Rewind on a

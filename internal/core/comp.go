@@ -126,8 +126,9 @@ func (j *Join) Inputs() []Computation { return j.In }
 func (j *Join) label() string         { return "Join" }
 
 // Aggregate is AggregateComp: for each input object it extracts a key and a
-// value (lambda terms), combines values per key with an associative Combine,
-// and finalizes each (key, aggregate) pair into an output object.
+// value (lambda terms), combines values per key with an associative Combine
+// or a declared Fold, and finalizes each (key, aggregate) pair into an output
+// object.
 type Aggregate struct {
 	In      Computation
 	ArgType string
@@ -147,7 +148,11 @@ type Aggregate struct {
 	KeyKind object.Kind
 	ValKind object.Kind
 
+	// Combine is the aggregation's algebra as a closure. A scalar sum, min
+	// or max is declared as a Fold instead and leaves Combine nil (see
+	// engine.AggSpec.Fold: the engine then folds typed columns in place).
 	Combine  engine.CombineFn
+	Fold     object.FoldOp
 	Finalize func(a *object.Allocator, key, val object.Value) (object.Ref, error)
 }
 

@@ -392,8 +392,18 @@ func (c *compiler) compileAggregate(s *Aggregate) (listState, error) {
 	cur := listState{name: in.name, cols: []string{in.objCol}, objCol: in.objCol}
 	binding := map[int]string{0: in.objCol}
 
-	if s.Key == nil || s.Val == nil || s.Combine == nil || s.Finalize == nil {
-		return listState{}, fmt.Errorf("core: Aggregate requires Key, Val, Combine, and Finalize")
+	if s.Key == nil || s.Val == nil || s.Finalize == nil {
+		return listState{}, fmt.Errorf("core: Aggregate requires Key, Val, Finalize, and a Combine or a Fold")
+	}
+	spec := &engine.AggSpec{
+		KeyKind:  s.KeyKind,
+		ValKind:  s.ValKind,
+		Combine:  s.Combine,
+		Fold:     s.Fold,
+		Finalize: s.Finalize,
+	}
+	if _, err := spec.Combiner(); err != nil {
+		return listState{}, fmt.Errorf("core: Aggregate: %w", err)
 	}
 	st, keyCol, err := c.compileTerm(cur, s.Key(lambda.NewArg(0, s.ArgType)), binding, comp)
 	if err != nil {
@@ -420,12 +430,7 @@ func (c *compiler) compileAggregate(s *Aggregate) (listState, error) {
 		Stage:   c.freshStage("agg"),
 		Info:    info,
 	})
-	c.res.AggSpecs[out.name] = &engine.AggSpec{
-		KeyKind:  s.KeyKind,
-		ValKind:  s.ValKind,
-		Combine:  s.Combine,
-		Finalize: s.Finalize,
-	}
+	c.res.AggSpecs[out.name] = spec
 	return out, nil
 }
 

@@ -45,6 +45,29 @@ func TestCompileRejectsBadGraphs(t *testing.T) {
 		t.Error("aggregate without Key/Val/Combine/Finalize should fail")
 	}
 
+	// An aggregate states its algebra once: a Fold or a Combine, over a
+	// value kind the fold is defined on.
+	member := func(arg *lambda.Arg) lambda.Term { return lambda.FromMember(arg, "x") }
+	finalize := func(a *object.Allocator, k, v object.Value) (object.Ref, error) { return a.MakeRaw(8) }
+	combine := func(_ *object.Allocator, cur object.Value, _ bool, _ object.Value) (object.Value, error) {
+		return cur, nil
+	}
+	for what, bad := range map[string]*Aggregate{
+		"neither a Combine nor a Fold":   {KeyKind: object.KInt64, ValKind: object.KInt64},
+		"a Fold and a Combine beside it": {KeyKind: object.KInt64, ValKind: object.KInt64, Fold: object.FoldSum, Combine: combine},
+		"a Fold over handles":            {KeyKind: object.KInt64, ValKind: object.KHandle, Fold: object.FoldMax},
+	} {
+		bad.In, bad.ArgType, bad.Key, bad.Val, bad.Finalize = NewScan("db", "a", "T"), "T", member, member, finalize
+		if _, err := Compile(NewWrite("db", "o", bad)); err == nil {
+			t.Errorf("aggregate with %s should fail", what)
+		}
+	}
+	good := &Aggregate{In: NewScan("db", "a", "T"), ArgType: "T", Key: member, Val: member, Finalize: finalize,
+		KeyKind: object.KInt64, ValKind: object.KInt64, Fold: object.FoldSum}
+	if _, err := Compile(NewWrite("db", "o", good)); err != nil {
+		t.Errorf("aggregate declaring only a Fold: %v", err)
+	}
+
 	// MultiSelection without projection.
 	ms := &MultiSelection{In: NewScan("db", "a", "T"), ArgType: "T"}
 	if _, err := Compile(NewWrite("db", "o", ms)); err == nil {

@@ -110,8 +110,8 @@ func (e *Executor) newStageSink(res *CompileResult, stage *physical.JobStage, st
 		if spec == nil {
 			return nil, fmt.Errorf("no aggregation spec for %q", stage.SinkStmt.Out.Name)
 		}
-		return engine.NewAggSink(e.Reg, e.PageSize, e.Partitions, spec.KeyKind, spec.ValKind,
-			spec.Combine, stage.SinkStmt.Applied.Cols[0], stage.SinkStmt.Applied.Cols[1], nil, stats)
+		return engine.NewAggSink(e.Reg, e.PageSize, e.Partitions, spec,
+			stage.SinkStmt.Applied.Cols[0], stage.SinkStmt.Applied.Cols[1], nil, stats)
 	case physical.SinkJoinBuild:
 		if jt := stage.SinkStmt.Info["joinType"]; jt == "semi" || jt == "anti" {
 			// Semi/anti joins build an exact key-value set from the raw key

@@ -19,12 +19,59 @@ type AggSpec struct {
 	// partial aggregates, so it must be associative and closed over the
 	// value type: the Val projection should already produce the
 	// accumulator type, exactly like the paper's Avg DataPoint::fromMe()
-	// pattern (§Appendix A). Scalar sums satisfy this trivially.
+	// pattern (§Appendix A). A spec that declares a Fold leaves it nil.
 	Combine CombineFn
+
+	// Fold, when set, declares the aggregation as a closed scalar fold of
+	// a KInt32, KInt64 or KFloat64 value, and is then its only definition:
+	// Combiner derives the combine function from it. With a KInt64 key and
+	// a KInt64 or KFloat64 value the sinks and merges fold typed columns
+	// and raw map slots in place (object.ScalarSlots) instead of boxing
+	// every pair; the page bytes are the same either way.
+	Fold object.FoldOp
 
 	// Finalize converts a merged (key, value) entry into an output
 	// object on the result set's page (e.g. the k-means Centroid).
 	Finalize func(a *object.Allocator, key, val object.Value) (object.Ref, error)
+}
+
+// Combiner returns the function that folds a value into a key's running
+// value: Combine, or for a spec that declares a Fold the closure derived
+// from it.
+func (s *AggSpec) Combiner() (CombineFn, error) {
+	op := s.Fold
+	switch {
+	case op == 0 && s.Combine == nil:
+		return nil, errors.New("engine: aggregation spec has neither a Combine nor a Fold")
+	case op == 0:
+		return s.Combine, nil
+	case s.Combine != nil:
+		return nil, fmt.Errorf("engine: aggregation spec declares the %v fold and a Combine beside it", op)
+	}
+	switch s.ValKind {
+	case object.KInt32, object.KInt64:
+		return func(_ *object.Allocator, cur object.Value, exists bool, next object.Value) (object.Value, error) {
+			if !exists {
+				return next, nil
+			}
+			return object.Int64Value(op.I64(cur.AsInt64(), next.AsInt64())), nil
+		}, nil
+	case object.KFloat64:
+		return func(_ *object.Allocator, cur object.Value, exists bool, next object.Value) (object.Value, error) {
+			if !exists {
+				return next, nil
+			}
+			return object.Float64Value(op.F64(cur.AsFloat64(), next.AsFloat64())), nil
+		}, nil
+	default:
+		return nil, fmt.Errorf("engine: the %v fold needs an int or float value, not %v", op, s.ValKind)
+	}
+}
+
+// scalarSlots reports whether the spec's maps are folded on raw slots: a
+// declared Fold over kinds with the 20-byte scalar slot layout.
+func (s *AggSpec) scalarSlots() bool {
+	return s.Fold != 0 && object.HasScalarSlots(s.KeyKind, s.ValKind)
 }
 
 // MergeAggMaps implements the consuming stage of distributed aggregation:
@@ -158,6 +205,10 @@ func MergeAggMapsParallel(reg *object.Registry, pages []*object.Page, part, part
 // in sub-partition sub of subs (subs == 1 disables the filter).
 func tryMergeSub(reg *object.Registry, pages []*object.Page, part, partitions int,
 	spec *AggSpec, pageSize int, pool *object.PagePool, sub, subs int) (object.OMap, *object.Page, error) {
+	combine, err := spec.Combiner()
+	if err != nil {
+		return object.OMap{}, nil, err
+	}
 	var pg *object.Page
 	if pool != nil && pool.Size == pageSize {
 		pg = pool.Get(reg)
@@ -192,7 +243,7 @@ func tryMergeSub(reg *object.Registry, pages []*object.Page, part, partitions in
 			if subs > 1 && int((LogicalKeyHash(reg, spec.KeyKind, key)/uint64(partitions))%uint64(subs)) != sub {
 				return true
 			}
-			if err := updateAggEntry(final, a, key, val, spec.Combine, nil); err != nil {
+			if err := updateAggEntry(final, a, key, val, combine, nil); err != nil {
 				mergeErr = err
 				return false
 			}
@@ -226,29 +277,48 @@ type subMerger struct {
 	sub, subs        int
 	pool             *object.PagePool
 	policy           object.Policy
+	combine          CombineFn
 
 	pg    *object.Page
 	a     *object.Allocator
 	final object.OMap
+	// slots is final's raw slot view, typed set, when the spec folds on
+	// scalar slots; shuffled maps of the same layout are then folded slot to
+	// slot (foldSlots).
+	slots object.ScalarSlots
+	typed bool
+}
+
+// bind points the merger at its sub-map, on a fresh, grown or restored page.
+func (m *subMerger) bind(pg *object.Page, a *object.Allocator, final object.OMap) {
+	m.pg, m.a, m.final = pg, a, final
+	if m.spec.scalarSlots() {
+		m.slots, m.typed = final.ScalarSlots(m.spec.ValKind)
+	}
 }
 
 func newSubMerger(reg *object.Registry, part, partitions int, spec *AggSpec,
 	pageSize int, pool *object.PagePool, sub, subs int, policy object.Policy) (*subMerger, error) {
+	combine, err := spec.Combiner()
+	if err != nil {
+		return nil, err
+	}
 	m := &subMerger{reg: reg, spec: spec, part: part, partitions: partitions,
-		sub: sub, subs: subs, pool: pool, policy: policy}
+		sub: sub, subs: subs, pool: pool, policy: policy, combine: combine}
 	for {
+		var pg *object.Page
 		if pool != nil && pool.Size == pageSize {
-			m.pg = pool.Get(reg)
+			pg = pool.Get(reg)
 		} else {
-			m.pg = object.NewPage(pageSize, reg)
+			pg = object.NewPage(pageSize, reg)
 		}
-		m.a = object.NewAllocator(m.pg, m.policy)
-		final, err := object.MakeMap(m.a, spec.KeyKind, spec.ValKind, 64)
+		a := object.NewAllocator(pg, m.policy)
+		final, err := object.MakeMap(a, spec.KeyKind, spec.ValKind, 64)
 		if errors.Is(err, object.ErrPageFull) {
 			// The configured page cannot hold even an empty map; start
 			// bigger (the grow path would do the same, one fold later).
 			if pool != nil {
-				pool.Put(m.pg)
+				pool.Put(pg)
 			}
 			pageSize *= 2
 			if pageSize > 1<<30 {
@@ -260,8 +330,8 @@ func newSubMerger(reg *object.Registry, part, partitions int, spec *AggSpec,
 			return nil, err
 		}
 		final.Retain()
-		m.pg.SetRoot(final.Off)
-		m.final = final
+		pg.SetRoot(final.Off)
+		m.bind(pg, a, final)
 		return m, nil
 	}
 }
@@ -275,8 +345,14 @@ func (m *subMerger) fold(src *object.Page) error {
 	if m.part >= root.Len() {
 		return fmt.Errorf("engine: page has %d partitions, need %d", root.Len(), m.part+1)
 	}
+	srcMap := object.AsMap(root.HandleAt(m.part))
+	if m.typed {
+		if slots, ok := srcMap.ScalarSlots(m.spec.ValKind); ok {
+			return m.foldSlots(&slots)
+		}
+	}
 	var ferr error
-	object.AsMap(root.HandleAt(m.part)).Iterate(func(key, val object.Value) bool {
+	srcMap.Iterate(func(key, val object.Value) bool {
 		// Sub-partition on hash divided by the partition count — see
 		// tryMergeSub for why the quotient decorrelates from routing.
 		if m.subs > 1 && int((LogicalKeyHash(m.reg, m.spec.KeyKind, key)/uint64(m.partitions))%uint64(m.subs)) != m.sub {
@@ -293,7 +369,7 @@ func (m *subMerger) fold(src *object.Page) error {
 
 func (m *subMerger) update(key, val object.Value) error {
 	for {
-		err := updateAggEntry(m.final, m.a, key, val, m.spec.Combine, nil)
+		err := updateAggEntry(m.final, m.a, key, val, m.combine, nil)
 		if !errors.Is(err, object.ErrPageFull) {
 			return err
 		}
@@ -301,6 +377,35 @@ func (m *subMerger) update(key, val object.Value) error {
 			return err
 		}
 	}
+}
+
+// foldSlots is fold's loop over a shuffled map's raw slots, in the slot
+// order Iterate walks: the same sub-partition filter on the same hash, the
+// same grow-and-retry on a full page.
+func (m *subMerger) foldSlots(src *object.ScalarSlots) error {
+	for i, n := 0, src.Slots(); i < n; i++ {
+		key, val, full := src.EntryAt(i)
+		if !full {
+			continue
+		}
+		h := object.HashInt64(key)
+		if m.subs > 1 && int((h/uint64(m.partitions))%uint64(m.subs)) != m.sub {
+			continue
+		}
+		for {
+			_, err := m.slots.Fold(m.a, h, key, val, m.spec.Fold)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, object.ErrPageFull) {
+				return err
+			}
+			if err := m.grow(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // grow rehashes the sub-map onto a page of at least double the size,
@@ -336,7 +441,7 @@ func (m *subMerger) grow() error {
 		if m.pool != nil {
 			m.pool.Put(m.pg)
 		}
-		m.pg, m.a, m.final = npg, na, nm
+		m.bind(npg, na, nm)
 		return nil
 	}
 }
@@ -367,10 +472,13 @@ func restoreSubMerger(reg *object.Registry, part, partitions int, spec *AggSpec,
 		return nil, err
 	}
 	pg.SetManaged(true)
+	combine, err := spec.Combiner()
+	if err != nil {
+		return nil, err
+	}
 	m := &subMerger{reg: reg, spec: spec, part: part, partitions: partitions,
-		sub: sub, subs: subs, pool: pool, policy: object.PolicyNoReuse, pg: pg}
-	m.a = object.NewAllocator(pg, object.PolicyNoReuse)
-	m.final = object.AsMap(object.Ref{Page: pg, Off: pg.Root()})
+		sub: sub, subs: subs, pool: pool, policy: object.PolicyNoReuse, combine: combine}
+	m.bind(pg, object.NewAllocator(pg, object.PolicyNoReuse), object.AsMap(object.Ref{Page: pg, Off: pg.Root()}))
 	return m, nil
 }
 

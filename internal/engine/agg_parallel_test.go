@@ -20,7 +20,7 @@ func buildAggMapPages(t *testing.T, reg *object.Registry, n, partitions int) []*
 		}
 		return object.Int64Value(cur.I + next.I), nil
 	}
-	sink, err := NewAggSink(reg, 1<<14, partitions, object.KInt64, object.KInt64, sum, "k", "v", nil, nil)
+	sink, err := NewAggSink(reg, 1<<14, partitions, &AggSpec{KeyKind: object.KInt64, ValKind: object.KInt64, Combine: sum}, "k", "v", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func pinStringAgg(t *testing.T, specName string, threads int) string {
 	h := sha256.New()
 	const parts = 3
 	stats := &Stats{}
-	sink, err := NewAggSink(reg, 1<<12, parts, spec.KeyKind, spec.ValKind, spec.Combine, "key", "val", nil, stats)
+	sink, err := NewAggSink(reg, 1<<12, parts, spec, "key", "val", nil, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func pinStringAgg(t *testing.T, specName string, threads int) string {
 	hashPages(h, shuffled)
 
 	// The sibling-thread fold: a second sink absorbs the first one's pages.
-	absorber, err := NewAggSink(reg, 1<<13, parts, spec.KeyKind, spec.ValKind, spec.Combine, "key", "val", nil, stats)
+	absorber, err := NewAggSink(reg, 1<<13, parts, spec, "key", "val", nil, stats)
 	if err != nil {
 		t.Fatal(err)
 	}

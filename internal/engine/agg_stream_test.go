@@ -18,8 +18,8 @@ import (
 func buildAggPages(t *testing.T, reg *object.Registry, parts, n, keys, pageSize int) []*object.Page {
 	t.Helper()
 	stats := &Stats{}
-	sink, err := NewAggSink(reg, pageSize, parts, object.KString, object.KFloat64,
-		sumCombine, "key", "val", nil, stats)
+	sink, err := NewAggSink(reg, pageSize, parts,
+		&AggSpec{KeyKind: object.KString, ValKind: object.KFloat64, Combine: sumCombine}, "key", "val", nil, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestAggSinkKeepsSealedPagesUntilBatchFolds(t *testing.T) {
 		}
 		return next, nil
 	}
-	sink, err := NewAggSink(reg, pageSize, parts, object.KInt64, object.KHandle, first, "key", "val", nil, &Stats{})
+	sink, err := NewAggSink(reg, pageSize, parts, &AggSpec{KeyKind: object.KInt64, ValKind: object.KHandle, Combine: first}, "key", "val", nil, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +210,10 @@ func TestMergeAggMapsStreamGrowsOnOverflow(t *testing.T) {
 // TestUpdateAggEntryMatchesGetPut pins updateAggEntry's contract: its one
 // probe makes the page mutations of Get + Combine + Put, byte for byte —
 // for new keys and repeated ones, through slot-array growth, up to and
-// including the update that overflows the page.
+// including the update that overflows the page. Its "typed" subtests hold
+// the typed fold to the same bytes (typedAggMatchesBoxed).
 func TestUpdateAggEntryMatchesGetPut(t *testing.T) {
+	t.Run("typed", typedAggMatchesBoxed)
 	reg := object.NewRegistry()
 	mk := func() (object.OMap, *object.Allocator) {
 		pg := object.NewPage(1<<14, reg)

@@ -30,6 +30,40 @@
 //     unless the sink streams, in which case its pages already left
 //     through the exchange (see "The OnSeal streaming sink contract").
 //
+// # The typed aggregation fold
+//
+// An aggregation's maps are updated one (key, value) pair at a time, and
+// there are two ways to do it that write the same bytes. The boxed update
+// (updateAggEntry) serves every AggSpec: it boxes the pair into
+// object.Values, probes through OMap and calls the spec's combine closure.
+// A spec that declares a Fold — sum, min or max — over a KInt64 key and a
+// KInt64 or KFloat64 value is also served by the typed fold
+// (object.ScalarSlots.Fold): one FNV hash per row, used for the partition
+// route and the probe; a probe on the raw 20-byte slots; the op applied in
+// place. The choice is made from the spec and from what arrives, never from
+// configuration:
+//
+//   - AggSink.Consume takes the typed loop for a batch whose key column is
+//     an I64Col and whose value column is the I64Col or F64Col matching the
+//     spec's value kind. Any other batch under the same spec — a boxed
+//     ValCol, a float column feeding an int64 map, string or handle columns
+//     — goes through the boxed update with the combine derived from the
+//     Fold (AggSpec.Combiner), which converts where the typed loop would
+//     mis-read.
+//   - AggSink.AbsorbPages and the streaming merge (subMerger.fold) take it
+//     slot to slot when the source map has the same scalar layout.
+//   - A Fold over a KInt32 value, or over a string or float key, has no
+//     20-byte slots: boxed path, derived combine. Handle-valued aggregates
+//     (k-means, the TPC-H map-valued ones), DISTINCT and anonymous closures
+//     declare no Fold and are untouched.
+//
+// Page bytes are path-independent: the typed fold makes updateAggEntry's
+// mutations in updateAggEntry's order (combine, growth check, rehash,
+// claim, write), grows through the same OMap rehash, and faults with
+// ErrPageFull at the same points, so rotate points, checkpoint snapshots
+// and Stats.HashProbes/HashResizes are those of the boxed path
+// (TestUpdateAggEntryMatchesGetPut/typed, FuzzTypedAggMatchesBoxed).
+//
 // # Intra-worker parallelism and the sink-merge protocol
 //
 // RunPipelineThreads splits a stage's source into contiguous chunks, one

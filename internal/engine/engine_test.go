@@ -412,8 +412,8 @@ func TestAggSinkAndMerge(t *testing.T) {
 	reg := object.NewRegistry()
 	const parts = 4
 	stats := &Stats{}
-	sink, err := NewAggSink(reg, 1<<14, parts, object.KInt64, object.KFloat64,
-		sumCombine, "key", "val", nil, stats)
+	sink, err := NewAggSink(reg, 1<<14, parts,
+		&AggSpec{KeyKind: object.KInt64, ValKind: object.KFloat64, Combine: sumCombine}, "key", "val", nil, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,8 +462,8 @@ func TestAggSinkAndMerge(t *testing.T) {
 func TestAggSinkRotatesOnTinyPages(t *testing.T) {
 	reg := object.NewRegistry()
 	stats := &Stats{}
-	sink, err := NewAggSink(reg, 4096, 2, object.KString, object.KFloat64,
-		sumCombine, "key", "val", nil, stats)
+	sink, err := NewAggSink(reg, 4096, 2,
+		&AggSpec{KeyKind: object.KString, ValKind: object.KFloat64, Combine: sumCombine}, "key", "val", nil, stats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/object"
 	"repro/internal/tcap"
@@ -110,6 +111,13 @@ func (s *OutputSink) CloseStream() error { return s.Out.CloseStream() }
 // aggregation (paper Appendix D.2, Figure 5). Each live page's root is a
 // Vector<Handle<Map>> with one map per partition, so a filled page ships to
 // the shuffle as raw bytes.
+//
+// A sink has two ways to fold a pair into its map, and both write the same
+// bytes. The boxed one (updateAggEntry) serves every spec. The typed one
+// (object.ScalarSlots.Fold) runs when the spec declares a Fold over scalar
+// slots and the pairs arrive unboxed — an I64Col key column with an I64Col
+// or F64Col of the spec's value kind, or another page's scalar slots; any
+// other batch under the same spec takes the boxed path.
 type AggSink struct {
 	Out        *OutputPageSet
 	Partitions int
@@ -121,20 +129,40 @@ type AggSink struct {
 	// value from.
 	KeyCol, ValCol string
 
-	// partCache holds resolved per-partition map handles so the hot
-	// per-row path skips root-vector resolution; rebuilt after each page
-	// rotation (the maps move to a fresh page).
+	// fold is the spec's Fold when its maps have scalar slots, else 0.
+	fold object.FoldOp
+
+	// rotateAt keeps headroom on the live page so a single map update
+	// (rehash, key allocation, combined-state allocation) rarely faults
+	// mid-write; when it does fault anyway, the row is redone from scratch
+	// on a fresh page. Partial aggregates split across pages are merged
+	// downstream, which is sound because the combine is associative.
+	rotateAt uint32
+
+	// partCache (slotCache for a typed sink) holds the live page's resolved
+	// per-partition maps so the per-row path skips root-vector resolution;
+	// rebuilt after each page rotation (the maps move to a fresh page).
 	partCache []object.OMap
+	slotCache []object.ScalarSlots
 	cachePage *object.Page
 
 	stats *Stats
 }
 
-// NewAggSink creates a pre-aggregation sink.
-func NewAggSink(reg *object.Registry, pageSize, partitions int, keyKind, valKind object.Kind,
-	combine CombineFn, keyCol, valCol string, pool *object.PagePool, stats *Stats) (*AggSink, error) {
-	s := &AggSink{Partitions: partitions, KeyKind: keyKind, ValKind: valKind,
-		Combine: combine, KeyCol: keyCol, ValCol: valCol, stats: stats}
+// NewAggSink creates a pre-aggregation sink for spec, reading each batch's
+// keys and values from the named columns.
+func NewAggSink(reg *object.Registry, pageSize, partitions int, spec *AggSpec,
+	keyCol, valCol string, pool *object.PagePool, stats *Stats) (*AggSink, error) {
+	combine, err := spec.Combiner()
+	if err != nil {
+		return nil, err
+	}
+	s := &AggSink{Partitions: partitions, KeyKind: spec.KeyKind, ValKind: spec.ValKind,
+		Combine: combine, KeyCol: keyCol, ValCol: valCol, stats: stats,
+		rotateAt: uint32(min(pageSize/8, 4096))}
+	if spec.scalarSlots() {
+		s.fold = spec.Fold
+	}
 	ops, err := NewOutputPageSet(reg, pageSize, object.PolicyLightweightReuse,
 		func(a *object.Allocator, p *object.Page) error { return s.initMaps(a, p) }, pool, stats)
 	if err != nil {
@@ -163,16 +191,33 @@ func (s *AggSink) initMaps(a *object.Allocator, p *object.Page) error {
 	return nil
 }
 
+// resolveParts re-reads the live page's partition maps after a rotation.
+func (s *AggSink) resolveParts() {
+	root := object.AsVector(object.Ref{Page: s.Out.Live, Off: s.Out.Live.Root()})
+	s.partCache, s.slotCache = s.partCache[:0], s.slotCache[:0]
+	for p := 0; p < s.Partitions; p++ {
+		m := object.AsMap(root.HandleAt(p))
+		s.partCache = append(s.partCache, m)
+		if s.fold != 0 {
+			slots, _ := m.ScalarSlots(s.ValKind) // initMaps made it with the spec's kinds
+			s.slotCache = append(s.slotCache, slots)
+		}
+	}
+	s.cachePage = s.Out.Live
+}
+
 func (s *AggSink) partitionMap(i int) object.OMap {
 	if s.cachePage != s.Out.Live {
-		root := object.AsVector(object.Ref{Page: s.Out.Live, Off: s.Out.Live.Root()})
-		s.partCache = s.partCache[:0]
-		for p := 0; p < s.Partitions; p++ {
-			s.partCache = append(s.partCache, object.AsMap(root.HandleAt(p)))
-		}
-		s.cachePage = s.Out.Live
+		s.resolveParts()
 	}
 	return s.partCache[i]
+}
+
+func (s *AggSink) partitionSlots(i int) *object.ScalarSlots {
+	if s.cachePage != s.Out.Live {
+		s.resolveParts()
+	}
+	return &s.slotCache[i]
 }
 
 // Consume folds each (key, value) row into its partition's map.
@@ -188,29 +233,46 @@ func (s *AggSink) Consume(ctx *Ctx, vl *VectorList, stmt *tcap.Stmt) error {
 	// folded: the exchange may deliver, fold and recycle a page it was
 	// handed while later rows still read their values off it.
 	s.Out.holdSeals = true
-	n := keyCol.Len()
-	for i := 0; i < n; i++ {
-		key := keyCol.Value(i)
-		val := valCol.Value(i)
-		if err := s.updateWithRotate(key, val); err != nil {
-			s.Out.holdSeals = false
-			return err
-		}
+	if err := s.consume(keyCol, valCol); err != nil {
+		s.Out.holdSeals = false
+		return err
 	}
 	return s.Out.releaseSeals()
 }
 
-// rotateThreshold keeps headroom on the live page so a single map update
-// (rehash, key allocation, combined-state allocation) rarely faults
-// mid-write; when it does fault anyway, the row is redone from scratch on a
-// fresh page. Partial aggregates split across pages are merged downstream,
-// which is sound because Combine is associative.
-func (s *AggSink) rotateThreshold() uint32 {
-	t := uint32(s.Out.PageSize / 8)
-	if t > 4096 {
-		t = 4096
+func (s *AggSink) consume(keyCol, valCol Column) error {
+	if keys, ok := keyCol.(I64Col); ok && s.fold != 0 {
+		// The value column must be the spec's own kind, unboxed: an I64Col
+		// feeding a float map (or the reverse) is converted by the boxed
+		// path's writes and must not be read as raw bits here.
+		switch vals := valCol.(type) {
+		case I64Col:
+			if s.ValKind == object.KInt64 {
+				for i, k := range keys {
+					if err := s.foldWithRotate(k, uint64(vals[i])); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		case F64Col:
+			if s.ValKind == object.KFloat64 {
+				for i, k := range keys {
+					if err := s.foldWithRotate(k, math.Float64bits(vals[i])); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		}
 	}
-	return t
+	n := keyCol.Len()
+	for i := 0; i < n; i++ {
+		if err := s.updateWithRotate(keyCol.Value(i), valCol.Value(i)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // partitionHash routes a key to its consuming partition via LogicalKeyHash,
@@ -221,7 +283,7 @@ func (s *AggSink) partitionHash(key object.Value) uint64 {
 }
 
 func (s *AggSink) updateWithRotate(key, val object.Value) error {
-	if s.Out.Live.Remaining() < s.rotateThreshold() {
+	if s.Out.Live.Remaining() < s.rotateAt {
 		if err := s.Out.Rotate(); err != nil {
 			return err
 		}
@@ -239,6 +301,44 @@ func (s *AggSink) updateWithRotate(key, val object.Value) error {
 		return fmt.Errorf("engine: aggregation entry does not fit on an empty page: %w", err)
 	}
 	return nil
+}
+
+// foldWithRotate is updateWithRotate for an unboxed pair under a typed
+// spec (val is the value's 8 stored bytes): the same rotation rule, one hash
+// for the partition route and the probe, the same redo on a fresh page.
+func (s *AggSink) foldWithRotate(key int64, val uint64) error {
+	if s.Out.Live.Remaining() < s.rotateAt {
+		if err := s.Out.Rotate(); err != nil {
+			return err
+		}
+	}
+	h := object.HashInt64(key)
+	part := int(h % uint64(s.Partitions))
+
+	err := s.foldEntry(part, h, key, val)
+	if !errors.Is(err, object.ErrPageFull) {
+		return err
+	}
+	if err := s.Out.Rotate(); err != nil {
+		return err
+	}
+	if err := s.foldEntry(part, h, key, val); err != nil {
+		return fmt.Errorf("engine: aggregation entry does not fit on an empty page: %w", err)
+	}
+	return nil
+}
+
+// foldEntry counts what updateAggEntry counts: a probe per attempt, a
+// resize per rehash.
+func (s *AggSink) foldEntry(part int, h uint64, key int64, val uint64) error {
+	grown, err := s.partitionSlots(part).Fold(s.Out.Alloc, h, key, val, s.fold)
+	if s.stats != nil {
+		s.stats.HashProbes++
+		if grown {
+			s.stats.HashResizes++
+		}
+	}
+	return err
 }
 
 // Pages returns the pre-aggregated map pages.
@@ -267,6 +367,14 @@ func (s *AggSink) AbsorbPages(pages []*object.Page) error {
 		}
 		for p := 0; p < s.Partitions; p++ {
 			m := object.AsMap(root.HandleAt(p))
+			if s.fold != 0 {
+				if src, ok := m.ScalarSlots(s.ValKind); ok {
+					if err := s.absorbSlots(&src); err != nil {
+						return err
+					}
+					continue
+				}
+			}
 			var aerr error
 			m.Iterate(func(key, val object.Value) bool {
 				if err := s.updateWithRotate(key, val); err != nil {
@@ -277,6 +385,19 @@ func (s *AggSink) AbsorbPages(pages []*object.Page) error {
 			})
 			if aerr != nil {
 				return aerr
+			}
+		}
+	}
+	return nil
+}
+
+// absorbSlots is AbsorbPages' per-map loop over raw slots, in the slot order
+// Iterate walks.
+func (s *AggSink) absorbSlots(src *object.ScalarSlots) error {
+	for i, n := 0, src.Slots(); i < n; i++ {
+		if key, val, full := src.EntryAt(i); full {
+			if err := s.foldWithRotate(key, val); err != nil {
+				return err
 			}
 		}
 	}

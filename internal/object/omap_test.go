@@ -321,3 +321,74 @@ func TestQuickMapMatchesGoMap(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: ScalarSlots.Fold leaves the page bytes of Update with the same
+// fold — through inserts, repeats, rehashes and the rehash that overflows
+// the page — and probes with the boxed path's hash.
+func TestScalarSlotsFoldMatchesUpdate(t *testing.T) {
+	f := func(keys []int16, vals []int64, opByte uint8) bool {
+		op := FoldSum + FoldOp(opByte%3)
+		mk := func() (OMap, *Allocator) {
+			a := NewAllocator(NewPage(1<<10, NewRegistry()), PolicyLightweightReuse)
+			m, err := MakeMap(a, KInt64, KInt64, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m, a
+		}
+		typed, ta := mk()
+		boxed, ba := mk()
+		slots, ok := typed.ScalarSlots(KInt64)
+		if !ok {
+			t.Fatal("an int64 -> int64 map has no scalar slots")
+		}
+		for i := 0; i < min(len(keys), len(vals)); i++ {
+			k, v := int64(keys[i])<<40|int64(keys[i]), vals[i]
+			if HashInt64(k) != HashValue(Int64Value(k)) {
+				t.Fatalf("HashInt64(%d) differs from HashValue", k)
+			}
+			_, errT := slots.Fold(ta, HashInt64(k), k, uint64(v), op)
+			errB := boxed.Update(ba, Int64Value(k), func(cur Value, ok bool) Value {
+				if !ok {
+					return Int64Value(v)
+				}
+				return Int64Value(op.I64(cur.I, v))
+			})
+			if (errT == nil) != (errB == nil) || string(typed.Page.Bytes()) != string(boxed.Page.Bytes()) {
+				t.Errorf("update %d (%v of key %d): typed err %v, boxed err %v, same bytes %v",
+					i, op, k, errT, errB, string(typed.Page.Bytes()) == string(boxed.Page.Bytes()))
+				return false
+			}
+			if errT != nil {
+				break
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestScalarSlotsOnlyForTwentyByteSlots(t *testing.T) {
+	_, a := newTestPage(t, 1<<16)
+	for _, c := range []struct {
+		key, val Kind
+		want     bool
+	}{
+		{KInt64, KInt64, true}, {KInt64, KFloat64, true},
+		{KInt64, KInt32, false}, {KInt64, KHandle, false}, {KInt64, KString, false},
+		{KFloat64, KInt64, false}, {KString, KFloat64, false},
+	} {
+		m, err := MakeMap(a, c.key, c.val, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.ScalarSlots(c.val); ok != c.want {
+			t.Errorf("%v -> %v map: ScalarSlots ok = %v, want %v", c.key, c.val, ok, c.want)
+		}
+		if _, ok := m.ScalarSlots(KBool); ok {
+			t.Errorf("%v -> %v map resolved as a map of bools", c.key, c.val)
+		}
+	}
+}

@@ -191,15 +191,17 @@ func (v Value) String() string {
 	}
 }
 
+// FNV-1a parameters of HashValue and HashInt64.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // HashValue computes a 64-bit hash of a scalar value (FNV-1a), used for map
 // keys and join-key hashing (the TCAP HASH operation).
 func HashValue(v Value) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
+	h := uint64(fnvOffset64)
+	mix := func(b byte) { h = (h ^ uint64(b)) * fnvPrime64 }
 	mix8 := func(u uint64) {
 		for i := 0; i < 8; i++ {
 			mix(byte(u >> (8 * i)))

@@ -211,6 +211,18 @@ const (
 	KString  = object.KString
 )
 
+// FoldOp declares an Aggregate as a scalar sum, min or max (Aggregate.Fold)
+// in place of a Combine closure; the engine then folds typed columns
+// without boxing each row.
+type FoldOp = object.FoldOp
+
+// The scalar folds.
+const (
+	FoldSum = object.FoldSum
+	FoldMin = object.FoldMin
+	FoldMax = object.FoldMax
+)
+
 // NewStruct begins building a user type layout.
 func NewStruct(name string) *object.StructBuilder { return object.NewStruct(name) }
 
