@@ -12,7 +12,6 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/physical"
 	"repro/internal/procwork"
-	"repro/internal/tcap"
 )
 
 // StageShip reports one scheduled step's shuffle traffic, measured at the
@@ -218,24 +217,6 @@ func (c *Cluster) runStage(res *core.CompileResult, stage *physical.JobStage, st
 	return c.commitArtifacts(arts)
 }
 
-// newStageSink builds one executor thread's private sink for a barrier
-// pipeline stage, charging page counters to the thread's stats.
-func (e *workerEnv) newStageSink(stage *physical.JobStage, stats *engine.Stats) (engine.Sink, error) {
-	switch stage.Sink {
-	case physical.SinkOutput, physical.SinkMaterialize:
-		return engine.NewOutputSink(e.reg, e.pageSize, e.pool, stats)
-	case physical.SinkJoinBuild:
-		if jt := stage.SinkStmt.Info["joinType"]; jt == "semi" || jt == "anti" {
-			// Semi/anti joins build an exact key-value set from the raw
-			// key column — no hash table.
-			return engine.NewKeySetBuildSink(stage.SinkStmt.Applied2.Cols[0]), nil
-		}
-		return engine.NewJoinBuildSink(stage.SinkStmt.Applied2.Cols[0], stage.SinkStmt.Copied2.Cols[0]), nil
-	default:
-		return nil, fmt.Errorf("unknown sink %v", stage.Sink)
-	}
-}
-
 // runPipelineOnWorker executes a barrier pipeline stage on one worker
 // across Config.Threads executor threads (workerEnv.drivePipeline) and
 // combines the per-thread results after the barrier:
@@ -277,24 +258,13 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 		}
 	}
 
-	sinkStmt := stage.SinkStmt
-	if stage.Sink == physical.SinkMaterialize {
-		last := stage.Stmts[len(stage.Stmts)-1]
-		col := last.Out.Cols[0]
-		if len(last.Out.Cols) > 1 {
-			if nc := last.NewColumns(); len(nc) == 1 {
-				col = nc[0]
-			}
-		}
-		sinkStmt = &tcap.Stmt{
-			Op:      tcap.OpOutput,
-			Applied: tcap.ColumnsRef{Name: last.Out.Name, Cols: []string{col}},
-		}
+	sinkStmt, err := core.StageSinkStmt(stage)
+	if err != nil {
+		return nil, err
 	}
-
 	pt, err := env.drivePipeline(res, stage, pages, sinkStmt,
 		func(_ int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, error) {
-			return env.newStageSink(stage, stats)
+			return core.NewStageSink(res, stage, env.reg, env.pageSize, env.workers, env.pool, stats)
 		}, nil)
 	if err != nil {
 		return nil, err
@@ -473,23 +443,18 @@ func (c *Cluster) keepsResumeState(err error) bool {
 // flushes its final live page and sends its close marker on the way out, so
 // each lane carries the thread's stream in sequence order.
 func (e *workerEnv) runPreAggStream(res *core.CompileResult, stage *physical.JobStage, end shuffleEnd) error {
-	spec := res.AggSpecs[stage.SinkStmt.Out.Name]
-	if spec == nil {
-		return fmt.Errorf("no aggregation spec for %q", stage.SinkStmt.Out.Name)
-	}
 	pages, err := e.sourcePages(stage)
 	if err != nil {
 		return err
 	}
 	_, err = e.drivePipeline(res, stage, pages, stage.SinkStmt,
 		func(t int, stats *engine.Stats, stop <-chan struct{}) (engine.Sink, error) {
-			sink, err := engine.NewAggSink(e.reg, e.pageSize, e.workers, spec,
-				stage.SinkStmt.Applied.Cols[0], stage.SinkStmt.Applied.Cols[1], e.pool, stats)
+			sink, err := core.NewStageSink(res, stage, e.reg, e.pageSize, e.workers, e.pool, stats)
 			if err != nil {
 				return nil, err
 			}
 			seq := 0
-			sink.Out.OnSeal = func(p *object.Page) error {
+			sink.(*engine.AggSink).Out.OnSeal = func(p *object.Page) error {
 				e.fault.Hit(fault.PageSeal, e.id)
 				tag := exchange.Tag{Producer: e.id, Thread: t, Seq: seq}
 				seq++

@@ -250,8 +250,8 @@ func TestEmitExactlyOnce(t *testing.T) {
 			t.Errorf("match %s emitted %d times, want exactly once", pair, n)
 		}
 	}
-	if stats.ProbeRecoveries != 1 {
-		t.Errorf("probe recoveries = %d, want 1", stats.ProbeRecoveries)
+	if stats.ConsumerRecoveries != 1 {
+		t.Errorf("consumer recoveries = %d, want 1", stats.ConsumerRecoveries)
 	}
 	if stats.RoleRetries[roleProbe] != 1 {
 		t.Errorf("probe role retries = %d, want 1", stats.RoleRetries[roleProbe])
@@ -538,7 +538,7 @@ func TestFailedJoinCleansUp(t *testing.T) {
 // backend re-probes and the emitted matches equal the crash-free run's,
 // each exactly once.
 func TestCoPartitionedJoinCrashRecovered(t *testing.T) {
-	run := func(c *Cluster, emp *object.TypeInfo, key func(object.Ref) uint64) [][]string {
+	run := func(c *Cluster, emp *object.TypeInfo, key func(object.Ref) uint64) ([][]string, *ExecStats) {
 		deptField := emp.Field("dept")
 		salField := emp.Field("salary")
 		eq := func(l, r object.Ref) bool {
@@ -546,7 +546,7 @@ func TestCoPartitionedJoinCrashRecovered(t *testing.T) {
 		}
 		perWorker := make([][]string, len(c.Workers))
 		var mu sync.Mutex
-		err := c.CoPartitionedJoin("db", "left", "db", "right", key, key, eq,
+		stats, err := c.CoPartitionedJoin("db", "left", "db", "right", key, key, eq,
 			func(workerID int, l, r object.Ref) error {
 				mu.Lock()
 				perWorker[workerID] = append(perWorker[workerID],
@@ -557,7 +557,7 @@ func TestCoPartitionedJoinCrashRecovered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return perWorker
+		return perWorker, stats
 	}
 	flatten := func(perWorker [][]string) []string {
 		var rows []string
@@ -567,7 +567,7 @@ func TestCoPartitionedJoinCrashRecovered(t *testing.T) {
 		return rows
 	}
 	ref, refEmp, refKey := partitionFixture(t, 400, 60)
-	refWorkers := run(ref, refEmp, refKey)
+	refWorkers, _ := run(ref, refEmp, refKey)
 	wantRows := flatten(refWorkers)
 	if len(wantRows) == 0 {
 		t.Fatal("reference co-partitioned join emitted nothing")
@@ -592,9 +592,14 @@ func TestCoPartitionedJoinCrashRecovered(t *testing.T) {
 	} {
 		c, emp, key := partitionFixture(t, 400, 60)
 		c.Cfg.Fault = fault.NewPlan(inj)
-		gotRows := flatten(run(c, emp, key))
+		perWorker, stats := run(c, emp, key)
+		gotRows := flatten(perWorker)
 		if c.Cfg.Fault.Fired() != 1 {
 			t.Fatalf("the co-partitioned %s crash never fired", inj.Site)
+		}
+		if stats.Retries != 1 || stats.RoleRetries[roleProbe] != 1 {
+			t.Errorf("%s: %d retries (%d probe), want the one recovered crash counted",
+				inj.Site, stats.Retries, stats.RoleRetries[roleProbe])
 		}
 		if !equalRows(gotRows, wantRows) {
 			t.Errorf("%s: recovered co-partitioned join differs from crash-free run (%d vs %d pairs)",

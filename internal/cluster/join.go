@@ -13,21 +13,6 @@ import (
 	"repro/internal/physical"
 )
 
-// JoinStats reports one hash-partition join's crash accounting.
-type JoinStats struct {
-	Retries int // backend crash retries, all roles
-	// RoleRetries breaks Retries out per role ("producer", "consumer" for
-	// the build phase, "probe" for the probe/emit phase).
-	RoleRetries map[string]int
-	// BuildRecoveries and ProbeRecoveries split the consumer-side
-	// recoveries by the phase the crash landed in.
-	BuildRecoveries int
-	ProbeRecoveries int
-	// Checkpoints counts the consumer recovery cuts taken (build clones +
-	// probe cursor saves across all workers).
-	Checkpoints int
-}
-
 // HashPartitionJoinKind implements the paper's 2n-job-stage distributed
 // equi-join (Appendix D.3) for two sets: the strategy for a build side too
 // large to broadcast, chosen by the caller (a planned core.Join always
@@ -52,13 +37,15 @@ type JoinStats struct {
 //
 // keyL/keyR extract the join key hash from an object (the compiled key
 // lambdas); emit is invoked on each pair kind selects (below), running on
-// the owning worker's goroutine; the returned JoinStats carry the crash
-// accounting. Matches are verified with eq (hash collisions are not
-// matches). keyL, keyR, and eq are called concurrently across workers and
-// executor threads and must be safe for concurrent use (pure functions of
-// their arguments). A worker never calls emit from two executor threads at
-// once, but different workers probe — and emit — in parallel: an emit
-// touching state shared across workers must synchronize it.
+// the owning worker's goroutine; the returned ExecStats carry the crash
+// accounting (RoleRetries "producer", "consumer" for the build phase,
+// "probe" for the probe/emit phase) and the step's one StageShip. Matches
+// are verified with eq (hash collisions are not matches). keyL, keyR, and
+// eq are called concurrently across workers and executor threads and must
+// be safe for concurrent use (pure functions of their arguments). A worker
+// never calls emit from two executor threads at once, but different workers
+// probe — and emit — in parallel: an emit touching state shared across
+// workers must synchronize it.
 //
 // # Join kinds
 //
@@ -111,7 +98,7 @@ type JoinStats struct {
 func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR string,
 	keyL, keyR func(object.Ref) uint64,
 	eq func(l, r object.Ref) bool,
-	emit func(workerID int, l, r object.Ref) error) (*JoinStats, error) {
+	emit func(workerID int, l, r object.Ref) error) (*ExecStats, error) {
 	nw := len(c.Workers)
 	interval := c.checkpointEvery(nil)
 	// One governor per consumer backend, shared by both exchanges: the
@@ -128,7 +115,7 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 	defer closeGovs()
 	exL := c.newShuffleExchange(true, func(*object.Page) {}, govs)
 	exR := c.newShuffleExchange(interval > 0, nil, govs)
-	stats := &JoinStats{RoleRetries: map[string]int{}}
+	stats := &ExecStats{Threads: c.Cfg.Threads, RoleRetries: map[string]int{}}
 	recs := make([]*joinRecovery, nw)
 	roles := make([]role, 3*nw)
 	for i, w := range c.Workers {
@@ -136,12 +123,9 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 		// Producer roles: repartition-stream each side.
 		produce := func(ex *exchange.Exchange, db, set string, key func(object.Ref) uint64) role {
 			return role{w: w, name: roleProducer, what: "join repartition " + set,
-				onRetry: func() {
-					stats.Retries++
-					stats.RoleRetries[roleProducer]++
-				},
-				body:   func() error { return env.streamRepartition(db, set, key, ex) },
-				closes: ex}
+				onRetry: stats.noteRetry(roleProducer, false),
+				body:    func() error { return env.streamRepartition(db, set, key, ex) },
+				closes:  ex}
 		}
 		roles[i], roles[nw+i] = produce(exL, dbL, setL, keyL), produce(exR, dbR, setR, keyR)
 		// Consumer role: build from the right stream, retain the left
@@ -164,19 +148,16 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 		roles[2*nw+i] = role{w: w, name: roleConsumer, what: "join build/probe", noRetry: interval <= 0,
 			saves: &rec.saves,
 			onRetry: func() {
-				stats.Retries++
 				if rec.built {
-					stats.RoleRetries[roleProbe]++
-					stats.ProbeRecoveries++
+					stats.noteRetry(roleProbe, true)()
 				} else {
-					stats.RoleRetries[roleConsumer]++
-					stats.BuildRecoveries++
+					stats.noteRetry(roleConsumer, true)()
 				}
 			},
 			body: func() error { return env.consumeJoin(build, probe, j, interval, interval, rec) }}
 	}
 	ship, err := c.runStep(roles, govs, exL, exR)
-	stats.Checkpoints = ship.Checkpoints
+	stats.Ships = []StageShip{ship}
 	// Join recovery state is in-memory clones — beyond runStep's discard of
 	// both exchanges there is nothing else to drop, except the durable
 	// probe-cut files: a crash-type failure on a ResumeOnRestart cluster

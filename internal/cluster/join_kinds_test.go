@@ -336,9 +336,9 @@ func TestJoinCheckpointsOffCrashFailsClean(t *testing.T) {
 		}
 		// (A producer the failure cancelled mid-send may still count a retry
 		// of its own; the consumer must not.)
-		if stats.BuildRecoveries+stats.ProbeRecoveries != 0 || stats.Checkpoints != 0 {
-			t.Errorf("%s: %d build + %d probe recoveries, %d checkpoints, want none",
-				site, stats.BuildRecoveries, stats.ProbeRecoveries, stats.Checkpoints)
+		if stats.ConsumerRecoveries != 0 || stats.Ships[0].Checkpoints != 0 {
+			t.Errorf("%s: %d consumer recoveries, %d checkpoints, want none",
+				site, stats.ConsumerRecoveries, stats.Ships[0].Checkpoints)
 		}
 		assertNoJoinLeaks(t, c, "recovery off, "+site.String())
 	}

@@ -128,7 +128,8 @@ func TestThreadsDeterministicCoPartitionedJoin(t *testing.T) {
 		rows := joinRows(t, c, emp, func(key func(object.Ref) uint64,
 			eq func(l, r object.Ref) bool,
 			emit func(workerID int, l, r object.Ref) error) error {
-			return c.CoPartitionedJoin("db", "emps", "db", "reps", key, key, eq, emit)
+			_, err := c.CoPartitionedJoin("db", "emps", "db", "reps", key, key, eq, emit)
+			return err
 		})
 		if len(rows) != 400 {
 			t.Fatalf("threads=%d: join rows = %d, want 400", th, len(rows))

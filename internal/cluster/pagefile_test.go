@@ -94,10 +94,10 @@ func TestDamagedPageFileFailsTheJob(t *testing.T) {
 		// under test, not the placement.
 		c.Catalog.SetPartitionKey("db", "rows", "grp")
 		c.Catalog.SetPartitionKey("db", "one", "grp")
-		damaged(t, "a co-partitioned join probing the damaged set",
-			c.CoPartitionedJoin("db", "rows", "db", "one", key, key, eq, emit))
-		damaged(t, "a co-partitioned join building from the damaged set",
-			c.CoPartitionedJoin("db", "one", "db", "rows", key, key, eq, emit))
+		_, err = c.CoPartitionedJoin("db", "rows", "db", "one", key, key, eq, emit)
+		damaged(t, "a co-partitioned join probing the damaged set", err)
+		_, err = c.CoPartitionedJoin("db", "one", "db", "rows", key, key, eq, emit)
+		damaged(t, "a co-partitioned join building from the damaged set", err)
 	})
 	t.Run("pcworker produce session", func(t *testing.T) {
 		c, rec := open(t, Config{ProcBin: buildPCWorker(t)})

@@ -115,32 +115,34 @@ func (c *Cluster) SendDataPartitioned(db, set string, pages []*object.Page,
 // probe resumes from its last window cut (from the start with
 // CheckpointInterval < 0), the shared recovery record's emitted-match
 // cursor skipping the matches user code already observed: emit stays
-// exactly-once across crashes.
+// exactly-once across crashes. Each recovered crash counts as a "probe"
+// retry in the returned ExecStats.
 func (c *Cluster) CoPartitionedJoin(dbL, setL, dbR, setR string,
 	keyL, keyR func(object.Ref) uint64,
 	eq func(l, r object.Ref) bool,
-	emit func(workerID int, l, r object.Ref) error) error {
+	emit func(workerID int, l, r object.Ref) error) (*ExecStats, error) {
 	ml, err := c.Catalog.LookupSet(dbL, setL)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	mr, err := c.Catalog.LookupSet(dbR, setR)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if ml.PartitionKey == "" || ml.PartitionKey != mr.PartitionKey {
-		return fmt.Errorf("cluster: sets %s.%s and %s.%s are not co-partitioned (%q vs %q)",
+		return nil, fmt.Errorf("cluster: sets %s.%s and %s.%s are not co-partitioned (%q vs %q)",
 			dbL, setL, dbR, setR, ml.PartitionKey, mr.PartitionKey)
 	}
 
 	interval := c.checkpointEvery(nil)
+	stats := &ExecStats{Threads: c.Cfg.Threads, RoleRetries: map[string]int{}}
 	roles := make([]role, len(c.Workers))
 	for i, w := range c.Workers {
 		env := c.env(w)
 		j := &joinSpec{kind: core.JoinInner, keyL: keyL, keyR: keyR, eq: eq,
 			emit: func(l, r object.Ref) error { return emit(i, l, r) }}
 		rec := &joinRecovery{} // scheduler-owned: survives the role's attempts
-		roles[i] = role{w: w, name: roleProbe, what: "co-partitioned join", body: func() error {
+		roles[i] = role{w: w, name: roleProbe, what: "co-partitioned join", onRetry: stats.noteRetry(roleProbe, true), body: func() error {
 			right, err := storedPages(env.store, dbR, setR)
 			if err != nil {
 				return err
@@ -152,6 +154,7 @@ func (c *Cluster) CoPartitionedJoin(dbL, setL, dbR, setR string,
 			return env.consumeJoin(&storedEnd{pages: right}, &storedEnd{pages: left}, j, 0, interval, rec)
 		}}
 	}
-	_, err = c.runStep(roles, nil)
-	return err
+	ship, err := c.runStep(roles, nil)
+	stats.Ships = []StageShip{ship}
+	return stats, err
 }

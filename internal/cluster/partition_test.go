@@ -103,7 +103,7 @@ func TestCoPartitionedJoinMatchesShuffledJoin(t *testing.T) {
 	}
 	var coMatches int64
 	shippedBefore := c.Transport.Stats().BytesShipped
-	err := c.CoPartitionedJoin("db", "left", "db", "right", key, key, eq,
+	_, err := c.CoPartitionedJoin("db", "left", "db", "right", key, key, eq,
 		func(workerID int, l, r object.Ref) error {
 			atomic.AddInt64(&coMatches, 1)
 			return nil
@@ -140,7 +140,7 @@ func TestCoPartitionedJoinRejectsMismatchedKeys(t *testing.T) {
 	if err := c.SendData("db", "plain", buildEmpPages(t, c, emp, 20)); err != nil {
 		t.Fatal(err)
 	}
-	err := c.CoPartitionedJoin("db", "left", "db", "plain", key, key,
+	_, err := c.CoPartitionedJoin("db", "left", "db", "plain", key, key,
 		func(l, r object.Ref) bool { return true },
 		func(int, object.Ref, object.Ref) error { return nil })
 	if err == nil {
@@ -189,7 +189,7 @@ func TestCoPartitionedJoinResumesFromProbeCut(t *testing.T) {
 		}
 		perWorker := make([][]string, len(c.Workers))
 		var mu sync.Mutex
-		err = c.CoPartitionedJoin("db", "left", "db", "right", joinKeyOn(rec), joinKeyOn(rec), joinEqOn(rec),
+		_, err = c.CoPartitionedJoin("db", "left", "db", "right", joinKeyOn(rec), joinKeyOn(rec), joinEqOn(rec),
 			func(w int, l, r object.Ref) error {
 				mu.Lock()
 				perWorker[w] = append(perWorker[w], joinPairString(rec, l, r))

@@ -182,7 +182,7 @@ func TestRestartRestoresPartitionKey(t *testing.T) {
 	}
 	shippedBefore := c.Transport.Stats().BytesShipped
 	var matches int64
-	err = c.CoPartitionedJoin("db", "left", "db", "right", key, key, eq,
+	_, err = c.CoPartitionedJoin("db", "left", "db", "right", key, key, eq,
 		func(workerID int, l, r object.Ref) error { atomic.AddInt64(&matches, 1); return nil })
 	if err != nil {
 		t.Fatalf("co-partitioned join after restart: %v", err)

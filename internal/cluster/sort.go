@@ -126,16 +126,6 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 // applies the limit. A crash-retried producer re-runs deterministically and
 // re-sends identical tags for the sender-side dedup to drop.
 func (e *workerEnv) runSortStreamOnWorker(res *core.CompileResult, stage *physical.JobStage, ex *exchange.Exchange) error {
-	spec := res.SortSpecs[stage.SinkStmt.Out.Name]
-	if spec == nil {
-		return fmt.Errorf("no sort spec for %q", stage.SinkStmt.Out.Name)
-	}
-	keyCols := stage.SinkStmt.Applied.Cols[:spec.NumKeys]
-	valCol := ""
-	if spec.Window {
-		valCol = stage.SinkStmt.Applied.Cols[spec.NumKeys]
-	}
-	objCol := stage.SinkStmt.Copied.Cols[0]
 	pages, err := e.sourcePages(stage)
 	if err != nil {
 		return err
@@ -145,8 +135,7 @@ func (e *workerEnv) runSortStreamOnWorker(res *core.CompileResult, stage *physic
 	// honoring the exchange's lane contract.
 	pt, err := e.drivePipeline(res, stage, pages, stage.SinkStmt,
 		func(_ int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, error) {
-			return engine.NewSortSink(e.reg, e.pageSize, keyCols, objCol, valCol,
-				spec.Desc, spec.Limit, e.pool, stats)
+			return core.NewStageSink(res, stage, e.reg, e.pageSize, e.workers, e.pool, stats)
 		}, nil)
 	if err != nil {
 		return err

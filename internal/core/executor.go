@@ -21,10 +21,11 @@ type SetStore interface {
 }
 
 // Executor runs a compiled query graph's physical plan on a single process
-// — the building block the distributed scheduler replicates per worker. It
-// drives stages through the same engine.RunPipelineThreads /
-// MergeAggMapsParallel machinery the cluster uses, so local runs and
-// tests exercise the identical code path at any Threads setting.
+// — one worker of the distributed scheduler, with no shuffle. It drives
+// pipeline stages through engine.RunPipelineThreads and merges aggregations
+// through engine.MergeAggMapsStream, the calls a cluster worker makes, so
+// local runs and tests exercise the same sinks and merges at any Threads
+// setting.
 type Executor struct {
 	Store      SetStore
 	Reg        *object.Registry
@@ -99,19 +100,22 @@ func (e *Executor) sourcePages(stage *physical.JobStage, arts *artifacts) ([]*ob
 	return pages, nil
 }
 
-// newStageSink builds one executor thread's private sink for a pipeline
-// stage, charging page counters to the thread's stats.
-func (e *Executor) newStageSink(res *CompileResult, stage *physical.JobStage, stats *engine.Stats) (engine.Sink, error) {
+// NewStageSink builds one executor thread's private sink for a pipeline
+// stage — in the executor or on a cluster worker — splitting a
+// pre-aggregation into partitions hash partitions, taking pages from pool
+// (nil allocates) and charging page counters to stats.
+func NewStageSink(res *CompileResult, stage *physical.JobStage, reg *object.Registry,
+	pageSize, partitions int, pool *object.PagePool, stats *engine.Stats) (engine.Sink, error) {
 	switch stage.Sink {
 	case physical.SinkOutput, physical.SinkMaterialize:
-		return engine.NewOutputSink(e.Reg, e.PageSize, nil, stats)
+		return engine.NewOutputSink(reg, pageSize, pool, stats)
 	case physical.SinkPreAgg:
 		spec := res.AggSpecs[stage.SinkStmt.Out.Name]
 		if spec == nil {
 			return nil, fmt.Errorf("no aggregation spec for %q", stage.SinkStmt.Out.Name)
 		}
-		return engine.NewAggSink(e.Reg, e.PageSize, e.Partitions, spec,
-			stage.SinkStmt.Applied.Cols[0], stage.SinkStmt.Applied.Cols[1], nil, stats)
+		return engine.NewAggSink(reg, pageSize, partitions, spec,
+			stage.SinkStmt.Applied.Cols[0], stage.SinkStmt.Applied.Cols[1], pool, stats)
 	case physical.SinkJoinBuild:
 		if jt := stage.SinkStmt.Info["joinType"]; jt == "semi" || jt == "anti" {
 			// Semi/anti joins build an exact key-value set from the raw key
@@ -129,11 +133,30 @@ func (e *Executor) newStageSink(res *CompileResult, stage *physical.JobStage, st
 		if spec.Window {
 			valCol = stage.SinkStmt.Applied.Cols[spec.NumKeys]
 		}
-		return engine.NewSortSink(e.Reg, e.PageSize, keyCols, stage.SinkStmt.Copied.Cols[0],
-			valCol, spec.Desc, spec.Limit, nil, stats)
+		return engine.NewSortSink(reg, pageSize, keyCols, stage.SinkStmt.Copied.Cols[0],
+			valCol, spec.Desc, spec.Limit, pool, stats)
 	default:
 		return nil, fmt.Errorf("unknown sink kind %v", stage.Sink)
 	}
+}
+
+// StageSinkStmt returns the statement a stage's sink consumes: the stage's
+// own, or for a materialization sink an OUTPUT of the final object column —
+// the last statement's only column, else its only new one (the planner
+// guarantees single-column boundaries).
+func StageSinkStmt(stage *physical.JobStage) (*tcap.Stmt, error) {
+	if stage.Sink != physical.SinkMaterialize {
+		return stage.SinkStmt, nil
+	}
+	last := stage.Stmts[len(stage.Stmts)-1]
+	cols := last.Out.Cols
+	if len(cols) != 1 {
+		cols = last.NewColumns()
+	}
+	if len(cols) != 1 {
+		return nil, fmt.Errorf("cannot determine materialization column of %s", last.Out)
+	}
+	return &tcap.Stmt{Op: tcap.OpOutput, Applied: tcap.ColumnsRef{Name: last.Out.Name, Cols: cols}}, nil
 }
 
 func (e *Executor) runPipelineStage(res *CompileResult, stage *physical.JobStage, arts *artifacts) error {
@@ -142,19 +165,9 @@ func (e *Executor) runPipelineStage(res *CompileResult, stage *physical.JobStage
 		return err
 	}
 
-	// The sink-side stmt for OUTPUT consumes Applied columns; synthesize
-	// one for materialization sinks (write the final object column).
-	sinkStmt := stage.SinkStmt
-	if stage.Sink == physical.SinkMaterialize {
-		last := stage.Stmts[len(stage.Stmts)-1]
-		col, err := materializeColumn(res, stage, last)
-		if err != nil {
-			return err
-		}
-		sinkStmt = &tcap.Stmt{
-			Op:      tcap.OpOutput,
-			Applied: tcap.ColumnsRef{Name: last.Out.Name, Cols: []string{col}},
-		}
+	sinkStmt, err := StageSinkStmt(stage)
+	if err != nil {
+		return err
 	}
 
 	chunks := engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), e.threads())
@@ -167,7 +180,7 @@ func (e *Executor) runPipelineStage(res *CompileResult, stage *physical.JobStage
 
 	pt, err := engine.RunPipelineThreads(chunks, stage.SourceCol, stage.Stmts, res.Stages, sinkStmt,
 		func(t int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, *engine.Ctx, error) {
-			sink, err := e.newStageSink(res, stage, stats)
+			sink, err := NewStageSink(res, stage, e.Reg, e.PageSize, e.Partitions, nil, stats)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -189,14 +202,10 @@ func (e *Executor) runPipelineStage(res *CompileResult, stage *physical.JobStage
 			p.SetManaged(false)
 		}
 		return e.Store.Append(stage.SinkStmt.Db, stage.SinkStmt.Set, outPages)
-	case physical.SinkMaterialize:
+	case physical.SinkMaterialize, physical.SinkPreAgg:
+		// Pre-aggregated maps, like objects, in thread order: what a
+		// one-worker shuffle delivers to the aggregation stage's merge.
 		arts.pages[stage.Produces] = pt.OutputPages()
-	case physical.SinkPreAgg:
-		merged, err := pt.MergeAggSinks(nil)
-		if err != nil {
-			return err
-		}
-		arts.pages[stage.Produces] = merged
 	case physical.SinkJoinBuild:
 		arts.tables[stage.SinkStmt.Applied2.Name] = pt.MergeJoinTables(nil)
 	case physical.SinkSort:
@@ -209,22 +218,6 @@ func (e *Executor) runPipelineStage(res *CompileResult, stage *physical.JobStage
 		arts.runs[stage.Produces] = runs
 	}
 	return nil
-}
-
-// materializeColumn decides which column a materialization sink writes: the
-// single column downstream consumers reference, falling back to the list's
-// only column.
-func materializeColumn(res *CompileResult, stage *physical.JobStage, last *tcap.Stmt) (string, error) {
-	if len(last.Out.Cols) == 1 {
-		return last.Out.Cols[0], nil
-	}
-	// The planner guarantees single-column boundaries; multiple columns
-	// mean the final object column is the newest one.
-	newCols := last.NewColumns()
-	if len(newCols) == 1 {
-		return newCols[0], nil
-	}
-	return "", fmt.Errorf("cannot determine materialization column of %s", last.Out)
 }
 
 // runSortMergeStage is the consuming stage of a distributed sort: it merges
@@ -267,12 +260,14 @@ func (e *Executor) runSortMergeStage(res *CompileResult, stage *physical.JobStag
 }
 
 // runAggregationStage is the consuming stage of a local aggregation: every
-// partition is merged (hash-range sub-partitioned across e.Threads, like a
-// cluster worker merging its partition) and finalized. At Threads > 1 the
-// partitions themselves also run concurrently — the single-process
-// analogue of the cluster's workers consuming their partitions in parallel
-// — with per-partition output pages concatenated in partition order, so
-// the result page sequence matches the sequential schedule exactly.
+// partition is merged from the pre-aggregation stage's map pages by
+// engine.MergeAggMapsStream (hash-range sub-partitioned across e.Threads,
+// exactly as a cluster worker merges its partition, minus the checkpoints)
+// and finalized. At Threads > 1 the partitions themselves also run
+// concurrently — the single-process analogue of the cluster's workers
+// consuming their partitions in parallel — with per-partition output pages
+// concatenated in partition order, so the result page sequence matches the
+// sequential schedule exactly.
 func (e *Executor) runAggregationStage(res *CompileResult, stage *physical.JobStage, arts *artifacts) error {
 	spec := res.AggSpecs[stage.AggList]
 	if spec == nil {
@@ -285,8 +280,8 @@ func (e *Executor) runAggregationStage(res *CompileResult, stage *physical.JobSt
 	perPart := make([][]*object.Page, e.Partitions)
 	pstats := make([]engine.Stats, e.Partitions)
 	runPart := func(part int) error {
-		finals, _, err := engine.MergeAggMapsParallel(e.Reg, mapPages, part, e.Partitions,
-			spec, e.PageSize, nil, e.threads())
+		finals, _, err := engine.MergeAggMapsStream(e.Reg, engine.SliceSource(mapPages), part, e.Partitions,
+			spec, e.PageSize, nil, e.threads(), nil, nil)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/lambda"
@@ -70,60 +71,101 @@ func TestExecutorThreadsDeterministicSelection(t *testing.T) {
 // TestExecutorThreadsDeterministicAggregation asserts the executor's
 // parallel pre-aggregation, hash-range-parallel merge, and parallel
 // finalization produce the identical group multiset at every thread count
-// (integer-exact salaries make the sums bit-identical).
+// (integer-exact salaries make the sums bit-identical) — for a scalar sum
+// and for a handle-valued accumulator object, whose partial aggregates the
+// merge deep-copies off the pre-aggregated pages.
 func TestExecutorThreadsDeterministicAggregation(t *testing.T) {
-	var want []string
-	for _, th := range []int{1, 2, 8} {
-		s := newTestSchema()
-		store := NewMemStore()
-		s.loadEmployees(t, store, 700)
-		emp := s.emp
-		agg := &Aggregate{
-			In:      NewScan("db", "emps", "Emp"),
-			ArgType: "Emp",
-			Key: func(arg *lambda.Arg) lambda.Term {
-				return lambda.FromMethod(arg, "getSupervisor")
-			},
-			Val: func(arg *lambda.Arg) lambda.Term {
-				return lambda.FromMethod(arg, "getSalary")
-			},
-			KeyKind: object.KString,
-			ValKind: object.KFloat64,
-			Combine: func(a *object.Allocator, cur object.Value, exists bool, next object.Value) (object.Value, error) {
-				if !exists {
-					return next, nil
+	for _, valKind := range []object.Kind{object.KFloat64, object.KHandle} {
+		var want []string
+		for _, th := range []int{1, 2, 4, 8} {
+			s := newTestSchema()
+			store := NewMemStore()
+			s.loadEmployees(t, store, 700)
+			emp := s.emp
+			acc := object.NewStruct("SalAcc").AddField("sum", object.KFloat64).AddField("cnt", object.KInt64).MustBuild(s.reg)
+			agg := &Aggregate{
+				In:      NewScan("db", "emps", "Emp"),
+				ArgType: "Emp",
+				Key: func(arg *lambda.Arg) lambda.Term {
+					return lambda.FromMethod(arg, "getSupervisor")
+				},
+				Val: func(arg *lambda.Arg) lambda.Term {
+					return lambda.FromMethod(arg, "getSalary")
+				},
+				KeyKind: object.KString,
+				ValKind: object.KFloat64,
+				Combine: func(a *object.Allocator, cur object.Value, exists bool, next object.Value) (object.Value, error) {
+					if !exists {
+						return next, nil
+					}
+					return object.Float64Value(cur.F + next.F), nil
+				},
+			}
+			sumOf := func(val object.Value) (float64, int64) { return val.F, 0 }
+			if valKind == object.KHandle {
+				// The value is the Emp itself; an Emp folds in as (salary, 1),
+				// a partial SalAcc from another page as itself.
+				agg.Val = func(arg *lambda.Arg) lambda.Term { return lambda.FromSelf(arg) }
+				agg.ValKind = object.KHandle
+				sumOf = func(val object.Value) (float64, int64) {
+					if val.H.TypeCode() == emp.Code {
+						return object.GetF64(val.H, emp.Field("salary")), 1
+					}
+					return object.GetF64(val.H, acc.Field("sum")), object.GetI64(val.H, acc.Field("cnt"))
 				}
-				return object.Float64Value(cur.F + next.F), nil
-			},
-			Finalize: func(a *object.Allocator, key, val object.Value) (object.Ref, error) {
+				agg.Combine = func(a *object.Allocator, cur object.Value, exists bool, next object.Value) (object.Value, error) {
+					if !exists && next.H.TypeCode() == acc.Code {
+						return next, nil
+					}
+					if !exists {
+						r, err := a.MakeObject(acc)
+						if err != nil {
+							return object.Value{}, err
+						}
+						cur = object.HandleValue(r)
+					}
+					sum, cnt := sumOf(cur)
+					nSum, nCnt := sumOf(next)
+					object.SetF64(cur.H, acc.Field("sum"), sum+nSum)
+					object.SetI64(cur.H, acc.Field("cnt"), cnt+nCnt)
+					return cur, nil
+				}
+			}
+			agg.Finalize = func(a *object.Allocator, key, val object.Value) (object.Ref, error) {
 				out, err := a.MakeObject(emp)
 				if err != nil {
 					return object.NilRef, err
 				}
-				if err := object.SetStrField(a, out, emp.Field("name"), key.Str()); err != nil {
+				sum, cnt := sumOf(val)
+				if err := object.SetStrField(a, out, emp.Field("name"), fmt.Sprintf("%s#%d", key.Str(), cnt)); err != nil {
 					return object.NilRef, err
 				}
-				object.SetF64(out, emp.Field("salary"), val.F)
+				object.SetF64(out, emp.Field("salary"), sum)
 				return out, nil
-			},
+			}
+			runGraphThreads(t, s, store, th, NewWrite("db", "bysup", agg))
+			var rows []string
+			for _, r := range resultRefs(t, store, "db", "bysup") {
+				rows = append(rows, fmt.Sprintf("%s|%v",
+					object.GetStrField(r, emp.Field("name")),
+					object.GetF64(r, emp.Field("salary"))))
+			}
+			if len(rows) != 10 {
+				t.Fatalf("%v threads=%d: %d groups, want 10", valKind, th, len(rows))
+			}
+			sort.Strings(rows)
+			if want == nil {
+				want = rows
+				continue
+			}
+			if !reflect.DeepEqual(rows, want) {
+				t.Errorf("%v threads=%d: aggregation differs from threads=1:\n%v\nvs\n%v", valKind, th, rows, want)
+			}
 		}
-		runGraphThreads(t, s, store, th, NewWrite("db", "bysup", agg))
-		var rows []string
-		for _, r := range resultRefs(t, store, "db", "bysup") {
-			rows = append(rows, fmt.Sprintf("%s|%v",
-				object.GetStrField(r, emp.Field("name")),
-				object.GetF64(r, emp.Field("salary"))))
-		}
-		if len(rows) != 10 {
-			t.Fatalf("threads=%d: %d groups, want 10", th, len(rows))
-		}
-		sort.Strings(rows)
-		if want == nil {
-			want = rows
-			continue
-		}
-		if !reflect.DeepEqual(rows, want) {
-			t.Errorf("threads=%d: aggregation differs from threads=1:\n%v\nvs\n%v", th, rows, want)
+		for _, row := range want {
+			if valKind == object.KHandle && !strings.Contains(row, "#70|") {
+				t.Errorf("accumulator group %s does not count its 70 rows", row)
+			}
 		}
 	}
 }

@@ -74,34 +74,11 @@ func (s *AggSpec) scalarSlots() bool {
 	return s.Fold != 0 && object.HasScalarSlots(s.KeyKind, s.ValKind)
 }
 
-// MergeAggMaps implements the consuming stage of distributed aggregation:
-// it folds every pre-aggregated map page assigned to partition part into a
-// single final map. Pages arrive from the shuffle as raw bytes; their maps
-// are read with zero deserialization. The final map is built on a dedicated
-// page whose size doubles on overflow (a partition's final aggregate must be
-// map-addressable in one piece).
-func MergeAggMaps(reg *object.Registry, pages []*object.Page, part, partitions int,
-	spec *AggSpec, pageSize int, pool *object.PagePool) (object.OMap, *object.Page, error) {
-	for {
-		m, pg, err := tryMergeSub(reg, pages, part, partitions, spec, pageSize, pool, 0, 1)
-		if err == nil {
-			return m, pg, nil
-		}
-		if !errors.Is(err, object.ErrPageFull) {
-			return object.OMap{}, nil, err
-		}
-		pageSize *= 2
-		if pageSize > 1<<30 {
-			return object.OMap{}, nil, fmt.Errorf("engine: aggregation partition exceeds 1GiB: %w", err)
-		}
-	}
-}
-
 // LogicalKeyHash hashes an aggregation key the way OMap does — handle keys
 // dispatch through the registered type's Hash — so a logical key is
 // assigned consistently regardless of which page its bytes live on (the
-// physical offset changes whenever a key is deep-copied, e.g. between
-// thread sinks during AbsorbPages or across workers in the shuffle). Every
+// physical offset changes whenever a key is deep-copied, e.g. into a merge's
+// sub-map or across workers in the shuffle). Every
 // layer that routes keys to a partition or a thread must use this hash.
 func LogicalKeyHash(reg *object.Registry, keyKind object.Kind, key object.Value) uint64 {
 	if keyKind == object.KHandle && key.K == object.KHandle && !key.H.IsNil() {
@@ -152,115 +129,10 @@ func updateAggEntry(m object.OMap, a *object.Allocator, key, val object.Value,
 	return m.WriteValAt(a, i, nv)
 }
 
-// MergeAggMapsParallel is MergeAggMaps across threads executor threads:
-// partition part's key space is split into threads sub-partitions keyed on
-// (LogicalKeyHash / partitions) % threads — decorrelated from the
-// hash%partitions routing that assigned keys to this partition — and
-// thread t folds only sub-partition t's keys, building a disjoint sub-map
-// on its own page.
-// Each thread re-scans every source map page but pays Combine and map
-// maintenance only for its own keys, so the merge work — not the cheap key
-// hashing — is what parallelizes. Sub-maps and their pages are returned in
-// sub-partition order; FinalizeAggParallel materializes them in that order
-// so the output page sequence is deterministic in the thread count's
-// sub-partitioning.
-//
-// With threads <= 1 this is exactly MergeAggMaps (one sub-map, no
-// goroutines, no key filter).
-func MergeAggMapsParallel(reg *object.Registry, pages []*object.Page, part, partitions int,
-	spec *AggSpec, pageSize int, pool *object.PagePool, threads int) ([]object.OMap, []*object.Page, error) {
-	if threads <= 1 {
-		m, pg, err := MergeAggMaps(reg, pages, part, partitions, spec, pageSize, pool)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []object.OMap{m}, []*object.Page{pg}, nil
-	}
-	maps := make([]object.OMap, threads)
-	mergePages := make([]*object.Page, threads)
-	err := ParallelFor(threads, func(t int) error {
-		size := pageSize
-		for {
-			m, pg, err := tryMergeSub(reg, pages, part, partitions, spec, size, pool, t, threads)
-			if err == nil {
-				maps[t], mergePages[t] = m, pg
-				return nil
-			}
-			if !errors.Is(err, object.ErrPageFull) {
-				return err
-			}
-			size *= 2
-			if size > 1<<30 {
-				return fmt.Errorf("engine: aggregation sub-partition exceeds 1GiB: %w", err)
-			}
-		}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return maps, mergePages, nil
-}
-
-// tryMergeSub merges partition part's entries whose logical key hash falls
-// in sub-partition sub of subs (subs == 1 disables the filter).
-func tryMergeSub(reg *object.Registry, pages []*object.Page, part, partitions int,
-	spec *AggSpec, pageSize int, pool *object.PagePool, sub, subs int) (object.OMap, *object.Page, error) {
-	combine, err := spec.Combiner()
-	if err != nil {
-		return object.OMap{}, nil, err
-	}
-	var pg *object.Page
-	if pool != nil && pool.Size == pageSize {
-		pg = pool.Get(reg)
-	} else {
-		pg = object.NewPage(pageSize, reg)
-	}
-	a := object.NewAllocator(pg, object.PolicyLightweightReuse)
-	final, err := object.MakeMap(a, spec.KeyKind, spec.ValKind, 64)
-	if err != nil {
-		return object.OMap{}, nil, err
-	}
-	final.Retain()
-	pg.SetRoot(final.Off)
-
-	for _, src := range pages {
-		if src.Root() == 0 {
-			continue
-		}
-		root := object.AsVector(object.Ref{Page: src, Off: src.Root()})
-		if part >= root.Len() {
-			return object.OMap{}, nil, fmt.Errorf("engine: page has %d partitions, need %d", root.Len(), part+1)
-		}
-		m := object.AsMap(root.HandleAt(part))
-		var mergeErr error
-		m.Iterate(func(key, val object.Value) bool {
-			// Sub-partition on hash DIVIDED by the partition count:
-			// every key in partition part satisfies hash%partitions ==
-			// part, so taking hash%subs again would correlate with the
-			// partition routing (all keys in one sub whenever subs
-			// divides partitions); the quotient varies freely within a
-			// partition.
-			if subs > 1 && int((LogicalKeyHash(reg, spec.KeyKind, key)/uint64(partitions))%uint64(subs)) != sub {
-				return true
-			}
-			if err := updateAggEntry(final, a, key, val, combine, nil); err != nil {
-				mergeErr = err
-				return false
-			}
-			return true
-		})
-		if mergeErr != nil {
-			return object.OMap{}, nil, mergeErr
-		}
-	}
-	return final, pg, nil
-}
-
 // subMerger incrementally folds pre-aggregated map pages into one
-// sub-partition's final map. Unlike the batch merge (tryMergeSub), which
-// restarts on a bigger page when the map overflows, a stream cannot re-scan
-// consumed pages — so an overflow grows the map in place: the entries are
-// rehashed onto a double-size page and the faulted update retries.
+// sub-partition's final map. A stream cannot re-scan consumed pages, so an
+// overflow grows the map in place: the entries are rehashed onto a
+// double-size page and the faulted update retries.
 //
 // A recoverable subMerger (one owned by a checkpointing merge) allocates
 // with PolicyNoReuse so its whole state is the page bytes plus the on-page
@@ -353,8 +225,11 @@ func (m *subMerger) fold(src *object.Page) error {
 	}
 	var ferr error
 	srcMap.Iterate(func(key, val object.Value) bool {
-		// Sub-partition on hash divided by the partition count — see
-		// tryMergeSub for why the quotient decorrelates from routing.
+		// Sub-partition on hash DIVIDED by the partition count: every
+		// key in partition part satisfies hash%partitions == part, so
+		// taking hash%subs again would correlate with the partition
+		// routing (all keys in one sub whenever subs divides partitions);
+		// the quotient varies freely within a partition.
 		if m.subs > 1 && int((LogicalKeyHash(m.reg, m.spec.KeyKind, key)/uint64(m.partitions))%uint64(m.subs)) != m.sub {
 			return true
 		}
@@ -514,23 +389,29 @@ type MergeCheckpointer struct {
 	Save     func(ck *MergeCheckpoint) error
 }
 
-// MergeAggMapsStream is the consuming half of the streaming shuffle:
-// MergeAggMapsParallel fed one page at a time. next yields shuffled map
-// pages in the exchange's deterministic (producer worker, thread, sequence)
-// order; each of threads sub-partition mergers folds every page in exactly
-// that order, so the merge is bit-for-bit reproducible and identical to a
-// barrier shuffle's.
+// MergeAggMapsStream implements the consuming stage of distributed
+// aggregation: it folds partition part of every pre-aggregated map page next
+// yields into final maps, reading the pages' maps as raw bytes with zero
+// deserialization. The partition's key space is split into threads
+// sub-partitions keyed on (LogicalKeyHash / partitions) % threads, and
+// sub-partition merger t folds only its own keys onto its own page, so the
+// merge work — not the cheap key hashing — is what parallelizes. next yields
+// pages in a deterministic order (a shuffle's (producer worker, thread,
+// sequence) order, or a single process's thread order); every merger folds
+// every page in exactly that order, so the merge is bit-for-bit
+// reproducible.
 //
-// With ckpt nil the merge is not recoverable: release is invoked once a
-// page has been folded by every merger — the recycling hook for shuffle
-// pages, which no artifact list retains in streaming mode. With ckpt set,
-// the merge checkpoints through it instead (release is ignored; page
-// recycling belongs to the exchange's Ack path, driven from ckpt.Save) and
-// can resume from ckpt.Resume after a consumer crash. Either way the pages
-// travel the same fan-out (streamPages).
+// With ckpt nil the merge is not recoverable: release, when non-nil, is
+// invoked once a page has been folded by every merger — the recycling hook
+// for shuffle pages, which no artifact list retains in streaming mode. With
+// ckpt set, the merge checkpoints through it instead (release is ignored;
+// page recycling belongs to the exchange's Ack path, driven from ckpt.Save)
+// and can resume from ckpt.Resume after a consumer crash. Either way the
+// pages travel the same fan-out (streamPages).
 //
-// Sub-maps and their pages are returned in sub-partition order for
-// FinalizeAggParallel, like the batch merge.
+// Sub-maps and their pages are returned in sub-partition order;
+// FinalizeAggParallel materializes them in that order, so the output page
+// sequence is deterministic for a given thread count.
 func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, error),
 	part, partitions int, spec *AggSpec, pageSize int, pool *object.PagePool,
 	threads int, release func(*object.Page), ckpt *MergeCheckpointer) ([]object.OMap, []*object.Page, error) {
@@ -590,6 +471,18 @@ func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, e
 	return maps, pages, nil
 }
 
+// SliceSource yields pages in order, as MergeAggMapsStream's next.
+func SliceSource(pages []*object.Page) func() (*object.Page, bool, error) {
+	return func() (*object.Page, bool, error) {
+		if len(pages) == 0 {
+			return nil, false, nil
+		}
+		p := pages[0]
+		pages = pages[1:]
+		return p, true, nil
+	}
+}
+
 // FinalizeAgg materializes a merged aggregation map into output objects via
 // the spec's Finalize, writing them through an OutputSink.
 func FinalizeAgg(reg *object.Registry, final object.OMap, spec *AggSpec, pageSize int, pool *object.PagePool, stats *Stats) ([]*object.Page, error) {
@@ -622,7 +515,7 @@ func FinalizeAgg(reg *object.Registry, final object.OMap, spec *AggSpec, pageSiz
 }
 
 // FinalizeAggParallel materializes the hash-range sub-maps produced by
-// MergeAggMapsParallel, one executor thread per sub-map, each writing
+// MergeAggMapsStream, one executor thread per sub-map, each writing
 // through its own OutputSink with its own Stats. Output pages are
 // concatenated in sub-partition order, so the page sequence (and the row
 // order within each sub-map's pages) is deterministic for a given thread

@@ -46,11 +46,11 @@ func buildAggMapPages(t *testing.T, reg *object.Registry, n, partitions int) []*
 	return sink.Pages()
 }
 
-// TestMergeAggMapsParallelDeterministic merges and finalizes the same
+// TestMergeAggMapsStreamThreadsDeterministic merges and finalizes the same
 // pre-aggregated pages at several thread counts and demands the identical
 // group multiset: hash-range sub-partitioning must neither drop, duplicate,
 // nor split a key, and integer sums must be bit-identical.
-func TestMergeAggMapsParallelDeterministic(t *testing.T) {
+func TestMergeAggMapsStreamThreadsDeterministic(t *testing.T) {
 	const n, partitions = 5000, 2
 	reg := object.NewRegistry()
 	outTi := object.NewStruct("MergeOut").
@@ -88,7 +88,7 @@ func TestMergeAggMapsParallelDeterministic(t *testing.T) {
 	for _, threads := range []int{1, 2, 8} {
 		var rows []string
 		for part := 0; part < partitions; part++ {
-			finals, mergePages, err := MergeAggMapsParallel(reg, pages, part, partitions, spec, 1<<14, nil, threads)
+			finals, mergePages, err := MergeAggMapsStream(reg, SliceSource(pages), part, partitions, spec, 1<<14, nil, threads, nil, nil)
 			if err != nil {
 				t.Fatalf("threads=%d part=%d: %v", threads, part, err)
 			}

@@ -99,10 +99,9 @@ func sameErr(t testing.TB, what string, typed, boxed error) bool {
 	return typed != nil
 }
 
-// run drives both specs through pre-aggregation, the sibling-thread absorb
-// and the checkpointed stream merge (1 and 2 sub-partition mergers, a merge
-// page small enough to grow), comparing every page, every checkpoint
-// snapshot and the counters. It returns the typed side's pre-aggregation
+// run drives both specs through pre-aggregation and the checkpointed stream
+// merge (1 and 2 sub-partition mergers, a merge page small enough to grow),
+// comparing every page, every checkpoint snapshot and the counters. It returns the typed side's pre-aggregation
 // counters and, per key, the merged value's stored bytes.
 func (c aggDiff) run(t testing.TB) (Stats, map[int64]uint64) {
 	t.Helper()
@@ -119,24 +118,6 @@ func (c aggDiff) run(t testing.TB) (Stats, map[int64]uint64) {
 		t.Fatalf("pre-aggregation counters: typed %+v, boxed %+v", tStats, bStats)
 	}
 
-	absorb := func(spec *AggSpec, pages []*object.Page) ([]*object.Page, Stats, error) {
-		var stats Stats
-		sink, err := NewAggSink(reg, c.pageSize*2, c.parts, spec, "key", "val", nil, &stats)
-		if err != nil {
-			return nil, stats, err
-		}
-		err = sink.AbsorbPages(pages)
-		return sink.Pages(), stats, err
-	}
-	taPages, taStats, tErr := absorb(typed, tPages)
-	baPages, baStats, bErr := absorb(boxed, bPages)
-	if !sameErr(t, "absorb", tErr, bErr) {
-		samePages(t, "absorb", taPages, baPages)
-		if taStats != baStats {
-			t.Fatalf("absorb counters: typed %+v, boxed %+v", taStats, baStats)
-		}
-	}
-
 	merged := map[int64]uint64{}
 	for threads := 1; threads <= 2; threads++ {
 		for part := 0; part < c.parts; part++ {
@@ -146,7 +127,7 @@ func (c aggDiff) run(t testing.TB) (Stats, map[int64]uint64) {
 					snaps = append(snaps, ck.Subs...)
 					return nil
 				}}
-				_, finals, err := MergeAggMapsStream(reg, pagesSource(pages), part, c.parts, spec, 1<<9, nil, threads, nil, ckpt)
+				_, finals, err := MergeAggMapsStream(reg, SliceSource(pages), part, c.parts, spec, 1<<9, nil, threads, nil, ckpt)
 				return finals, snaps, err
 			}
 			what := fmt.Sprintf("stream merge of partition %d on %d threads", part, threads)
@@ -335,7 +316,7 @@ func TestFoldOverInt32ValuesTakesTheBoxedPath(t *testing.T) {
 	}
 	total := int64(0)
 	for part := 0; part < 2; part++ {
-		finals, _, err := MergeAggMapsStream(reg, pagesSource(pages), part, 2, spec, 1<<12, nil, 1, nil, nil)
+		finals, _, err := MergeAggMapsStream(reg, SliceSource(pages), part, 2, spec, 1<<12, nil, 1, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

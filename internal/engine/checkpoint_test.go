@@ -58,7 +58,7 @@ func TestStreamPagesCheckpointedCuts(t *testing.T) {
 		for _, broadcast := range []bool{true, false} {
 			perThread := make([][]int64, threads)
 			var cuts []int
-			err := StreamPagesCheckpointed(pagesSource(pages), threads, broadcast, 0, interval,
+			err := StreamPagesCheckpointed(SliceSource(pages), threads, broadcast, 0, interval,
 				func(th int, p *object.Page) error {
 					perThread[th] = append(perThread[th], pageTag(p))
 					return nil
@@ -98,7 +98,7 @@ func TestStreamPagesCheckpointedResume(t *testing.T) {
 	const n, interval, cutAt, threads = 11, 4, 8, 3
 	pages := intPages(t, reg, n)
 	full := make([][]int64, threads)
-	if err := StreamPagesCheckpointed(pagesSource(pages), threads, false, 0, interval,
+	if err := StreamPagesCheckpointed(SliceSource(pages), threads, false, 0, interval,
 		func(th int, p *object.Page) error {
 			full[th] = append(full[th], pageTag(p))
 			return nil
@@ -107,7 +107,7 @@ func TestStreamPagesCheckpointedResume(t *testing.T) {
 	}
 
 	pre := make([][]int64, threads)
-	if err := StreamPagesCheckpointed(pagesSource(pages[:cutAt]), threads, false, 0, interval,
+	if err := StreamPagesCheckpointed(SliceSource(pages[:cutAt]), threads, false, 0, interval,
 		func(th int, p *object.Page) error {
 			pre[th] = append(pre[th], pageTag(p))
 			return nil
@@ -115,7 +115,7 @@ func TestStreamPagesCheckpointedResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cuts []int
-	if err := StreamPagesCheckpointed(pagesSource(pages[cutAt:]), threads, false, cutAt, interval,
+	if err := StreamPagesCheckpointed(SliceSource(pages[cutAt:]), threads, false, cutAt, interval,
 		func(th int, p *object.Page) error {
 			pre[th] = append(pre[th], pageTag(p))
 			return nil
@@ -148,7 +148,7 @@ func TestStreamPagesCheckpointedPanic(t *testing.T) {
 			t.Errorf("cuts after crash = %d, want 1 (only the pre-crash cut)", got)
 		}
 	}()
-	_ = StreamPagesCheckpointed(pagesSource(pages), 2, true, 0, 3,
+	_ = StreamPagesCheckpointed(SliceSource(pages), 2, true, 0, 3,
 		func(th int, p *object.Page) error {
 			if pageTag(p) == 5 && th == 1 {
 				panic("user combine bug")
@@ -181,7 +181,7 @@ func TestStreamPagesReleaseWithoutCuts(t *testing.T) {
 			if broadcast {
 				consumers = threads
 			}
-			err := streamPages(pagesSource(pages), threads, broadcast, 0, 3,
+			err := streamPages(SliceSource(pages), threads, broadcast, 0, 3,
 				func(p *object.Page) {
 					mu.Lock()
 					defer mu.Unlock()
@@ -232,7 +232,7 @@ func TestStreamPagesPanicWithoutCuts(t *testing.T) {
 		_ = streamPages(next, 4, true, 0, 0, func(*object.Page) {}, body, nil)
 		return nil
 	}
-	if r := crash(pagesSource(pages), func(th int, p *object.Page) error {
+	if r := crash(SliceSource(pages), func(th int, p *object.Page) error {
 		if pageTag(p) == 17 && th == 2 {
 			panic("user combine bug")
 		}
@@ -240,7 +240,7 @@ func TestStreamPagesPanicWithoutCuts(t *testing.T) {
 	}); r != "user combine bug" {
 		t.Errorf("fold panic recovered as %v", r)
 	}
-	src := pagesSource(pages)
+	src := SliceSource(pages)
 	if r := crash(func() (*object.Page, bool, error) {
 		p, ok, err := src()
 		if ok && pageTag(p) == 9 {
@@ -273,7 +273,7 @@ func TestMergeAggMapsStreamCheckpointResume(t *testing.T) {
 	const threads, interval = 2, 2
 	for _, crashAfter := range []int{0, interval, len(pages)} {
 		var checkpoints []*MergeCheckpoint
-		refFinals, refPages, err := MergeAggMapsStream(reg, pagesSource(pages), 0, 1,
+		refFinals, refPages, err := MergeAggMapsStream(reg, SliceSource(pages), 0, 1,
 			spec, 1<<10, nil, threads, nil,
 			&MergeCheckpointer{Interval: interval, Save: func(ck *MergeCheckpoint) error {
 				checkpoints = append(checkpoints, ck)
@@ -295,7 +295,7 @@ func TestMergeAggMapsStreamCheckpointResume(t *testing.T) {
 		if resume != nil {
 			cut = resume.Cut
 		} // resume == nil: crash before the first cut — full replay
-		gotFinals, gotPages, err := MergeAggMapsStream(reg, pagesSource(pages[cut:]), 0, 1,
+		gotFinals, gotPages, err := MergeAggMapsStream(reg, SliceSource(pages[cut:]), 0, 1,
 			spec, 1<<10, nil, threads, nil,
 			&MergeCheckpointer{Interval: interval, Resume: resume, Save: func(*MergeCheckpoint) error { return nil }})
 		if err != nil {

@@ -50,8 +50,8 @@
 //     — goes through the boxed update with the combine derived from the
 //     Fold (AggSpec.Combiner), which converts where the typed loop would
 //     mis-read.
-//   - AggSink.AbsorbPages and the streaming merge (subMerger.fold) take it
-//     slot to slot when the source map has the same scalar layout.
+//   - The merge (subMerger.fold) takes it slot to slot when the source map
+//     has the same scalar layout.
 //   - A Fold over a KInt32 value, or over a string or float key, has no
 //     20-byte slots: boxed path, derived combine. Handle-valued aggregates
 //     (k-means, the TPC-H map-valued ones), DISTINCT and anonymous closures
@@ -75,11 +75,10 @@
 //   - Output/materialize sinks: pages are concatenated in thread order
 //     (PipelineThreads.OutputPages), so parallel runs materialize objects
 //     in exactly the sequential order.
-//   - Pre-aggregation sinks: sibling threads' map pages are folded into
-//     thread 0's sink with the aggregation's combine function
-//     (AggSink.AbsorbPages via PipelineThreads.MergeAggSinks) — sound
-//     because Combine is associative — and the absorbed pages are
-//     recycled.
+//   - Pre-aggregation sinks: every thread's map pages go to the merge as
+//     they are, in thread order — through a shuffle on a cluster, as one
+//     page slice in the single-process executor; the merge folds them
+//     like any other partial aggregates (Combine is associative).
 //   - Join-build sinks: per-thread hash tables merge bucket-wise in thread
 //     order (JoinTable.Merge via PipelineThreads.MergeJoinTables), so
 //     per-bucket row order matches a sequential build.
@@ -108,11 +107,10 @@
 //
 // The consuming phases parallelize with the same machinery:
 //
-//   - Aggregation consume: MergeAggMapsParallel (batch) and
-//     MergeAggMapsStream (fed from an exchange, page by page) split a
-//     partition's key space into hash-range sub-partitions
-//     (LogicalKeyHash, so handle keys route by logical value, not page
-//     offset); each thread folds only its sub-partition's keys into a
+//   - Aggregation consume: MergeAggMapsStream (fed page by page, from an
+//     exchange or a page slice) splits a partition's key space into
+//     hash-range sub-partitions (LogicalKeyHash, so handle keys route by
+//     logical value, not page offset); each thread folds only its sub-partition's keys into a
 //     private sub-map, consuming pages in the stream's deterministic
 //     order through the one stream fan-out (streamPages; exported as
 //     StreamPagesCheckpointed for the join build). FinalizeAggParallel

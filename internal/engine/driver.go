@@ -16,7 +16,7 @@ import (
 // PipelineThreads holds the per-thread state of one parallel stage run:
 // thread t drove chunk t through Pipes-like private state into Sinks[t],
 // charging counters to Stats[t]. After the stage barrier the coordinating
-// goroutine merges sinks (OutputPages, MergeAggSinks, MergeJoinTables) and
+// goroutine collects sinks (OutputPages, MergeJoinTables) and
 // folds Stats into the owning accounting.
 type PipelineThreads struct {
 	Sinks []Sink
@@ -123,26 +123,6 @@ func (pt *PipelineThreads) OutputPages() []*object.Page {
 		out = append(out, s.Pages()...)
 	}
 	return out
-}
-
-// MergeAggSinks folds threads 1..n-1's pre-aggregated map pages into thread
-// 0's AggSink with the stage's combine function — sound because Combine is
-// associative — recycling the absorbed pages through pool (nil skips
-// recycling). Returns the primary sink's pages.
-func (pt *PipelineThreads) MergeAggSinks(pool *object.PagePool) ([]*object.Page, error) {
-	primary := pt.Sinks[0].(*AggSink)
-	for t := 1; t < len(pt.Sinks); t++ {
-		absorbed := pt.Sinks[t].Pages()
-		if err := primary.AbsorbPages(absorbed); err != nil {
-			return nil, err
-		}
-		if pool != nil {
-			for _, p := range absorbed {
-				pool.Put(p)
-			}
-		}
-	}
-	return primary.Pages(), nil
 }
 
 // MergeJoinTables merges the per-thread build tables bucket-wise in thread

@@ -438,11 +438,11 @@ func TestAggSinkAndMerge(t *testing.T) {
 	totalKeys := 0
 	totalSum := 0.0
 	for part := 0; part < parts; part++ {
-		final, _, err := MergeAggMaps(reg, sink.Pages(), part, parts, spec, 1<<14, nil)
+		finals, _, err := MergeAggMapsStream(reg, SliceSource(sink.Pages()), part, parts, spec, 1<<14, nil, 1, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		final.Iterate(func(k, v object.Value) bool {
+		finals[0].Iterate(func(k, v object.Value) bool {
 			totalKeys++
 			totalSum += v.F
 			if v.F != 100 {
@@ -487,11 +487,11 @@ func TestAggSinkRotatesOnTinyPages(t *testing.T) {
 	spec := &AggSpec{KeyKind: object.KString, ValKind: object.KFloat64, Combine: sumCombine}
 	total := 0.0
 	for part := 0; part < 2; part++ {
-		final, _, err := MergeAggMaps(reg, sink.Pages(), part, 2, spec, 1<<14, nil)
+		finals, _, err := MergeAggMapsStream(reg, SliceSource(sink.Pages()), part, 2, spec, 1<<14, nil, 1, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		final.Iterate(func(k, v object.Value) bool {
+		finals[0].Iterate(func(k, v object.Value) bool {
 			total += v.F
 			return true
 		})

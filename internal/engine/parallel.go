@@ -9,7 +9,7 @@ package engine
 // goroutine concatenates or merges the per-thread results.
 //
 // The same machinery drives the consuming phases: the aggregation merge
-// (MergeAggMapsParallel / MergeAggMapsStream), finalization
+// (MergeAggMapsStream), finalization
 // (FinalizeAggParallel), and the hash-partition join's repartition, build,
 // and probe loops all run their per-thread bodies through ParallelFor,
 // ParallelThreads, or the one stream fan-out (streamPages).

@@ -116,8 +116,8 @@ func (s *OutputSink) CloseStream() error { return s.Out.CloseStream() }
 // bytes. The boxed one (updateAggEntry) serves every spec. The typed one
 // (object.ScalarSlots.Fold) runs when the spec declares a Fold over scalar
 // slots and the pairs arrive unboxed — an I64Col key column with an I64Col
-// or F64Col of the spec's value kind, or another page's scalar slots; any
-// other batch under the same spec takes the boxed path.
+// or F64Col of the spec's value kind; any other batch under the same spec
+// takes the boxed path.
 type AggSink struct {
 	Out        *OutputPageSet
 	Partitions int
@@ -349,60 +349,6 @@ func (s *AggSink) Pages() []*object.Page { return s.Out.Pages() }
 // empty-map page, matching the barrier artifact contract (a worker with no
 // input still contributes one page of empty partition maps).
 func (s *AggSink) CloseStream() error { return s.Out.CloseStream() }
-
-// AbsorbPages folds other pre-aggregated map pages (produced by sibling
-// executor threads with the same partition count and combine function) into
-// this sink's live maps — the sink-merge half of the intra-worker threading
-// protocol. Handle-valued partial aggregates are deep-copied onto this
-// sink's pages by the object model's cross-block assignment rule, so the
-// absorbed pages hold no live references afterwards and can be recycled.
-func (s *AggSink) AbsorbPages(pages []*object.Page) error {
-	for _, pg := range pages {
-		if pg.Root() == 0 {
-			continue
-		}
-		root := object.AsVector(object.Ref{Page: pg, Off: pg.Root()})
-		if root.Len() < s.Partitions {
-			return fmt.Errorf("engine: absorbing page with %d partitions, need %d", root.Len(), s.Partitions)
-		}
-		for p := 0; p < s.Partitions; p++ {
-			m := object.AsMap(root.HandleAt(p))
-			if s.fold != 0 {
-				if src, ok := m.ScalarSlots(s.ValKind); ok {
-					if err := s.absorbSlots(&src); err != nil {
-						return err
-					}
-					continue
-				}
-			}
-			var aerr error
-			m.Iterate(func(key, val object.Value) bool {
-				if err := s.updateWithRotate(key, val); err != nil {
-					aerr = err
-					return false
-				}
-				return true
-			})
-			if aerr != nil {
-				return aerr
-			}
-		}
-	}
-	return nil
-}
-
-// absorbSlots is AbsorbPages' per-map loop over raw slots, in the slot order
-// Iterate walks.
-func (s *AggSink) absorbSlots(src *object.ScalarSlots) error {
-	for i, n := 0, src.Slots(); i < n; i++ {
-		if key, val, full := src.EntryAt(i); full {
-			if err := s.foldWithRotate(key, val); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
 
 // JoinBuildSink builds the probe hash table for one join input (the
 // BuildHashTableJobStage's terminal). The table references objects on their

@@ -50,6 +50,7 @@ const (
 // for high-cardinality aggregations whose merged state is large.
 const DefaultCheckpointInterval = 16
 
+// String names the sink kind as Plan.String prints it.
 func (k SinkKind) String() string {
 	switch k {
 	case SinkOutput:

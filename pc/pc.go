@@ -313,7 +313,8 @@ func (c *Client) SendDataPartitioned(db, set string, pages []*Page, keyLabel str
 func (c *Client) CoPartitionedJoin(dbL, setL, dbR, setR string,
 	keyL, keyR func(Ref) uint64, eq func(l, r Ref) bool,
 	emit func(workerID int, l, r Ref) error) error {
-	return c.Cluster.CoPartitionedJoin(dbL, setL, dbR, setR, keyL, keyR, eq, emit)
+	_, err := c.Cluster.CoPartitionedJoin(dbL, setL, dbR, setR, keyL, keyR, eq, emit)
+	return err
 }
 
 // HashPartitionJoinKind runs the streaming hash-partition join with
