@@ -286,6 +286,8 @@ func (m *subMerger) foldSlots(src *object.ScalarSlots) error {
 // grow rehashes the sub-map onto a page of at least double the size,
 // recycling the outgrown page. Entries deep-copy across by the object
 // model's cross-block assignment rule, exactly as they do in the shuffle.
+// A typed merger re-inserts on raw slots (regrowSlots); every other spec
+// goes through Iterate + Put.
 func (m *subMerger) grow() error {
 	for size := len(m.pg.Data) * 2; ; size *= 2 {
 		if size > 1<<30 {
@@ -300,13 +302,17 @@ func (m *subMerger) grow() error {
 		nm.Retain()
 		npg.SetRoot(nm.Off)
 		var cerr error
-		m.final.Iterate(func(key, val object.Value) bool {
-			if err := nm.Put(na, key, val); err != nil {
-				cerr = err
-				return false
-			}
-			return true
-		})
+		if m.typed {
+			cerr = m.regrowSlots(na, nm)
+		} else {
+			m.final.Iterate(func(key, val object.Value) bool {
+				if err := nm.Put(na, key, val); err != nil {
+					cerr = err
+					return false
+				}
+				return true
+			})
+		}
 		if errors.Is(cerr, object.ErrPageFull) {
 			continue // even the copy overflowed; double again
 		}
@@ -319,6 +325,23 @@ func (m *subMerger) grow() error {
 		m.bind(npg, na, nm)
 		return nil
 	}
+}
+
+// regrowSlots copies the sub-map's entries into nm in slot order through
+// nm's typed Fold. The keys are unique, so Fold never finds one and makes
+// exactly Put's mutations in Put's order: the bytes of Iterate + Put.
+func (m *subMerger) regrowSlots(na *object.Allocator, nm object.OMap) error {
+	// Resolved afresh: a boxed update may have rehashed final under m.slots.
+	src, _ := m.final.ScalarSlots(m.spec.ValKind)
+	dst, _ := nm.ScalarSlots(m.spec.ValKind)
+	for i, n := 0, src.Slots(); i < n; i++ {
+		if key, val, full := src.EntryAt(i); full {
+			if _, err := dst.Fold(na, object.HashInt64(key), key, val, m.spec.Fold); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // snapshot captures the merger's complete state: the sub-map page's

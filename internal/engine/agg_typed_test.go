@@ -101,23 +101,34 @@ func sameErr(t testing.TB, what string, typed, boxed error) bool {
 
 // run drives both specs through pre-aggregation and the checkpointed stream
 // merge (1 and 2 sub-partition mergers, a merge page small enough to grow),
-// comparing every page, every checkpoint snapshot and the counters. It returns the typed side's pre-aggregation
-// counters and, per key, the merged value's stored bytes.
-func (c aggDiff) run(t testing.TB) (Stats, map[int64]uint64) {
+// comparing every page, its full size, every checkpoint snapshot and the
+// counters. It returns the typed side's pre-aggregation counters, per key
+// the merged value's stored bytes, and per thread count (1, 2) whether a
+// sub-merger grew its page (subMerger.grow: the typed regrow on one side,
+// Iterate + Put on the other).
+func (c aggDiff) run(t testing.TB) (Stats, map[int64]uint64, [2]bool) {
 	t.Helper()
 	reg := object.NewRegistry()
 	typed, boxed := c.specs(t)
+	var grew [2]bool
 
 	tPages, tStats, tErr := c.preAgg(typed, reg)
 	bPages, bStats, bErr := c.preAgg(boxed, reg)
 	if sameErr(t, "pre-aggregation", tErr, bErr) {
-		return tStats, nil
+		return tStats, nil, grew
 	}
 	samePages(t, "pre-aggregation", tPages, bPages)
 	if tStats != bStats {
 		t.Fatalf("pre-aggregation counters: typed %+v, boxed %+v", tStats, bStats)
 	}
 
+	// A sub-merger starts on the merge page size, doubled until an empty
+	// map fits; a final page larger than that was grown.
+	const mergePage = 1 << 9
+	first, err := newSubMerger(reg, 0, c.parts, typed, mergePage, nil, 0, 1, object.PolicyNoReuse)
+	if err != nil {
+		t.Fatal(err)
+	}
 	merged := map[int64]uint64{}
 	for threads := 1; threads <= 2; threads++ {
 		for part := 0; part < c.parts; part++ {
@@ -127,7 +138,7 @@ func (c aggDiff) run(t testing.TB) (Stats, map[int64]uint64) {
 					snaps = append(snaps, ck.Subs...)
 					return nil
 				}}
-				_, finals, err := MergeAggMapsStream(reg, SliceSource(pages), part, c.parts, spec, 1<<9, nil, threads, nil, ckpt)
+				_, finals, err := MergeAggMapsStream(reg, SliceSource(pages), part, c.parts, spec, mergePage, nil, threads, nil, ckpt)
 				return finals, snaps, err
 			}
 			what := fmt.Sprintf("stream merge of partition %d on %d threads", part, threads)
@@ -137,6 +148,12 @@ func (c aggDiff) run(t testing.TB) (Stats, map[int64]uint64) {
 				continue
 			}
 			samePages(t, what, tFinals, bFinals)
+			for i := range tFinals {
+				if len(tFinals[i].Data) != len(bFinals[i].Data) {
+					t.Fatalf("%s: sub-map page %d is %d bytes typed, %d boxed", what, i, len(tFinals[i].Data), len(bFinals[i].Data))
+				}
+				grew[threads-1] = grew[threads-1] || len(tFinals[i].Data) > len(first.pg.Data)
+			}
 			if len(tSnaps) != len(bSnaps) {
 				t.Fatalf("%s: %d typed snapshots, %d boxed", what, len(tSnaps), len(bSnaps))
 			}
@@ -157,7 +174,7 @@ func (c aggDiff) run(t testing.TB) (Stats, map[int64]uint64) {
 			}
 		}
 	}
-	return tStats, merged
+	return tStats, merged, grew
 }
 
 // typedAggRows is a deterministic row set with repeated and far-apart keys
@@ -196,9 +213,12 @@ func typedAggMatchesBoxed(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%v", op, valKind), func(t *testing.T) {
 				keys, vals := typedAggRows(valKind, 3000)
 				c := aggDiff{op: op, valKind: valKind, pageSize: 1 << 11, parts: 3, batch: 256, keys: keys, vals: vals}
-				stats, merged := c.run(t)
+				stats, merged, grew := c.run(t)
 				if stats.PagesSealed < 3 || stats.HashResizes == 0 || stats.HashProbes <= len(keys) {
 					t.Errorf("counters %+v over %d rows: want mid-batch rotations, rehashes and page-full redos", stats, len(keys))
+				}
+				if !grew[0] || !grew[1] {
+					t.Errorf("sub-map pages grew at 1 / 2 threads: %v; want both, so the regrow is compared", grew)
 				}
 				if valKind != object.KInt64 {
 					return // float results depend on the fold order; the bytes above are the check

@@ -62,7 +62,12 @@
 // claim, write), grows through the same OMap rehash, and faults with
 // ErrPageFull at the same points, so rotate points, checkpoint snapshots
 // and Stats.HashProbes/HashResizes are those of the boxed path
-// (TestUpdateAggEntryMatchesGetPut/typed, FuzzTypedAggMatchesBoxed).
+// (TestUpdateAggEntryMatchesGetPut/typed, FuzzTypedAggMatchesBoxed). Growth
+// itself is typed where the layout allows: OMap's rehash moves 20-byte
+// scalar slots as raw bytes (pinned against its generic walk in package
+// object), and a typed merger outgrowing its sub-map page re-inserts the
+// entries in slot order through the new map's Fold (subMerger.regrowSlots),
+// which on unique keys is Put's mutations in Put's order.
 //
 // # Intra-worker parallelism and the sink-merge protocol
 //

@@ -159,10 +159,9 @@ func (a *Allocator) Alloc(payloadSize, typeCode uint32, op ObjectPolicy) (uint32
 	binary.LittleEndian.PutUint32(d[h:h+4], rc)
 	binary.LittleEndian.PutUint32(d[h+4:h+8], typeCode)
 	binary.LittleEndian.PutUint32(d[h+8:h+12], payloadSize)
-	// Zero the payload: recycled space may hold stale bytes.
-	for i := off; i < off+size; i++ {
-		d[i] = 0
-	}
+	// Zero the payload and its alignment pad: recycled space, and a pooled
+	// page's body, may hold stale bytes.
+	clear(d[off : off+size])
 	a.Page.setActiveObjects(a.Page.ActiveObjects() + 1)
 	a.Page.Dirty = true
 	a.Stats.Allocs++
@@ -251,10 +250,7 @@ func (a *Allocator) MakeObjectPolicy(ti *TypeInfo, op ObjectPolicy) (Ref, error)
 			rc = rcUniqueOwner
 		}
 		binary.LittleEndian.PutUint32(d[h:h+4], rc)
-		size := alignUp(ti.Size, 8)
-		for i := off; i < off+size; i++ {
-			d[i] = 0
-		}
+		clear(d[off : off+alignUp(ti.Size, 8)])
 		a.Page.setActiveObjects(a.Page.ActiveObjects() + 1)
 		a.Stats.Allocs++
 		return Ref{Page: a.Page, Off: off}, nil

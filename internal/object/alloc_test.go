@@ -36,23 +36,65 @@ func TestAllocPageFull(t *testing.T) {
 	}
 }
 
+// TestAllocZeroesRecycledSpace: Alloc zeroes a payload and its pad up to
+// the next multiple of 8 — and no byte past it — whether the space comes
+// off a freelist or from the body of a pooled page, which Reset does not
+// clear.
 func TestAllocZeroesRecycledSpace(t *testing.T) {
-	_, a := newTestPage(t, 4096)
-	off, _ := a.Alloc(32, TCRaw, FullRefCount)
-	r := Ref{Page: a.Page, Off: off}
-	for i := range r.Payload() {
-		r.Payload()[i] = 0xFF
-	}
-	r.Retain()
-	r.Release() // freed -> freelist
-	off2, _ := a.Alloc(32, TCRaw, FullRefCount)
-	if off2 != off {
-		t.Fatalf("lightweight reuse should hand back the freed chunk (got %d, want %d)", off2, off)
-	}
-	for i, b := range (Ref{Page: a.Page, Off: off2}).Payload() {
-		if b != 0 {
-			t.Fatalf("recycled payload byte %d = %#x, want 0", i, b)
+	// zeroed checks the payload of a size-byte object at off and its pad,
+	// and that the byte after the pad — the next header — is still 0xFF.
+	zeroed := func(what string, d []byte, off, size uint32) {
+		t.Helper()
+		end := off + alignUp(size, 8)
+		for i := off; i < end; i++ {
+			if d[i] != 0 {
+				t.Fatalf("%s: byte %d of a %d-byte payload = %#x, want 0", what, i-off, size, d[i])
+			}
 		}
+		if d[end] != 0xFF {
+			t.Fatalf("%s: the byte past a %d-byte payload's pad was cleared", what, size)
+		}
+	}
+
+	// A freed chunk, payload and pad dirty, handed back by lightweight reuse.
+	p, a := newTestPage(t, 4096)
+	for _, size := range []uint32{32, 29} {
+		off, _ := a.Alloc(size, TCRaw, FullRefCount)
+		r := Ref{Page: p, Off: off}
+		for i := off; i < off+alignUp(size, 8)+1; i++ {
+			p.Data[i] = 0xFF
+		}
+		r.Retain()
+		r.Release() // freed -> freelist
+		off2, _ := a.Alloc(size, TCRaw, FullRefCount)
+		if off2 != off {
+			t.Fatalf("lightweight reuse should hand back the freed chunk (got %d, want %d)", off2, off)
+		}
+		zeroed("freelist", p.Data, off2, size)
+	}
+
+	// A pooled page whose body was all 0xFF when it went back to the pool.
+	// Under the race detector sync.Pool drops Puts at random, so the round
+	// trip repeats until a page comes back.
+	pool := NewPagePool(4096)
+	for i := 0; i < 64 && pool.Reuses() == 0; i++ {
+		p = pool.Get(NewRegistry())
+		for j := PageHeaderSize; j < len(p.Data); j++ {
+			p.Data[j] = 0xFF
+		}
+		pool.Put(p)
+		p = pool.Get(NewRegistry())
+	}
+	if pool.Reuses() == 0 {
+		t.Fatal("the pool never handed a page back")
+	}
+	a = NewAllocator(p, PolicyLightweightReuse)
+	for _, size := range []uint32{1, 3, 7, 8, 13, 20, 31} {
+		off, err := a.Alloc(size, TCRaw, FullRefCount)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zeroed("pooled page", p.Data, off, size)
 	}
 }
 

@@ -339,10 +339,49 @@ func (m OMap) Update(a *Allocator, key Value, fn func(cur Value, ok bool) Value)
 	return m.writeVal(a, i, fn(m.readVal(i), true))
 }
 
-// rehash doubles the slot array, walking the old one in slot order. Handle
-// slots are re-anchored with raw rewrites (the logical reference set is
-// unchanged).
+// rehash grows the slot array to newSlots, walking the old one in slot
+// order. A map with the 20-byte scalar slot layout is walked on raw bytes
+// (rehashScalar); every other kind goes through rehashGeneric. Both place
+// each entry with the same hash and probe, so the page bytes are the same.
 func (m OMap) rehash(a *Allocator, newSlots int) error {
+	if HasScalarSlots(m.KeyKind(), m.ValKind()) {
+		return m.rehashScalar(a, newSlots)
+	}
+	return m.rehashGeneric(a, newSlots)
+}
+
+// rehashScalar is rehash for int64 keys with 8-byte scalar values: per full
+// slot it hashes the 8 key bytes (HashInt64, which is hashKey of the boxed
+// key), probes the new array's state words and copies key and value as 16
+// raw bytes. Nothing is boxed and the header is read once.
+func (m OMap) rehashScalar(a *Allocator, newSlots int) error {
+	oldArr, oldN := m.slotsRef(), m.slots()
+	if err := m.allocSlots(a, newSlots); err != nil {
+		return err
+	}
+	d := m.Page.Data
+	old := d[oldArr.Off : oldArr.Off+uint32(oldN)*scalarSlotSize]
+	slots := d[m.slotsRef().Off:][:newSlots*scalarSlotSize]
+	mask := uint32(newSlots - 1)
+	for ; len(old) >= scalarSlotSize; old = old[scalarSlotSize:] {
+		if binary.LittleEndian.Uint32(old) != slotFull {
+			continue
+		}
+		i := uint32(HashInt64(int64(binary.LittleEndian.Uint64(old[4:])))) & mask
+		for binary.LittleEndian.Uint32(slots[i*scalarSlotSize:]) == slotFull {
+			i = (i + 1) & mask
+		}
+		slot := slots[i*scalarSlotSize : (i+1)*scalarSlotSize]
+		binary.LittleEndian.PutUint32(slot, slotFull)
+		copy(slot[4:], old[4:scalarSlotSize])
+	}
+	oldArr.Release() // arrays never traverse children
+	return nil
+}
+
+// rehashGeneric is rehash for any key and value kinds. Handle slots are
+// re-anchored with raw rewrites (the logical reference set is unchanged).
+func (m OMap) rehashGeneric(a *Allocator, newSlots int) error {
 	oldArr := m.slotsRef()
 	oldN := m.slots()
 	if err := m.allocSlots(a, newSlots); err != nil {
