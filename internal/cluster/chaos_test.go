@@ -103,8 +103,7 @@ func TestChaosCampaign(t *testing.T) {
 				for _, budget := range []int64{0, spillBudget} {
 					build := func(plan *fault.Plan) (*Cluster, *object.TypeInfo) {
 						c, err := New(Config{Workers: w, Threads: th, PageSize: 1 << 12,
-							ShuffleCapacity: 2, CheckpointInterval: wl.interval,
-							MemoryBudget: budget, Fault: plan})
+							CheckpointInterval: wl.interval, MemoryBudget: budget, Fault: plan})
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -33,19 +33,15 @@ import (
 // snapshot sets (transient: dropped when the consuming step commits).
 const checkpointDb = "_ckpt"
 
-// checkpointEvery resolves the recovery checkpoint interval for a
-// consuming stage: Config.CheckpointInterval overrides (>0) or disables
-// (<0); zero defers to the stage's planner policy (whose own zero means
-// "no checkpoint policy"), falling back to the planner default for
-// streams without a stage (the hash-partition join).
-func (c *Cluster) checkpointEvery(stage *physical.JobStage) int {
+// checkpointEvery resolves the recovery checkpoint interval every streaming
+// consumer runs with: Config.CheckpointInterval overrides (>0) or disables
+// (<0); zero is the planner default, physical.DefaultCheckpointInterval.
+func (c *Cluster) checkpointEvery() int {
 	switch {
 	case c.Cfg.CheckpointInterval < 0:
 		return 0
 	case c.Cfg.CheckpointInterval > 0:
 		return c.Cfg.CheckpointInterval
-	case stage != nil:
-		return stage.CheckpointEvery
 	default:
 		return physical.DefaultCheckpointInterval
 	}

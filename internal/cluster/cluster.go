@@ -157,24 +157,17 @@ type Config struct {
 	// bit-for-bit identical to a crash-free run. Off by default: failures
 	// then clean up all recovery state, the historical contract.
 	ResumeOnRestart bool
-	// ShuffleCapacity bounds each exchange lane's pages in flight; a full
-	// lane backpressures exactly the producing thread that owns it, so a
-	// consumer never holds more than ShuffleCapacity × Threads
-	// undelivered pages per producer. Zero picks
-	// exchange.DefaultCapacity.
-	ShuffleCapacity int
 	// CheckpointInterval tunes consumer-side crash recovery: the number
 	// of shuffled pages a streaming consumer merges between recovery
-	// checkpoints. Zero uses the physical plan's policy
-	// (physical.DefaultCheckpointInterval); a positive value overrides
-	// it; a negative value disables consumer recovery: consumers run the
-	// same path with no cuts and no retry (a crash inside a consuming merge
-	// fails the job), and the exchange retains only the join's probe side,
-	// its buffer while the build runs, metered against MemoryBudget. Each
-	// cut snapshots the consumer's whole merge state, so the interval trades
-	// the replay window against a per-cut cost proportional to aggregate
-	// state size — raise it when merged state is large relative to the
-	// stream.
+	// checkpoints. Zero uses physical.DefaultCheckpointInterval; a
+	// positive value overrides it; a negative value disables consumer
+	// recovery: consumers run the same path with no cuts and no retry (a
+	// crash inside a consuming merge fails the job), and the exchange
+	// retains only the join's probe side, its buffer while the build runs,
+	// metered against MemoryBudget. Each cut snapshots the consumer's whole
+	// merge state, so the interval trades the replay window against a
+	// per-cut cost proportional to aggregate state size — raise it when
+	// merged state is large relative to the stream.
 	CheckpointInterval int
 	// MemoryBudget, in bytes, bounds the exchange memory each worker
 	// backend keeps resident during a streaming step: pages buffered in

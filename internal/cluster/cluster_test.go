@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -9,6 +10,23 @@ import (
 	"repro/internal/lambda"
 	"repro/internal/object"
 )
+
+// TestConfigFields pins Config's fields, so a new knob is a deliberate,
+// reviewed edit: every removed knob was measured off (ROADMAP.md, the
+// decision table under open item 1), and a new one needs a workload for
+// which both of its settings are the right answer.
+func TestConfigFields(t *testing.T) {
+	want := []string{"Workers", "Threads", "PageSize", "DataDir", "ResumeOnRestart",
+		"CheckpointInterval", "MemoryBudget", "MaxRetries", "Transport", "ProcBin", "Fault"}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		got = append(got, f.Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cluster.Config fields = %v, want %v: a knob added or removed needs its measurement "+
+			"in ROADMAP.md's decision table (open item 1) and this list updated with it", got, want)
+	}
+}
 
 // testCluster builds a 4-worker cluster with the Emp schema registered and
 // n employees loaded into db.emps.

@@ -29,7 +29,8 @@ type StageShip struct {
 	MaxBytesInFlight int64
 	// MaxReorderPages is the largest undelivered-page backlog any
 	// consumer's exchange lanes reached during the step — hard-bounded by
-	// ShuffleCapacity × Threads per producer.
+	// exchange.DefaultCapacity × Threads per producer, plus the page being
+	// delivered (exchange.MaxReorderPages).
 	MaxReorderPages int64
 	// Checkpoints counts the consumer-side recovery checkpoints taken
 	// during the step (zero for steps without a streaming shuffle, or
@@ -284,15 +285,16 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 	return nil, nil
 }
 
-// newShuffleExchange wires an exchange to the simulated transport: one lane
-// per (producer, executor thread, consumer) so ShuffleCapacity is a hard
-// per-thread bound; shipping copies the page into the consumer's registry
-// (a worker's own pages pass by reference); and retry duplicates, dropped
-// at the sender, recycle through the page pool. replayable turns on
-// delivered-page retention for consumer crash recovery; releaseDelivered
-// receives pages once a consumer's checkpoint acknowledges them (nil when
-// the consumer's state keeps referencing them, as the join-table build
-// does). govs, when non-nil, attach the step's per-worker memory governors
+// newShuffleExchange builds every step's exchange and wires it to the
+// simulated transport: one lane per (producer, executor thread, consumer),
+// each holding exchange.DefaultCapacity pages, so the in-flight bound is per
+// thread; shipping copies the page into the consumer's registry (a worker's
+// own pages pass by reference); and retry duplicates, dropped at the sender,
+// recycle through the page pool. replayable turns on delivered-page
+// retention for consumer crash recovery; releaseDelivered receives pages
+// once a consumer's checkpoint acknowledges them (nil when the consumer's
+// state keeps referencing them, as the join-table build and the sort merge
+// do). govs, when non-nil, attach the step's per-worker memory governors
 // (Config.MemoryBudget) so over-budget pages spill to disk.
 func (c *Cluster) newShuffleExchange(replayable bool, releaseDelivered func(*object.Page),
 	govs []*exchange.Governor) *exchange.Exchange {
@@ -300,7 +302,6 @@ func (c *Cluster) newShuffleExchange(replayable bool, releaseDelivered func(*obj
 		Producers:  len(c.Workers),
 		Consumers:  len(c.Workers),
 		Threads:    c.Cfg.Threads,
-		Capacity:   c.Cfg.ShuffleCapacity,
 		Replayable: replayable,
 		Ship: func(p *object.Page, producer, consumer int) (*object.Page, error) {
 			if producer == consumer {
@@ -342,7 +343,7 @@ func (c *Cluster) newShuffleExchange(replayable bool, releaseDelivered func(*obj
 // of the stream (procrun.go).
 func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical.JobStage, stats *ExecStats) (StageShip, error) {
 	nw := len(c.Workers)
-	interval := c.checkpointEvery(cons)
+	interval := c.checkpointEvery()
 	govs, closeGovs := c.stepGovernors()
 	defer closeGovs()
 	proc := c.procs != nil

@@ -65,7 +65,7 @@ func TestProbeEmitCrashRecovery(t *testing.T) {
 	for _, site := range []fault.Site{fault.ProbePage, fault.Emit} {
 		for _, cell := range cells {
 			cfg := Config{Workers: cell.workers, Threads: cell.threads,
-				PageSize: 1 << 12, ShuffleCapacity: 2, CheckpointInterval: 1}
+				PageSize: 1 << 12, CheckpointInterval: 1}
 			ref, refRec := joinFixture(t, cfg, left, right, groups)
 			wantRows := joinPairsByWorker(t, ref, refRec)
 			if len(wantRows) == 0 {
@@ -97,8 +97,7 @@ func TestProbeEmitCrashRecovery(t *testing.T) {
 // the recovered matches still equal the unbounded crash-free join's.
 func TestProbeEmitCrashRecoverySpill(t *testing.T) {
 	const left, right, groups = 600, 90, 18
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 1}
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1}
 	ref, refRec := joinFixture(t, base, left, right, groups)
 	wantRows := joinPairsByWorker(t, ref, refRec)
 
@@ -133,8 +132,7 @@ func TestProbeEmitCrashRecoverySpill(t *testing.T) {
 // absorbed wherever it lands, and the join must emit the fault-free rows.
 func TestJoinSpillEnqueueCrashRecovered(t *testing.T) {
 	const left, right, groups = 600, 90, 18
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 1}
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1}
 	ref, refRec := joinFixture(t, base, left, right, groups)
 	wantRows := joinPairsByWorker(t, ref, refRec)
 
@@ -209,8 +207,7 @@ func TestProbeDrainCrashReachesBackend(t *testing.T) {
 // total count equals the crash-free run's exactly, every pair once.
 func TestEmitExactlyOnce(t *testing.T) {
 	const left, right, groups = 600, 90, 18
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 1}
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1}
 	ref, refRec := joinFixture(t, cfg, left, right, groups)
 	wantRows := joinPairsByWorker(t, ref, refRec)
 
@@ -264,7 +261,7 @@ func TestEmitExactlyOnce(t *testing.T) {
 // path must release every slot and checkpoint set it had claimed.
 func TestSpillWriteErrorFailsCleanly(t *testing.T) {
 	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 2, MemoryBudget: spillBudget}
+		CheckpointInterval: 2, MemoryBudget: spillBudget}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +297,7 @@ func TestSpillWriteErrorFailsCleanly(t *testing.T) {
 // with the governor's slot bookkeeping intact.
 func TestSpillReadErrorFailsCleanly(t *testing.T) {
 	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 2, MemoryBudget: spillBudget}
+		CheckpointInterval: 2, MemoryBudget: spillBudget}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -328,8 +325,7 @@ func TestSpillReadErrorFailsCleanly(t *testing.T) {
 // set survives the failure path.
 func TestCheckpointIOErrorFailsCleanly(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 2, DataDir: dir}
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 2, DataDir: dir}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +358,7 @@ func TestMaxRetriesBoundsRecovery(t *testing.T) {
 	}
 	mk := func(maxRetries int) (*Cluster, *object.TypeInfo) {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			ShuffleCapacity: 2, CheckpointInterval: interval, MaxRetries: maxRetries})
+			CheckpointInterval: interval, MaxRetries: maxRetries})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,13 +397,12 @@ func TestMaxRetriesBoundsRecovery(t *testing.T) {
 }
 
 // TestCancelObserverIsNotRetried crashes worker 1's merge consumer past its
-// retry budget while one-page lanes hold both producers blocked on it. The
+// retry budget while its full lanes hold both producers blocked on it. The
 // step's cancellation wraps the consumer's crash, and a producer that
 // returns it has not crashed: it must not be retried or accounted, and the
 // job's error must name the consumer, not the first observer in role order.
 func TestCancelObserverIsNotRetried(t *testing.T) {
-	c, err := New(Config{Workers: 2, Threads: 1, PageSize: 1 << 12,
-		ShuffleCapacity: 1, CheckpointInterval: 2,
+	c, err := New(Config{Workers: 2, Threads: 1, PageSize: 1 << 12, CheckpointInterval: 2,
 		Fault: fault.NewPlan(
 			fault.Injection{Site: fault.Delivery, Worker: 1, K: 0},
 			fault.Injection{Site: fault.Delivery, Worker: 1, K: 1},
@@ -485,7 +480,7 @@ func TestFailureCleanupReleasesEverything(t *testing.T) {
 			dir = t.TempDir()
 		}
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			ShuffleCapacity: 2, CheckpointInterval: 2, MemoryBudget: spillBudget,
+			CheckpointInterval: 2, MemoryBudget: spillBudget,
 			MaxRetries: -1, DataDir: dir})
 		if err != nil {
 			t.Fatal(err)
@@ -514,7 +509,7 @@ func TestFailureCleanupReleasesEverything(t *testing.T) {
 // and asserts both exchanges' retained pages and spill slots are released.
 func TestFailedJoinCleansUp(t *testing.T) {
 	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 1, MemoryBudget: spillBudget,
+		CheckpointInterval: 1, MemoryBudget: spillBudget,
 		MaxRetries: -1}
 	c, rec := joinFixture(t, cfg, 600, 90, 18)
 	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Emit, Worker: 0, K: 3})

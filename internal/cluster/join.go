@@ -100,7 +100,7 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 	eq func(l, r object.Ref) bool,
 	emit func(workerID int, l, r object.Ref) error) (*ExecStats, error) {
 	nw := len(c.Workers)
-	interval := c.checkpointEvery(nil)
+	interval := c.checkpointEvery()
 	// One governor per consumer backend, shared by both exchanges: the
 	// memory budget is per backend, not per shuffle. Build-side delivered
 	// pages are consumer-owned (the tables reference them in place, so they
@@ -218,21 +218,7 @@ func (e *workerEnv) streamRepartition(db, set string, key func(object.Ref) uint6
 			seqs[part]++
 			return streamErr(ex.Send(tag, part, p, stop))
 		})
-		err = engine.ScanRanges(chunks[t], "obj", func(vl *engine.VectorList) error {
-			select {
-			case <-stop:
-				return engine.ErrAborted
-			default:
-			}
-			rc := vl.Col("obj").(engine.RefCol)
-			hashes := make(engine.U64Col, len(rc))
-			for j, r := range rc {
-				hashes[j] = key(r)
-			}
-			vl.Append("h", hashes)
-			return sink.Consume(nil, vl, nil)
-		})
-		if err != nil {
+		if err := engine.ScanRanges(chunks[t], "obj", repartitionBatch(sink, key, stop)); err != nil {
 			return err
 		}
 		if err := sink.CloseStream(); err != nil {
@@ -242,6 +228,26 @@ func (e *workerEnv) streamRepartition(db, set string, key func(object.Ref) uint6
 	})
 	e.noteStats(tstats...)
 	return err
+}
+
+// repartitionBatch is the scan callback that routes a batch of objects
+// (column "obj") through sink by their key hash (column "h"); it aborts the
+// scan once stop closes (a nil stop never does).
+func repartitionBatch(sink *engine.RepartitionSink, key func(object.Ref) uint64, stop <-chan struct{}) func(*engine.VectorList) error {
+	return func(vl *engine.VectorList) error {
+		select {
+		case <-stop:
+			return engine.ErrAborted
+		default:
+		}
+		rc := vl.Col("obj").(engine.RefCol)
+		hashes := make(engine.U64Col, len(rc))
+		for j, r := range rc {
+			hashes[j] = key(r)
+		}
+		vl.Append("h", hashes)
+		return sink.Consume(nil, vl, nil)
+	}
 }
 
 // consumeJoin is the join's one consumer body, whatever carries its two page

@@ -150,7 +150,7 @@ func TestJoinKindsMatchReference(t *testing.T) {
 		{1, 1}, {2, 2}, {4, 8},
 	} {
 		c, err := New(Config{Workers: cell.workers, Threads: cell.threads,
-			PageSize: 1 << 12, ShuffleCapacity: 2, CheckpointInterval: 2})
+			PageSize: 1 << 12, CheckpointInterval: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestJoinKindsDeterministicOrder(t *testing.T) {
 	const ln, lg, rn, rg, roff = 120, 12, 48, 8, 8
 	build := func(threads int) (*Cluster, *object.TypeInfo) {
 		c, err := New(Config{Workers: 2, Threads: threads, PageSize: 1 << 12,
-			ShuffleCapacity: 2, CheckpointInterval: 2})
+			CheckpointInterval: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,8 +215,7 @@ func TestOuterJoinCrashRecovery(t *testing.T) {
 	// worker produces and consumes multiple shuffle pages per side.
 	const ln, lg, rn, rg, roff = 600, 12, 240, 8, 8
 	build := func() (*Cluster, *object.TypeInfo) {
-		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			ShuffleCapacity: 2, CheckpointInterval: 1})
+		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +272,7 @@ func TestJoinKindsCheckpointsOff(t *testing.T) {
 	for _, cell := range []struct{ workers, threads int }{{1, 1}, {2, 2}, {4, 8}} {
 		build := func(interval int, budget int64) (*Cluster, *object.TypeInfo) {
 			c, err := New(Config{Workers: cell.workers, Threads: cell.threads, PageSize: 1 << 12,
-				ShuffleCapacity: 2, CheckpointInterval: interval, MemoryBudget: budget})
+				CheckpointInterval: interval, MemoryBudget: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -321,7 +320,7 @@ func TestJoinKindsCheckpointsOff(t *testing.T) {
 // page and spill slot.
 func TestJoinCheckpointsOffCrashFailsClean(t *testing.T) {
 	for _, site := range []fault.Site{fault.BuildPage, fault.ProbePage, fault.Emit} {
-		cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ShuffleCapacity: 2,
+		cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
 			CheckpointInterval: -1, MemoryBudget: spillBudget, MaxRetries: 3}
 		c, rec := joinFixture(t, cfg, 600, 90, 18)
 		c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: site, Worker: 0, K: 1})

@@ -426,7 +426,7 @@ func matClusterRun(t *testing.T, transport string, cell matCell, left, right []m
 func matClusterRunAt(t *testing.T, transport string, cell matCell, interval int, left, right []matRow) (map[string][]matRow, map[string]int) {
 	t.Helper()
 	c, err := New(Config{Workers: cell.workers, Threads: cell.threads,
-		PageSize: 1 << 13, ShuffleCapacity: 2, CheckpointInterval: interval, Transport: transport})
+		PageSize: 1 << 13, CheckpointInterval: interval, Transport: transport})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/object"
 )
 
@@ -23,74 +23,32 @@ import (
 
 // SendDataPartitioned loads pages into a set, placing each object on the
 // worker that owns hash(key(obj)) % workers, and records keyLabel as the
-// set's partition key. Objects are deep-copied onto per-worker pages at
-// load time (a one-time cost the paper's remark anticipates).
+// set's partition key. The client runs the join's repartition sink
+// (engine.RepartitionSink, one page set per worker), so objects are
+// deep-copied onto per-worker pages at load time — a one-time cost the
+// paper's remark anticipates.
 func (c *Cluster) SendDataPartitioned(db, set string, pages []*object.Page,
 	keyLabel string, key func(object.Ref) uint64) error {
 	if _, err := c.Catalog.LookupSet(db, set); err != nil {
 		return err
 	}
-	nw := len(c.Workers)
-
-	// Per-worker page builders on the client side.
-	type builder struct {
-		pages []*object.Page
-		p     *object.Page
-		a     *object.Allocator
-		root  object.Vector
+	sink, err := engine.NewRepartitionSink(c.Catalog.Registry(), c.Cfg.PageSize, len(c.Workers), "h", "obj", nil, nil)
+	if err != nil {
+		return err
 	}
-	builders := make([]*builder, nw)
-	clientReg := c.Catalog.Registry()
-	fresh := func(b *builder) error {
-		b.p = object.NewPage(c.Cfg.PageSize, clientReg)
-		b.a = object.NewAllocator(b.p, object.PolicyLightweightReuse)
-		root, err := object.MakeVector(b.a, object.KHandle, 0)
-		if err != nil {
-			return err
-		}
-		root.Retain()
-		b.p.SetRoot(root.Off)
-		b.root = root
-		return nil
+	if err := engine.ScanPages(pages, "obj", engine.BatchSize, repartitionBatch(sink, key, nil)); err != nil {
+		return err
 	}
-	for i := range builders {
-		builders[i] = &builder{}
-		if err := fresh(builders[i]); err != nil {
-			return err
-		}
-	}
-	for _, page := range pages {
-		if page.Root() == 0 {
-			continue
-		}
-		root := object.AsVector(object.Ref{Page: page, Off: page.Root()})
-		for i := 0; i < root.Len(); i++ {
-			obj := root.HandleAt(i)
-			b := builders[int(key(obj)%uint64(nw))]
-			err := b.root.PushBackHandle(b.a, obj) // deep copies cross-page
-			if errors.Is(err, object.ErrPageFull) {
-				b.pages = append(b.pages, b.p)
-				if err := fresh(b); err != nil {
-					return err
-				}
-				err = b.root.PushBackHandle(b.a, obj)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	for w, b := range builders {
-		b.pages = append(b.pages, b.p)
-		for _, p := range b.pages {
+	for i, w := range c.Workers {
+		for _, p := range sink.PartitionPages(i) {
 			if p.ActiveObjects() <= 1 { // only the root vector: empty
 				continue
 			}
-			q, err := c.Transport.Ship(p, c.Workers[w].Reg())
+			q, err := c.Transport.Ship(p, w.Reg())
 			if err != nil {
 				return err
 			}
-			if err := c.Workers[w].Front.Store.Append(db, set, []*object.Page{q}); err != nil {
+			if err := w.Front.Store.Append(db, set, []*object.Page{q}); err != nil {
 				return err
 			}
 			c.Catalog.UpdateSetStats(db, set, 1, int64(p.Used()))
@@ -134,7 +92,7 @@ func (c *Cluster) CoPartitionedJoin(dbL, setL, dbR, setR string,
 			dbL, setL, dbR, setR, ml.PartitionKey, mr.PartitionKey)
 	}
 
-	interval := c.checkpointEvery(nil)
+	interval := c.checkpointEvery()
 	stats := &ExecStats{Threads: c.Cfg.Threads, RoleRetries: map[string]int{}}
 	roles := make([]role, len(c.Workers))
 	for i, w := range c.Workers {

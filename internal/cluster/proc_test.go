@@ -105,8 +105,7 @@ func checkIntSums(t *testing.T, rows []string, n, groups int) {
 func TestProcClusterAggSmoke(t *testing.T) {
 	bin := buildPCWorker(t)
 	const n, groups = 2000, 16
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ShuffleCapacity: 2,
-		DataDir: t.TempDir(), ProcBin: bin}
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, DataDir: t.TempDir(), ProcBin: bin}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +139,7 @@ func TestProcClusterAggSmoke(t *testing.T) {
 // directly computed one.
 func TestProcClusterShipsFoldFamilies(t *testing.T) {
 	const n, groups = 2000, 16
-	c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ShuffleCapacity: 2,
+	c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
 		DataDir: t.TempDir(), ProcBin: buildPCWorker(t)})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +186,7 @@ func TestProcClusterShipsFoldFamilies(t *testing.T) {
 func TestProcClusterCheckpointsOff(t *testing.T) {
 	bin := buildPCWorker(t)
 	const n, groups = 2000, 16
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ShuffleCapacity: 2,
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
 		CheckpointInterval: -1, DataDir: t.TempDir(), ProcBin: bin}
 	c, err := New(cfg)
 	if err != nil {
@@ -215,7 +214,7 @@ func TestProcClusterCheckpointsOff(t *testing.T) {
 func TestProcClusterAggSmokeTCP(t *testing.T) {
 	bin := buildPCWorker(t)
 	const n, groups = 1000, 8
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ShuffleCapacity: 2,
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
 		DataDir: t.TempDir(), ProcBin: bin, Transport: "tcp"}
 	c, err := New(cfg)
 	if err != nil {
@@ -242,7 +241,7 @@ func TestProcClusterAggSmokeTCP(t *testing.T) {
 func TestProcClusterKillRespawnRecovers(t *testing.T) {
 	bin := buildPCWorker(t)
 	const n, groups, interval = 4000, 16, 2
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ShuffleCapacity: 2,
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
 		CheckpointInterval: interval, DataDir: t.TempDir(), ProcBin: bin}
 	c, err := New(cfg)
 	if err != nil {
@@ -279,7 +278,7 @@ func TestProcClusterKillRespawnRecovers(t *testing.T) {
 func TestProcClusterKillRestartResume(t *testing.T) {
 	bin := buildPCWorker(t)
 	const n, groups, interval = 4000, 16, 2
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ShuffleCapacity: 2,
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
 		CheckpointInterval: interval, MaxRetries: -1, ProcBin: bin}
 
 	// Crash-free proc reference on its own DataDir.

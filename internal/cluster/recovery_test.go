@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exchange"
 	"repro/internal/fault"
 	"repro/internal/lambda"
 	"repro/internal/object"
@@ -125,7 +126,7 @@ func TestConsumerCrashRecoveryAggMerge(t *testing.T) {
 	const n, groups, interval = 4000, 16, 2
 	for _, cell := range recoveryMatrix {
 		cfg := Config{Workers: cell.workers, Threads: cell.threads,
-			PageSize: 1 << 12, ShuffleCapacity: 2, CheckpointInterval: interval}
+			PageSize: 1 << 12, CheckpointInterval: interval}
 
 		ref, err := New(cfg)
 		if err != nil {
@@ -173,7 +174,7 @@ func TestConsumerCrashRecoveryAggMerge(t *testing.T) {
 // the end-of-stream checkpoint (the epilogue cut) and re-finalizes with
 // zero replay, still bit-for-bit identical.
 func TestConsumerCrashRecoveryFinalize(t *testing.T) {
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ShuffleCapacity: 2}
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12}
 	ref, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +221,7 @@ func TestConsumerCrashRecoveryDataDir(t *testing.T) {
 	const interval = 2
 	mk := func(dir string) (*Cluster, *object.TypeInfo) {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			ShuffleCapacity: 2, CheckpointInterval: interval, DataDir: dir})
+			CheckpointInterval: interval, DataDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +287,7 @@ func TestConsumerCrashRecoveryJoinBuild(t *testing.T) {
 	const left, right, groups = 600, 90, 18
 	for _, cell := range recoveryMatrix {
 		cfg := Config{Workers: cell.workers, Threads: cell.threads,
-			PageSize: 1 << 12, ShuffleCapacity: 2, CheckpointInterval: 1}
+			PageSize: 1 << 12, CheckpointInterval: 1}
 		ref, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -331,8 +332,7 @@ func TestConsumerCrashRecoveryJoinBuild(t *testing.T) {
 // match sequence.
 func TestJoinKeyLambdaCrashRecovered(t *testing.T) {
 	const left, right, groups = 600, 90, 18
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 1}
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1}
 	mk := func() (*Cluster, *object.TypeInfo) {
 		c, err := New(cfg)
 		if err != nil {
@@ -388,31 +388,34 @@ func TestJoinKeyLambdaCrashRecovered(t *testing.T) {
 	}
 }
 
-// TestSkewedShuffleReorderBound runs an aggregation whose shuffle is
-// forced through tiny lanes (ShuffleCapacity 1) and asserts the surfaced
-// reorder-backlog high-water mark honors the tentpole's hard bound:
-// ShuffleCapacity × Threads pages per producer — backpressure, not
-// consumer memory, absorbs producer skew.
+// TestSkewedShuffleReorderBound runs an aggregation whose stream is many
+// times what its lanes hold and asserts the surfaced reorder-backlog
+// high-water mark honors the lanes' hard bound: exchange.DefaultCapacity ×
+// Threads pages per producer, plus the one page the consumer is taking off
+// a lane — backpressure, not consumer memory, absorbs producer skew.
 func TestSkewedShuffleReorderBound(t *testing.T) {
-	const workers, threads, capacity = 2, 4, 1
-	c, err := New(Config{Workers: workers, Threads: threads,
-		PageSize: 1 << 12, ShuffleCapacity: capacity})
+	const workers, threads = 2, 4
+	c, err := New(Config{Workers: workers, Threads: threads, PageSize: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := intRecType(c)
-	loadIntRows(t, c, rec, "db", "rows", 6000, 24)
+	loadIntRows(t, c, rec, "db", "rows", 6000, 3000)
 	rows, stats := runIntAgg(t, c, rec, nil)
-	if len(rows) != 24 {
-		t.Fatalf("aggregation produced %d groups, want 24", len(rows))
+	if len(rows) != 3000 {
+		t.Fatalf("aggregation produced %d groups, want 3000", len(rows))
 	}
-	bound := int64(capacity * threads * workers)
+	bound := int64(exchange.DefaultCapacity*threads*workers + 1)
 	seen := false
 	for _, s := range stats.Ships {
 		if s.MaxBytesInFlight == 0 {
 			continue // not an exchange step
 		}
 		seen = true
+		if int64(s.Pages) <= bound {
+			t.Errorf("stage %d: shipped %d pages, which the lanes hold without backpressure (bound %d)",
+				s.Stage, s.Pages, bound)
+		}
 		if s.MaxReorderPages <= 0 {
 			t.Errorf("stage %d: reorder high-water mark not recorded", s.Stage)
 		}

@@ -30,8 +30,7 @@ func resumeFiles(t *testing.T, dir string) []string {
 func TestClusterRestartResumesMidStreamJob(t *testing.T) {
 	const n, groups, interval = 4000, 16, 2
 	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: interval,
-		MaxRetries: -1, ResumeOnRestart: true}
+		CheckpointInterval: interval, MaxRetries: -1, ResumeOnRestart: true}
 
 	// Crash-free reference on its own DataDir.
 	refCfg := cfg
@@ -121,8 +120,7 @@ func TestClusterRestartResumesMidStreamJob(t *testing.T) {
 func TestJoinRestartResumesProbeCut(t *testing.T) {
 	const left, right, groups, interval = 600, 90, 18, 1
 	cfg := Config{Workers: 1, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: interval,
-		MaxRetries: -1, ResumeOnRestart: true}
+		CheckpointInterval: interval, MaxRetries: -1, ResumeOnRestart: true}
 
 	refCfg := cfg
 	refCfg.DataDir = t.TempDir()
@@ -226,8 +224,7 @@ func joinPairString(rec *object.TypeInfo, l, r object.Ref) string {
 func TestResumeIgnoresForeignJob(t *testing.T) {
 	const n, groups, interval = 3000, 12, 2
 	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: interval,
-		MaxRetries: -1, ResumeOnRestart: true}
+		CheckpointInterval: interval, MaxRetries: -1, ResumeOnRestart: true}
 	dir := t.TempDir()
 	cfg.DataDir = dir
 	c1, err := New(cfg)

@@ -46,8 +46,9 @@ type sortRecovery struct {
 
 // runSortGroup executes a sort-producer / sort-merge-consumer stage pair:
 // every worker runs the producer pipeline into per-thread SortSinks and
-// streams the thread runs' pages to the single consumer (worker 0) over a
-// dedicated exchange; the consumer merges every delivered page as its own
+// streams each thread run's pages down that thread's lane to the single
+// consumer (worker 0) of the step's exchange (newShuffleExchange, like every
+// other step's); the consumer merges every delivered page as its own
 // lane — each page is a sorted contiguous chunk of one thread's run, and
 // delivery order is (worker, thread, page), which is source order, so the
 // merger's lowest-lane tie-break reproduces the global stable order. Crash
@@ -56,7 +57,7 @@ type sortRecovery struct {
 // last committed cut (hello) and restores its merge cursor.
 func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.JobStage, stats *ExecStats) (StageShip, error) {
 	nw := len(c.Workers)
-	interval := c.checkpointEvery(cons)
+	interval := c.checkpointEvery()
 
 	// Register the SortRow carrier with the master first and pin its code
 	// on every worker: worker registries assign codes locally, so a lazy
@@ -68,22 +69,9 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 		w.Reg().PinCode(engine.SortRowTypeName, carrier.Code)
 	}
 
-	ex := exchange.New(exchange.Config{
-		Producers:  nw,
-		Consumers:  1,
-		Threads:    1,
-		Capacity:   c.Cfg.ShuffleCapacity,
-		Replayable: interval > 0,
-		Ship: func(p *object.Page, producer, consumer int) (*object.Page, error) {
-			if producer == 0 {
-				return p, nil
-			}
-			return c.Transport.Ship(p, c.Workers[0].Reg())
-		},
-		Release: func(p *object.Page) { c.pool.Put(p) },
-		// ReleaseDelivered stays nil: the consumer owns delivered run
-		// pages — the merge reads rows off them in place.
-	})
+	// No release on acknowledgement: the consumer owns delivered run pages —
+	// the merge reads rows off them in place. Only consumer 0 reads.
+	ex := c.newShuffleExchange(interval > 0, nil, nil)
 
 	// The recovery record is in-memory only (run pages, merge cursor): a
 	// failed step has nothing durable to drop beyond runStep's discard.
@@ -141,22 +129,23 @@ func (e *workerEnv) runSortStreamOnWorker(res *core.CompileResult, stage *physic
 		return err
 	}
 
-	// Thread chunks are contiguous in source order (SplitRanges), so sending
-	// the runs in (thread, page) order down the thread-0 lane with a running
-	// sequence keeps lane order equal to source order — the consumer's
+	// Thread t's run travels lane t to consumer 0, closed before the next
+	// run starts, so delivery order is (worker, thread, page): source order,
+	// because thread chunks are contiguous (SplitRanges) — the consumer's
 	// stability tie-break. Run pages are self-contained (AppendSortRow
 	// deep-copied each row onto them), so they ship as they are.
-	seq := 0
-	for _, sink := range pt.Sinks {
-		for _, p := range sink.Pages() {
+	for t, sink := range pt.Sinks {
+		for seq, p := range sink.Pages() {
 			e.fault.Hit(fault.PageSeal, e.id)
-			if err := streamErr(ex.Send(exchange.Tag{Producer: e.id, Seq: seq}, 0, p, nil)); err != nil {
+			if err := streamErr(ex.Send(exchange.Tag{Producer: e.id, Thread: t, Seq: seq}, 0, p, nil)); err != nil {
 				return err
 			}
-			seq++
+		}
+		if err := streamErr(ex.CloseThread(e.id, t, nil)); err != nil {
+			return err
 		}
 	}
-	return streamErr(ex.CloseThread(e.id, 0, nil))
+	return nil
 }
 
 // consumeSortStream is the consumer half: gather every producer's run pages

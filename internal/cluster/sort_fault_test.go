@@ -87,7 +87,7 @@ func TestSortCrashRecovery(t *testing.T) {
 	const n, groups = 700, 13
 	build := func(plan *fault.Plan) (*Cluster, *object.TypeInfo) {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			ShuffleCapacity: 2, CheckpointInterval: 1, Fault: plan})
+			CheckpointInterval: 1, Fault: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestSortCrashRecovery(t *testing.T) {
 func TestSortCheckpointsOffTakesNoCut(t *testing.T) {
 	run := func(interval int, plan *fault.Plan) ([]string, *ExecStats) {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			ShuffleCapacity: 2, CheckpointInterval: interval, Fault: plan})
+			CheckpointInterval: interval, Fault: plan})
 		if err != nil {
 			t.Fatal(err)
 		}

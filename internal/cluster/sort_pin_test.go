@@ -132,7 +132,7 @@ func pinComputation(variant string, ti *object.TypeInfo) core.Computation {
 func pinHash(t *testing.T, variant string, workers, threads int) string {
 	t.Helper()
 	c, err := New(Config{Workers: workers, Threads: threads, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 2})
+		CheckpointInterval: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,8 +50,7 @@ func TestSpillAggIdentityOnePageBudget(t *testing.T) {
 	// making the spill deterministic (tiny maps could be drained fast
 	// enough to never cross the budget).
 	const n, groups = 4000, 499
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 2}
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 2}
 	ref, err := New(base)
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +83,7 @@ func TestSpillAggIdentityOnePageBudget(t *testing.T) {
 // from disk, and still produce bit-for-bit the unbounded crash-free rows.
 func TestConsumerCrashRecoverySpillAggMerge(t *testing.T) {
 	const n, groups, interval = 4000, 499, 2 // full map pages: see identity test
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: interval}
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: interval}
 	ref, err := New(base)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +123,7 @@ func TestConsumerCrashRecoverySpillDataDir(t *testing.T) {
 	const interval = 2
 	mk := func(dir string, budget int64) (*Cluster, *object.TypeInfo) {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			ShuffleCapacity: 2, CheckpointInterval: interval, DataDir: dir, MemoryBudget: budget})
+			CheckpointInterval: interval, DataDir: dir, MemoryBudget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,8 +158,7 @@ func TestConsumerCrashRecoverySpillDataDir(t *testing.T) {
 // bit-for-bit identical to the unbounded crash-free join.
 func TestConsumerCrashRecoverySpillJoinBuild(t *testing.T) {
 	const left, right, groups = 600, 90, 18
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 1}
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1}
 	ref, err := New(base)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +220,7 @@ func TestSpillFileLeak(t *testing.T) {
 	// DataDir mode: spill pools live under worker-N/_spill.
 	dir := t.TempDir()
 	c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 2, DataDir: dir, MemoryBudget: spillBudget})
+		CheckpointInterval: 2, DataDir: dir, MemoryBudget: spillBudget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +239,7 @@ func TestSpillFileLeak(t *testing.T) {
 	// Temp-dir mode (no DataDir): pools are pcspill-* temp dirs, removed
 	// at step end even when the consumer crashed and recovered.
 	c2, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 2, MemoryBudget: spillBudget})
+		CheckpointInterval: 2, MemoryBudget: spillBudget})
 	if err != nil {
 		t.Fatal(err)
 	}

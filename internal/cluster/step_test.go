@@ -39,7 +39,7 @@ func intPages(t *testing.T, c *Cluster, want int) []*object.Page {
 // and the exchange holds nothing afterwards: no lane backlog, no governed
 // bytes (the retained pages' reservations returned), no live spill slots.
 func TestRunStepFailureCancelsWaitsAndDiscards(t *testing.T) {
-	c, err := New(Config{Workers: 2, Threads: 1, PageSize: 1 << 12, ShuffleCapacity: 2, MemoryBudget: 1 << 30})
+	c, err := New(Config{Workers: 2, Threads: 1, PageSize: 1 << 12, MemoryBudget: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}

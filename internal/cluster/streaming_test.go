@@ -113,7 +113,7 @@ func equalRows(a, b []string) bool {
 // once, nothing duplicated (sums would be too high), nothing dropped (too
 // low).
 func TestBackendCrashReForkMidShuffle(t *testing.T) {
-	c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ShuffleCapacity: 2})
+	c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,8 @@ type ShipStats struct {
 	// shuffle exchange reached (bytes shipped but not yet merged).
 	MaxBytesInFlight int64
 	// MaxReorderPages is the largest undelivered-page backlog any single
-	// consumer's exchange lanes reached, hard-bounded at ShuffleCapacity ×
-	// Threads × Workers.
+	// consumer's exchange lanes reached, hard-bounded at
+	// exchange.DefaultCapacity × Threads × Workers + 1.
 	MaxReorderPages int64
 	// Checkpoints totals the consumer-side recovery checkpoints taken
 	// across all streaming shuffles.

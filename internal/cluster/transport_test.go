@@ -39,7 +39,7 @@ func TestSocketTransportAggIdentity(t *testing.T) {
 	const n, groups = 4000, 16
 	for _, cell := range recoveryMatrix {
 		cfg := Config{Workers: cell.workers, Threads: cell.threads,
-			PageSize: 1 << 12, ShuffleCapacity: 2, CheckpointInterval: 2}
+			PageSize: 1 << 12, CheckpointInterval: 2}
 
 		ref, err := New(cfg)
 		if err != nil {
@@ -75,7 +75,7 @@ func TestSocketTransportAggIdentity(t *testing.T) {
 // TestTCPTransportSmoke runs one aggregation cell over TCP loopback and
 // checks identity against the in-process reference.
 func TestTCPTransportSmoke(t *testing.T) {
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ShuffleCapacity: 2}
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12}
 	ref, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +104,7 @@ func TestTCPTransportSmoke(t *testing.T) {
 // socket — and the result must match a crash-free in-process run.
 func TestSocketTransportCrashRecovery(t *testing.T) {
 	const n, groups, interval = 3000, 12, 2
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: interval}
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: interval}
 
 	ref, err := New(base)
 	if err != nil {
@@ -146,8 +145,7 @@ func TestSocketTransportCrashRecovery(t *testing.T) {
 // sequence against the crash-free in-process join.
 func TestSocketTransportJoinIdentity(t *testing.T) {
 	const left, right, groups = 600, 90, 18
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		ShuffleCapacity: 2, CheckpointInterval: 1}
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1}
 
 	ref, err := New(base)
 	if err != nil {
@@ -183,7 +181,7 @@ func TestSocketTransportJoinIdentity(t *testing.T) {
 // transport mid-job: the redial path must absorb every drop (the job
 // succeeds, results identical), and ShipStats.Reconnects must count them.
 func TestConnDropAbsorbedByRedial(t *testing.T) {
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ShuffleCapacity: 2}
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12}
 	ref, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +219,7 @@ func TestConnDropAbsorbedByRedial(t *testing.T) {
 // and a Ship after Close fails instead of hanging.
 func TestClusterCloseTearsDownTransport(t *testing.T) {
 	for _, network := range socketNetworks {
-		cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			ShuffleCapacity: 2, Transport: network}
+		cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, Transport: network}
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -141,7 +141,8 @@ type Config struct {
 }
 
 // DefaultCapacity is the per-lane pages-in-flight bound when
-// Config.Capacity is zero.
+// Config.Capacity is zero — the bound of every exchange the cluster builds;
+// only this package's own tests size lanes otherwise.
 const DefaultCapacity = 4
 
 // lane is one (producer thread → consumer) bounded channel plus its
@@ -415,7 +416,8 @@ func (ex *Exchange) MaxBytesInFlight() int64 { return ex.maxInFlight.Load() }
 
 // MaxReorderPages reports the largest undelivered-page backlog any single
 // consumer reached (pages enqueued on its lanes and not yet delivered),
-// hard-bounded by Capacity × Threads × Producers.
+// hard-bounded by Capacity × Threads × Producers + 1: the page Recv is
+// taking off a lane still counts while a sender refills that lane.
 func (ex *Exchange) MaxReorderPages() int64 { return ex.maxReorder.Load() }
 
 // BufferedPages reports one consumer's current undelivered-page backlog.

@@ -40,14 +40,15 @@ const (
 )
 
 // DefaultCheckpointInterval is the consumer-side recovery checkpoint
-// interval the planner attaches to exchange-linked consuming stages:
-// every this many shuffled pages, the consumer snapshots its merge state
-// and acknowledges the cut, so a backend crash inside the merge replays
-// at most one interval of the stream instead of failing the job. Each
-// cut copies the consumer's whole merge state (sub-map page bytes), so
-// the interval trades replay window against a per-cut cost proportional
-// to aggregate state size — raise it (cluster Config.CheckpointInterval)
-// for high-cardinality aggregations whose merged state is large.
+// interval of every exchange-linked consuming stage (and of the joins the
+// runtime streams without a plan): every this many shuffled pages, the
+// consumer snapshots its merge state and acknowledges the cut, so a
+// backend crash inside the merge replays at most one interval of the
+// stream instead of failing the job. Each cut copies the consumer's whole
+// merge state (sub-map page bytes), so the interval trades replay window
+// against a per-cut cost proportional to aggregate state size — raise it
+// (cluster Config.CheckpointInterval) for high-cardinality aggregations
+// whose merged state is large.
 const DefaultCheckpointInterval = 16
 
 // String names the sink kind as Plan.String prints it.
@@ -92,13 +93,6 @@ type JobStage struct {
 	// consumer; ExchangeFrom points back (nil = not exchange-linked).
 	ExchangeTo   *JobStage
 	ExchangeFrom *JobStage
-
-	// CheckpointEvery is the consuming stage's recovery checkpoint
-	// interval: shuffled pages merged between consistent cuts of its
-	// streaming merge. The planner sets it on exchange-linked consumers
-	// (DefaultCheckpointInterval); zero means the stage consumes no
-	// stream and carries no checkpoint policy.
-	CheckpointEvery int
 
 	Produces  string
 	DependsOn []string
@@ -224,13 +218,12 @@ func (b *builder) buildPipeline(scan *tcap.Stmt, srcList, srcCol string, first *
 			st.Produces = "sortruns:" + cur.Out.Name
 			b.stages = append(b.stages, st)
 			merge := &JobStage{
-				ID:              b.nextID,
-				Kind:            StageSortMerge,
-				AggList:         cur.Out.Name,
-				SinkStmt:        cur,
-				Produces:        "mat:" + cur.Out.Name,
-				DependsOn:       []string{"sortruns:" + cur.Out.Name},
-				CheckpointEvery: DefaultCheckpointInterval,
+				ID:        b.nextID,
+				Kind:      StageSortMerge,
+				AggList:   cur.Out.Name,
+				SinkStmt:  cur,
+				Produces:  "mat:" + cur.Out.Name,
+				DependsOn: []string{"sortruns:" + cur.Out.Name},
 			}
 			st.ExchangeTo = merge
 			merge.ExchangeFrom = st
@@ -248,13 +241,12 @@ func (b *builder) buildPipeline(scan *tcap.Stmt, srcList, srcCol string, first *
 			// exchange-linked: the scheduler runs both together, with
 			// the pre-aggregation shuffle streaming between them.
 			agg := &JobStage{
-				ID:              b.nextID,
-				Kind:            StageAggregation,
-				AggList:         cur.Out.Name,
-				SinkStmt:        cur,
-				Produces:        "mat:" + cur.Out.Name,
-				DependsOn:       []string{"aggmaps:" + cur.Out.Name},
-				CheckpointEvery: DefaultCheckpointInterval,
+				ID:        b.nextID,
+				Kind:      StageAggregation,
+				AggList:   cur.Out.Name,
+				SinkStmt:  cur,
+				Produces:  "mat:" + cur.Out.Name,
+				DependsOn: []string{"aggmaps:" + cur.Out.Name},
 			}
 			st.ExchangeTo = agg
 			agg.ExchangeFrom = st

@@ -3,9 +3,11 @@
 // Because pages are self-contained byte arrays, persistence is a single
 // write of the occupied prefix and loading is a single read — no
 // (de)serialization. The paper's server reads pages through a buffer pool;
-// this one does not: Pages returns every page of a set at once, and
-// nothing imports internal/buffer, the pool written for it. ROADMAP item 8
-// decides between wiring the pool in and deleting it.
+// this one does not: Pages returns every page of a set at once (memory mode
+// hands back the resident pages themselves, disk mode reads the whole set).
+// A page cursor bounded by the cluster's MemoryBudget, if a workload ever
+// needs one, would start from SpillPool, which already writes and reloads
+// single pages by slot number.
 package storage
 
 import (

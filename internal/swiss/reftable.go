@@ -32,17 +32,6 @@ func (t *RefTable) Len() int { return len(t.entries) }
 // Resizes returns how many times the control array has grown.
 func (t *RefTable) Resizes() uint64 { return t.resizes }
 
-// MemBytes estimates the table's heap footprint: control words, slot
-// indices, the dense entry array, and every overflow ref slice.
-func (t *RefTable) MemBytes() uint64 {
-	b := uint64(cap(t.words))*8 + uint64(cap(t.slots))*4
-	b += uint64(cap(t.entries)) * uint64(24+16) // hash + first + slice header
-	for i := range t.entries {
-		b += uint64(cap(t.entries[i].rest)) * 8
-	}
-	return b
-}
-
 func (t *RefTable) hashAt(e uint32) uint64 { return t.entries[e].hash }
 
 // Add appends r to hash's ref list, creating the entry on first sight.

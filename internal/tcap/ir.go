@@ -135,14 +135,6 @@ type Stmt struct {
 	FuseGroup int
 }
 
-// InputName returns the (left) input vector list name, or "" for SCAN.
-func (s *Stmt) InputName() string {
-	if s.Op == OpScan {
-		return ""
-	}
-	return s.Applied.Name
-}
-
 // NewColumns returns the names of columns the statement creates (columns in
 // Out not copied from an input).
 func (s *Stmt) NewColumns() []string {

@@ -85,11 +85,12 @@
 // and checkpoint snapshots — spilling the coldest pages to reusable page
 // files (under Config.DataDir, or a temp directory) and reloading them
 // transparently. Results are bit-for-bit identical at any budget; only
-// page residence changes. It is the only memory setting: what a job holds
-// as its own working state — merged aggregation maps, join tables, an
-// ORDER BY's sorted runs (a partition sorted without a Limit is buffered
-// whole) — is outside it and must fit in RAM. See docs/TUNING.md for the
-// memory model and how MemoryBudget interacts with ShuffleCapacity,
+// page residence changes. It is the only memory setting: every exchange
+// lane holds at most four pages, a constant rather than a setting, and what
+// a job holds as its own working state — merged aggregation maps, join
+// tables, an ORDER BY's sorted runs (a partition sorted without a Limit is
+// buffered whole) — is outside the budget and must fit in RAM. See
+// docs/TUNING.md for the memory model and how MemoryBudget interacts with
 // Threads, CheckpointInterval, and DataDir.
 package pc
 
