@@ -20,18 +20,21 @@ import (
 	"repro/internal/object"
 )
 
-// SetMeta describes a stored set: its database, name, element type, and
-// placement statistics used by the optimizer (the paper's broadcast-join
-// size threshold).
+// SetMeta describes a stored set: its database, name, element type,
+// generation, and placement statistics.
 type SetMeta struct {
 	Db       string
 	Set      string
 	TypeName string
 	TypeCode uint32
 
+	// Gen is the set's generation, assigned at CreateSet and never reused
+	// (the counter persists with the catalog manifest): a set dropped and
+	// created again under the same name is a different set.
+	Gen uint64
+
 	// PageCount and ByteCount are updated by the storage layer as data
-	// arrive; the optimizer consults ByteCount when choosing between
-	// broadcast and hash-partition joins.
+	// arrive.
 	PageCount int
 	ByteCount int64
 
@@ -51,6 +54,7 @@ type Master struct {
 	reg   *object.Registry
 	dbs   map[string]bool
 	sets  map[string]*SetMeta
+	gen   uint64 // the last generation CreateSet assigned
 	stats MasterStats
 }
 
@@ -125,9 +129,27 @@ func (m *Master) CreateSet(db, set, typeName string) (*SetMeta, error) {
 	if ti == nil {
 		return nil, fmt.Errorf("catalog: set %q uses unregistered type %q", key, typeName)
 	}
-	sm := &SetMeta{Db: db, Set: set, TypeName: typeName, TypeCode: ti.Code}
+	m.gen++
+	sm := &SetMeta{Db: db, Set: set, TypeName: typeName, TypeCode: ti.Code, Gen: m.gen}
 	m.sets[key] = sm
 	return sm, nil
+}
+
+// Generation returns the last generation CreateSet assigned (manifest
+// persistence).
+func (m *Master) Generation() uint64 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.gen
+}
+
+// RestoreGeneration raises the generation counter to one a persisted
+// catalog manifest recorded, so a set created after a restart never gets
+// the generation of a set dropped before it.
+func (m *Master) RestoreGeneration(gen uint64) {
+	m.mu.Lock()
+	m.gen = max(m.gen, gen)
+	m.mu.Unlock()
 }
 
 // RestoreTypeCode pins a persisted type name to the code its on-disk pages
@@ -153,9 +175,9 @@ func (m *Master) RestoreDatabase(db string) {
 // under its element type's *name* (the authoritative binding; the
 // informational TypeCode resolves only if the type happens to be
 // registered already, and on-disk object headers resolve through the
-// registry's pinned codes regardless). Idempotent: an already-known set is
-// left alone.
-func (m *Master) RestoreSet(db, set, typeName, partitionKey string, pages int, bytes int64) {
+// registry's pinned codes regardless) and its persisted generation.
+// Idempotent: an already-known set is left alone.
+func (m *Master) RestoreSet(db, set, typeName, partitionKey string, gen uint64, pages int, bytes int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.dbs[db] = true
@@ -164,7 +186,7 @@ func (m *Master) RestoreSet(db, set, typeName, partitionKey string, pages int, b
 		return
 	}
 	sm := &SetMeta{Db: db, Set: set, TypeName: typeName, PartitionKey: partitionKey,
-		PageCount: pages, ByteCount: bytes}
+		Gen: gen, PageCount: pages, ByteCount: bytes}
 	if ti := m.reg.LookupName(typeName); ti != nil {
 		sm.TypeCode = ti.Code
 	}
@@ -193,6 +215,17 @@ func (m *Master) LookupSet(db, set string) (*SetMeta, error) {
 		return nil, fmt.Errorf("catalog: unknown set %s.%s", db, set)
 	}
 	return sm, nil
+}
+
+// SetVersion reports a set's generation and page count — together, which
+// contents a scan of it reads — or zeros for an unknown set.
+func (m *Master) SetVersion(db, set string) (gen uint64, pages int) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if sm := m.sets[db+"."+set]; sm != nil {
+		return sm.Gen, sm.PageCount
+	}
+	return 0, 0
 }
 
 // DropSet removes a set's metadata.

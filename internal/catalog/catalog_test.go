@@ -151,3 +151,45 @@ func TestUpdateSetStats(t *testing.T) {
 		t.Errorf("Sets() len = %d", len(m.Sets()))
 	}
 }
+
+// TestSetVersionChangesWithContents pins what the resume guard reads: a
+// set's version moves when pages arrive, when the set is dropped and
+// created again, and across a restart after the newest set was dropped.
+func TestSetVersionChangesWithContents(t *testing.T) {
+	m := NewMaster()
+	_ = m.CreateDatabase("db")
+	object.NewStruct("T").AddField("x", object.KInt64).MustBuild(m.Registry())
+	type version struct {
+		gen   uint64
+		pages int
+	}
+	at := func(m *Master) version {
+		gen, pages := m.SetVersion("db", "s")
+		return version{gen, pages}
+	}
+	_, _ = m.CreateSet("db", "s", "T")
+	created := at(m)
+	m.UpdateSetStats("db", "s", 1, 100)
+	if v := at(m); v.gen != created.gen || v.pages != created.pages+1 {
+		t.Errorf("after one page: %+v, want the generation of %+v and one more page", v, created)
+	}
+	_ = m.DropSet("db", "s")
+	_, _ = m.CreateSet("db", "s", "T")
+	recreated := at(m)
+	if recreated.gen == created.gen {
+		t.Errorf("a dropped and recreated set kept generation %d", created.gen)
+	}
+
+	// A restarted catalog restores the counter, so a set created after the
+	// set holding the newest generation was dropped still gets a generation
+	// never seen before.
+	_ = m.DropSet("db", "s")
+	r := NewMaster()
+	object.NewStruct("T").AddField("x", object.KInt64).MustBuild(r.Registry())
+	r.RestoreDatabase("db")
+	r.RestoreGeneration(m.Generation())
+	_, _ = r.CreateSet("db", "s", "T")
+	if v := at(r); v.gen == created.gen || v.gen == recreated.gen {
+		t.Errorf("a set created after restart reused generation %d", v.gen)
+	}
+}

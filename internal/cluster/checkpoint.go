@@ -15,11 +15,13 @@ package cluster
 // only clusters keep the snapshots in the recovery record instead.
 //
 // The aggregation's store is workerEnv methods: a pcworker process keeps
-// its cuts through the same code, set names and resume files.
+// its cuts through the same code, set names and resume files. On disk a
+// cut is durable in both modes (resume.go).
 
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/engine"
@@ -55,12 +57,12 @@ func (c *Cluster) checkpointEvery() int {
 type aggRecovery struct {
 	ckpt     *engine.MergeCheckpoint
 	saves    int
-	diskSet  string // snapshot set on the worker's storage server (DataDir mode)
+	diskSet  string // the last cut's snapshot set on the worker's storage server (DataDir mode)
 	slots    []int  // spill slots holding the snapshots (over-budget memory mode)
 	resident int64  // bytes the in-memory snapshot reserved with the governor
 
 	// produces names the consuming stage's artifact — the key the snapshot
-	// set and the durable resume metadata (resume.go) file under.
+	// sets and the durable resume metadata (resume.go) file under.
 	produces string
 }
 
@@ -80,9 +82,10 @@ func (rec *aggRecovery) releaseSnapshots(gov *exchange.Governor) {
 	}
 }
 
-// ckptSetName derives a storage-safe snapshot set name from a stage
-// artifact name and worker ID.
-func ckptSetName(produces string, worker int) string {
+// ckptName derives the storage-safe name a stage artifact's recovery state
+// files under on one worker: each cut's snapshot set is ckptName-sN (N the
+// cut's save number), the resume file resume-ckptName.json (resume.go).
+func ckptName(produces string, worker int) string {
 	return fmt.Sprintf("agg-%s-w%d", fileSafe.Replace(produces), worker)
 }
 
@@ -90,21 +93,24 @@ func ckptSetName(produces string, worker int) string {
 var fileSafe = strings.NewReplacer(":", "-", "/", "-", ".", "-")
 
 // persistAggCheckpoint installs ck as the worker's recovery point. On a
-// disk-backed worker the snapshot pages are written through its storage
-// server and dropped from memory — the restore proves the round trip —
-// and, with durable cuts, the cut's metadata follows into a resume file.
-// Memory-only clusters keep the snapshot bytes in the recovery record,
-// unless the worker's memory governor (Config.MemoryBudget) refuses them:
-// then the snapshots go straight to the step's spill pool and only their
-// slots stay resident.
+// disk-backed worker the cut is durable: the snapshot pages are written
+// through its storage server under a fresh set name and dropped from
+// memory — the restore proves the round trip — then the resume file is
+// switched atomically to name that set, and only then is the superseded
+// set dropped, so a death between any two writes leaves the resume file
+// naming a complete set of its own cut. Memory-only clusters keep the
+// snapshot bytes in the recovery record, unless the worker's memory
+// governor (Config.MemoryBudget) refuses them: then the snapshots go
+// straight to the step's spill pool and only their slots stay resident.
 func (e *workerEnv) persistAggCheckpoint(rec *aggRecovery, ck *engine.MergeCheckpoint, gov *exchange.Governor) error {
 	e.fault.Hit(fault.Checkpoint, e.id)
 	if err := e.fault.ErrAt(fault.CheckpointIO, e.id); err != nil {
 		return fmt.Errorf("cluster: persisting consumer checkpoint: %w", err)
 	}
 	if e.store.Dir() != "" {
-		set := ckptSetName(rec.produces, e.id)
-		_ = e.store.Drop(checkpointDb, set) // first checkpoint: nothing to drop
+		prev := rec.diskSet
+		set := fmt.Sprintf("%s-s%d", ckptName(rec.produces, e.id), rec.saves+1)
+		_ = e.store.Drop(checkpointDb, set) // left by a process that died before a resume file named it
 		pages := make([]*object.Page, len(ck.Subs))
 		for i, sub := range ck.Subs {
 			pg, err := object.FromBytes(append([]byte(nil), sub.Data...), e.reg)
@@ -116,11 +122,20 @@ func (e *workerEnv) persistAggCheckpoint(rec *aggRecovery, ck *engine.MergeCheck
 		if err := e.store.Append(checkpointDb, set, pages); err != nil {
 			return err
 		}
-		rec.diskSet = set
 		for i := range ck.Subs {
 			ck.Subs[i].Data = nil // restore re-reads the bytes from storage
 		}
-	} else if gov != nil {
+		rec.ckpt, rec.diskSet = ck, set
+		rec.saves++
+		if err := e.saveAggResume(rec, ck); err != nil {
+			return err
+		}
+		if prev != "" {
+			_ = e.store.Drop(checkpointDb, prev) // a set left over goes with the final drop
+		}
+		return nil
+	}
+	if gov != nil {
 		// The new cut supersedes the previous one; its snapshot bytes
 		// return to the budget before the new snapshot claims room.
 		rec.releaseSnapshots(gov)
@@ -145,12 +160,6 @@ func (e *workerEnv) persistAggCheckpoint(rec *aggRecovery, ck *engine.MergeCheck
 	}
 	rec.ckpt = ck
 	rec.saves++
-	if rec.diskSet != "" && e.durableCuts {
-		// Make the cut outlive the process: persist its metadata next to
-		// the snapshot set, so a new process on this directory can resume
-		// the merge from here.
-		return e.saveAggResume(rec, ck)
-	}
 	return nil
 }
 
@@ -194,16 +203,23 @@ func (e *workerEnv) loadAggCheckpoint(rec *aggRecovery, gov *exchange.Governor) 
 	return ck, nil
 }
 
-// dropAggCheckpoint discards a consumer's snapshots — the storage set and
-// resume file on a disk-backed worker, spill slots and budget reservation
-// under a governor.
+// dropAggCheckpoint discards a consumer's snapshots — on a disk-backed
+// worker the resume file and every _ckpt set of the artifact, whichever
+// life wrote it; spill slots and budget reservation under a governor. The
+// resume file goes first, so a death mid-drop leaves only sets no file
+// names, which the next drop removes.
 func (e *workerEnv) dropAggCheckpoint(rec *aggRecovery, gov *exchange.Governor) {
-	if rec.diskSet != "" {
-		_ = e.store.Drop(checkpointDb, rec.diskSet)
-		rec.diskSet = ""
-	}
 	if e.store.Dir() != "" {
 		os.Remove(e.resumePath(rec.produces))
+		prefix := checkpointDb + "." + ckptName(rec.produces, e.id) + "-s"
+		for _, key := range e.store.Sets() {
+			if n, ok := strings.CutPrefix(key, prefix); ok {
+				if _, err := strconv.Atoi(n); err == nil {
+					_ = e.store.Drop(checkpointDb, strings.TrimPrefix(key, checkpointDb+"."))
+				}
+			}
+		}
+		rec.diskSet = ""
 	}
 	rec.releaseSnapshots(gov)
 }
@@ -244,14 +260,6 @@ type joinRecovery struct {
 	buildRowsCut int
 	bitmapAtCut  []uint64
 	tailCursor   int
-
-	// resumePath/resumeFP arm durable probe-cut persistence (resume.go):
-	// set when Config.ResumeOnRestart is on, every probe checkpoint also
-	// writes its cut metadata there. A record loadJoinResume pre-populated
-	// needs no mark: the build re-runs from scratch, and positioning the
-	// probe end at the cursor acknowledges the already-emitted prefix.
-	resumePath string
-	resumeFP   string
 }
 
 // CheckpointSets counts live consumer-recovery snapshot sets (the _ckpt

@@ -48,7 +48,8 @@
 //     the cut its restored state covers, and the exchange replays from the
 //     stream's start (a fresh merge), rewinds to the cut (a re-forked
 //     backend or respawned process), or fast-forwards a re-streamed job
-//     past it (a restarted cluster, Config.ResumeOnRestart).
+//     past it (the next run after a process died, resuming the durable cut
+//     a disk-backed worker keeps — Config.DataDir).
 //
 // An operator keeps only what is its own: its sinks, its recovery record,
 // its failure cleanup. Every role — the aggregation, sort and join pairs —
@@ -143,20 +144,18 @@ type Config struct {
 	// reopened on the same directory restores its sets (re-register the
 	// element types, then read or query as usual). Empty keeps all pages
 	// in memory.
+	//
+	// Durability follows the disk: with DataDir set, every aggregation
+	// recovery cut is durable in both modes — its _ckpt snapshot set plus
+	// a resume file naming it. A step that fails on a live in-process
+	// cluster drops that state; a process that dies leaves it, and the
+	// next run of the same job (same program, workers, threads, page size
+	// and input set versions — matched by fingerprint) on the same
+	// directory restores each consumer from its cut, fast-forwards the
+	// fresh exchange past the already-merged prefix, and finishes
+	// bit-for-bit identical to a crash-free run. Joins keep no durable
+	// cut: a join whose process died re-runs from its start.
 	DataDir string
-	// ResumeOnRestart, with DataDir set, makes mid-stream consumer
-	// recovery state durable across cluster restarts: every recovery cut
-	// persists its metadata (the acked cut and snapshot layout) in a
-	// resume file next to the _ckpt snapshot sets under DataDir, and a
-	// crash-type job failure (backend crash, retries exhausted, worker
-	// process death) leaves both on disk instead of cleaning them up. A
-	// new cluster opened on the same DataDir that re-executes the same
-	// job (same program, workers, threads — matched by fingerprint)
-	// restores each consumer from its persisted cut, fast-forwards the
-	// fresh exchange past the already-merged prefix, and finishes the job
-	// bit-for-bit identical to a crash-free run. Off by default: failures
-	// then clean up all recovery state, the historical contract.
-	ResumeOnRestart bool
 	// CheckpointInterval tunes consumer-side crash recovery: the number
 	// of shuffled pages a streaming consumer merges between recovery
 	// checkpoints. Zero uses physical.DefaultCheckpointInterval; a
@@ -348,8 +347,9 @@ type Cluster struct {
 	manifestMu sync.Mutex
 
 	// jobFP fingerprints the job Execute is currently running (optimized
-	// TCAP text + cluster shape); resume files carry it so a restarted
-	// cluster only resumes from recovery state the same job wrote.
+	// TCAP text, cluster shape, scanned set versions); resume files carry
+	// it so a restarted cluster only resumes from recovery state the same
+	// job wrote over the same input.
 	jobFP string
 }
 
@@ -507,9 +507,9 @@ func (c *Cluster) CountSet(db, set string) (int, error) {
 // dialed connections, and socket files, and proc mode (Config.ProcBin) kills
 // every spawned pcworker process and waits for it to exit. Stored data under
 // Config.DataDir is untouched — a cluster reopened on the same directory
-// restores its sets and resumes any mid-stream job from persisted cut
-// metadata. Idempotent; safe on a cluster whose transport is the default
-// in-process copier (no-op there).
+// restores its sets, and resumes a job whose process died mid-stream from
+// its durable cuts. Idempotent; safe on a cluster whose transport is the
+// default in-process copier (no-op there).
 func (c *Cluster) Close() error {
 	if c.procs != nil {
 		for _, pw := range c.procs.workers {

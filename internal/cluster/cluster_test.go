@@ -16,8 +16,8 @@ import (
 // decision table under open item 1), and a new one needs a workload for
 // which both of its settings are the right answer.
 func TestConfigFields(t *testing.T) {
-	want := []string{"Workers", "Threads", "PageSize", "DataDir", "ResumeOnRestart",
-		"CheckpointInterval", "MemoryBudget", "MaxRetries", "Transport", "ProcBin", "Fault"}
+	want := []string{"Workers", "Threads", "PageSize", "DataDir", "CheckpointInterval",
+		"MemoryBudget", "MaxRetries", "Transport", "ProcBin", "Fault"}
 	var got []string
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
 		got = append(got, f.Name)

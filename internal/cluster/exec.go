@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -63,10 +62,11 @@ type ExecStats struct {
 	// that were recovered by checkpoint restore + stream replay (a subset
 	// of Retries).
 	ConsumerRecoveries int
-	// ConsumerResumes counts consumers that resumed from recovery state a
-	// previous cluster persisted under DataDir (Config.ResumeOnRestart):
-	// the merge restored the on-disk checkpoint and fast-forwarded the
-	// exchange past the already-merged prefix instead of starting over.
+	// ConsumerResumes counts consumers that resumed from a durable cut a
+	// dead process left under DataDir for this very job (same program,
+	// cluster shape and input sets): the merge restored the on-disk
+	// checkpoint and fast-forwarded the exchange past the already-merged
+	// prefix instead of starting over.
 	ConsumerResumes int
 	// Threads is the per-worker executor-thread budget pipeline stages
 	// ran with (Config.Threads after defaulting).
@@ -96,7 +96,7 @@ func (c *Cluster) Execute(writes ...*core.Write) (*ExecStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.jobFP = jobFingerprint(opt.Print(), c.Cfg.Workers, c.Cfg.Threads, c.Cfg.PageSize)
+	c.jobFP = c.jobFingerprint(opt.Print(), plan.Stages)
 	if c.Cfg.ProcBin != "" {
 		if err := c.prepareProcs(plan.Stages); err != nil {
 			return nil, err
@@ -398,43 +398,17 @@ func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical
 		// Proc mode leaves its workers' durable recovery state alone: it
 		// is theirs to keep — exactly what lets a new cluster (or a
 		// respawned worker) resume this job — and a successful future
-		// consume drops it.
+		// consume drops it. A live in-process cluster drops every worker's
+		// snapshots, so the step's governors and spill pools close with
+		// zero live slots and no _ckpt set or resume file survives.
 		if !proc {
-			c.cleanAggRecovery(err, recs, govs)
+			for j, w := range c.Workers {
+				c.env(w).dropAggCheckpoint(recs[j], governorOf(govs, j))
+			}
 		}
 		return ship, err
 	}
 	return ship, c.commitArtifacts(arts)
-}
-
-// cleanAggRecovery is the failed aggregation step's own cleanup, after
-// runStep has discarded the exchange: every worker's checkpoint snapshots
-// go, so the step's governors and spill pools close with zero live slots
-// and no _ckpt sets survive. A crash-type failure on a ResumeOnRestart
-// cluster keeps the durable recovery state (_ckpt snapshot sets and resume
-// metadata) on disk instead: that state is exactly what lets a restarted
-// cluster resume this job mid-stream. Every other failure — and every
-// cluster without the opt-in — cleans up as always.
-func (c *Cluster) cleanAggRecovery(err error, recs []*aggRecovery, govs []*exchange.Governor) {
-	keep := c.keepsResumeState(err)
-	for j, w := range c.Workers {
-		if keep {
-			// Governor bookkeeping still closes (DataDir snapshots hold no
-			// slots or reservations); the disk state stays.
-			recs[j].releaseSnapshots(governorOf(govs, j))
-			continue
-		}
-		c.env(w).dropAggCheckpoint(recs[j], governorOf(govs, j))
-	}
-}
-
-// keepsResumeState reports whether a step that failed with err leaves its
-// durable recovery state on disk for a restarted cluster to resume from: a
-// crash-type failure (backend crash, retries exhausted, worker process
-// death) on a ResumeOnRestart cluster.
-func (c *Cluster) keepsResumeState(err error) bool {
-	return c.Cfg.ResumeOnRestart && c.Cfg.DataDir != "" &&
-		(errors.Is(err, errBackendCrashed) || errors.Is(err, errBackendDead))
 }
 
 // runPreAggStream is the producer half of a streaming shuffle: the
@@ -474,7 +448,7 @@ func (e *workerEnv) runPreAggStream(res *core.CompileResult, stage *physical.Job
 //
 // With interval > 0 the merge is replayable: it restores rec's checkpointed
 // sub-maps if any — rec's own, or on a disk-backed worker the durable cut a
-// previous process left for this very job (resume.go) — tells end the cut
+// dead process left for this very job (resume.go) — tells end the cut
 // it starts from, and snapshots + acknowledges a new cut every interval
 // pages plus once at stream end — so a crash anywhere in the merge or
 // finalize resumes from at most one interval back. Delivered pages recycle
@@ -489,8 +463,8 @@ func (e *workerEnv) consumeAggStream(res *core.CompileResult, stage *physical.Jo
 	var ckptr *engine.MergeCheckpointer
 	cut := 0
 	if interval > 0 {
-		if rec.ckpt == nil && e.store.Dir() != "" {
-			e.loadAggResume(rec)
+		if rec.ckpt == nil && e.store.Dir() != "" && !e.loadAggResume(rec) {
+			e.dropAggCheckpoint(rec, gov)
 		}
 		resume, err := e.loadAggCheckpoint(rec, gov)
 		if err != nil {

@@ -494,6 +494,11 @@ func TestFailureCleanupReleasesEverything(t *testing.T) {
 		assertNoJoinLeaks(t, c, fmt.Sprintf("failed job (dataDir=%v)", dataDir))
 		if dataDir {
 			assertNoSpillDirs(t, dir)
+			// Durable cuts follow the disk, yet a live cluster's failed step
+			// drops them: only a dead process leaves a cut to resume.
+			if files := resumeFiles(t, dir); len(files) != 0 {
+				t.Errorf("resume files survived the failed in-process step: %v", files)
+			}
 		}
 	}
 	tmpAfter, err := filepath.Glob(filepath.Join(os.TempDir(), "pcspill-*"))

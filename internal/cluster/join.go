@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"repro/internal/core"
@@ -68,10 +67,9 @@ import (
 // window (marking precedes the exactly-once skip check, under the
 // fault.ProbeBitmap site), and the unmatched-row tail sweep checkpoints
 // its own cursor, so emit stays exactly-once across crashes at every site
-// and output is bit-for-bit identical to a crash-free run. Cross-restart
-// durable resume (Config.ResumeOnRestart) stays armed only for JoinInner —
-// the bitmap lives in memory, and a restarted process cannot reconstruct
-// which matches a previous process already observed for the other kinds.
+// and output is bit-for-bit identical to a crash-free run. Join recovery
+// state lives in memory: a join whose process dies re-runs from its start
+// on the next run, so emit is at-least-once across process deaths.
 //
 // # Probe/emit recovery
 //
@@ -116,7 +114,6 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 	exL := c.newShuffleExchange(true, func(*object.Page) {}, govs)
 	exR := c.newShuffleExchange(interval > 0, nil, govs)
 	stats := &ExecStats{Threads: c.Cfg.Threads, RoleRetries: map[string]int{}}
-	recs := make([]*joinRecovery, nw)
 	roles := make([]role, 3*nw)
 	for i, w := range c.Workers {
 		env := c.env(w)
@@ -133,16 +130,6 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 		j := &joinSpec{kind: kind, keyL: keyL, keyR: keyR, eq: eq,
 			emit: func(l, r object.Ref) error { return emit(i, l, r) }}
 		rec := &joinRecovery{}
-		if interval > 0 && c.Cfg.ResumeOnRestart && c.Cfg.DataDir != "" && kind == core.JoinInner {
-			// Arm durable probe-cut persistence and pick up where a
-			// previous cluster's identical join left off, if anywhere.
-			rec.resumePath = c.joinResumePath(dbL, setL, dbR, setR, i)
-			rec.resumeFP = jobFingerprint(
-				fmt.Sprintf("join|%s.%s|%s.%s|i%d", dbL, setL, dbR, setR, interval),
-				nw, c.Cfg.Threads, c.Cfg.PageSize)
-			loadJoinResume(rec)
-		}
-		recs[i] = rec
 		build := &exchangeEnd{ex: exR, worker: i, replayable: interval > 0}
 		probe := &exchangeEnd{ex: exL, worker: i, replayable: true}
 		roles[2*nw+i] = role{w: w, name: roleConsumer, what: "join build/probe", noRetry: interval <= 0,
@@ -156,29 +143,14 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 			},
 			body: func() error { return env.consumeJoin(build, probe, j, interval, interval, rec) }}
 	}
+	// Join recovery state is in-memory clones: beyond runStep's discard of
+	// both exchanges there is nothing to drop.
 	ship, err := c.runStep(roles, govs, exL, exR)
 	stats.Ships = []StageShip{ship}
-	// Join recovery state is in-memory clones — beyond runStep's discard of
-	// both exchanges there is nothing else to drop, except the durable
-	// probe-cut files: a crash-type failure on a ResumeOnRestart cluster
-	// keeps them, and a restarted cluster resumes the probe from them.
-	if err == nil || !c.keepsResumeState(err) {
-		dropJoinResumes(recs)
-	}
 	if err != nil {
 		return stats, fmt.Errorf("cluster: hash-partition join %s.%s ⋈ %s.%s: %w", dbL, setL, dbR, setR, err)
 	}
 	return stats, nil
-}
-
-// dropJoinResumes removes every worker's durable probe-cut file (no-op for
-// records that never armed persistence).
-func dropJoinResumes(recs []*joinRecovery) {
-	for _, rec := range recs {
-		if rec.resumePath != "" {
-			os.Remove(rec.resumePath)
-		}
-	}
 }
 
 // joinSpec is the user's side of one worker's join: the kind, the compiled
@@ -279,10 +251,10 @@ func (e *workerEnv) consumeJoin(build, probe consumerEnd, j *joinSpec, buildEver
 		// its retry, where there is one, rebuilds.
 		rec.built = buildEvery > 0
 	}
-	// The gather delivered the whole probe stream, so the cursor — zero, a
-	// probe cut of this attempt's predecessor, or one a previous cluster
-	// persisted — is at most what this end has delivered: hello rewinds to it
-	// and acknowledges the prefix the cut already covers.
+	// The gather delivered the whole probe stream, so the cursor — zero or a
+	// probe cut of this attempt's predecessor — is at most what this end has
+	// delivered: hello rewinds to it and acknowledges the prefix the cut
+	// already covers.
 	if err := probe.hello(rec.probeCursor); err != nil {
 		return err
 	}
@@ -513,11 +485,6 @@ func (e *workerEnv) probeEmitStream(end consumerEnd, table *engine.JoinTable, j 
 				rec.bitmapAtCut = append(rec.bitmapAtCut[:0], bitmap...)
 			}
 			rec.saves++
-			if rec.resumePath != "" {
-				if err := saveJoinResume(rec); err != nil {
-					return nil, 0, err
-				}
-			}
 		}
 		if err := end.ack(cursor); err != nil {
 			return nil, 0, err

@@ -36,6 +36,27 @@ func loadIntRowsOff(t *testing.T, c *Cluster, rec *object.TypeInfo, db, set stri
 	}
 }
 
+// joinKeyOn/joinEqOn/joinPairString are the join-test lambdas over the
+// (grp, val) record.
+func joinKeyOn(rec *object.TypeInfo) func(object.Ref) uint64 {
+	grp := rec.Field("grp")
+	return func(r object.Ref) uint64 {
+		return object.HashValue(object.Int64Value(object.GetI64(r, grp)))
+	}
+}
+
+func joinEqOn(rec *object.TypeInfo) func(l, r object.Ref) bool {
+	grp := rec.Field("grp")
+	return func(l, r object.Ref) bool {
+		return object.GetI64(l, grp) == object.GetI64(r, grp)
+	}
+}
+
+func joinPairString(rec *object.TypeInfo, l, r object.Ref) string {
+	val := rec.Field("val")
+	return fmt.Sprintf("%d|%d", object.GetI64(l, val), object.GetI64(r, val))
+}
+
 // runJoinKind runs HashPartitionJoinKind over db.left ⋈ db.right on grp and
 // returns the emitted pairs as "lval|rval" strings ("-" for a null-extended
 // side), flattened in worker order — per worker the sequence is

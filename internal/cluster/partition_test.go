@@ -148,13 +148,13 @@ func TestCoPartitionedJoinRejectsMismatchedKeys(t *testing.T) {
 	}
 }
 
-// TestCoPartitionedJoinResumesFromProbeCut gives every worker several pages
+// TestCoPartitionedJoinRecoversFromProbeCut gives every worker several pages
 // of each side and a one-page checkpoint interval, then crashes the probe
 // past its first window cuts — with and without cuts: the retried attempt
 // rebuilds the table, repositions the stored-page stream at the saved cursor
 // (or the start) and skips what was emitted, so per-worker emit order equals
 // the crash-free run's with every pair seen exactly once.
-func TestCoPartitionedJoinResumesFromProbeCut(t *testing.T) {
+func TestCoPartitionedJoinRecoversFromProbeCut(t *testing.T) {
 	run := func(interval int, inj *fault.Injection) []string {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: interval})
 		if err != nil {

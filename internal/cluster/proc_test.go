@@ -65,12 +65,8 @@ func runProcIntAgg(t *testing.T, c *Cluster, rec *object.TypeInfo) ([]string, *E
 	if err != nil {
 		return nil, nil, err
 	}
-	var rows []string
-	if err := c.ScanSet("db", "sums", func(r object.Ref) bool {
-		rows = append(rows, fmt.Sprintf("%d=%d",
-			object.GetI64(r, rec.Field("grp")), object.GetI64(r, rec.Field("val"))))
-		return true
-	}); err != nil {
+	rows, err := sumRows(c, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return rows, stats, nil
@@ -354,5 +350,59 @@ func TestProcClusterKillRestartResume(t *testing.T) {
 	}
 	if err := c2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProcClusterRestartRefusesReloadedInput is the resume guard's input
+// check: a proc-mode job dies past a durable cut exactly as in
+// TestProcClusterKillRestartResume, and between the two lives its input is
+// dropped and reloaded with twice the rows. The same program on the same
+// cluster shape must not resume from cuts taken over the old rows: no
+// consumer resumes, and the sums are the fresh ones over the new input.
+func TestProcClusterRestartRefusesReloadedInput(t *testing.T) {
+	bin := buildPCWorker(t)
+	const n, groups, interval = 4000, 16, 2
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
+		CheckpointInterval: interval, MaxRetries: -1, ProcBin: bin, DataDir: t.TempDir()}
+	c1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec1 := intRecType(c1)
+	loadIntRows(t, c1, rec1, "db", "rows", n, groups)
+	if err := c1.CreateSet("db", "sums", "RecovRec"); err != nil {
+		t.Fatal(err)
+	}
+	c1.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.ProcKill, Worker: 1, K: 0})
+	if _, err := c1.Execute(core.NewWrite("db", "sums", procSumAgg(t, c1))); err == nil {
+		t.Fatal("killed job with retries disabled succeeded")
+	}
+	if len(resumeFiles(t, cfg.DataDir)) == 0 {
+		t.Fatal("no durable worker cut survived the failed life")
+	}
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	rec2 := intRecType(c2)
+	if err := c2.DropSet("db", "rows"); err != nil {
+		t.Fatal(err)
+	}
+	loadIntRows(t, c2, rec2, "db", "rows", 2*n, groups)
+	rows, stats, err := runProcIntAgg(t, c2, rec2)
+	if err != nil {
+		t.Fatalf("job over the reloaded input: %v", err)
+	}
+	if stats.ConsumerResumes != 0 {
+		t.Errorf("%d consumers resumed from cuts taken over the old input", stats.ConsumerResumes)
+	}
+	checkIntSums(t, rows, 2*n, groups)
+	if files := resumeFiles(t, cfg.DataDir); len(files) != 0 {
+		t.Errorf("worker resume metadata leaked past the commit: %v", files)
 	}
 }

@@ -92,9 +92,8 @@ func session(conn net.Conn, workerID int, dataDir string) error {
 	env := &workerEnv{
 		id: workerID, workers: req.Workers, threads: req.Threads, pageSize: req.PageSize,
 		reg: reg, store: store, pool: object.NewPagePool(req.PageSize),
-		noteStats:   func(...engine.Stats) {},
-		jobFP:       req.Fingerprint,
-		durableCuts: true,
+		noteStats: func(...engine.Stats) {},
+		jobFP:     req.Fingerprint,
 	}
 	end := &socketEnd{conn: conn, env: env, held: make([][]*object.Page, req.Threads)}
 	switch req.Op {

@@ -31,11 +31,19 @@ func intRecType(c *Cluster) *object.TypeInfo {
 // loadIntRows builds n (i%groups, i) rows and ships them into db.set.
 func loadIntRows(t *testing.T, c *Cluster, rec *object.TypeInfo, db, set string, n, groups int) {
 	t.Helper()
-	if err := c.CreateDatabase(db); err != nil && !strings.Contains(err.Error(), "already exists") {
+	if err := createIntRows(c, rec, db, set, n, groups); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// createIntRows is loadIntRows returning its error, for code that runs
+// without a *testing.T (the killed child process of resume_test.go).
+func createIntRows(c *Cluster, rec *object.TypeInfo, db, set string, n, groups int) error {
+	if err := c.CreateDatabase(db); err != nil && !strings.Contains(err.Error(), "already exists") {
+		return err
+	}
 	if err := c.CreateSet(db, set, rec.Name); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	pages, err := object.BuildPages(c.Catalog.Registry(), 1<<12, n, func(a *object.Allocator, i int) (object.Ref, error) {
 		r, err := a.MakeObject(rec)
@@ -47,11 +55,9 @@ func loadIntRows(t *testing.T, c *Cluster, rec *object.TypeInfo, db, set string,
 		return r, nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
-	if err := c.SendData(db, set, pages); err != nil {
-		t.Fatal(err)
-	}
+	return c.SendData(db, set, pages)
 }
 
 // intSumAgg is a grp→sum(val) aggregation over db.rows; finalize may be
@@ -108,13 +114,19 @@ func intAggRows(c *Cluster, rec *object.TypeInfo,
 	if err != nil {
 		return nil, nil, err
 	}
+	rows, err := sumRows(c, rec)
+	return rows, stats, err
+}
+
+// sumRows reads db.sums as "grp=val" rows in storage scan order.
+func sumRows(c *Cluster, rec *object.TypeInfo) ([]string, error) {
 	var rows []string
-	err = c.ScanSet("db", "sums", func(r object.Ref) bool {
+	err := c.ScanSet("db", "sums", func(r object.Ref) bool {
 		rows = append(rows, fmt.Sprintf("%d=%d",
 			object.GetI64(r, rec.Field("grp")), object.GetI64(r, rec.Field("val"))))
 		return true
 	})
-	return rows, stats, err
+	return rows, err
 }
 
 // TestConsumerCrashRecoveryAggMerge crashes a consumer backend in the

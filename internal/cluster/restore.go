@@ -26,6 +26,7 @@ type manifestSet struct {
 	Set          string `json:"set"`
 	TypeName     string `json:"type"`
 	PartitionKey string `json:"partitionKey,omitempty"`
+	Gen          uint64 `json:"gen,omitempty"`
 }
 
 // manifestType pins one persisted type name to the code embedded in the
@@ -37,9 +38,10 @@ type manifestType struct {
 
 // manifest is the persisted catalog state.
 type manifest struct {
-	Databases []string       `json:"databases"`
-	Types     []manifestType `json:"types"`
-	Sets      []manifestSet  `json:"sets"`
+	Databases  []string       `json:"databases"`
+	Types      []manifestType `json:"types"`
+	Sets       []manifestSet  `json:"sets"`
+	Generation uint64         `json:"generation,omitempty"` // the last set generation assigned
 }
 
 func (c *Cluster) manifestPath() string {
@@ -56,14 +58,13 @@ func (c *Cluster) saveManifest() error {
 	}
 	c.manifestMu.Lock()
 	defer c.manifestMu.Unlock()
-	var m manifest
-	m.Databases = c.Catalog.Databases()
+	m := manifest{Databases: c.Catalog.Databases(), Generation: c.Catalog.Generation()}
 	for _, ti := range c.Catalog.UserTypes() {
 		m.Types = append(m.Types, manifestType{Name: ti.Name, Code: ti.Code})
 	}
 	for _, sm := range c.Catalog.Sets() {
 		m.Sets = append(m.Sets, manifestSet{
-			Db: sm.Db, Set: sm.Set, TypeName: sm.TypeName, PartitionKey: sm.PartitionKey,
+			Db: sm.Db, Set: sm.Set, TypeName: sm.TypeName, PartitionKey: sm.PartitionKey, Gen: sm.Gen,
 		})
 	}
 	return writeJSONAtomic(c.manifestPath(), &m)
@@ -72,8 +73,8 @@ func (c *Cluster) saveManifest() error {
 // writeJSONAtomic replaces path with v's JSON through a temp file and a
 // rename, so a crash mid-write leaves the old file or the new one, never a
 // torn one. Every small metadata file the cluster persists — the catalog
-// manifest, the aggregation and join resume files, in-process and in a
-// pcworker process alike — goes through here, which makes this the single
+// manifest and the aggregation resume files, in-process and in a pcworker
+// process alike — goes through here, which makes this the single
 // place ROADMAP item 6's fsync (the file before the rename, then the
 // directory) goes; it is not added here because it may move setup_s.
 func writeJSONAtomic(path string, v any) error {
@@ -113,6 +114,7 @@ func (c *Cluster) loadManifest() error {
 	for _, t := range m.Types {
 		c.Catalog.RestoreTypeCode(t.Name, t.Code)
 	}
+	c.Catalog.RestoreGeneration(m.Generation)
 	for _, sm := range m.Sets {
 		var pages int
 		var bytes int64
@@ -120,7 +122,7 @@ func (c *Cluster) loadManifest() error {
 			pages += w.Front.Store.PageCount(sm.Db, sm.Set)
 			bytes += w.Front.Store.SetBytes(sm.Db, sm.Set)
 		}
-		c.Catalog.RestoreSet(sm.Db, sm.Set, sm.TypeName, sm.PartitionKey, pages, bytes)
+		c.Catalog.RestoreSet(sm.Db, sm.Set, sm.TypeName, sm.PartitionKey, sm.Gen, pages, bytes)
 	}
 	return nil
 }

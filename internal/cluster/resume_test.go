@@ -1,13 +1,19 @@
 package cluster
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fault"
+	"repro/internal/engine"
 	"repro/internal/object"
+	"repro/internal/storage"
 )
 
 // resumeFiles globs the durable cut-metadata files under a DataDir.
@@ -20,251 +26,258 @@ func resumeFiles(t *testing.T, dir string) []string {
 	return files
 }
 
-// TestClusterRestartResumesMidStreamJob is the cross-process resume
-// acceptance test: a disk-backed ResumeOnRestart cluster dies mid-merge
-// with retries disabled (the whole-cluster-crash stand-in — the job
-// fails, the process state is gone, only DataDir survives). A new
-// cluster on the same DataDir re-executes the same job and must resume
-// each consumer from its persisted cut — and produce result rows
-// bit-for-bit identical (order included) to a crash-free run.
-func TestClusterRestartResumesMidStreamJob(t *testing.T) {
-	const n, groups, interval = 4000, 16, 2
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		CheckpointInterval: interval, MaxRetries: -1, ResumeOnRestart: true}
+// killedChildArg, as the test binary's first argument, makes the binary the
+// process a kill → restart test kills: TestMain runs killedAggChild on the
+// directory named by the second argument instead of the tests.
+const killedChildArg = "killed-agg-child"
 
-	// Crash-free reference on its own DataDir.
-	refCfg := cfg
-	refCfg.DataDir = t.TempDir()
-	ref, err := New(refCfg)
+// TestMain lets the test binary double as the process a resume test kills.
+func TestMain(m *testing.M) {
+	if len(os.Args) == 3 && os.Args[1] == killedChildArg {
+		killedAggChild(os.Args[2])
+	}
+	os.Exit(m.Run())
+}
+
+// The cluster and input the killed child and the restarted parent share.
+const resumeRows, resumeGroups = 4000, 16
+
+func resumeCfg(dir string) Config {
+	return Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 2, DataDir: dir}
+}
+
+// killedAggChild is the child process: it loads db.rows into an in-process
+// cluster on dir and runs the grp→sum(val) aggregation into db.sums with a
+// Finalize that kills the process. Finalize runs after the merge's
+// end-of-stream cut is durable, so the process dies with that cut on disk —
+// a sibling worker still merging leaves an earlier one — and nothing
+// cleaned up.
+func killedAggChild(dir string) {
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	c, err := New(resumeCfg(dir))
+	if err != nil {
+		fail(err)
+	}
+	rec := intRecType(c)
+	if err := createIntRows(c, rec, "db", "rows", resumeRows, resumeGroups); err != nil {
+		fail(err)
+	}
+	if err := c.CreateSet("db", "sums", rec.Name); err != nil {
+		fail(err)
+	}
+	_, err = c.Execute(core.NewWrite("db", "sums", intSumAgg(rec,
+		func(*object.Allocator, object.Value, object.Value) (object.Ref, error) {
+			os.Exit(137)
+			return object.NilRef, nil
+		})))
+	fail(fmt.Errorf("the job outlived its Finalize: %v", err))
+}
+
+// killAggChild runs killedAggChild in a child process on a fresh directory
+// and returns the directory once the child died in Finalize.
+func killAggChild(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	out, err := exec.Command(os.Args[0], killedChildArg, dir).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 137 {
+		t.Fatalf("the child did not die in Finalize (%v):\n%s", err, out)
+	}
+	if len(resumeFiles(t, dir)) == 0 {
+		t.Fatal("the killed process left no durable cut")
+	}
+	return dir
+}
+
+// assertNoRecoveryState asserts no _ckpt set and no resume file is left.
+func assertNoRecoveryState(t *testing.T, c *Cluster, dir string) {
+	t.Helper()
+	if got := c.CheckpointSets(); got != 0 {
+		t.Errorf("%d checkpoint sets left behind", got)
+	}
+	if files := resumeFiles(t, dir); len(files) != 0 {
+		t.Errorf("resume files left behind: %v", files)
+	}
+}
+
+// TestClusterRestartResumesMidStreamJob is the in-process kill → restart →
+// resume test: a child process running the aggregation on a DataDir is
+// killed inside the job, with its durable cuts on disk. A new cluster on
+// the same DataDir re-executes the same job and must resume its consumers
+// from those cuts, produce result rows bit-for-bit identical (order
+// included) to a crash-free run, and leave no recovery state behind.
+func TestClusterRestartResumesMidStreamJob(t *testing.T) {
+	ref, err := New(resumeCfg(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	refRec := intRecType(ref)
-	loadIntRows(t, ref, refRec, "db", "rows", n, groups)
+	loadIntRows(t, ref, refRec, "db", "rows", resumeRows, resumeGroups)
 	wantRows, _ := runIntAgg(t, ref, refRec, nil)
-	if len(wantRows) != groups {
-		t.Fatalf("reference produced %d groups, want %d", len(wantRows), groups)
+	if len(wantRows) != resumeGroups {
+		t.Fatalf("reference produced %d groups, want %d", len(wantRows), resumeGroups)
 	}
 
-	// First life: load, checkpoint, die mid-merge. With MaxRetries < 0 the
-	// crash is not retried in-process, so the job fails exactly as if the
-	// cluster process had been killed — and the durable recovery state
-	// must survive the failure path.
-	dir := t.TempDir()
-	cfg.DataDir = dir
-	c1, err := New(cfg)
+	dir := killAggChild(t)
+	c, err := New(resumeCfg(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec1 := intRecType(c1)
-	loadIntRows(t, c1, rec1, "db", "rows", n, groups)
-	if err := c1.CreateSet("db", "sums", "RecovRec"); err != nil {
-		t.Fatal(err)
-	}
-	c1.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Delivery, Worker: 1, K: interval + 1})
-	if _, err := c1.Execute(core.NewWrite("db", "sums", intSumAgg(rec1, nil))); err == nil {
-		t.Fatal("crashing job with retries disabled succeeded")
-	}
-	if c1.Cfg.Fault.Fired() != 1 {
-		t.Fatal("the mid-merge crash never fired")
-	}
-	if c1.CheckpointSets() == 0 {
-		t.Fatal("no durable checkpoint set survived the crash-type failure")
-	}
-	if len(resumeFiles(t, dir)) == 0 {
-		t.Fatal("no resume metadata survived the crash-type failure")
-	}
-
-	// Second life: a fresh cluster on the same DataDir re-registers the
-	// type and re-executes the same job. The consumers must resume from
-	// their persisted cuts instead of starting over.
-	c2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec2 := intRecType(c2)
-	stats, err := c2.Execute(core.NewWrite("db", "sums", intSumAgg(rec2, nil)))
+	rec := intRecType(c)
+	stats, err := c.Execute(core.NewWrite("db", "sums", intSumAgg(rec, nil)))
 	if err != nil {
 		t.Fatalf("re-executed job after restart: %v", err)
 	}
 	if stats.ConsumerResumes == 0 {
-		t.Error("no consumer resumed from the persisted cut metadata")
+		t.Error("no consumer resumed from the killed process's durable cuts")
 	}
-	var gotRows []string
-	if err := c2.ScanSet("db", "sums", func(r object.Ref) bool {
-		gotRows = append(gotRows, fmt.Sprintf("%d=%d",
-			object.GetI64(r, rec2.Field("grp")), object.GetI64(r, rec2.Field("val"))))
-		return true
-	}); err != nil {
+	gotRows, err := sumRows(c, rec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !equalRows(gotRows, wantRows) {
 		t.Errorf("resumed run differs from crash-free run (%d vs %d rows)", len(gotRows), len(wantRows))
 	}
-	// Success cleans up all durable recovery state.
-	if got := c2.CheckpointSets(); got != 0 {
-		t.Errorf("%d checkpoint sets leaked past the resumed commit", got)
-	}
-	if files := resumeFiles(t, dir); len(files) != 0 {
-		t.Errorf("resume metadata leaked past the resumed commit: %v", files)
-	}
+	assertNoRecoveryState(t, c, dir)
 }
 
-// TestJoinRestartResumesProbeCut: a ResumeOnRestart join that dies
-// mid-probe persists its probe cursor and emitted-match counter; a new
-// cluster on the same DataDir re-running the same join rebuilds the table
-// (the build replays deterministically from storage) and resumes the
-// probe from the durable cut. With the crash landing on a window boundary
-// the two lives' emissions concatenate to exactly the crash-free match
-// sequence — one worker keeps the sequencing deterministic.
-func TestJoinRestartResumesProbeCut(t *testing.T) {
-	const left, right, groups, interval = 600, 90, 18, 1
-	cfg := Config{Workers: 1, Threads: 2, PageSize: 1 << 12,
-		CheckpointInterval: interval, MaxRetries: -1, ResumeOnRestart: true}
-
-	refCfg := cfg
-	refCfg.DataDir = t.TempDir()
-	ref, err := New(refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRec := intRecType(ref)
-	loadIntRows(t, ref, refRec, "db", "left", left, groups)
-	loadIntRows(t, ref, refRec, "db", "right", right, groups)
-	wantRows := joinPairsByWorker(t, ref, refRec)
-	if len(wantRows) == 0 {
-		t.Fatal("reference join emitted nothing")
-	}
-
-	dir := t.TempDir()
-	cfg.DataDir = dir
-	c1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec1 := intRecType(c1)
-	loadIntRows(t, c1, rec1, "db", "left", left, groups)
-	loadIntRows(t, c1, rec1, "db", "right", right, groups)
-	// ProbePage fires on the first page of the second probe window, so the
-	// crash lands exactly on the first durable cut: everything emitted so
-	// far is covered by it.
-	c1.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.ProbePage, Worker: 0, K: interval})
-	var firstLife []string
-	_, err = c1.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right",
-		joinKeyOn(rec1), joinKeyOn(rec1), joinEqOn(rec1),
-		func(workerID int, l, r object.Ref) error {
-			firstLife = append(firstLife, joinPairString(rec1, l, r))
-			return nil
-		})
-	if err == nil {
-		t.Fatal("crashing join with retries disabled succeeded")
-	}
-	if c1.Cfg.Fault.Fired() != 1 {
-		t.Fatal("the probe crash never fired")
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "worker-*", "resume-join-*.json"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no join resume metadata survived the crash (%v, %v)", files, err)
-	}
-
-	c2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec2 := intRecType(c2)
-	var secondLife []string
-	_, err = c2.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right",
-		joinKeyOn(rec2), joinKeyOn(rec2), joinEqOn(rec2),
-		func(workerID int, l, r object.Ref) error {
-			secondLife = append(secondLife, joinPairString(rec2, l, r))
-			return nil
-		})
-	if err != nil {
-		t.Fatalf("join after restart: %v", err)
-	}
-	got := append(append([]string(nil), firstLife...), secondLife...)
-	if !equalRows(got, wantRows) {
-		t.Errorf("restarted join emissions differ from crash-free join (%d+%d vs %d pairs)",
-			len(firstLife), len(secondLife), len(wantRows))
-	}
-	if len(firstLife) == 0 || len(secondLife) == 0 {
-		t.Errorf("expected both lives to emit (first %d, second %d)", len(firstLife), len(secondLife))
-	}
-	files, _ = filepath.Glob(filepath.Join(dir, "worker-*", "resume-join-*.json"))
-	if len(files) != 0 {
-		t.Errorf("join resume metadata leaked past the resumed commit: %v", files)
-	}
-}
-
-// joinKeyOn/joinEqOn/joinPairString are the join-test lambdas over the
-// (grp, val) record.
-func joinKeyOn(rec *object.TypeInfo) func(object.Ref) uint64 {
-	grp := rec.Field("grp")
-	return func(r object.Ref) uint64 {
-		return object.HashValue(object.Int64Value(object.GetI64(r, grp)))
-	}
-}
-
-func joinEqOn(rec *object.TypeInfo) func(l, r object.Ref) bool {
-	grp := rec.Field("grp")
-	return func(l, r object.Ref) bool {
-		return object.GetI64(l, grp) == object.GetI64(r, grp)
-	}
-}
-
-func joinPairString(rec *object.TypeInfo, l, r object.Ref) string {
-	val := rec.Field("val")
-	return fmt.Sprintf("%d|%d", object.GetI64(l, val), object.GetI64(r, val))
-}
-
-// TestResumeIgnoresForeignJob checks the fingerprint guard: durable
-// recovery state left by one job must not hijack a different job (or a
-// different cluster shape) on the same DataDir — the second job starts
-// over and still commits the right answer.
+// TestResumeIgnoresForeignJob checks the fingerprint guard: the durable
+// cuts a killed job left must not hijack the same job on a different
+// cluster shape, nor the same job over a reloaded input. Each starts over,
+// commits the right answer, and clears the stale state.
 func TestResumeIgnoresForeignJob(t *testing.T) {
-	const n, groups, interval = 3000, 12, 2
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		CheckpointInterval: interval, MaxRetries: -1, ResumeOnRestart: true}
+	for _, tc := range []struct {
+		name string
+		rows int
+		life func(t *testing.T, dir string) *Cluster
+	}{
+		{"more threads", resumeRows, func(t *testing.T, dir string) *Cluster {
+			cfg := resumeCfg(dir)
+			cfg.Threads = 4
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"reloaded input", 2 * resumeRows, func(t *testing.T, dir string) *Cluster {
+			c, err := New(resumeCfg(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.DropSet("db", "rows"); err != nil {
+				t.Fatal(err)
+			}
+			loadIntRows(t, c, intRecType(c), "db", "rows", 2*resumeRows, resumeGroups)
+			return c
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := killAggChild(t)
+			c := tc.life(t, dir)
+			rec := intRecType(c)
+			stats, err := c.Execute(core.NewWrite("db", "sums", intSumAgg(rec, nil)))
+			if err != nil {
+				t.Fatalf("foreign job after restart: %v", err)
+			}
+			if stats.ConsumerResumes != 0 {
+				t.Errorf("a consumer resumed from a foreign job's recovery state (%d resumes)", stats.ConsumerResumes)
+			}
+			rows, err := sumRows(c, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkIntSums(t, rows, tc.rows, resumeGroups)
+			assertNoRecoveryState(t, c, dir)
+		})
+	}
+}
+
+// TestTornCutRestoresPreviousCut persists a durable cut, then fails the
+// next cut's resume write — a directory sits at its temp path — after that
+// cut's snapshots are written. A fresh record over a freshly opened store
+// (the next process) must restore the first cut's bytes exactly, or
+// nothing: never the second cut's snapshots under the first cut's number.
+// Dropping the record's state then removes every _ckpt set of the artifact.
+func TestTornCutRestoresPreviousCut(t *testing.T) {
 	dir := t.TempDir()
-	cfg.DataDir = dir
-	c1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	reg := object.NewRegistry()
+	rt := object.NewStruct("RecovRec").AddField("grp", object.KInt64).AddField("val", object.KInt64).MustBuild(reg)
+	open := func() *workerEnv {
+		store, err := storage.NewServer(dir, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &workerEnv{workers: 1, threads: 2, pageSize: 1 << 12, reg: reg, store: store,
+			pool: object.NewPagePool(1 << 12), jobFP: "job"}
 	}
-	rec1 := intRecType(c1)
-	loadIntRows(t, c1, rec1, "db", "rows", n, groups)
-	if err := c1.CreateSet("db", "sums", "RecovRec"); err != nil {
-		t.Fatal(err)
+	// cut builds a two-sub-map checkpoint whose pages hold val.
+	cut := func(n int, val int64) *engine.MergeCheckpoint {
+		ck := &engine.MergeCheckpoint{Cut: n}
+		for s := 0; s < 2; s++ {
+			pages, err := object.BuildPages(reg, 1<<12, 3, func(a *object.Allocator, i int) (object.Ref, error) {
+				r, err := a.MakeObject(rt)
+				if err == nil {
+					object.SetI64(r, rt.Field("val"), val+int64(s))
+				}
+				return r, err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck.Subs = append(ck.Subs, engine.SubMapSnapshot{PageSize: 1 << 12, Data: pages[0].Bytes()})
+		}
+		return ck
 	}
-	c1.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Delivery, Worker: 1, K: interval + 1})
-	if _, err := c1.Execute(core.NewWrite("db", "sums", intSumAgg(rec1, nil))); err == nil {
-		t.Fatal("crashing job succeeded")
-	}
-	if len(resumeFiles(t, dir)) == 0 {
-		t.Fatal("no resume metadata survived")
+	restore := func(env *workerEnv) *engine.MergeCheckpoint {
+		rec := &aggRecovery{produces: "mat:agg"}
+		if !env.loadAggResume(rec) {
+			return nil
+		}
+		ck, err := env.loadAggCheckpoint(rec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ck
 	}
 
-	// Second life runs a *different* shape (more threads): the fingerprint
-	// must not match, so no consumer resumes and the job still succeeds.
-	cfg2 := cfg
-	cfg2.Threads = 4
-	c2, err := New(cfg2)
-	if err != nil {
+	env := open()
+	rec := &aggRecovery{produces: "mat:agg"}
+	if err := env.persistAggCheckpoint(rec, cut(2, 100), nil); err != nil {
 		t.Fatal(err)
 	}
-	rec2 := intRecType(c2)
-	stats, err := c2.Execute(core.NewWrite("db", "sums", intSumAgg(rec2, nil)))
-	if err != nil {
-		t.Fatalf("different-shape job after restart: %v", err)
+	want := restore(open())
+	if want == nil || want.Cut != 2 {
+		t.Fatalf("the first durable cut does not restore (got %+v)", want)
 	}
-	if stats.ConsumerResumes != 0 {
-		t.Errorf("a consumer resumed from a foreign job's recovery state (%d resumes)", stats.ConsumerResumes)
-	}
-	count, err := c2.CountSet("db", "sums")
-	if err != nil {
+	if err := os.Mkdir(env.resumePath(rec.produces)+".tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if count != groups {
-		t.Errorf("foreign-state run produced %d groups, want %d", count, groups)
+	if err := env.persistAggCheckpoint(rec, cut(4, 200), nil); err == nil {
+		t.Fatal("the second cut's resume write succeeded over a directory")
+	}
+
+	next := open()
+	if got := restore(next); got != nil {
+		if got.Cut != 2 || len(got.Subs) != len(want.Subs) {
+			t.Fatalf("restored cut %d with %d sub-maps, want cut 2 with %d", got.Cut, len(got.Subs), len(want.Subs))
+		}
+		for i, sub := range got.Subs {
+			if !bytes.Equal(sub.Data, want.Subs[i].Data) {
+				t.Errorf("sub-map %d restored other bytes than the first cut's", i)
+			}
+		}
+	}
+	next.dropAggCheckpoint(&aggRecovery{produces: "mat:agg"}, nil)
+	for _, key := range next.store.Sets() {
+		if strings.HasPrefix(key, checkpointDb+".") {
+			t.Errorf("%s survived the drop", key)
+		}
+	}
+	if _, err := os.Stat(next.resumePath("mat:agg")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the resume file survived the drop (%v)", err)
 	}
 }

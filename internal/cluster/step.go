@@ -269,7 +269,8 @@ type workerEnv struct {
 
 	reg *object.Registry
 	// store is the worker's storage server: input sets and, when it is
-	// disk-backed (store.Dir() != ""), checkpoint snapshots and resume files.
+	// disk-backed (store.Dir() != ""), durable cuts — checkpoint snapshots
+	// and resume files — in both modes.
 	store *storage.Server
 	pool  *object.PagePool
 	fault *fault.Plan
@@ -282,11 +283,6 @@ type workerEnv struct {
 
 	// jobFP fingerprints the running job; resume files carry it.
 	jobFP string
-	// durableCuts persists every disk-backed cut's metadata in a resume
-	// file, so the cut outlives the process: Config.ResumeOnRestart
-	// in-process, always in a pcworker process (whose memory survives no
-	// kill, so its disk state is the whole recovery story).
-	durableCuts bool
 	// afterSave, when set, runs after each cut is durable and before it is
 	// acknowledged — where a shipped fault.ProcKill takes the process down.
 	afterSave func()
@@ -298,7 +294,7 @@ func (c *Cluster) env(w *Worker) *workerEnv {
 		id: w.ID, workers: len(c.Workers), threads: c.Cfg.Threads, pageSize: c.Cfg.PageSize,
 		reg: w.Reg(), store: w.Front.Store, pool: c.pool, fault: c.Cfg.Fault,
 		artPages: w.artPages, artTables: w.artTables, noteStats: w.mergeStats,
-		jobFP: c.jobFP, durableCuts: c.Cfg.ResumeOnRestart,
+		jobFP: c.jobFP,
 	}
 }
 

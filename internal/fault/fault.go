@@ -161,6 +161,8 @@ type InjectedError struct {
 	K      int
 }
 
+// Error names the injected site, worker and hit, so a failed job's error
+// says which injection failed it.
 func (e *InjectedError) Error() string {
 	return fmt.Sprintf("fault: injected %s I/O error (worker %d, hit %d)", e.Site, e.Worker, e.K)
 }

@@ -226,8 +226,8 @@ func (s *Server) Drop(db, set string) error {
 	return nil
 }
 
-// SetBytes reports the stored byte volume of a set (join-strategy
-// statistics).
+// SetBytes reports the stored byte volume of a set (restore bookkeeping:
+// a restarted catalog's byte count for the set).
 func (s *Server) SetBytes(db, set string) int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

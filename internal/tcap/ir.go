@@ -45,6 +45,7 @@ const (
 	OpWindow
 )
 
+// String returns the operation's TCAP keyword ("SCAN", "APPLY", …).
 func (k OpKind) String() string {
 	switch k {
 	case OpScan:
@@ -81,6 +82,7 @@ type ColumnsRef struct {
 	Cols []string
 }
 
+// String renders the reference in TCAP syntax, "name(col,col,…)".
 func (c ColumnsRef) String() string {
 	return c.Name + "(" + strings.Join(c.Cols, ",") + ")"
 }
