@@ -7,12 +7,16 @@ package cluster
 // the backend only writes through it at consistent cuts, and the re-forked
 // backend reads it back to resume.
 //
-// Snapshot pages ride the worker's storage server: with Config.DataDir
-// they become ordinary page files under <worker>/_ckpt/<set>/ (the same
-// single-write persistence every stored set uses — no serialization step
-// exists to pay for), and the restore path reads them back through
-// storage.Server.Pages, exercising the real page-file machinery. Memory-
-// only clusters keep the snapshots in the recovery record instead.
+// A cut copies each sub-map page once, into one of two snapshot
+// generations the recovery record owns; the next cut but one reuses the
+// same buffers, so a merge whose pages have stopped growing cuts without
+// allocating. With Config.DataDir those bytes are handed to the worker's
+// storage server as they are and become ordinary page files under
+// <worker>/_ckpt/<set>/ (the same single-write persistence every stored
+// set uses — no serialization step exists to pay for), and the restore
+// path reads them back through storage.Server.Pages, exercising the real
+// page-file machinery, and restores from the bytes read. Memory-only
+// clusters restore from the installed generation itself.
 //
 // The aggregation's store is workerEnv methods: a pcworker process keeps
 // its cuts through the same code, set names and resume files. On disk a
@@ -50,11 +54,16 @@ func (c *Cluster) checkpointEvery() int {
 }
 
 // aggRecovery is one worker's consumer-recovery record for a streaming
-// aggregation merge. Snapshot bytes live in exactly one of three places:
-// inside ckpt (memory mode, within budget), on the worker's storage server
-// (DataDir mode, diskSet), or in the step's spill pool (memory mode over
-// Config.MemoryBudget, slots).
+// aggregation merge. The merge writes every cut into one of the record's
+// two generations (gens, engine.MergeCheckpointer.Gens), reusing their
+// buffers; ckpt is the installed cut, one of them unless it was read back
+// from a resume file. A restore reads the installed cut's bytes from
+// exactly one of three places: ckpt itself (memory mode, within budget),
+// the worker's storage server (DataDir mode, diskSet), or the step's spill
+// pool (memory mode over Config.MemoryBudget, slots), whose cut gives its
+// buffers up.
 type aggRecovery struct {
+	gens     [2]engine.MergeCheckpoint
 	ckpt     *engine.MergeCheckpoint
 	saves    int
 	diskSet  string // the last cut's snapshot set on the worker's storage server (DataDir mode)
@@ -92,16 +101,20 @@ func ckptName(produces string, worker int) string {
 // fileSafe makes an artifact or set name usable inside a file name.
 var fileSafe = strings.NewReplacer(":", "-", "/", "-", ".", "-")
 
-// persistAggCheckpoint installs ck as the worker's recovery point. On a
-// disk-backed worker the cut is durable: the snapshot pages are written
-// through its storage server under a fresh set name and dropped from
-// memory — the restore proves the round trip — then the resume file is
-// switched atomically to name that set, and only then is the superseded
-// set dropped, so a death between any two writes leaves the resume file
-// naming a complete set of its own cut. Memory-only clusters keep the
-// snapshot bytes in the recovery record, unless the worker's memory
-// governor (Config.MemoryBudget) refuses them: then the snapshots go
-// straight to the step's spill pool and only their slots stay resident.
+// persistAggCheckpoint installs ck — one of rec's generations — as the
+// worker's recovery point. On a disk-backed worker the cut is durable: the
+// snapshot bytes themselves are written through its storage server, which
+// keeps no reference to them, under a fresh set name — the restore reads
+// them back, proving the round trip — then the resume file is switched
+// atomically to name that set, and only then is the superseded set
+// dropped, so a death between any two writes leaves the resume file naming
+// a complete set of its own cut. Memory-only clusters keep the snapshot
+// bytes in the recovery record, unless the worker's memory governor
+// (Config.MemoryBudget) refuses them: then the snapshots go straight to
+// the step's spill pool and only their slots stay resident. The governor
+// meters only an installed in-memory cut: the generation the next cut
+// overwrites — and on a disk-backed worker both — are outside the budget,
+// as the cut being written always was.
 func (e *workerEnv) persistAggCheckpoint(rec *aggRecovery, ck *engine.MergeCheckpoint, gov *exchange.Governor) error {
 	e.fault.Hit(fault.Checkpoint, e.id)
 	if err := e.fault.ErrAt(fault.CheckpointIO, e.id); err != nil {
@@ -113,7 +126,7 @@ func (e *workerEnv) persistAggCheckpoint(rec *aggRecovery, ck *engine.MergeCheck
 		_ = e.store.Drop(checkpointDb, set) // left by a process that died before a resume file named it
 		pages := make([]*object.Page, len(ck.Subs))
 		for i, sub := range ck.Subs {
-			pg, err := object.FromBytes(append([]byte(nil), sub.Data...), e.reg)
+			pg, err := object.FromBytes(sub.Data, e.reg)
 			if err != nil {
 				return err
 			}
@@ -121,9 +134,6 @@ func (e *workerEnv) persistAggCheckpoint(rec *aggRecovery, ck *engine.MergeCheck
 		}
 		if err := e.store.Append(checkpointDb, set, pages); err != nil {
 			return err
-		}
-		for i := range ck.Subs {
-			ck.Subs[i].Data = nil // restore re-reads the bytes from storage
 		}
 		rec.ckpt, rec.diskSet = ck, set
 		rec.saves++
@@ -153,7 +163,7 @@ func (e *workerEnv) persistAggCheckpoint(rec *aggRecovery, ck *engine.MergeCheck
 					return err
 				}
 				slots[i] = slot
-				ck.Subs[i].Data = nil // restore re-reads the bytes from the pool
+				ck.Subs[i].Data = nil // the refused bytes leave memory; restore re-reads them from the pool
 			}
 			rec.slots = slots
 		}
@@ -164,40 +174,36 @@ func (e *workerEnv) persistAggCheckpoint(rec *aggRecovery, ck *engine.MergeCheck
 }
 
 // loadAggCheckpoint returns the checkpoint a restarted consumer resumes
-// from (nil when no cut was ever saved — full replay). On a disk-backed
-// worker the snapshot bytes are read back through the storage server;
-// snapshots the governor spilled are read back from the step's spill pool.
+// from (nil when no cut was ever saved — full replay): the installed cut
+// itself, so the restored merge writes its next cut into the other
+// generation. On a disk-backed worker its snapshot bytes are the pages the
+// storage server reads back; snapshots the governor spilled are read back
+// from the step's spill pool. Either way the bytes read are the bytes
+// restored, with no copy in between.
 func (e *workerEnv) loadAggCheckpoint(rec *aggRecovery, gov *exchange.Governor) (*engine.MergeCheckpoint, error) {
-	if rec.ckpt == nil {
+	ck := rec.ckpt
+	switch {
+	case ck == nil:
 		return nil, nil
-	}
-	if rec.slots != nil {
-		ck := &engine.MergeCheckpoint{Cut: rec.ckpt.Cut, Subs: make([]engine.SubMapSnapshot, len(rec.slots))}
+	case rec.slots != nil:
 		for i, slot := range rec.slots {
 			b, err := gov.LoadSnapshot(slot)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: restoring spilled consumer checkpoint: %w", err)
 			}
-			ck.Subs[i] = engine.SubMapSnapshot{PageSize: rec.ckpt.Subs[i].PageSize, Data: b}
+			ck.Subs[i].Data = b
 		}
-		return ck, nil
-	}
-	if rec.diskSet == "" {
-		return rec.ckpt, nil
-	}
-	pages, err := e.store.Pages(checkpointDb, rec.diskSet)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: restoring consumer checkpoint: %w", err)
-	}
-	if len(pages) != len(rec.ckpt.Subs) {
-		return nil, fmt.Errorf("cluster: checkpoint holds %d snapshot pages, want %d",
-			len(pages), len(rec.ckpt.Subs))
-	}
-	ck := &engine.MergeCheckpoint{Cut: rec.ckpt.Cut, Subs: make([]engine.SubMapSnapshot, len(pages))}
-	for i, pg := range pages {
-		ck.Subs[i] = engine.SubMapSnapshot{
-			PageSize: rec.ckpt.Subs[i].PageSize,
-			Data:     append([]byte(nil), pg.Bytes()...),
+	case rec.diskSet != "":
+		pages, err := e.store.Pages(checkpointDb, rec.diskSet)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: restoring consumer checkpoint: %w", err)
+		}
+		if len(pages) != len(ck.Subs) {
+			return nil, fmt.Errorf("cluster: checkpoint holds %d snapshot pages, want %d",
+				len(pages), len(ck.Subs))
+		}
+		for i, pg := range pages {
+			ck.Subs[i].Data = pg.Bytes()
 		}
 	}
 	return ck, nil

@@ -463,28 +463,12 @@ func (e *workerEnv) consumeAggStream(res *core.CompileResult, stage *physical.Jo
 	var ckptr *engine.MergeCheckpointer
 	cut := 0
 	if interval > 0 {
-		if rec.ckpt == nil && e.store.Dir() != "" && !e.loadAggResume(rec) {
-			e.dropAggCheckpoint(rec, gov)
-		}
-		resume, err := e.loadAggCheckpoint(rec, gov)
-		if err != nil {
+		var err error
+		if ckptr, err = e.aggCheckpointer(rec, gov, interval, end.ack); err != nil {
 			return nil, err
 		}
-		if resume != nil {
-			cut = resume.Cut
-		}
-		ckptr = &engine.MergeCheckpointer{
-			Interval: interval,
-			Resume:   resume,
-			Save: func(ck *engine.MergeCheckpoint) error {
-				if err := e.persistAggCheckpoint(rec, ck, gov); err != nil {
-					return err
-				}
-				if e.afterSave != nil {
-					e.afterSave()
-				}
-				return end.ack(ck.Cut)
-			},
+		if ckptr.Resume != nil {
+			cut = ckptr.Resume.Cut
 		}
 	}
 	if err := end.hello(cut); err != nil {
@@ -515,4 +499,34 @@ func (e *workerEnv) consumeAggStream(res *core.CompileResult, stage *physical.Jo
 		e.pool.Put(pg)
 	}
 	return out, nil
+}
+
+// aggCheckpointer is a replayable merge's checkpointer over rec: it resumes
+// from rec's installed cut if any — rec's own, or on a disk-backed worker
+// the durable cut a dead process left for this very job (resume.go) — has
+// the merge write its cuts into rec's generations, and installs each one
+// (persistAggCheckpoint) before ack acknowledges it.
+func (e *workerEnv) aggCheckpointer(rec *aggRecovery, gov *exchange.Governor, interval int,
+	ack func(cut int) error) (*engine.MergeCheckpointer, error) {
+	if rec.ckpt == nil && e.store.Dir() != "" && !e.loadAggResume(rec) {
+		e.dropAggCheckpoint(rec, gov)
+	}
+	resume, err := e.loadAggCheckpoint(rec, gov)
+	if err != nil {
+		return nil, err
+	}
+	return &engine.MergeCheckpointer{
+		Interval: interval,
+		Resume:   resume,
+		Gens:     &rec.gens,
+		Save: func(ck *engine.MergeCheckpoint) error {
+			if err := e.persistAggCheckpoint(rec, ck, gov); err != nil {
+				return err
+			}
+			if e.afterSave != nil {
+				e.afterSave()
+			}
+			return ack(ck.Cut)
+		},
+	}, nil
 }

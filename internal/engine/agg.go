@@ -344,13 +344,15 @@ func (m *subMerger) regrowSlots(na *object.Allocator, nm object.OMap) error {
 	return nil
 }
 
-// snapshot captures the merger's complete state: the sub-map page's
-// occupied prefix plus its full size (so a restore faults — and grows — at
-// exactly the same points the uncrashed merger would).
-func (m *subMerger) snapshot() SubMapSnapshot {
+// snapshot captures the merger's complete state into buf's storage: the
+// sub-map page's occupied prefix plus its full size (so a restore faults —
+// and grows — at exactly the same points the uncrashed merger would). buf's
+// capacity is reused and grown by append, so once the prefix stops
+// outgrowing it a cut allocates nothing.
+func (m *subMerger) snapshot(buf []byte) SubMapSnapshot {
 	return SubMapSnapshot{
 		PageSize: len(m.pg.Data),
-		Data:     append([]byte(nil), m.pg.Bytes()...),
+		Data:     append(buf[:0], m.pg.Bytes()...),
 	}
 }
 
@@ -406,10 +408,51 @@ type MergeCheckpoint struct {
 // must feed a page stream starting at Resume.Cut (an exchange rewound to
 // the cut), and the resumed merge is bit-for-bit identical to a crash-free
 // run.
+//
+// A cut copies each sub-map page once, into one of two generations (Gens)
+// that alternate: cut K+1 is written into the buffers of cut K−1, reusing
+// their capacity, while cut K stays intact as the recovery point until
+// Save installs its successor. Save's contract follows: the bytes of a cut
+// are reused two cuts later, so a caller that keeps a cut longer copies it.
 type MergeCheckpointer struct {
 	Interval int
 	Resume   *MergeCheckpoint
 	Save     func(ck *MergeCheckpoint) error
+
+	// Gens are the two generations cuts are written into. The caller's
+	// recovery record owns them, so they outlive a crashed merge: when
+	// Resume is one of them, the restored merge writes its first cut into
+	// the other. Nil gives the merge a pair of its own.
+	Gens *[2]MergeCheckpoint
+}
+
+// cutter returns the cut callback of a merge over mergers: it snapshots
+// every merger into the generation the installed cut does not occupy and
+// hands it to Save; a failed Save leaves the installed cut where it was.
+func (c *MergeCheckpointer) cutter(mergers []*subMerger) func(delivered int, final bool) error {
+	gens := c.Gens
+	if gens == nil {
+		gens = new([2]MergeCheckpoint)
+	}
+	g := 0
+	if c.Resume == &gens[0] {
+		g = 1
+	}
+	return func(delivered int, _ bool) error {
+		ck := &gens[g]
+		ck.Cut = delivered
+		if len(ck.Subs) != len(mergers) {
+			ck.Subs = make([]SubMapSnapshot, len(mergers))
+		}
+		for t, m := range mergers {
+			ck.Subs[t] = m.snapshot(ck.Subs[t].Data)
+		}
+		if err := c.Save(ck); err != nil {
+			return err
+		}
+		g = 1 - g
+		return nil
+	}
 }
 
 // MergeAggMapsStream implements the consuming stage of distributed
@@ -452,13 +495,7 @@ func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, e
 		policy, interval, release = object.PolicyNoReuse, ckpt.Interval, nil
 		// The final cut matters here too: it is the recovery point for
 		// crashes in the user Finalize code downstream.
-		cut = func(delivered int, _ bool) error {
-			ck := &MergeCheckpoint{Cut: delivered, Subs: make([]SubMapSnapshot, len(mergers))}
-			for t, m := range mergers {
-				ck.Subs[t] = m.snapshot()
-			}
-			return ckpt.Save(ck)
-		}
+		cut = ckpt.cutter(mergers)
 	}
 	if ckpt != nil && ckpt.Resume != nil {
 		if len(ckpt.Resume.Subs) != threads {

@@ -156,7 +156,7 @@ func pinStringAgg(t *testing.T, specName string, threads int) string {
 			}
 			finals, pages, err := MergeAggMapsStream(reg, next, part, parts, spec, 1<<11, nil, threads, nil,
 				&MergeCheckpointer{Interval: 2, Resume: resume, Save: func(ck *MergeCheckpoint) error {
-					last = ck
+					last = cloneCheckpoint(ck)
 					return nil
 				}})
 			return finals, pages, last, err

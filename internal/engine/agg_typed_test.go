@@ -135,7 +135,7 @@ func (c aggDiff) run(t testing.TB) (Stats, map[int64]uint64, [2]bool) {
 			merge := func(spec *AggSpec, pages []*object.Page) ([]*object.Page, []SubMapSnapshot, error) {
 				var snaps []SubMapSnapshot
 				ckpt := &MergeCheckpointer{Interval: 2, Save: func(ck *MergeCheckpoint) error {
-					snaps = append(snaps, ck.Subs...)
+					snaps = append(snaps, cloneCheckpoint(ck).Subs...)
 					return nil
 				}}
 				_, finals, err := MergeAggMapsStream(reg, SliceSource(pages), part, c.parts, spec, mergePage, nil, threads, nil, ckpt)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/object"
+	"repro/internal/race"
 )
 
 // intPages builds n tiny pages tagged 0..n-1 through the shared test
@@ -276,7 +278,7 @@ func TestMergeAggMapsStreamCheckpointResume(t *testing.T) {
 		refFinals, refPages, err := MergeAggMapsStream(reg, SliceSource(pages), 0, 1,
 			spec, 1<<10, nil, threads, nil,
 			&MergeCheckpointer{Interval: interval, Save: func(ck *MergeCheckpoint) error {
-				checkpoints = append(checkpoints, ck)
+				checkpoints = append(checkpoints, cloneCheckpoint(ck))
 				return nil
 			}})
 		if err != nil {
@@ -313,5 +315,170 @@ func TestMergeAggMapsStreamCheckpointResume(t *testing.T) {
 		if !reflect.DeepEqual(mergedRows(t, gotFinals), mergedRows(t, refFinals)) {
 			t.Errorf("crash@%d: resumed merge contents differ", crashAfter)
 		}
+	}
+}
+
+// cloneCheckpoint copies a cut out of the merge's generations, whose
+// buffers the cut after next overwrites.
+func cloneCheckpoint(ck *MergeCheckpoint) *MergeCheckpoint {
+	c := &MergeCheckpoint{Cut: ck.Cut, Subs: make([]SubMapSnapshot, len(ck.Subs))}
+	for i, s := range ck.Subs {
+		c.Subs[i] = SubMapSnapshot{PageSize: s.PageSize, Data: bytes.Clone(s.Data)}
+	}
+	return c
+}
+
+// sameCheckpoint fails unless got is want: the same cut and the same bytes.
+func sameCheckpoint(t *testing.T, what string, got, want *MergeCheckpoint) {
+	t.Helper()
+	if got == nil {
+		t.Fatalf("%s: no cut installed, want cut %d", what, want.Cut)
+	}
+	if got.Cut != want.Cut || len(got.Subs) != len(want.Subs) {
+		t.Fatalf("%s: installed cut %d with %d sub-maps, want cut %d with %d", what, got.Cut, len(got.Subs), want.Cut, len(want.Subs))
+	}
+	for i, s := range got.Subs {
+		if s.PageSize != want.Subs[i].PageSize || !bytes.Equal(s.Data, want.Subs[i].Data) {
+			t.Fatalf("%s: sub-map %d of cut %d holds other bytes than the cut saved", what, i, want.Cut)
+		}
+	}
+}
+
+// stableMerge is a typed int64 sum whose pre-aggregated pages all carry the
+// same keys, merged onto pages large enough never to grow: after the first
+// page the sub-maps' occupied prefixes stop changing, so every cut past the
+// first two lands in a buffer that already fits it.
+type stableMerge struct {
+	reg   *object.Registry
+	spec  *AggSpec
+	pages []*object.Page
+}
+
+const stableMergePage = 1 << 14
+
+func newStableMerge(t *testing.T, n int) *stableMerge {
+	t.Helper()
+	s := &stableMerge{reg: object.NewRegistry(),
+		spec: &AggSpec{KeyKind: object.KInt64, ValKind: object.KInt64, Fold: object.FoldSum}}
+	const keys = 100
+	for i := 0; i < n; i++ {
+		sink, err := NewAggSink(s.reg, 1<<14, 1, s.spec, "key", "val", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, v := make(I64Col, keys), make(I64Col, keys)
+		for j := range k {
+			k[j], v[j] = int64(j*7919), int64(i*keys+j)
+		}
+		if err := sink.Consume(nil, &VectorList{Names: []string{"key", "val"}, Cols: []Column{k, v}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		s.pages = append(s.pages, sink.Pages()...)
+	}
+	return s
+}
+
+// run merges the stream from ckpt's resume cut on two threads.
+func (s *stableMerge) run(ckpt *MergeCheckpointer) ([]*object.Page, error) {
+	from := 0
+	if ckpt.Resume != nil {
+		from = ckpt.Resume.Cut
+	}
+	_, pages, err := MergeAggMapsStream(s.reg, SliceSource(s.pages[from:]), 0, 1, s.spec,
+		stableMergePage, nil, 2, nil, ckpt)
+	return pages, err
+}
+
+// TestMergeResumesFromEveryInstalledCut crashes the merge's Save at every
+// cut in turn, with the cuts written into one pair of generations the way
+// a recovery record keeps them. The cut installed before the crash must
+// still hold its own number and bytes, although the crashed cut was
+// written after it; a merge resumed from it and crashed again at its own
+// first cut must leave it intact too; and a third life from it must end on
+// the uncrashed run's sub-map pages. One buffer for every cut fails this:
+// the crashed cut overwrites the installed one.
+func TestMergeResumesFromEveryInstalledCut(t *testing.T) {
+	const interval = 2
+	s := newStableMerge(t, 12)
+	var cuts []*MergeCheckpoint
+	clean, err := s.run(&MergeCheckpointer{Interval: interval, Save: func(ck *MergeCheckpoint) error {
+		cuts = append(cuts, cloneCheckpoint(ck))
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pg := range clean {
+		if len(pg.Data) != stableMergePage {
+			t.Fatalf("sub-map %d grew to %d bytes; the test wants buffers that are really reused", i, len(pg.Data))
+		}
+	}
+	errCrash := errors.New("crash in Save")
+	for c := 1; c < len(cuts); c++ {
+		var gens [2]MergeCheckpoint
+		var installed *MergeCheckpoint
+		// saves installs cuts until the crash-th, where it fails.
+		saves := func(crash int) func(*MergeCheckpoint) error {
+			n := 0
+			return func(ck *MergeCheckpoint) error {
+				if n == crash {
+					return errCrash
+				}
+				n++
+				installed = ck
+				return nil
+			}
+		}
+		what := fmt.Sprintf("crash at cut %d", cuts[c].Cut)
+		if _, err := s.run(&MergeCheckpointer{Interval: interval, Gens: &gens, Save: saves(c)}); !errors.Is(err, errCrash) {
+			t.Fatalf("%s: merge returned %v", what, err)
+		}
+		sameCheckpoint(t, what, installed, cuts[c-1])
+		resume := installed
+		if _, err := s.run(&MergeCheckpointer{Interval: interval, Resume: resume, Gens: &gens, Save: saves(0)}); !errors.Is(err, errCrash) {
+			t.Fatalf("%s, resumed: merge returned %v", what, err)
+		}
+		sameCheckpoint(t, what+", then at the resumed merge's first cut", installed, cuts[c-1])
+		got, err := s.run(&MergeCheckpointer{Interval: interval, Resume: resume, Gens: &gens, Save: saves(-1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range clean {
+			if !bytes.Equal(got[i].Bytes(), clean[i].Bytes()) {
+				t.Fatalf("%s: sub-map %d differs from the uncrashed run after the resume", what, i)
+			}
+		}
+	}
+}
+
+// TestMergeCutAllocatesNothing is the guard on the generations: once the
+// sub-map pages have stopped growing, a cut copies into buffers it already
+// owns, so the cuts after the first few allocate no byte.
+func TestMergeCutAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const interval, warm = 2, 3
+	s := newStableMerge(t, 24)
+	var first, last runtime.MemStats
+	cuts := 0
+	if _, err := s.run(&MergeCheckpointer{Interval: interval, Save: func(*MergeCheckpoint) error {
+		cuts++
+		switch {
+		case cuts == warm:
+			runtime.ReadMemStats(&first)
+		case cuts > warm:
+			runtime.ReadMemStats(&last)
+		}
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if cuts < warm+5 {
+		t.Fatalf("%d cuts; the guard wants several past the first %d", cuts, warm)
+	}
+	if n := last.TotalAlloc - first.TotalAlloc; n != 0 {
+		t.Errorf("cuts %d..%d of a merge whose pages stopped growing allocated %d bytes (%d objects), want 0",
+			warm+1, cuts, n, last.Mallocs-first.Mallocs)
 	}
 }

@@ -133,9 +133,12 @@
 // recovery: given a cut hook it quiesces every consumer thread at interval
 // cuts — and once more at stream end — so the caller can snapshot a
 // mutually consistent merge state (MergeCheckpointer snapshots sub-map
-// pages byte-for-byte; the join build clones its tables) and a re-forked
-// consumer can restore it and replay only the stream's suffix, reproducing
-// the crash-free output exactly. With the hook nil — recovery disabled —
+// pages byte-for-byte, alternating between two generations of buffers the
+// caller owns, so the cut being written never touches the installed one
+// and a merge whose pages stopped growing cuts without allocating; the
+// join build clones its tables) and a re-forked consumer can restore it and
+// replay only the stream's suffix, reproducing the crash-free output
+// exactly. With the hook nil — recovery disabled —
 // the same dispatch runs with no barriers and no epilogue, and a release
 // hook recycles each page after its last consumer.
 //

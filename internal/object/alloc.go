@@ -163,7 +163,6 @@ func (a *Allocator) Alloc(payloadSize, typeCode uint32, op ObjectPolicy) (uint32
 	// page's body, may hold stale bytes.
 	clear(d[off : off+size])
 	a.Page.setActiveObjects(a.Page.ActiveObjects() + 1)
-	a.Page.Dirty = true
 	a.Stats.Allocs++
 	a.Stats.BytesAllocated += uint64(total)
 	return off, nil

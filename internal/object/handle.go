@@ -61,7 +61,6 @@ func WriteHandleSlot(a *Allocator, p *Page, slotOff uint32, target Ref) error {
 		target.Retain()
 	}
 	old.Release()
-	p.Dirty = true
 	return nil
 }
 
@@ -91,7 +90,6 @@ func GetF64(r Ref, f *Field) float64 {
 // SetF64 writes a float64 field.
 func SetF64(r Ref, f *Field, v float64) {
 	binary.LittleEndian.PutUint64(r.Page.Data[r.Off+f.Off:r.Off+f.Off+8], float64bits(v))
-	r.Page.Dirty = true
 }
 
 // GetI32 reads an int32 field.
@@ -102,7 +100,6 @@ func GetI32(r Ref, f *Field) int32 {
 // SetI32 writes an int32 field.
 func SetI32(r Ref, f *Field, v int32) {
 	binary.LittleEndian.PutUint32(r.Page.Data[r.Off+f.Off:r.Off+f.Off+4], uint32(v))
-	r.Page.Dirty = true
 }
 
 // GetI64 reads an int64 field.
@@ -113,7 +110,6 @@ func GetI64(r Ref, f *Field) int64 {
 // SetI64 writes an int64 field.
 func SetI64(r Ref, f *Field, v int64) {
 	binary.LittleEndian.PutUint64(r.Page.Data[r.Off+f.Off:r.Off+f.Off+8], uint64(v))
-	r.Page.Dirty = true
 }
 
 // GetBool reads a bool field.
@@ -126,7 +122,6 @@ func SetBool(r Ref, f *Field, v bool) {
 	} else {
 		r.Page.Data[r.Off+f.Off] = 0
 	}
-	r.Page.Dirty = true
 }
 
 // GetHandleField resolves a handle (or string) field to its target.

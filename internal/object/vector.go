@@ -219,7 +219,6 @@ func (v Vector) Set(a *Allocator, i int, val Value) error {
 	default:
 		return fmt.Errorf("object: vector of invalid kind")
 	}
-	v.Page.Dirty = true
 	return nil
 }
 
@@ -261,7 +260,6 @@ func (v Vector) HandleAt(i int) Ref { return ReadHandleSlot(v.Page, v.elemOff(i)
 // SetF64 writes float64 element i without bounds allocation overhead.
 func (v Vector) SetF64(i int, f float64) {
 	binary.LittleEndian.PutUint64(v.Page.Data[v.elemOff(i):], float64bits(f))
-	v.Page.Dirty = true
 }
 
 // F64Span is a resolved view over a float64 vector's storage: the handle
@@ -336,7 +334,6 @@ func (v Vector) AppendF64Span(a *Allocator, s F64Span) error {
 		copy(v.Page.Data[v.dataRef().Off+uint32(n)*8:], s.d[s.base:s.base+uint32(s.n)*8])
 	}
 	v.setLen(n + s.n)
-	v.Page.Dirty = true
 	return nil
 }
 
@@ -352,6 +349,5 @@ func (v Vector) AppendFloat64s(a *Allocator, xs []float64) error {
 		binary.LittleEndian.PutUint64(d[base+uint32(i)*8:], float64bits(x))
 	}
 	v.setLen(n + len(xs))
-	v.Page.Dirty = true
 	return nil
 }

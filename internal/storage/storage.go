@@ -137,8 +137,10 @@ func (s *Server) CreateSet(db, set string) error {
 	return nil
 }
 
-// Append stores pages into a set (creating it if needed). In disk mode each
-// page's occupied prefix is written to its own file.
+// Append stores pages into a set (creating it if needed), un-managing each.
+// In disk mode each page's occupied prefix is written to its own file and
+// the server keeps no reference to the page, so the caller may reuse its
+// bytes once Append returns; memory mode keeps the pages themselves.
 func (s *Server) Append(db, set string, pages []*object.Page) error {
 	if err := s.CreateSet(db, set); err != nil {
 		return err
