@@ -90,7 +90,7 @@ func TestFamiliesRebuildFromPrintedTCAP(t *testing.T) {
 		// Run the rebuilt program over rows stored with the far registry.
 		rec := far.LookupName("Rec")
 		page := object.NewPage(1<<14, far)
-		a := object.NewAllocator(page, object.PolicyLightweightReuse)
+		a := object.NewAllocator(page)
 		root, err := object.MakeVector(a, object.KHandle, 0)
 		if err != nil {
 			t.Fatal(err)

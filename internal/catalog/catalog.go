@@ -61,7 +61,6 @@ type Master struct {
 // MasterStats counts catalog traffic (tests assert the fetch protocol runs).
 type MasterStats struct {
 	TypeFetches int // "ship the .so" requests served
-	SetLookups  int
 }
 
 // NewMaster creates an empty master catalog with its own authoritative type
@@ -208,7 +207,6 @@ func (m *Master) Databases() []string {
 // LookupSet resolves set metadata.
 func (m *Master) LookupSet(db, set string) (*SetMeta, error) {
 	m.mu.Lock()
-	m.stats.SetLookups++
 	sm := m.sets[db+"."+set]
 	m.mu.Unlock()
 	if sm == nil {

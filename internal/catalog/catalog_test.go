@@ -105,7 +105,7 @@ func TestLocalCatalogDispatchesShippedObjects(t *testing.T) {
 	}
 
 	p := object.NewPage(4096, reg)
-	a := object.NewAllocator(p, object.PolicyLightweightReuse)
+	a := object.NewAllocator(p)
 	e, err := a.MakeObject(ti)
 	if err != nil {
 		t.Fatal(err)

@@ -243,7 +243,7 @@ func TestDistributedBroadcastJoin(t *testing.T) {
 	}
 	reg := c.Catalog.Registry()
 	p := object.NewPage(1<<16, reg)
-	a := object.NewAllocator(p, object.PolicyLightweightReuse)
+	a := object.NewAllocator(p)
 	root, _ := object.MakeVector(a, object.KHandle, 0)
 	root.Retain()
 	p.SetRoot(root.Off)
@@ -388,7 +388,7 @@ func TestDiskBackedWorkers(t *testing.T) {
 	_ = c.CreateSet("db", "emps", "Emp")
 
 	p := object.NewPage(1<<16, reg)
-	a := object.NewAllocator(p, object.PolicyLightweightReuse)
+	a := object.NewAllocator(p)
 	root, _ := object.MakeVector(a, object.KHandle, 0)
 	root.Retain()
 	p.SetRoot(root.Off)

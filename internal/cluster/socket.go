@@ -38,7 +38,6 @@ type SocketTransport struct {
 	mu      sync.Mutex
 	closed  bool
 	conns   []net.Conn // idle dialed connections (client side)
-	dialed  int        // all connections ever dialed, for leak accounting
 	regs    map[*object.Registry]uint32
 	regList []*object.Registry
 	nextReq uint32
@@ -127,7 +126,6 @@ func (t *SocketTransport) acquireConn() (net.Conn, error) {
 		t.mu.Unlock()
 		return c, nil
 	}
-	t.dialed++
 	t.mu.Unlock()
 	return net.Dial(t.ln.Addr().Network(), t.ln.Addr().String())
 }

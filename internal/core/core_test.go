@@ -52,7 +52,7 @@ func loadSet(t testing.TB, store *MemStore, reg *object.Registry, db, set string
 	const pageSize = 1 << 16
 	newPage := func() (*object.Page, *object.Allocator, object.Vector) {
 		p := object.NewPage(pageSize, reg)
-		a := object.NewAllocator(p, object.PolicyLightweightReuse)
+		a := object.NewAllocator(p)
 		root, err := object.MakeVector(a, object.KHandle, 0)
 		if err != nil {
 			t.Fatal(err)

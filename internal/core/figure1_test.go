@@ -28,7 +28,7 @@ func TestFigure1Pipeline(t *testing.T) {
 	sup := object.NewStruct("Sup").AddField("dept", object.KString).MustBuild(reg)
 
 	p := object.NewPage(1<<16, reg)
-	a := object.NewAllocator(p, object.PolicyLightweightReuse)
+	a := object.NewAllocator(p)
 	mk := func(ti *object.TypeInfo, field, val string) object.Ref {
 		r, err := a.MakeObject(ti)
 		if err != nil {
@@ -61,7 +61,7 @@ Flt_1(dep,emp,sup) <= FILTER(WBl_1(bl), WBl_1(dep,emp,sup), 'Join_2212', []);
 	stages.Register("Join_2212", "method_call_2", methodKernel("getDeptName"))
 	stages.Register("Join_2212", "==_3", binaryKernel(lambda.OpEq))
 
-	out, err := engine.NewOutputPageSet(reg, 1<<16, object.PolicyLightweightReuse, nil, nil, nil)
+	out, err := engine.NewOutputPageSet(reg, 1<<16, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,21 +134,18 @@ func updateAggEntry(m object.OMap, a *object.Allocator, key, val object.Value,
 // overflow grows the map in place: the entries are rehashed onto a
 // double-size page and the faulted update retries.
 //
-// A recoverable subMerger (one owned by a checkpointing merge) allocates
-// with PolicyNoReuse so its whole state is the page bytes plus the on-page
-// watermark — no in-memory freelists. That makes a byte snapshot of the
-// page a complete checkpoint: a merger restored from the snapshot replays
-// the remaining stream into bit-for-bit the same final page a crash-free
-// run produces, which is the invariant consumer-side crash recovery
-// (MergeCheckpointer) is built on. Non-recoverable merges keep
-// PolicyLightweightReuse and its tighter pages.
+// The sub-map page is a region (object.Allocator), so the merger's whole
+// state is the page bytes plus the on-page watermark. That makes a byte
+// snapshot of the page a complete checkpoint: a merger restored from the
+// snapshot replays the remaining stream into bit-for-bit the same final page
+// a crash-free run produces, which is the invariant consumer-side crash
+// recovery (MergeCheckpointer) is built on.
 type subMerger struct {
 	reg              *object.Registry
 	spec             *AggSpec
 	part, partitions int
 	sub, subs        int
 	pool             *object.PagePool
-	policy           object.Policy
 	combine          CombineFn
 
 	pg    *object.Page
@@ -170,13 +167,13 @@ func (m *subMerger) bind(pg *object.Page, a *object.Allocator, final object.OMap
 }
 
 func newSubMerger(reg *object.Registry, part, partitions int, spec *AggSpec,
-	pageSize int, pool *object.PagePool, sub, subs int, policy object.Policy) (*subMerger, error) {
+	pageSize int, pool *object.PagePool, sub, subs int) (*subMerger, error) {
 	combine, err := spec.Combiner()
 	if err != nil {
 		return nil, err
 	}
 	m := &subMerger{reg: reg, spec: spec, part: part, partitions: partitions,
-		sub: sub, subs: subs, pool: pool, policy: policy, combine: combine}
+		sub: sub, subs: subs, pool: pool, combine: combine}
 	for {
 		var pg *object.Page
 		if pool != nil && pool.Size == pageSize {
@@ -184,7 +181,7 @@ func newSubMerger(reg *object.Registry, part, partitions int, spec *AggSpec,
 		} else {
 			pg = object.NewPage(pageSize, reg)
 		}
-		a := object.NewAllocator(pg, m.policy)
+		a := object.NewAllocator(pg)
 		final, err := object.MakeMap(a, spec.KeyKind, spec.ValKind, 64)
 		if errors.Is(err, object.ErrPageFull) {
 			// The configured page cannot hold even an empty map; start
@@ -294,7 +291,7 @@ func (m *subMerger) grow() error {
 			return fmt.Errorf("engine: aggregation sub-partition exceeds 1GiB: %w", object.ErrPageFull)
 		}
 		npg := object.NewPage(size, m.reg)
-		na := object.NewAllocator(npg, m.policy)
+		na := object.NewAllocator(npg)
 		nm, err := object.MakeMap(na, m.spec.KeyKind, m.spec.ValKind, 64)
 		if err != nil {
 			return err
@@ -377,8 +374,8 @@ func restoreSubMerger(reg *object.Registry, part, partitions int, spec *AggSpec,
 		return nil, err
 	}
 	m := &subMerger{reg: reg, spec: spec, part: part, partitions: partitions,
-		sub: sub, subs: subs, pool: pool, policy: object.PolicyNoReuse, combine: combine}
-	m.bind(pg, object.NewAllocator(pg, object.PolicyNoReuse), object.AsMap(object.Ref{Page: pg, Off: pg.Root()}))
+		sub: sub, subs: subs, pool: pool, combine: combine}
+	m.bind(pg, object.NewAllocator(pg), object.AsMap(object.Ref{Page: pg, Off: pg.Root()}))
 	return m, nil
 }
 
@@ -486,13 +483,9 @@ func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, e
 	}
 	mergers := make([]*subMerger, threads)
 	start, interval := 0, 0
-	// Recoverable mergers allocate no-reuse so their page bytes are their
-	// complete state (snapshot invariant); without a checkpointer the merge
-	// keeps the tighter reuse policy.
-	policy := object.PolicyLightweightReuse
 	var cut func(delivered int, final bool) error
 	if ckpt != nil {
-		policy, interval, release = object.PolicyNoReuse, ckpt.Interval, nil
+		interval, release = ckpt.Interval, nil
 		// The final cut matters here too: it is the recovery point for
 		// crashes in the user Finalize code downstream.
 		cut = ckpt.cutter(mergers)
@@ -512,7 +505,7 @@ func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, e
 		}
 	} else {
 		for t := range mergers {
-			m, err := newSubMerger(reg, part, partitions, spec, pageSize, pool, t, threads, policy)
+			m, err := newSubMerger(reg, part, partitions, spec, pageSize, pool, t, threads)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -200,7 +200,7 @@ func TestUpdateAggEntryMatchesGetPut(t *testing.T) {
 	reg := object.NewRegistry()
 	mk := func() (object.OMap, *object.Allocator) {
 		pg := object.NewPage(1<<14, reg)
-		a := object.NewAllocator(pg, object.PolicyNoReuse)
+		a := object.NewAllocator(pg)
 		m, err := object.MakeMap(a, object.KString, object.KFloat64, 8)
 		if err != nil {
 			t.Fatal(err)

@@ -125,7 +125,7 @@ func (c aggDiff) run(t testing.TB) (Stats, map[int64]uint64, [2]bool) {
 	// A sub-merger starts on the merge page size, doubled until an empty
 	// map fits; a final page larger than that was grown.
 	const mergePage = 1 << 9
-	first, err := newSubMerger(reg, 0, c.parts, typed, mergePage, nil, 0, 1, object.PolicyNoReuse)
+	first, err := newSubMerger(reg, 0, c.parts, typed, mergePage, nil, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func intPages(t *testing.T, reg *object.Registry, n int) []*object.Page {
 	pages := make([]*object.Page, n)
 	for i := range pages {
 		p := object.NewPage(1<<12, reg)
-		a := object.NewAllocator(p, object.PolicyLightweightReuse)
+		a := object.NewAllocator(p)
 		root, err := object.MakeVector(a, object.KHandle, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -280,9 +280,6 @@ type OutputPageSet struct {
 	// InitRoot prepares a fresh live page's root container.
 	InitRoot func(a *object.Allocator, p *object.Page) error
 
-	// Policy is the allocator reuse policy for output pages.
-	Policy object.Policy
-
 	// Pool, when set, recycles pages instead of allocating fresh zeroed
 	// blocks (the buffer-pool recycling of paper §3).
 	Pool *object.PagePool
@@ -304,9 +301,9 @@ type OutputPageSet struct {
 }
 
 // NewOutputPageSet creates a page set and initializes the first live page.
-func NewOutputPageSet(reg *object.Registry, pageSize int, policy object.Policy,
+func NewOutputPageSet(reg *object.Registry, pageSize int,
 	initRoot func(*object.Allocator, *object.Page) error, pool *object.PagePool, stats *Stats) (*OutputPageSet, error) {
-	o := &OutputPageSet{Reg: reg, PageSize: pageSize, InitRoot: initRoot, Policy: policy, Pool: pool, stats: stats}
+	o := &OutputPageSet{Reg: reg, PageSize: pageSize, InitRoot: initRoot, Pool: pool, stats: stats}
 	if err := o.fresh(); err != nil {
 		return nil, err
 	}
@@ -319,7 +316,7 @@ func (o *OutputPageSet) fresh() error {
 	} else {
 		o.Live = object.NewPage(o.PageSize, o.Reg)
 	}
-	o.Alloc = object.NewAllocator(o.Live, o.Policy)
+	o.Alloc = object.NewAllocator(o.Live)
 	if o.InitRoot != nil {
 		return o.InitRoot(o.Alloc, o.Live)
 	}

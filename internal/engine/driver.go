@@ -39,7 +39,7 @@ func NewSinkCtx(sink Sink, reg *object.Registry, tables map[string]*JoinTable,
 	case *AggSink:
 		ctx.Out = s.Out
 	default:
-		ops, err := NewOutputPageSet(reg, pageSize, object.PolicyLightweightReuse, nil, pool, stats)
+		ops, err := NewOutputPageSet(reg, pageSize, nil, pool, stats)
 		if err != nil {
 			return nil, err
 		}

@@ -168,9 +168,9 @@ func TestExecHashRefColumn(t *testing.T) {
 		return r
 	}
 	p1 := object.NewPage(4096, reg)
-	a1 := object.NewAllocator(p1, object.PolicyLightweightReuse)
+	a1 := object.NewAllocator(p1)
 	p2 := object.NewPage(4096, reg)
-	a2 := object.NewAllocator(p2, object.PolicyLightweightReuse)
+	a2 := object.NewAllocator(p2)
 
 	s := &tcap.Stmt{
 		Op:      tcap.OpHash,
@@ -217,7 +217,7 @@ func TestExecHashRefColumn(t *testing.T) {
 func TestExecJoinProbeStmt(t *testing.T) {
 	reg := object.NewRegistry()
 	p := object.NewPage(4096, reg)
-	a := object.NewAllocator(p, object.PolicyLightweightReuse)
+	a := object.NewAllocator(p)
 	s1, _ := object.MakeString(a, "x")
 	s2, _ := object.MakeString(a, "y")
 
@@ -264,7 +264,7 @@ func TestKeySetOutlivesBuildPage(t *testing.T) {
 	reg := object.NewRegistry()
 	build := object.NewPage(1<<12, reg)
 	viewsOn := func(p *object.Page, ss ...string) StrCol {
-		a := object.NewAllocator(p, object.PolicyNoReuse)
+		a := object.NewAllocator(p)
 		col := make(StrCol, len(ss))
 		for i, s := range ss {
 			r, err := object.MakeString(a, s)
@@ -309,7 +309,7 @@ func TestKeySetOutlivesBuildPage(t *testing.T) {
 func TestExecFlattenStmt(t *testing.T) {
 	reg := object.NewRegistry()
 	p := object.NewPage(1<<16, reg)
-	a := object.NewAllocator(p, object.PolicyLightweightReuse)
+	a := object.NewAllocator(p)
 	mkVec := func(vals ...int64) object.Ref {
 		v, _ := object.MakeVector(a, object.KInt64, len(vals))
 		for _, x := range vals {
@@ -505,7 +505,7 @@ func TestScanPagesBatches(t *testing.T) {
 	reg := object.NewRegistry()
 	ti := object.NewStruct("T").AddField("x", object.KInt64).MustBuild(reg)
 	p := object.NewPage(1<<18, reg)
-	a := object.NewAllocator(p, object.PolicyLightweightReuse)
+	a := object.NewAllocator(p)
 	root, _ := object.MakeVector(a, object.KHandle, 0)
 	root.Retain()
 	p.SetRoot(root.Off)

@@ -53,7 +53,7 @@ func newFuseFixture(t testing.TB, n int) *fuseFixture {
 	const perPage = 64
 	for start := 0; start < n; start += perPage {
 		p := object.NewPage(1<<16, fx.reg)
-		a := object.NewAllocator(p, object.PolicyLightweightReuse)
+		a := object.NewAllocator(p)
 		root, err := object.MakeVector(a, object.KHandle, 0)
 		if err != nil {
 			t.Fatal(err)

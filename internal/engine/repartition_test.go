@@ -18,7 +18,7 @@ func TestRepartitionSinkRoutesByHash(t *testing.T) {
 
 	// Build 200 source objects and route them.
 	src := object.NewPage(1<<18, reg)
-	a := object.NewAllocator(src, object.PolicyLightweightReuse)
+	a := object.NewAllocator(src)
 	var refs RefCol
 	var hashes U64Col
 	for i := 0; i < 200; i++ {
@@ -73,7 +73,7 @@ func TestRepartitionSinkCopiesAreSelfContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := object.NewPage(1<<16, reg)
-	a := object.NewAllocator(src, object.PolicyLightweightReuse)
+	a := object.NewAllocator(src)
 	r, _ := a.MakeObject(ti)
 	_ = object.SetStrField(a, r, ti.Field("name"), "nested string payload")
 	vl := &VectorList{Names: []string{"obj", "h"}, Cols: []Column{RefCol{r}, U64Col{0}}}

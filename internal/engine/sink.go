@@ -47,7 +47,7 @@ type OutputSink struct {
 
 // NewOutputSink creates an output sink writing pages of the given size.
 func NewOutputSink(reg *object.Registry, pageSize int, pool *object.PagePool, stats *Stats) (*OutputSink, error) {
-	ops, err := NewOutputPageSet(reg, pageSize, object.PolicyLightweightReuse, initRootVector, pool, stats)
+	ops, err := NewOutputPageSet(reg, pageSize, initRootVector, pool, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +163,7 @@ func NewAggSink(reg *object.Registry, pageSize, partitions int, spec *AggSpec,
 	if spec.scalarSlots() {
 		s.fold = spec.Fold
 	}
-	ops, err := NewOutputPageSet(reg, pageSize, object.PolicyLightweightReuse,
+	ops, err := NewOutputPageSet(reg, pageSize,
 		func(a *object.Allocator, p *object.Page) error { return s.initMaps(a, p) }, pool, stats)
 	if err != nil {
 		return nil, err
@@ -453,7 +453,7 @@ type RepartitionSink struct {
 func NewRepartitionSink(reg *object.Registry, pageSize, partitions int, hashCol, objCol string, pool *object.PagePool, stats *Stats) (*RepartitionSink, error) {
 	s := &RepartitionSink{HashCol: hashCol, ObjCol: objCol}
 	for i := 0; i < partitions; i++ {
-		ops, err := NewOutputPageSet(reg, pageSize, object.PolicyLightweightReuse, initRootVector, pool, stats)
+		ops, err := NewOutputPageSet(reg, pageSize, initRootVector, pool, stats)
 		if err != nil {
 			return nil, err
 		}

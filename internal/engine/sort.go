@@ -269,7 +269,7 @@ type SortSink struct {
 // (root vector of SortRow handles) — the page shape SortSink emits and
 // SortMerger consumes.
 func NewRunPageSet(reg *object.Registry, pageSize int, pool *object.PagePool, stats *Stats) (*OutputPageSet, error) {
-	return NewOutputPageSet(reg, pageSize, object.PolicyLightweightReuse, initRootVector, pool, stats)
+	return NewOutputPageSet(reg, pageSize, initRootVector, pool, stats)
 }
 
 // NewSortSink creates a sort sink emitting runs of pageSize pages.

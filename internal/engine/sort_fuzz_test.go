@@ -164,7 +164,7 @@ func FuzzSortMergeEquivalence(f *testing.F) {
 			run  int
 		}
 		var rows []row
-		keyStrings := object.NewAllocator(object.NewPage(1<<14, nil), object.PolicyNoReuse)
+		keyStrings := object.NewAllocator(object.NewPage(1<<14, nil))
 	decode:
 		for len(data) > 0 && len(rows) < 200 {
 			h := data[0]

@@ -98,7 +98,7 @@ func sortTestKey(i int) int64 { return int64(uint32(i)*2654435761) % 1000 }
 // string — in both directions.
 func TestSortKeyAgreesAcrossStringForms(t *testing.T) {
 	reg := object.NewRegistry()
-	a := object.NewAllocator(object.NewPage(1<<12, reg), object.PolicyNoReuse)
+	a := object.NewAllocator(object.NewPage(1<<12, reg))
 	for _, s := range []string{"", "\x00", "a", "a\x00", "a\x00b", "ab", "a\xff", "\xff", "pliny"} {
 		r, err := object.MakeString(a, s)
 		if err != nil {

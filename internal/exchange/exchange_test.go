@@ -16,7 +16,7 @@ import (
 func testPage(t *testing.T, reg *object.Registry, ti *object.TypeInfo, id int64) *object.Page {
 	t.Helper()
 	p := object.NewPage(1<<12, reg)
-	a := object.NewAllocator(p, object.PolicyLightweightReuse)
+	a := object.NewAllocator(p)
 	root, err := object.MakeVector(a, object.KHandle, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func stringKeyedMap(t *testing.T, a *Allocator, n int) (m OMap, goKeys, pageKeys
 		t.Fatal(err)
 	}
 	m.Retain()
-	other := NewAllocator(NewPage(1<<20, a.Page.Reg), PolicyNoReuse)
+	other := NewAllocator(NewPage(1<<20, a.Page.Reg))
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("Customer#%06d", i)
 		if err := m.Put(a, StringValue(key), Int64Value(int64(i))); err != nil {
@@ -72,9 +72,7 @@ func TestOMapStringProbeAllocatesNothing(t *testing.T) {
 
 func TestOMapRehashAllocatesNothing(t *testing.T) {
 	skipUnderRace(t)
-	// No-reuse, so releasing the outgrown slot array does not grow a Go-side
-	// free list: what is counted is the rehash alone.
-	a := NewAllocator(NewPage(1<<22, NewRegistry()), PolicyNoReuse)
+	a := NewAllocator(NewPage(1<<22, NewRegistry()))
 	m, goKeys, _ := stringKeyedMap(t, a, 500)
 	allocs := testing.AllocsPerRun(5, func() {
 		if err := m.rehash(a, m.slots()*2); err != nil {
@@ -110,6 +108,42 @@ func TestOMapIterateStringKeysAllocatesNothing(t *testing.T) {
 	}
 	if keyBytes != 500*len("Customer#000000") || sum != 499*500/2 {
 		t.Errorf("Iterate saw %d key bytes and value sum %d", keyBytes, sum)
+	}
+}
+
+// TestReleaseAllocatesNothing: destroying an object on an active block only
+// runs its destructor and drops the page's live count; the space stays in the
+// region, so freeing keeps no Go-side record of it.
+func TestReleaseAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	const n = 10000
+	// AllocsPerRun calls the body twice; each call fills a fresh block.
+	reg := NewRegistry()
+	blocks := []*Allocator{NewAllocator(NewPage(1<<20, reg)), NewAllocator(NewPage(1<<20, reg))}
+	refs := make([]Ref, n)
+	run := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		a := blocks[run]
+		run++
+		for i := range refs {
+			off, err := a.Alloc(uint32(8+i%48), TCRaw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs[i] = Ref{Page: a.Page, Off: off}
+			refs[i].Retain()
+		}
+		for _, r := range refs {
+			r.Release()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("building and releasing %d objects allocated %v Go objects, want 0", n, allocs)
+	}
+	for _, a := range blocks {
+		if a.Page.ActiveObjects() != 0 {
+			t.Errorf("%d live objects after release, want 0", a.Page.ActiveObjects())
+		}
 	}
 }
 
@@ -168,8 +202,8 @@ func nestedCustomer(t *testing.T, a *Allocator) Ref {
 func TestDeepCopySteadyStateAllocations(t *testing.T) {
 	skipUnderRace(t)
 	reg := NewRegistry()
-	src := nestedCustomer(t, NewAllocator(NewPage(1<<16, reg), PolicyLightweightReuse))
-	dst := NewAllocator(NewPage(1<<22, reg), PolicyLightweightReuse)
+	src := nestedCustomer(t, NewAllocator(NewPage(1<<16, reg)))
+	dst := NewAllocator(NewPage(1<<22, reg))
 	first, err := DeepCopy(dst, src)
 	if err != nil {
 		t.Fatal(err)

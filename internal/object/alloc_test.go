@@ -7,7 +7,7 @@ import (
 
 func TestAllocBasics(t *testing.T) {
 	_, a := newTestPage(t, 4096)
-	off, err := a.Alloc(16, TCRaw, FullRefCount)
+	off, err := a.Alloc(16, TCRaw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestAllocPageFull(t *testing.T) {
 	_, a := newTestPage(t, 256)
 	var lastErr error
 	for i := 0; i < 100; i++ {
-		if _, lastErr = a.Alloc(64, TCRaw, FullRefCount); lastErr != nil {
+		if _, lastErr = a.Alloc(64, TCRaw); lastErr != nil {
 			break
 		}
 	}
@@ -37,46 +37,14 @@ func TestAllocPageFull(t *testing.T) {
 }
 
 // TestAllocZeroesRecycledSpace: Alloc zeroes a payload and its pad up to
-// the next multiple of 8 — and no byte past it — whether the space comes
-// off a freelist or from the body of a pooled page, which Reset does not
-// clear.
+// the next multiple of 8 — and no byte past it — on the body of a pooled
+// page, which Reset does not clear.
 func TestAllocZeroesRecycledSpace(t *testing.T) {
-	// zeroed checks the payload of a size-byte object at off and its pad,
-	// and that the byte after the pad — the next header — is still 0xFF.
-	zeroed := func(what string, d []byte, off, size uint32) {
-		t.Helper()
-		end := off + alignUp(size, 8)
-		for i := off; i < end; i++ {
-			if d[i] != 0 {
-				t.Fatalf("%s: byte %d of a %d-byte payload = %#x, want 0", what, i-off, size, d[i])
-			}
-		}
-		if d[end] != 0xFF {
-			t.Fatalf("%s: the byte past a %d-byte payload's pad was cleared", what, size)
-		}
-	}
-
-	// A freed chunk, payload and pad dirty, handed back by lightweight reuse.
-	p, a := newTestPage(t, 4096)
-	for _, size := range []uint32{32, 29} {
-		off, _ := a.Alloc(size, TCRaw, FullRefCount)
-		r := Ref{Page: p, Off: off}
-		for i := off; i < off+alignUp(size, 8)+1; i++ {
-			p.Data[i] = 0xFF
-		}
-		r.Retain()
-		r.Release() // freed -> freelist
-		off2, _ := a.Alloc(size, TCRaw, FullRefCount)
-		if off2 != off {
-			t.Fatalf("lightweight reuse should hand back the freed chunk (got %d, want %d)", off2, off)
-		}
-		zeroed("freelist", p.Data, off2, size)
-	}
-
 	// A pooled page whose body was all 0xFF when it went back to the pool.
 	// Under the race detector sync.Pool drops Puts at random, so the round
 	// trip repeats until a page comes back.
 	pool := NewPagePool(4096)
+	var p *Page
 	for i := 0; i < 64 && pool.Reuses() == 0; i++ {
 		p = pool.Get(NewRegistry())
 		for j := PageHeaderSize; j < len(p.Data); j++ {
@@ -88,103 +56,44 @@ func TestAllocZeroesRecycledSpace(t *testing.T) {
 	if pool.Reuses() == 0 {
 		t.Fatal("the pool never handed a page back")
 	}
-	a = NewAllocator(p, PolicyLightweightReuse)
+	a := NewAllocator(p)
 	for _, size := range []uint32{1, 3, 7, 8, 13, 20, 31} {
-		off, err := a.Alloc(size, TCRaw, FullRefCount)
+		off, err := a.Alloc(size, TCRaw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		zeroed("pooled page", p.Data, off, size)
+		end := off + alignUp(size, 8)
+		for i := off; i < end; i++ {
+			if p.Data[i] != 0 {
+				t.Fatalf("byte %d of a %d-byte payload = %#x, want 0", i-off, size, p.Data[i])
+			}
+		}
+		if p.Data[end] != 0xFF {
+			t.Fatalf("the byte past a %d-byte payload's pad was cleared", size)
+		}
 	}
 }
 
-func TestPolicyNoReuseNeverRecycles(t *testing.T) {
+// TestAllocatorIsARegion: every allocation bumps the watermark; a destroyed
+// object leaves the live count but its space is never handed out again.
+func TestAllocatorIsARegion(t *testing.T) {
 	p := NewPage(4096, NewRegistry())
-	a := NewAllocator(p, PolicyNoReuse)
-	off, _ := a.Alloc(32, TCRaw, FullRefCount)
+	a := NewAllocator(p)
+	off, _ := a.Alloc(32, TCRaw)
 	r := Ref{Page: p, Off: off}
 	r.Retain()
 	usedBefore := p.Used()
 	r.Release()
-	off2, _ := a.Alloc(32, TCRaw, FullRefCount)
-	if off2 == off {
-		t.Error("no-reuse policy must not reuse freed space")
+	if p.ActiveObjects() != 0 || p.Used() != usedBefore {
+		t.Fatalf("after Release: %d live objects, watermark %d; want 0 and %d unchanged",
+			p.ActiveObjects(), p.Used(), usedBefore)
+	}
+	off2, _ := a.Alloc(32, TCRaw)
+	if off2 <= off {
+		t.Errorf("allocation after a free landed at %d, want past the freed object at %d", off2, off)
 	}
 	if p.Used() <= usedBefore {
-		t.Error("no-reuse allocation should advance the watermark")
-	}
-}
-
-func TestPolicyRecyclingReusesSameType(t *testing.T) {
-	reg := NewRegistry()
-	ti := NewStruct("Recyclable").
-		AddField("x", KFloat64).
-		AddField("y", KInt64).
-		MustBuild(reg)
-	p := NewPage(4096, reg)
-	a := NewAllocator(p, PolicyRecycling)
-
-	r1, err := a.MakeObject(ti)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off1 := r1.Off
-	SetF64(r1, ti.Field("x"), 42)
-	r1.Retain()
-	r1.Release()
-
-	r2, err := a.MakeObject(ti)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Off != off1 {
-		t.Errorf("recycling should reuse the exact object slot: got %d, want %d", r2.Off, off1)
-	}
-	if a.Stats.RecycleHits != 1 {
-		t.Errorf("RecycleHits = %d, want 1", a.Stats.RecycleHits)
-	}
-	if GetF64(r2, ti.Field("x")) != 0 {
-		t.Error("recycled object payload must be zeroed")
-	}
-}
-
-func TestNoRefCountObjectPolicy(t *testing.T) {
-	reg := NewRegistry()
-	ti := NewStruct("Region").AddField("x", KInt64).MustBuild(reg)
-	p := NewPage(4096, reg)
-	a := NewAllocator(p, PolicyLightweightReuse)
-
-	r, err := a.MakeObjectPolicy(ti, NoRefCount)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.NoRefCount() {
-		t.Fatal("object should carry the no-refcount flag")
-	}
-	r.Retain()
-	r.Release()
-	r.Release()
-	if p.ActiveObjects() != 1 {
-		t.Error("no-refcount object must never be freed by Release")
-	}
-}
-
-func TestUniqueOwnershipFreesOnRelease(t *testing.T) {
-	reg := NewRegistry()
-	ti := NewStruct("Uniq").AddField("x", KInt64).MustBuild(reg)
-	p := NewPage(4096, reg)
-	a := NewAllocator(p, PolicyLightweightReuse)
-
-	r, err := a.MakeObjectPolicy(ti, UniqueOwnership)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.UniqueOwner() {
-		t.Fatal("object should carry unique-ownership flag")
-	}
-	r.Release()
-	if p.ActiveObjects() != 0 {
-		t.Error("unique-owner release must destroy the object")
+		t.Error("allocation should advance the watermark")
 	}
 }
 
@@ -195,7 +104,7 @@ func TestDestructorReleasesChildren(t *testing.T) {
 		AddField("data", KHandle).
 		MustBuild(reg)
 	p := NewPage(8192, reg)
-	a := NewAllocator(p, PolicyLightweightReuse)
+	a := NewAllocator(p)
 
 	h, err := a.MakeObject(ti)
 	if err != nil {
@@ -225,7 +134,7 @@ func TestDestructorReleasesChildren(t *testing.T) {
 
 func TestAllocatorDetachStopsReuse(t *testing.T) {
 	p, a := newTestPage(t, 4096)
-	off, _ := a.Alloc(32, TCRaw, FullRefCount)
+	off, _ := a.Alloc(32, TCRaw)
 	a.Detach()
 	r := Ref{Page: p, Off: off}
 	r.Retain()
@@ -238,7 +147,7 @@ func TestAllocatorDetachStopsReuse(t *testing.T) {
 func TestAllocAlignment(t *testing.T) {
 	_, a := newTestPage(t, 4096)
 	for _, sz := range []uint32{1, 3, 7, 8, 9, 31, 64} {
-		off, err := a.Alloc(sz, TCRaw, FullRefCount)
+		off, err := a.Alloc(sz, TCRaw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +163,7 @@ func TestAllocAlignment(t *testing.T) {
 func TestQuickAllocFreeInvariants(t *testing.T) {
 	f := func(ops []uint16) bool {
 		p := NewPage(1<<16, NewRegistry())
-		a := NewAllocator(p, PolicyLightweightReuse)
+		a := NewAllocator(p)
 		type obj struct {
 			off  uint32
 			size uint32
@@ -272,7 +181,7 @@ func TestQuickAllocFreeInvariants(t *testing.T) {
 				continue
 			}
 			size := uint32(op%200) + 1
-			off, err := a.Alloc(size, TCRaw, FullRefCount)
+			off, err := a.Alloc(size, TCRaw)
 			if err != nil {
 				continue // page full is fine
 			}

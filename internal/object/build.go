@@ -16,7 +16,7 @@ func BuildPages(reg *Registry, pageSize, n int, fill func(a *Allocator, i int) (
 
 	fresh := func() error {
 		p = NewPage(pageSize, reg)
-		a = NewAllocator(p, PolicyLightweightReuse)
+		a = NewAllocator(p)
 		v, err := MakeVector(a, KHandle, 0)
 		if err != nil {
 			return err

@@ -16,7 +16,6 @@ func DeepCopy(a *Allocator, src Ref) (Ref, error) {
 	if src.IsNil() {
 		return NilRef, nil
 	}
-	a.Stats.DeepCopies++
 	c := copier{a: a, root: src}
 	return c.copy(src)
 }
@@ -83,7 +82,7 @@ func (c *copier) copy(src Ref) (Ref, error) {
 
 func (c *copier) copyFlat(src Ref) (Ref, error) {
 	size := src.PayloadSize()
-	off, err := c.a.Alloc(size, src.TypeCode(), FullRefCount)
+	off, err := c.a.Alloc(size, src.TypeCode())
 	if err != nil {
 		return NilRef, err
 	}
@@ -163,7 +162,7 @@ func (c *copier) copyUser(src Ref) (Ref, error) {
 		return NilRef, fmt.Errorf("object: deep copy of unregistered type code %d", src.TypeCode())
 	}
 	size := src.PayloadSize()
-	off, err := c.a.Alloc(size, src.TypeCode(), FullRefCount)
+	off, err := c.a.Alloc(size, src.TypeCode())
 	if err != nil {
 		return NilRef, err
 	}

@@ -43,11 +43,11 @@ func TestDeepCopyNestedObject(t *testing.T) {
 	reg := NewRegistry()
 	emp, dep := buildEmployeeType(reg)
 	p1 := NewPage(1<<16, reg)
-	a1 := NewAllocator(p1, PolicyLightweightReuse)
+	a1 := NewAllocator(p1)
 	src := makeEmp(t, a1, emp, dep, "alice", 90000, "engineering")
 
 	p2 := NewPage(1<<16, reg)
-	a2 := NewAllocator(p2, PolicyLightweightReuse)
+	a2 := NewAllocator(p2)
 	dst, err := DeepCopy(a2, src)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestDeepCopyPreservesSharing(t *testing.T) {
 	reg := NewRegistry()
 	emp, dep := buildEmployeeType(reg)
 	p1 := NewPage(1<<16, reg)
-	a1 := NewAllocator(p1, PolicyLightweightReuse)
+	a1 := NewAllocator(p1)
 
 	d, _ := a1.MakeObject(dep)
 	_ = SetStrField(a1, d, dep.Field("deptName"), "shared")
@@ -87,7 +87,7 @@ func TestDeepCopyPreservesSharing(t *testing.T) {
 	_ = v.PushBackHandle(a1, e2)
 
 	p2 := NewPage(1<<16, reg)
-	a2 := NewAllocator(p2, PolicyLightweightReuse)
+	a2 := NewAllocator(p2)
 	cv, err := DeepCopy(a2, v.Ref)
 	if err != nil {
 		t.Fatal(err)
@@ -112,8 +112,8 @@ func TestDeepCopyPreservesSharingAndCycles(t *testing.T) {
 		AddField("data", KHandle).
 		MustBuild(reg)
 	next, data := node.Field("next"), node.Field("data")
-	src := NewAllocator(NewPage(1<<20, reg), PolicyLightweightReuse)
-	dst := NewAllocator(NewPage(1<<20, reg), PolicyLightweightReuse)
+	src := NewAllocator(NewPage(1<<20, reg))
+	dst := NewAllocator(NewPage(1<<20, reg))
 	mk := func(id int64) Ref {
 		n, err := src.MakeObject(node)
 		if err != nil {
@@ -233,7 +233,7 @@ func TestCrossBlockAssignmentTriggersDeepCopy(t *testing.T) {
 		MustBuild(reg)
 
 	p1 := NewPage(1<<16, reg)
-	a1 := NewAllocator(p1, PolicyLightweightReuse)
+	a1 := NewAllocator(p1)
 	data, err := MakeVector(a1, KFloat64, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestCrossBlockAssignmentTriggersDeepCopy(t *testing.T) {
 	}
 
 	p2 := NewPage(1<<16, reg)
-	a2 := NewAllocator(p2, PolicyLightweightReuse)
+	a2 := NewAllocator(p2)
 	myMatrix, err := a2.MakeObject(mb)
 	if err != nil {
 		t.Fatal(err)
@@ -259,20 +259,17 @@ func TestCrossBlockAssignmentTriggersDeepCopy(t *testing.T) {
 	if gv.Len() != 100 || gv.F64At(42) != 42 {
 		t.Error("copied vector contents are wrong")
 	}
-	if a2.Stats.DeepCopies == 0 {
-		t.Error("deep copy stat not recorded")
-	}
 }
 
 func TestCrossPageAssignmentOutsideActiveBlockFails(t *testing.T) {
 	reg := NewRegistry()
 	emp, dep := buildEmployeeType(reg)
 	p1 := NewPage(1<<16, reg)
-	a1 := NewAllocator(p1, PolicyLightweightReuse)
+	a1 := NewAllocator(p1)
 	e := makeEmp(t, a1, emp, dep, "bob", 1, "x")
 
 	p2 := NewPage(1<<16, reg)
-	a2 := NewAllocator(p2, PolicyLightweightReuse)
+	a2 := NewAllocator(p2)
 	d2, _ := a2.MakeObject(dep)
 
 	// a1's active block is p1; writing a p2 target into an object on p1
@@ -288,7 +285,7 @@ func TestDeepCopiedGraphShipsIndependently(t *testing.T) {
 	reg := NewRegistry()
 	emp, dep := buildEmployeeType(reg)
 	p1 := NewPage(1<<18, reg)
-	a1 := NewAllocator(p1, PolicyLightweightReuse)
+	a1 := NewAllocator(p1)
 	v, _ := MakeVector(a1, KHandle, 0)
 	for i := 0; i < 25; i++ {
 		e := makeEmp(t, a1, emp, dep, "emp", float64(i)*1000, "dept")
@@ -296,7 +293,7 @@ func TestDeepCopiedGraphShipsIndependently(t *testing.T) {
 	}
 
 	p2 := NewPage(1<<18, reg)
-	a2 := NewAllocator(p2, PolicyLightweightReuse)
+	a2 := NewAllocator(p2)
 	cp, err := DeepCopy(a2, v.Ref)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +324,7 @@ func TestEqualDetectsDifference(t *testing.T) {
 	reg := NewRegistry()
 	emp, dep := buildEmployeeType(reg)
 	p := NewPage(1<<16, reg)
-	a := NewAllocator(p, PolicyLightweightReuse)
+	a := NewAllocator(p)
 	e1 := makeEmp(t, a, emp, dep, "a", 1, "d1")
 	e2 := makeEmp(t, a, emp, dep, "a", 1, "d2")
 	e3 := makeEmp(t, a, emp, dep, "a", 2, "d1")

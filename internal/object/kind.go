@@ -7,10 +7,13 @@
 // raw bytes with zero serialization cost: copying the page preserves every
 // handle. This is the paper's "zero-cost data movement" principle.
 //
-// The model supports reference counting per managed allocation block, with
-// per-object opt-outs (no-refcount, unique ownership) and per-computation
-// allocator policies (lightweight reuse, no reuse, recycling) exactly as
-// described in the paper's Appendix B.
+// Objects on a managed allocation block are reference counted. Every block
+// is a region: allocation bumps the page watermark and freed space is not
+// reused until the whole page is recycled. Of the paper's Appendix B
+// policies this is "no reuse"; lightweight reuse, recycling and the
+// per-object opt-outs (no-refcount, unique ownership) are not implemented,
+// since none of them lowered any workload's memory or time (ROADMAP.md's
+// decision table, "allocation policy").
 package object
 
 import "fmt"

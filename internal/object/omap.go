@@ -42,7 +42,7 @@ func MakeMap(a *Allocator, keyKind, valKind Kind, initSlots int) (OMap, error) {
 		initSlots = 8
 	}
 	initSlots = nextPow2(initSlots)
-	off, err := a.Alloc(mapHdrSize, TCMap, FullRefCount)
+	off, err := a.Alloc(mapHdrSize, TCMap)
 	if err != nil {
 		return OMap{}, err
 	}
@@ -113,7 +113,7 @@ func (m OMap) keyOff(i int) uint32 { return m.slotOff(i) + 4 }
 func (m OMap) valOff(i int) uint32 { return m.slotOff(i) + 4 + m.KeyKind().Size() }
 
 func (m OMap) allocSlots(a *Allocator, n int) error {
-	arrOff, err := a.Alloc(uint32(n)*m.slotSize(), TCArray, FullRefCount)
+	arrOff, err := a.Alloc(uint32(n)*m.slotSize(), TCArray)
 	if err != nil {
 		return err
 	}

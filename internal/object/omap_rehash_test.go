@@ -45,14 +45,14 @@ var rehashSpecialFloats = [8]float64{
 // so the Put itself never grows. It fails on the first page difference and
 // returns the rehash side's map, the doublings made and whether the last one
 // hit ErrPageFull — which must leave both pages as they were.
-func rehashDiff(t testing.TB, valKind Kind, policy Policy, pageSize int, keys []int64, vals []uint64) (m OMap, doublings int, full bool) {
+func rehashDiff(t testing.TB, valKind Kind, pageSize int, keys []int64, vals []uint64) (m OMap, doublings int, full bool) {
 	t.Helper()
 	var pages [2]*Page
 	var allocs [2]*Allocator
 	var maps [2]OMap
 	for s := range pages {
 		pages[s] = NewPage(pageSize, NewRegistry())
-		allocs[s] = NewAllocator(pages[s], policy)
+		allocs[s] = NewAllocator(pages[s])
 		m, err := MakeMap(allocs[s], KInt64, valKind, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +75,7 @@ func rehashDiff(t testing.TB, valKind Kind, policy Policy, pageSize int, keys []
 				t.Fatalf("doubling %d -> %d slots: rehash err %v, rehashGeneric err %v", slots, slots*2, errScalar, errGeneric)
 			}
 			if !bytes.Equal(pages[0].Data, pages[1].Data) {
-				t.Fatalf("doubling %d -> %d slots (%v values, %v): pages differ", slots, slots*2, valKind, policy)
+				t.Fatalf("doubling %d -> %d slots (%v values): pages differ", slots, slots*2, valKind)
 			}
 			if errScalar != nil {
 				if !errors.Is(errScalar, ErrPageFull) {
@@ -131,30 +131,30 @@ func TestScalarRehashMatchesGeneric(t *testing.T) {
 				vs[i] = math.Float64bits(rehashSpecialFloats[i%len(rehashSpecialFloats)])
 			}
 		}
-		for _, policy := range []Policy{PolicyLightweightReuse, PolicyNoReuse} {
-			t.Run(fmt.Sprintf("%v/%v", valKind, policy), func(t *testing.T) {
-				m, doublings, full := rehashDiff(t, valKind, policy, 1<<16, keys, vs)
-				if full || doublings != 7 { // 8 -> 1024 slots
-					t.Fatalf("%d doublings, page full %v: want 7 and room to spare", doublings, full)
+		// Every allocator is Appendix B's no-reuse region; the subtest
+		// names say so.
+		t.Run(fmt.Sprintf("%v/no-reuse", valKind), func(t *testing.T) {
+			m, doublings, full := rehashDiff(t, valKind, 1<<16, keys, vs)
+			if full || doublings != 7 { // 8 -> 1024 slots
+				t.Fatalf("%d doublings, page full %v: want 7 and room to spare", doublings, full)
+			}
+			// The wrapping keys filled the last slot and ran on into slot 0.
+			s, _ := m.ScalarSlots(valKind)
+			for _, i := range []int{s.Slots() - 1, 0} {
+				if k, _, _ := s.EntryAt(i); !slices.Contains(rehashWrapKeys, k) {
+					t.Fatalf("slot %d of %d holds key %d, want a wrapping key", i, s.Slots(), k)
 				}
-				// The wrapping keys filled the last slot and ran on into slot 0.
-				s, _ := m.ScalarSlots(valKind)
-				for _, i := range []int{s.Slots() - 1, 0} {
-					if k, _, _ := s.EntryAt(i); !slices.Contains(rehashWrapKeys, k) {
-						t.Fatalf("slot %d of %d holds key %d, want a wrapping key", i, s.Slots(), k)
-					}
-				}
-				_, doublings, full = rehashDiff(t, valKind, policy, 1<<12, keys, vs)
-				if !full || doublings == 0 {
-					t.Fatalf("on a 4 KiB page: %d doublings, page full %v: want some, then ErrPageFull", doublings, full)
-				}
-			})
-		}
+			}
+			_, doublings, full = rehashDiff(t, valKind, 1<<12, keys, vs)
+			if !full || doublings == 0 {
+				t.Fatalf("on a 4 KiB page: %d doublings, page full %v: want some, then ErrPageFull", doublings, full)
+			}
+		})
 	}
 }
 
 // FuzzScalarRehashMatchesGeneric is the same lock-step comparison over
-// fuzz-chosen value kinds, policies, page sizes and key/value streams.
+// fuzz-chosen value kinds, page sizes and key/value streams.
 func FuzzScalarRehashMatchesGeneric(f *testing.F) {
 	f.Add([]byte{0, 6, 1, 2, 3, 0x80, 4, 250, 2, 9, 255})
 	f.Add([]byte{3, 2, 0x80, 0, 248, 0x80, 1, 249, 0x80, 2, 250, 7, 7, 251})
@@ -163,12 +163,9 @@ func FuzzScalarRehashMatchesGeneric(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		valKind, policy := KInt64, PolicyLightweightReuse
+		valKind := KInt64
 		if data[0]&1 != 0 {
 			valKind = KFloat64
-		}
-		if data[0]&2 != 0 {
-			policy = PolicyNoReuse
 		}
 		pageSize := 1 << (10 + data[1]%7)
 		var keys []int64
@@ -191,6 +188,6 @@ func FuzzScalarRehashMatchesGeneric(f *testing.F) {
 				vals = append(vals, uint64(int64(int8(b))))
 			}
 		}
-		rehashDiff(t, valKind, policy, pageSize, keys, vals)
+		rehashDiff(t, valKind, pageSize, keys, vals)
 	})
 }

@@ -255,7 +255,7 @@ func TestMapHandleKeysWithRegisteredHash(t *testing.T) {
 			GetI32(a, ti.Field("col")) == GetI32(b, ti.Field("col"))
 	}
 	p := NewPage(1<<18, reg)
-	a := NewAllocator(p, PolicyLightweightReuse)
+	a := NewAllocator(p)
 
 	// The sparse matrix block shape: Map<pair<int,int>, double>.
 	m, err := MakeMap(a, KHandle, KFloat64, 8)
@@ -289,7 +289,7 @@ func TestMapHandleKeysWithRegisteredHash(t *testing.T) {
 func TestQuickMapMatchesGoMap(t *testing.T) {
 	f := func(keys []int16, vals []int32) bool {
 		p := NewPage(1<<20, NewRegistry())
-		a := NewAllocator(p, PolicyLightweightReuse)
+		a := NewAllocator(p)
 		m, err := MakeMap(a, KInt64, KInt64, 8)
 		if err != nil {
 			return false
@@ -329,7 +329,7 @@ func TestScalarSlotsFoldMatchesUpdate(t *testing.T) {
 	f := func(keys []int16, vals []int64, opByte uint8) bool {
 		op := FoldSum + FoldOp(opByte%3)
 		mk := func() (OMap, *Allocator) {
-			a := NewAllocator(NewPage(1<<10, NewRegistry()), PolicyLightweightReuse)
+			a := NewAllocator(NewPage(1<<10, NewRegistry()))
 			m, err := MakeMap(a, KInt64, KInt64, 8)
 			if err != nil {
 				t.Fatal(err)

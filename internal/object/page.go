@@ -21,8 +21,7 @@ const (
 	PageHeaderSize = 24
 
 	// ObjHeaderSize is the per-object header preceding each payload:
-	//   [0:4] refcount word (low 30 bits count; bit31 no-refcount;
-	//         bit30 unique-ownership)
+	//   [0:4] reference count
 	//   [4:8] type code
 	//   [8:12] payload size
 	ObjHeaderSize = 12
@@ -38,10 +37,6 @@ const (
 	pageMagic = "PCPG"
 
 	flagManaged uint32 = 1 << 0
-
-	rcCountMask   uint32 = 0x3FFFFFFF
-	rcNoRefCount  uint32 = 1 << 31
-	rcUniqueOwner uint32 = 1 << 30
 )
 
 // Common object-model errors.
@@ -60,9 +55,6 @@ var (
 	// object model only performs the automatic deep copy for handles on
 	// the active block (paper §6.4).
 	ErrCrossPage = errors.New("object: cross-page handle assignment outside active block")
-
-	// ErrNilObject is returned when dereferencing a nil Ref.
-	ErrNilObject = errors.New("object: nil object reference")
 )
 
 // Page is a block of memory in which PC objects are allocated in place.
@@ -77,9 +69,9 @@ type Page struct {
 	Reg *Registry
 
 	// alloc points at the allocator currently treating this page as its
-	// active block, if any. Freed space is only recycled while the page
-	// is active; afterwards the page is an inactive managed block whose
-	// objects are still refcounted but whose space is not reused.
+	// active block, if any, so a new allocator on the page can take it
+	// from the old one. A detached page is an inactive managed block: its
+	// objects are still refcounted, and nothing allocates on it.
 	alloc *Allocator
 }
 
@@ -196,60 +188,36 @@ func (r Ref) setRCWord(w uint32) {
 }
 
 // RefCount returns the object's current reference count (meaningful only on
-// managed pages for objects without the no-refcount policy).
-func (r Ref) RefCount() uint32 { return r.rcWord() & rcCountMask }
-
-// NoRefCount reports whether the object opted out of reference counting
-// (pure region allocation for this object, paper Appendix B).
-func (r Ref) NoRefCount() bool { return r.rcWord()&rcNoRefCount != 0 }
-
-// UniqueOwner reports whether the object uses unique-ownership semantics:
-// not counted, deallocated when its single referencing handle dies.
-func (r Ref) UniqueOwner() bool { return r.rcWord()&rcUniqueOwner != 0 }
-
-// counted reports whether refcount mutations apply to this object: the page
-// must be managed by the local process and the object must not opt out.
-// Un-managed pages freeze their counts — this is what makes cross-thread
-// handle copies lock-free in the paper (§6.5).
-func (r Ref) counted() bool {
-	return r.Page.Managed() && r.rcWord()&(rcNoRefCount|rcUniqueOwner) == 0
-}
+// managed pages).
+func (r Ref) RefCount() uint32 { return r.rcWord() }
 
 // soleReferent reports whether the object's header shows exactly one way in:
-// a reference count of one, or unique ownership. Reached through a handle
-// slot, such an object cannot be reached again through another (DeepCopy
-// skips its memo for it). Counts are frozen, not lost, when a page stops
-// being managed, so the answer holds for shipped and stored pages too.
-func (r Ref) soleReferent() bool {
-	w := r.rcWord()
-	return w&rcNoRefCount == 0 && (w&rcUniqueOwner != 0 || w&rcCountMask == 1)
-}
+// a reference count of one. Reached through a handle slot, such an object
+// cannot be reached again through another (DeepCopy skips its memo for it).
+// Counts are frozen, not lost, when a page stops being managed, so the
+// answer holds for shipped and stored pages too.
+func (r Ref) soleReferent() bool { return r.rcWord() == 1 }
 
 // Retain increments the reference count (a Go-side owning reference, the
-// analogue of holding a Handle variable in the C++ binding).
+// analogue of holding a Handle variable in the C++ binding). Un-managed
+// pages freeze their counts — this is what makes cross-thread handle copies
+// lock-free in the paper (§6.5).
 func (r Ref) Retain() {
-	if r.IsNil() || !r.counted() {
+	if r.IsNil() || !r.Page.Managed() {
 		return
 	}
 	r.setRCWord(r.rcWord() + 1)
 }
 
-// Release decrements the reference count, destroying and freeing the object
-// when the count reaches zero. Destruction recursively releases every handle
-// the object holds (vector elements, map entries, struct fields).
+// Release decrements the reference count, destroying the object when the
+// count reaches zero. Destruction recursively releases every handle the
+// object holds (vector elements, map entries, struct fields).
 func (r Ref) Release() {
-	if r.IsNil() {
-		return
-	}
-	if r.UniqueOwner() && r.Page.Managed() {
-		destroyObject(r)
-		return
-	}
-	if !r.counted() {
+	if r.IsNil() || !r.Page.Managed() {
 		return
 	}
 	w := r.rcWord()
-	if w&rcCountMask == 0 {
+	if w == 0 {
 		// Releasing an object that was never retained: treat as a
 		// destruction request (temporary that never escaped).
 		destroyObject(r)
@@ -257,7 +225,7 @@ func (r Ref) Release() {
 	}
 	w--
 	r.setRCWord(w)
-	if w&rcCountMask == 0 {
+	if w == 0 {
 		destroyObject(r)
 	}
 }

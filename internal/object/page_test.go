@@ -8,7 +8,7 @@ func newTestPage(t testing.TB, size int) (*Page, *Allocator) {
 	t.Helper()
 	reg := NewRegistry()
 	p := NewPage(size, reg)
-	return p, NewAllocator(p, PolicyLightweightReuse)
+	return p, NewAllocator(p)
 }
 
 func TestNewPageHeader(t *testing.T) {

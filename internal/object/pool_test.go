@@ -9,7 +9,7 @@ import (
 func TestPageReset(t *testing.T) {
 	reg := NewRegistry()
 	p := NewPage(4096, reg)
-	a := NewAllocator(p, PolicyLightweightReuse)
+	a := NewAllocator(p)
 	s, err := MakeString(a, "scrap")
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +25,7 @@ func TestPageReset(t *testing.T) {
 		t.Error("reset did not restore a pristine header")
 	}
 	// The page must be immediately reusable as an allocation block.
-	a2 := NewAllocator(p, PolicyLightweightReuse)
+	a2 := NewAllocator(p)
 	s2, err := MakeString(a2, "fresh")
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestPagePoolRecyclesWithoutDataBleed(t *testing.T) {
 		if p1 == nil {
 			p1 = pool.Get(reg)
 		}
-		a := NewAllocator(p1, PolicyLightweightReuse)
+		a := NewAllocator(p1)
 		v, err := MakeVector(a, KFloat64, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +68,7 @@ func TestPagePoolRecyclesWithoutDataBleed(t *testing.T) {
 	if pool.Reuses() != 1 {
 		t.Fatalf("Reuses = %d, want 1", pool.Reuses())
 	}
-	a2 := NewAllocator(p2, PolicyLightweightReuse)
+	a2 := NewAllocator(p2)
 	v2, err := MakeVector(a2, KFloat64, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestPagePoolDropsWrongSizes(t *testing.T) {
 func TestF64Span(t *testing.T) {
 	reg := NewRegistry()
 	p := NewPage(8192, reg)
-	a := NewAllocator(p, PolicyLightweightReuse)
+	a := NewAllocator(p)
 	v, err := MakeVector(a, KFloat64, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -146,15 +146,15 @@ func TestSimpleTypeCodes(t *testing.T) {
 	// A simple-typed object deep-copies as a flat byte copy.
 	reg := NewRegistry()
 	p := NewPage(4096, reg)
-	a := NewAllocator(p, PolicyLightweightReuse)
-	off, err := a.Alloc(16, SimpleCode(16), FullRefCount)
+	a := NewAllocator(p)
+	off, err := a.Alloc(16, SimpleCode(16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := Ref{Page: p, Off: off}
 	copy(r.Payload(), "0123456789abcdef")
 	p2 := NewPage(4096, reg)
-	a2 := NewAllocator(p2, PolicyLightweightReuse)
+	a2 := NewAllocator(p2)
 	cp, err := DeepCopy(a2, r)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestHandleSlotTypeCode(t *testing.T) {
 	reg := NewRegistry()
 	ti := NewStruct("T").AddField("child", KHandle).MustBuild(reg)
 	p := NewPage(4096, reg)
-	a := NewAllocator(p, PolicyLightweightReuse)
+	a := NewAllocator(p)
 	parent, _ := a.MakeObject(ti)
 	child, _ := MakeString(a, "x")
 	if err := SetHandleField(a, parent, ti.Field("child"), child); err != nil {

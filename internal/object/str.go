@@ -12,7 +12,7 @@ func float64frombits(b uint64) float64 { return math.Float64frombits(b) }
 // PC strings are deliberately minimal — the same representation in RAM and
 // on disk, no cached hash values (paper §8.4.3 discusses the consequence).
 func MakeString(a *Allocator, s string) (Ref, error) {
-	off, err := a.Alloc(uint32(len(s)), TCString, FullRefCount)
+	off, err := a.Alloc(uint32(len(s)), TCString)
 	if err != nil {
 		return NilRef, err
 	}
@@ -24,7 +24,7 @@ func MakeString(a *Allocator, s string) (Ref, error) {
 // MakeStringBytes is MakeString for contents held as bytes (an encoded sort
 // key in an arena, say), sparing the caller a Go string per object.
 func MakeStringBytes(a *Allocator, b []byte) (Ref, error) {
-	off, err := a.Alloc(uint32(len(b)), TCString, FullRefCount)
+	off, err := a.Alloc(uint32(len(b)), TCString)
 	if err != nil {
 		return NilRef, err
 	}

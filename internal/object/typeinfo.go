@@ -75,17 +75,6 @@ func (t *TypeInfo) Method(name string) (Method, bool) {
 	return m, ok
 }
 
-// IsSimple reports whether the type has no handle fields, i.e. a memmove
-// suffices to copy it (the paper's "simple type" criterion).
-func (t *TypeInfo) IsSimple() bool {
-	for i := range t.Fields {
-		if t.Fields[i].Kind.IsHandleKind() {
-			return false
-		}
-	}
-	return true
-}
-
 // HandleFields returns the subset of fields holding handles, in offset
 // order; used by destructors and deep copies. The slice is shared: callers
 // must not modify it.
@@ -230,16 +219,13 @@ func (r *Registry) Types() []*TypeInfo {
 // field offsets — the stand-in for the C++ compiler laying out an Object
 // subclass.
 type StructBuilder struct {
-	name    string
-	fields  []Field
-	methods map[string]Method
-	off     uint32
+	name   string
+	fields []Field
+	off    uint32
 }
 
 // NewStruct begins building a user type with the given name.
-func NewStruct(name string) *StructBuilder {
-	return &StructBuilder{name: name, methods: map[string]Method{}}
-}
+func NewStruct(name string) *StructBuilder { return &StructBuilder{name: name} }
 
 // AddField appends a field, aligning its offset to the kind's natural size
 // (bools byte-aligned, 4-byte values 4-aligned, 8-byte values 8-aligned).
@@ -259,14 +245,9 @@ func (b *StructBuilder) AddField(name string, k Kind) *StructBuilder {
 	return b
 }
 
-// AddMethod registers a virtual method on the type being built.
-func (b *StructBuilder) AddMethod(name string, ret Kind, fn func(Ref) Value) *StructBuilder {
-	b.methods[name] = Method{Name: name, Ret: ret, Fn: fn}
-	return b
-}
-
 // Build finalizes the layout (size rounded up to 8 bytes) and registers the
-// type with the registry.
+// type with the registry. The type starts with no methods; callers add them
+// to its Methods map.
 func (b *StructBuilder) Build(r *Registry) (*TypeInfo, error) {
 	size := b.off
 	if rem := size % 8; rem != 0 {
@@ -275,7 +256,7 @@ func (b *StructBuilder) Build(r *Registry) (*TypeInfo, error) {
 	if size == 0 {
 		size = 8
 	}
-	ti := &TypeInfo{Name: b.name, Size: size, Fields: b.fields, Methods: b.methods}
+	ti := &TypeInfo{Name: b.name, Size: size, Fields: b.fields, Methods: map[string]Method{}}
 	return r.Register(ti)
 }
 

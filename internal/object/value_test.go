@@ -75,11 +75,11 @@ func TestStringFormsAgree(t *testing.T) {
 func TestStringFormsWriteTheSameBytes(t *testing.T) {
 	reg := NewRegistry()
 	ti := NewStruct("Named").AddField("name", KString).MustBuild(reg)
-	src := NewAllocator(NewPage(1<<16, reg), PolicyNoReuse)
+	src := NewAllocator(NewPage(1<<16, reg))
 	var pages [2]*Page
 	for form := range pages {
 		pages[form] = NewPage(1<<16, reg)
-		a := NewAllocator(pages[form], PolicyLightweightReuse)
+		a := NewAllocator(pages[form])
 		m, err := MakeMap(a, KString, KString, 8)
 		if err != nil {
 			t.Fatal(err)

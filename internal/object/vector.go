@@ -33,7 +33,7 @@ func MakeVector(a *Allocator, elem Kind, initCap int) (Vector, error) {
 	if initCap < 0 {
 		initCap = 0
 	}
-	off, err := a.Alloc(vecHdrSize, TCVector, FullRefCount)
+	off, err := a.Alloc(vecHdrSize, TCVector)
 	if err != nil {
 		return Vector{}, err
 	}
@@ -42,7 +42,7 @@ func MakeVector(a *Allocator, elem Kind, initCap int) (Vector, error) {
 	binary.LittleEndian.PutUint32(d[off+vecCapOff:], uint32(initCap))
 	binary.LittleEndian.PutUint32(d[off+vecKindOff:], uint32(elem))
 	if initCap > 0 {
-		arr, err := a.Alloc(uint32(initCap)*elem.Size(), TCArray, FullRefCount)
+		arr, err := a.Alloc(uint32(initCap)*elem.Size(), TCArray)
 		if err != nil {
 			return Vector{}, err
 		}
@@ -102,7 +102,7 @@ func (v Vector) grow(a *Allocator, need int) error {
 	}
 	kind := v.ElemKind()
 	es := kind.Size()
-	arrOff, err := a.Alloc(uint32(newCap)*es, TCArray, FullRefCount)
+	arrOff, err := a.Alloc(uint32(newCap)*es, TCArray)
 	if err != nil {
 		return err
 	}

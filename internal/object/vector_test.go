@@ -62,7 +62,7 @@ func TestVectorHandleElements(t *testing.T) {
 	reg := NewRegistry()
 	ti := NewStruct("Pt").AddField("x", KFloat64).MustBuild(reg)
 	p := NewPage(1<<16, reg)
-	a := NewAllocator(p, PolicyLightweightReuse)
+	a := NewAllocator(p)
 
 	v, err := MakeVector(a, KHandle, 0)
 	if err != nil {
@@ -149,7 +149,7 @@ func TestVectorFloat64SliceAndAppend(t *testing.T) {
 func TestQuickVectorMatchesSlice(t *testing.T) {
 	f := func(xs []float64, setIdx []uint8) bool {
 		p := NewPage(1<<20, NewRegistry())
-		a := NewAllocator(p, PolicyLightweightReuse)
+		a := NewAllocator(p)
 		v, err := MakeVector(a, KFloat64, 0)
 		if err != nil {
 			return false
@@ -198,7 +198,7 @@ func TestVectorPushBackFaultRollsBackLength(t *testing.T) {
 		MustBuild(reg)
 
 	src := NewPage(1<<16, reg)
-	sa := NewAllocator(src, PolicyLightweightReuse)
+	sa := NewAllocator(src)
 	obj, err := sa.MakeObject(ti)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestVectorPushBackFaultRollsBackLength(t *testing.T) {
 	SetI64(obj, ti.Field("a"), 7)
 
 	dst := NewPage(1<<12, reg)
-	da := NewAllocator(dst, PolicyLightweightReuse)
+	da := NewAllocator(dst)
 	v, err := MakeVector(da, KHandle, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func newFixture(t testing.TB, nEmp, nSup int) *fixture {
 
 	load := func(db, set string, n int, fill func(a *object.Allocator, i int) (object.Ref, error)) {
 		p := object.NewPage(1<<18, reg)
-		a := object.NewAllocator(p, object.PolicyLightweightReuse)
+		a := object.NewAllocator(p)
 		root, err := object.MakeVector(a, object.KHandle, 0)
 		if err != nil {
 			t.Fatal(err)

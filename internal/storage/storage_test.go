@@ -13,7 +13,7 @@ import (
 func buildPage(t testing.TB, reg *object.Registry, vals ...float64) *object.Page {
 	t.Helper()
 	p := object.NewPage(1<<14, reg)
-	a := object.NewAllocator(p, object.PolicyLightweightReuse)
+	a := object.NewAllocator(p)
 	v, err := object.MakeVector(a, object.KFloat64, len(vals))
 	if err != nil {
 		t.Fatal(err)
