@@ -1,11 +1,14 @@
 package cluster
 
 // Consumer-side crash-recovery state (paper §2's crash-proof front end,
-// extended to consuming merges): each streaming consumer's recovery record
-// is owned by the scheduler goroutine — the front-end side of the worker —
-// so it survives backend crashes. The checkpoint callback running inside
-// the backend only writes through it at consistent cuts, and the re-forked
-// backend reads it back to resume.
+// extended to consuming merges): the aggregation merge is the one consumer
+// that checkpoints, because acknowledging a cut lets the exchange release
+// the pages its fold has absorbed (the join and the sort keep every page
+// they were delivered, so they recover by replay instead — join.go,
+// sort.go). Its recovery record is owned by the scheduler goroutine — the
+// front-end side of the worker — so it survives backend crashes. The
+// checkpoint callback running inside the backend only writes through it at
+// consistent cuts, and the re-forked backend reads it back to resume.
 //
 // A cut copies each sub-map page once, into one of two snapshot
 // generations the recovery record owns; the next cut but one reuses the
@@ -39,9 +42,10 @@ import (
 // snapshot sets (transient: dropped when the consuming step commits).
 const checkpointDb = "_ckpt"
 
-// checkpointEvery resolves the recovery checkpoint interval every streaming
-// consumer runs with: Config.CheckpointInterval overrides (>0) or disables
-// (<0); zero is the planner default, physical.DefaultCheckpointInterval.
+// checkpointEvery resolves the aggregation merge's cut interval:
+// Config.CheckpointInterval overrides (>0) or disables (<0); zero is the
+// planner default, physical.DefaultCheckpointInterval. A result of 0 turns
+// consumer recovery off for every consumer, the join and the sort included.
 func (c *Cluster) checkpointEvery() int {
 	switch {
 	case c.Cfg.CheckpointInterval < 0:
@@ -228,44 +232,6 @@ func (e *workerEnv) dropAggCheckpoint(rec *aggRecovery, gov *exchange.Governor) 
 		rec.diskSet = ""
 	}
 	rec.releaseSnapshots(gov)
-}
-
-// joinRecovery is one worker's consumer-recovery record for the streaming
-// hash-partition join — both phases. The build phase checkpoints the
-// per-thread tables cloned at the last cut (tables reference shipped build
-// pages, which stay alive through the clones themselves, so the in-memory
-// snapshot is complete; build pages past the cut replay from the
-// exchange's retained window). The probe/emit phase checkpoints a probe
-// cursor (probe-side pages fully probed and emitted) plus the total
-// matches emitted, so a re-forked consumer rewinds the probe exchange to
-// the cursor, replays the suffix, and skips the first emitted matches —
-// match order is page order, so the skip prefix is exactly what user code
-// already observed, making emit exactly-once across crashes.
-type joinRecovery struct {
-	cut    int                 // build-side pages consumed at the last build cut
-	tables []*engine.JoinTable // per-thread table clones at that cut
-	saves  int
-	built  bool // build finished; tables is the complete table set
-
-	probeCursor  int // probe-side pages fully probed and emitted
-	emitted      int // matches handed to user emit (exactly-once skip cursor)
-	emittedAtCut int // matches emitted within pages before probeCursor
-
-	// Outer-kind state (HashPartitionJoinKind with a right/full kind).
-	// buildRows lists every build-side row in exchange delivery order —
-	// the global index space of the match bitmap — appended as pages
-	// deliver and committed at build cuts (buildRowsCut), so a build-phase
-	// replay truncates the uncommitted suffix before re-appending it.
-	// bitmapAtCut is the match bitmap's committed snapshot, taken at every
-	// probe cut alongside the probe cursor: a probe-phase replay restarts
-	// from the snapshot and re-marks the replayed window's matches
-	// (marking is idempotent), keeping emit exactly-once while the bitmap
-	// still converges to the crash-free run's. tailCursor is the
-	// unmatched-build-row sweep's committed position.
-	buildRows    []object.Ref
-	buildRowsCut int
-	bitmapAtCut  []uint64
-	tailCursor   int
 }
 
 // CheckpointSets counts live consumer-recovery snapshot sets (the _ckpt

@@ -79,17 +79,20 @@
 // That determinism is what makes both halves replayable. A retried
 // producer re-runs from scratch and re-sends the same tagged pages; the
 // exchange drops the duplicates at the sender, so the merge sees every page
-// exactly once. A consumer checkpoints its state — merged sub-maps, cloned
-// join-table buckets, the join's probe cursor and emitted-match count,
-// the sort's merge cursor — every Config.CheckpointInterval pages and
-// acknowledges each cut to the exchange, which retains delivered pages
-// until they are acknowledged; a retried consumer restores the last
-// checkpoint (reading snapshot pages back through the storage server when
+// exactly once. The exchange retains delivered pages until the consumer
+// acknowledges them. The aggregation merge checkpoints its merged sub-maps
+// every Config.CheckpointInterval pages and acknowledges each cut, so
+// retention stays bounded; a retried merge restores the last checkpoint
+// (reading snapshot pages back through the storage server when
 // Config.DataDir is set, from in-memory snapshots otherwise) and resumes
-// over only the replayed suffix, bit-for-bit identical to a crash-free run
-// and with user emit code observing each match exactly once
-// (runExchangeGroup, consumeSortStream, and HashPartitionJoinKind's
-// "Probe/emit recovery" carry the per-operator detail).
+// over only the replayed suffix. The join and the sort keep every page
+// they were delivered, so a cut would bound nothing: a retried join or
+// sort replays its retained streams from page 0 — the join reusing its
+// finished table and skipping the matches user code already observed.
+// Either way the output is bit-for-bit identical to a crash-free run and
+// user emit code observes each match exactly once (runExchangeGroup,
+// consumeSortStream, and HashPartitionJoinKind's "Probe/emit recovery"
+// carry the per-operator detail).
 //
 // # Sink-merge protocol
 //
@@ -156,17 +159,19 @@ type Config struct {
 	// bit-for-bit identical to a crash-free run. Joins keep no durable
 	// cut: a join whose process died re-runs from its start.
 	DataDir string
-	// CheckpointInterval tunes consumer-side crash recovery: the number
-	// of shuffled pages a streaming consumer merges between recovery
-	// checkpoints. Zero uses physical.DefaultCheckpointInterval; a
-	// positive value overrides it; a negative value disables consumer
-	// recovery: consumers run the same path with no cuts and no retry (a
-	// crash inside a consuming merge fails the job), and the exchange
-	// retains only the join's probe side, its buffer while the build runs,
-	// metered against MemoryBudget. Each cut snapshots the consumer's whole
-	// merge state, so the interval trades the replay window against a
-	// per-cut cost proportional to aggregate state size — raise it when
-	// merged state is large relative to the stream.
+	// CheckpointInterval tunes consumer-side crash recovery. Its sign
+	// turns recovery on or off for every consumer; its value is the number
+	// of shuffled pages an aggregation merge folds between recovery
+	// checkpoints, the only consumer that takes them (the join and the
+	// sort recover by replaying their retained streams). Zero uses
+	// physical.DefaultCheckpointInterval; a positive value overrides it; a
+	// negative value disables consumer recovery: consumers run the same
+	// path with no cuts and no retry (a crash inside a consumer fails the
+	// job), and the exchange retains only the join's probe side, its
+	// buffer while the build runs, metered against MemoryBudget. Each cut
+	// snapshots the merge's whole state, so the interval trades the replay
+	// window against a per-cut cost proportional to aggregate state size —
+	// raise it when merged state is large relative to the stream.
 	CheckpointInterval int
 	// MemoryBudget, in bytes, bounds the exchange memory each worker
 	// backend keeps resident during a streaming step: pages buffered in

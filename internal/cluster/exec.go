@@ -31,9 +31,9 @@ type StageShip struct {
 	// exchange.DefaultCapacity × Threads per producer, plus the page being
 	// delivered (exchange.MaxReorderPages).
 	MaxReorderPages int64
-	// Checkpoints counts the consumer-side recovery checkpoints taken
-	// during the step (zero for steps without a streaming shuffle, or
-	// with recovery disabled).
+	// Checkpoints counts the aggregation merge's recovery checkpoints
+	// taken during the step (zero for every other step — the join and the
+	// sort recover by replay — and with recovery disabled).
 	Checkpoints int
 	// SpilledPages counts the page images the step's memory governor
 	// (Config.MemoryBudget) moved to spill files — lane pages, retained

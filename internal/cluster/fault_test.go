@@ -57,8 +57,9 @@ func assertNoJoinLeaks(t *testing.T, c *Cluster, label string) {
 
 // TestProbeEmitCrashRecovery closes the last crash class: a backend crash
 // in the join's probe/emit phase — at probe-page delivery or immediately
-// before a user emit — must recover via the probe cursor checkpoint and
-// emit matches bit-for-bit identical to a crash-free run.
+// before a user emit — must recover by re-probing the recorded table from
+// the first probe page, skipping the matches already emitted, and emit
+// matches bit-for-bit identical to a crash-free run.
 func TestProbeEmitCrashRecovery(t *testing.T) {
 	const left, right, groups = 600, 90, 18
 	cells := append([]struct{ workers, threads int }{{1, 1}, {1, 8}}, recoveryMatrix...)
@@ -73,7 +74,7 @@ func TestProbeEmitCrashRecovery(t *testing.T) {
 			}
 
 			c, rec := joinFixture(t, cfg, left, right, groups)
-			k := 1 // the probe page after the first probe cut
+			k := 1 // the second probe page
 			if site == fault.Emit {
 				k = 5
 			}
@@ -197,8 +198,8 @@ func TestProbeDrainCrashReachesBackend(t *testing.T) {
 			t.Errorf("%d spill slots leaked", n)
 		}
 	}()
-	_, err = c.env(c.Workers[0]).gatherJoinStreams(&exchangeEnd{ex: exBuild, replayable: true},
-		&exchangeEnd{ex: exProbe, replayable: true}, &joinSpec{}, 1, &joinRecovery{})
+	_, _, err = c.env(c.Workers[0]).gatherJoinStreams(&exchangeEnd{ex: exBuild, replayable: true},
+		&exchangeEnd{ex: exProbe, replayable: true}, &joinSpec{}, &joinRecovery{})
 	t.Fatalf("gatherJoinStreams returned (%v) past the injected crash", err)
 }
 
@@ -253,6 +254,132 @@ func TestEmitExactlyOnce(t *testing.T) {
 	if stats.RoleRetries[roleProbe] != 1 {
 		t.Errorf("probe role retries = %d, want 1", stats.RoleRetries[roleProbe])
 	}
+}
+
+// TestJoinAndSortTakeNoCuts pins that only the aggregation merge
+// checkpoints: with recovery on at a one-page interval and a one-page
+// budget, an inner join, a full outer join and an ORDER BY count no
+// checkpoint, and they still recover a crash at their last step — the full
+// join's last tail-sweep emit, the sort's Finalize — with the crash-free
+// rows, one consumer recovery, and nothing leaked.
+func TestJoinAndSortTakeNoCuts(t *testing.T) {
+	build := func(plan *fault.Plan) (*Cluster, *object.TypeInfo) {
+		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
+			CheckpointInterval: 1, MemoryBudget: spillBudget, Fault: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := intRecType(c)
+		loadIntRows(t, c, rec, "db", "rows", 700, 13) // creates db
+		loadIntRowsOff(t, c, rec, "db", "left", 600, 12, 0)
+		loadIntRowsOff(t, c, rec, "db", "right", 240, 8, 8)
+		return c, rec
+	}
+	noCuts := func(label string, stats *ExecStats) {
+		t.Helper()
+		for i, ship := range stats.Ships {
+			if ship.Checkpoints != 0 {
+				t.Errorf("%s: ship %d counts %d checkpoints, want 0", label, i, ship.Checkpoints)
+			}
+		}
+	}
+	// join returns each worker's emit sequence ("-" for a null side).
+	join := func(c *Cluster, rec *object.TypeInfo, kind core.JoinKind) ([][]string, *ExecStats) {
+		val := rec.Field("val")
+		side := func(r object.Ref) string {
+			if r == object.NilRef {
+				return "-"
+			}
+			return fmt.Sprint(object.GetI64(r, val))
+		}
+		perWorker := make([][]string, len(c.Workers))
+		var mu sync.Mutex
+		stats, err := c.HashPartitionJoinKind(kind, "db", "left", "db", "right",
+			joinKeyOn(rec), joinKeyOn(rec), joinEqOn(rec),
+			func(w int, l, r object.Ref) error {
+				mu.Lock()
+				perWorker[w] = append(perWorker[w], side(l)+"|"+side(r))
+				mu.Unlock()
+				return nil
+			})
+		if err != nil {
+			t.Fatalf("join kind %d: %v", kind, err)
+		}
+		return perWorker, stats
+	}
+	orderBy := func(c *Cluster, rec *object.TypeInfo) ([]string, *ExecStats) {
+		if err := c.CreateSet("db", "sorted", rec.Name); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := c.Execute(core.NewWrite("db", "sorted", &core.OrderBy{
+			In: core.NewScan("db", "rows", rec.Name), ArgType: rec.Name, Keys: intSortKeys()}))
+		if err != nil {
+			t.Fatalf("order by: %v", err)
+		}
+		var rows []string
+		if err := c.ScanSet("db", "sorted", func(r object.Ref) bool {
+			rows = append(rows, fmt.Sprintf("%d|%d", object.GetI64(r, rec.Field("grp")), object.GetI64(r, rec.Field("val"))))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return rows, stats
+	}
+
+	c, rec := build(nil)
+	_, innerStats := join(c, rec, core.JoinInner)
+	noCuts("inner join", innerStats)
+	wantFull, fullStats := join(c, rec, core.JoinFull)
+	noCuts("full join", fullStats)
+	wantSorted, sortStats := orderBy(c, rec)
+	noCuts("order by", sortStats)
+	if n := c.Transport.Stats().Checkpoints; n != 0 {
+		t.Errorf("the cluster counted %d checkpoints over two joins and a sort", n)
+	}
+
+	// The full join's last emit on a worker whose sequence ends in the
+	// unmatched-row tail: K counts that worker's Emit hits from 0.
+	target := -1
+	for w, rows := range wantFull {
+		if len(rows) > 0 && strings.HasPrefix(rows[len(rows)-1], "-|") {
+			target = w
+			break
+		}
+	}
+	if target < 0 {
+		t.Fatal("no worker's full-join sequence ends in the tail sweep")
+	}
+	plan := fault.NewPlan(fault.Injection{Site: fault.Emit, Worker: target, K: len(wantFull[target]) - 1})
+	c, rec = build(plan)
+	gotFull, stats := join(c, rec, core.JoinFull)
+	if plan.Fired() != 1 {
+		t.Fatal("the last tail-sweep emit never crashed")
+	}
+	for w := range wantFull {
+		if !equalRows(gotFull[w], wantFull[w]) {
+			t.Errorf("full join worker %d: recovered sequence differs (%d vs %d rows)", w, len(gotFull[w]), len(wantFull[w]))
+		}
+	}
+	if stats.ConsumerRecoveries != 1 {
+		t.Errorf("full join: %d consumer recoveries, want 1", stats.ConsumerRecoveries)
+	}
+	noCuts("recovered full join", stats)
+	assertNoJoinLeaks(t, c, "full join, last tail emit")
+
+	plan = fault.NewPlan(fault.Injection{Site: fault.Finalize, Worker: 0, K: 0})
+	c, rec = build(plan)
+	gotSorted, stats := orderBy(c, rec)
+	if plan.Fired() != 1 {
+		t.Fatal("the sort's Finalize never crashed")
+	}
+	if !equalRows(gotSorted, wantSorted) {
+		t.Errorf("recovered sort differs (%d vs %d rows)", len(gotSorted), len(wantSorted))
+	}
+	if stats.ConsumerRecoveries != 1 {
+		t.Errorf("order by: %d consumer recoveries, want 1", stats.ConsumerRecoveries)
+	}
+	noCuts("recovered order by", stats)
+	assertNoJoinLeaks(t, c, "order by, Finalize")
 }
 
 // TestSpillWriteErrorFailsCleanly injects an I/O error into the spill

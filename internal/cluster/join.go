@@ -30,9 +30,9 @@ import (
 //     replay retention: retention is the probe buffer, metered against
 //     Config.MemoryBudget (and spillable) like any retained page.
 //  3. When its build stream closes, each worker rewinds the probe stream
-//     and probes it in windows of Config.CheckpointInterval pages
-//     (contiguous-chunk parallel probe, thread-ordered emit), releasing
-//     each window from retention as it goes.
+//     and probes it in windows of physical.DefaultCheckpointInterval pages
+//     (contiguous-chunk parallel probe, thread-ordered emit); the probe
+//     stream stays retained until the step ends.
 //
 // keyL/keyR extract the join key hash from an object (the compiled key
 // lambdas); emit is invoked on each pair kind selects (below), running on
@@ -62,57 +62,52 @@ import (
 //   - JoinFull combines JoinLeft's probe behavior with JoinRight's tail.
 //
 // The right/full kinds track build-side matches in a bitmap indexed by
-// exchange delivery order. The bitmap is checkpointed alongside the probe
-// cursor: bits are re-marked idempotently when a crash replays a probe
-// window (marking precedes the exactly-once skip check, under the
-// fault.ProbeBitmap site), and the unmatched-row tail sweep checkpoints
-// its own cursor, so emit stays exactly-once across crashes at every site
-// and output is bit-for-bit identical to a crash-free run. Join recovery
-// state lives in memory: a join whose process dies re-runs from its start
-// on the next run, so emit is at-least-once across process deaths.
+// exchange delivery order. Every probe attempt builds it from scratch,
+// marking the matches it skips as well as those it emits (under the
+// fault.ProbeBitmap site), so the unmatched-row tail sweep sees the
+// crash-free run's bitmap. Join recovery state lives in memory: a join
+// whose process dies re-runs from its start on the next run, so emit is
+// at-least-once across process deaths.
 //
 // # Probe/emit recovery
 //
 // A backend crash anywhere in the join is recovered (within
-// Config.MaxRetries). A producer crash (the key panics while
-// repartitioning) is re-forked and re-run; the deterministic retry
-// re-sends the same tags and the lanes drop its duplicates at the sender.
-// A build-phase consumer crash restores the build's checkpoint: the build
-// clones its per-thread tables every Config.CheckpointInterval pages —
-// plus once at stream end — and the re-forked backend restores the clones,
-// rewinds both streams, and replays only the pages past their cuts. A
-// probe/emit-phase crash recovers the same way: the probe runs in windows
-// of Config.CheckpointInterval pages, checkpointing a probe cursor and
-// emitted-match count after each window and acknowledging the window's
-// pages to the exchange; the re-forked backend rebuilds the table from the
-// completed build's clones, rewinds the probe stream to the cursor, and
-// replays the suffix, skipping matches user code already observed — match
-// order equals page order, so the skip prefix is exact and emit sees every
-// match exactly once. Match output is bit-for-bit identical to a
-// crash-free run in every case. With recovery disabled
-// (CheckpointInterval < 0) the consumer runs the same path with the cuts
-// absent — no table clones, no saved cursor, no retry: any consumer crash
-// fails the join — in windows of physical.DefaultCheckpointInterval pages.
+// Config.MaxRetries) by replay, not by restoring a cut: the join takes no
+// checkpoints. A producer crash (the key panics while repartitioning) is
+// re-forked and re-run; the deterministic retry re-sends the same tags and
+// the lanes drop its duplicates at the sender. A build-phase consumer crash
+// re-gathers both streams from page 0 — the exchange retains both until the
+// table is complete. Once it is, the worker's recovery record keeps the
+// table (read-only from then on) and the build stream is acknowledged. A
+// probe/emit-phase crash reuses that table, rewinds the probe stream to
+// page 0, and skips the first matches the record counts as emitted — match
+// order is page order, so the skip prefix is exactly what user code
+// already observed and emit sees every match exactly once. Match output is
+// bit-for-bit identical to a crash-free run in every case. With recovery
+// disabled (CheckpointInterval < 0) the consumer runs the same path over a
+// build stream the exchange does not retain, and any consumer crash fails
+// the join.
 func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR string,
 	keyL, keyR func(object.Ref) uint64,
 	eq func(l, r object.Ref) bool,
 	emit func(workerID int, l, r object.Ref) error) (*ExecStats, error) {
 	nw := len(c.Workers)
-	interval := c.checkpointEvery()
+	recovery := c.checkpointEvery() > 0
 	// One governor per consumer backend, shared by both exchanges: the
 	// memory budget is per backend, not per shuffle. Build-side delivered
 	// pages are consumer-owned (the tables reference them in place, so they
 	// live for the join regardless); probe-side delivered pages are
-	// exchange-owned replay retention — metered, evictable, and released
-	// once the probe acknowledges past them — with recovery on or off:
-	// retention is what holds the probe side while the build runs. The
-	// release is a no-op rather than a pool recycle because user emit code
-	// may hold refs into probe pages; dropping the exchange's reference lets
-	// the garbage collector reclaim them exactly when user code is done.
+	// exchange-owned replay retention — metered and evictable until the
+	// step ends — with recovery on or off: retention is what holds the
+	// probe side while the build runs. Its release hook never runs (the
+	// probe acknowledges nothing); it only marks the retention
+	// exchange-owned. Dropping the exchange's references at step end lets
+	// the garbage collector reclaim probe pages exactly when user emit code,
+	// which may hold refs into them, is done.
 	govs, closeGovs := c.stepGovernors()
 	defer closeGovs()
 	exL := c.newShuffleExchange(true, func(*object.Page) {}, govs)
-	exR := c.newShuffleExchange(interval > 0, nil, govs)
+	exR := c.newShuffleExchange(recovery, nil, govs)
 	stats := &ExecStats{Threads: c.Cfg.Threads, RoleRetries: map[string]int{}}
 	roles := make([]role, 3*nw)
 	for i, w := range c.Workers {
@@ -130,21 +125,20 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 		j := &joinSpec{kind: kind, keyL: keyL, keyR: keyR, eq: eq,
 			emit: func(l, r object.Ref) error { return emit(i, l, r) }}
 		rec := &joinRecovery{}
-		build := &exchangeEnd{ex: exR, worker: i, replayable: interval > 0}
+		build := &exchangeEnd{ex: exR, worker: i, replayable: recovery}
 		probe := &exchangeEnd{ex: exL, worker: i, replayable: true}
-		roles[2*nw+i] = role{w: w, name: roleConsumer, what: "join build/probe", noRetry: interval <= 0,
-			saves: &rec.saves,
+		roles[2*nw+i] = role{w: w, name: roleConsumer, what: "join build/probe", noRetry: !recovery,
 			onRetry: func() {
-				if rec.built {
+				if rec.table != nil {
 					stats.noteRetry(roleProbe, true)()
 				} else {
 					stats.noteRetry(roleConsumer, true)()
 				}
 			},
-			body: func() error { return env.consumeJoin(build, probe, j, interval, interval, rec) }}
+			body: func() error { return env.consumeJoin(build, probe, j, rec) }}
 	}
-	// Join recovery state is in-memory clones: beyond runStep's discard of
-	// both exchanges there is nothing to drop.
+	// Join recovery state is in memory: beyond runStep's discard of both
+	// exchanges there is nothing to drop.
 	ship, err := c.runStep(roles, govs, exL, exR)
 	stats.Ships = []StageShip{ship}
 	if err != nil {
@@ -165,6 +159,23 @@ type joinSpec struct {
 // needTail reports whether the kind sweeps unmatched build rows after the
 // probe (and so tracks build-side matches in a bitmap).
 func (j *joinSpec) needTail() bool { return j.kind == core.JoinRight || j.kind == core.JoinFull }
+
+// joinRecovery is one worker's consumer-recovery record for a join. The
+// scheduler owns it, so it survives backend crashes; a retried attempt
+// replays its streams from page 0 and reads the record to skip what is
+// already done.
+type joinRecovery struct {
+	// table is the finished hash table, nil until the build completes;
+	// from then on it is read-only and a retry probes it without
+	// rebuilding.
+	table *engine.JoinTable
+	// buildRows lists every build row in delivery order — the index space
+	// of the right/full match bitmap — appended as build pages deliver.
+	buildRows []object.Ref
+	// emitted counts the matches user emit has seen, probe and tail alike:
+	// the exactly-once skip prefix of a retried attempt.
+	emitted int
+}
 
 // streamRepartition runs one worker's repartition of one set across its
 // executor threads: each thread hashes its contiguous chunk into a private
@@ -226,43 +237,31 @@ func repartitionBatch(sink *engine.RepartitionSink, key func(object.Ref) uint64,
 // streams (exchange ends for HashPartitionJoinKind, the worker's stored
 // pages for CoPartitionedJoin): build the table while the probe stream
 // drains into its end's retention, probe the rewound stream in windows, then
-// sweep the outer tail. buildEvery and probeEvery are the two phases' cut
-// intervals; at <= 0 a phase runs the same code with its cut hooks absent.
-func (e *workerEnv) consumeJoin(build, probe consumerEnd, j *joinSpec, buildEvery, probeEvery int, rec *joinRecovery) error {
-	var table *engine.JoinTable
-	if rec.built {
-		// Probe-phase crash: the completed build's clones rebuild the
-		// table without touching the build stream (already fully
-		// delivered and acked) — merged in thread order onto a clone, so
-		// the record stays pristine for the next crash (Merge never
-		// mutates its argument).
-		table = rec.tables[0].Clone()
-		for _, tbl := range rec.tables[1:] {
-			table.Merge(tbl)
-		}
-	} else {
-		var err error
-		if table, err = e.gatherJoinStreams(build, probe, j, buildEvery, rec); err != nil {
+// sweep the outer tail. Until rec holds the finished table an attempt
+// gathers both streams from page 0; after, it probes that table.
+func (e *workerEnv) consumeJoin(build, probe consumerEnd, j *joinSpec, rec *joinRecovery) error {
+	if rec.table == nil {
+		table, buildPages, err := e.gatherJoinStreams(build, probe, j, rec)
+		if err != nil {
 			return err
 		}
-		// The epilogue cut cloned the complete tables (or the last
-		// interval cut already covered the stream); from here on a crash
-		// is a probe-phase crash. A build without cuts holds no clones:
-		// its retry, where there is one, rebuilds.
-		rec.built = buildEvery > 0
+		rec.table = table
+		// The table references the build pages in place; no attempt
+		// replays the build stream from here on.
+		if err := build.ack(buildPages); err != nil {
+			return err
+		}
 	}
-	// The gather delivered the whole probe stream, so the cursor — zero or a
-	// probe cut of this attempt's predecessor — is at most what this end has
-	// delivered: hello rewinds to it and acknowledges the prefix the cut
-	// already covers.
-	if err := probe.hello(rec.probeCursor); err != nil {
+	// The gather delivered the whole probe stream; every attempt probes it
+	// from page 0.
+	if err := probe.hello(0); err != nil {
 		return err
 	}
-	bitmap, counter, err := e.probeEmitStream(probe, table, j, probeEvery, rec)
+	bitmap, counter, err := e.probeEmitStream(probe, rec.table, j, rec)
 	if err != nil {
 		return err
 	}
-	return e.sweepUnmatchedBuildRows(j, bitmap, counter, probeEvery, rec)
+	return e.sweepUnmatchedBuildRows(j, bitmap, counter, rec)
 }
 
 // gatherJoinStreams overlaps the join's two shuffles with the build: the
@@ -270,24 +269,24 @@ func (e *workerEnv) consumeJoin(build, probe consumerEnd, j *joinSpec, buildEver
 // probe-side stream drains concurrently, so neither side's producers stall
 // on a full lane longer than the backpressure bound. The drained probe
 // pages are dropped on delivery — the end's retention holds them for the
-// windowed probe to rewind over. The build (re)starts at its last cut; the
-// probe side from zero, since nothing of it is acknowledged before the build
-// completes. A panic on either goroutine re-raises on the caller, the
-// backend goroutine (engine.ParallelFor): the user key lambda in the build,
-// and in the drain a crash under Recv — which settles the governor's
-// accounting and can spill a retained page — must reach the backend, not
-// kill the process.
-func (e *workerEnv) gatherJoinStreams(build, probe consumerEnd, j *joinSpec, interval int, rec *joinRecovery) (*engine.JoinTable, error) {
-	if err := build.hello(rec.cut); err != nil {
-		return nil, err
+// windowed probe to rewind over. Both streams start at page 0. A panic on
+// either goroutine re-raises on the caller, the backend goroutine
+// (engine.ParallelFor): the user key lambda in the build, and in the drain
+// a crash under Recv — which settles the governor's accounting and can
+// spill a retained page — must reach the backend, not kill the process. It
+// returns the table and the number of build pages it was delivered.
+func (e *workerEnv) gatherJoinStreams(build, probe consumerEnd, j *joinSpec, rec *joinRecovery) (*engine.JoinTable, int, error) {
+	if err := build.hello(0); err != nil {
+		return nil, 0, err
 	}
 	if err := probe.hello(0); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var table *engine.JoinTable
+	var buildPages int
 	err := engine.ParallelFor(2, func(side int) (err error) {
 		if side == 0 {
-			table, err = e.buildTableStream(build, j, interval, rec)
+			table, buildPages, err = e.buildTableStream(build, j, rec)
 			return err
 		}
 		for {
@@ -296,7 +295,7 @@ func (e *workerEnv) gatherJoinStreams(build, probe consumerEnd, j *joinSpec, int
 			}
 		}
 	})
-	return table, err
+	return table, buildPages, err
 }
 
 // buildTableStream builds the probe hash table incrementally from the build
@@ -304,44 +303,25 @@ func (e *workerEnv) gatherJoinStreams(build, probe consumerEnd, j *joinSpec, int
 // worker's builder threads (a pure function of the deterministic delivery
 // order), and the per-thread tables merge bucket-wise in thread order after
 // the stream closes. Build pages are never recycled — the table references
-// their objects for the life of the join.
-//
-// With interval > 0 the build checkpoints for consumer crash recovery:
-// every interval pages — and once more at stream end — the quiesced
-// per-thread tables are cloned into rec and the cut acknowledged to the
-// end; a resumed build (rec already holding clones) starts from those
-// tables at rec.cut, fed by an end positioned at the same cut, and
-// reproduces the crash-free table exactly. The epilogue clone means rec
-// always holds the complete table set once the stream closes, which is
-// what probe-phase recovery restores from.
-func (e *workerEnv) buildTableStream(end consumerEnd, j *joinSpec, interval int, rec *joinRecovery) (*engine.JoinTable, error) {
-	// Drop build rows appended past the last committed cut: the rewound
-	// stream redelivers those pages and next re-appends their rows.
-	rec.buildRows = rec.buildRows[:rec.buildRowsCut]
+// their objects for the life of the join. It returns the merged table and
+// the number of pages delivered.
+func (e *workerEnv) buildTableStream(end consumerEnd, j *joinSpec, rec *joinRecovery) (*engine.JoinTable, int, error) {
+	// A re-gather re-appends every build row.
+	rec.buildRows = rec.buildRows[:0]
 	tables := make([]*engine.JoinTable, e.threads)
-	start := 0
-	if rec.tables != nil {
-		start = rec.cut
-		for t := range tables {
-			tables[t] = rec.tables[t].Clone()
-		}
-	} else {
-		for t := range tables {
-			tables[t] = engine.NewJoinTable()
-		}
+	for t := range tables {
+		tables[t] = engine.NewJoinTable()
 	}
-	resizesBefore := 0
-	for _, tbl := range tables {
-		resizesBefore += int(tbl.Resizes())
-	}
+	delivered := 0
 	next := func() (*object.Page, bool, error) {
 		p, ok, err := end.next()
 		if ok {
+			delivered++
 			e.fault.Hit(fault.BuildPage, e.id)
 			if j.needTail() {
 				// Delivery order defines the match bitmap's index space;
-				// next runs on the dispatch goroutine, so the append stays
-				// aligned with the delivered-page count the cuts commit.
+				// next runs on the dispatch goroutine, so the rows append
+				// in that order.
 				appendPageRows(&rec.buildRows, p)
 			}
 		}
@@ -361,69 +341,38 @@ func (e *workerEnv) buildTableStream(end consumerEnd, j *joinSpec, interval int,
 		tstats[t].HashProbes += root.Len()
 		return nil
 	}
-	var cut func(delivered int, final bool) error
-	if interval > 0 {
-		cut = func(delivered int, _ bool) error {
-			e.fault.Hit(fault.Checkpoint, e.id)
-			clones := make([]*engine.JoinTable, len(tables))
-			for t := range tables {
-				clones[t] = tables[t].Clone()
-			}
-			rec.cut, rec.tables, rec.buildRowsCut = delivered, clones, len(rec.buildRows)
-			rec.saves++
-			return end.ack(delivered)
-		}
-	}
-	if err := engine.StreamPagesCheckpointed(next, len(tables), false, start, interval, fold, cut); err != nil {
-		return nil, err
+	if err := engine.StreamPages(next, len(tables), fold); err != nil {
+		return nil, 0, err
 	}
 	table := tables[0]
 	for _, tbl := range tables[1:] {
 		table.Merge(tbl)
 	}
-	resizes := -resizesBefore
 	for _, tbl := range tables {
-		resizes += int(tbl.Resizes())
+		tstats[0].HashResizes += int(tbl.Resizes())
 	}
-	tstats[0].HashResizes += resizes
 	e.noteStats(tstats...)
-	return table, nil
+	return table, delivered, nil
 }
 
 // probeEmitStream is the probe/emit phase: it consumes the rewound probe
-// stream in windows of interval pages, probes each window in parallel
-// (collectProbeMatches — match order is page order, independent of the
-// thread split), and emits the matches in order, maintaining the
-// exactly-once cursor as it goes. After each window it checkpoints
-// (rec.probeCursor/rec.emittedAtCut) and acknowledges the window's pages,
-// bounding both the replay window and — under Config.MemoryBudget — the
-// probe side's retained memory. On a replayed window, matches below
-// rec.emitted were already observed by user code and are skipped: window
-// boundaries are a pure function of the cursor, so the replayed window's
-// match sequence is identical to the crashed attempt's and the skip prefix
-// is exact. With interval <= 0 nothing is checkpointed (no saved cursor, no
-// counted cut, no Checkpoint site) but the windows stay, at the planner's
-// default size: the acknowledgement releases retention, the window bounds
-// the match buffer.
+// stream in windows of physical.DefaultCheckpointInterval pages, probes
+// each window in parallel (collectProbeMatches — match order is page
+// order, independent of the thread split and the window size), and emits
+// the matches in order through emitOnce, which skips the prefix an earlier
+// attempt already emitted. The window only bounds the match buffer.
 //
 // For the right/full kinds the returned bitmap records which build rows
-// (delivery-order index) matched some probe row. Marking happens before the
-// skip check — a replayed window restarts from the checkpointed bitmap
-// snapshot, so its marks must be re-applied even for matches user code
-// already observed; setting a set bit is idempotent, and each checkpoint
-// snapshots the bitmap alongside the cursor it describes.
-func (e *workerEnv) probeEmitStream(end consumerEnd, table *engine.JoinTable, j *joinSpec,
-	interval int, rec *joinRecovery) ([]uint64, int, error) {
-	counter, cursor := rec.emittedAtCut, rec.probeCursor
-	pagesPerWindow := interval
-	if interval <= 0 {
-		pagesPerWindow = physical.DefaultCheckpointInterval
-	}
+// (delivery-order index) matched some probe row. Marking happens before
+// the skip, so a retried attempt's bitmap equals the crash-free run's.
+// The returned counter is the attempt's position in the match sequence,
+// which the tail sweep continues.
+func (e *workerEnv) probeEmitStream(end consumerEnd, table *engine.JoinTable, j *joinSpec, rec *joinRecovery) ([]uint64, int, error) {
+	counter := 0
 	var bitmap []uint64
 	var rowIdx map[object.Ref]int
 	if j.needTail() {
 		bitmap = make([]uint64, (len(rec.buildRows)+63)/64)
-		copy(bitmap, rec.bitmapAtCut)
 		rowIdx = buildRowIndex(rec.buildRows)
 	}
 	// scratch backs each window's flattened match list and is recycled
@@ -433,7 +382,7 @@ func (e *workerEnv) probeEmitStream(end consumerEnd, table *engine.JoinTable, j 
 	for done := false; !done; {
 		var window []*object.Page
 		var pstats engine.Stats
-		for len(window) < pagesPerWindow {
+		for len(window) < physical.DefaultCheckpointInterval {
 			p, ok, err := end.next()
 			if err != nil {
 				return nil, 0, err
@@ -462,32 +411,9 @@ func (e *workerEnv) probeEmitStream(end consumerEnd, table *engine.JoinTable, j 
 				e.fault.Hit(fault.ProbeBitmap, e.id)
 				markBit(bitmap, rowIdx[m[1]])
 			}
-			if counter < rec.emitted {
-				// Replay of a match user code already observed.
-				counter++
-				continue
-			}
-			e.fault.Hit(fault.Emit, e.id)
-			if err := j.emit(m[0], m[1]); err != nil {
+			if err := e.emitOnce(j, rec, &counter, m[0], m[1]); err != nil {
 				return nil, 0, err
 			}
-			counter++
-			// The emit landed; a crash past this point replays the
-			// window but skips this match.
-			rec.emitted = counter
-		}
-		cursor += len(window)
-		if interval > 0 {
-			e.fault.Hit(fault.Checkpoint, e.id)
-			rec.probeCursor = cursor
-			rec.emittedAtCut = counter
-			if bitmap != nil {
-				rec.bitmapAtCut = append(rec.bitmapAtCut[:0], bitmap...)
-			}
-			rec.saves++
-		}
-		if err := end.ack(cursor); err != nil {
-			return nil, 0, err
 		}
 	}
 	return bitmap, counter, nil
@@ -495,39 +421,37 @@ func (e *workerEnv) probeEmitStream(end consumerEnd, table *engine.JoinTable, j 
 
 // sweepUnmatchedBuildRows is the right/full outer tail: after the probe
 // stream drains — so the bitmap is final — it walks the build rows in
-// delivery order and emits (NilRef, r) for each row no probe row matched.
-// The sweep continues the probe phase's global emit counter (counter: what
-// the probe returned — the committed count when a retry had nothing left to
-// probe) and, with interval > 0, checkpoints its cursor every interval rows:
-// boundaries are a pure function of the committed cursor and the emit
-// sequence a pure function of (bitmap, cursor), so a replayed sweep skips
-// exactly the rows user code already observed.
-func (e *workerEnv) sweepUnmatchedBuildRows(j *joinSpec, bitmap []uint64, counter, interval int, rec *joinRecovery) error {
+// delivery order and emits (NilRef, r) for each row no probe row matched,
+// continuing the probe's match counter, so a retried sweep skips exactly
+// the rows user code already observed.
+func (e *workerEnv) sweepUnmatchedBuildRows(j *joinSpec, bitmap []uint64, counter int, rec *joinRecovery) error {
 	if !j.needTail() {
 		return nil
 	}
-	scanned := 0
-	for i := rec.tailCursor; i < len(rec.buildRows); i++ {
-		if !bitAt(bitmap, i) {
-			if counter < rec.emitted {
-				counter++
-			} else {
-				e.fault.Hit(fault.Emit, e.id)
-				if err := j.emit(object.NilRef, rec.buildRows[i]); err != nil {
-					return err
-				}
-				counter++
-				rec.emitted = counter
-			}
+	for i, r := range rec.buildRows {
+		if bitAt(bitmap, i) {
+			continue
 		}
-		scanned++
-		if interval > 0 && scanned%interval == 0 {
-			e.fault.Hit(fault.Checkpoint, e.id)
-			rec.tailCursor = i + 1
-			rec.emittedAtCut = counter
-			rec.saves++
+		if err := e.emitOnce(j, rec, &counter, object.NilRef, r); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// emitOnce hands the counter-th match of the attempt's sequence to user
+// emit unless an earlier attempt already did (counter ≤ rec.emitted), and
+// records it as emitted once the call lands.
+func (e *workerEnv) emitOnce(j *joinSpec, rec *joinRecovery, counter *int, l, r object.Ref) error {
+	*counter++
+	if *counter <= rec.emitted {
+		return nil
+	}
+	e.fault.Hit(fault.Emit, e.id)
+	if err := j.emit(l, r); err != nil {
+		return err
+	}
+	rec.emitted = *counter
 	return nil
 }
 

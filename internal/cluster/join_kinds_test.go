@@ -257,7 +257,7 @@ func TestOuterJoinCrashRecovery(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("%s: reference emitted nothing", jk.name)
 		}
-		for _, site := range []fault.Site{fault.BuildPage, fault.ProbePage, fault.ProbeBitmap, fault.Emit, fault.Checkpoint} {
+		for _, site := range []fault.Site{fault.BuildPage, fault.ProbePage, fault.ProbeBitmap, fault.Emit} {
 			ks := []int{0, 3}
 			if site == fault.BuildPage || site == fault.ProbePage {
 				// The small corpus delivers only a couple of pages per

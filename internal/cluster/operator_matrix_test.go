@@ -584,8 +584,9 @@ func TestOperatorMatrixUnixTransport(t *testing.T) {
 
 // TestOperatorMatrixCheckpointsOff is the "recovery disabled" rung: every
 // operator at Workers {1,2} × Threads {1,2} with CheckpointInterval -1 must
-// produce the checkpointed cell's rows in the same order — "off" is the same
-// path with no cuts, not a second algorithm — and count no checkpoint.
+// produce the recovery-on cell's rows in the same order — "off" is the same
+// path with no cuts and no retry, not a second algorithm — and count no
+// checkpoint.
 func TestOperatorMatrixCheckpointsOff(t *testing.T) {
 	for _, corpus := range matCorpora {
 		left, right := matCorpus(corpus)
@@ -600,7 +601,10 @@ func TestOperatorMatrixCheckpointsOff(t *testing.T) {
 				if offCuts[op.name] != 0 {
 					t.Errorf("%s: %d checkpoints counted with recovery disabled", label, offCuts[op.name])
 				}
-				if op.name != "semi" && op.name != "anti" && corpus != "empty" && onCuts[op.name] == 0 {
+				// Only the aggregation family cuts; the joins and the sort
+				// family recover by replay and count none either way.
+				aggFamily := op.name == "agg" || op.name == "distinct"
+				if aggFamily && corpus != "empty" && onCuts[op.name] == 0 {
 					t.Errorf("%s: the checkpointed cell counted no checkpoints: the comparison proves nothing", label)
 				}
 			}

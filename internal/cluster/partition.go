@@ -67,12 +67,12 @@ func (c *Cluster) SendDataPartitioned(db, set string, pages []*object.Page,
 // are that join's.
 //
 // A backend crash anywhere in the local build or probe is recovered
-// (within Config.MaxRetries): the inputs are the worker's own stored
-// pages, owned by the crash-proof front end, so the build takes no cuts —
-// the re-forked backend rebuilds the table deterministically — and the
-// probe resumes from its last window cut (from the start with
-// CheckpointInterval < 0), the shared recovery record's emitted-match
-// cursor skipping the matches user code already observed: emit stays
+// (within Config.MaxRetries), whatever CheckpointInterval says: the inputs
+// are the worker's own stored pages, owned by the crash-proof front end, so
+// the re-forked backend replays them like HashPartitionJoinKind replays its
+// streams — a build crash rebuilds the table, a probe crash re-probes the
+// recorded table from the first page, the recovery record's emitted-match
+// count skipping the matches user code already observed: emit stays
 // exactly-once across crashes. Each recovered crash counts as a "probe"
 // retry in the returned ExecStats.
 func (c *Cluster) CoPartitionedJoin(dbL, setL, dbR, setR string,
@@ -92,7 +92,6 @@ func (c *Cluster) CoPartitionedJoin(dbL, setL, dbR, setR string,
 			dbL, setL, dbR, setR, ml.PartitionKey, mr.PartitionKey)
 	}
 
-	interval := c.checkpointEvery()
 	stats := &ExecStats{Threads: c.Cfg.Threads, RoleRetries: map[string]int{}}
 	roles := make([]role, len(c.Workers))
 	for i, w := range c.Workers {
@@ -109,7 +108,7 @@ func (c *Cluster) CoPartitionedJoin(dbL, setL, dbR, setR string,
 			if err != nil {
 				return err
 			}
-			return env.consumeJoin(&storedEnd{pages: right}, &storedEnd{pages: left}, j, 0, interval, rec)
+			return env.consumeJoin(&storedEnd{pages: right}, &storedEnd{pages: left}, j, rec)
 		}}
 	}
 	ship, err := c.runStep(roles, nil)

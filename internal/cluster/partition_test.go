@@ -148,13 +148,13 @@ func TestCoPartitionedJoinRejectsMismatchedKeys(t *testing.T) {
 	}
 }
 
-// TestCoPartitionedJoinRecoversFromProbeCut gives every worker several pages
-// of each side and a one-page checkpoint interval, then crashes the probe
-// past its first window cuts — with and without cuts: the retried attempt
-// rebuilds the table, repositions the stored-page stream at the saved cursor
-// (or the start) and skips what was emitted, so per-worker emit order equals
-// the crash-free run's with every pair seen exactly once.
-func TestCoPartitionedJoinRecoversFromProbeCut(t *testing.T) {
+// TestCoPartitionedJoinRecoversByReplay gives every worker several pages of
+// each side, then crashes the build, and the probe past its first pages,
+// with recovery on and off: the stored inputs replay either way. The
+// retried attempt rebuilds the table (or reuses the recorded one), probes
+// from the first stored page and skips what was emitted, so per-worker emit
+// order equals the crash-free run's with every pair seen exactly once.
+func TestCoPartitionedJoinRecoversByReplay(t *testing.T) {
 	run := func(interval int, inj *fault.Injection) []string {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: interval})
 		if err != nil {

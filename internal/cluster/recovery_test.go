@@ -293,8 +293,8 @@ func joinPairsByWorker(t *testing.T, c *Cluster, rec *object.TypeInfo) []string 
 
 // TestConsumerCrashRecoveryJoinBuild crashes a consumer backend while it
 // is building the join hash table from the shuffled build stream: the
-// build must restore its checkpointed tables, replay the streams past the
-// cut, and emit matches bit-for-bit identical to a crash-free join.
+// retry must re-gather both retained streams from page 0 and emit matches
+// bit-for-bit identical to a crash-free join.
 func TestConsumerCrashRecoveryJoinBuild(t *testing.T) {
 	const left, right, groups = 600, 90, 18
 	for _, cell := range recoveryMatrix {
@@ -319,7 +319,7 @@ func TestConsumerCrashRecoveryJoinBuild(t *testing.T) {
 		rec := intRecType(c)
 		loadIntRows(t, c, rec, "db", "left", left, groups)
 		loadIntRows(t, c, rec, "db", "right", right, groups)
-		// Crash worker 0's build on the page after the first cut.
+		// Crash worker 0's build on its second page.
 		c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.BuildPage, Worker: 0, K: 1})
 		gotRows := joinPairsByWorker(t, c, rec)
 		if c.Cfg.Fault.Fired() != 1 {
@@ -329,9 +329,6 @@ func TestConsumerCrashRecoveryJoinBuild(t *testing.T) {
 			t.Errorf("w=%d t=%d: recovered join differs from crash-free join (%d vs %d pairs)",
 				cell.workers, cell.threads, len(gotRows), len(wantRows))
 		}
-		if c.Transport.Stats().Checkpoints == 0 {
-			t.Errorf("w=%d t=%d: no build checkpoints recorded", cell.workers, cell.threads)
-		}
 	}
 }
 
@@ -339,9 +336,9 @@ func TestConsumerCrashRecoveryJoinBuild(t *testing.T) {
 // organically, wherever it fires first. The same lambda runs in the
 // producer role (repartition hashing) and the consumer role (the table
 // build), and both are now recoverable: a producer crash re-forks and
-// re-streams with sender-side dedup, a build crash restores the table
-// checkpoint and replays — either way the join must emit the crash-free
-// match sequence.
+// re-streams with sender-side dedup, a build crash re-gathers both streams
+// from page 0 — either way the join must emit the crash-free match
+// sequence.
 func TestJoinKeyLambdaCrashRecovered(t *testing.T) {
 	const left, right, groups = 600, 90, 18
 	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1}

@@ -6,9 +6,9 @@ package cluster
 // in thread order, to a single merge consumer on worker 0, which merges
 // every delivered page as a lane of one tournament into the global stable
 // order (and folds a window computation's running aggregate over the merged
-// stream). The consumer checkpoints both its delivery cut and its merge
-// cursor, so a crash anywhere resumes bit-for-bit from at most one interval
-// back.
+// stream). The consumer keeps every run page until the merge ends, so it
+// takes no cuts: a crash anywhere re-gathers the retained stream from page
+// 0 and re-merges it, bit-for-bit.
 
 import (
 	"fmt"
@@ -21,29 +21,6 @@ import (
 	"repro/internal/physical"
 )
 
-// sortRecovery is the scheduler-side recovery record for one sort-merge
-// consumer. It survives backend crashes (the front end re-forks the
-// backend, the record stays): delivered run pages committed at delivery
-// cuts, then — once gathering is done — the merge cursor, emit count, and
-// window accumulator at the last sealed-output-page boundary. The merge
-// checkpoints only at seal boundaries because the row that rides a page
-// seal lands entirely on the fresh live page: the committed sealed prefix
-// then holds exactly the rows before the snapshot cursor, so a retry with
-// a fresh sink and a restored cursor reproduces byte-identical pages.
-type sortRecovery struct {
-	pages      []*object.Page // delivered run pages, committed at cuts, in Recv order
-	cut        int            // committed (acknowledged) delivery cursor
-	gatherDone bool
-
-	merging      bool // merge cursor fields below are valid
-	mergePos     []engine.RunPos
-	mergeEmitted int
-	window       engine.WindowState // window accumulator at the cursor
-	outPages     []*object.Page     // committed sealed output pages
-
-	saves int
-}
-
 // runSortGroup executes a sort-producer / sort-merge-consumer stage pair:
 // every worker runs the producer pipeline into per-thread SortSinks and
 // streams each thread run's pages down that thread's lane to the single
@@ -53,11 +30,11 @@ type sortRecovery struct {
 // delivery order is (worker, thread, page), which is source order, so the
 // merger's lowest-lane tie-break reproduces the global stable order. Crash
 // retries follow the shuffle's pattern: producers re-send identical tags
-// (sender-side dedup drops duplicates), the consumer positions its end at its
-// last committed cut (hello) and restores its merge cursor.
+// (sender-side dedup drops duplicates), and the consumer rewinds its end to
+// page 0 and merges again onto a fresh sink.
 func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.JobStage, stats *ExecStats) (StageShip, error) {
 	nw := len(c.Workers)
-	interval := c.checkpointEvery()
+	recovery := c.checkpointEvery() > 0
 
 	// Register the SortRow carrier with the master first and pin its code
 	// on every worker: worker registries assign codes locally, so a lazy
@@ -69,14 +46,10 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 		w.Reg().PinCode(engine.SortRowTypeName, carrier.Code)
 	}
 
-	// No release on acknowledgement: the consumer owns delivered run pages —
-	// the merge reads rows off them in place. Only consumer 0 reads.
-	ex := c.newShuffleExchange(interval > 0, nil, nil)
-
-	// The recovery record is in-memory only (run pages, merge cursor): a
-	// failed step has nothing durable to drop beyond runStep's discard.
-	rec := &sortRecovery{}
-	end := &exchangeEnd{ex: ex, worker: 0, replayable: interval > 0}
+	// No release: the consumer owns delivered run pages — the merge reads
+	// rows off them in place. Only consumer 0 reads.
+	ex := c.newShuffleExchange(recovery, nil, nil)
+	end := &exchangeEnd{ex: ex, worker: 0, replayable: recovery}
 	// All sorted output concentrates on worker 0; the other workers still
 	// get the artifact key so downstream scans find (empty) partitions.
 	arts := make([]*workerArtifacts, nw)
@@ -89,11 +62,10 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 			body:    func() error { return env.runSortStreamOnWorker(res, prod, ex) },
 			closes:  ex}
 	}
-	roles[nw] = role{w: c.Workers[0], name: roleConsumer, what: cons.Produces, noRetry: interval <= 0,
+	roles[nw] = role{w: c.Workers[0], name: roleConsumer, what: cons.Produces, noRetry: !recovery,
 		onRetry: stats.noteRetry(roleConsumer, true),
-		saves:   &rec.saves,
 		body: func() (err error) { // the merge consumer, on worker 0's backend
-			arts[0], err = c.env(c.Workers[0]).consumeSortStream(res, cons, end, interval, rec)
+			arts[0], err = c.env(c.Workers[0]).consumeSortStream(res, cons, end)
 			return err
 		}}
 	ship, err := c.runStep(roles, nil, ex)
@@ -149,16 +121,12 @@ func (e *workerEnv) runSortStreamOnWorker(res *core.CompileResult, stage *physic
 }
 
 // consumeSortStream is the consumer half: gather every producer's run pages
-// off its end of the exchange (acknowledging delivery cuts every interval
-// pages so the replay window stays bounded), then merge them into the
-// global order — each delivered page is its own merge lane — materializing
-// output objects onto fresh pages, with the window fold riding the merged
-// stream. With interval > 0 both phases checkpoint into rec, and a
-// crash-retried attempt positions the end at the committed cut and restores
-// the merge cursor; with interval <= 0 the same code takes no cut (no
-// Checkpoint site, no CheckpointIO consult, no counted save).
-func (e *workerEnv) consumeSortStream(res *core.CompileResult, stage *physical.JobStage, end consumerEnd,
-	interval int, rec *sortRecovery) (*workerArtifacts, error) {
+// off its end of the exchange from page 0, then merge them into the global
+// order — each delivered page is its own merge lane — materializing output
+// objects onto fresh pages, with the window fold riding the merged stream.
+// It keeps no recovery record: a crash-retried attempt runs the same code
+// over the exchange's retained stream and writes the same pages.
+func (e *workerEnv) consumeSortStream(res *core.CompileResult, stage *physical.JobStage, end consumerEnd) (*workerArtifacts, error) {
 	spec := res.SortSpecs[stage.AggList]
 	if spec == nil {
 		return nil, fmt.Errorf("no sort spec for %q", stage.AggList)
@@ -168,110 +136,43 @@ func (e *workerEnv) consumeSortStream(res *core.CompileResult, stage *physical.J
 		return nil, fmt.Errorf("no window spec for %q", stage.AggList)
 	}
 
-	if !rec.gatherDone {
-		if err := end.hello(rec.cut); err != nil {
+	// Every delivered page is one lane: each is a sorted contiguous chunk
+	// of one thread's run, delivery order is (worker, thread, page), and
+	// the merger breaks key ties by lowest lane index — together that
+	// reproduces the stable global order.
+	if err := end.hello(0); err != nil {
+		return nil, err
+	}
+	var runs [][]*object.Page
+	for {
+		p, ok, err := end.next()
+		if err != nil {
 			return nil, err
 		}
-		var pending []*object.Page
-		commit := func() error {
-			if len(pending) == 0 {
-				return nil
-			}
-			if interval > 0 {
-				e.fault.Hit(fault.Checkpoint, e.id)
-				if err := e.fault.ErrAt(fault.CheckpointIO, e.id); err != nil {
-					return err
-				}
-				rec.saves++
-			}
-			rec.pages = append(rec.pages, pending...)
-			rec.cut += len(pending)
-			pending = nil
-			return end.ack(rec.cut) // a no-op on an end that retains nothing
+		if !ok {
+			break
 		}
-		for {
-			p, ok, err := end.next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			e.fault.Hit(fault.Delivery, e.id)
-			pending = append(pending, p)
-			if interval > 0 && len(pending) >= interval {
-				if err := commit(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := commit(); err != nil {
-			return nil, err
-		}
-		rec.gatherDone = true
+		e.fault.Hit(fault.Delivery, e.id)
+		runs = append(runs, []*object.Page{p})
 	}
 
-	// Merge phase. Every delivered page is one lane: each is a sorted
-	// contiguous chunk of one thread's run, delivery order is (worker,
-	// thread, page), and the merger breaks key ties by lowest lane index —
-	// together that reproduces the stable global order.
-	runs := make([][]*object.Page, len(rec.pages))
-	for i, p := range rec.pages {
-		runs[i] = []*object.Page{p}
-	}
 	m := engine.NewSortMerger(e.reg, runs, spec.Limit)
-	if rec.merging {
-		if err := m.Restore(rec.mergePos, rec.mergeEmitted); err != nil {
-			return nil, err
-		}
-	}
 	var stats engine.Stats
 	sink, err := engine.NewOutputSink(e.reg, e.pageSize, e.pool, &stats)
 	if err != nil {
 		return nil, err
 	}
-	out := sink.Out
-	window := rec.window
-	committed := 0 // sealed pages already committed into rec by THIS attempt
-	sealsSinceCut := 0
+	var window engine.WindowState
 	for {
-		windowBefore := window
 		_, obj, val, ok := m.NextRow()
 		if !ok {
 			break
 		}
-		sealedBefore := len(out.Sealed)
-		if err := engine.EmitMerged(out, ws, &window, obj, val); err != nil {
+		if err := engine.EmitMerged(sink.Out, ws, &window, obj, val); err != nil {
 			return nil, err
 		}
-		if interval <= 0 || len(out.Sealed) == sealedBefore {
-			continue
-		}
-		sealsSinceCut += len(out.Sealed) - sealedBefore
-		if sealsSinceCut < interval {
-			continue
-		}
-		// Seal-boundary checkpoint: the row that rode the seal landed
-		// entirely on the fresh live page, so the sealed prefix holds
-		// exactly the rows before this one. The snapshot is the cursor as
-		// it stood before the row (the merger remembers the one lane that
-		// moved, so nothing is copied on the rows that seal nothing) — a
-		// retry restores it and re-emits this row first onto a fresh
-		// (empty) live page, reproducing identical page boundaries.
-		e.fault.Hit(fault.Checkpoint, e.id)
-		if err := e.fault.ErrAt(fault.CheckpointIO, e.id); err != nil {
-			return nil, err
-		}
-		rec.outPages = append(rec.outPages, out.Sealed[committed:]...)
-		committed = len(out.Sealed)
-		rec.mergePos, rec.mergeEmitted = m.CursorBeforeLast()
-		rec.window = windowBefore
-		rec.merging = true
-		rec.saves++
-		sealsSinceCut = 0
 	}
 	e.fault.Hit(fault.Finalize, e.id)
-	final := append(append([]*object.Page{}, rec.outPages...), out.Pages()[committed:]...)
 	e.noteStats(stats)
-	return &workerArtifacts{pages: final, pagesKey: stage.Produces}, nil
+	return &workerArtifacts{pages: sink.Out.Pages(), pagesKey: stage.Produces}, nil
 }

@@ -153,9 +153,9 @@ func TestConsumerCrashRecoverySpillDataDir(t *testing.T) {
 }
 
 // TestConsumerCrashRecoverySpillJoinBuild crashes the join's streaming
-// table build under a one-page budget: the build must restore its
-// checkpointed tables, replay both (spilled) streams, and emit matches
-// bit-for-bit identical to the unbounded crash-free join.
+// table build under a one-page budget: the retry must replay both
+// (spilled) streams from page 0 and emit matches bit-for-bit identical to
+// the unbounded crash-free join.
 func TestConsumerCrashRecoverySpillJoinBuild(t *testing.T) {
 	const left, right, groups = 600, 90, 18
 	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1}

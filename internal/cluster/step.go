@@ -47,11 +47,12 @@ type role struct {
 // policy. The first role to fail cancels the step's exchanges, so blocked
 // siblings return instead of waiting on a stream that will never finish.
 // Once every role has returned — nothing touches the exchanges or the
-// recovery records anymore — a failed step discards every page the
-// exchanges still hold (undelivered lane messages, replay retention), so
-// the step's governors and spill pools close with zero live slots, and the
-// step's error is that of the first role in list order that failed on its
-// own — not of a sibling that only observed the cancellation. The
+// recovery records anymore — the step discards every page the exchanges
+// still hold, failed or not (a failed step's undelivered lane messages,
+// retention no consumer acknowledged — the join's probe stream always),
+// so the step's governors and spill pools close with zero live slots, and
+// the step's error is that of the first role in list order that failed on
+// its own — not of a sibling that only observed the cancellation. The
 // returned StageShip carries the step's exchange, checkpoint and spill
 // telemetry, also recorded on the transport; the caller adds its own
 // failure cleanup and commit.
@@ -100,10 +101,8 @@ func (c *Cluster) runStep(roles []role, govs []*exchange.Governor, exs ...*excha
 			err = e
 		}
 	}
-	if err != nil {
-		for _, ex := range exs {
-			ex.Discard()
-		}
+	for _, ex := range exs {
+		ex.Discard()
 	}
 	if govs != nil {
 		ship.SpilledPages, ship.SpilledBytes, ship.MaxBufferedBytes = c.spillTelemetry(govs)

@@ -50,7 +50,7 @@ type ShipStats struct {
 	// consumer's exchange lanes reached, hard-bounded at
 	// exchange.DefaultCapacity × Threads × Workers + 1.
 	MaxReorderPages int64
-	// Checkpoints totals the consumer-side recovery checkpoints taken
+	// Checkpoints totals the aggregation merges' recovery checkpoints
 	// across all streaming shuffles.
 	Checkpoints int64
 	// SpilledPages and SpilledBytes total the page images the memory

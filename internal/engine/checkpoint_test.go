@@ -60,7 +60,7 @@ func TestStreamPagesCheckpointedCuts(t *testing.T) {
 		for _, broadcast := range []bool{true, false} {
 			perThread := make([][]int64, threads)
 			var cuts []int
-			err := StreamPagesCheckpointed(SliceSource(pages), threads, broadcast, 0, interval,
+			err := streamPages(SliceSource(pages), threads, broadcast, 0, interval, nil,
 				func(th int, p *object.Page) error {
 					perThread[th] = append(perThread[th], pageTag(p))
 					return nil
@@ -100,7 +100,7 @@ func TestStreamPagesCheckpointedResume(t *testing.T) {
 	const n, interval, cutAt, threads = 11, 4, 8, 3
 	pages := intPages(t, reg, n)
 	full := make([][]int64, threads)
-	if err := StreamPagesCheckpointed(SliceSource(pages), threads, false, 0, interval,
+	if err := streamPages(SliceSource(pages), threads, false, 0, interval, nil,
 		func(th int, p *object.Page) error {
 			full[th] = append(full[th], pageTag(p))
 			return nil
@@ -109,7 +109,7 @@ func TestStreamPagesCheckpointedResume(t *testing.T) {
 	}
 
 	pre := make([][]int64, threads)
-	if err := StreamPagesCheckpointed(SliceSource(pages[:cutAt]), threads, false, 0, interval,
+	if err := streamPages(SliceSource(pages[:cutAt]), threads, false, 0, interval, nil,
 		func(th int, p *object.Page) error {
 			pre[th] = append(pre[th], pageTag(p))
 			return nil
@@ -117,7 +117,7 @@ func TestStreamPagesCheckpointedResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cuts []int
-	if err := StreamPagesCheckpointed(SliceSource(pages[cutAt:]), threads, false, cutAt, interval,
+	if err := streamPages(SliceSource(pages[cutAt:]), threads, false, cutAt, interval, nil,
 		func(th int, p *object.Page) error {
 			pre[th] = append(pre[th], pageTag(p))
 			return nil
@@ -150,7 +150,7 @@ func TestStreamPagesCheckpointedPanic(t *testing.T) {
 			t.Errorf("cuts after crash = %d, want 1 (only the pre-crash cut)", got)
 		}
 	}()
-	_ = StreamPagesCheckpointed(SliceSource(pages), 2, true, 0, 3,
+	_ = streamPages(SliceSource(pages), 2, true, 0, 3, nil,
 		func(th int, p *object.Page) error {
 			if pageTag(p) == 5 && th == 1 {
 				panic("user combine bug")
@@ -161,7 +161,7 @@ func TestStreamPagesCheckpointedPanic(t *testing.T) {
 			cuts.Add(1)
 			return nil
 		})
-	t.Fatal("StreamPagesCheckpointed returned instead of panicking")
+	t.Fatal("streamPages returned instead of panicking")
 }
 
 // TestStreamPagesReleaseWithoutCuts drives the one fan-out with recovery off

@@ -225,24 +225,6 @@ func (t *JoinTable) Resizes() uint64 {
 	return t.st.Resizes()
 }
 
-// Clone deep-copies the table's buckets (refs are values; the referenced
-// pages are shared). It is the checkpoint primitive of the streaming join
-// build: a clone taken at a cut point is immune to the live table's later
-// inserts, so a crashed build can restore it and replay only the pages
-// past the cut.
-func (t *JoinTable) Clone() *JoinTable {
-	c := &JoinTable{Rows: t.Rows}
-	if t.keys != nil {
-		c.keys = make(map[object.Value]struct{}, len(t.keys))
-		for k := range t.keys {
-			c.keys[k] = struct{}{}
-		}
-		return c
-	}
-	c.st = t.st.Clone()
-	return c
-}
-
 // Merge appends another table's rows bucket by bucket. Called in thread
 // order after a parallel build barrier; because each thread consumed a
 // contiguous slice of the source, per-bucket row order matches what a

@@ -117,8 +117,8 @@
 //     hash-range sub-partitions (LogicalKeyHash, so handle keys route by
 //     logical value, not page offset); each thread folds only its sub-partition's keys into a
 //     private sub-map, consuming pages in the stream's deterministic
-//     order through the one stream fan-out (streamPages; exported as
-//     StreamPagesCheckpointed for the join build). FinalizeAggParallel
+//     order through the one stream fan-out (streamPages; exported without
+//     cuts as StreamPages for the join build). FinalizeAggParallel
 //     then materializes the sub-maps concurrently and concatenates their
 //     pages in sub-partition order.
 //   - Join build/probe (internal/cluster.HashPartitionJoinKind and
@@ -129,18 +129,19 @@
 //     thread order — so user emit callbacks never run concurrently on one
 //     worker.
 //
-// The fan-out carries a checkpoint epilogue for consumer-side crash
-// recovery: given a cut hook it quiesces every consumer thread at interval
-// cuts — and once more at stream end — so the caller can snapshot a
-// mutually consistent merge state (MergeCheckpointer snapshots sub-map
+// The fan-out carries a checkpoint epilogue for the aggregation merge's
+// crash recovery: given a cut hook it quiesces every consumer thread at
+// interval cuts — and once more at stream end — so the caller can snapshot
+// a mutually consistent merge state (MergeCheckpointer snapshots sub-map
 // pages byte-for-byte, alternating between two generations of buffers the
 // caller owns, so the cut being written never touches the installed one
-// and a merge whose pages stopped growing cuts without allocating; the
-// join build clones its tables) and a re-forked consumer can restore it and
-// replay only the stream's suffix, reproducing the crash-free output
-// exactly. With the hook nil — recovery disabled —
-// the same dispatch runs with no barriers and no epilogue, and a release
-// hook recycles each page after its last consumer.
+// and a merge whose pages stopped growing cuts without allocating) and a
+// re-forked consumer can restore it and replay only the stream's suffix,
+// reproducing the crash-free output exactly. With the hook nil — recovery
+// disabled, or the join build, which recovers by replaying its whole
+// stream — the same dispatch runs with no barriers and no epilogue, and a
+// release hook, where one is set, recycles each page after its last
+// consumer.
 //
 // Error and panic discipline: the first failing thread sets a shared abort
 // flag checked once per batch (never per row); panics in user kernels are

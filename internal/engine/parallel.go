@@ -149,20 +149,19 @@ func ParallelThreads(n int, body func(t int, stop <-chan struct{}) error) error 
 // runs inline on the caller.
 //
 // cut, when set, gives the stream consistent cut points for consumer-side
-// crash recovery: after every interval pages — and once more when the
-// stream ends, the checkpoint epilogue — every thread quiesces at a barrier
-// and cut(delivered, final) runs on the calling goroutine, delivered being
-// the total number of pages folded. A caller that snapshots its per-thread
-// state inside cut and later resumes with start = the snapshot's cut
-// (feeding a next that replays the stream from that index) reproduces the
-// uncrashed run bit-for-bit: resumed work lands on the same threads in the
-// same order. interval <= 0 disables the periodic cuts but not the
-// epilogue, which is skipped only when the last periodic cut already covered
-// every delivered page — so after a clean return the caller's latest
-// snapshot always describes the complete stream (the join build relies on
-// this: its epilogue clone is what probe-phase recovery restores the table
-// from). A nil cut means no barriers and no epilogue: the same dispatch with
-// recovery off.
+// crash recovery (the aggregation merge): after every interval pages — and
+// once more when the stream ends, the checkpoint epilogue — every thread
+// quiesces at a barrier and cut(delivered, final) runs on the calling
+// goroutine, delivered being the total number of pages folded. A caller
+// that snapshots its per-thread state inside cut and later resumes with
+// start = the snapshot's cut (feeding a next that replays the stream from
+// that index) reproduces the uncrashed run bit-for-bit: resumed work lands
+// on the same threads in the same order. interval <= 0 disables the
+// periodic cuts but not the epilogue, which is skipped only when the last
+// periodic cut already covered every delivered page — so after a clean
+// return the caller's latest snapshot always describes the complete
+// stream. A nil cut means no barriers and no epilogue: the same dispatch
+// with recovery off.
 //
 // A panic in body (user combine/key code) re-raises on the caller after all
 // threads drain, preserving the backend-crash discipline, and skips any
@@ -328,11 +327,10 @@ func streamPages(next func() (*object.Page, bool, error), threads int, broadcast
 	return cut(delivered, true)
 }
 
-// StreamPagesCheckpointed is the fan-out for a consumer whose state keeps
-// referencing delivered pages (the join build's tables), so no fold ever
-// releases one: page lifetime belongs to the replay window's owner, the
-// exchange.
-func StreamPagesCheckpointed(next func() (*object.Page, bool, error), threads int, broadcast bool,
-	start, interval int, body func(t int, p *object.Page) error, cut func(delivered int, final bool) error) error {
-	return streamPages(next, threads, broadcast, start, interval, nil, body, cut)
+// StreamPages is the fan-out for a consumer whose state keeps referencing
+// delivered pages (the join build's tables): page i goes to thread
+// i%threads, no fold ever releases a page, and no cut is taken — a crashed
+// consumer replays its stream from the start.
+func StreamPages(next func() (*object.Page, bool, error), threads int, body func(t int, p *object.Page) error) error {
+	return streamPages(next, threads, false, 0, 0, nil, body, nil)
 }

@@ -445,12 +445,10 @@ func (s *SortSink) CloseStream() error {
 	return s.Out.CloseStream()
 }
 
-// RunPos is one run's merge cursor: the next element to emit, as a
-// (page, element) pair over the run's root vectors. It is the unit of
-// sort-merge checkpoint state.
-type RunPos struct {
-	Page int `json:"page"`
-	Elem int `json:"elem"`
+// runPos is one run's merge cursor: the next element to emit, as a
+// (page, element) pair over the run's root vectors.
+type runPos struct {
+	page, elem int
 }
 
 // SortMerger merges N sorted SortRow runs (lanes) into the global order: at
@@ -461,20 +459,15 @@ type RunPos struct {
 // the lanes that still have a row sit in a binary min-heap, and a step
 // costs O(log lanes) compares and no allocation. The run pages must stay
 // untouched while the merger lives. A Limit > 0 stops after that many rows
-// (top-k). The cursor vector is exposed for checkpointing: a consumer
-// snapshots Cursor() at a cut and a restarted merge Restore()s it and
-// continues bit-for-bit.
+// (top-k).
 type SortMerger struct {
 	ti      *object.TypeInfo
 	runs    [][]*object.Page
-	pos     []RunPos
+	pos     []runPos
 	heads   []laneHead
 	heap    []int32 // lanes with a head, ordered by (head key, lane)
 	limit   int
 	emitted int
-
-	last    int    // the lane the last row came from; -1 before the first
-	lastPos RunPos // that lane's cursor before the row was taken
 }
 
 // laneHead is a lane's current row: the SortRow carrier and its key bytes,
@@ -486,17 +479,9 @@ type laneHead struct {
 
 // NewSortMerger builds a merger over runs (each a page list in run order).
 func NewSortMerger(reg *object.Registry, runs [][]*object.Page, limit int) *SortMerger {
-	m := &SortMerger{ti: SortRowType(reg), runs: runs, pos: make([]RunPos, len(runs)),
+	m := &SortMerger{ti: SortRowType(reg), runs: runs, pos: make([]runPos, len(runs)),
 		heads: make([]laneHead, len(runs)), heap: make([]int32, 0, len(runs)), limit: limit}
-	m.rebuild()
-	return m
-}
-
-// rebuild loads every lane's head at its cursor and heapifies the lanes
-// that have one.
-func (m *SortMerger) rebuild() {
-	m.last = -1
-	m.heap = m.heap[:0]
+	// Load every lane's first head and heapify the lanes that have one.
 	for i := range m.runs {
 		if m.load(i) {
 			m.heap = append(m.heap, int32(i))
@@ -505,24 +490,25 @@ func (m *SortMerger) rebuild() {
 	for i := len(m.heap)/2 - 1; i >= 0; i-- {
 		siftDown(m.heap, i, m.laneLess)
 	}
+	return m
 }
 
 // load advances lane i's cursor past empty or exhausted pages and caches
 // the row it lands on; false when the lane is drained.
 func (m *SortMerger) load(i int) bool {
 	p := &m.pos[i]
-	for p.Page < len(m.runs[i]) {
-		pg := m.runs[i][p.Page]
+	for p.page < len(m.runs[i]) {
+		pg := m.runs[i][p.page]
 		if pg.Root() != 0 {
-			if root := object.AsVector(object.Ref{Page: pg, Off: pg.Root()}); p.Elem < root.Len() {
-				row := root.HandleAt(p.Elem)
+			if root := object.AsVector(object.Ref{Page: pg, Off: pg.Root()}); p.elem < root.Len() {
+				row := root.HandleAt(p.elem)
 				key := object.StringBytes(object.GetHandleField(row, &m.ti.Fields[sortRowKey]))
 				m.heads[i] = laneHead{key: key, row: row}
 				return true
 			}
 		}
-		p.Page++
-		p.Elem = 0
+		p.page++
+		p.elem = 0
 	}
 	m.heads[i] = laneHead{}
 	return false
@@ -576,8 +562,7 @@ func (m *SortMerger) NextRow() (key []byte, obj object.Ref, val object.Value, ok
 	lane := int(m.heap[0])
 	head := m.heads[lane]
 	obj, val = readSortRow(m.ti, head.row)
-	m.last, m.lastPos = lane, m.pos[lane]
-	m.pos[lane].Elem++
+	m.pos[lane].elem++
 	if !m.load(lane) {
 		n := len(m.heap) - 1
 		m.heap[0] = m.heap[n]
@@ -598,36 +583,6 @@ func (m *SortMerger) Next() (string, object.Ref, object.Value, bool) {
 // Emitted reports how many rows the merge has produced.
 func (m *SortMerger) Emitted() int { return m.emitted }
 
-// Cursor snapshots the merge position (per-run cursors + emitted count).
-func (m *SortMerger) Cursor() ([]RunPos, int) {
-	return append([]RunPos(nil), m.pos...), m.emitted
-}
-
-// CursorBeforeLast is the Cursor as it stood before the row emitted last —
-// what a caller needs when that row turns out to have opened a new output
-// page and the checkpoint must resume with it. Only the emitting lane has
-// moved since, so nothing has to be snapshotted per row to provide it.
-func (m *SortMerger) CursorBeforeLast() ([]RunPos, int) {
-	pos, emitted := m.Cursor()
-	if m.last >= 0 {
-		pos[m.last] = m.lastPos
-		emitted--
-	}
-	return pos, emitted
-}
-
-// Restore rewinds the merge to a snapshot taken by Cursor on a merger
-// built over the identical runs.
-func (m *SortMerger) Restore(pos []RunPos, emitted int) error {
-	if len(pos) != len(m.pos) {
-		return fmt.Errorf("engine: sort cursor arity %d != %d runs", len(pos), len(m.runs))
-	}
-	copy(m.pos, pos)
-	m.emitted = emitted
-	m.rebuild()
-	return nil
-}
-
 // WindowSpec describes the running aggregate a WINDOW computation folds
 // over the globally sorted stream: Combine accumulates each row's value
 // into the running state (the same associative CombineFn aggregations
@@ -640,7 +595,7 @@ type WindowSpec struct {
 }
 
 // WindowState is a window's running aggregate between two rows of the
-// merged stream — what a merge checkpoint saves beside its cursor.
+// merged stream.
 type WindowState struct {
 	Running object.Value
 	Exists  bool

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -121,8 +120,7 @@ func fuzzCmpVals(a, b []object.Value, desc []bool) int {
 // primitives — EncodeSortKey over one- and two-column keys with independent
 // directions, SortRow run pages, SortMerger over 1–64 lanes (the cluster
 // consumer runs one per delivered page) with empty runs and empty pages
-// among them, the limit fast path, Cursor/Restore into a fresh merger at a
-// fuzz-chosen step, and CursorBeforeLast — and pins the output against
+// among them, and the limit fast path — and pins the output against
 // sort.SliceStable over the same rows. Adjacent emitted rows are also
 // compared by value, so the fuzz covers both halves of the contract: the
 // memcomparable encoding orders exactly like the typed comparison, and the
@@ -139,7 +137,7 @@ func FuzzSortMergeEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 8 | 4 | 2, 0, 0, 1, 0, 7, 'b', 2, 0, 7, 'a', 'c', 3, 0, 7, 0x00, 'q', 'q', 5, 0, 3, 'z'})
 	// Floats the byte/4 lattice never reaches: NaNs, infinities, both zeros.
 	f.Add([]byte{1, 1, 2, 0, 0, 0, 1, 248, 2, 249, 3, 250, 4, 251, 5, 252, 6, 253, 8, 254, 9, 255, 10, 4, 11, 248})
-	// Restore into a fresh merger at step 5, redo the row at step 2.
+	// Four runs, empty pages where mask 2 puts them.
 	f.Add([]byte{0, 0, 3, 0, 5, 2, 1, 0, 4, 2, 0, 4, 3, 0, 1, 4, 0, 9, 5, 0, 4, 6, 0, 2, 8, 0, 4, 9, 0, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
@@ -153,7 +151,7 @@ func FuzzSortMergeEquivalence(f *testing.F) {
 			kinds = append(kinds, int(data[3])&3)
 			desc = append(desc, data[3]&4 != 0)
 		}
-		restoreAt, redoAt, emptyMask := int(data[4]), int(data[5]), data[5]
+		emptyMask := data[5] // data[4] is unused
 		data = data[6:]
 
 		// Decode rows: a header byte (NULL markers, run choice) plus
@@ -253,41 +251,12 @@ func FuzzSortMergeEquivalence(f *testing.F) {
 			ref = ref[:limit]
 		}
 
-		// Drain the merger. At step restoreAt hop to a fresh merger through
-		// Cursor/Restore (its heap is rebuilt from the positions alone); at
-		// step redoAt rewind a fresh merger to CursorBeforeLast, which must
-		// emit the same row again, as a consumer resuming from a seal does.
-		// Neither may disturb the sequence.
 		m := NewSortMerger(reg, runs, limit)
 		var got []keyed
 		for {
-			if len(got) == restoreAt%(len(ref)+1) {
-				pos, emitted := m.Cursor()
-				m = NewSortMerger(reg, runs, limit)
-				if err := m.Restore(pos, emitted); err != nil {
-					t.Fatal(err)
-				}
-			}
-			posBefore, emittedBefore := m.Cursor()
 			key, obj, val, ok := m.Next()
 			if !ok {
 				break
-			}
-			pos, emitted := m.CursorBeforeLast()
-			if emitted != emittedBefore || !slices.Equal(pos, posBefore) {
-				t.Fatalf("row %d: CursorBeforeLast = %v/%d, Cursor before that Next = %v/%d",
-					len(got), pos, emitted, posBefore, emittedBefore)
-			}
-			if len(got) == redoAt%(len(ref)+1) {
-				m = NewSortMerger(reg, runs, limit)
-				if err := m.Restore(pos, emitted); err != nil {
-					t.Fatal(err)
-				}
-				key2, obj2, _, ok := m.Next()
-				if !ok || key2 != key || obj2 != obj {
-					t.Fatalf("row %d: resumed before it, the merge emitted (%q, %v, %v), want (%q, %v)",
-						len(got), key2, obj2, ok, key, obj)
-				}
 			}
 			id := object.GetI64(obj, rec.Field("id"))
 			if id != val.AsInt64() {

@@ -694,10 +694,11 @@ func (ex *Exchange) Ack(consumer, upto int) error {
 // Discard releases every page the exchange still holds — undelivered lane
 // messages plus the retention windows — ending
 // their governor claims: byte reservations return to the budget and spill
-// slots free, so a failed step's pools close with zero live slots. It is
-// the failure path's cleanup: call it only after every producer and
-// consumer role has returned and the step is being abandoned (a successful
-// step drains and acknowledges everything, leaving nothing to discard).
+// slots free, so the step's pools close with zero live slots. It is the
+// step's last cleanup, on success as on failure: call it only after every
+// producer and consumer role has returned (a successful step has drained
+// its lanes, but a consumer that replays instead of cutting — the join's
+// probe — never acknowledges its retention).
 // Page references are dropped for the garbage collector, never recycled —
 // a shipped page's capacity need not match the caller's pool, and user
 // code may still hold refs into delivered pages.

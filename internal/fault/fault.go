@@ -43,25 +43,28 @@ const (
 	// producers alike). Panic site; recovered by the producer-role retry
 	// with sender-side dedup.
 	PageSeal Site = iota
-	// Delivery fires as the aggregation consumer takes delivery of a
-	// shuffled page. Panic site; recovered by checkpoint restore + replay.
+	// Delivery fires as the aggregation consumer (or the sort merge
+	// consumer, gathering run pages) takes delivery of a shuffled page.
+	// Panic site; the aggregation recovers by checkpoint restore + replay,
+	// the sort by replaying its retained stream from page 0.
 	Delivery
 	// BuildPage fires as the join consumer takes delivery of a build-side
-	// page. Panic site; recovered by the build's table-clone checkpoint.
+	// page. Panic site; recovered by re-gathering both streams from page 0.
 	BuildPage
 	// ProbePage fires as the join consumer takes delivery of a probe-side
-	// page. Panic site; recovered by the probe cursor checkpoint.
+	// page. Panic site; recovered by re-probing the finished table from the
+	// first probe page.
 	ProbePage
 	// Emit fires immediately before the join hands a match to user emit.
-	// Panic site; recovered by the exactly-once emit cursor.
+	// Panic site; recovered by the exactly-once emitted-match count.
 	Emit
 	// Finalize fires before the aggregation consumer finalizes its merged
-	// maps. Panic site; recovered from the end-of-stream checkpoint.
+	// maps (or the sort merge consumer returns its output). Panic site;
+	// recovered from the end-of-stream checkpoint (the sort: by replay).
 	Finalize
-	// Checkpoint fires at the start of a consumer checkpoint write (agg
-	// snapshot persist, join build cut, join probe cut), before the
-	// recovery record mutates. Panic site; the previous cut stays the
-	// recovery point.
+	// Checkpoint fires at the start of an aggregation checkpoint write,
+	// before the recovery record mutates — the one consumer that cuts.
+	// Panic site; the previous cut stays the recovery point.
 	Checkpoint
 	// SpillEnqueue fires as the memory governor spills a page image to its
 	// store. Panic site; lands on whichever backend goroutine crossed the
@@ -96,7 +99,7 @@ const (
 	ProcKill
 	// ProbeBitmap fires as an outer-join probe records a build-side match
 	// in the match bitmap, immediately before the bit mutates. Panic
-	// site; recovered by the bitmap + probe-cursor checkpoint.
+	// site; recovered like ProbePage, the retry re-marking a fresh bitmap.
 	ProbeBitmap
 
 	numSites

@@ -83,28 +83,6 @@ func (t *RefTable) Range(fn func(hash uint64, first object.Ref, rest []object.Re
 	}
 }
 
-// Clone deep-copies the table: the clone's entries and overflow slices are
-// independent, so later Adds to either side never alias. This is the
-// checkpoint primitive behind JoinTable.Clone.
-func (t *RefTable) Clone() *RefTable {
-	c := &RefTable{
-		ctrl: ctrl{
-			words:     append([]uint64(nil), t.words...),
-			slots:     append([]uint32(nil), t.slots...),
-			groupMask: t.groupMask,
-			resizes:   t.resizes,
-		},
-		entries: make([]refEntry, len(t.entries)),
-	}
-	copy(c.entries, t.entries)
-	for i := range c.entries {
-		if len(c.entries[i].rest) > 0 {
-			c.entries[i].rest = append([]object.Ref(nil), c.entries[i].rest...)
-		}
-	}
-	return c
-}
-
 // AddBucket appends a whole ref list (first + rest, in that order) under
 // hash — the merge primitive. Appended refs are copied, never aliased.
 func (t *RefTable) AddBucket(hash uint64, first object.Ref, rest []object.Ref) {

@@ -137,35 +137,6 @@ func TestRefTableGrowthBoundaries(t *testing.T) {
 	checkAgainstRef(t, rt, ref, order)
 }
 
-// TestRefTableCloneIndependence mutates original and clone separately and
-// checks neither sees the other's writes (the checkpoint contract).
-func TestRefTableCloneIndependence(t *testing.T) {
-	rt := NewRefTable()
-	for i := 0; i < 100; i++ {
-		rt.Add(uint64(i%17), mkRef(i)) // duplicate-heavy: rest slices in play
-	}
-	snap := rt.Clone()
-	wantLen, wantCount := snap.Len(), snap.Count(3)
-
-	// Mutate the original: existing keys (append into rest) and new keys
-	// (force growth so ctrl arrays diverge structurally).
-	for i := 100; i < 400; i++ {
-		rt.Add(uint64(i), mkRef(i))
-	}
-	rt.Add(3, mkRef(9999))
-
-	if snap.Len() != wantLen || snap.Count(3) != wantCount {
-		t.Fatalf("clone saw original's writes: Len=%d Count(3)=%d, want %d/%d",
-			snap.Len(), snap.Count(3), wantLen, wantCount)
-	}
-	// Mutate the clone; the original's bucket 5 must not change.
-	before := rt.Count(5)
-	snap.Add(5, mkRef(8888))
-	if rt.Count(5) != before {
-		t.Fatal("original saw clone's write")
-	}
-}
-
 // TestRefTableAddBucket checks the merge primitive preserves per-bucket
 // order (first then rest, appended after existing refs) and copies rather
 // than aliases incoming slices.
@@ -310,7 +281,7 @@ func TestMatchWordExhaustive(t *testing.T) {
 }
 
 // FuzzRefTable is the differential fuzzer: a byte stream drives interleaved
-// Add/Lookup/Clone decisions against a map reference.
+// Add/Lookup decisions against a map reference.
 func FuzzRefTable(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -329,9 +300,6 @@ func FuzzRefTable(f *testing.F) {
 				order = append(order, h)
 			}
 			ref[h] = append(ref[h], rv)
-			if b%31 == 0 {
-				rt = rt.Clone() // exercise Clone mid-stream
-			}
 		}
 		checkAgainstRef(t, rt, ref, order)
 	})

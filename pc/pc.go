@@ -61,9 +61,8 @@
 // sub-partition order.
 // The hash-partition and co-partitioned joins run one consumer body: they
 // parallelize their repartition scans, hash-table builds (bucket-wise
-// merged, as above), and probe loops; the probe runs in windows of
-// Config.CheckpointInterval pages (the planner's default with recovery
-// disabled), each window's matches buffered per thread and emitted after the
+// merged, as above), and probe loops; the probe runs in windows of a fixed
+// 16 pages, each window's matches buffered per thread and emitted after the
 // window's barrier in thread order, so each worker's emit calls stay
 // serialized in the sequential match order and the match buffer is bounded
 // by a window. Workers emit in parallel with each other (as
