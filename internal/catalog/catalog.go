@@ -304,8 +304,3 @@ func (l *Local) Fetches() int {
 	defer l.mu.Unlock()
 	return l.fetches
 }
-
-// LookupSet proxies set resolution to the master.
-func (l *Local) LookupSet(db, set string) (*SetMeta, error) {
-	return l.master.LookupSet(db, set)
-}

@@ -23,7 +23,9 @@ import (
 // its input, and a runner returning rows in a deterministic order. High
 // group cardinality keeps the aggregation's shuffle pages full so a one-page
 // budget actually spills; the outer join's key ranges overlap only partly,
-// so the unmatched tail and the ProbeBitmap site are reached.
+// so the unmatched tail and the ProbeBitmap site are reached. "agg-nocut" is
+// the aggregation at a negative interval: no cut to restore, so a crashed
+// merge replays its whole retained stream.
 var chaosWorkloads = []struct {
 	name     string
 	interval int
@@ -74,6 +76,17 @@ var chaosWorkloads = []struct {
 		func(c *Cluster, rec *object.TypeInfo) ([]string, error) {
 			return joinKindRows(c, rec, core.JoinFull)
 		}},
+	{"agg-nocut", -1,
+		func(budget int64) []fault.Site {
+			return withSpillSites(budget, fault.PageSeal, fault.Delivery, fault.Finalize)
+		},
+		func(t *testing.T, c *Cluster, rec *object.TypeInfo) {
+			loadIntRows(t, c, rec, "db", "rows", 4000, 499)
+		},
+		func(c *Cluster, rec *object.TypeInfo) ([]string, error) {
+			rows, _, err := intAggRows(c, rec, nil)
+			return rows, err
+		}},
 }
 
 func withSpillSites(budget int64, sites ...fault.Site) []fault.Site {
@@ -84,11 +97,12 @@ func withSpillSites(budget int64, sites ...fault.Site) []fault.Site {
 }
 
 // TestChaosCampaign sweeps Workers {1,2,4} × Threads {1,2,8} × budgets
-// {unbounded, one page} × the four workloads × 6 consecutive seeds — 432
+// {unbounded, one page} × the five workloads × 6 consecutive seeds — 540
 // fault schedules — and requires every site a workload lists to have fired
 // within that workload, so a site the workload can no longer reach fails
-// the campaign instead of passing on another workload's hits. -short runs
-// the one 2×2 cell (48 schedules), too few seeds to reach every site.
+// the campaign instead of passing on another workload's hits. A workload at
+// a negative interval must also count no checkpoint. -short runs the one
+// 2×2 cell (60 schedules), too few seeds to reach every site.
 func TestChaosCampaign(t *testing.T) {
 	workers, threads := []int{1, 2, 4}, []int{1, 2, 8}
 	if testing.Short() {
@@ -142,6 +156,9 @@ func TestChaosCampaign(t *testing.T) {
 							t.Errorf("%s: unexpected failure: %v", label, err)
 						}
 						assertNoJoinLeaks(t, c, label)
+						if n := c.Transport.Stats().Checkpoints; wl.interval < 0 && n != 0 {
+							t.Errorf("%s: %d checkpoints counted at a negative interval", label, n)
+						}
 						if plan.Fired() > 0 {
 							fired[site]++
 							wlFired[site]++

@@ -43,9 +43,9 @@ import (
 const checkpointDb = "_ckpt"
 
 // checkpointEvery resolves the aggregation merge's cut interval:
-// Config.CheckpointInterval overrides (>0) or disables (<0); zero is the
-// planner default, physical.DefaultCheckpointInterval. A result of 0 turns
-// consumer recovery off for every consumer, the join and the sort included.
+// Config.CheckpointInterval overrides (>0) or turns cuts off (<0); zero is
+// the planner default, physical.DefaultCheckpointInterval. A result of 0
+// means the merge takes no cuts and a crashed merge replays from page 0.
 func (c *Cluster) checkpointEvery() int {
 	switch {
 	case c.Cfg.CheckpointInterval < 0:

@@ -58,7 +58,7 @@ func TestCheckpointCrashesRestoreTheInstalledCut(t *testing.T) {
 			from = ckptr.Resume.Cut
 		}
 		_, out, err = engine.MergeAggMapsStream(reg, engine.SliceSource(pages[from:]), 0, 1, spec,
-			mergePage, nil, threads, nil, ckptr)
+			mergePage, nil, threads, ckptr)
 		if err != nil {
 			t.Fatal(err)
 		}

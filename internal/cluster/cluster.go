@@ -37,8 +37,8 @@
 //     the pages a failed step still holds, and reports the step's telemetry
 //     (ExecStats.Ships).
 //   - runRole owns the crash policy. A panic in user code kills the
-//     backend; the front end re-forks it and the role is retried within
-//     Config.MaxRetries, accounted per role in ExecStats.RoleRetries. A
+//     backend; the front end re-forks it and the role is retried once per
+//     step, accounted per role in ExecStats.RoleRetries. A
 //     crash that repeats identically on the retried attempt is treated as a
 //     deterministic user bug and fails the job immediately with the failing
 //     role and worker in the error. In proc mode the backend is a pcworker
@@ -159,19 +159,17 @@ type Config struct {
 	// bit-for-bit identical to a crash-free run. Joins keep no durable
 	// cut: a join whose process died re-runs from its start.
 	DataDir string
-	// CheckpointInterval tunes consumer-side crash recovery. Its sign
-	// turns recovery on or off for every consumer; its value is the number
-	// of shuffled pages an aggregation merge folds between recovery
-	// checkpoints, the only consumer that takes them (the join and the
-	// sort recover by replaying their retained streams). Zero uses
-	// physical.DefaultCheckpointInterval; a positive value overrides it; a
-	// negative value disables consumer recovery: consumers run the same
-	// path with no cuts and no retry (a crash inside a consumer fails the
-	// job), and the exchange retains only the join's probe side, its
-	// buffer while the build runs, metered against MemoryBudget. Each cut
-	// snapshots the merge's whole state, so the interval trades the replay
-	// window against a per-cut cost proportional to aggregate state size —
-	// raise it when merged state is large relative to the stream.
+	// CheckpointInterval is the number of shuffled pages an aggregation
+	// merge folds between recovery checkpoints — the only consumer that
+	// takes them (the join and the sort recover by replaying their retained
+	// streams). Zero uses physical.DefaultCheckpointInterval; a positive
+	// value overrides it; a negative value means the merge takes no cuts: a
+	// crashed merge replays its stream from page 0, like the join and the
+	// sort, and the exchange retains the whole stream until the step ends,
+	// metered against MemoryBudget. Each cut snapshots the merge's whole
+	// state, so the interval trades the replay window against a per-cut cost
+	// proportional to aggregate state size — raise it when merged state is
+	// large relative to the stream.
 	CheckpointInterval int
 	// MemoryBudget, in bytes, bounds the exchange memory each worker
 	// backend keeps resident during a streaming step: pages buffered in
@@ -192,15 +190,6 @@ type Config struct {
 	// the budget, and no other setting bounds it — see docs/TUNING.md for
 	// the full memory model.
 	MemoryBudget int64
-	// MaxRetries bounds how many crash re-fork retries any single role
-	// (stage pipeline, shuffle producer, shuffle consumer, join probe)
-	// gets before the job fails with the role and worker in the error.
-	// Zero keeps the historical policy of one retry; negative disables
-	// retries entirely. A role whose retried attempt crashes with a panic
-	// message identical to the previous attempt's fails immediately — an
-	// identical repeated crash is a deterministic user bug no number of
-	// re-forks will absorb — without consuming the remaining budget.
-	MaxRetries int
 	// Transport selects the process-boundary implementation: "" or "mem"
 	// (the default) is the in-process copier; "unix" and "tcp" ship every
 	// page through a real socket as wire frames (internal/wire) — the

@@ -17,7 +17,7 @@ import (
 // which both of its settings are the right answer.
 func TestConfigFields(t *testing.T) {
 	want := []string{"Workers", "Threads", "PageSize", "DataDir", "CheckpointInterval",
-		"MemoryBudget", "MaxRetries", "Transport", "ProcBin", "Fault"}
+		"MemoryBudget", "Transport", "ProcBin", "Fault"}
 	var got []string
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
 		got = append(got, f.Name)

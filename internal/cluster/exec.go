@@ -33,7 +33,7 @@ type StageShip struct {
 	MaxReorderPages int64
 	// Checkpoints counts the aggregation merge's recovery checkpoints
 	// taken during the step (zero for every other step — the join and the
-	// sort recover by replay — and with recovery disabled).
+	// sort recover by replay — and at a negative CheckpointInterval).
 	Checkpoints int
 	// SpilledPages counts the page images the step's memory governor
 	// (Config.MemoryBudget) moved to spill files — lane pages, retained
@@ -58,9 +58,9 @@ type ExecStats struct {
 	// RoleRetries breaks Retries out per role ("pipeline", "producer",
 	// "consumer") — which half of a streaming step absorbed the crashes.
 	RoleRetries map[string]int
-	// ConsumerRecoveries counts backend crashes inside consuming merges
-	// that were recovered by checkpoint restore + stream replay (a subset
-	// of Retries).
+	// ConsumerRecoveries counts backend crashes inside consumers that were
+	// recovered by stream replay — from the aggregation merge's last cut,
+	// or from page 0 for a consumer that takes none (a subset of Retries).
 	ConsumerRecoveries int
 	// ConsumerResumes counts consumers that resumed from a durable cut a
 	// dead process left under DataDir for this very job (same program,
@@ -194,8 +194,8 @@ func (s *ExecStats) noteRetry(role string, consumerRecovery bool) func() {
 }
 
 // runStage executes one barrier job stage on every worker in parallel,
-// retrying a worker's share within Config.MaxRetries if its backend
-// crashes (the front end re-forks it — paper §2's crash-proof front end).
+// retrying a worker's share once if its backend crashes (the front end
+// re-forks it — paper §2's crash-proof front end).
 func (c *Cluster) runStage(res *core.CompileResult, stage *physical.JobStage, stats *ExecStats) error {
 	if stage.Kind != physical.StagePipeline || stage.Sink == physical.SinkPreAgg {
 		// Pre-aggregation producers and aggregation consumers are
@@ -290,19 +290,18 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 // each holding exchange.DefaultCapacity pages, so the in-flight bound is per
 // thread; shipping copies the page into the consumer's registry (a worker's
 // own pages pass by reference); and retry duplicates, dropped at the sender,
-// recycle through the page pool. replayable turns on delivered-page
-// retention for consumer crash recovery; releaseDelivered receives pages
-// once a consumer's checkpoint acknowledges them (nil when the consumer's
-// state keeps referencing them, as the join-table build and the sort merge
-// do). govs, when non-nil, attach the step's per-worker memory governors
-// (Config.MemoryBudget) so over-budget pages spill to disk.
-func (c *Cluster) newShuffleExchange(replayable bool, releaseDelivered func(*object.Page),
-	govs []*exchange.Governor) *exchange.Exchange {
+// recycle through the page pool. Delivered pages stay retained for
+// consumer crash recovery until acknowledged or discarded;
+// releaseDelivered receives them once a consumer's checkpoint acknowledges
+// them (nil when the consumer's state keeps referencing them, as the
+// join-table build and the sort merge do). govs, when non-nil, attach the
+// step's per-worker memory governors (Config.MemoryBudget) so over-budget
+// pages spill to disk.
+func (c *Cluster) newShuffleExchange(releaseDelivered func(*object.Page), govs []*exchange.Governor) *exchange.Exchange {
 	return exchange.New(exchange.Config{
-		Producers:  len(c.Workers),
-		Consumers:  len(c.Workers),
-		Threads:    c.Cfg.Threads,
-		Replayable: replayable,
+		Producers: len(c.Workers),
+		Consumers: len(c.Workers),
+		Threads:   c.Cfg.Threads,
 		Ship: func(p *object.Page, producer, consumer int) (*object.Page, error) {
 			if producer == consumer {
 				return p, nil
@@ -325,17 +324,18 @@ func (c *Cluster) newShuffleExchange(replayable bool, releaseDelivered func(*obj
 // sub-partitions), then finalizes the disjoint sub-maps concurrently.
 //
 // A producer whose backend crashes mid-stream is re-forked and retried
-// (within Config.MaxRetries); the deterministic re-run re-sends the same
-// tagged pages and the exchange drops the duplicates at the sender. A
-// consumer whose backend crashes mid-merge is also re-forked and retried:
-// the merge checkpoints its sub-maps every interval pages (acknowledging
-// each cut so the exchange's replay retention stays bounded), and the
-// retry restores the last checkpoint, rewinds the exchange to its cut, and
-// re-consumes only the replayed suffix — bit-for-bit identical to a
-// crash-free run. When the step fails anyway (retries exhausted, a
-// deterministic crash, or an injected I/O error), the failure path
-// releases everything the step still holds: undelivered and retained
-// exchange pages (runStep), checkpoint snapshots, spill slots.
+// once; the deterministic re-run re-sends the same tagged pages and the
+// exchange drops the duplicates at the sender. A consumer whose backend
+// crashes mid-merge is also re-forked and retried: the merge checkpoints
+// its sub-maps every interval pages (acknowledging each cut so the
+// exchange's replay retention stays bounded), and the retry restores the
+// last checkpoint, rewinds the exchange to its cut, and re-consumes only
+// the replayed suffix — bit-for-bit identical to a crash-free run. At a
+// negative CheckpointInterval the merge takes no cuts and the retry
+// replays the stream from page 0. When the step fails anyway (retries
+// exhausted, a deterministic crash, or an injected I/O error), the
+// failure path releases everything the step still holds: undelivered and
+// retained exchange pages (runStep), checkpoint snapshots, spill slots.
 //
 // In proc mode (Config.ProcBin) the step is the same — same exchange, same
 // roles, same retry accounting — with each role's body a session that has
@@ -353,14 +353,14 @@ func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical
 		// per-backend budget does not describe.
 		govs, opener = nil, c.sessionOpener(res)
 	}
-	ex := c.newShuffleExchange(interval > 0, func(p *object.Page) { c.pool.Put(p) }, govs)
+	ex := c.newShuffleExchange(func(p *object.Page) { c.pool.Put(p) }, govs)
 	arts := make([]*workerArtifacts, nw)
 	recs := make([]*aggRecovery, nw)
 	ends := make([]*exchangeEnd, nw)
 	roles := make([]role, 2*nw)
 	for i, w := range c.Workers {
 		env, gov := c.env(w), governorOf(govs, i)
-		end := &exchangeEnd{ex: ex, worker: i, replayable: interval > 0}
+		end := &exchangeEnd{ex: ex, worker: i}
 		rec := &aggRecovery{produces: cons.Produces}
 		ends[i], recs[i] = end, rec
 		produce := func() error { return env.runPreAggStream(res, prod, end) }
@@ -373,7 +373,7 @@ func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical
 			onRetry: stats.noteRetry(roleProducer, false),
 			body:    produce,
 			closes:  ex}
-		roles[nw+i] = role{w: w, proc: proc, name: roleConsumer, what: cons.Produces, noRetry: interval <= 0,
+		roles[nw+i] = role{w: w, proc: proc, name: roleConsumer, what: cons.Produces,
 			onRetry: stats.noteRetry(roleConsumer, true),
 			saves:   &rec.saves,
 			body: func() error {
@@ -446,14 +446,15 @@ func (e *workerEnv) runPreAggStream(res *core.CompileResult, stage *physical.Job
 // pages). The caller drops rec's snapshots (dropAggCheckpoint) once the
 // pages are handed on.
 //
-// With interval > 0 the merge is replayable: it restores rec's checkpointed
+// With interval > 0 the merge checkpoints: it restores rec's checkpointed
 // sub-maps if any — rec's own, or on a disk-backed worker the durable cut a
 // dead process left for this very job (resume.go) — tells end the cut
 // it starts from, and snapshots + acknowledges a new cut every interval
 // pages plus once at stream end — so a crash anywhere in the merge or
 // finalize resumes from at most one interval back. Delivered pages recycle
-// through the exchange's acknowledge path instead of a per-fold release,
-// since the replay window still needs them.
+// through the exchange's acknowledge path. With interval ≤ 0 every attempt
+// starts from page 0 and the exchange retains the whole stream until the
+// step ends.
 func (e *workerEnv) consumeAggStream(res *core.CompileResult, stage *physical.JobStage, end shuffleEnd,
 	interval int, rec *aggRecovery, gov *exchange.Governor) ([]*object.Page, error) {
 	spec := res.AggSpecs[stage.AggList]
@@ -481,9 +482,8 @@ func (e *workerEnv) consumeAggStream(res *core.CompileResult, stage *physical.Jo
 		}
 		return p, ok, err
 	}
-	// MergeAggMapsStream ignores the per-fold release when it checkpoints.
 	finals, mergePages, err := engine.MergeAggMapsStream(e.reg, next, e.id, e.workers,
-		spec, e.pageSize, e.pool, e.threads, e.pool.Put, ckptr)
+		spec, e.pageSize, e.pool, e.threads, ckptr)
 	if err != nil {
 		return nil, err
 	}
@@ -501,7 +501,7 @@ func (e *workerEnv) consumeAggStream(res *core.CompileResult, stage *physical.Jo
 	return out, nil
 }
 
-// aggCheckpointer is a replayable merge's checkpointer over rec: it resumes
+// aggCheckpointer is a checkpointing merge's checkpointer over rec: it resumes
 // from rec's installed cut if any — rec's own, or on a disk-backed worker
 // the durable cut a dead process left for this very job (resume.go) — has
 // the merge write its cuts into rec's generations, and installs each one

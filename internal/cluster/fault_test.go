@@ -178,8 +178,8 @@ func TestProbeDrainCrashReachesBackend(t *testing.T) {
 		t.Fatalf("need three full pages, got %d (%v)", len(pages), err)
 	}
 	govs, closeGovs := c.stepGovernors()
-	exProbe := c.newShuffleExchange(true, func(*object.Page) {}, govs)
-	exBuild := c.newShuffleExchange(true, nil, govs)
+	exProbe := c.newShuffleExchange(func(*object.Page) {}, govs)
+	exBuild := c.newShuffleExchange(nil, govs)
 	// Page 0 takes the whole budget; pages 1 and 2 spill at enqueue.
 	for seq, p := range pages[:3] {
 		if err := exProbe.Send(exchange.Tag{Seq: seq}, 0, p, nil); err != nil {
@@ -198,8 +198,8 @@ func TestProbeDrainCrashReachesBackend(t *testing.T) {
 			t.Errorf("%d spill slots leaked", n)
 		}
 	}()
-	_, _, err = c.env(c.Workers[0]).gatherJoinStreams(&exchangeEnd{ex: exBuild, replayable: true},
-		&exchangeEnd{ex: exProbe, replayable: true}, &joinSpec{}, &joinRecovery{})
+	_, _, err = c.env(c.Workers[0]).gatherJoinStreams(&exchangeEnd{ex: exBuild},
+		&exchangeEnd{ex: exProbe}, &joinSpec{}, &joinRecovery{})
 	t.Fatalf("gatherJoinStreams returned (%v) past the injected crash", err)
 }
 
@@ -470,22 +470,17 @@ func TestCheckpointIOErrorFailsCleanly(t *testing.T) {
 	assertNoJoinLeaks(t, c, "checkpoint I/O error")
 }
 
-// TestMaxRetriesBoundsRecovery arms more distinct crashes than the retry
-// budget absorbs: MaxRetries=1 must fail with the exhaustion error naming
-// the role and worker, while MaxRetries=3 rides out the same schedule.
-func TestMaxRetriesBoundsRecovery(t *testing.T) {
-	const interval = 2
+// TestRetryBudgetBoundsRecovery arms more distinct crashes than the fixed
+// retry budget absorbs: two must fail with the exhaustion error naming the
+// role and worker, while the first of them alone is recovered with one
+// consumer retry.
+func TestRetryBudgetBoundsRecovery(t *testing.T) {
 	// Two distinct crashes on worker 1's merge: the second K is cumulative
 	// across the retry's replayed deliveries, so it fires mid-retry.
-	plan := func() *fault.Plan {
-		return fault.NewPlan(
-			fault.Injection{Site: fault.Delivery, Worker: 1, K: 3},
-			fault.Injection{Site: fault.Delivery, Worker: 1, K: 10},
-		)
-	}
-	mk := func(maxRetries int) (*Cluster, *object.TypeInfo) {
-		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			CheckpointInterval: interval, MaxRetries: maxRetries})
+	first := fault.Injection{Site: fault.Delivery, Worker: 1, K: 3}
+	second := fault.Injection{Site: fault.Delivery, Worker: 1, K: 10}
+	mk := func(plan *fault.Plan) (*Cluster, *object.TypeInfo) {
+		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,14 +488,14 @@ func TestMaxRetriesBoundsRecovery(t *testing.T) {
 		// High cardinality → full map pages → enough deliveries on worker 1
 		// for both hit indexes to be reached.
 		loadIntRows(t, c, rec, "db", "rows", 4000, 499)
+		c.Cfg.Fault = plan
 		return c, rec
 	}
 
-	c, rec := mk(1)
-	c.Cfg.Fault = plan()
+	c, rec := mk(fault.NewPlan(first, second))
 	err := writeIntAgg(t, c, rec)
 	if err == nil {
-		t.Fatal("two distinct crashes under MaxRetries=1 succeeded")
+		t.Fatal("two distinct crashes within a one-retry budget succeeded")
 	}
 	if !strings.Contains(err.Error(), "exhausted 1 crash retries") {
 		t.Errorf("error does not report retry exhaustion: %v", err)
@@ -508,18 +503,18 @@ func TestMaxRetriesBoundsRecovery(t *testing.T) {
 	if !strings.Contains(err.Error(), "consumer role") || !strings.Contains(err.Error(), "worker 1") {
 		t.Errorf("error does not name the failing role and worker: %v", err)
 	}
+	assertNoJoinLeaks(t, c, "exhausted budget")
 
-	c3, rec3 := mk(3)
-	c3.Cfg.Fault = plan()
-	rows, stats := runIntAgg(t, c3, rec3, nil)
+	c1, rec1 := mk(fault.NewPlan(first))
+	rows, stats := runIntAgg(t, c1, rec1, nil)
 	if len(rows) != 499 {
-		t.Fatalf("MaxRetries=3 run produced %d groups, want 499", len(rows))
+		t.Fatalf("one-crash run produced %d groups, want 499", len(rows))
 	}
-	if c3.Cfg.Fault.Fired() != 2 {
-		t.Errorf("fired %d of 2 injections", c3.Cfg.Fault.Fired())
+	if c1.Cfg.Fault.Fired() != 1 {
+		t.Errorf("fired %d of 1 injections", c1.Cfg.Fault.Fired())
 	}
-	if stats.RoleRetries[roleConsumer] != 2 {
-		t.Errorf("consumer role retries = %d, want 2 (got %v)", stats.RoleRetries[roleConsumer], stats.RoleRetries)
+	if stats.RoleRetries[roleConsumer] != 1 {
+		t.Errorf("consumer role retries = %d, want 1 (got %v)", stats.RoleRetries[roleConsumer], stats.RoleRetries)
 	}
 }
 
@@ -544,7 +539,7 @@ func TestCancelObserverIsNotRetried(t *testing.T) {
 	}
 	stats, err := c.Execute(core.NewWrite("db", "out", intSumAgg(rec, nil)))
 	if err == nil {
-		t.Fatal("two consumer crashes under MaxRetries=1 succeeded")
+		t.Fatal("two consumer crashes within a one-retry budget succeeded")
 	}
 	if !strings.Contains(err.Error(), "consumer role") || !strings.Contains(err.Error(), "worker 1 exhausted 1 crash retries") ||
 		strings.Contains(err.Error(), "producer role") || strings.Contains(err.Error(), "cancelled") {
@@ -556,13 +551,11 @@ func TestCancelObserverIsNotRetried(t *testing.T) {
 	assertNoJoinLeaks(t, c, "cancel observer")
 }
 
-// TestDeterministicCrashFailsFast arms a generous retry budget against a
-// deterministic user bug (identical panic on every attempt): the policy
-// must fail after a single confirming retry instead of burning the budget,
-// and say so in the error.
+// TestDeterministicCrashFailsFast runs a deterministic user bug (identical
+// panic on every attempt): the policy must fail after a single confirming
+// retry and say so in the error, not report an exhausted budget.
 func TestDeterministicCrashFailsFast(t *testing.T) {
 	c, _ := testCluster(t, 50)
-	c.Cfg.MaxRetries = 5
 	sel := &core.Selection{
 		In:      core.NewScan("db", "emps", "Emp"),
 		ArgType: "Emp",
@@ -584,8 +577,7 @@ func TestDeterministicCrashFailsFast(t *testing.T) {
 	if !strings.Contains(err.Error(), "failed deterministically") {
 		t.Errorf("error does not flag the deterministic crash: %v", err)
 	}
-	// One original attempt + one confirming retry per crashing worker —
-	// the remaining retry budget must not be burned on an identical bug.
+	// One original attempt + one confirming retry per crashing worker.
 	for _, w := range c.Workers {
 		if w.Front.ReForks > 2 {
 			t.Errorf("worker %d re-forked %d times for an identical crash, want <= 2", w.ID, w.Front.ReForks)
@@ -594,8 +586,9 @@ func TestDeterministicCrashFailsFast(t *testing.T) {
 }
 
 // TestFailureCleanupReleasesEverything fails a governed, checkpointing job
-// on purpose (retries disabled) and asserts the failure path released all
-// transient state: spill slots, _ckpt sets, temp spill directories.
+// on purpose (one crash more than the retry budget) and asserts the failure
+// path released all transient state: spill slots, _ckpt sets, temp spill
+// directories.
 func TestFailureCleanupReleasesEverything(t *testing.T) {
 	tmpBefore, err := filepath.Glob(filepath.Join(os.TempDir(), "pcspill-*"))
 	if err != nil {
@@ -607,16 +600,16 @@ func TestFailureCleanupReleasesEverything(t *testing.T) {
 			dir = t.TempDir()
 		}
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			CheckpointInterval: 2, MemoryBudget: spillBudget,
-			MaxRetries: -1, DataDir: dir})
+			CheckpointInterval: 2, MemoryBudget: spillBudget, DataDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := intRecType(c)
 		loadIntRows(t, c, rec, "db", "rows", 4000, 499)
-		c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Delivery, Worker: 1, K: 5})
+		c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Delivery, Worker: 1, K: 5},
+			fault.Injection{Site: fault.Delivery, Worker: 1, K: 9})
 		if err := writeIntAgg(t, c, rec); err == nil {
-			t.Fatal("crashing job with retries disabled succeeded")
+			t.Fatal("job crashing past its retry budget succeeded")
 		}
 		assertNoJoinLeaks(t, c, fmt.Sprintf("failed job (dataDir=%v)", dataDir))
 		if dataDir {
@@ -637,14 +630,15 @@ func TestFailureCleanupReleasesEverything(t *testing.T) {
 	}
 }
 
-// TestFailedJoinCleansUp fails the join mid-probe with retries disabled
-// and asserts both exchanges' retained pages and spill slots are released.
+// TestFailedJoinCleansUp fails the join mid-probe with one crash more than
+// the retry budget and asserts both exchanges' retained pages and spill
+// slots are released.
 func TestFailedJoinCleansUp(t *testing.T) {
 	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		CheckpointInterval: 1, MemoryBudget: spillBudget,
-		MaxRetries: -1}
+		CheckpointInterval: 1, MemoryBudget: spillBudget}
 	c, rec := joinFixture(t, cfg, 600, 90, 18)
-	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Emit, Worker: 0, K: 3})
+	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Emit, Worker: 0, K: 3},
+		fault.Injection{Site: fault.Emit, Worker: 0, K: 6})
 	grpField := rec.Field("grp")
 	key := func(r object.Ref) uint64 {
 		return object.HashValue(object.Int64Value(object.GetI64(r, grpField)))
@@ -655,7 +649,7 @@ func TestFailedJoinCleansUp(t *testing.T) {
 	_, err := c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right", key, key, eq,
 		func(int, object.Ref, object.Ref) error { return nil })
 	if err == nil {
-		t.Fatal("crashing join with retries disabled succeeded")
+		t.Fatal("join crashing past its retry budget succeeded")
 	}
 	assertNoJoinLeaks(t, c, "failed join")
 }

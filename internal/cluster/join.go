@@ -71,43 +71,39 @@ import (
 //
 // # Probe/emit recovery
 //
-// A backend crash anywhere in the join is recovered (within
-// Config.MaxRetries) by replay, not by restoring a cut: the join takes no
-// checkpoints. A producer crash (the key panics while repartitioning) is
-// re-forked and re-run; the deterministic retry re-sends the same tags and
-// the lanes drop its duplicates at the sender. A build-phase consumer crash
-// re-gathers both streams from page 0 — the exchange retains both until the
-// table is complete. Once it is, the worker's recovery record keeps the
+// A backend crash anywhere in the join is recovered (once per role per
+// step) by replay, not by restoring a cut: the join takes no checkpoints.
+// A producer crash (the key panics while repartitioning) is re-forked and
+// re-run; the deterministic retry re-sends the same tags and the lanes drop
+// its duplicates at the sender. A build-phase consumer crash re-gathers
+// both streams from page 0 — the exchange retains both until the table is
+// complete. Once it is, the worker's recovery record keeps the
 // table (read-only from then on) and the build stream is acknowledged. A
 // probe/emit-phase crash reuses that table, rewinds the probe stream to
 // page 0, and skips the first matches the record counts as emitted — match
 // order is page order, so the skip prefix is exactly what user code
 // already observed and emit sees every match exactly once. Match output is
-// bit-for-bit identical to a crash-free run in every case. With recovery
-// disabled (CheckpointInterval < 0) the consumer runs the same path over a
-// build stream the exchange does not retain, and any consumer crash fails
-// the join.
+// bit-for-bit identical to a crash-free run in every case, whatever
+// CheckpointInterval says.
 func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR string,
 	keyL, keyR func(object.Ref) uint64,
 	eq func(l, r object.Ref) bool,
 	emit func(workerID int, l, r object.Ref) error) (*ExecStats, error) {
 	nw := len(c.Workers)
-	recovery := c.checkpointEvery() > 0
 	// One governor per consumer backend, shared by both exchanges: the
 	// memory budget is per backend, not per shuffle. Build-side delivered
 	// pages are consumer-owned (the tables reference them in place, so they
 	// live for the join regardless); probe-side delivered pages are
 	// exchange-owned replay retention — metered and evictable until the
-	// step ends — with recovery on or off: retention is what holds the
-	// probe side while the build runs. Its release hook never runs (the
-	// probe acknowledges nothing); it only marks the retention
-	// exchange-owned. Dropping the exchange's references at step end lets
+	// step ends: retention is what holds the probe side while the build
+	// runs. Its release hook never runs (the probe acknowledges nothing);
+	// it only marks the retention exchange-owned. Dropping the exchange's references at step end lets
 	// the garbage collector reclaim probe pages exactly when user emit code,
 	// which may hold refs into them, is done.
 	govs, closeGovs := c.stepGovernors()
 	defer closeGovs()
-	exL := c.newShuffleExchange(true, func(*object.Page) {}, govs)
-	exR := c.newShuffleExchange(recovery, nil, govs)
+	exL := c.newShuffleExchange(func(*object.Page) {}, govs)
+	exR := c.newShuffleExchange(nil, govs)
 	stats := &ExecStats{Threads: c.Cfg.Threads, RoleRetries: map[string]int{}}
 	roles := make([]role, 3*nw)
 	for i, w := range c.Workers {
@@ -125,9 +121,9 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 		j := &joinSpec{kind: kind, keyL: keyL, keyR: keyR, eq: eq,
 			emit: func(l, r object.Ref) error { return emit(i, l, r) }}
 		rec := &joinRecovery{}
-		build := &exchangeEnd{ex: exR, worker: i, replayable: recovery}
-		probe := &exchangeEnd{ex: exL, worker: i, replayable: true}
-		roles[2*nw+i] = role{w: w, name: roleConsumer, what: "join build/probe", noRetry: !recovery,
+		build := &exchangeEnd{ex: exR, worker: i}
+		probe := &exchangeEnd{ex: exL, worker: i}
+		roles[2*nw+i] = role{w: w, name: roleConsumer, what: "join build/probe",
 			onRetry: func() {
 				if rec.table != nil {
 					stats.noteRetry(roleProbe, true)()

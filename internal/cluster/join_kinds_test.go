@@ -282,9 +282,9 @@ func TestOuterJoinCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestJoinKindsCheckpointsOff runs every kind with consumer recovery
-// disabled — the same consumer body with its cut hooks absent — with and
-// without a memory budget: the per-worker emit order must equal the
+// TestJoinKindsCheckpointsOff runs every kind at a negative
+// CheckpointInterval — the same consumer body — with and without a memory
+// budget: the per-worker emit order must equal the
 // checkpointed run's, the multiset the nested-loop reference's, no
 // checkpoint may be counted, and under a budget the probe side's retention
 // (the probe buffer while the build runs) must be metered and spill.
@@ -323,7 +323,7 @@ func TestJoinKindsCheckpointsOff(t *testing.T) {
 				}
 				ts := c.Transport.Stats()
 				if ts.Checkpoints != 0 {
-					t.Errorf("%s: %d checkpoints counted with recovery disabled", label, ts.Checkpoints)
+					t.Errorf("%s: %d checkpoints counted at a negative interval", label, ts.Checkpoints)
 				}
 				if budget > 0 && (ts.SpilledPages == 0 || ts.MaxBufferedBytes == 0 || ts.MaxBufferedBytes > budget) {
 					t.Errorf("%s: spilled %d pages, MaxBufferedBytes %d, want spills and a gauge in (0, %d]",
@@ -335,31 +335,30 @@ func TestJoinKindsCheckpointsOff(t *testing.T) {
 	}
 }
 
-// TestJoinCheckpointsOffCrashFailsClean crashes the recovery-off consumer
-// at each of its sites: the join must fail on the first crash — no retry,
-// whatever Config.MaxRetries allows — and release every retained probe
-// page and spill slot.
-func TestJoinCheckpointsOffCrashFailsClean(t *testing.T) {
+// TestJoinCheckpointsOffCrashRecovers crashes the consumer of a join at a
+// negative CheckpointInterval at each of its sites, under a one-page
+// budget: a join never takes cuts, so the retry replays its retained
+// streams from page 0 exactly as at any other interval — the emitted pairs
+// equal the crash-free run's, no checkpoint is counted, and no spill slot
+// or _ckpt set leaks.
+func TestJoinCheckpointsOffCrashRecovers(t *testing.T) {
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
+		CheckpointInterval: -1, MemoryBudget: spillBudget}
+	ref, refRec := joinFixture(t, cfg, 600, 90, 18)
+	want := runJoinKind(t, ref, refRec, core.JoinInner)
 	for _, site := range []fault.Site{fault.BuildPage, fault.ProbePage, fault.Emit} {
-		cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			CheckpointInterval: -1, MemoryBudget: spillBudget, MaxRetries: 3}
 		c, rec := joinFixture(t, cfg, 600, 90, 18)
 		c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: site, Worker: 0, K: 1})
-		stats, err := c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right",
-			joinKeyOn(rec), joinKeyOn(rec), joinEqOn(rec),
-			func(int, object.Ref, object.Ref) error { return nil })
-		if err == nil {
-			t.Fatalf("%s: a consumer crash with recovery disabled did not fail the join", site)
-		}
+		got := runJoinKind(t, c, rec, core.JoinInner)
 		if c.Cfg.Fault.Fired() != 1 {
-			t.Errorf("%s: injection fired %d times, want 1 (no retried attempt)", site, c.Cfg.Fault.Fired())
+			t.Fatalf("%s: the crash never fired", site)
 		}
-		// (A producer the failure cancelled mid-send may still count a retry
-		// of its own; the consumer must not.)
-		if stats.ConsumerRecoveries != 0 || stats.Ships[0].Checkpoints != 0 {
-			t.Errorf("%s: %d consumer recoveries, %d checkpoints, want none",
-				site, stats.ConsumerRecoveries, stats.Ships[0].Checkpoints)
+		if !equalRows(got, want) {
+			t.Errorf("%s: recovered join differs from the crash-free run (%d vs %d rows)", site, len(got), len(want))
 		}
-		assertNoJoinLeaks(t, c, "recovery off, "+site.String())
+		if n := c.Transport.Stats().Checkpoints; n != 0 {
+			t.Errorf("%s: %d checkpoints counted at a negative interval", site, n)
+		}
+		assertNoJoinLeaks(t, c, "no cuts, "+site.String())
 	}
 }

@@ -582,11 +582,10 @@ func TestOperatorMatrixUnixTransport(t *testing.T) {
 	}
 }
 
-// TestOperatorMatrixCheckpointsOff is the "recovery disabled" rung: every
-// operator at Workers {1,2} × Threads {1,2} with CheckpointInterval -1 must
-// produce the recovery-on cell's rows in the same order — "off" is the same
-// path with no cuts and no retry, not a second algorithm — and count no
-// checkpoint.
+// TestOperatorMatrixCheckpointsOff is the "no cuts" rung: every operator at
+// Workers {1,2} × Threads {1,2} with CheckpointInterval -1 must produce the
+// checkpointed cell's rows in the same order — "no cuts" is the same path
+// without its snapshots, not a second algorithm — and count no checkpoint.
 func TestOperatorMatrixCheckpointsOff(t *testing.T) {
 	for _, corpus := range matCorpora {
 		left, right := matCorpus(corpus)
@@ -599,7 +598,7 @@ func TestOperatorMatrixCheckpointsOff(t *testing.T) {
 					t.Errorf("%s: rows differ from the checkpointed cell (%d vs %d)", label, len(g), len(w))
 				}
 				if offCuts[op.name] != 0 {
-					t.Errorf("%s: %d checkpoints counted with recovery disabled", label, offCuts[op.name])
+					t.Errorf("%s: %d checkpoints counted at a negative interval", label, offCuts[op.name])
 				}
 				// Only the aggregation family cuts; the joins and the sort
 				// family recover by replay and count none either way.

@@ -175,10 +175,10 @@ func TestProcClusterShipsFoldFamilies(t *testing.T) {
 	}
 }
 
-// TestProcClusterCheckpointsOff is the smoke job with consumer recovery
-// disabled: the exchange is then not replayable, and the master's consumer
-// relay must not rewind it (every such job used to fail with "Rewind on a
-// non-replayable exchange").
+// TestProcClusterCheckpointsOff is the smoke job at a negative
+// CheckpointInterval: the worker's merge takes no cut, the master's
+// consumer relay positions the exchange at page 0, and the sums are
+// exact.
 func TestProcClusterCheckpointsOff(t *testing.T) {
 	bin := buildPCWorker(t)
 	const n, groups = 2000, 16
@@ -201,7 +201,7 @@ func TestProcClusterCheckpointsOff(t *testing.T) {
 	checkIntSums(t, rows, n, groups)
 	for _, s := range stats.Ships {
 		if s.Checkpoints != 0 {
-			t.Errorf("stage %d took %d checkpoints with recovery disabled", s.Stage, s.Checkpoints)
+			t.Errorf("stage %d took %d checkpoints at a negative interval", s.Stage, s.Checkpoints)
 		}
 	}
 }
@@ -265,7 +265,7 @@ func TestProcClusterKillRespawnRecovers(t *testing.T) {
 
 // TestProcClusterKillRestartResume is the cross-process resume
 // acceptance test: a proc-mode cluster loses a worker process mid-merge
-// with retries disabled, so the whole job fails — the stand-in for the
+// once more than the retry budget absorbs, so the whole job fails — the stand-in for the
 // master dying with it. Only the DataDir survives. A fresh cluster
 // (fresh master, fresh worker processes) on the same DataDir re-executes
 // the same job: the worker's hello carries its durable cut, the master
@@ -275,7 +275,7 @@ func TestProcClusterKillRestartResume(t *testing.T) {
 	bin := buildPCWorker(t)
 	const n, groups, interval = 4000, 16, 2
 	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		CheckpointInterval: interval, MaxRetries: -1, ProcBin: bin}
+		CheckpointInterval: interval, ProcBin: bin}
 
 	// Crash-free proc reference on its own DataDir.
 	refCfg := base
@@ -300,8 +300,8 @@ func TestProcClusterKillRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First life: the kill fires past a checkpoint, retries are disabled,
-	// the job fails. The worker's durable cut must survive on its disk.
+	// First life: the kill fires past a checkpoint, and again past the
+	// retry's first checkpoint, exhausting the budget: the job fails. The worker's durable cut must survive on its disk.
 	dir := t.TempDir()
 	cfg := base
 	cfg.DataDir = dir
@@ -314,12 +314,13 @@ func TestProcClusterKillRestartResume(t *testing.T) {
 	if err := c1.CreateSet("db", "sums", "RecovRec"); err != nil {
 		t.Fatal(err)
 	}
-	c1.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.ProcKill, Worker: 1, K: 0})
+	c1.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.ProcKill, Worker: 1, K: 0},
+		fault.Injection{Site: fault.ProcKill, Worker: 1, K: 0})
 	if _, err := c1.Execute(core.NewWrite("db", "sums", procSumAgg(t, c1))); err == nil {
-		t.Fatal("killed job with retries disabled succeeded")
+		t.Fatal("job killed past its retry budget succeeded")
 	}
-	if c1.Cfg.Fault.Fired() != 1 {
-		t.Fatal("the mid-stream kill never fired")
+	if c1.Cfg.Fault.Fired() != 2 {
+		t.Fatal("the mid-stream kills did not both fire")
 	}
 	if len(resumeFiles(t, dir)) == 0 {
 		t.Fatal("no durable worker cut survived the failed life")
@@ -363,7 +364,7 @@ func TestProcClusterRestartRefusesReloadedInput(t *testing.T) {
 	bin := buildPCWorker(t)
 	const n, groups, interval = 4000, 16, 2
 	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		CheckpointInterval: interval, MaxRetries: -1, ProcBin: bin, DataDir: t.TempDir()}
+		CheckpointInterval: interval, ProcBin: bin, DataDir: t.TempDir()}
 	c1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -373,9 +374,10 @@ func TestProcClusterRestartRefusesReloadedInput(t *testing.T) {
 	if err := c1.CreateSet("db", "sums", "RecovRec"); err != nil {
 		t.Fatal(err)
 	}
-	c1.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.ProcKill, Worker: 1, K: 0})
+	c1.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.ProcKill, Worker: 1, K: 0},
+		fault.Injection{Site: fault.ProcKill, Worker: 1, K: 0})
 	if _, err := c1.Execute(core.NewWrite("db", "sums", procSumAgg(t, c1))); err == nil {
-		t.Fatal("killed job with retries disabled succeeded")
+		t.Fatal("job killed past its retry budget succeeded")
 	}
 	if len(resumeFiles(t, cfg.DataDir)) == 0 {
 		t.Fatal("no durable worker cut survived the failed life")

@@ -6,8 +6,8 @@ package cluster
 // crash policy in one place:
 //
 //   - A panic kills the backend (Backend.Run converts it to
-//     errBackendCrashed); the front end re-forks and, when the role is
-//     recoverable, runRole retries it up to Config.MaxRetries times.
+//     errBackendCrashed); the front end re-forks and runRole retries the
+//     role, at most retryBudget times per step.
 //   - A retried attempt that crashes with a panic message identical to the
 //     previous attempt's is a deterministic user bug — re-running the same
 //     deterministic work produced the same crash — and fails the job
@@ -41,17 +41,11 @@ const (
 	roleProbe    = "probe"
 )
 
-// maxRetries resolves Config.MaxRetries: zero means the historical one
-// retry, negative means none.
-func (c *Cluster) maxRetries() int {
-	if c.Cfg.MaxRetries < 0 {
-		return 0
-	}
-	if c.Cfg.MaxRetries == 0 {
-		return 1
-	}
-	return c.Cfg.MaxRetries
-}
+// retryBudget is how many crash re-fork retries one role gets in one step.
+// Every consumer recovers — from its last cut or by replay from page 0 —
+// so one retry absorbs a transient crash; a second distinct crash fails
+// the job.
+const retryBudget = 1
 
 // crashMessage strips the worker-specific prefix Backend.Run wraps around
 // a recovered panic, leaving just the panic's own text for the
@@ -64,16 +58,15 @@ func crashMessage(err error) string {
 	return s
 }
 
-// runRole runs r.body under the crash policy above. r.noRetry fails the
-// role on its first crash; r.onRetry runs before each recovery attempt, on
-// the scheduler goroutine and under mu, for stats accounting.
+// runRole runs r.body under the crash policy above. r.onRetry runs before
+// each recovery attempt, on the scheduler goroutine and under mu, for stats
+// accounting.
 func (c *Cluster) runRole(r *role, mu *sync.Mutex) error {
-	max := c.maxRetries()
 	attempt := 0
 	lastCrash := ""
 	// A dead backend at entry means a sibling crashed it; re-fetching is
 	// free but bounded so a persistently crashing sibling cannot spin us.
-	deadBudget := 4 * (max + 2)
+	deadBudget := 4 * (retryBudget + 2)
 	for {
 		entered, err := c.attempt(r)
 		if err == nil {
@@ -86,7 +79,7 @@ func (c *Cluster) runRole(r *role, mu *sync.Mutex) error {
 			deadBudget--
 			continue
 		}
-		if errors.Is(err, exchange.ErrCancelled) || !errors.Is(err, errBackendCrashed) || r.noRetry {
+		if errors.Is(err, exchange.ErrCancelled) || !errors.Is(err, errBackendCrashed) {
 			return err
 		}
 		// A dead process leaves no panic text to compare: only an
@@ -95,8 +88,8 @@ func (c *Cluster) runRole(r *role, mu *sync.Mutex) error {
 		if !r.proc && lastCrash != "" && msg == lastCrash {
 			return fmt.Errorf("cluster: %s role (%s) on worker %d failed deterministically (identical crash on retry): %w", r.name, r.what, r.w.ID, err)
 		}
-		if attempt >= max {
-			return fmt.Errorf("cluster: %s role (%s) on worker %d exhausted %d crash retries: %w", r.name, r.what, r.w.ID, max, err)
+		if attempt >= retryBudget {
+			return fmt.Errorf("cluster: %s role (%s) on worker %d exhausted %d crash retries: %w", r.name, r.what, r.w.ID, retryBudget, err)
 		}
 		lastCrash = msg
 		attempt++

@@ -34,7 +34,6 @@ import (
 // page 0 and merges again onto a fresh sink.
 func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.JobStage, stats *ExecStats) (StageShip, error) {
 	nw := len(c.Workers)
-	recovery := c.checkpointEvery() > 0
 
 	// Register the SortRow carrier with the master first and pin its code
 	// on every worker: worker registries assign codes locally, so a lazy
@@ -48,8 +47,8 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 
 	// No release: the consumer owns delivered run pages — the merge reads
 	// rows off them in place. Only consumer 0 reads.
-	ex := c.newShuffleExchange(recovery, nil, nil)
-	end := &exchangeEnd{ex: ex, worker: 0, replayable: recovery}
+	ex := c.newShuffleExchange(nil, nil)
+	end := &exchangeEnd{ex: ex, worker: 0}
 	// All sorted output concentrates on worker 0; the other workers still
 	// get the artifact key so downstream scans find (empty) partitions.
 	arts := make([]*workerArtifacts, nw)
@@ -62,7 +61,7 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 			body:    func() error { return env.runSortStreamOnWorker(res, prod, ex) },
 			closes:  ex}
 	}
-	roles[nw] = role{w: c.Workers[0], name: roleConsumer, what: cons.Produces, noRetry: !recovery,
+	roles[nw] = role{w: c.Workers[0], name: roleConsumer, what: cons.Produces,
 		onRetry: stats.noteRetry(roleConsumer, true),
 		body: func() (err error) { // the merge consumer, on worker 0's backend
 			arts[0], err = c.env(c.Workers[0]).consumeSortStream(res, cons, end)

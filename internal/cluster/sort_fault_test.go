@@ -131,12 +131,14 @@ func TestSortCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestSortCheckpointsOffTakesNoCut pins "recovery disabled" for ORDER BY:
-// with CheckpointInterval < 0 the merge consumer takes no cut — no ship
-// counts a checkpoint and an armed CheckpointIO error has no cut to fail —
-// and the sorted output equals the recovery-on run's.
+// TestSortCheckpointsOffTakesNoCut pins ORDER BY at a negative
+// CheckpointInterval: the merge consumer takes no cut — no ship counts a
+// checkpoint and an armed CheckpointIO error has no cut to fail — the
+// sorted output equals the checkpointed run's, and a consumer crash at
+// Delivery or Finalize replays the retained runs from page 0 to the same
+// output, leaking nothing.
 func TestSortCheckpointsOffTakesNoCut(t *testing.T) {
-	run := func(interval int, plan *fault.Plan) ([]string, *ExecStats) {
+	run := func(interval int, plan *fault.Plan) ([]string, *ExecStats, *Cluster) {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
 			CheckpointInterval: interval, Fault: plan})
 		if err != nil {
@@ -159,20 +161,31 @@ func TestSortCheckpointsOffTakesNoCut(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return rows, stats
+		return rows, stats, c
 	}
-	want, _ := run(1, nil)
-	plan := fault.NewPlan(fault.Injection{Site: fault.CheckpointIO, Worker: 0, K: 0})
-	got, stats := run(-1, plan)
-	if plan.Fired() != 0 {
-		t.Errorf("CheckpointIO fired %d times on a job that takes no checkpoints", plan.Fired())
-	}
-	for i, ship := range stats.Ships {
-		if ship.Checkpoints != 0 {
-			t.Errorf("ship %d counts %d checkpoints with recovery disabled", i, ship.Checkpoints)
+	want, _, _ := run(1, nil)
+	for _, in := range []fault.Injection{
+		{Site: fault.CheckpointIO, Worker: 0, K: 0},
+		{Site: fault.Delivery, Worker: 0, K: 2},
+		{Site: fault.Finalize, Worker: 0, K: 0},
+	} {
+		plan := fault.NewPlan(in)
+		got, stats, c := run(-1, plan)
+		wantFired := 1
+		if in.Site == fault.CheckpointIO {
+			wantFired = 0 // no cut, so no checkpoint write to fail
 		}
-	}
-	if !equalRows(got, want) {
-		t.Errorf("sorted output differs from the checkpointed run (%d vs %d rows)", len(got), len(want))
+		if plan.Fired() != wantFired {
+			t.Errorf("%s fired %d times, want %d", in.Site, plan.Fired(), wantFired)
+		}
+		for i, ship := range stats.Ships {
+			if ship.Checkpoints != 0 {
+				t.Errorf("%s: ship %d counts %d checkpoints at a negative interval", in.Site, i, ship.Checkpoints)
+			}
+		}
+		if !equalRows(got, want) {
+			t.Errorf("%s: sorted output differs from the checkpointed run (%d vs %d rows)", in.Site, len(got), len(want))
+		}
+		assertNoJoinLeaks(t, c, "no cuts, "+in.Site.String())
 	}
 }

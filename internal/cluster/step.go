@@ -28,9 +28,6 @@ type role struct {
 	// proc marks a body that is a session with w's pcworker process, not
 	// code on w's in-process backend: its crash is the process dying.
 	proc bool
-	// noRetry fails the step on the role's first crash (a consumer with
-	// checkpoints off has nothing to restore).
-	noRetry bool
 	// onRetry accounts one crash retry before the recovery attempt starts;
 	// runStep serializes the calls across a step's roles.
 	onRetry func()
@@ -137,9 +134,8 @@ type consumerEnd interface {
 // exchangeEnd is worker's end of an exchange. It lives on the scheduler
 // side, so delivered survives backend crashes and retried attempts.
 type exchangeEnd struct {
-	ex         *exchange.Exchange
-	worker     int
-	replayable bool // the exchange retains delivered pages (recovery on)
+	ex     *exchange.Exchange
+	worker int
 	// delivered counts the pages this exchange has handed the consumer in
 	// this cluster life — what positionConsumer classifies a cut against.
 	delivered int
@@ -156,11 +152,6 @@ func (x *exchangeEnd) closeThread(t int, stop <-chan struct{}) error {
 }
 
 func (x *exchangeEnd) hello(cut int) error {
-	if !x.replayable {
-		// Recovery disabled: the exchange cannot rewind, no cut was ever
-		// saved, and a first attempt is already at the stream's start.
-		return nil
-	}
 	resumed, err := positionConsumer(x.ex, x.worker, cut, x.delivered)
 	if err != nil {
 		return err
@@ -178,12 +169,7 @@ func (x *exchangeEnd) next() (*object.Page, bool, error) {
 	return p, ok, err
 }
 
-func (x *exchangeEnd) ack(cut int) error {
-	if !x.replayable {
-		return nil // nothing is retained, so there is nothing to release
-	}
-	return x.ex.Ack(x.worker, cut)
-}
+func (x *exchangeEnd) ack(cut int) error { return x.ex.Ack(x.worker, cut) }
 
 // storedEnd is a consumerEnd over pages the worker stores (CoPartitionedJoin's
 // zero-shuffle inputs). They are durable and owned by the front end, so
@@ -217,7 +203,7 @@ func streamErr(err error) error {
 	return err
 }
 
-// positionConsumer points a replayable exchange's delivery cursor at the
+// positionConsumer points an exchange's delivery cursor at the
 // cut a consumer (re)starts from; delivered is how many pages this exchange
 // has handed that consumer so far. Three cases:
 //

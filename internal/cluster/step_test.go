@@ -45,7 +45,7 @@ func TestRunStepFailureCancelsWaitsAndDiscards(t *testing.T) {
 	}
 	pages := intPages(t, c, 3)
 	govs, closeGovs := c.stepGovernors()
-	ex := c.newShuffleExchange(true, func(*object.Page) {}, govs)
+	ex := c.newShuffleExchange(func(*object.Page) {}, govs)
 
 	boom := errors.New("boom")
 	retained := make(chan struct{})
@@ -117,7 +117,7 @@ func TestRunStepSuccessClosesProducers(t *testing.T) {
 		t.Fatal(err)
 	}
 	pages := intPages(t, c, 2)
-	ex := c.newShuffleExchange(false, nil, nil)
+	ex := c.newShuffleExchange(nil, nil)
 	got := 0
 	saves := 3
 	roles := []role{
@@ -147,8 +147,8 @@ func TestRunStepSuccessClosesProducers(t *testing.T) {
 	}
 }
 
-// TestPositionConsumer drives positionConsumer over a real replayable
-// exchange holding a closed six-page stream: each case delivers some pages,
+// TestPositionConsumer drives positionConsumer over a real exchange
+// holding a closed six-page stream: each case delivers some pages,
 // acknowledges some, positions the consumer at a cut, and checks which page
 // the stream continues from and how much of the replay window was released.
 func TestPositionConsumer(t *testing.T) {
@@ -178,7 +178,7 @@ func TestPositionConsumer(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ex := exchange.New(exchange.Config{Producers: 1, Consumers: 1, Capacity: len(pages), Replayable: true})
+			ex := exchange.New(exchange.Config{Producers: 1, Consumers: 1, Capacity: len(pages)})
 			for seq, p := range pages {
 				if err := ex.Send(exchange.Tag{Seq: seq}, 0, p, nil); err != nil {
 					t.Fatal(err)

@@ -281,7 +281,7 @@ func (e *Executor) runAggregationStage(res *CompileResult, stage *physical.JobSt
 	pstats := make([]engine.Stats, e.Partitions)
 	runPart := func(part int) error {
 		finals, _, err := engine.MergeAggMapsStream(e.Reg, engine.SliceSource(mapPages), part, e.Partitions,
-			spec, e.PageSize, nil, e.threads(), nil, nil)
+			spec, e.PageSize, nil, e.threads(), nil)
 		if err != nil {
 			return err
 		}

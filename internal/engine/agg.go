@@ -464,20 +464,19 @@ func (c *MergeCheckpointer) cutter(mergers []*subMerger) func(delivered int, fin
 // every page in exactly that order, so the merge is bit-for-bit
 // reproducible.
 //
-// With ckpt nil the merge is not recoverable: release, when non-nil, is
-// invoked once a page has been folded by every merger — the recycling hook
-// for shuffle pages, which no artifact list retains in streaming mode. With
-// ckpt set, the merge checkpoints through it instead (release is ignored;
-// page recycling belongs to the exchange's Ack path, driven from ckpt.Save)
-// and can resume from ckpt.Resume after a consumer crash. Either way the
-// pages travel the same fan-out (streamPages).
+// With ckpt set, the merge checkpoints through it (page recycling belongs
+// to the exchange's Ack path, driven from ckpt.Save) and can resume from
+// ckpt.Resume after a consumer crash. With ckpt nil it takes no cuts, and a
+// crashed merge starts over from the stream's first page. Either way the
+// pages travel the same fan-out (streamPages), and the merge releases none
+// of them.
 //
 // Sub-maps and their pages are returned in sub-partition order;
 // FinalizeAggParallel materializes them in that order, so the output page
 // sequence is deterministic for a given thread count.
 func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, error),
 	part, partitions int, spec *AggSpec, pageSize int, pool *object.PagePool,
-	threads int, release func(*object.Page), ckpt *MergeCheckpointer) ([]object.OMap, []*object.Page, error) {
+	threads int, ckpt *MergeCheckpointer) ([]object.OMap, []*object.Page, error) {
 	if threads < 1 {
 		threads = 1
 	}
@@ -485,7 +484,7 @@ func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, e
 	start, interval := 0, 0
 	var cut func(delivered int, final bool) error
 	if ckpt != nil {
-		interval, release = ckpt.Interval, nil
+		interval = ckpt.Interval
 		// The final cut matters here too: it is the recovery point for
 		// crashes in the user Finalize code downstream.
 		cut = ckpt.cutter(mergers)
@@ -513,7 +512,7 @@ func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, e
 		}
 	}
 	fold := func(t int, p *object.Page) error { return mergers[t].fold(p) }
-	if err := streamPages(next, threads, true, start, interval, release, fold, cut); err != nil {
+	if err := streamPages(next, threads, true, start, interval, fold, cut); err != nil {
 		return nil, nil, err
 	}
 	maps := make([]object.OMap, threads)

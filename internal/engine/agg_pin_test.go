@@ -160,7 +160,7 @@ func pinStringAgg(t *testing.T, specName string, threads int) string {
 				fed++
 				return src()
 			}
-			finals, pages, err := MergeAggMapsStream(reg, next, part, parts, spec, 1<<11, nil, threads, nil,
+			finals, pages, err := MergeAggMapsStream(reg, next, part, parts, spec, 1<<11, nil, threads,
 				&MergeCheckpointer{Interval: 2, Resume: resume, Save: func(ck *MergeCheckpoint) error {
 					last = cloneCheckpoint(ck)
 					return nil

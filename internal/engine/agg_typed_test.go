@@ -138,7 +138,7 @@ func (c aggDiff) run(t testing.TB) (Stats, map[int64]uint64, [2]bool) {
 					snaps = append(snaps, cloneCheckpoint(ck).Subs...)
 					return nil
 				}}
-				_, finals, err := MergeAggMapsStream(reg, SliceSource(pages), part, c.parts, spec, mergePage, nil, threads, nil, ckpt)
+				_, finals, err := MergeAggMapsStream(reg, SliceSource(pages), part, c.parts, spec, mergePage, nil, threads, ckpt)
 				return finals, snaps, err
 			}
 			what := fmt.Sprintf("stream merge of partition %d on %d threads", part, threads)
@@ -336,7 +336,7 @@ func TestFoldOverInt32ValuesTakesTheBoxedPath(t *testing.T) {
 	}
 	total := int64(0)
 	for part := 0; part < 2; part++ {
-		finals, _, err := MergeAggMapsStream(reg, SliceSource(pages), part, 2, spec, 1<<12, nil, 1, nil, nil)
+		finals, _, err := MergeAggMapsStream(reg, SliceSource(pages), part, 2, spec, 1<<12, nil, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -60,7 +59,7 @@ func TestStreamPagesCheckpointedCuts(t *testing.T) {
 		for _, broadcast := range []bool{true, false} {
 			perThread := make([][]int64, threads)
 			var cuts []int
-			err := streamPages(SliceSource(pages), threads, broadcast, 0, interval, nil,
+			err := streamPages(SliceSource(pages), threads, broadcast, 0, interval,
 				func(th int, p *object.Page) error {
 					perThread[th] = append(perThread[th], pageTag(p))
 					return nil
@@ -100,7 +99,7 @@ func TestStreamPagesCheckpointedResume(t *testing.T) {
 	const n, interval, cutAt, threads = 11, 4, 8, 3
 	pages := intPages(t, reg, n)
 	full := make([][]int64, threads)
-	if err := streamPages(SliceSource(pages), threads, false, 0, interval, nil,
+	if err := streamPages(SliceSource(pages), threads, false, 0, interval,
 		func(th int, p *object.Page) error {
 			full[th] = append(full[th], pageTag(p))
 			return nil
@@ -109,7 +108,7 @@ func TestStreamPagesCheckpointedResume(t *testing.T) {
 	}
 
 	pre := make([][]int64, threads)
-	if err := streamPages(SliceSource(pages[:cutAt]), threads, false, 0, interval, nil,
+	if err := streamPages(SliceSource(pages[:cutAt]), threads, false, 0, interval,
 		func(th int, p *object.Page) error {
 			pre[th] = append(pre[th], pageTag(p))
 			return nil
@@ -117,7 +116,7 @@ func TestStreamPagesCheckpointedResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cuts []int
-	if err := streamPages(SliceSource(pages[cutAt:]), threads, false, cutAt, interval, nil,
+	if err := streamPages(SliceSource(pages[cutAt:]), threads, false, cutAt, interval,
 		func(th int, p *object.Page) error {
 			pre[th] = append(pre[th], pageTag(p))
 			return nil
@@ -150,7 +149,7 @@ func TestStreamPagesCheckpointedPanic(t *testing.T) {
 			t.Errorf("cuts after crash = %d, want 1 (only the pre-crash cut)", got)
 		}
 	}()
-	_ = streamPages(SliceSource(pages), 2, true, 0, 3, nil,
+	_ = streamPages(SliceSource(pages), 2, true, 0, 3,
 		func(th int, p *object.Page) error {
 			if pageTag(p) == 5 && th == 1 {
 				panic("user combine bug")
@@ -164,48 +163,26 @@ func TestStreamPagesCheckpointedPanic(t *testing.T) {
 	t.Fatal("streamPages returned instead of panicking")
 }
 
-// TestStreamPagesReleaseWithoutCuts drives the one fan-out with recovery off
-// — a nil cut — and a release hook, broadcast and round-robin, inline and
-// threaded: the page→thread assignment is the checkpointed run's, every page
-// is released exactly once, and only after its last consumer folded it.
-func TestStreamPagesReleaseWithoutCuts(t *testing.T) {
+// TestStreamPagesDealsWithoutCuts drives the one fan-out with no cut — the
+// dispatch of the join build and of a merge that takes no cuts — broadcast
+// and round-robin, inline and threaded: the page→thread assignment is the
+// checkpointed run's, in delivery order, each page folded once per
+// consumer.
+func TestStreamPagesDealsWithoutCuts(t *testing.T) {
 	reg := object.NewRegistry()
 	const n = 23
 	pages := intPages(t, reg, n)
 	for _, threads := range []int{1, 2, 8} {
 		for _, broadcast := range []bool{true, false} {
 			label := fmt.Sprintf("threads=%d broadcast=%v", threads, broadcast)
-			var mu sync.Mutex
-			folds := map[int64]int{}    // consumers that have folded the page
-			released := map[int64]int{} // times the page was released
 			perThread := make([][]int64, threads)
-			consumers := 1
-			if broadcast {
-				consumers = threads
-			}
 			err := streamPages(SliceSource(pages), threads, broadcast, 0, 3,
-				func(p *object.Page) {
-					mu.Lock()
-					defer mu.Unlock()
-					if folds[pageTag(p)] != consumers {
-						t.Errorf("%s: page %d released after %d of %d folds", label, pageTag(p), folds[pageTag(p)], consumers)
-					}
-					released[pageTag(p)]++
-				},
 				func(th int, p *object.Page) error {
-					mu.Lock()
-					defer mu.Unlock()
-					folds[pageTag(p)]++
 					perThread[th] = append(perThread[th], pageTag(p))
 					return nil
 				}, nil)
 			if err != nil {
 				t.Fatal(err)
-			}
-			for i := int64(0); i < n; i++ {
-				if released[i] != 1 {
-					t.Errorf("%s: page %d released %d times, want 1", label, i, released[i])
-				}
 			}
 			for th := range perThread {
 				var want []int64
@@ -231,7 +208,7 @@ func TestStreamPagesPanicWithoutCuts(t *testing.T) {
 	before := runtime.NumGoroutine()
 	crash := func(next func() (*object.Page, bool, error), body func(int, *object.Page) error) (r any) {
 		defer func() { r = recover() }()
-		_ = streamPages(next, 4, true, 0, 0, func(*object.Page) {}, body, nil)
+		_ = streamPages(next, 4, true, 0, 0, body, nil)
 		return nil
 	}
 	if r := crash(SliceSource(pages), func(th int, p *object.Page) error {
@@ -276,7 +253,7 @@ func TestMergeAggMapsStreamCheckpointResume(t *testing.T) {
 	for _, crashAfter := range []int{0, interval, len(pages)} {
 		var checkpoints []*MergeCheckpoint
 		refFinals, refPages, err := MergeAggMapsStream(reg, SliceSource(pages), 0, 1,
-			spec, 1<<10, nil, threads, nil,
+			spec, 1<<10, nil, threads,
 			&MergeCheckpointer{Interval: interval, Save: func(ck *MergeCheckpoint) error {
 				checkpoints = append(checkpoints, cloneCheckpoint(ck))
 				return nil
@@ -298,7 +275,7 @@ func TestMergeAggMapsStreamCheckpointResume(t *testing.T) {
 			cut = resume.Cut
 		} // resume == nil: crash before the first cut — full replay
 		gotFinals, gotPages, err := MergeAggMapsStream(reg, SliceSource(pages[cut:]), 0, 1,
-			spec, 1<<10, nil, threads, nil,
+			spec, 1<<10, nil, threads,
 			&MergeCheckpointer{Interval: interval, Resume: resume, Save: func(*MergeCheckpoint) error { return nil }})
 		if err != nil {
 			t.Fatal(err)
@@ -385,7 +362,7 @@ func (s *stableMerge) run(ckpt *MergeCheckpointer) ([]*object.Page, error) {
 		from = ckpt.Resume.Cut
 	}
 	_, pages, err := MergeAggMapsStream(s.reg, SliceSource(s.pages[from:]), 0, 1, s.spec,
-		stableMergePage, nil, 2, nil, ckpt)
+		stableMergePage, nil, 2, ckpt)
 	return pages, err
 }
 

@@ -137,11 +137,9 @@
 // caller owns, so the cut being written never touches the installed one
 // and a merge whose pages stopped growing cuts without allocating) and a
 // re-forked consumer can restore it and replay only the stream's suffix,
-// reproducing the crash-free output exactly. With the hook nil — recovery
-// disabled, or the join build, which recovers by replaying its whole
-// stream — the same dispatch runs with no barriers and no epilogue, and a
-// release hook, where one is set, recycles each page after its last
-// consumer.
+// reproducing the crash-free output exactly. With the hook nil — a merge
+// that takes no cuts, or the join build, which recover by replaying their
+// whole stream — the same dispatch runs with no barriers and no epilogue.
 //
 // Error and panic discipline: the first failing thread sets a shared abort
 // flag checked once per batch (never per row); panics in user kernels are

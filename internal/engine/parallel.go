@@ -143,9 +143,8 @@ func ParallelThreads(n int, body func(t int, stop <-chan struct{}) error) error 
 // thread (the aggregation merge, where each thread filters its own hash
 // range); otherwise page i goes to thread i%threads by global delivery index
 // (the join build). Both assignments are pure functions of the delivery
-// order, so consumption is deterministic. release, when set, runs once a
-// page's last consumer is done with it — the recycling hook for a stream
-// whose exchange does not own delivered pages. With threads <= 1 everything
+// order, so consumption is deterministic. No page is released here: the
+// exchange retains delivered pages for replay. With threads <= 1 everything
 // runs inline on the caller.
 //
 // cut, when set, gives the stream consistent cut points for consumer-side
@@ -161,7 +160,7 @@ func ParallelThreads(n int, body func(t int, stop <-chan struct{}) error) error 
 // periodic cut already covered every delivered page — so after a clean
 // return the caller's latest snapshot always describes the complete
 // stream. A nil cut means no barriers and no epilogue: the same dispatch
-// with recovery off.
+// for a consumer that replays its stream from page 0 instead of cutting.
 //
 // A panic in body (user combine/key code) re-raises on the caller after all
 // threads drain, preserving the backend-crash discipline, and skips any
@@ -170,7 +169,7 @@ func ParallelThreads(n int, body func(t int, stop <-chan struct{}) error) error 
 // abandoned — the caller is expected to cancel the exchange, unblocking
 // producers.
 func streamPages(next func() (*object.Page, bool, error), threads int, broadcast bool,
-	start, interval int, release func(*object.Page),
+	start, interval int,
 	body func(t int, p *object.Page) error, cut func(delivered int, final bool) error) error {
 	delivered := start
 	lastCut := -1
@@ -186,9 +185,6 @@ func streamPages(next func() (*object.Page, bool, error), threads int, broadcast
 			if err := body(0, p); err != nil {
 				return err
 			}
-			if release != nil {
-				release(p)
-			}
 			delivered++
 			if cut != nil && interval > 0 && delivered%interval == 0 {
 				if err := cut(delivered, false); err != nil {
@@ -198,20 +194,14 @@ func streamPages(next func() (*object.Page, bool, error), threads int, broadcast
 			}
 		}
 		if cut == nil || lastCut == delivered {
-			return nil // recovery off, or the end-of-stream state is already checkpointed
+			return nil // no cuts, or the end-of-stream state is already checkpointed
 		}
 		return cut(delivered, true)
 	}
 
 	type msg struct {
 		p       *object.Page
-		refs    *atomic.Int32 // consumers still to finish a broadcast page with a release hook
 		barrier bool
-	}
-	finish := func(m msg) {
-		if release != nil && (m.refs == nil || m.refs.Add(-1) == 0) {
-			release(m.p)
-		}
 	}
 	feeds := make([]chan msg, threads)
 	acks := make(chan struct{}, threads)
@@ -233,8 +223,6 @@ func streamPages(next func() (*object.Page, bool, error), threads int, broadcast
 					for m := range feeds[t] {
 						if m.barrier {
 							acks <- struct{}{}
-						} else {
-							finish(m)
 						}
 					}
 				}
@@ -250,7 +238,6 @@ func streamPages(next func() (*object.Page, bool, error), threads int, broadcast
 						failed.Store(true)
 					}
 				}
-				finish(m)
 			}
 		}(t)
 	}
@@ -286,13 +273,8 @@ func streamPages(next func() (*object.Page, bool, error), threads int, broadcast
 				return
 			}
 			if broadcast {
-				m := msg{p: p}
-				if release != nil {
-					m.refs = new(atomic.Int32)
-					m.refs.Store(int32(threads))
-				}
 				for t := range feeds {
-					feeds[t] <- m
+					feeds[t] <- msg{p: p}
 				}
 			} else {
 				feeds[delivered%threads] <- msg{p: p}
@@ -322,15 +304,15 @@ func streamPages(next func() (*object.Page, bool, error), threads int, broadcast
 		}
 	}
 	if srcErr != nil || cut == nil || lastCut == delivered {
-		return srcErr // failed, recovery off, or the end-of-stream state is already checkpointed
+		return srcErr // failed, no cuts, or the end-of-stream state is already checkpointed
 	}
 	return cut(delivered, true)
 }
 
 // StreamPages is the fan-out for a consumer whose state keeps referencing
 // delivered pages (the join build's tables): page i goes to thread
-// i%threads, no fold ever releases a page, and no cut is taken — a crashed
-// consumer replays its stream from the start.
+// i%threads and no cut is taken — a crashed consumer replays its stream
+// from the start.
 func StreamPages(next func() (*object.Page, bool, error), threads int, body func(t int, p *object.Page) error) error {
-	return streamPages(next, threads, false, 0, 0, nil, body, nil)
+	return streamPages(next, threads, false, 0, 0, body, nil)
 }

@@ -37,13 +37,15 @@
 //
 // # Crash replay (consumer side)
 //
-// With Config.Replayable, delivered pages are retained until the consumer
-// acknowledges them (Ack), and Rewind moves the delivery cursor back to any
-// unacknowledged position. A consumer that checkpoints its merge state
-// every K pages and acks each checkpoint can crash, restore the checkpoint,
-// rewind, and re-consume only the pages past the cut — the retained suffix
-// replays first, then delivery continues live. Retention is bounded by the
-// checkpoint interval (plus any pull-ahead).
+// Delivered pages are retained until the consumer acknowledges them (Ack)
+// or the step discards them (Discard), and Rewind moves the delivery cursor
+// back to any unacknowledged position. A consumer that checkpoints its
+// merge state every K pages and acks each checkpoint can crash, restore the
+// checkpoint, rewind, and re-consume only the pages past the cut — the
+// retained suffix replays first, then delivery continues live; its
+// retention is bounded by the checkpoint interval (plus any pull-ahead). A
+// consumer that takes no cuts rewinds to page 0 and retains its whole
+// stream.
 //
 // # Memory governance (disk spill)
 //
@@ -113,9 +115,11 @@ type Config struct {
 	// Capacity bounds each lane's pages in flight; a full lane blocks the
 	// producing thread (backpressure). Zero picks DefaultCapacity.
 	Capacity int
-	// Replayable retains delivered pages until Ack so a crashed consumer
-	// can Rewind and re-consume them. Off, Ack and Rewind are errors and
-	// delivered pages are forgotten immediately.
+	// Replayable is ignored: every exchange retains delivered pages until
+	// Ack or Discard, so a crashed consumer can always Rewind.
+	//
+	// Deprecated: kept only so callers that still set it compile. ROADMAP
+	// item 1(a) deletes it.
 	Replayable bool
 	// Ship copies a page into the consumer's memory space (the simulated
 	// wire). nil passes pages through untouched.
@@ -123,12 +127,12 @@ type Config struct {
 	// Release receives producer pages dropped whole by sender-side retry
 	// dedup, so the owner can recycle them. nil discards them.
 	Release func(p *object.Page)
-	// ReleaseDelivered receives retained pages released by Ack
-	// (Replayable mode), once the consumer's checkpoint guarantees they
-	// will never replay. nil just drops the references — and marks the
-	// retention window as consumer-owned: the consumer's state references
-	// delivered pages in place (the join build), so the governor neither
-	// meters nor spills them.
+	// ReleaseDelivered receives retained pages released by Ack, once the
+	// consumer's checkpoint guarantees they will never replay. nil just
+	// drops the references — and marks the retention window as
+	// consumer-owned: the consumer's state references delivered pages in
+	// place (the join build), so the governor neither meters nor spills
+	// them.
 	ReleaseDelivered func(p *object.Page)
 	// Governors, indexed by consumer, attach per-consumer memory
 	// governors: pages held for consumer c are metered against
@@ -219,7 +223,7 @@ func (ex *Exchange) governor(consumer int) *Governor {
 // ReleaseDelivered nil the consumer's state references delivered pages in
 // place and the window holds only references, never extra bytes.
 func (ex *Exchange) ownsRetained() bool {
-	return ex.cfg.Replayable && ex.cfg.ReleaseDelivered != nil
+	return ex.cfg.ReleaseDelivered != nil
 }
 
 // Send ships a tagged page to one consumer and enqueues it on the sending
@@ -425,11 +429,11 @@ func (ex *Exchange) BufferedPages(consumer int) int64 {
 	return ex.recvs[consumer].backlog.Load()
 }
 
-// retainedEntry is one delivered, unacknowledged page in a replayable
-// receiver's retention window. In an exchange-owned window (ownsRetained)
-// the entry is metered by the consumer's governor: reserved entries count
-// against the budget; an entry whose bytes were evicted to disk has page
-// nil and lives only in slot. Sealed pages are immutable, so a slot stays
+// retainedEntry is one delivered, unacknowledged page in a receiver's
+// retention window. In an exchange-owned window (ownsRetained) the entry
+// is metered by the consumer's governor: reserved entries count against
+// the budget; an entry whose bytes were evicted to disk has page nil and
+// lives only in slot. Sealed pages are immutable, so a slot stays
 // a valid image for the entry's whole retention — an entry reloaded for
 // replay can be evicted again without rewriting it.
 type retainedEntry struct {
@@ -453,10 +457,10 @@ type receiver struct {
 
 	backlog atomic.Int64 // pages enqueued for this consumer, undelivered
 
-	// Replay retention (Config.Replayable): retained holds delivered,
-	// unacknowledged pages; base is the delivery index of retained[0];
-	// pos is the next delivery index Recv hands out (pos < base +
-	// len(retained) while replaying after a Rewind). pending is the
+	// Replay retention: retained holds delivered, unacknowledged pages;
+	// base is the delivery index of retained[0]; pos is the next delivery
+	// index Recv hands out (pos < base + len(retained) while replaying
+	// after a Rewind). pending is the
 	// delivery index of the page the last Recv handed out when that page
 	// still awaits governor accounting (settle), -1 otherwise.
 	retained []retainedEntry
@@ -624,13 +628,7 @@ func (ex *Exchange) Recv(consumer int) (*object.Page, bool, error) {
 				return nil, false, err
 			}
 		}
-		switch {
-		case !ex.cfg.Replayable:
-			// Delivery hands the page to the consumer; the exchange's
-			// claim on its bytes (reservation or spill slot) ends here.
-			ex.unship(consumer, m)
-			r.base++
-		case ex.ownsRetained():
+		if ex.ownsRetained() {
 			// The retention window keeps the bytes until Ack: a page
 			// delivered resident carries its lane reservation over; one
 			// delivered from spill keeps its slot and settles at the next
@@ -641,7 +639,7 @@ func (ex *Exchange) Recv(consumer int) (*object.Page, bool, error) {
 			if m.page == nil {
 				r.pending = r.pos
 			}
-		default:
+		} else {
 			// Consumer-owned retention (the join build): the consumer's
 			// state references the delivered page in place, so the window
 			// holds only the reference — unmetered, never evicted.
@@ -659,9 +657,6 @@ func (ex *Exchange) Recv(consumer int) (*object.Page, bool, error) {
 // Acknowledging an index beyond the replay cursor is an error — it would
 // discard pages a Rewind still needs.
 func (ex *Exchange) Ack(consumer, upto int) error {
-	if !ex.cfg.Replayable {
-		return errors.New("exchange: Ack on a non-replayable exchange")
-	}
 	r := ex.recvs[consumer]
 	if upto <= r.base {
 		return nil // already acknowledged
@@ -692,13 +687,13 @@ func (ex *Exchange) Ack(consumer, upto int) error {
 }
 
 // Discard releases every page the exchange still holds — undelivered lane
-// messages plus the retention windows — ending
-// their governor claims: byte reservations return to the budget and spill
-// slots free, so the step's pools close with zero live slots. It is the
-// step's last cleanup, on success as on failure: call it only after every
-// producer and consumer role has returned (a successful step has drained
-// its lanes, but a consumer that replays instead of cutting — the join's
-// probe — never acknowledges its retention).
+// messages plus the retention windows — ending their governor claims:
+// byte reservations return to the budget and spill slots free, so the
+// step's pools close with zero live slots. It is the step's last cleanup,
+// on success as on failure: call it only after every producer and consumer
+// role has returned (a successful step has drained its lanes, but a
+// consumer that replays instead of cutting — the join's probe, a no-cut
+// aggregation merge — never acknowledges its retention).
 // Page references are dropped for the garbage collector, never recycled —
 // a shipped page's capacity need not match the caller's pool, and user
 // code may still hold refs into delivered pages.
@@ -757,9 +752,6 @@ func (ex *Exchange) discardMessage(consumer int, m message) {
 // crashed-consumer recovery path: restore the checkpoint taken at cursor,
 // rewind, resume the merge.
 func (ex *Exchange) Rewind(consumer, cursor int) error {
-	if !ex.cfg.Replayable {
-		return errors.New("exchange: Rewind on a non-replayable exchange")
-	}
 	r := ex.recvs[consumer]
 	if cursor < r.base || cursor > r.base+len(r.retained) {
 		return fmt.Errorf("exchange: rewind to %d outside retained window [%d, %d]",

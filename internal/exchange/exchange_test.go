@@ -408,14 +408,14 @@ func TestSkewedProducerHardBound(t *testing.T) {
 	}
 }
 
-// TestRewindReplaysRetained exercises the consumer-side recovery API: a
-// replayable exchange retains delivered pages, Rewind replays them in the
+// TestRewindReplaysRetained exercises the consumer-side recovery API: an
+// exchange retains delivered pages, Rewind replays them in the
 // original order (then continues live), Ack releases the acknowledged
 // prefix, and rewinding before the acknowledged cut is rejected.
 func TestRewindReplaysRetained(t *testing.T) {
 	reg, ti := testRegistry(t)
 	released := 0
-	ex := New(Config{Producers: 1, Consumers: 1, Threads: 1, Capacity: 16, Replayable: true,
+	ex := New(Config{Producers: 1, Consumers: 1, Threads: 1, Capacity: 16,
 		ReleaseDelivered: func(*object.Page) { released++ }})
 	const n = 6
 	for seq := 0; seq < n; seq++ {

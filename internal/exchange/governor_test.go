@@ -98,7 +98,7 @@ func TestGovernorReplayableSpill(t *testing.T) {
 	const producers, threads, pages = 2, 2, 4
 	reg, ti := testRegistry(t)
 
-	ref := New(Config{Producers: producers, Consumers: 1, Threads: threads, Capacity: 2, Replayable: true,
+	ref := New(Config{Producers: producers, Consumers: 1, Threads: threads, Capacity: 2,
 		ReleaseDelivered: func(*object.Page) {}})
 	sendAll(t, ref, reg, ti, producers, threads, pages)
 	want := drain(t, ref, 0, ti)
@@ -109,7 +109,7 @@ func TestGovernorReplayableSpill(t *testing.T) {
 	t.Cleanup(func() { _ = sp.Close() })
 	g := NewGovernor(budget, sp, nil)
 	released := 0
-	ex := New(Config{Producers: producers, Consumers: 1, Threads: threads, Capacity: 2, Replayable: true,
+	ex := New(Config{Producers: producers, Consumers: 1, Threads: threads, Capacity: 2,
 		ReleaseDelivered: func(*object.Page) { released++ },
 		Governors:        []*Governor{g}})
 	sendAll(t, ex, reg, ti, producers, threads, pages)

@@ -10,7 +10,7 @@
 // would.
 //
 // Injections fire exactly once. That models the transient faults the
-// cluster's bounded retry policy (cluster.Config.MaxRetries) is meant to
+// cluster's bounded retry policy (one retry per role per step) is meant to
 // absorb: the recovered retry re-executes the same deterministic work
 // without re-crashing, which is precisely what distinguishes it from a
 // deterministic user bug (identical crash on every attempt — the retry
@@ -101,8 +101,6 @@ const (
 	// in the match bitmap, immediately before the bit mutates. Panic
 	// site; recovered like ProbePage, the retry re-marking a fresh bitmap.
 	ProbeBitmap
-
-	numSites
 )
 
 // String names the site.

@@ -203,18 +203,6 @@ func (r *Registry) LookupName(name string) *TypeInfo {
 	return r.byName[name]
 }
 
-// Types returns all registered types sorted by code (for catalog listings).
-func (r *Registry) Types() []*TypeInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*TypeInfo, 0, len(r.byCode))
-	for _, ti := range r.byCode {
-		out = append(out, ti)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Code < out[j].Code })
-	return out
-}
-
 // StructBuilder assembles a TypeInfo with automatically computed, aligned
 // field offsets — the stand-in for the C++ compiler laying out an Object
 // subclass.

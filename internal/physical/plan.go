@@ -43,7 +43,7 @@ const (
 // aggregation merge, the one consuming stage that cuts: every this many
 // shuffled pages, the merge snapshots its state and acknowledges the cut,
 // so a backend crash inside the merge replays at most one interval of the
-// stream instead of failing the job. Each cut copies the merge's whole
+// stream instead of all of it. Each cut copies the merge's whole
 // state (sub-map page bytes), so the interval trades replay window against
 // a per-cut cost proportional to aggregate state size — raise it (cluster
 // Config.CheckpointInterval) for high-cardinality aggregations whose merged

@@ -42,9 +42,6 @@ func NewSpillPool(dir string, reg *object.Registry) *SpillPool {
 	return &SpillPool{dir: dir, reg: reg}
 }
 
-// Dir reports the pool's directory (observability and leak tests).
-func (sp *SpillPool) Dir() string { return sp.dir }
-
 func (sp *SpillPool) path(slot int) string {
 	return filepath.Join(sp.dir, fmt.Sprintf("spill-%06d.pcp", slot))
 }

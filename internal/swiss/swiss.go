@@ -26,10 +26,6 @@ const (
 	groupSlots = 16
 	groupWords = groupSlots / 8
 
-	// ctrlEmpty marks an empty slot. Full slots hold the 7-bit H2 tag, so
-	// the high bit of a control byte is set exactly when the slot is empty.
-	ctrlEmpty = 0x80
-
 	lsb = 0x0101010101010101
 	msb = 0x8080808080808080
 )
