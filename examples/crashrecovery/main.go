@@ -2,12 +2,11 @@
 // separate backend process; when a buggy native lambda crashes a backend,
 // the front end re-forks it and the scheduler retries the stage. Both
 // sides of a streaming shuffle recover: a crashed producer re-runs with
-// sender-side duplicate dropping, and a crashed consumer restores its
-// last merge checkpoint and replays only the stream's suffix. Act three
-// squeezes the same recovery through a one-page memory budget
-// (Config.MemoryBudget): the exchange spills its lanes, replay retention,
-// and checkpoint snapshots to disk, and the crash still recovers with the
-// exact same sums.
+// sender-side duplicate dropping, and a crashed consumer replays the
+// stream the exchange retained for it from page 0. Act three squeezes the
+// same recovery through a one-page memory budget (Config.MemoryBudget):
+// the exchange spills its lanes and replay retention to disk, and the
+// crash still recovers with the exact same sums.
 //
 //	go run ./examples/crashrecovery
 package main
@@ -125,21 +124,16 @@ func main() {
 		log.Fatalf("aggregation failed despite consumer recovery: %v", err)
 	}
 	groups, _ := client.CountSet("db", "sums")
-	ckpts := 0
-	for _, s := range aggStats.Ships {
-		ckpts += s.Checkpoints
-	}
-	fmt.Printf("user code then crashed a consuming merge; the scheduler restored the last "+
-		"of %d checkpoint(s), replayed the stream, recovered %d consumer(s), and all %d "+
-		"group sums are intact\n", ckpts, aggStats.ConsumerRecoveries, groups)
+	fmt.Printf("user code then crashed a consuming merge; the scheduler replayed the "+
+		"retained stream from page 0, recovered %d consumer(s), and all %d group sums "+
+		"are intact\n", aggStats.ConsumerRecoveries, groups)
 
 	// Act three: the same consumer crash under memory pressure. A
-	// one-page MemoryBudget forces the exchange to spill lane pages,
-	// replay retention, and checkpoint snapshots to disk; recovery
-	// restores the spilled checkpoint, reloads the evicted stream suffix,
-	// and the sums still come out exact.
+	// one-page MemoryBudget forces the exchange to spill lane pages and
+	// replay retention to disk; recovery reloads the evicted stream for
+	// its replay, and the sums still come out exact.
 	tiny, err := pc.Connect(pc.Config{Workers: 3, Threads: 2, PageSize: 1 << 12,
-		MemoryBudget: 1 << 12, CheckpointInterval: 2})
+		MemoryBudget: 1 << 12})
 	if err != nil {
 		log.Fatal(err)
 	}

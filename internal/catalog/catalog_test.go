@@ -152,9 +152,9 @@ func TestUpdateSetStats(t *testing.T) {
 	}
 }
 
-// TestSetVersionChangesWithContents pins what the resume guard reads: a
-// set's version moves when pages arrive, when the set is dropped and
-// created again, and across a restart after the newest set was dropped.
+// TestSetVersionChangesWithContents pins SetVersion: a set's version moves
+// when pages arrive, when the set is dropped and created again, and across
+// a restart after the newest set was dropped.
 func TestSetVersionChangesWithContents(t *testing.T) {
 	m := NewMaster()
 	_ = m.CreateDatabase("db")

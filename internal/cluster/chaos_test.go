@@ -6,7 +6,7 @@ package cluster
 // that absorbs an injected panic must produce rows bit-for-bit identical
 // to a fault-free run, a job that trips an injected I/O error must fail
 // cleanly with the injection named in the error, and either way the step
-// must leak nothing (no live spill slots, no _ckpt sets).
+// must leak nothing (no live spill slots).
 
 import (
 	"fmt"
@@ -19,32 +19,19 @@ import (
 )
 
 // chaosWorkloads are the jobs the campaign crashes: the fault sites each can
-// reach (the spill sites arm only under a budget), its checkpoint interval,
-// its input, and a runner returning rows in a deterministic order. High
-// group cardinality keeps the aggregation's shuffle pages full so a one-page
-// budget actually spills; the outer join's key ranges overlap only partly,
-// so the unmatched tail and the ProbeBitmap site are reached. "agg-nocut" is
-// the aggregation at a negative interval: no cut to restore, so a crashed
-// merge replays its whole retained stream.
+// reach (the spill sites arm only under a budget), its input, and a runner
+// returning rows in a deterministic order. Every crashed consumer replays
+// its retained stream from page 0. High group cardinality keeps the
+// aggregation's shuffle pages full so a one-page budget actually spills;
+// the outer join's key ranges overlap only partly, so the unmatched tail
+// and the ProbeBitmap site are reached.
 var chaosWorkloads = []struct {
-	name     string
-	interval int
-	sites    func(budget int64) []fault.Site
-	load     func(t *testing.T, c *Cluster, rec *object.TypeInfo)
-	run      func(c *Cluster, rec *object.TypeInfo) ([]string, error)
+	name  string
+	sites func(budget int64) []fault.Site
+	load  func(t *testing.T, c *Cluster, rec *object.TypeInfo)
+	run   func(c *Cluster, rec *object.TypeInfo) ([]string, error)
 }{
-	{"agg", 2,
-		func(budget int64) []fault.Site {
-			return withSpillSites(budget, fault.PageSeal, fault.Delivery, fault.Checkpoint, fault.Finalize, fault.CheckpointIO)
-		},
-		func(t *testing.T, c *Cluster, rec *object.TypeInfo) {
-			loadIntRows(t, c, rec, "db", "rows", 4000, 499)
-		},
-		func(c *Cluster, rec *object.TypeInfo) ([]string, error) {
-			rows, _, err := intAggRows(c, rec, nil)
-			return rows, err
-		}},
-	{"join", 1,
+	{"join",
 		func(budget int64) []fault.Site {
 			return withSpillSites(budget, fault.PageSeal, fault.BuildPage, fault.ProbePage, fault.Emit)
 		},
@@ -55,7 +42,7 @@ var chaosWorkloads = []struct {
 		func(c *Cluster, rec *object.TypeInfo) ([]string, error) {
 			return joinKindRows(c, rec, core.JoinInner)
 		}},
-	{"sort", 1,
+	{"sort",
 		func(int64) []fault.Site {
 			return []fault.Site{fault.PageSeal, fault.Delivery, fault.Finalize}
 		},
@@ -65,7 +52,7 @@ var chaosWorkloads = []struct {
 		func(c *Cluster, rec *object.TypeInfo) ([]string, error) {
 			return intSortRows(c, rec, "orderby", "sorted")
 		}},
-	{"outerjoin", 1,
+	{"outerjoin",
 		func(budget int64) []fault.Site {
 			return withSpillSites(budget, fault.PageSeal, fault.BuildPage, fault.ProbePage, fault.Emit, fault.ProbeBitmap)
 		},
@@ -76,7 +63,7 @@ var chaosWorkloads = []struct {
 		func(c *Cluster, rec *object.TypeInfo) ([]string, error) {
 			return joinKindRows(c, rec, core.JoinFull)
 		}},
-	{"agg-nocut", -1,
+	{"agg",
 		func(budget int64) []fault.Site {
 			return withSpillSites(budget, fault.PageSeal, fault.Delivery, fault.Finalize)
 		},
@@ -97,12 +84,11 @@ func withSpillSites(budget int64, sites ...fault.Site) []fault.Site {
 }
 
 // TestChaosCampaign sweeps Workers {1,2,4} × Threads {1,2,8} × budgets
-// {unbounded, one page} × the five workloads × 6 consecutive seeds — 540
+// {unbounded, one page} × the four workloads × 6 consecutive seeds — 432
 // fault schedules — and requires every site a workload lists to have fired
 // within that workload, so a site the workload can no longer reach fails
-// the campaign instead of passing on another workload's hits. A workload at
-// a negative interval must also count no checkpoint. -short runs the one
-// 2×2 cell (60 schedules), too few seeds to reach every site.
+// the campaign instead of passing on another workload's hits. -short runs
+// the one 2×2 cell (48 schedules), too few seeds to reach every site.
 func TestChaosCampaign(t *testing.T) {
 	workers, threads := []int{1, 2, 4}, []int{1, 2, 8}
 	if testing.Short() {
@@ -119,7 +105,7 @@ func TestChaosCampaign(t *testing.T) {
 				for _, budget := range []int64{0, spillBudget} {
 					build := func(plan *fault.Plan) (*Cluster, *object.TypeInfo) {
 						c, err := New(Config{Workers: w, Threads: th, PageSize: 1 << 12,
-							CheckpointInterval: wl.interval, MemoryBudget: budget, Fault: plan})
+							MemoryBudget: budget, Fault: plan})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -156,9 +142,6 @@ func TestChaosCampaign(t *testing.T) {
 							t.Errorf("%s: unexpected failure: %v", label, err)
 						}
 						assertNoJoinLeaks(t, c, label)
-						if n := c.Transport.Stats().Checkpoints; wl.interval < 0 && n != 0 {
-							t.Errorf("%s: %d checkpoints counted at a negative interval", label, n)
-						}
 						if plan.Fired() > 0 {
 							fired[site]++
 							wlFired[site]++

@@ -33,9 +33,9 @@
 // written once (step.go, retry.go):
 //
 //   - runStep fans the roles out, cancels the step's exchanges on the first
-//     failure so blocked siblings return, waits for every role, discards
-//     the pages a failed step still holds, and reports the step's telemetry
-//     (ExecStats.Ships).
+//     failure so blocked siblings return, waits for every role, releases
+//     or discards the pages the exchanges still hold, and reports the
+//     step's telemetry (ExecStats.Ships).
 //   - runRole owns the crash policy. A panic in user code kills the
 //     backend; the front end re-forks it and the role is retried once per
 //     step, accounted per role in ExecStats.RoleRetries. A
@@ -44,20 +44,21 @@
 //     role and worker in the error. In proc mode the backend is a pcworker
 //     OS process and the crash is the process dying under the role's
 //     session: same budget, same accounting.
-//   - positionConsumer owns the replay policy. A (re)started consumer names
-//     the cut its restored state covers, and the exchange replays from the
-//     stream's start (a fresh merge), rewinds to the cut (a re-forked
-//     backend or respawned process), or fast-forwards a re-streamed job
-//     past it (the next run after a process died, resuming the durable cut
-//     a disk-backed worker keeps — Config.DataDir).
+//   - Every consumer recovers the same way: the exchange retains every page
+//     it delivered until the step ends, and a retried consumer rewinds its
+//     end to page 0 and consumes the whole stream again — in a re-forked
+//     backend or a respawned worker process alike. A successful step hands
+//     the retained pages back (the aggregation's to the page pool); a
+//     failed one drops them.
 //
 // An operator keeps only what is its own: its sinks, its recovery record,
 // its failure cleanup. Every role — the aggregation, sort and join pairs —
 // is a function of a small per-worker environment (workerEnv), not of the
 // Cluster, and a pcworker process runs the aggregation's with its control
 // socket as its end of the shuffle (procserve.go; sort and join do not ship
-// yet): one crash policy, one replay policy, and one durable-cut layout —
-// _ckpt/agg-… sets and worker-N/resume-*.json files — in both modes.
+// yet): one crash policy and one replay policy in both modes. Recovery
+// state lives in memory only: a cluster restarted mid-job re-runs the job
+// from its start.
 // docs/FAULTS.md tabulates the full fault model (role × crash site →
 // recovery outcome), and internal/fault injects deterministic crashes and
 // I/O errors at every site via Config.Fault.
@@ -79,20 +80,15 @@
 // That determinism is what makes both halves replayable. A retried
 // producer re-runs from scratch and re-sends the same tagged pages; the
 // exchange drops the duplicates at the sender, so the merge sees every page
-// exactly once. The exchange retains delivered pages until the consumer
-// acknowledges them. The aggregation merge checkpoints its merged sub-maps
-// every Config.CheckpointInterval pages and acknowledges each cut, so
-// retention stays bounded; a retried merge restores the last checkpoint
-// (reading snapshot pages back through the storage server when
-// Config.DataDir is set, from in-memory snapshots otherwise) and resumes
-// over only the replayed suffix. The join and the sort keep every page
-// they were delivered, so a cut would bound nothing: a retried join or
-// sort replays its retained streams from page 0 — the join reusing its
-// finished table and skipping the matches user code already observed.
-// Either way the output is bit-for-bit identical to a crash-free run and
-// user emit code observes each match exactly once (runExchangeGroup,
-// consumeSortStream, and HashPartitionJoinKind's "Probe/emit recovery"
-// carry the per-operator detail).
+// exactly once. The exchange retains delivered pages until the step ends,
+// and a retried consumer replays its retained streams from page 0: the
+// aggregation merge onto fresh sub-maps, the sort onto a fresh merge, the
+// join reusing its finished table and skipping the matches user code
+// already observed. No consumer takes a checkpoint. The output is
+// bit-for-bit identical to a crash-free run and user emit code observes
+// each match exactly once (runExchangeGroup, consumeSortStream, and
+// HashPartitionJoinKind's "Probe/emit recovery" carry the per-operator
+// detail).
 //
 // # Sink-merge protocol
 //
@@ -148,38 +144,27 @@ type Config struct {
 	// element types, then read or query as usual). Empty keeps all pages
 	// in memory.
 	//
-	// Durability follows the disk: with DataDir set, every aggregation
-	// recovery cut is durable in both modes — its _ckpt snapshot set plus
-	// a resume file naming it. A step that fails on a live in-process
-	// cluster drops that state; a process that dies leaves it, and the
-	// next run of the same job (same program, workers, threads, page size
-	// and input set versions — matched by fingerprint) on the same
-	// directory restores each consumer from its cut, fast-forwards the
-	// fresh exchange past the already-merged prefix, and finishes
-	// bit-for-bit identical to a crash-free run. Joins keep no durable
-	// cut: a join whose process died re-runs from its start.
+	// Only stored sets and the catalog are durable: a job's recovery state
+	// — the exchange's retained pages — lives in memory, so a cluster
+	// restarted mid-job (or a process that died) re-runs the job from its
+	// start on the next Execute.
 	DataDir string
-	// CheckpointInterval is the number of shuffled pages an aggregation
-	// merge folds between recovery checkpoints — the only consumer that
-	// takes them (the join and the sort recover by replaying their retained
-	// streams). Zero uses physical.DefaultCheckpointInterval; a positive
-	// value overrides it; a negative value means the merge takes no cuts: a
-	// crashed merge replays its stream from page 0, like the join and the
-	// sort, and the exchange retains the whole stream until the step ends,
-	// metered against MemoryBudget. Each cut snapshots the merge's whole
-	// state, so the interval trades the replay window against a per-cut cost
-	// proportional to aggregate state size — raise it when merged state is
-	// large relative to the stream.
+	// CheckpointInterval is ignored: no consumer takes recovery
+	// checkpoints. Every crashed consumer — the aggregation merge, the
+	// join, the sort — replays its retained stream from page 0.
+	//
+	// Deprecated: kept only so callers that still set it compile. ROADMAP
+	// item 1(a) deletes it.
 	CheckpointInterval int
 	// MemoryBudget, in bytes, bounds the exchange memory each worker
 	// backend keeps resident during a streaming step: pages buffered in
-	// lanes, delivered pages retained for replay, and in-memory
-	// checkpoint snapshots all meter against it,
-	// and the coldest of them spill to reusable page files — under
-	// DataDir/worker-N/_spill when DataDir is set, a temporary directory
-	// otherwise — reloading transparently on delivery, replay, and
-	// restore. Results are bit-for-bit identical at any budget (only page
-	// residence changes), and ExecStats.Ships surfaces
+	// lanes and delivered pages retained for replay — for an aggregation
+	// its whole shuffle stream, which the exchange retains until the step
+	// ends — all meter against it, and the coldest of them spill to
+	// reusable page files — under DataDir/worker-N/_spill when DataDir is
+	// set, a temporary directory otherwise — reloading transparently on
+	// delivery and replay. Results are bit-for-bit identical at any budget
+	// (only page residence changes), and ExecStats.Ships surfaces
 	// SpilledPages/SpilledBytes/MaxBufferedBytes per step. Zero or
 	// negative disables governance: everything stays resident and nothing
 	// is metered. The join's probe-side pages are exchange retention and
@@ -205,17 +190,14 @@ type Config struct {
 	// TCAP text plus type schemas, so they must be shippable: scan →
 	// aggregate → write plans whose aggregation is a registered named
 	// family (internal/agglib) — anything else fails with a clear error.
-	// Requires DataDir (worker processes read their input partitions and
-	// persist their recovery cuts there); with a checkpoint interval set,
-	// consumer cuts are always durable — a killed worker process keeps no
-	// memory, so its local disk state is the whole recovery story, serving
-	// mid-job respawns and whole-cluster restarts alike. Close kills every
-	// spawned process.
+	// Requires DataDir (worker processes read their input partitions
+	// there). A killed worker process is respawned and its role retried:
+	// the master's exchange retains the stream, so the retried consume
+	// session replays it from page 0. Close kills every spawned process.
 	ProcBin string
 	// Fault, when non-nil, is a deterministic fault-injection schedule
 	// (internal/fault) the runtime consults at every instrumented crash
-	// site — page seals, deliveries, checkpoint writes, spills, finalize,
-	// probe/emit. Nil (the production default) injects nothing and costs
+	// site — page seals, deliveries, spills, finalize, probe/emit. Nil (the production default) injects nothing and costs
 	// nothing. Crash tests and the chaos campaign (TestChaosCampaign) use
 	// it to place reproducible crashes and I/O errors anywhere in a job.
 	Fault *fault.Plan
@@ -339,12 +321,6 @@ type Cluster struct {
 
 	// manifestMu serializes catalog-manifest writes (restore.go).
 	manifestMu sync.Mutex
-
-	// jobFP fingerprints the job Execute is currently running (optimized
-	// TCAP text, cluster shape, scanned set versions); resume files carry
-	// it so a restarted cluster only resumes from recovery state the same
-	// job wrote over the same input.
-	jobFP string
 }
 
 // New builds a cluster: one master and cfg.Workers workers. With
@@ -501,8 +477,7 @@ func (c *Cluster) CountSet(db, set string) (int, error) {
 // dialed connections, and socket files, and proc mode (Config.ProcBin) kills
 // every spawned pcworker process and waits for it to exit. Stored data under
 // Config.DataDir is untouched — a cluster reopened on the same directory
-// restores its sets, and resumes a job whose process died mid-stream from
-// its durable cuts. Idempotent; safe on a cluster whose transport is the
+// restores its sets. Idempotent; safe on a cluster whose transport is the
 // default in-process copier (no-op there).
 func (c *Cluster) Close() error {
 	if c.procs != nil {

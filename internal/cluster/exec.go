@@ -31,20 +31,15 @@ type StageShip struct {
 	// exchange.DefaultCapacity × Threads per producer, plus the page being
 	// delivered (exchange.MaxReorderPages).
 	MaxReorderPages int64
-	// Checkpoints counts the aggregation merge's recovery checkpoints
-	// taken during the step (zero for every other step — the join and the
-	// sort recover by replay — and at a negative CheckpointInterval).
-	Checkpoints int
 	// SpilledPages counts the page images the step's memory governor
-	// (Config.MemoryBudget) moved to spill files — lane pages, retained
-	// replay pages, and checkpoint snapshots alike; zero when governance
-	// is off.
+	// (Config.MemoryBudget) moved to spill files — lane pages and retained
+	// replay pages alike; zero when governance is off.
 	SpilledPages int64
 	// SpilledBytes is SpilledPages' byte volume.
 	SpilledBytes int64
 	// MaxBufferedBytes is the largest resident governed-byte footprint
 	// any single consumer backend reached during the step (lane pages +
-	// replay retention + in-memory snapshots). With a budget set it never
+	// replay retention). With a budget set it never
 	// exceeds Config.MemoryBudget, excluding the single page being
 	// delivered.
 	MaxBufferedBytes int64
@@ -59,15 +54,9 @@ type ExecStats struct {
 	// "consumer") — which half of a streaming step absorbed the crashes.
 	RoleRetries map[string]int
 	// ConsumerRecoveries counts backend crashes inside consumers that were
-	// recovered by stream replay — from the aggregation merge's last cut,
-	// or from page 0 for a consumer that takes none (a subset of Retries).
+	// recovered by replaying the retained stream from page 0 (a subset of
+	// Retries).
 	ConsumerRecoveries int
-	// ConsumerResumes counts consumers that resumed from a durable cut a
-	// dead process left under DataDir for this very job (same program,
-	// cluster shape and input sets): the merge restored the on-disk
-	// checkpoint and fast-forwarded the exchange past the already-merged
-	// prefix instead of starting over.
-	ConsumerResumes int
 	// Threads is the per-worker executor-thread budget pipeline stages
 	// ran with (Config.Threads after defaulting).
 	Threads int
@@ -96,7 +85,6 @@ func (c *Cluster) Execute(writes ...*core.Write) (*ExecStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.jobFP = c.jobFingerprint(opt.Print(), plan.Stages)
 	if c.Cfg.ProcBin != "" {
 		if err := c.prepareProcs(plan.Stages); err != nil {
 			return nil, err
@@ -291,10 +279,10 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 // thread; shipping copies the page into the consumer's registry (a worker's
 // own pages pass by reference); and retry duplicates, dropped at the sender,
 // recycle through the page pool. Delivered pages stay retained for
-// consumer crash recovery until acknowledged or discarded;
-// releaseDelivered receives them once a consumer's checkpoint acknowledges
-// them (nil when the consumer's state keeps referencing them, as the
-// join-table build and the sort merge do). govs, when non-nil, attach the
+// consumer crash recovery until the step ends; releaseDelivered receives
+// the resident ones when the step succeeds (nil when the consumer's state
+// keeps referencing them, as the join-table build and the sort merge do).
+// govs, when non-nil, attach the
 // step's per-worker memory governors (Config.MemoryBudget) so over-budget
 // pages spill to disk.
 func (c *Cluster) newShuffleExchange(releaseDelivered func(*object.Page), govs []*exchange.Governor) *exchange.Exchange {
@@ -326,16 +314,14 @@ func (c *Cluster) newShuffleExchange(releaseDelivered func(*object.Page), govs [
 // A producer whose backend crashes mid-stream is re-forked and retried
 // once; the deterministic re-run re-sends the same tagged pages and the
 // exchange drops the duplicates at the sender. A consumer whose backend
-// crashes mid-merge is also re-forked and retried: the merge checkpoints
-// its sub-maps every interval pages (acknowledging each cut so the
-// exchange's replay retention stays bounded), and the retry restores the
-// last checkpoint, rewinds the exchange to its cut, and re-consumes only
-// the replayed suffix — bit-for-bit identical to a crash-free run. At a
-// negative CheckpointInterval the merge takes no cuts and the retry
-// replays the stream from page 0. When the step fails anyway (retries
-// exhausted, a deterministic crash, or an injected I/O error), the
-// failure path releases everything the step still holds: undelivered and
-// retained exchange pages (runStep), checkpoint snapshots, spill slots.
+// crashes mid-merge or in finalize is also re-forked and retried: the
+// exchange retains every delivered page, so the retry rewinds it to page 0
+// and merges the whole stream again onto fresh sub-maps — bit-for-bit
+// identical to a crash-free run. When the step succeeds, the retained
+// pages return to the page pool (runStep); when it fails anyway (retries
+// exhausted, a deterministic crash, or an injected I/O error), runStep
+// drops everything the step still holds: undelivered and retained exchange
+// pages, spill slots.
 //
 // In proc mode (Config.ProcBin) the step is the same — same exchange, same
 // roles, same retry accounting — with each role's body a session that has
@@ -343,7 +329,6 @@ func (c *Cluster) newShuffleExchange(releaseDelivered func(*object.Page), govs [
 // of the stream (procrun.go).
 func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical.JobStage, stats *ExecStats) (StageShip, error) {
 	nw := len(c.Workers)
-	interval := c.checkpointEvery()
 	govs, closeGovs := c.stepGovernors()
 	defer closeGovs()
 	proc := c.procs != nil
@@ -355,19 +340,18 @@ func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical
 	}
 	ex := c.newShuffleExchange(func(p *object.Page) { c.pool.Put(p) }, govs)
 	arts := make([]*workerArtifacts, nw)
-	recs := make([]*aggRecovery, nw)
-	ends := make([]*exchangeEnd, nw)
 	roles := make([]role, 2*nw)
 	for i, w := range c.Workers {
-		env, gov := c.env(w), governorOf(govs, i)
+		env := c.env(w)
 		end := &exchangeEnd{ex: ex, worker: i}
-		rec := &aggRecovery{produces: cons.Produces}
-		ends[i], recs[i] = end, rec
 		produce := func() error { return env.runPreAggStream(res, prod, end) }
-		consume := func() ([]*object.Page, error) { return env.consumeAggStream(res, cons, end, interval, rec, gov) }
+		consume := func() ([]*object.Page, error) {
+			end.rewind()
+			return env.consumeAggStream(res, cons, end)
+		}
 		if proc {
 			produce = func() error { return c.procProduce(w, opener, prod, end) }
-			consume = func() ([]*object.Page, error) { return c.procConsume(w, opener, cons, end, interval, rec) }
+			consume = func() ([]*object.Page, error) { return c.procConsume(w, opener, cons, end) }
 		}
 		roles[i] = role{w: w, proc: proc, name: roleProducer, what: prod.Produces,
 			onRetry: stats.noteRetry(roleProducer, false),
@@ -375,37 +359,16 @@ func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical
 			closes:  ex}
 		roles[nw+i] = role{w: w, proc: proc, name: roleConsumer, what: cons.Produces,
 			onRetry: stats.noteRetry(roleConsumer, true),
-			saves:   &rec.saves,
 			body: func() error {
 				pages, err := consume()
-				if err != nil {
-					return err
+				if err == nil {
+					arts[i] = &workerArtifacts{pages: pages, pagesKey: cons.Produces}
 				}
-				// The artifact is about to commit: discard the recovery
-				// snapshots (a worker process has dropped its own).
-				arts[i] = &workerArtifacts{pages: pages, pagesKey: cons.Produces}
-				env.dropAggCheckpoint(rec, gov)
-				return nil
+				return err
 			}}
 	}
 	ship, err := c.runStep(roles, govs, ex)
-	for _, end := range ends {
-		if end.resumed {
-			stats.ConsumerResumes++
-		}
-	}
 	if err != nil {
-		// Proc mode leaves its workers' durable recovery state alone: it
-		// is theirs to keep — exactly what lets a new cluster (or a
-		// respawned worker) resume this job — and a successful future
-		// consume drops it. A live in-process cluster drops every worker's
-		// snapshots, so the step's governors and spill pools close with
-		// zero live slots and no _ckpt set or resume file survives.
-		if !proc {
-			for j, w := range c.Workers {
-				c.env(w).dropAggCheckpoint(recs[j], governorOf(govs, j))
-			}
-		}
 		return ship, err
 	}
 	return ship, c.commitArtifacts(arts)
@@ -441,39 +404,13 @@ func (e *workerEnv) runPreAggStream(res *core.CompileResult, stage *physical.Job
 }
 
 // consumeAggStream is the consumer half: the worker owns hash partition
-// e.id and merges it incrementally from end's stream, then finalizes the
-// sub-maps into its share of the result (the stage's "mat:" artifact
-// pages). The caller drops rec's snapshots (dropAggCheckpoint) once the
-// pages are handed on.
-//
-// With interval > 0 the merge checkpoints: it restores rec's checkpointed
-// sub-maps if any — rec's own, or on a disk-backed worker the durable cut a
-// dead process left for this very job (resume.go) — tells end the cut
-// it starts from, and snapshots + acknowledges a new cut every interval
-// pages plus once at stream end — so a crash anywhere in the merge or
-// finalize resumes from at most one interval back. Delivered pages recycle
-// through the exchange's acknowledge path. With interval ≤ 0 every attempt
-// starts from page 0 and the exchange retains the whole stream until the
-// step ends.
-func (e *workerEnv) consumeAggStream(res *core.CompileResult, stage *physical.JobStage, end shuffleEnd,
-	interval int, rec *aggRecovery, gov *exchange.Governor) ([]*object.Page, error) {
+// e.id and merges it incrementally from end's stream — from page 0, on
+// every attempt — then finalizes the sub-maps into its share of the result
+// (the stage's "mat:" artifact pages).
+func (e *workerEnv) consumeAggStream(res *core.CompileResult, stage *physical.JobStage, end shuffleEnd) ([]*object.Page, error) {
 	spec := res.AggSpecs[stage.AggList]
 	if spec == nil {
 		return nil, fmt.Errorf("no aggregation spec for %q", stage.AggList)
-	}
-	var ckptr *engine.MergeCheckpointer
-	cut := 0
-	if interval > 0 {
-		var err error
-		if ckptr, err = e.aggCheckpointer(rec, gov, interval, end.ack); err != nil {
-			return nil, err
-		}
-		if ckptr.Resume != nil {
-			cut = ckptr.Resume.Cut
-		}
-	}
-	if err := end.hello(cut); err != nil {
-		return nil, err
 	}
 	next := func() (*object.Page, bool, error) {
 		p, ok, err := end.next()
@@ -483,7 +420,7 @@ func (e *workerEnv) consumeAggStream(res *core.CompileResult, stage *physical.Jo
 		return p, ok, err
 	}
 	finals, mergePages, err := engine.MergeAggMapsStream(e.reg, next, e.id, e.workers,
-		spec, e.pageSize, e.pool, e.threads, ckptr)
+		spec, e.pageSize, e.pool, e.threads)
 	if err != nil {
 		return nil, err
 	}
@@ -499,34 +436,4 @@ func (e *workerEnv) consumeAggStream(res *core.CompileResult, stage *physical.Jo
 		e.pool.Put(pg)
 	}
 	return out, nil
-}
-
-// aggCheckpointer is a checkpointing merge's checkpointer over rec: it resumes
-// from rec's installed cut if any — rec's own, or on a disk-backed worker
-// the durable cut a dead process left for this very job (resume.go) — has
-// the merge write its cuts into rec's generations, and installs each one
-// (persistAggCheckpoint) before ack acknowledges it.
-func (e *workerEnv) aggCheckpointer(rec *aggRecovery, gov *exchange.Governor, interval int,
-	ack func(cut int) error) (*engine.MergeCheckpointer, error) {
-	if rec.ckpt == nil && e.store.Dir() != "" && !e.loadAggResume(rec) {
-		e.dropAggCheckpoint(rec, gov)
-	}
-	resume, err := e.loadAggCheckpoint(rec, gov)
-	if err != nil {
-		return nil, err
-	}
-	return &engine.MergeCheckpointer{
-		Interval: interval,
-		Resume:   resume,
-		Gens:     &rec.gens,
-		Save: func(ck *engine.MergeCheckpoint) error {
-			if err := e.persistAggCheckpoint(rec, ck, gov); err != nil {
-				return err
-			}
-			if e.afterSave != nil {
-				e.afterSave()
-			}
-			return ack(ck.Cut)
-		},
-	}, nil
 }

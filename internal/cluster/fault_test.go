@@ -1,8 +1,7 @@
 package cluster
 
 // Crash tests for the fault-injection subsystem (internal/fault): the
-// probe/emit recovery the tentpole added, injected spill/checkpoint I/O
-// errors, the bounded retry policy, and the failure path's leak-free
+// probe/emit recovery, injected spill I/O errors, the bounded retry policy, and the failure path's leak-free
 // cleanup. The chaos campaign (TestChaosCampaign) sweeps the same sites
 // across seeds; these tests pin the specific behaviors.
 
@@ -44,14 +43,27 @@ func writeIntAgg(t *testing.T, c *Cluster, rec *object.TypeInfo) error {
 }
 
 // assertNoJoinLeaks asserts a finished job — recovered or failed — left
-// nothing behind: no live spill slots at pool close, no _ckpt sets.
+// nothing behind: no live spill slots at pool close.
 func assertNoJoinLeaks(t *testing.T, c *Cluster, label string) {
 	t.Helper()
 	if n := c.Transport.Stats().LeakedSpillSlots; n != 0 {
 		t.Errorf("%s: %d spill slots leaked", label, n)
 	}
-	if n := c.CheckpointSets(); n != 0 {
-		t.Errorf("%s: %d _ckpt sets leaked", label, n)
+}
+
+// assertNoRecoveryFiles asserts nothing under a DataDir holds job recovery
+// state: no _ckpt snapshot database and no resume file in any worker's
+// directory. Recovery state lives in memory only.
+func assertNoRecoveryFiles(t *testing.T, dir string) {
+	t.Helper()
+	for _, pattern := range []string{"worker-*/_ckpt*", "worker-*/resume-*"} {
+		files, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != 0 {
+			t.Errorf("recovery state left under DataDir: %v", files)
+		}
 	}
 }
 
@@ -66,7 +78,7 @@ func TestProbeEmitCrashRecovery(t *testing.T) {
 	for _, site := range []fault.Site{fault.ProbePage, fault.Emit} {
 		for _, cell := range cells {
 			cfg := Config{Workers: cell.workers, Threads: cell.threads,
-				PageSize: 1 << 12, CheckpointInterval: 1}
+				PageSize: 1 << 12}
 			ref, refRec := joinFixture(t, cfg, left, right, groups)
 			wantRows := joinPairsByWorker(t, ref, refRec)
 			if len(wantRows) == 0 {
@@ -98,7 +110,7 @@ func TestProbeEmitCrashRecovery(t *testing.T) {
 // the recovered matches still equal the unbounded crash-free join's.
 func TestProbeEmitCrashRecoverySpill(t *testing.T) {
 	const left, right, groups = 600, 90, 18
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1}
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12}
 	ref, refRec := joinFixture(t, base, left, right, groups)
 	wantRows := joinPairsByWorker(t, ref, refRec)
 
@@ -133,7 +145,7 @@ func TestProbeEmitCrashRecoverySpill(t *testing.T) {
 // absorbed wherever it lands, and the join must emit the fault-free rows.
 func TestJoinSpillEnqueueCrashRecovered(t *testing.T) {
 	const left, right, groups = 600, 90, 18
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1}
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12}
 	ref, refRec := joinFixture(t, base, left, right, groups)
 	wantRows := joinPairsByWorker(t, ref, refRec)
 
@@ -198,7 +210,7 @@ func TestProbeDrainCrashReachesBackend(t *testing.T) {
 			t.Errorf("%d spill slots leaked", n)
 		}
 	}()
-	_, _, err = c.env(c.Workers[0]).gatherJoinStreams(&exchangeEnd{ex: exBuild},
+	_, err = c.env(c.Workers[0]).gatherJoinStreams(&exchangeEnd{ex: exBuild},
 		&exchangeEnd{ex: exProbe}, &joinSpec{}, &joinRecovery{})
 	t.Fatalf("gatherJoinStreams returned (%v) past the injected crash", err)
 }
@@ -208,7 +220,7 @@ func TestProbeDrainCrashReachesBackend(t *testing.T) {
 // total count equals the crash-free run's exactly, every pair once.
 func TestEmitExactlyOnce(t *testing.T) {
 	const left, right, groups = 600, 90, 18
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1}
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12}
 	ref, refRec := joinFixture(t, cfg, left, right, groups)
 	wantRows := joinPairsByWorker(t, ref, refRec)
 
@@ -256,16 +268,16 @@ func TestEmitExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestJoinAndSortTakeNoCuts pins that only the aggregation merge
-// checkpoints: with recovery on at a one-page interval and a one-page
-// budget, an inner join, a full outer join and an ORDER BY count no
-// checkpoint, and they still recover a crash at their last step — the full
-// join's last tail-sweep emit, the sort's Finalize — with the crash-free
-// rows, one consumer recovery, and nothing leaked.
+// TestJoinAndSortTakeNoCuts pins that the joins and the sort recover by
+// replay alone: under a one-page budget, an inner join, a full outer join
+// and an ORDER BY count no checkpoint, and they still recover a crash at
+// their last step — the full join's last tail-sweep emit, the sort's
+// Finalize — with the crash-free rows, one consumer recovery, and nothing
+// leaked.
 func TestJoinAndSortTakeNoCuts(t *testing.T) {
 	build := func(plan *fault.Plan) (*Cluster, *object.TypeInfo) {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			CheckpointInterval: 1, MemoryBudget: spillBudget, Fault: plan})
+			MemoryBudget: spillBudget, Fault: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,12 +287,10 @@ func TestJoinAndSortTakeNoCuts(t *testing.T) {
 		loadIntRowsOff(t, c, rec, "db", "right", 240, 8, 8)
 		return c, rec
 	}
-	noCuts := func(label string, stats *ExecStats) {
+	noCuts := func(label string, c *Cluster) {
 		t.Helper()
-		for i, ship := range stats.Ships {
-			if ship.Checkpoints != 0 {
-				t.Errorf("%s: ship %d counts %d checkpoints, want 0", label, i, ship.Checkpoints)
-			}
+		if n := c.Transport.Stats().Checkpoints; n != 0 {
+			t.Errorf("%s: the cluster counted %d checkpoints, want 0", label, n)
 		}
 	}
 	// join returns each worker's emit sequence ("-" for a null side).
@@ -327,15 +337,10 @@ func TestJoinAndSortTakeNoCuts(t *testing.T) {
 	}
 
 	c, rec := build(nil)
-	_, innerStats := join(c, rec, core.JoinInner)
-	noCuts("inner join", innerStats)
-	wantFull, fullStats := join(c, rec, core.JoinFull)
-	noCuts("full join", fullStats)
-	wantSorted, sortStats := orderBy(c, rec)
-	noCuts("order by", sortStats)
-	if n := c.Transport.Stats().Checkpoints; n != 0 {
-		t.Errorf("the cluster counted %d checkpoints over two joins and a sort", n)
-	}
+	join(c, rec, core.JoinInner)
+	wantFull, _ := join(c, rec, core.JoinFull)
+	wantSorted, _ := orderBy(c, rec)
+	noCuts("two joins and a sort", c)
 
 	// The full join's last emit on a worker whose sequence ends in the
 	// unmatched-row tail: K counts that worker's Emit hits from 0.
@@ -363,7 +368,7 @@ func TestJoinAndSortTakeNoCuts(t *testing.T) {
 	if stats.ConsumerRecoveries != 1 {
 		t.Errorf("full join: %d consumer recoveries, want 1", stats.ConsumerRecoveries)
 	}
-	noCuts("recovered full join", stats)
+	noCuts("recovered full join", c)
 	assertNoJoinLeaks(t, c, "full join, last tail emit")
 
 	plan = fault.NewPlan(fault.Injection{Site: fault.Finalize, Worker: 0, K: 0})
@@ -378,17 +383,17 @@ func TestJoinAndSortTakeNoCuts(t *testing.T) {
 	if stats.ConsumerRecoveries != 1 {
 		t.Errorf("order by: %d consumer recoveries, want 1", stats.ConsumerRecoveries)
 	}
-	noCuts("recovered order by", stats)
+	noCuts("recovered order by", c)
 	assertNoJoinLeaks(t, c, "order by, Finalize")
 }
 
 // TestSpillWriteErrorFailsCleanly injects an I/O error into the spill
 // store's write path under a one-page budget: the job must fail with a
 // clean error naming the injection — no hang, no panic — and the failure
-// path must release every slot and checkpoint set it had claimed.
+// path must release every slot it had claimed.
 func TestSpillWriteErrorFailsCleanly(t *testing.T) {
 	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		CheckpointInterval: 2, MemoryBudget: spillBudget}
+		MemoryBudget: spillBudget}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +429,7 @@ func TestSpillWriteErrorFailsCleanly(t *testing.T) {
 // with the governor's slot bookkeeping intact.
 func TestSpillReadErrorFailsCleanly(t *testing.T) {
 	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		CheckpointInterval: 2, MemoryBudget: spillBudget}
+		MemoryBudget: spillBudget}
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -447,29 +452,6 @@ func TestSpillReadErrorFailsCleanly(t *testing.T) {
 	assertNoJoinLeaks(t, c, "spill-read error")
 }
 
-// TestCheckpointIOErrorFailsCleanly injects an I/O error into checkpoint
-// persistence: the cut fails, the job errors cleanly, and no checkpoint
-// set survives the failure path.
-func TestCheckpointIOErrorFailsCleanly(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 2, DataDir: dir}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := intRecType(c)
-	loadIntRows(t, c, rec, "db", "rows", 3000, 12)
-	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.CheckpointIO, Worker: 0, K: 0})
-	err = writeIntAgg(t, c, rec)
-	if err == nil {
-		t.Fatal("job with an injected checkpoint-write error succeeded")
-	}
-	if !strings.Contains(err.Error(), "injected CheckpointIO") {
-		t.Errorf("error does not name the injection: %v", err)
-	}
-	assertNoJoinLeaks(t, c, "checkpoint I/O error")
-}
-
 // TestRetryBudgetBoundsRecovery arms more distinct crashes than the fixed
 // retry budget absorbs: two must fail with the exhaustion error naming the
 // role and worker, while the first of them alone is recovered with one
@@ -480,7 +462,7 @@ func TestRetryBudgetBoundsRecovery(t *testing.T) {
 	first := fault.Injection{Site: fault.Delivery, Worker: 1, K: 3}
 	second := fault.Injection{Site: fault.Delivery, Worker: 1, K: 10}
 	mk := func(plan *fault.Plan) (*Cluster, *object.TypeInfo) {
-		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 2})
+		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -524,11 +506,10 @@ func TestRetryBudgetBoundsRecovery(t *testing.T) {
 // returns it has not crashed: it must not be retried or accounted, and the
 // job's error must name the consumer, not the first observer in role order.
 func TestCancelObserverIsNotRetried(t *testing.T) {
-	c, err := New(Config{Workers: 2, Threads: 1, PageSize: 1 << 12, CheckpointInterval: 2,
-		Fault: fault.NewPlan(
-			fault.Injection{Site: fault.Delivery, Worker: 1, K: 0},
-			fault.Injection{Site: fault.Delivery, Worker: 1, K: 1},
-		)})
+	c, err := New(Config{Workers: 2, Threads: 1, PageSize: 1 << 12, Fault: fault.NewPlan(
+		fault.Injection{Site: fault.Delivery, Worker: 1, K: 0},
+		fault.Injection{Site: fault.Delivery, Worker: 1, K: 1},
+	)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,10 +566,10 @@ func TestDeterministicCrashFailsFast(t *testing.T) {
 	}
 }
 
-// TestFailureCleanupReleasesEverything fails a governed, checkpointing job
-// on purpose (one crash more than the retry budget) and asserts the failure
-// path released all transient state: spill slots, _ckpt sets, temp spill
-// directories.
+// TestFailureCleanupReleasesEverything fails a governed job on purpose
+// (one crash more than the retry budget) and asserts the failure path
+// released all transient state: spill slots, temp spill directories, and
+// no recovery file under DataDir.
 func TestFailureCleanupReleasesEverything(t *testing.T) {
 	tmpBefore, err := filepath.Glob(filepath.Join(os.TempDir(), "pcspill-*"))
 	if err != nil {
@@ -600,7 +581,7 @@ func TestFailureCleanupReleasesEverything(t *testing.T) {
 			dir = t.TempDir()
 		}
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			CheckpointInterval: 2, MemoryBudget: spillBudget, DataDir: dir})
+			MemoryBudget: spillBudget, DataDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -614,11 +595,7 @@ func TestFailureCleanupReleasesEverything(t *testing.T) {
 		assertNoJoinLeaks(t, c, fmt.Sprintf("failed job (dataDir=%v)", dataDir))
 		if dataDir {
 			assertNoSpillDirs(t, dir)
-			// Durable cuts follow the disk, yet a live cluster's failed step
-			// drops them: only a dead process leaves a cut to resume.
-			if files := resumeFiles(t, dir); len(files) != 0 {
-				t.Errorf("resume files survived the failed in-process step: %v", files)
-			}
+			assertNoRecoveryFiles(t, dir)
 		}
 	}
 	tmpAfter, err := filepath.Glob(filepath.Join(os.TempDir(), "pcspill-*"))
@@ -635,7 +612,7 @@ func TestFailureCleanupReleasesEverything(t *testing.T) {
 // slots are released.
 func TestFailedJoinCleansUp(t *testing.T) {
 	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		CheckpointInterval: 1, MemoryBudget: spillBudget}
+		MemoryBudget: spillBudget}
 	c, rec := joinFixture(t, cfg, 600, 90, 18)
 	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Emit, Worker: 0, K: 3},
 		fault.Injection{Site: fault.Emit, Worker: 0, K: 6})

@@ -4,8 +4,7 @@ package cluster
 // an exchange-linked stage pair or a hash-partition join — builds one
 // exchange.Governor per worker backend, backed by a storage.SpillPool of
 // reusable page files. The budget is per backend: a join consumer's two
-// exchanges and the aggregation consumer's checkpoint snapshots all meter
-// against the same worker's governor. The pools live exactly as long as
+// exchanges meter against the same worker's governor. The pools live exactly as long as
 // the step: closing them removes every spill file, so a finished job —
 // crashed, recovered, or clean — leaves nothing behind on disk.
 
@@ -35,26 +34,11 @@ func (f *faultSpillStore) Spill(p *object.Page) (int, error) {
 	return f.pool.Spill(p)
 }
 
-func (f *faultSpillStore) SpillBytes(b []byte) (int, error) {
-	f.plan.Hit(fault.SpillEnqueue, f.worker)
-	if err := f.plan.ErrAt(fault.SpillWrite, f.worker); err != nil {
-		return 0, err
-	}
-	return f.pool.SpillBytes(b)
-}
-
 func (f *faultSpillStore) Load(slot int) (*object.Page, error) {
 	if err := f.plan.ErrAt(fault.SpillRead, f.worker); err != nil {
 		return nil, err
 	}
 	return f.pool.Load(slot)
-}
-
-func (f *faultSpillStore) LoadBytes(slot int) ([]byte, error) {
-	if err := f.plan.ErrAt(fault.SpillRead, f.worker); err != nil {
-		return nil, err
-	}
-	return f.pool.LoadBytes(slot)
 }
 
 func (f *faultSpillStore) Free(slot int) { f.pool.Free(slot) }
@@ -95,14 +79,6 @@ func (c *Cluster) stepGovernors() ([]*exchange.Governor, func()) {
 		govs[i] = exchange.NewGovernor(c.Cfg.MemoryBudget, store, func(p *object.Page) { c.pool.Put(p) })
 	}
 	return govs, closeAll
-}
-
-// governorOf returns worker i's governor, nil for an ungoverned step.
-func governorOf(govs []*exchange.Governor, i int) *exchange.Governor {
-	if govs == nil {
-		return nil
-	}
-	return govs[i]
 }
 
 // spillTelemetry records one step's governor gauges on the transport and

@@ -9,7 +9,6 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/fault"
 	"repro/internal/object"
-	"repro/internal/physical"
 )
 
 // HashPartitionJoinKind implements the paper's 2n-job-stage distributed
@@ -30,9 +29,9 @@ import (
 //     replay retention: retention is the probe buffer, metered against
 //     Config.MemoryBudget (and spillable) like any retained page.
 //  3. When its build stream closes, each worker rewinds the probe stream
-//     and probes it in windows of physical.DefaultCheckpointInterval pages
-//     (contiguous-chunk parallel probe, thread-ordered emit); the probe
-//     stream stays retained until the step ends.
+//     and probes it in windows of probeWindow pages (contiguous-chunk
+//     parallel probe, thread-ordered emit); the probe stream stays
+//     retained until the step ends.
 //
 // keyL/keyR extract the join key hash from an object (the compiled key
 // lambdas); emit is invoked on each pair kind selects (below), running on
@@ -72,19 +71,17 @@ import (
 // # Probe/emit recovery
 //
 // A backend crash anywhere in the join is recovered (once per role per
-// step) by replay, not by restoring a cut: the join takes no checkpoints.
-// A producer crash (the key panics while repartitioning) is re-forked and
-// re-run; the deterministic retry re-sends the same tags and the lanes drop
-// its duplicates at the sender. A build-phase consumer crash re-gathers
-// both streams from page 0 — the exchange retains both until the table is
-// complete. Once it is, the worker's recovery record keeps the
-// table (read-only from then on) and the build stream is acknowledged. A
-// probe/emit-phase crash reuses that table, rewinds the probe stream to
-// page 0, and skips the first matches the record counts as emitted — match
-// order is page order, so the skip prefix is exactly what user code
-// already observed and emit sees every match exactly once. Match output is
-// bit-for-bit identical to a crash-free run in every case, whatever
-// CheckpointInterval says.
+// step) by replay. A producer crash (the key panics while repartitioning)
+// is re-forked and re-run; the deterministic retry re-sends the same tags
+// and the lanes drop its duplicates at the sender. A build-phase consumer
+// crash re-gathers both streams from page 0 — the exchange retains both
+// until the step ends. Once the table is complete, the worker's recovery
+// record keeps it (read-only from then on). A probe/emit-phase crash
+// reuses that table, rewinds the probe stream to page 0, and skips the
+// first matches the record counts as emitted — match order is page order,
+// so the skip prefix is exactly what user code already observed and emit
+// sees every match exactly once. Match output is bit-for-bit identical to
+// a crash-free run in every case.
 func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR string,
 	keyL, keyR func(object.Ref) uint64,
 	eq func(l, r object.Ref) bool,
@@ -96,10 +93,11 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 	// live for the join regardless); probe-side delivered pages are
 	// exchange-owned replay retention — metered and evictable until the
 	// step ends: retention is what holds the probe side while the build
-	// runs. Its release hook never runs (the probe acknowledges nothing);
-	// it only marks the retention exchange-owned. Dropping the exchange's references at step end lets
-	// the garbage collector reclaim probe pages exactly when user emit code,
-	// which may hold refs into them, is done.
+	// runs. Its release hook is a no-op that only marks the retention
+	// exchange-owned: user emit code may hold refs into probe pages, so
+	// they are never recycled, and dropping the exchange's references at
+	// step end lets the garbage collector reclaim them once that code is
+	// done.
 	govs, closeGovs := c.stepGovernors()
 	defer closeGovs()
 	exL := c.newShuffleExchange(func(*object.Page) {}, govs)
@@ -237,22 +235,15 @@ func repartitionBatch(sink *engine.RepartitionSink, key func(object.Ref) uint64,
 // gathers both streams from page 0; after, it probes that table.
 func (e *workerEnv) consumeJoin(build, probe consumerEnd, j *joinSpec, rec *joinRecovery) error {
 	if rec.table == nil {
-		table, buildPages, err := e.gatherJoinStreams(build, probe, j, rec)
+		table, err := e.gatherJoinStreams(build, probe, j, rec)
 		if err != nil {
 			return err
 		}
 		rec.table = table
-		// The table references the build pages in place; no attempt
-		// replays the build stream from here on.
-		if err := build.ack(buildPages); err != nil {
-			return err
-		}
 	}
 	// The gather delivered the whole probe stream; every attempt probes it
 	// from page 0.
-	if err := probe.hello(0); err != nil {
-		return err
-	}
+	probe.rewind()
 	bitmap, counter, err := e.probeEmitStream(probe, rec.table, j, rec)
 	if err != nil {
 		return err
@@ -269,20 +260,14 @@ func (e *workerEnv) consumeJoin(build, probe consumerEnd, j *joinSpec, rec *join
 // either goroutine re-raises on the caller, the backend goroutine
 // (engine.ParallelFor): the user key lambda in the build, and in the drain
 // a crash under Recv — which settles the governor's accounting and can
-// spill a retained page — must reach the backend, not kill the process. It
-// returns the table and the number of build pages it was delivered.
-func (e *workerEnv) gatherJoinStreams(build, probe consumerEnd, j *joinSpec, rec *joinRecovery) (*engine.JoinTable, int, error) {
-	if err := build.hello(0); err != nil {
-		return nil, 0, err
-	}
-	if err := probe.hello(0); err != nil {
-		return nil, 0, err
-	}
+// spill a retained page — must reach the backend, not kill the process.
+func (e *workerEnv) gatherJoinStreams(build, probe consumerEnd, j *joinSpec, rec *joinRecovery) (*engine.JoinTable, error) {
+	build.rewind()
+	probe.rewind()
 	var table *engine.JoinTable
-	var buildPages int
 	err := engine.ParallelFor(2, func(side int) (err error) {
 		if side == 0 {
-			table, buildPages, err = e.buildTableStream(build, j, rec)
+			table, err = e.buildTableStream(build, j, rec)
 			return err
 		}
 		for {
@@ -291,7 +276,7 @@ func (e *workerEnv) gatherJoinStreams(build, probe consumerEnd, j *joinSpec, rec
 			}
 		}
 	})
-	return table, buildPages, err
+	return table, err
 }
 
 // buildTableStream builds the probe hash table incrementally from the build
@@ -299,20 +284,17 @@ func (e *workerEnv) gatherJoinStreams(build, probe consumerEnd, j *joinSpec, rec
 // worker's builder threads (a pure function of the deterministic delivery
 // order), and the per-thread tables merge bucket-wise in thread order after
 // the stream closes. Build pages are never recycled — the table references
-// their objects for the life of the join. It returns the merged table and
-// the number of pages delivered.
-func (e *workerEnv) buildTableStream(end consumerEnd, j *joinSpec, rec *joinRecovery) (*engine.JoinTable, int, error) {
+// their objects for the life of the join.
+func (e *workerEnv) buildTableStream(end consumerEnd, j *joinSpec, rec *joinRecovery) (*engine.JoinTable, error) {
 	// A re-gather re-appends every build row.
 	rec.buildRows = rec.buildRows[:0]
 	tables := make([]*engine.JoinTable, e.threads)
 	for t := range tables {
 		tables[t] = engine.NewJoinTable()
 	}
-	delivered := 0
 	next := func() (*object.Page, bool, error) {
 		p, ok, err := end.next()
 		if ok {
-			delivered++
 			e.fault.Hit(fault.BuildPage, e.id)
 			if j.needTail() {
 				// Delivery order defines the match bitmap's index space;
@@ -338,7 +320,7 @@ func (e *workerEnv) buildTableStream(end consumerEnd, j *joinSpec, rec *joinReco
 		return nil
 	}
 	if err := engine.StreamPages(next, len(tables), fold); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	table := tables[0]
 	for _, tbl := range tables[1:] {
@@ -348,11 +330,15 @@ func (e *workerEnv) buildTableStream(end consumerEnd, j *joinSpec, rec *joinReco
 		tstats[0].HashResizes += int(tbl.Resizes())
 	}
 	e.noteStats(tstats...)
-	return table, delivered, nil
+	return table, nil
 }
 
+// probeWindow is how many probe pages the join probes at a time: the window
+// bounds the match buffer, not the result (match order is page order).
+const probeWindow = 16
+
 // probeEmitStream is the probe/emit phase: it consumes the rewound probe
-// stream in windows of physical.DefaultCheckpointInterval pages, probes
+// stream in windows of probeWindow pages, probes
 // each window in parallel (collectProbeMatches — match order is page
 // order, independent of the thread split and the window size), and emits
 // the matches in order through emitOnce, which skips the prefix an earlier
@@ -378,7 +364,7 @@ func (e *workerEnv) probeEmitStream(end consumerEnd, table *engine.JoinTable, j 
 	for done := false; !done; {
 		var window []*object.Page
 		var pstats engine.Stats
-		for len(window) < physical.DefaultCheckpointInterval {
+		for len(window) < probeWindow {
 			p, ok, err := end.next()
 			if err != nil {
 				return nil, 0, err

@@ -171,7 +171,7 @@ func TestJoinKindsMatchReference(t *testing.T) {
 		{1, 1}, {2, 2}, {4, 8},
 	} {
 		c, err := New(Config{Workers: cell.workers, Threads: cell.threads,
-			PageSize: 1 << 12, CheckpointInterval: 2})
+			PageSize: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,8 +199,7 @@ func TestJoinKindsMatchReference(t *testing.T) {
 func TestJoinKindsDeterministicOrder(t *testing.T) {
 	const ln, lg, rn, rg, roff = 120, 12, 48, 8, 8
 	build := func(threads int) (*Cluster, *object.TypeInfo) {
-		c, err := New(Config{Workers: 2, Threads: threads, PageSize: 1 << 12,
-			CheckpointInterval: 2})
+		c, err := New(Config{Workers: 2, Threads: threads, PageSize: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +235,7 @@ func TestOuterJoinCrashRecovery(t *testing.T) {
 	// worker produces and consumes multiple shuffle pages per side.
 	const ln, lg, rn, rg, roff = 600, 12, 240, 8, 8
 	build := func() (*Cluster, *object.TypeInfo) {
-		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1})
+		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,12 +281,12 @@ func TestOuterJoinCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestJoinKindsCheckpointsOff runs every kind at a negative
-// CheckpointInterval — the same consumer body — with and without a memory
-// budget: the per-worker emit order must equal the
-// checkpointed run's, the multiset the nested-loop reference's, no
-// checkpoint may be counted, and under a budget the probe side's retention
-// (the probe buffer while the build runs) must be metered and spill.
+// TestJoinKindsCheckpointsOff runs every kind with the deprecated
+// CheckpointInterval set negative — an ignored setting — with and without a
+// memory budget: the per-worker emit order must equal the default run's,
+// the multiset the nested-loop reference's, no checkpoint may be counted,
+// and under a budget the probe side's retention (the probe buffer while the
+// build runs) must be metered and spill.
 func TestJoinKindsCheckpointsOff(t *testing.T) {
 	const ln, lg, rn, rg, roff = 600, 12, 240, 8, 8
 	for _, cell := range []struct{ workers, threads int }{{1, 1}, {2, 2}, {4, 8}} {
@@ -306,7 +305,7 @@ func TestJoinKindsCheckpointsOff(t *testing.T) {
 			return c, rec
 		}
 		for _, jk := range joinKinds {
-			onC, onRec := build(2, 0)
+			onC, onRec := build(0, 0)
 			want := runJoinKind(t, onC, onRec, jk.kind)
 			ref := joinKindReference(jk.kind, ln, lg, rn, rg, roff)
 			for _, budget := range []int64{0, spillBudget} {
@@ -314,7 +313,7 @@ func TestJoinKindsCheckpointsOff(t *testing.T) {
 				c, rec := build(-1, budget)
 				got := runJoinKind(t, c, rec, jk.kind)
 				if !equalRows(got, want) {
-					t.Errorf("%s: emit order differs from the checkpointed run (%d vs %d rows)", label, len(got), len(want))
+					t.Errorf("%s: emit order differs from the default run (%d vs %d rows)", label, len(got), len(want))
 				}
 				sorted := append([]string(nil), got...)
 				sort.Strings(sorted)
@@ -335,12 +334,11 @@ func TestJoinKindsCheckpointsOff(t *testing.T) {
 	}
 }
 
-// TestJoinCheckpointsOffCrashRecovers crashes the consumer of a join at a
-// negative CheckpointInterval at each of its sites, under a one-page
-// budget: a join never takes cuts, so the retry replays its retained
-// streams from page 0 exactly as at any other interval — the emitted pairs
-// equal the crash-free run's, no checkpoint is counted, and no spill slot
-// or _ckpt set leaks.
+// TestJoinCheckpointsOffCrashRecovers crashes the consumer of a join with
+// the deprecated CheckpointInterval set negative — an ignored setting — at
+// each of its sites, under a one-page budget: the retry replays its
+// retained streams from page 0 — the emitted pairs equal the crash-free
+// run's, no checkpoint is counted, and no spill slot leaks.
 func TestJoinCheckpointsOffCrashRecovers(t *testing.T) {
 	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
 		CheckpointInterval: -1, MemoryBudget: spillBudget}

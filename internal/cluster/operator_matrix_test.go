@@ -417,13 +417,14 @@ func matGrid() []matCell {
 // the corpus, and runs every operator, returning rows per op name.
 func matClusterRun(t *testing.T, transport string, cell matCell, left, right []matRow) map[string][]matRow {
 	t.Helper()
-	rows, _ := matClusterRunAt(t, transport, cell, 2, left, right)
+	rows, _ := matClusterRunAt(t, transport, cell, 0, left, right)
 	return rows
 }
 
-// matClusterRunAt is matClusterRun at a given Config.CheckpointInterval; it
-// also returns the consumer checkpoints ExecStats counted, per op name.
-func matClusterRunAt(t *testing.T, transport string, cell matCell, interval int, left, right []matRow) (map[string][]matRow, map[string]int) {
+// matClusterRunAt is matClusterRun with the deprecated, ignored
+// Config.CheckpointInterval set to interval; it also returns the
+// checkpoints the transport counted.
+func matClusterRunAt(t *testing.T, transport string, cell matCell, interval int, left, right []matRow) (map[string][]matRow, int64) {
 	t.Helper()
 	c, err := New(Config{Workers: cell.workers, Threads: cell.threads,
 		PageSize: 1 << 13, CheckpointInterval: interval, Transport: transport})
@@ -450,19 +451,15 @@ func matClusterRunAt(t *testing.T, transport string, cell matCell, interval int,
 	}
 	load("left", left)
 	load("right", right)
-	out, checkpoints := map[string][]matRow{}, map[string]int{}
+	out := map[string][]matRow{}
 	for _, op := range matOps {
 		set := "out_" + op.name
 		if err := c.CreateSet("db", set, "MatRow"); err != nil {
 			t.Fatal(err)
 		}
-		stats, err := c.Execute(matWrite(op.name, ti, set))
-		if err != nil {
+		if _, err := c.Execute(matWrite(op.name, ti, set)); err != nil {
 			t.Fatalf("cluster %s (tr=%q w=%d t=%d): %v",
 				op.name, transport, cell.workers, cell.threads, err)
-		}
-		for _, ship := range stats.Ships {
-			checkpoints[op.name] += ship.Checkpoints
 		}
 		var rows []matRow
 		for _, w := range c.Workers {
@@ -474,7 +471,7 @@ func matClusterRunAt(t *testing.T, transport string, cell matCell, interval int,
 		}
 		out[op.name] = rows
 	}
-	return out, checkpoints
+	return out, c.Transport.Stats().Checkpoints
 }
 
 // matCompare asserts got agrees with want under the op's contract.
@@ -582,29 +579,23 @@ func TestOperatorMatrixUnixTransport(t *testing.T) {
 	}
 }
 
-// TestOperatorMatrixCheckpointsOff is the "no cuts" rung: every operator at
-// Workers {1,2} × Threads {1,2} with CheckpointInterval -1 must produce the
-// checkpointed cell's rows in the same order — "no cuts" is the same path
-// without its snapshots, not a second algorithm — and count no checkpoint.
+// TestOperatorMatrixCheckpointsOff is the ignored-setting rung: every
+// operator at Workers {1,2} × Threads {1,2} with the deprecated
+// CheckpointInterval set to -1 must produce the default cell's rows in the
+// same order, and neither counts a checkpoint — no consumer takes one.
 func TestOperatorMatrixCheckpointsOff(t *testing.T) {
 	for _, corpus := range matCorpora {
 		left, right := matCorpus(corpus)
 		for _, cell := range []matCell{{1, 1}, {1, 2}, {2, 1}, {2, 2}} {
-			want, onCuts := matClusterRunAt(t, "", cell, 2, left, right)
+			want, onCuts := matClusterRunAt(t, "", cell, 0, left, right)
 			got, offCuts := matClusterRunAt(t, "", cell, -1, left, right)
+			label := fmt.Sprintf("off/%s/w=%d,t=%d", corpus, cell.workers, cell.threads)
+			if onCuts != 0 || offCuts != 0 {
+				t.Errorf("%s: %d and %d checkpoints counted, want none", label, onCuts, offCuts)
+			}
 			for _, op := range matOps {
-				label := fmt.Sprintf("off/%s/w=%d,t=%d %s", corpus, cell.workers, cell.threads, op.name)
 				if g, w := canonKV(got[op.name]), canonKV(want[op.name]); !equalRows(g, w) {
-					t.Errorf("%s: rows differ from the checkpointed cell (%d vs %d)", label, len(g), len(w))
-				}
-				if offCuts[op.name] != 0 {
-					t.Errorf("%s: %d checkpoints counted at a negative interval", label, offCuts[op.name])
-				}
-				// Only the aggregation family cuts; the joins and the sort
-				// family recover by replay and count none either way.
-				aggFamily := op.name == "agg" || op.name == "distinct"
-				if aggFamily && corpus != "empty" && onCuts[op.name] == 0 {
-					t.Errorf("%s: the checkpointed cell counted no checkpoints: the comparison proves nothing", label)
+					t.Errorf("%s %s: rows differ from the default cell (%d vs %d)", label, op.name, len(g), len(w))
 				}
 			}
 		}

@@ -67,7 +67,7 @@ func (c *Cluster) SendDataPartitioned(db, set string, pages []*object.Page,
 // are that join's.
 //
 // A backend crash anywhere in the local build or probe is recovered
-// (once per step), whatever CheckpointInterval says: the inputs
+// (once per step): the inputs
 // are the worker's own stored pages, owned by the crash-proof front end, so
 // the re-forked backend replays them like HashPartitionJoinKind replays its
 // streams — a build crash rebuilds the table, a probe crash re-probes the

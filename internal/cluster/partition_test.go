@@ -149,14 +149,14 @@ func TestCoPartitionedJoinRejectsMismatchedKeys(t *testing.T) {
 }
 
 // TestCoPartitionedJoinRecoversByReplay gives every worker several pages of
-// each side, then crashes the build, and the probe past its first pages,
-// with recovery on and off: the stored inputs replay either way. The
+// each side, then crashes the build, and the probe past its first pages:
+// the stored inputs replay. The
 // retried attempt rebuilds the table (or reuses the recorded one), probes
 // from the first stored page and skips what was emitted, so per-worker emit
 // order equals the crash-free run's with every pair seen exactly once.
 func TestCoPartitionedJoinRecoversByReplay(t *testing.T) {
-	run := func(interval int, inj *fault.Injection) []string {
-		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: interval})
+	run := func(inj *fault.Injection) []string {
+		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestCoPartitionedJoinRecoversByReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		if inj != nil && c.Cfg.Fault.Fired() != 1 {
-			t.Fatalf("interval %d: the %s crash never fired", interval, inj.Site)
+			t.Fatalf("the %s crash never fired", inj.Site)
 		}
 		var rows []string
 		for _, ws := range perWorker {
@@ -208,20 +208,18 @@ func TestCoPartitionedJoinRecoversByReplay(t *testing.T) {
 		}
 		return rows
 	}
-	want := run(1, nil)
+	want := run(nil)
 	if len(want) != 900*5 {
 		t.Fatalf("crash-free join emitted %d pairs, want %d", len(want), 900*5)
 	}
-	for _, interval := range []int{1, -1} {
-		for _, inj := range []fault.Injection{
-			{Site: fault.ProbePage, Worker: 0, K: 3},
-			{Site: fault.Emit, Worker: 0, K: 1200},
-			{Site: fault.BuildPage, Worker: 1, K: 0},
-		} {
-			if got := run(interval, &inj); !equalRows(got, want) {
-				t.Errorf("interval %d, %s: recovered join differs from the crash-free run (%d vs %d pairs)",
-					interval, inj.Site, len(got), len(want))
-			}
+	for _, inj := range []fault.Injection{
+		{Site: fault.ProbePage, Worker: 0, K: 3},
+		{Site: fault.Emit, Worker: 0, K: 1200},
+		{Site: fault.BuildPage, Worker: 1, K: 0},
+	} {
+		if got := run(&inj); !equalRows(got, want) {
+			t.Errorf("%s: recovered join differs from the crash-free run (%d vs %d pairs)",
+				inj.Site, len(got), len(want))
 		}
 	}
 }

@@ -175,10 +175,9 @@ func TestProcClusterShipsFoldFamilies(t *testing.T) {
 	}
 }
 
-// TestProcClusterCheckpointsOff is the smoke job at a negative
-// CheckpointInterval: the worker's merge takes no cut, the master's
-// consumer relay positions the exchange at page 0, and the sums are
-// exact.
+// TestProcClusterCheckpointsOff is the smoke job with the deprecated
+// CheckpointInterval set negative — an ignored setting: the sums are exact
+// and no checkpoint is counted.
 func TestProcClusterCheckpointsOff(t *testing.T) {
 	bin := buildPCWorker(t)
 	const n, groups = 2000, 16
@@ -194,15 +193,13 @@ func TestProcClusterCheckpointsOff(t *testing.T) {
 	if err := c.CreateSet("db", "sums", "RecovRec"); err != nil {
 		t.Fatal(err)
 	}
-	rows, stats, err := runProcIntAgg(t, c, rec)
+	rows, _, err := runProcIntAgg(t, c, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkIntSums(t, rows, n, groups)
-	for _, s := range stats.Ships {
-		if s.Checkpoints != 0 {
-			t.Errorf("stage %d took %d checkpoints at a negative interval", s.Stage, s.Checkpoints)
-		}
+	if n := c.Transport.Stats().Checkpoints; n != 0 {
+		t.Errorf("the cluster counted %d checkpoints", n)
 	}
 }
 
@@ -229,16 +226,32 @@ func TestProcClusterAggSmokeTCP(t *testing.T) {
 	checkIntSums(t, rows, n, groups)
 }
 
-// TestProcClusterKillRespawnRecovers SIGKILLs one worker process
-// mid-stream (fault.ProcKill fires from the master's consumer relay).
-// The scheduler must respawn the process, and the worker's durable cut
-// plus the exchange's replay retention must land the retried merge on
-// the correct sums.
+// TestProcClusterKillRespawnRecovers kills one worker process mid-merge
+// (fault.ProcKill, shipped in the consume request: the worker exits hard on
+// its second delivered page). The scheduler must respawn the process, and
+// the exchange's replay retention must land the retried merge, replayed
+// from page 0, on result rows bit-for-bit identical to a crash-free run.
 func TestProcClusterKillRespawnRecovers(t *testing.T) {
 	bin := buildPCWorker(t)
-	const n, groups, interval = 4000, 16, 2
+	const n, groups = 4000, 16
 	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		CheckpointInterval: interval, DataDir: t.TempDir(), ProcBin: bin}
+		DataDir: t.TempDir(), ProcBin: bin}
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	refRec := intRecType(ref)
+	loadIntRows(t, ref, refRec, "db", "rows", n, groups)
+	if err := ref.CreateSet("db", "sums", "RecovRec"); err != nil {
+		t.Fatal(err)
+	}
+	wantRows, _, err := runProcIntAgg(t, ref, refRec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.DataDir = t.TempDir()
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +262,7 @@ func TestProcClusterKillRespawnRecovers(t *testing.T) {
 	if err := c.CreateSet("db", "sums", "RecovRec"); err != nil {
 		t.Fatal(err)
 	}
-	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.ProcKill, Worker: 1, K: 0})
+	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.ProcKill, Worker: 1, K: 1})
 	rows, stats, err := runProcIntAgg(t, c, rec)
 	if err != nil {
 		t.Fatalf("kill-respawn job failed: %v", err)
@@ -257,25 +270,28 @@ func TestProcClusterKillRespawnRecovers(t *testing.T) {
 	if c.Cfg.Fault.Fired() != 1 {
 		t.Error("ProcKill never fired")
 	}
-	if stats.Retries == 0 {
-		t.Error("no role retry absorbed the process death")
+	if stats.ConsumerRecoveries != 1 {
+		t.Errorf("consumer recoveries = %d, want the one process death", stats.ConsumerRecoveries)
 	}
 	checkIntSums(t, rows, n, groups)
+	if !equalRows(rows, wantRows) {
+		t.Errorf("recovered run differs from crash-free run (%d vs %d rows)", len(rows), len(wantRows))
+	}
 }
 
-// TestProcClusterKillRestartResume is the cross-process resume
-// acceptance test: a proc-mode cluster loses a worker process mid-merge
-// once more than the retry budget absorbs, so the whole job fails — the stand-in for the
-// master dying with it. Only the DataDir survives. A fresh cluster
-// (fresh master, fresh worker processes) on the same DataDir re-executes
-// the same job: the worker's hello carries its durable cut, the master
-// fast-forwards the re-streamed shuffle past it, and the result must be
-// bit-for-bit identical (order included) to a crash-free proc run.
+// TestProcClusterKillRestartResume is the restart test: a proc-mode
+// cluster loses a worker process mid-merge once more than the retry budget
+// absorbs, so the whole job fails — the stand-in for the master dying with
+// it. Only the DataDir survives, holding no recovery state. A fresh cluster
+// (fresh master, fresh worker processes) on the same DataDir re-runs the
+// job from its start: over the same input the result must be bit-for-bit
+// identical (order included) to a crash-free proc run, and over an input
+// dropped and reloaded with twice the rows it must be the new input's
+// sums. Either way no _ckpt set or resume file is ever written.
 func TestProcClusterKillRestartResume(t *testing.T) {
 	bin := buildPCWorker(t)
-	const n, groups, interval = 4000, 16, 2
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		CheckpointInterval: interval, ProcBin: bin}
+	const n, groups = 4000, 16
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, ProcBin: bin}
 
 	// Crash-free proc reference on its own DataDir.
 	refCfg := base
@@ -300,111 +316,60 @@ func TestProcClusterKillRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First life: the kill fires past a checkpoint, and again past the
-	// retry's first checkpoint, exhausting the budget: the job fails. The worker's durable cut must survive on its disk.
-	dir := t.TempDir()
-	cfg := base
-	cfg.DataDir = dir
-	c1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec1 := intRecType(c1)
-	loadIntRows(t, c1, rec1, "db", "rows", n, groups)
-	if err := c1.CreateSet("db", "sums", "RecovRec"); err != nil {
-		t.Fatal(err)
-	}
-	c1.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.ProcKill, Worker: 1, K: 0},
-		fault.Injection{Site: fault.ProcKill, Worker: 1, K: 0})
-	if _, err := c1.Execute(core.NewWrite("db", "sums", procSumAgg(t, c1))); err == nil {
-		t.Fatal("job killed past its retry budget succeeded")
-	}
-	if c1.Cfg.Fault.Fired() != 2 {
-		t.Fatal("the mid-stream kills did not both fire")
-	}
-	if len(resumeFiles(t, dir)) == 0 {
-		t.Fatal("no durable worker cut survived the failed life")
-	}
-	if err := c1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, reload := range []bool{false, true} {
+		name := map[bool]string{false: "same input", true: "reloaded input"}[reload]
+		t.Run(name, func(t *testing.T) {
+			// First life: the kill fires mid-merge, and again mid-replay,
+			// exhausting the budget: the job fails.
+			dir := t.TempDir()
+			cfg := base
+			cfg.DataDir = dir
+			c1, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec1 := intRecType(c1)
+			loadIntRows(t, c1, rec1, "db", "rows", n, groups)
+			if err := c1.CreateSet("db", "sums", "RecovRec"); err != nil {
+				t.Fatal(err)
+			}
+			c1.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.ProcKill, Worker: 1, K: 1},
+				fault.Injection{Site: fault.ProcKill, Worker: 1, K: 1})
+			if _, err := c1.Execute(core.NewWrite("db", "sums", procSumAgg(t, c1))); err == nil {
+				t.Fatal("job killed past its retry budget succeeded")
+			}
+			if c1.Cfg.Fault.Fired() != 2 {
+				t.Fatal("the mid-merge kills did not both fire")
+			}
+			assertNoRecoveryFiles(t, dir)
+			if err := c1.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Second life: everything is new except the DataDir.
-	c2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec2 := intRecType(c2)
-	gotRows, stats, err := runProcIntAgg(t, c2, rec2)
-	if err != nil {
-		t.Fatalf("re-executed job after restart: %v", err)
-	}
-	if stats.ConsumerResumes == 0 {
-		t.Error("no consumer resumed from a worker's durable cut")
-	}
-	if !equalRows(gotRows, wantRows) {
-		t.Errorf("resumed run differs from crash-free run (%d vs %d rows)", len(gotRows), len(wantRows))
-	}
-	// Success drops the workers' durable recovery state.
-	if files := resumeFiles(t, dir); len(files) != 0 {
-		t.Errorf("worker resume metadata leaked past the resumed commit: %v", files)
-	}
-	if err := c2.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestProcClusterRestartRefusesReloadedInput is the resume guard's input
-// check: a proc-mode job dies past a durable cut exactly as in
-// TestProcClusterKillRestartResume, and between the two lives its input is
-// dropped and reloaded with twice the rows. The same program on the same
-// cluster shape must not resume from cuts taken over the old rows: no
-// consumer resumes, and the sums are the fresh ones over the new input.
-func TestProcClusterRestartRefusesReloadedInput(t *testing.T) {
-	bin := buildPCWorker(t)
-	const n, groups, interval = 4000, 16, 2
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		CheckpointInterval: interval, ProcBin: bin, DataDir: t.TempDir()}
-	c1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec1 := intRecType(c1)
-	loadIntRows(t, c1, rec1, "db", "rows", n, groups)
-	if err := c1.CreateSet("db", "sums", "RecovRec"); err != nil {
-		t.Fatal(err)
-	}
-	c1.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.ProcKill, Worker: 1, K: 0},
-		fault.Injection{Site: fault.ProcKill, Worker: 1, K: 0})
-	if _, err := c1.Execute(core.NewWrite("db", "sums", procSumAgg(t, c1))); err == nil {
-		t.Fatal("job killed past its retry budget succeeded")
-	}
-	if len(resumeFiles(t, cfg.DataDir)) == 0 {
-		t.Fatal("no durable worker cut survived the failed life")
-	}
-	if err := c1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	rec2 := intRecType(c2)
-	if err := c2.DropSet("db", "rows"); err != nil {
-		t.Fatal(err)
-	}
-	loadIntRows(t, c2, rec2, "db", "rows", 2*n, groups)
-	rows, stats, err := runProcIntAgg(t, c2, rec2)
-	if err != nil {
-		t.Fatalf("job over the reloaded input: %v", err)
-	}
-	if stats.ConsumerResumes != 0 {
-		t.Errorf("%d consumers resumed from cuts taken over the old input", stats.ConsumerResumes)
-	}
-	checkIntSums(t, rows, 2*n, groups)
-	if files := resumeFiles(t, cfg.DataDir); len(files) != 0 {
-		t.Errorf("worker resume metadata leaked past the commit: %v", files)
+			// Second life: everything is new except the DataDir.
+			c2, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
+			rec2 := intRecType(c2)
+			rows := n
+			if reload {
+				if err := c2.DropSet("db", "rows"); err != nil {
+					t.Fatal(err)
+				}
+				rows = 2 * n
+				loadIntRows(t, c2, rec2, "db", "rows", rows, groups)
+			}
+			gotRows, _, err := runProcIntAgg(t, c2, rec2)
+			if err != nil {
+				t.Fatalf("re-executed job after restart: %v", err)
+			}
+			checkIntSums(t, gotRows, rows, groups)
+			if !reload && !equalRows(gotRows, wantRows) {
+				t.Errorf("re-run differs from crash-free run (%d vs %d rows)", len(gotRows), len(wantRows))
+			}
+			assertNoRecoveryFiles(t, dir)
+		})
 	}
 }

@@ -11,27 +11,22 @@ package cluster
 //	producer relay: dial worker, send "produce", read its streamed map
 //	  pages, send each into the exchange under the single-lane tag
 //	  discipline (worker, 0, seq), close the lanes at its eof.
-//	consumer relay: dial worker, send "consume", read its {hello, cut}
-//	  (the worker's durable resume position), position the exchange
-//	  (positionConsumer), then pump the stream's pages down the socket; a
-//	  concurrent reader turns the worker's {ack, cut} into Exchange.Ack
-//	  (releasing replay retention only after the cut is durable on the
-//	  worker's disk), collects the finalized result pages, and ends on
+//	consumer relay: dial worker, send "consume", rewind the exchange to
+//	  page 0, then pump the stream's pages down the socket while a
+//	  concurrent reader collects the finalized result pages and ends on
 //	  done/error.
 //
 // A killed worker process severs exactly its two sessions; runRole
 // respawns the process and retries the role, and the exchange's replay
-// retention plus the worker's local checkpoint make the retry resume
-// mid-stream. fault.ProcKill executes across the boundary: the master
+// retention lets the retried consume session re-stream the whole shuffle
+// from page 0. fault.ProcKill executes across the boundary: the master
 // extracts the injection (fault.Plan.Take) and ships it in the consume
-// request, and the worker exits hard right after its (K+1)-th durable
-// checkpoint save — deterministically past a durable cut, before the ack
-// leaves its process.
+// request, and the worker exits hard right after its (K+1)-th delivered
+// page — deterministically mid-merge.
 
 import (
 	"fmt"
 	"net"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/exchange"
@@ -71,15 +66,14 @@ func (c *Cluster) prepareProcs(stages []*physical.JobStage) error {
 
 // sessionOpener is the part of a role session's opening request every
 // session of one job shares: the job as optimized TCAP text plus type
-// schemas, its fingerprint, and the cluster shape.
+// schemas, and the cluster shape.
 func (c *Cluster) sessionOpener(res *core.CompileResult) *procwork.Msg {
 	return &procwork.Msg{
-		Prog:        res.Prog.Print(),
-		Fingerprint: c.jobFP,
-		Workers:     len(c.Workers),
-		Threads:     c.Cfg.Threads,
-		PageSize:    c.Cfg.PageSize,
-		Types:       procwork.SchemasOf(c.Catalog.Registry()),
+		Prog:     res.Prog.Print(),
+		Workers:  len(c.Workers),
+		Threads:  c.Cfg.Threads,
+		PageSize: c.Cfg.PageSize,
+		Types:    procwork.SchemasOf(c.Catalog.Registry()),
 	}
 }
 
@@ -155,82 +149,43 @@ func (c *Cluster) procProduce(w *Worker, opener *procwork.Msg, prod *physical.Jo
 	}
 }
 
-// procConsume relays one worker process's consume session. The hello cut
-// positions the exchange; then the relay pumps the exchange stream down
-// the socket while a reader goroutine handles everything coming back up:
-// durable-cut acks (forwarded to Exchange.Ack, counted in rec.saves), the
-// finalized result pages, and the terminal done/error.
-func (c *Cluster) procConsume(w *Worker, opener *procwork.Msg, cons *physical.JobStage,
-	end *exchangeEnd, interval int, rec *aggRecovery) ([]*object.Page, error) {
+// procConsume relays one worker process's consume session: the relay
+// rewinds the exchange and pumps its stream down the socket from page 0
+// while a reader goroutine collects everything coming back up — the
+// finalized result pages and the terminal done/error.
+func (c *Cluster) procConsume(w *Worker, opener *procwork.Msg, cons *physical.JobStage, end *exchangeEnd) ([]*object.Page, error) {
 	req := *opener
-	req.Op, req.Produces, req.AggList, req.Interval = "consume", cons.Produces, cons.AggList, interval
+	req.Op, req.Produces, req.AggList = "consume", cons.Produces, cons.AggList
 	if k, ok := c.Cfg.Fault.Take(fault.ProcKill, w.ID); ok {
 		// Ship the injected worker loss into the process that must suffer
-		// it: the worker dies right after its (k+1)-th durable save.
-		req.KillAfterSaves = k + 1
+		// it: the worker dies right after its (k+1)-th delivered page.
+		req.KillAfterPages = k + 1
 	}
 	conn, err := c.openSession(w, &req)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-	f, err := procwork.ReadFrame(conn)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: worker %d consume handshake: %w", w.ID, err)
-	}
-	m, err := procwork.DecodeMsg(f)
-	if err != nil {
-		return nil, err
-	}
-	if m.Op != "hello" {
-		return nil, unexpected(w, "consume handshake", m)
-	}
-	// Position the exchange against the worker's durable cut.
-	if err := end.hello(m.Cut); err != nil {
-		return nil, err
-	}
+	end.rewind()
 
-	// The exchange's per-consumer cursor state is single-goroutine by
-	// design (an in-proc consumer Recvs and Acks from its own merge loop),
-	// so the reader goroutine below never touches the exchange: it records
-	// the worker's latest durable cut here, and the relay loop — or, for a
-	// cut that lands with the final done, the main goroutine after it —
-	// applies the Ack. Cuts are monotonic, so the latest subsumes the rest
-	// (and re-applying an applied one is a no-op); delaying an Ack only
-	// lengthens replay retention, never correctness.
-	var pendingAck atomic.Int64
-	applyAck := func() error {
-		if cut := int(pendingAck.Load()); cut > 0 {
-			// The cut is durable on the worker's disk: only now may the
-			// exchange release its retained replay pages.
-			return end.ack(cut)
-		}
-		return nil
-	}
 	var pages []*object.Page
 	var readErr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		pages, readErr = c.collectConsume(conn, w, &pendingAck, rec)
+		pages, readErr = c.collectConsume(conn, w)
 	}()
 
 	relay := func() error {
-		for {
-			if err := applyAck(); err != nil {
-				return err
-			}
-			tag := wire.Tag{Producer: uint32(w.ID), Seq: uint32(end.delivered)}
+		for seq := 0; ; seq++ {
 			p, ok, err := end.next()
 			if err != nil {
 				return err
 			}
 			if !ok {
-				if err := applyAck(); err != nil {
-					return err
-				}
 				return procwork.WriteMsg(conn, &procwork.Msg{Op: "eof"})
 			}
+			tag := wire.Tag{Producer: uint32(w.ID), Seq: uint32(seq)}
 			if err := procwork.WritePage(conn, tag, p, w.Reg()); err != nil {
 				return fmt.Errorf("cluster: worker %d consume relay: %w", w.ID, err)
 			}
@@ -242,18 +197,13 @@ func (c *Cluster) procConsume(w *Worker, opener *procwork.Msg, cons *physical.Jo
 		<-done
 		return nil, err
 	}
-	if <-done; readErr != nil {
-		return nil, readErr
-	}
-	// The final checkpoint's cut can arrive with the done; the relay has
-	// returned, so applying it here is race-free.
-	return pages, applyAck()
+	<-done
+	return pages, readErr
 }
 
 // collectConsume reads everything a consume session sends back up until its
-// terminal done or error: durable-cut acks (recorded in pendingAck for the
-// relay to apply, counted in rec.saves) and the finalized result pages.
-func (c *Cluster) collectConsume(conn net.Conn, w *Worker, pendingAck *atomic.Int64, rec *aggRecovery) ([]*object.Page, error) {
+// terminal done or error: the finalized result pages.
+func (c *Cluster) collectConsume(conn net.Conn, w *Worker) ([]*object.Page, error) {
 	var pages []*object.Page
 	for {
 		f, err := procwork.ReadFrame(conn)
@@ -273,14 +223,9 @@ func (c *Cluster) collectConsume(conn net.Conn, w *Worker, pendingAck *atomic.In
 		if err != nil {
 			return nil, err
 		}
-		switch m.Op {
-		case "ack":
-			pendingAck.Store(int64(m.Cut))
-			rec.saves++
-		case "done":
-			return pages, nil
-		default:
+		if m.Op != "done" {
 			return nil, unexpected(w, "consume", m)
 		}
+		return pages, nil
 	}
 }

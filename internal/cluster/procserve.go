@@ -4,9 +4,9 @@ package cluster
 // session rebuilds the job from the opener, wraps the process's own
 // registry, storage server and page pool in a workerEnv, and runs the very
 // role functions an in-process backend runs — runPreAggStream,
-// consumeAggStream, the checkpoint store — with the session's control
-// socket as its end of the shuffle. Same code, so same crash policy, replay
-// policy and durable-cut layout in both modes.
+// consumeAggStream — with the session's control socket as its end of the
+// shuffle. Same code, so same crash policy and replay policy in both
+// modes.
 
 import (
 	"fmt"
@@ -93,9 +93,8 @@ func session(conn net.Conn, workerID int, dataDir string) error {
 		id: workerID, workers: req.Workers, threads: req.Threads, pageSize: req.PageSize,
 		reg: reg, store: store, pool: object.NewPagePool(req.PageSize),
 		noteStats: func(...engine.Stats) {},
-		jobFP:     req.Fingerprint,
 	}
-	end := &socketEnd{conn: conn, env: env, held: make([][]*object.Page, req.Threads)}
+	end := &socketEnd{conn: conn, env: env, held: make([][]*object.Page, req.Threads), killAfter: req.KillAfterPages}
 	switch req.Op {
 	case "produce":
 		if stage.Kind != physical.StagePipeline || stage.Sink != physical.SinkPreAgg {
@@ -109,20 +108,7 @@ func session(conn net.Conn, workerID int, dataDir string) error {
 		if stage.AggList != req.AggList {
 			return fmt.Errorf("cluster: stage %q aggregates %q, not %q", req.Produces, stage.AggList, req.AggList)
 		}
-		if req.KillAfterSaves > 0 {
-			saves := 0
-			env.afterSave = func() {
-				if saves++; saves >= req.KillAfterSaves {
-					// A shipped fault.ProcKill: die hard with the cut
-					// durable on disk but the ack never sent — the
-					// worst-ordered real crash a respawned (or restarted)
-					// incarnation must recover from.
-					os.Exit(137)
-				}
-			}
-		}
-		rec := &aggRecovery{produces: stage.Produces}
-		out, err := env.consumeAggStream(res, stage, end, req.Interval, rec, nil)
+		out, err := env.consumeAggStream(res, stage, end)
 		if err != nil {
 			return err
 		}
@@ -131,11 +117,6 @@ func session(conn net.Conn, workerID int, dataDir string) error {
 				return fmt.Errorf("cluster: streaming result page: %w", err)
 			}
 		}
-		// The result is streamed; the job no longer needs this worker's
-		// recovery state. (If the master dies before committing, the restarted
-		// job simply replays the whole stream — resume is an optimization,
-		// never a correctness dependency.)
-		env.dropAggCheckpoint(rec, nil)
 		return procwork.WriteMsg(conn, &procwork.Msg{Op: "done"})
 	default:
 		return fmt.Errorf("cluster: unknown session opener %q", req.Op)
@@ -162,6 +143,10 @@ type socketEnd struct {
 	// pipelines run in parallel, at the price of an unbounded buffer.
 	held [][]*object.Page
 	seq  int // frames written, the wire tag's sequence
+
+	// killAfter, when > 0, is a shipped fault.ProcKill: the process exits
+	// hard on its killAfter-th delivered page.
+	killAfter, delivered int
 }
 
 // writePage frames p up the socket and recycles it.
@@ -194,12 +179,6 @@ func (s *socketEnd) flush() error {
 	return procwork.WriteMsg(s.conn, &procwork.Msg{Op: "eof"})
 }
 
-// hello answers the opener with the worker's resume cut; the master
-// positions the exchange accordingly and relays the stream from there.
-func (s *socketEnd) hello(cut int) error {
-	return procwork.WriteMsg(s.conn, &procwork.Msg{Op: "hello", Cut: cut})
-}
-
 func (s *socketEnd) next() (*object.Page, bool, error) {
 	f, err := procwork.ReadFrame(s.conn)
 	if err != nil {
@@ -215,13 +194,11 @@ func (s *socketEnd) next() (*object.Page, bool, error) {
 		}
 		return nil, false, fmt.Errorf("cluster: unexpected %q mid-stream", m.Op)
 	}
+	if s.delivered++; s.killAfter > 0 && s.delivered >= s.killAfter {
+		// A shipped fault.ProcKill: die hard mid-merge, as a real crash
+		// would, for the master's respawn and replay to recover from.
+		os.Exit(137)
+	}
 	p, err := procwork.DecodePage(f, s.env.reg)
 	return p, err == nil, err
-}
-
-// ack tells the master a cut is persisted locally — only then may it
-// release the exchange's retained pages, so a kill at any moment leaves a
-// cut the next incarnation can restart from.
-func (s *socketEnd) ack(cut int) error {
-	return procwork.WriteMsg(s.conn, &procwork.Msg{Op: "ack", Cut: cut})
 }

@@ -31,19 +31,11 @@ func intRecType(c *Cluster) *object.TypeInfo {
 // loadIntRows builds n (i%groups, i) rows and ships them into db.set.
 func loadIntRows(t *testing.T, c *Cluster, rec *object.TypeInfo, db, set string, n, groups int) {
 	t.Helper()
-	if err := createIntRows(c, rec, db, set, n, groups); err != nil {
+	if err := c.CreateDatabase(db); err != nil && !strings.Contains(err.Error(), "already exists") {
 		t.Fatal(err)
 	}
-}
-
-// createIntRows is loadIntRows returning its error, for code that runs
-// without a *testing.T (the killed child process of resume_test.go).
-func createIntRows(c *Cluster, rec *object.TypeInfo, db, set string, n, groups int) error {
-	if err := c.CreateDatabase(db); err != nil && !strings.Contains(err.Error(), "already exists") {
-		return err
-	}
 	if err := c.CreateSet(db, set, rec.Name); err != nil {
-		return err
+		t.Fatal(err)
 	}
 	pages, err := object.BuildPages(c.Catalog.Registry(), 1<<12, n, func(a *object.Allocator, i int) (object.Ref, error) {
 		r, err := a.MakeObject(rec)
@@ -55,9 +47,11 @@ func createIntRows(c *Cluster, rec *object.TypeInfo, db, set string, n, groups i
 		return r, nil
 	})
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	return c.SendData(db, set, pages)
+	if err := c.SendData(db, set, pages); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // intSumAgg is a grp→sum(val) aggregation over db.rows; finalize may be
@@ -130,15 +124,15 @@ func sumRows(c *Cluster, rec *object.TypeInfo) ([]string, error) {
 }
 
 // TestConsumerCrashRecoveryAggMerge crashes a consumer backend in the
-// middle of the streaming aggregation merge, past a checkpoint: the
-// scheduler must re-fork it, restore the checkpointed sub-maps, rewind the
-// exchange to the cut, replay only the suffix — and produce result rows
-// bit-for-bit identical (order included) to a crash-free run.
+// middle of the streaming aggregation merge: the scheduler must re-fork
+// it, rewind the exchange to page 0, replay the retained stream onto fresh
+// sub-maps — and produce result rows bit-for-bit identical (order
+// included) to a crash-free run.
 func TestConsumerCrashRecoveryAggMerge(t *testing.T) {
-	const n, groups, interval = 4000, 16, 2
+	const n, groups = 4000, 16
 	for _, cell := range recoveryMatrix {
 		cfg := Config{Workers: cell.workers, Threads: cell.threads,
-			PageSize: 1 << 12, CheckpointInterval: interval}
+			PageSize: 1 << 12}
 
 		ref, err := New(cfg)
 		if err != nil {
@@ -158,8 +152,8 @@ func TestConsumerCrashRecoveryAggMerge(t *testing.T) {
 		}
 		rec := intRecType(c)
 		loadIntRows(t, c, rec, "db", "rows", n, groups)
-		// Crash worker 1's merge on the delivery after the first cut.
-		c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Delivery, Worker: 1, K: interval + 1})
+		// Crash worker 1's merge on its fourth delivery.
+		c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Delivery, Worker: 1, K: 3})
 		gotRows, stats := runIntAgg(t, c, rec, nil)
 		if c.Cfg.Fault.Fired() != 1 {
 			t.Fatalf("w=%d t=%d: the consumer crash never fired", cell.workers, cell.threads)
@@ -171,20 +165,13 @@ func TestConsumerCrashRecoveryAggMerge(t *testing.T) {
 			t.Errorf("w=%d t=%d: recovered run differs from crash-free run (%d vs %d rows)",
 				cell.workers, cell.threads, len(gotRows), len(wantRows))
 		}
-		ckpts := 0
-		for _, s := range stats.Ships {
-			ckpts += s.Checkpoints
-		}
-		if ckpts == 0 {
-			t.Errorf("w=%d t=%d: no checkpoints surfaced in ExecStats.Ships", cell.workers, cell.threads)
-		}
 	}
 }
 
 // TestConsumerCrashRecoveryFinalize crashes real user code — the Finalize
-// lambda — after the merge consumed the whole stream. Recovery restores
-// the end-of-stream checkpoint (the epilogue cut) and re-finalizes with
-// zero replay, still bit-for-bit identical.
+// lambda — after the merge consumed the whole stream. Recovery replays the
+// retained stream from page 0, re-merges and re-finalizes, still
+// bit-for-bit identical.
 func TestConsumerCrashRecoveryFinalize(t *testing.T) {
 	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12}
 	ref, err := New(cfg)
@@ -226,14 +213,12 @@ func TestConsumerCrashRecoveryFinalize(t *testing.T) {
 }
 
 // TestConsumerCrashRecoveryDataDir runs the mid-merge crash on a
-// disk-backed cluster: checkpoint snapshots round-trip through the storage
-// server's page files under DataDir, and the recovered output still
-// matches a crash-free disk-backed run.
+// disk-backed cluster: the replay reads nothing from disk, and the
+// recovered output still matches a crash-free disk-backed run.
 func TestConsumerCrashRecoveryDataDir(t *testing.T) {
-	const interval = 2
 	mk := func(dir string) (*Cluster, *object.TypeInfo) {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			CheckpointInterval: interval, DataDir: dir})
+			DataDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +230,7 @@ func TestConsumerCrashRecoveryDataDir(t *testing.T) {
 	wantRows, _ := runIntAgg(t, ref, refRec, nil)
 
 	c, rec := mk(t.TempDir())
-	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Delivery, Worker: 0, K: interval + 1})
+	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Delivery, Worker: 0, K: 3})
 	gotRows, stats := runIntAgg(t, c, rec, nil)
 	if c.Cfg.Fault.Fired() != 1 {
 		t.Fatal("the consumer crash never fired")
@@ -299,7 +284,7 @@ func TestConsumerCrashRecoveryJoinBuild(t *testing.T) {
 	const left, right, groups = 600, 90, 18
 	for _, cell := range recoveryMatrix {
 		cfg := Config{Workers: cell.workers, Threads: cell.threads,
-			PageSize: 1 << 12, CheckpointInterval: 1}
+			PageSize: 1 << 12}
 		ref, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -341,7 +326,7 @@ func TestConsumerCrashRecoveryJoinBuild(t *testing.T) {
 // sequence.
 func TestJoinKeyLambdaCrashRecovered(t *testing.T) {
 	const left, right, groups = 600, 90, 18
-	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1}
+	cfg := Config{Workers: 2, Threads: 2, PageSize: 1 << 12}
 	mk := func() (*Cluster, *object.TypeInfo) {
 		c, err := New(cfg)
 		if err != nil {

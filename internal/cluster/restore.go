@@ -72,10 +72,9 @@ func (c *Cluster) saveManifest() error {
 
 // writeJSONAtomic replaces path with v's JSON through a temp file and a
 // rename, so a crash mid-write leaves the old file or the new one, never a
-// torn one. Every small metadata file the cluster persists — the catalog
-// manifest and the aggregation resume files, in-process and in a pcworker
-// process alike — goes through here, which makes this the single
-// place ROADMAP item 6's fsync (the file before the rename, then the
+// torn one. The catalog manifest, the one small metadata file the cluster
+// persists, goes through here, which makes this the single place ROADMAP
+// item 6's fsync (the file before the rename, then the
 // directory) goes; it is not added here because it may move setup_s.
 func writeJSONAtomic(path string, v any) error {
 	b, err := json.MarshalIndent(v, "", "  ")

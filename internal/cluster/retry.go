@@ -42,9 +42,8 @@ const (
 )
 
 // retryBudget is how many crash re-fork retries one role gets in one step.
-// Every consumer recovers — from its last cut or by replay from page 0 —
-// so one retry absorbs a transient crash; a second distinct crash fails
-// the job.
+// Every consumer recovers by replay from page 0, so one retry absorbs a
+// transient crash; a second distinct crash fails the job.
 const retryBudget = 1
 
 // crashMessage strips the worker-specific prefix Backend.Run wraps around

@@ -6,9 +6,9 @@ package cluster
 // in thread order, to a single merge consumer on worker 0, which merges
 // every delivered page as a lane of one tournament into the global stable
 // order (and folds a window computation's running aggregate over the merged
-// stream). The consumer keeps every run page until the merge ends, so it
-// takes no cuts: a crash anywhere re-gathers the retained stream from page
-// 0 and re-merges it, bit-for-bit.
+// stream). The consumer keeps every run page until the merge ends: a crash
+// anywhere re-gathers the retained stream from page 0 and re-merges it,
+// bit-for-bit.
 
 import (
 	"fmt"
@@ -139,9 +139,7 @@ func (e *workerEnv) consumeSortStream(res *core.CompileResult, stage *physical.J
 	// of one thread's run, delivery order is (worker, thread, page), and
 	// the merger breaks key ties by lowest lane index — together that
 	// reproduces the stable global order.
-	if err := end.hello(0); err != nil {
-		return nil, err
-	}
+	end.rewind()
 	var runs [][]*object.Page
 	for {
 		p, ok, err := end.next()

@@ -82,12 +82,12 @@ func intSortRows(c *Cluster, rec *object.TypeInfo, variant, out string) ([]strin
 
 // TestSortCrashRecovery crashes backends at every sort-relevant fault site
 // and asserts every sort-family job recovers with output bit-for-bit
-// identical to the crash-free run, leaking no spill slots and no _ckpt sets.
+// identical to the crash-free run, leaking no spill slots.
 func TestSortCrashRecovery(t *testing.T) {
 	const n, groups = 700, 13
 	build := func(plan *fault.Plan) (*Cluster, *object.TypeInfo) {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			CheckpointInterval: 1, Fault: plan})
+			Fault: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,14 +131,14 @@ func TestSortCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestSortCheckpointsOffTakesNoCut pins ORDER BY at a negative
-// CheckpointInterval: the merge consumer takes no cut — no ship counts a
-// checkpoint and an armed CheckpointIO error has no cut to fail — the
-// sorted output equals the checkpointed run's, and a consumer crash at
-// Delivery or Finalize replays the retained runs from page 0 to the same
-// output, leaking nothing.
+// TestSortCheckpointsOffTakesNoCut pins ORDER BY with the deprecated
+// CheckpointInterval set negative — an ignored setting: the merge consumer
+// takes no cut — the cluster counts no checkpoint — the sorted output
+// equals the default run's, and a consumer crash at Delivery or Finalize
+// replays the retained runs from page 0 to the same output, leaking
+// nothing.
 func TestSortCheckpointsOffTakesNoCut(t *testing.T) {
-	run := func(interval int, plan *fault.Plan) ([]string, *ExecStats, *Cluster) {
+	run := func(interval int, plan *fault.Plan) ([]string, *Cluster) {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
 			CheckpointInterval: interval, Fault: plan})
 		if err != nil {
@@ -149,7 +149,7 @@ func TestSortCheckpointsOffTakesNoCut(t *testing.T) {
 		if err := c.CreateSet("db", "out", rec.Name); err != nil {
 			t.Fatal(err)
 		}
-		stats, err := c.Execute(core.NewWrite("db", "out", &core.OrderBy{
+		_, err = c.Execute(core.NewWrite("db", "out", &core.OrderBy{
 			In: core.NewScan("db", "rows", rec.Name), ArgType: rec.Name, Keys: intSortKeys()}))
 		if err != nil {
 			t.Fatalf("interval %d: %v", interval, err)
@@ -161,30 +161,23 @@ func TestSortCheckpointsOffTakesNoCut(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return rows, stats, c
+		return rows, c
 	}
-	want, _, _ := run(1, nil)
+	want, _ := run(0, nil)
 	for _, in := range []fault.Injection{
-		{Site: fault.CheckpointIO, Worker: 0, K: 0},
 		{Site: fault.Delivery, Worker: 0, K: 2},
 		{Site: fault.Finalize, Worker: 0, K: 0},
 	} {
 		plan := fault.NewPlan(in)
-		got, stats, c := run(-1, plan)
-		wantFired := 1
-		if in.Site == fault.CheckpointIO {
-			wantFired = 0 // no cut, so no checkpoint write to fail
+		got, c := run(-1, plan)
+		if plan.Fired() != 1 {
+			t.Errorf("%s fired %d times, want 1", in.Site, plan.Fired())
 		}
-		if plan.Fired() != wantFired {
-			t.Errorf("%s fired %d times, want %d", in.Site, plan.Fired(), wantFired)
-		}
-		for i, ship := range stats.Ships {
-			if ship.Checkpoints != 0 {
-				t.Errorf("%s: ship %d counts %d checkpoints at a negative interval", in.Site, i, ship.Checkpoints)
-			}
+		if n := c.Transport.Stats().Checkpoints; n != 0 {
+			t.Errorf("%s: the cluster counted %d checkpoints", in.Site, n)
 		}
 		if !equalRows(got, want) {
-			t.Errorf("%s: sorted output differs from the checkpointed run (%d vs %d rows)", in.Site, len(got), len(want))
+			t.Errorf("%s: sorted output differs from the default run (%d vs %d rows)", in.Site, len(got), len(want))
 		}
 		assertNoJoinLeaks(t, c, "no cuts, "+in.Site.String())
 	}

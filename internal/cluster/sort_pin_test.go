@@ -131,8 +131,7 @@ func pinComputation(variant string, ti *object.TypeInfo) core.Computation {
 // page bytes (occupied prefix, length-framed) in worker, page order.
 func pinHash(t *testing.T, variant string, workers, threads int) string {
 	t.Helper()
-	c, err := New(Config{Workers: workers, Threads: threads, PageSize: 1 << 12,
-		CheckpointInterval: 2})
+	c, err := New(Config{Workers: workers, Threads: threads, PageSize: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}

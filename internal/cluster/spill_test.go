@@ -50,7 +50,7 @@ func TestSpillAggIdentityOnePageBudget(t *testing.T) {
 	// making the spill deterministic (tiny maps could be drained fast
 	// enough to never cross the budget).
 	const n, groups = 4000, 499
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 2}
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12}
 	ref, err := New(base)
 	if err != nil {
 		t.Fatal(err)
@@ -79,11 +79,11 @@ func TestSpillAggIdentityOnePageBudget(t *testing.T) {
 
 // TestConsumerCrashRecoverySpillAggMerge crashes a consumer mid-merge
 // while the whole shuffle runs under a one-page budget: recovery must
-// restore the (spilled) checkpoint, rewind, reload evicted retained pages
-// from disk, and still produce bit-for-bit the unbounded crash-free rows.
+// rewind, reload evicted retained pages from disk, and still produce
+// bit-for-bit the unbounded crash-free rows.
 func TestConsumerCrashRecoverySpillAggMerge(t *testing.T) {
-	const n, groups, interval = 4000, 499, 2 // full map pages: see identity test
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: interval}
+	const n, groups = 4000, 499 // full map pages: see identity test
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12}
 	ref, err := New(base)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestConsumerCrashRecoverySpillAggMerge(t *testing.T) {
 	}
 	rec := intRecType(c)
 	loadIntRows(t, c, rec, "db", "rows", n, groups)
-	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Delivery, Worker: 1, K: interval + 1})
+	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Delivery, Worker: 1, K: 3})
 	gotRows, stats := runIntAgg(t, c, rec, nil)
 	if c.Cfg.Fault.Fired() != 1 {
 		t.Fatal("the consumer crash never fired")
@@ -116,14 +116,13 @@ func TestConsumerCrashRecoverySpillAggMerge(t *testing.T) {
 }
 
 // TestConsumerCrashRecoverySpillDataDir repeats the mid-merge crash on a
-// disk-backed cluster under a one-page budget: checkpoint snapshots ride
-// the storage server, lane and retained pages ride the _spill pool, and
-// the recovered rows still match a crash-free unbounded disk-backed run.
+// disk-backed cluster under a one-page budget: lane and retained pages
+// ride the _spill pool, and the recovered rows still match a crash-free
+// unbounded disk-backed run.
 func TestConsumerCrashRecoverySpillDataDir(t *testing.T) {
-	const interval = 2
 	mk := func(dir string, budget int64) (*Cluster, *object.TypeInfo) {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-			CheckpointInterval: interval, DataDir: dir, MemoryBudget: budget})
+			DataDir: dir, MemoryBudget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +135,7 @@ func TestConsumerCrashRecoverySpillDataDir(t *testing.T) {
 
 	dir := t.TempDir()
 	c, rec := mk(dir, spillBudget)
-	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Delivery, Worker: 0, K: interval + 1})
+	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Delivery, Worker: 0, K: 3})
 	gotRows, stats := runIntAgg(t, c, rec, nil)
 	if c.Cfg.Fault.Fired() != 1 {
 		t.Fatal("the consumer crash never fired")
@@ -158,7 +157,7 @@ func TestConsumerCrashRecoverySpillDataDir(t *testing.T) {
 // the unbounded crash-free join.
 func TestConsumerCrashRecoverySpillJoinBuild(t *testing.T) {
 	const left, right, groups = 600, 90, 18
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1}
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12}
 	ref, err := New(base)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +219,7 @@ func TestSpillFileLeak(t *testing.T) {
 	// DataDir mode: spill pools live under worker-N/_spill.
 	dir := t.TempDir()
 	c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		CheckpointInterval: 2, DataDir: dir, MemoryBudget: spillBudget})
+		DataDir: dir, MemoryBudget: spillBudget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +238,7 @@ func TestSpillFileLeak(t *testing.T) {
 	// Temp-dir mode (no DataDir): pools are pcspill-* temp dirs, removed
 	// at step end even when the consumer crashed and recovered.
 	c2, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
-		CheckpointInterval: 2, MemoryBudget: spillBudget})
+		MemoryBudget: spillBudget})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,11 @@
 package cluster
 
 // The step runner (package doc, "Step runner"): runStep, the stream ends
-// the consumer roles talk to, positionConsumer, and the per-worker
-// environment with its producer scaffold. runRole lives in retry.go.
+// the consumer roles talk to, and the per-worker environment with its
+// producer scaffold. runRole lives in retry.go.
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/core"
@@ -35,24 +34,24 @@ type role struct {
 	// closes, for a producer, is the exchange whose lanes the worker closes
 	// once the role has succeeded.
 	closes *exchange.Exchange
-	// saves, for a consumer, counts the recovery cuts taken — the step's
-	// checkpoint telemetry.
-	saves *int
 }
 
 // runStep runs one step's roles concurrently, each under runRole's crash
 // policy. The first role to fail cancels the step's exchanges, so blocked
 // siblings return instead of waiting on a stream that will never finish.
-// Once every role has returned — nothing touches the exchanges or the
-// recovery records anymore — the step discards every page the exchanges
-// still hold, failed or not (a failed step's undelivered lane messages,
-// retention no consumer acknowledged — the join's probe stream always),
-// so the step's governors and spill pools close with zero live slots, and
-// the step's error is that of the first role in list order that failed on
-// its own — not of a sibling that only observed the cancellation. The
-// returned StageShip carries the step's exchange, checkpoint and spill
-// telemetry, also recorded on the transport; the caller adds its own
-// failure cleanup and commit.
+// Once every role has returned — nothing reads a delivered page anymore —
+// a successful step hands every resident retained page to its exchange's
+// ReleaseDelivered (exchange.Recycle: the aggregation's pages return to the
+// page pool; the join's and the sort's, which tables, emitted refs and
+// output reference, are never released). Then the step discards every
+// page the exchanges still hold, failed or not (a failed step's
+// undelivered lane messages, and its retention, left to the garbage
+// collector), so the step's governors and spill pools close with zero live
+// slots, and the step's error is that of the first role in list order that
+// failed on its own — not of a sibling that only observed the
+// cancellation. The returned StageShip carries the step's exchange and
+// spill telemetry, also recorded on the transport; the caller adds its own
+// commit.
 func (c *Cluster) runStep(roles []role, govs []*exchange.Governor, exs ...*exchange.Exchange) (StageShip, error) {
 	var mu sync.Mutex // serializes onRetry accounting
 	var wg sync.WaitGroup
@@ -77,13 +76,8 @@ func (c *Cluster) runStep(roles []role, govs []*exchange.Governor, exs ...*excha
 		ship.MaxBytesInFlight = max(ship.MaxBytesInFlight, ex.MaxBytesInFlight())
 		ship.MaxReorderPages = max(ship.MaxReorderPages, ex.MaxReorderPages())
 	}
-	for i := range roles {
-		if roles[i].saves != nil {
-			ship.Checkpoints += *roles[i].saves
-		}
-	}
 	if len(exs) > 0 {
-		c.Transport.Stats().NoteExchange(ship.MaxBytesInFlight, ship.MaxReorderPages, ship.Checkpoints)
+		c.Transport.Stats().NoteExchange(ship.MaxBytesInFlight, ship.MaxReorderPages)
 	}
 	var err error
 	for _, e := range errs {
@@ -99,6 +93,9 @@ func (c *Cluster) runStep(roles []role, govs []*exchange.Governor, exs ...*excha
 		}
 	}
 	for _, ex := range exs {
+		if err == nil {
+			ex.Recycle()
+		}
 		ex.Discard()
 	}
 	if govs != nil {
@@ -117,30 +114,22 @@ type shuffleEnd interface {
 	// thread t's stream. Both return early when stop closes.
 	send(tag exchange.Tag, p *object.Page, stop <-chan struct{}) error
 	closeThread(t int, stop <-chan struct{}) error
-	consumerEnd
-}
-
-// consumerEnd is the consuming half of a stream end: all the join and sort
-// consumers need of one.
-type consumerEnd interface {
-	// hello announces the cut a consumer (re)starts from — the pages its
-	// restored state already holds, 0 for a fresh merge — before its first
-	// next. next yields the stream from there; ack reports a durable cut.
-	hello(cut int) error
+	// next yields the consumer's stream, from page 0 on every attempt: the
+	// side that owns the exchange rewinds it before the attempt starts.
 	next() (*object.Page, bool, error)
-	ack(cut int) error
 }
 
-// exchangeEnd is worker's end of an exchange. It lives on the scheduler
-// side, so delivered survives backend crashes and retried attempts.
+// consumerEnd is a stream end the join and sort consumers rewind
+// themselves: every attempt replays from page 0.
+type consumerEnd interface {
+	rewind()
+	next() (*object.Page, bool, error)
+}
+
+// exchangeEnd is a worker's end of an exchange.
 type exchangeEnd struct {
 	ex     *exchange.Exchange
 	worker int
-	// delivered counts the pages this exchange has handed the consumer in
-	// this cluster life — what positionConsumer classifies a cut against.
-	delivered int
-	// resumed records a cross-restart resume (ExecStats.ConsumerResumes).
-	resumed bool
 }
 
 func (x *exchangeEnd) send(tag exchange.Tag, p *object.Page, stop <-chan struct{}) error {
@@ -151,38 +140,19 @@ func (x *exchangeEnd) closeThread(t int, stop <-chan struct{}) error {
 	return streamErr(x.ex.CloseThread(x.worker, t, stop))
 }
 
-func (x *exchangeEnd) hello(cut int) error {
-	resumed, err := positionConsumer(x.ex, x.worker, cut, x.delivered)
-	if err != nil {
-		return err
-	}
-	x.delivered = max(cut, 0)
-	x.resumed = x.resumed || resumed
-	return nil
-}
+func (x *exchangeEnd) rewind() { x.ex.Rewind(x.worker) }
 
-func (x *exchangeEnd) next() (*object.Page, bool, error) {
-	p, ok, err := x.ex.Recv(x.worker)
-	if ok {
-		x.delivered++
-	}
-	return p, ok, err
-}
-
-func (x *exchangeEnd) ack(cut int) error { return x.ex.Ack(x.worker, cut) }
+func (x *exchangeEnd) next() (*object.Page, bool, error) { return x.ex.Recv(x.worker) }
 
 // storedEnd is a consumerEnd over pages the worker stores (CoPartitionedJoin's
 // zero-shuffle inputs). They are durable and owned by the front end, so
-// positioning is an index and an acknowledgement releases nothing.
+// rewinding is an index.
 type storedEnd struct {
 	pages []*object.Page
 	pos   int
 }
 
-func (s *storedEnd) hello(cut int) error {
-	s.pos = cut
-	return nil
-}
+func (s *storedEnd) rewind() { s.pos = 0 }
 
 func (s *storedEnd) next() (*object.Page, bool, error) {
 	if s.pos >= len(s.pages) {
@@ -191,8 +161,6 @@ func (s *storedEnd) next() (*object.Page, bool, error) {
 	s.pos++
 	return s.pages[s.pos-1], true, nil
 }
-
-func (s *storedEnd) ack(int) error { return nil }
 
 // streamErr translates an exchange send aborted by sibling-thread failure
 // into the engine's abort sentinel, so the root cause wins error reporting.
@@ -203,48 +171,6 @@ func streamErr(err error) error {
 	return err
 }
 
-// positionConsumer points an exchange's delivery cursor at the
-// cut a consumer (re)starts from; delivered is how many pages this exchange
-// has handed that consumer so far. Three cases:
-//
-//   - cut ≤ 0, a fresh merge: replay from the stream's start — retention
-//     still holds everything unacknowledged (a no-op on a first attempt).
-//   - cut ≤ delivered, a mid-job restart (re-forked backend, respawned
-//     worker process): this exchange already delivered the cut. Rewind to it
-//     and release the prefix — the cut is durable, but its ack may have died
-//     with the consumer.
-//   - cut > delivered, a cross-restart resume: this exchange never delivered
-//     the cut — the producers are re-streaming the job from page zero, and
-//     the first cut pages are already merged into the restored state. Receive
-//     and discard them (retention owns the refs), then acknowledge the cut so
-//     the replay window empties. Rewinding to zero first makes a crash
-//     mid-fast-forward harmless: the retry replays and drains the same
-//     prefix.
-//
-// It reports whether the third case engaged.
-func positionConsumer(ex *exchange.Exchange, consumer, cut, delivered int) (resumed bool, err error) {
-	switch {
-	case cut <= 0:
-		return false, ex.Rewind(consumer, 0)
-	case cut <= delivered:
-		if err := ex.Rewind(consumer, cut); err != nil {
-			return false, err
-		}
-		return false, ex.Ack(consumer, cut)
-	}
-	if err := ex.Rewind(consumer, 0); err != nil {
-		return false, err
-	}
-	for i := 0; i < cut; i++ {
-		if _, ok, err := ex.Recv(consumer); err != nil {
-			return false, err
-		} else if !ok {
-			return false, fmt.Errorf("cluster: worker %d resume cut %d is past the stream's end (page %d)", consumer, cut, i)
-		}
-	}
-	return true, ex.Ack(consumer, cut)
-}
-
 // workerEnv is what the role functions need of the worker they run on —
 // and nothing of the Cluster or Worker around it, so a pcworker process
 // builds one from a session opener and runs the very same functions
@@ -253,9 +179,7 @@ type workerEnv struct {
 	id, workers, threads, pageSize int
 
 	reg *object.Registry
-	// store is the worker's storage server: input sets and, when it is
-	// disk-backed (store.Dir() != ""), durable cuts — checkpoint snapshots
-	// and resume files — in both modes.
+	// store is the worker's storage server, holding its input sets.
 	store *storage.Server
 	pool  *object.PagePool
 	fault *fault.Plan
@@ -265,12 +189,6 @@ type workerEnv struct {
 	artPages  map[string][]*object.Page
 	artTables map[string]*engine.JoinTable
 	noteStats func(...engine.Stats)
-
-	// jobFP fingerprints the running job; resume files carry it.
-	jobFP string
-	// afterSave, when set, runs after each cut is durable and before it is
-	// acknowledged — where a shipped fault.ProcKill takes the process down.
-	afterSave func()
 }
 
 // env builds w's role environment for the step about to run.
@@ -279,7 +197,6 @@ func (c *Cluster) env(w *Worker) *workerEnv {
 		id: w.ID, workers: len(c.Workers), threads: c.Cfg.Threads, pageSize: c.Cfg.PageSize,
 		reg: w.Reg(), store: w.Front.Store, pool: c.pool, fault: c.Cfg.Fault,
 		artPages: w.artPages, artTables: w.artTables, noteStats: w.mergeStats,
-		jobFP: c.jobFP,
 	}
 }
 

@@ -119,7 +119,6 @@ func TestRunStepSuccessClosesProducers(t *testing.T) {
 	pages := intPages(t, c, 2)
 	ex := c.newShuffleExchange(nil, nil)
 	got := 0
-	saves := 3
 	roles := []role{
 		{w: c.Workers[0], name: roleProducer, what: "two pages", closes: ex, body: func() error {
 			for seq, p := range pages[:2] {
@@ -129,7 +128,7 @@ func TestRunStepSuccessClosesProducers(t *testing.T) {
 			}
 			return nil
 		}},
-		{w: c.Workers[0], name: roleConsumer, what: "drain", saves: &saves, body: func() error {
+		{w: c.Workers[0], name: roleConsumer, what: "drain", body: func() error {
 			for {
 				if _, ok, err := ex.Recv(0); err != nil || !ok {
 					return err
@@ -138,45 +137,29 @@ func TestRunStepSuccessClosesProducers(t *testing.T) {
 			}
 		}},
 	}
-	ship, err := c.runStep(roles, nil, ex)
-	if err != nil || got != 2 {
+	if _, err := c.runStep(roles, nil, ex); err != nil || got != 2 {
 		t.Errorf("runStep = %v with %d pages delivered, want nil with 2", err, got)
-	}
-	if ship.Checkpoints != 3 {
-		t.Errorf("ship.Checkpoints = %d, want the consumer's 3 saves", ship.Checkpoints)
 	}
 }
 
-// TestPositionConsumer drives positionConsumer over a real exchange
-// holding a closed six-page stream: each case delivers some pages,
-// acknowledges some, positions the consumer at a cut, and checks which page
-// the stream continues from and how much of the replay window was released.
+// TestPositionConsumer drives a consumer's exchange end over a real
+// exchange holding a closed six-page stream: whatever an earlier attempt
+// was delivered, the rewound end continues from page 0, through the whole
+// stream.
 func TestPositionConsumer(t *testing.T) {
 	c, err := New(Config{Workers: 1, Threads: 1, PageSize: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pages := intPages(t, c, 6)[:6]
-	cases := []struct {
-		name             string
-		delivered, acked int // before positioning
-		cut              int
-		wantResumed      bool
-		wantNext         int    // index of the page the next Recv yields; 6 = end of stream
-		wantReleased     int    // pages no Rewind can reach afterwards
-		wantErr          string // non-empty: positioning fails with this text
+	for _, tc := range []struct {
+		name      string
+		delivered int // before the rewind
 	}{
-		{name: "fresh first attempt", cut: 0, wantNext: 0},
-		{name: "fresh retry before any cut", delivered: 3, cut: 0, wantNext: 0},
-		{name: "mid-job, cut already acknowledged", delivered: 4, acked: 2, cut: 2, wantNext: 2, wantReleased: 2},
-		{name: "mid-job, the ack died with the consumer", delivered: 4, cut: 2, wantNext: 2, wantReleased: 2},
-		{name: "mid-job, cut at the delivery cursor", delivered: 4, cut: 4, wantNext: 4, wantReleased: 4},
-		{name: "cross-restart", cut: 3, wantResumed: true, wantNext: 3, wantReleased: 3},
-		{name: "cross-restart after a crashed fast-forward", delivered: 2, cut: 5, wantResumed: true, wantNext: 5, wantReleased: 5},
-		{name: "cross-restart at the stream's end", cut: 6, wantResumed: true, wantNext: 6, wantReleased: 6},
-		{name: "cut past the end of the stream", cut: 7, wantErr: "resume cut 7 is past the stream's end (page 6)"},
-	}
-	for _, tc := range cases {
+		{name: "fresh first attempt"},
+		{name: "fresh retry before any cut", delivered: 3},
+		{name: "retry after the whole stream", delivered: 6},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ex := exchange.New(exchange.Config{Producers: 1, Consumers: 1, Capacity: len(pages)})
 			for seq, p := range pages {
@@ -185,58 +168,134 @@ func TestPositionConsumer(t *testing.T) {
 				}
 			}
 			ex.CloseProducer(0)
+			end := &exchangeEnd{ex: ex}
 			for i := 0; i < tc.delivered; i++ {
-				if _, ok, err := ex.Recv(0); err != nil || !ok {
+				if _, ok, err := end.next(); err != nil || !ok {
 					t.Fatalf("pre-delivering page %d: ok=%v err=%v", i, ok, err)
 				}
 			}
-			if err := ex.Ack(0, tc.acked); err != nil {
-				t.Fatal(err)
-			}
-			// A cross-restart consumer's exchange is fresh: whatever a crashed
-			// fast-forward pulled was never counted as delivered to the merge.
-			delivered := tc.delivered
-			if tc.wantResumed {
-				delivered = 0
-			}
-			resumed, err := positionConsumer(ex, 0, tc.cut, delivered)
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("positionConsumer = %v, want an error containing %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resumed != tc.wantResumed {
-				t.Errorf("resumed = %v, want %v", resumed, tc.wantResumed)
-			}
-			// The replay window now starts at wantReleased: one page earlier is
-			// gone, the boundary itself is still reachable.
-			if tc.wantReleased > 0 {
-				if err := ex.Rewind(0, tc.wantReleased-1); err == nil {
-					t.Errorf("page %d is still replayable, want it released", tc.wantReleased-1)
+			end.rewind()
+			for i := range pages {
+				if p, ok, err := end.next(); err != nil || !ok || p != pages[i] {
+					t.Fatalf("page %d after the rewind: ok=%v err=%v, want page %d", i, ok, err, i)
 				}
 			}
-			if err := ex.Rewind(0, tc.wantReleased); err != nil {
-				t.Errorf("rewinding to the window's start: %v", err)
-			}
-			if err := ex.Rewind(0, tc.wantNext); err != nil {
-				t.Fatalf("rewinding back to the positioned cursor: %v", err)
-			}
-			p, ok, err := ex.Recv(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch {
-			case tc.wantNext == len(pages):
-				if ok {
-					t.Error("stream continues, want its end")
-				}
-			case !ok || p != pages[tc.wantNext]:
-				t.Errorf("stream continues with the wrong page (ok=%v), want page %d", ok, tc.wantNext)
+			if _, ok, err := end.next(); ok || err != nil {
+				t.Errorf("stream continues past its end: ok=%v err=%v", ok, err)
 			}
 		})
+	}
+}
+
+// drainPool takes pages from c's page pool until it hands out a fresh one,
+// and returns how many recycled pages it held.
+func drainPool(c *Cluster) int {
+	for n := 0; ; n++ {
+		before := c.pool.Reuses()
+		c.pool.Get(nil)
+		if c.pool.Reuses() == before {
+			return n
+		}
+	}
+}
+
+// TestStepEndRecyclesRetainedPages pins what a successful step does with
+// the pages its exchanges retained for replay. runStep hands each resident
+// retained page to its exchange's release exactly once, and only when
+// every role succeeded. On a 2-worker cluster that returns every delivered
+// page a worker's own producer sealed to the page pool after an
+// aggregation — one per page shipped to the other worker, where the merge
+// alone returns a handful — while a hash-partition join and an ORDER BY,
+// whose tables, emitted refs and merged rows point into their delivered
+// pages, return none. The pool is a sync.Pool, which may drop what it is
+// given (a quarter of it under the race detector), so the aggregation is
+// held to half its shipped pages.
+func TestStepEndRecyclesRetainedPages(t *testing.T) {
+	c, err := New(Config{Workers: 1, Threads: 1, PageSize: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := intPages(t, c, 3)[:3]
+	for _, fail := range []bool{false, true} {
+		released := map[*object.Page]int{}
+		ex := c.newShuffleExchange(func(p *object.Page) { released[p]++ }, nil)
+		roles := []role{
+			{w: c.Workers[0], name: roleProducer, what: "three pages", closes: ex, body: func() error {
+				for seq, p := range pages {
+					if err := ex.Send(exchange.Tag{Seq: seq}, 0, p, nil); err != nil {
+						return err
+					}
+				}
+				return nil
+			}},
+			{w: c.Workers[0], name: roleConsumer, what: "drain", body: func() error {
+				for {
+					if _, ok, err := ex.Recv(0); err != nil || !ok {
+						if err == nil && fail {
+							err = errors.New("boom")
+						}
+						return err
+					}
+				}
+			}},
+		}
+		_, err := c.runStep(roles, nil, ex)
+		switch {
+		case fail && (err == nil || len(released) != 0):
+			t.Errorf("failed step: err %v, released %d pages, want an error and none", err, len(released))
+		case !fail && (err != nil || len(released) != len(pages)):
+			t.Errorf("successful step: err %v, released %d of %d pages", err, len(released), len(pages))
+		}
+		for _, n := range released {
+			if n != 1 {
+				t.Errorf("a page was released %d times", n)
+			}
+		}
+	}
+
+	// supply runs a job on a fresh drained pool and returns how many
+	// recycled pages the pool supplied during it and still holds after it.
+	supply := func(c *Cluster, job func()) int {
+		drainPool(c)
+		before := c.pool.Reuses()
+		job()
+		return c.pool.Reuses() - before + drainPool(c)
+	}
+	mk := func() (*Cluster, *object.TypeInfo) {
+		c, err := New(Config{Workers: 2, Threads: 1, PageSize: 1 << 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := intRecType(c)
+		loadIntRows(t, c, rec, "db", "rows", 6000, 3000)
+		loadIntRows(t, c, rec, "db", "left", 600, 18)
+		loadIntRows(t, c, rec, "db", "right", 90, 18)
+		return c, rec
+	}
+
+	c, rec := mk()
+	var stats *ExecStats
+	got := supply(c, func() { _, stats = runIntAgg(t, c, rec, nil) })
+	shipped := 0
+	for _, s := range stats.Ships {
+		if s.MaxBytesInFlight > 0 {
+			shipped += s.Pages
+		}
+	}
+	if shipped < 16 || 2*got < shipped {
+		t.Errorf("aggregation: the pool supplied %d recycled pages, want at least half the %d pages shipped (>= 16)", got, shipped)
+	}
+
+	c, rec = mk()
+	if got := supply(c, func() { joinPairsByWorker(t, c, rec) }); got != 0 {
+		t.Errorf("join: the pool supplied %d recycled pages, want none", got)
+	}
+	c, rec = mk()
+	if got := supply(c, func() {
+		if _, err := intSortRows(c, rec, "orderby", "sorted"); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("order by: the pool supplied %d recycled pages, want none", got)
 	}
 }

@@ -50,19 +50,21 @@ type ShipStats struct {
 	// consumer's exchange lanes reached, hard-bounded at
 	// exchange.DefaultCapacity × Threads × Workers + 1.
 	MaxReorderPages int64
-	// Checkpoints totals the aggregation merges' recovery checkpoints
-	// across all streaming shuffles.
+	// Checkpoints always reads 0: no consumer takes recovery checkpoints —
+	// every one recovers by replaying its retained stream from page 0.
+	//
+	// Deprecated: kept only so readers that still read it compile. ROADMAP
+	// item 1(a) deletes it.
 	Checkpoints int64
 	// SpilledPages and SpilledBytes total the page images the memory
 	// governor (Config.MemoryBudget) moved to spill files across all
-	// shuffles — lane pages, retained replay pages, and checkpoint
-	// snapshots alike.
+	// shuffles — lane pages and retained replay pages alike.
 	SpilledPages int64
 	// SpilledBytes is SpilledPages' byte volume.
 	SpilledBytes int64
 	// MaxBufferedBytes is the largest resident governed-byte footprint
-	// any single consumer backend reached (lane pages + replay retention
-	// + in-memory snapshots). With a budget set it never exceeds
+	// any single consumer backend reached (lane pages + replay
+	// retention). With a budget set it never exceeds
 	// Config.MemoryBudget — the single page in the act of being delivered
 	// is excluded; zero when governance is off.
 	MaxBufferedBytes int64
@@ -84,9 +86,8 @@ func (s *ShipStats) NoteShip(bytes int64) {
 }
 
 // NoteExchange records one finished shuffle's telemetry: the
-// bytes-in-flight and reorder-backlog high-water marks, and the number of
-// consumer-side recovery checkpoints taken.
-func (s *ShipStats) NoteExchange(hwm, reorderPages int64, checkpoints int) {
+// bytes-in-flight and reorder-backlog high-water marks.
+func (s *ShipStats) NoteExchange(hwm, reorderPages int64) {
 	s.mu.Lock()
 	if hwm > s.MaxBytesInFlight {
 		s.MaxBytesInFlight = hwm
@@ -94,7 +95,6 @@ func (s *ShipStats) NoteExchange(hwm, reorderPages int64, checkpoints int) {
 	if reorderPages > s.MaxReorderPages {
 		s.MaxReorderPages = reorderPages
 	}
-	s.Checkpoints += int64(checkpoints)
 	s.mu.Unlock()
 }
 

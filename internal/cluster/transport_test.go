@@ -39,7 +39,7 @@ func TestSocketTransportAggIdentity(t *testing.T) {
 	const n, groups = 4000, 16
 	for _, cell := range recoveryMatrix {
 		cfg := Config{Workers: cell.workers, Threads: cell.threads,
-			PageSize: 1 << 12, CheckpointInterval: 2}
+			PageSize: 1 << 12}
 
 		ref, err := New(cfg)
 		if err != nil {
@@ -99,12 +99,12 @@ func TestTCPTransportSmoke(t *testing.T) {
 }
 
 // TestSocketTransportCrashRecovery reruns the mid-merge consumer crash
-// over both socket networks: checkpoint restore, exchange rewind, and
-// replay must work identically when every replayed page re-traverses the
-// socket — and the result must match a crash-free in-process run.
+// over both socket networks: the exchange rewind and replay must work
+// identically when every replayed page re-traverses the socket — and the
+// result must match a crash-free in-process run.
 func TestSocketTransportCrashRecovery(t *testing.T) {
-	const n, groups, interval = 3000, 12, 2
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: interval}
+	const n, groups = 3000, 12
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12}
 
 	ref, err := New(base)
 	if err != nil {
@@ -123,7 +123,7 @@ func TestSocketTransportCrashRecovery(t *testing.T) {
 		}
 		rec := intRecType(c)
 		loadIntRows(t, c, rec, "db", "rows", n, groups)
-		c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Delivery, Worker: 1, K: interval + 1})
+		c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.Delivery, Worker: 1, K: 3})
 		gotRows, stats := runIntAgg(t, c, rec, nil)
 		if c.Cfg.Fault.Fired() != 1 {
 			t.Fatalf("%s: the consumer crash never fired", network)
@@ -145,7 +145,7 @@ func TestSocketTransportCrashRecovery(t *testing.T) {
 // sequence against the crash-free in-process join.
 func TestSocketTransportJoinIdentity(t *testing.T) {
 	const left, right, groups = 600, 90, 18
-	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12, CheckpointInterval: 1}
+	base := Config{Workers: 2, Threads: 2, PageSize: 1 << 12}
 
 	ref, err := New(base)
 	if err != nil {

@@ -262,7 +262,7 @@ func (e *Executor) runSortMergeStage(res *CompileResult, stage *physical.JobStag
 // runAggregationStage is the consuming stage of a local aggregation: every
 // partition is merged from the pre-aggregation stage's map pages by
 // engine.MergeAggMapsStream (hash-range sub-partitioned across e.Threads,
-// exactly as a cluster worker merges its partition, minus the checkpoints)
+// exactly as a cluster worker merges its partition)
 // and finalized. At Threads > 1 the partitions themselves also run
 // concurrently — the single-process analogue of the cluster's workers
 // consuming their partitions in parallel — with per-partition output pages
@@ -281,7 +281,7 @@ func (e *Executor) runAggregationStage(res *CompileResult, stage *physical.JobSt
 	pstats := make([]engine.Stats, e.Partitions)
 	runPart := func(part int) error {
 		finals, _, err := engine.MergeAggMapsStream(e.Reg, engine.SliceSource(mapPages), part, e.Partitions,
-			spec, e.PageSize, nil, e.threads(), nil)
+			spec, e.PageSize, nil, e.threads())
 		if err != nil {
 			return err
 		}

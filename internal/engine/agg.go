@@ -93,7 +93,7 @@ func LogicalKeyHash(reg *object.Registry, keyKind object.Kind, key object.Value)
 // one probe of the map's own chain. It makes exactly the page mutations
 // m.Get + Combine + m.Put would, in the same order — combine allocates
 // before the growth check, growth runs before the insert even when the key
-// exists — so map pages, checkpoint snapshots and fault points are
+// exists — so map pages and fault points are
 // byte-for-byte those of the two-probe form. stats may be nil.
 func updateAggEntry(m object.OMap, a *object.Allocator, key, val object.Value,
 	combine CombineFn, stats *Stats) error {
@@ -135,11 +135,10 @@ func updateAggEntry(m object.OMap, a *object.Allocator, key, val object.Value,
 // double-size page and the faulted update retries.
 //
 // The sub-map page is a region (object.Allocator), so the merger's whole
-// state is the page bytes plus the on-page watermark. That makes a byte
-// snapshot of the page a complete checkpoint: a merger restored from the
-// snapshot replays the remaining stream into bit-for-bit the same final page
-// a crash-free run produces, which is the invariant consumer-side crash
-// recovery (MergeCheckpointer) is built on.
+// state is the page bytes plus the on-page watermark, and a merger that
+// replays the same stream from a fresh page produces bit-for-bit the same
+// final page — the invariant consumer-side crash recovery (replay from
+// page 0) is built on.
 type subMerger struct {
 	reg              *object.Registry
 	spec             *AggSpec
@@ -158,7 +157,7 @@ type subMerger struct {
 	typed bool
 }
 
-// bind points the merger at its sub-map, on a fresh, grown or restored page.
+// bind points the merger at its sub-map, on a fresh or grown page.
 func (m *subMerger) bind(pg *object.Page, a *object.Allocator, final object.OMap) {
 	m.pg, m.a, m.final = pg, a, final
 	if m.spec.scalarSlots() {
@@ -341,117 +340,6 @@ func (m *subMerger) regrowSlots(na *object.Allocator, nm object.OMap) error {
 	return nil
 }
 
-// snapshot captures the merger's complete state into buf's storage: the
-// sub-map page's occupied prefix plus its full size (so a restore faults —
-// and grows — at exactly the same points the uncrashed merger would). buf's
-// capacity is reused and grown by append, so once the prefix stops
-// outgrowing it a cut allocates nothing.
-func (m *subMerger) snapshot(buf []byte) SubMapSnapshot {
-	return SubMapSnapshot{
-		PageSize: len(m.pg.Data),
-		Data:     append(buf[:0], m.pg.Bytes()...),
-	}
-}
-
-// restoreSubMerger rebuilds a merger from a checkpoint snapshot. The
-// snapshot bytes are copied onto a fresh full-size page, so resuming never
-// mutates the checkpoint itself — a second crash before the next cut
-// restores the same state again.
-func restoreSubMerger(reg *object.Registry, part, partitions int, spec *AggSpec,
-	pool *object.PagePool, sub, subs int, snap SubMapSnapshot) (*subMerger, error) {
-	if snap.PageSize < len(snap.Data) {
-		return nil, fmt.Errorf("engine: sub-map snapshot larger (%d) than its page (%d)", len(snap.Data), snap.PageSize)
-	}
-	buf := make([]byte, snap.PageSize)
-	copy(buf, snap.Data)
-	pg, err := object.FromBytes(buf, reg)
-	if err != nil {
-		return nil, err
-	}
-	pg.SetManaged(true)
-	combine, err := spec.Combiner()
-	if err != nil {
-		return nil, err
-	}
-	m := &subMerger{reg: reg, spec: spec, part: part, partitions: partitions,
-		sub: sub, subs: subs, pool: pool, combine: combine}
-	m.bind(pg, object.NewAllocator(pg), object.AsMap(object.Ref{Page: pg, Off: pg.Root()}))
-	return m, nil
-}
-
-// SubMapSnapshot is one sub-partition merger's checkpointed state: the
-// occupied prefix of its sub-map page and the page's full size.
-type SubMapSnapshot struct {
-	PageSize int
-	Data     []byte
-}
-
-// MergeCheckpoint is a consistent cut of a streaming aggregation merge:
-// every merger has folded exactly the first Cut pages of the shuffle's
-// deterministic delivery order, and Subs holds each sub-partition's state
-// at that point (sub-partition order).
-type MergeCheckpoint struct {
-	Cut  int
-	Subs []SubMapSnapshot
-}
-
-// MergeCheckpointer wires consumer-side crash recovery into
-// MergeAggMapsStream. Save runs on the consuming goroutine at every cut —
-// after each Interval pages and once when the stream ends (the checkpoint
-// epilogue, which covers crashes in finalization) — with all mergers
-// quiesced; it typically persists the checkpoint and acknowledges the cut
-// to the exchange so replay retention stays bounded by Interval. Resume,
-// when non-nil, restores the mergers from a previous checkpoint: the caller
-// must feed a page stream starting at Resume.Cut (an exchange rewound to
-// the cut), and the resumed merge is bit-for-bit identical to a crash-free
-// run.
-//
-// A cut copies each sub-map page once, into one of two generations (Gens)
-// that alternate: cut K+1 is written into the buffers of cut K−1, reusing
-// their capacity, while cut K stays intact as the recovery point until
-// Save installs its successor. Save's contract follows: the bytes of a cut
-// are reused two cuts later, so a caller that keeps a cut longer copies it.
-type MergeCheckpointer struct {
-	Interval int
-	Resume   *MergeCheckpoint
-	Save     func(ck *MergeCheckpoint) error
-
-	// Gens are the two generations cuts are written into. The caller's
-	// recovery record owns them, so they outlive a crashed merge: when
-	// Resume is one of them, the restored merge writes its first cut into
-	// the other. Nil gives the merge a pair of its own.
-	Gens *[2]MergeCheckpoint
-}
-
-// cutter returns the cut callback of a merge over mergers: it snapshots
-// every merger into the generation the installed cut does not occupy and
-// hands it to Save; a failed Save leaves the installed cut where it was.
-func (c *MergeCheckpointer) cutter(mergers []*subMerger) func(delivered int, final bool) error {
-	gens := c.Gens
-	if gens == nil {
-		gens = new([2]MergeCheckpoint)
-	}
-	g := 0
-	if c.Resume == &gens[0] {
-		g = 1
-	}
-	return func(delivered int, _ bool) error {
-		ck := &gens[g]
-		ck.Cut = delivered
-		if len(ck.Subs) != len(mergers) {
-			ck.Subs = make([]SubMapSnapshot, len(mergers))
-		}
-		for t, m := range mergers {
-			ck.Subs[t] = m.snapshot(ck.Subs[t].Data)
-		}
-		if err := c.Save(ck); err != nil {
-			return err
-		}
-		g = 1 - g
-		return nil
-	}
-}
-
 // MergeAggMapsStream implements the consuming stage of distributed
 // aggregation: it folds partition part of every pre-aggregated map page next
 // yields into final maps, reading the pages' maps as raw bytes with zero
@@ -464,55 +352,29 @@ func (c *MergeCheckpointer) cutter(mergers []*subMerger) func(delivered int, fin
 // every page in exactly that order, so the merge is bit-for-bit
 // reproducible.
 //
-// With ckpt set, the merge checkpoints through it (page recycling belongs
-// to the exchange's Ack path, driven from ckpt.Save) and can resume from
-// ckpt.Resume after a consumer crash. With ckpt nil it takes no cuts, and a
-// crashed merge starts over from the stream's first page. Either way the
-// pages travel the same fan-out (streamPages), and the merge releases none
-// of them.
+// The merge takes no cuts and releases none of the pages: a crashed merge
+// starts over from the stream's first page, and the pages belong to the
+// caller (an exchange's replay retention, or a page slice).
 //
 // Sub-maps and their pages are returned in sub-partition order;
 // FinalizeAggParallel materializes them in that order, so the output page
 // sequence is deterministic for a given thread count.
 func MergeAggMapsStream(reg *object.Registry, next func() (*object.Page, bool, error),
 	part, partitions int, spec *AggSpec, pageSize int, pool *object.PagePool,
-	threads int, ckpt *MergeCheckpointer) ([]object.OMap, []*object.Page, error) {
+	threads int) ([]object.OMap, []*object.Page, error) {
 	if threads < 1 {
 		threads = 1
 	}
 	mergers := make([]*subMerger, threads)
-	start, interval := 0, 0
-	var cut func(delivered int, final bool) error
-	if ckpt != nil {
-		interval = ckpt.Interval
-		// The final cut matters here too: it is the recovery point for
-		// crashes in the user Finalize code downstream.
-		cut = ckpt.cutter(mergers)
-	}
-	if ckpt != nil && ckpt.Resume != nil {
-		if len(ckpt.Resume.Subs) != threads {
-			return nil, nil, fmt.Errorf("engine: checkpoint has %d sub-maps, merge runs %d threads",
-				len(ckpt.Resume.Subs), threads)
+	for t := range mergers {
+		m, err := newSubMerger(reg, part, partitions, spec, pageSize, pool, t, threads)
+		if err != nil {
+			return nil, nil, err
 		}
-		start = ckpt.Resume.Cut
-		for t := range mergers {
-			m, err := restoreSubMerger(reg, part, partitions, spec, pool, t, threads, ckpt.Resume.Subs[t])
-			if err != nil {
-				return nil, nil, err
-			}
-			mergers[t] = m
-		}
-	} else {
-		for t := range mergers {
-			m, err := newSubMerger(reg, part, partitions, spec, pageSize, pool, t, threads)
-			if err != nil {
-				return nil, nil, err
-			}
-			mergers[t] = m
-		}
+		mergers[t] = m
 	}
 	fold := func(t int, p *object.Page) error { return mergers[t].fold(p) }
-	if err := streamPages(next, threads, true, start, interval, fold, cut); err != nil {
+	if err := streamPages(next, threads, true, fold); err != nil {
 		return nil, nil, err
 	}
 	maps := make([]object.OMap, threads)

@@ -88,7 +88,7 @@ func TestMergeAggMapsStreamThreadsDeterministic(t *testing.T) {
 	for _, threads := range []int{1, 2, 8} {
 		var rows []string
 		for part := 0; part < partitions; part++ {
-			finals, mergePages, err := MergeAggMapsStream(reg, SliceSource(pages), part, partitions, spec, 1<<14, nil, threads, nil)
+			finals, mergePages, err := MergeAggMapsStream(reg, SliceSource(pages), part, partitions, spec, 1<<14, nil, threads)
 			if err != nil {
 				t.Fatalf("threads=%d part=%d: %v", threads, part, err)
 			}

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -14,10 +13,10 @@ import (
 )
 
 // The string-keyed aggregation pin: page bytes of every phase a string key
-// passes through — AggSink pre-aggregation, the checkpointed streaming merge
-// (crashed and resumed in the middle), finalize — hashed per (spec, threads)
-// and recorded at the commit before strings stopped materialising as Go
-// strings. Keys and values reach the sink the way a member kernel delivers
+// passes through — AggSink pre-aggregation, the streaming merge (its
+// sub-maps part-way through the stream and at its end), finalize — hashed
+// per (spec, threads) and recorded at the commit before strings stopped
+// materialising as Go strings. Keys and values reach the sink the way a member kernel delivers
 // them, read off input pages with GetField, so whatever form a KString
 // Value read from a page takes, these are the bytes it has to produce.
 //
@@ -79,8 +78,6 @@ func hashPages(h interface{ Write([]byte) (int, error) }, pages []*object.Page) 
 	}
 }
 
-var errPinCrash = errors.New("pin: injected crash")
-
 // pinStringAgg runs one spec end to end at one thread count and returns the
 // hash of everything it wrote.
 func pinStringAgg(t *testing.T, specName string, threads int) string {
@@ -137,58 +134,29 @@ func pinStringAgg(t *testing.T, specName string, threads int) string {
 	}
 	shuffled := sink.Pages()
 	if len(shuffled) < 6 {
-		t.Fatalf("want a stream long enough to cut, got %d pages", len(shuffled))
+		t.Fatalf("want a stream long enough to split, got %d pages", len(shuffled))
 	}
 	hashPages(h, shuffled)
 
 	for part := 0; part < parts; part++ {
-		// merge runs the checkpointed stream over shuffled[from:], failing
-		// after crashAfter pages (never, when negative), and returns the
-		// last checkpoint saved.
-		merge := func(resume *MergeCheckpoint, crashAfter int) ([]object.OMap, []*object.Page, *MergeCheckpoint, error) {
-			var last *MergeCheckpoint
-			from := 0
-			if resume != nil {
-				from = resume.Cut
+		merge := func(pages []*object.Page) ([]object.OMap, []*object.Page) {
+			finals, subs, err := MergeAggMapsStream(reg, SliceSource(pages), part, parts, spec, 1<<11, nil, threads)
+			if err != nil {
+				t.Fatal(err)
 			}
-			src := SliceSource(shuffled[from:])
-			fed := 0
-			next := func() (*object.Page, bool, error) {
-				if fed == crashAfter {
-					return nil, false, errPinCrash
-				}
-				fed++
-				return src()
-			}
-			finals, pages, err := MergeAggMapsStream(reg, next, part, parts, spec, 1<<11, nil, threads,
-				&MergeCheckpointer{Interval: 2, Resume: resume, Save: func(ck *MergeCheckpoint) error {
-					last = cloneCheckpoint(ck)
-					return nil
-				}})
-			return finals, pages, last, err
+			return finals, subs
 		}
-		_, clean, _, err := merge(nil, -1)
-		if err != nil {
-			t.Fatal(err)
+		// The sub-maps part-way through the stream, then the whole
+		// stream's. The part-way point — the largest even page count up to
+		// half the stream plus one — is the one the hashes were recorded
+		// at; the prefix's bytes are written without length frames.
+		mid := len(shuffled)/2 + 1
+		_, prefix := merge(shuffled[:mid-mid%2])
+		for _, s := range prefix {
+			h.Write(s.Bytes())
 		}
-		_, _, ck, err := merge(nil, len(shuffled)/2+1)
-		if !errors.Is(err, errPinCrash) || ck == nil {
-			t.Fatalf("part %d: crashed merge returned %v with checkpoint %v", part, err, ck)
-		}
-		for _, s := range ck.Subs {
-			h.Write(s.Data)
-		}
-		finals, resumed, _, err := merge(ck, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range clean {
-			if string(clean[i].Bytes()) != string(resumed[i].Bytes()) {
-				t.Fatalf("%s part %d threads=%d: sub-map %d differs after a restore from cut %d",
-					specName, part, threads, i, ck.Cut)
-			}
-		}
-		hashPages(h, resumed)
+		finals, subs := merge(shuffled)
+		hashPages(h, subs)
 		out, err := FinalizeAggParallel(reg, finals, spec, 1<<12, nil, stats)
 		if err != nil {
 			t.Fatal(err)

@@ -148,7 +148,7 @@ func TestMergeAggMapsStreamMatchesBatch(t *testing.T) {
 		want := wantAggRows(reg, parts, part, n, keys)
 		for _, threads := range []int{1, 2, 8} {
 			finals, _, err := MergeAggMapsStream(reg, SliceSource(pages), part, parts,
-				spec, 1<<14, nil, threads, nil)
+				spec, 1<<14, nil, threads)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestMergeAggMapsStreamGrowsOnOverflow(t *testing.T) {
 	spec := &AggSpec{KeyKind: object.KString, ValKind: object.KFloat64, Combine: sumCombine}
 	pages := buildAggPages(t, reg, 1, 6000, 400, 1<<12)
 	finals, mergePages, err := MergeAggMapsStream(reg, SliceSource(pages), 0, 1,
-		spec, 1<<10, nil, 2, nil)
+		spec, 1<<10, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

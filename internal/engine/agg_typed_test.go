@@ -99,10 +99,10 @@ func sameErr(t testing.TB, what string, typed, boxed error) bool {
 	return typed != nil
 }
 
-// run drives both specs through pre-aggregation and the checkpointed stream
-// merge (1 and 2 sub-partition mergers, a merge page small enough to grow),
-// comparing every page, its full size, every checkpoint snapshot and the
-// counters. It returns the typed side's pre-aggregation counters, per key
+// run drives both specs through pre-aggregation and the stream merge (1 and
+// 2 sub-partition mergers, a merge page small enough to grow), comparing
+// every page, its full size, the sub-maps after the stream's first half and
+// the counters. It returns the typed side's pre-aggregation counters, per key
 // the merged value's stored bytes, and per thread count (1, 2) whether a
 // sub-merger grew its page (subMerger.grow: the typed regrow on one side,
 // Iterate + Put on the other).
@@ -132,18 +132,13 @@ func (c aggDiff) run(t testing.TB) (Stats, map[int64]uint64, [2]bool) {
 	merged := map[int64]uint64{}
 	for threads := 1; threads <= 2; threads++ {
 		for part := 0; part < c.parts; part++ {
-			merge := func(spec *AggSpec, pages []*object.Page) ([]*object.Page, []SubMapSnapshot, error) {
-				var snaps []SubMapSnapshot
-				ckpt := &MergeCheckpointer{Interval: 2, Save: func(ck *MergeCheckpoint) error {
-					snaps = append(snaps, cloneCheckpoint(ck).Subs...)
-					return nil
-				}}
-				_, finals, err := MergeAggMapsStream(reg, SliceSource(pages), part, c.parts, spec, mergePage, nil, threads, ckpt)
-				return finals, snaps, err
+			merge := func(spec *AggSpec, pages []*object.Page) ([]*object.Page, error) {
+				_, finals, err := MergeAggMapsStream(reg, SliceSource(pages), part, c.parts, spec, mergePage, nil, threads)
+				return finals, err
 			}
 			what := fmt.Sprintf("stream merge of partition %d on %d threads", part, threads)
-			tFinals, tSnaps, tErr := merge(typed, tPages)
-			bFinals, bSnaps, bErr := merge(boxed, bPages)
+			tFinals, tErr := merge(typed, tPages)
+			bFinals, bErr := merge(boxed, bPages)
 			if sameErr(t, what, tErr, bErr) {
 				continue
 			}
@@ -154,13 +149,12 @@ func (c aggDiff) run(t testing.TB) (Stats, map[int64]uint64, [2]bool) {
 				}
 				grew[threads-1] = grew[threads-1] || len(tFinals[i].Data) > len(first.pg.Data)
 			}
-			if len(tSnaps) != len(bSnaps) {
-				t.Fatalf("%s: %d typed snapshots, %d boxed", what, len(tSnaps), len(bSnaps))
-			}
-			for i := range tSnaps {
-				if tSnaps[i].PageSize != bSnaps[i].PageSize || !bytes.Equal(tSnaps[i].Data, bSnaps[i].Data) {
-					t.Fatalf("%s: checkpoint snapshot %d differs", what, i)
-				}
+			// The mid-stream state a replayed merge passes through.
+			half := len(tPages) / 2
+			tMid, tErr := merge(typed, tPages[:half])
+			bMid, bErr := merge(boxed, bPages[:half])
+			if !sameErr(t, what+" (first half)", tErr, bErr) {
+				samePages(t, what+" (first half)", tMid, bMid)
 			}
 			if threads == 1 {
 				object.AsMap(object.Ref{Page: tFinals[0], Off: tFinals[0].Root()}).Iterate(func(k, v object.Value) bool {
@@ -336,7 +330,7 @@ func TestFoldOverInt32ValuesTakesTheBoxedPath(t *testing.T) {
 	}
 	total := int64(0)
 	for part := 0; part < 2; part++ {
-		finals, _, err := MergeAggMapsStream(reg, SliceSource(pages), part, 2, spec, 1<<12, nil, 1, nil)
+		finals, _, err := MergeAggMapsStream(reg, SliceSource(pages), part, 2, spec, 1<<12, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,7 +60,7 @@
 // Page bytes are path-independent: the typed fold makes updateAggEntry's
 // mutations in updateAggEntry's order (combine, growth check, rehash,
 // claim, write), grows through the same OMap rehash, and faults with
-// ErrPageFull at the same points, so rotate points, checkpoint snapshots
+// ErrPageFull at the same points, so rotate points, sub-map pages
 // and Stats.HashProbes/HashResizes are those of the boxed path
 // (TestUpdateAggEntryMatchesGetPut/typed, FuzzTypedAggMatchesBoxed). Growth
 // itself is typed where the layout allows: OMap's rehash moves 20-byte
@@ -117,8 +117,8 @@
 //     hash-range sub-partitions (LogicalKeyHash, so handle keys route by
 //     logical value, not page offset); each thread folds only its sub-partition's keys into a
 //     private sub-map, consuming pages in the stream's deterministic
-//     order through the one stream fan-out (streamPages; exported without
-//     cuts as StreamPages for the join build). FinalizeAggParallel
+//     order through the one stream fan-out (streamPages; exported as
+//     StreamPages for the join build). FinalizeAggParallel
 //     then materializes the sub-maps concurrently and concatenates their
 //     pages in sub-partition order.
 //   - Join build/probe (internal/cluster.HashPartitionJoinKind and
@@ -129,17 +129,10 @@
 //     thread order — so user emit callbacks never run concurrently on one
 //     worker.
 //
-// The fan-out carries a checkpoint epilogue for the aggregation merge's
-// crash recovery: given a cut hook it quiesces every consumer thread at
-// interval cuts — and once more at stream end — so the caller can snapshot
-// a mutually consistent merge state (MergeCheckpointer snapshots sub-map
-// pages byte-for-byte, alternating between two generations of buffers the
-// caller owns, so the cut being written never touches the installed one
-// and a merge whose pages stopped growing cuts without allocating) and a
-// re-forked consumer can restore it and replay only the stream's suffix,
-// reproducing the crash-free output exactly. With the hook nil — a merge
-// that takes no cuts, or the join build, which recover by replaying their
-// whole stream — the same dispatch runs with no barriers and no epilogue.
+// The fan-out takes no cuts: a crashed consumer — the aggregation merge,
+// the join build — replays its whole retained stream from page 0 through
+// the same dispatch, and the deterministic page→thread assignment
+// reproduces the crash-free output exactly.
 //
 // Error and panic discipline: the first failing thread sets a shared abort
 // flag checked once per batch (never per row); panics in user kernels are

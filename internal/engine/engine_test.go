@@ -438,7 +438,7 @@ func TestAggSinkAndMerge(t *testing.T) {
 	totalKeys := 0
 	totalSum := 0.0
 	for part := 0; part < parts; part++ {
-		finals, _, err := MergeAggMapsStream(reg, SliceSource(sink.Pages()), part, parts, spec, 1<<14, nil, 1, nil)
+		finals, _, err := MergeAggMapsStream(reg, SliceSource(sink.Pages()), part, parts, spec, 1<<14, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,7 +487,7 @@ func TestAggSinkRotatesOnTinyPages(t *testing.T) {
 	spec := &AggSpec{KeyKind: object.KString, ValKind: object.KFloat64, Combine: sumCombine}
 	total := 0.0
 	for part := 0; part < 2; part++ {
-		finals, _, err := MergeAggMapsStream(reg, SliceSource(sink.Pages()), part, 2, spec, 1<<14, nil, 1, nil)
+		finals, _, err := MergeAggMapsStream(reg, SliceSource(sink.Pages()), part, 2, spec, 1<<14, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

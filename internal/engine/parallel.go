@@ -143,74 +143,36 @@ func ParallelThreads(n int, body func(t int, stop <-chan struct{}) error) error 
 // thread (the aggregation merge, where each thread filters its own hash
 // range); otherwise page i goes to thread i%threads by global delivery index
 // (the join build). Both assignments are pure functions of the delivery
-// order, so consumption is deterministic. No page is released here: the
-// exchange retains delivered pages for replay. With threads <= 1 everything
-// runs inline on the caller.
-//
-// cut, when set, gives the stream consistent cut points for consumer-side
-// crash recovery (the aggregation merge): after every interval pages — and
-// once more when the stream ends, the checkpoint epilogue — every thread
-// quiesces at a barrier and cut(delivered, final) runs on the calling
-// goroutine, delivered being the total number of pages folded. A caller
-// that snapshots its per-thread state inside cut and later resumes with
-// start = the snapshot's cut (feeding a next that replays the stream from
-// that index) reproduces the uncrashed run bit-for-bit: resumed work lands
-// on the same threads in the same order. interval <= 0 disables the
-// periodic cuts but not the epilogue, which is skipped only when the last
-// periodic cut already covered every delivered page — so after a clean
-// return the caller's latest snapshot always describes the complete
-// stream. A nil cut means no barriers and no epilogue: the same dispatch
-// for a consumer that replays its stream from page 0 instead of cutting.
+// order, so consumption is deterministic, and a crashed consumer that
+// replays its stream from page 0 reproduces the uncrashed run bit-for-bit.
+// No page is released here: the exchange retains delivered pages for
+// replay. With threads <= 1 everything runs inline on the caller.
 //
 // A panic in body (user combine/key code) re-raises on the caller after all
-// threads drain, preserving the backend-crash discipline, and skips any
-// pending cut, so the last successful checkpoint remains the recovery point.
-// A body error stops the dispatch and is returned; the stream itself is
-// abandoned — the caller is expected to cancel the exchange, unblocking
-// producers.
+// threads drain, preserving the backend-crash discipline. A body error
+// stops the dispatch and is returned; the stream itself is abandoned — the
+// caller is expected to cancel the exchange, unblocking producers.
 func streamPages(next func() (*object.Page, bool, error), threads int, broadcast bool,
-	start, interval int,
-	body func(t int, p *object.Page) error, cut func(delivered int, final bool) error) error {
-	delivered := start
-	lastCut := -1
+	body func(t int, p *object.Page) error) error {
 	if threads <= 1 {
 		for {
 			p, ok, err := next()
-			if err != nil {
+			if err != nil || !ok {
 				return err
-			}
-			if !ok {
-				break
 			}
 			if err := body(0, p); err != nil {
 				return err
 			}
-			delivered++
-			if cut != nil && interval > 0 && delivered%interval == 0 {
-				if err := cut(delivered, false); err != nil {
-					return err
-				}
-				lastCut = delivered
-			}
 		}
-		if cut == nil || lastCut == delivered {
-			return nil // no cuts, or the end-of-stream state is already checkpointed
-		}
-		return cut(delivered, true)
 	}
 
-	type msg struct {
-		p       *object.Page
-		barrier bool
-	}
-	feeds := make([]chan msg, threads)
-	acks := make(chan struct{}, threads)
+	feeds := make([]chan *object.Page, threads)
 	errs := make([]error, threads)
 	panics := make([]*threadPanic, threads)
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for t := range feeds {
-		feeds[t] = make(chan msg, 4)
+		feeds[t] = make(chan *object.Page, 4)
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
@@ -218,22 +180,15 @@ func streamPages(next func() (*object.Page, bool, error), threads int, broadcast
 				if r := recover(); r != nil {
 					panics[t] = &threadPanic{v: r}
 					failed.Store(true)
-					// Keep draining (and acking barriers) so neither the
-					// dispatcher nor a sibling blocks on a dead thread.
-					for m := range feeds[t] {
-						if m.barrier {
-							acks <- struct{}{}
-						}
+					// Keep draining so the dispatcher never blocks on a
+					// dead thread.
+					for range feeds[t] {
 					}
 				}
 			}()
-			for m := range feeds[t] {
-				if m.barrier {
-					acks <- struct{}{}
-					continue
-				}
+			for p := range feeds[t] {
 				if errs[t] == nil {
-					if err := body(t, m.p); err != nil {
+					if err := body(t, p); err != nil {
 						errs[t] = err
 						failed.Store(true)
 					}
@@ -241,29 +196,18 @@ func streamPages(next func() (*object.Page, bool, error), threads int, broadcast
 			}
 		}(t)
 	}
-	// quiesce parks every thread at the barrier; the threads resume only
-	// when the dispatcher feeds again, so cut observes a frozen, mutually
-	// consistent merge state.
-	quiesce := func() {
-		for t := range feeds {
-			feeds[t] <- msg{barrier: true}
-		}
-		for range feeds {
-			<-acks
-		}
-	}
 	var srcErr error
 	func() {
-		// Tear down the threads even when next or cut panics (a crash
-		// hook or user code on the consuming goroutine), so the panic
-		// reaches the backend with no goroutine left behind.
+		// Tear down the threads even when next panics (a crash hook on the
+		// consuming goroutine), so the panic reaches the backend with no
+		// goroutine left behind.
 		defer func() {
 			for t := range feeds {
 				close(feeds[t])
 			}
 			wg.Wait()
 		}()
-		for !failed.Load() {
+		for delivered := 0; !failed.Load(); delivered++ {
 			p, ok, err := next()
 			if err != nil {
 				srcErr = err
@@ -274,22 +218,10 @@ func streamPages(next func() (*object.Page, bool, error), threads int, broadcast
 			}
 			if broadcast {
 				for t := range feeds {
-					feeds[t] <- msg{p: p}
+					feeds[t] <- p
 				}
 			} else {
-				feeds[delivered%threads] <- msg{p: p}
-			}
-			delivered++
-			if cut != nil && interval > 0 && delivered%interval == 0 {
-				quiesce()
-				if failed.Load() {
-					return
-				}
-				if err := cut(delivered, false); err != nil {
-					srcErr = err
-					return
-				}
-				lastCut = delivered
+				feeds[delivered%threads] <- p
 			}
 		}
 	}()
@@ -303,16 +235,12 @@ func streamPages(next func() (*object.Page, bool, error), threads int, broadcast
 			return fmt.Errorf("stream consumer thread %d: %w", t, err)
 		}
 	}
-	if srcErr != nil || cut == nil || lastCut == delivered {
-		return srcErr // failed, no cuts, or the end-of-stream state is already checkpointed
-	}
-	return cut(delivered, true)
+	return srcErr
 }
 
 // StreamPages is the fan-out for a consumer whose state keeps referencing
 // delivered pages (the join build's tables): page i goes to thread
-// i%threads and no cut is taken — a crashed consumer replays its stream
-// from the start.
+// i%threads, and a crashed consumer replays its stream from the start.
 func StreamPages(next func() (*object.Page, bool, error), threads int, body func(t int, p *object.Page) error) error {
-	return streamPages(next, threads, false, 0, 0, body, nil)
+	return streamPages(next, threads, false, body)
 }

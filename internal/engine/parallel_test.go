@@ -2,9 +2,12 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/object"
 )
@@ -231,4 +234,110 @@ func TestParallelThreadsRePanicsOnCaller(t *testing.T) {
 		return ErrAborted
 	})
 	t.Fatal("expected re-panic")
+}
+
+// intPages builds n tiny pages tagged 0..n-1 through the shared test
+// helper used by the agg stream tests.
+func intPages(t *testing.T, reg *object.Registry, n int) []*object.Page {
+	t.Helper()
+	ti := object.NewStruct(fmt.Sprintf("CkptPage%d", n)).AddField("id", object.KInt64).MustBuild(reg)
+	pages := make([]*object.Page, n)
+	for i := range pages {
+		p := object.NewPage(1<<12, reg)
+		a := object.NewAllocator(p)
+		root, err := object.MakeVector(a, object.KHandle, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.Retain()
+		p.SetRoot(root.Off)
+		o, err := a.MakeObject(ti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		object.SetI64(o, ti.Field("id"), int64(i))
+		if err := root.PushBackHandle(a, o); err != nil {
+			t.Fatal(err)
+		}
+		pages[i] = p
+	}
+	return pages
+}
+
+func pageTag(p *object.Page) int64 {
+	root := object.AsVector(object.Ref{Page: p, Off: p.Root()})
+	ti := p.Reg.Lookup(root.HandleAt(0).TypeCode())
+	return object.GetI64(root.HandleAt(0), ti.Field("id"))
+}
+
+// TestStreamPagesDealsWithoutCuts drives the one fan-out — the dispatch of
+// the join build and of the aggregation merge — broadcast and round-robin,
+// inline and threaded: every thread folds its pages in delivery order, each
+// page once per consumer.
+func TestStreamPagesDealsWithoutCuts(t *testing.T) {
+	reg := object.NewRegistry()
+	const n = 23
+	pages := intPages(t, reg, n)
+	for _, threads := range []int{1, 2, 8} {
+		for _, broadcast := range []bool{true, false} {
+			label := fmt.Sprintf("threads=%d broadcast=%v", threads, broadcast)
+			perThread := make([][]int64, threads)
+			err := streamPages(SliceSource(pages), threads, broadcast,
+				func(th int, p *object.Page) error {
+					perThread[th] = append(perThread[th], pageTag(p))
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for th := range perThread {
+				var want []int64
+				for i := 0; i < n; i++ {
+					if broadcast || i%threads == th {
+						want = append(want, int64(i))
+					}
+				}
+				if !reflect.DeepEqual(perThread[th], want) {
+					t.Errorf("%s: thread %d folded %v, want %v", label, th, perThread[th], want)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamPagesPanicWithoutCuts checks the crash discipline: a fold panic re-raises on the caller, and the dispatcher has torn
+// every consumer thread down by then — a panicking source included.
+func TestStreamPagesPanicWithoutCuts(t *testing.T) {
+	reg := object.NewRegistry()
+	pages := intPages(t, reg, 40)
+	before := runtime.NumGoroutine()
+	crash := func(next func() (*object.Page, bool, error), body func(int, *object.Page) error) (r any) {
+		defer func() { r = recover() }()
+		_ = streamPages(next, 4, true, body)
+		return nil
+	}
+	if r := crash(SliceSource(pages), func(th int, p *object.Page) error {
+		if pageTag(p) == 17 && th == 2 {
+			panic("user combine bug")
+		}
+		return nil
+	}); r != "user combine bug" {
+		t.Errorf("fold panic recovered as %v", r)
+	}
+	src := SliceSource(pages)
+	if r := crash(func() (*object.Page, bool, error) {
+		p, ok, err := src()
+		if ok && pageTag(p) == 9 {
+			panic("crash under Recv")
+		}
+		return p, ok, err
+	}, func(int, *object.Page) error { return nil }); r != "crash under Recv" {
+		t.Errorf("source panic recovered as %v", r)
+	}
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines left behind", runtime.NumGoroutine()-before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -37,15 +37,11 @@
 //
 // # Crash replay (consumer side)
 //
-// Delivered pages are retained until the consumer acknowledges them (Ack)
-// or the step discards them (Discard), and Rewind moves the delivery cursor
-// back to any unacknowledged position. A consumer that checkpoints its
-// merge state every K pages and acks each checkpoint can crash, restore the
-// checkpoint, rewind, and re-consume only the pages past the cut — the
-// retained suffix replays first, then delivery continues live; its
-// retention is bounded by the checkpoint interval (plus any pull-ahead). A
-// consumer that takes no cuts rewinds to page 0 and retains its whole
-// stream.
+// Every delivered page is retained until the step ends (Recycle, Discard),
+// and Rewind moves a consumer's delivery cursor back to page 0. A consumer
+// that crashes rewinds and re-consumes its stream from the start — the
+// retained prefix replays first, then delivery continues live — so its
+// retention is its whole stream.
 //
 // # Memory governance (disk spill)
 //
@@ -116,7 +112,7 @@ type Config struct {
 	// producing thread (backpressure). Zero picks DefaultCapacity.
 	Capacity int
 	// Replayable is ignored: every exchange retains delivered pages until
-	// Ack or Discard, so a crashed consumer can always Rewind.
+	// the step ends, so a crashed consumer can always Rewind.
 	//
 	// Deprecated: kept only so callers that still set it compile. ROADMAP
 	// item 1(a) deletes it.
@@ -127,12 +123,12 @@ type Config struct {
 	// Release receives producer pages dropped whole by sender-side retry
 	// dedup, so the owner can recycle them. nil discards them.
 	Release func(p *object.Page)
-	// ReleaseDelivered receives retained pages released by Ack, once the
-	// consumer's checkpoint guarantees they will never replay. nil just
-	// drops the references — and marks the retention window as
-	// consumer-owned: the consumer's state references delivered pages in
-	// place (the join build), so the governor neither meters nor spills
-	// them.
+	// ReleaseDelivered receives the resident retained pages when a
+	// successful step ends (Recycle), so the owner can recycle them. nil
+	// leaves them to the garbage collector — and marks the retention window
+	// as consumer-owned: the consumer's state references delivered pages in
+	// place (the join build, the sort merge), so the governor neither
+	// meters nor spills them.
 	ReleaseDelivered func(p *object.Page)
 	// Governors, indexed by consumer, attach per-consumer memory
 	// governors: pages held for consumer c are metered against
@@ -218,8 +214,8 @@ func (ex *Exchange) governor(consumer int) *Governor {
 
 // ownsRetained reports whether the retention window's page bytes belong to
 // the exchange (the consumer copies what it needs out of each delivered
-// page, so Ack recycles them through ReleaseDelivered) — the precondition
-// for the governor metering and spilling retained pages. With
+// page, so Recycle hands them to ReleaseDelivered) — the precondition for
+// the governor metering and spilling retained pages. With
 // ReleaseDelivered nil the consumer's state references delivered pages in
 // place and the window holds only references, never extra bytes.
 func (ex *Exchange) ownsRetained() bool {
@@ -429,11 +425,11 @@ func (ex *Exchange) BufferedPages(consumer int) int64 {
 	return ex.recvs[consumer].backlog.Load()
 }
 
-// retainedEntry is one delivered, unacknowledged page in a receiver's
-// retention window. In an exchange-owned window (ownsRetained) the entry
-// is metered by the consumer's governor: reserved entries count against
-// the budget; an entry whose bytes were evicted to disk has page nil and
-// lives only in slot. Sealed pages are immutable, so a slot stays
+// retainedEntry is one delivered page in a receiver's retention window.
+// In an exchange-owned window (ownsRetained) the entry is metered by the
+// consumer's governor: reserved entries count against the budget; an
+// entry whose bytes were evicted to disk has page nil and lives only in
+// slot. Sealed pages are immutable, so a slot stays
 // a valid image for the entry's whole retention — an entry reloaded for
 // replay can be evicted again without rewriting it.
 type retainedEntry struct {
@@ -445,7 +441,7 @@ type retainedEntry struct {
 
 // receiver walks one consumer's lanes in deterministic order: producers
 // major, threads within a producer, sequence within a lane. All of a
-// receiver's methods (through Recv/Ack/Rewind) are called from the single
+// receiver's methods (through Recv/Rewind) are called from the single
 // consuming goroutine; only backlog is touched by senders.
 type receiver struct {
 	ex       *Exchange
@@ -457,14 +453,12 @@ type receiver struct {
 
 	backlog atomic.Int64 // pages enqueued for this consumer, undelivered
 
-	// Replay retention: retained holds delivered, unacknowledged pages;
-	// base is the delivery index of retained[0]; pos is the next delivery
-	// index Recv hands out (pos < base + len(retained) while replaying
-	// after a Rewind). pending is the
+	// Replay retention: retained holds every delivered page, retained[i]
+	// the i-th; pos is the next delivery index Recv hands out (pos <
+	// len(retained) while replaying after a Rewind). pending is the
 	// delivery index of the page the last Recv handed out when that page
 	// still awaits governor accounting (settle), -1 otherwise.
 	retained []retainedEntry
-	base     int
 	pos      int
 	pending  int
 }
@@ -481,11 +475,8 @@ func (r *receiver) settle() error {
 	}
 	idx := r.pending
 	r.pending = -1
-	if idx < r.base || idx >= r.base+len(r.retained) {
-		return nil // acknowledged while in flight; nothing left to meter
-	}
 	g := r.ex.governor(r.consumer)
-	e := &r.retained[idx-r.base]
+	e := &r.retained[idx]
 	if g == nil || e.page == nil || e.reserved {
 		return nil
 	}
@@ -513,7 +504,7 @@ func (r *receiver) evictRetained(g *Governor, need int64, skip int) error {
 		if g.fits(need) {
 			return nil
 		}
-		if r.base+i == skip || !r.retained[i].reserved {
+		if i == skip || !r.retained[i].reserved {
 			continue
 		}
 		if err := r.evict(g, &r.retained[i]); err != nil {
@@ -567,9 +558,9 @@ func (ex *Exchange) Recv(consumer int) (*object.Page, bool, error) {
 	if err := r.settle(); err != nil {
 		return nil, false, err
 	}
-	if r.pos < r.base+len(r.retained) {
-		// Replaying after a Rewind: the retained suffix first.
-		e := &r.retained[r.pos-r.base]
+	if r.pos < len(r.retained) {
+		// Replaying after a Rewind: the retained prefix first.
+		e := &r.retained[r.pos]
 		if e.page == nil {
 			// The entry was evicted under the budget; reload it for the
 			// replay (the slot stays live — see retainedEntry).
@@ -629,10 +620,10 @@ func (ex *Exchange) Recv(consumer int) (*object.Page, bool, error) {
 			}
 		}
 		if ex.ownsRetained() {
-			// The retention window keeps the bytes until Ack: a page
-			// delivered resident carries its lane reservation over; one
-			// delivered from spill keeps its slot and settles at the next
-			// Recv.
+			// The retention window keeps the bytes until the step ends: a
+			// page delivered resident carries its lane reservation over;
+			// one delivered from spill keeps its slot and settles at the
+			// next Recv.
 			r.retained = append(r.retained, retainedEntry{
 				page: p, slot: m.slot, size: m.size, reserved: m.page != nil,
 			})
@@ -651,39 +642,31 @@ func (ex *Exchange) Recv(consumer int) (*object.Page, bool, error) {
 	}
 }
 
-// Ack acknowledges delivery up to (excluding) global index upto: the
-// consumer's checkpoint covers those pages, so they will never replay and
-// their retained references are released (through Config.ReleaseDelivered).
-// Acknowledging an index beyond the replay cursor is an error — it would
-// discard pages a Rewind still needs.
-func (ex *Exchange) Ack(consumer, upto int) error {
-	r := ex.recvs[consumer]
-	if upto <= r.base {
-		return nil // already acknowledged
+// Ack is ignored: retention lasts until the step ends (Recycle, Discard),
+// so there is nothing to acknowledge.
+//
+// Deprecated: kept only so callers that still call it compile. ROADMAP
+// item 1(a) deletes it.
+func (ex *Exchange) Ack(consumer, upto int) error { return nil }
+
+// Recycle hands every resident retained page to Config.ReleaseDelivered
+// and drops it from the retention window; spilled entries stay for
+// Discard, which frees their slots. Call it only when no consumer will
+// read a delivered page again — after a step whose every role succeeded —
+// and before Discard. Without ReleaseDelivered it does nothing: the
+// consumer's state still references the pages.
+func (ex *Exchange) Recycle() {
+	if ex.cfg.ReleaseDelivered == nil {
+		return
 	}
-	if upto > r.pos {
-		return fmt.Errorf("exchange: ack %d beyond delivery cursor %d", upto, r.pos)
-	}
-	n := upto - r.base
-	g := ex.governor(consumer)
-	for i := range r.retained[:n] {
-		e := &r.retained[i]
-		if g != nil {
-			if e.reserved {
-				g.ReleaseBytes(int64(e.size))
+	for _, r := range ex.recvs {
+		for i := range r.retained {
+			if e := &r.retained[i]; e.page != nil {
+				ex.cfg.ReleaseDelivered(e.page)
+				e.page = nil
 			}
-			g.Free(e.slot)
-		}
-		if e.page != nil && ex.cfg.ReleaseDelivered != nil {
-			ex.cfg.ReleaseDelivered(e.page)
 		}
 	}
-	if r.pending >= 0 && r.pending < upto {
-		r.pending = -1 // the in-flight page was acknowledged before settling
-	}
-	r.retained = append(r.retained[:0:0], r.retained[n:]...)
-	r.base = upto
-	return nil
 }
 
 // Discard releases every page the exchange still holds — undelivered lane
@@ -691,12 +674,11 @@ func (ex *Exchange) Ack(consumer, upto int) error {
 // byte reservations return to the budget and spill slots free, so the
 // step's pools close with zero live slots. It is the step's last cleanup,
 // on success as on failure: call it only after every producer and consumer
-// role has returned (a successful step has drained its lanes, but a
-// consumer that replays instead of cutting — the join's probe, a no-cut
-// aggregation merge — never acknowledges its retention).
-// Page references are dropped for the garbage collector, never recycled —
-// a shipped page's capacity need not match the caller's pool, and user
-// code may still hold refs into delivered pages.
+// role has returned (a successful step has drained its lanes, but every
+// consumer's retention lasts until now). Page references are dropped for
+// the garbage collector, never recycled — user code may still hold refs
+// into delivered pages; Recycle first is how a successful step returns
+// them to their owner.
 func (ex *Exchange) Discard() {
 	for p := range ex.lanes {
 		for t := range ex.lanes[p] {
@@ -746,17 +728,10 @@ func (ex *Exchange) discardMessage(consumer int, m message) {
 	ex.unship(consumer, m)
 }
 
-// Rewind moves the consumer's delivery cursor back to global index cursor
-// (≥ the last acknowledged index): subsequent Recv calls replay the
-// retained pages from there in the original order, then continue live. The
-// crashed-consumer recovery path: restore the checkpoint taken at cursor,
-// rewind, resume the merge.
-func (ex *Exchange) Rewind(consumer, cursor int) error {
-	r := ex.recvs[consumer]
-	if cursor < r.base || cursor > r.base+len(r.retained) {
-		return fmt.Errorf("exchange: rewind to %d outside retained window [%d, %d]",
-			cursor, r.base, r.base+len(r.retained))
-	}
-	r.pos = cursor
-	return nil
+// Rewind moves the consumer's delivery cursor back to page 0: subsequent
+// Recv calls replay the retained pages in the original order, then continue
+// live. The crashed-consumer recovery path: re-run the consumer from a
+// fresh state over the replayed stream.
+func (ex *Exchange) Rewind(consumer int) {
+	ex.recvs[consumer].pos = 0
 }

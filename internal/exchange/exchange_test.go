@@ -409,9 +409,9 @@ func TestSkewedProducerHardBound(t *testing.T) {
 }
 
 // TestRewindReplaysRetained exercises the consumer-side recovery API: an
-// exchange retains delivered pages, Rewind replays them in the
-// original order (then continues live), Ack releases the acknowledged
-// prefix, and rewinding before the acknowledged cut is rejected.
+// exchange retains delivered pages, Rewind replays them from page 0 in the
+// original order (then continues live), and only Recycle — the end of a
+// successful step — hands them to ReleaseDelivered.
 func TestRewindReplaysRetained(t *testing.T) {
 	reg, ti := testRegistry(t)
 	released := 0
@@ -440,40 +440,28 @@ func TestRewindReplaysRetained(t *testing.T) {
 	if got := recvN(4); !reflect.DeepEqual(got, []int64{0, 1, 2, 3}) {
 		t.Fatalf("first pass = %v", got)
 	}
-	// Checkpoint at cut 2: pages 0..1 will never replay.
-	if err := ex.Ack(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if released != 2 {
-		t.Fatalf("released %d pages at ack, want 2", released)
-	}
-	if err := ex.Rewind(0, 1); err == nil {
-		t.Fatal("rewind before the acknowledged cut must fail")
-	}
-	// Crash-restore: rewind to the cut, replay 2..3, then continue live.
-	if err := ex.Rewind(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := recvN(4); !reflect.DeepEqual(got, []int64{2, 3, 4, 5}) {
+	// Crash: rewind, replay 0..3, then continue live.
+	ex.Rewind(0)
+	if got := recvN(6); !reflect.DeepEqual(got, []int64{0, 1, 2, 3, 4, 5}) {
 		t.Fatalf("replay pass = %v", got)
 	}
 	if _, ok, err := ex.Recv(0); ok || err != nil {
 		t.Fatalf("stream should have ended: ok=%v err=%v", ok, err)
 	}
-	// Rewinding at the very end still replays the retained tail.
-	if err := ex.Rewind(0, 4); err != nil {
-		t.Fatal(err)
-	}
-	if got := recvN(2); !reflect.DeepEqual(got, []int64{4, 5}) {
-		t.Fatalf("tail replay = %v", got)
+	// Rewinding at the very end still replays the whole stream.
+	ex.Rewind(0)
+	if got := recvN(n); !reflect.DeepEqual(got, []int64{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("second replay = %v", got)
 	}
 	if _, ok, _ := ex.Recv(0); ok {
-		t.Fatal("stream should stay ended after tail replay")
+		t.Fatal("stream should stay ended after a full replay")
 	}
-	if err := ex.Ack(0, n); err != nil {
-		t.Fatal(err)
+	if released != 0 {
+		t.Fatalf("released %d pages before the step ended, want 0", released)
 	}
+	ex.Recycle()
+	ex.Discard()
 	if released != n {
-		t.Fatalf("released %d pages total, want %d", released, n)
+		t.Fatalf("released %d pages at step end, want %d", released, n)
 	}
 }

@@ -2,9 +2,8 @@ package exchange
 
 // The memory governor: Config.MemoryBudget's enforcement point. One
 // Governor meters one consumer backend's resident exchange bytes — pages
-// buffered in lanes, delivered pages retained for replay, and (through the cluster's checkpoint path) in-memory
-// checkpoint snapshots. A reservation that would exceed the budget is
-// refused, and the caller spills the page to the governor's SpillStore
+// buffered in lanes and delivered pages retained for replay. A reservation
+// that would exceed the budget is refused, and the caller spills the page to the governor's SpillStore
 // instead, so resident bytes stay hard-bounded while the stream keeps
 // flowing: backpressure still caps pages in flight per lane, but the bytes
 // of pages past the budget wait on disk, not in RAM.
@@ -24,12 +23,8 @@ import (
 type SpillStore interface {
 	// Spill writes one page image and returns its slot.
 	Spill(p *object.Page) (int, error)
-	// SpillBytes writes a raw page image (checkpoint snapshot bytes).
-	SpillBytes(b []byte) (int, error)
 	// Load reads a slot back as a page.
 	Load(slot int) (*object.Page, error)
-	// LoadBytes reads a slot's raw image back.
-	LoadBytes(slot int) ([]byte, error)
 	// Free returns a slot's file for reuse.
 	Free(slot int)
 }
@@ -37,7 +32,7 @@ type SpillStore interface {
 // Governor meters one consumer backend's resident exchange bytes against a
 // byte budget, spilling refused pages into store. All methods are safe for
 // concurrent use — producer threads reserve and spill against a consumer's
-// governor while the consumer settles, loads, and acknowledges.
+// governor while the consumer settles and loads.
 type Governor struct {
 	budget  int64
 	store   SpillStore
@@ -122,24 +117,6 @@ func (g *Governor) Free(slot int) {
 	if slot >= 0 {
 		g.store.Free(slot)
 	}
-}
-
-// SpillSnapshot writes a checkpoint snapshot's page image to the store —
-// the cluster's "snapshots go straight to disk when over budget" path —
-// and returns its slot.
-func (g *Governor) SpillSnapshot(b []byte) (int, error) {
-	slot, err := g.store.SpillBytes(b)
-	if err != nil {
-		return 0, err
-	}
-	g.spilledPages.Add(1)
-	g.spilledBytes.Add(int64(len(b)))
-	return slot, nil
-}
-
-// LoadSnapshot reads a spilled checkpoint snapshot's bytes back.
-func (g *Governor) LoadSnapshot(slot int) ([]byte, error) {
-	return g.store.LoadBytes(slot)
 }
 
 // ResidentBytes reports the bytes currently reserved against the budget.

@@ -92,8 +92,8 @@ func TestGovernorSpillPreservesDeliveryOrder(t *testing.T) {
 // TestGovernorReplayableSpill exercises the retention window under a
 // one-page budget: delivered pages are retained (and evicted to disk as
 // the budget fills), a Rewind replays them — reloading spilled entries —
-// and Ack frees every slot, so the stream ends with zero live spill
-// bytes.
+// and the step's end (Recycle, Discard) frees every slot, so the stream
+// ends with zero live spill bytes.
 func TestGovernorReplayableSpill(t *testing.T) {
 	const producers, threads, pages = 2, 2, 4
 	reg, ti := testRegistry(t)
@@ -126,9 +126,7 @@ func TestGovernorReplayableSpill(t *testing.T) {
 		}
 		first = append(first, pageID(p, ti))
 	}
-	if err := ex.Rewind(0, 0); err != nil {
-		t.Fatal(err)
-	}
+	ex.Rewind(0)
 	got := drain(t, ex, 0, ti)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("replayed delivery %v differs from reference %v", got, want)
@@ -143,16 +141,15 @@ func TestGovernorReplayableSpill(t *testing.T) {
 		t.Errorf("resident high-water %d exceeds budget %d", g.MaxResidentBytes(), g.Budget())
 	}
 
-	// Acknowledge everything: every retained entry's slot must free and
-	// the resident gauge must return to zero.
-	if err := ex.Ack(0, producers*threads*pages); err != nil {
-		t.Fatal(err)
-	}
+	// End the step: every retained entry's slot must free and the
+	// resident gauge must return to zero.
+	ex.Recycle()
+	ex.Discard()
 	if live := sp.LiveSlots(); live != 0 {
-		t.Errorf("live spill slots after full ack = %d, want 0", live)
+		t.Errorf("live spill slots at step end = %d, want 0", live)
 	}
 	if res := g.ResidentBytes(); res != 0 {
-		t.Errorf("resident bytes after full ack = %d, want 0", res)
+		t.Errorf("resident bytes at step end = %d, want 0", res)
 	}
 	if released == 0 {
 		t.Error("ReleaseDelivered never ran for resident retained pages")

@@ -2,7 +2,7 @@
 // cluster's crash tests and the chaos campaign (TestChaosCampaign). A Plan is
 // a seeded, reproducible fault schedule: each Injection names a Site (a
 // well-known point in the runtime — a page seal, a lane delivery, a
-// checkpoint write, a spill), a worker, and the 0-based hit index K at
+// finalize, a spill), a worker, and the 0-based hit index K at
 // which it fires. Production code calls Hit/ErrAt unconditionally at every
 // site — all Plan methods are safe on a nil receiver and cost one mutex
 // hop when a plan is armed, nothing when it is nil — so the injected
@@ -45,8 +45,8 @@ const (
 	PageSeal Site = iota
 	// Delivery fires as the aggregation consumer (or the sort merge
 	// consumer, gathering run pages) takes delivery of a shuffled page.
-	// Panic site; the aggregation recovers by checkpoint restore + replay,
-	// the sort by replaying its retained stream from page 0.
+	// Panic site; both recover by replaying the retained stream from
+	// page 0.
 	Delivery
 	// BuildPage fires as the join consumer takes delivery of a build-side
 	// page. Panic site; recovered by re-gathering both streams from page 0.
@@ -60,12 +60,8 @@ const (
 	Emit
 	// Finalize fires before the aggregation consumer finalizes its merged
 	// maps (or the sort merge consumer returns its output). Panic site;
-	// recovered from the end-of-stream checkpoint (the sort: by replay).
+	// recovered by replaying the retained stream from page 0.
 	Finalize
-	// Checkpoint fires at the start of an aggregation checkpoint write,
-	// before the recovery record mutates — the one consumer that cuts.
-	// Panic site; the previous cut stays the recovery point.
-	Checkpoint
 	// SpillEnqueue fires as the memory governor spills a page image to its
 	// store. Panic site; lands on whichever backend goroutine crossed the
 	// budget (producer enqueue or consumer settle).
@@ -76,9 +72,6 @@ const (
 	// SpillRead injects an I/O error from the spill store's read path
 	// (delivery reload or replay). Error site.
 	SpillRead
-	// CheckpointIO injects an I/O error from checkpoint persistence.
-	// Error site.
-	CheckpointIO
 	// ConnDrop injects a dropped transport connection: the socket
 	// transport severs its active connection immediately before a frame
 	// write, forcing the redial path. Error site at the injection point,
@@ -91,11 +84,10 @@ const (
 	// Unlike the in-process sites, the fault executes across the process
 	// boundary: the master extracts the injection (Plan.Take) and ships
 	// it in the consume request, and the worker exits hard right after
-	// its (K+1)-th durable checkpoint save — deterministically past a
-	// durable cut, before the ack leaves its process. The master observes
-	// both role sessions sever, respawns the process, and the role retry
-	// resumes from the worker's durable cut exactly as for an in-process
-	// crash.
+	// its (K+1)-th delivered page — deterministically mid-merge. The master
+	// observes both role sessions sever, respawns the process, and the
+	// role retry replays the retained stream from page 0 exactly as for an
+	// in-process crash.
 	ProcKill
 	// ProbeBitmap fires as an outer-join probe records a build-side match
 	// in the match bitmap, immediately before the bit mutates. Panic
@@ -112,11 +104,9 @@ func (s Site) String() string {
 		ProbePage:    "ProbePage",
 		Emit:         "Emit",
 		Finalize:     "Finalize",
-		Checkpoint:   "Checkpoint",
 		SpillEnqueue: "SpillEnqueue",
 		SpillWrite:   "SpillWrite",
 		SpillRead:    "SpillRead",
-		CheckpointIO: "CheckpointIO",
 		ConnDrop:     "ConnDrop",
 		ProcKill:     "ProcKill",
 		ProbeBitmap:  "ProbeBitmap",
@@ -130,7 +120,7 @@ func (s Site) String() string {
 // IsError reports whether the site injects an error (ErrAt) rather than a
 // panic (Hit).
 func (s Site) IsError() bool {
-	return s == SpillWrite || s == SpillRead || s == CheckpointIO || s == ConnDrop
+	return s == SpillWrite || s == SpillRead || s == ConnDrop
 }
 
 // Injection is one scheduled fault: at the K-th hit (0-based) of Site on
@@ -250,7 +240,7 @@ func (p *Plan) ErrAt(site Site, worker int) error {
 // marking it fired, and returns its K. Proc-mode masters use it to ship a
 // fault across the process boundary instead of firing it in-process —
 // the worker executes it (ProcKill: exit hard right after the (K+1)-th
-// durable checkpoint save), so "fired" here means "shipped into the
+// delivered page), so "fired" here means "shipped into the
 // worker". ok is false when nothing is armed there. Safe on a nil plan.
 func (p *Plan) Take(site Site, worker int) (k int, ok bool) {
 	if p == nil {
@@ -352,11 +342,9 @@ var defaultMaxK = map[Site]int{
 	ProbePage:    4,
 	Emit:         16,
 	Finalize:     1,
-	Checkpoint:   2,
 	SpillEnqueue: 3,
 	SpillWrite:   2,
 	SpillRead:    2,
-	CheckpointIO: 1,
 	ConnDrop:     3,
 	ProcKill:     3,
 	ProbeBitmap:  8,

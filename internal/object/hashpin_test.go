@@ -6,7 +6,7 @@ import "testing"
 // engine's per-kind byte feeding). Every hash-dependent order in the
 // system — OMap slot layout and growth points, partition routing, agg
 // finalize iteration, exchange lane assignment — is a function of these
-// values, and checkpoint/spill byte streams embed the slot layouts they
+// values, and spilled and stored byte streams embed the slot layouts they
 // induce. The swiss tables deliberately apply their stronger avalanche
 // (swiss.Mix64) ONLY inside their own probe math, so these goldens must
 // never move; a change here silently breaks replay of any persisted state

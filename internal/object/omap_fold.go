@@ -14,8 +14,8 @@ import (
 // access: ScalarSlots resolves the slot array once, Fold probes it on raw
 // bytes and then makes exactly the page mutations of the boxed one-probe
 // update (FindSlot, combine, MaybeGrow, ClaimSlot, WriteValAt) in the same
-// order, growing through the same rehash. Map pages, snapshots and
-// ErrPageFull fault points are therefore byte-for-byte those of the boxed
+// order, growing through the same rehash. Map pages and ErrPageFull fault
+// points are therefore byte-for-byte those of the boxed
 // path; which path ran cannot be read off a page.
 
 // FoldOp is a closed scalar fold over int64 or float64 values: the algebra

@@ -2,8 +2,8 @@ package object
 
 // Slot-level OMap access for the engine's aggregation update.
 //
-// The engine keeps page-backed OMaps as the durable aggregation state (the
-// bytes ARE the checkpoint/spill format) and folds each (key, value) pair
+// The engine keeps page-backed OMaps as the aggregation state (the bytes
+// ARE the wire/spill format) and folds each (key, value) pair
 // in with one probe: find the slot, combine against the value read there,
 // grow, then claim and write. Combine is the engine's (it can fail and it
 // allocates), so the steps of Put/Update are exposed one by one; every

@@ -39,18 +39,6 @@ const (
 	SinkSort                        // emit one sorted run per executor thread
 )
 
-// DefaultCheckpointInterval is the recovery checkpoint interval of an
-// aggregation merge, the one consuming stage that cuts: every this many
-// shuffled pages, the merge snapshots its state and acknowledges the cut,
-// so a backend crash inside the merge replays at most one interval of the
-// stream instead of all of it. Each cut copies the merge's whole
-// state (sub-map page bytes), so the interval trades replay window against
-// a per-cut cost proportional to aggregate state size — raise it (cluster
-// Config.CheckpointInterval) for high-cardinality aggregations whose merged
-// state is large. The runtime's joins probe in windows of this many pages,
-// whatever Config.CheckpointInterval says.
-const DefaultCheckpointInterval = 16
-
 // String names the sink kind as Plan.String prints it.
 func (k SinkKind) String() string {
 	switch k {

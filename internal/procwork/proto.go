@@ -7,7 +7,7 @@
 //
 // Every conversation is one session on one connection, framed with
 // internal/wire: KindControl frames carry JSON Msg values (requests,
-// handshakes, acks, completion), KindPage frames carry sealed pages
+// stream ends, completion), KindPage frames carry sealed pages
 // verbatim — the zero-serialization property holds across genuinely
 // separate address spaces, with the frame's type table verified against
 // the receiver's registry before a page is adopted.
@@ -45,37 +45,27 @@ type TypeSchema struct {
 // Msg is the control envelope. Op selects the meaning; unused fields stay
 // zero. Ops, by direction:
 //
-//	master → worker: "produce", "consume" (session openers), "ack"
-//	  (durable-cut confirmation during consume), "eof" (end of the
-//	  relayed shuffle stream)
-//	worker → master: "hello" (consume handshake, Cut = resume cut),
-//	  "ack" (cut persisted locally, safe to release retained pages),
-//	  "eof" (end of a produced stream), "done" (session success),
-//	  "error" (session failure, Err set)
+//	master → worker: "produce", "consume" (session openers), "eof" (end
+//	  of the relayed shuffle stream)
+//	worker → master: "eof" (end of a produced stream), "done" (session
+//	  success), "error" (session failure, Err set)
 type Msg struct {
 	Op string `json:"op"`
 
 	// Session opener fields.
-	Prog        string       `json:"prog,omitempty"`        // optimized TCAP text
-	Produces    string       `json:"produces,omitempty"`    // stage selector ("aggmaps:...", "mat:...")
-	AggList     string       `json:"aggList,omitempty"`     // AGGREGATE output list (consume)
-	Fingerprint string       `json:"fingerprint,omitempty"` // job identity for durable state
-	Worker      int          `json:"worker,omitempty"`
-	Workers     int          `json:"workers,omitempty"`
-	Threads     int          `json:"threads,omitempty"`
-	PageSize    int          `json:"pageSize,omitempty"`
-	Interval    int          `json:"interval,omitempty"` // checkpoint interval (pages)
-	Types       []TypeSchema `json:"types,omitempty"`
+	Prog     string       `json:"prog,omitempty"`     // optimized TCAP text
+	Produces string       `json:"produces,omitempty"` // stage selector ("aggmaps:...", "mat:...")
+	AggList  string       `json:"aggList,omitempty"`  // AGGREGATE output list (consume)
+	Worker   int          `json:"worker,omitempty"`
+	Workers  int          `json:"workers,omitempty"`
+	Threads  int          `json:"threads,omitempty"`
+	PageSize int          `json:"pageSize,omitempty"`
+	Types    []TypeSchema `json:"types,omitempty"`
 
-	// KillAfterSaves is a shipped fault.ProcKill: when > 0, the worker
-	// exits hard right after its KillAfterSaves-th durable checkpoint
-	// save, before the corresponding ack leaves (consume sessions only;
-	// 0 disables).
-	KillAfterSaves int `json:"killAfterSaves,omitempty"`
-
-	// Cut is the durable page count: the resume position in "hello", the
-	// persisted position in "ack" frames both ways.
-	Cut int `json:"cut,omitempty"`
+	// KillAfterPages is a shipped fault.ProcKill: when > 0, the worker
+	// exits hard right after its KillAfterPages-th delivered page
+	// (consume sessions only; 0 disables).
+	KillAfterPages int `json:"killAfterPages,omitempty"`
 
 	Err string `json:"err,omitempty"`
 }

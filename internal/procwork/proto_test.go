@@ -46,10 +46,10 @@ func recPage(t *testing.T, reg *object.Registry, rec *object.TypeInfo, n int) *o
 func TestMsgRoundTrip(t *testing.T) {
 	want := &Msg{
 		Op: "consume", Prog: "in <= SCAN('db', 'rows')", Produces: "mat:agg", AggList: "agg",
-		Fingerprint: "00ff", Worker: 1, Workers: 2, Threads: 3, PageSize: 4096, Interval: 5,
+		Worker: 1, Workers: 2, Threads: 3, PageSize: 4096,
 		Types: []TypeSchema{{Name: "Rec", Code: 1001, Fields: []FieldSchema{{Name: "grp", Kind: int(object.KInt64)}}}},
 
-		KillAfterSaves: 2, Cut: 7, Err: "none",
+		KillAfterPages: 2, Err: "none",
 	}
 	var buf bytes.Buffer
 	if err := WriteMsg(&buf, want); err != nil {

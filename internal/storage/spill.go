@@ -52,8 +52,7 @@ func (sp *SpillPool) Spill(p *object.Page) (int, error) {
 	return sp.SpillBytes(p.Bytes())
 }
 
-// SpillBytes writes a raw page image (a checkpoint snapshot's bytes) to a
-// slot file and returns the slot.
+// SpillBytes writes a raw page image to a slot file and returns the slot.
 func (sp *SpillPool) SpillBytes(b []byte) (int, error) {
 	sp.mu.Lock()
 	if sp.closed {

@@ -115,9 +115,6 @@ func (s *Server) PageCount(db, set string) int {
 
 func setKey(db, set string) string { return db + "." + set }
 
-// Dir reports the server's data directory ("" for a memory-only server).
-func (s *Server) Dir() string { return s.dir }
-
 func (s *Server) setDir(db, set string) string {
 	return filepath.Join(s.dir, db, set)
 }

@@ -195,7 +195,8 @@ func TestBaselinePaysSerializationPCDoesNot(t *testing.T) {
 // TestLargePagesCheckpointsOffMatchReferences pins the configuration that
 // once failed with "deep copy of unregistered type code 1005": pcsuite's
 // tpch_objects shape (2 workers × 1 thread, 4 MiB pages, the generator's
-// default customer size) at a negative checkpoint interval, on enough
+// default customer size) with the deprecated, ignored CheckpointInterval
+// set negative, on enough
 // customers that every worker rotates input pages. Both §8.4.2 queries must
 // match their references.
 func TestLargePagesCheckpointsOffMatchReferences(t *testing.T) {

@@ -80,8 +80,9 @@
 // # Memory governance
 //
 // Config.MemoryBudget bounds the exchange bytes each worker backend keeps
-// resident during a streaming shuffle — lane buffers, replay retention,
-// and checkpoint snapshots — spilling the coldest pages to reusable page
+// resident during a streaming shuffle — lane buffers and replay retention,
+// which for an aggregation is its whole shuffle stream — spilling the
+// coldest pages to reusable page
 // files (under Config.DataDir, or a temp directory) and reloading them
 // transparently. Results are bit-for-bit identical at any budget; only
 // page residence changes. It is the only memory setting: every exchange
@@ -90,7 +91,7 @@
 // tables, an ORDER BY's sorted runs (a partition sorted without a Limit is
 // buffered whole) — is outside the budget and must fit in RAM. See
 // docs/TUNING.md for the memory model and how MemoryBudget interacts with
-// Threads, CheckpointInterval, and DataDir.
+// Threads and DataDir.
 package pc
 
 import (
