@@ -94,9 +94,11 @@ func LogicalKeyHash(reg *object.Registry, keyKind object.Kind, key object.Value)
 // m.Get + Combine + m.Put would, in the same order — combine allocates
 // before the growth check, growth runs before the insert even when the key
 // exists — so map pages and fault points are
-// byte-for-byte those of the two-probe form. stats may be nil.
+// byte-for-byte those of the two-probe form. It reports whether the map
+// rehashed, also when a later write of the same update faulted. stats may be
+// nil.
 func updateAggEntry(m object.OMap, a *object.Allocator, key, val object.Value,
-	combine CombineFn, stats *Stats) error {
+	combine CombineFn, stats *Stats) (grown bool, err error) {
 	if stats != nil {
 		stats.HashProbes++
 	}
@@ -109,11 +111,10 @@ func updateAggEntry(m object.OMap, a *object.Allocator, key, val object.Value,
 	}
 	nv, err := combine(a, cur, ok, val)
 	if err != nil {
-		return err
+		return false, err
 	}
-	grown, err := m.MaybeGrow(a)
-	if err != nil {
-		return err
+	if grown, err = m.MaybeGrow(a); err != nil {
+		return false, err
 	}
 	if grown {
 		if stats != nil {
@@ -123,16 +124,17 @@ func updateAggEntry(m object.OMap, a *object.Allocator, key, val object.Value,
 	}
 	if !found {
 		if err := m.ClaimSlot(a, i, key); err != nil {
-			return err
+			return grown, err
 		}
 	}
-	return m.WriteValAt(a, i, nv)
+	return grown, m.WriteValAt(a, i, nv)
 }
 
 // subMerger incrementally folds pre-aggregated map pages into one
 // sub-partition's final map. A stream cannot re-scan consumed pages, so an
-// overflow grows the map in place: the entries are rehashed onto a
-// double-size page and the faulted update retries.
+// overflow grows the map in place: the entries are copied onto a
+// double-size page, into a map already at the slot count the faulted update
+// needed, and the update retries.
 //
 // The sub-map page is a region (object.Allocator), so the merger's whole
 // state is the page bytes plus the on-page watermark, and a merger that
@@ -240,7 +242,7 @@ func (m *subMerger) fold(src *object.Page) error {
 
 func (m *subMerger) update(key, val object.Value) error {
 	for {
-		err := updateAggEntry(m.final, m.a, key, val, m.combine, nil)
+		_, err := updateAggEntry(m.final, m.a, key, val, m.combine, nil)
 		if !errors.Is(err, object.ErrPageFull) {
 			return err
 		}
@@ -280,18 +282,26 @@ func (m *subMerger) foldSlots(src *object.ScalarSlots) error {
 }
 
 // grow rehashes the sub-map onto a page of at least double the size,
-// recycling the outgrown page. Entries deep-copy across by the object
-// model's cross-block assignment rule, exactly as they do in the shuffle.
-// A typed merger re-inserts on raw slots (regrowSlots); every other spec
-// goes through Iterate + Put.
+// recycling the outgrown page. The new map starts at the slot count the
+// failed update needed (OMap.NeedSlots): double the old one when the update
+// faulted on its rehash, the old one when a key or value allocation faulted.
+// The copy therefore never rehashes, and the new page holds no outgrown slot
+// arrays. Entries deep-copy across by the object model's cross-block
+// assignment rule, exactly as they do in the shuffle. A typed merger
+// re-inserts on raw slots (regrowSlots); every other spec goes through
+// Iterate + Put.
 func (m *subMerger) grow() error {
+	slots := m.final.NeedSlots()
 	for size := len(m.pg.Data) * 2; ; size *= 2 {
 		if size > 1<<30 {
 			return fmt.Errorf("engine: aggregation sub-partition exceeds 1GiB: %w", object.ErrPageFull)
 		}
 		npg := object.NewPage(size, m.reg)
 		na := object.NewAllocator(npg)
-		nm, err := object.MakeMap(na, m.spec.KeyKind, m.spec.ValKind, 64)
+		nm, err := object.MakeMap(na, m.spec.KeyKind, m.spec.ValKind, slots)
+		if errors.Is(err, object.ErrPageFull) {
+			continue // the slot array alone overflows; double again
+		}
 		if err != nil {
 			return err
 		}

@@ -25,6 +25,15 @@ import (
 // (both specs) and of replaced string values (maxtag), so they fill sooner —
 // 70 → 75 sink pages for sum, 84 → 91 for maxtag — and the merge, fed more
 // pages, cuts and folds at other points. The input pages are unchanged.
+//
+// They were re-recorded a second time when maps that move kept their size.
+// A rotated sink page makes each partition map at the slot count it reached
+// on the page before, not at 8, so the pages stop carrying a doubling chain
+// of outgrown slot arrays: 75 → 49 sink pages for sum, 91 → 81 for maxtag,
+// and the sink's rehashes drop from 368 and 360 to 6 each. The merge grows
+// its sub-map pages to the same sizes as before, 4 to 32 KiB, but a grown
+// page's map starts at the slot count the faulted update needed, not at 64,
+// so the copy onto it no longer rehashes.
 
 func pinKVType(reg *object.Registry) *object.TypeInfo {
 	return object.NewStruct("PinKV").
@@ -178,8 +187,8 @@ func TestStringAggPagesPinned(t *testing.T) {
 }
 
 var pinnedStringAggHashes = map[string]string{
-	"sum/t=1":    "82d6ac5b6feac5117eaf35c837bd66cc8822354961749f0b3f9b5908e70a242a",
-	"sum/t=2":    "e8a4b41b63bd23cd2d5e6905ee290a27b7ce6f544938c2ebb3cd102afe8b3275",
-	"maxtag/t=1": "ecfef1fb653eb5814f7f857e44bb8f396daba200384e44913fd921ba7eb95493",
-	"maxtag/t=2": "fc1570cbcf9a7c5eeafed979dc4b620adbad288c85980dd1b4df9c66d3f39369",
+	"sum/t=1":    "3731d7aba9a39bd66f75d98d69bc9aa58436ecc5d9544be4b043f96de1321911",
+	"sum/t=2":    "7b68e5293aa5e1403fac3b55f516f1552a779a622e50f2183702fb71b9c317b8",
+	"maxtag/t=1": "7671eb7cff08411aba668e1b4ed62ee91e05af061d130aeeac98819174ed8ecf",
+	"maxtag/t=2": "606b8eb0550a208eb9758a09159bd34ac73d41b6ea7d62fc5be15740665b26d3",
 }

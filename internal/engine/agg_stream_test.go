@@ -225,7 +225,7 @@ func TestUpdateAggEntryMatchesGetPut(t *testing.T) {
 		}
 		key := object.StringValue(fmt.Sprintf("key-%05d", k))
 		val := object.Float64Value(float64(i))
-		errOne := updateAggEntry(one, oneAlloc, key, val, combine, stats)
+		_, errOne := updateAggEntry(one, oneAlloc, key, val, combine, stats)
 		cur, ok := two.Get(key)
 		nv, errTwo := combine(twoAlloc, cur, ok, val)
 		if errTwo == nil {

@@ -69,6 +69,14 @@
 // entries in slot order through the new map's Fold (subMerger.regrowSlots),
 // which on unique keys is Put's mutations in Put's order.
 //
+// A map that moves to a new page starts at the slot count it had reached,
+// because an outgrown slot array stays on its page (blocks are regions) and
+// ships with it. A rotated AggSink page makes each partition map at the
+// count the partition's map reached on the page before (the first page at
+// 8; halved until the maps leave rotateAt free), and a regrown merge
+// sub-map starts at the count the faulted update needed (OMap.NeedSlots),
+// so the copy never rehashes.
+//
 // # Intra-worker parallelism and the sink-merge protocol
 //
 // RunPipelineThreads splits a stage's source into contiguous chunks, one

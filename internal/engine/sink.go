@@ -118,6 +118,12 @@ func (s *OutputSink) CloseStream() error { return s.Out.CloseStream() }
 // slots and the pairs arrive unboxed — an I64Col key column with an I64Col
 // or F64Col of the spec's value kind; any other batch under the same spec
 // takes the boxed path.
+//
+// A partition's map that moves to a fresh page starts at the slot count it
+// had reached on the page before (the first page's maps start at 8). Every
+// block is a region, so a map that doubles in place leaves its outgrown slot
+// array on the page, and the array ships with it: a map that started small
+// on every page would climb the doubling chain, and ship it, once a page.
 type AggSink struct {
 	Out        *OutputPageSet
 	Partitions int
@@ -139,6 +145,12 @@ type AggSink struct {
 	// downstream, which is sound because the combine is associative.
 	rotateAt uint32
 
+	// slots is each partition map's slot count on the live page: set when
+	// initMaps makes the maps and whenever one rehashes, so it is current
+	// before the page seals and nothing is read off a page OnSeal was
+	// handed.
+	slots []int
+
 	// partCache (slotCache for a typed sink) holds the live page's resolved
 	// per-partition maps so the per-row path skips root-vector resolution;
 	// rebuilt after each page rotation (the maps move to a fresh page).
@@ -159,7 +171,10 @@ func NewAggSink(reg *object.Registry, pageSize, partitions int, spec *AggSpec,
 	}
 	s := &AggSink{Partitions: partitions, KeyKind: spec.KeyKind, ValKind: spec.ValKind,
 		Combine: combine, KeyCol: keyCol, ValCol: valCol, stats: stats,
-		rotateAt: uint32(min(pageSize/8, 4096))}
+		rotateAt: uint32(min(pageSize/8, 4096)), slots: make([]int, partitions)}
+	for i := range s.slots {
+		s.slots[i] = 8
+	}
 	if spec.scalarSlots() {
 		s.fold = spec.Fold
 	}
@@ -178,8 +193,9 @@ func (s *AggSink) initMaps(a *object.Allocator, p *object.Page) error {
 		return err
 	}
 	root.Retain()
+	s.fitSlots(p.Remaining())
 	for i := 0; i < s.Partitions; i++ {
-		m, err := object.MakeMap(a, s.KeyKind, s.ValKind, 8)
+		m, err := object.MakeMap(a, s.KeyKind, s.ValKind, s.slots[i])
 		if err != nil {
 			return err
 		}
@@ -189,6 +205,31 @@ func (s *AggSink) initMaps(a *object.Allocator, p *object.Page) error {
 	}
 	p.SetRoot(root.Off)
 	return nil
+}
+
+// mapFixedBytes bounds what a map costs on a page beside its slot array: the
+// header and array objects' headers, the map header and alignment.
+const mapFixedBytes = 64
+
+// fitSlots halves the slot counts until maps made at them fit in free bytes
+// with rotateAt to spare (no count drops below 8). Maps that left less than
+// rotateAt would rotate the page on every row, and the counts one small page
+// with many partitions reached can fill most of the next.
+func (s *AggSink) fitSlots(free uint32) {
+	slotBytes := uint64(4 + s.KeyKind.Size() + s.ValKind.Size())
+	for {
+		need, halvable := uint64(s.rotateAt), false
+		for _, n := range s.slots {
+			need += uint64(n)*slotBytes + mapFixedBytes
+			halvable = halvable || n > 8
+		}
+		if need <= uint64(free) || !halvable {
+			return
+		}
+		for i, n := range s.slots {
+			s.slots[i] = max(n/2, 8)
+		}
+	}
 }
 
 // resolveParts re-reads the live page's partition maps after a rotation.
@@ -290,14 +331,14 @@ func (s *AggSink) updateWithRotate(key, val object.Value) error {
 	}
 	part := int(s.partitionHash(key) % uint64(s.Partitions))
 
-	err := updateAggEntry(s.partitionMap(part), s.Out.Alloc, key, val, s.Combine, s.stats)
+	err := s.updateEntry(part, key, val)
 	if !errors.Is(err, object.ErrPageFull) {
 		return err
 	}
 	if err := s.Out.Rotate(); err != nil {
 		return err
 	}
-	if err := updateAggEntry(s.partitionMap(part), s.Out.Alloc, key, val, s.Combine, s.stats); err != nil {
+	if err := s.updateEntry(part, key, val); err != nil {
 		return fmt.Errorf("engine: aggregation entry does not fit on an empty page: %w", err)
 	}
 	return nil
@@ -328,10 +369,25 @@ func (s *AggSink) foldWithRotate(key int64, val uint64) error {
 	return nil
 }
 
+// updateEntry folds a boxed pair into partition part's map; a rehash
+// updates the partition's slot count.
+func (s *AggSink) updateEntry(part int, key, val object.Value) error {
+	m := s.partitionMap(part)
+	grown, err := updateAggEntry(m, s.Out.Alloc, key, val, s.Combine, s.stats)
+	if grown {
+		s.slots[part] = m.Slots()
+	}
+	return err
+}
+
 // foldEntry counts what updateAggEntry counts: a probe per attempt, a
-// resize per rehash.
+// resize per rehash. A rehash updates the partition's slot count.
 func (s *AggSink) foldEntry(part int, h uint64, key int64, val uint64) error {
-	grown, err := s.partitionSlots(part).Fold(s.Out.Alloc, h, key, val, s.fold)
+	slots := s.partitionSlots(part)
+	grown, err := slots.Fold(s.Out.Alloc, h, key, val, s.fold)
+	if grown {
+		s.slots[part] = slots.Slots()
+	}
 	if s.stats != nil {
 		s.stats.HashProbes++
 		if grown {

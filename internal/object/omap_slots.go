@@ -10,6 +10,11 @@ package object
 // wrapper delegates to the corresponding internal method, so the page byte
 // stream cannot diverge from Get + Put.
 
+// Slots returns the size of the map's slot array, full or empty: the
+// initSlots a map made on another page must ask for to hold these entries
+// without a rehash.
+func (m OMap) Slots() int { return m.slots() }
+
 // ValAt reads the value stored in slot i (which must be full).
 func (m OMap) ValAt(i int) Value { return m.readVal(i) }
 
@@ -30,13 +35,24 @@ func (m OMap) WriteValAt(a *Allocator, i int, val Value) error {
 // even when the key is already present: Put grows on updates too, and
 // matching its byte stream means matching its growth points.
 func (m OMap) MaybeGrow(a *Allocator) (bool, error) {
-	if (m.Len()+1)*10 >= m.slots()*7 {
-		if err := m.rehash(a, m.slots()*2); err != nil {
-			return false, err
-		}
-		return true, nil
+	n := m.NeedSlots()
+	if n == m.slots() {
+		return false, nil
 	}
-	return false, nil
+	if err := m.rehash(a, n); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// NeedSlots returns the slot count the map's next write needs: double the
+// slots when one more entry would reach 70% load (the rehash MaybeGrow
+// runs), else the slots it has.
+func (m OMap) NeedSlots() int {
+	if (m.Len()+1)*10 >= m.slots()*7 {
+		return m.slots() * 2
+	}
+	return m.slots()
 }
 
 // ClaimSlot marks empty slot i full, writes key into it (rolling the slot
