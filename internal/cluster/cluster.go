@@ -312,7 +312,8 @@ type Cluster struct {
 	Transport Transport
 
 	// pool recycles transient pages (output, pre-aggregation, merge)
-	// across job stages and jobs.
+	// across job stages and jobs; its free list, at most the pages it
+	// ever made, lives until Close.
 	pool *object.PagePool
 
 	// procs manages spawned pcworker OS processes when Config.ProcBin is
@@ -475,16 +476,17 @@ func (c *Cluster) CountSet(db, set string) (int, error) {
 
 // Close tears the cluster down: socket transports release their listener,
 // dialed connections, and socket files, and proc mode (Config.ProcBin) kills
-// every spawned pcworker process and waits for it to exit. Stored data under
-// Config.DataDir is untouched — a cluster reopened on the same directory
-// restores its sets. Idempotent; safe on a cluster whose transport is the
-// default in-process copier (no-op there).
+// every spawned pcworker process and waits for it to exit. The page pool's
+// free list is dropped. Stored data under Config.DataDir is untouched — a
+// cluster reopened on the same directory restores its sets. Idempotent; safe
+// on a cluster whose transport is the default in-process copier.
 func (c *Cluster) Close() error {
 	if c.procs != nil {
 		for _, pw := range c.procs.workers {
 			pw.stop() // kill, reap, remove the control socket
 		}
 	}
+	c.pool.Drain()
 	return c.Transport.Close()
 }
 

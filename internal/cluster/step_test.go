@@ -204,12 +204,12 @@ func drainPool(c *Cluster) int {
 // retained page to its exchange's release exactly once, and only when
 // every role succeeded. On a 2-worker cluster that returns every delivered
 // page a worker's own producer sealed to the page pool after an
-// aggregation — one per page shipped to the other worker, where the merge
-// alone returns a handful — while a hash-partition join and an ORDER BY,
-// whose tables, emitted refs and merged rows point into their delivered
-// pages, return none. The pool is a sync.Pool, which may drop what it is
-// given (a quarter of it under the race detector), so the aggregation is
-// held to half its shipped pages.
+// aggregation — one per page shipped to the other worker (a shipped copy
+// holds only the occupied prefix, so the pool drops it) — plus the one
+// merge page each worker's finalize returns, while a hash-partition join
+// and an ORDER BY, whose tables, emitted refs and merged rows point into
+// their delivered pages, return none. The pool keeps every page it is
+// given up to the pages it made, so the counts are exact.
 func TestStepEndRecyclesRetainedPages(t *testing.T) {
 	c, err := New(Config{Workers: 1, Threads: 1, PageSize: 1 << 12})
 	if err != nil {
@@ -282,8 +282,8 @@ func TestStepEndRecyclesRetainedPages(t *testing.T) {
 			shipped += s.Pages
 		}
 	}
-	if shipped < 16 || 2*got < shipped {
-		t.Errorf("aggregation: the pool supplied %d recycled pages, want at least half the %d pages shipped (>= 16)", got, shipped)
+	if want := shipped + len(c.Workers); shipped < 16 || got != want {
+		t.Errorf("aggregation: the pool supplied %d recycled pages, want %d: the %d pages shipped (>= 16) and %d merge pages", got, want, shipped, len(c.Workers))
 	}
 
 	c, rec = mk()

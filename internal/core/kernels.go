@@ -29,12 +29,15 @@ func resolveField(ctx *engine.Ctx, tc uint32, field string) (*object.Field, erro
 
 // memberKernel reads a member variable from each object of a handle column.
 // Dispatch is through the type code in each handle with a one-entry cache,
-// mirroring vTable lookup amortized over a vector. The output path is
-// monomorphic on the cached field's kind: scalar members fill a typed
-// column directly (I64Col/F64Col/...) with no per-row Value boxing, and a
-// string member fills a StrCol with handles to the string objects — the
-// contents stay on the page. Only columns that mix member kinds across type
-// codes fall back to the boxed path.
+// mirroring vTable lookup amortized over a vector: a row whose handle
+// carries the cached code costs one compare, and the cache is consulted
+// only on a nil handle or a code change. The output path is monomorphic on
+// the cached field's kind: scalar members fill a typed column directly
+// (I64Col/F64Col/...) with no per-row Value boxing, and a string member
+// fills a StrCol with handles to the string objects — the contents stay on
+// the page. The column is the statement's scratch (engine.ColBuf). Only
+// columns that mix member kinds across type codes fall back to the boxed
+// path.
 func memberKernel(field string) engine.ApplyKernel {
 	return func(ctx *engine.Ctx, in []engine.Column) (engine.Column, error) {
 		rc, ok := in[0].(engine.RefCol)
@@ -47,112 +50,118 @@ func memberKernel(field string) engine.ApplyKernel {
 		if rc[0].IsNil() {
 			return nil, fmt.Errorf("core: member access %q on nil handle", field)
 		}
-		code := rc[0].TypeCode()
-		f, err := resolveField(ctx, code, field)
+		m := memberCache{ctx: ctx, field: field, code: rc[0].TypeCode()}
+		f, err := resolveField(ctx, m.code, field)
 		if err != nil {
 			return nil, err
 		}
-		// next advances the cache for row i, reporting whether the
-		// monomorphic loop can continue (same member kind).
-		next := func(i int) (bool, error) {
-			r := rc[i]
-			if r.IsNil() {
-				return false, fmt.Errorf("core: member access %q on nil handle", field)
-			}
-			if tc := r.TypeCode(); tc != code {
-				nf, err := resolveField(ctx, tc, field)
-				if err != nil {
-					return false, err
-				}
-				same := nf.Kind == f.Kind
-				code, f = tc, nf
-				return same, nil
-			}
-			return true, nil
-		}
+		m.f = f
+		n := len(rc)
 		switch f.Kind {
 		case object.KInt64:
-			out := make(engine.I64Col, len(rc))
-			for i := range rc {
-				ok, err := next(i)
-				if err != nil {
-					return nil, err
+			out, col := engine.ColBuf[engine.I64Col](ctx, n)
+			for i, r := range rc {
+				if r.IsNil() || r.TypeCode() != m.code {
+					if same, err := m.next(r); err != nil || !same {
+						return memberFallback(ctx, rc, field, err)
+					}
 				}
-				if !ok {
-					return memberBoxed(ctx, rc, field)
-				}
-				out[i] = object.GetI64(rc[i], f)
+				out[i] = object.GetI64(r, m.f)
 			}
-			return out, nil
+			return col, nil
 		case object.KInt32:
-			out := make(engine.I64Col, len(rc))
-			for i := range rc {
-				ok, err := next(i)
-				if err != nil {
-					return nil, err
+			out, col := engine.ColBuf[engine.I64Col](ctx, n)
+			for i, r := range rc {
+				if r.IsNil() || r.TypeCode() != m.code {
+					if same, err := m.next(r); err != nil || !same {
+						return memberFallback(ctx, rc, field, err)
+					}
 				}
-				if !ok {
-					return memberBoxed(ctx, rc, field)
-				}
-				out[i] = int64(object.GetI32(rc[i], f))
+				out[i] = int64(object.GetI32(r, m.f))
 			}
-			return out, nil
+			return col, nil
 		case object.KFloat64:
-			out := make(engine.F64Col, len(rc))
-			for i := range rc {
-				ok, err := next(i)
-				if err != nil {
-					return nil, err
+			out, col := engine.ColBuf[engine.F64Col](ctx, n)
+			for i, r := range rc {
+				if r.IsNil() || r.TypeCode() != m.code {
+					if same, err := m.next(r); err != nil || !same {
+						return memberFallback(ctx, rc, field, err)
+					}
 				}
-				if !ok {
-					return memberBoxed(ctx, rc, field)
-				}
-				out[i] = object.GetF64(rc[i], f)
+				out[i] = object.GetF64(r, m.f)
 			}
-			return out, nil
+			return col, nil
 		case object.KBool:
-			out := make(engine.BoolCol, len(rc))
-			for i := range rc {
-				ok, err := next(i)
-				if err != nil {
-					return nil, err
+			out, col := engine.ColBuf[engine.BoolCol](ctx, n)
+			for i, r := range rc {
+				if r.IsNil() || r.TypeCode() != m.code {
+					if same, err := m.next(r); err != nil || !same {
+						return memberFallback(ctx, rc, field, err)
+					}
 				}
-				if !ok {
-					return memberBoxed(ctx, rc, field)
-				}
-				out[i] = object.GetBool(rc[i], f)
+				out[i] = object.GetBool(r, m.f)
 			}
-			return out, nil
+			return col, nil
 		case object.KString:
-			out := make(engine.StrCol, len(rc))
-			for i := range rc {
-				ok, err := next(i)
-				if err != nil {
-					return nil, err
+			out, col := engine.ColBuf[engine.StrCol](ctx, n)
+			for i, r := range rc {
+				if r.IsNil() || r.TypeCode() != m.code {
+					if same, err := m.next(r); err != nil || !same {
+						return memberFallback(ctx, rc, field, err)
+					}
 				}
-				if !ok {
-					return memberBoxed(ctx, rc, field)
-				}
-				out[i] = object.StringRefValue(object.GetHandleField(rc[i], f))
+				out[i] = object.StringRefValue(object.GetHandleField(r, m.f))
 			}
-			return out, nil
+			return col, nil
 		case object.KHandle:
-			out := make(engine.RefCol, len(rc))
-			for i := range rc {
-				ok, err := next(i)
-				if err != nil {
-					return nil, err
+			out, col := engine.ColBuf[engine.RefCol](ctx, n)
+			for i, r := range rc {
+				if r.IsNil() || r.TypeCode() != m.code {
+					if same, err := m.next(r); err != nil || !same {
+						return memberFallback(ctx, rc, field, err)
+					}
 				}
-				if !ok {
-					return memberBoxed(ctx, rc, field)
-				}
-				out[i] = object.GetHandleField(rc[i], f)
+				out[i] = object.GetHandleField(r, m.f)
 			}
-			return out, nil
+			return col, nil
 		default:
 			return memberBoxed(ctx, rc, field)
 		}
 	}
+}
+
+// memberCache is the member kernel's one-entry vTable cache for one batch.
+type memberCache struct {
+	ctx   *engine.Ctx
+	field string
+	code  uint32
+	f     *object.Field
+}
+
+// next moves the cache to handle r, which is nil or carries another type
+// code, and reports whether the typed loop can go on (the member keeps its
+// kind).
+func (m *memberCache) next(r object.Ref) (bool, error) {
+	if r.IsNil() {
+		return false, fmt.Errorf("core: member access %q on nil handle", m.field)
+	}
+	tc := r.TypeCode()
+	nf, err := resolveField(m.ctx, tc, m.field)
+	if err != nil {
+		return false, err
+	}
+	same := nf.Kind == m.f.Kind
+	m.code, m.f = tc, nf
+	return same, nil
+}
+
+// memberFallback ends a typed member loop that stopped: with err when the
+// cache could not move, else through the boxed path.
+func memberFallback(ctx *engine.Ctx, rc engine.RefCol, field string, err error) (engine.Column, error) {
+	if err != nil {
+		return nil, err
+	}
+	return memberBoxed(ctx, rc, field)
 }
 
 // memberBoxed is the generic fallback for member columns whose kind changes
@@ -232,7 +241,7 @@ func methodKernel(method string) engine.ApplyKernel {
 		}
 		switch cached.Ret {
 		case object.KInt32, object.KInt64:
-			out := make(engine.I64Col, len(rc))
+			out, col := engine.ColBuf[engine.I64Col](ctx, len(rc))
 			for i, r := range rc {
 				if err := resolve(r); err != nil {
 					return nil, err
@@ -248,9 +257,9 @@ func methodKernel(method string) engine.ApplyKernel {
 				}
 				out[i] = v.I
 			}
-			return out, nil
+			return col, nil
 		case object.KFloat64:
-			out := make(engine.F64Col, len(rc))
+			out, col := engine.ColBuf[engine.F64Col](ctx, len(rc))
 			for i, r := range rc {
 				if err := resolve(r); err != nil {
 					return nil, err
@@ -266,9 +275,9 @@ func methodKernel(method string) engine.ApplyKernel {
 				}
 				out[i] = v.F
 			}
-			return out, nil
+			return col, nil
 		case object.KBool:
-			out := make(engine.BoolCol, len(rc))
+			out, col := engine.ColBuf[engine.BoolCol](ctx, len(rc))
 			for i, r := range rc {
 				if err := resolve(r); err != nil {
 					return nil, err
@@ -284,9 +293,9 @@ func methodKernel(method string) engine.ApplyKernel {
 				}
 				out[i] = v.B
 			}
-			return out, nil
+			return col, nil
 		case object.KString:
-			out := make(engine.StrCol, len(rc))
+			out, col := engine.ColBuf[engine.StrCol](ctx, len(rc))
 			for i, r := range rc {
 				if err := resolve(r); err != nil {
 					return nil, err
@@ -300,9 +309,9 @@ func methodKernel(method string) engine.ApplyKernel {
 				}
 				out[i] = v
 			}
-			return out, nil
+			return col, nil
 		case object.KHandle:
-			out := make(engine.RefCol, len(rc))
+			out, col := engine.ColBuf[engine.RefCol](ctx, len(rc))
 			for i, r := range rc {
 				if err := resolve(r); err != nil {
 					return nil, err
@@ -318,7 +327,7 @@ func methodKernel(method string) engine.ApplyKernel {
 				}
 				out[i] = v.H
 			}
-			return out, nil
+			return col, nil
 		default:
 			return boxedFrom(make([]object.Value, len(rc)), 0)
 		}
@@ -332,35 +341,35 @@ func constKernel(v object.Value) engine.ApplyKernel {
 		n := in[0].Len()
 		switch v.K {
 		case object.KFloat64:
-			out := make(engine.F64Col, n)
+			out, col := engine.ColBuf[engine.F64Col](ctx, n)
 			for i := range out {
 				out[i] = v.F
 			}
-			return out, nil
+			return col, nil
 		case object.KInt32, object.KInt64:
-			out := make(engine.I64Col, n)
+			out, col := engine.ColBuf[engine.I64Col](ctx, n)
 			for i := range out {
 				out[i] = v.I
 			}
-			return out, nil
+			return col, nil
 		case object.KBool:
-			out := make(engine.BoolCol, n)
+			out, col := engine.ColBuf[engine.BoolCol](ctx, n)
 			for i := range out {
 				out[i] = v.B
 			}
-			return out, nil
+			return col, nil
 		case object.KString:
-			out := make(engine.StrCol, n)
+			out, col := engine.ColBuf[engine.StrCol](ctx, n)
 			for i := range out {
 				out[i] = v
 			}
-			return out, nil
+			return col, nil
 		default:
-			out := make(engine.ValCol, n)
+			out, col := engine.ColBuf[engine.ValCol](ctx, n)
 			for i := range out {
 				out[i] = v
 			}
-			return out, nil
+			return col, nil
 		}
 	}
 }
@@ -375,7 +384,7 @@ func nativeKernel(fn lambda.NativeFn, nargs int) engine.ApplyKernel {
 		}
 		n := in[0].Len()
 		nctx := &lambda.NativeCtx{Alloc: ctx.Alloc(), Reg: ctx.Reg}
-		args := make([]object.Value, len(in))
+		args := ctx.ArgBuf(len(in))
 		out := make([]object.Value, n)
 		for i := 0; i < n; i++ {
 			for j, c := range in {
@@ -410,7 +419,7 @@ func binaryKernel(op lambda.Op) engine.ApplyKernel {
 			if !lok || !rok {
 				return nil, fmt.Errorf("core: %s over non-boolean columns", op)
 			}
-			out := make(engine.BoolCol, len(lb))
+			out, col := engine.ColBuf[engine.BoolCol](ctx, len(lb))
 			if op == lambda.OpAnd {
 				for i := range lb {
 					out[i] = lb[i] && rb[i]
@@ -420,136 +429,136 @@ func binaryKernel(op lambda.Op) engine.ApplyKernel {
 					out[i] = lb[i] || rb[i]
 				}
 			}
-			return out, nil
+			return col, nil
 		}
 
 		if lf, ok := l.(engine.F64Col); ok {
 			if rf, ok := r.(engine.F64Col); ok {
-				return f64Binary(op, lf, rf)
+				return f64Binary(ctx, op, lf, rf)
 			}
 		}
 		if li, ok := l.(engine.I64Col); ok {
 			if ri, ok := r.(engine.I64Col); ok {
-				return i64Binary(op, li, ri)
+				return i64Binary(ctx, op, li, ri)
 			}
 		}
 		if ls, ok := l.(engine.StrCol); ok {
 			if rs, ok := r.(engine.StrCol); ok {
-				return strBinary(op, ls, rs)
+				return strBinary(ctx, op, ls, rs)
 			}
 		}
-		return boxedBinary(op, l, r)
+		return boxedBinary(ctx, op, l, r)
 	}
 }
 
-func f64Binary(op lambda.Op, l, r engine.F64Col) (engine.Column, error) {
+func f64Binary(ctx *engine.Ctx, op lambda.Op, l, r engine.F64Col) (engine.Column, error) {
 	n := len(l)
 	switch op {
 	case lambda.OpEq, lambda.OpNe, lambda.OpGt, lambda.OpGe, lambda.OpLt, lambda.OpLe:
-		out := make(engine.BoolCol, n)
+		out, col := engine.ColBuf[engine.BoolCol](ctx, n)
 		for i := 0; i < n; i++ {
 			out[i] = cmpBool(op, l[i] == r[i], l[i] < r[i])
 		}
-		return out, nil
+		return col, nil
 	case lambda.OpAdd:
-		out := make(engine.F64Col, n)
+		out, col := engine.ColBuf[engine.F64Col](ctx, n)
 		for i := range out {
 			out[i] = l[i] + r[i]
 		}
-		return out, nil
+		return col, nil
 	case lambda.OpSub:
-		out := make(engine.F64Col, n)
+		out, col := engine.ColBuf[engine.F64Col](ctx, n)
 		for i := range out {
 			out[i] = l[i] - r[i]
 		}
-		return out, nil
+		return col, nil
 	case lambda.OpMul:
-		out := make(engine.F64Col, n)
+		out, col := engine.ColBuf[engine.F64Col](ctx, n)
 		for i := range out {
 			out[i] = l[i] * r[i]
 		}
-		return out, nil
+		return col, nil
 	case lambda.OpDiv:
-		out := make(engine.F64Col, n)
+		out, col := engine.ColBuf[engine.F64Col](ctx, n)
 		for i := range out {
 			out[i] = l[i] / r[i]
 		}
-		return out, nil
+		return col, nil
 	}
 	return nil, fmt.Errorf("core: unsupported float op %s", op)
 }
 
-func i64Binary(op lambda.Op, l, r engine.I64Col) (engine.Column, error) {
+func i64Binary(ctx *engine.Ctx, op lambda.Op, l, r engine.I64Col) (engine.Column, error) {
 	n := len(l)
 	switch op {
 	case lambda.OpEq, lambda.OpNe, lambda.OpGt, lambda.OpGe, lambda.OpLt, lambda.OpLe:
-		out := make(engine.BoolCol, n)
+		out, col := engine.ColBuf[engine.BoolCol](ctx, n)
 		for i := 0; i < n; i++ {
 			out[i] = cmpBool(op, l[i] == r[i], l[i] < r[i])
 		}
-		return out, nil
+		return col, nil
 	case lambda.OpAdd:
-		out := make(engine.I64Col, n)
+		out, col := engine.ColBuf[engine.I64Col](ctx, n)
 		for i := range out {
 			out[i] = l[i] + r[i]
 		}
-		return out, nil
+		return col, nil
 	case lambda.OpSub:
-		out := make(engine.I64Col, n)
+		out, col := engine.ColBuf[engine.I64Col](ctx, n)
 		for i := range out {
 			out[i] = l[i] - r[i]
 		}
-		return out, nil
+		return col, nil
 	case lambda.OpMul:
-		out := make(engine.I64Col, n)
+		out, col := engine.ColBuf[engine.I64Col](ctx, n)
 		for i := range out {
 			out[i] = l[i] * r[i]
 		}
-		return out, nil
+		return col, nil
 	case lambda.OpDiv:
-		out := make(engine.I64Col, n)
+		out, col := engine.ColBuf[engine.I64Col](ctx, n)
 		for i := range out {
 			if r[i] == 0 {
 				return nil, fmt.Errorf("core: integer division by zero")
 			}
 			out[i] = l[i] / r[i]
 		}
-		return out, nil
+		return col, nil
 	}
 	return nil, fmt.Errorf("core: unsupported int op %s", op)
 }
 
-func strBinary(op lambda.Op, l, r engine.StrCol) (engine.Column, error) {
+func strBinary(ctx *engine.Ctx, op lambda.Op, l, r engine.StrCol) (engine.Column, error) {
 	n := len(l)
 	switch op {
 	case lambda.OpEq, lambda.OpNe, lambda.OpGt, lambda.OpGe, lambda.OpLt, lambda.OpLe:
-		out := make(engine.BoolCol, n)
+		out, col := engine.ColBuf[engine.BoolCol](ctx, n)
 		for i := 0; i < n; i++ {
 			out[i] = cmpBool(op, l[i].Equal(r[i]), l[i].Less(r[i]))
 		}
-		return out, nil
+		return col, nil
 	case lambda.OpAdd:
-		out := make(engine.StrCol, n)
+		out, col := engine.ColBuf[engine.StrCol](ctx, n)
 		for i := range out {
 			out[i] = object.StringValue(l[i].Str() + r[i].Str())
 		}
-		return out, nil
+		return col, nil
 	}
 	return nil, fmt.Errorf("core: unsupported string op %s", op)
 }
 
-func boxedBinary(op lambda.Op, l, r engine.Column) (engine.Column, error) {
+func boxedBinary(ctx *engine.Ctx, op lambda.Op, l, r engine.Column) (engine.Column, error) {
 	n := l.Len()
 	switch op {
 	case lambda.OpEq, lambda.OpNe, lambda.OpGt, lambda.OpGe, lambda.OpLt, lambda.OpLe:
-		out := make(engine.BoolCol, n)
+		out, col := engine.ColBuf[engine.BoolCol](ctx, n)
 		for i := 0; i < n; i++ {
 			lv, rv := l.Value(i), r.Value(i)
 			out[i] = cmpBool(op, lv.Equal(rv), lv.Less(rv))
 		}
-		return out, nil
+		return col, nil
 	case lambda.OpAdd, lambda.OpSub, lambda.OpMul, lambda.OpDiv:
-		out := make(engine.F64Col, n)
+		out, col := engine.ColBuf[engine.F64Col](ctx, n)
 		for i := 0; i < n; i++ {
 			a, b := l.Value(i).AsFloat64(), r.Value(i).AsFloat64()
 			switch op {
@@ -563,7 +572,7 @@ func boxedBinary(op lambda.Op, l, r engine.Column) (engine.Column, error) {
 				out[i] = a / b
 			}
 		}
-		return out, nil
+		return col, nil
 	}
 	return nil, fmt.Errorf("core: unsupported boxed op %s", op)
 }
@@ -593,10 +602,10 @@ func notKernel() engine.ApplyKernel {
 		if !ok {
 			return nil, fmt.Errorf("core: ! over non-boolean column")
 		}
-		out := make(engine.BoolCol, len(bc))
+		out, col := engine.ColBuf[engine.BoolCol](ctx, len(bc))
 		for i, b := range bc {
 			out[i] = !b
 		}
-		return out, nil
+		return col, nil
 	}
 }

@@ -243,15 +243,25 @@ func (vl *VectorList) Col(name string) Column {
 // one allocation instead of a growth chain.
 func (vl *VectorList) Project(names []string) (*VectorList, error) {
 	out := &VectorList{Names: make([]string, 0, len(names)+1), Cols: make([]Column, 0, len(names)+1)}
+	if err := vl.projectInto(out, names); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// projectInto is Project onto dst's header, reusing its slices: a
+// pipeline's per-statement output header is projected afresh every batch.
+func (vl *VectorList) projectInto(dst *VectorList, names []string) error {
+	dst.Names, dst.Cols = dst.Names[:0], dst.Cols[:0]
 	for _, n := range names {
 		c := vl.Col(n)
 		if c == nil {
-			return nil, fmt.Errorf("engine: missing column %q", n)
+			return fmt.Errorf("engine: missing column %q", n)
 		}
-		out.Names = append(out.Names, n)
-		out.Cols = append(out.Cols, c)
+		dst.Names = append(dst.Names, n)
+		dst.Cols = append(dst.Cols, c)
 	}
-	return out, nil
+	return nil
 }
 
 // Append adds a new named column.

@@ -66,10 +66,85 @@ type Ctx struct {
 	// batches so the probe's fan-out buffer is allocated once per thread
 	// instead of once per page.
 	probeIdx []int
+
+	// slots holds each statement's output column scratch, indexed by the
+	// statement's position in Pipeline.Stmts; stmt is that position plus
+	// one for the kernel now running, 0 outside a pipeline (the buffer
+	// methods then allocate fresh columns).
+	slots []colSlot
+	stmt  int
+}
+
+// colSlot is one statement's reused output column on one executor thread,
+// kept boxed: converting a slice to Column allocates its header, so col is
+// handed out again while the length stays the same. args is a native
+// kernel's argument vector.
+type colSlot struct {
+	col  Column
+	args []object.Value
 }
 
 // Alloc returns the live output allocator.
 func (c *Ctx) Alloc() *object.Allocator { return c.Out.Alloc }
+
+// useSlot makes statement i (its position in Pipeline.Stmts) the owner of
+// the buffers the next kernel takes; i < 0 ends the pipeline pass.
+func (c *Ctx) useSlot(i int) {
+	c.stmt = i + 1
+	if i >= len(c.slots) {
+		c.slots = append(c.slots, make([]colSlot, i+1-len(c.slots))...)
+	}
+}
+
+func (c *Ctx) slot() *colSlot {
+	if c == nil || c.stmt == 0 {
+		return nil
+	}
+	return &c.slots[c.stmt-1]
+}
+
+// ColBuf returns the n-element output column of type C a kernel fills
+// instead of calling make, and the same column as a Column, ready to
+// return: out, col := ColBuf[I64Col](ctx, n). Inside a pipeline it is the
+// running statement's scratch on this executor thread, valid until the
+// thread's next batch, and every element must be written; its backing
+// array is reused while it is large enough, its boxed header while the
+// length is unchanged. Outside a pipeline it is freshly allocated.
+func ColBuf[C interface {
+	~[]E
+	Column
+}, E any](ctx *Ctx, n int) (C, Column) {
+	s := ctx.slot()
+	if s == nil {
+		c := make(C, n)
+		return c, c
+	}
+	if c, ok := s.col.(C); ok && cap(c) >= n {
+		if len(c) == n {
+			return c, s.col
+		}
+		c = c[:n]
+		s.col = c
+		return c, s.col
+	}
+	c := make(C, n)
+	s.col = c
+	return c, s.col
+}
+
+// ArgBuf returns an n-element argument vector for a row-wise call, reused
+// like ColBuf's columns but never part of one.
+func (c *Ctx) ArgBuf(n int) []object.Value {
+	s := c.slot()
+	if s == nil {
+		return make([]object.Value, n)
+	}
+	if cap(s.args) < n {
+		s.args = make([]object.Value, n)
+	}
+	s.args = s.args[:n]
+	return s.args
+}
 
 // ApplyKernel is one compiled pipeline stage: it consumes the applied input
 // columns of a vector list and produces the new output column. Kernels are
@@ -78,6 +153,12 @@ func (c *Ctx) Alloc() *object.Allocator { return c.Out.Alloc }
 // allocates output objects uses ctx.Alloc() and may surface
 // object.ErrPageFull, which the pipeline driver handles by rotating the
 // output page and retrying the batch.
+//
+// Kernels are shared by every thread and worker, so they keep no scratch of
+// their own: a kernel takes its output column from the Ctx (ColBuf). That
+// column belongs to the statement on this executor thread and is valid
+// until the thread's next batch: a later statement may read it, and a sink
+// copies what it keeps (a value, a handle, a row), never the column.
 type ApplyKernel func(ctx *Ctx, inputs []Column) (Column, error)
 
 // StageRegistry maps (computation, stage) names — the identifiers embedded

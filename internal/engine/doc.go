@@ -30,6 +30,35 @@
 //     unless the sink streams, in which case its pages already left
 //     through the exchange (see "The OnSeal streaming sink contract").
 //
+// # Per-thread scratch: a batch allocates nothing
+//
+// After its first batch an executor thread makes no Go object per batch
+// for a run of APPLY and HASH statements (object allocations on the output
+// page aside); rows a filter drops are still gathered into fresh columns,
+// and FLATTEN and join probes build theirs. What a batch passes through is
+// scratch owned by the thread and rewritten by the next batch:
+//
+//   - Kernel output columns live on the thread's Ctx, one slot per
+//     statement, indexed by the statement's position in Pipeline.Stmts
+//     (the pass sets it before each kernel, fused or not). Kernels are
+//     shared by every thread and worker, so they hold none themselves: a
+//     kernel takes its typed column from the Ctx (ColBuf) instead of
+//     calling make. The slot keeps the column boxed as a Column — a slice
+//     converted to an interface allocates its header — and boxes again
+//     only when the batch length changes. hashColumn's U64Col and a native
+//     kernel's argument vector (Ctx.ArgBuf) are slots the same way.
+//   - The pipeline (one per thread) resolves each statement's kernel and
+//     new column name once and reuses its input slice, its output header,
+//     the fused pass's selection vector, compaction headers and final
+//     projection. The caller's batch is never mutated.
+//   - ScanRanges reuses the handle column, its boxed header and the
+//     vector-list header.
+//
+// So a column is valid until its thread's next batch. A later statement
+// may read it; a sink copies what it keeps — a value, a handle, a row on
+// its own page — never the column. Outside a pipeline (a kernel called
+// directly, ExecuteStmtForTest) the buffers are freshly allocated.
+//
 // # The typed aggregation fold
 //
 // An aggregation's maps are updated one (key, value) pair at a time, and

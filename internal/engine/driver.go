@@ -80,6 +80,13 @@ func RunPipelineThreads(chunks [][]PageRange, sourceCol string, stmts []*tcap.St
 		}
 		pt.Sinks[t] = sink
 		pt.Ctxs[t] = ctx
+		if ss, ok := sink.(*SortSink); ok {
+			rows := 0
+			for _, r := range chunks[t] {
+				rows += r.Rows()
+			}
+			ss.Reserve(rows)
+		}
 		pipe := &Pipeline{Stmts: stmts, Reg: reg, Sink: sink, SinkStmt: sinkStmt}
 		err = ScanRanges(chunks[t], sourceCol, func(vl *VectorList) error {
 			select {

@@ -124,7 +124,7 @@ func TestExecHashStmt(t *testing.T) {
 		Out:     tcap.ColumnsRef{Name: "out", Cols: []string{"k", "h"}},
 	}
 	vl := &VectorList{Names: []string{"k"}, Cols: []Column{I64Col{5, 5, 7}}}
-	out, err := execHash(nil, s, vl)
+	out, err := execHash(nil, s, nil, vl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestExecHashStmt(t *testing.T) {
 	// String and float hash paths.
 	for _, col := range []Column{strCol("a", "a", "b"), F64Col{1, 1, 2}} {
 		vl := &VectorList{Names: []string{"k"}, Cols: []Column{col}}
-		out, err := execHash(nil, s, vl)
+		out, err := execHash(nil, s, nil, vl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestExecHashRefColumn(t *testing.T) {
 	vl := &VectorList{Names: []string{"k"}, Cols: []Column{RefCol{
 		mk(p1, a1, 42), mk(p2, a2, 42), mk(p1, a1, 7),
 	}}}
-	out, err := execHash(ctx, s, vl)
+	out, err := execHash(ctx, s, nil, vl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestExecHashRefColumn(t *testing.T) {
 	s2, _ := object.MakeString(a2, "same")
 	s3, _ := object.MakeString(a1, "other")
 	vl = &VectorList{Names: []string{"k"}, Cols: []Column{RefCol{s1, s2, s3}}}
-	out, err = execHash(ctx, s, vl)
+	out, err = execHash(ctx, s, nil, vl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,13 +20,28 @@ import (
 
 // fuseSeg is one segment of a pipeline's fused plan: either a single
 // statement executed the classic way, or a validated run of ≥2 statements
-// executed as one pass.
+// executed as one pass. A segment belongs to one Pipeline, so to one
+// executor thread: besides the plan it holds the per-batch bookkeeping the
+// pass reuses from batch to batch.
 type fuseSeg struct {
 	stmts []*tcap.Stmt
+	// base is stmts[0]'s position in Pipeline.Stmts, the Ctx slot of its
+	// kernel output (statement k's is base+k).
+	base int
 	// needed[k] is the set of columns statements k..end still read (their
 	// Applied inputs plus the run's final Copied output), the compaction
 	// filter when a kernel at position k forces a gather.
 	needed []map[string]bool
+
+	// st[k] is statement k's kernel, new column name and input slice,
+	// resolved on first use; st[k].out is the header its output is
+	// appended on, packed[k] the one its compaction gathers into.
+	st     []stmtState
+	packed []VectorList
+	// proj is the run's final output header and sel the filters'
+	// selection vector.
+	proj VectorList
+	sel  []int
 }
 
 // fusableOp reports whether the op may join a fused run. It must mirror the
@@ -62,9 +77,10 @@ func buildFusePlan(stmts []*tcap.Stmt) []fuseSeg {
 				j++
 			}
 		}
-		seg := fuseSeg{stmts: stmts[i : j+1]}
+		seg := fuseSeg{stmts: stmts[i : j+1], base: i, st: make([]stmtState, j+1-i)}
 		if len(seg.stmts) > 1 {
 			seg.needed = neededSuffixes(seg.stmts)
+			seg.packed = make([]VectorList, len(seg.stmts))
 		}
 		plan = append(plan, seg)
 		i = j + 1
@@ -95,10 +111,12 @@ func neededSuffixes(run []*tcap.Stmt) []map[string]bool {
 }
 
 // execFused runs one ≥2-statement segment as a single pass over the batch.
+// Every header, input slice and selection vector it fills is the segment's,
+// reused from batch to batch; the caller's batch is never mutated.
 func execFused(ctx *Ctx, reg *StageRegistry, seg *fuseSeg, in *VectorList) (*VectorList, error) {
 	vl := in
-	var sel []int
-	selActive := false // sel == nil means "all rows" only while inactive
+	sel := seg.sel[:0]
+	selActive := false // sel is "all rows" only while inactive
 	for k, s := range seg.stmts {
 		switch s.Op {
 		case tcap.OpFilter:
@@ -110,13 +128,6 @@ func execFused(ctx *Ctx, reg *StageRegistry, seg *fuseSeg, in *VectorList) (*Vec
 				return nil, fmt.Errorf("engine: FILTER input %q is not boolean", s.Applied.Cols[0])
 			}
 			if !selActive {
-				keep := 0
-				for _, b := range bc {
-					if b {
-						keep++
-					}
-				}
-				sel = make([]int, 0, keep)
 				for i, b := range bc {
 					if b {
 						sel = append(sel, i)
@@ -134,87 +145,60 @@ func execFused(ctx *Ctx, reg *StageRegistry, seg *fuseSeg, in *VectorList) (*Vec
 			}
 		case tcap.OpApply, tcap.OpHash:
 			if selActive {
-				vl = compactSelected(vl, seg.needed[k], sel)
-				sel, selActive = nil, false
+				vl = compactSelected(&seg.packed[k], vl, seg.needed[k], sel)
+				sel, selActive = sel[:0], false
 			}
+			st := &seg.st[k]
+			ctx.useSlot(seg.base + k)
 			var newCol Column
-			switch s.Op {
-			case tcap.OpApply:
-				kernel, err := reg.Lookup(s.Comp, s.Stage)
-				if err != nil {
-					return nil, err
-				}
-				inputs := make([]Column, len(s.Applied.Cols))
-				for i, name := range s.Applied.Cols {
-					c := vl.Col(name)
-					if c == nil {
-						return nil, fmt.Errorf("engine: APPLY %s.%s: missing column %q", s.Comp, s.Stage, name)
-					}
-					inputs[i] = c
-				}
-				newCol, err = kernel(ctx, inputs)
-				if err != nil {
-					return nil, err
-				}
-			case tcap.OpHash:
-				if len(s.Applied.Cols) != 1 {
-					return nil, fmt.Errorf("engine: HASH takes one input column")
-				}
-				c := vl.Col(s.Applied.Cols[0])
-				if c == nil {
-					return nil, fmt.Errorf("engine: HASH: missing column %q", s.Applied.Cols[0])
-				}
-				hashes, err := hashColumn(ctx, c)
-				if err != nil {
-					return nil, err
-				}
-				newCol = hashes
+			var err error
+			if s.Op == tcap.OpApply {
+				newCol, err = st.applyKernel(ctx, reg, s, vl)
+			} else {
+				newCol, err = hashInput(ctx, s, vl)
 			}
-			newNames := s.NewColumns()
-			if len(newNames) != 1 {
-				return nil, fmt.Errorf("engine: %v %s.%s must create exactly one column, got %v",
-					s.Op, s.Comp, s.Stage, newNames)
+			if err != nil {
+				return nil, err
 			}
-			// Append on a fresh header: vl may still be the caller's batch
-			// (or a shared compaction result) and must not be mutated.
-			nv := &VectorList{
-				Names: append(make([]string, 0, len(vl.Names)+1), vl.Names...),
-				Cols:  append(make([]Column, 0, len(vl.Cols)+1), vl.Cols...),
+			name, err := st.newColumn(s)
+			if err != nil {
+				return nil, err
 			}
-			nv.Append(newNames[0], newCol)
-			vl = nv
+			// Append on the statement's own header: vl may still be the
+			// caller's batch (or a compaction result) and must not be
+			// mutated.
+			st.out.Names = append(append(st.out.Names[:0], vl.Names...), name)
+			st.out.Cols = append(append(st.out.Cols[:0], vl.Cols...), newCol)
+			vl = &st.out
 		default:
 			return nil, fmt.Errorf("engine: op %v cannot run fused", s.Op)
 		}
 	}
+	seg.sel = sel
 	// Shape the final output exactly as the last statement's unfused
 	// output: its Copied projection, gathered by the pending selection if
 	// the run ends in filters, plus its new column otherwise.
 	last := seg.stmts[len(seg.stmts)-1]
-	proj, err := vl.Project(last.Copied.Cols)
-	if err != nil {
+	if err := vl.projectInto(&seg.proj, last.Copied.Cols); err != nil {
 		return nil, err
 	}
 	if last.Op == tcap.OpFilter {
-		return proj.GatherAll(sel), nil
+		return seg.proj.GatherAll(sel), nil
 	}
-	newName := last.NewColumns()[0]
-	proj.Append(newName, vl.Col(newName))
-	return proj, nil
+	name := seg.st[len(seg.stmts)-1].newCols[0]
+	seg.proj.Append(name, vl.Col(name))
+	return &seg.proj, nil
 }
 
-// compactSelected gathers the needed columns at the selected rows — the
-// fused pass's one materialization point between filters and kernels.
-func compactSelected(vl *VectorList, needed map[string]bool, sel []int) *VectorList {
-	out := &VectorList{
-		Names: make([]string, 0, len(needed)),
-		Cols:  make([]Column, 0, len(needed)),
-	}
+// compactSelected gathers the needed columns at the selected rows onto dst —
+// the fused pass's one materialization point between filters and kernels.
+func compactSelected(dst, vl *VectorList, needed map[string]bool, sel []int) *VectorList {
+	dst.Names, dst.Cols = dst.Names[:0], dst.Cols[:0]
 	for i, name := range vl.Names {
 		if needed[name] {
-			out.Names = append(out.Names, name)
-			out.Cols = append(out.Cols, vl.Cols[i].Gather(sel))
+			dst.Names = append(dst.Names, name)
+			dst.Cols = append(dst.Cols, vl.Cols[i].Gather(sel))
 		}
 	}
-	return out
+	return dst
 }

@@ -45,10 +45,15 @@ func toI64(c Column) (I64Col, error) {
 	}
 }
 
+// fuseX and fuseY are object i's two members: mixed-sign, non-monotonic
+// payloads so filters split batches unevenly.
+func fuseX(i int) int64 { return int64((i*2654435761)%1009) - 500 }
+func fuseY(i int) int64 { return int64((i*40503)%997) - 300 }
+
 func newFuseFixture(t testing.TB, n int) *fuseFixture {
 	t.Helper()
 	fx := &fuseFixture{reg: object.NewRegistry(), sreg: NewStageRegistry()}
-	fx.ti = object.NewStruct("FuseRec").AddField("x", object.KInt64).MustBuild(fx.reg)
+	fx.ti = object.NewStruct("FuseRec").AddField("x", object.KInt64).AddField("y", object.KInt64).MustBuild(fx.reg)
 
 	const perPage = 64
 	for start := 0; start < n; start += perPage {
@@ -69,9 +74,8 @@ func newFuseFixture(t testing.TB, n int) *fuseFixture {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A mixed-sign, non-monotonic payload so filters split
-			// batches unevenly.
-			object.SetI64(r, fx.ti.Field("x"), int64((i*2654435761)%1009)-500)
+			object.SetI64(r, fx.ti.Field("x"), fuseX(i))
+			object.SetI64(r, fx.ti.Field("y"), fuseY(i))
 			if err := root.PushBackHandle(a, r); err != nil {
 				t.Fatal(err)
 			}
@@ -79,15 +83,19 @@ func newFuseFixture(t testing.TB, n int) *fuseFixture {
 		fx.pages = append(fx.pages, p)
 	}
 
-	field := fx.ti.Field("x")
-	fx.sreg.Register("F", "load", func(ctx *Ctx, in []Column) (Column, error) {
-		rc := in[0].(RefCol)
-		out := make(I64Col, len(rc))
-		for i, r := range rc {
-			out[i] = object.GetI64(r, field)
-		}
-		return out, nil
-	})
+	// The kernels take their output columns from the Ctx, as compiled
+	// kernels do, so every chain also runs the per-thread scratch.
+	for stage, name := range map[string]string{"load": "x", "loadY": "y"} {
+		field := fx.ti.Field(name)
+		fx.sreg.Register("F", stage, func(ctx *Ctx, in []Column) (Column, error) {
+			rc := in[0].(RefCol)
+			out, col := ColBuf[I64Col](ctx, len(rc))
+			for i, r := range rc {
+				out[i] = object.GetI64(r, field)
+			}
+			return col, nil
+		})
+	}
 	maps := map[string]func(int64) int64{
 		"affine": func(x int64) int64 { return x*3 + 7 },
 		"xor":    func(x int64) int64 { return x ^ (x >> 3) },
@@ -100,11 +108,11 @@ func newFuseFixture(t testing.TB, n int) *fuseFixture {
 			if err != nil {
 				return nil, err
 			}
-			out := make(I64Col, len(xs))
+			out, col := ColBuf[I64Col](ctx, len(xs))
 			for i, x := range xs {
 				out[i] = fn(x)
 			}
-			return out, nil
+			return col, nil
 		})
 	}
 	preds := map[string]func(int64) bool{
@@ -120,11 +128,11 @@ func newFuseFixture(t testing.TB, n int) *fuseFixture {
 			if err != nil {
 				return nil, err
 			}
-			out := make(BoolCol, len(xs))
+			out, col := ColBuf[BoolCol](ctx, len(xs))
 			for i, x := range xs {
 				out[i] = fn(x)
 			}
-			return out, nil
+			return col, nil
 		})
 	}
 	return fx
@@ -284,9 +292,14 @@ func (s *collectSink) Pages() []*object.Page { return nil }
 // runChain executes a statement chain over the fixture's pages and returns
 // the ordered output rows.
 func runChain(t testing.TB, fx *fuseFixture, stmts []*tcap.Stmt, threads int) []string {
+	return runChainBatch(t, fx, stmts, threads, BatchSize)
+}
+
+// runChainBatch is runChain with batches of at most batch rows.
+func runChainBatch(t testing.TB, fx *fuseFixture, stmts []*tcap.Stmt, threads, batch int) []string {
 	t.Helper()
 	sinkStmt := &tcap.Stmt{Op: tcap.OpOutput}
-	ranges := BatchRanges(fx.pages, BatchSize)
+	ranges := BatchRanges(fx.pages, batch)
 	mk := func(_ int, stats *Stats, _ <-chan struct{}) (Sink, *Ctx, error) {
 		sink := &collectSink{}
 		ctx, err := NewSinkCtx(sink, fx.reg, nil, 1<<16, nil, stats)
@@ -332,57 +345,59 @@ func checkEquivalence(t testing.TB, fx *fuseFixture, chain []*tcap.Stmt, fusedVa
 	}
 }
 
+// fuseCorpus is the corpus of interesting chain shapes.
+var fuseCorpus = []struct {
+	name  string
+	build func(b *chainBuilder)
+	n     int
+}{
+	{"apply-run", func(b *chainBuilder) {
+		b.mapStep("affine", nil)
+		b.mapStep("xor", nil)
+		b.mapStep("mod", nil)
+	}, 700},
+	{"filter-then-map", func(b *chainBuilder) {
+		b.filterStep("even")
+		b.mapStep("affine", nil)
+	}, 700},
+	{"adjacent-filters", func(b *chainBuilder) {
+		// Compute both predicates first so the two FILTER statements
+		// are adjacent and exercise in-place selection refinement.
+		b.apply("even", "bA", nil)
+		b.apply("pos", "bB", nil)
+		b.filterOn("bA")
+		b.filterOn("bB")
+		b.mapStep("mod", nil)
+	}, 700},
+	{"ends-in-filter", func(b *chainBuilder) {
+		b.mapStep("xor", nil)
+		b.filterStep("mod3")
+	}, 700},
+	{"hash-feeds-map", func(b *chainBuilder) {
+		b.hashStep()
+		b.mapStep("mod", nil)
+		b.filterStep("even")
+		b.hashStep()
+	}, 500},
+	{"filter-everything", func(b *chainBuilder) {
+		b.mapStep("affine", nil)
+		b.filterStep("none")
+		b.mapStep("xor", nil)
+	}, 300},
+	{"empty-input", func(b *chainBuilder) {
+		b.filterStep("even")
+		b.mapStep("affine", nil)
+	}, 0},
+	{"drops-old-columns", func(b *chainBuilder) {
+		b.mapStep("affine", nil)
+		b.mapStep("xor", map[string]bool{"v0": true})
+		b.filterStep("pos")
+	}, 700},
+}
+
 // TestFusedCorpusEquivalence pins the corpus of interesting chain shapes.
 func TestFusedCorpusEquivalence(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func(b *chainBuilder)
-		n     int
-	}{
-		{"apply-run", func(b *chainBuilder) {
-			b.mapStep("affine", nil)
-			b.mapStep("xor", nil)
-			b.mapStep("mod", nil)
-		}, 700},
-		{"filter-then-map", func(b *chainBuilder) {
-			b.filterStep("even")
-			b.mapStep("affine", nil)
-		}, 700},
-		{"adjacent-filters", func(b *chainBuilder) {
-			// Compute both predicates first so the two FILTER statements
-			// are adjacent and exercise in-place selection refinement.
-			b.apply("even", "bA", nil)
-			b.apply("pos", "bB", nil)
-			b.filterOn("bA")
-			b.filterOn("bB")
-			b.mapStep("mod", nil)
-		}, 700},
-		{"ends-in-filter", func(b *chainBuilder) {
-			b.mapStep("xor", nil)
-			b.filterStep("mod3")
-		}, 700},
-		{"hash-feeds-map", func(b *chainBuilder) {
-			b.hashStep()
-			b.mapStep("mod", nil)
-			b.filterStep("even")
-			b.hashStep()
-		}, 500},
-		{"filter-everything", func(b *chainBuilder) {
-			b.mapStep("affine", nil)
-			b.filterStep("none")
-			b.mapStep("xor", nil)
-		}, 300},
-		{"empty-input", func(b *chainBuilder) {
-			b.filterStep("even")
-			b.mapStep("affine", nil)
-		}, 0},
-		{"drops-old-columns", func(b *chainBuilder) {
-			b.mapStep("affine", nil)
-			b.mapStep("xor", map[string]bool{"v0": true})
-			b.filterStep("pos")
-		}, 700},
-	}
-	for _, tc := range cases {
+	for _, tc := range fuseCorpus {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			fx := newFuseFixture(t, tc.n)
@@ -392,6 +407,65 @@ func TestFusedCorpusEquivalence(t *testing.T) {
 			checkEquivalence(t, fx, b.stmts,
 				[][]*tcap.Stmt{annotateAll(b.stmts), annotateRandom(b.stmts, rng)})
 		})
+	}
+}
+
+// TestFusedBatchSizeInvariance: the kernels' output columns and the passes'
+// headers are per-thread scratch reused from batch to batch, so a chain's
+// rows must not depend on how the source is cut into batches — batches of
+// 1, 7 (lengths change within a page) and 256 rows give the same rows,
+// fused and unfused. Two member reads of the same kind, one after the
+// other, must each keep their own column: a shared one would hand the
+// second's values to the first.
+func TestFusedBatchSizeInvariance(t *testing.T) {
+	batches := []int{1, 7, 256}
+	same := func(t *testing.T, what string, got, want []string) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: row %d = %q, want %q", what, i, got[i], want[i])
+			}
+		}
+	}
+	for _, tc := range fuseCorpus {
+		fx := newFuseFixture(t, tc.n)
+		b := newChainBuilder()
+		tc.build(b)
+		ref := runChain(t, fx, cloneChain(b.stmts), 1)
+		for _, batch := range batches {
+			for _, threads := range []int{1, 2} {
+				same(t, fmt.Sprintf("%s unfused, batch %d, threads %d", tc.name, batch, threads),
+					runChainBatch(t, fx, cloneChain(b.stmts), threads, batch), ref)
+				same(t, fmt.Sprintf("%s fused, batch %d, threads %d", tc.name, batch, threads),
+					runChainBatch(t, fx, annotateAll(b.stmts), threads, batch), ref)
+			}
+		}
+	}
+
+	const n = 300
+	fx := newFuseFixture(t, n)
+	members := []*tcap.Stmt{
+		{Op: tcap.OpApply, Comp: "F", Stage: "load",
+			Applied: tcap.ColumnsRef{Name: "s0", Cols: []string{"obj"}},
+			Copied:  tcap.ColumnsRef{Name: "s0", Cols: []string{"obj"}},
+			Out:     tcap.ColumnsRef{Name: "s1", Cols: []string{"obj", "x"}}},
+		{Op: tcap.OpApply, Comp: "F", Stage: "loadY",
+			Applied: tcap.ColumnsRef{Name: "s1", Cols: []string{"obj"}},
+			Copied:  tcap.ColumnsRef{Name: "s1", Cols: []string{"x"}},
+			Out:     tcap.ColumnsRef{Name: "s2", Cols: []string{"x", "y"}}},
+	}
+	want := make([]string, n)
+	for i := range want {
+		want[i] = fmt.Sprintf("x=engine.I64Col:%d;y=engine.I64Col:%d;", fuseX(i), fuseY(i))
+	}
+	for _, batch := range batches {
+		same(t, fmt.Sprintf("two members unfused, batch %d", batch),
+			runChainBatch(t, fx, cloneChain(members), 1, batch), want)
+		same(t, fmt.Sprintf("two members fused, batch %d", batch),
+			runChainBatch(t, fx, annotateAll(members), 1, batch), want)
 	}
 }
 

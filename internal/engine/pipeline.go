@@ -14,7 +14,7 @@ import (
 // consumes its predecessor's output.
 //
 // A Pipeline is owned by exactly one executor thread: its batch-splitting
-// scratch is not synchronized. Parallel execution gives each thread its own
+// scratch and its fused plan's per-batch headers are not synchronized. Parallel execution gives each thread its own
 // Pipeline (and Ctx, and sink) over a disjoint slice of the source.
 type Pipeline struct {
 	Stmts []*tcap.Stmt
@@ -32,8 +32,8 @@ type Pipeline struct {
 	splitScratchB bool // scratch currently lent to a split in progress
 
 	// fusePlan caches the statement slice cut into fused segments
-	// (optimizer rule 4), built lazily on the first batch; Stmts never
-	// changes after construction.
+	// (optimizer rule 4) with each segment's reused headers, built lazily
+	// on the first batch; Stmts never changes after construction.
 	fusePlan      []fuseSeg
 	fusePlanBuilt bool
 }
@@ -119,6 +119,9 @@ func (p *Pipeline) applyStmts(ctx *Ctx, vl *VectorList) (*VectorList, error) {
 		p.fusePlan = buildFusePlan(p.Stmts)
 		p.fusePlanBuilt = true
 	}
+	// Kernels write into the running statement's Ctx slot; outside this
+	// pass they allocate.
+	defer ctx.useSlot(-1)
 	cur := vl
 	for i := range p.fusePlan {
 		seg := &p.fusePlan[i]
@@ -127,7 +130,8 @@ func (p *Pipeline) applyStmts(ctx *Ctx, vl *VectorList) (*VectorList, error) {
 		if len(seg.stmts) > 1 {
 			next, err = execFused(ctx, p.Reg, seg, cur)
 		} else {
-			next, err = executeStmt(ctx, p.Reg, seg.stmts[0], cur)
+			ctx.useSlot(seg.base)
+			next, err = executeStmt(ctx, p.Reg, seg.stmts[0], &seg.st[0], cur)
 		}
 		if err != nil {
 			return nil, err
@@ -222,23 +226,32 @@ func SplitRanges(ranges []PageRange, n int) [][]PageRange {
 }
 
 // ScanRanges streams the given batch ranges as vector lists with a single
-// handle column named colName, invoking fn per batch. The handle column and
-// vector-list header are scratch reused across batches (the batch-scratch
-// reuse of the hot scan loop): fn must not retain them past its return —
-// pipeline stages copy what they keep (Gather, sink materialization), so
-// this holds for every compiled pipeline.
+// handle column named colName, invoking fn per batch. The handle column,
+// its boxed Column header (re-boxed only when a batch's length differs from
+// the last) and the vector-list header are scratch reused across batches:
+// the column is valid until the next batch, so fn must not retain it past
+// its return. Pipeline stages and sinks copy what they keep (Gather, a
+// sink's values and handles), so this holds for every compiled pipeline.
 func ScanRanges(ranges []PageRange, colName string, fn func(*VectorList) error) error {
 	var scratch RefCol
+	var boxed Column
 	names := []string{colName}
 	cols := []Column{nil}
 	vl := &VectorList{}
 	for _, r := range ranges {
 		root := object.AsVector(object.Ref{Page: r.Page, Off: r.Page.Root()})
-		scratch = scratch[:0]
-		for i := r.Start; i < r.End; i++ {
-			scratch = append(scratch, root.HandleAt(i))
+		n := r.Rows()
+		if cap(scratch) < n {
+			scratch, boxed = make(RefCol, n), nil
 		}
-		cols[0] = scratch
+		scratch = scratch[:n]
+		for i := range scratch {
+			scratch[i] = root.HandleAt(r.Start + i)
+		}
+		if b, ok := boxed.(RefCol); !ok || len(b) != n {
+			boxed = scratch
+		}
+		cols[0] = boxed
 		// Full-capacity slice expressions force any Append by fn (or a
 		// downstream stage) to reallocate instead of writing into the
 		// reused scratch headers.

@@ -251,6 +251,8 @@ type SortSink struct {
 	objs  []object.Ref
 	vals  []object.Value // filled only when ValCol != ""
 	order []int32
+	// reserved is Reserve's row count until the first key sizes arena.
+	reserved int
 
 	// Top-k keeps at most Limit rows, in slots: slot i's key buffer slots[i]
 	// is reused when the row is evicted, arrival[i] is its arrival number,
@@ -327,6 +329,11 @@ func (s *SortSink) Consume(ctx *Ctx, vl *VectorList, stmt *tcap.Stmt) error {
 		if err != nil {
 			return err
 		}
+		if s.reserved > 0 {
+			// The first key's length stands for every key of the run.
+			arena = slices.Grow(arena, len(arena)*(s.reserved-1))
+			s.reserved = 0
+		}
 		s.arena = arena
 		s.offs = append(s.offs, len(arena))
 		s.objs = append(s.objs, oc[i])
@@ -335,6 +342,25 @@ func (s *SortSink) Consume(ctx *Ctx, vl *VectorList, stmt *tcap.Stmt) error {
 		}
 	}
 	return nil
+}
+
+// Reserve presizes the run for rows more rows — the thread driver passes
+// its chunk's row count before the first batch: offs, objs, vals and the
+// order Finish sorts exactly, and arena once the first key's length is
+// known. A top-k sink keeps at most Limit rows and ignores it.
+func (s *SortSink) Reserve(rows int) {
+	if s.Limit > 0 || rows <= 0 {
+		return
+	}
+	s.offs = slices.Grow(s.offs, rows)
+	s.objs = slices.Grow(s.objs, rows)
+	if s.ValCol != "" {
+		s.vals = slices.Grow(s.vals, rows)
+	}
+	s.order = slices.Grow(s.order, len(s.objs)+rows)
+	if len(s.objs) == 0 {
+		s.reserved = rows
+	}
 }
 
 // key returns buffered row (or top-k slot) i's encoded key.

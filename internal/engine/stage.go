@@ -11,13 +11,14 @@ import (
 // producing the statement's output vector list. Pipeline breakers
 // (AGGREGATE, OUTPUT, and JOIN build sides) are handled by sinks, not here;
 // a JOIN statement encountered mid-pipeline is a probe against a prebuilt
-// table.
-func executeStmt(ctx *Ctx, reg *StageRegistry, s *tcap.Stmt, in *VectorList) (*VectorList, error) {
+// table. st, when non-nil, is the statement's per-pipeline state (APPLY
+// and HASH reuse it across batches); nil runs the statement from scratch.
+func executeStmt(ctx *Ctx, reg *StageRegistry, s *tcap.Stmt, st *stmtState, in *VectorList) (*VectorList, error) {
 	switch s.Op {
 	case tcap.OpApply:
-		return execApply(ctx, reg, s, in)
+		return execApply(ctx, reg, s, st, in)
 	case tcap.OpHash:
-		return execHash(ctx, s, in)
+		return execHash(ctx, s, st, in)
 	case tcap.OpFilter:
 		return execFilter(s, in)
 	case tcap.OpFlatten:
@@ -32,14 +33,43 @@ func executeStmt(ctx *Ctx, reg *StageRegistry, s *tcap.Stmt, in *VectorList) (*V
 	}
 }
 
-// execApply runs the statement's registered kernel over the applied columns
-// and appends the result column.
-func execApply(ctx *Ctx, reg *StageRegistry, s *tcap.Stmt, in *VectorList) (*VectorList, error) {
-	kernel, err := reg.Lookup(s.Comp, s.Stage)
-	if err != nil {
-		return nil, err
+// stmtState is what one APPLY or HASH statement keeps across a pipeline's
+// batches on its executor thread: the kernel and the new column's name,
+// resolved once, and the input slice and output header it fills afresh
+// every batch.
+type stmtState struct {
+	kernel  ApplyKernel
+	newCols []string
+	inputs  []Column
+	out     VectorList
+}
+
+// newColumn returns the statement's one new column name.
+func (st *stmtState) newColumn(s *tcap.Stmt) (string, error) {
+	if st.newCols == nil {
+		st.newCols = s.NewColumns()
 	}
-	inputs := make([]Column, len(s.Applied.Cols))
+	if len(st.newCols) != 1 {
+		return "", fmt.Errorf("engine: %v %s.%s must create exactly one column, got %v",
+			s.Op, s.Comp, s.Stage, st.newCols)
+	}
+	return st.newCols[0], nil
+}
+
+// applyKernel resolves the statement's kernel (once), gathers its input
+// columns from in and runs it.
+func (st *stmtState) applyKernel(ctx *Ctx, reg *StageRegistry, s *tcap.Stmt, in *VectorList) (Column, error) {
+	if st.kernel == nil {
+		k, err := reg.Lookup(s.Comp, s.Stage)
+		if err != nil {
+			return nil, err
+		}
+		st.kernel = k
+	}
+	if cap(st.inputs) < len(s.Applied.Cols) {
+		st.inputs = make([]Column, len(s.Applied.Cols))
+	}
+	inputs := st.inputs[:len(s.Applied.Cols)]
 	for i, name := range s.Applied.Cols {
 		c := in.Col(name)
 		if c == nil {
@@ -47,25 +77,11 @@ func execApply(ctx *Ctx, reg *StageRegistry, s *tcap.Stmt, in *VectorList) (*Vec
 		}
 		inputs[i] = c
 	}
-	newCol, err := kernel(ctx, inputs)
-	if err != nil {
-		return nil, err
-	}
-	out, err := in.Project(s.Copied.Cols)
-	if err != nil {
-		return nil, err
-	}
-	newNames := s.NewColumns()
-	if len(newNames) != 1 {
-		return nil, fmt.Errorf("engine: APPLY %s.%s must create exactly one column, got %v", s.Comp, s.Stage, newNames)
-	}
-	out.Append(newNames[0], newCol)
-	return out, nil
+	return st.kernel(ctx, inputs)
 }
 
-// execHash hashes the applied column into a new U64 column (the TCAP HASH
-// operation feeding joins and aggregations).
-func execHash(ctx *Ctx, s *tcap.Stmt, in *VectorList) (*VectorList, error) {
+// hashInput hashes the statement's one applied column of in.
+func hashInput(ctx *Ctx, s *tcap.Stmt, in *VectorList) (Column, error) {
 	if len(s.Applied.Cols) != 1 {
 		return nil, fmt.Errorf("engine: HASH takes one input column")
 	}
@@ -73,27 +89,55 @@ func execHash(ctx *Ctx, s *tcap.Stmt, in *VectorList) (*VectorList, error) {
 	if c == nil {
 		return nil, fmt.Errorf("engine: HASH: missing column %q", s.Applied.Cols[0])
 	}
-	hashes, err := hashColumn(ctx, c)
-	if err != nil {
-		return nil, err
-	}
-	out, err := in.Project(s.Copied.Cols)
-	if err != nil {
-		return nil, err
-	}
-	newNames := s.NewColumns()
-	if len(newNames) != 1 {
-		return nil, fmt.Errorf("engine: HASH must create exactly one column")
-	}
-	out.Append(newNames[0], hashes)
-	return out, nil
+	return hashColumn(ctx, c)
 }
 
-// hashColumn hashes one column into a fresh U64 column with the typed loop
-// shared by execHash and the fused pass.
-func hashColumn(ctx *Ctx, c Column) (U64Col, error) {
+// execApply runs the statement's registered kernel over the applied columns
+// and appends the result column.
+func execApply(ctx *Ctx, reg *StageRegistry, s *tcap.Stmt, st *stmtState, in *VectorList) (*VectorList, error) {
+	if st == nil {
+		st = &stmtState{}
+	}
+	newCol, err := st.applyKernel(ctx, reg, s, in)
+	if err != nil {
+		return nil, err
+	}
+	return st.emit(s, in, newCol)
+}
+
+// execHash hashes the applied column into a new U64 column (the TCAP HASH
+// operation feeding joins and aggregations).
+func execHash(ctx *Ctx, s *tcap.Stmt, st *stmtState, in *VectorList) (*VectorList, error) {
+	if st == nil {
+		st = &stmtState{}
+	}
+	hashes, err := hashInput(ctx, s, in)
+	if err != nil {
+		return nil, err
+	}
+	return st.emit(s, in, hashes)
+}
+
+// emit shapes an unfused APPLY or HASH output on the statement's header:
+// the Copied projection of in plus the new column.
+func (st *stmtState) emit(s *tcap.Stmt, in *VectorList, newCol Column) (*VectorList, error) {
+	if err := in.projectInto(&st.out, s.Copied.Cols); err != nil {
+		return nil, err
+	}
+	name, err := st.newColumn(s)
+	if err != nil {
+		return nil, err
+	}
+	st.out.Append(name, newCol)
+	return &st.out, nil
+}
+
+// hashColumn hashes one column into a U64 column (the running statement's
+// scratch, ctx.U64Buf) with the typed loop shared by execHash and the fused
+// pass.
+func hashColumn(ctx *Ctx, c Column) (Column, error) {
 	n := c.Len()
-	hashes := make(U64Col, n)
+	hashes, out := ColBuf[U64Col](ctx, n)
 	switch col := c.(type) {
 	case I64Col:
 		for i, v := range col {
@@ -116,7 +160,7 @@ func hashColumn(ctx *Ctx, c Column) (U64Col, error) {
 			hashes[i] = object.HashValue(c.Value(i))
 		}
 	}
-	return hashes, nil
+	return out, nil
 }
 
 // hashRefCol hashes a handle column with a typed loop: objects whose
@@ -346,5 +390,5 @@ func execJoinSemiAnti(ctx *Ctx, s *tcap.Stmt, in *VectorList) (*VectorList, erro
 // ExecuteStmtForTest exposes single-statement execution to tests in other
 // packages (e.g. the Figure 1 stage-by-stage pipeline walkthrough).
 func ExecuteStmtForTest(ctx *Ctx, reg *StageRegistry, s *tcap.Stmt, in *VectorList) (*VectorList, error) {
-	return executeStmt(ctx, reg, s, in)
+	return executeStmt(ctx, reg, s, nil, in)
 }

@@ -41,20 +41,14 @@ func TestAllocPageFull(t *testing.T) {
 // page, which Reset does not clear.
 func TestAllocZeroesRecycledSpace(t *testing.T) {
 	// A pooled page whose body was all 0xFF when it went back to the pool.
-	// Under the race detector sync.Pool drops Puts at random, so the round
-	// trip repeats until a page comes back.
 	pool := NewPagePool(4096)
-	var p *Page
-	for i := 0; i < 64 && pool.Reuses() == 0; i++ {
-		p = pool.Get(NewRegistry())
-		for j := PageHeaderSize; j < len(p.Data); j++ {
-			p.Data[j] = 0xFF
-		}
-		pool.Put(p)
-		p = pool.Get(NewRegistry())
+	p := pool.Get(NewRegistry())
+	for j := PageHeaderSize; j < len(p.Data); j++ {
+		p.Data[j] = 0xFF
 	}
-	if pool.Reuses() == 0 {
-		t.Fatal("the pool never handed a page back")
+	pool.Put(p)
+	if q := pool.Get(NewRegistry()); q != p {
+		t.Fatal("the pool did not hand the page back")
 	}
 	a := NewAllocator(p)
 	for _, size := range []uint32{1, 3, 7, 8, 13, 20, 31} {

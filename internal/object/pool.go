@@ -25,11 +25,19 @@ func (p *Page) Reset() {
 // PagePool recycles fixed-size pages, eliminating the dominant cost of
 // page churn (allocating and zeroing fresh blocks) in iterative jobs — the
 // role the worker's buffer pool plays in the paper's runtime.
+//
+// It is a mutex-guarded LIFO free list, so a page put back survives a
+// garbage collection (a sync.Pool is emptied by one). The list never holds
+// more pages than the pool has made: it is bounded by the most pages its
+// users ever had from it at once, with no size knob. Drain empties it.
+// Who may Put a page is the caller's rule: only a page whose data nobody
+// reads any more.
 type PagePool struct {
 	Size int
-	pool sync.Pool
 
 	mu     sync.Mutex
+	free   []*Page
+	made   int
 	reuses int
 }
 
@@ -38,26 +46,44 @@ func NewPagePool(size int) *PagePool { return &PagePool{Size: size} }
 
 // Get returns a pristine page, recycling a returned one when available.
 func (pp *PagePool) Get(reg *Registry) *Page {
-	if v := pp.pool.Get(); v != nil {
-		p := v.(*Page)
-		p.Reg = reg
-		p.Reset()
-		pp.mu.Lock()
+	pp.mu.Lock()
+	if n := len(pp.free); n > 0 {
+		p := pp.free[n-1]
+		pp.free[n-1] = nil
+		pp.free = pp.free[:n-1]
 		pp.reuses++
 		pp.mu.Unlock()
+		p.Reg = reg
+		p.Reset()
 		return p
 	}
+	pp.made++
+	pp.mu.Unlock()
 	return NewPage(pp.Size, reg)
 }
 
 // Put returns a page whose data are dead. Pages of a different size are
-// dropped (the pool is homogeneous, like a buffer pool frame).
+// dropped (the pool is homogeneous, like a buffer pool frame), and so is
+// any page that would take the list past the pages the pool has made.
 func (pp *PagePool) Put(p *Page) {
 	if p == nil || len(p.Data) != pp.Size {
 		return
 	}
 	p.Reg = nil
-	pp.pool.Put(p)
+	pp.mu.Lock()
+	if len(pp.free) < pp.made {
+		pp.free = append(pp.free, p)
+	}
+	pp.mu.Unlock()
+}
+
+// Drain drops every page on the free list for the garbage collector (the
+// cluster's Close).
+func (pp *PagePool) Drain() {
+	pp.mu.Lock()
+	clear(pp.free)
+	pp.free = nil
+	pp.mu.Unlock()
 }
 
 // Reuses reports how many pages were served from the pool (tests).
@@ -65,4 +91,12 @@ func (pp *PagePool) Reuses() int {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
 	return pp.reuses
+}
+
+// Counts reports how many pages the pool has made and how many its free
+// list holds now (tests).
+func (pp *PagePool) Counts() (made, free int) {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	return pp.made, len(pp.free)
 }

@@ -1,9 +1,8 @@
 package object
 
 import (
+	"runtime"
 	"testing"
-
-	"repro/internal/race"
 )
 
 func TestPageReset(t *testing.T) {
@@ -41,32 +40,20 @@ func TestPagePoolRecyclesWithoutDataBleed(t *testing.T) {
 
 	// Fill a page with recognizable content, return it, get it back, and
 	// check that fresh allocations are properly zeroed even though the
-	// body was not cleared. Under the race detector sync.Pool drops a
-	// quarter of its Puts at random, so there the round trip is repeated
-	// (on the fresh page Get made instead) until a page does come back.
-	attempts := 1
-	if race.Enabled {
-		attempts = 64
+	// body was not cleared.
+	p1 := pool.Get(reg)
+	a := NewAllocator(p1)
+	v, err := MakeVector(a, KFloat64, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var p2 *Page
-	for i := 0; i < attempts && pool.Reuses() == 0; i++ {
-		p1 := p2
-		if p1 == nil {
-			p1 = pool.Get(reg)
-		}
-		a := NewAllocator(p1)
-		v, err := MakeVector(a, KFloat64, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < 100; j++ {
-			_ = v.PushBackF64(a, 12345.678)
-		}
-		pool.Put(p1)
-		p2 = pool.Get(reg)
+	for j := 0; j < 100; j++ {
+		_ = v.PushBackF64(a, 12345.678)
 	}
-	if pool.Reuses() != 1 {
-		t.Fatalf("Reuses = %d, want 1", pool.Reuses())
+	pool.Put(p1)
+	p2 := pool.Get(reg)
+	if p2 != p1 || pool.Reuses() != 1 {
+		t.Fatalf("got the returned page back: %v, Reuses = %d; want true, 1", p2 == p1, pool.Reuses())
 	}
 	a2 := NewAllocator(p2)
 	v2, err := MakeVector(a2, KFloat64, 8)
@@ -85,6 +72,48 @@ func TestPagePoolRecyclesWithoutDataBleed(t *testing.T) {
 	// tail bytes never escape.
 	if int(p2.Used()) >= len(p2.Data) {
 		t.Error("recycled page should not be full")
+	}
+}
+
+// TestPagePoolSurvivesGCAndHoldsAtMostMade: a page put back is still there
+// after a garbage collection, handed out last in first out, and the free
+// list never holds more pages than the pool has made — a page the pool did
+// not make only takes the place of one it did. Drain empties the list.
+func TestPagePoolSurvivesGCAndHoldsAtMostMade(t *testing.T) {
+	reg := NewRegistry()
+	pool := NewPagePool(4096)
+	a, b := pool.Get(reg), pool.Get(reg)
+	pool.Put(a)
+	pool.Put(b)
+	runtime.GC()
+	runtime.GC()
+	if made, free := pool.Counts(); made != 2 || free != 2 {
+		t.Fatalf("after a GC: made %d, free %d; want 2, 2", made, free)
+	}
+	if got := pool.Get(reg); got != b {
+		t.Error("the last page put back was not the first handed out")
+	}
+	if got := pool.Get(reg); got != a {
+		t.Error("the first page put back was not handed out second")
+	}
+	if pool.Reuses() != 2 {
+		t.Errorf("Reuses = %d, want 2", pool.Reuses())
+	}
+
+	// Three foreign pages of the right size: the list takes two, the
+	// pages the pool has made.
+	for i := 0; i < 3; i++ {
+		pool.Put(NewPage(4096, reg))
+	}
+	if made, free := pool.Counts(); made != 2 || free != 2 {
+		t.Errorf("after three foreign Puts: made %d, free %d; want 2, 2", made, free)
+	}
+	pool.Drain()
+	if made, free := pool.Counts(); made != 2 || free != 0 {
+		t.Errorf("after Drain: made %d, free %d; want 2, 0", made, free)
+	}
+	if p := pool.Get(reg); p == a || p == b {
+		t.Error("a drained pool handed out an old page")
 	}
 }
 
