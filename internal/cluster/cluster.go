@@ -349,7 +349,7 @@ func New(cfg Config) (*Cluster, error) {
 		default:
 			return nil, fmt.Errorf("cluster: proc mode needs a socket network (unix or tcp), not %q", cfg.Transport)
 		}
-		c.Transport = NewMemTransport()
+		c.Transport = &MemTransport{pool: c.pool}
 		ps := &procSet{}
 		for i := 0; i < cfg.Workers; i++ {
 			ps.workers = append(ps.workers, &procWorker{
@@ -358,7 +358,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.procs = ps
 	} else {
-		tr, err := newTransport(cfg, func() *fault.Plan { return c.Cfg.Fault })
+		tr, err := newTransport(cfg, c.pool, func() *fault.Plan { return c.Cfg.Fault })
 		if err != nil {
 			return nil, err
 		}

@@ -105,9 +105,11 @@ func unexpected(w *Worker, session string, m *procwork.Msg) error {
 }
 
 // procProduce relays one worker process's produce session into the
-// exchange: every streamed map page is decoded into the master-side view
-// of that worker and sent under the single-lane tag discipline; the
-// worker's eof closes all of the producer's lanes. A retried session
+// exchange: every streamed map page is read into a frame of the master's
+// page pool (when it fits one), decoded into the master-side view of that
+// worker and sent under the single-lane tag discipline; the worker's eof
+// closes all of the producer's lanes. The frames come back to the pool
+// with the aggregation's retained pages at step end. A retried session
 // re-streams the same deterministic pages and the exchange drops the
 // duplicate tags at the sender, exactly like an in-process producer retry.
 func (c *Cluster) procProduce(w *Worker, opener *procwork.Msg, prod *physical.JobStage, end *exchangeEnd) error {
@@ -118,8 +120,14 @@ func (c *Cluster) procProduce(w *Worker, opener *procwork.Msg, prod *physical.Jo
 		return err
 	}
 	defer conn.Close()
+	frames := func(n int) []byte { // a page frame's payload lands in a pool frame
+		if n > c.pool.Size {
+			return nil
+		}
+		return c.pool.Get(nil).Data
+	}
 	for seq := 0; ; seq++ {
-		f, err := procwork.ReadFrame(conn)
+		f, err := procwork.ReadFrameInto(conn, frames)
 		if err != nil {
 			return fmt.Errorf("cluster: worker %d produce stream: %w", w.ID, err)
 		}

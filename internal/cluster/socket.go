@@ -172,10 +172,6 @@ func (t *SocketTransport) Ship(p *object.Page, dst *object.Registry) (*object.Pa
 		Types:   types,
 		Payload: p.Bytes(),
 	}
-	buf, err := wire.Append(nil, frame)
-	if err != nil {
-		return nil, err
-	}
 
 	conn, err := t.acquireConn()
 	if err != nil {
@@ -186,7 +182,7 @@ func (t *SocketTransport) Ship(p *object.Page, dst *object.Registry) (*object.Pa
 		// written, so the stream never carries a partial frame.
 		conn.Close()
 	}
-	if _, err := conn.Write(buf); err != nil {
+	if err := wire.Write(conn, frame); err != nil {
 		// The connection died (injected or real): redial once and re-send
 		// the whole frame on a fresh connection.
 		conn.Close()
@@ -195,7 +191,7 @@ func (t *SocketTransport) Ship(p *object.Page, dst *object.Registry) (*object.Pa
 		if err != nil {
 			return nil, fmt.Errorf("cluster: socket redial: %w", err)
 		}
-		if _, err := conn.Write(buf); err != nil {
+		if err := wire.Write(conn, frame); err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("cluster: socket ship after redial: %w", err)
 		}

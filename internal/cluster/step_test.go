@@ -202,14 +202,14 @@ func drainPool(c *Cluster) int {
 // TestStepEndRecyclesRetainedPages pins what a successful step does with
 // the pages its exchanges retained for replay. runStep hands each resident
 // retained page to its exchange's release exactly once, and only when
-// every role succeeded. On a 2-worker cluster that returns every delivered
-// page a worker's own producer sealed to the page pool after an
-// aggregation — one per page shipped to the other worker (a shipped copy
-// holds only the occupied prefix, so the pool drops it) — plus the one
-// merge page each worker's finalize returns, while a hash-partition join
-// and an ORDER BY, whose tables, emitted refs and merged rows point into
-// their delivered pages, return none. The pool keeps every page it is
-// given up to the pages it made, so the counts are exact.
+// every role succeeded. On a 2-worker cluster an aggregation returns two
+// pages to the page pool per page shipped to the other worker — the
+// delivered page a worker's own producer sealed, and the shipped copy,
+// which landed in a pool frame — plus the one merge page each worker's
+// finalize returns, while a hash-partition join and an ORDER BY, whose
+// tables, emitted refs and merged rows point into their delivered pages,
+// return none. The pool keeps every page it is given up to the pages it
+// made, so the counts are exact.
 func TestStepEndRecyclesRetainedPages(t *testing.T) {
 	c, err := New(Config{Workers: 1, Threads: 1, PageSize: 1 << 12})
 	if err != nil {
@@ -282,8 +282,8 @@ func TestStepEndRecyclesRetainedPages(t *testing.T) {
 			shipped += s.Pages
 		}
 	}
-	if want := shipped + len(c.Workers); shipped < 16 || got != want {
-		t.Errorf("aggregation: the pool supplied %d recycled pages, want %d: the %d pages shipped (>= 16) and %d merge pages", got, want, shipped, len(c.Workers))
+	if want := 2*shipped + len(c.Workers); shipped < 16 || got != want {
+		t.Errorf("aggregation: the pool supplied %d recycled pages, want %d: twice the %d pages shipped (>= 16) and %d merge pages", got, want, shipped, len(c.Workers))
 	}
 
 	c, rec = mk()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -13,11 +14,17 @@ import (
 // rewind protocol runs unchanged above every implementation; only the wire
 // differs. Implementations:
 //
-//   - MemTransport (default): the historical in-process copier — shipping is
-//     one byte copy of the page's occupied prefix.
+//   - MemTransport (default): the in-process copier — shipping is one byte
+//     copy of the page's occupied prefix into a frame of the cluster's page
+//     pool, the receiving side's buffer pool (paper §3, Appendix D).
 //   - SocketTransport ("unix", "tcp"): page bytes traverse a real socket as
 //     wire frames (internal/wire) through a per-worker page server, proving
 //     the zero-serialization claim over an actual network boundary.
+//
+// A shipped page is unmanaged and owned by the destination. A frame taken
+// from the pool goes back only through the pool's existing Put sites — the
+// aggregation's step-end recycling; the join's and the sort's received
+// pages go to the garbage collector.
 //
 // All implementations account into one shared ShipStats, so gauges cannot
 // silently diverge per impl.
@@ -132,13 +139,14 @@ func (s *ShipStats) Counters() (bytes int64, pages int) {
 	return s.BytesShipped, s.PagesShipped
 }
 
-// newTransport builds the transport Config.Transport selects. plan reads
-// the cluster's live fault schedule — tests arm Cfg.Fault after New, so
-// the transport must not capture the plan by value.
-func newTransport(cfg Config, plan func() *fault.Plan) (Transport, error) {
+// newTransport builds the transport Config.Transport selects; the
+// in-process copier lands shipped pages in pool's frames. plan reads the
+// cluster's live fault schedule — tests arm Cfg.Fault after New, so the
+// transport must not capture the plan by value.
+func newTransport(cfg Config, pool *object.PagePool, plan func() *fault.Plan) (Transport, error) {
 	switch cfg.Transport {
 	case "", "mem":
-		return NewMemTransport(), nil
+		return &MemTransport{pool: pool}, nil
 	case "unix", "tcp":
 		return newSocketTransport(cfg.Transport, plan)
 	default:
@@ -148,21 +156,32 @@ func newTransport(cfg Config, plan func() *fault.Plan) (Transport, error) {
 
 // MemTransport simulates the cluster network in-process: shipping a page is
 // one byte copy of its occupied prefix (the zero-cost movement principle —
-// no encode or decode step exists to charge for). This is the default
-// transport and preserves the historical simulation behavior exactly.
+// no encode or decode step exists to charge for) into a frame of the
+// cluster's page pool, as the paper's receiving worker copies into a
+// buffer-pool page. This is the default transport.
 type MemTransport struct {
 	stats ShipStats
+	pool  *object.PagePool // nil: every ship copies into an exact-prefix buffer
 }
 
-// NewMemTransport returns the in-process copier transport.
+// NewMemTransport returns an in-process copier with no page pool: every
+// Ship makes an exact-prefix copy.
 func NewMemTransport() *MemTransport { return &MemTransport{} }
 
-// Ship moves a page to a destination registry's memory space.
+// Ship copies the page's occupied prefix into the destination's memory
+// space and returns the copy, unmanaged. A page the size of the pool's
+// pages lands in a frame from the pool; any other gets a buffer of exactly
+// its prefix.
 func (t *MemTransport) Ship(p *object.Page, dst *object.Registry) (*object.Page, error) {
-	b := make([]byte, len(p.Bytes()))
-	copy(b, p.Bytes())
-	t.stats.NoteShip(int64(len(b)))
-	return object.FromBytes(b, dst)
+	src := p.Bytes()
+	t.stats.NoteShip(int64(len(src)))
+	if t.pool == nil || len(p.Data) != t.pool.Size {
+		return object.FromBytes(bytes.Clone(src), dst)
+	}
+	q := t.pool.Get(dst)
+	copy(q.Data, src)
+	q.SetManaged(false) // adopted bytes, as FromBytes leaves them
+	return q, nil
 }
 
 // ShipAll ships a batch of pages.

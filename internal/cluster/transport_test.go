@@ -1,10 +1,15 @@
 package cluster
 
 import (
+	"bytes"
+	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/object"
+	"repro/internal/race"
+	"repro/internal/wire"
 )
 
 // onePage builds a single sealed page of one record for transport probes.
@@ -245,5 +250,93 @@ func TestClusterCloseTearsDownTransport(t *testing.T) {
 		if _, err := c.Transport.Ship(onePage(t, c, rec), c.Workers[0].Reg()); err == nil {
 			t.Errorf("%s: Ship after Close should fail", network)
 		}
+	}
+}
+
+// TestShipLandsInPoolFrame pins MemTransport.Ship's copy: a page of the
+// pool's size lands in a frame taken from the page pool, even one that last
+// held a longer page, and reads back byte for byte; a page of another size
+// gets an exact-prefix copy; ShipStats counts occupied bytes, never frame
+// sizes. Allocation guards: a warm-pool Ship makes no page-size buffer, and
+// wire.Write of a 64 KiB page frame writes the payload from the page itself.
+func TestShipLandsInPoolFrame(t *testing.T) {
+	const size = 64 << 10
+	reg := object.NewRegistry()
+	rec := object.NewStruct("ShipRec").AddField("val", object.KInt64).MustBuild(reg)
+	page := func(pageSize, rows int) *object.Page {
+		pages, err := object.BuildPages(reg, pageSize, rows, func(a *object.Allocator, i int) (object.Ref, error) {
+			r, err := a.MakeObject(rec)
+			if err == nil {
+				object.SetI64(r, rec.Field("val"), int64(i)+1)
+			}
+			return r, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages[0].SetManaged(false) // as a shipped copy is: its bytes then match
+		return pages[0]
+	}
+	long, short := page(size, 4000), page(size, 3)
+	if short.Used() >= long.Used() {
+		t.Fatalf("short page holds %d bytes, long page %d", short.Used(), long.Used())
+	}
+
+	pool := object.NewPagePool(size)
+	tr := &MemTransport{pool: pool}
+	first, err := tr.Ship(long, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Put(first) // the frame now holds the long page's bytes
+	before, _ := tr.Stats().Counters()
+	got, err := tr.Ship(short, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got.Data[0] != &first.Data[0] || len(got.Data) != size {
+		t.Errorf("a pool-size page did not land in the recycled %d-byte frame (got %d bytes)", size, len(got.Data))
+	}
+	if !bytes.Equal(got.Bytes(), short.Bytes()) {
+		t.Errorf("shipped page reads %d bytes unlike its %d-byte source", len(got.Bytes()), len(short.Bytes()))
+	}
+	if after, _ := tr.Stats().Counters(); after-before != int64(len(short.Bytes())) {
+		t.Errorf("BytesShipped grew by %d, want the %d occupied bytes", after-before, len(short.Bytes()))
+	}
+	odd := page(4096, 3)
+	if q, err := tr.Ship(odd, reg); err != nil || len(q.Data) != len(odd.Bytes()) || !bytes.Equal(q.Bytes(), odd.Bytes()) {
+		t.Errorf("a %d-byte page shipped into %d bytes (err %v), want an exact %d-byte prefix copy", len(odd.Data), len(q.Data), err, len(odd.Bytes()))
+	}
+
+	if race.Enabled {
+		t.Skip("allocation guards are not meaningful under the race detector")
+	}
+	bytesPerOp := func(op func()) uint64 {
+		const runs = 100
+		op() // warm
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			op()
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / runs
+	}
+	if b := bytesPerOp(func() {
+		q, err := tr.Ship(long, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Put(q)
+	}); b >= 1<<10 {
+		t.Errorf("a warm-pool Ship of a %d-byte page allocates %d B, want < 1 KiB", size, b)
+	}
+	frame := &wire.Frame{Kind: wire.KindPage, Types: []wire.TypeBinding{{Code: rec.Code, Name: rec.Name}}, Payload: long.Data}
+	if b := bytesPerOp(func() {
+		if err := wire.Write(io.Discard, frame); err != nil {
+			t.Fatal(err)
+		}
+	}); b >= 1<<10 {
+		t.Errorf("wire.Write of a %d-byte page frame allocates %d B, want < 1 KiB", len(frame.Payload), b)
 	}
 }

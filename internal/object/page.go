@@ -105,7 +105,10 @@ func FromBytes(b []byte, reg *Registry) (*Page, error) {
 
 // Bytes returns the occupied prefix of the page: the bytes that must be
 // moved to ship every object on the page. Shipping a page is exactly one
-// copy of these bytes — the zero-cost data movement principle.
+// copy of these bytes — the zero-cost data movement principle — into a
+// page-pool frame on the receiving side when the page is the pool's size.
+// Past the prefix a recycled frame holds a former page's bytes, which
+// nothing reads.
 func (p *Page) Bytes() []byte { return p.Data[:p.Used()] }
 
 // Used returns the allocation watermark.

@@ -8,8 +8,10 @@ import (
 // Reset returns a page to its pristine state without zeroing its body:
 // "deallocating" a page of objects means returning it to the buffer pool,
 // where it will be recycled and written over with a new set of objects
-// (paper §3). Safe because the allocator zeroes each allocation's payload
-// and only the occupied prefix of a page is ever shipped or persisted.
+// (paper §3). Safe because the allocator zeroes each allocation's payload,
+// a page shipped into a recycled frame overwrites the header with its own,
+// and only the occupied prefix of a page is ever read, shipped or
+// persisted.
 func (p *Page) Reset() {
 	copy(p.Data[0:4], pageMagic)
 	p.setUsed(PageHeaderSize)

@@ -68,8 +68,9 @@ func TestPagePoolRecyclesWithoutDataBleed(t *testing.T) {
 			t.Fatalf("stale data bled into recycled allocation: %g", v2.F64At(i))
 		}
 	}
-	// Shipping a recycled page only moves the occupied prefix, so stale
-	// tail bytes never escape.
+	// Shipping a recycled page only moves the occupied prefix, into a frame
+	// whose own stale tail lies past that prefix, so stale tail bytes never
+	// escape.
 	if int(p2.Used()) >= len(p2.Data) {
 		t.Error("recycled page should not be full")
 	}

@@ -95,6 +95,12 @@ func ReadFrame(r io.Reader) (*wire.Frame, error) {
 	return wire.Read(r, maxPayload)
 }
 
+// ReadFrameInto is ReadFrame, except that a page frame's payload is read
+// into the slice payload returns (wire.ReadInto).
+func ReadFrameInto(r io.Reader, payload func(n int) []byte) (*wire.Frame, error) {
+	return wire.ReadInto(r, maxPayload, payload)
+}
+
 // DecodeMsg unpacks a KindControl frame.
 func DecodeMsg(f *wire.Frame) (*Msg, error) {
 	if f.Kind != wire.KindControl {
@@ -108,7 +114,9 @@ func DecodeMsg(f *wire.Frame) (*Msg, error) {
 }
 
 // DecodePage verifies a KindPage frame's type table against reg and adopts
-// the payload as a page owned by it.
+// the payload as a page owned by it. The page's Data is the payload up to
+// its capacity, so a payload read into a page-pool frame (ReadFrameInto)
+// makes that whole frame the page, and the pool takes it back.
 func DecodePage(f *wire.Frame, reg *object.Registry) (*object.Page, error) {
 	if f.Kind != wire.KindPage {
 		return nil, fmt.Errorf("procwork: expected a page frame, got kind %d", f.Kind)
@@ -128,8 +136,9 @@ func DecodePage(f *wire.Frame, reg *object.Registry) (*object.Page, error) {
 			return nil, fmt.Errorf("procwork: type drift: %q is code %d here, %d on the wire", tb.Name, ti.Code, tb.Code)
 		}
 	}
-	// wire.Read freshly allocates the payload; the page takes ownership.
-	return object.FromBytes(f.Payload, reg)
+	// The payload is a fresh allocation or a frame the reader took for this
+	// page alone; the page takes ownership without another copy.
+	return object.FromBytes(f.Payload[:cap(f.Payload)], reg)
 }
 
 // SchemasOf captures reg's user types as shippable schemas (Methods, Hash

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 )
 
 // Version is the frame format version this package speaks.
@@ -101,6 +102,16 @@ type Frame struct {
 // Append serializes the frame onto buf and returns the extended slice. The
 // payload is copied verbatim — page bytes are never re-encoded.
 func Append(buf []byte, f *Frame) ([]byte, error) {
+	buf, err := appendHeader(buf, f)
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, f.Payload...), nil
+}
+
+// appendHeader serializes all of the frame but its payload: the fixed
+// header, the type table and the payload length.
+func appendHeader(buf []byte, f *Frame) ([]byte, error) {
 	if f.Kind != KindPage && f.Kind != KindControl {
 		return nil, fmt.Errorf("%w: %d", ErrBadKind, f.Kind)
 	}
@@ -120,18 +131,21 @@ func Append(buf []byte, f *Frame) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(tb.Name)))
 		buf = append(buf, tb.Name...)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload)))
-	buf = append(buf, f.Payload...)
-	return buf, nil
+	return binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload))), nil
 }
 
-// Write encodes f and writes it to w as one frame.
+// Write encodes f and writes it to w as one frame. The header and the
+// payload go out as one net.Buffers write (one writev on a socket): the
+// payload is written from the caller's slice, never copied into a frame
+// buffer.
 func Write(w io.Writer, f *Frame) error {
-	buf, err := Append(nil, f)
+	var hdr [128]byte
+	h, err := appendHeader(hdr[:0], f)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(buf)
+	bufs := net.Buffers{h, f.Payload}
+	_, err = bufs.WriteTo(w)
 	return err
 }
 
@@ -139,8 +153,18 @@ func Write(w io.Writer, f *Frame) error {
 // length prefix may claim (<= 0 uses DefaultMaxPayload). Truncated input
 // returns an error wrapping io.ErrUnexpectedEOF; a clean EOF before any
 // header byte returns io.EOF untouched, so stream loops can end naturally.
-// Read never panics on corrupt input.
+// Read never panics on corrupt input. The payload is freshly allocated.
 func Read(r io.Reader, maxPayload int) (*Frame, error) {
+	return ReadInto(r, maxPayload, nil)
+}
+
+// ReadInto is Read, except that a page frame's payload is read into the
+// slice payload returns for its length n, asked once n has passed the
+// maxPayload check. The frame's Payload is that slice cut to n bytes, so
+// its capacity still reaches the slice's end. A nil payload func, or a
+// returned slice shorter than n, leaves the payload freshly allocated, as
+// a control frame's always is.
+func ReadInto(r io.Reader, maxPayload int, payload func(n int) []byte) (*Frame, error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
@@ -198,7 +222,14 @@ func Read(r io.Reader, maxPayload int) (*Frame, error) {
 	if int64(payLen) > int64(maxPayload) {
 		return nil, fmt.Errorf("%w: payload %d > limit %d", ErrTooLarge, payLen, maxPayload)
 	}
-	f.Payload = make([]byte, payLen)
+	if f.Kind == KindPage && payload != nil {
+		if b := payload(int(payLen)); len(b) >= int(payLen) {
+			f.Payload = b[:payLen]
+		}
+	}
+	if f.Payload == nil {
+		f.Payload = make([]byte, payLen)
+	}
 	if _, err := io.ReadFull(r, f.Payload); err != nil {
 		return nil, fmt.Errorf("wire: reading payload: %w", unexpected(err))
 	}

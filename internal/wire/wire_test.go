@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -163,11 +164,36 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{'P', 'C', 'W', 1, KindControl})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	frame := make([]byte, 256) // a recycled page frame: stale bytes included
+	for i := range frame {
+		frame[i] = 0xA5
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic; on success the re-encoding must round-trip.
 		fr, err := Read(bytes.NewReader(data), 1<<20)
+		// The caller-supplied payload path must decode the same frame or
+		// fail with the same error, asked only for a page frame's payload
+		// and only for a length within the limit.
+		fi, erri := ReadInto(bytes.NewReader(data), 1<<20, func(n int) []byte {
+			if n > 1<<20 {
+				t.Fatalf("payload func asked for %d bytes past the limit", n)
+			}
+			if n > len(frame) {
+				return nil
+			}
+			return frame
+		})
+		if (err == nil) != (erri == nil) || err != nil && err.Error() != erri.Error() {
+			t.Fatalf("Read error %v, ReadInto error %v", err, erri)
+		}
 		if err != nil {
 			return
+		}
+		if fi.Kind != fr.Kind || fi.Tag != fr.Tag || !reflect.DeepEqual(fi.Types, fr.Types) || !bytes.Equal(fi.Payload, fr.Payload) {
+			t.Fatalf("ReadInto decoded %+v, Read %+v", fi, fr)
+		}
+		if n := len(fi.Payload); n > 0 && (&fi.Payload[0] == &frame[0]) != (fr.Kind == KindPage && n <= len(frame)) {
+			t.Fatalf("kind %d payload of %d bytes: in the supplied frame %v", fr.Kind, n, &fi.Payload[0] == &frame[0])
 		}
 		enc, err := Append(nil, fr)
 		if err != nil {
