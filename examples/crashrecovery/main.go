@@ -83,8 +83,8 @@ func main() {
 
 	// Act two: crash the CONSUMING side. The Finalize lambda — which runs
 	// inside the aggregation's streaming merge consumer — panics once; the
-	// scheduler restores the consumer's last checkpoint, rewinds the
-	// exchange, and replays, so the sums still come out exact.
+	// scheduler rewinds the exchange and replays its retained stream from
+	// page 0 into a fresh merge, so the sums still come out exact.
 	var finalizeCrashes int32
 	agg := &pc.Aggregate{
 		In:      pc.NewScan("db", "in", "Rec"),

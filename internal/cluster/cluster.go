@@ -15,14 +15,17 @@
 // Execute compiles a computation graph to TCAP (internal/core), optimizes
 // it (internal/optimizer), plans job stages (internal/physical), and runs
 // each schedulable step — a barrier stage, or an exchange-linked stage pair
-// — on every worker in parallel. Per-worker stage execution goes through
-// the engine's shared parallel driver (engine.RunPipelineThreads, under
-// workerEnv.drivePipeline, the scaffold every pipeline-running role
-// shares): the worker's source batches are split into Config.Threads
-// contiguous chunks, each driven by a dedicated executor thread with a
-// private pipeline, context, output page set, and sink. Output and
-// join-build artifacts are committed only after the all-workers barrier,
-// so no goroutine writes a map a peer is reading.
+// — on every worker in parallel. A worker's stage work is written once,
+// in internal/core (core.StageEnv, stage.go), and shared with the
+// single-process core.Executor: the pipeline driver (RunPipeline, over
+// engine.RunPipelineThreads) splits the worker's source batches into
+// Config.Threads contiguous chunks, each driven by a dedicated executor
+// thread with a private pipeline, context, output page set, and sink; the
+// aggregation consumer merges and finalizes through MergeAggregation, the
+// sort consumer through MergeSort. The roles here add the exchange ends,
+// fault sites and commits around those calls. Artifacts are committed only
+// after the all-workers barrier, so no goroutine writes a map a peer is
+// reading.
 //
 // # Step runner
 //

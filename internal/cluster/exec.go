@@ -132,38 +132,27 @@ func (c *Cluster) Execute(writes ...*core.Write) (*ExecStats, error) {
 	return stats, nil
 }
 
-// workerArtifacts is one worker's stage result, committed to the worker's
-// artifact maps only after every worker finishes (so concurrent goroutines
-// never write a map a peer is reading).
-type workerArtifacts struct {
-	pages     []*object.Page
-	pagesKey  string
-	table     *engine.JoinTable
-	tableKey  string
-	outputDb  string
-	outputSet string
-}
-
-// commitArtifacts installs every worker's stage results after the barrier.
-func (c *Cluster) commitArtifacts(arts []*workerArtifacts) error {
+// commitArtifacts installs every worker's share of stage's result — its
+// entry in arts — after the barrier (so concurrent goroutines never write a
+// map a peer is reading): OUTPUT pages into the worker's stored set, a join
+// table under its build list, any other pages under the stage's artifact
+// name.
+func (c *Cluster) commitArtifacts(stage *physical.JobStage, arts []core.Artifact) error {
+	pipeline := stage.Kind == physical.StagePipeline
 	for i, w := range c.Workers {
-		a := arts[i]
-		if a == nil {
-			continue
-		}
-		if a.pagesKey != "" {
-			w.artPages[a.pagesKey] = a.pages
-		}
-		if a.tableKey != "" {
-			w.artTables[a.tableKey] = a.table
-		}
-		if a.outputSet != "" {
-			if err := w.Front.Store.Append(a.outputDb, a.outputSet, a.pages); err != nil {
+		switch {
+		case pipeline && stage.Sink == physical.SinkOutput:
+			db, set := stage.SinkStmt.Db, stage.SinkStmt.Set
+			if err := w.Front.Store.Append(db, set, arts[i].Pages); err != nil {
 				return err
 			}
-			for _, p := range a.pages {
-				c.Catalog.UpdateSetStats(a.outputDb, a.outputSet, 1, int64(p.Used()))
+			for _, p := range arts[i].Pages {
+				c.Catalog.UpdateSetStats(db, set, 1, int64(p.Used()))
 			}
+		case pipeline && stage.Sink == physical.SinkJoinBuild:
+			w.artTables[stage.SinkStmt.Applied2.Name] = arts[i].Table
+		default:
+			w.artPages[stage.Produces] = arts[i].Pages
 		}
 	}
 	return nil
@@ -190,7 +179,7 @@ func (c *Cluster) runStage(res *core.CompileResult, stage *physical.JobStage, st
 		// exchange-linked and scheduled by runExchangeGroup.
 		return fmt.Errorf("stage kind %d/sink %v must run through the exchange", stage.Kind, stage.Sink)
 	}
-	arts := make([]*workerArtifacts, len(c.Workers))
+	arts := make([]core.Artifact, len(c.Workers))
 	roles := make([]role, len(c.Workers))
 	for i, w := range c.Workers {
 		roles[i] = role{w: w, name: rolePipeline, what: stage.Produces,
@@ -203,25 +192,19 @@ func (c *Cluster) runStage(res *core.CompileResult, stage *physical.JobStage, st
 	if _, err := c.runStep(roles, nil); err != nil {
 		return err
 	}
-	return c.commitArtifacts(arts)
+	return c.commitArtifacts(stage, arts)
 }
 
 // runPipelineOnWorker executes a barrier pipeline stage on one worker
-// across Config.Threads executor threads (workerEnv.drivePipeline) and
-// combines the per-thread results after the barrier:
-//
-//   - OUTPUT / materialize sinks: per-thread pages are concatenated in
-//     thread order, which is source order because chunks are contiguous.
-//   - Join-build sinks: per-thread hash tables are merged bucket-wise in
-//     thread order.
-//
+// across Config.Threads executor threads (core.StageEnv.RunPipeline): its
+// OUTPUT or materialized pages in source order, or its join table.
 // (Pre-aggregation sinks stream through the exchange instead; see
 // runExchangeGroup.)
-func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.JobStage, w *Worker) (*workerArtifacts, error) {
+func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.JobStage, w *Worker) (core.Artifact, error) {
 	env := c.env(w)
 	pages, err := env.sourcePages(stage)
 	if err != nil {
-		return nil, err
+		return core.Artifact{}, err
 	}
 
 	// Broadcast join build: every worker needs the complete build input,
@@ -237,40 +220,16 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 			}
 			otherPages, err := c.env(other).sourcePages(stage)
 			if err != nil {
-				return nil, err
+				return core.Artifact{}, err
 			}
 			shipped, err := c.Transport.ShipAll(otherPages, w.Reg())
 			if err != nil {
-				return nil, err
+				return core.Artifact{}, err
 			}
 			pages = append(pages, shipped...)
 		}
 	}
-
-	sinkStmt, err := core.StageSinkStmt(stage)
-	if err != nil {
-		return nil, err
-	}
-	pt, err := env.drivePipeline(res, stage, pages, sinkStmt,
-		func(_ int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, error) {
-			return core.NewStageSink(res, stage, env.reg, env.pageSize, env.workers, env.pool, stats)
-		}, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	switch stage.Sink {
-	case physical.SinkOutput, physical.SinkMaterialize:
-		out := pt.OutputPages()
-		if stage.Sink == physical.SinkOutput {
-			return &workerArtifacts{pages: out, outputDb: stage.SinkStmt.Db, outputSet: stage.SinkStmt.Set}, nil
-		}
-		return &workerArtifacts{pages: out, pagesKey: stage.Produces}, nil
-	case physical.SinkJoinBuild:
-		table := pt.MergeJoinTables(c.pool)
-		return &workerArtifacts{table: table, tableKey: stage.SinkStmt.Applied2.Name}, nil
-	}
-	return nil, nil
+	return env.RunPipeline(res, stage, pages, nil, nil)
 }
 
 // newShuffleExchange builds every step's exchange and wires it to the
@@ -339,16 +298,13 @@ func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical
 		govs, opener = nil, c.sessionOpener(res)
 	}
 	ex := c.newShuffleExchange(func(p *object.Page) { c.pool.Put(p) }, govs)
-	arts := make([]*workerArtifacts, nw)
+	arts := make([]core.Artifact, nw)
 	roles := make([]role, 2*nw)
 	for i, w := range c.Workers {
 		env := c.env(w)
 		end := &exchangeEnd{ex: ex, worker: i}
 		produce := func() error { return env.runPreAggStream(res, prod, end) }
-		consume := func() ([]*object.Page, error) {
-			end.rewind()
-			return env.consumeAggStream(res, cons, end)
-		}
+		consume := func() ([]*object.Page, error) { return env.consumeAggStream(res, cons, end) }
 		if proc {
 			produce = func() error { return c.procProduce(w, opener, prod, end) }
 			consume = func() ([]*object.Page, error) { return c.procConsume(w, opener, cons, end) }
@@ -359,11 +315,8 @@ func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical
 			closes:  ex}
 		roles[nw+i] = role{w: w, proc: proc, name: roleConsumer, what: cons.Produces,
 			onRetry: stats.noteRetry(roleConsumer, true),
-			body: func() error {
-				pages, err := consume()
-				if err == nil {
-					arts[i] = &workerArtifacts{pages: pages, pagesKey: cons.Produces}
-				}
+			body: func() (err error) {
+				arts[i].Pages, err = consume()
 				return err
 			}}
 	}
@@ -371,7 +324,7 @@ func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical
 	if err != nil {
 		return ship, err
 	}
-	return ship, c.commitArtifacts(arts)
+	return ship, c.commitArtifacts(cons, arts)
 }
 
 // runPreAggStream is the producer half of a streaming shuffle: the
@@ -385,55 +338,23 @@ func (e *workerEnv) runPreAggStream(res *core.CompileResult, stage *physical.Job
 	if err != nil {
 		return err
 	}
-	_, err = e.drivePipeline(res, stage, pages, stage.SinkStmt,
-		func(t int, stats *engine.Stats, stop <-chan struct{}) (engine.Sink, error) {
-			sink, err := core.NewStageSink(res, stage, e.reg, e.pageSize, e.workers, e.pool, stats)
-			if err != nil {
-				return nil, err
-			}
-			seq := 0
-			sink.(*engine.AggSink).Out.OnSeal = func(p *object.Page) error {
-				e.fault.Hit(fault.PageSeal, e.id)
-				tag := exchange.Tag{Producer: e.id, Thread: t, Seq: seq}
-				seq++
-				return end.send(tag, p, stop)
-			}
-			return sink, nil
-		}, end.closeThread)
+	_, err = e.RunPipeline(res, stage, pages, func(t int, sink engine.Sink, stop <-chan struct{}) {
+		seq := 0
+		sink.(*engine.AggSink).Out.OnSeal = func(p *object.Page) error {
+			e.Fault.Hit(fault.PageSeal, e.ID)
+			tag := exchange.Tag{Producer: e.ID, Thread: t, Seq: seq}
+			seq++
+			return end.send(tag, p, stop)
+		}
+	}, end.closeThread)
 	return err
 }
 
 // consumeAggStream is the consumer half: the worker owns hash partition
-// e.id and merges it incrementally from end's stream — from page 0, on
-// every attempt — then finalizes the sub-maps into its share of the result
-// (the stage's "mat:" artifact pages).
-func (e *workerEnv) consumeAggStream(res *core.CompileResult, stage *physical.JobStage, end shuffleEnd) ([]*object.Page, error) {
-	spec := res.AggSpecs[stage.AggList]
-	if spec == nil {
-		return nil, fmt.Errorf("no aggregation spec for %q", stage.AggList)
-	}
-	next := func() (*object.Page, bool, error) {
-		p, ok, err := end.next()
-		if ok {
-			e.fault.Hit(fault.Delivery, e.id)
-		}
-		return p, ok, err
-	}
-	finals, mergePages, err := engine.MergeAggMapsStream(e.reg, next, e.id, e.workers,
-		spec, e.pageSize, e.pool, e.threads)
-	if err != nil {
-		return nil, err
-	}
-	e.fault.Hit(fault.Finalize, e.id)
-	var fstats engine.Stats
-	out, err := engine.FinalizeAggParallel(e.reg, finals, spec, e.pageSize, e.pool, &fstats)
-	e.noteStats(fstats)
-	if err != nil {
-		return nil, err
-	}
-	// The merge pages' contents were finalized into out; recycle them.
-	for _, pg := range mergePages {
-		e.pool.Put(pg)
-	}
-	return out, nil
+// e.ID and merges it incrementally from end's stream — rewound to page 0
+// on every attempt — then finalizes the sub-maps into its share of the
+// result (the stage's "mat:" artifact pages).
+func (e *workerEnv) consumeAggStream(res *core.CompileResult, stage *physical.JobStage, end consumerEnd) ([]*object.Page, error) {
+	end.rewind()
+	return e.MergeAggregation(res, stage, e.deliveries(end), e.ID)
 }

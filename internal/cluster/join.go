@@ -181,17 +181,17 @@ func (e *workerEnv) streamRepartition(db, set string, key func(object.Ref) uint6
 	if err != nil {
 		return err
 	}
-	chunks := e.threadChunks(pages)
+	chunks := e.ThreadChunks(pages)
 	tstats := make([]engine.Stats, len(chunks))
 	err = engine.ParallelThreads(len(chunks), func(t int, stop <-chan struct{}) error {
-		sink, err := engine.NewRepartitionSink(e.reg, e.pageSize, e.workers, "h", "obj", e.pool, &tstats[t])
+		sink, err := engine.NewRepartitionSink(e.Reg, e.PageSize, e.Partitions, "h", "obj", e.Pool, &tstats[t])
 		if err != nil {
 			return err
 		}
-		seqs := make([]int, e.workers)
+		seqs := make([]int, e.Partitions)
 		sink.SetOnSeal(func(part int, p *object.Page) error {
-			e.fault.Hit(fault.PageSeal, e.id)
-			tag := exchange.Tag{Producer: e.id, Thread: t, Seq: seqs[part]}
+			e.Fault.Hit(fault.PageSeal, e.ID)
+			tag := exchange.Tag{Producer: e.ID, Thread: t, Seq: seqs[part]}
 			seqs[part]++
 			return streamErr(ex.Send(tag, part, p, stop))
 		})
@@ -201,9 +201,9 @@ func (e *workerEnv) streamRepartition(db, set string, key func(object.Ref) uint6
 		if err := sink.CloseStream(); err != nil {
 			return err
 		}
-		return streamErr(ex.CloseThread(e.id, t, stop))
+		return streamErr(ex.CloseThread(e.ID, t, stop))
 	})
-	e.noteStats(tstats...)
+	e.NoteStats(tstats...)
 	return err
 }
 
@@ -288,14 +288,14 @@ func (e *workerEnv) gatherJoinStreams(build, probe consumerEnd, j *joinSpec, rec
 func (e *workerEnv) buildTableStream(end consumerEnd, j *joinSpec, rec *joinRecovery) (*engine.JoinTable, error) {
 	// A re-gather re-appends every build row.
 	rec.buildRows = rec.buildRows[:0]
-	tables := make([]*engine.JoinTable, e.threads)
+	tables := make([]*engine.JoinTable, e.Threads)
 	for t := range tables {
 		tables[t] = engine.NewJoinTable()
 	}
 	next := func() (*object.Page, bool, error) {
 		p, ok, err := end.next()
 		if ok {
-			e.fault.Hit(fault.BuildPage, e.id)
+			e.Fault.Hit(fault.BuildPage, e.ID)
 			if j.needTail() {
 				// Delivery order defines the match bitmap's index space;
 				// next runs on the dispatch goroutine, so the rows append
@@ -329,7 +329,7 @@ func (e *workerEnv) buildTableStream(end consumerEnd, j *joinSpec, rec *joinReco
 	for _, tbl := range tables {
 		tstats[0].HashResizes += int(tbl.Resizes())
 	}
-	e.noteStats(tstats...)
+	e.NoteStats(tstats...)
 	return table, nil
 }
 
@@ -373,7 +373,7 @@ func (e *workerEnv) probeEmitStream(end consumerEnd, table *engine.JoinTable, j 
 				done = true
 				break
 			}
-			e.fault.Hit(fault.ProbePage, e.id)
+			e.Fault.Hit(fault.ProbePage, e.ID)
 			window = append(window, p)
 			if p.Root() != 0 {
 				pstats.HashProbes += object.AsVector(object.Ref{Page: p, Off: p.Root()}).Len()
@@ -382,7 +382,7 @@ func (e *workerEnv) probeEmitStream(end consumerEnd, table *engine.JoinTable, j 
 		if len(window) == 0 {
 			break // the stream ended on a window boundary
 		}
-		e.noteStats(pstats)
+		e.NoteStats(pstats)
 		matches, err := e.collectProbeMatches(window, table, j, scratch[:0])
 		if err != nil {
 			return nil, 0, err
@@ -390,7 +390,7 @@ func (e *workerEnv) probeEmitStream(end consumerEnd, table *engine.JoinTable, j 
 		scratch = matches
 		for _, m := range matches {
 			if bitmap != nil && m[1] != object.NilRef {
-				e.fault.Hit(fault.ProbeBitmap, e.id)
+				e.Fault.Hit(fault.ProbeBitmap, e.ID)
 				markBit(bitmap, rowIdx[m[1]])
 			}
 			if err := e.emitOnce(j, rec, &counter, m[0], m[1]); err != nil {
@@ -429,7 +429,7 @@ func (e *workerEnv) emitOnce(j *joinSpec, rec *joinRecovery, counter *int, l, r 
 	if *counter <= rec.emitted {
 		return nil
 	}
-	e.fault.Hit(fault.Emit, e.id)
+	e.Fault.Hit(fault.Emit, e.ID)
 	if err := j.emit(l, r); err != nil {
 		return err
 	}
@@ -511,7 +511,7 @@ func (e *workerEnv) collectProbeMatches(pages []*object.Page, table *engine.Join
 		}
 		return out
 	}
-	chunks := e.threadChunks(pages)
+	chunks := e.ThreadChunks(pages)
 	matches := make([]*[][2]object.Ref, len(chunks))
 	if err := engine.ParallelFor(len(chunks), func(t int) error {
 		buf := probeBufPool.Get().(*[][2]object.Ref)

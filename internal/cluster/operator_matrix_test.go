@@ -601,3 +601,130 @@ func TestOperatorMatrixCheckpointsOff(t *testing.T) {
 		}
 	}
 }
+
+// oneWorkerWrite is matWrite plus the two plans the executor parity test
+// adds: a selection, and a planned inner join whose output row carries the
+// matched pair (key = left val, val = right val), so pair order shows.
+func oneWorkerWrite(op string, ti *object.TypeInfo, out string) *core.Write {
+	switch op {
+	case "select":
+		return core.NewWrite("db", out, &core.Selection{
+			In: core.NewScan("db", "left", "MatRow"), ArgType: "MatRow",
+			Predicate: func(arg *lambda.Arg) lambda.Term {
+				return lambda.Gt(lambda.FromMethod(arg, "getKeyRaw"), lambda.ConstI64(4))
+			},
+			Projection: func(arg *lambda.Arg) lambda.Term { return lambda.FromSelf(arg) }})
+	case "inner":
+		pair := func(ctx *lambda.NativeCtx, args []object.Value) (object.Value, error) {
+			r, err := ctx.Alloc.MakeObject(ti)
+			if err != nil {
+				return object.Value{}, err
+			}
+			object.SetI64(r, ti.Field("key"), object.GetI64(args[0].H, ti.Field("val")))
+			object.SetI64(r, ti.Field("val"), object.GetI64(args[1].H, ti.Field("val")))
+			return object.HandleValue(r), nil
+		}
+		return core.NewWrite("db", out, &core.Join{
+			In:       []core.Computation{core.NewScan("db", "left", "MatRow"), core.NewScan("db", "right", "MatRow")},
+			ArgTypes: []string{"MatRow", "MatRow"},
+			Predicate: func(args []*lambda.Arg) lambda.Term {
+				return lambda.Eq(lambda.FromMethod(args[0], "getKeyRaw"), lambda.FromMethod(args[1], "getKeyRaw"))
+			},
+			Projection: func(args []*lambda.Arg) lambda.Term {
+				return lambda.FromNative("pair", object.KHandle, pair, lambda.FromSelf(args[0]), lambda.FromSelf(args[1]))
+			}})
+	}
+	return matWrite(op, ti, out)
+}
+
+// oneWorkerExecutorRun runs one operator on core.NewExecutor(…, 1) — one
+// partition, the executor's one-worker shape — at the given thread count.
+func oneWorkerExecutorRun(t *testing.T, op string, threads int, left, right []matRow) []matRow {
+	t.Helper()
+	reg := object.NewRegistry()
+	ti := matType(reg)
+	store := core.NewMemStore()
+	for set, rows := range map[string][]matRow{"left": left, "right": right} {
+		pages, err := object.BuildPages(reg, 1<<13, len(rows), matFill(ti, rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Sets["db."+set] = pages
+	}
+	res, err := core.Compile(oneWorkerWrite(op, ti, "out"))
+	if err != nil {
+		t.Fatalf("executor %s: compile: %v", op, err)
+	}
+	opt, _, err := optimizer.Optimize(res.Prog)
+	if err != nil {
+		t.Fatalf("executor %s: optimize: %v", op, err)
+	}
+	res.Prog = opt
+	plan, err := physical.Build(opt)
+	if err != nil {
+		t.Fatalf("executor %s: plan: %v", op, err)
+	}
+	ex := core.NewExecutor(store, reg, 1<<13, 1)
+	ex.Threads = threads
+	if err := ex.Run(res, plan); err != nil {
+		t.Fatalf("executor %s (threads=%d): %v", op, threads, err)
+	}
+	return matReadPages(ti, store.Sets["db.out"])
+}
+
+// TestExecutorMatchesOneWorkerCluster pins that core.Executor is one
+// cluster worker with no shuffle: for every operator and corpus, a
+// one-partition executor and an in-memory Workers: 1 cluster at the same
+// thread count return the same rows in the same order — unordered
+// operators included, so the two schedules must agree on page order too.
+func TestExecutorMatchesOneWorkerCluster(t *testing.T) {
+	ops := []string{"select", "agg", "distinct", "orderby", "topk", "window", "inner"}
+	for _, corpus := range matCorpora {
+		left, right := matCorpus(corpus)
+		for _, threads := range []int{1, 2} {
+			c, err := New(Config{Workers: 1, Threads: threads, PageSize: 1 << 13})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := c.Catalog.Registry()
+			ti := matType(reg)
+			if err := c.CreateDatabase("db"); err != nil {
+				t.Fatal(err)
+			}
+			for set, rows := range map[string][]matRow{"left": left, "right": right} {
+				pages, err := object.BuildPages(reg, 1<<13, len(rows), matFill(ti, rows))
+				if err == nil {
+					err = c.CreateSet("db", set, "MatRow")
+				}
+				if err == nil {
+					err = c.SendData("db", set, pages)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, op := range ops {
+				label := fmt.Sprintf("%s/%s/threads=%d", corpus, op, threads)
+				set := "out_" + op
+				if err := c.CreateSet("db", set, "MatRow"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Execute(oneWorkerWrite(op, ti, set)); err != nil {
+					t.Fatalf("cluster %s: %v", label, err)
+				}
+				var got []matRow
+				if pages, err := c.Workers[0].Front.Store.Pages("db", set); err == nil {
+					got = matReadPages(ti, pages)
+				}
+				want := oneWorkerExecutorRun(t, op, threads, left, right)
+				if corpus == "random" && len(want) == 0 {
+					t.Errorf("%s: no rows; the comparison would be vacuous", label)
+				}
+				if g, w := canonKV(got), canonKV(want); !equalRows(g, w) {
+					t.Errorf("%s: cluster rows differ from the executor's (%d vs %d)", label, len(g), len(w))
+				}
+			}
+			c.Close()
+		}
+	}
+}

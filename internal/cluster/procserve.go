@@ -90,9 +90,10 @@ func session(conn net.Conn, workerID int, dataDir string) error {
 		return err
 	}
 	env := &workerEnv{
-		id: workerID, workers: req.Workers, threads: req.Threads, pageSize: req.PageSize,
-		reg: reg, store: store, pool: object.NewPagePool(req.PageSize),
-		noteStats: func(...engine.Stats) {},
+		StageEnv: core.StageEnv{ID: workerID, Partitions: req.Workers, Threads: req.Threads,
+			PageSize: req.PageSize, Reg: reg, Pool: object.NewPagePool(req.PageSize),
+			NoteStats: func(...engine.Stats) {}},
+		store: store,
 	}
 	end := &socketEnd{conn: conn, env: env, held: make([][]*object.Page, req.Threads), killAfter: req.KillAfterPages}
 	switch req.Op {
@@ -151,12 +152,12 @@ type socketEnd struct {
 
 // writePage frames p up the socket and recycles it.
 func (s *socketEnd) writePage(p *object.Page) error {
-	tag := wire.Tag{Producer: uint32(s.env.id), Seq: uint32(s.seq)}
+	tag := wire.Tag{Producer: uint32(s.env.ID), Seq: uint32(s.seq)}
 	s.seq++
-	if err := procwork.WritePage(s.conn, tag, p, s.env.reg); err != nil {
+	if err := procwork.WritePage(s.conn, tag, p, s.env.Reg); err != nil {
 		return err
 	}
-	s.env.pool.Put(p)
+	s.env.Pool.Put(p)
 	return nil
 }
 
@@ -179,6 +180,10 @@ func (s *socketEnd) flush() error {
 	return procwork.WriteMsg(s.conn, &procwork.Msg{Op: "eof"})
 }
 
+// rewind is a no-op: each retried consume session is a new connection, and
+// the master has already rewound the exchange it relays (procConsume).
+func (s *socketEnd) rewind() {}
+
 func (s *socketEnd) next() (*object.Page, bool, error) {
 	f, err := procwork.ReadFrame(s.conn)
 	if err != nil {
@@ -199,6 +204,6 @@ func (s *socketEnd) next() (*object.Page, bool, error) {
 		// would, for the master's respawn and replay to recover from.
 		os.Exit(137)
 	}
-	p, err := procwork.DecodePage(f, s.env.reg)
+	p, err := procwork.DecodePage(f, s.env.Reg)
 	return p, err == nil, err
 }

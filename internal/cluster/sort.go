@@ -11,8 +11,6 @@ package cluster
 // bit-for-bit.
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/exchange"
@@ -51,11 +49,10 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 	end := &exchangeEnd{ex: ex, worker: 0}
 	// All sorted output concentrates on worker 0; the other workers still
 	// get the artifact key so downstream scans find (empty) partitions.
-	arts := make([]*workerArtifacts, nw)
+	arts := make([]core.Artifact, nw)
 	roles := make([]role, nw+1)
 	for i, w := range c.Workers {
 		env := c.env(w)
-		arts[i] = &workerArtifacts{pagesKey: cons.Produces}
 		roles[i] = role{w: w, name: roleProducer, what: prod.Produces,
 			onRetry: stats.noteRetry(roleProducer, false),
 			body:    func() error { return env.runSortStreamOnWorker(res, prod, ex) },
@@ -64,14 +61,14 @@ func (c *Cluster) runSortGroup(res *core.CompileResult, prod, cons *physical.Job
 	roles[nw] = role{w: c.Workers[0], name: roleConsumer, what: cons.Produces,
 		onRetry: stats.noteRetry(roleConsumer, true),
 		body: func() (err error) { // the merge consumer, on worker 0's backend
-			arts[0], err = c.env(c.Workers[0]).consumeSortStream(res, cons, end)
+			arts[0].Pages, err = c.env(c.Workers[0]).consumeSortStream(res, cons, end)
 			return err
 		}}
 	ship, err := c.runStep(roles, nil, ex)
 	if err != nil {
 		return ship, err
 	}
-	return ship, c.commitArtifacts(arts)
+	return ship, c.commitArtifacts(cons, arts)
 }
 
 // runSortStreamOnWorker is the producer half of the merge network on one
@@ -92,10 +89,7 @@ func (e *workerEnv) runSortStreamOnWorker(res *core.CompileResult, stage *physic
 
 	// A worker with no input still streams its (empty) close marker,
 	// honoring the exchange's lane contract.
-	pt, err := e.drivePipeline(res, stage, pages, stage.SinkStmt,
-		func(_ int, stats *engine.Stats, _ <-chan struct{}) (engine.Sink, error) {
-			return core.NewStageSink(res, stage, e.reg, e.pageSize, e.workers, e.pool, stats)
-		}, nil)
+	art, err := e.RunPipeline(res, stage, pages, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -105,14 +99,14 @@ func (e *workerEnv) runSortStreamOnWorker(res *core.CompileResult, stage *physic
 	// because thread chunks are contiguous (SplitRanges) — the consumer's
 	// stability tie-break. Run pages are self-contained (AppendSortRow
 	// deep-copied each row onto them), so they ship as they are.
-	for t, sink := range pt.Sinks {
-		for seq, p := range sink.Pages() {
-			e.fault.Hit(fault.PageSeal, e.id)
-			if err := streamErr(ex.Send(exchange.Tag{Producer: e.id, Thread: t, Seq: seq}, 0, p, nil)); err != nil {
+	for t, run := range art.Runs {
+		for seq, p := range run {
+			e.Fault.Hit(fault.PageSeal, e.ID)
+			if err := streamErr(ex.Send(exchange.Tag{Producer: e.ID, Thread: t, Seq: seq}, 0, p, nil)); err != nil {
 				return err
 			}
 		}
-		if err := streamErr(ex.CloseThread(e.id, t, nil)); err != nil {
+		if err := streamErr(ex.CloseThread(e.ID, t, nil)); err != nil {
 			return err
 		}
 	}
@@ -121,55 +115,26 @@ func (e *workerEnv) runSortStreamOnWorker(res *core.CompileResult, stage *physic
 
 // consumeSortStream is the consumer half: gather every producer's run pages
 // off its end of the exchange from page 0, then merge them into the global
-// order — each delivered page is its own merge lane — materializing output
-// objects onto fresh pages, with the window fold riding the merged stream.
-// It keeps no recovery record: a crash-retried attempt runs the same code
-// over the exchange's retained stream and writes the same pages.
-func (e *workerEnv) consumeSortStream(res *core.CompileResult, stage *physical.JobStage, end consumerEnd) (*workerArtifacts, error) {
-	spec := res.SortSpecs[stage.AggList]
-	if spec == nil {
-		return nil, fmt.Errorf("no sort spec for %q", stage.AggList)
-	}
-	ws := res.WindowSpecs[stage.AggList]
-	if spec.Window && ws == nil {
-		return nil, fmt.Errorf("no window spec for %q", stage.AggList)
-	}
-
-	// Every delivered page is one lane: each is a sorted contiguous chunk
-	// of one thread's run, delivery order is (worker, thread, page), and
-	// the merger breaks key ties by lowest lane index — together that
-	// reproduces the stable global order.
+// order (core.StageEnv.MergeSort) — each delivered page is its own merge
+// lane. It keeps no recovery record: a crash-retried attempt runs the same
+// code over the exchange's retained stream and writes the same pages.
+func (e *workerEnv) consumeSortStream(res *core.CompileResult, stage *physical.JobStage, end consumerEnd) ([]*object.Page, error) {
+	// Each delivered page is a sorted contiguous chunk of one thread's run,
+	// delivery order is (worker, thread, page), and the merger breaks key
+	// ties by lowest lane index — together that reproduces the stable
+	// global order.
 	end.rewind()
+	next := e.deliveries(end)
 	var runs [][]*object.Page
 	for {
-		p, ok, err := end.next()
+		p, ok, err := next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			break
 		}
-		e.fault.Hit(fault.Delivery, e.id)
 		runs = append(runs, []*object.Page{p})
 	}
-
-	m := engine.NewSortMerger(e.reg, runs, spec.Limit)
-	var stats engine.Stats
-	sink, err := engine.NewOutputSink(e.reg, e.pageSize, e.pool, &stats)
-	if err != nil {
-		return nil, err
-	}
-	var window engine.WindowState
-	for {
-		_, obj, val, ok := m.NextRow()
-		if !ok {
-			break
-		}
-		if err := engine.EmitMerged(sink.Out, ws, &window, obj, val); err != nil {
-			return nil, err
-		}
-	}
-	e.fault.Hit(fault.Finalize, e.id)
-	e.noteStats(stats)
-	return &workerArtifacts{pages: sink.Out.Pages(), pagesKey: stage.Produces}, nil
+	return e.MergeSort(res, stage, runs)
 }

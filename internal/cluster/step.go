@@ -15,7 +15,6 @@ import (
 	"repro/internal/object"
 	"repro/internal/physical"
 	"repro/internal/storage"
-	"repro/internal/tcap"
 )
 
 // role is one worker's share of a step: a unit of user-code work that
@@ -104,23 +103,19 @@ func (c *Cluster) runStep(roles []role, govs []*exchange.Governor, exs ...*excha
 	return ship, err
 }
 
-// shuffleEnd is one worker's end of a step's shuffle stream, as the
-// aggregation roles see it. In-process it is the exchange itself
-// (exchangeEnd); in a pcworker process it is the session's control socket
-// (socketEnd, procserve.go), and the master's relay carries each call to
-// the exchangeEnd on the far side.
+// shuffleEnd is a producer's end of a step's shuffle stream. In-process it
+// is the exchange itself (exchangeEnd); in a pcworker process it is the
+// session's control socket (socketEnd, procserve.go), and the master's
+// relay carries each call to the exchangeEnd on the far side.
 type shuffleEnd interface {
 	// send hands a sealed page to every consumer; closeThread ends executor
 	// thread t's stream. Both return early when stop closes.
 	send(tag exchange.Tag, p *object.Page, stop <-chan struct{}) error
 	closeThread(t int, stop <-chan struct{}) error
-	// next yields the consumer's stream, from page 0 on every attempt: the
-	// side that owns the exchange rewinds it before the attempt starts.
-	next() (*object.Page, bool, error)
 }
 
-// consumerEnd is a stream end the join and sort consumers rewind
-// themselves: every attempt replays from page 0.
+// consumerEnd is a consumer's end of a stream. Every consumer rewinds it
+// itself: each attempt replays from page 0.
 type consumerEnd interface {
 	rewind()
 	next() (*object.Page, bool, error)
@@ -174,29 +169,25 @@ func streamErr(err error) error {
 // workerEnv is what the role functions need of the worker they run on —
 // and nothing of the Cluster or Worker around it, so a pcworker process
 // builds one from a session opener and runs the very same functions
-// (procserve.go).
+// (procserve.go). The stage work itself is core.StageEnv's; the joins and
+// the exchange wiring add the worker's storage server and earlier stages'
+// materialized pages.
 type workerEnv struct {
-	id, workers, threads, pageSize int
-
-	reg *object.Registry
+	core.StageEnv
 	// store is the worker's storage server, holding its input sets.
 	store *storage.Server
-	pool  *object.PagePool
-	fault *fault.Plan
-
-	// Earlier stages' artifacts and the backend's stats fold. A pcworker
+	// artPages holds earlier stages' materialized pages. A pcworker
 	// process has none: its shippable plans scan stored sets only.
-	artPages  map[string][]*object.Page
-	artTables map[string]*engine.JoinTable
-	noteStats func(...engine.Stats)
+	artPages map[string][]*object.Page
 }
 
 // env builds w's role environment for the step about to run.
 func (c *Cluster) env(w *Worker) *workerEnv {
 	return &workerEnv{
-		id: w.ID, workers: len(c.Workers), threads: c.Cfg.Threads, pageSize: c.Cfg.PageSize,
-		reg: w.Reg(), store: w.Front.Store, pool: c.pool, fault: c.Cfg.Fault,
-		artPages: w.artPages, artTables: w.artTables, noteStats: w.mergeStats,
+		StageEnv: core.StageEnv{ID: w.ID, Partitions: len(c.Workers), Threads: c.Cfg.Threads,
+			PageSize: c.Cfg.PageSize, Reg: w.Reg(), Pool: c.pool, Fault: c.Cfg.Fault,
+			Tables: w.artTables, NoteStats: w.mergeStats},
+		store: w.Front.Store, artPages: w.artPages,
 	}
 }
 
@@ -221,41 +212,14 @@ func (e *workerEnv) sourcePages(stage *physical.JobStage) ([]*object.Page, error
 	return e.artPages["mat:"+stage.SourceList], nil
 }
 
-// threadChunks is the worker's pages → per-thread chunks step (pipeline
-// scaffold, repartition producer, join probe): batch ranges split into one
-// contiguous chunk per executor thread, so thread order is source order.
-func (e *workerEnv) threadChunks(pages []*object.Page) [][]engine.PageRange {
-	return engine.SplitRanges(engine.BatchRanges(pages, engine.BatchSize), e.threads)
-}
-
-// drivePipeline is the producer scaffold every pipeline-running role
-// shares: pages are split into one contiguous chunk per executor thread,
-// each chunk is driven through a private Pipeline/Ctx into the sink mk
-// builds for it (per-thread output pages, per-thread stats — nothing shared
-// on the hot path), and done, when set, ends the thread's stream. A worker
-// with no input still runs one empty chunk, so the sink is built and the
-// stage's contract — possibly empty pages, an empty join table, one page of
-// empty partition maps, a lone close marker — is honored. Per-thread
-// counters fold into the backend even on error.
-func (e *workerEnv) drivePipeline(res *core.CompileResult, stage *physical.JobStage, pages []*object.Page, sinkStmt *tcap.Stmt,
-	mk func(t int, stats *engine.Stats, stop <-chan struct{}) (engine.Sink, error),
-	done func(t int, stop <-chan struct{}) error) (*engine.PipelineThreads, error) {
-	chunks := e.threadChunks(pages)
-	if len(chunks) == 0 {
-		chunks = [][]engine.PageRange{nil}
+// deliveries is end's stream as a consumer reads it, with the Delivery
+// fault site at every delivered page.
+func (e *workerEnv) deliveries(end consumerEnd) func() (*object.Page, bool, error) {
+	return func() (*object.Page, bool, error) {
+		p, ok, err := end.next()
+		if ok {
+			e.Fault.Hit(fault.Delivery, e.ID)
+		}
+		return p, ok, err
 	}
-	pt, err := engine.RunPipelineThreads(chunks, stage.SourceCol, stage.Stmts, res.Stages, sinkStmt,
-		func(t int, stats *engine.Stats, stop <-chan struct{}) (engine.Sink, *engine.Ctx, error) {
-			sink, err := mk(t, stats, stop)
-			if err != nil {
-				return nil, nil, err
-			}
-			ctx, err := engine.NewSinkCtx(sink, e.reg, e.artTables, e.pageSize, e.pool, stats)
-			if err != nil {
-				return nil, nil, err
-			}
-			return sink, ctx, nil
-		}, done)
-	e.noteStats(pt.Stats...)
-	return pt, err
 }

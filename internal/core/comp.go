@@ -2,7 +2,9 @@
 // Computation toolkit (SelectionComp, JoinComp, AggregateComp,
 // MultiSelectionComp — paper §4), the TCAP compiler that lowers user-written
 // lambda term construction functions into optimizable TCAP programs (paper
-// §5), and the executor that runs physical plans over the vectorized engine.
+// §5), one worker's stage work over the vectorized engine (StageEnv, which
+// every cluster worker runs), and the single-process executor that runs a
+// physical plan through it as one worker.
 package core
 
 import (

@@ -119,7 +119,8 @@
 //     in exactly the sequential order.
 //   - Pre-aggregation sinks: every thread's map pages go to the merge as
 //     they are, in thread order — through a shuffle on a cluster, as one
-//     page slice in the single-process executor; the merge folds them
+//     page slice in the single-process executor (both merge through
+//     core.StageEnv.MergeAggregation); the merge folds them
 //     like any other partial aggregates (Combine is associative).
 //   - Join-build sinks: per-thread hash tables merge bucket-wise in thread
 //     order (JoinTable.Merge via PipelineThreads.MergeJoinTables), so
@@ -177,7 +178,8 @@
 // simulated cluster's crash-proof front end observes them as backend
 // crashes.
 //
-// Both the distributed runtime (internal/cluster) and the single-process
-// executor (internal/core) drive stages exclusively through this package,
-// so local runs exercise the identical code path as the cluster.
+// One caller drives stages through this package: core.StageEnv
+// (internal/core/stage.go), the worker stage code that both the
+// distributed runtime (internal/cluster) and the single-process executor
+// run, so local runs exercise the identical code path as the cluster.
 package engine

@@ -1,12 +1,13 @@
 package engine
 
-// The parallel stage driver shared by the distributed runtime
-// (internal/cluster) and the single-process executor (internal/core): both
-// split a pipeline stage's source into contiguous chunks, run one
-// Pipeline/Ctx/sink per chunk on a dedicated executor thread, and combine
-// the per-thread results with the sink-merge protocol implemented by the
-// PipelineThreads helpers below. Keeping the driver here means local runs
-// exercise exactly the code path the cluster runs per worker.
+// The parallel stage driver: it splits a pipeline stage's source into
+// contiguous chunks, runs one Pipeline/Ctx/sink per chunk on a dedicated
+// executor thread, and combines the per-thread results with the sink-merge
+// protocol implemented by the PipelineThreads helpers below. Its one caller
+// is core.StageEnv.RunPipeline, the worker stage code the distributed
+// runtime (internal/cluster) and the single-process executor
+// (internal/core) both run, so local runs exercise exactly the code path
+// the cluster runs per worker.
 
 import (
 	"repro/internal/object"

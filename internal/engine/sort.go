@@ -628,7 +628,7 @@ type WindowState struct {
 }
 
 // EmitMerged materializes one row of the merged stream onto out: the step
-// every sort-merge consumer repeats per row. Without a window the row's
+// the sort-merge consumer (core.StageEnv.MergeSort) repeats per row. Without a window the row's
 // object joins the root vector (the cross-page push deep-copies it off its
 // run page). With one, val is folded into st and the window's Emit builds
 // the output object from the running state, on a fresh page if the live

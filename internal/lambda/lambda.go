@@ -56,9 +56,12 @@ type Arg struct {
 	TypeName string
 }
 
+// Args reports the argument's own index.
 func (a *Arg) Args() map[int]bool { return map[int]bool{a.Index: true} }
-func (a *Arg) String() string     { return fmt.Sprintf("arg%d:%s", a.Index, a.TypeName) }
-func (a *Arg) isTerm()            {}
+
+// String renders the argument for diagnostics.
+func (a *Arg) String() string { return fmt.Sprintf("arg%d:%s", a.Index, a.TypeName) }
+func (a *Arg) isTerm()        {}
 
 // Member is makeLambdaFromMember: accesses a member variable of the
 // pointed-to object.
@@ -67,9 +70,12 @@ type Member struct {
 	Field string
 }
 
+// Args reports the receiver's arguments.
 func (m *Member) Args() map[int]bool { return m.Recv.Args() }
-func (m *Member) String() string     { return fmt.Sprintf("%s.%s", m.Recv, m.Field) }
-func (m *Member) isTerm()            {}
+
+// String renders the member access for diagnostics.
+func (m *Member) String() string { return fmt.Sprintf("%s.%s", m.Recv, m.Field) }
+func (m *Member) isTerm()        {}
 
 // MethodCall is makeLambdaFromMethod: invokes a registered virtual method on
 // the pointed-to object. Methods are assumed purely functional (paper §7),
@@ -79,9 +85,12 @@ type MethodCall struct {
 	Method string
 }
 
+// Args reports the receiver's arguments.
 func (m *MethodCall) Args() map[int]bool { return m.Recv.Args() }
-func (m *MethodCall) String() string     { return fmt.Sprintf("%s.%s()", m.Recv, m.Method) }
-func (m *MethodCall) isTerm()            {}
+
+// String renders the method call for diagnostics.
+func (m *MethodCall) String() string { return fmt.Sprintf("%s.%s()", m.Recv, m.Method) }
+func (m *MethodCall) isTerm()        {}
 
 // NativeCtx gives native lambdas access to the execution context: the live
 // output allocator (so makeObject calls land in place on the output page,
@@ -106,6 +115,7 @@ type Native struct {
 	Deps []Term // sub-terms whose outputs feed the native function
 }
 
+// Args reports every argument the native function's deps read.
 func (n *Native) Args() map[int]bool {
 	out := map[int]bool{}
 	for _, d := range n.Deps {
@@ -115,22 +125,30 @@ func (n *Native) Args() map[int]bool {
 	}
 	return out
 }
+
+// String renders the native function by name for diagnostics.
 func (n *Native) String() string { return fmt.Sprintf("native:%s", n.Name) }
 func (n *Native) isTerm()        {}
 
 // Self is makeLambdaFromSelf: the identity function on an input.
 type Self struct{ Recv Term }
 
+// Args reports the receiver's arguments.
 func (s *Self) Args() map[int]bool { return s.Recv.Args() }
-func (s *Self) String() string     { return fmt.Sprintf("self(%s)", s.Recv) }
-func (s *Self) isTerm()            {}
+
+// String renders the identity for diagnostics.
+func (s *Self) String() string { return fmt.Sprintf("self(%s)", s.Recv) }
+func (s *Self) isTerm()        {}
 
 // Const is a literal constant.
 type Const struct{ Val object.Value }
 
+// Args reports no arguments: a constant reads no input.
 func (c *Const) Args() map[int]bool { return map[int]bool{} }
-func (c *Const) String() string     { return c.Val.String() }
-func (c *Const) isTerm()            {}
+
+// String renders the constant for diagnostics.
+func (c *Const) String() string { return c.Val.String() }
+func (c *Const) isTerm()        {}
 
 // Binary composes two terms with a higher-order operator.
 type Binary struct {
@@ -138,6 +156,7 @@ type Binary struct {
 	L, R Term
 }
 
+// Args reports every argument the operands read.
 func (b *Binary) Args() map[int]bool {
 	out := map[int]bool{}
 	for k := range b.L.Args() {
@@ -148,6 +167,8 @@ func (b *Binary) Args() map[int]bool {
 	}
 	return out
 }
+
+// String renders the operator expression for diagnostics.
 func (b *Binary) String() string { return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R) }
 func (b *Binary) isTerm()        {}
 
@@ -157,9 +178,12 @@ type Unary struct {
 	X  Term
 }
 
+// Args reports every argument the operands read.
 func (u *Unary) Args() map[int]bool { return u.X.Args() }
-func (u *Unary) String() string     { return fmt.Sprintf("%s%s", u.Op, u.X) }
-func (u *Unary) isTerm()            {}
+
+// String renders the operator expression for diagnostics.
+func (u *Unary) String() string { return fmt.Sprintf("%s%s", u.Op, u.X) }
+func (u *Unary) isTerm()        {}
 
 // Abstraction families (paper §4's four built-ins).
 
@@ -183,25 +207,54 @@ func FromNative(name string, ret object.Kind, fn NativeFn, deps ...Term) Term {
 // ConstOf lifts a Go value into a constant term.
 func ConstOf(v object.Value) Term { return &Const{Val: v} }
 
-// ConstF64, ConstI64, ConstStr are literal shorthands.
+// ConstF64 is a float64 literal.
 func ConstF64(f float64) Term { return ConstOf(object.Float64Value(f)) }
-func ConstI64(i int64) Term   { return ConstOf(object.Int64Value(i)) }
-func ConstStr(s string) Term  { return ConstOf(object.StringValue(s)) }
+
+// ConstI64 is an int64 literal.
+func ConstI64(i int64) Term { return ConstOf(object.Int64Value(i)) }
+
+// ConstStr is a string literal.
+func ConstStr(s string) Term { return ConstOf(object.StringValue(s)) }
 
 // Higher-order composition functions.
 
-func Eq(l, r Term) Term  { return &Binary{Op: OpEq, L: l, R: r} }
-func Ne(l, r Term) Term  { return &Binary{Op: OpNe, L: l, R: r} }
-func Gt(l, r Term) Term  { return &Binary{Op: OpGt, L: l, R: r} }
-func Ge(l, r Term) Term  { return &Binary{Op: OpGe, L: l, R: r} }
-func Lt(l, r Term) Term  { return &Binary{Op: OpLt, L: l, R: r} }
-func Le(l, r Term) Term  { return &Binary{Op: OpLe, L: l, R: r} }
+// Eq is l == r.
+func Eq(l, r Term) Term { return &Binary{Op: OpEq, L: l, R: r} }
+
+// Ne is l != r.
+func Ne(l, r Term) Term { return &Binary{Op: OpNe, L: l, R: r} }
+
+// Gt is l > r.
+func Gt(l, r Term) Term { return &Binary{Op: OpGt, L: l, R: r} }
+
+// Ge is l >= r.
+func Ge(l, r Term) Term { return &Binary{Op: OpGe, L: l, R: r} }
+
+// Lt is l < r.
+func Lt(l, r Term) Term { return &Binary{Op: OpLt, L: l, R: r} }
+
+// Le is l <= r.
+func Le(l, r Term) Term { return &Binary{Op: OpLe, L: l, R: r} }
+
+// And is l && r; predicates split into conjuncts at And (SplitConjuncts).
 func And(l, r Term) Term { return &Binary{Op: OpAnd, L: l, R: r} }
-func Or(l, r Term) Term  { return &Binary{Op: OpOr, L: l, R: r} }
-func Not(x Term) Term    { return &Unary{Op: OpNot, X: x} }
+
+// Or is l || r.
+func Or(l, r Term) Term { return &Binary{Op: OpOr, L: l, R: r} }
+
+// Not is !x.
+func Not(x Term) Term { return &Unary{Op: OpNot, X: x} }
+
+// Add is l + r.
 func Add(l, r Term) Term { return &Binary{Op: OpAdd, L: l, R: r} }
+
+// Sub is l - r.
 func Sub(l, r Term) Term { return &Binary{Op: OpSub, L: l, R: r} }
+
+// Mul is l * r.
 func Mul(l, r Term) Term { return &Binary{Op: OpMul, L: l, R: r} }
+
+// Div is l / r.
 func Div(l, r Term) Term { return &Binary{Op: OpDiv, L: l, R: r} }
 
 // SplitConjuncts decomposes a predicate into its top-level AND-ed conjuncts

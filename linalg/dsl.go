@@ -24,11 +24,13 @@ type Node interface{ String() string }
 // NumNode is a numeric literal.
 type NumNode float64
 
+// String renders the node as DSL source.
 func (n NumNode) String() string { return strconv.FormatFloat(float64(n), 'g', -1, 64) }
 
 // VarNode references a bound name.
 type VarNode string
 
+// String renders the node as DSL source.
 func (v VarNode) String() string { return string(v) }
 
 // AssignNode binds a name.
@@ -37,6 +39,7 @@ type AssignNode struct {
 	Expr Node
 }
 
+// String renders the node as DSL source.
 func (a *AssignNode) String() string { return a.Name + " = " + a.Expr.String() }
 
 // BinNode applies a binary operator: "+", "-", "*", "%*%".
@@ -45,6 +48,7 @@ type BinNode struct {
 	L, R Node
 }
 
+// String renders the node as DSL source.
 func (b *BinNode) String() string {
 	return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")"
 }
@@ -55,6 +59,7 @@ type UnaryNode struct {
 	X  Node
 }
 
+// String renders the node as DSL source.
 func (u *UnaryNode) String() string { return u.X.String() + u.Op }
 
 // CallNode is a built-in function call.
@@ -63,6 +68,7 @@ type CallNode struct {
 	Args []Node
 }
 
+// String renders the node as DSL source.
 func (c *CallNode) String() string {
 	parts := make([]string, len(c.Args))
 	for i, a := range c.Args {

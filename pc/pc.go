@@ -70,8 +70,8 @@
 // state must synchronize it. Join key and equality lambdas must be pure:
 // they are invoked concurrently across workers and threads.
 //
-// The single-process core.Executor drives stages through the same engine
-// machinery, so Threads behaves identically there.
+// The single-process core.Executor runs stages through the same worker
+// stage code (core.StageEnv), so Threads behaves identically there.
 //
 // Query results are therefore deterministic in Config.Threads, up to
 // floating-point summation order inside aggregations (integer and
