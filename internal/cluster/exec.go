@@ -237,7 +237,7 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 // each holding exchange.DefaultCapacity pages, so the in-flight bound is per
 // thread; shipping copies the page into the consumer's registry (a worker's
 // own pages pass by reference); and retry duplicates, dropped at the sender,
-// recycle through the page pool. Delivered pages stay retained for
+// and the originals of copied pages recycle through the page pool. Delivered pages stay retained for
 // consumer crash recovery until the step ends; releaseDelivered receives
 // the resident ones when the step succeeds (nil when the consumer's state
 // keeps referencing them, as the join-table build and the sort merge do).

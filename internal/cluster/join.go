@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -97,7 +97,9 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 	// exchange-owned: user emit code may hold refs into probe pages, so
 	// they are never recycled, and dropping the exchange's references at
 	// step end lets the garbage collector reclaim them once that code is
-	// done.
+	// done. What does return to the page pool is each repartition page a
+	// producer sent to another worker: the exchange releases the original
+	// once its copy exists (exchange.Config.Release).
 	govs, closeGovs := c.stepGovernors()
 	defer closeGovs()
 	exL := c.newShuffleExchange(func(*object.Page) {}, govs)
@@ -133,7 +135,10 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 	}
 	// Join recovery state is in memory: beyond runStep's discard of both
 	// exchanges there is nothing to drop.
+	beforeBytes, beforePages := c.Transport.Stats().Counters()
 	ship, err := c.runStep(roles, govs, exL, exR)
+	afterBytes, afterPages := c.Transport.Stats().Counters()
+	ship.Bytes, ship.Pages = afterBytes-beforeBytes, afterPages-beforePages
 	stats.Ships = []StageShip{ship}
 	if err != nil {
 		return stats, fmt.Errorf("cluster: hash-partition join %s.%s ⋈ %s.%s: %w", dbL, setL, dbR, setR, err)
@@ -209,21 +214,34 @@ func (e *workerEnv) streamRepartition(db, set string, key func(object.Ref) uint6
 
 // repartitionBatch is the scan callback that routes a batch of objects
 // (column "obj") through sink by their key hash (column "h"); it aborts the
-// scan once stop closes (a nil stop never does).
+// scan once stop closes (a nil stop never does). Each call makes one
+// thread's callback: the key-hash column and the batch header are the
+// thread's, reused across its batches, and the column is boxed again only
+// when its length changes (boxing a slice as a Column allocates its header).
 func repartitionBatch(sink *engine.RepartitionSink, key func(object.Ref) uint64, stop <-chan struct{}) func(*engine.VectorList) error {
+	var hashes engine.U64Col
+	var boxed engine.Column
+	batch := &engine.VectorList{Names: []string{"obj", "h"}, Cols: make([]engine.Column, 2)}
 	return func(vl *engine.VectorList) error {
 		select {
 		case <-stop:
 			return engine.ErrAborted
 		default:
 		}
-		rc := vl.Col("obj").(engine.RefCol)
-		hashes := make(engine.U64Col, len(rc))
+		obj := vl.Col("obj")
+		rc := obj.(engine.RefCol)
+		if cap(hashes) < len(rc) {
+			hashes, boxed = make(engine.U64Col, len(rc)), nil
+		}
+		hashes = hashes[:len(rc)]
 		for j, r := range rc {
 			hashes[j] = key(r)
 		}
-		vl.Append("h", hashes)
-		return sink.Consume(nil, vl, nil)
+		if b, ok := boxed.(engine.U64Col); !ok || len(b) != len(rc) {
+			boxed = hashes
+		}
+		batch.Cols[0], batch.Cols[1] = obj, boxed
+		return sink.Consume(nil, batch, nil)
 	}
 }
 
@@ -338,11 +356,11 @@ func (e *workerEnv) buildTableStream(end consumerEnd, j *joinSpec, rec *joinReco
 const probeWindow = 16
 
 // probeEmitStream is the probe/emit phase: it consumes the rewound probe
-// stream in windows of probeWindow pages, probes
-// each window in parallel (collectProbeMatches — match order is page
-// order, independent of the thread split and the window size), and emits
-// the matches in order through emitOnce, which skips the prefix an earlier
-// attempt already emitted. The window only bounds the match buffer.
+// stream in windows of probeWindow pages, probes each window across the
+// attempt's executor threads (probeThreads — match order is page order,
+// independent of the thread split and the window size), and emits the
+// matches in order through emitOnce, which skips the prefix an earlier
+// attempt already emitted. The window only bounds the match buffers.
 //
 // For the right/full kinds the returned bitmap records which build rows
 // (delivery-order index) matched some probe row. Marking happens before
@@ -357,12 +375,11 @@ func (e *workerEnv) probeEmitStream(end consumerEnd, table *engine.JoinTable, j 
 		bitmap = make([]uint64, (len(rec.buildRows)+63)/64)
 		rowIdx = buildRowIndex(rec.buildRows)
 	}
-	// scratch backs each window's flattened match list and is recycled
-	// across windows, so a long probe stream allocates the flatten buffer
-	// O(1) times instead of once per window.
-	var scratch [][2]object.Ref
+	pt := e.newProbeThreads(table, j)
+	defer pt.team.Close()
+	window := make([]*object.Page, 0, probeWindow)
 	for done := false; !done; {
-		var window []*object.Page
+		window = window[:0]
 		var pstats engine.Stats
 		for len(window) < probeWindow {
 			p, ok, err := end.next()
@@ -383,18 +400,19 @@ func (e *workerEnv) probeEmitStream(end consumerEnd, table *engine.JoinTable, j 
 			break // the stream ended on a window boundary
 		}
 		e.NoteStats(pstats)
-		matches, err := e.collectProbeMatches(window, table, j, scratch[:0])
+		bufs, err := pt.window(window)
 		if err != nil {
 			return nil, 0, err
 		}
-		scratch = matches
-		for _, m := range matches {
-			if bitmap != nil && m[1] != object.NilRef {
-				e.Fault.Hit(fault.ProbeBitmap, e.ID)
-				markBit(bitmap, rowIdx[m[1]])
-			}
-			if err := e.emitOnce(j, rec, &counter, m[0], m[1]); err != nil {
-				return nil, 0, err
+		for _, buf := range bufs {
+			for _, m := range buf {
+				if bitmap != nil && m[1] != object.NilRef {
+					e.Fault.Hit(fault.ProbeBitmap, e.ID)
+					markBit(bitmap, rowIdx[m[1]])
+				}
+				if err := e.emitOnce(j, rec, &counter, m[0], m[1]); err != nil {
+					return nil, 0, err
+				}
 			}
 		}
 	}
@@ -462,68 +480,84 @@ func buildRowIndex(rows []object.Ref) map[object.Ref]int {
 func markBit(bits []uint64, i int)    { bits[i>>6] |= 1 << (uint(i) & 63) }
 func bitAt(bits []uint64, i int) bool { return bits[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// probeBufPool recycles the per-thread match buffers of collectProbeMatches
-// across calls.
-var probeBufPool = sync.Pool{New: func() any {
-	b := make([][2]object.Ref, 0, 1024)
-	return &b
-}}
+// probeThreads is one probe attempt's executor threads and what they reuse
+// from window to window, so a warm window allocates nothing: the window's
+// batch ranges and thread chunks, and one match buffer per thread. The
+// buffers live for the attempt (a GC between windows keeps them).
+type probeThreads struct {
+	team   *engine.Team
+	body   func(t int) error // probes chunks[t] into bufs[t]; made once
+	ranges []engine.PageRange
+	chunks [][]engine.PageRange
+	bufs   [][][2]object.Ref
+}
 
-// collectProbeMatches is the join's one probe loop: it probes pages through
-// the read-only build table across the worker's executor threads and
-// returns the kind's emit sequence in page order, appended to reuse (pass a
-// zero-length slice with retained capacity to recycle the flatten buffer
-// across calls). Inner/right kinds list every matching pair; left/full add
-// (l, NilRef) for matchless probe rows; semi keeps only the first match per
-// probe row; anti keeps only the (l, NilRef) entries. Each thread probes a
-// contiguous chunk into a pooled private buffer and the buffers concatenate
-// in thread order, so the result is exactly the sequence a sequential probe
-// over the same pages would emit — per-row logic is local to the row, so
-// the kind cannot perturb determinism — and the caller emits it on its own
-// goroutine: one worker never invokes emit from two threads at once.
-func (e *workerEnv) collectProbeMatches(pages []*object.Page, table *engine.JoinTable, j *joinSpec,
-	reuse [][2]object.Ref) ([][2]object.Ref, error) {
-	kind, key, eq := j.kind, j.keyL, j.eq
-	probeRanges := func(ranges []engine.PageRange, out [][2]object.Ref) [][2]object.Ref {
-		for _, rng := range ranges {
-			root := object.AsVector(object.Ref{Page: rng.Page, Off: rng.Page.Root()})
-			for i := rng.Start; i < rng.End; i++ {
-				l := root.HandleAt(i)
-				b := table.Bucket(key(l))
-				matched := false
-				for k, n := 0, b.Len(); k < n; k++ {
-					r := b.At(k)
-					if !eq(l, r) {
-						continue
-					}
-					matched = true
-					if kind != core.JoinAnti {
-						out = append(out, [2]object.Ref{l, r})
-					}
-					if kind == core.JoinSemi || kind == core.JoinAnti {
-						break // membership decided; later matches are moot
-					}
-				}
-				if !matched && (kind == core.JoinAnti || kind == core.JoinLeft || kind == core.JoinFull) {
-					out = append(out, [2]object.Ref{l, object.NilRef})
-				}
+// newProbeThreads starts the attempt's probe threads over the read-only
+// build table; the caller closes pt.team.
+func (e *workerEnv) newProbeThreads(table *engine.JoinTable, j *joinSpec) *probeThreads {
+	threads := max(e.Threads, 1)
+	pt := &probeThreads{team: engine.NewTeam(threads), bufs: make([][][2]object.Ref, threads)}
+	pt.body = func(t int) error {
+		buf := pt.bufs[t][:0]
+		if t < len(pt.chunks) {
+			rows := 0
+			for _, rng := range pt.chunks[t] {
+				rows += rng.Rows()
 			}
+			buf = probeRanges(slices.Grow(buf, rows), pt.chunks[t], table, j)
 		}
-		return out
-	}
-	chunks := e.ThreadChunks(pages)
-	matches := make([]*[][2]object.Ref, len(chunks))
-	if err := engine.ParallelFor(len(chunks), func(t int) error {
-		buf := probeBufPool.Get().(*[][2]object.Ref)
-		*buf = probeRanges(chunks[t], (*buf)[:0])
-		matches[t] = buf
+		pt.bufs[t] = buf
 		return nil
-	}); err != nil {
+	}
+	return pt
+}
+
+// window probes pages through the build table, each thread a contiguous
+// chunk into its own buffer, and returns the buffers in thread order: read
+// in that order they are exactly the sequence a sequential probe over the
+// same pages would emit — per-row logic is local to the row, so neither
+// the kind nor the thread split can perturb it. The caller emits them on
+// its own goroutine (one worker never invokes emit from two threads at
+// once); they are valid until the next window.
+func (pt *probeThreads) window(pages []*object.Page) ([][][2]object.Ref, error) {
+	pt.ranges = engine.AppendBatchRanges(pt.ranges[:0], pages, engine.BatchSize)
+	pt.chunks = engine.AppendSplitRanges(pt.chunks[:0], pt.ranges, len(pt.bufs))
+	if err := pt.team.Run(pt.body); err != nil {
 		return nil, err
 	}
-	for _, buf := range matches {
-		reuse = append(reuse, *buf...)
-		probeBufPool.Put(buf)
+	return pt.bufs[:len(pt.chunks)], nil
+}
+
+// probeRanges is the join's one probe loop: it appends to out the kind's
+// emit sequence for the probe rows of ranges, in row order. Inner/right
+// kinds list every matching pair; left/full add (l, NilRef) for matchless
+// probe rows; semi keeps only the first match per probe row; anti keeps
+// only the (l, NilRef) entries.
+func probeRanges(out [][2]object.Ref, ranges []engine.PageRange, table *engine.JoinTable, j *joinSpec) [][2]object.Ref {
+	kind, key, eq := j.kind, j.keyL, j.eq
+	for _, rng := range ranges {
+		root := object.AsVector(object.Ref{Page: rng.Page, Off: rng.Page.Root()})
+		for i := rng.Start; i < rng.End; i++ {
+			l := root.HandleAt(i)
+			b := table.Bucket(key(l))
+			matched := false
+			for k, n := 0, b.Len(); k < n; k++ {
+				r := b.At(k)
+				if !eq(l, r) {
+					continue
+				}
+				matched = true
+				if kind != core.JoinAnti {
+					out = append(out, [2]object.Ref{l, r})
+				}
+				if kind == core.JoinSemi || kind == core.JoinAnti {
+					break // membership decided; later matches are moot
+				}
+			}
+			if !matched && (kind == core.JoinAnti || kind == core.JoinLeft || kind == core.JoinFull) {
+				out = append(out, [2]object.Ref{l, object.NilRef})
+			}
+		}
 	}
-	return reuse, nil
+	return out
 }

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/object"
+	"repro/internal/race"
 )
 
 // joinRows runs a dept-keyed join of db.emps against db.reps through the
@@ -142,5 +144,81 @@ func TestThreadsDeterministicCoPartitionedJoin(t *testing.T) {
 		if !reflect.DeepEqual(rows, want) {
 			t.Errorf("threads=%d: co-partitioned join rows differ from threads=%d", th, threadCounts[0])
 		}
+	}
+}
+
+// TestProbeWindowAllocatesNothing is the guard on the probe's per-attempt
+// state: once a window has sized the threads' match buffers, probing a
+// further window costs no Go object at Threads 1 and 2 — the batch ranges,
+// thread chunks and match buffers are reused and the executor threads are
+// the attempt's — and the buffers, read in thread order, hold the same
+// matches at both thread counts.
+func TestProbeWindowAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	var want []string
+	for _, threads := range []int{1, 2} {
+		c, err := New(Config{Workers: 1, Threads: threads, PageSize: 1 << 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := intRecType(c)
+		loadIntRows(t, c, rec, "db", "left", 600, 18)
+		loadIntRows(t, c, rec, "db", "right", 90, 18)
+		env := c.env(c.Workers[0])
+		left, err := storedPages(env.store, "db", "left")
+		if err != nil {
+			t.Fatal(err)
+		}
+		right, err := storedPages(env.store, "db", "right")
+		if err != nil {
+			t.Fatal(err)
+		}
+		grp, val := rec.Field("grp"), rec.Field("val")
+		key := func(r object.Ref) uint64 { return uint64(object.GetI64(r, grp)) }
+		j := &joinSpec{kind: core.JoinInner, keyL: key, keyR: key,
+			eq: func(l, r object.Ref) bool { return key(l) == key(r) }}
+		table := engine.NewJoinTable()
+		var rows []object.Ref
+		for _, p := range right {
+			appendPageRows(&rows, p)
+		}
+		for _, r := range rows {
+			table.Add(key(r), r)
+		}
+
+		pt := env.newProbeThreads(table, j)
+		window := left[:min(len(left), probeWindow)]
+		bufs, err := pt.window(window) // warm: the match buffers are sized
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bufs) != threads {
+			t.Fatalf("Threads %d: the window split into %d chunks", threads, len(bufs))
+		}
+		var got []string
+		for _, buf := range bufs {
+			for _, m := range buf {
+				got = append(got, fmt.Sprintf("%d|%d", object.GetI64(m[0], val), object.GetI64(m[1], val)))
+			}
+		}
+		if threads == 1 {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("Threads %d: %d matches differ from Threads 1's %d", threads, len(got), len(want))
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := pt.window(window); err != nil {
+				t.Fatal(err)
+			}
+		})
+		pt.team.Close()
+		if allocs != 0 {
+			t.Errorf("Threads %d: a warm %d-page probe window allocated %v objects, want 0", threads, len(window), allocs)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the window matched nothing")
 	}
 }

@@ -98,7 +98,10 @@ func (e *workerEnv) runSortStreamOnWorker(res *core.CompileResult, stage *physic
 	// run starts, so delivery order is (worker, thread, page): source order,
 	// because thread chunks are contiguous (SplitRanges) — the consumer's
 	// stability tie-break. Run pages are self-contained (AppendSortRow
-	// deep-copied each row onto them), so they ship as they are.
+	// deep-copied each row onto them), so they ship as they are, and no run
+	// page is read once sent: the exchange returns the original of a page
+	// copied to worker 0 to the pool, and worker 0's own pages travel by
+	// reference.
 	for t, run := range art.Runs {
 		for seq, p := range run {
 			e.Fault.Hit(fault.PageSeal, e.ID)

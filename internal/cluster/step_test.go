@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exchange"
 	"repro/internal/object"
 )
@@ -206,10 +207,11 @@ func drainPool(c *Cluster) int {
 // pages to the page pool per page shipped to the other worker — the
 // delivered page a worker's own producer sealed, and the shipped copy,
 // which landed in a pool frame — plus the one merge page each worker's
-// finalize returns, while a hash-partition join and an ORDER BY, whose
-// tables, emitted refs and merged rows point into their delivered pages,
-// return none. The pool keeps every page it is given up to the pages it
-// made, so the counts are exact.
+// finalize returns. A hash-partition join and an ORDER BY, whose tables,
+// emitted refs and merged rows point into their delivered pages, return
+// none of those: only the originals of the pages they sent across workers,
+// which the exchange releases during the step. The pool keeps every page
+// it is given up to the pages it made, so the counts are exact.
 func TestStepEndRecyclesRetainedPages(t *testing.T) {
 	c, err := New(Config{Workers: 1, Threads: 1, PageSize: 1 << 12})
 	if err != nil {
@@ -286,16 +288,41 @@ func TestStepEndRecyclesRetainedPages(t *testing.T) {
 		t.Errorf("aggregation: the pool supplied %d recycled pages, want %d: twice the %d pages shipped (>= 16) and %d merge pages", got, want, shipped, len(c.Workers))
 	}
 
-	c, rec = mk()
-	if got := supply(c, func() { joinPairsByWorker(t, c, rec) }); got != 0 {
-		t.Errorf("join: the pool supplied %d recycled pages, want none", got)
+	// The join and the ORDER BY return exactly the originals of the pages
+	// their producers sent to another worker, released by the exchange
+	// once each copy exists: so no retained or received page — the join's
+	// tables and emitted refs, the merge's rows point into them — comes
+	// back at step end.
+	crossWorker := func(stats *ExecStats) int {
+		n := 0
+		for _, s := range stats.Ships {
+			n += s.Pages
+		}
+		return n
 	}
 	c, rec = mk()
-	if got := supply(c, func() {
-		if _, err := intSortRows(c, rec, "orderby", "sorted"); err != nil {
+	key := func(r object.Ref) uint64 { return uint64(object.GetI64(r, rec.Field("grp"))) }
+	eq := func(l, r object.Ref) bool { return key(l) == key(r) }
+	got = supply(c, func() {
+		if stats, err = c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right", key, key, eq,
+			func(int, object.Ref, object.Ref) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 0 {
-		t.Errorf("order by: the pool supplied %d recycled pages, want none", got)
+	})
+	if sent := crossWorker(stats); sent == 0 || got != sent {
+		t.Errorf("join: the pool supplied %d recycled pages, want the %d sent across workers (> 0) and no retained or received page", got, sent)
+	}
+	c, rec = mk()
+	got = supply(c, func() {
+		if err := c.CreateSet("db", "sorted", rec.Name); err != nil {
+			t.Fatal(err)
+		}
+		sort := &core.OrderBy{In: core.NewScan("db", "rows", rec.Name), ArgType: rec.Name, Keys: intSortKeys()}
+		if stats, err = c.Execute(core.NewWrite("db", "sorted", sort)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if sent := crossWorker(stats); sent == 0 || got != sent {
+		t.Errorf("order by: the pool supplied %d recycled pages, want the %d sent across workers (> 0) and no retained or received page", got, sent)
 	}
 }

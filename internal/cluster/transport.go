@@ -21,10 +21,13 @@ import (
 //     wire frames (internal/wire) through a per-worker page server, proving
 //     the zero-serialization claim over an actual network boundary.
 //
-// A shipped page is unmanaged and owned by the destination. A frame taken
-// from the pool goes back only through the pool's existing Put sites — the
-// aggregation's step-end recycling; the join's and the sort's received
-// pages go to the garbage collector.
+// A shipped page is unmanaged and owned by the destination; Ship never
+// keeps the source page, so the sender may reuse it once Ship returns (the
+// exchange hands it back to the pool then). A frame taken from the pool
+// goes back only through the pool's Put sites — the aggregation's step-end
+// recycling; the join's and the sort's received pages go to the garbage
+// collector, because their tables, emitted refs and merged rows point into
+// them.
 //
 // All implementations account into one shared ShipStats, so gauges cannot
 // silently diverge per impl.

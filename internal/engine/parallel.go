@@ -10,9 +10,10 @@ package engine
 //
 // The same machinery drives the consuming phases: the aggregation merge
 // (MergeAggMapsStream), finalization
-// (FinalizeAggParallel), and the hash-partition join's repartition, build,
-// and probe loops all run their per-thread bodies through ParallelFor,
-// ParallelThreads, or the one stream fan-out (streamPages).
+// (FinalizeAggParallel), and the hash-partition join's repartition and
+// build run their per-thread bodies through ParallelFor, ParallelThreads,
+// or the one stream fan-out (streamPages); the join's probe, which fans out
+// once per window, keeps a Team for the attempt.
 
 import (
 	"errors"
@@ -113,6 +114,86 @@ func ParallelFor(n int, fn func(t int) error) error {
 		}
 		return fn(t)
 	})
+}
+
+// Team is a set of executor threads kept for a phase that fans many small
+// units out in turn (the join's probe windows): Run hands each thread the
+// unit's body over a channel and waits at a barrier, so a Run costs no
+// goroutine start and allocates nothing. Thread 0 is the caller; a team of
+// n <= 1 runs everything inline. A panic on any thread re-raises on the
+// caller after the barrier, as ParallelFor's does. Close stops the threads;
+// the team's owner must call it on every exit path.
+type Team struct {
+	feeds  []chan func(t int) error // thread t's feed is feeds[t-1]
+	done   chan struct{}
+	errs   []error
+	panics []*threadPanic
+	wg     sync.WaitGroup
+}
+
+// NewTeam starts a team of n executor threads.
+func NewTeam(n int) *Team {
+	n = max(n, 1)
+	tm := &Team{done: make(chan struct{}), errs: make([]error, n), panics: make([]*threadPanic, n)}
+	tm.feeds = make([]chan func(int) error, n-1)
+	for i := range tm.feeds {
+		feed := make(chan func(int) error)
+		tm.feeds[i] = feed
+		tm.wg.Add(1)
+		go func(t int) {
+			defer tm.wg.Done()
+			for fn := range feed {
+				tm.call(t, fn)
+				tm.done <- struct{}{}
+			}
+		}(i + 1)
+	}
+	return tm
+}
+
+// call runs fn on thread t, recording its error or panic.
+func (tm *Team) call(t int, fn func(int) error) {
+	defer func() {
+		if r := recover(); r != nil {
+			tm.panics[t] = &threadPanic{v: r}
+		}
+	}()
+	tm.errs[t] = fn(t)
+}
+
+// Run calls fn(t) on every thread t of the team and waits for all of them.
+// The first panic re-raises on the caller; otherwise the first error is
+// returned.
+func (tm *Team) Run(fn func(t int) error) error {
+	for _, feed := range tm.feeds {
+		feed <- fn
+	}
+	tm.call(0, fn)
+	for range tm.feeds {
+		<-tm.done
+	}
+	for _, p := range tm.panics {
+		if p != nil {
+			clear(tm.panics)
+			clear(tm.errs)
+			panic(p.v)
+		}
+	}
+	for t, err := range tm.errs {
+		if err != nil {
+			clear(tm.errs)
+			return fmt.Errorf("executor thread %d: %w", t, err)
+		}
+	}
+	return nil
+}
+
+// Close stops the team's threads and waits for them to exit.
+func (tm *Team) Close() {
+	for _, feed := range tm.feeds {
+		close(feed)
+	}
+	tm.wg.Wait()
 }
 
 // ParallelThreads runs body(t, stop) for every t in [0, n) on dedicated

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -340,4 +341,93 @@ func TestStreamPagesPanicWithoutCuts(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestAppendRangesReuseMatchesFresh: the appending forms of BatchRanges and
+// SplitRanges, fed arrays left over from a larger call, produce exactly
+// what the allocating forms do.
+func TestAppendRangesReuseMatchesFresh(t *testing.T) {
+	reg := object.NewRegistry()
+	pages, _ := buildI64Pages(t, reg, 1<<12, 700)
+	ranges := AppendBatchRanges(nil, pages, 32)
+	chunks := AppendSplitRanges(nil, ranges, 7)
+	for _, threads := range []int{1, 2, 3} {
+		for _, n := range []int{len(pages), 1} {
+			want := BatchRanges(pages[:n], 32)
+			ranges = AppendBatchRanges(ranges[:0], pages[:n], 32)
+			if !reflect.DeepEqual(ranges, want) {
+				t.Fatalf("%d pages: reused ranges differ", n)
+			}
+			chunks = AppendSplitRanges(chunks[:0], ranges, threads)
+			if wantChunks := SplitRanges(want, threads); !reflect.DeepEqual(chunks, wantChunks) {
+				t.Fatalf("%d pages, %d threads: reused chunks %v, want %v", n, threads, chunks, wantChunks)
+			}
+		}
+	}
+}
+
+// TestTeamRunsEveryThread: each Run calls the body once on every thread,
+// thread 0 on the caller; an error is returned tagged with its thread and
+// the team runs again after it; a panic re-raises on the caller after
+// every thread is done; Close stops the threads.
+func TestTeamRunsEveryThread(t *testing.T) {
+	before := runtime.NumGoroutine()
+	tm := NewTeam(3)
+	var mu sync.Mutex
+	calls := map[int]int{}
+	count := func(th int) error {
+		mu.Lock()
+		calls[th]++
+		mu.Unlock()
+		return nil
+	}
+	for i := 0; i < 5; i++ {
+		if err := tm.Run(count); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(calls, map[int]int{0: 5, 1: 5, 2: 5}) {
+		t.Fatalf("calls per thread = %v, want 5 each", calls)
+	}
+
+	boom := errors.New("boom")
+	if err := tm.Run(func(th int) error {
+		if th == 2 {
+			return boom
+		}
+		return nil
+	}); !errors.Is(err, boom) || err.Error() != "executor thread 2: boom" {
+		t.Fatalf("err = %v, want thread 2's boom", err)
+	}
+	if err := tm.Run(count); err != nil {
+		t.Fatalf("a run after an error failed: %v", err)
+	}
+
+	var finished atomic.Bool
+	func() {
+		defer func() {
+			if r := recover(); r != "thread bug" {
+				t.Fatalf("recovered %v, want thread bug", r)
+			}
+			if !finished.Load() {
+				t.Error("the panic re-raised before thread 2 finished")
+			}
+		}()
+		_ = tm.Run(func(th int) error {
+			switch th {
+			case 1:
+				panic("thread bug")
+			case 2:
+				time.Sleep(10 * time.Millisecond)
+				finished.Store(true)
+			}
+			return nil
+		})
+		t.Fatal("expected re-panic")
+	}()
+	tm.Close()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after Close, %d before NewTeam", after, before)
+	}
+	NewTeam(1).Close() // a one-thread team starts no goroutine
 }

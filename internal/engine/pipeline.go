@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/object"
 	"repro/internal/tcap"
@@ -154,10 +155,15 @@ func (r PageRange) Rows() int { return r.End - r.Start }
 // BatchRanges enumerates a page slice as batch-sized ranges, in page order —
 // the unit of work the scan driver (sequential or parallel) iterates.
 func BatchRanges(pages []*object.Page, batch int) []PageRange {
+	return AppendBatchRanges(nil, pages, batch)
+}
+
+// AppendBatchRanges is BatchRanges appending to out, so a caller that
+// enumerates many page slices (the join's probe windows) reuses one array.
+func AppendBatchRanges(out []PageRange, pages []*object.Page, batch int) []PageRange {
 	if batch <= 0 {
 		batch = BatchSize
 	}
-	var out []PageRange
 	for _, pg := range pages {
 		if pg.Root() == 0 {
 			continue
@@ -180,6 +186,12 @@ func BatchRanges(pages []*object.Page, batch int) []PageRange {
 // same order a sequential run would. Fewer than n chunks are returned when
 // there are fewer batches than threads.
 func SplitRanges(ranges []PageRange, n int) [][]PageRange {
+	return AppendSplitRanges(nil, ranges, n)
+}
+
+// AppendSplitRanges is SplitRanges appending the chunks to out, so a caller
+// that splits many batch lists (the join's probe windows) reuses one array.
+func AppendSplitRanges(out [][]PageRange, ranges []PageRange, n int) [][]PageRange {
 	if n < 1 {
 		n = 1
 	}
@@ -188,18 +200,19 @@ func SplitRanges(ranges []PageRange, n int) [][]PageRange {
 	}
 	if n <= 1 {
 		if len(ranges) == 0 {
-			return nil
+			return out
 		}
-		return [][]PageRange{ranges}
+		return append(out, ranges)
 	}
 	total := 0
 	for _, r := range ranges {
 		total += r.Rows()
 	}
-	out := make([][]PageRange, 0, n)
+	out = slices.Grow(out, n)
+	first := len(out)
 	start, acc := 0, 0
 	for i := 0; i < len(ranges); i++ {
-		chunksLeft := n - len(out)
+		chunksLeft := n - (len(out) - first)
 		if chunksLeft == 1 {
 			break // the tail chunk takes everything left
 		}

@@ -120,8 +120,12 @@ type Config struct {
 	// Ship copies a page into the consumer's memory space (the simulated
 	// wire). nil passes pages through untouched.
 	Ship func(p *object.Page, producer, consumer int) (*object.Page, error)
-	// Release receives producer pages dropped whole by sender-side retry
-	// dedup, so the owner can recycle them. nil discards them.
+	// Release receives the producer pages the exchange is done with, so
+	// the owner can recycle them: a page dropped whole by sender-side retry
+	// dedup, and the original of a page Ship copied (Send and Broadcast
+	// release it once every copy is made). A page that travels by reference
+	// (Ship nil, or Ship returning its argument) is never released — the
+	// consumer holds it. nil discards them.
 	Release func(p *object.Page)
 	// ReleaseDelivered receives the resident retained pages when a
 	// successful step ends (Recycle), so the owner can recycle them. nil
@@ -225,7 +229,9 @@ func (ex *Exchange) ownsRetained() bool {
 // Send ships a tagged page to one consumer and enqueues it on the sending
 // thread's lane, blocking while the lane is full. A sequence the lane
 // already admitted (a crashed producer's deterministic retry) is dropped —
-// and released — before shipping. Send returns early when stop closes
+// and released — before shipping. When Ship returns a copy, the original is
+// released as soon as the copy exists: the caller hands p over and must
+// not read it after Send returns. Send returns early when stop closes
 // (sibling thread failure) or the exchange is cancelled.
 func (ex *Exchange) Send(tag Tag, consumer int, p *object.Page, stop <-chan struct{}) error {
 	ln := ex.lane(tag, consumer)
@@ -244,6 +250,9 @@ func (ex *Exchange) Send(tag Tag, consumer int, p *object.Page, stop <-chan stru
 		var err error
 		if shipped, err = ex.cfg.Ship(p, tag.Producer, consumer); err != nil {
 			return err
+		}
+		if shipped != p && ex.cfg.Release != nil {
+			ex.cfg.Release(p)
 		}
 	}
 	if err := ex.enqueue(ln, tag, consumer, shipped, stop); err != nil {

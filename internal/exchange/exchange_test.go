@@ -465,3 +465,73 @@ func TestRewindReplaysRetained(t *testing.T) {
 		t.Fatalf("released %d pages at step end, want %d", released, n)
 	}
 }
+
+// TestSendReleasesShippedOriginal pins Send's page-ownership contract with
+// Config.Release: a page Ship copied for another consumer is released
+// exactly once, right after the copy; a page that travels by reference is
+// never released; a retry duplicate is released once, before any ship; and
+// a failed Ship releases nothing (the producer's retry re-sends it).
+func TestSendReleasesShippedOriginal(t *testing.T) {
+	reg, ti := testRegistry(t)
+	copyPage := func(p *object.Page, _, _ int) (*object.Page, error) {
+		return object.FromBytes(append([]byte(nil), p.Bytes()...), reg)
+	}
+	passThrough := func(p *object.Page, _, _ int) (*object.Page, error) { return p, nil }
+	errShip := errors.New("ship failed")
+	failing := func(*object.Page, int, int) (*object.Page, error) { return nil, errShip }
+
+	for _, tc := range []struct {
+		name string
+		ship func(p *object.Page, producer, consumer int) (*object.Page, error)
+		// released is how often the page a first send hands over is
+		// released; copied whether the consumer receives another page.
+		released int
+		copied   bool
+		err      error
+	}{
+		{name: "cross-consumer copy", ship: copyPage, released: 1, copied: true},
+		{name: "no ship", ship: nil, released: 0},
+		{name: "ship returns its page", ship: passThrough, released: 0},
+		{name: "ship error", ship: failing, released: 0, err: errShip},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			released := map[*object.Page]int{}
+			ex := New(Config{Producers: 1, Consumers: 1, Capacity: 4, Ship: tc.ship,
+				Release: func(p *object.Page) { released[p]++ }})
+			p := testPage(t, reg, ti, 7)
+			if err := ex.Send(Tag{}, 0, p, nil); !errors.Is(err, tc.err) {
+				t.Fatalf("Send = %v, want %v", err, tc.err)
+			}
+			if got := released[p]; got != tc.released || len(released) != min(tc.released, 1) {
+				t.Fatalf("first send released the page %d times (%d pages released), want %d", got, len(released), tc.released)
+			}
+			if tc.err != nil {
+				return
+			}
+			// A retry re-sends sequence 0: the duplicate is released once
+			// and never shipped.
+			dup := testPage(t, reg, ti, 7)
+			if err := ex.Send(Tag{}, 0, dup, nil); err != nil {
+				t.Fatal(err)
+			}
+			if released[dup] != 1 {
+				t.Errorf("retry duplicate released %d times, want 1", released[dup])
+			}
+			_ = ex.CloseThread(0, 0, nil)
+			ex.CloseProducer(0)
+			got, ok, err := ex.Recv(0)
+			if err != nil || !ok {
+				t.Fatalf("Recv = %v, %v", ok, err)
+			}
+			if (got != p) != tc.copied || pageID(got, ti) != 7 {
+				t.Errorf("consumer received page %p (id %d), sent %p: copied %v, want %v", got, pageID(got, ti), p, got != p, tc.copied)
+			}
+			if released[got] != 0 {
+				t.Errorf("the delivered page was released %d times", released[got])
+			}
+			if rest := drain(t, ex, 0, ti); len(rest) != 0 {
+				t.Errorf("delivered %d extra pages", len(rest))
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/object"
+	"repro/internal/race"
 )
 
 // mkRef fabricates a distinguishable ref without touching page memory —
@@ -280,27 +281,83 @@ func TestMatchWordExhaustive(t *testing.T) {
 	}
 }
 
-// FuzzRefTable is the differential fuzzer: a byte stream drives interleaved
-// Add/Lookup decisions against a map reference.
+// FuzzRefTable is the differential fuzzer: a byte stream drives
+// interleaved Add and AddBucket calls, the latter as the join's bucket-wise
+// merge issues them, against a map reference.
 func FuzzRefTable(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{3, 3, 3, 11, 11, 64, 3, 11, 5, 5, 200, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rt := NewRefTable()
 		ref := map[uint64][]object.Ref{}
 		var order []uint64
+		add := func(h uint64, refs []object.Ref) {
+			if _, ok := ref[h]; !ok {
+				order = append(order, h)
+			}
+			ref[h] = append(ref[h], refs...)
+		}
 		for i, b := range data {
 			h := uint64(b % 61) // small key space: duplicates + collisions
 			if b%7 == 0 {
 				h = uint64(b) << 48 // occasional far-away key
 			}
+			if b%5 == 0 {
+				// A merged bucket: first plus b%4 more refs.
+				bucket := make([]object.Ref, 1+int(b%4))
+				for k := range bucket {
+					bucket[k] = mkRef(1000*i + k)
+				}
+				rt.AddBucket(h, bucket[0], bucket[1:])
+				add(h, bucket)
+				continue
+			}
 			rv := mkRef(i)
 			rt.Add(h, rv)
-			if _, ok := ref[h]; !ok {
-				order = append(order, h)
-			}
-			ref[h] = append(ref[h], rv)
+			add(h, []object.Ref{rv})
 		}
 		checkAgainstRef(t, rt, ref, order)
 	})
+}
+
+// TestRefTableEntriesGrowPerDoubling is the allocation guard on the build
+// table: over 100 k distinct-key Adds, and over the same keys merged
+// bucket-wise, the entry array reallocates once per control-array doubling
+// plus the few appends before the first one — O(log n), not append's
+// ~1.25x schedule.
+func TestRefTableEntriesGrowPerDoubling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n = 100_000
+	src := NewRefTable()
+	for _, merge := range []bool{false, true} {
+		rt := NewRefTable()
+		reallocs, last := 0, cap(rt.entries)
+		note := func() {
+			if c := cap(rt.entries); c != last {
+				reallocs, last = reallocs+1, c
+			}
+		}
+		if merge {
+			src.Range(func(h uint64, first object.Ref, rest []object.Ref) bool {
+				rt.AddBucket(h, first, rest)
+				note()
+				return true
+			})
+		} else {
+			for i := 0; i < n; i++ {
+				rt.Add(uint64(i)*0x9e3779b97f4a7c15, mkRef(i))
+				note()
+			}
+			src = rt
+		}
+		// Before the first doubling append fills the 14-entry limit in
+		// at most five steps (1, 2, 4, 8, 16).
+		if want := int(rt.Resizes()) + 5; reallocs > want || rt.Resizes() > 14 {
+			t.Errorf("merge %v: entries reallocated %d times over %d control doublings, want at most %d",
+				merge, reallocs, rt.Resizes(), want)
+		}
+	}
 }
