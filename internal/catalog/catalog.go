@@ -38,9 +38,11 @@ type SetMeta struct {
 	PageCount int
 	ByteCount int64
 
-	// PartitionKey labels the key the set was pre-partitioned on at load
-	// time ("" = unpartitioned). Two sets sharing a label can be joined
-	// with zero shuffle (the paper's §8.3.3 future-work item).
+	// PartitionKey labels the key every row of the set is placed by ("" =
+	// unpartitioned): a row sits on the worker its key hash routes to.
+	// UpdateSetStats keeps it true across appends. A join of two sets
+	// sharing a label runs with zero shuffle (the paper's §8.3.3
+	// future-work item).
 	PartitionKey string
 }
 
@@ -238,25 +240,45 @@ func (m *Master) DropSet(db, set string) error {
 	return nil
 }
 
-// SetPartitionKey records that a set was pre-partitioned on the labeled
-// key at load time.
-func (m *Master) SetPartitionKey(db, set, key string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// PartitionKey returns a set's partition label; an unknown set has none.
+func (m *Master) PartitionKey(db, set string) string {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	if sm := m.sets[db+"."+set]; sm != nil {
-		sm.PartitionKey = key
+		return sm.PartitionKey
 	}
+	return ""
 }
 
-// UpdateSetStats records storage growth for a set (called by the storage
-// manager as pages are written).
-func (m *Master) UpdateSetStats(db, set string, pages int, bytes int64) {
+// UpdateSetStats records pages appended to a set (called as each load or
+// OUTPUT stage stores them) and keeps the set's partition label true, the
+// one place that rule lives. partitionKey is the label the appended rows
+// were routed by ("" for rows placed any other way):
+//
+//   - an empty set takes the append's label, which is "" unless every
+//     appended row sits on the worker its key routes to;
+//   - a set carrying that same label keeps it;
+//   - any other append of at least one page clears the label, since the
+//     new rows are not placed by the set's key.
+//
+// It reports whether the label changed, so the caller can persist it.
+func (m *Master) UpdateSetStats(db, set string, pages int, bytes int64, partitionKey string) (relabelled bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if sm := m.sets[db+"."+set]; sm != nil {
-		sm.PageCount += pages
-		sm.ByteCount += bytes
+	sm := m.sets[db+"."+set]
+	if sm == nil {
+		return false
 	}
+	old := sm.PartitionKey
+	switch {
+	case sm.PageCount == 0:
+		sm.PartitionKey = partitionKey
+	case pages > 0 && old != partitionKey:
+		sm.PartitionKey = ""
+	}
+	sm.PageCount += pages
+	sm.ByteCount += bytes
+	return sm.PartitionKey != old
 }
 
 // Sets lists all set metadata sorted by key (for tooling).

@@ -143,12 +143,54 @@ func TestUpdateSetStats(t *testing.T) {
 	_ = m.CreateDatabase("db")
 	object.NewStruct("T").AddField("x", object.KInt64).MustBuild(m.Registry())
 	sm, _ := m.CreateSet("db", "s", "T")
-	m.UpdateSetStats("db", "s", 3, 12345)
+	m.UpdateSetStats("db", "s", 3, 12345, "")
 	if sm.PageCount != 3 || sm.ByteCount != 12345 {
 		t.Errorf("stats = (%d,%d), want (3,12345)", sm.PageCount, sm.ByteCount)
 	}
 	if len(m.Sets()) != 1 {
 		t.Errorf("Sets() len = %d", len(m.Sets()))
+	}
+}
+
+// TestAppendKeepsPartitionLabelTrue walks the label rule: an empty set
+// takes an append's label, an append under the same label keeps it, and any
+// other append — unrouted or under another key — clears it for good.
+func TestAppendKeepsPartitionLabelTrue(t *testing.T) {
+	m := NewMaster()
+	_ = m.CreateDatabase("db")
+	object.NewStruct("T").AddField("x", object.KInt64).MustBuild(m.Registry())
+	for _, set := range []string{"a", "b"} {
+		if _, err := m.CreateSet("db", set, "T"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, step := range []struct {
+		set, key   string
+		pages      int
+		relabelled bool
+		want       string
+	}{
+		{"a", "k", 1, true, "k"},    // an empty set takes the label
+		{"a", "k", 2, false, "k"},   // the same key keeps it
+		{"a", "", 0, false, "k"},    // appending nothing changes nothing
+		{"a", "", 1, true, ""},      // rows placed round-robin clear it
+		{"a", "k", 1, false, ""},    // and a keyed append cannot restore it
+		{"b", "", 1, false, ""},     // an unrouted first append labels nothing
+		{"b", "k", 1, false, ""},    // nor does a keyed one onto those rows
+		{"nope", "k", 1, false, ""}, // an unknown set has no label
+	} {
+		if got := m.UpdateSetStats("db", step.set, step.pages, 100, step.key); got != step.relabelled {
+			t.Errorf("step %d: relabelled = %v, want %v", i, got, step.relabelled)
+		}
+		if got := m.PartitionKey("db", step.set); got != step.want {
+			t.Errorf("step %d: label of %s = %q, want %q", i, step.set, got, step.want)
+		}
+	}
+	// A set carrying one label loses it to rows routed by another key.
+	_, _ = m.CreateSet("db", "c", "T")
+	m.UpdateSetStats("db", "c", 1, 100, "k")
+	if !m.UpdateSetStats("db", "c", 1, 100, "j") || m.PartitionKey("db", "c") != "" {
+		t.Errorf("rows routed by another key left label %q", m.PartitionKey("db", "c"))
 	}
 }
 
@@ -169,7 +211,7 @@ func TestSetVersionChangesWithContents(t *testing.T) {
 	}
 	_, _ = m.CreateSet("db", "s", "T")
 	created := at(m)
-	m.UpdateSetStats("db", "s", 1, 100)
+	m.UpdateSetStats("db", "s", 1, 100, "")
 	if v := at(m); v.gen != created.gen || v.pages != created.pages+1 {
 		t.Errorf("after one page: %+v, want the generation of %+v and one more page", v, created)
 	}

@@ -30,10 +30,10 @@
 // # Step runner
 //
 // Every step — a barrier stage, the aggregation and sort stage pairs, the
-// hash-partition and co-partitioned joins — is a list of roles, each one
-// worker's share of the work (a stage pipeline, a shuffle producer, a
-// streaming consumer, a join probe), and the protocol around the roles is
-// written once (step.go, retry.go):
+// hash-partition join, shuffled or over co-partitioned sets — is a list of
+// roles, each one worker's share of the work (a stage pipeline, a shuffle
+// producer, a streaming consumer, a join probe), and the protocol around
+// the roles is written once (step.go, retry.go):
 //
 //   - runStep fans the roles out, cancels the step's exchanges on the first
 //     failure so blocked siblings return, waits for every role, releases
@@ -102,11 +102,12 @@
 //   - Output/materialize: per-thread pages are concatenated.
 //   - Join build (broadcast-join build stages): per-thread hash tables
 //     merge bucket-wise, preserving sequential per-bucket row order.
-//   - Join probe (HashPartitionJoinKind and CoPartitionedJoin, one consumer
-//     body — consumeJoin): per window of probe pages, probe threads buffer
-//     matches and the worker emits them after the window's barrier in
-//     thread order, so a worker's emit calls stay serialized (workers
-//     still emit in parallel with each other, as they always did).
+//   - Join probe (HashPartitionJoinKind, shuffled or co-partitioned, one
+//     consumer body — consumeJoin): per window of probe pages, probe
+//     threads buffer matches and the worker emits them after the window's
+//     barrier in thread order, so a worker's emit calls stay serialized
+//     (workers still emit in parallel with each other, as they always
+//     did).
 //
 // Pre-aggregation sinks and repartition sinks stream instead: their pages
 // flow through the exchange per thread, and the consumer's merge — the
@@ -423,20 +424,40 @@ func (c *Cluster) CreateSet(db, set, typeName string) error {
 // SendData ships client-built pages into the cluster, round-robin across
 // workers — the zero-cost dispatch of paper §3: the occupied portion of each
 // allocation block is transferred in its entirety with no pre-processing.
+// Rows placed this way follow no key, so a page appended to a non-empty set
+// clears its partition label (catalog.Master.UpdateSetStats).
 func (c *Cluster) SendData(db, set string, pages []*object.Page) error {
 	if _, err := c.Catalog.LookupSet(db, set); err != nil {
 		return err
 	}
 	for i, p := range pages {
-		w := c.Workers[i%len(c.Workers)]
-		q, err := c.Transport.Ship(p, w.Reg())
-		if err != nil {
+		if err := c.storePage(c.Workers[i%len(c.Workers)], db, set, p, ""); err != nil {
 			return err
 		}
-		if err := w.Front.Store.Append(db, set, []*object.Page{q}); err != nil {
-			return err
-		}
-		c.Catalog.UpdateSetStats(db, set, 1, int64(p.Used()))
+	}
+	return nil
+}
+
+// storePage ships a client page to w and appends it to db.set, its rows
+// placed by partitionKey ("" for any other placement).
+func (c *Cluster) storePage(w *Worker, db, set string, p *object.Page, partitionKey string) error {
+	q, err := c.Transport.Ship(p, w.Reg())
+	if err != nil {
+		return err
+	}
+	if err := w.Front.Store.Append(db, set, []*object.Page{q}); err != nil {
+		return err
+	}
+	return c.noteAppend(db, set, 1, int64(p.Used()), partitionKey)
+}
+
+// noteAppend records pages appended to a set, routed by partitionKey ("" for
+// any other placement), and persists the catalog manifest when the append
+// changed the set's partition label, so a restart never restores a label
+// the rows no longer follow.
+func (c *Cluster) noteAppend(db, set string, pages int, bytes int64, partitionKey string) error {
+	if c.Catalog.UpdateSetStats(db, set, pages, bytes, partitionKey) {
+		return c.saveManifest()
 	}
 	return nil
 }

@@ -147,7 +147,9 @@ func (c *Cluster) commitArtifacts(stage *physical.JobStage, arts []core.Artifact
 				return err
 			}
 			for _, p := range arts[i].Pages {
-				c.Catalog.UpdateSetStats(db, set, 1, int64(p.Used()))
+				if err := c.noteAppend(db, set, 1, int64(p.Used()), ""); err != nil {
+					return err
+				}
 			}
 		case pipeline && stage.Sink == physical.SinkJoinBuild:
 			w.artTables[stage.SinkStmt.Applied2.Name] = arts[i].Table

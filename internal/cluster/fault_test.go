@@ -631,10 +631,12 @@ func TestFailedJoinCleansUp(t *testing.T) {
 	assertNoJoinLeaks(t, c, "failed join")
 }
 
-// TestCoPartitionedJoinCrashRecovered crashes the zero-shuffle join's
-// emit once: the local inputs are front-end-owned, so the re-forked
-// backend re-probes and the emitted matches equal the crash-free run's,
-// each exactly once.
+// TestCoPartitionedJoinCrashRecovered crashes the zero-shuffle join over
+// two co-partitioned sets once, in the build and in the probe: the local
+// inputs are front-end-owned, so the re-forked backend rebuilds or
+// re-probes, the emitted matches equal the crash-free run's, each exactly
+// once, and the crash counts as the shuffled join's would — "consumer"
+// before the table is built, "probe" after.
 func TestCoPartitionedJoinCrashRecovered(t *testing.T) {
 	run := func(c *Cluster, emp *object.TypeInfo, key func(object.Ref) uint64) ([][]string, *ExecStats) {
 		deptField := emp.Field("dept")
@@ -644,7 +646,7 @@ func TestCoPartitionedJoinCrashRecovered(t *testing.T) {
 		}
 		perWorker := make([][]string, len(c.Workers))
 		var mu sync.Mutex
-		stats, err := c.CoPartitionedJoin("db", "left", "db", "right", key, key, eq,
+		stats, err := c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right", key, key, eq,
 			func(workerID int, l, r object.Ref) error {
 				mu.Lock()
 				perWorker[workerID] = append(perWorker[workerID],
@@ -682,12 +684,17 @@ func TestCoPartitionedJoinCrashRecovered(t *testing.T) {
 		t.Fatal("no worker owns enough matches to crash")
 	}
 
-	// Emit mid-window, and ProbePage — a site the zero-shuffle join has
-	// since it runs the shared consumer body — before anything was emitted.
-	for _, inj := range []fault.Injection{
-		{Site: fault.Emit, Worker: target, K: 4},
-		{Site: fault.ProbePage, Worker: target, K: 0},
+	// Emit mid-window, ProbePage before anything was emitted, and BuildPage
+	// before the table exists.
+	for _, cell := range []struct {
+		inj  fault.Injection
+		role string
+	}{
+		{fault.Injection{Site: fault.Emit, Worker: target, K: 4}, roleProbe},
+		{fault.Injection{Site: fault.ProbePage, Worker: target, K: 0}, roleProbe},
+		{fault.Injection{Site: fault.BuildPage, Worker: target, K: 0}, roleConsumer},
 	} {
+		inj := cell.inj
 		c, emp, key := partitionFixture(t, 400, 60)
 		c.Cfg.Fault = fault.NewPlan(inj)
 		perWorker, stats := run(c, emp, key)
@@ -695,9 +702,12 @@ func TestCoPartitionedJoinCrashRecovered(t *testing.T) {
 		if c.Cfg.Fault.Fired() != 1 {
 			t.Fatalf("the co-partitioned %s crash never fired", inj.Site)
 		}
-		if stats.Retries != 1 || stats.RoleRetries[roleProbe] != 1 {
-			t.Errorf("%s: %d retries (%d probe), want the one recovered crash counted",
-				inj.Site, stats.Retries, stats.RoleRetries[roleProbe])
+		if stats.Retries != 1 || stats.RoleRetries[cell.role] != 1 {
+			t.Errorf("%s: %d retries (%v), want the one recovered crash counted as %q",
+				inj.Site, stats.Retries, stats.RoleRetries, cell.role)
+		}
+		if b := stats.Ships[0].Bytes; b != 0 {
+			t.Errorf("%s: the recovered co-partitioned join shipped %d bytes", inj.Site, b)
 		}
 		if !equalRows(gotRows, wantRows) {
 			t.Errorf("%s: recovered co-partitioned join differs from crash-free run (%d vs %d pairs)",

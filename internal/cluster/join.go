@@ -33,6 +33,19 @@ import (
 //     parallel probe, thread-ordered emit); the probe stream stays
 //     retained until the step ends.
 //
+// # Co-partitioned sets
+//
+// When the catalog labels both sets with the same partition key (both
+// loaded with SendDataPartitioned under that label), every row already sits
+// on the worker its key routes to, so the step skips stage 1: each worker's
+// one consumer role builds from and probes its own stored pages, with no
+// producer, exchange or governor, and nothing is shipped (the paper's
+// §8.3.3). The consumer checks every stored page the first time it reads
+// it: a row whose key routes to another worker — a label that keyL or keyR
+// does not follow — fails the join, naming the set and both workers. Both
+// inputs are read whole before the probe starts, so that worker emits
+// nothing first. Any other pair of labels takes the shuffle.
+//
 // keyL/keyR extract the join key hash from an object (the compiled key
 // lambdas); emit is invoked on each pair kind selects (below), running on
 // the owning worker's goroutine; the returned ExecStats carry the crash
@@ -61,12 +74,12 @@ import (
 //   - JoinFull combines JoinLeft's probe behavior with JoinRight's tail.
 //
 // The right/full kinds track build-side matches in a bitmap indexed by
-// exchange delivery order. Every probe attempt builds it from scratch,
-// marking the matches it skips as well as those it emits (under the
-// fault.ProbeBitmap site), so the unmatched-row tail sweep sees the
-// crash-free run's bitmap. Join recovery state lives in memory: a join
-// whose process dies re-runs from its start on the next run, so emit is
-// at-least-once across process deaths.
+// delivery order. Every probe attempt builds it from scratch, marking the
+// matches it skips as well as those it emits (under the fault.ProbeBitmap
+// site), so the unmatched-row tail sweep sees the crash-free run's bitmap.
+// Join recovery state lives in memory: a join whose process dies re-runs
+// from its start on the next run, so emit is at-least-once across process
+// deaths.
 //
 // # Probe/emit recovery
 //
@@ -75,54 +88,66 @@ import (
 // is re-forked and re-run; the deterministic retry re-sends the same tags
 // and the lanes drop its duplicates at the sender. A build-phase consumer
 // crash re-gathers both streams from page 0 — the exchange retains both
-// until the step ends. Once the table is complete, the worker's recovery
-// record keeps it (read-only from then on). A probe/emit-phase crash
-// reuses that table, rewinds the probe stream to page 0, and skips the
-// first matches the record counts as emitted — match order is page order,
-// so the skip prefix is exactly what user code already observed and emit
-// sees every match exactly once. Match output is bit-for-bit identical to
+// until the step ends, and stored pages are the front end's. Once the
+// table is complete, the worker's recovery record keeps it (read-only
+// from then on). A probe/emit-phase crash reuses that table, rewinds the
+// probe stream to page 0, and skips the first matches the record counts as
+// emitted — match order is page order, so the skip prefix is exactly what
+// user code already observed and emit sees every match exactly once. Match output is bit-for-bit identical to
 // a crash-free run in every case.
 func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR string,
 	keyL, keyR func(object.Ref) uint64,
 	eq func(l, r object.Ref) bool,
 	emit func(workerID int, l, r object.Ref) error) (*ExecStats, error) {
 	nw := len(c.Workers)
-	// One governor per consumer backend, shared by both exchanges: the
-	// memory budget is per backend, not per shuffle. Build-side delivered
-	// pages are consumer-owned (the tables reference them in place, so they
-	// live for the join regardless); probe-side delivered pages are
-	// exchange-owned replay retention — metered and evictable until the
-	// step ends: retention is what holds the probe side while the build
-	// runs. Its release hook is a no-op that only marks the retention
-	// exchange-owned: user emit code may hold refs into probe pages, so
-	// they are never recycled, and dropping the exchange's references at
-	// step end lets the garbage collector reclaim them once that code is
-	// done. What does return to the page pool is each repartition page a
-	// producer sent to another worker: the exchange releases the original
-	// once its copy exists (exchange.Config.Release).
-	govs, closeGovs := c.stepGovernors()
-	defer closeGovs()
-	exL := c.newShuffleExchange(func(*object.Page) {}, govs)
-	exR := c.newShuffleExchange(nil, govs)
+	label := c.Catalog.PartitionKey(dbL, setL)
+	coPartitioned := label != "" && label == c.Catalog.PartitionKey(dbR, setR)
+	var govs []*exchange.Governor
+	var exs []*exchange.Exchange
+	if !coPartitioned {
+		// One governor per consumer backend, shared by both exchanges: the
+		// memory budget is per backend, not per shuffle. Build-side
+		// delivered pages are consumer-owned (the tables reference them in
+		// place, so they live for the join regardless); probe-side
+		// delivered pages are exchange-owned replay retention — metered and
+		// evictable until the step ends: retention is what holds the probe
+		// side while the build runs. Its release hook is a no-op that only
+		// marks the retention exchange-owned: user emit code may hold refs
+		// into probe pages, so they are never recycled, and dropping the
+		// exchange's references at step end lets the garbage collector
+		// reclaim them once that code is done. What does return to the
+		// page pool is each repartition page a producer sent to another
+		// worker: the exchange releases the original once its copy exists
+		// (exchange.Config.Release).
+		var closeGovs func()
+		govs, closeGovs = c.stepGovernors()
+		defer closeGovs()
+		exs = []*exchange.Exchange{c.newShuffleExchange(func(*object.Page) {}, govs), c.newShuffleExchange(nil, govs)}
+	}
 	stats := &ExecStats{Threads: c.Cfg.Threads, RoleRetries: map[string]int{}}
 	roles := make([]role, 3*nw)
 	for i, w := range c.Workers {
 		env := c.env(w)
-		// Producer roles: repartition-stream each side.
-		produce := func(ex *exchange.Exchange, db, set string, key func(object.Ref) uint64) role {
-			return role{w: w, name: roleProducer, what: "join repartition " + set,
-				onRetry: stats.noteRetry(roleProducer, false),
-				body:    func() error { return env.streamRepartition(db, set, key, ex) },
-				closes:  ex}
+		var build, probe consumerEnd
+		if coPartitioned {
+			build, probe = &storedEnd{env: env, db: dbR, set: setR, key: keyR}, &storedEnd{env: env, db: dbL, set: setL, key: keyL}
+		} else {
+			// Producer roles: repartition-stream each side.
+			produce := func(ex *exchange.Exchange, db, set string, key func(object.Ref) uint64) role {
+				return role{w: w, name: roleProducer, what: "join repartition " + set,
+					onRetry: stats.noteRetry(roleProducer, false),
+					body:    func() error { return env.streamRepartition(db, set, key, ex) },
+					closes:  ex}
+			}
+			exL, exR := exs[0], exs[1]
+			roles[i], roles[nw+i] = produce(exL, dbL, setL, keyL), produce(exR, dbR, setR, keyR)
+			build, probe = &exchangeEnd{ex: exR, worker: i}, &exchangeEnd{ex: exL, worker: i}
 		}
-		roles[i], roles[nw+i] = produce(exL, dbL, setL, keyL), produce(exR, dbR, setR, keyR)
 		// Consumer role: build from the right stream, retain the left
 		// stream, probe in windows, emit.
 		j := &joinSpec{kind: kind, keyL: keyL, keyR: keyR, eq: eq,
 			emit: func(l, r object.Ref) error { return emit(i, l, r) }}
 		rec := &joinRecovery{}
-		build := &exchangeEnd{ex: exR, worker: i}
-		probe := &exchangeEnd{ex: exL, worker: i}
 		roles[2*nw+i] = role{w: w, name: roleConsumer, what: "join build/probe",
 			onRetry: func() {
 				if rec.table != nil {
@@ -133,10 +158,13 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 			},
 			body: func() error { return env.consumeJoin(build, probe, j, rec) }}
 	}
+	if coPartitioned {
+		roles = roles[2*nw:] // consumers only
+	}
 	// Join recovery state is in memory: beyond runStep's discard of both
 	// exchanges there is nothing to drop.
 	beforeBytes, beforePages := c.Transport.Stats().Counters()
-	ship, err := c.runStep(roles, govs, exL, exR)
+	ship, err := c.runStep(roles, govs, exs...)
 	afterBytes, afterPages := c.Transport.Stats().Counters()
 	ship.Bytes, ship.Pages = afterBytes-beforeBytes, afterPages-beforePages
 	stats.Ships = []StageShip{ship}
@@ -246,8 +274,8 @@ func repartitionBatch(sink *engine.RepartitionSink, key func(object.Ref) uint64,
 }
 
 // consumeJoin is the join's one consumer body, whatever carries its two page
-// streams (exchange ends for HashPartitionJoinKind, the worker's stored
-// pages for CoPartitionedJoin): build the table while the probe stream
+// streams (exchange ends for a shuffled join, the worker's stored pages for
+// co-partitioned sets): build the table while the probe stream
 // drains into its end's retention, probe the rewound stream in windows, then
 // sweep the outer tail. Until rec holds the finished table an attempt
 // gathers both streams from page 0; after, it probes that table.

@@ -16,24 +16,7 @@ import (
 // (the outer-join fixtures need unmatched rows on both sides).
 func loadIntRowsOff(t *testing.T, c *Cluster, rec *object.TypeInfo, db, set string, n, groups, off int) {
 	t.Helper()
-	if err := c.CreateSet(db, set, rec.Name); err != nil {
-		t.Fatal(err)
-	}
-	pages, err := object.BuildPages(c.Catalog.Registry(), 1<<12, n, func(a *object.Allocator, i int) (object.Ref, error) {
-		r, err := a.MakeObject(rec)
-		if err != nil {
-			return object.NilRef, err
-		}
-		object.SetI64(r, rec.Field("grp"), int64(off+i%groups))
-		object.SetI64(r, rec.Field("val"), int64(i))
-		return r, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SendData(db, set, pages); err != nil {
-		t.Fatal(err)
-	}
+	loadIntRowsKeyed(t, c, rec, db, set, n, groups, off, "")
 }
 
 // joinKeyOn/joinEqOn/joinPairString are the join-test lambdas over the
@@ -188,6 +171,42 @@ func TestJoinKindsMatchReference(t *testing.T) {
 			if !equalRows(got, want) {
 				t.Errorf("w=%d t=%d %s: emit multiset differs (%d vs %d rows)",
 					cell.workers, cell.threads, jk.name, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestJoinKindsCoPartitionedMatchShuffled runs every kind over the same
+// rows loaded two ways: round-robin, which the join shuffles, and labelled
+// co-partitioned on grp, which it joins where they are stored. Each kind
+// finds the same pairs both ways, and the labelled load ships nothing.
+func TestJoinKindsCoPartitionedMatchShuffled(t *testing.T) {
+	const ln, lg, rn, rg, roff = 120, 12, 48, 8, 8
+	for _, cell := range []struct{ workers, threads int }{{1, 1}, {2, 2}, {4, 8}} {
+		load := func(label string) (*Cluster, *object.TypeInfo) {
+			c, err := New(Config{Workers: cell.workers, Threads: cell.threads, PageSize: 1 << 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := intRecType(c)
+			loadIntRowsKeyed(t, c, rec, "db", "left", ln, lg, 0, label)
+			loadIntRowsKeyed(t, c, rec, "db", "right", rn, rg, roff, label)
+			return c, rec
+		}
+		shufC, shufRec := load("")
+		coC, coRec := load("grp")
+		for _, jk := range joinKinds {
+			label := fmt.Sprintf("w=%d t=%d %s", cell.workers, cell.threads, jk.name)
+			shuf := runJoinKind(t, shufC, shufRec, jk.kind)
+			before := coC.Transport.Stats().BytesShipped
+			co := runJoinKind(t, coC, coRec, jk.kind)
+			if shipped := coC.Transport.Stats().BytesShipped - before; shipped != 0 {
+				t.Errorf("%s: the co-partitioned join shipped %d bytes", label, shipped)
+			}
+			sort.Strings(shuf)
+			sort.Strings(co)
+			if len(co) == 0 || !equalRows(co, shuf) {
+				t.Errorf("%s: co-partitioned pairs differ from shuffled (%d vs %d rows)", label, len(co), len(shuf))
 			}
 		}
 	}

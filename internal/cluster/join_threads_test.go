@@ -79,7 +79,7 @@ func TestThreadsDeterministicHashPartitionJoin(t *testing.T) {
 }
 
 // TestThreadsDeterministicCoPartitionedJoin runs the zero-shuffle join over
-// pre-partitioned sets at every thread count; the parallel build/probe
+// two sets labelled co-partitioned at every thread count; the parallel build/probe
 // helpers must produce the same matches as the sequential path.
 func TestThreadsDeterministicCoPartitionedJoin(t *testing.T) {
 	var want []string
@@ -130,7 +130,7 @@ func TestThreadsDeterministicCoPartitionedJoin(t *testing.T) {
 		rows := joinRows(t, c, emp, func(key func(object.Ref) uint64,
 			eq func(l, r object.Ref) bool,
 			emit func(workerID int, l, r object.Ref) error) error {
-			_, err := c.CoPartitionedJoin("db", "emps", "db", "reps", key, key, eq, emit)
+			_, err := c.HashPartitionJoinKind(core.JoinInner, "db", "emps", "db", "reps", key, key, eq, emit)
 			return err
 		})
 		if len(rows) != 400 {

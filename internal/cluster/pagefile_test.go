@@ -20,7 +20,10 @@ import (
 // while a worker that simply holds no pages of a set stays an empty
 // partition.
 func TestDamagedPageFileFailsTheJob(t *testing.T) {
-	open := func(t *testing.T, cfg Config) (*Cluster, *object.TypeInfo) {
+	// openLabelled loads both sets under label: "" ships them round-robin,
+	// so db.one is a single page and worker 1 holds none of it; any other
+	// label places both by their grp key.
+	openLabelled := func(t *testing.T, cfg Config, label string) (*Cluster, *object.TypeInfo) {
 		t.Helper()
 		cfg.Workers, cfg.Threads, cfg.PageSize, cfg.DataDir = 2, 1, 1<<12, t.TempDir()
 		c, err := New(cfg)
@@ -29,13 +32,13 @@ func TestDamagedPageFileFailsTheJob(t *testing.T) {
 		}
 		t.Cleanup(func() { c.Close() })
 		rec := intRecType(c)
-		loadIntRows(t, c, rec, "db", "rows", 300, 10)
-		loadIntRows(t, c, rec, "db", "one", 5, 5) // a single page: worker 1 holds none
+		loadIntRowsKeyed(t, c, rec, "db", "rows", 300, 10, 0, label)
+		loadIntRowsKeyed(t, c, rec, "db", "one", 5, 5, 0, label)
 		if n, err := c.CountSet("db", "rows"); n != 300 || err != nil {
 			t.Fatalf("intact set counts (%d, %v), want (300, nil)", n, err)
 		}
 		if n, err := c.CountSet("db", "one"); n != 5 || err != nil {
-			t.Fatalf("set with no pages on worker 1 counts (%d, %v), want (5, nil)", n, err)
+			t.Fatalf("db.one counts (%d, %v), want (5, nil)", n, err)
 		}
 		files, err := filepath.Glob(filepath.Join(cfg.DataDir, "worker-0", "db", "rows", "page-*.pcp"))
 		if err != nil || len(files) == 0 {
@@ -45,6 +48,10 @@ func TestDamagedPageFileFailsTheJob(t *testing.T) {
 			t.Fatal(err)
 		}
 		return c, rec
+	}
+	open := func(t *testing.T, cfg Config) (*Cluster, *object.TypeInfo) {
+		t.Helper()
+		return openLabelled(t, cfg, "")
 	}
 	damaged := func(t *testing.T, what string, err error) {
 		t.Helper()
@@ -82,22 +89,19 @@ func TestDamagedPageFileFailsTheJob(t *testing.T) {
 		err = writeIntAgg(t, c, rec)
 		damaged(t, "an aggregation", err)
 	})
-	t.Run("HashPartitionJoinKind and CoPartitionedJoin", func(t *testing.T) {
-		c, rec := open(t, Config{})
-		key, eq := joinKeyOn(rec), joinEqOn(rec)
-		emit := func(int, object.Ref, object.Ref) error { return nil }
-		_, err := c.HashPartitionJoinKind(core.JoinInner, "db", "rows", "db", "one", key, key, eq, emit)
-		damaged(t, "a join probing the damaged set", err)
-		_, err = c.HashPartitionJoinKind(core.JoinInner, "db", "one", "db", "rows", key, key, eq, emit)
-		damaged(t, "a join building from the damaged set", err)
-		// Mark both sets co-partitioned by hand: the page read is what is
-		// under test, not the placement.
-		c.Catalog.SetPartitionKey("db", "rows", "grp")
-		c.Catalog.SetPartitionKey("db", "one", "grp")
-		_, err = c.CoPartitionedJoin("db", "rows", "db", "one", key, key, eq, emit)
-		damaged(t, "a co-partitioned join probing the damaged set", err)
-		_, err = c.CoPartitionedJoin("db", "one", "db", "rows", key, key, eq, emit)
-		damaged(t, "a co-partitioned join building from the damaged set", err)
+	t.Run("HashPartitionJoinKind shuffled and co-partitioned", func(t *testing.T) {
+		for _, label := range []string{"", "grp"} {
+			c, rec := openLabelled(t, Config{}, label)
+			key, eq := joinKeyOn(rec), joinEqOn(rec)
+			emit := func(int, object.Ref, object.Ref) error { return nil }
+			stats, err := c.HashPartitionJoinKind(core.JoinInner, "db", "rows", "db", "one", key, key, eq, emit)
+			damaged(t, "a join probing the damaged set, label "+label, err)
+			if stats.Retries != 0 {
+				t.Errorf("label %q: %d crash retries spent on a storage error", label, stats.Retries)
+			}
+			_, err = c.HashPartitionJoinKind(core.JoinInner, "db", "one", "db", "rows", key, key, eq, emit)
+			damaged(t, "a join building from the damaged set, label "+label, err)
+		}
 	})
 	t.Run("pcworker produce session", func(t *testing.T) {
 		c, rec := open(t, Config{ProcBin: buildPCWorker(t)})

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/object"
 )
@@ -17,16 +16,19 @@ import (
 // of the data, which requires shuffling each input matrix."
 //
 // SendDataPartitioned routes each object to the worker owning its key's
-// hash partition at load time and records the partition key label in the
-// catalog; CoPartitionedJoin then joins two sets sharing a label with zero
-// shuffle: every worker builds and probes purely locally.
+// hash partition at load time and labels the set with the key in the
+// catalog. HashPartitionJoinKind reads the labels: two sets sharing one
+// join with zero shuffle, every worker building and probing its own stored
+// pages (storedEnd), which it checks against the placement as it reads them.
 
 // SendDataPartitioned loads pages into a set, placing each object on the
-// worker that owns hash(key(obj)) % workers, and records keyLabel as the
-// set's partition key. The client runs the join's repartition sink
-// (engine.RepartitionSink, one page set per worker), so objects are
-// deep-copied onto per-worker pages at load time — a one-time cost the
-// paper's remark anticipates.
+// worker that owns hash(key(obj)) % workers (engine.PartitionOf). The
+// client runs the join's repartition sink (engine.RepartitionSink, one page
+// set per worker), so objects are deep-copied onto per-worker pages at load
+// time — a one-time cost the paper's remark anticipates. The set takes
+// keyLabel as its partition label only if it was empty or already carried
+// that label; loading into a set placed any other way leaves it unlabelled
+// (catalog.Master.UpdateSetStats).
 func (c *Cluster) SendDataPartitioned(db, set string, pages []*object.Page,
 	keyLabel string, key func(object.Ref) uint64) error {
 	if _, err := c.Catalog.LookupSet(db, set); err != nil {
@@ -44,74 +46,52 @@ func (c *Cluster) SendDataPartitioned(db, set string, pages []*object.Page,
 			if p.ActiveObjects() <= 1 { // only the root vector: empty
 				continue
 			}
-			q, err := c.Transport.Ship(p, w.Reg())
-			if err != nil {
+			if err := c.storePage(w, db, set, p, keyLabel); err != nil {
 				return err
 			}
-			if err := w.Front.Store.Append(db, set, []*object.Page{q}); err != nil {
-				return err
-			}
-			c.Catalog.UpdateSetStats(db, set, 1, int64(p.Used()))
 		}
 	}
-	c.Catalog.SetPartitionKey(db, set, keyLabel)
-	return c.saveManifest()
+	return nil
 }
 
-// CoPartitionedJoin joins two sets that were loaded with
-// SendDataPartitioned under the same key label: no repartition stages, no
-// shuffle — each worker builds a table from its local right-side objects
-// and probes with its local left-side objects, through the very consumer
-// body HashPartitionJoinKind runs (consumeJoin) with the worker's stored
-// pages as both streams, so build threading, probe windows and match order
-// are that join's.
-//
-// A backend crash anywhere in the local build or probe is recovered
-// (once per step): the inputs
-// are the worker's own stored pages, owned by the crash-proof front end, so
-// the re-forked backend replays them like HashPartitionJoinKind replays its
-// streams — a build crash rebuilds the table, a probe crash re-probes the
-// recorded table from the first page, the recovery record's emitted-match
-// count skipping the matches user code already observed: emit stays
-// exactly-once across crashes. Each recovered crash counts as a "probe"
-// retry in the returned ExecStats.
-func (c *Cluster) CoPartitionedJoin(dbL, setL, dbR, setR string,
-	keyL, keyR func(object.Ref) uint64,
-	eq func(l, r object.Ref) bool,
-	emit func(workerID int, l, r object.Ref) error) (*ExecStats, error) {
-	ml, err := c.Catalog.LookupSet(dbL, setL)
-	if err != nil {
-		return nil, err
-	}
-	mr, err := c.Catalog.LookupSet(dbR, setR)
-	if err != nil {
-		return nil, err
-	}
-	if ml.PartitionKey == "" || ml.PartitionKey != mr.PartitionKey {
-		return nil, fmt.Errorf("cluster: sets %s.%s and %s.%s are not co-partitioned (%q vs %q)",
-			dbL, setL, dbR, setR, ml.PartitionKey, mr.PartitionKey)
-	}
+// storedEnd is a join's consumerEnd over one worker's stored pages of a set
+// when both join inputs carry the same partition label: nothing is
+// shipped. The pages are durable and owned by the front end, so rewinding
+// is an index. The first time it hands out a page it checks the label
+// holds: every row's key hash must route to this worker, the one
+// engine.PartitionOf names, or the join fails instead of missing matches.
+type storedEnd struct {
+	env      *workerEnv
+	db, set  string
+	key      func(object.Ref) uint64
+	pages    []*object.Page // read on first use; nil for no pages
+	pos      int
+	verified int // pages[:verified] passed the placement check
+}
 
-	stats := &ExecStats{Threads: c.Cfg.Threads, RoleRetries: map[string]int{}}
-	roles := make([]role, len(c.Workers))
-	for i, w := range c.Workers {
-		env := c.env(w)
-		j := &joinSpec{kind: core.JoinInner, keyL: keyL, keyR: keyR, eq: eq,
-			emit: func(l, r object.Ref) error { return emit(i, l, r) }}
-		rec := &joinRecovery{} // scheduler-owned: survives the role's attempts
-		roles[i] = role{w: w, name: roleProbe, what: "co-partitioned join", onRetry: stats.noteRetry(roleProbe, true), body: func() error {
-			right, err := storedPages(env.store, dbR, setR)
-			if err != nil {
-				return err
-			}
-			left, err := storedPages(env.store, dbL, setL)
-			if err != nil {
-				return err
-			}
-			return env.consumeJoin(&storedEnd{pages: right}, &storedEnd{pages: left}, j, rec)
-		}}
+func (s *storedEnd) rewind() { s.pos = 0 }
+
+func (s *storedEnd) next() (*object.Page, bool, error) {
+	if s.pages == nil {
+		var err error
+		if s.pages, err = storedPages(s.env.store, s.db, s.set); err != nil {
+			return nil, false, err
+		}
 	}
-	ship, err := c.runStep(roles, nil)
-	stats.Ships = []StageShip{ship}
-	return stats, err
+	if s.pos >= len(s.pages) {
+		return nil, false, nil
+	}
+	p := s.pages[s.pos]
+	if s.pos == s.verified && p.Root() != 0 { // its first read: check it
+		root := object.AsVector(object.Ref{Page: p, Off: p.Root()})
+		for i, n := 0, root.Len(); i < n; i++ {
+			if owner := engine.PartitionOf(s.key(root.HandleAt(i)), s.env.Partitions); owner != s.env.ID {
+				return nil, false, fmt.Errorf("cluster: set %s.%s is not placed by its partition label's key: worker %d holds a row owned by worker %d",
+					s.db, s.set, s.env.ID, owner)
+			}
+		}
+	}
+	s.pos++
+	s.verified = max(s.verified, s.pos)
+	return p, true, nil
 }

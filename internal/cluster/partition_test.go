@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/lambda"
 	"repro/internal/object"
 )
 
@@ -95,101 +99,148 @@ func TestSendDataPartitionedPlacesByKey(t *testing.T) {
 	}
 }
 
-func TestCoPartitionedJoinMatchesShuffledJoin(t *testing.T) {
-	c, emp, key := partitionFixture(t, 280, 140)
-	deptField := emp.Field("dept")
+// empJoinPairs inner-joins db.setL ⋈ db.setR of the Emp fixture on dept and
+// returns the sorted "lsalary|rsalary" pairs and the bytes the join shipped.
+func empJoinPairs(t *testing.T, c *Cluster, emp *object.TypeInfo, setL, setR string) ([]string, int64) {
+	t.Helper()
+	deptField, salField := emp.Field("dept"), emp.Field("salary")
+	key := func(r object.Ref) uint64 {
+		return object.HashValue(object.StringValue(object.GetStrField(r, deptField)))
+	}
 	eq := func(l, r object.Ref) bool {
 		return object.GetStrField(l, deptField) == object.GetStrField(r, deptField)
 	}
-	var coMatches int64
+	var mu sync.Mutex
+	var pairs []string
 	shippedBefore := c.Transport.Stats().BytesShipped
-	_, err := c.CoPartitionedJoin("db", "left", "db", "right", key, key, eq,
+	_, err := c.HashPartitionJoinKind(core.JoinInner, "db", setL, "db", setR, key, key, eq,
 		func(workerID int, l, r object.Ref) error {
-			atomic.AddInt64(&coMatches, 1)
+			mu.Lock()
+			pairs = append(pairs, fmt.Sprintf("%v|%v", object.GetF64(l, salField), object.GetF64(r, salField)))
+			mu.Unlock()
 			return nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Transport.Stats().BytesShipped - shippedBefore; got != 0 {
-		t.Errorf("co-partitioned join shipped %d bytes, want 0 (the §8.3.3 payoff)", got)
-	}
+	sort.Strings(pairs)
+	return pairs, c.Transport.Stats().BytesShipped - shippedBefore
+}
 
-	// The shuffled 2n-stage join over the same data must agree.
-	var shufMatches int64
-	_, err = c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right", key, key, eq,
-		func(workerID int, l, r object.Ref) error {
-			atomic.AddInt64(&shufMatches, 1)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
+// TestCoPartitionedJoinMatchesShuffledJoin joins two sets labelled
+// co-partitioned and the same rows loaded round-robin: the labelled join
+// ships nothing (the §8.3.3 payoff) and finds exactly the shuffled join's
+// pairs.
+func TestCoPartitionedJoinMatchesShuffledJoin(t *testing.T) {
+	c, emp, _ := partitionFixture(t, 280, 140)
+	for set, n := range map[string]int{"rrleft": 280, "rrright": 140} {
+		if err := c.CreateSet("db", set, "Emp"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SendData("db", set, buildEmpPages(t, c, emp, n)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if coMatches == 0 || coMatches != shufMatches {
-		t.Fatalf("co-partitioned join found %d matches, shuffled join %d", coMatches, shufMatches)
+	co, coShipped := empJoinPairs(t, c, emp, "left", "right")
+	if coShipped != 0 {
+		t.Errorf("co-partitioned join shipped %d bytes, want 0", coShipped)
+	}
+	shuf, shufShipped := empJoinPairs(t, c, emp, "rrleft", "rrright")
+	if shufShipped == 0 {
+		t.Error("the join of round-robin sets shipped nothing")
+	}
+	if len(co) != 5600 || !equalRows(co, shuf) {
+		t.Fatalf("co-partitioned join found %d pairs, shuffled join %d, want 5600 each and equal", len(co), len(shuf))
 	}
 }
 
-func TestCoPartitionedJoinRejectsMismatchedKeys(t *testing.T) {
-	c, emp, key := partitionFixture(t, 20, 0)
-	_ = emp
-	// A set loaded round-robin (no partition key) must be rejected.
+// TestLabelledJoinUnlabelledShuffles joins a labelled set with an
+// unlabelled one: the labels differ, so the join shuffles both sides and
+// finds every match.
+func TestLabelledJoinUnlabelledShuffles(t *testing.T) {
+	c, emp, _ := partitionFixture(t, 20, 0)
 	if err := c.CreateSet("db", "plain", "Emp"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SendData("db", "plain", buildEmpPages(t, c, emp, 20)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.CoPartitionedJoin("db", "left", "db", "plain", key, key,
-		func(l, r object.Ref) bool { return true },
-		func(int, object.Ref, object.Ref) error { return nil })
-	if err == nil {
-		t.Fatal("join of non-co-partitioned sets must be rejected")
+	pairs, shipped := empJoinPairs(t, c, emp, "left", "plain")
+	if shipped == 0 {
+		t.Error("a labelled set joined with an unlabelled one shipped nothing")
+	}
+	// 20 rows over 7 depts on each side: six depts of 3 rows, one of 2.
+	if len(pairs) != 6*3*3+2*2 {
+		t.Errorf("join found %d pairs, want %d", len(pairs), 6*3*3+2*2)
+	}
+}
+
+// TestSendDataClearsPartitionLabel is the regression test for a label that
+// outlived its placement: rows appended with SendData to a labelled set sit
+// wherever round-robin put them, and a join that trusted the label found
+// 7 200 of the 11 200 matches. The append clears the label, so the join
+// shuffles and finds them all.
+func TestSendDataClearsPartitionLabel(t *testing.T) {
+	c, emp, _ := partitionFixture(t, 280, 140)
+	if err := c.SendData("db", "left", buildEmpPages(t, c, emp, 280)); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Catalog.PartitionKey("db", "left"); got != "" {
+		t.Errorf("label after a round-robin append = %q, want none", got)
+	}
+	if got := c.Catalog.PartitionKey("db", "right"); got != "dept" {
+		t.Errorf("the untouched set lost its label (%q)", got)
+	}
+	pairs, shipped := empJoinPairs(t, c, emp, "left", "right")
+	if len(pairs) != 11200 || shipped == 0 {
+		t.Errorf("join after the append found %d pairs shipping %d bytes, want 11200 shuffled", len(pairs), shipped)
+	}
+}
+
+// TestCoPartitionedJoinChecksPlacement joins two sets labelled on dept by a
+// key they are not placed by (salary): every worker's stored rows fail the
+// placement check while its inputs are read, before its probe, so the join
+// fails naming the misplaced set and emits nothing.
+func TestCoPartitionedJoinChecksPlacement(t *testing.T) {
+	c, emp, _ := partitionFixture(t, 280, 140)
+	salField := emp.Field("salary")
+	key := func(r object.Ref) uint64 { return object.HashValue(object.Float64Value(object.GetF64(r, salField))) }
+	eq := func(l, r object.Ref) bool { return object.GetF64(l, salField) == object.GetF64(r, salField) }
+	var emits atomic.Int64
+	_, err := c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right", key, key, eq,
+		func(int, object.Ref, object.Ref) error { emits.Add(1); return nil })
+	if err == nil || !strings.Contains(err.Error(), "is not placed by its partition label's key") {
+		t.Fatalf("join on a key the sets are not placed by = %v, want the placement error", err)
+	}
+	if !strings.Contains(err.Error(), "db.left") && !strings.Contains(err.Error(), "db.right") {
+		t.Errorf("placement error names no set: %v", err)
+	}
+	if n := emits.Load(); n != 0 {
+		t.Errorf("the misplaced join emitted %d pairs before failing", n)
 	}
 }
 
 // TestCoPartitionedJoinRecoversByReplay gives every worker several pages of
 // each side, then crashes the build, and the probe past its first pages:
-// the stored inputs replay. The
-// retried attempt rebuilds the table (or reuses the recorded one), probes
+// the stored inputs replay. The retried attempt rebuilds the table (a
+// "consumer" retry) or reuses the recorded one (a "probe" retry), probes
 // from the first stored page and skips what was emitted, so per-worker emit
 // order equals the crash-free run's with every pair seen exactly once.
 func TestCoPartitionedJoinRecoversByReplay(t *testing.T) {
-	run := func(inj *fault.Injection) []string {
+	run := func(inj *fault.Injection) ([]string, *ExecStats) {
 		c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := intRecType(c)
-		if err := c.CreateDatabase("db"); err != nil {
-			t.Fatal(err)
-		}
-		for set, n := range map[string]int{"left": 900, "right": 90} {
-			if err := c.CreateSet("db", set, rec.Name); err != nil {
-				t.Fatal(err)
-			}
-			pages, err := object.BuildPages(c.Catalog.Registry(), 1<<12, n, func(a *object.Allocator, i int) (object.Ref, error) {
-				r, err := a.MakeObject(rec)
-				if err != nil {
-					return object.NilRef, err
-				}
-				object.SetI64(r, rec.Field("grp"), int64(i%18))
-				object.SetI64(r, rec.Field("val"), int64(i))
-				return r, nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.SendDataPartitioned("db", set, pages, "grp", joinKeyOn(rec)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		loadIntRowsKeyed(t, c, rec, "db", "left", 900, 18, 0, "grp")
+		loadIntRowsKeyed(t, c, rec, "db", "right", 90, 18, 0, "grp")
 		if inj != nil {
 			c.Cfg.Fault = fault.NewPlan(*inj)
 		}
 		perWorker := make([][]string, len(c.Workers))
 		var mu sync.Mutex
-		_, err = c.CoPartitionedJoin("db", "left", "db", "right", joinKeyOn(rec), joinKeyOn(rec), joinEqOn(rec),
+		stats, err := c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right", joinKeyOn(rec), joinKeyOn(rec), joinEqOn(rec),
 			func(w int, l, r object.Ref) error {
 				mu.Lock()
 				perWorker[w] = append(perWorker[w], joinPairString(rec, l, r))
@@ -206,20 +257,56 @@ func TestCoPartitionedJoinRecoversByReplay(t *testing.T) {
 		for _, ws := range perWorker {
 			rows = append(rows, ws...)
 		}
-		return rows
+		return rows, stats
 	}
-	want := run(nil)
+	want, _ := run(nil)
 	if len(want) != 900*5 {
 		t.Fatalf("crash-free join emitted %d pairs, want %d", len(want), 900*5)
 	}
-	for _, inj := range []fault.Injection{
-		{Site: fault.ProbePage, Worker: 0, K: 3},
-		{Site: fault.Emit, Worker: 0, K: 1200},
-		{Site: fault.BuildPage, Worker: 1, K: 0},
+	for _, cell := range []struct {
+		inj  fault.Injection
+		role string
+	}{
+		{fault.Injection{Site: fault.ProbePage, Worker: 0, K: 3}, roleProbe},
+		{fault.Injection{Site: fault.Emit, Worker: 0, K: 1200}, roleProbe},
+		{fault.Injection{Site: fault.BuildPage, Worker: 1, K: 0}, roleConsumer},
 	} {
-		if got := run(&inj); !equalRows(got, want) {
+		got, stats := run(&cell.inj)
+		if !equalRows(got, want) {
 			t.Errorf("%s: recovered join differs from the crash-free run (%d vs %d pairs)",
-				inj.Site, len(got), len(want))
+				cell.inj.Site, len(got), len(want))
 		}
+		if stats.Retries != 1 || stats.RoleRetries[cell.role] != 1 {
+			t.Errorf("%s: %d retries (%v), want one counted as %q", cell.inj.Site, stats.Retries, stats.RoleRetries, cell.role)
+		}
+	}
+}
+
+// TestOutputCommitClearsPartitionLabel writes a selection's output into a
+// labelled set: OUTPUT pages are placed by the stage that made them, not by
+// the set's key, so the commit clears the label and a join shuffles.
+func TestOutputCommitClearsPartitionLabel(t *testing.T) {
+	c, err := New(Config{Workers: 2, Threads: 1, PageSize: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := intRecType(c)
+	loadIntRowsKeyed(t, c, rec, "db", "rows", 300, 10, 0, "grp")
+	loadIntRowsKeyed(t, c, rec, "db", "copy", 30, 10, 0, "grp")
+	sel := &core.Selection{
+		In:      core.NewScan("db", "rows", "RecovRec"),
+		ArgType: "RecovRec",
+		Predicate: func(arg *lambda.Arg) lambda.Term {
+			return lambda.Ge(lambda.FromMember(arg, "val"), lambda.ConstI64(0))
+		},
+	}
+	if _, err := c.Execute(core.NewWrite("db", "copy", sel)); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Catalog.PartitionKey("db", "copy"); got != "" {
+		t.Errorf("label after an OUTPUT commit = %q, want none", got)
+	}
+	if got := c.Catalog.PartitionKey("db", "rows"); got != "grp" {
+		t.Errorf("the scanned set lost its label (%q)", got)
 	}
 }

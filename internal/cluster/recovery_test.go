@@ -31,6 +31,15 @@ func intRecType(c *Cluster) *object.TypeInfo {
 // loadIntRows builds n (i%groups, i) rows and ships them into db.set.
 func loadIntRows(t *testing.T, c *Cluster, rec *object.TypeInfo, db, set string, n, groups int) {
 	t.Helper()
+	loadIntRowsKeyed(t, c, rec, db, set, n, groups, 0, "")
+}
+
+// loadIntRowsKeyed builds n (off + i%groups, i) rows into a new db.set,
+// creating the database if need be. An empty label ships them round-robin
+// (SendData); any other routes every row by its grp key (joinKeyOn) and
+// labels the set (SendDataPartitioned).
+func loadIntRowsKeyed(t *testing.T, c *Cluster, rec *object.TypeInfo, db, set string, n, groups, off int, label string) {
+	t.Helper()
 	if err := c.CreateDatabase(db); err != nil && !strings.Contains(err.Error(), "already exists") {
 		t.Fatal(err)
 	}
@@ -42,14 +51,19 @@ func loadIntRows(t *testing.T, c *Cluster, rec *object.TypeInfo, db, set string,
 		if err != nil {
 			return object.NilRef, err
 		}
-		object.SetI64(r, rec.Field("grp"), int64(i%groups))
+		object.SetI64(r, rec.Field("grp"), int64(off+i%groups))
 		object.SetI64(r, rec.Field("val"), int64(i))
 		return r, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SendData(db, set, pages); err != nil {
+	if label == "" {
+		err = c.SendData(db, set, pages)
+	} else {
+		err = c.SendDataPartitioned(db, set, pages, label, joinKeyOn(rec))
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 }

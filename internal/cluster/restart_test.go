@@ -182,7 +182,7 @@ func TestRestartRestoresPartitionKey(t *testing.T) {
 	}
 	shippedBefore := c.Transport.Stats().BytesShipped
 	var matches int64
-	_, err = c.CoPartitionedJoin("db", "left", "db", "right", key, key, eq,
+	_, err = c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right", key, key, eq,
 		func(workerID int, l, r object.Ref) error { atomic.AddInt64(&matches, 1); return nil })
 	if err != nil {
 		t.Fatalf("co-partitioned join after restart: %v", err)
@@ -192,5 +192,57 @@ func TestRestartRestoresPartitionKey(t *testing.T) {
 	}
 	if c.Transport.Stats().BytesShipped != shippedBefore {
 		t.Error("co-partitioned join after restart shipped bytes; partition key not restored")
+	}
+}
+
+// TestRestartKeepsClearedPartitionLabel appends rows with SendData to a
+// labelled set, then reopens the cluster: the manifest saved when the label
+// was cleared keeps it cleared, so the join shuffles and finds all 11 200
+// matches, not the 7 200 a restored label would leave it.
+func TestRestartKeepsClearedPartitionLabel(t *testing.T) {
+	dir := t.TempDir()
+	{
+		c, err := New(Config{Workers: 2, PageSize: 1 << 14, DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		emp := registerEmp(t, c)
+		deptField := emp.Field("dept")
+		key := func(r object.Ref) uint64 {
+			return object.HashValue(object.StringValue(object.GetStrField(r, deptField)))
+		}
+		if err := c.CreateDatabase("db"); err != nil {
+			t.Fatal(err)
+		}
+		for set, n := range map[string]int{"left": 280, "right": 140} {
+			if err := c.CreateSet("db", set, "Emp"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SendDataPartitioned("db", set, buildEmpPages(t, c, emp, n), "dept", key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.SendData("db", "left", buildEmpPages(t, c, emp, 280)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := New(Config{Workers: 2, PageSize: 1 << 14, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	emp := registerEmp(t, c)
+	if got := c.Catalog.PartitionKey("db", "left"); got != "" {
+		t.Errorf("restart restored label %q on a set appended to round-robin", got)
+	}
+	if got := c.Catalog.PartitionKey("db", "right"); got != "dept" {
+		t.Errorf("restart lost the untouched set's label (%q)", got)
+	}
+	pairs, shipped := empJoinPairs(t, c, emp, "left", "right")
+	if len(pairs) != 11200 || shipped == 0 {
+		t.Errorf("join after restart found %d pairs shipping %d bytes, want 11200 shuffled", len(pairs), shipped)
 	}
 }

@@ -139,24 +139,6 @@ func (x *exchangeEnd) rewind() { x.ex.Rewind(x.worker) }
 
 func (x *exchangeEnd) next() (*object.Page, bool, error) { return x.ex.Recv(x.worker) }
 
-// storedEnd is a consumerEnd over pages the worker stores (CoPartitionedJoin's
-// zero-shuffle inputs). They are durable and owned by the front end, so
-// rewinding is an index.
-type storedEnd struct {
-	pages []*object.Page
-	pos   int
-}
-
-func (s *storedEnd) rewind() { s.pos = 0 }
-
-func (s *storedEnd) next() (*object.Page, bool, error) {
-	if s.pos >= len(s.pages) {
-		return nil, false, nil
-	}
-	s.pos++
-	return s.pages[s.pos-1], true, nil
-}
-
 // streamErr translates an exchange send aborted by sibling-thread failure
 // into the engine's abort sentinel, so the root cause wins error reporting.
 func streamErr(err error) error {

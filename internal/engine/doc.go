@@ -159,10 +159,10 @@
 //     StreamPages for the join build). FinalizeAggParallel
 //     then materializes the sub-maps concurrently and concatenates their
 //     pages in sub-partition order.
-//   - Join build/probe (internal/cluster.HashPartitionJoinKind and
-//     CoPartitionedJoin, one consumer body): the build side streams into
-//     per-thread tables (pages dealt round-robin by delivery index)
-//     merged bucket-wise; per window of probe pages, probe threads buffer
+//   - Join build/probe (internal/cluster.HashPartitionJoinKind, shuffled
+//     or over co-partitioned sets, one consumer body): the build side
+//     streams into per-thread tables (pages dealt round-robin by delivery
+//     index) merged bucket-wise; per window of probe pages, probe threads buffer
 //     their matches, which are emitted after the window's barrier in
 //     thread order — so user emit callbacks never run concurrently on one
 //     worker.

@@ -113,14 +113,6 @@ func RunPipelineThreads(chunks [][]PageRange, sourceCol string, stmts []*tcap.St
 	return pt, ParallelThreads(nt, body)
 }
 
-// MergeStatsInto folds every thread's counters into dst (post-barrier,
-// single goroutine).
-func (pt *PipelineThreads) MergeStatsInto(dst *Stats) {
-	for t := range pt.Stats {
-		dst.Merge(&pt.Stats[t])
-	}
-}
-
 // OutputPages concatenates the per-thread sinks' pages in thread order.
 // Chunks are contiguous, so thread order is source order: a parallel OUTPUT
 // or materialization stage produces objects in exactly the sequence a

@@ -529,13 +529,18 @@ func (s *RepartitionSink) Consume(ctx *Ctx, vl *VectorList, stmt *tcap.Stmt) err
 		return fmt.Errorf("engine: repartition object column %q missing or mistyped", s.ObjCol)
 	}
 	for i, h := range hc {
-		part := s.Parts[int(h%uint64(len(s.Parts)))]
+		part := s.Parts[PartitionOf(h, len(s.Parts))]
 		if err := appendToRoot(part, oc[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// PartitionOf is the partition, of n, that key hash h routes to: the rule
+// RepartitionSink places every row by, and the one a co-partitioned join
+// checks stored rows against.
+func PartitionOf(h uint64, n int) int { return int(h % uint64(n)) }
 
 func appendToRoot(out *OutputPageSet, r object.Ref) error {
 	root := object.AsVector(object.Ref{Page: out.Live, Off: out.Live.Root()})

@@ -10,9 +10,10 @@
 //     FromMethod, FromNative, composed with Eq/And/Gt/...). The system —
 //     not the user — picks join orders, filter placement, and
 //     materialization by compiling to TCAP and optimizing it. (The join
-//     algorithm is the caller's choice in this reproduction: a Join
-//     computation broadcasts its build side, and a build side too large
-//     for that goes through Cluster.HashPartitionJoinKind.)
+//     algorithm is not yet the planner's: a Join computation broadcasts
+//     its build side, and a build side too large for that goes through
+//     Client.HashPartitionJoinKind, which shuffles both sets unless the
+//     catalog labels them co-partitioned.)
 //
 //   - In the small, all data live in the PC object model: objects are
 //     allocated in place on pages, referenced by offset handles, and move
@@ -59,8 +60,8 @@
 // regardless of arrival order — into a disjoint sub-map as they arrive,
 // then finalizing independently with output pages concatenated in
 // sub-partition order.
-// The hash-partition and co-partitioned joins run one consumer body: they
-// parallelize their repartition scans, hash-table builds (bucket-wise
+// The hash-partition join, shuffled or co-partitioned, runs one consumer
+// body: it parallelizes its repartition scans, hash-table builds (bucket-wise
 // merged, as above), and probe loops; the probe runs in windows of a fixed
 // 16 pages, each window's matches buffered per thread and emitted after the
 // window's barrier in thread order, so each worker's emit calls stay
@@ -303,25 +304,20 @@ func NewWrite(db, set string, in Computation) *Write { return core.NewWrite(db, 
 
 // SendDataPartitioned loads pages into a set pre-partitioned on key: each
 // object is placed on the worker owning hash(key(obj)), and the catalog
-// records keyLabel. Sets sharing a label join with zero shuffle via
-// CoPartitionedJoin — the paper's §8.3.3 future-work item, implemented.
+// labels the set keyLabel if it was empty or already carried that label.
+// Any other load into the set clears the label. HashPartitionJoinKind joins
+// two sets sharing a label with zero shuffle — the paper's §8.3.3
+// future-work item, implemented.
 func (c *Client) SendDataPartitioned(db, set string, pages []*Page, keyLabel string, key func(Ref) uint64) error {
 	return c.Cluster.SendDataPartitioned(db, set, pages, keyLabel, key)
 }
 
-// CoPartitionedJoin joins two co-partitioned sets locally on every worker,
-// with no repartition stages and no shuffle.
-func (c *Client) CoPartitionedJoin(dbL, setL, dbR, setR string,
-	keyL, keyR func(Ref) uint64, eq func(l, r Ref) bool,
-	emit func(workerID int, l, r Ref) error) error {
-	_, err := c.Cluster.CoPartitionedJoin(dbL, setL, dbR, setR, keyL, keyR, eq, emit)
-	return err
-}
-
 // HashPartitionJoinKind runs the streaming hash-partition join with
 // selectable semantics (inner/left/semi/anti/right/full); null-extended
-// rows carry NilRef on the absent side. See
-// cluster.Cluster.HashPartitionJoinKind for the recovery contract.
+// rows carry NilRef on the absent side. Two sets sharing a partition label
+// (SendDataPartitioned) join where they are stored, with no shuffle. See
+// cluster.Cluster.HashPartitionJoinKind for the placement check and the
+// recovery contract.
 func (c *Client) HashPartitionJoinKind(kind JoinKind, dbL, setL, dbR, setR string,
 	keyL, keyR func(Ref) uint64, eq func(l, r Ref) bool,
 	emit func(workerID int, l, r Ref) error) error {
