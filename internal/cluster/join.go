@@ -302,16 +302,17 @@ func (e *workerEnv) consumeJoin(build, probe consumerEnd, j *joinSpec, rec *join
 // probe-side stream drains concurrently, so neither side's producers stall
 // on a full lane longer than the backpressure bound. The drained probe
 // pages are dropped on delivery — the end's retention holds them for the
-// windowed probe to rewind over. Both streams start at page 0. A panic on
-// either goroutine re-raises on the caller, the backend goroutine
-// (engine.ParallelFor): the user key lambda in the build, and in the drain
-// a crash under Recv — which settles the governor's accounting and can
-// spill a retained page — must reach the backend, not kill the process.
+// windowed probe to rewind over. Both streams start at page 0. The two
+// sides are a two-thread engine.ParallelThreads team, the build on the
+// caller: a panic on either re-raises on the backend goroutine — the user
+// key lambda in the build, and in the drain a crash under Recv, which
+// settles the governor's accounting and can spill a retained page, must
+// reach the backend, not kill the process.
 func (e *workerEnv) gatherJoinStreams(build, probe consumerEnd, j *joinSpec, rec *joinRecovery) (*engine.JoinTable, error) {
 	build.rewind()
 	probe.rewind()
 	var table *engine.JoinTable
-	err := engine.ParallelFor(2, func(side int) (err error) {
+	err := engine.ParallelThreads(2, func(side int, _ <-chan struct{}) (err error) {
 		if side == 0 {
 			table, err = e.buildTableStream(build, j, rec)
 			return err
@@ -514,7 +515,7 @@ func bitAt(bits []uint64, i int) bool { return bits[i>>6]&(1<<(uint(i)&63)) != 0
 // buffers live for the attempt (a GC between windows keeps them).
 type probeThreads struct {
 	team   *engine.Team
-	body   func(t int) error // probes chunks[t] into bufs[t]; made once
+	body   func(t int, _ <-chan struct{}) error // probes chunks[t] into bufs[t]; made once
 	ranges []engine.PageRange
 	chunks [][]engine.PageRange
 	bufs   [][][2]object.Ref
@@ -525,7 +526,7 @@ type probeThreads struct {
 func (e *workerEnv) newProbeThreads(table *engine.JoinTable, j *joinSpec) *probeThreads {
 	threads := max(e.Threads, 1)
 	pt := &probeThreads{team: engine.NewTeam(threads), bufs: make([][][2]object.Ref, threads)}
-	pt.body = func(t int) error {
+	pt.body = func(t int, _ <-chan struct{}) error {
 		buf := pt.bufs[t][:0]
 		if t < len(pt.chunks) {
 			rows := 0

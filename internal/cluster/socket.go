@@ -87,9 +87,6 @@ func newSocketTransport(network string, plan func() *fault.Plan) (*SocketTranspo
 	return t, nil
 }
 
-// Addr returns the page server's listen address (tests and leak checks).
-func (t *SocketTransport) Addr() net.Addr { return t.ln.Addr() }
-
 // regID interns a destination registry under a small id that rides the
 // frame header, so the server side can decode into the right memory space.
 func (t *SocketTransport) regID(reg *object.Registry) uint32 {

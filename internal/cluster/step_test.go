@@ -162,9 +162,12 @@ func TestPositionConsumer(t *testing.T) {
 		{name: "retry after the whole stream", delivered: 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ex := exchange.New(exchange.Config{Producers: 1, Consumers: 1, Capacity: len(pages)})
-			for seq, p := range pages {
-				if err := ex.Send(exchange.Tag{Seq: seq}, 0, p, nil); err != nil {
+			// Two producer threads of three pages each keep both lanes
+			// within exchange.DefaultCapacity; Recv delivers thread 0's
+			// pages, then thread 1's.
+			ex := exchange.New(exchange.Config{Producers: 1, Consumers: 1, Threads: 2})
+			for i, p := range pages {
+				if err := ex.Send(exchange.Tag{Thread: i / 3, Seq: i % 3}, 0, p, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

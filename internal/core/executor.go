@@ -138,16 +138,16 @@ func (e *Executor) mergeAggregation(env *StageEnv, res *CompileResult, stage *ph
 		return nil, fmt.Errorf("missing pre-aggregated maps for %q", stage.AggList)
 	}
 	perPart := make([][]*object.Page, e.Partitions)
-	merge := func(part int) (err error) {
+	merge := func(part int, _ <-chan struct{}) (err error) {
 		perPart[part], err = env.MergeAggregation(res, stage, engine.SliceSource(maps), part)
 		return err
 	}
 	var err error
 	if env.Threads > 1 {
-		err = engine.ParallelFor(e.Partitions, merge)
+		err = engine.ParallelThreads(e.Partitions, merge)
 	} else {
 		for part := 0; part < e.Partitions && err == nil; part++ {
-			err = merge(part)
+			err = merge(part, nil)
 		}
 	}
 	var out []*object.Page

@@ -451,7 +451,7 @@ func FinalizeAggParallel(reg *object.Registry, finals []object.OMap, spec *AggSp
 	}
 	perThread := make([][]*object.Page, len(finals))
 	tstats := make([]Stats, len(finals))
-	err := ParallelFor(len(finals), func(t int) error {
+	err := ParallelThreads(len(finals), func(t int, _ <-chan struct{}) error {
 		pages, err := FinalizeAgg(reg, finals[t], spec, pageSize, pool, &tstats[t])
 		if err != nil {
 			return err

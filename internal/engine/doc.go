@@ -108,6 +108,11 @@
 //
 // # Intra-worker parallelism and the sink-merge protocol
 //
+// Every executor thread starts in NewTeam: a Team runs one body per thread,
+// thread 0 on the caller, and is the one place a thread's panic is
+// recovered and a run's error chosen. ParallelThreads is a one-shot team;
+// the join probe keeps one for an attempt.
+//
 // RunPipelineThreads splits a stage's source into contiguous chunks, one
 // executor thread per chunk, each with a private Pipeline, Ctx, output page
 // set, Stats, and sink — nothing shared on the per-row path. After the
@@ -155,10 +160,11 @@
 //     hash-range sub-partitions (LogicalKeyHash, so handle keys route by
 //     logical value, not page offset); each thread folds only its sub-partition's keys into a
 //     private sub-map, consuming pages in the stream's deterministic
-//     order through the one stream fan-out (streamPages; exported as
-//     StreamPages for the join build). FinalizeAggParallel
-//     then materializes the sub-maps concurrently and concatenates their
-//     pages in sub-partition order.
+//     order through the one stream fan-out (streamPages, a team whose
+//     thread 0 dispatches; exported as StreamPages for the join build).
+//     FinalizeAggParallel, a ParallelThreads team, then materializes the
+//     sub-maps concurrently and concatenates their pages in sub-partition
+//     order.
 //   - Join build/probe (internal/cluster.HashPartitionJoinKind, shuffled
 //     or over co-partitioned sets, one consumer body): the build side
 //     streams into per-thread tables (pages dealt round-robin by delivery
@@ -172,8 +178,10 @@
 // the same dispatch, and the deterministic page→thread assignment
 // reproduces the crash-free output exactly.
 //
-// Error and panic discipline: the first failing thread sets a shared abort
-// flag checked once per batch (never per row); panics in user kernels are
+// Error and panic discipline, all of it Team.Run's: the first failing
+// thread closes the run's stop channel, which pipeline threads poll once
+// per batch (never per row); a thread that abandons its work returns
+// ErrAborted, which never masks the root cause; panics in user kernels are
 // re-raised on the coordinating goroutine after the barrier so the
 // simulated cluster's crash-proof front end observes them as backend
 // crashes.

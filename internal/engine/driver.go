@@ -50,13 +50,14 @@ func NewSinkCtx(sink Sink, reg *object.Registry, tables map[string]*JoinTable,
 }
 
 // RunPipelineThreads executes a pipeline stage across one executor thread
-// per chunk: mk builds thread t's private sink and ctx (charging to the
-// returned *Stats), each thread drives its chunk through its own Pipeline,
-// and the call returns after the stage barrier. The per-thread state is
-// returned even when a thread failed, so the caller can still fold Stats
-// into its accounting (matching the sequential path's incremental
-// accounting); the error reports the first failing thread. Panics in user
-// code are re-raised on the caller.
+// per chunk, as a one-shot Team (ParallelThreads; thread 0 is the caller):
+// mk builds thread t's private sink and ctx (charging to the returned
+// *Stats), each thread drives its chunk through its own Pipeline, and the
+// call returns after the stage barrier. The per-thread state is returned
+// even when a thread failed, so the caller can still fold Stats into its
+// accounting (matching the sequential path's incremental accounting); the
+// error and panic rules are Team.Run's: the first failing thread's error,
+// and panics in user code re-raised on the caller.
 //
 // Streaming: mk receives the run's stop channel (closed on sibling-thread
 // failure) so streaming sinks can abandon a blocked exchange send. When a

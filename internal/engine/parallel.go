@@ -8,12 +8,13 @@ package engine
 // synchronization is the stage-end barrier, after which the coordinating
 // goroutine concatenates or merges the per-thread results.
 //
-// The same machinery drives the consuming phases: the aggregation merge
-// (MergeAggMapsStream), finalization
-// (FinalizeAggParallel), and the hash-partition join's repartition and
-// build run their per-thread bodies through ParallelFor, ParallelThreads,
-// or the one stream fan-out (streamPages); the join's probe, which fans out
-// once per window, keeps a Team for the attempt.
+// Every executor thread starts in NewTeam: a Team is the one primitive, and
+// it alone recovers a thread's panic and picks the run's error. The pipeline
+// stages, the aggregation merge (MergeAggMapsStream) and finalization
+// (FinalizeAggParallel), and the hash-partition join's repartition and build
+// run as one-shot teams (ParallelThreads, and the stream fan-out
+// streamPages); the join's probe, which fans out once per window, keeps a
+// Team for the attempt.
 
 import (
 	"errors"
@@ -24,120 +25,36 @@ import (
 	"repro/internal/object"
 )
 
-// threadPanic wraps a panic recovered on an executor thread so the
-// coordinating goroutine can re-raise it. Re-raising matters: in the
-// simulated cluster a user-code panic must still "crash the backend" on the
-// goroutine the crash-proof front end is watching.
-type threadPanic struct{ v any }
-
-// ErrAborted marks work a thread abandoned because a sibling failed. The
-// parallel drivers set the shared abort signal on the first error or panic;
-// cooperative bodies return ErrAborted when they observe it (polling the
-// flag between batches, or woken from a blocked exchange send through the
-// stop channel), and the drivers never report it as the run's error — the
-// root cause wins.
+// ErrAborted marks work a thread abandoned because a sibling failed. A
+// Team closes the run's stop channel on the first error or panic;
+// cooperative bodies return ErrAborted when they observe it (polling it
+// between batches, or woken from a blocked exchange send), and the team
+// never reports it as the run's error — the root cause wins.
 var ErrAborted = errors.New("engine: aborted by sibling thread failure")
 
-// abortSignal is the shared tear-down switch of one parallel run: a flag
-// for the cheap per-batch poll, plus a channel that closes on the first
-// failure so bodies blocked in a select (streaming sends under exchange
-// backpressure) wake up too.
-type abortSignal struct {
-	flag atomic.Bool
-	ch   chan struct{}
-	once sync.Once
-}
-
-func newAbortSignal() *abortSignal { return &abortSignal{ch: make(chan struct{})} }
-
-func (a *abortSignal) trip() {
-	a.flag.Store(true)
-	a.once.Do(func() { close(a.ch) })
-}
-
-// runThreads runs body(t, ab) for t in [0, n) each on its own goroutine and
-// waits for all of them. The shared abort signal trips on the first error
-// or panic so cooperative bodies stop early. Panics are re-raised on the
-// calling goroutine after the barrier; otherwise the first non-aborted
-// error is returned, tagged with its thread.
-func runThreads(n int, body func(t int, ab *abortSignal) error) error {
-	var wg sync.WaitGroup
-	ab := newAbortSignal()
-	errs := make([]error, n)
-	panics := make([]*threadPanic, n)
-	for t := 0; t < n; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					ab.trip()
-					panics[t] = &threadPanic{v: r}
-				}
-			}()
-			if err := body(t, ab); err != nil {
-				ab.trip()
-				errs[t] = err
-			}
-		}(t)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p.v)
-		}
-	}
-	for t, err := range errs {
-		if err != nil && !errors.Is(err, ErrAborted) {
-			return fmt.Errorf("executor thread %d: %w", t, err)
-		}
-	}
-	return nil
-}
-
-// ParallelFor runs fn(t) for every t in [0, n) on dedicated executor
-// threads and waits for all of them. With n <= 1 fn runs inline on the
-// caller (no goroutine, no barrier) so sequential configurations pay
-// nothing. The first panic is re-raised on the caller after the barrier;
-// otherwise the first error is returned. Unlike the scan drivers there is
-// no mid-task abort: each fn is one coarse unit of work.
-func ParallelFor(n int, fn func(t int) error) error {
-	switch {
-	case n <= 0:
-		return nil
-	case n == 1:
-		return fn(0)
-	}
-	return runThreads(n, func(t int, ab *abortSignal) error {
-		if ab.flag.Load() {
-			return ErrAborted
-		}
-		return fn(t)
-	})
-}
-
-// Team is a set of executor threads kept for a phase that fans many small
-// units out in turn (the join's probe windows): Run hands each thread the
-// unit's body over a channel and waits at a barrier, so a Run costs no
-// goroutine start and allocates nothing. Thread 0 is the caller; a team of
-// n <= 1 runs everything inline. A panic on any thread re-raises on the
-// caller after the barrier, as ParallelFor's does. Close stops the threads;
-// the team's owner must call it on every exit path.
+// Team is a set of executor threads. Run hands each thread the run's body
+// over a channel and waits at a barrier, so a Run costs no goroutine start
+// and, once warm, allocates nothing. Thread 0 is the caller; a team of
+// n <= 1 runs everything inline. Close stops the threads; the team's owner
+// must call it on every exit path.
 type Team struct {
-	feeds  []chan func(t int) error // thread t's feed is feeds[t-1]
-	done   chan struct{}
-	errs   []error
-	panics []*threadPanic
-	wg     sync.WaitGroup
+	feeds   []chan func(t int, stop <-chan struct{}) error // thread t's feed is feeds[t-1]
+	done    chan struct{}
+	errs    []error
+	panics  []any
+	stop    chan struct{} // the current run's; replaced only after it closed
+	tripped atomic.Bool
+	wg      sync.WaitGroup
 }
 
 // NewTeam starts a team of n executor threads.
 func NewTeam(n int) *Team {
 	n = max(n, 1)
-	tm := &Team{done: make(chan struct{}), errs: make([]error, n), panics: make([]*threadPanic, n)}
-	tm.feeds = make([]chan func(int) error, n-1)
+	tm := &Team{done: make(chan struct{}), errs: make([]error, n), panics: make([]any, n),
+		stop: make(chan struct{})}
+	tm.feeds = make([]chan func(int, <-chan struct{}) error, n-1)
 	for i := range tm.feeds {
-		feed := make(chan func(int) error)
+		feed := make(chan func(int, <-chan struct{}) error)
 		tm.feeds[i] = feed
 		tm.wg.Add(1)
 		go func(t int) {
@@ -151,20 +68,39 @@ func NewTeam(n int) *Team {
 	return tm
 }
 
-// call runs fn on thread t, recording its error or panic.
-func (tm *Team) call(t int, fn func(int) error) {
+// call runs fn on thread t, recording its error or panic; either closes
+// the run's stop channel.
+func (tm *Team) call(t int, fn func(int, <-chan struct{}) error) {
 	defer func() {
 		if r := recover(); r != nil {
-			tm.panics[t] = &threadPanic{v: r}
+			tm.panics[t] = r
+			tm.trip()
 		}
 	}()
-	tm.errs[t] = fn(t)
+	if err := fn(t, tm.stop); err != nil {
+		tm.errs[t] = err
+		tm.trip()
+	}
 }
 
-// Run calls fn(t) on every thread t of the team and waits for all of them.
-// The first panic re-raises on the caller; otherwise the first error is
-// returned.
-func (tm *Team) Run(fn func(t int) error) error {
+func (tm *Team) trip() {
+	if tm.tripped.CompareAndSwap(false, true) {
+		close(tm.stop)
+	}
+}
+
+// Run calls fn(t, stop) on every thread t of the team and waits for all of
+// them. stop closes when any thread of this run returns an error or
+// panics, so bodies that block outside the engine — a streaming sink's
+// exchange send waiting out backpressure — can select on it and bail with
+// ErrAborted instead of deadlocking the barrier. The first panic re-raises
+// on the caller after the barrier; otherwise Run returns the first error
+// that is not ErrAborted, in thread order.
+func (tm *Team) Run(fn func(t int, stop <-chan struct{}) error) error {
+	if tm.tripped.Load() {
+		tm.stop = make(chan struct{})
+		tm.tripped.Store(false)
+	}
 	for _, feed := range tm.feeds {
 		feed <- fn
 	}
@@ -176,16 +112,17 @@ func (tm *Team) Run(fn func(t int) error) error {
 		if p != nil {
 			clear(tm.panics)
 			clear(tm.errs)
-			panic(p.v)
+			panic(p)
 		}
 	}
-	for t, err := range tm.errs {
-		if err != nil {
-			clear(tm.errs)
-			return fmt.Errorf("executor thread %d: %w", t, err)
+	var err error
+	for t, e := range tm.errs {
+		if e != nil && err == nil && !errors.Is(e, ErrAborted) {
+			err = fmt.Errorf("executor thread %d: %w", t, e)
 		}
 	}
-	return nil
+	clear(tm.errs)
+	return err
 }
 
 // Close stops the team's threads and waits for them to exit.
@@ -196,13 +133,10 @@ func (tm *Team) Close() {
 	tm.wg.Wait()
 }
 
-// ParallelThreads runs body(t, stop) for every t in [0, n) on dedicated
-// executor threads and waits for all of them. stop closes when a sibling
-// thread fails or panics, so bodies that block outside the engine — a
-// streaming sink's exchange send waiting out backpressure — can select on
-// it and bail with ErrAborted instead of deadlocking the barrier. With
-// n <= 1 the body runs inline with a nil stop channel (it has no siblings
-// to fail). Panics re-raise on the caller after the barrier.
+// ParallelThreads runs body(t, stop) for every t in [0, n) as a one-shot
+// Team and waits for all of them, with Run's stop, error and panic rules.
+// With n <= 1 the body runs inline with a nil stop channel (it has no
+// siblings to fail) and nothing is allocated.
 func ParallelThreads(n int, body func(t int, stop <-chan struct{}) error) error {
 	switch {
 	case n <= 0:
@@ -210,12 +144,9 @@ func ParallelThreads(n int, body func(t int, stop <-chan struct{}) error) error 
 	case n == 1:
 		return body(0, nil)
 	}
-	return runThreads(n, func(t int, ab *abortSignal) error {
-		if ab.flag.Load() {
-			return ErrAborted
-		}
-		return body(t, ab.ch)
-	})
+	tm := NewTeam(n)
+	defer tm.Close()
+	return tm.Run(body)
 }
 
 // streamPages is the one fan-out of a shuffle stream over consumer threads.
@@ -229,10 +160,13 @@ func ParallelThreads(n int, body func(t int, stop <-chan struct{}) error) error 
 // No page is released here: the exchange retains delivered pages for
 // replay. With threads <= 1 everything runs inline on the caller.
 //
-// A panic in body (user combine/key code) re-raises on the caller after all
-// threads drain, preserving the backend-crash discipline. A body error
-// stops the dispatch and is returned; the stream itself is abandoned — the
-// caller is expected to cancel the exchange, unblocking producers.
+// Otherwise a team of threads+1 runs it: thread 0, the caller, dispatches
+// (so next runs on the backend goroutine), and team thread t+1 folds
+// consumer t's pages. A panic in body (user combine/key code) or in next
+// re-raises on the caller once every thread is done. A body error stops the
+// dispatch and is returned, naming its consumer thread; the stream itself
+// is abandoned — the caller is expected to cancel the exchange, unblocking
+// producers. The source's error is returned as it is.
 func streamPages(next func() (*object.Page, bool, error), threads int, broadcast bool,
 	body func(t int, p *object.Page) error) error {
 	if threads <= 1 {
@@ -247,74 +181,54 @@ func streamPages(next func() (*object.Page, bool, error), threads int, broadcast
 		}
 	}
 
+	// Four pages of slack per thread let the dispatcher run ahead of a
+	// slow fold without a handoff per page.
 	feeds := make([]chan *object.Page, threads)
-	errs := make([]error, threads)
-	panics := make([]*threadPanic, threads)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for t := range feeds {
-		feeds[t] = make(chan *object.Page, 4)
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[t] = &threadPanic{v: r}
-					failed.Store(true)
-					// Keep draining so the dispatcher never blocks on a
-					// dead thread.
-					for range feeds[t] {
-					}
-				}
-			}()
-			for p := range feeds[t] {
-				if errs[t] == nil {
-					if err := body(t, p); err != nil {
-						errs[t] = err
-						failed.Store(true)
-					}
-				}
-			}
-		}(t)
+	for c := range feeds {
+		feeds[c] = make(chan *object.Page, 4)
 	}
 	var srcErr error
-	func() {
-		// Tear down the threads even when next panics (a crash hook on the
-		// consuming goroutine), so the panic reaches the backend with no
-		// goroutine left behind.
-		defer func() {
-			for t := range feeds {
-				close(feeds[t])
-			}
-			wg.Wait()
-		}()
-		for delivered := 0; !failed.Load(); delivered++ {
-			p, ok, err := next()
-			if err != nil {
-				srcErr = err
-				return
-			}
-			if !ok {
-				return
-			}
-			if broadcast {
-				for t := range feeds {
-					feeds[t] <- p
+	tm := NewTeam(threads + 1)
+	defer tm.Close()
+	err := tm.Run(func(t int, stop <-chan struct{}) error {
+		if t > 0 {
+			for p := range feeds[t-1] {
+				if err := body(t-1, p); err != nil {
+					return fmt.Errorf("stream consumer thread %d: %w", t-1, err)
 				}
-			} else {
-				feeds[delivered%threads] <- p
+			}
+			return nil
+		}
+		defer func() {
+			for _, feed := range feeds {
+				close(feed)
+			}
+		}()
+		for delivered := 0; ; delivered++ {
+			select {
+			case <-stop:
+				return nil
+			default:
+			}
+			p, ok, err := next()
+			if err != nil || !ok {
+				srcErr = err
+				return nil
+			}
+			for c, feed := range feeds {
+				if !broadcast && c != delivered%threads {
+					continue
+				}
+				select {
+				case feed <- p:
+				case <-stop:
+					return nil
+				}
 			}
 		}
-	}()
-	for _, p := range panics {
-		if p != nil {
-			panic(p.v)
-		}
-	}
-	for t, err := range errs {
-		if err != nil {
-			return fmt.Errorf("stream consumer thread %d: %w", t, err)
-		}
+	})
+	if err != nil {
+		return errors.Unwrap(err) // the consumer's error, without the team's thread number
 	}
 	return srcErr
 }

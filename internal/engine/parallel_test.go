@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/object"
+	"repro/internal/race"
 )
 
 // buildI64Pages fills pages with n I64Holder objects valued 0..n-1.
@@ -343,6 +344,41 @@ func TestStreamPagesPanicWithoutCuts(t *testing.T) {
 	}
 }
 
+// TestStreamPagesErrors: at every thread count a fold's error comes back
+// naming its consumer thread, and the source's error as it is.
+func TestStreamPagesErrors(t *testing.T) {
+	reg := object.NewRegistry()
+	pages := intPages(t, reg, 23)
+	boom, lost := errors.New("boom"), errors.New("lane lost")
+	for _, threads := range []int{1, 3} {
+		bad := threads - 1
+		err := streamPages(SliceSource(pages), threads, false, func(th int, p *object.Page) error {
+			if th == bad && pageTag(p) >= 10 {
+				return boom
+			}
+			return nil
+		})
+		want := "boom"
+		if threads > 1 {
+			want = fmt.Sprintf("stream consumer thread %d: boom", bad)
+		}
+		if !errors.Is(err, boom) || err.Error() != want {
+			t.Errorf("threads=%d: fold error %v, want %q", threads, err, want)
+		}
+		src := SliceSource(pages)
+		err = streamPages(func() (*object.Page, bool, error) {
+			p, ok, err := src()
+			if ok && pageTag(p) == 9 {
+				return nil, false, lost
+			}
+			return p, ok, err
+		}, threads, true, func(int, *object.Page) error { return nil })
+		if err != lost {
+			t.Errorf("threads=%d: source error %v, want %v as it is", threads, err, lost)
+		}
+	}
+}
+
 // TestAppendRangesReuseMatchesFresh: the appending forms of BatchRanges and
 // SplitRanges, fed arrays left over from a larger call, produce exactly
 // what the allocating forms do.
@@ -375,7 +411,7 @@ func TestTeamRunsEveryThread(t *testing.T) {
 	tm := NewTeam(3)
 	var mu sync.Mutex
 	calls := map[int]int{}
-	count := func(th int) error {
+	count := func(th int, _ <-chan struct{}) error {
 		mu.Lock()
 		calls[th]++
 		mu.Unlock()
@@ -391,7 +427,7 @@ func TestTeamRunsEveryThread(t *testing.T) {
 	}
 
 	boom := errors.New("boom")
-	if err := tm.Run(func(th int) error {
+	if err := tm.Run(func(th int, _ <-chan struct{}) error {
 		if th == 2 {
 			return boom
 		}
@@ -413,7 +449,7 @@ func TestTeamRunsEveryThread(t *testing.T) {
 				t.Error("the panic re-raised before thread 2 finished")
 			}
 		}()
-		_ = tm.Run(func(th int) error {
+		_ = tm.Run(func(th int, _ <-chan struct{}) error {
 			switch th {
 			case 1:
 				panic("thread bug")
@@ -426,8 +462,80 @@ func TestTeamRunsEveryThread(t *testing.T) {
 		t.Fatal("expected re-panic")
 	}()
 	tm.Close()
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("%d goroutines after Close, %d before NewTeam", after, before)
+	// A thread has returned from Close's wait before the runtime counts
+	// it gone; under -race that lag is visible, so give it 100 ms.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines after Close, %d before NewTeam", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	NewTeam(1).Close() // a one-thread team starts no goroutine
+}
+
+// TestTeamStopClosesOnSiblingFailure: a Run's stop channel closes when one
+// thread returns an error and when one panics (the panic still re-raising
+// on the caller), the next Run gets an open one, and neither a warm Run
+// after a tripped one nor ParallelThreads(1, …) allocates.
+func TestTeamStopClosesOnSiblingFailure(t *testing.T) {
+	tm := NewTeam(3)
+	defer tm.Close()
+	boom := errors.New("boom")
+	waitStop := func(stop <-chan struct{}) error {
+		select {
+		case <-stop:
+			return ErrAborted
+		case <-time.After(10 * time.Second):
+			return errors.New("stop never closed")
+		}
+	}
+	if err := tm.Run(func(th int, stop <-chan struct{}) error {
+		if th == 1 {
+			return boom
+		}
+		return waitStop(stop)
+	}); !errors.Is(err, boom) || err.Error() != "executor thread 1: boom" {
+		t.Fatalf("err = %v, want thread 1's boom", err)
+	}
+
+	func() {
+		defer func() {
+			if r := recover(); r != "thread bug" {
+				t.Fatalf("recovered %v, want thread bug", r)
+			}
+		}()
+		_ = tm.Run(func(th int, stop <-chan struct{}) error {
+			if th == 2 {
+				panic("thread bug")
+			}
+			return waitStop(stop)
+		})
+		t.Fatal("expected re-panic")
+	}()
+
+	var open atomic.Int32
+	if err := tm.Run(func(th int, stop <-chan struct{}) error {
+		select {
+		case <-stop:
+		default:
+			if stop != nil {
+				open.Add(1)
+			}
+		}
+		return nil
+	}); err != nil || open.Load() != 3 {
+		t.Fatalf("after a tripped run: err %v, %d of 3 threads saw an open stop", err, open.Load())
+	}
+
+	if race.Enabled {
+		return // allocation counts are not meaningful under the race detector
+	}
+	_ = tm.Run(func(th int, _ <-chan struct{}) error { return boom })
+	noop := func(int, <-chan struct{}) error { return nil }
+	if allocs := testing.AllocsPerRun(20, func() { _ = tm.Run(noop) }); allocs != 0 {
+		t.Errorf("a warm Run after a tripped one allocates %v objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _ = ParallelThreads(1, noop) }); allocs != 0 {
+		t.Errorf("ParallelThreads(1, …) allocates %v objects, want 0", allocs)
+	}
 }

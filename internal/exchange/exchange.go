@@ -11,9 +11,9 @@
 // Every (producer worker, executor thread, consumer) triple owns a private
 // bounded channel — a lane. A page travels the lane of the thread that
 // sealed it, so each lane carries one thread's stream in sequence order and
-// Config.Capacity is a hard per-lane bound: a consumer never holds more
-// than Capacity × Threads undelivered pages per producer, and a full lane
-// backpressures exactly the producing thread that outran the merge. (The
+// DefaultCapacity (a constant, not a Config knob) is a hard per-lane bound:
+// a consumer never holds more than DefaultCapacity × Threads undelivered
+// pages per producer, and a full lane backpressures exactly the producing thread that outran the merge. (The
 // previous design multiplexed a producer's threads onto one channel and
 // reordered at the receiver, which let pages of threads behind the delivery
 // cursor pile up without limit.)
@@ -108,9 +108,10 @@ type Config struct {
 	// owns Threads lanes to every consumer, indexed by Tag.Thread. Zero
 	// or negative picks 1.
 	Threads int
-	// Capacity bounds each lane's pages in flight; a full lane blocks the
-	// producing thread (backpressure). Zero picks DefaultCapacity.
-	Capacity int
+	// capacity bounds each lane's pages in flight; a full lane blocks the
+	// producing thread (backpressure). Zero picks DefaultCapacity; only
+	// this package's tests set it.
+	capacity int
 	// Replayable is ignored: every exchange retains delivered pages until
 	// the step ends, so a crashed consumer can always Rewind.
 	//
@@ -144,9 +145,8 @@ type Config struct {
 	Governors []*Governor
 }
 
-// DefaultCapacity is the per-lane pages-in-flight bound when
-// Config.Capacity is zero — the bound of every exchange the cluster builds;
-// only this package's own tests size lanes otherwise.
+// DefaultCapacity is the per-lane pages-in-flight bound of every exchange
+// outside this package's tests.
 const DefaultCapacity = 4
 
 // lane is one (producer thread → consumer) bounded channel plus its
@@ -180,8 +180,8 @@ type Exchange struct {
 
 // New builds an exchange.
 func New(cfg Config) *Exchange {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
+	if cfg.capacity <= 0 {
+		cfg.capacity = DefaultCapacity
 	}
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
@@ -193,7 +193,7 @@ func New(cfg Config) *Exchange {
 		for t := range ex.lanes[p] {
 			ex.lanes[p][t] = make([]*lane, cfg.Consumers)
 			for c := range ex.lanes[p][t] {
-				ex.lanes[p][t][c] = &lane{ch: make(chan message, cfg.Capacity)}
+				ex.lanes[p][t][c] = &lane{ch: make(chan message, cfg.capacity)}
 			}
 		}
 	}
@@ -415,9 +415,9 @@ func (ex *Exchange) cancelled() error {
 
 // MaxBytesInFlight reports the shuffle's bytes-in-flight high-water mark:
 // bytes enqueued (shipped) but not yet delivered to a merge. It is
-// hard-bounded: every lane holds at most Capacity pages, so a consumer's
-// undelivered backlog never exceeds Capacity × Threads pages per producer
-// — backpressure, not buffering, absorbs skew. The gauge counts logical
+// hard-bounded: every lane holds at most DefaultCapacity pages, so a
+// consumer's undelivered backlog never exceeds DefaultCapacity × Threads
+// pages per producer — backpressure, not buffering, absorbs skew. The gauge counts logical
 // (shipped, undelivered) bytes whether they reside in RAM or in a
 // governor's spill store — it measures the schedule, not residence;
 // Governor.MaxResidentBytes measures memory.
@@ -425,7 +425,7 @@ func (ex *Exchange) MaxBytesInFlight() int64 { return ex.maxInFlight.Load() }
 
 // MaxReorderPages reports the largest undelivered-page backlog any single
 // consumer reached (pages enqueued on its lanes and not yet delivered),
-// hard-bounded by Capacity × Threads × Producers + 1: the page Recv is
+// hard-bounded by DefaultCapacity × Threads × Producers + 1: the page Recv is
 // taking off a lane still counts while a sender refills that lane.
 func (ex *Exchange) MaxReorderPages() int64 { return ex.maxReorder.Load() }
 

@@ -73,7 +73,7 @@ func drain(t *testing.T, ex *Exchange, consumer int, ti *object.TypeInfo) []int6
 // strict (producer, thread, sequence) order.
 func TestOrderedDeliveryAcrossThreads(t *testing.T) {
 	reg, ti := testRegistry(t)
-	ex := New(Config{Producers: 2, Consumers: 1, Threads: 2, Capacity: 16})
+	ex := New(Config{Producers: 2, Consumers: 1, Threads: 2, capacity: 16})
 	// Producer 1 finishes before producer 0; threads interleave
 	// backwards — all legal arrival orders.
 	send := func(p, th, seq int) {
@@ -105,7 +105,7 @@ func TestOrderedDeliveryAcrossThreads(t *testing.T) {
 func TestRetryDuplicatesDropped(t *testing.T) {
 	reg, ti := testRegistry(t)
 	var released int
-	ex := New(Config{Producers: 1, Consumers: 1, Threads: 2, Capacity: 16,
+	ex := New(Config{Producers: 1, Consumers: 1, Threads: 2, capacity: 16,
 		Release: func(*object.Page) { released++ }})
 	send := func(th, seq int) {
 		if err := ex.Send(Tag{0, th, seq}, 0, testPage(t, reg, ti, id(0, th, seq)), nil); err != nil {
@@ -141,7 +141,7 @@ func TestRetryDuplicatesDropped(t *testing.T) {
 // drains concurrently, and every page arrives in order.
 func TestBackpressureAndConcurrentConsumption(t *testing.T) {
 	reg, ti := testRegistry(t)
-	ex := New(Config{Producers: 1, Consumers: 1, Capacity: 2})
+	ex := New(Config{Producers: 1, Consumers: 1, capacity: 2})
 	const n = 50
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -176,7 +176,7 @@ func TestBackpressureAndConcurrentConsumption(t *testing.T) {
 // the cancellation cause.
 func TestCancelUnblocksSenderAndReceiver(t *testing.T) {
 	reg, ti := testRegistry(t)
-	ex := New(Config{Producers: 2, Consumers: 1, Capacity: 1})
+	ex := New(Config{Producers: 2, Consumers: 1, capacity: 1})
 	if err := ex.Send(Tag{0, 0, 0}, 0, testPage(t, reg, ti, 1), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestCancelUnblocksSenderAndReceiver(t *testing.T) {
 // blocked send and expects ErrProducerStopped.
 func TestStopChannelAbortsSend(t *testing.T) {
 	reg, ti := testRegistry(t)
-	ex := New(Config{Producers: 1, Consumers: 1, Capacity: 1})
+	ex := New(Config{Producers: 1, Consumers: 1, capacity: 1})
 	if err := ex.Send(Tag{0, 0, 0}, 0, testPage(t, reg, ti, 1), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestStopChannelAbortsSend(t *testing.T) {
 func TestBroadcastDeliversToEveryConsumer(t *testing.T) {
 	reg, ti := testRegistry(t)
 	ships := 0
-	ex := New(Config{Producers: 1, Consumers: 3, Capacity: 4,
+	ex := New(Config{Producers: 1, Consumers: 3, capacity: 4,
 		Ship: func(p *object.Page, producer, consumer int) (*object.Page, error) {
 			if consumer == producer {
 				return p, nil
@@ -265,7 +265,7 @@ func TestBroadcastDeliversToEveryConsumer(t *testing.T) {
 func TestManyProducersManyConsumers(t *testing.T) {
 	reg, ti := testRegistry(t)
 	const np, nc, threads, pages = 3, 3, 2, 4
-	ex := New(Config{Producers: np, Consumers: nc, Threads: threads, Capacity: 2})
+	ex := New(Config{Producers: np, Consumers: nc, Threads: threads, capacity: 2})
 	var wg sync.WaitGroup
 	for p := 0; p < np; p++ {
 		wg.Add(1)
@@ -342,12 +342,12 @@ func ExampleTag() {
 // TestSkewedProducerHardBound pins the tentpole memory bound: with one
 // producer thread far behind the delivery cursor, the fast threads fill
 // their own bounded lanes and then block — the receiver never holds more
-// than Capacity × Threads undelivered pages per producer, where the old
+// than capacity × Threads undelivered pages per producer, where the old
 // shared-channel design buffered the fast threads' entire output.
 func TestSkewedProducerHardBound(t *testing.T) {
 	reg, ti := testRegistry(t)
 	const threads, capacity = 4, 2
-	ex := New(Config{Producers: 1, Consumers: 1, Threads: threads, Capacity: capacity})
+	ex := New(Config{Producers: 1, Consumers: 1, Threads: threads, capacity: capacity})
 
 	// Threads 1..3 race ahead: each fills its lane to capacity (these
 	// sends cannot block), then attempts one more page, which must block
@@ -415,7 +415,7 @@ func TestSkewedProducerHardBound(t *testing.T) {
 func TestRewindReplaysRetained(t *testing.T) {
 	reg, ti := testRegistry(t)
 	released := 0
-	ex := New(Config{Producers: 1, Consumers: 1, Threads: 1, Capacity: 16,
+	ex := New(Config{Producers: 1, Consumers: 1, Threads: 1, capacity: 16,
 		ReleaseDelivered: func(*object.Page) { released++ }})
 	const n = 6
 	for seq := 0; seq < n; seq++ {
@@ -496,7 +496,7 @@ func TestSendReleasesShippedOriginal(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			released := map[*object.Page]int{}
-			ex := New(Config{Producers: 1, Consumers: 1, Capacity: 4, Ship: tc.ship,
+			ex := New(Config{Producers: 1, Consumers: 1, capacity: 4, Ship: tc.ship,
 				Release: func(p *object.Page) { released[p]++ }})
 			p := testPage(t, reg, ti, 7)
 			if err := ex.Send(Tag{}, 0, p, nil); !errors.Is(err, tc.err) {

@@ -68,12 +68,12 @@ func sendAll(t *testing.T, ex *Exchange, reg *object.Registry, ti *object.TypeIn
 func TestGovernorSpillPreservesDeliveryOrder(t *testing.T) {
 	const producers, threads, pages = 2, 2, 6
 	reg, ti := testRegistry(t)
-	ref := New(Config{Producers: producers, Consumers: 1, Threads: threads, Capacity: 2})
+	ref := New(Config{Producers: producers, Consumers: 1, Threads: threads, capacity: 2})
 	sendAll(t, ref, reg, ti, producers, threads, pages)
 	want := drain(t, ref, 0, ti)
 
 	g := testGovernor(t, reg, ti, 1)
-	ex := New(Config{Producers: producers, Consumers: 1, Threads: threads, Capacity: 2,
+	ex := New(Config{Producers: producers, Consumers: 1, Threads: threads, capacity: 2,
 		Governors: []*Governor{g}})
 	sendAll(t, ex, reg, ti, producers, threads, pages)
 	got := drain(t, ex, 0, ti)
@@ -98,7 +98,7 @@ func TestGovernorReplayableSpill(t *testing.T) {
 	const producers, threads, pages = 2, 2, 4
 	reg, ti := testRegistry(t)
 
-	ref := New(Config{Producers: producers, Consumers: 1, Threads: threads, Capacity: 2,
+	ref := New(Config{Producers: producers, Consumers: 1, Threads: threads, capacity: 2,
 		ReleaseDelivered: func(*object.Page) {}})
 	sendAll(t, ref, reg, ti, producers, threads, pages)
 	want := drain(t, ref, 0, ti)
@@ -109,7 +109,7 @@ func TestGovernorReplayableSpill(t *testing.T) {
 	t.Cleanup(func() { _ = sp.Close() })
 	g := NewGovernor(budget, sp, nil)
 	released := 0
-	ex := New(Config{Producers: producers, Consumers: 1, Threads: threads, Capacity: 2,
+	ex := New(Config{Producers: producers, Consumers: 1, Threads: threads, capacity: 2,
 		ReleaseDelivered: func(*object.Page) { released++ },
 		Governors:        []*Governor{g}})
 	sendAll(t, ex, reg, ti, producers, threads, pages)
