@@ -193,7 +193,9 @@ type Config struct {
 	// DataDir subtree, "tcp" for TCP loopback). Jobs ship as optimized
 	// TCAP text plus type schemas, so they must be shippable: scan →
 	// aggregate → write plans whose aggregation is a registered named
-	// family (internal/agglib) — anything else fails with a clear error.
+	// family (internal/agglib), and scan → ORDER BY / top-k → write plans
+	// whose sort keys ship (not method calls). Windows, DISTINCT and joins
+	// stay local: they fail with an error naming the statement or stage.
 	// Requires DataDir (worker processes read their input partitions
 	// there). A killed worker process is respawned and its role retried:
 	// the master's exchange retains the stream, so the retried consume

@@ -69,8 +69,9 @@ type ExecStats struct {
 // distributed query scheduler breaks it into job stages and runs each
 // schedulable step across all worker backends (paper §2, Appendix D.1).
 // Exchange-linked stage pairs — a pre-aggregation producer and its
-// aggregation consumer — run as one step with the shuffle streaming
-// between them; all other stages run with the classic all-workers barrier.
+// aggregation consumer, a sort producer and its merge consumer — run as one
+// step with the shuffle streaming between them; all other stages run with
+// the classic all-workers barrier.
 func (c *Cluster) Execute(writes ...*core.Write) (*ExecStats, error) {
 	res, err := core.Compile(writes...)
 	if err != nil {
@@ -111,13 +112,7 @@ func (c *Cluster) Execute(writes ...*core.Write) (*ExecStats, error) {
 		beforeBytes, beforePages := c.Transport.Stats().Counters()
 		var ship StageShip
 		if stage.ExchangeTo != nil {
-			if stage.ExchangeTo.Kind == physical.StageSortMerge {
-				// Sort plans never reach proc mode (prepareProcs rejects
-				// them), so the in-process merge network is the only path.
-				ship, err = c.runSortGroup(res, stage, stage.ExchangeTo, stats)
-			} else {
-				ship, err = c.runExchangeGroup(res, stage, stage.ExchangeTo, stats)
-			}
+			ship, err = c.runExchangeGroup(res, stage, stage.ExchangeTo, stats)
 			done[stage.ExchangeTo] = true
 		} else {
 			err = c.runStage(res, stage, stats)
@@ -234,22 +229,23 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 	return env.RunPipeline(res, stage, pages, nil, nil)
 }
 
-// newShuffleExchange builds every step's exchange and wires it to the
-// simulated transport: one lane per (producer, executor thread, consumer),
-// each holding exchange.DefaultCapacity pages, so the in-flight bound is per
+// newExchange builds every step's exchange and wires it to the simulated
+// transport: one lane per (producer, executor thread, consumer), each
+// holding exchange.DefaultCapacity pages, so the in-flight bound is per
 // thread; shipping copies the page into the consumer's registry (a worker's
 // own pages pass by reference); and retry duplicates, dropped at the sender,
-// and the originals of copied pages recycle through the page pool. Delivered pages stay retained for
-// consumer crash recovery until the step ends; releaseDelivered receives
-// the resident ones when the step succeeds (nil when the consumer's state
-// keeps referencing them, as the join-table build and the sort merge do).
-// govs, when non-nil, attach the
-// step's per-worker memory governors (Config.MemoryBudget) so over-budget
-// pages spill to disk.
-func (c *Cluster) newShuffleExchange(releaseDelivered func(*object.Page), govs []*exchange.Governor) *exchange.Exchange {
+// and the originals of copied pages recycle through the page pool. Every
+// worker produces; consumers are workers 0…consumers-1. Delivered pages
+// stay retained for consumer crash recovery until the step ends;
+// releaseDelivered receives the resident ones when the step succeeds (nil
+// when the consumer's state keeps referencing them, as the join-table build
+// and the sort merge do). govs, when non-nil, attach the step's per-worker
+// memory governors (Config.MemoryBudget) so over-budget pages spill to
+// disk.
+func (c *Cluster) newExchange(consumers int, releaseDelivered func(*object.Page), govs []*exchange.Governor) *exchange.Exchange {
 	return exchange.New(exchange.Config{
 		Producers: len(c.Workers),
-		Consumers: len(c.Workers),
+		Consumers: consumers,
 		Threads:   c.Cfg.Threads,
 		Ship: func(p *object.Page, producer, consumer int) (*object.Page, error) {
 			if producer == consumer {
@@ -263,26 +259,28 @@ func (c *Cluster) newShuffleExchange(releaseDelivered func(*object.Page), govs [
 	})
 }
 
-// runExchangeGroup executes an exchange-linked stage pair — a
-// pre-aggregation producer and its aggregation consumer (paper Appendix
-// D.2, Figure 5) — concurrently on every worker. Each producer thread's
-// AggSink streams sealed map pages into the exchange tagged (worker,
-// thread, sequence); every consumer merges its own hash partition out of
-// the stream as pages arrive, in deterministic tag order
-// (engine.MergeAggMapsStream across Config.Threads hash-range
-// sub-partitions), then finalizes the disjoint sub-maps concurrently.
+// runExchangeGroup executes an exchange-linked stage pair concurrently on
+// every worker: a pre-aggregation producer and its aggregation consumer
+// (paper Appendix D.2, Figure 5), or a sort producer and its merge consumer
+// (sort.go). Each producer thread streams its sealed pages into the
+// exchange tagged (worker, thread, sequence), and each consumer reads its
+// stream in deterministic tag order: an aggregation consumer merges its own
+// hash partition out of every page as pages arrive (engine.MergeAggMapsStream
+// across Config.Threads hash-range sub-partitions), then finalizes the
+// disjoint sub-maps concurrently; the sort's single consumer merges every
+// run page into the global order.
 //
 // A producer whose backend crashes mid-stream is re-forked and retried
 // once; the deterministic re-run re-sends the same tagged pages and the
 // exchange drops the duplicates at the sender. A consumer whose backend
 // crashes mid-merge or in finalize is also re-forked and retried: the
 // exchange retains every delivered page, so the retry rewinds it to page 0
-// and merges the whole stream again onto fresh sub-maps — bit-for-bit
-// identical to a crash-free run. When the step succeeds, the retained
-// pages return to the page pool (runStep); when it fails anyway (retries
-// exhausted, a deterministic crash, or an injected I/O error), runStep
-// drops everything the step still holds: undelivered and retained exchange
-// pages, spill slots.
+// and merges the whole stream again from a fresh state — bit-for-bit
+// identical to a crash-free run. When the step succeeds, an aggregation's
+// retained pages return to the page pool (runStep); when it fails anyway
+// (retries exhausted, a deterministic crash, or an injected I/O error),
+// runStep drops everything the step still holds: undelivered and retained
+// exchange pages, spill slots.
 //
 // In proc mode (Config.ProcBin) the step is the same — same exchange, same
 // roles, same retry accounting — with each role's body a session that has
@@ -290,23 +288,46 @@ func (c *Cluster) newShuffleExchange(releaseDelivered func(*object.Page), govs [
 // of the stream (procrun.go).
 func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical.JobStage, stats *ExecStats) (StageShip, error) {
 	nw := len(c.Workers)
-	govs, closeGovs := c.stepGovernors()
-	defer closeGovs()
 	proc := c.procs != nil
+	// The pairs differ in a few values, each read off the consumer's kind.
+	// Every aggregation worker consumes its hash partition, its retained
+	// pages return to the pool when the step succeeds, and in-process each
+	// backend's budget governs its lanes and retention (not in proc mode:
+	// the exchange lives in the master, whose memory a per-backend budget
+	// does not describe).
+	consumers, release := nw, func(p *object.Page) { c.pool.Put(p) }
+	var govs []*exchange.Governor
+	closeGovs := func() {}
+	if cons.Kind == physical.StageSortMerge {
+		// The sort's one consumer, worker 0, merges rows off the delivered
+		// pages in place, so they are never released or governed. Its
+		// SortRow carrier registers with the master and has its code pinned
+		// on every worker before any run page exists or a session opener
+		// captures the types: worker registries assign codes locally, so a
+		// lazy SortRowType(w.Reg()) would mint a code a master-registered
+		// user type already holds, and shipped pages would resolve to the
+		// wrong TypeInfo.
+		consumers, release = 1, nil
+		carrier := engine.SortRowType(c.Catalog.Registry())
+		for _, w := range c.Workers {
+			w.Reg().PinCode(engine.SortRowTypeName, carrier.Code)
+		}
+	} else if !proc {
+		govs, closeGovs = c.stepGovernors()
+	}
+	defer closeGovs()
 	var opener *procwork.Msg
 	if proc {
-		// No governors: the exchange lives in the master, whose memory a
-		// per-backend budget does not describe.
-		govs, opener = nil, c.sessionOpener(res)
+		opener = c.sessionOpener(res)
 	}
-	ex := c.newShuffleExchange(func(p *object.Page) { c.pool.Put(p) }, govs)
+	ex := c.newExchange(consumers, release, govs)
 	arts := make([]core.Artifact, nw)
-	roles := make([]role, 2*nw)
+	roles := make([]role, nw, nw+consumers)
 	for i, w := range c.Workers {
 		env := c.env(w)
 		end := &exchangeEnd{ex: ex, worker: i}
-		produce := func() error { return env.runPreAggStream(res, prod, end) }
-		consume := func() ([]*object.Page, error) { return env.consumeAggStream(res, cons, end) }
+		produce := func() error { return env.produce(res, prod, end) }
+		consume := func() ([]*object.Page, error) { return env.consume(res, cons, end) }
 		if proc {
 			produce = func() error { return c.procProduce(w, opener, prod, end) }
 			consume = func() ([]*object.Page, error) { return c.procConsume(w, opener, cons, end) }
@@ -315,18 +336,47 @@ func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical
 			onRetry: stats.noteRetry(roleProducer, false),
 			body:    produce,
 			closes:  ex}
-		roles[nw+i] = role{w: w, proc: proc, name: roleConsumer, what: cons.Produces,
-			onRetry: stats.noteRetry(roleConsumer, true),
-			body: func() (err error) {
-				arts[i].Pages, err = consume()
-				return err
-			}}
+		if i < consumers {
+			roles = append(roles, role{w: w, proc: proc, name: roleConsumer, what: cons.Produces,
+				onRetry: stats.noteRetry(roleConsumer, true),
+				body: func() (err error) {
+					arts[i].Pages, err = consume()
+					return err
+				}})
+		}
 	}
 	ship, err := c.runStep(roles, govs, ex)
 	if err != nil {
 		return ship, err
 	}
 	return ship, c.commitArtifacts(cons, arts)
+}
+
+// produce is a producer role's body, the same in-process and in a pcworker
+// produce session: the stage's pipeline streams its pages into end — an
+// aggregation's sealed map pages or the sort's thread runs.
+func (e *workerEnv) produce(res *core.CompileResult, stage *physical.JobStage, end shuffleEnd) error {
+	switch stage.Sink {
+	case physical.SinkPreAgg:
+		return e.runPreAggStream(res, stage, end)
+	case physical.SinkSort:
+		return e.runSortStreamOnWorker(res, stage, end)
+	}
+	return fmt.Errorf("cluster: stage %q is not an exchange producer", stage.Produces)
+}
+
+// consume is a consumer role's body, the same in-process and in a pcworker
+// consume session: the stage's merge reads end's stream from page 0 and
+// returns the worker's share of the result — its aggregation partition, or
+// the whole sorted output on the sort's one consumer.
+func (e *workerEnv) consume(res *core.CompileResult, stage *physical.JobStage, end consumerEnd) ([]*object.Page, error) {
+	switch stage.Kind {
+	case physical.StageAggregation:
+		return e.consumeAggStream(res, stage, end)
+	case physical.StageSortMerge:
+		return e.consumeSortStream(res, stage, end)
+	}
+	return nil, fmt.Errorf("cluster: stage %q is not an exchange consumer", stage.Produces)
 }
 
 // runPreAggStream is the producer half of a streaming shuffle: the

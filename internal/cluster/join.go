@@ -122,7 +122,7 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 		var closeGovs func()
 		govs, closeGovs = c.stepGovernors()
 		defer closeGovs()
-		exs = []*exchange.Exchange{c.newShuffleExchange(func(*object.Page) {}, govs), c.newShuffleExchange(nil, govs)}
+		exs = []*exchange.Exchange{c.newExchange(nw, func(*object.Page) {}, govs), c.newExchange(nw, nil, govs)}
 	}
 	stats := &ExecStats{Threads: c.Cfg.Threads, RoleRetries: map[string]int{}}
 	roles := make([]role, 3*nw)

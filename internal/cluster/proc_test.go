@@ -5,12 +5,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/agglib"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/lambda"
 	"repro/internal/object"
 )
 
@@ -372,4 +374,206 @@ func TestProcClusterKillRestartResume(t *testing.T) {
 			assertNoRecoveryFiles(t, dir)
 		})
 	}
+}
+
+// orderByRows sorts db.in into a new db.out — grp descending when desc,
+// ascending otherwise, then val ascending (member keys, which ship), keeping
+// the first limit rows when limit > 0 — and returns the output rows "g|v"
+// in scan order, the sorted sequence.
+func orderByRows(c *Cluster, rec *object.TypeInfo, in, out string, desc bool, limit int) ([]string, *ExecStats, error) {
+	keys := intSortKeys()
+	keys[0].Desc = desc
+	if err := c.CreateSet("db", out, rec.Name); err != nil {
+		return nil, nil, err
+	}
+	stats, err := c.Execute(core.NewWrite("db", out, &core.OrderBy{
+		In: core.NewScan("db", in, rec.Name), ArgType: rec.Name, Keys: keys, Limit: limit}))
+	if err != nil {
+		return nil, stats, err
+	}
+	var rows []string
+	err = c.ScanSet("db", out, func(r object.Ref) bool {
+		rows = append(rows, fmt.Sprintf("%d|%d", object.GetI64(r, rec.Field("grp")), object.GetI64(r, rec.Field("val"))))
+		return true
+	})
+	return rows, stats, err
+}
+
+// TestProcClusterOrderBy ships ORDER BY to pcworker processes: the sort
+// runs through the aggregation's sessions, relays and exchange, with worker
+// 0's process merging every run. Ascending, descending with a top-k limit,
+// and a job whose input lies on worker 0 alone (worker 1 streams only its
+// close markers) each give the row sequence an in-memory cluster of the
+// same shape gives.
+func TestProcClusterOrderBy(t *testing.T) {
+	bin := buildPCWorker(t)
+	for _, threads := range []int{1, 2} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			shape := Config{Workers: 2, Threads: threads, PageSize: 1 << 12}
+			mk := func(cfg Config) (*Cluster, *object.TypeInfo) {
+				c, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				rec := intRecType(c)
+				loadIntRows(t, c, rec, "db", "rows", 2500, 13)
+				loadIntRows(t, c, rec, "db", "few", 40, 7) // one page: worker 1 holds none
+				return c, rec
+			}
+			ref, refRec := mk(shape)
+			cfg := shape
+			cfg.DataDir, cfg.ProcBin = t.TempDir(), bin
+			c, rec := mk(cfg)
+			for _, job := range []struct {
+				in, out string
+				desc    bool
+				limit   int
+			}{
+				{"rows", "asc", false, 0},
+				{"rows", "desctop", true, 25},
+				{"few", "oneworker", false, 0},
+			} {
+				want, _, err := orderByRows(ref, refRec, job.in, job.out, job.desc, job.limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := orderByRows(c, rec, job.in, job.out, job.desc, job.limit)
+				if err != nil {
+					t.Fatalf("%s: %v", job.out, err)
+				}
+				if len(want) == 0 || !equalRows(got, want) {
+					t.Errorf("%s: proc mode sorted %d rows, in-memory %d, or their order differs", job.out, len(got), len(want))
+				}
+			}
+		})
+	}
+}
+
+// loadIntRowsOnEveryWorker stores the same n (i%groups, i) rows on every
+// worker, so every worker's sort runs take the same number of pages.
+func loadIntRowsOnEveryWorker(t *testing.T, c *Cluster, rec *object.TypeInfo, n, groups int) {
+	t.Helper()
+	if err := c.CreateDatabase("db"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateSet("db", "rows", rec.Name); err != nil {
+		t.Fatal(err)
+	}
+	pages, err := object.BuildPages(c.Catalog.Registry(), 1<<12, n, func(a *object.Allocator, i int) (object.Ref, error) {
+		r, err := a.MakeObject(rec)
+		if err != nil {
+			return object.NilRef, err
+		}
+		object.SetI64(r, rec.Field("grp"), int64(i%groups))
+		object.SetI64(r, rec.Field("val"), int64(i))
+		return r, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range c.Workers {
+		for _, p := range pages {
+			if err := c.storePage(w, "db", "rows", p, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestProcClusterKillMidSortMerge kills the sort's merging process, worker
+// 0, midway through the runs of worker 1 (fault.ProcKill, shipped in the
+// consume request) — after worker 0's own produce session has ended, so the
+// one death costs one retry. The scheduler must respawn the process, and
+// the retried consume session, replayed from page 0 out of the exchange's
+// retention, must return the rows of a crash-free run.
+func TestProcClusterKillMidSortMerge(t *testing.T) {
+	const n, groups = 3000, 13
+	shape := Config{Workers: 2, Threads: 2, PageSize: 1 << 12}
+	ref, err := New(shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRec := intRecType(ref)
+	loadIntRowsOnEveryWorker(t, ref, refRec, n, groups)
+	want, refStats, err := orderByRows(ref, refRec, "rows", "sorted", false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// In memory only worker 1's run pages cross the transport, and every
+	// worker's runs take as many pages.
+	runPages := 0
+	for _, s := range refStats.Ships {
+		runPages += s.Pages
+	}
+	if runPages < 4 {
+		t.Fatalf("worker 1 streams %d run pages, want at least 4", runPages)
+	}
+
+	cfg := shape
+	cfg.DataDir, cfg.ProcBin = t.TempDir(), buildPCWorker(t)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rec := intRecType(c)
+	loadIntRowsOnEveryWorker(t, c, rec, n, groups)
+	c.Cfg.Fault = fault.NewPlan(fault.Injection{Site: fault.ProcKill, Worker: 0, K: runPages + runPages/2})
+	got, stats, err := orderByRows(c, rec, "rows", "sorted", false, 0)
+	if err != nil {
+		t.Fatalf("kill-respawn sort failed: %v", err)
+	}
+	if c.Cfg.Fault.Fired() != 1 {
+		t.Error("ProcKill never fired")
+	}
+	if stats.Retries != 1 || stats.ConsumerRecoveries != 1 {
+		t.Errorf("retries %d, consumer recoveries %d, want the one process death in each", stats.Retries, stats.ConsumerRecoveries)
+	}
+	if !equalRows(got, want) {
+		t.Errorf("recovered sort differs from crash-free run (%d vs %d rows)", len(got), len(want))
+	}
+}
+
+// TestProcClusterRejectsUnshippable runs a window and a DISTINCT job in
+// proc mode: their closures cannot cross the process boundary, so each
+// fails with core.Rebuild's "not shippable" error. The cluster stays
+// usable: the aggregation smoke job then runs on the same processes.
+func TestProcClusterRejectsUnshippable(t *testing.T) {
+	const n, groups = 2000, 16
+	c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
+		DataDir: t.TempDir(), ProcBin: buildPCWorker(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rec := intRecType(c)
+	loadIntRows(t, c, rec, "db", "rows", n, groups)
+	if _, err := intSortRows(c, rec, "window", "win"); err == nil || !strings.Contains(err.Error(), "not shippable") {
+		t.Errorf("window job: err = %v, want \"not shippable\"", err)
+	}
+	if err := c.CreateSet("db", "dist", rec.Name); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Execute(core.NewWrite("db", "dist", &core.Distinct{
+		In: core.NewScan("db", "rows", rec.Name), ArgType: rec.Name, KeyKind: object.KInt64,
+		Key: func(e *lambda.Arg) lambda.Term { return lambda.FromMember(e, "grp") },
+		Make: func(a *object.Allocator, key object.Value) (object.Ref, error) {
+			r, err := a.MakeObject(rec)
+			if err == nil {
+				object.SetI64(r, rec.Field("grp"), key.AsInt64())
+			}
+			return r, err
+		}}))
+	if err == nil || !strings.Contains(err.Error(), "not shippable") {
+		t.Errorf("DISTINCT job: err = %v, want \"not shippable\"", err)
+	}
+	if err := c.CreateSet("db", "sums", "RecovRec"); err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err := runProcIntAgg(t, c, rec)
+	if err != nil {
+		t.Fatalf("aggregation after the rejected jobs: %v", err)
+	}
+	checkIntSums(t, rows, n, groups)
 }

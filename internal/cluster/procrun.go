@@ -1,15 +1,16 @@
 package cluster
 
-// Proc-mode scheduling: the exchange-linked aggregation step run against
-// real pcworker OS processes (Config.ProcBin). The step is runExchangeGroup's
-// — same exchange, same roles under runStep and runRole, same recovery
-// contract — and the worker processes run the same role functions
-// (procserve.go); this file is the master's half of each role session. The
-// topology is a star: the master owns the Exchange and relays both halves of
-// the shuffle over per-session control connections (internal/procwork):
+// Proc-mode scheduling: an exchange-linked step — an aggregation or a sort —
+// run against real pcworker OS processes (Config.ProcBin). The step is
+// runExchangeGroup's — same exchange, same roles under runStep and runRole,
+// same recovery contract — and the worker processes run the same role
+// functions (procserve.go); this file is the master's half of each role
+// session. The topology is a star: the master owns the Exchange and relays
+// both halves of the shuffle over per-session control connections
+// (internal/procwork):
 //
-//	producer relay: dial worker, send "produce", read its streamed map
-//	  pages, send each into the exchange under the single-lane tag
+//	producer relay: dial worker, send "produce", read its streamed map or
+//	  run pages, send each into the exchange under the single-lane tag
 //	  discipline (worker, 0, seq), close the lanes at its eof.
 //	consumer relay: dial worker, send "consume", rewind the exchange to
 //	  page 0, then pump the stream's pages down the socket while a
@@ -37,22 +38,22 @@ import (
 	"repro/internal/wire"
 )
 
-// prepareProcs validates that the planned job is shippable and spawns any
-// worker process not already running. Proc mode currently ships only
-// aggregation jobs — scan → pre-aggregate → merge → write: the exchange-
-// linked pair runs on the worker processes, and any other stage must be a
-// pure artifact commit (the OUTPUT stage), which runs master-side.
+// prepareProcs checks where the planned job's stages run and spawns any
+// worker process not already running. An exchange-linked pair — scan →
+// pre-aggregate → merge, or scan → sort runs → merge — runs on the worker
+// processes; any other stage must be a pure artifact commit (the OUTPUT
+// stage), which runs master-side, so a job with any other local pipeline
+// (a join, a materialization) fails here. What a pair's statements may be
+// is core.Rebuild's to say, in the worker: a window, a DISTINCT, an
+// anonymous aggregation or a method-call kernel fails its sessions with a
+// "not shippable" error naming the statement.
 func (c *Cluster) prepareProcs(stages []*physical.JobStage) error {
 	for _, stage := range stages {
-		if stage.Kind == physical.StageSortMerge {
-			return fmt.Errorf("cluster: proc mode does not ship sort/window jobs yet (stage %d produces %q)",
-				stage.ID, stage.Produces)
-		}
 		if stage.ExchangeTo != nil || stage.ExchangeFrom != nil {
 			continue
 		}
 		if stage.Scan != nil || len(stage.Stmts) > 0 {
-			return fmt.Errorf("cluster: proc mode currently ships only aggregation jobs (stage %d produces %q with a local pipeline)",
+			return fmt.Errorf("cluster: proc mode ships only exchange-linked stage pairs (stage %d produces %q with a local pipeline)",
 				stage.ID, stage.Produces)
 		}
 	}

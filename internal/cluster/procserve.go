@@ -3,8 +3,9 @@ package cluster
 // The worker-process half of proc mode: cmd/pcworker's serving loop. A role
 // session rebuilds the job from the opener, wraps the process's own
 // registry, storage server and page pool in a workerEnv, and runs the very
-// role functions an in-process backend runs — runPreAggStream,
-// consumeAggStream — with the session's control socket as its end of the
+// role functions an in-process backend runs — workerEnv.produce and
+// workerEnv.consume, which pick the aggregation's or the sort's body by
+// stage kind — with the session's control socket as its end of the
 // shuffle. Same code, so same crash policy and replay policy in both
 // modes.
 
@@ -98,18 +99,15 @@ func session(conn net.Conn, workerID int, dataDir string) error {
 	end := &socketEnd{conn: conn, env: env, held: make([][]*object.Page, req.Threads), killAfter: req.KillAfterPages}
 	switch req.Op {
 	case "produce":
-		if stage.Kind != physical.StagePipeline || stage.Sink != physical.SinkPreAgg {
-			return fmt.Errorf("cluster: stage %q is not a pre-aggregation producer", req.Produces)
-		}
-		if err := env.runPreAggStream(res, stage, end); err != nil {
+		if err := env.produce(res, stage, end); err != nil {
 			return err
 		}
 		return end.flush()
 	case "consume":
 		if stage.AggList != req.AggList {
-			return fmt.Errorf("cluster: stage %q aggregates %q, not %q", req.Produces, stage.AggList, req.AggList)
+			return fmt.Errorf("cluster: stage %q merges %q, not %q", req.Produces, stage.AggList, req.AggList)
 		}
-		out, err := env.consumeAggStream(res, stage, end)
+		out, err := env.consume(res, stage, end)
 		if err != nil {
 			return err
 		}

@@ -30,6 +30,12 @@ func intPages(t *testing.T, c *Cluster, want int) []*object.Page {
 	return pages
 }
 
+// newShuffleExchange is the step's exchange with every worker a consumer,
+// as an aggregation's and each of a join's have.
+func (c *Cluster) newShuffleExchange(releaseDelivered func(*object.Page), govs []*exchange.Governor) *exchange.Exchange {
+	return c.newExchange(len(c.Workers), releaseDelivered, govs)
+}
+
 // TestRunStepFailureCancelsWaitsAndDiscards runs a step on a real exchange
 // whose producer and consumer can only ever return by being cancelled — the
 // producer sends without end, the consumer receives without end and never

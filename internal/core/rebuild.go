@@ -8,10 +8,13 @@ package core
 // type binding, and a *named* AGGREGATE carries the family name that
 // resolves its Combine/Finalize on this side of the process boundary.
 //
-// What cannot cross the boundary stays explicit: method-call kernels,
-// opaque native functions that were never registered by name, anonymous
-// aggregations, and joins all return a "not shippable" error instead of
-// silently executing something different from what the master compiled.
+// A SORT statement carries its per-key "desc" flags and its "limit" as
+// Info, which rebuild its SortSpec. What cannot cross the boundary stays
+// explicit: method-call kernels, opaque native functions that were never
+// registered by name, anonymous aggregations, joins, windows and DISTINCT
+// (whose Combine/Emit and Make are closures) all return an error naming the
+// statement instead of silently executing something different from what
+// the master compiled.
 
 import (
 	"fmt"
@@ -70,10 +73,11 @@ func Rebuild(progText string, reg *object.Registry) (*CompileResult, error) {
 		return nil, fmt.Errorf("core: rebuilding shipped program: %w", err)
 	}
 	res := &CompileResult{
-		Prog:     prog,
-		Stages:   engine.NewStageRegistry(),
-		AggSpecs: map[string]*engine.AggSpec{},
-		Scans:    map[string]ScanBinding{},
+		Prog:      prog,
+		Stages:    engine.NewStageRegistry(),
+		AggSpecs:  map[string]*engine.AggSpec{},
+		Scans:     map[string]ScanBinding{},
+		SortSpecs: map[string]*SortSpec{},
 	}
 	for _, s := range prog.Stmts {
 		switch s.Op {
@@ -91,8 +95,14 @@ func Rebuild(progText string, reg *object.Registry) (*CompileResult, error) {
 				return nil, err
 			}
 			res.AggSpecs[s.Out.Name] = spec
-		case tcap.OpJoin:
-			return nil, fmt.Errorf("core: JOIN statements are not shippable (stmt %q)", s.Out.Name)
+		case tcap.OpSort:
+			spec, err := rebuildSortSpec(s)
+			if err != nil {
+				return nil, err
+			}
+			res.SortSpecs[s.Out.Name] = spec
+		case tcap.OpJoin, tcap.OpWindow, tcap.OpDistinct:
+			return nil, fmt.Errorf("core: %s statements are not shippable (stmt %q)", s.Op, s.Out.Name)
 		case tcap.OpFilter, tcap.OpHash, tcap.OpFlatten, tcap.OpOutput:
 			// Structural statements: the engine executes them without a
 			// registered kernel (the compiler registers none either).
@@ -202,6 +212,32 @@ func rebuildAggSpec(s *tcap.Stmt, reg *object.Registry) (*engine.AggSpec, error)
 	spec, err := fn(parts[1:], reg)
 	if err != nil {
 		return nil, fmt.Errorf("core: aggregation %q: %w", name, err)
+	}
+	return spec, nil
+}
+
+// rebuildSortSpec reads a SORT statement's SortSpec back from the Info the
+// compiler wrote: one "a"/"d" flag per key column, and the top-k "limit"
+// when there is one.
+func rebuildSortSpec(s *tcap.Stmt) (*SortSpec, error) {
+	flags := strings.Split(s.Info["desc"], ",")
+	if len(flags) != len(s.Applied.Cols) {
+		return nil, fmt.Errorf("core: sort statement %q orders %d keys but carries %d desc flags",
+			s.Out.Name, len(s.Applied.Cols), len(flags))
+	}
+	spec := &SortSpec{NumKeys: len(flags), Desc: make([]bool, len(flags))}
+	for i, f := range flags {
+		if f != "a" && f != "d" {
+			return nil, fmt.Errorf("core: sort statement %q: bad desc flag %q", s.Out.Name, f)
+		}
+		spec.Desc[i] = f == "d"
+	}
+	if l, ok := s.Info["limit"]; ok {
+		n, err := strconv.Atoi(l)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("core: sort statement %q: bad limit %q", s.Out.Name, l)
+		}
+		spec.Limit = n
 	}
 	return spec, nil
 }

@@ -153,7 +153,7 @@ const DefaultCapacity = 4
 // sender-side bookkeeping. A lane has exactly one sending goroutine at any
 // time (the owning executor thread, or its crash-retry successor, which the
 // scheduler starts only after the failed run's barrier), so sent/closeSent
-// need no lock.
+// — and the row's Broadcast scratch — need no lock.
 type lane struct {
 	ch chan message
 
@@ -167,6 +167,9 @@ type Exchange struct {
 	cfg   Config
 	lanes [][][]*lane // [producer][thread][consumer]
 	recvs []*receiver
+	// planned is Broadcast's per-consumer scratch, one row per (producer,
+	// thread) like the lanes it plans for: [producer][thread][consumer].
+	planned [][][]*object.Page
 
 	cancelCh   chan struct{}
 	cancelOnce sync.Once
@@ -188,9 +191,12 @@ func New(cfg Config) *Exchange {
 	}
 	ex := &Exchange{cfg: cfg, cancelCh: make(chan struct{})}
 	ex.lanes = make([][][]*lane, cfg.Producers)
+	ex.planned = make([][][]*object.Page, cfg.Producers)
 	for p := range ex.lanes {
 		ex.lanes[p] = make([][]*lane, cfg.Threads)
+		ex.planned[p] = make([][]*object.Page, cfg.Threads)
 		for t := range ex.lanes[p] {
+			ex.planned[p][t] = make([]*object.Page, cfg.Consumers)
 			ex.lanes[p][t] = make([]*lane, cfg.Consumers)
 			for c := range ex.lanes[p][t] {
 				ex.lanes[p][t][c] = &lane{ch: make(chan message, cfg.capacity)}
@@ -264,13 +270,16 @@ func (ex *Exchange) Send(tag Tag, consumer int, p *object.Page, stop <-chan stru
 
 // Broadcast ships a tagged page to every consumer — the pre-aggregation
 // shuffle's pattern, where each consumer merges its own hash partition out
-// of every page. All wire copies are made before any enqueue, so a consumer
-// that merges (and recycles) its copy early cannot corrupt a later ship of
-// the original. Consumers whose lane already admitted the sequence (a crash
-// retry interrupted mid-broadcast) are skipped; if no lane takes the
-// original page itself, it is released back to the caller's pool.
+// of every page, and the sort's, whose exchange has one consumer. All wire
+// copies are made before any enqueue, in the sending row's scratch (so a
+// warm Broadcast allocates nothing), and a consumer that merges (and
+// recycles) its copy early cannot corrupt a later ship of the original.
+// Consumers whose lane already admitted the sequence (a crash retry
+// interrupted mid-broadcast) are skipped; if no lane takes the original
+// page itself, it is released back to the caller's pool.
 func (ex *Exchange) Broadcast(tag Tag, p *object.Page, stop <-chan struct{}) error {
-	planned := make([]*object.Page, ex.cfg.Consumers)
+	planned := ex.planned[tag.Producer][tag.Thread]
+	clear(planned)
 	originalUsed := false
 	for c := range planned {
 		if tag.Seq < ex.lane(tag, c).sent {

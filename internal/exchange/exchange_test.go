@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/object"
+	"repro/internal/race"
 )
 
 // testPage builds a page whose root vector holds a single int64-tagged
@@ -533,5 +534,33 @@ func TestSendReleasesShippedOriginal(t *testing.T) {
 				t.Errorf("delivered %d extra pages", len(rest))
 			}
 		})
+	}
+}
+
+// TestBroadcastAllocatesNothing pins Broadcast's steady state: the copies
+// it plans live in the sending (producer, thread) row's scratch, so a warm
+// Broadcast — pages travelling by reference, lanes with room — makes no
+// allocation, for the sort's single consumer as for an aggregation's
+// several.
+func TestBroadcastAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		return // allocation counts are not meaningful under the race detector
+	}
+	reg, ti := testRegistry(t)
+	p := testPage(t, reg, ti, 1)
+	for _, consumers := range []int{1, 2} {
+		const runs = 50
+		ex := New(Config{Producers: 1, Consumers: consumers, Threads: 2, capacity: runs + 2})
+		seq := 0
+		send := func() {
+			if err := ex.Broadcast(Tag{Thread: 1, Seq: seq}, p, nil); err != nil {
+				t.Fatal(err)
+			}
+			seq++
+		}
+		send() // warm
+		if allocs := testing.AllocsPerRun(runs, send); allocs != 0 {
+			t.Errorf("consumers %d: a warm Broadcast allocates %v objects, want 0", consumers, allocs)
+		}
 	}
 }

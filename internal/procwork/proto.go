@@ -54,8 +54,8 @@ type Msg struct {
 
 	// Session opener fields.
 	Prog     string       `json:"prog,omitempty"`     // optimized TCAP text
-	Produces string       `json:"produces,omitempty"` // stage selector ("aggmaps:...", "mat:...")
-	AggList  string       `json:"aggList,omitempty"`  // AGGREGATE output list (consume)
+	Produces string       `json:"produces,omitempty"` // stage selector ("aggmaps:...", "sortruns:...", "mat:...")
+	AggList  string       `json:"aggList,omitempty"`  // AGGREGATE or SORT output list the consumer merges
 	Worker   int          `json:"worker,omitempty"`
 	Workers  int          `json:"workers,omitempty"`
 	Threads  int          `json:"threads,omitempty"`
