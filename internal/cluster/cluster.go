@@ -45,8 +45,8 @@
 //     crash that repeats identically on the retried attempt is treated as a
 //     deterministic user bug and fails the job immediately with the failing
 //     role and worker in the error. In proc mode the backend is a pcworker
-//     OS process and the crash is the process dying under the role's
-//     session: same budget, same accounting.
+//     OS process and the crash is the role's session losing its
+//     connection to it: same budget, same accounting.
 //   - Every consumer recovers the same way: the exchange retains every page
 //     it delivered until the step ends, and a retried consumer rewinds its
 //     end to page 0 and consumes the whole stream again — in a re-forked

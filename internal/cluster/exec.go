@@ -326,23 +326,27 @@ func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical
 	for i, w := range c.Workers {
 		env := c.env(w)
 		end := &exchangeEnd{ex: ex, worker: i}
-		produce := func() error { return env.produce(res, prod, end) }
-		consume := func() ([]*object.Page, error) { return env.consume(res, cons, end) }
-		if proc {
-			produce = func() error { return c.procProduce(w, opener, prod, end) }
-			consume = func() ([]*object.Page, error) { return c.procConsume(w, opener, cons, end) }
-		}
-		roles[i] = role{w: w, proc: proc, name: roleProducer, what: prod.Produces,
+		roles[i] = role{w: w, name: roleProducer, what: prod.Produces,
 			onRetry: stats.noteRetry(roleProducer, false),
-			body:    produce,
+			body:    func() error { return env.produce(res, prod, end) },
 			closes:  ex}
+		if proc {
+			roles[i].session = func(in *incarnation) error { return c.procProduce(w, in, opener, prod, end) }
+		}
 		if i < consumers {
-			roles = append(roles, role{w: w, proc: proc, name: roleConsumer, what: cons.Produces,
+			r := role{w: w, name: roleConsumer, what: cons.Produces,
 				onRetry: stats.noteRetry(roleConsumer, true),
 				body: func() (err error) {
-					arts[i].Pages, err = consume()
+					arts[i].Pages, err = env.consume(res, cons, end)
 					return err
-				}})
+				}}
+			if proc {
+				r.session = func(in *incarnation) (err error) {
+					arts[i].Pages, err = c.procConsume(w, in, opener, cons, end)
+					return err
+				}
+			}
+			roles = append(roles, r)
 		}
 	}
 	ship, err := c.runStep(roles, govs, ex)

@@ -108,13 +108,11 @@ func TestDamagedPageFileFailsTheJob(t *testing.T) {
 		if err := c.CreateSet("db", "sums", "RecovRec"); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := runProcIntAgg(t, c, rec)
-		damaged(t, "a proc-mode aggregation", err)
 		// The session reports the error; nothing crashed.
-		for _, pw := range c.procs.workers {
-			if !pw.alive() {
-				t.Errorf("worker %d process died over a storage error", pw.id)
-			}
-		}
+		err := procRejects(t, c, func() (*ExecStats, error) {
+			_, stats, err := runProcIntAgg(t, c, rec)
+			return stats, err
+		})
+		damaged(t, "a proc-mode aggregation", err)
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/agglib"
 	"repro/internal/core"
@@ -65,7 +66,7 @@ func runProcIntAgg(t *testing.T, c *Cluster, rec *object.TypeInfo) ([]string, *E
 	t.Helper()
 	stats, err := c.Execute(core.NewWrite("db", "sums", procSumAgg(t, c)))
 	if err != nil {
-		return nil, nil, err
+		return nil, stats, err
 	}
 	rows, err := sumRows(c, rec)
 	if err != nil {
@@ -121,14 +122,53 @@ func TestProcClusterAggSmoke(t *testing.T) {
 	if c.Transport.Stats().BytesShipped == 0 {
 		t.Error("no bytes counted across the process boundary")
 	}
+	ran := incarnations(t, c)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, pw := range c.procs.workers {
-		if pw.alive() {
-			t.Errorf("worker %d process survived Close", pw.id)
+	for i, in := range ran {
+		if in.alive() {
+			t.Errorf("worker %d process survived Close", i)
 		}
 	}
+}
+
+// incarnations returns every worker's running pcworker process, spawning
+// any not yet running.
+func incarnations(t *testing.T, c *Cluster) []*incarnation {
+	t.Helper()
+	var ins []*incarnation
+	for _, pw := range c.procs.workers {
+		in, err := pw.revive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, in)
+	}
+	return ins
+}
+
+// procRejects runs job, a proc-mode job the worker processes reject with
+// their own error reports, and returns its error. A report is no crash: the
+// job must spend no retry, leave every worker the process it was, and
+// return at once — in under a second, with no liveness grace to wait out.
+func procRejects(t *testing.T, c *Cluster, job func() (*ExecStats, error)) error {
+	t.Helper()
+	before := incarnations(t, c)
+	start := time.Now()
+	stats, err := job()
+	if took := time.Since(start); took >= time.Second {
+		t.Errorf("rejected job took %v, want under 1 s", took)
+	}
+	if stats == nil || stats.Retries != 0 {
+		t.Errorf("rejected job's stats %v, want zero retries", stats)
+	}
+	for i, pw := range c.procs.workers {
+		if pw.in != before[i] || !before[i].alive() {
+			t.Errorf("worker %d process was lost or respawned over a rejected job", i)
+		}
+	}
+	return err
 }
 
 // TestProcClusterShipsFoldFamilies runs the other agglib folds over the
@@ -537,8 +577,9 @@ func TestProcClusterKillMidSortMerge(t *testing.T) {
 
 // TestProcClusterRejectsUnshippable runs a window and a DISTINCT job in
 // proc mode: their closures cannot cross the process boundary, so each
-// fails with core.Rebuild's "not shippable" error. The cluster stays
-// usable: the aggregation smoke job then runs on the same processes.
+// fails with core.Rebuild's "not shippable" error, at once, with no retry
+// and no respawn (procRejects). The cluster stays usable: the aggregation
+// smoke job then runs on the same processes.
 func TestProcClusterRejectsUnshippable(t *testing.T) {
 	const n, groups = 2000, 16
 	c, err := New(Config{Workers: 2, Threads: 2, PageSize: 1 << 12,
@@ -549,13 +590,20 @@ func TestProcClusterRejectsUnshippable(t *testing.T) {
 	defer c.Close()
 	rec := intRecType(c)
 	loadIntRows(t, c, rec, "db", "rows", n, groups)
-	if _, err := intSortRows(c, rec, "window", "win"); err == nil || !strings.Contains(err.Error(), "not shippable") {
-		t.Errorf("window job: err = %v, want \"not shippable\"", err)
-	}
-	if err := c.CreateSet("db", "dist", rec.Name); err != nil {
+	window, err := intSortComp(rec, "window")
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Execute(core.NewWrite("db", "dist", &core.Distinct{
+	for _, set := range []string{"win", "dist"} {
+		if err := c.CreateSet("db", set, rec.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = procRejects(t, c, func() (*ExecStats, error) { return c.Execute(core.NewWrite("db", "win", window)) })
+	if err == nil || !strings.Contains(err.Error(), "not shippable") {
+		t.Errorf("window job: err = %v, want \"not shippable\"", err)
+	}
+	distinct := core.NewWrite("db", "dist", &core.Distinct{
 		In: core.NewScan("db", "rows", rec.Name), ArgType: rec.Name, KeyKind: object.KInt64,
 		Key: func(e *lambda.Arg) lambda.Term { return lambda.FromMember(e, "grp") },
 		Make: func(a *object.Allocator, key object.Value) (object.Ref, error) {
@@ -564,7 +612,8 @@ func TestProcClusterRejectsUnshippable(t *testing.T) {
 				object.SetI64(r, rec.Field("grp"), key.AsInt64())
 			}
 			return r, err
-		}}))
+		}})
+	err = procRejects(t, c, func() (*ExecStats, error) { return c.Execute(distinct) })
 	if err == nil || !strings.Contains(err.Error(), "not shippable") {
 		t.Errorf("DISTINCT job: err = %v, want \"not shippable\"", err)
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bufio"
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"strings"
@@ -15,56 +14,70 @@ import (
 // Cluster.Close can tear them down and leak checks can see them.
 type procSet struct{ workers []*procWorker }
 
-// procWorker is one pcworker OS process a proc-mode cluster spawned: the
-// master starts the binary, reads the listen address it announces on
-// stdout, and dials one control connection per role session. stop kills
-// the process outright (SIGKILL — crash-equivalent by design, so teardown
-// exercises the same recovery surface a real crash would) and reaps it.
+// procWorker is one worker's pcworker OS process slot: the master starts
+// the binary, reads the listen address it announces on stdout, and dials
+// one control connection per role session. Each spawn is a new
+// incarnation; a role session runs against the incarnation revive handed
+// it, so a lost session names the process it lost.
 type procWorker struct {
 	id      int
 	bin     string
 	network string // "unix" or "tcp"
 	dataDir string // the worker's own DataDir subtree (DataDir/worker-N)
 
-	mu      sync.Mutex
-	addr    string
-	cmd     *exec.Cmd
-	waitCh  chan error
-	stopped bool
-	gen     int // incarnation counter, bumped by every successful spawn
-
-	// reviveMu serializes revive: a kill severs both of a worker's role
+	// mu serializes revive and stop: a kill severs both of a worker's role
 	// sessions, and both retries race to respawn the process — exactly one
-	// spawn must win, the other must see the fresh process as alive.
-	reviveMu sync.Mutex
+	// spawn must win, the other must get the fresh incarnation.
+	mu sync.Mutex
+	in *incarnation // the last spawned process; nil before the first spawn and after stop
 }
 
-// spawn starts the worker binary and waits for its "ADDR <addr>" banner.
-// The worker owns its listen socket: unix sockets live under the worker's
-// DataDir subtree so a master on the same machine can always find them and
-// stop can always remove them.
-func (pw *procWorker) spawn() error {
-	pw.mu.Lock()
-	defer pw.mu.Unlock()
-	if pw.cmd != nil {
-		return fmt.Errorf("cluster: worker %d already running", pw.id)
+// incarnation is one spawned pcworker process. Its one reaper goroutine
+// closes exited once cmd.Wait returns, so the process's death is an event
+// the master can wait on.
+type incarnation struct {
+	cmd    *exec.Cmd
+	addr   string // the listen address the process announced
+	exited chan struct{}
+}
+
+// alive reports whether the process is still running.
+func (in *incarnation) alive() bool {
+	select {
+	case <-in.exited:
+		return false
+	default:
+		return true
 	}
-	args := []string{
-		"-worker", fmt.Sprint(pw.id),
-		"-network", pw.network,
-		"-data", pw.dataDir,
-	}
-	cmd := exec.Command(pw.bin, args...)
+}
+
+// kill ends the process (SIGKILL — crash-equivalent by design, so teardown
+// exercises the same recovery surface a real crash would; a no-op if it
+// already exited) and waits until it is reaped.
+func (in *incarnation) kill() {
+	in.cmd.Process.Kill()
+	<-in.exited
+}
+
+// spawn starts the worker binary as pw's new incarnation and waits for its
+// "ADDR <addr>" banner. The worker owns its listen socket: unix sockets
+// live under the worker's DataDir subtree so a master on the same machine
+// can always find them and stop can always remove them. pw.mu is held.
+func (pw *procWorker) spawn() (*incarnation, error) {
+	cmd := exec.Command(pw.bin, "-worker", fmt.Sprint(pw.id), "-network", pw.network, "-data", pw.dataDir)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return fmt.Errorf("cluster: worker %d stdout: %w", pw.id, err)
+		return nil, fmt.Errorf("cluster: worker %d stdout: %w", pw.id, err)
 	}
 	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("cluster: spawn worker %d (%s): %w", pw.id, pw.bin, err)
+		return nil, fmt.Errorf("cluster: spawn worker %d (%s): %w", pw.id, pw.bin, err)
 	}
-	waitCh := make(chan error, 1)
-	go func() { waitCh <- cmd.Wait() }()
+	in := &incarnation{cmd: cmd, exited: make(chan struct{})}
+	go func() {
+		cmd.Wait()
+		close(in.exited)
+	}()
 
 	// The worker's first stdout line is "ADDR <listen address>". Anything
 	// else (or the process dying first) is a failed spawn.
@@ -82,114 +95,50 @@ func (pw *procWorker) spawn() error {
 	select {
 	case line, ok := <-banner:
 		if !ok || !strings.HasPrefix(line, "ADDR ") {
-			cmd.Process.Kill()
-			<-waitCh
-			return fmt.Errorf("cluster: worker %d announced %q, want ADDR banner", pw.id, line)
+			in.kill()
+			return nil, fmt.Errorf("cluster: worker %d announced %q, want ADDR banner", pw.id, line)
 		}
-		pw.addr = strings.TrimPrefix(line, "ADDR ")
-	case err := <-waitCh:
-		return fmt.Errorf("cluster: worker %d exited before announcing address: %v", pw.id, err)
+		in.addr = strings.TrimPrefix(line, "ADDR ")
+	case <-in.exited:
+		return nil, fmt.Errorf("cluster: worker %d exited before announcing its address", pw.id)
 	case <-time.After(10 * time.Second):
-		cmd.Process.Kill()
-		<-waitCh
-		return fmt.Errorf("cluster: worker %d never announced its address", pw.id)
+		in.kill()
+		return nil, fmt.Errorf("cluster: worker %d never announced its address", pw.id)
 	}
-	pw.cmd = cmd
-	pw.waitCh = waitCh
-	pw.stopped = false
-	pw.gen++
-	return nil
+	pw.in = in
+	return in, nil
 }
 
-// generation identifies the current process incarnation. A role session
-// that fails against generation g while the worker is now a different
-// (or no) incarnation lost its process — even if a sibling role's retry
-// already respawned it.
-func (pw *procWorker) generation() int {
+// revive returns the running incarnation, respawning the process if the
+// last one exited (or none was started). Safe to call concurrently from
+// both of a worker's role retries.
+func (pw *procWorker) revive() (*incarnation, error) {
 	pw.mu.Lock()
 	defer pw.mu.Unlock()
-	return pw.gen
+	if pw.in != nil && pw.in.alive() {
+		return pw.in, nil
+	}
+	pw.reap()
+	return pw.spawn()
 }
 
-// dial opens a fresh control connection to the worker process. Each role
-// session runs on its own connection, so a mid-stream kill severs exactly
-// the sessions that were talking to the dead process.
-func (pw *procWorker) dial() (net.Conn, error) {
-	pw.mu.Lock()
-	network, addr := pw.network, pw.addr
-	running := pw.cmd != nil
-	pw.mu.Unlock()
-	if !running {
-		return nil, fmt.Errorf("cluster: worker %d is not running", pw.id)
-	}
-	return net.Dial(network, addr)
-}
-
-// alive reports whether the worker process is still running.
-func (pw *procWorker) alive() bool {
-	pw.mu.Lock()
-	defer pw.mu.Unlock()
-	if pw.cmd == nil {
-		return false
-	}
-	select {
-	case err := <-pw.waitCh:
-		// Already exited; keep the verdict for stop.
-		pw.waitCh = make(chan error, 1)
-		pw.waitCh <- err
-		return false
-	default:
-		return true
-	}
-}
-
-// deadWithin polls for the process's death for up to d, reporting whether
-// it died. A role-session error races the kernel reaping a killed worker,
-// so classification as "crashed" vs "protocol error against a live
-// worker" must give a death verdict a moment to land.
-func (pw *procWorker) deadWithin(d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	for {
-		if !pw.alive() {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// stop kills the worker process, reaps it, and removes its socket file.
-// Idempotent; a worker that already died (crash, injected ProcKill) just
-// gets reaped.
+// stop kills the running incarnation, reaps it, and removes its socket
+// file. Idempotent; a worker that already died (crash, injected ProcKill)
+// just gets reaped.
 func (pw *procWorker) stop() {
 	pw.mu.Lock()
 	defer pw.mu.Unlock()
-	if pw.cmd == nil || pw.stopped {
-		pw.cmd = nil
-		return
-	}
-	pw.stopped = true
-	if pw.cmd.Process != nil {
-		pw.cmd.Process.Kill()
-	}
-	<-pw.waitCh
-	pw.cmd = nil
-	if pw.network == "unix" && pw.addr != "" {
-		os.Remove(pw.addr)
-	}
+	pw.reap()
 }
 
-// revive ensures the worker process is running: a live process is left
-// alone, a dead (or never-started) one is reaped and respawned. Safe to
-// call concurrently from both of a worker's role retries.
-func (pw *procWorker) revive() error {
-	pw.reviveMu.Lock()
-	defer pw.reviveMu.Unlock()
-	if pw.alive() {
-		return nil
+// reap is stop with pw.mu held.
+func (pw *procWorker) reap() {
+	if pw.in == nil {
+		return
 	}
-	pw.stop()
-	return pw.spawn()
+	pw.in.kill()
+	if pw.network == "unix" {
+		os.Remove(pw.in.addr)
+	}
+	pw.in = nil
 }

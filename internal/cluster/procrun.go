@@ -17,15 +17,17 @@ package cluster
 //	  concurrent reader collects the finalized result pages and ends on
 //	  done/error.
 //
-// A killed worker process severs exactly its two sessions; runRole
-// respawns the process and retries the role, and the exchange's replay
-// retention lets the retried consume session re-stream the whole shuffle
-// from page 0. fault.ProcKill executes across the boundary: the master
-// extracts the injection (fault.Plan.Take) and ships it in the consume
-// request, and the worker exits hard right after its (K+1)-th delivered
-// page — deterministically mid-merge.
+// A killed worker process severs exactly its two sessions: their I/O
+// failures wrap errSessionLost, the one session failure attempt counts as
+// a crash. runRole respawns the process and retries the role, and the
+// exchange's replay retention lets the retried consume session re-stream
+// the whole shuffle from page 0. fault.ProcKill executes across the
+// boundary: the master extracts the injection (fault.Plan.Take) and ships
+// it in the consume request, and the worker exits hard right after its
+// (K+1)-th delivered page — deterministically mid-merge.
 
 import (
+	"errors"
 	"fmt"
 	"net"
 
@@ -58,7 +60,7 @@ func (c *Cluster) prepareProcs(stages []*physical.JobStage) error {
 		}
 	}
 	for _, pw := range c.procs.workers {
-		if err := pw.revive(); err != nil {
+		if _, err := pw.revive(); err != nil {
 			return err
 		}
 	}
@@ -78,29 +80,49 @@ func (c *Cluster) sessionOpener(res *core.CompileResult) *procwork.Msg {
 	}
 }
 
-// openSession dials w's worker process and sends req as the opener of a
-// fresh role session. Each session runs on its own connection, so a
-// mid-stream kill severs exactly the sessions that were talking to the
-// dead process.
-func (c *Cluster) openSession(w *Worker, req *procwork.Msg) (net.Conn, error) {
-	conn, err := c.procs.workers[w.ID].dial()
+// errSessionLost wraps every I/O failure on a role session's connection:
+// the dial, the opener's write, the relays' reads and writes. It is the
+// one session failure that means the worker's incarnation is lost.
+var errSessionLost = errors.New("session lost")
+
+// lost wraps err, an I/O failure of w's session at what, in errSessionLost;
+// nil stays nil.
+func lost(w *Worker, what string, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("cluster: worker %d %s: %w: %w", w.ID, what, errSessionLost, err)
+}
+
+// workerReport is a worker process's own "error" report: the process is
+// alive and failed the session on the job's terms.
+type workerReport string
+
+func (r workerReport) Error() string { return string(r) }
+
+// openSession dials incarnation in of w's worker process and sends req as
+// the opener of a fresh role session. Each session runs on its own
+// connection, so a mid-stream kill severs exactly the sessions that were
+// talking to the dead process.
+func (c *Cluster) openSession(w *Worker, in *incarnation, req *procwork.Msg) (net.Conn, error) {
+	conn, err := net.Dial(c.procs.workers[w.ID].network, in.addr)
 	if err != nil {
-		return nil, err
+		return nil, lost(w, "dial", err)
 	}
 	req.Worker = w.ID
 	if err := procwork.WriteMsg(conn, req); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("cluster: worker %d %s request: %w", w.ID, req.Op, err)
+		return nil, lost(w, req.Op+" request", err)
 	}
 	return conn, nil
 }
 
 // unexpected turns a control message a relay did not expect at this point
-// of a session into the session's error: the worker's own "error" report,
-// or a protocol violation.
+// of a session into the session's error: the worker's own "error" report
+// (a workerReport), or a protocol violation.
 func unexpected(w *Worker, session string, m *procwork.Msg) error {
 	if m.Op == "error" {
-		return fmt.Errorf("cluster: worker %d %s: %s", w.ID, session, m.Err)
+		return fmt.Errorf("cluster: worker %d %s: %w", w.ID, session, workerReport(m.Err))
 	}
 	return fmt.Errorf("cluster: worker %d %s: unexpected %q", w.ID, session, m.Op)
 }
@@ -113,10 +135,10 @@ func unexpected(w *Worker, session string, m *procwork.Msg) error {
 // with the aggregation's retained pages at step end. A retried session
 // re-streams the same deterministic pages and the exchange drops the
 // duplicate tags at the sender, exactly like an in-process producer retry.
-func (c *Cluster) procProduce(w *Worker, opener *procwork.Msg, prod *physical.JobStage, end *exchangeEnd) error {
+func (c *Cluster) procProduce(w *Worker, in *incarnation, opener *procwork.Msg, prod *physical.JobStage, end *exchangeEnd) error {
 	req := *opener
 	req.Op, req.Produces = "produce", prod.Produces
-	conn, err := c.openSession(w, &req)
+	conn, err := c.openSession(w, in, &req)
 	if err != nil {
 		return err
 	}
@@ -130,7 +152,7 @@ func (c *Cluster) procProduce(w *Worker, opener *procwork.Msg, prod *physical.Jo
 	for seq := 0; ; seq++ {
 		f, err := procwork.ReadFrameInto(conn, frames)
 		if err != nil {
-			return fmt.Errorf("cluster: worker %d produce stream: %w", w.ID, err)
+			return lost(w, "produce stream", err)
 		}
 		if f.Kind == wire.KindControl {
 			m, err := procwork.DecodeMsg(f)
@@ -161,8 +183,10 @@ func (c *Cluster) procProduce(w *Worker, opener *procwork.Msg, prod *physical.Jo
 // procConsume relays one worker process's consume session: the relay
 // rewinds the exchange and pumps its stream down the socket from page 0
 // while a reader goroutine collects everything coming back up — the
-// finalized result pages and the terminal done/error.
-func (c *Cluster) procConsume(w *Worker, opener *procwork.Msg, cons *physical.JobStage, end *exchangeEnd) ([]*object.Page, error) {
+// finalized result pages and the terminal done/error. The worker's own
+// report is the session's verdict whenever it sent one: a worker that
+// failed closes the session, so the relay's next write fails too.
+func (c *Cluster) procConsume(w *Worker, in *incarnation, opener *procwork.Msg, cons *physical.JobStage, end *exchangeEnd) ([]*object.Page, error) {
 	req := *opener
 	req.Op, req.Produces, req.AggList = "consume", cons.Produces, cons.AggList
 	if k, ok := c.Cfg.Fault.Take(fault.ProcKill, w.ID); ok {
@@ -170,7 +194,7 @@ func (c *Cluster) procConsume(w *Worker, opener *procwork.Msg, cons *physical.Jo
 		// it: the worker dies right after its (k+1)-th delivered page.
 		req.KillAfterPages = k + 1
 	}
-	conn, err := c.openSession(w, &req)
+	conn, err := c.openSession(w, in, &req)
 	if err != nil {
 		return nil, err
 	}
@@ -191,22 +215,25 @@ func (c *Cluster) procConsume(w *Worker, opener *procwork.Msg, cons *physical.Jo
 			if err != nil {
 				return err
 			}
-			if !ok {
-				return procwork.WriteMsg(conn, &procwork.Msg{Op: "eof"})
+			if ok {
+				err = procwork.WritePage(conn, wire.Tag{Producer: uint32(w.ID), Seq: uint32(seq)}, p, w.Reg())
+			} else {
+				err = procwork.WriteMsg(conn, &procwork.Msg{Op: "eof"})
 			}
-			tag := wire.Tag{Producer: uint32(w.ID), Seq: uint32(seq)}
-			if err := procwork.WritePage(conn, tag, p, w.Reg()); err != nil {
-				return fmt.Errorf("cluster: worker %d consume relay: %w", w.ID, err)
+			if err != nil || !ok {
+				return lost(w, "consume relay", err)
 			}
 			c.Transport.Stats().NoteShip(int64(len(p.Bytes())))
 		}
 	}
-	if err := relay(); err != nil {
-		conn.Close() // sever the session so the reader unblocks
-		<-done
-		return nil, err
+	err = relay()
+	if err != nil && !errors.Is(err, errSessionLost) {
+		conn.Close() // the worker still waits for pages: sever the session so the reader unblocks
 	}
 	<-done
+	if err != nil && !errors.As(readErr, new(workerReport)) {
+		return nil, err
+	}
 	return pages, readErr
 }
 
@@ -217,7 +244,7 @@ func (c *Cluster) collectConsume(conn net.Conn, w *Worker) ([]*object.Page, erro
 	for {
 		f, err := procwork.ReadFrame(conn)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: worker %d consume stream: %w", w.ID, err)
+			return nil, lost(w, "consume stream", err)
 		}
 		if f.Kind == wire.KindPage {
 			p, err := procwork.DecodePage(f, w.Reg())

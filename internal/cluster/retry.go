@@ -21,13 +21,17 @@ package cluster
 //     between our Backend() fetch and Run) is not this role's crash: the
 //     role re-fetches a fresh backend without consuming a retry, bounded
 //     so two roles cannot ping-pong a dying backend forever.
+//   - A proc role's crash is its session's connection failing (attempt):
+//     the master kills the incarnation the session ran against, waits for
+//     it to exit and counts the crash. Any other session failure — the
+//     worker's own "error" report, a protocol violation — leaves the
+//     process alive and fails the job at once.
 
 import (
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/exchange"
 )
@@ -84,7 +88,7 @@ func (c *Cluster) runRole(r *role, mu *sync.Mutex) error {
 		// A dead process leaves no panic text to compare: only an
 		// in-process crash can be recognized as repeating.
 		msg := crashMessage(err)
-		if !r.proc && lastCrash != "" && msg == lastCrash {
+		if r.session == nil && lastCrash != "" && msg == lastCrash {
 			return fmt.Errorf("cluster: %s role (%s) on worker %d failed deterministically (identical crash on retry): %w", r.name, r.what, r.w.ID, err)
 		}
 		if attempt >= retryBudget {
@@ -100,37 +104,34 @@ func (c *Cluster) runRole(r *role, mu *sync.Mutex) error {
 	}
 }
 
-// attempt is one try at r.body on r.w's backend, wherever that lives, and
-// reports a crash as errBackendCrashed. In-process the body runs on the
+// attempt is one try at r's work on r.w's backend, wherever that lives,
+// and reports a crash as errBackendCrashed. In-process the body runs on the
 // live backend (re-forked if a crash killed the last one) and a panic is
 // the crash; entered tells a body that never started — the backend was
 // already dead — from one that ran.
 //
-// A proc role's body talks to the worker's pcworker process over a session
-// connection; if it fails and the process is found dead, the failure is a
-// worker crash. A body failure with the process still alive is a protocol
-// or job error and fails the role. Crash detection is incarnation-aware:
-// the session ran against one spawn generation, and a sibling role's retry
-// may have respawned the worker already — a changed generation is a lost
-// process even though something is alive now. Same-generation death gets a
-// short grace window, since a session error races the kernel reaping the
-// dying process.
+// A proc role's session runs against the incarnation revive hands it, and
+// only an I/O failure on the session's connection (errSessionLost) means
+// that incarnation is lost: attempt kills it (a no-op if it already
+// exited), waits for its exit and reports the crash. A sibling's respawn
+// cannot confuse the verdict, since it is the held incarnation that is
+// waited on. Every other failure, the worker's own report among them, is
+// returned as it is.
 func (c *Cluster) attempt(r *role) (entered bool, err error) {
-	if !r.proc {
+	if r.session == nil {
 		err = r.w.Front.Backend().Run(func() error {
 			entered = true
 			return r.body()
 		})
 		return entered, err
 	}
-	pw := c.procs.workers[r.w.ID]
-	if err := pw.revive(); err != nil {
+	in, err := c.procs.workers[r.w.ID].revive()
+	if err != nil {
 		return true, err
 	}
-	gen := pw.generation()
-	err = r.body()
-	if err == nil || (pw.generation() == gen && !pw.deadWithin(2*time.Second)) {
+	if err = r.session(in); !errors.Is(err, errSessionLost) {
 		return true, err
 	}
-	return true, fmt.Errorf("%w (worker %d): process died: %v", errBackendCrashed, pw.id, err)
+	in.kill()
+	return true, fmt.Errorf("%w (worker %d): process lost: %v", errBackendCrashed, r.w.ID, err)
 }

@@ -31,18 +31,16 @@ func runIntSortVariant(t *testing.T, c *Cluster, rec *object.TypeInfo, variant, 
 	return rows
 }
 
-// intSortRows is runIntSortVariant returning the job's error instead of
-// failing the test.
-func intSortRows(c *Cluster, rec *object.TypeInfo, variant, out string) ([]string, error) {
-	var comp core.Computation
+// intSortComp builds the sort-family computation variant names, over db.rows.
+func intSortComp(rec *object.TypeInfo, variant string) (core.Computation, error) {
 	switch variant {
 	case "orderby":
-		comp = &core.OrderBy{In: core.NewScan("db", "rows", rec.Name), ArgType: rec.Name, Keys: intSortKeys()}
+		return &core.OrderBy{In: core.NewScan("db", "rows", rec.Name), ArgType: rec.Name, Keys: intSortKeys()}, nil
 	case "topk":
-		comp = &core.OrderBy{In: core.NewScan("db", "rows", rec.Name), ArgType: rec.Name,
-			Keys: intSortKeys(), Limit: 25}
+		return &core.OrderBy{In: core.NewScan("db", "rows", rec.Name), ArgType: rec.Name,
+			Keys: intSortKeys(), Limit: 25}, nil
 	case "window":
-		comp = &core.Window{
+		return &core.Window{
 			In: core.NewScan("db", "rows", rec.Name), ArgType: rec.Name, Keys: intSortKeys(),
 			Val:     func(e *lambda.Arg) lambda.Term { return lambda.FromMember(e, "val") },
 			ValKind: object.KInt64,
@@ -61,9 +59,17 @@ func intSortRows(c *Cluster, rec *object.TypeInfo, variant, out string) ([]strin
 				object.SetI64(r, rec.Field("val"), running.AsInt64())
 				return r, nil
 			},
-		}
-	default:
-		return nil, fmt.Errorf("unknown sort variant %q", variant)
+		}, nil
+	}
+	return nil, fmt.Errorf("unknown sort variant %q", variant)
+}
+
+// intSortRows is runIntSortVariant returning the job's error instead of
+// failing the test.
+func intSortRows(c *Cluster, rec *object.TypeInfo, variant, out string) ([]string, error) {
+	comp, err := intSortComp(rec, variant)
+	if err != nil {
+		return nil, err
 	}
 	if err := c.CreateSet("db", out, rec.Name); err != nil {
 		return nil, err
@@ -72,7 +78,7 @@ func intSortRows(c *Cluster, rec *object.TypeInfo, variant, out string) ([]strin
 		return nil, err
 	}
 	var rows []string
-	err := c.ScanSet("db", out, func(r object.Ref) bool {
+	err = c.ScanSet("db", out, func(r object.Ref) bool {
 		rows = append(rows, fmt.Sprintf("%d|%d",
 			object.GetI64(r, rec.Field("grp")), object.GetI64(r, rec.Field("val"))))
 		return true

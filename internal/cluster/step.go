@@ -23,13 +23,14 @@ type role struct {
 	w    *Worker
 	name string // retry-accounting label (rolePipeline, roleProducer, …)
 	what string // names the work in errors ("aggmaps:…", "join build/probe")
-	// proc marks a body that is a session with w's pcworker process, not
-	// code on w's in-process backend: its crash is the process dying.
-	proc bool
 	// onRetry accounts one crash retry before the recovery attempt starts;
 	// runStep serializes the calls across a step's roles.
 	onRetry func()
+	// body is the role's work on w's in-process backend. session, when
+	// set, is the role's work instead: a session with incarnation in of
+	// w's pcworker process (attempt).
 	body    func() error
+	session func(in *incarnation) error
 	// closes, for a producer, is the exchange whose lanes the worker closes
 	// once the role has succeeded.
 	closes *exchange.Exchange

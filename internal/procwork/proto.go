@@ -158,15 +158,34 @@ func SchemasOf(reg *object.Registry) []TypeSchema {
 
 // RegisterSchemas installs shipped schemas into a fresh registry, pinning
 // each type to its wire code so sealed pages decode without translation.
+// Schemas arrive off the wire, so each is checked before it registers: a
+// code in the user-type range, storage kinds only, no name or code twice.
 func RegisterSchemas(reg *object.Registry, schemas []TypeSchema) error {
+	names, codes := map[string]bool{}, map[uint32]bool{}
 	for _, ts := range schemas {
-		reg.PinCode(ts.Name, ts.Code)
+		bad := func(format string, args ...any) error {
+			return fmt.Errorf("procwork: shipped type %q: "+format, append([]any{ts.Name}, args...)...)
+		}
+		switch {
+		case ts.Code < object.FirstUserTypeCode || object.IsSimpleCode(ts.Code):
+			return bad("code %d is outside the user-type range", ts.Code)
+		case names[ts.Name]:
+			return bad("shipped twice")
+		case codes[ts.Code]:
+			return bad("code %d shipped twice", ts.Code)
+		}
+		names[ts.Name], codes[ts.Code] = true, true
 		b := object.NewStruct(ts.Name)
 		for _, f := range ts.Fields {
-			b.AddField(f.Name, object.Kind(f.Kind))
+			k := object.Kind(f.Kind)
+			if int(k) != f.Kind || k.Size() == 0 {
+				return bad("field %q has invalid kind %d", f.Name, f.Kind)
+			}
+			b.AddField(f.Name, k)
 		}
+		reg.PinCode(ts.Name, ts.Code)
 		if _, err := b.Build(reg); err != nil {
-			return fmt.Errorf("procwork: registering shipped type %q: %w", ts.Name, err)
+			return bad("%w", err)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package procwork
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 // recRegistry registers a pad type and then Rec{grp, val int64; name
 // string}, so Rec's code is not the first one a fresh registry hands out.
-func recRegistry(t *testing.T) (*object.Registry, *object.TypeInfo) {
+func recRegistry(t testing.TB) (*object.Registry, *object.TypeInfo) {
 	t.Helper()
 	reg := object.NewRegistry()
 	object.NewStruct("Pad").AddField("x", object.KFloat64).MustBuild(reg)
@@ -196,4 +197,64 @@ func TestSchemasReproduceTheRegistry(t *testing.T) {
 	if !reflect.DeepEqual(SchemasOf(far), SchemasOf(reg)) {
 		t.Error("SchemasOf(rebuilt) differs from SchemasOf(sender)")
 	}
+}
+
+// TestRegisterSchemasRejectsBadSchemas feeds RegisterSchemas shipped layouts
+// a worker must refuse — kinds outside the storage kinds, codes in the
+// reserved range, a name or a code shipped twice — and expects an error
+// naming the type, never a panic or a silent registration.
+func TestRegisterSchemasRejectsBadSchemas(t *testing.T) {
+	one := func(name string, code uint32, kind int) TypeSchema {
+		return TypeSchema{Name: name, Code: code, Fields: []FieldSchema{{Name: "x", Kind: kind}}}
+	}
+	first, i64 := object.FirstUserTypeCode, int(object.KInt64)
+	good := one("Good", first, i64)
+	for _, tc := range []struct {
+		name    string
+		schemas []TypeSchema
+		want    string
+	}{
+		{"kind 0", []TypeSchema{one("Bad", first, 0)}, "invalid kind 0"},
+		{"kind 7", []TypeSchema{good, one("Bad", first+1, 7)}, "invalid kind 7"},
+		{"kind 259", []TypeSchema{one("Bad", first, 259)}, "invalid kind 259"},
+		{"kind -1", []TypeSchema{one("Bad", first, -1)}, "invalid kind -1"},
+		{"code 0", []TypeSchema{one("Bad", 0, i64)}, "code 0 is outside"},
+		{"code 1", []TypeSchema{one("Bad", 1, i64)}, "code 1 is outside"},
+		{"code 999", []TypeSchema{one("Bad", first-1, i64)}, "code 999 is outside"},
+		{"simple-type code", []TypeSchema{one("Bad", object.SimpleCode(8), i64)}, "is outside"},
+		{"duplicate name", []TypeSchema{good, one("Good", first+1, int(object.KFloat64))}, "shipped twice"},
+		{"duplicate code", []TypeSchema{good, one("Bad", first, i64)}, "code 1000 shipped twice"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := RegisterSchemas(object.NewRegistry(), tc.schemas)
+			bad := tc.schemas[len(tc.schemas)-1].Name
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+				t.Errorf("RegisterSchemas = %v, want an error naming %q with %q", err, bad, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzDecodeOpener feeds arbitrary bytes through the first two things a
+// worker process does with a session opener: DecodeMsg, then
+// RegisterSchemas into a fresh registry. Either may refuse the input;
+// neither may panic, since a panic in a session goroutine takes the whole
+// pcworker process down.
+func FuzzDecodeOpener(f *testing.F) {
+	reg, _ := recRegistry(f)
+	var buf bytes.Buffer
+	if err := WriteMsg(&buf, &Msg{Op: "consume", Prog: "x", Worker: 1, Workers: 2, Types: SchemasOf(reg)}); err != nil {
+		f.Fatal(err)
+	}
+	opener, err := ReadFrame(&buf)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(opener.Payload)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		m, err := DecodeMsg(&wire.Frame{Kind: wire.KindControl, Payload: payload})
+		if err == nil {
+			RegisterSchemas(object.NewRegistry(), m.Types)
+		}
+	})
 }
