@@ -38,7 +38,9 @@
 //   - runStep fans the roles out, cancels the step's exchanges on the first
 //     failure so blocked siblings return, waits for every role, releases
 //     or discards the pages the exchanges still hold, and reports the
-//     step's telemetry (ExecStats.Ships).
+//     step's traffic and telemetry (ExecStats.Ships). Every producer
+//     sends through its shuffleEnd, to one consumer (the join's
+//     partitions) or to every consumer (the aggregation and the sort).
 //   - runRole owns the crash policy. A panic in user code kills the
 //     backend; the front end re-forks it and the role is retried once per
 //     step, accounted per role in ExecStats.RoleRetries. A
@@ -57,11 +59,11 @@
 // An operator keeps only what is its own: its sinks, its recovery record,
 // its failure cleanup. Every role — the aggregation, sort and join pairs —
 // is a function of a small per-worker environment (workerEnv), not of the
-// Cluster, and a pcworker process runs the aggregation's with its control
-// socket as its end of the shuffle (procserve.go; sort and join do not ship
-// yet): one crash policy and one replay policy in both modes. Recovery
-// state lives in memory only: a cluster restarted mid-job re-runs the job
-// from its start.
+// Cluster, and a pcworker process runs the aggregation's and the sort's
+// with its control socket as its end of the shuffle (procserve.go; the join
+// does not ship): one crash policy and one replay policy in both modes.
+// Recovery state lives in memory only: a cluster restarted mid-job re-runs
+// the job from its start.
 // docs/FAULTS.md tabulates the full fault model (role × crash site →
 // recovery outcome), and internal/fault injects deterministic crashes and
 // I/O errors at every site via Config.Fault.

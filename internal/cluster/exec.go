@@ -109,16 +109,14 @@ func (c *Cluster) Execute(writes ...*core.Write) (*ExecStats, error) {
 		if done[stage] {
 			continue
 		}
-		beforeBytes, beforePages := c.Transport.Stats().Counters()
 		var ship StageShip
 		if stage.ExchangeTo != nil {
 			ship, err = c.runExchangeGroup(res, stage, stage.ExchangeTo, stats)
 			done[stage.ExchangeTo] = true
 		} else {
-			err = c.runStage(res, stage, stats)
+			ship, err = c.runStage(res, stage, stats)
 		}
-		afterBytes, afterPages := c.Transport.Stats().Counters()
-		ship.Stage, ship.Bytes, ship.Pages = stage.ID, afterBytes-beforeBytes, afterPages-beforePages
+		ship.Stage = stage.ID
 		stats.Ships = append(stats.Ships, ship)
 		if err != nil {
 			return stats, fmt.Errorf("cluster: stage %d (%s): %w", stage.ID, stage.Produces, err)
@@ -170,11 +168,11 @@ func (s *ExecStats) noteRetry(role string, consumerRecovery bool) func() {
 // runStage executes one barrier job stage on every worker in parallel,
 // retrying a worker's share once if its backend crashes (the front end
 // re-forks it — paper §2's crash-proof front end).
-func (c *Cluster) runStage(res *core.CompileResult, stage *physical.JobStage, stats *ExecStats) error {
+func (c *Cluster) runStage(res *core.CompileResult, stage *physical.JobStage, stats *ExecStats) (StageShip, error) {
 	if stage.Kind != physical.StagePipeline || stage.Sink == physical.SinkPreAgg {
 		// Pre-aggregation producers and aggregation consumers are
 		// exchange-linked and scheduled by runExchangeGroup.
-		return fmt.Errorf("stage kind %d/sink %v must run through the exchange", stage.Kind, stage.Sink)
+		return StageShip{}, fmt.Errorf("stage kind %d/sink %v must run through the exchange", stage.Kind, stage.Sink)
 	}
 	arts := make([]core.Artifact, len(c.Workers))
 	roles := make([]role, len(c.Workers))
@@ -186,10 +184,11 @@ func (c *Cluster) runStage(res *core.CompileResult, stage *physical.JobStage, st
 				return err
 			}}
 	}
-	if _, err := c.runStep(roles, nil); err != nil {
-		return err
+	ship, err := c.runStep(roles, nil)
+	if err != nil {
+		return ship, err
 	}
-	return c.commitArtifacts(stage, arts)
+	return ship, c.commitArtifacts(stage, arts)
 }
 
 // runPipelineOnWorker executes a barrier pipeline stage on one worker
@@ -400,7 +399,7 @@ func (e *workerEnv) runPreAggStream(res *core.CompileResult, stage *physical.Job
 			e.Fault.Hit(fault.PageSeal, e.ID)
 			tag := exchange.Tag{Producer: e.ID, Thread: t, Seq: seq}
 			seq++
-			return end.send(tag, p, stop)
+			return end.send(tag, exchange.Every, p, stop)
 		}
 	}, end.closeThread)
 	return err

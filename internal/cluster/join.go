@@ -95,6 +95,14 @@ import (
 // emitted — match order is page order, so the skip prefix is exactly what
 // user code already observed and emit sees every match exactly once. Match output is bit-for-bit identical to
 // a crash-free run in every case.
+//
+// # Proc mode
+//
+// The join does not ship: its roles have no pcworker session, so on a
+// cluster with Config.ProcBin set they run on the master's in-process
+// backends (attempt, retry.go) over the workers' DataDir stores, spawning
+// no worker process, and emit is called in the master. The pairs are the
+// in-memory cluster's.
 func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR string,
 	keyL, keyR func(object.Ref) uint64,
 	eq func(l, r object.Ref) bool,
@@ -134,9 +142,10 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 		} else {
 			// Producer roles: repartition-stream each side.
 			produce := func(ex *exchange.Exchange, db, set string, key func(object.Ref) uint64) role {
+				end := &exchangeEnd{ex: ex, worker: i}
 				return role{w: w, name: roleProducer, what: "join repartition " + set,
 					onRetry: stats.noteRetry(roleProducer, false),
-					body:    func() error { return env.streamRepartition(db, set, key, ex) },
+					body:    func() error { return env.streamRepartition(db, set, key, end) },
 					closes:  ex}
 			}
 			exL, exR := exs[0], exs[1]
@@ -163,10 +172,7 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 	}
 	// Join recovery state is in memory: beyond runStep's discard of both
 	// exchanges there is nothing to drop.
-	beforeBytes, beforePages := c.Transport.Stats().Counters()
 	ship, err := c.runStep(roles, govs, exs...)
-	afterBytes, afterPages := c.Transport.Stats().Counters()
-	ship.Bytes, ship.Pages = afterBytes-beforeBytes, afterPages-beforePages
 	stats.Ships = []StageShip{ship}
 	if err != nil {
 		return stats, fmt.Errorf("cluster: hash-partition join %s.%s ⋈ %s.%s: %w", dbL, setL, dbR, setR, err)
@@ -206,10 +212,10 @@ type joinRecovery struct {
 
 // streamRepartition runs one worker's repartition of one set across its
 // executor threads: each thread hashes its contiguous chunk into a private
-// RepartitionSink whose per-partition pages stream to the owning worker the
-// moment they seal. The thread flushes its partitions' final pages and
-// sends its close marker on the way out.
-func (e *workerEnv) streamRepartition(db, set string, key func(object.Ref) uint64, ex *exchange.Exchange) error {
+// RepartitionSink whose per-partition pages stream through end to the owning
+// worker the moment they seal. The thread flushes its partitions' final
+// pages and sends its close marker on the way out.
+func (e *workerEnv) streamRepartition(db, set string, key func(object.Ref) uint64, end shuffleEnd) error {
 	pages, err := storedPages(e.store, db, set)
 	if err != nil {
 		return err
@@ -226,7 +232,7 @@ func (e *workerEnv) streamRepartition(db, set string, key func(object.Ref) uint6
 			e.Fault.Hit(fault.PageSeal, e.ID)
 			tag := exchange.Tag{Producer: e.ID, Thread: t, Seq: seqs[part]}
 			seqs[part]++
-			return streamErr(ex.Send(tag, part, p, stop))
+			return end.send(tag, part, p, stop)
 		})
 		if err := engine.ScanRanges(chunks[t], "obj", repartitionBatch(sink, key, stop)); err != nil {
 			return err
@@ -234,7 +240,7 @@ func (e *workerEnv) streamRepartition(db, set string, key func(object.Ref) uint6
 		if err := sink.CloseStream(); err != nil {
 			return err
 		}
-		return streamErr(ex.CloseThread(e.ID, t, stop))
+		return end.closeThread(t, stop)
 	})
 	e.NoteStats(tstats...)
 	return err

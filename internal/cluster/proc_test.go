@@ -626,3 +626,54 @@ func TestProcClusterRejectsUnshippable(t *testing.T) {
 	}
 	checkIntSums(t, rows, n, groups)
 }
+
+// TestProcClusterHashPartitionJoin pins what the closure join does in proc
+// mode: HashPartitionJoinKind's roles have no pcworker session, so they run
+// on the master's in-process backends over the workers' DataDir stores.
+// Every worker emits the pairs an in-memory cluster of the same shape emits
+// there, in the same order, and no worker process is spawned.
+func TestProcClusterHashPartitionJoin(t *testing.T) {
+	bin := buildPCWorker(t)
+	for _, threads := range []int{1, 2} {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			shape := Config{Workers: 2, Threads: threads, PageSize: 1 << 12}
+			join := func(cfg Config) (*Cluster, [][]string) {
+				c, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				rec := intRecType(c)
+				loadIntRows(t, c, rec, "db", "left", 600, 30)
+				loadIntRows(t, c, rec, "db", "right", 90, 30)
+				pairs := make([][]string, len(c.Workers))
+				_, err = c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right",
+					joinKeyOn(rec), joinKeyOn(rec), joinEqOn(rec), func(w int, l, r object.Ref) error {
+						pairs[w] = append(pairs[w], joinPairString(rec, l, r))
+						return nil
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c, pairs
+			}
+			_, want := join(shape)
+			cfg := shape
+			cfg.DataDir, cfg.ProcBin = t.TempDir(), bin
+			c, got := join(cfg)
+			if n := len(want[0]) + len(want[1]); n != 1800 {
+				t.Fatalf("in-memory join emitted %d pairs, want 1800", n)
+			}
+			for w := range want {
+				if !equalRows(got[w], want[w]) {
+					t.Errorf("worker %d: proc mode emitted %d pairs, in-memory %d, or their order differs", w, len(got[w]), len(want[w]))
+				}
+			}
+			for i, pw := range c.procs.workers {
+				if pw.in != nil {
+					t.Errorf("worker %d: the join spawned a pcworker process", i)
+				}
+			}
+		})
+	}
+}

@@ -174,7 +174,7 @@ func (c *Cluster) procProduce(w *Worker, in *incarnation, opener *procwork.Msg, 
 			return err
 		}
 		c.Transport.Stats().NoteShip(int64(len(f.Payload)))
-		if err := end.send(exchange.Tag{Producer: w.ID, Seq: seq}, p, nil); err != nil {
+		if err := end.send(exchange.Tag{Producer: w.ID, Seq: seq}, exchange.Every, p, nil); err != nil {
 			return err
 		}
 	}

@@ -159,7 +159,9 @@ func (s *socketEnd) writePage(p *object.Page) error {
 	return nil
 }
 
-func (s *socketEnd) send(tag exchange.Tag, p *object.Page, _ <-chan struct{}) error {
+// send ignores the address: only the aggregation and the sort ship, and
+// both send to exchange.Every, as the master's relay (procProduce) does.
+func (s *socketEnd) send(tag exchange.Tag, _ int, p *object.Page, _ <-chan struct{}) error {
 	s.held[tag.Thread] = append(s.held[tag.Thread], p)
 	return nil
 }

@@ -56,7 +56,7 @@ func (e *workerEnv) runSortStreamOnWorker(res *core.CompileResult, stage *physic
 	for t, run := range art.Runs {
 		for seq, p := range run {
 			e.Fault.Hit(fault.PageSeal, e.ID)
-			if err := end.send(exchange.Tag{Producer: e.ID, Thread: t, Seq: seq}, p, nil); err != nil {
+			if err := end.send(exchange.Tag{Producer: e.ID, Thread: t, Seq: seq}, exchange.Every, p, nil); err != nil {
 				return err
 			}
 		}

@@ -49,10 +49,12 @@ type role struct {
 // collector), so the step's governors and spill pools close with zero live
 // slots, and the step's error is that of the first role in list order that
 // failed on its own — not of a sibling that only observed the
-// cancellation. The returned StageShip carries the step's exchange and
-// spill telemetry, also recorded on the transport; the caller adds its own
-// commit.
+// cancellation. The returned StageShip carries the step's transport
+// traffic (the shipped bytes and pages counted while its roles ran) and its
+// exchange and spill telemetry, also recorded on the transport; the caller
+// sets its Stage.
 func (c *Cluster) runStep(roles []role, govs []*exchange.Governor, exs ...*exchange.Exchange) (StageShip, error) {
+	beforeBytes, beforePages := c.Transport.Stats().Counters()
 	var mu sync.Mutex // serializes onRetry accounting
 	var wg sync.WaitGroup
 	errs := make([]error, len(roles))
@@ -72,6 +74,8 @@ func (c *Cluster) runStep(roles []role, govs []*exchange.Governor, exs ...*excha
 	}
 	wg.Wait()
 	var ship StageShip
+	afterBytes, afterPages := c.Transport.Stats().Counters()
+	ship.Bytes, ship.Pages = afterBytes-beforeBytes, afterPages-beforePages
 	for _, ex := range exs {
 		ship.MaxBytesInFlight = max(ship.MaxBytesInFlight, ex.MaxBytesInFlight())
 		ship.MaxReorderPages = max(ship.MaxReorderPages, ex.MaxReorderPages())
@@ -109,9 +113,10 @@ func (c *Cluster) runStep(roles []role, govs []*exchange.Governor, exs ...*excha
 // session's control socket (socketEnd, procserve.go), and the master's
 // relay carries each call to the exchangeEnd on the far side.
 type shuffleEnd interface {
-	// send hands a sealed page to every consumer; closeThread ends executor
-	// thread t's stream. Both return early when stop closes.
-	send(tag exchange.Tag, p *object.Page, stop <-chan struct{}) error
+	// send hands a sealed page to consumer to, or to every consumer when to
+	// is exchange.Every (exchange.Send); closeThread ends executor thread
+	// t's stream. Both return early when stop closes.
+	send(tag exchange.Tag, to int, p *object.Page, stop <-chan struct{}) error
 	closeThread(t int, stop <-chan struct{}) error
 }
 
@@ -128,8 +133,8 @@ type exchangeEnd struct {
 	worker int
 }
 
-func (x *exchangeEnd) send(tag exchange.Tag, p *object.Page, stop <-chan struct{}) error {
-	return streamErr(x.ex.Broadcast(tag, p, stop))
+func (x *exchangeEnd) send(tag exchange.Tag, to int, p *object.Page, stop <-chan struct{}) error {
+	return streamErr(x.ex.Send(tag, to, p, stop))
 }
 
 func (x *exchangeEnd) closeThread(t int, stop <-chan struct{}) error {

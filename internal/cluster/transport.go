@@ -35,8 +35,9 @@ type Transport interface {
 	// Ship moves a page to a destination registry's memory space. The
 	// returned page is owned by the destination.
 	Ship(p *object.Page, dst *object.Registry) (*object.Page, error)
-	// ShipAll ships a batch of pages (broadcast joins and data loading;
-	// shuffle pages travel one at a time through the exchange instead).
+	// ShipAll ships a batch of pages: the planned broadcast join's build
+	// input, its one runtime caller (runPipelineOnWorker). Loading ships a
+	// page at a time (Ship), and so do shuffles, through the exchange.
 	ShipAll(pages []*object.Page, dst *object.Registry) ([]*object.Page, error)
 	// Stats returns the transport's accounting block (shared struct across
 	// all implementations; safe for concurrent Note* calls).

@@ -78,7 +78,7 @@ type Tag struct {
 	Seq int
 }
 
-// ErrProducerStopped is returned by Send/Broadcast/CloseThread when the
+// ErrProducerStopped is returned by Send and CloseThread when the
 // caller's stop channel closed — a sibling executor thread failed and the
 // stage is being torn down. Callers translate it into their driver's abort
 // sentinel so the root cause wins error reporting.
@@ -123,10 +123,10 @@ type Config struct {
 	Ship func(p *object.Page, producer, consumer int) (*object.Page, error)
 	// Release receives the producer pages the exchange is done with, so
 	// the owner can recycle them: a page dropped whole by sender-side retry
-	// dedup, and the original of a page Ship copied (Send and Broadcast
-	// release it once every copy is made). A page that travels by reference
-	// (Ship nil, or Ship returning its argument) is never released — the
-	// consumer holds it. nil discards them.
+	// dedup, and the original of a page Ship copied (Send releases it once
+	// every copy is made). A page that travels by reference (Ship nil, or
+	// Ship returning its argument) is never released — the consumer holds
+	// it. nil discards them.
 	Release func(p *object.Page)
 	// ReleaseDelivered receives the resident retained pages when a
 	// successful step ends (Recycle), so the owner can recycle them. nil
@@ -153,7 +153,7 @@ const DefaultCapacity = 4
 // sender-side bookkeeping. A lane has exactly one sending goroutine at any
 // time (the owning executor thread, or its crash-retry successor, which the
 // scheduler starts only after the failed run's barrier), so sent/closeSent
-// — and the row's Broadcast scratch — need no lock.
+// — and the row's Send scratch — need no lock.
 type lane struct {
 	ch chan message
 
@@ -167,7 +167,7 @@ type Exchange struct {
 	cfg   Config
 	lanes [][][]*lane // [producer][thread][consumer]
 	recvs []*receiver
-	// planned is Broadcast's per-consumer scratch, one row per (producer,
+	// planned is Send's per-consumer scratch, one row per (producer,
 	// thread) like the lanes it plans for: [producer][thread][consumer].
 	planned [][][]*object.Page
 
@@ -210,10 +210,6 @@ func New(cfg Config) *Exchange {
 	return ex
 }
 
-func (ex *Exchange) lane(tag Tag, consumer int) *lane {
-	return ex.lanes[tag.Producer][tag.Thread][consumer]
-}
-
 // governor returns the consumer's memory governor, nil when ungoverned.
 func (ex *Exchange) governor(consumer int) *Governor {
 	if consumer < len(ex.cfg.Governors) {
@@ -232,83 +228,64 @@ func (ex *Exchange) ownsRetained() bool {
 	return ex.cfg.ReleaseDelivered != nil
 }
 
-// Send ships a tagged page to one consumer and enqueues it on the sending
-// thread's lane, blocking while the lane is full. A sequence the lane
-// already admitted (a crashed producer's deterministic retry) is dropped —
-// and released — before shipping. When Ship returns a copy, the original is
-// released as soon as the copy exists: the caller hands p over and must
-// not read it after Send returns. Send returns early when stop closes
-// (sibling thread failure) or the exchange is cancelled.
-func (ex *Exchange) Send(tag Tag, consumer int, p *object.Page, stop <-chan struct{}) error {
-	ln := ex.lane(tag, consumer)
-	if tag.Seq < ln.sent {
-		if ex.cfg.Release != nil {
-			ex.cfg.Release(p)
-		}
-		return nil
-	}
-	if tag.Seq != ln.sent {
-		return fmt.Errorf("exchange: lane (%d, %d, %d) sent seq %d, want %d",
-			tag.Producer, tag.Thread, consumer, tag.Seq, ln.sent)
-	}
-	shipped := p
-	if ex.cfg.Ship != nil {
-		var err error
-		if shipped, err = ex.cfg.Ship(p, tag.Producer, consumer); err != nil {
-			return err
-		}
-		if shipped != p && ex.cfg.Release != nil {
-			ex.cfg.Release(p)
-		}
-	}
-	if err := ex.enqueue(ln, tag, consumer, shipped, stop); err != nil {
-		return err
-	}
-	ln.sent++
-	return nil
-}
+// Every addresses a Send to every consumer: the pre-aggregation shuffle's
+// pattern, where each consumer merges its own hash partition out of every
+// page, and the sort's, whose exchange has one consumer.
+const Every = -1
 
-// Broadcast ships a tagged page to every consumer — the pre-aggregation
-// shuffle's pattern, where each consumer merges its own hash partition out
-// of every page, and the sort's, whose exchange has one consumer. All wire
-// copies are made before any enqueue, in the sending row's scratch (so a
-// warm Broadcast allocates nothing), and a consumer that merges (and
-// recycles) its copy early cannot corrupt a later ship of the original.
-// Consumers whose lane already admitted the sequence (a crash retry
-// interrupted mid-broadcast) are skipped; if no lane takes the original
-// page itself, it is released back to the caller's pool.
-func (ex *Exchange) Broadcast(tag Tag, p *object.Page, stop <-chan struct{}) error {
-	planned := ex.planned[tag.Producer][tag.Thread]
+// Send ships a tagged page to one consumer, or to every consumer when
+// consumer is Every, and enqueues each copy on the sending thread's lane
+// to that consumer, blocking while the lane is full. Every addressed lane
+// must have admitted the sequence (a crashed producer's deterministic
+// retry, skipped for that lane) or expect it next; a gap fails the send
+// before anything is shipped. All wire copies are made before any enqueue,
+// in the sending row's scratch (so a warm Send allocates nothing), and a
+// consumer that merges (and recycles) its copy early cannot corrupt a later
+// ship of the original. If no lane takes the original page itself — every
+// addressed lane got a copy or skipped the sequence — it is released as
+// soon as the copies exist: the caller hands p over and must not read it
+// after Send returns. Send returns early when stop closes (sibling thread
+// failure) or the exchange is cancelled.
+func (ex *Exchange) Send(tag Tag, consumer int, p *object.Page, stop <-chan struct{}) error {
+	lo, hi := consumer, consumer+1
+	if consumer == Every {
+		lo, hi = 0, ex.cfg.Consumers
+	}
+	lanes := ex.lanes[tag.Producer][tag.Thread][lo:hi]
+	for i, ln := range lanes {
+		if tag.Seq > ln.sent {
+			return fmt.Errorf("exchange: lane (%d, %d, %d) sent seq %d, want %d",
+				tag.Producer, tag.Thread, lo+i, tag.Seq, ln.sent)
+		}
+	}
+	planned := ex.planned[tag.Producer][tag.Thread][lo:hi]
 	clear(planned)
 	originalUsed := false
-	for c := range planned {
-		if tag.Seq < ex.lane(tag, c).sent {
+	for i, ln := range lanes {
+		if tag.Seq < ln.sent {
 			continue // retry duplicate for this consumer
 		}
 		q := p
 		if ex.cfg.Ship != nil {
 			var err error
-			if q, err = ex.cfg.Ship(p, tag.Producer, c); err != nil {
+			if q, err = ex.cfg.Ship(p, tag.Producer, lo+i); err != nil {
 				return err
 			}
 		}
-		planned[c] = q
-		if q == p {
-			originalUsed = true
-		}
+		planned[i] = q
+		originalUsed = originalUsed || q == p
 	}
 	if !originalUsed && ex.cfg.Release != nil {
 		ex.cfg.Release(p)
 	}
-	for c, q := range planned {
+	for i, q := range planned {
 		if q == nil {
 			continue
 		}
-		ln := ex.lane(tag, c)
-		if err := ex.enqueue(ln, tag, c, q, stop); err != nil {
+		if err := ex.enqueue(lanes[i], tag, lo+i, q, stop); err != nil {
 			return err
 		}
-		ln.sent++
+		lanes[i].sent++
 	}
 	return nil
 }

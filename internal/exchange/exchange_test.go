@@ -40,7 +40,7 @@ func pageID(p *object.Page, ti *object.TypeInfo) int64 {
 	return object.GetI64(root.HandleAt(0), ti.Field("id"))
 }
 
-func testRegistry(t *testing.T) (*object.Registry, *object.TypeInfo) {
+func testRegistry(t testing.TB) (*object.Registry, *object.TypeInfo) {
 	t.Helper()
 	reg := object.NewRegistry()
 	ti := object.NewStruct("ExPage").AddField("id", object.KInt64).MustBuild(reg)
@@ -228,8 +228,9 @@ func TestStopChannelAbortsSend(t *testing.T) {
 	}
 }
 
-// TestBroadcastDeliversToEveryConsumer checks the pre-aggregation pattern:
-// each consumer receives its own copy of every page, in order.
+// TestBroadcastDeliversToEveryConsumer checks the pre-aggregation pattern,
+// a Send addressed to Every: each consumer receives its own copy of every
+// page, in order.
 func TestBroadcastDeliversToEveryConsumer(t *testing.T) {
 	reg, ti := testRegistry(t)
 	ships := 0
@@ -244,7 +245,7 @@ func TestBroadcastDeliversToEveryConsumer(t *testing.T) {
 			return object.FromBytes(b, reg)
 		}})
 	for seq := 0; seq < 3; seq++ {
-		if err := ex.Broadcast(Tag{0, 0, seq}, testPage(t, reg, ti, int64(seq)), nil); err != nil {
+		if err := ex.Send(Tag{0, 0, seq}, Every, testPage(t, reg, ti, int64(seq)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,6 +259,44 @@ func TestBroadcastDeliversToEveryConsumer(t *testing.T) {
 	}
 	if ships != 6 { // 3 pages × 2 non-self consumers
 		t.Errorf("ship count = %d, want 6", ships)
+	}
+}
+
+// TestSendRejectsSequenceGap checks the sender-side sequence check for both
+// addresses: a send whose sequence skips ahead of an addressed lane fails
+// with the error naming that (producer, thread, consumer) lane, before
+// anything is shipped or enqueued — also on the lanes that were in step.
+func TestSendRejectsSequenceGap(t *testing.T) {
+	reg, ti := testRegistry(t)
+	ships := 0
+	ex := New(Config{Producers: 1, Consumers: 2, capacity: 4,
+		Ship: func(p *object.Page, _, _ int) (*object.Page, error) { ships++; return p, nil }})
+	if err := ex.Send(Tag{0, 0, 0}, Every, testPage(t, reg, ti, 0), nil); err != nil {
+		t.Fatal(err)
+	}
+	err := ex.Send(Tag{0, 0, 2}, Every, testPage(t, reg, ti, 2), nil)
+	if want := "exchange: lane (0, 0, 0) sent seq 2, want 1"; err == nil || err.Error() != want {
+		t.Fatalf("every-consumer send with a gap = %v, want %q", err, want)
+	}
+	// Consumer 0's lane is at seq 2, consumer 1's at seq 1: an
+	// every-consumer seq 2 is in step for the first and a gap for the
+	// second, and ships neither.
+	if err := ex.Send(Tag{0, 0, 1}, 0, testPage(t, reg, ti, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	err = ex.Send(Tag{0, 0, 2}, Every, testPage(t, reg, ti, 2), nil)
+	if want := "exchange: lane (0, 0, 1) sent seq 2, want 1"; err == nil || err.Error() != want {
+		t.Fatalf("every-consumer send ahead of consumer 1 = %v, want %q", err, want)
+	}
+	if ships != 3 {
+		t.Errorf("ships = %d, want 3: a rejected send must ship nothing", ships)
+	}
+	_ = ex.CloseThread(0, 0, nil)
+	ex.CloseProducer(0)
+	for c, want := range [][]int64{{0, 1}, {0}} {
+		if got := drain(t, ex, c, ti); !reflect.DeepEqual(got, want) {
+			t.Errorf("consumer %d received %v, want %v", c, got, want)
+		}
 	}
 }
 
@@ -537,30 +576,31 @@ func TestSendReleasesShippedOriginal(t *testing.T) {
 	}
 }
 
-// TestBroadcastAllocatesNothing pins Broadcast's steady state: the copies
-// it plans live in the sending (producer, thread) row's scratch, so a warm
-// Broadcast — pages travelling by reference, lanes with room — makes no
-// allocation, for the sort's single consumer as for an aggregation's
-// several.
+// TestBroadcastAllocatesNothing pins Send's steady state: the copies it
+// plans live in the sending (producer, thread) row's scratch, so a warm
+// Send — pages travelling by reference, lanes with room — makes no
+// allocation, addressed to Every for the sort's single consumer as for an
+// aggregation's several, and addressed to one consumer as the join's
+// repartition sends.
 func TestBroadcastAllocatesNothing(t *testing.T) {
 	if race.Enabled {
 		return // allocation counts are not meaningful under the race detector
 	}
 	reg, ti := testRegistry(t)
 	p := testPage(t, reg, ti, 1)
-	for _, consumers := range []int{1, 2} {
+	for _, tc := range []struct{ consumers, to int }{{1, Every}, {2, Every}, {2, 1}} {
 		const runs = 50
-		ex := New(Config{Producers: 1, Consumers: consumers, Threads: 2, capacity: runs + 2})
+		ex := New(Config{Producers: 1, Consumers: tc.consumers, Threads: 2, capacity: runs + 2})
 		seq := 0
 		send := func() {
-			if err := ex.Broadcast(Tag{Thread: 1, Seq: seq}, p, nil); err != nil {
+			if err := ex.Send(Tag{Thread: 1, Seq: seq}, tc.to, p, nil); err != nil {
 				t.Fatal(err)
 			}
 			seq++
 		}
 		send() // warm
 		if allocs := testing.AllocsPerRun(runs, send); allocs != 0 {
-			t.Errorf("consumers %d: a warm Broadcast allocates %v objects, want 0", consumers, allocs)
+			t.Errorf("consumers %d, to %d: a warm Send allocates %v objects, want 0", tc.consumers, tc.to, allocs)
 		}
 	}
 }
