@@ -444,7 +444,10 @@ func orderByRows(c *Cluster, rec *object.TypeInfo, in, out string, desc bool, li
 // 0's process merging every run. Ascending, descending with a top-k limit,
 // and a job whose input lies on worker 0 alone (worker 1 streams only its
 // close markers) each give the row sequence an in-memory cluster of the
-// same shape gives.
+// same shape gives. On the same clusters a filtered aggregation
+// (filteredSums), whose FILTER each worker fuses with the member reads
+// around it, leaves on every worker the rows the in-memory cluster leaves
+// there.
 func TestProcClusterOrderBy(t *testing.T) {
 	bin := buildPCWorker(t)
 	for _, threads := range []int{1, 2} {
@@ -486,8 +489,52 @@ func TestProcClusterOrderBy(t *testing.T) {
 					t.Errorf("%s: proc mode sorted %d rows, in-memory %d, or their order differs", job.out, len(got), len(want))
 				}
 			}
+			want, got := filteredSums(t, ref, refRec), filteredSums(t, c, rec)
+			for w := range want {
+				if len(want[w]) == 0 || !equalRows(got[w], want[w]) {
+					t.Errorf("filtered sums, worker %d: proc mode stored %d rows, in-memory %d, or they differ", w, len(got[w]), len(want[w]))
+				}
+			}
 		})
 	}
+}
+
+// filteredSums runs grp→sum(val) over the rows of db.rows whose val exceeds
+// a constant — a Selection the workers rebuild from the TCAP text, feeding
+// the named agglib family — into a new db.fsums, and returns each worker's
+// stored rows "g=s" in scan order.
+func filteredSums(t *testing.T, c *Cluster, rec *object.TypeInfo) [][]string {
+	t.Helper()
+	agg, err := agglib.SumI64(c.Catalog.Registry(), "db", "rows", rec.Name, "grp", "val")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg.In = &core.Selection{In: agg.In, ArgType: rec.Name,
+		Predicate: func(r *lambda.Arg) lambda.Term { return lambda.Gt(lambda.FromMember(r, "val"), lambda.ConstI64(700)) }}
+	if err := c.CreateSet("db", "fsums", rec.Name); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Execute(core.NewWrite("db", "fsums", agg)); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]string, len(c.Workers))
+	for i, w := range c.Workers {
+		pages, err := storedPages(w.Front.Store, "db", "fsums")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range pages {
+			if p.Root() == 0 {
+				continue
+			}
+			root := object.AsVector(object.Ref{Page: p, Off: p.Root()})
+			for j := 0; j < root.Len(); j++ {
+				r := root.HandleAt(j)
+				rows[i] = append(rows[i], fmt.Sprintf("%d=%d", object.GetI64(r, rec.Field("grp")), object.GetI64(r, rec.Field("val"))))
+			}
+		}
+	}
+	return rows
 }
 
 // loadIntRowsOnEveryWorker stores the same n (i%groups, i) rows on every

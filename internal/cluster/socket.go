@@ -205,15 +205,7 @@ func (t *SocketTransport) Ship(p *object.Page, dst *object.Registry) (*object.Pa
 
 // ShipAll ships a batch of pages.
 func (t *SocketTransport) ShipAll(pages []*object.Page, dst *object.Registry) ([]*object.Page, error) {
-	out := make([]*object.Page, 0, len(pages))
-	for _, p := range pages {
-		q, err := t.Ship(p, dst)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, q)
-	}
-	return out, nil
+	return shipAll(t, pages, dst)
 }
 
 // Stats returns the shared accounting block.

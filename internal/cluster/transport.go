@@ -190,6 +190,12 @@ func (t *MemTransport) Ship(p *object.Page, dst *object.Registry) (*object.Page,
 
 // ShipAll ships a batch of pages.
 func (t *MemTransport) ShipAll(pages []*object.Page, dst *object.Registry) ([]*object.Page, error) {
+	return shipAll(t, pages, dst)
+}
+
+// shipAll ships pages one at a time through t.Ship: every Transport's
+// ShipAll.
+func shipAll(t Transport, pages []*object.Page, dst *object.Registry) ([]*object.Page, error) {
 	out := make([]*object.Page, 0, len(pages))
 	for _, p := range pages {
 		q, err := t.Ship(p, dst)

@@ -37,11 +37,11 @@ func memberAggPipeline(t *testing.T, pages, rows int) (*engine.Pipeline, *engine
 	stages.Register("Agg", "k", memberKernel("k"))
 	stages.Register("Agg", "v", memberKernel("v"))
 	stmts := []*tcap.Stmt{
-		{Op: tcap.OpApply, Comp: "Agg", Stage: "k", FuseGroup: 1,
+		{Op: tcap.OpApply, Comp: "Agg", Stage: "k",
 			Applied: tcap.ColumnsRef{Name: "in", Cols: []string{"obj"}},
 			Copied:  tcap.ColumnsRef{Name: "in", Cols: []string{"obj"}},
 			Out:     tcap.ColumnsRef{Name: "s1", Cols: []string{"obj", "key"}}},
-		{Op: tcap.OpApply, Comp: "Agg", Stage: "v", FuseGroup: 1,
+		{Op: tcap.OpApply, Comp: "Agg", Stage: "v",
 			Applied: tcap.ColumnsRef{Name: "s1", Cols: []string{"obj"}},
 			Copied:  tcap.ColumnsRef{Name: "s1", Cols: []string{"key"}},
 			Out:     tcap.ColumnsRef{Name: "s2", Cols: []string{"key", "val"}}},

@@ -426,7 +426,7 @@ func FinalizeAgg(reg *object.Registry, final object.OMap, spec *AggSpec, pageSiz
 			ferr = err
 			return false
 		}
-		if err := sink.appendWithRotate(obj); err != nil {
+		if err := appendToRoot(sink.Out, obj); err != nil {
 			ferr = err
 			return false
 		}

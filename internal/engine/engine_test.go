@@ -374,7 +374,7 @@ func TestOutputSinkRotationProducesZombiePages(t *testing.T) {
 		}
 		object.SetF64(r, ti.Field("x"), float64(i))
 		refs = append(refs, r)
-		if err := sink.appendWithRotate(r); err != nil {
+		if err := appendToRoot(sink.Out, r); err != nil {
 			t.Fatal(err)
 		}
 	}

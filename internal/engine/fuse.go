@@ -1,9 +1,11 @@
 package engine
 
-// Fused kernel execution (optimizer rule 4, after Neumann's "Efficiently
-// Compiling Efficient Query Plans"): a run of adjacent APPLY/FILTER/HASH
-// statements annotated with one Stmt.FuseGroup executes as a single pass
-// over each batch. Filters refine a selection vector instead of gathering
+// Fused kernel execution (after Neumann's "Efficiently Compiling Efficient
+// Query Plans"): every maximal run of chained APPLY/FILTER/HASH statements
+// in the list a pipeline executes runs as a single pass over each batch.
+// The engine alone decides the runs, from the statement list, so a stage
+// rebuilt from TCAP text fuses exactly what the compiling side's stage
+// fuses. Filters refine a selection vector instead of gathering
 // every copied column per statement; the deferred gather (compaction) runs
 // only when a kernel needs physical rows, and it gathers only the columns
 // the rest of the run still reads. The fused pass is bit-for-bit equivalent
@@ -44,9 +46,7 @@ type fuseSeg struct {
 	sel  []int
 }
 
-// fusableOp reports whether the op may join a fused run. It must mirror the
-// optimizer's rule-4 eligibility; the engine re-checks because physical
-// planning may split an annotated program across stages.
+// fusableOp reports whether the op may join a fused run.
 func fusableOp(op tcap.OpKind) bool {
 	switch op {
 	case tcap.OpApply, tcap.OpFilter, tcap.OpHash:
@@ -55,21 +55,25 @@ func fusableOp(op tcap.OpKind) bool {
 	return false
 }
 
-// buildFusePlan cuts a pipeline's statement slice into segments,
-// re-validating every annotated run against the statements this pipeline
-// actually executes: only consecutive statements with the same nonzero
-// FuseGroup whose lists chain (each reads exactly its predecessor's output)
-// fuse; everything else — including unannotated programs — runs statement
-// by statement, exactly as before.
+// buildFusePlan cuts a pipeline's statement slice into the segments of
+// FusedRuns.
 func buildFusePlan(stmts []*tcap.Stmt) []fuseSeg {
-	var plan []fuseSeg
+	return cutPlan(stmts, FusedRuns(stmts))
+}
+
+// FusedRuns returns the lengths, in order, of the segments a pipeline over
+// stmts executes: every maximal run of consecutive APPLY/FILTER/HASH
+// statements whose lists chain (each reads exactly its predecessor's
+// output) fuses; every other statement — FLATTEN, a JOIN probe, one that
+// reads another list — runs alone.
+func FusedRuns(stmts []*tcap.Stmt) []int {
+	var runs []int
 	for i := 0; i < len(stmts); {
-		s := stmts[i]
 		j := i
-		if s.FuseGroup != 0 && fusableOp(s.Op) {
+		if fusableOp(stmts[i].Op) {
 			for j+1 < len(stmts) {
 				next := stmts[j+1]
-				if next.FuseGroup != s.FuseGroup || !fusableOp(next.Op) ||
+				if !fusableOp(next.Op) ||
 					next.Applied.Name != stmts[j].Out.Name ||
 					next.Copied.Name != stmts[j].Out.Name {
 					break
@@ -77,13 +81,25 @@ func buildFusePlan(stmts []*tcap.Stmt) []fuseSeg {
 				j++
 			}
 		}
-		seg := fuseSeg{stmts: stmts[i : j+1], base: i, st: make([]stmtState, j+1-i)}
-		if len(seg.stmts) > 1 {
+		runs = append(runs, j+1-i)
+		i = j + 1
+	}
+	return runs
+}
+
+// cutPlan makes the segments of stmts cut into runs of the given lengths,
+// in order.
+func cutPlan(stmts []*tcap.Stmt, runs []int) []fuseSeg {
+	plan := make([]fuseSeg, 0, len(runs))
+	base := 0
+	for _, n := range runs {
+		seg := fuseSeg{stmts: stmts[base : base+n], base: base, st: make([]stmtState, n)}
+		if n > 1 {
 			seg.needed = neededSuffixes(seg.stmts)
-			seg.packed = make([]VectorList, len(seg.stmts))
+			seg.packed = make([]VectorList, n)
 		}
 		plan = append(plan, seg)
-		i = j + 1
+		base += n
 	}
 	return plan
 }

@@ -1,16 +1,19 @@
 package engine
 
 // The fusion-equivalence harness: randomized (seeded) chains of
-// filter/map/hash statements execute fused and unfused at Threads 1, 2,
-// and 8 — and every configuration must produce bit-for-bit identical
-// output rows in identical order. A table-driven corpus pins the interesting shapes
-// (adjacent filters, compaction before kernels, runs ending in filters,
-// hash columns feeding later kernels, empty results, empty input) and a
-// fuzz target explores chains the corpus missed.
+// filter/map/hash statements execute fused as the engine cuts them,
+// unfused, and cut at random (a cut plan handed to each thread's Pipeline)
+// at Threads 1, 2, and 8 — and every configuration must produce bit-for-bit
+// identical output rows in identical order. A table-driven corpus pins the
+// interesting shapes (adjacent filters, compaction before kernels, runs
+// ending in filters, hash columns feeding later kernels, empty results,
+// empty input) and a fuzz target explores chains the corpus missed.
+// TestBuildFusePlan pins the engine's rule for where a run ends.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -235,36 +238,26 @@ func (b *chainBuilder) hashStep() {
 	b.cur = hcol
 }
 
-// cloneChain deep-copies statements so each run can annotate FuseGroup
-// independently.
-func cloneChain(stmts []*tcap.Stmt) []*tcap.Stmt {
-	out := make([]*tcap.Stmt, len(stmts))
-	for i, s := range stmts {
-		out[i] = s.Clone()
+// unfusedRuns cuts n statements into runs of one: the statement-by-statement
+// reference every fused plan must match.
+func unfusedRuns(n int) []int {
+	runs := make([]int, n)
+	for i := range runs {
+		runs[i] = 1
 	}
-	return out
+	return runs
 }
 
-// annotateAll marks every statement as one fused run.
-func annotateAll(stmts []*tcap.Stmt) []*tcap.Stmt {
-	c := cloneChain(stmts)
-	for _, s := range c {
-		s.FuseGroup = 1
-	}
-	return c
-}
-
-// annotateRandom cuts the chain into random fused runs (some length 1).
-func annotateRandom(stmts []*tcap.Stmt, rng *rand.Rand) []*tcap.Stmt {
-	c := cloneChain(stmts)
-	group := 1
-	for _, s := range c {
-		if rng.Intn(3) == 0 {
-			group++
+// randomRuns cuts n statements into random runs (some of length 1).
+func randomRuns(n int, rng *rand.Rand) []int {
+	var runs []int
+	for k := 0; k < n; k++ {
+		if rng.Intn(3) == 0 || len(runs) == 0 {
+			runs = append(runs, 0)
 		}
-		s.FuseGroup = group
+		runs[len(runs)-1]++
 	}
-	return c
+	return runs
 }
 
 // collectSink formats every consumed row — all columns, with their static
@@ -290,49 +283,52 @@ func (s *collectSink) Consume(ctx *Ctx, vl *VectorList, stmt *tcap.Stmt) error {
 func (s *collectSink) Pages() []*object.Page { return nil }
 
 // runChain executes a statement chain over the fixture's pages and returns
-// the ordered output rows.
-func runChain(t testing.TB, fx *fuseFixture, stmts []*tcap.Stmt, threads int) []string {
-	return runChainBatch(t, fx, stmts, threads, BatchSize)
+// the ordered output rows. runs, when set, is the cut plan handed to every
+// thread's pipeline (cutPlan); nil leaves the cut to the engine
+// (buildFusePlan), which fuses a whole chain.
+func runChain(t testing.TB, fx *fuseFixture, stmts []*tcap.Stmt, runs []int, threads int) []string {
+	return runChainBatch(t, fx, stmts, runs, threads, BatchSize)
 }
 
 // runChainBatch is runChain with batches of at most batch rows.
-func runChainBatch(t testing.TB, fx *fuseFixture, stmts []*tcap.Stmt, threads, batch int) []string {
+func runChainBatch(t testing.TB, fx *fuseFixture, stmts []*tcap.Stmt, runs []int, threads, batch int) []string {
 	t.Helper()
-	sinkStmt := &tcap.Stmt{Op: tcap.OpOutput}
-	ranges := BatchRanges(fx.pages, batch)
-	mk := func(_ int, stats *Stats, _ <-chan struct{}) (Sink, *Ctx, error) {
-		sink := &collectSink{}
-		ctx, err := NewSinkCtx(sink, fx.reg, nil, 1<<16, nil, stats)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sink, ctx, nil
-	}
-	chunks := SplitRanges(ranges, threads)
+	chunks := SplitRanges(BatchRanges(fx.pages, batch), threads)
 	if len(chunks) == 0 {
 		chunks = [][]PageRange{nil}
 	}
-	pt, err := RunPipelineThreads(chunks, "obj", stmts, fx.sreg, sinkStmt, mk, nil)
+	sinks := make([]collectSink, len(chunks))
+	err := ParallelThreads(len(chunks), func(th int, _ <-chan struct{}) error {
+		ctx, err := NewSinkCtx(&sinks[th], fx.reg, nil, 1<<16, nil, &Stats{})
+		if err != nil {
+			return err
+		}
+		pipe := &Pipeline{Stmts: stmts, Reg: fx.sreg, Sink: &sinks[th], SinkStmt: &tcap.Stmt{Op: tcap.OpOutput}}
+		if runs != nil {
+			pipe.fusePlan = cutPlan(stmts, runs)
+		}
+		return ScanRanges(chunks[th], "obj", func(vl *VectorList) error { return pipe.RunBatch(ctx, vl) })
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rows []string
-	for _, s := range pt.Sinks {
-		rows = append(rows, s.(*collectSink).rows...)
+	for _, s := range sinks {
+		rows = append(rows, s.rows...)
 	}
 	return rows
 }
 
 // checkEquivalence runs the chain unfused sequentially as the reference,
-// then fused and unfused across thread counts, and requires identical rows
-// everywhere.
-func checkEquivalence(t testing.TB, fx *fuseFixture, chain []*tcap.Stmt, fusedVariants [][]*tcap.Stmt) {
+// then unfused, as the engine cuts it, and as each extra cut across thread
+// counts, and requires identical rows everywhere.
+func checkEquivalence(t testing.TB, fx *fuseFixture, chain []*tcap.Stmt, cuts ...[]int) {
 	t.Helper()
-	ref := runChain(t, fx, cloneChain(chain), 1)
+	ref := runChain(t, fx, chain, unfusedRuns(len(chain)), 1)
 	for _, threads := range []int{1, 2, 8} {
-		variants := append([][]*tcap.Stmt{cloneChain(chain)}, fusedVariants...)
-		for vi, stmts := range variants {
-			got := runChain(t, fx, stmts, threads)
+		variants := append([][]int{unfusedRuns(len(chain)), nil}, cuts...)
+		for vi, runs := range variants {
+			got := runChain(t, fx, chain, runs, threads)
 			if len(got) != len(ref) {
 				t.Fatalf("variant %d threads=%d: %d rows, want %d", vi, threads, len(got), len(ref))
 			}
@@ -404,8 +400,7 @@ func TestFusedCorpusEquivalence(t *testing.T) {
 			b := newChainBuilder()
 			tc.build(b)
 			rng := rand.New(rand.NewSource(7))
-			checkEquivalence(t, fx, b.stmts,
-				[][]*tcap.Stmt{annotateAll(b.stmts), annotateRandom(b.stmts, rng)})
+			checkEquivalence(t, fx, b.stmts, randomRuns(len(b.stmts), rng))
 		})
 	}
 }
@@ -434,13 +429,14 @@ func TestFusedBatchSizeInvariance(t *testing.T) {
 		fx := newFuseFixture(t, tc.n)
 		b := newChainBuilder()
 		tc.build(b)
-		ref := runChain(t, fx, cloneChain(b.stmts), 1)
+		unfused := unfusedRuns(len(b.stmts))
+		ref := runChain(t, fx, b.stmts, unfused, 1)
 		for _, batch := range batches {
 			for _, threads := range []int{1, 2} {
 				same(t, fmt.Sprintf("%s unfused, batch %d, threads %d", tc.name, batch, threads),
-					runChainBatch(t, fx, cloneChain(b.stmts), threads, batch), ref)
+					runChainBatch(t, fx, b.stmts, unfused, threads, batch), ref)
 				same(t, fmt.Sprintf("%s fused, batch %d, threads %d", tc.name, batch, threads),
-					runChainBatch(t, fx, annotateAll(b.stmts), threads, batch), ref)
+					runChainBatch(t, fx, b.stmts, nil, threads, batch), ref)
 			}
 		}
 	}
@@ -463,9 +459,53 @@ func TestFusedBatchSizeInvariance(t *testing.T) {
 	}
 	for _, batch := range batches {
 		same(t, fmt.Sprintf("two members unfused, batch %d", batch),
-			runChainBatch(t, fx, cloneChain(members), 1, batch), want)
+			runChainBatch(t, fx, members, unfusedRuns(len(members)), 1, batch), want)
 		same(t, fmt.Sprintf("two members fused, batch %d", batch),
-			runChainBatch(t, fx, annotateAll(members), 1, batch), want)
+			runChainBatch(t, fx, members, nil, 1, batch), want)
+	}
+}
+
+// TestBuildFusePlan pins the engine's fusion rule on statement lists as a
+// stage executes them: a chained APPLY/FILTER/HASH run fuses, and a
+// FLATTEN, a JOIN probe or a statement reading another list ends the run.
+func TestBuildFusePlan(t *testing.T) {
+	// stmt makes a statement of op reading list in (Applied and Copied)
+	// and writing list out.
+	stmt := func(op tcap.OpKind, in, out string) *tcap.Stmt {
+		return &tcap.Stmt{Op: op, Applied: tcap.ColumnsRef{Name: in}, Copied: tcap.ColumnsRef{Name: in},
+			Out: tcap.ColumnsRef{Name: out}}
+	}
+	for _, tc := range []struct {
+		name  string
+		stmts []*tcap.Stmt
+		runs  []int
+	}{
+		{"chained run fuses", []*tcap.Stmt{
+			stmt(tcap.OpApply, "s0", "s1"), stmt(tcap.OpApply, "s1", "s2"), stmt(tcap.OpFilter, "s2", "s3"),
+			stmt(tcap.OpApply, "s3", "s4"), stmt(tcap.OpHash, "s4", "s5")}, []int{5}},
+		{"flatten ends the run", []*tcap.Stmt{
+			stmt(tcap.OpApply, "s0", "s1"), stmt(tcap.OpFilter, "s1", "s2"), stmt(tcap.OpFlatten, "s2", "s3"),
+			stmt(tcap.OpApply, "s3", "s4"), stmt(tcap.OpApply, "s4", "s5")}, []int{2, 1, 2}},
+		{"join probe ends the run", []*tcap.Stmt{
+			stmt(tcap.OpApply, "s0", "s1"), stmt(tcap.OpHash, "s1", "s2"), stmt(tcap.OpJoin, "s2", "s3"),
+			stmt(tcap.OpApply, "s3", "s4"), stmt(tcap.OpFilter, "s4", "s5")}, []int{2, 1, 2}},
+		{"another list ends the run", []*tcap.Stmt{
+			stmt(tcap.OpApply, "s0", "s1"), stmt(tcap.OpApply, "s1", "s2"), stmt(tcap.OpApply, "x", "s3"),
+			stmt(tcap.OpFilter, "s3", "s4")}, []int{2, 2}},
+		{"another copied list ends the run", []*tcap.Stmt{
+			stmt(tcap.OpApply, "s0", "s1"),
+			{Op: tcap.OpApply, Applied: tcap.ColumnsRef{Name: "s1"}, Copied: tcap.ColumnsRef{Name: "x"},
+				Out: tcap.ColumnsRef{Name: "s2"}}}, []int{1, 1}},
+		{"lone statement stays alone", []*tcap.Stmt{stmt(tcap.OpApply, "s0", "s1")}, []int{1}},
+		{"no statements", nil, nil},
+	} {
+		var runs []int
+		for _, seg := range buildFusePlan(tc.stmts) {
+			runs = append(runs, len(seg.stmts))
+		}
+		if !slices.Equal(runs, tc.runs) {
+			t.Errorf("%s: runs %v, want %v", tc.name, runs, tc.runs)
+		}
 	}
 }
 
@@ -507,8 +547,7 @@ func TestFusionEquivalenceRandomized(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		chain := buildRandomChain(rng)
-		checkEquivalence(t, fx, chain,
-			[][]*tcap.Stmt{annotateAll(chain), annotateRandom(chain, rng)})
+		checkEquivalence(t, fx, chain, randomRuns(len(chain), rng))
 	}
 }
 
@@ -523,9 +562,9 @@ func FuzzFusionEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		chain := buildRandomChain(rng)
-		ref := runChain(t, fx, cloneChain(chain), 1)
+		ref := runChain(t, fx, chain, unfusedRuns(len(chain)), 1)
 		for _, threads := range []int{1, 2, 8} {
-			got := runChain(t, fx, annotateAll(chain), threads)
+			got := runChain(t, fx, chain, nil, threads)
 			if len(got) != len(ref) {
 				t.Fatalf("threads=%d: %d rows, want %d", threads, len(got), len(ref))
 			}

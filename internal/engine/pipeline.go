@@ -33,10 +33,9 @@ type Pipeline struct {
 	splitScratchB bool // scratch currently lent to a split in progress
 
 	// fusePlan caches the statement slice cut into fused segments
-	// (optimizer rule 4) with each segment's reused headers, built lazily
-	// on the first batch; Stmts never changes after construction.
-	fusePlan      []fuseSeg
-	fusePlanBuilt bool
+	// (buildFusePlan) with each segment's reused headers, built lazily on
+	// the first batch; Stmts never changes after construction.
+	fusePlan []fuseSeg
 }
 
 // RunBatch pushes one source vector list through every stage and into the
@@ -116,9 +115,8 @@ func (p *Pipeline) splitIndices(n int) (idx []int, reused bool) {
 }
 
 func (p *Pipeline) applyStmts(ctx *Ctx, vl *VectorList) (*VectorList, error) {
-	if !p.fusePlanBuilt {
+	if p.fusePlan == nil {
 		p.fusePlan = buildFusePlan(p.Stmts)
-		p.fusePlanBuilt = true
 	}
 	// Kernels write into the running statement's Ctx slot; outside this
 	// pass they allocate.

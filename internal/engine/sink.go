@@ -76,25 +76,27 @@ func (s *OutputSink) Consume(ctx *Ctx, vl *VectorList, stmt *tcap.Stmt) error {
 		return fmt.Errorf("engine: OUTPUT column %q must hold objects", stmt.Applied.Cols[0])
 	}
 	for _, r := range rc {
-		if err := s.appendWithRotate(r); err != nil {
+		if err := appendToRoot(s.Out, r); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (s *OutputSink) appendWithRotate(r object.Ref) error {
-	root := object.AsVector(object.Ref{Page: s.Out.Live, Off: s.Out.Live.Root()})
-	err := root.PushBackHandle(s.Out.Alloc, r)
+// appendToRoot appends r to the root vector of out's live page, rotating
+// once on page-full.
+func appendToRoot(out *OutputPageSet, r object.Ref) error {
+	root := object.AsVector(object.Ref{Page: out.Live, Off: out.Live.Root()})
+	err := root.PushBackHandle(out.Alloc, r)
 	if !errors.Is(err, object.ErrPageFull) {
 		return err
 	}
-	if err := s.Out.Rotate(); err != nil {
+	if err := out.Rotate(); err != nil {
 		return err
 	}
-	root = object.AsVector(object.Ref{Page: s.Out.Live, Off: s.Out.Live.Root()})
-	if err := root.PushBackHandle(s.Out.Alloc, r); err != nil {
-		return fmt.Errorf("engine: object does not fit on an empty output page: %w", err)
+	root = object.AsVector(object.Ref{Page: out.Live, Off: out.Live.Root()})
+	if err := root.PushBackHandle(out.Alloc, r); err != nil {
+		return fmt.Errorf("engine: object does not fit on an empty page: %w", err)
 	}
 	return nil
 }
@@ -541,22 +543,6 @@ func (s *RepartitionSink) Consume(ctx *Ctx, vl *VectorList, stmt *tcap.Stmt) err
 // RepartitionSink places every row by, and the one a co-partitioned join
 // checks stored rows against.
 func PartitionOf(h uint64, n int) int { return int(h % uint64(n)) }
-
-func appendToRoot(out *OutputPageSet, r object.Ref) error {
-	root := object.AsVector(object.Ref{Page: out.Live, Off: out.Live.Root()})
-	err := root.PushBackHandle(out.Alloc, r)
-	if !errors.Is(err, object.ErrPageFull) {
-		return err
-	}
-	if err := out.Rotate(); err != nil {
-		return err
-	}
-	root = object.AsVector(object.Ref{Page: out.Live, Off: out.Live.Root()})
-	if err := root.PushBackHandle(out.Alloc, r); err != nil {
-		return fmt.Errorf("engine: object does not fit on an empty repartition page: %w", err)
-	}
-	return nil
-}
 
 // SetOnSeal streams every partition's sealed pages through fn (tagged with
 // the partition, so the caller can route each page to the worker owning

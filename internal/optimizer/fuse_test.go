@@ -1,99 +1,122 @@
 package optimizer
 
-// Tests for rule 4 (kernel fusion): annotation correctness, and end-to-end
-// semantic preservation through the core executor against the same program
-// with the annotation stripped.
+// Kernel fusion is the engine's decision (internal/engine/fuse.go): these
+// tests check the runs the engine fuses in the stages of optimized programs
+// (engine.FusedRuns), and that a program re-parsed from its printed TCAP
+// text, as a pcworker receives it, fuses the same runs and runs exactly as
+// the optimized original. The fused versus unfused comparison itself is the
+// engine's fusion harness (internal/engine/fuse_test.go:
+// TestFusedCorpusEquivalence, TestFusionEquivalenceRandomized,
+// FuzzFusionEquivalence).
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/object"
 	"repro/internal/physical"
 	"repro/internal/tcap"
 )
 
-// fusedRuns collects the FuseGroup runs of a program: group id → length.
-func fusedRuns(prog *tcap.Program) map[int]int {
-	runs := map[int]int{}
-	for _, s := range prog.Stmts {
-		if s.FuseGroup != 0 {
-			runs[s.FuseGroup]++
-		}
+// stageRuns returns, for every stage of prog's physical plan in order, the
+// stage's statements and the engine's fused runs over them.
+func stageRuns(t *testing.T, prog *tcap.Program) (stmts [][]*tcap.Stmt, runs [][]int) {
+	t.Helper()
+	plan, err := physical.Build(prog)
+	if err != nil {
+		t.Fatalf("plan: %v\n%s", err, prog.Print())
 	}
-	return runs
+	for _, st := range plan.Stages {
+		stmts = append(stmts, st.Stmts)
+		runs = append(runs, engine.FusedRuns(st.Stmts))
+	}
+	return stmts, runs
 }
 
+// longestRun is the length of the longest fused run over all stages.
+func longestRun(runs [][]int) int {
+	longest := 0
+	for _, r := range runs {
+		for _, n := range r {
+			longest = max(longest, n)
+		}
+	}
+	return longest
+}
+
+// TestFusionAnnotatesAdjacentRuns pins that the optimized §7 selection
+// leaves its stages' statement lists chained, so the engine fuses a run of
+// adjacent statements, and that every fused run chains: each statement
+// reads exactly its predecessor's output.
 func TestFusionAnnotatesAdjacentRuns(t *testing.T) {
 	res, err := core.Compile(section7Selection())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, st, err := Optimize(res.Prog)
+	opt, _, err := Optimize(res.Prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.KernelsFused == 0 {
-		t.Fatalf("selection pipeline fused no kernels\n%s", opt.Print())
-	}
-	runs := fusedRuns(opt)
-	if len(runs) == 0 {
-		t.Fatalf("KernelsFused = %d but no statements annotated", st.KernelsFused)
-	}
-	fusedStmts, sum := 0, 0
-	for _, n := range runs {
-		if n < 2 {
-			t.Errorf("fused run of length %d; only runs of >= 2 may be annotated", n)
-		}
-		fusedStmts += n
-		sum += n - 1
-	}
-	if sum != st.KernelsFused {
-		t.Errorf("KernelsFused = %d, annotation implies %d (a run of L contributes L-1)", st.KernelsFused, sum)
-	}
-	// Annotated runs must be consecutive statements whose lists chain —
-	// the same contract the engine re-validates.
-	for i := 1; i < len(opt.Stmts); i++ {
-		cur, prev := opt.Stmts[i], opt.Stmts[i-1]
-		if cur.FuseGroup != 0 && cur.FuseGroup == prev.FuseGroup {
-			if cur.Applied.Name != prev.Out.Name || cur.Copied.Name != prev.Out.Name {
-				t.Errorf("fused neighbors do not chain: %s after %s", cur.Out.Name, prev.Out.Name)
-			}
-		}
-	}
 	if err := opt.Validate(); err != nil {
-		t.Errorf("invalid after fusion annotation: %v", err)
+		t.Fatalf("invalid after optimization: %v", err)
+	}
+	stmts, runs := stageRuns(t, opt)
+	if longestRun(runs) < 2 {
+		t.Fatalf("selection stages fuse no run: %v\n%s", runs, opt.Print())
+	}
+	for i, r := range runs {
+		base := 0
+		for _, n := range r {
+			for k := base + 1; k < base+n; k++ {
+				cur, prev := stmts[i][k], stmts[i][k-1]
+				if cur.Applied.Name != prev.Out.Name || cur.Copied.Name != prev.Out.Name {
+					t.Errorf("stage %d: fused neighbors do not chain: %s after %s", i, cur.Out.Name, prev.Out.Name)
+				}
+			}
+			base += n
+		}
 	}
 }
 
+// TestFusionAnnotationIsStable pins that the §7 join's stages fuse the same
+// runs after a second optimizer pass and after the Print→Parse round trip a
+// pcworker's program takes.
 func TestFusionAnnotationIsStable(t *testing.T) {
 	fx := newFixture(t, 10, 7)
 	res, err := core.Compile(section7Join(fx.emp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt1, st1, err := Optimize(res.Prog)
+	opt1, _, err := Optimize(res.Prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt2, st2, err := Optimize(opt1)
+	opt2, _, err := Optimize(opt1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st1.KernelsFused != st2.KernelsFused {
-		t.Errorf("fusion not stable: first pass %d, second pass %d", st1.KernelsFused, st2.KernelsFused)
+	reparsed, err := tcap.Parse(opt1.Print())
+	if err != nil {
+		t.Fatal(err)
 	}
-	r1, r2 := fusedRuns(opt1), fusedRuns(opt2)
-	if len(r1) != len(r2) {
-		t.Errorf("fused run count changed across passes: %v vs %v", r1, r2)
+	_, r1 := stageRuns(t, opt1)
+	if longestRun(r1) < 2 {
+		t.Fatalf("join stages fuse no run: %v\n%s", r1, opt1.Print())
+	}
+	for name, p := range map[string]*tcap.Program{"second pass": opt2, "reparsed": reparsed} {
+		if _, r := stageRuns(t, p); !slices.EqualFunc(r, r1, slices.Equal[[]int]) {
+			t.Errorf("%s fuses runs %v, first pass %v", name, r, r1)
+		}
 	}
 }
 
-// TestFusionPreservesSemantics runs the §7 selection and join programs with
-// the optimizer's FuseGroup annotation and with it stripped (the engine then
-// executes statement by statement) at several thread counts: results must be
-// identical.
+// TestFusionPreservesSemantics runs the optimized §7 selection and join
+// programs, and the same programs re-parsed from their printed text, at
+// several thread counts: every run must give the rows, in order, of the
+// optimized program at one thread.
 func TestFusionPreservesSemantics(t *testing.T) {
 	fx := newFixture(t, 150, 7)
 	for _, prog := range []struct {
@@ -110,16 +133,13 @@ func TestFusionPreservesSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fused, _, err := Optimize(res.Prog)
+			opt, _, err := Optimize(res.Prog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(fusedRuns(fused)) == 0 {
-				t.Fatal("nothing fused — the comparison would be vacuous")
-			}
-			unfused := fused.Clone()
-			for _, s := range unfused.Stmts {
-				s.FuseGroup = 0
+			reparsed, err := tcap.Parse(opt.Print())
+			if err != nil {
+				t.Fatal(err)
 			}
 			exec := func(p *tcap.Program, threads int) string {
 				plan, err := physical.Build(p)
@@ -157,12 +177,12 @@ func TestFusionPreservesSemantics(t *testing.T) {
 				// bit-for-bit contract across every configuration.
 				return strings.Join(names, ",")
 			}
-			want := exec(unfused, 1)
+			want := exec(opt, 1)
 			if want == "" {
 				t.Fatal("empty baseline result — fixture too small")
 			}
 			for _, threads := range []int{1, 2, 8} {
-				for name, p := range map[string]*tcap.Program{"fused": fused, "unfused": unfused} {
+				for name, p := range map[string]*tcap.Program{"optimized": opt, "reparsed": reparsed} {
 					if got := exec(p, threads); got != want {
 						t.Errorf("%s threads=%d diverged:\ngot  %s\nwant %s", name, threads, got, want)
 					}

@@ -14,12 +14,10 @@
 //     the probe stream.
 //  3. Dead column elimination — columns no downstream statement reads are
 //     dropped from Copied/Out lists.
-//  4. Kernel fusion — maximal runs of adjacent APPLY/FILTER/HASH statements
-//     that form a single-consumer chain are annotated with a shared
-//     Stmt.FuseGroup, which the engine executes as one pass over each batch
-//     (selection vectors instead of materialized intermediates). The
-//     annotation is advisory: an engine that ignores it computes the same
-//     result statement by statement.
+//
+// Kernel fusion is no rule here: the engine fuses every chained
+// APPLY/FILTER/HASH run of the statements a stage executes, so a program
+// re-parsed from its TCAP text fuses exactly as the optimized original.
 //
 // Rules rely on the compiler's SSA discipline: every column name is produced
 // by exactly one statement.
@@ -34,10 +32,7 @@ type Stats struct {
 	RedundantApplies int
 	FiltersPushed    int
 	ColumnsDropped   int
-	// KernelsFused counts statements folded into a predecessor's fused
-	// pass (a run of length L contributes L-1).
-	KernelsFused int
-	Iterations   int
+	Iterations       int
 }
 
 // Optimize drives all rules to a fixpoint on a copy of the program.
@@ -60,9 +55,6 @@ func Optimize(prog *tcap.Program) (*tcap.Program, *Stats, error) {
 	// Dead-column elimination runs once at the end (it does not enable
 	// further rule firings but shrinks vector lists).
 	eliminateDeadColumns(p, st)
-	// Fusion runs last, over the final statement shapes: the groups it
-	// assigns must describe exactly the columns execution will see.
-	fuseAdjacent(p, st)
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -205,53 +197,6 @@ func removeRedundantApplies(p *tcap.Program, st *Stats) bool {
 		}
 	}
 	return false
-}
-
-// fuseAdjacent fires rule 4: it annotates maximal runs of adjacent
-// APPLY/FILTER/HASH statements with a shared nonzero FuseGroup when each
-// link of the run is a pure chain — the next statement reads exactly the
-// previous statement's output list (Applied and Copied both), and that
-// intermediate list has no other consumer. Groups never cross statements
-// physical planning could hoist between them, because only program-adjacent
-// statements join a run; the engine additionally re-validates each run
-// against the statement slice it actually executes.
-func fuseAdjacent(p *tcap.Program, st *Stats) {
-	for _, s := range p.Stmts {
-		s.FuseGroup = 0 // idempotent re-optimization re-derives groups
-	}
-	fusable := func(s *tcap.Stmt) bool {
-		switch s.Op {
-		case tcap.OpApply, tcap.OpFilter, tcap.OpHash:
-			return true
-		}
-		return false
-	}
-	group := 0
-	for i := 0; i < len(p.Stmts); {
-		if !fusable(p.Stmts[i]) {
-			i++
-			continue
-		}
-		j := i
-		for j+1 < len(p.Stmts) {
-			cur, next := p.Stmts[j], p.Stmts[j+1]
-			if !fusable(next) ||
-				next.Applied.Name != cur.Out.Name ||
-				next.Copied.Name != cur.Out.Name ||
-				len(p.Consumers(cur.Out.Name)) != 1 {
-				break
-			}
-			j++
-		}
-		if j > i {
-			group++
-			for k := i; k <= j; k++ {
-				p.Stmts[k].FuseGroup = group
-			}
-			st.KernelsFused += j - i
-		}
-		i = j + 1
-	}
 }
 
 // eliminateDeadColumns walks the program backwards collecting, for every

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lambda"
 	"repro/internal/object"
+	"repro/internal/physical"
 	"repro/internal/tcap"
 )
 
@@ -45,10 +46,11 @@ func TestSortCopiedSurvivesDeadColumnElimination(t *testing.T) {
 	}
 }
 
-// TestFusionStopsAtSortBoundary pins that kernel fusion never annotates a
-// SORT/DISTINCT/WINDOW statement into a fused run: the sinks consume whole
-// lists with their own drivers, and a fused group spanning one would hand
-// the engine a pass shape it cannot execute.
+// TestFusionStopsAtSortBoundary pins that the engine never fuses a
+// SORT/DISTINCT/WINDOW statement of an optimized program into a run: each
+// ends its stage as the sink, outside the statement list the engine fuses,
+// since each sink consumes whole lists in its own loop and a fused
+// run spanning one would be a pass shape the engine cannot execute.
 func TestFusionStopsAtSortBoundary(t *testing.T) {
 	for name, w := range map[string]*core.Write{
 		"sort": sortWrite(0),
@@ -71,13 +73,24 @@ func TestFusionStopsAtSortBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, s := range opt.Stmts {
-			switch s.Op {
-			case tcap.OpSort, tcap.OpDistinct, tcap.OpWindow:
-				if s.FuseGroup != 0 {
-					t.Errorf("%s: %s statement joined fuse group %d\n%s", name, s.Op, s.FuseGroup, opt.Print())
+		plan, err := physical.Build(opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sinks := 0
+		for i, st := range plan.Stages {
+			if s := st.SinkStmt; s != nil && (s.Op == tcap.OpSort || s.Op == tcap.OpDistinct || s.Op == tcap.OpWindow) {
+				sinks++
+			}
+			for _, s := range st.Stmts {
+				switch s.Op {
+				case tcap.OpSort, tcap.OpDistinct, tcap.OpWindow:
+					t.Errorf("%s: stage %d has its %s statement among the statements it fuses\n%s", name, i, s.Op, opt.Print())
 				}
 			}
+		}
+		if sinks == 0 {
+			t.Errorf("%s: no stage ends in a SORT/DISTINCT/WINDOW sink\n%s", name, opt.Print())
 		}
 	}
 }

@@ -127,14 +127,6 @@ type Stmt struct {
 	// Info is the operation's key-value metadata — informational for
 	// execution, vital for optimization (paper §5.2).
 	Info map[string]string
-
-	// FuseGroup marks this statement as a member of a fused kernel run:
-	// consecutive statements sharing the same nonzero group execute as a
-	// single pass over each batch (package optimizer assigns groups,
-	// package engine executes them). Zero — the default, and what Parse
-	// produces — means unfused; the annotation is advisory, so an engine
-	// that ignores it computes the same result one statement at a time.
-	FuseGroup int
 }
 
 // NewColumns returns the names of columns the statement creates (columns in

@@ -1,6 +1,7 @@
 package tcap_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -13,10 +14,12 @@ import (
 // FuzzTCAPRoundTrip compiles fuzz-shaped relational computations — ORDER
 // BY / top-k over arbitrary key arities, kinds, and directions, DISTINCT,
 // WINDOW, and semi/anti JOIN — and asserts the printed TCAP round-trips
-// through Parse unchanged, before and after optimization. The printed text
+// through Parse unchanged, before and after optimization: the same text,
+// and statements equal field for field to the originals. The printed text
 // is the only cross-process program representation (proc-mode workers
 // re-parse it), so Print→Parse identity is a wire-format contract, not a
-// cosmetic one.
+// cosmetic one; a Stmt field the text does not carry never reaches a
+// worker.
 func FuzzTCAPRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 2, 1, 7, 3})
 	f.Add([]byte{1, 1, 0, 0, 0})
@@ -92,6 +95,13 @@ func FuzzTCAPRoundTrip(f *testing.F) {
 			}
 			if reparsed.Print() != text {
 				t.Fatalf("%s: round-trip changed the program:\n%s\nvs\n%s", stage, text, reparsed.Print())
+			}
+			// Clone on both sides: it turns an empty column list into nil,
+			// as the text does (both print "()").
+			for i, s := range prog.Stmts {
+				if !reflect.DeepEqual(reparsed.Stmts[i].Clone(), s.Clone()) {
+					t.Fatalf("%s: statement %d differs after the round trip:\n%#v\nvs\n%#v", stage, i, s, reparsed.Stmts[i])
+				}
 			}
 		}
 		check("compiled", res.Prog)
