@@ -127,9 +127,11 @@ func pinComputation(variant string, ti *object.TypeInfo) core.Computation {
 	panic("unknown variant " + variant)
 }
 
-// pinHash runs one variant on a fresh cluster and hashes the output set's
-// page bytes (occupied prefix, length-framed) in worker, page order.
-func pinHash(t *testing.T, variant string, workers, threads int) string {
+// pinHash runs one variant on a fresh cluster and hashes the output set
+// twice, in worker, page order: its page bytes (occupied prefix,
+// length-framed), and its decoded rows — every field of every row, in row
+// order.
+func pinHash(t *testing.T, variant string, workers, threads int) (pageHash, rowHash string) {
 	t.Helper()
 	c, err := New(Config{Workers: workers, Threads: threads, PageSize: 1 << 12})
 	if err != nil {
@@ -160,8 +162,12 @@ func pinHash(t *testing.T, variant string, workers, threads int) string {
 	if _, err := c.Execute(core.NewWrite("db", "out", pinComputation(variant, ti))); err != nil {
 		t.Fatalf("%s w=%d t=%d: %v", variant, workers, threads, err)
 	}
-	h := sha256.New()
+	h, rh := sha256.New(), sha256.New()
 	var frame [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(frame[:], v)
+		rh.Write(frame[:])
+	}
 	for _, w := range c.Workers {
 		out, err := w.Front.Store.Pages("db", "out")
 		if err != nil {
@@ -171,9 +177,22 @@ func pinHash(t *testing.T, variant string, workers, threads int) string {
 			binary.LittleEndian.PutUint64(frame[:], uint64(len(p.Bytes())))
 			h.Write(frame[:])
 			h.Write(p.Bytes())
+			if p.Root() == 0 {
+				continue
+			}
+			root := object.AsVector(object.Ref{Page: p, Off: p.Root()})
+			for i := 0; i < root.Len(); i++ {
+				r := root.HandleAt(i)
+				name := object.GetStrField(r, ti.Field("name"))
+				word(uint64(object.GetI64(r, ti.Field("grp"))))
+				word(uint64(len(name)))
+				rh.Write([]byte(name))
+				word(math.Float64bits(object.GetF64(r, ti.Field("score"))))
+				word(uint64(object.GetI64(r, ti.Field("id"))))
+			}
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), hex.EncodeToString(rh.Sum(nil))
 }
 
 // TestSortOutputPinned pins the bytes of the sorted output pages, not just
@@ -191,8 +210,12 @@ func TestSortOutputPinned(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			for _, threads := range []int{1, 2, 8} {
 				cell := fmt.Sprintf("%s/w=%d/t=%d", variant, workers, threads)
-				if got := pinHash(t, variant, workers, threads); got != pinnedSortHashes[cell] {
-					t.Errorf("%s: output pages hash %s, pinned %q", cell, got, pinnedSortHashes[cell])
+				pages, rows := pinHash(t, variant, workers, threads)
+				if pages != pinnedSortHashes[cell] {
+					t.Errorf("%s: output pages hash %s, pinned %q", cell, pages, pinnedSortHashes[cell])
+				}
+				if rows != pinnedSortRowHashes[cell] {
+					t.Errorf("%s: output rows hash %s, pinned %q", cell, rows, pinnedSortRowHashes[cell])
 				}
 			}
 		}
@@ -227,4 +250,36 @@ var pinnedSortHashes = map[string]string{
 	"window/w=4/t=1":  "ebc5000d10389751d1f4b89a34922974d15e8b59c06a1b3782e53444bf766f0e",
 	"window/w=4/t=2":  "f9f03ff40e51066c60dce103988dcc1d9b76049a5e681c58a7fd8a0cbd35dbc0",
 	"window/w=4/t=8":  "777714d00aaa8333d7a1f2b65d6f6e3646b5b509b0bcc41ed4856d313eaf4eee",
+}
+
+// pinnedSortRowHashes pins the decoded rows of the same cells: what a
+// reader of the output set sees, whatever pages carry it.
+var pinnedSortRowHashes = map[string]string{
+	"orderby/w=1/t=2": "6b18736485c45273898bee7a0d8208e3c28a0b6446ea011e41b772db49965216",
+	"orderby/w=1/t=8": "6b18736485c45273898bee7a0d8208e3c28a0b6446ea011e41b772db49965216",
+	"orderby/w=2/t=1": "f54c80dcd11dc9aa71b49cb9f5f67bcd085bb879cb902261a83229224b7229cb",
+	"orderby/w=2/t=2": "f54c80dcd11dc9aa71b49cb9f5f67bcd085bb879cb902261a83229224b7229cb",
+	"orderby/w=2/t=8": "f54c80dcd11dc9aa71b49cb9f5f67bcd085bb879cb902261a83229224b7229cb",
+	"orderby/w=4/t=1": "6ea17f34e55230a016bce376c2066c5217f82a2b8cd9eaeae90b3cc1d70678c8",
+	"orderby/w=4/t=2": "6ea17f34e55230a016bce376c2066c5217f82a2b8cd9eaeae90b3cc1d70678c8",
+	"orderby/w=4/t=8": "6ea17f34e55230a016bce376c2066c5217f82a2b8cd9eaeae90b3cc1d70678c8",
+	"topk/w=1/t=1":    "ef0003bb3f3762d496020e28b5118fe76ed5b36ce83727e2f3f060374066edb0",
+	"topk/w=1/t=2":    "ef0003bb3f3762d496020e28b5118fe76ed5b36ce83727e2f3f060374066edb0",
+	"topk/w=1/t=8":    "ef0003bb3f3762d496020e28b5118fe76ed5b36ce83727e2f3f060374066edb0",
+	"topk/w=2/t=1":    "b9c903500d3564206042ab6cc2865152213c7caf9ac4d5e62630ee1388257bf6",
+	"topk/w=2/t=2":    "b9c903500d3564206042ab6cc2865152213c7caf9ac4d5e62630ee1388257bf6",
+	"topk/w=2/t=8":    "b9c903500d3564206042ab6cc2865152213c7caf9ac4d5e62630ee1388257bf6",
+	"topk/w=4/t=1":    "e98179124ca73a1ae6d62a230bdd13f1d815eebc6fda266e14a30c1d48ced10a",
+	"topk/w=4/t=2":    "e98179124ca73a1ae6d62a230bdd13f1d815eebc6fda266e14a30c1d48ced10a",
+	"topk/w=4/t=8":    "e98179124ca73a1ae6d62a230bdd13f1d815eebc6fda266e14a30c1d48ced10a",
+	"window/w=1/t=1":  "44dba5c170a1fb93a7d1f732a9e81ac5673a32a1d09525ca6bd0da7ea75f8fe9",
+	"window/w=1/t=2":  "44dba5c170a1fb93a7d1f732a9e81ac5673a32a1d09525ca6bd0da7ea75f8fe9",
+	"window/w=1/t=8":  "44dba5c170a1fb93a7d1f732a9e81ac5673a32a1d09525ca6bd0da7ea75f8fe9",
+	"window/w=2/t=1":  "f9cd21e66106d316761aedfef1562b03d34d5194d1d84c79eea717d4a20bd2f4",
+	"window/w=2/t=2":  "f9cd21e66106d316761aedfef1562b03d34d5194d1d84c79eea717d4a20bd2f4",
+	"window/w=2/t=8":  "f9cd21e66106d316761aedfef1562b03d34d5194d1d84c79eea717d4a20bd2f4",
+	"window/w=4/t=1":  "75bd7e337eb2039c87bb47d57fd421fc83a8efa0ec249d9b10c3081b04eb0596",
+	"window/w=4/t=2":  "75bd7e337eb2039c87bb47d57fd421fc83a8efa0ec249d9b10c3081b04eb0596",
+	"window/w=4/t=8":  "75bd7e337eb2039c87bb47d57fd421fc83a8efa0ec249d9b10c3081b04eb0596",
+	"orderby/w=1/t=1": "6b18736485c45273898bee7a0d8208e3c28a0b6446ea011e41b772db49965216",
 }

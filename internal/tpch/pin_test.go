@@ -5,15 +5,20 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
+	"math"
 	"testing"
 
+	"repro/internal/object"
 	"repro/pc"
 )
 
 // pinTPCH runs both §8.4.2 queries on a fresh cluster and hashes the q1
 // (SupplierInfo) and q2 (TopKQueue) output sets' page bytes — occupied
-// prefix, length-framed, in worker then page order.
-func pinTPCH(t *testing.T, workers, threads int) (q1, q2 string) {
+// prefix, length-framed, in worker then page order — and their rows: q1's
+// supplier name and customer count per stored row in stored order, and
+// q2's ranking.
+func pinTPCH(t *testing.T, workers, threads int) (q1, q2, q1Rows, q2Rows string) {
 	t.Helper()
 	client, err := pc.Connect(pc.Config{Workers: workers, Threads: threads, PageSize: 1 << 18})
 	if err != nil {
@@ -30,26 +35,48 @@ func pinTPCH(t *testing.T, workers, threads int) (q1, q2 string) {
 	if err := CustomersPerSupplierPC(client, s, "db", "customers", "q1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TopKJaccardPC(client, s, "db", "customers", "q2", 8, []int64{1, 5, 9, 13, 17, 21}); err != nil {
+	ranking, err := TopKJaccardPC(client, s, "db", "customers", "q2", 8, []int64{1, 5, 9, 13, 17, 21})
+	if err != nil {
 		t.Fatal(err)
 	}
+	var frame [8]byte
+	word := func(h hash.Hash, v uint64) {
+		binary.LittleEndian.PutUint64(frame[:], v)
+		h.Write(frame[:])
+	}
+	rh := sha256.New()
+	if err := client.ScanSet("db", "q1", func(r pc.Ref) bool {
+		name := object.GetStrField(r, s.infoSupName)
+		word(rh, uint64(len(name)))
+		rh.Write([]byte(name))
+		word(rh, uint64(object.AsMap(object.GetHandleField(r, s.infoCustParts)).Len()))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	q1Rows = hex.EncodeToString(rh.Sum(nil))
+	rh = sha256.New()
+	for _, e := range ranking {
+		word(rh, math.Float64bits(e.Similarity))
+		word(rh, uint64(e.CustKey))
+	}
+	q2Rows = hex.EncodeToString(rh.Sum(nil))
+
 	hashSet := func(set string) string {
 		h := sha256.New()
-		var frame [8]byte
 		for _, w := range client.Cluster.Workers {
 			pages, err := w.Front.Store.Pages("db", set)
 			if err != nil {
 				continue // this worker holds none of the set
 			}
 			for _, p := range pages {
-				binary.LittleEndian.PutUint64(frame[:], uint64(len(p.Bytes())))
-				h.Write(frame[:])
+				word(h, uint64(len(p.Bytes())))
 				h.Write(p.Bytes())
 			}
 		}
 		return hex.EncodeToString(h.Sum(nil))
 	}
-	return hashSet("q1"), hashSet("q2")
+	return hashSet("q1"), hashSet("q2"), q1Rows, q2Rows
 }
 
 // TestTPCHOutputPinned pins the bytes of both queries' output pages, not
@@ -61,11 +88,14 @@ func pinTPCH(t *testing.T, workers, threads int) (q1, q2 string) {
 func TestTPCHOutputPinned(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		for _, threads := range []int{1, 2} {
-			q1, q2 := pinTPCH(t, workers, threads)
-			for _, got := range []struct{ query, hash string }{{"q1", q1}, {"q2", q2}} {
+			q1, q2, q1Rows, q2Rows := pinTPCH(t, workers, threads)
+			for _, got := range []struct{ query, pages, rows string }{{"q1", q1, q1Rows}, {"q2", q2, q2Rows}} {
 				cell := fmt.Sprintf("%s/w=%d/t=%d", got.query, workers, threads)
-				if got.hash != pinnedTPCHHashes[cell] {
-					t.Errorf("%s: output pages hash %s, pinned %q", cell, got.hash, pinnedTPCHHashes[cell])
+				if got.pages != pinnedTPCHHashes[cell] {
+					t.Errorf("%s: output pages hash %s, pinned %q", cell, got.pages, pinnedTPCHHashes[cell])
+				}
+				if got.rows != pinnedTPCHRowHashes[cell] {
+					t.Errorf("%s: output rows hash %s, pinned %q", cell, got.rows, pinnedTPCHRowHashes[cell])
 				}
 			}
 		}
@@ -81,4 +111,17 @@ var pinnedTPCHHashes = map[string]string{
 	"q2/w=1/t=2": "403134429875799e2c97affce86b397da34082674382cc871d3c573f0a742ba9",
 	"q2/w=2/t=1": "f052b07336d122637fa2e2f8155c53dbf0fe68a6e99c573339a2802e9402741b",
 	"q2/w=2/t=2": "f052b07336d122637fa2e2f8155c53dbf0fe68a6e99c573339a2802e9402741b",
+}
+
+// pinnedTPCHRowHashes pins the rows of the same cells: what a reader of the
+// output sets sees, whatever pages carry it.
+var pinnedTPCHRowHashes = map[string]string{
+	"q1/w=1/t=2": "2ce9f1830aad57ed53b8825f209a38deebea210db4ae96662f238660a9ae117a",
+	"q1/w=2/t=1": "2ce9f1830aad57ed53b8825f209a38deebea210db4ae96662f238660a9ae117a",
+	"q1/w=2/t=2": "677046184439e22fac085975a5c34609b1b6e234014b2d6ea9bec4121d8fc922",
+	"q2/w=1/t=1": "66b5f25cd1e949bc5a75d71f2090b47d44ca3d0fbd48e72ddc6e993de5548a6b",
+	"q2/w=1/t=2": "66b5f25cd1e949bc5a75d71f2090b47d44ca3d0fbd48e72ddc6e993de5548a6b",
+	"q2/w=2/t=1": "66b5f25cd1e949bc5a75d71f2090b47d44ca3d0fbd48e72ddc6e993de5548a6b",
+	"q2/w=2/t=2": "66b5f25cd1e949bc5a75d71f2090b47d44ca3d0fbd48e72ddc6e993de5548a6b",
+	"q1/w=1/t=1": "b6f918c69477062f1ab14a8d59e6ca32927d4115a36ea4b489ad5edb55b47457",
 }
