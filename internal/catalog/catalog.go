@@ -250,10 +250,10 @@ func (m *Master) PartitionKey(db, set string) string {
 	return ""
 }
 
-// UpdateSetStats records pages appended to a set (called as each load or
-// OUTPUT stage stores them) and keeps the set's partition label true, the
-// one place that rule lives. partitionKey is the label the appended rows
-// were routed by ("" for rows placed any other way):
+// UpdateSetStats records pages appended to a set (called as each load, and
+// each stage that writes a set, stores them) and keeps the set's partition
+// label true, the one place that rule lives. partitionKey is the label the
+// appended rows were routed by ("" for rows placed any other way):
 //
 //   - an empty set takes the append's label, which is "" unless every
 //     appended row sits on the worker its key routes to;

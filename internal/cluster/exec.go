@@ -127,15 +127,15 @@ func (c *Cluster) Execute(writes ...*core.Write) (*ExecStats, error) {
 
 // commitArtifacts installs every worker's share of stage's result — its
 // entry in arts — after the barrier (so concurrent goroutines never write a
-// map a peer is reading): OUTPUT pages into the worker's stored set, a join
-// table under its build list, any other pages under the stage's artifact
-// name.
+// map a peer is reading): the pages of a stage that writes a set (an OUTPUT
+// pipeline's, or a merge's whose only consumer is an OUTPUT) into the
+// worker's stored set, a join table under its build list, any other pages
+// under the stage's artifact name.
 func (c *Cluster) commitArtifacts(stage *physical.JobStage, arts []core.Artifact) error {
-	pipeline := stage.Kind == physical.StagePipeline
 	for i, w := range c.Workers {
 		switch {
-		case pipeline && stage.Sink == physical.SinkOutput:
-			db, set := stage.SinkStmt.Db, stage.SinkStmt.Set
+		case stage.Output != nil:
+			db, set := stage.Output.Db, stage.Output.Set
 			if err := w.Front.Store.Append(db, set, arts[i].Pages); err != nil {
 				return err
 			}
@@ -144,7 +144,7 @@ func (c *Cluster) commitArtifacts(stage *physical.JobStage, arts []core.Artifact
 					return err
 				}
 			}
-		case pipeline && stage.Sink == physical.SinkJoinBuild:
+		case stage.Kind == physical.StagePipeline && stage.Sink == physical.SinkJoinBuild:
 			w.artTables[stage.SinkStmt.Applied2.Name] = arts[i].Table
 		default:
 			w.artPages[stage.Produces] = arts[i].Pages
@@ -408,7 +408,8 @@ func (e *workerEnv) runPreAggStream(res *core.CompileResult, stage *physical.Job
 // consumeAggStream is the consumer half: the worker owns hash partition
 // e.ID and merges it incrementally from end's stream — rewound to page 0
 // on every attempt — then finalizes the sub-maps into its share of the
-// result (the stage's "mat:" artifact pages).
+// result: the stage's "mat:" artifact pages, or its share of the stored set
+// when the stage writes one.
 func (e *workerEnv) consumeAggStream(res *core.CompileResult, stage *physical.JobStage, end consumerEnd) ([]*object.Page, error) {
 	end.rewind()
 	return e.MergeAggregation(res, stage, e.deliveries(end), e.ID)

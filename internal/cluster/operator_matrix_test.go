@@ -400,6 +400,20 @@ func matCoreRun(t *testing.T, op string, threads int, left, right []matRow) []ma
 	return matReadPages(ti, pages)
 }
 
+// matStoredRows reads db.set's rows in worker, page, row order.
+func matStoredRows(t *testing.T, c *Cluster, ti *object.TypeInfo, set string) []matRow {
+	t.Helper()
+	var rows []matRow
+	for _, w := range c.Workers {
+		pages, err := storedPages(w.Front.Store, "db", set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, matReadPages(ti, pages)...)
+	}
+	return rows
+}
+
 // matCell is one cluster grid point.
 type matCell struct{ workers, threads int }
 
@@ -461,15 +475,7 @@ func matClusterRunAt(t *testing.T, transport string, cell matCell, interval int,
 			t.Fatalf("cluster %s (tr=%q w=%d t=%d): %v",
 				op.name, transport, cell.workers, cell.threads, err)
 		}
-		var rows []matRow
-		for _, w := range c.Workers {
-			pages, err := w.Front.Store.Pages("db", set)
-			if err != nil {
-				continue
-			}
-			rows = append(rows, matReadPages(ti, pages)...)
-		}
-		out[op.name] = rows
+		out[op.name] = matStoredRows(t, c, ti, set)
 	}
 	return out, c.Transport.Stats().Checkpoints
 }

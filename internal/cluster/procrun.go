@@ -43,12 +43,15 @@ import (
 // prepareProcs checks where the planned job's stages run and spawns any
 // worker process not already running. An exchange-linked pair — scan →
 // pre-aggregate → merge, or scan → sort runs → merge — runs on the worker
-// processes; any other stage must be a pure artifact commit (the OUTPUT
-// stage), which runs master-side, so a job with any other local pipeline
-// (a join, a materialization) fails here. What a pair's statements may be
-// is core.Rebuild's to say, in the worker: a window, a DISTINCT, an
-// anonymous aggregation or a method-call kernel fails its sessions with a
-// "not shippable" error naming the statement.
+// processes, and a merge whose list's only consumer is an OUTPUT writes
+// that set itself: the pages its consume sessions return become the set.
+// Any other stage must be a pure artifact commit — an OUTPUT pipeline over
+// the "mat:" list of a merge that several statements read — which runs
+// master-side, so a job with any other local pipeline (a join, a
+// materialization) fails here. What a pair's statements may be is
+// core.Rebuild's to say, in the worker: a window, a DISTINCT, an anonymous
+// aggregation or a method-call kernel fails its sessions with a "not
+// shippable" error naming the statement.
 func (c *Cluster) prepareProcs(stages []*physical.JobStage) error {
 	for _, stage := range stages {
 		if stage.ExchangeTo != nil || stage.ExchangeFrom != nil {

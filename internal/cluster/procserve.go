@@ -50,8 +50,8 @@ func ServeWorker(ln net.Listener, workerID int, dataDir string) error {
 // session reads the opener, reconstructs the session's execution state — a
 // fresh registry carrying the shipped type schemas, the job rebuilt from its
 // TCAP text, the worker's storage server over its data directory — and runs
-// the requested role on the stage the opener names by its artifact, the
-// same identifier the master's scheduler keys on.
+// the requested role on the stage the opener names by what it produces and
+// the list it merges ("" for a producer): two merges may write one set.
 func session(conn net.Conn, workerID int, dataDir string) error {
 	f, err := procwork.ReadFrame(conn)
 	if err != nil {
@@ -78,13 +78,13 @@ func session(conn net.Conn, workerID int, dataDir string) error {
 	}
 	var stage *physical.JobStage
 	for _, st := range plan.Stages {
-		if st.Produces == req.Produces {
+		if st.Produces == req.Produces && st.AggList == req.AggList {
 			stage = st
 			break
 		}
 	}
 	if stage == nil {
-		return fmt.Errorf("cluster: shipped plan has no stage producing %q", req.Produces)
+		return fmt.Errorf("cluster: shipped plan has no stage producing %q from %q", req.Produces, req.AggList)
 	}
 	store, err := storage.NewServer(dataDir, reg)
 	if err != nil {
@@ -104,9 +104,6 @@ func session(conn net.Conn, workerID int, dataDir string) error {
 		}
 		return end.flush()
 	case "consume":
-		if stage.AggList != req.AggList {
-			return fmt.Errorf("cluster: stage %q merges %q, not %q", req.Produces, stage.AggList, req.AggList)
-		}
 		out, err := env.consume(res, stage, end)
 		if err != nil {
 			return err

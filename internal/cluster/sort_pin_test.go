@@ -197,17 +197,17 @@ func pinHash(t *testing.T, variant string, workers, threads int) (pageHash, rowH
 
 // TestSortOutputPinned pins the bytes of the sorted output pages, not just
 // the field values the other sort tests read: one SHA-256 per (variant,
-// Workers, Threads), recorded at the commit before the sort path was
-// rewritten. Worker counts differ legitimately — rows tying on every key
-// keep SendData's placement order. Thread counts differ too, though the
-// row order does not:
-// the write stage after the merge copies the sorted pages out in per-thread
-// chunks, and a chunk's last page ends without the orphaned half-copied
-// object that a page sealed by a failed append carries. Top-k fits one page
-// and is the same at every thread count.
+// Workers, Threads), re-recorded when the sort merge began finalizing
+// straight into the output set (no write stage copies its pages out any
+// more), beside a hash of the decoded rows that move with no page layout.
+// Worker counts differ legitimately — rows tying on every key keep
+// SendData's placement order. Thread counts do not: the merge on worker 0
+// writes the one output page sequence whatever the producers' thread
+// count, so each (variant, Workers) has one page hash across Threads.
 func TestSortOutputPinned(t *testing.T) {
 	for _, variant := range []string{"orderby", "topk", "window"} {
 		for _, workers := range []int{1, 2, 4} {
+			first := ""
 			for _, threads := range []int{1, 2, 8} {
 				cell := fmt.Sprintf("%s/w=%d/t=%d", variant, workers, threads)
 				pages, rows := pinHash(t, variant, workers, threads)
@@ -217,6 +217,11 @@ func TestSortOutputPinned(t *testing.T) {
 				if rows != pinnedSortRowHashes[cell] {
 					t.Errorf("%s: output rows hash %s, pinned %q", cell, rows, pinnedSortRowHashes[cell])
 				}
+				if first == "" {
+					first = pages
+				} else if pages != first {
+					t.Errorf("%s: output pages hash %s differs from Threads 1's %s", cell, pages, first)
+				}
 			}
 		}
 	}
@@ -224,32 +229,32 @@ func TestSortOutputPinned(t *testing.T) {
 
 var pinnedSortHashes = map[string]string{
 	"orderby/w=1/t=1": "b1bdcb83e32fee0b20d40010d66b537b73842bf5e4dc214d6fa928d1df1e3478",
-	"orderby/w=1/t=2": "e730cfb57fe704832bf2cb12cd4b360a4e925e3b17b3dd9a76390991fc494c8b",
-	"orderby/w=1/t=8": "f029ce1fb79da8d95c4c45602ad7d969ebf49befdb5feebe72bb0c6e95ac96fb",
-	"orderby/w=2/t=1": "dbe23daf89f825543db086ab21a1affd1a1141465b901fe186fc81a70995183a",
-	"orderby/w=2/t=2": "b0baadae9bf5b872488893f6979dae72b5c40f490400f77ebeaae9e68095a5b6",
-	"orderby/w=2/t=8": "9b9b94aab6d6f4dca2337faebe45f6678a5785d0343404b66a42b018da8800d5",
-	"orderby/w=4/t=1": "c6f23cfe6b8d7ba2c8ce6955176ec323631a41c8db29f154e51474ad5216b10a",
-	"orderby/w=4/t=2": "69125f971b20d3836ea13bca6f440996d21a1bd7743d300c90edc6f95ce704a1",
-	"orderby/w=4/t=8": "d93d14f01a05ce4931ba505b5d599d6f7cb3a77e105485e4be6698a8d31801db",
+	"orderby/w=1/t=2": "b1bdcb83e32fee0b20d40010d66b537b73842bf5e4dc214d6fa928d1df1e3478",
+	"orderby/w=1/t=8": "b1bdcb83e32fee0b20d40010d66b537b73842bf5e4dc214d6fa928d1df1e3478",
+	"orderby/w=2/t=1": "0a2f82137b0ac6fcba48b794bc5e4a0e731ccca7e35d7558a292e2f89082d4d2",
+	"orderby/w=2/t=2": "0a2f82137b0ac6fcba48b794bc5e4a0e731ccca7e35d7558a292e2f89082d4d2",
+	"orderby/w=2/t=8": "0a2f82137b0ac6fcba48b794bc5e4a0e731ccca7e35d7558a292e2f89082d4d2",
+	"orderby/w=4/t=1": "e8f40d1252665aeea2bd569797d0d64727008ff16ff557d0be7a5e88b53dcb6f",
+	"orderby/w=4/t=2": "e8f40d1252665aeea2bd569797d0d64727008ff16ff557d0be7a5e88b53dcb6f",
+	"orderby/w=4/t=8": "e8f40d1252665aeea2bd569797d0d64727008ff16ff557d0be7a5e88b53dcb6f",
 	"topk/w=1/t=1":    "e60098ea6818b8c4a2012d2f6d3b1f55bb00b54d193517bcf747401644dde62b",
 	"topk/w=1/t=2":    "e60098ea6818b8c4a2012d2f6d3b1f55bb00b54d193517bcf747401644dde62b",
 	"topk/w=1/t=8":    "e60098ea6818b8c4a2012d2f6d3b1f55bb00b54d193517bcf747401644dde62b",
-	"topk/w=2/t=1":    "28d344670ecea77a706dc8af6eb836fe063556a4dd765f3f46d4b2d15c1e5224",
-	"topk/w=2/t=2":    "28d344670ecea77a706dc8af6eb836fe063556a4dd765f3f46d4b2d15c1e5224",
-	"topk/w=2/t=8":    "28d344670ecea77a706dc8af6eb836fe063556a4dd765f3f46d4b2d15c1e5224",
-	"topk/w=4/t=1":    "538847494f08d6eed45ee6b67e6e6015d205f1f01c8268b8e9650c9979ae7217",
-	"topk/w=4/t=2":    "538847494f08d6eed45ee6b67e6e6015d205f1f01c8268b8e9650c9979ae7217",
-	"topk/w=4/t=8":    "538847494f08d6eed45ee6b67e6e6015d205f1f01c8268b8e9650c9979ae7217",
-	"window/w=1/t=1":  "eb6a74188d40f4fc6689b9208d6b9681fb352b66c0e333d4cbed32d918bf58d3",
-	"window/w=1/t=2":  "e4f550d2ef65a3915cc1ce637097fe01798b774dd66c42d5655c572caba18922",
-	"window/w=1/t=8":  "c4564d0bc247c6a52464c35d87ed9bdf4c5d64a28f30f1487be7a2f65dd1b9e2",
-	"window/w=2/t=1":  "241b7d679dd2ef345c330ac1cbc66145dac858975787da5f25850031d328b797",
-	"window/w=2/t=2":  "7a11eacc8922d4829fc70d28cce3d322e7e11fc3c6fd647e9ffbc37490d1c15e",
-	"window/w=2/t=8":  "d1da908e2e68bf9d1d3fadbb9a53bd381cb91b512991fd904348d302ea4ea1f2",
-	"window/w=4/t=1":  "ebc5000d10389751d1f4b89a34922974d15e8b59c06a1b3782e53444bf766f0e",
-	"window/w=4/t=2":  "f9f03ff40e51066c60dce103988dcc1d9b76049a5e681c58a7fd8a0cbd35dbc0",
-	"window/w=4/t=8":  "777714d00aaa8333d7a1f2b65d6f6e3646b5b509b0bcc41ed4856d313eaf4eee",
+	"topk/w=2/t=1":    "8dd868f43ba95537ecabbdd46ad4eef1174a31614c969386db57c509c622d2ad",
+	"topk/w=2/t=2":    "8dd868f43ba95537ecabbdd46ad4eef1174a31614c969386db57c509c622d2ad",
+	"topk/w=2/t=8":    "8dd868f43ba95537ecabbdd46ad4eef1174a31614c969386db57c509c622d2ad",
+	"topk/w=4/t=1":    "76a8da7a6f8d27b1b44e7211da075e91d5c4f67285b13cd5855199b0febb6fb9",
+	"topk/w=4/t=2":    "76a8da7a6f8d27b1b44e7211da075e91d5c4f67285b13cd5855199b0febb6fb9",
+	"topk/w=4/t=8":    "76a8da7a6f8d27b1b44e7211da075e91d5c4f67285b13cd5855199b0febb6fb9",
+	"window/w=1/t=1":  "08838e2adce3a35b2ef595a84715b093486df6e3c3707f838f01c353f739c129",
+	"window/w=1/t=2":  "08838e2adce3a35b2ef595a84715b093486df6e3c3707f838f01c353f739c129",
+	"window/w=1/t=8":  "08838e2adce3a35b2ef595a84715b093486df6e3c3707f838f01c353f739c129",
+	"window/w=2/t=1":  "18159d29eb91a51a6510ea5f3c08d33de10c0e84e38751ef29c652ca6fedd0fd",
+	"window/w=2/t=2":  "18159d29eb91a51a6510ea5f3c08d33de10c0e84e38751ef29c652ca6fedd0fd",
+	"window/w=2/t=8":  "18159d29eb91a51a6510ea5f3c08d33de10c0e84e38751ef29c652ca6fedd0fd",
+	"window/w=4/t=1":  "5950c174b2d755006f1b0655014decc870376030fa386cb25d77a599f7bae309",
+	"window/w=4/t=2":  "5950c174b2d755006f1b0655014decc870376030fa386cb25d77a599f7bae309",
+	"window/w=4/t=8":  "5950c174b2d755006f1b0655014decc870376030fa386cb25d77a599f7bae309",
 }
 
 // pinnedSortRowHashes pins the decoded rows of the same cells: what a

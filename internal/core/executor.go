@@ -50,9 +50,10 @@ func NewExecutor(store SetStore, reg *object.Registry, pageSize, partitions int)
 }
 
 // Run compiles nothing — it executes an already compiled and planned query
-// as a barrier schedule: each stage runs to completion and leaves its
-// artifacts (materialized intermediates, join tables, pre-aggregated maps,
-// sorted runs) in an in-memory table the later stages read.
+// as a barrier schedule: each stage runs to completion and either appends
+// its pages to its stored set or leaves its artifacts (materialized
+// intermediates, join tables, pre-aggregated maps, sorted runs) in an
+// in-memory table the later stages read.
 func (e *Executor) Run(res *CompileResult, plan *physical.Plan) error {
 	var mu sync.Mutex // the aggregation's partitions fold stats concurrently
 	env := &StageEnv{Partitions: e.Partitions, Threads: max(e.Threads, 1), PageSize: e.PageSize, Reg: e.Reg,
@@ -67,62 +68,67 @@ func (e *Executor) Run(res *CompileResult, plan *physical.Plan) error {
 	pages := map[string][]*object.Page{}  // "mat:X" and "aggmaps:X"
 	runs := map[string][][]*object.Page{} // "sortruns:X"
 	for _, stage := range plan.Stages {
-		var err error
-		switch stage.Kind {
-		case physical.StagePipeline:
-			err = e.runPipeline(env, res, stage, pages, runs)
-		case physical.StageAggregation:
-			pages[stage.Produces], err = e.mergeAggregation(env, res, stage, pages)
-		case physical.StageSortMerge:
-			sorted, ok := runs["sortruns:"+stage.AggList]
-			if !ok {
-				err = fmt.Errorf("missing sorted runs for %q", stage.AggList)
-				break
-			}
-			pages[stage.Produces], err = env.MergeSort(res, stage, sorted)
-		default:
-			err = fmt.Errorf("core: unknown stage kind %d", stage.Kind)
-		}
-		if err != nil {
+		if err := e.runStage(env, res, stage, pages, runs); err != nil {
 			return fmt.Errorf("core: stage %d (%s): %w", stage.ID, stage.Produces, err)
 		}
 	}
 	return nil
 }
 
-// runPipeline runs a pipeline stage over its stored or materialized source
-// and commits its artifact. Only here is stored output marked unmanaged.
-func (e *Executor) runPipeline(env *StageEnv, res *CompileResult, stage *physical.JobStage,
+// runStage runs one stage and commits its result: a join table or sorted
+// runs under their list, any other pages to the stage's stored set — the
+// only output marked unmanaged — or under its artifact name.
+func (e *Executor) runStage(env *StageEnv, res *CompileResult, stage *physical.JobStage,
 	pages map[string][]*object.Page, runs map[string][][]*object.Page) error {
-	src, ok := pages["mat:"+stage.SourceList]
+	var out []*object.Page
 	var err error
-	if stage.Scan != nil {
-		src, err = e.Store.Pages(stage.Scan.Db, stage.Scan.Set)
-	} else if !ok {
-		err = fmt.Errorf("missing materialized source %q", stage.SourceList)
+	switch stage.Kind {
+	case physical.StagePipeline:
+		src, ok := pages["mat:"+stage.SourceList]
+		if stage.Scan != nil {
+			src, err = e.Store.Pages(stage.Scan.Db, stage.Scan.Set)
+		} else if !ok {
+			err = fmt.Errorf("missing materialized source %q", stage.SourceList)
+		}
+		if err != nil {
+			return err
+		}
+		art, err := env.RunPipeline(res, stage, src, nil, nil)
+		if err != nil {
+			return err
+		}
+		switch stage.Sink {
+		case physical.SinkJoinBuild:
+			env.Tables[stage.SinkStmt.Applied2.Name] = art.Table
+			return nil
+		case physical.SinkSort:
+			runs[stage.Produces] = art.Runs
+			return nil
+		}
+		out = art.Pages
+	case physical.StageAggregation:
+		out, err = e.mergeAggregation(env, res, stage, pages)
+	case physical.StageSortMerge:
+		sorted, ok := runs["sortruns:"+stage.AggList]
+		if !ok {
+			return fmt.Errorf("missing sorted runs for %q", stage.AggList)
+		}
+		out, err = env.MergeSort(res, stage, sorted)
+	default:
+		err = fmt.Errorf("core: unknown stage kind %d", stage.Kind)
 	}
 	if err != nil {
 		return err
 	}
-	art, err := env.RunPipeline(res, stage, src, nil, nil)
-	if err != nil {
-		return err
-	}
-	switch stage.Sink {
-	case physical.SinkOutput:
-		for _, p := range art.Pages {
+	if o := stage.Output; o != nil {
+		for _, p := range out {
 			p.SetManaged(false)
 		}
-		return e.Store.Append(stage.SinkStmt.Db, stage.SinkStmt.Set, art.Pages)
-	case physical.SinkJoinBuild:
-		env.Tables[stage.SinkStmt.Applied2.Name] = art.Table
-	case physical.SinkSort:
-		runs[stage.Produces] = art.Runs
-	default:
-		// Materialized objects and pre-aggregated maps in thread order:
-		// what a one-worker shuffle delivers to the next stage.
-		pages[stage.Produces] = art.Pages
+		return e.Store.Append(o.Db, o.Set, out)
 	}
+	// Materialized objects and pre-aggregated maps in thread order: what a
+	// one-worker shuffle delivers to the next stage.
+	pages[stage.Produces] = out
 	return nil
 }
 

@@ -114,7 +114,7 @@ func (e *StageEnv) RunPipeline(res *CompileResult, stage *physical.JobStage, pag
 // partition part of the pre-aggregated map pages next yields
 // (engine.MergeAggMapsStream, hash-range sub-partitioned across Threads),
 // then finalizes the sub-maps into result pages and recycles the merge
-// pages through Pool.
+// pages through Pool. No result page is empty (holding).
 func (e *StageEnv) MergeAggregation(res *CompileResult, stage *physical.JobStage,
 	next func() (*object.Page, bool, error), part int) ([]*object.Page, error) {
 	spec := res.AggSpecs[stage.AggList]
@@ -139,14 +139,15 @@ func (e *StageEnv) MergeAggregation(res *CompileResult, stage *physical.JobStage
 			e.Pool.Put(p)
 		}
 	}
-	return out, nil
+	return e.holding(out), nil
 }
 
 // MergeSort is a sort stage's consumer: it merges sorted runs — in run
 // order, the merger's tie-break, so source order gives the global stable
 // order — applies the top-k limit, and materializes the output objects
 // onto fresh pages, a window computation folding its running aggregate
-// over the merged stream (one output object per input row).
+// over the merged stream (one output object per input row). An empty
+// result has no page (holding).
 func (e *StageEnv) MergeSort(res *CompileResult, stage *physical.JobStage, runs [][]*object.Page) ([]*object.Page, error) {
 	spec := res.SortSpecs[stage.AggList]
 	if spec == nil {
@@ -174,7 +175,23 @@ func (e *StageEnv) MergeSort(res *CompileResult, stage *physical.JobStage, runs 
 	}
 	e.Fault.Hit(fault.Finalize, e.ID)
 	e.NoteStats(stats)
-	return sink.Out.Pages(), nil
+	return e.holding(sink.Out.Pages()), nil
+}
+
+// holding keeps the merge result pages that hold an object and recycles
+// the rest through Pool: an output sink's first page exists before its
+// first row, and a merge that finalizes into a stored set must not commit a
+// page that carries nothing.
+func (e *StageEnv) holding(pages []*object.Page) []*object.Page {
+	kept := pages[:0]
+	for _, p := range pages {
+		if p.Root() != 0 && object.AsVector(object.Ref{Page: p, Off: p.Root()}).Len() > 0 {
+			kept = append(kept, p)
+		} else if e.Pool != nil {
+			e.Pool.Put(p)
+		}
+	}
+	return kept
 }
 
 // newSink builds one executor thread's private sink for a pipeline stage,

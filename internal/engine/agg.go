@@ -407,52 +407,63 @@ func SliceSource(pages []*object.Page) func() (*object.Page, bool, error) {
 	}
 }
 
-// FinalizeAgg materializes a merged aggregation map into output objects via
-// the spec's Finalize, writing them through an OutputSink.
-func FinalizeAgg(reg *object.Registry, final object.OMap, spec *AggSpec, pageSize int, pool *object.PagePool, stats *Stats) ([]*object.Page, error) {
+// FinalizeAgg materializes merged aggregation maps, in order, into output
+// objects via the spec's Finalize, writing them through one OutputSink.
+func FinalizeAgg(reg *object.Registry, finals []object.OMap, spec *AggSpec, pageSize int, pool *object.PagePool, stats *Stats) ([]*object.Page, error) {
 	sink, err := NewOutputSink(reg, pageSize, pool, stats)
 	if err != nil {
 		return nil, err
 	}
 	var ferr error
-	final.Iterate(func(key, val object.Value) bool {
-		obj, err := spec.Finalize(sink.Out.Alloc, key, val)
-		if errors.Is(err, object.ErrPageFull) {
-			if err = sink.Out.Rotate(); err == nil {
-				obj, err = spec.Finalize(sink.Out.Alloc, key, val)
+	for _, final := range finals {
+		final.Iterate(func(key, val object.Value) bool {
+			obj, err := spec.Finalize(sink.Out.Alloc, key, val)
+			if errors.Is(err, object.ErrPageFull) {
+				if err = sink.Out.Rotate(); err == nil {
+					obj, err = spec.Finalize(sink.Out.Alloc, key, val)
+				}
 			}
+			if err != nil {
+				ferr = err
+				return false
+			}
+			if err := appendToRoot(sink.Out, obj); err != nil {
+				ferr = err
+				return false
+			}
+			return true
+		})
+		if ferr != nil {
+			return nil, ferr
 		}
-		if err != nil {
-			ferr = err
-			return false
-		}
-		if err := appendToRoot(sink.Out, obj); err != nil {
-			ferr = err
-			return false
-		}
-		return true
-	})
-	if ferr != nil {
-		return nil, ferr
 	}
 	return sink.Pages(), nil
 }
 
 // FinalizeAggParallel materializes the hash-range sub-maps produced by
-// MergeAggMapsStream, one executor thread per sub-map, each writing
-// through its own OutputSink with its own Stats. Output pages are
+// MergeAggMapsStream across executor threads, each finalizing a contiguous
+// span of sub-maps through its own OutputSink with its own Stats: one
+// thread per BatchSize groups, at most one per sub-map — the chunking a
+// pipeline stage gives the same rows, so a result of few groups lands on
+// one page run, not on one page per sub-map. Output pages are
 // concatenated in sub-partition order, so the page sequence (and the row
 // order within each sub-map's pages) is deterministic for a given thread
 // count. Per-thread counters are folded into stats after the barrier.
 func FinalizeAggParallel(reg *object.Registry, finals []object.OMap, spec *AggSpec,
 	pageSize int, pool *object.PagePool, stats *Stats) ([]*object.Page, error) {
-	if len(finals) == 1 {
-		return FinalizeAgg(reg, finals[0], spec, pageSize, pool, stats)
+	groups := 0
+	for _, m := range finals {
+		groups += m.Len()
 	}
-	perThread := make([][]*object.Page, len(finals))
-	tstats := make([]Stats, len(finals))
-	err := ParallelThreads(len(finals), func(t int, _ <-chan struct{}) error {
-		pages, err := FinalizeAgg(reg, finals[t], spec, pageSize, pool, &tstats[t])
+	threads := min(len(finals), max(1, (groups+BatchSize-1)/BatchSize))
+	if threads == 1 {
+		return FinalizeAgg(reg, finals, spec, pageSize, pool, stats)
+	}
+	perThread := make([][]*object.Page, threads)
+	tstats := make([]Stats, threads)
+	err := ParallelThreads(threads, func(t int, _ <-chan struct{}) error {
+		span := finals[t*len(finals)/threads : (t+1)*len(finals)/threads]
+		pages, err := FinalizeAgg(reg, span, spec, pageSize, pool, &tstats[t])
 		if err != nil {
 			return err
 		}

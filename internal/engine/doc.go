@@ -162,9 +162,9 @@
 //     private sub-map, consuming pages in the stream's deterministic
 //     order through the one stream fan-out (streamPages, a team whose
 //     thread 0 dispatches; exported as StreamPages for the join build).
-//     FinalizeAggParallel, a ParallelThreads team, then materializes the
-//     sub-maps concurrently and concatenates their pages in sub-partition
-//     order.
+//     FinalizeAggParallel, a ParallelThreads team of one thread per
+//     BatchSize groups, then materializes contiguous spans of sub-maps
+//     concurrently and concatenates their pages in sub-partition order.
 //   - Join build/probe (internal/cluster.HashPartitionJoinKind, shuffled
 //     or over co-partitioned sets, one consumer body): the build side
 //     streams into per-thread tables (pages dealt round-robin by delivery

@@ -2,7 +2,10 @@
 // it breaks an optimized TCAP DAG into JobStages — PipelineJobStages that
 // stream vector lists through fused stages, BuildHashTableJobStages that
 // materialize join build sides, and AggregationJobStages that merge shuffled
-// pre-aggregates — and orders them by artifact dependencies.
+// pre-aggregates — and orders them by artifact dependencies. Data is
+// constructed where it is ultimately needed: a merge whose output list's
+// only consumer is an OUTPUT finalizes straight into the stored set, with
+// no materialized list and no OUTPUT pipeline after it.
 package physical
 
 import (
@@ -73,6 +76,12 @@ type JobStage struct {
 	// Aggregation fields.
 	AggList string // the AGGREGATE output list this stage merges
 
+	// Output is the OUTPUT statement whose stored set the stage's pages
+	// are appended to: a pipeline's OUTPUT sink (SinkStmt), or the only
+	// consumer of a merge stage's output list. Nil for a stage that leaves
+	// an artifact for later stages.
+	Output *tcap.Stmt
+
 	// Exchange links: a producing stage and the consuming stage that
 	// merges its shuffled output are marked as a pair so the scheduler
 	// launches them together and connects them with a streaming exchange
@@ -82,6 +91,10 @@ type JobStage struct {
 	ExchangeTo   *JobStage
 	ExchangeFrom *JobStage
 
+	// Produces names what the stage leaves: "set:<db>.<set>" when it
+	// writes a stored set (Output), else an artifact — "mat:", "aggmaps:",
+	// "sortruns:" or "table:" and a list name — that stages listing it in
+	// DependsOn read.
 	Produces  string
 	DependsOn []string
 }
@@ -99,10 +112,10 @@ func Build(prog *tcap.Program) (*Plan, error) {
 	b := &builder{prog: prog, boundaries: map[string]bool{}}
 
 	// A list is a materialization boundary when several statements
-	// consume it, or when it is an aggregation's (finalized) output.
+	// consume it, or when it is a merge's (finalized) output that anything
+	// but a lone OUTPUT reads: the merge writes that OUTPUT's set itself.
 	for _, s := range prog.Stmts {
-		if s.Op == tcap.OpAggregate || s.Op == tcap.OpDistinct ||
-			s.Op == tcap.OpSort || s.Op == tcap.OpWindow {
+		if isMerge(s) && b.finalOutput(s.Out.Name) == nil {
 			b.boundaries[s.Out.Name] = true
 		}
 		if s.Op != tcap.OpOutput && s.Op != tcap.OpScan {
@@ -151,6 +164,51 @@ type builder struct {
 	nextID     int
 }
 
+// isMerge reports whether s ends its pipeline at a shuffle whose merge
+// stage finalizes s's output list.
+func isMerge(s *tcap.Stmt) bool {
+	switch s.Op {
+	case tcap.OpAggregate, tcap.OpDistinct, tcap.OpSort, tcap.OpWindow:
+		return true
+	}
+	return false
+}
+
+// finalOutput returns the OUTPUT that is list's only consumer, or nil.
+func (b *builder) finalOutput(list string) *tcap.Stmt {
+	if cons := b.prog.Consumers(list); len(cons) == 1 && cons[0].Op == tcap.OpOutput {
+		return cons[0]
+	}
+	return nil
+}
+
+// setArtifact names the stored set an OUTPUT statement writes.
+func setArtifact(out *tcap.Stmt) string { return "set:" + out.Db + "." + out.Set }
+
+// linkMerge ends producer st at merge statement cur, its sink streaming
+// artifact prefix+list, and adds the exchange-linked merge stage of kind
+// that consumes it: the scheduler runs the pair together, the shuffle
+// streaming between them. The merge finalizes into "mat:<list>" for later
+// pipelines, or straight into the set of the list's lone OUTPUT consumer.
+func (b *builder) linkMerge(st *JobStage, cur *tcap.Stmt, sink SinkKind, prefix string, kind StageKind) {
+	st.Sink, st.SinkStmt, st.Produces = sink, cur, prefix+cur.Out.Name
+	merge := &JobStage{
+		ID:           b.nextID,
+		Kind:         kind,
+		AggList:      cur.Out.Name,
+		SinkStmt:     cur,
+		Produces:     "mat:" + cur.Out.Name,
+		DependsOn:    []string{st.Produces},
+		ExchangeFrom: st,
+	}
+	if out := b.finalOutput(cur.Out.Name); out != nil {
+		merge.Output, merge.Produces = out, setArtifact(out)
+	}
+	st.ExchangeTo = merge
+	b.nextID++
+	b.stages = append(b.stages, st, merge)
+}
+
 // boundaryColumn finds the single column downstream consumers reference in
 // a materialized list (computation outputs are single-object-column lists).
 func (b *builder) boundaryColumn(name string) (string, error) {
@@ -193,53 +251,21 @@ func (b *builder) buildPipeline(scan *tcap.Stmt, srcList, srcCol string, first *
 		switch {
 		case cur.Op == tcap.OpOutput:
 			st.Sink = SinkOutput
-			st.SinkStmt = cur
-			st.Produces = "set:" + cur.Db + "." + cur.Set
+			st.SinkStmt, st.Output = cur, cur
+			st.Produces = setArtifact(cur)
 			b.stages = append(b.stages, st)
 			return nil
 
 		case cur.Op == tcap.OpSort || cur.Op == tcap.OpWindow:
 			// This pipeline produces per-thread sorted runs; the
-			// exchange-linked SortMerge stage merges them globally.
-			st.Sink = SinkSort
-			st.SinkStmt = cur
-			st.Produces = "sortruns:" + cur.Out.Name
-			b.stages = append(b.stages, st)
-			merge := &JobStage{
-				ID:        b.nextID,
-				Kind:      StageSortMerge,
-				AggList:   cur.Out.Name,
-				SinkStmt:  cur,
-				Produces:  "mat:" + cur.Out.Name,
-				DependsOn: []string{"sortruns:" + cur.Out.Name},
-			}
-			st.ExchangeTo = merge
-			merge.ExchangeFrom = st
-			b.nextID++
-			b.stages = append(b.stages, merge)
+			// SortMerge stage merges them globally.
+			b.linkMerge(st, cur, SinkSort, "sortruns:", StageSortMerge)
 			return nil
 
 		case cur.Op == tcap.OpAggregate || cur.Op == tcap.OpDistinct:
-			st.Sink = SinkPreAgg
-			st.SinkStmt = cur
-			st.Produces = "aggmaps:" + cur.Out.Name
-			b.stages = append(b.stages, st)
-			// The consuming AggregationJobStage merges the shuffled
-			// maps and finalizes output objects. The pair is
-			// exchange-linked: the scheduler runs both together, with
-			// the pre-aggregation shuffle streaming between them.
-			agg := &JobStage{
-				ID:        b.nextID,
-				Kind:      StageAggregation,
-				AggList:   cur.Out.Name,
-				SinkStmt:  cur,
-				Produces:  "mat:" + cur.Out.Name,
-				DependsOn: []string{"aggmaps:" + cur.Out.Name},
-			}
-			st.ExchangeTo = agg
-			agg.ExchangeFrom = st
-			b.nextID++
-			b.stages = append(b.stages, agg)
+			// The AggregationJobStage merges the shuffled pre-aggregated
+			// maps and finalizes output objects.
+			b.linkMerge(st, cur, SinkPreAgg, "aggmaps:", StageAggregation)
 			return nil
 
 		case cur.Op == tcap.OpJoin && cur.Applied2.Name == curList:
@@ -329,23 +355,25 @@ func (p *Plan) order() error {
 	return nil
 }
 
-// String renders the plan for diagnostics and the Figure 3 tooling.
+// String renders the plan for diagnostics and the Figure 3 tooling, one
+// line per stage: a merge stage that writes its OUTPUT's set directly
+// reads "sink=output -> set:<db>.<set>", as an OUTPUT pipeline does.
 func (p *Plan) String() string {
 	out := ""
 	for _, s := range p.Stages {
 		switch s.Kind {
-		case StageAggregation:
-			link := ""
+		case StageAggregation, StageSortMerge:
+			name, sink, link := "AGGREGATION", "", ""
+			if s.Kind == StageSortMerge {
+				name = "SORTMERGE"
+			}
+			if s.Output != nil {
+				sink = " sink=" + SinkOutput.String()
+			}
 			if s.ExchangeFrom != nil {
 				link = fmt.Sprintf(" <~ stage %d (exchange)", s.ExchangeFrom.ID)
 			}
-			out += fmt.Sprintf("stage %d: AGGREGATION %s -> %s%s\n", s.ID, s.AggList, s.Produces, link)
-		case StageSortMerge:
-			link := ""
-			if s.ExchangeFrom != nil {
-				link = fmt.Sprintf(" <~ stage %d (exchange)", s.ExchangeFrom.ID)
-			}
-			out += fmt.Sprintf("stage %d: SORTMERGE %s -> %s%s\n", s.ID, s.AggList, s.Produces, link)
+			out += fmt.Sprintf("stage %d: %s %s%s -> %s%s\n", s.ID, name, s.AggList, sink, s.Produces, link)
 		default:
 			src := s.SourceList
 			if s.Scan != nil {

@@ -45,6 +45,9 @@ func TestFigure3Pipelining(t *testing.T) {
 		switch {
 		case s.Kind == StageAggregation:
 			aggStages++
+			if s.Output == nil || s.Produces != "set:db.result" {
+				t.Errorf("aggregation stage %d produces %q, want set:db.result\n%s", s.ID, s.Produces, plan.String())
+			}
 		case s.Sink == SinkJoinBuild:
 			builds++
 		case s.Sink == SinkPreAgg:
@@ -55,8 +58,9 @@ func TestFigure3Pipelining(t *testing.T) {
 	}
 	// Figure 3's decomposition: the three join build sides each become
 	// their own pipeline; the probe side runs S1 through all three joins
-	// into the aggregation; plus the aggregation merge and the final
-	// output pipeline reading the finalized aggregate.
+	// into the aggregation; plus the aggregation merge, which finalizes
+	// straight into the output set — the aggregate's only consumer is the
+	// OUTPUT, so no output pipeline reads it back.
 	if builds != 3 {
 		t.Errorf("join-build pipelines = %d, want 3\n%s", builds, plan.String())
 	}
@@ -66,8 +70,8 @@ func TestFigure3Pipelining(t *testing.T) {
 	if aggStages != 1 {
 		t.Errorf("aggregation stages = %d, want 1\n%s", aggStages, plan.String())
 	}
-	if outputs != 1 {
-		t.Errorf("output pipelines = %d, want 1\n%s", outputs, plan.String())
+	if outputs != 0 {
+		t.Errorf("output pipelines = %d, want 0\n%s", outputs, plan.String())
 	}
 }
 
@@ -236,5 +240,57 @@ func TestAggregationStagesAreExchangeLinked(t *testing.T) {
 	}
 	if links != 1 {
 		t.Fatalf("exchange links = %d, want 1\n%s", links, plan.String())
+	}
+}
+
+// TestMergeOutputShapes plans both shapes of a merge's output list: a list
+// whose only consumer is an OUTPUT is written by the merge stage itself,
+// with no "mat:" list and no OUTPUT pipeline, and a list another statement
+// reads — a second OUTPUT, or an APPLY before the OUTPUT — keeps its
+// "mat:" list and one pipeline per consumer.
+func TestMergeOutputShapes(t *testing.T) {
+	const head = `
+S(a) <= SCAN('db', 'in', 'C', []);
+K(a,k) <= APPLY(S(a), S(a), 'C', 'key', []);
+`
+	for _, tc := range []struct {
+		name, body string
+		stages     int
+		writes     string // what the merge stage produces
+	}{
+		{"aggregate", `
+A(r) <= AGGREGATE(K(k,a), K(), 'C', 'agg', []);
+O() <= OUTPUT(A(r), 'db', 'out', 'C', []);`, 2, "set:db.out"},
+		{"sort", `
+R(a) <= SORT(K(k), K(a), 'C', []);
+O() <= OUTPUT(R(a), 'db', 'out', 'C', []);`, 2, "set:db.out"},
+		{"sort read twice", `
+R(a) <= SORT(K(k), K(a), 'C', []);
+O1() <= OUTPUT(R(a), 'db', 'o1', 'C', []);
+O2() <= OUTPUT(R(a), 'db', 'o2', 'C', []);`, 4, "mat:R"},
+		{"apply after aggregate", `
+A(r) <= AGGREGATE(K(k,a), K(), 'C', 'agg', []);
+B(r,s) <= APPLY(A(r), A(r), 'C', 'f', []);
+O() <= OUTPUT(B(s), 'db', 'out', 'C', []);`, 3, "mat:A"},
+	} {
+		prog, err := tcap.Parse(head + tc.body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		plan, err := Build(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(plan.Stages) != tc.stages {
+			t.Errorf("%s: %d stages, want %d\n%s", tc.name, len(plan.Stages), tc.stages, plan.String())
+		}
+		for _, s := range plan.Stages {
+			if s.ExchangeFrom == nil {
+				continue
+			}
+			if s.Produces != tc.writes || (s.Output != nil) != strings.HasPrefix(tc.writes, "set:") {
+				t.Errorf("%s: merge stage produces %q (output %v), want %q\n%s", tc.name, s.Produces, s.Output != nil, tc.writes, plan.String())
+			}
+		}
 	}
 }

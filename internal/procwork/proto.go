@@ -54,8 +54,8 @@ type Msg struct {
 
 	// Session opener fields.
 	Prog     string       `json:"prog,omitempty"`     // optimized TCAP text
-	Produces string       `json:"produces,omitempty"` // stage selector ("aggmaps:...", "sortruns:...", "mat:...")
-	AggList  string       `json:"aggList,omitempty"`  // AGGREGATE or SORT output list the consumer merges
+	Produces string       `json:"produces,omitempty"` // stage selector: what it produces ("aggmaps:...", "sortruns:...", "mat:...", or "set:<db>.<set>" for a merge that writes its OUTPUT's set)
+	AggList  string       `json:"aggList,omitempty"`  // AGGREGATE or SORT output list the consumer merges ("" for a producer); with Produces, names the stage
 	Worker   int          `json:"worker,omitempty"`
 	Workers  int          `json:"workers,omitempty"`
 	Threads  int          `json:"threads,omitempty"`
