@@ -31,6 +31,11 @@ type StageShip struct {
 	// exchange.DefaultCapacity × Threads per producer, plus the page being
 	// delivered (exchange.MaxReorderPages).
 	MaxReorderPages int64
+	// DeliveredPages counts the pages the step's exchanges delivered to
+	// their consumers, each once however often a replay re-read it; a
+	// successful step returns the resident ones to the page pool (zero for
+	// steps without a streaming shuffle).
+	DeliveredPages int
 	// SpilledPages counts the page images the step's memory governor
 	// (Config.MemoryBudget) moved to spill files — lane pages and retained
 	// replay pages alike; zero when governance is off.
@@ -235,13 +240,14 @@ func (c *Cluster) runPipelineOnWorker(res *core.CompileResult, stage *physical.J
 // own pages pass by reference); and retry duplicates, dropped at the sender,
 // and the originals of copied pages recycle through the page pool. Every
 // worker produces; consumers are workers 0…consumers-1. Delivered pages
-// stay retained for consumer crash recovery until the step ends;
-// releaseDelivered receives the resident ones when the step succeeds (nil
-// when the consumer's state keeps referencing them, as the join-table build
-// and the sort merge do). govs, when non-nil, attach the step's per-worker
-// memory governors (Config.MemoryBudget) so over-budget pages spill to
-// disk.
-func (c *Cluster) newExchange(consumers int, releaseDelivered func(*object.Page), govs []*exchange.Governor) *exchange.Exchange {
+// stay retained for consumer crash recovery until the step ends, and when
+// the step succeeds every resident one recycles through the page pool too,
+// for every step kind alike. inPlace marks a consumer whose state reads
+// delivered pages in place until then (the join-table build, the sort
+// merge), so the governor leaves its retained pages unmetered. govs, when
+// non-nil, attach the step's per-worker memory governors
+// (Config.MemoryBudget) so over-budget pages spill to disk.
+func (c *Cluster) newExchange(consumers int, inPlace bool, govs []*exchange.Governor) *exchange.Exchange {
 	return exchange.New(exchange.Config{
 		Producers: len(c.Workers),
 		Consumers: consumers,
@@ -252,9 +258,9 @@ func (c *Cluster) newExchange(consumers int, releaseDelivered func(*object.Page)
 			}
 			return c.Transport.Ship(p, c.Workers[consumer].Reg())
 		},
-		Release:          func(p *object.Page) { c.pool.Put(p) },
-		ReleaseDelivered: releaseDelivered,
-		Governors:        govs,
+		Release:   func(p *object.Page) { c.pool.Put(p) },
+		InPlace:   inPlace,
+		Governors: govs,
 	})
 }
 
@@ -275,8 +281,8 @@ func (c *Cluster) newExchange(consumers int, releaseDelivered func(*object.Page)
 // crashes mid-merge or in finalize is also re-forked and retried: the
 // exchange retains every delivered page, so the retry rewinds it to page 0
 // and merges the whole stream again from a fresh state — bit-for-bit
-// identical to a crash-free run. When the step succeeds, an aggregation's
-// retained pages return to the page pool (runStep); when it fails anyway
+// identical to a crash-free run. When the step succeeds, the retained
+// pages return to the page pool (runStep); when it fails anyway
 // (retries exhausted, a deterministic crash, or an injected I/O error),
 // runStep drops everything the step still holds: undelivered and retained
 // exchange pages, spill slots.
@@ -289,24 +295,24 @@ func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical
 	nw := len(c.Workers)
 	proc := c.procs != nil
 	// The pairs differ in a few values, each read off the consumer's kind.
-	// Every aggregation worker consumes its hash partition, its retained
-	// pages return to the pool when the step succeeds, and in-process each
-	// backend's budget governs its lanes and retention (not in proc mode:
-	// the exchange lives in the master, whose memory a per-backend budget
-	// does not describe).
-	consumers, release := nw, func(p *object.Page) { c.pool.Put(p) }
+	// Every aggregation worker consumes its hash partition, copying each
+	// entry out of the delivered pages, and in-process each backend's
+	// budget governs its lanes and retention (not in proc mode: the
+	// exchange lives in the master, whose memory a per-backend budget does
+	// not describe).
+	consumers, inPlace := nw, false
 	var govs []*exchange.Governor
 	closeGovs := func() {}
 	if cons.Kind == physical.StageSortMerge {
 		// The sort's one consumer, worker 0, merges rows off the delivered
-		// pages in place, so they are never released or governed. Its
-		// SortRow carrier registers with the master and has its code pinned
-		// on every worker before any run page exists or a session opener
-		// captures the types: worker registries assign codes locally, so a
-		// lazy SortRowType(w.Reg()) would mint a code a master-registered
-		// user type already holds, and shipped pages would resolve to the
-		// wrong TypeInfo.
-		consumers, release = 1, nil
+		// pages in place until its output is written, and no governor
+		// meters its stream. Its SortRow carrier registers with the master
+		// and has its code pinned on every worker before any run page
+		// exists or a session opener captures the types: worker registries
+		// assign codes locally, so a lazy SortRowType(w.Reg()) would mint a
+		// code a master-registered user type already holds, and shipped
+		// pages would resolve to the wrong TypeInfo.
+		consumers, inPlace = 1, true
 		carrier := engine.SortRowType(c.Catalog.Registry())
 		for _, w := range c.Workers {
 			w.Reg().PinCode(engine.SortRowTypeName, carrier.Code)
@@ -319,7 +325,7 @@ func (c *Cluster) runExchangeGroup(res *core.CompileResult, prod, cons *physical
 	if proc {
 		opener = c.sessionOpener(res)
 	}
-	ex := c.newExchange(consumers, release, govs)
+	ex := c.newExchange(consumers, inPlace, govs)
 	arts := make([]core.Artifact, nw)
 	roles := make([]role, nw, nw+consumers)
 	for i, w := range c.Workers {

@@ -190,8 +190,8 @@ func TestProbeDrainCrashReachesBackend(t *testing.T) {
 		t.Fatalf("need three full pages, got %d (%v)", len(pages), err)
 	}
 	govs, closeGovs := c.stepGovernors()
-	exProbe := c.newShuffleExchange(func(*object.Page) {}, govs)
-	exBuild := c.newShuffleExchange(nil, govs)
+	exProbe := c.newShuffleExchange(false, govs)
+	exBuild := c.newShuffleExchange(true, govs)
 	// Page 0 takes the whole budget; pages 1 and 2 spill at enqueue.
 	for seq, p := range pages[:3] {
 		if err := exProbe.Send(exchange.Tag{Seq: seq}, 0, p, nil); err != nil {

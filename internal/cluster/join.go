@@ -56,7 +56,10 @@ import (
 // be safe for concurrent use (pure functions of their arguments). A worker
 // never calls emit from two executor threads at once, but different workers
 // probe — and emit — in parallel: an emit touching state shared across
-// workers must synchronize it.
+// workers must synchronize it. A Ref handed to emit, and every ref reached
+// through it, is valid only until that emit call returns — the pages under
+// it go back to the page pool when the step ends — so read or copy what
+// you need inside emit.
 //
 // # Join kinds
 //
@@ -115,22 +118,17 @@ func (c *Cluster) HashPartitionJoinKind(kind core.JoinKind, dbL, setL, dbR, setR
 	if !coPartitioned {
 		// One governor per consumer backend, shared by both exchanges: the
 		// memory budget is per backend, not per shuffle. Build-side
-		// delivered pages are consumer-owned (the tables reference them in
-		// place, so they live for the join regardless); probe-side
-		// delivered pages are exchange-owned replay retention — metered and
-		// evictable until the step ends: retention is what holds the probe
-		// side while the build runs. Its release hook is a no-op that only
-		// marks the retention exchange-owned: user emit code may hold refs
-		// into probe pages, so they are never recycled, and dropping the
-		// exchange's references at step end lets the garbage collector
-		// reclaim them once that code is done. What does return to the
-		// page pool is each repartition page a producer sent to another
-		// worker: the exchange releases the original once its copy exists
-		// (exchange.Config.Release).
+		// delivered pages are read in place (the tables reference them for
+		// the join); probe-side delivered pages are replay retention —
+		// metered and evictable: retention is what holds the probe side
+		// while the build runs. Both streams return to the page pool when
+		// the step succeeds, as does each repartition page a producer sent
+		// to another worker once its copy exists (exchange.Config.Release):
+		// a ref handed to emit is valid only until emit returns.
 		var closeGovs func()
 		govs, closeGovs = c.stepGovernors()
 		defer closeGovs()
-		exs = []*exchange.Exchange{c.newExchange(nw, func(*object.Page) {}, govs), c.newExchange(nw, nil, govs)}
+		exs = []*exchange.Exchange{c.newExchange(nw, false, govs), c.newExchange(nw, true, govs)}
 	}
 	stats := &ExecStats{Threads: c.Cfg.Threads, RoleRetries: map[string]int{}}
 	roles := make([]role, 3*nw)
@@ -336,8 +334,8 @@ func (e *workerEnv) gatherJoinStreams(build, probe consumerEnd, j *joinSpec, rec
 // stream: pages are dealt round-robin by global delivery index across the
 // worker's builder threads (a pure function of the deterministic delivery
 // order), and the per-thread tables merge bucket-wise in thread order after
-// the stream closes. Build pages are never recycled — the table references
-// their objects for the life of the join.
+// the stream closes. The table references the build pages' objects in
+// place, so the build exchange leaves them unmetered until the step ends.
 func (e *workerEnv) buildTableStream(end consumerEnd, j *joinSpec, rec *joinRecovery) (*engine.JoinTable, error) {
 	// A re-gather re-appends every build row.
 	rec.buildRows = rec.buildRows[:0]

@@ -39,17 +39,16 @@ type role struct {
 // runStep runs one step's roles concurrently, each under runRole's crash
 // policy. The first role to fail cancels the step's exchanges, so blocked
 // siblings return instead of waiting on a stream that will never finish.
-// Once every role has returned — nothing reads a delivered page anymore —
-// a successful step hands every resident retained page to its exchange's
-// ReleaseDelivered (exchange.Recycle: the aggregation's pages return to the
-// page pool; the join's and the sort's, which tables, emitted refs and
-// output reference, are never released). Then the step discards every
-// page the exchanges still hold, failed or not (a failed step's
-// undelivered lane messages, and its retention, left to the garbage
-// collector), so the step's governors and spill pools close with zero live
-// slots, and the step's error is that of the first role in list order that
-// failed on its own — not of a sibling that only observed the
-// cancellation. The returned StageShip carries the step's transport
+// Once every role has returned — nothing reads a delivered page anymore:
+// the aggregation copied its entries out, the sort wrote its output, and a
+// join's emitted refs expired with each emit call — a successful step hands
+// every resident retained page of every exchange to its Release, the page
+// pool (exchange.Recycle). Then the step discards every page the exchanges
+// still hold, failed or not (a failed step's undelivered lane messages,
+// and its retention, left to the garbage collector), so the step's
+// governors and spill pools close with zero live slots, and the step's
+// error is that of the first role in list order that failed on its own —
+// not of a sibling that only observed the cancellation. The returned StageShip carries the step's transport
 // traffic (the shipped bytes and pages counted while its roles ran) and its
 // exchange and spill telemetry, also recorded on the transport; the caller
 // sets its Stage.
@@ -79,6 +78,7 @@ func (c *Cluster) runStep(roles []role, govs []*exchange.Governor, exs ...*excha
 	for _, ex := range exs {
 		ship.MaxBytesInFlight = max(ship.MaxBytesInFlight, ex.MaxBytesInFlight())
 		ship.MaxReorderPages = max(ship.MaxReorderPages, ex.MaxReorderPages())
+		ship.DeliveredPages += ex.DeliveredPages()
 	}
 	if len(exs) > 0 {
 		c.Transport.Stats().NoteExchange(ship.MaxBytesInFlight, ship.MaxReorderPages)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -32,8 +33,8 @@ func intPages(t *testing.T, c *Cluster, want int) []*object.Page {
 
 // newShuffleExchange is the step's exchange with every worker a consumer,
 // as an aggregation's and each of a join's have.
-func (c *Cluster) newShuffleExchange(releaseDelivered func(*object.Page), govs []*exchange.Governor) *exchange.Exchange {
-	return c.newExchange(len(c.Workers), releaseDelivered, govs)
+func (c *Cluster) newShuffleExchange(inPlace bool, govs []*exchange.Governor) *exchange.Exchange {
+	return c.newExchange(len(c.Workers), inPlace, govs)
 }
 
 // TestRunStepFailureCancelsWaitsAndDiscards runs a step on a real exchange
@@ -52,7 +53,7 @@ func TestRunStepFailureCancelsWaitsAndDiscards(t *testing.T) {
 	}
 	pages := intPages(t, c, 3)
 	govs, closeGovs := c.stepGovernors()
-	ex := c.newShuffleExchange(func(*object.Page) {}, govs)
+	ex := c.newShuffleExchange(false, govs)
 
 	boom := errors.New("boom")
 	retained := make(chan struct{})
@@ -124,7 +125,7 @@ func TestRunStepSuccessClosesProducers(t *testing.T) {
 		t.Fatal(err)
 	}
 	pages := intPages(t, c, 2)
-	ex := c.newShuffleExchange(nil, nil)
+	ex := c.newShuffleExchange(false, nil)
 	got := 0
 	roles := []role{
 		{w: c.Workers[0], name: roleProducer, what: "two pages", closes: ex, body: func() error {
@@ -211,16 +212,17 @@ func drainPool(c *Cluster) int {
 
 // TestStepEndRecyclesRetainedPages pins what a successful step does with
 // the pages its exchanges retained for replay. runStep hands each resident
-// retained page to its exchange's release exactly once, and only when
+// retained page to its exchange's Release exactly once, and only when
 // every role succeeded. On a 2-worker cluster an aggregation returns two
 // pages to the page pool per page shipped to the other worker — the
 // delivered page a worker's own producer sealed, and the shipped copy,
 // which landed in a pool frame — plus the one merge page each worker's
-// finalize returns. A hash-partition join and an ORDER BY, whose tables,
-// emitted refs and merged rows point into their delivered pages, return
-// none of those: only the originals of the pages they sent across workers,
-// which the exchange releases during the step. The pool keeps every page
-// it is given up to the pages it made, so the counts are exact.
+// finalize returns. A hash-partition join and an ORDER BY send each page
+// to one consumer, so they return the original of every page sent across
+// workers, released by the exchange once its copy exists, plus every page
+// their consumers were delivered, released at step end. A co-partitioned
+// join reads stored pages and returns none. The pool keeps every page it
+// is given up to the pages it made, so the counts are exact.
 func TestStepEndRecyclesRetainedPages(t *testing.T) {
 	c, err := New(Config{Workers: 1, Threads: 1, PageSize: 1 << 12})
 	if err != nil {
@@ -229,7 +231,8 @@ func TestStepEndRecyclesRetainedPages(t *testing.T) {
 	pages := intPages(t, c, 3)[:3]
 	for _, fail := range []bool{false, true} {
 		released := map[*object.Page]int{}
-		ex := c.newShuffleExchange(func(p *object.Page) { released[p]++ }, nil)
+		ex := exchange.New(exchange.Config{Producers: 1, Consumers: 1,
+			Release: func(p *object.Page) { released[p]++ }})
 		roles := []role{
 			{w: c.Workers[0], name: roleProducer, what: "three pages", closes: ex, body: func() error {
 				for seq, p := range pages {
@@ -250,8 +253,10 @@ func TestStepEndRecyclesRetainedPages(t *testing.T) {
 				}
 			}},
 		}
-		_, err := c.runStep(roles, nil, ex)
+		ship, err := c.runStep(roles, nil, ex)
 		switch {
+		case ship.DeliveredPages != len(pages):
+			t.Errorf("fail=%v: the step reports %d delivered pages, want %d", fail, ship.DeliveredPages, len(pages))
 		case fail && (err == nil || len(released) != 0):
 			t.Errorf("failed step: err %v, released %d pages, want an error and none", err, len(released))
 		case !fail && (err != nil || len(released) != len(pages)):
@@ -272,19 +277,19 @@ func TestStepEndRecyclesRetainedPages(t *testing.T) {
 		job()
 		return c.pool.Reuses() - before + drainPool(c)
 	}
-	mk := func() (*Cluster, *object.TypeInfo) {
+	mk := func(label string) (*Cluster, *object.TypeInfo) {
 		c, err := New(Config{Workers: 2, Threads: 1, PageSize: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := intRecType(c)
 		loadIntRows(t, c, rec, "db", "rows", 6000, 3000)
-		loadIntRows(t, c, rec, "db", "left", 600, 18)
-		loadIntRows(t, c, rec, "db", "right", 90, 18)
+		loadIntRowsKeyed(t, c, rec, "db", "left", 600, 18, 0, label)
+		loadIntRowsKeyed(t, c, rec, "db", "right", 90, 18, 0, label)
 		return c, rec
 	}
 
-	c, rec := mk()
+	c, rec := mk("")
 	var stats *ExecStats
 	got := supply(c, func() { _, stats = runIntAgg(t, c, rec, nil) })
 	shipped := 0
@@ -297,31 +302,32 @@ func TestStepEndRecyclesRetainedPages(t *testing.T) {
 		t.Errorf("aggregation: the pool supplied %d recycled pages, want %d: twice the %d pages shipped (>= 16) and %d merge pages", got, want, shipped, len(c.Workers))
 	}
 
-	// The join and the ORDER BY return exactly the originals of the pages
-	// their producers sent to another worker, released by the exchange
-	// once each copy exists: so no retained or received page — the join's
-	// tables and emitted refs, the merge's rows point into them — comes
-	// back at step end.
-	crossWorker := func(stats *ExecStats) int {
-		n := 0
+	// sentAndDelivered sums a job's pages sent across workers and pages
+	// its consumers were delivered.
+	sentAndDelivered := func(stats *ExecStats) (sent, delivered int) {
 		for _, s := range stats.Ships {
-			n += s.Pages
+			sent += s.Pages
+			delivered += s.DeliveredPages
 		}
-		return n
+		return sent, delivered
 	}
-	c, rec = mk()
-	key := func(r object.Ref) uint64 { return uint64(object.GetI64(r, rec.Field("grp"))) }
-	eq := func(l, r object.Ref) bool { return key(l) == key(r) }
-	got = supply(c, func() {
-		if stats, err = c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right", key, key, eq,
-			func(int, object.Ref, object.Ref) error { return nil }); err != nil {
+	join := func(c *Cluster, rec *object.TypeInfo) int {
+		key := joinKeyOn(rec)
+		var matches atomic.Int64
+		if stats, err = c.HashPartitionJoinKind(core.JoinInner, "db", "left", "db", "right", key, key, joinEqOn(rec),
+			func(int, object.Ref, object.Ref) error { matches.Add(1); return nil }); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if sent := crossWorker(stats); sent == 0 || got != sent {
-		t.Errorf("join: the pool supplied %d recycled pages, want the %d sent across workers (> 0) and no retained or received page", got, sent)
+		return int(matches.Load())
 	}
-	c, rec = mk()
+	c, rec = mk("")
+	got = supply(c, func() { join(c, rec) })
+	// A worker's own pages reach its consumer by reference, so a job
+	// delivers more pages than it sends across workers.
+	if sent, delivered := sentAndDelivered(stats); sent == 0 || delivered <= sent || got != sent+delivered {
+		t.Errorf("join: the pool supplied %d recycled pages, want the %d sent across workers (> 0) plus the %d delivered (> sent)", got, sent, delivered)
+	}
+	c, rec = mk("")
 	got = supply(c, func() {
 		if err := c.CreateSet("db", "sorted", rec.Name); err != nil {
 			t.Fatal(err)
@@ -331,7 +337,29 @@ func TestStepEndRecyclesRetainedPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if sent := crossWorker(stats); sent == 0 || got != sent {
-		t.Errorf("order by: the pool supplied %d recycled pages, want the %d sent across workers (> 0) and no retained or received page", got, sent)
+	if sent, delivered := sentAndDelivered(stats); sent == 0 || delivered <= sent || got != sent+delivered {
+		t.Errorf("order by: the pool supplied %d recycled pages, want the %d sent across workers (> 0) plus the %d delivered (> sent)", got, sent, delivered)
+	}
+
+	// Co-partitioned sets join where they are stored: no exchange, so no
+	// page returns to the pool, and both sets read the same afterwards.
+	c, rec = mk("grp")
+	scan := func(set string) []string {
+		var rows []string
+		if err := c.ScanSet("db", set, func(r object.Ref) bool {
+			rows = append(rows, fmt.Sprintf("%d=%d", object.GetI64(r, rec.Field("grp")), object.GetI64(r, rec.Field("val"))))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	left, right := scan("left"), scan("right")
+	matches := 0
+	if got = supply(c, func() { matches = join(c, rec) }); got != 0 || matches == 0 {
+		t.Errorf("co-partitioned join: the pool supplied %d recycled pages over %d matches, want none over some", got, matches)
+	}
+	if !slices.Equal(scan("left"), left) || !slices.Equal(scan("right"), right) {
+		t.Error("co-partitioned join: a stored set reads differently after the join")
 	}
 }

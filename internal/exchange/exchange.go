@@ -121,20 +121,22 @@ type Config struct {
 	// Ship copies a page into the consumer's memory space (the simulated
 	// wire). nil passes pages through untouched.
 	Ship func(p *object.Page, producer, consumer int) (*object.Page, error)
-	// Release receives the producer pages the exchange is done with, so
-	// the owner can recycle them: a page dropped whole by sender-side retry
-	// dedup, and the original of a page Ship copied (Send releases it once
-	// every copy is made). A page that travels by reference (Ship nil, or
-	// Ship returning its argument) is never released — the consumer holds
-	// it. nil discards them.
+	// Release receives every page the exchange is done with, so the owner
+	// can recycle them: during the step, a page dropped whole by
+	// sender-side retry dedup and the original of a page Ship copied (Send
+	// releases it once every copy is made); when a successful step ends,
+	// every resident retained page (Recycle). A page that travels by
+	// reference (Ship nil, or Ship returning its argument) is released
+	// only by Recycle — until then the consumer holds it. nil discards
+	// them.
 	Release func(p *object.Page)
-	// ReleaseDelivered receives the resident retained pages when a
-	// successful step ends (Recycle), so the owner can recycle them. nil
-	// leaves them to the garbage collector — and marks the retention window
-	// as consumer-owned: the consumer's state references delivered pages in
-	// place (the join build, the sort merge), so the governor neither
-	// meters nor spills them.
-	ReleaseDelivered func(p *object.Page)
+	// InPlace marks a consumer that reads delivered pages in place: its
+	// state references them until the step ends (the join build's table,
+	// the sort merge's runs), so the governor neither meters nor evicts
+	// retained pages — the window holds references, never extra bytes.
+	// Lane pages are metered either way, and Recycle releases the
+	// retained pages either way.
+	InPlace bool
 	// Governors, indexed by consumer, attach per-consumer memory
 	// governors: pages held for consumer c are metered against
 	// Governors[c]'s budget and spilled to its store when refused. A nil
@@ -216,16 +218,6 @@ func (ex *Exchange) governor(consumer int) *Governor {
 		return ex.cfg.Governors[consumer]
 	}
 	return nil
-}
-
-// ownsRetained reports whether the retention window's page bytes belong to
-// the exchange (the consumer copies what it needs out of each delivered
-// page, so Recycle hands them to ReleaseDelivered) — the precondition for
-// the governor metering and spilling retained pages. With
-// ReleaseDelivered nil the consumer's state references delivered pages in
-// place and the window holds only references, never extra bytes.
-func (ex *Exchange) ownsRetained() bool {
-	return ex.cfg.ReleaseDelivered != nil
 }
 
 // Every addresses a Send to every consumer: the pre-aggregation shuffle's
@@ -327,7 +319,7 @@ func (ex *Exchange) enqueue(ln *lane, tag Tag, consumer int, p *object.Page, sto
 
 // unship ends the exchange's governor claim on a message's bytes: the
 // reservation is returned, or the spill slot freed. Used when an enqueue
-// fails and when delivery hands the page's ownership to the consumer.
+// fails and when an in-place consumer takes delivery of the page.
 func (ex *Exchange) unship(consumer int, m message) {
 	g := ex.governor(consumer)
 	if g == nil {
@@ -415,18 +407,30 @@ func (ex *Exchange) MaxBytesInFlight() int64 { return ex.maxInFlight.Load() }
 // taking off a lane still counts while a sender refills that lane.
 func (ex *Exchange) MaxReorderPages() int64 { return ex.maxReorder.Load() }
 
+// DeliveredPages reports how many pages the exchange has delivered across
+// its consumers, each once however often a replay re-read it: the pages
+// Recycle releases when none was evicted. Call it after the consumers
+// returned and before Discard.
+func (ex *Exchange) DeliveredPages() int {
+	n := 0
+	for _, r := range ex.recvs {
+		n += len(r.retained)
+	}
+	return n
+}
+
 // BufferedPages reports one consumer's current undelivered-page backlog.
 func (ex *Exchange) BufferedPages(consumer int) int64 {
 	return ex.recvs[consumer].backlog.Load()
 }
 
 // retainedEntry is one delivered page in a receiver's retention window.
-// In an exchange-owned window (ownsRetained) the entry is metered by the
-// consumer's governor: reserved entries count against the budget; an
-// entry whose bytes were evicted to disk has page nil and lives only in
-// slot. Sealed pages are immutable, so a slot stays
-// a valid image for the entry's whole retention — an entry reloaded for
-// replay can be evicted again without rewriting it.
+// Unless the consumer reads in place (Config.InPlace), the entry is
+// metered by the consumer's governor: reserved entries count against the
+// budget; an entry whose bytes were evicted to disk has page nil and lives
+// only in slot. Sealed pages are immutable, so a slot stays a valid image
+// for the entry's whole retention — an entry reloaded for replay can be
+// evicted again without rewriting it.
 type retainedEntry struct {
 	page     *object.Page // resident page; nil when evicted to the spill store
 	slot     int          // spill slot holding the page image; -1 when never spilled
@@ -605,7 +609,7 @@ func (ex *Exchange) Recv(consumer int) (*object.Page, bool, error) {
 		if p == nil {
 			// The budget spilled this page at enqueue; reload it. The
 			// loaded copy is the unmetered in-flight page until the next
-			// Recv settles it (or the consumer takes ownership below).
+			// Recv settles it; an in-place consumer's stays unmetered.
 			var err error
 			if p, err = g.loadSlot(m.slot); err != nil {
 				// The message left the lane, so the failure-path sweep can
@@ -614,7 +618,13 @@ func (ex *Exchange) Recv(consumer int) (*object.Page, bool, error) {
 				return nil, false, err
 			}
 		}
-		if ex.ownsRetained() {
+		if ex.cfg.InPlace {
+			// The consumer's state references the delivered page in place
+			// (the join build, the sort merge), so the window holds only
+			// the reference — unmetered, never evicted.
+			ex.unship(consumer, m)
+			r.retained = append(r.retained, retainedEntry{page: p, slot: -1, size: m.size})
+		} else {
 			// The retention window keeps the bytes until the step ends: a
 			// page delivered resident carries its lane reservation over;
 			// one delivered from spill keeps its slot and settles at the
@@ -625,12 +635,6 @@ func (ex *Exchange) Recv(consumer int) (*object.Page, bool, error) {
 			if m.page == nil {
 				r.pending = r.pos
 			}
-		} else {
-			// Consumer-owned retention (the join build): the consumer's
-			// state references the delivered page in place, so the window
-			// holds only the reference — unmetered, never evicted.
-			ex.unship(consumer, m)
-			r.retained = append(r.retained, retainedEntry{page: p, slot: -1, size: m.size})
 		}
 		r.pos++
 		return p, true, nil
@@ -644,20 +648,19 @@ func (ex *Exchange) Recv(consumer int) (*object.Page, bool, error) {
 // item 1(a) deletes it.
 func (ex *Exchange) Ack(consumer, upto int) error { return nil }
 
-// Recycle hands every resident retained page to Config.ReleaseDelivered
-// and drops it from the retention window; spilled entries stay for
-// Discard, which frees their slots. Call it only when no consumer will
-// read a delivered page again — after a step whose every role succeeded —
-// and before Discard. Without ReleaseDelivered it does nothing: the
-// consumer's state still references the pages.
+// Recycle hands every resident retained page to Config.Release and drops
+// it from the retention window, whether the consumer read it in place or
+// not; spilled entries stay for Discard, which frees their slots. Call it
+// only when nothing will read a delivered page again — after a step whose
+// every role succeeded and returned — and before Discard.
 func (ex *Exchange) Recycle() {
-	if ex.cfg.ReleaseDelivered == nil {
+	if ex.cfg.Release == nil {
 		return
 	}
 	for _, r := range ex.recvs {
 		for i := range r.retained {
 			if e := &r.retained[i]; e.page != nil {
-				ex.cfg.ReleaseDelivered(e.page)
+				ex.cfg.Release(e.page)
 				e.page = nil
 			}
 		}
@@ -670,10 +673,11 @@ func (ex *Exchange) Recycle() {
 // step's pools close with zero live slots. It is the step's last cleanup,
 // on success as on failure: call it only after every producer and consumer
 // role has returned (a successful step has drained its lanes, but every
-// consumer's retention lasts until now). Page references are dropped for
-// the garbage collector, never recycled — user code may still hold refs
-// into delivered pages; Recycle first is how a successful step returns
-// them to their owner.
+// consumer's retention lasts until now). The page references it still
+// holds are dropped for the garbage collector, never recycled: after a
+// failed step they are the only pages left, and nothing vouches that a
+// failed role stopped reading them. Recycle first is how a successful
+// step returns its pages to their owner.
 func (ex *Exchange) Discard() {
 	for p := range ex.lanes {
 		for t := range ex.lanes[p] {

@@ -451,12 +451,12 @@ func TestSkewedProducerHardBound(t *testing.T) {
 // TestRewindReplaysRetained exercises the consumer-side recovery API: an
 // exchange retains delivered pages, Rewind replays them from page 0 in the
 // original order (then continues live), and only Recycle — the end of a
-// successful step — hands them to ReleaseDelivered.
+// successful step — hands them to Release.
 func TestRewindReplaysRetained(t *testing.T) {
 	reg, ti := testRegistry(t)
 	released := 0
 	ex := New(Config{Producers: 1, Consumers: 1, Threads: 1, capacity: 16,
-		ReleaseDelivered: func(*object.Page) { released++ }})
+		Release: func(*object.Page) { released++ }})
 	const n = 6
 	for seq := 0; seq < n; seq++ {
 		if err := ex.Send(Tag{0, 0, seq}, 0, testPage(t, reg, ti, int64(seq)), nil); err != nil {

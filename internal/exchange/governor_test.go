@@ -98,8 +98,7 @@ func TestGovernorReplayableSpill(t *testing.T) {
 	const producers, threads, pages = 2, 2, 4
 	reg, ti := testRegistry(t)
 
-	ref := New(Config{Producers: producers, Consumers: 1, Threads: threads, capacity: 2,
-		ReleaseDelivered: func(*object.Page) {}})
+	ref := New(Config{Producers: producers, Consumers: 1, Threads: threads, capacity: 2})
 	sendAll(t, ref, reg, ti, producers, threads, pages)
 	want := drain(t, ref, 0, ti)
 
@@ -110,8 +109,8 @@ func TestGovernorReplayableSpill(t *testing.T) {
 	g := NewGovernor(budget, sp, nil)
 	released := 0
 	ex := New(Config{Producers: producers, Consumers: 1, Threads: threads, capacity: 2,
-		ReleaseDelivered: func(*object.Page) { released++ },
-		Governors:        []*Governor{g}})
+		Release:   func(*object.Page) { released++ },
+		Governors: []*Governor{g}})
 	sendAll(t, ex, reg, ti, producers, threads, pages)
 
 	// Consume half the stream, rewind to the start, and re-consume the
@@ -152,6 +151,63 @@ func TestGovernorReplayableSpill(t *testing.T) {
 		t.Errorf("resident bytes at step end = %d, want 0", res)
 	}
 	if released == 0 {
-		t.Error("ReleaseDelivered never ran for resident retained pages")
+		t.Error("Release never ran for resident retained pages")
+	}
+}
+
+// TestGovernorLeavesInPlaceRetentionUnmetered streams the same pages, one
+// at a time, through a one-page budget into a consumer that reads them in
+// place (Config.InPlace) and into one that does not. The in-place window
+// is never metered, so nothing spills or is evicted, and Recycle still
+// hands every delivered page to Release exactly once; the other window
+// fills the budget and spills.
+func TestGovernorLeavesInPlaceRetentionUnmetered(t *testing.T) {
+	const n = 6
+	reg, ti := testRegistry(t)
+	budget := int64(len(testPage(t, reg, ti, 0).Bytes()))
+	for _, inPlace := range []bool{true, false} {
+		sp := storage.NewSpillPool(filepath.Join(t.TempDir(), "spill"), reg)
+		g := NewGovernor(budget, sp, nil)
+		released := map[*object.Page]int{}
+		ex := New(Config{Producers: 1, Consumers: 1, Threads: 1, InPlace: inPlace,
+			Release:   func(p *object.Page) { released[p]++ },
+			Governors: []*Governor{g}})
+		delivered := map[*object.Page]bool{}
+		for seq := 0; seq < n; seq++ {
+			if err := ex.Send(Tag{0, 0, seq}, 0, testPage(t, reg, ti, int64(seq)), nil); err != nil {
+				t.Fatal(err)
+			}
+			p, ok, err := ex.Recv(0)
+			if err != nil || !ok || pageID(p, ti) != int64(seq) {
+				t.Fatalf("inPlace=%v: recv %d: ok=%v err=%v", inPlace, seq, ok, err)
+			}
+			delivered[p] = true
+		}
+		_ = ex.CloseThread(0, 0, nil)
+		ex.CloseProducer(0)
+		if _, ok, err := ex.Recv(0); ok || err != nil {
+			t.Fatalf("inPlace=%v: stream should have ended: ok=%v err=%v", inPlace, ok, err)
+		}
+		if inPlace {
+			if res, spilled := g.ResidentBytes(), g.SpilledPages(); res != 0 || spilled != 0 {
+				t.Errorf("in-place window: %d bytes metered and %d pages spilled, want none", res, spilled)
+			}
+		} else if g.SpilledPages() == 0 {
+			t.Error("a metered window over a one-page budget spilled nothing")
+		}
+		ex.Recycle()
+		for p, k := range released {
+			if k != 1 || !delivered[p] {
+				t.Errorf("inPlace=%v: Release got a page %d times (delivered: %v)", inPlace, k, delivered[p])
+			}
+		}
+		if inPlace && len(released) != n {
+			t.Errorf("in-place window: Recycle released %d of %d delivered pages", len(released), n)
+		}
+		ex.Discard()
+		if live, res := sp.LiveSlots(), g.ResidentBytes(); live != 0 || res != 0 {
+			t.Errorf("inPlace=%v: step end left %d live spill slots and %d metered bytes", inPlace, live, res)
+		}
+		_ = sp.Close()
 	}
 }

@@ -5,19 +5,20 @@ import (
 	"sync"
 )
 
-// Reset returns a page to its pristine state without zeroing its body:
-// "deallocating" a page of objects means returning it to the buffer pool,
-// where it will be recycled and written over with a new set of objects
-// (paper §3). Safe because the allocator zeroes each allocation's payload,
-// a page shipped into a recycled frame overwrites the header with its own,
-// and only the occupied prefix of a page is ever read, shipped or
-// persisted.
+// Reset returns a page to its pristine state, rewriting all of its header
+// but not zeroing its body: "deallocating" a page of objects means
+// returning it to the buffer pool, where it will be recycled and written
+// over with a new set of objects (paper §3). Safe because the allocator
+// zeroes each allocation's payload, a page shipped into a recycled frame
+// overwrites the header with its own, and only the occupied prefix of a
+// page is ever read, shipped or persisted.
 func (p *Page) Reset() {
 	copy(p.Data[0:4], pageMagic)
 	p.setUsed(PageHeaderSize)
 	p.setActiveObjects(0)
 	binary.LittleEndian.PutUint32(p.Data[12:16], 0) // root
 	p.setFlags(flagManaged)
+	binary.LittleEndian.PutUint32(p.Data[20:24], 0) // reserved
 	if p.alloc != nil {
 		p.alloc.Page = nil
 		p.alloc = nil
@@ -64,11 +65,25 @@ func (pp *PagePool) Get(reg *Registry) *Page {
 	return NewPage(pp.Size, reg)
 }
 
+// poisonByte is the byte PagePool.Put fills a released frame with under
+// -tags pagecheck.
+const poisonByte = 0xA5
+
 // Put returns a page whose data are dead. Pages of a different size are
 // dropped (the pool is homogeneous, like a buffer pool frame), and so is
 // any page that would take the list past the pages the pool has made.
+// Under -tags pagecheck every page, listed or dropped, is first overwritten
+// with poisonByte.
 func (pp *PagePool) Put(p *Page) {
-	if p == nil || len(p.Data) != pp.Size {
+	if p == nil {
+		return
+	}
+	if poisonReleased {
+		for i := range p.Data {
+			p.Data[i] = poisonByte
+		}
+	}
+	if len(p.Data) != pp.Size {
 		return
 	}
 	p.Reg = nil

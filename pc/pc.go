@@ -315,7 +315,9 @@ func (c *Client) SendDataPartitioned(db, set string, pages []*Page, keyLabel str
 // HashPartitionJoinKind runs the streaming hash-partition join with
 // selectable semantics (inner/left/semi/anti/right/full); null-extended
 // rows carry NilRef on the absent side. Two sets sharing a partition label
-// (SendDataPartitioned) join where they are stored, with no shuffle. See
+// (SendDataPartitioned) join where they are stored, with no shuffle. A Ref
+// handed to emit, and every ref reached through it, is valid only until
+// that emit call returns, so read or copy what you need inside emit. See
 // cluster.Cluster.HashPartitionJoinKind for the placement check and the
 // recovery contract.
 func (c *Client) HashPartitionJoinKind(kind JoinKind, dbL, setL, dbR, setR string,
