@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/lambda"
 	"repro/internal/object"
@@ -96,6 +97,52 @@ func TestSendDataPartitionedPlacesByKey(t *testing.T) {
 	}
 	if meta.PartitionKey != "dept" {
 		t.Errorf("PartitionKey = %q, want dept", meta.PartitionKey)
+	}
+}
+
+// TestSendDataPartitionedSkipsEmptyPartitions loads rows that all share
+// one key: only the worker owning that key stores pages, every other
+// worker's partition is a root vector with no elements and is not stored,
+// and the set still counts every row.
+func TestSendDataPartitionedSkipsEmptyPartitions(t *testing.T) {
+	c, emp := testCluster(t, 0)
+	if err := c.CreateSet("db", "one", "Emp"); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	pages, err := object.BuildPages(c.Catalog.Registry(), 1<<16, n, func(a *object.Allocator, i int) (object.Ref, error) {
+		e, err := a.MakeObject(emp)
+		if err != nil {
+			return object.NilRef, err
+		}
+		object.SetF64(e, emp.Field("salary"), float64(i))
+		return e, object.SetStrField(a, e, emp.Field("dept"), "a")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deptField := emp.Field("dept")
+	key := func(r object.Ref) uint64 {
+		return object.HashValue(object.StringValue(object.GetStrField(r, deptField)))
+	}
+	if err := c.SendDataPartitioned("db", "one", pages, "dept", key); err != nil {
+		t.Fatal(err)
+	}
+	owner := engine.PartitionOf(object.HashValue(object.StringValue("a")), len(c.Workers))
+	for wi, w := range c.Workers {
+		stored, err := storedPages(w.Front.Store, "db", "one")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wi == owner && len(stored) < 2 {
+			t.Errorf("owner worker %d stores %d pages, want the rows on at least 2", wi, len(stored))
+		}
+		if wi != owner && len(stored) != 0 {
+			t.Errorf("worker %d owns no rows but stores %d pages", wi, len(stored))
+		}
+	}
+	if count, err := c.CountSet("db", "one"); err != nil || count != n {
+		t.Fatalf("CountSet = %d, %v; want %d", count, err, n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -93,8 +94,9 @@ func hashPages(h interface{ Write([]byte) (int, error) }, pages []*object.Page) 
 }
 
 // pinStringAgg runs one spec end to end at one thread count and returns the
-// hash of everything it wrote.
-func pinStringAgg(t *testing.T, specName string, threads int) string {
+// hash of everything it wrote and the hash of its finalized rows: each
+// row's name and value, length-framed, in partition, page and row order.
+func pinStringAgg(t *testing.T, specName string, threads int) (pages, rows string) {
 	t.Helper()
 	reg := object.NewRegistry()
 	ti := pinKVType(reg)
@@ -123,7 +125,7 @@ func pinStringAgg(t *testing.T, specName string, threads int) string {
 		return o, object.SetField(a, o, valField, val)
 	}
 
-	h := sha256.New()
+	h, rh := sha256.New(), sha256.New()
 	const parts = 3
 	stats := &Stats{}
 	sink, err := NewAggSink(reg, 1<<12, parts, spec, "key", "val", nil, stats)
@@ -176,16 +178,47 @@ func pinStringAgg(t *testing.T, specName string, threads int) string {
 			t.Fatal(err)
 		}
 		hashPages(h, out)
+		hashRows(rh, out, ti.Field("name"), valField)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), hex.EncodeToString(rh.Sum(nil))
+}
+
+// hashRows writes each finalized row's name and value, whatever bytes the
+// pages carrying them hold.
+func hashRows(h interface{ Write([]byte) (int, error) }, pages []*object.Page, name, val *object.Field) {
+	var frame [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(frame[:], v)
+		h.Write(frame[:])
+	}
+	str := func(s string) {
+		word(uint64(len(s)))
+		h.Write([]byte(s))
+	}
+	for _, p := range pages {
+		root := object.AsVector(object.Ref{Page: p, Off: p.Root()})
+		for i, n := 0, root.Len(); i < n; i++ {
+			r := root.HandleAt(i)
+			str(object.GetStrField(r, name))
+			if val.Kind == object.KString {
+				str(object.GetStrField(r, val))
+			} else {
+				word(math.Float64bits(object.GetF64(r, val)))
+			}
+		}
+	}
 }
 
 func TestStringAggPagesPinned(t *testing.T) {
 	for _, specName := range []string{"sum", "maxtag"} {
 		for _, threads := range []int{1, 2} {
 			cell := fmt.Sprintf("%s/t=%d", specName, threads)
-			if got := pinStringAgg(t, specName, threads); got != pinnedStringAggHashes[cell] {
-				t.Errorf("%s: pages hash %s, pinned %q", cell, got, pinnedStringAggHashes[cell])
+			pages, rows := pinStringAgg(t, specName, threads)
+			if pages != pinnedStringAggHashes[cell] {
+				t.Errorf("%s: pages hash %s, pinned %q", cell, pages, pinnedStringAggHashes[cell])
+			}
+			if rows != pinnedStringAggRowHashes[cell] {
+				t.Errorf("%s: rows hash %s, pinned %q", cell, rows, pinnedStringAggRowHashes[cell])
 			}
 		}
 	}
@@ -196,4 +229,13 @@ var pinnedStringAggHashes = map[string]string{
 	"sum/t=2":    "b913292005b22686a2c7c4ec1362755fe119c26b64040e1e7ec35cbbec8cd012",
 	"maxtag/t=1": "7671eb7cff08411aba668e1b4ed62ee91e05af061d130aeeac98819174ed8ecf",
 	"maxtag/t=2": "ed856424452b7cb85f8f9af3a0db2514669c4181220fba33d23bb4d2e8996bb2",
+}
+
+// pinnedStringAggRowHashes pins the finalized rows of the same cells: what a
+// reader of the output sees, whatever pages carry it.
+var pinnedStringAggRowHashes = map[string]string{
+	"sum/t=1":    "16efdc0a2f8606cb69f91f058e679ca757cadf3631fbd2b421f742efd7d04563",
+	"sum/t=2":    "f3b0f242d4db34f7f2ad765c509b940e1557b06dd312cd224d2ce35a4b8d9646",
+	"maxtag/t=1": "ce769950913f2e73f0ec4607d55731af101f6fe44365550694fe2a6abf510420",
+	"maxtag/t=2": "f341df518becc11bf42cc85a4cc9cc3b2bf668bcefc765d06fd2239227d905d7",
 }

@@ -401,6 +401,36 @@ func TestOutputSinkRotationProducesZombiePages(t *testing.T) {
 	}
 }
 
+// TestOutputPageSetPagesSkipsOnlyAnEmptyLivePage: Pages leaves out a live
+// page nothing was allocated on, and returns it once any object is, a root
+// vector with no elements included.
+func TestOutputPageSetPagesSkipsOnlyAnEmptyLivePage(t *testing.T) {
+	reg := object.NewRegistry()
+	bare, err := NewOutputPageSet(reg, 1024, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bare.Pages(); len(got) != 0 {
+		t.Fatalf("a fresh set without a root returns %d pages, want 0", len(got))
+	}
+	if _, err := bare.Alloc.MakeRaw(8); err != nil {
+		t.Fatal(err)
+	}
+	if got := bare.Pages(); len(got) != 1 || got[0] != bare.Live {
+		t.Errorf("after one allocation Pages = %v, want the live page", got)
+	}
+	rooted, err := NewOutputPageSet(reg, 1024, initRootVector, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if object.AsVector(object.Ref{Page: rooted.Live, Off: rooted.Live.Root()}).Len() != 0 {
+		t.Fatal("a fresh root vector has elements")
+	}
+	if got := rooted.Pages(); len(got) != 1 || got[0] != rooted.Live {
+		t.Errorf("with an empty root vector Pages = %v, want the live page", got)
+	}
+}
+
 func sumCombine(a *object.Allocator, cur object.Value, exists bool, next object.Value) (object.Value, error) {
 	if !exists {
 		return object.Float64Value(next.AsFloat64()), nil
