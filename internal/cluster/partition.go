@@ -43,7 +43,7 @@ func (c *Cluster) SendDataPartitioned(db, set string, pages []*object.Page,
 	}
 	for i, w := range c.Workers {
 		for _, p := range sink.PartitionPages(i) {
-			if p.ActiveObjects() <= 1 { // only the root vector: empty
+			if object.AsVector(object.Ref{Page: p, Off: p.Root()}).Len() == 0 {
 				continue
 			}
 			if err := c.storePage(w, db, set, p, keyLabel); err != nil {

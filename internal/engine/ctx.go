@@ -434,10 +434,11 @@ func (o *OutputPageSet) CloseStream() error {
 	return o.OnSeal(p)
 }
 
-// Pages returns all pages carrying output data (sealed plus live).
+// Pages returns all pages carrying output data (sealed plus live): the live
+// page once anything, a root container included, is allocated on it.
 func (o *OutputPageSet) Pages() []*object.Page {
 	out := append([]*object.Page(nil), o.Sealed...)
-	if o.Live != nil && o.Live.ActiveObjects() > 0 {
+	if o.Live != nil && o.Live.Used() > object.PageHeaderSize {
 		out = append(out, o.Live)
 	}
 	return out

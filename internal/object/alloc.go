@@ -15,10 +15,10 @@ const PolicyLightweightReuse Policy = 0
 // code or the execution engine) installs a fresh page.
 //
 // Every block is a region (paper Appendix B's "no reuse" policy): Alloc bumps
-// the page watermark and a destroyed object's space is never handed out
-// again. The page's bytes and its watermark are therefore the allocator's
-// whole state, so a byte copy of a page resumes allocation exactly where the
-// original would.
+// the page watermark, and an object's space comes back only when its whole
+// page does (PagePool.Put), so no object has a destructor. The page's bytes
+// and its watermark are therefore the allocator's whole state, so a byte
+// copy of a page resumes allocation exactly where the original would.
 type Allocator struct {
 	Page *Page
 }
@@ -55,8 +55,8 @@ func alignUp(n, a uint32) uint32 {
 
 // Alloc reserves space for an object with the given payload size and type
 // code past the page watermark, returning the payload offset. The object
-// starts with reference count zero; writing a handle to it (or Retain) takes
-// ownership.
+// starts with a referent mark of zero; writing a handle to it (or Retain)
+// raises the mark.
 func (a *Allocator) Alloc(payloadSize, typeCode uint32) (uint32, error) {
 	if a.Page == nil {
 		return 0, ErrPageFull
@@ -76,7 +76,6 @@ func (a *Allocator) Alloc(payloadSize, typeCode uint32) (uint32, error) {
 	// Zero the payload and its alignment pad: a pooled page's body may hold
 	// stale bytes.
 	clear(d[off : off+size])
-	a.Page.setActiveObjects(a.Page.ActiveObjects() + 1)
 	return off, nil
 }
 
@@ -97,51 +96,6 @@ func (a *Allocator) MakeRaw(size uint32) (Ref, error) {
 		return NilRef, err
 	}
 	return Ref{Page: a.Page, Off: off}, nil
-}
-
-// destroyObject runs the object's destructor (recursively releasing held
-// handles) and drops it from the page's live count. It is invoked when a
-// reference count on a managed page reaches zero (Release). The space stays
-// where it is: blocks are regions, reclaimed whole when the page is
-// recycled.
-func destroyObject(r Ref) {
-	// Acyclic graphs, which the deep-copy discipline guarantees for
-	// cross-page data, make the recursive release terminate.
-	releaseChildren(r)
-	p := r.Page
-	if n := p.ActiveObjects(); n > 0 {
-		p.setActiveObjects(n - 1)
-	}
-}
-
-// releaseChildren releases every handle the object holds, dispatching on the
-// object's type code.
-func releaseChildren(r Ref) {
-	tc := r.TypeCode()
-	switch {
-	case IsSimpleCode(tc), tc == TCString, tc == TCArray, tc == TCRaw, tc == TCNil:
-		return
-	case tc == TCVector:
-		v := Vector{r}
-		if v.ElemKind().IsHandleKind() {
-			for i, n := 0, v.Len(); i < n; i++ {
-				v.HandleAt(i).Release()
-			}
-		}
-		v.dataRef().Release()
-	case tc == TCMap:
-		m := OMap{r}
-		m.releaseEntries()
-		m.slotsRef().Release()
-	default:
-		ti := lookupType(r)
-		if ti == nil {
-			return
-		}
-		for _, f := range ti.HandleFields() {
-			GetHandleField(r, f).Release()
-		}
-	}
 }
 
 func lookupType(r Ref) *TypeInfo {

@@ -111,39 +111,42 @@ func TestOMapIterateStringKeysAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestReleaseAllocatesNothing: destroying an object on an active block only
-// runs its destructor and drops the page's live count; the space stays in the
-// region, so freeing keeps no Go-side record of it.
-func TestReleaseAllocatesNothing(t *testing.T) {
+// TestHandleOverwriteAllocatesNothing: overwriting a handle with a target on
+// the same page writes the slot and raises the new target's mark, nothing
+// else: the old target stays where it is in the region, and no Go-side
+// record of it is kept.
+func TestHandleOverwriteAllocatesNothing(t *testing.T) {
 	skipUnderRace(t)
-	const n = 10000
-	// AllocsPerRun calls the body twice; each call fills a fresh block.
 	reg := NewRegistry()
-	blocks := []*Allocator{NewAllocator(NewPage(1<<20, reg)), NewAllocator(NewPage(1<<20, reg))}
-	refs := make([]Ref, n)
-	run := 0
-	allocs := testing.AllocsPerRun(1, func() {
-		a := blocks[run]
-		run++
-		for i := range refs {
-			off, err := a.Alloc(uint32(8+i%48), TCRaw)
-			if err != nil {
+	holder := NewStruct("GuardHolder").AddField("h", KHandle).MustBuild(reg)
+	a := NewAllocator(NewPage(1<<20, reg))
+	h, err := a.MakeObject(holder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make([]Ref, 64)
+	for i := range targets {
+		if targets[i], err = a.MakeRaw(uint32(8 + i%48)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := holder.Field("h")
+	used := a.Page.Used()
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, r := range targets {
+			if err := SetHandleField(a, h, f, r); err != nil {
 				t.Fatal(err)
 			}
-			refs[i] = Ref{Page: a.Page, Off: off}
-			refs[i].Retain()
-		}
-		for _, r := range refs {
-			r.Release()
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("building and releasing %d objects allocated %v Go objects, want 0", n, allocs)
+		t.Errorf("overwriting a handle %d times allocated %v Go objects, want 0", len(targets), allocs)
 	}
-	for _, a := range blocks {
-		if a.Page.ActiveObjects() != 0 {
-			t.Errorf("%d live objects after release, want 0", a.Page.ActiveObjects())
-		}
+	if a.Page.Used() != used {
+		t.Errorf("same-page overwrites moved the watermark from %d to %d", used, a.Page.Used())
+	}
+	if GetHandleField(h, f) != targets[len(targets)-1] || targets[0].RefCount() != 2 {
+		t.Errorf("the slot holds %v, the first target's mark is %d; want the last target and 2", GetHandleField(h, f), targets[0].RefCount())
 	}
 }
 

@@ -20,7 +20,7 @@ func TestAllocBasics(t *testing.T) {
 		t.Errorf("PayloadSize = %d, want 16", r.PayloadSize())
 	}
 	if r.RefCount() != 0 {
-		t.Errorf("fresh object RefCount = %d, want 0", r.RefCount())
+		t.Errorf("fresh object's referent mark = %d, want 0", r.RefCount())
 	}
 }
 
@@ -71,73 +71,60 @@ func TestAllocZeroesRecycledSpace(t *testing.T) {
 	}
 }
 
-// TestAllocatorIsARegion: every allocation bumps the watermark; a destroyed
-// object leaves the live count but its space is never handed out again.
+// TestAllocatorIsARegion: every allocation bumps the watermark, and an
+// object whose last handle is overwritten keeps its space: the next
+// allocation lands past it.
 func TestAllocatorIsARegion(t *testing.T) {
-	p := NewPage(4096, NewRegistry())
+	reg := NewRegistry()
+	holder := NewStruct("RegionHolder").AddField("h", KHandle).MustBuild(reg)
+	p := NewPage(4096, reg)
 	a := NewAllocator(p)
-	off, _ := a.Alloc(32, TCRaw)
-	r := Ref{Page: p, Off: off}
-	r.Retain()
-	usedBefore := p.Used()
-	r.Release()
-	if p.ActiveObjects() != 0 || p.Used() != usedBefore {
-		t.Fatalf("after Release: %d live objects, watermark %d; want 0 and %d unchanged",
-			p.ActiveObjects(), p.Used(), usedBefore)
+	h, err := a.MakeObject(holder)
+	if err != nil {
+		t.Fatal(err)
 	}
-	off2, _ := a.Alloc(32, TCRaw)
-	if off2 <= off {
-		t.Errorf("allocation after a free landed at %d, want past the freed object at %d", off2, off)
+	old, err := a.MakeRaw(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SetHandleField(a, h, holder.Field("h"), old); err != nil {
+		t.Fatal(err)
+	}
+	copy(old.Payload(), "the overwritten object's payload")
+	usedBefore := p.Used()
+	if err := SetHandleField(a, h, holder.Field("h"), NilRef); err != nil {
+		t.Fatal(err)
+	}
+	if p.Used() != usedBefore || old.PayloadSize() != 32 || string(old.Payload()) != "the overwritten object's payload" {
+		t.Fatalf("overwriting the last handle moved the watermark to %d (was %d) or touched the object", p.Used(), usedBefore)
+	}
+	next, err := a.MakeRaw(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Off <= old.Off {
+		t.Errorf("allocation after the overwrite landed at %d, want past the unreachable object at %d", next.Off, old.Off)
 	}
 	if p.Used() <= usedBefore {
 		t.Error("allocation should advance the watermark")
 	}
 }
 
-func TestDestructorReleasesChildren(t *testing.T) {
-	reg := NewRegistry()
-	ti := NewStruct("Holder").
-		AddField("name", KString).
-		AddField("data", KHandle).
-		MustBuild(reg)
-	p := NewPage(8192, reg)
-	a := NewAllocator(p)
-
-	h, err := a.MakeObject(ti)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SetStrField(a, h, ti.Field("name"), "child-string"); err != nil {
-		t.Fatal(err)
-	}
-	v, err := MakeVector(a, KFloat64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = v.PushBackF64(a, 3.14)
-	if err := SetHandleField(a, h, ti.Field("data"), v.Ref); err != nil {
-		t.Fatal(err)
-	}
-	// holder + string + vector + vector's array
-	if p.ActiveObjects() != 4 {
-		t.Fatalf("ActiveObjects = %d, want 4", p.ActiveObjects())
-	}
-	h.Retain()
-	h.Release()
-	if p.ActiveObjects() != 0 {
-		t.Errorf("after destroying holder, ActiveObjects = %d, want 0 (children must cascade)", p.ActiveObjects())
-	}
-}
-
+// TestAllocatorDetachStopsReuse: a detached allocator allocates nothing
+// more on its page, and the page stays a managed block whose marks rise.
 func TestAllocatorDetachStopsReuse(t *testing.T) {
 	p, a := newTestPage(t, 4096)
 	off, _ := a.Alloc(32, TCRaw)
-	a.Detach()
+	if got := a.Detach(); got != p {
+		t.Fatalf("Detach returned %p, want the page %p", got, p)
+	}
+	if _, err := a.Alloc(8, TCRaw); err != ErrPageFull {
+		t.Errorf("Alloc after Detach: %v, want ErrPageFull", err)
+	}
 	r := Ref{Page: p, Off: off}
 	r.Retain()
-	r.Release() // page inactive: object destroyed, space not recycled
-	if p.ActiveObjects() != 0 {
-		t.Error("objects on inactive managed blocks are still refcounted")
+	if !p.Managed() || r.RefCount() != 1 {
+		t.Errorf("detached page managed %v, mark %d; want managed and 1", p.Managed(), r.RefCount())
 	}
 }
 
@@ -155,26 +142,34 @@ func TestAllocAlignment(t *testing.T) {
 }
 
 // Property: a random sequence of allocations and frees never corrupts the
-// page: every live object keeps its header intact and the active count
-// matches the model.
+// page. A free is the overwrite of an object's last handle, which in a
+// region leaves the object where it is: each allocation lands past the one
+// before, every object keeps its header and payload, reachable or not, and
+// the watermark covers them all.
 func TestQuickAllocFreeInvariants(t *testing.T) {
+	reg := NewRegistry()
+	holder := NewStruct("QuickHolder").AddField("h", KHandle).MustBuild(reg)
 	f := func(ops []uint16) bool {
-		p := NewPage(1<<16, NewRegistry())
+		p := NewPage(1<<16, reg)
 		a := NewAllocator(p)
+		h, err := a.MakeObject(holder)
+		if err != nil {
+			return false
+		}
 		type obj struct {
 			off  uint32
 			size uint32
 			fill byte
 		}
-		var live []obj
+		var objs []obj
 		for _, op := range ops {
-			if op%3 == 0 && len(live) > 0 {
-				// free a pseudo-random live object
-				i := int(op) % len(live)
-				r := Ref{Page: p, Off: live[i].off}
-				r.Retain()
-				r.Release()
-				live = append(live[:i], live[i+1:]...)
+			if op%3 == 0 && len(objs) > 0 {
+				// point the holder at a pseudo-random earlier object,
+				// leaving the one it held unreachable
+				o := objs[int(op)%len(objs)]
+				if SetHandleField(a, h, holder.Field("h"), Ref{Page: p, Off: o.off}) != nil {
+					return false
+				}
 				continue
 			}
 			size := uint32(op%200) + 1
@@ -182,19 +177,19 @@ func TestQuickAllocFreeInvariants(t *testing.T) {
 			if err != nil {
 				continue // page full is fine
 			}
+			if len(objs) > 0 && off <= objs[len(objs)-1].off {
+				return false
+			}
 			fill := byte(op)
 			r := Ref{Page: p, Off: off}
 			for j := range r.Payload() {
 				r.Payload()[j] = fill
 			}
-			live = append(live, obj{off, size, fill})
+			objs = append(objs, obj{off, size, fill})
 		}
-		if int(p.ActiveObjects()) != len(live) {
-			return false
-		}
-		for _, o := range live {
+		for _, o := range objs {
 			r := Ref{Page: p, Off: o.off}
-			if r.PayloadSize() != o.size || r.TypeCode() != TCRaw {
+			if r.PayloadSize() != o.size || r.TypeCode() != TCRaw || o.off+o.size > p.Used() {
 				return false
 			}
 			for _, b := range r.Payload() {

@@ -176,12 +176,12 @@ func TestDeepCopyPreservesSharingAndCycles(t *testing.T) {
 		t.Error("two-node cycle did not copy to a two-node cycle")
 	}
 	// ...and one whose root's only referent is the cycle itself: every
-	// object in it has a reference count of one.
+	// object in it has a referent mark of one.
 	p, q := mk(20), mk(21)
 	link(p, next, q)
 	link(q, next, p)
 	if p.RefCount() != 1 || q.RefCount() != 1 {
-		t.Fatalf("cycle refcounts = %d, %d, want 1, 1", p.RefCount(), q.RefCount())
+		t.Fatalf("cycle marks = %d, %d, want 1, 1", p.RefCount(), q.RefCount())
 	}
 	cp, err := DeepCopy(dst, p)
 	if err != nil {

@@ -31,11 +31,9 @@ func HandleSlotTypeCode(p *Page, slotOff uint32) uint32 {
 // target is deep-copied into the active block so that every page remains
 // self-contained and zero-cost movable (paper §6.4).
 //
-// Reference counts are maintained: the old target is released, the new
-// target retained (on managed pages).
+// The new target is retained (on managed pages), which raises its referent
+// mark; the old target is left as it is, its space reclaimed with its page.
 func WriteHandleSlot(a *Allocator, p *Page, slotOff uint32, target Ref) error {
-	old := ReadHandleSlot(p, slotOff)
-
 	if !target.IsNil() && target.Page != p {
 		if a == nil || a.Page != p {
 			return ErrCrossPage
@@ -60,12 +58,11 @@ func WriteHandleSlot(a *Allocator, p *Page, slotOff uint32, target Ref) error {
 		binary.LittleEndian.PutUint32(d[slotOff+4:slotOff+8], target.TypeCode())
 		target.Retain()
 	}
-	old.Release()
 	return nil
 }
 
 // rewriteHandleSlotRaw rewrites a slot's relative offset for a target known
-// to be on the same page, without touching reference counts (used by map
+// to be on the same page, without touching referent marks (used by map
 // rehashing and array growth where the logical reference set is unchanged).
 func rewriteHandleSlotRaw(p *Page, slotOff uint32, target Ref) {
 	d := p.Data

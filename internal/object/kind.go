@@ -7,13 +7,14 @@
 // raw bytes with zero serialization cost: copying the page preserves every
 // handle. This is the paper's "zero-cost data movement" principle.
 //
-// Objects on a managed allocation block are reference counted. Every block
-// is a region: allocation bumps the page watermark and freed space is not
-// reused until the whole page is recycled. Of the paper's Appendix B
-// policies this is "no reuse"; lightweight reuse, recycling and the
-// per-object opt-outs (no-refcount, unique ownership) are not implemented,
-// since none of them lowered any workload's memory or time (ROADMAP.md's
-// decision table, "allocation policy").
+// Every allocation block is a region: allocation bumps the page watermark
+// and an object's space comes back only when its whole page is recycled, so
+// objects have no destructors and no reference counts. Of the paper's
+// Appendix B policies this is "no reuse"; lightweight reuse, recycling and
+// the per-object opt-outs (no-refcount, unique ownership) are not
+// implemented, since none of them lowered any workload's memory or time
+// (ROADMAP.md's decision table, "allocation policy"). An object's header
+// keeps only a referent mark, which DeepCopy reads to skip its memo.
 package object
 
 import "fmt"
@@ -52,7 +53,7 @@ func (k Kind) Size() uint32 {
 }
 
 // IsHandleKind reports whether values of this kind are stored as handle
-// slots and therefore participate in reference counting and deep copies.
+// slots and therefore raise referent marks and take part in deep copies.
 func (k Kind) IsHandleKind() bool { return k == KHandle || k == KString }
 
 // String names the kind as schemas and error messages spell it.

@@ -375,7 +375,6 @@ func (m OMap) rehashScalar(a *Allocator, newSlots int) error {
 		binary.LittleEndian.PutUint32(slot, slotFull)
 		copy(slot[4:], old[4:scalarSlotSize])
 	}
-	oldArr.Release() // arrays never traverse children
 	return nil
 }
 
@@ -414,7 +413,6 @@ func (m OMap) rehashGeneric(a *Allocator, newSlots int) error {
 			copy(d[m.valOff(i):m.valOff(i)+vk.Size()], d[oldVal:oldVal+vk.Size()])
 		}
 	}
-	oldArr.Release() // arrays never traverse children; moved refs stay live
 	return nil
 }
 
@@ -426,26 +424,6 @@ func (m OMap) Iterate(fn func(key, val Value) bool) {
 			if !fn(m.keyAt(m.keyOff(i)), m.readVal(i)) {
 				return
 			}
-		}
-	}
-}
-
-// releaseEntries releases all handle keys/values (destructor support).
-func (m OMap) releaseEntries() {
-	kk, vk := m.KeyKind(), m.ValKind()
-	if !kk.IsHandleKind() && !vk.IsHandleKind() {
-		return
-	}
-	n := m.slots()
-	for i := 0; i < n; i++ {
-		if m.slotState(i) != slotFull {
-			continue
-		}
-		if kk.IsHandleKind() {
-			ReadHandleSlot(m.Page, m.keyOff(i)).Release()
-		}
-		if vk.IsHandleKind() {
-			ReadHandleSlot(m.Page, m.valOff(i)).Release()
 		}
 	}
 }

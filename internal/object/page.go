@@ -14,14 +14,15 @@ const (
 	// PageHeaderSize is the fixed page header:
 	//   [0:4]   magic "PCPG"
 	//   [4:8]   used watermark (next free offset)
-	//   [8:12]  active (live, not-yet-freed) object count
+	//   [8:12]  unused, always zero (ROADMAP item 30(b) retires it with
+	//           the next format bump)
 	//   [12:16] root object payload offset (0 = none)
 	//   [16:20] flags (bit0: managed)
 	//   [20:24] reserved
 	PageHeaderSize = 24
 
 	// ObjHeaderSize is the per-object header preceding each payload:
-	//   [0:4] reference count
+	//   [0:4] referent mark: 0, 1, or 2 for more than one (Retain)
 	//   [4:8] type code
 	//   [8:12] payload size
 	ObjHeaderSize = 12
@@ -64,14 +65,14 @@ var (
 type Page struct {
 	Data []byte
 
-	// Reg resolves type codes for destructor and deep-copy traversal.
+	// Reg resolves type codes for deep-copy traversal.
 	// It is process-local state, never persisted.
 	Reg *Registry
 
 	// alloc points at the allocator currently treating this page as its
 	// active block, if any, so a new allocator on the page can take it
 	// from the old one. A detached page is an inactive managed block: its
-	// objects are still refcounted, and nothing allocates on it.
+	// objects' referent marks still rise, and nothing allocates on it.
 	alloc *Allocator
 }
 
@@ -88,7 +89,7 @@ func NewPage(size int, reg *Registry) *Page {
 }
 
 // FromBytes adopts page bytes received from disk or the network. The page is
-// un-managed: reference counts inside it are frozen (paper §6.4's "inactive,
+// un-managed: referent marks inside it are frozen (paper §6.4's "inactive,
 // un-managed blocks"), and its space is controlled by the execution engine
 // rather than by the object model.
 func FromBytes(b []byte, reg *Registry) (*Page, error) {
@@ -116,13 +117,6 @@ func (p *Page) Used() uint32 { return binary.LittleEndian.Uint32(p.Data[4:8]) }
 
 func (p *Page) setUsed(u uint32) { binary.LittleEndian.PutUint32(p.Data[4:8], u) }
 
-// ActiveObjects returns the count of live (allocated and not freed) objects
-// on the page. A managed page whose count drops to zero can be returned to
-// the buffer pool (paper §6.4).
-func (p *Page) ActiveObjects() uint32 { return binary.LittleEndian.Uint32(p.Data[8:12]) }
-
-func (p *Page) setActiveObjects(n uint32) { binary.LittleEndian.PutUint32(p.Data[8:12], n) }
-
 // Root returns the payload offset of the page's root object (by convention
 // the top-level container, e.g. a Vector of handles), or 0 if unset.
 func (p *Page) Root() uint32 { return binary.LittleEndian.Uint32(p.Data[12:16]) }
@@ -135,9 +129,9 @@ func (p *Page) SetRoot(off uint32) {
 func (p *Page) flags() uint32     { return binary.LittleEndian.Uint32(p.Data[16:20]) }
 func (p *Page) setFlags(f uint32) { binary.LittleEndian.PutUint32(p.Data[16:20], f) }
 
-// Managed reports whether the object model reference-counts objects on this
-// page. Pages loaded from bytes are un-managed; pages created locally are
-// managed until shipped.
+// Managed reports whether the object model marks referents on this page.
+// Pages loaded from bytes are un-managed; pages created locally are managed
+// until shipped.
 func (p *Page) Managed() bool { return p.flags()&flagManaged != 0 }
 
 // SetManaged toggles management, used by the engine when handing a page
@@ -190,45 +184,28 @@ func (r Ref) setRCWord(w uint32) {
 	binary.LittleEndian.PutUint32(r.Page.Data[r.header():r.header()+4], w)
 }
 
-// RefCount returns the object's current reference count (meaningful only on
-// managed pages).
+// RefCount returns the object's referent mark: 0, 1, or 2 for more than
+// one. It is exact only while it is below 2 and only on managed pages.
 func (r Ref) RefCount() uint32 { return r.rcWord() }
 
 // soleReferent reports whether the object's header shows exactly one way in:
-// a reference count of one. Reached through a handle slot, such an object
+// a referent mark of one. Reached through a handle slot, such an object
 // cannot be reached again through another (DeepCopy skips its memo for it).
-// Counts are frozen, not lost, when a page stops being managed, so the
+// Marks are frozen, not lost, when a page stops being managed, so the
 // answer holds for shipped and stored pages too.
 func (r Ref) soleReferent() bool { return r.rcWord() == 1 }
 
-// Retain increments the reference count (a Go-side owning reference, the
-// analogue of holding a Handle variable in the C++ binding). Un-managed
-// pages freeze their counts — this is what makes cross-thread handle copies
+// Retain raises the referent mark (a handle slot written to the object, or
+// a Go-side owning reference, the analogue of holding a Handle variable in
+// the C++ binding). The mark saturates at 2, "more than one"; nothing lowers
+// it, since an object's space returns only with its page. Un-managed pages
+// freeze their marks — this is what makes cross-thread handle copies
 // lock-free in the paper (§6.5).
 func (r Ref) Retain() {
 	if r.IsNil() || !r.Page.Managed() {
 		return
 	}
-	r.setRCWord(r.rcWord() + 1)
-}
-
-// Release decrements the reference count, destroying the object when the
-// count reaches zero. Destruction recursively releases every handle the
-// object holds (vector elements, map entries, struct fields).
-func (r Ref) Release() {
-	if r.IsNil() || !r.Page.Managed() {
-		return
-	}
-	w := r.rcWord()
-	if w == 0 {
-		// Releasing an object that was never retained: treat as a
-		// destruction request (temporary that never escaped).
-		destroyObject(r)
-		return
-	}
-	w--
-	r.setRCWord(w)
-	if w == 0 {
-		destroyObject(r)
+	if w := r.rcWord(); w < 2 {
+		r.setRCWord(w + 1)
 	}
 }

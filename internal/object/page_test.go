@@ -1,6 +1,7 @@
 package object
 
 import (
+	"encoding/binary"
 	"testing"
 )
 
@@ -16,8 +17,8 @@ func TestNewPageHeader(t *testing.T) {
 	if got := p.Used(); got != PageHeaderSize {
 		t.Errorf("Used() = %d, want %d", got, PageHeaderSize)
 	}
-	if p.ActiveObjects() != 0 {
-		t.Errorf("ActiveObjects() = %d, want 0", p.ActiveObjects())
+	if w := binary.LittleEndian.Uint32(p.Data[8:12]); w != 0 {
+		t.Errorf("unused header word [8:12] = %d, want 0", w)
 	}
 	if !p.Managed() {
 		t.Error("new page should be managed")
@@ -142,35 +143,55 @@ func TestShipPagePreservesObjects(t *testing.T) {
 	}
 }
 
-func TestRetainReleaseLifecycle(t *testing.T) {
-	p, a := newTestPage(t, 4096)
+// TestRetainMarkSaturates: the referent mark counts 0, 1, then stays at 2,
+// "more than one", however many handles or Go-side holders follow.
+func TestRetainMarkSaturates(t *testing.T) {
+	reg := NewRegistry()
+	holder := NewStruct("MarkHolder").AddField("a", KHandle).AddField("b", KHandle).MustBuild(reg)
+	p := NewPage(4096, reg)
+	a := NewAllocator(p)
 	s, err := MakeString(a, "ephemeral")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.ActiveObjects() != 1 {
-		t.Fatalf("ActiveObjects = %d, want 1", p.ActiveObjects())
+	h, err := a.MakeObject(holder)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.Retain()
-	if s.RefCount() != 1 {
-		t.Errorf("RefCount = %d, want 1", s.RefCount())
+	if s.RefCount() != 0 || s.soleReferent() {
+		t.Fatalf("fresh mark = %d, want 0 and not sole", s.RefCount())
 	}
-	s.Release()
-	if p.ActiveObjects() != 0 {
-		t.Errorf("after release, ActiveObjects = %d, want 0", p.ActiveObjects())
+	if err := SetHandleField(a, h, holder.Field("a"), s); err != nil {
+		t.Fatal(err)
+	}
+	if s.RefCount() != 1 || !s.soleReferent() {
+		t.Fatalf("mark after one handle = %d, want 1 and sole", s.RefCount())
+	}
+	if err := SetHandleField(a, h, holder.Field("b"), s); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		s.Retain()
+	}
+	if err := SetHandleField(a, h, holder.Field("b"), NilRef); err != nil {
+		t.Fatal(err)
+	}
+	if s.RefCount() != 2 || s.soleReferent() {
+		t.Errorf("mark after two handles, five holders and an overwrite = %d, want 2 and not sole", s.RefCount())
 	}
 }
 
+// TestUnmanagedPageFreezesCounts: Retain on an un-managed page leaves every
+// mark as the page's bytes carry it.
 func TestUnmanagedPageFreezesCounts(t *testing.T) {
 	p, a := newTestPage(t, 4096)
 	s, _ := MakeString(a, "frozen")
+	once, _ := MakeString(a, "once")
+	once.Retain()
 	p.SetManaged(false)
 	s.Retain()
-	if s.RefCount() != 0 {
-		t.Errorf("Retain on unmanaged page changed count to %d", s.RefCount())
-	}
-	s.Release()
-	if p.ActiveObjects() != 1 {
-		t.Errorf("Release on unmanaged page freed object")
+	once.Retain()
+	if s.RefCount() != 0 || once.RefCount() != 1 {
+		t.Errorf("Retain on unmanaged page moved marks to %d and %d, want 0 and 1", s.RefCount(), once.RefCount())
 	}
 }

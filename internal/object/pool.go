@@ -15,7 +15,7 @@ import (
 func (p *Page) Reset() {
 	copy(p.Data[0:4], pageMagic)
 	p.setUsed(PageHeaderSize)
-	p.setActiveObjects(0)
+	binary.LittleEndian.PutUint32(p.Data[8:12], 0)  // unused
 	binary.LittleEndian.PutUint32(p.Data[12:16], 0) // root
 	p.setFlags(flagManaged)
 	binary.LittleEndian.PutUint32(p.Data[20:24], 0) // reserved

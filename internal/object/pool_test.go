@@ -1,6 +1,7 @@
 package object
 
 import (
+	"encoding/binary"
 	"runtime"
 	"testing"
 )
@@ -15,12 +16,13 @@ func TestPageReset(t *testing.T) {
 	}
 	p.SetRoot(s.Off)
 	p.SetManaged(false)
+	copy(p.Data[8:12], "\xff\xff\xff\xff") // the unused header word, dirtied
 
 	p.Reset()
 	if p.Used() != PageHeaderSize {
 		t.Errorf("Used after reset = %d", p.Used())
 	}
-	if p.ActiveObjects() != 0 || p.Root() != 0 || !p.Managed() {
+	if binary.LittleEndian.Uint32(p.Data[8:12]) != 0 || p.Root() != 0 || !p.Managed() {
 		t.Error("reset did not restore a pristine header")
 	}
 	// The page must be immediately reusable as an allocation block.

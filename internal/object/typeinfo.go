@@ -8,7 +8,7 @@ import (
 
 // Field describes one member of a registered user type: its name, storage
 // kind, and byte offset within the object payload. Fields of handle kinds
-// are traversed by the destructor and deep-copy machinery.
+// are traversed by the deep-copy machinery.
 type Field struct {
 	Name string
 	Kind Kind
@@ -76,7 +76,7 @@ func (t *TypeInfo) Method(name string) (Method, bool) {
 }
 
 // HandleFields returns the subset of fields holding handles, in offset
-// order; used by destructors and deep copies. The slice is shared: callers
+// order; used by deep copies. The slice is shared: callers
 // must not modify it.
 func (t *TypeInfo) HandleFields() []*Field {
 	t.fieldOnce.Do(t.indexFields)

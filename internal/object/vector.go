@@ -9,7 +9,8 @@ import (
 // Vector is PC's generic growable array container, stored entirely in-page:
 // a fixed header (length, capacity, element kind, handle to the backing
 // array object). Element storage is a separate TCArray object on the same
-// page, so growth allocates a new array and releases the old one.
+// page, so growth allocates a new array; the old one stays on the page,
+// unreachable, until the page is recycled.
 //
 // Vector element kinds: scalars are stored inline; KHandle/KString elements
 // are 8-byte handle slots inside the array, so nested object graphs stay
@@ -112,8 +113,8 @@ func (v Vector) grow(a *Allocator, need int) error {
 	if !old.IsNil() && n > 0 {
 		if kind.IsHandleKind() {
 			// Re-anchor every handle slot at its new location; the
-			// targets do not move, only the slots do, so reference
-			// counts are untouched.
+			// targets do not move, only the slots do, so referent
+			// marks are untouched.
 			for i := 0; i < n; i++ {
 				oldSlot := old.Off + uint32(i)*es
 				newSlot := arrOff + uint32(i)*es
@@ -123,18 +124,11 @@ func (v Vector) grow(a *Allocator, need int) error {
 			copy(d[arrOff:arrOff+uint32(n)*es], d[old.Off:old.Off+uint32(n)*es])
 		}
 	}
-	// Point the vector at the new array without triggering the element
-	// destructor path: raw-release the old array only.
+	// Point the vector at the new array. The old one stays where it is,
+	// unreachable, until its page is recycled.
 	newArr := Ref{Page: v.Page, Off: arrOff}
 	rewriteHandleSlotRaw(v.Page, v.Off+vecDataOff, newArr)
 	newArr.Retain()
-	if !old.IsNil() {
-		// The old array holds stale handle slot copies; free it as raw
-		// space without releasing children (they were moved, not
-		// dropped). Clear its slots first so Release has no children
-		// to traverse — arrays never traverse children anyway.
-		old.Release()
-	}
 	v.setCap(newCap)
 	return nil
 }

@@ -99,19 +99,6 @@ func TestVectorSetOutOfRange(t *testing.T) {
 	}
 }
 
-func TestVectorGrowthReleasesOldArray(t *testing.T) {
-	p, a := newTestPage(t, 1<<16)
-	v, _ := MakeVector(a, KFloat64, 2)
-	before := p.ActiveObjects() // vector + array
-	for i := 0; i < 64; i++ {
-		_ = v.PushBackF64(a, 1)
-	}
-	// Growth must not leak arrays: still exactly vector + one array.
-	if p.ActiveObjects() != before {
-		t.Errorf("ActiveObjects = %d, want %d (old arrays must be freed)", p.ActiveObjects(), before)
-	}
-}
-
 func TestVectorFloat64SliceAndAppend(t *testing.T) {
 	_, a := newTestPage(t, 1<<16)
 	v, _ := MakeVector(a, KFloat64, 0)

@@ -89,6 +89,13 @@ func pinTPCH(t *testing.T, workers, threads int) (q1, q2, q1Rows, q2Rows string)
 // move. Every object these
 // queries write — supplier names, customer-name map keys, part vectors,
 // top-k queues — and the order they are written in is in the hash.
+//
+// On 2026-10-20 the page hashes were re-recorded when objects lost their
+// destructors: the page header word [8:12], once a live-object count, is now
+// zero on every page, and an object's count word became a referent mark that
+// stops at 2 and that nothing lowers, so an outgrown array or an overwritten
+// target keeps its mark. With those two words zeroed on both sides, every page matched the
+// pages before byte for byte, and the row hashes did not move.
 func TestTPCHOutputPinned(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		for _, threads := range []int{1, 2} {
@@ -107,14 +114,14 @@ func TestTPCHOutputPinned(t *testing.T) {
 }
 
 var pinnedTPCHHashes = map[string]string{
-	"q1/w=1/t=1": "ff83f66ee744a59401106bf18766aee8b370fa052f40eae7dc3f9975bfe4339d",
-	"q1/w=1/t=2": "760aabeeb81a8c334fd63fef0ca826a4857a01f5c563748ef41ee307f2468485",
-	"q1/w=2/t=1": "78e7e7752bc666039d89bbd0d683d18b0779c01322a3dd10500fa8b8a5f9106f",
-	"q1/w=2/t=2": "30cafc54bf9f48283861c9fed77f39139a305c5dc8e6a67681012354d147e3b8",
-	"q2/w=1/t=1": "ebc08021b98ef510843f9ffd5f7ee6cd98121aa3520e1afdd006a21a28fec5be",
-	"q2/w=1/t=2": "ebc08021b98ef510843f9ffd5f7ee6cd98121aa3520e1afdd006a21a28fec5be",
-	"q2/w=2/t=1": "ebc08021b98ef510843f9ffd5f7ee6cd98121aa3520e1afdd006a21a28fec5be",
-	"q2/w=2/t=2": "ebc08021b98ef510843f9ffd5f7ee6cd98121aa3520e1afdd006a21a28fec5be",
+	"q1/w=1/t=1": "54f6041e3754a6ad6053d0f656c42340df26f233f87e4e90bec717c0cce86a83",
+	"q1/w=1/t=2": "bc27f1d4c9c8f3ea8e034c7a3eaa2551bb0a216cc755d75a4afb747de1d1c94c",
+	"q1/w=2/t=1": "3050d3cbf97bbd9c29bb60c52c4d79ee19c3ca35882192f45af521b6792ae94d",
+	"q1/w=2/t=2": "b645af7ffa39440199f25cd696d8980be3de4ae9b841eba617e69b68b1360368",
+	"q2/w=1/t=1": "172289d1a523f338520d720b899acaebbfc877c2211dec306c1fb7699462921e",
+	"q2/w=1/t=2": "172289d1a523f338520d720b899acaebbfc877c2211dec306c1fb7699462921e",
+	"q2/w=2/t=1": "172289d1a523f338520d720b899acaebbfc877c2211dec306c1fb7699462921e",
+	"q2/w=2/t=2": "172289d1a523f338520d720b899acaebbfc877c2211dec306c1fb7699462921e",
 }
 
 // pinnedTPCHRowHashes pins the rows of the same cells: what a reader of the
