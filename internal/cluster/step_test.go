@@ -56,6 +56,10 @@ func TestRunStepFailureCancelsWaitsAndDiscards(t *testing.T) {
 	ex := c.newShuffleExchange(false, govs)
 
 	boom := errors.New("boom")
+	// The consumer starts receiving once the first Send has returned, so
+	// that page's enqueue has raised the backlog gauge before any Recv can
+	// lower it, and MaxReorderPages reads at least 1 on every schedule.
+	sent := make(chan struct{})
 	retained := make(chan struct{})
 	var returned atomic.Int32
 	var siblingErrs [2]error
@@ -68,7 +72,11 @@ func TestRunStepFailureCancelsWaitsAndDiscards(t *testing.T) {
 		{w: c.Workers[0], name: roleProducer, what: "sends without end", closes: ex, body: func() error {
 			defer returned.Add(1)
 			for seq := 0; ; seq++ {
-				if err := ex.Send(exchange.Tag{Producer: 0, Seq: seq}, 1, pages[seq%len(pages)], nil); err != nil {
+				err := ex.Send(exchange.Tag{Producer: 0, Seq: seq}, 1, pages[seq%len(pages)], nil)
+				if seq == 0 {
+					close(sent)
+				}
+				if err != nil {
 					siblingErrs[0] = err
 					return err
 				}
@@ -76,6 +84,7 @@ func TestRunStepFailureCancelsWaitsAndDiscards(t *testing.T) {
 		}},
 		{w: c.Workers[1], name: roleConsumer, what: "receives without end", body: func() error {
 			defer returned.Add(1)
+			<-sent
 			for n := 0; ; n++ {
 				if _, ok, err := ex.Recv(1); err != nil || !ok {
 					siblingErrs[1] = err

@@ -21,13 +21,14 @@ import (
 //     wire frames (internal/wire) through a per-worker page server, proving
 //     the zero-serialization claim over an actual network boundary.
 //
-// A shipped page is unmanaged and owned by the destination; Ship never
-// keeps the source page, so the sender may reuse it once Ship returns (the
-// exchange hands it back to the pool then). A frame taken from the pool
-// goes back only through the pool's Put sites — the aggregation's step-end
-// recycling; the join's and the sort's received pages go to the garbage
-// collector, because their tables, emitted refs and merged rows point into
-// them.
+// A shipped page is a byte copy owned by the destination, and Ship writes
+// nothing of its own into it; Ship never keeps the source page, so the
+// sender may reuse it once Ship returns (the exchange hands it back to the
+// pool then). A frame taken from the pool goes back through the pool's Put
+// sites: when a step succeeds, exchange.Recycle returns every page its
+// exchanges delivered — the aggregation's, the sort's and both of the
+// join's streams — since no table, emitted ref or merged row outlives the
+// step.
 //
 // All implementations account into one shared ShipStats, so gauges cannot
 // silently diverge per impl.
@@ -173,18 +174,22 @@ type MemTransport struct {
 func NewMemTransport() *MemTransport { return &MemTransport{} }
 
 // Ship copies the page's occupied prefix into the destination's memory
-// space and returns the copy, unmanaged. A page the size of the pool's
-// pages lands in a frame from the pool; any other gets a buffer of exactly
-// its prefix.
+// space and returns the copy, byte for byte and sealed (object.Page.Seal):
+// the consumer only reads it. A page the size of the pool's pages lands in
+// a frame from the pool; any other gets a buffer of exactly its prefix.
 func (t *MemTransport) Ship(p *object.Page, dst *object.Registry) (*object.Page, error) {
 	src := p.Bytes()
 	t.stats.NoteShip(int64(len(src)))
 	if t.pool == nil || len(p.Data) != t.pool.Size {
-		return object.FromBytes(bytes.Clone(src), dst)
+		q, err := object.FromBytes(bytes.Clone(src), dst)
+		if err == nil {
+			q.Seal()
+		}
+		return q, err
 	}
 	q := t.pool.Get(dst)
 	copy(q.Data, src)
-	q.SetManaged(false) // adopted bytes, as FromBytes leaves them
+	q.Seal()
 	return q, nil
 }
 

@@ -11,11 +11,6 @@ import (
 	"repro/internal/tcap"
 )
 
-// ScanBinding anchors a SCAN statement at its stored set.
-type ScanBinding struct {
-	Db, Set, TypeName string
-}
-
 // SortSpec is the compiled form of an OrderBy or Window: how many leading
 // Applied columns are sort keys (a Window statement's Applied carries the
 // value column after the keys), the per-key descending flags, and the top-k
@@ -29,12 +24,11 @@ type SortSpec struct {
 }
 
 // CompileResult is a compiled query graph: the TCAP program, the kernel
-// registry backing its stages, per-aggregation specs, and scan bindings.
+// registry backing its stages, and per-aggregation, sort and window specs.
 type CompileResult struct {
 	Prog        *tcap.Program
 	Stages      *engine.StageRegistry
 	AggSpecs    map[string]*engine.AggSpec    // by AGGREGATE/DISTINCT output list name
-	Scans       map[string]ScanBinding        // by SCAN output list name
 	SortSpecs   map[string]*SortSpec          // by SORT/WINDOW output list name
 	WindowSpecs map[string]*engine.WindowSpec // by WINDOW output list name
 }
@@ -59,7 +53,6 @@ func Compile(writes ...*Write) (*CompileResult, error) {
 			Prog:        &tcap.Program{},
 			Stages:      engine.NewStageRegistry(),
 			AggSpecs:    map[string]*engine.AggSpec{},
-			Scans:       map[string]ScanBinding{},
 			SortSpecs:   map[string]*SortSpec{},
 			WindowSpecs: map[string]*engine.WindowSpec{},
 		},
@@ -320,7 +313,6 @@ func (c *compiler) compileScan(s *Scan) (listState, error) {
 		Set:  s.Set,
 		Info: map[string]string{"type": "scan", "typeName": s.TypeName},
 	})
-	c.res.Scans[st.name] = ScanBinding{Db: s.Db, Set: s.Set, TypeName: s.TypeName}
 	return st, nil
 }
 

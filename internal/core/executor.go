@@ -76,8 +76,8 @@ func (e *Executor) Run(res *CompileResult, plan *physical.Plan) error {
 }
 
 // runStage runs one stage and commits its result: a join table or sorted
-// runs under their list, any other pages to the stage's stored set — the
-// only output marked unmanaged — or under its artifact name.
+// runs under their list, any other pages to the stage's stored set, as they
+// are, or under its artifact name.
 func (e *Executor) runStage(env *StageEnv, res *CompileResult, stage *physical.JobStage,
 	pages map[string][]*object.Page, runs map[string][][]*object.Page) error {
 	var out []*object.Page
@@ -121,9 +121,6 @@ func (e *Executor) runStage(env *StageEnv, res *CompileResult, stage *physical.J
 		return err
 	}
 	if o := stage.Output; o != nil {
-		for _, p := range out {
-			p.SetManaged(false)
-		}
 		return e.Store.Append(o.Db, o.Set, out)
 	}
 	// Materialized objects and pre-aggregated maps in thread order: what a

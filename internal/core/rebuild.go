@@ -76,13 +76,10 @@ func Rebuild(progText string, reg *object.Registry) (*CompileResult, error) {
 		Prog:      prog,
 		Stages:    engine.NewStageRegistry(),
 		AggSpecs:  map[string]*engine.AggSpec{},
-		Scans:     map[string]ScanBinding{},
 		SortSpecs: map[string]*SortSpec{},
 	}
 	for _, s := range prog.Stmts {
 		switch s.Op {
-		case tcap.OpScan:
-			res.Scans[s.Out.Name] = ScanBinding{Db: s.Db, Set: s.Set, TypeName: s.Info["typeName"]}
 		case tcap.OpApply:
 			k, err := rebuildKernel(s)
 			if err != nil {

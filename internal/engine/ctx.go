@@ -387,10 +387,11 @@ func (o *OutputPageSet) fresh() error {
 }
 
 // Rotate seals the live page and starts a fresh one. The sealed page keeps
-// its data intact; in the distributed runtime it is handed to the shuffle
-// (OnSeal, streaming) or kept on the Sealed list as raw bytes.
+// its data intact and is only read from here on (object.Page.Seal); in the
+// distributed runtime it is handed to the shuffle (OnSeal, streaming) or
+// kept on the Sealed list as raw bytes.
 func (o *OutputPageSet) Rotate() error {
-	o.Alloc.Detach()
+	o.Alloc.Detach().Seal()
 	if o.stats != nil {
 		o.stats.PagesSealed++
 	}
@@ -428,8 +429,8 @@ func (o *OutputPageSet) CloseStream() error {
 	if o.OnSeal == nil || o.Live == nil {
 		return nil
 	}
-	o.Alloc.Detach()
-	p := o.Live
+	p := o.Alloc.Detach()
+	p.Seal()
 	o.Live, o.Alloc = nil, nil
 	return o.OnSeal(p)
 }

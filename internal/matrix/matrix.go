@@ -161,13 +161,6 @@ func Mul(a, b *Dense) (*Dense, error) {
 	return out, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // MulVec returns m·x.
 func (m *Dense) MulVec(x []float64) ([]float64, error) {
 	if m.Cols != len(x) {

@@ -23,9 +23,9 @@ type Allocator struct {
 	Page *Page
 }
 
-// NewAllocator makes page the active allocation block. The page must be
-// managed. If the page was another allocator's active block, that allocator
-// loses it (its Page becomes nil).
+// NewAllocator makes page the active allocation block: a fresh page, or the
+// byte copy of one, which resumes at its watermark. If the page was another
+// allocator's active block, that allocator loses it (its Page becomes nil).
 func NewAllocator(p *Page, _ ...Policy) *Allocator {
 	a := &Allocator{Page: p}
 	if p.alloc != nil {
@@ -35,8 +35,9 @@ func NewAllocator(p *Page, _ ...Policy) *Allocator {
 	return a
 }
 
-// Detach makes the allocator's page an inactive managed block (e.g. when the
-// engine seals an output page for shipping) and returns it.
+// Detach makes the allocator's page an inactive block (e.g. when the engine
+// seals an output page for shipping) and returns it. Nothing allocates on it
+// any more; its bytes are unchanged.
 func (a *Allocator) Detach() *Page {
 	p := a.Page
 	if p != nil {

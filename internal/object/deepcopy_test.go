@@ -1,6 +1,9 @@
 package object
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // buildEmployeeType registers a small nested schema used across deep-copy
 // tests: Emp{name string, salary float64, dept handle->Dep{deptName string}}.
@@ -97,6 +100,51 @@ func TestDeepCopyPreservesSharing(t *testing.T) {
 	c2 := GetHandleField(cvec.HandleAt(1), emp.Field("dept"))
 	if c1 != c2 {
 		t.Error("shared child must be copied once (memoized), not duplicated")
+	}
+}
+
+// TestDeepCopySharingAfterAdoptedWrite: a second handle to a string, written
+// on a page adopted with FromBytes, raises the string's mark like a write on
+// the original page would, so DeepCopy still copies the string once.
+func TestDeepCopySharingAfterAdoptedWrite(t *testing.T) {
+	reg := NewRegistry()
+	pair := NewStruct("Pair").AddField("a", KHandle).AddField("b", KHandle).MustBuild(reg)
+	p, a := newTestPage(t, 4096)
+	holder, err := a.MakeObject(pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := MakeString(a, "shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SetHandleField(a, holder, pair.Field("a"), s); err != nil {
+		t.Fatal(err)
+	}
+
+	q, err := FromBytes(bytes.Clone(p.Data), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qa := NewAllocator(q)
+	qholder, qs := Ref{Page: q, Off: holder.Off}, Ref{Page: q, Off: s.Off}
+	if err := SetHandleField(qa, qholder, pair.Field("b"), qs); err != nil {
+		t.Fatal(err)
+	}
+	if m := qs.RefCount(); m != 2 {
+		t.Errorf("mark of a string with two handles on the adopted page = %d, want 2", m)
+	}
+
+	c, err := DeepCopy(NewAllocator(NewPage(4096, reg)), qholder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, cb := GetHandleField(c, pair.Field("a")), GetHandleField(c, pair.Field("b"))
+	if ca != cb {
+		t.Errorf("the copy holds two strings at %d and %d, want one", ca.Off, cb.Off)
+	}
+	if StringContents(ca) != "shared" {
+		t.Errorf("copied string = %q", StringContents(ca))
 	}
 }
 

@@ -31,8 +31,8 @@ func HandleSlotTypeCode(p *Page, slotOff uint32) uint32 {
 // target is deep-copied into the active block so that every page remains
 // self-contained and zero-cost movable (paper §6.4).
 //
-// The new target is retained (on managed pages), which raises its referent
-// mark; the old target is left as it is, its space reclaimed with its page.
+// The new target is retained, which raises its referent mark on whichever
+// page holds it; the old target is left as it is, its space reclaimed with its page.
 func WriteHandleSlot(a *Allocator, p *Page, slotOff uint32, target Ref) error {
 	if !target.IsNil() && target.Page != p {
 		if a == nil || a.Page != p {

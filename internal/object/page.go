@@ -17,7 +17,8 @@ const (
 	//   [8:12]  unused, always zero (ROADMAP item 30(b) retires it with
 	//           the next format bump)
 	//   [12:16] root object payload offset (0 = none)
-	//   [16:20] flags (bit0: managed)
+	//   [16:20] unused, written zero and ignored on read (it held a
+	//           managed flag; item 30(b) retires it with [8:12])
 	//   [20:24] reserved
 	PageHeaderSize = 24
 
@@ -34,11 +35,7 @@ const (
 	HandleSize = 8
 )
 
-const (
-	pageMagic = "PCPG"
-
-	flagManaged uint32 = 1 << 0
-)
+const pageMagic = "PCPG"
 
 // Common object-model errors.
 var (
@@ -69,14 +66,17 @@ type Page struct {
 	// It is process-local state, never persisted.
 	Reg *Registry
 
+	// seal is Seal's record (pagecheck.go), zero-size without the tag.
+	seal sealRecord
+
 	// alloc points at the allocator currently treating this page as its
 	// active block, if any, so a new allocator on the page can take it
-	// from the old one. A detached page is an inactive managed block: its
-	// objects' referent marks still rise, and nothing allocates on it.
+	// from the old one. A detached page is an inactive block: its objects'
+	// referent marks still rise, and nothing allocates on it.
 	alloc *Allocator
 }
 
-// NewPage creates an empty managed page of the given total size.
+// NewPage creates an empty page of the given total size.
 func NewPage(size int, reg *Registry) *Page {
 	if size < PageHeaderSize+ObjHeaderSize {
 		panic(fmt.Sprintf("object: page size %d too small", size))
@@ -84,14 +84,13 @@ func NewPage(size int, reg *Registry) *Page {
 	p := &Page{Data: make([]byte, size), Reg: reg}
 	copy(p.Data[0:4], pageMagic)
 	p.setUsed(PageHeaderSize)
-	p.setFlags(flagManaged)
 	return p
 }
 
-// FromBytes adopts page bytes received from disk or the network. The page is
-// un-managed: referent marks inside it are frozen (paper §6.4's "inactive,
-// un-managed blocks"), and its space is controlled by the execution engine
-// rather than by the object model.
+// FromBytes adopts page bytes received from disk or the network. It
+// validates the header and writes nothing: the page's bytes alone decide its
+// watermark and its objects' referent marks, so an adopted page behaves
+// exactly like the page it was copied from.
 func FromBytes(b []byte, reg *Registry) (*Page, error) {
 	if len(b) < PageHeaderSize || string(b[0:4]) != pageMagic {
 		return nil, ErrBadPage
@@ -100,7 +99,6 @@ func FromBytes(b []byte, reg *Registry) (*Page, error) {
 	if int(p.Used()) > len(b) {
 		return nil, fmt.Errorf("%w: used %d exceeds page size %d", ErrBadPage, p.Used(), len(b))
 	}
-	p.setFlags(p.flags() &^ flagManaged)
 	return p, nil
 }
 
@@ -124,24 +122,6 @@ func (p *Page) Root() uint32 { return binary.LittleEndian.Uint32(p.Data[12:16]) 
 // SetRoot records the page's root object.
 func (p *Page) SetRoot(off uint32) {
 	binary.LittleEndian.PutUint32(p.Data[12:16], off)
-}
-
-func (p *Page) flags() uint32     { return binary.LittleEndian.Uint32(p.Data[16:20]) }
-func (p *Page) setFlags(f uint32) { binary.LittleEndian.PutUint32(p.Data[16:20], f) }
-
-// Managed reports whether the object model marks referents on this page.
-// Pages loaded from bytes are un-managed; pages created locally are managed
-// until shipped.
-func (p *Page) Managed() bool { return p.flags()&flagManaged != 0 }
-
-// SetManaged toggles management, used by the engine when handing a page
-// between the object model and the storage layer.
-func (p *Page) SetManaged(m bool) {
-	if m {
-		p.setFlags(p.flags() | flagManaged)
-	} else {
-		p.setFlags(p.flags() &^ flagManaged)
-	}
 }
 
 // Remaining returns the free bytes left on the page past the watermark.
@@ -185,24 +165,25 @@ func (r Ref) setRCWord(w uint32) {
 }
 
 // RefCount returns the object's referent mark: 0, 1, or 2 for more than
-// one. It is exact only while it is below 2 and only on managed pages.
+// one. It is exact only while it is below 2.
 func (r Ref) RefCount() uint32 { return r.rcWord() }
 
 // soleReferent reports whether the object's header shows exactly one way in:
 // a referent mark of one. Reached through a handle slot, such an object
 // cannot be reached again through another (DeepCopy skips its memo for it).
-// Marks are frozen, not lost, when a page stops being managed, so the
-// answer holds for shipped and stored pages too.
+// Marks live in the page bytes, so the answer holds for shipped and stored
+// copies too.
 func (r Ref) soleReferent() bool { return r.rcWord() == 1 }
 
 // Retain raises the referent mark (a handle slot written to the object, or
 // a Go-side owning reference, the analogue of holding a Handle variable in
 // the C++ binding). The mark saturates at 2, "more than one"; nothing lowers
-// it, since an object's space returns only with its page. Un-managed pages
-// freeze their marks — this is what makes cross-thread handle copies
-// lock-free in the paper (§6.5).
+// it, since an object's space returns only with its page. It writes the page
+// that holds the object, whichever page that is: the engine retains only
+// objects on pages it is still writing, and a sealed, shipped or stored page
+// is only read (paper §6.5's lock-free cross-thread reads).
 func (r Ref) Retain() {
-	if r.IsNil() || !r.Page.Managed() {
+	if r.IsNil() {
 		return
 	}
 	if w := r.rcWord(); w < 2 {

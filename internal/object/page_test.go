@@ -1,6 +1,7 @@
 package object
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 )
@@ -17,11 +18,10 @@ func TestNewPageHeader(t *testing.T) {
 	if got := p.Used(); got != PageHeaderSize {
 		t.Errorf("Used() = %d, want %d", got, PageHeaderSize)
 	}
-	if w := binary.LittleEndian.Uint32(p.Data[8:12]); w != 0 {
-		t.Errorf("unused header word [8:12] = %d, want 0", w)
-	}
-	if !p.Managed() {
-		t.Error("new page should be managed")
+	for _, w := range [][2]int{{8, 12}, {16, 20}, {20, 24}} {
+		if v := binary.LittleEndian.Uint32(p.Data[w[0]:w[1]]); v != 0 {
+			t.Errorf("header word [%d:%d] = %d, want 0", w[0], w[1], v)
+		}
 	}
 	if p.Root() != 0 {
 		t.Errorf("Root() = %d, want 0", p.Root())
@@ -45,17 +45,82 @@ func TestFromBytesValidation(t *testing.T) {
 	}
 }
 
-func TestFromBytesUnmanaged(t *testing.T) {
-	p := NewPage(4096, NewRegistry())
-	clone := make([]byte, len(p.Data))
-	copy(clone, p.Data)
+// markedPage returns a page holding a root vector with two handles to one
+// string (mark 2) and a string with one handle (mark 1).
+func markedPage(t *testing.T) *Page {
+	t.Helper()
+	p, a := newTestPage(t, 4096)
+	v, err := MakeVector(a, KHandle, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, _ := MakeString(a, "shared")
+	once, _ := MakeString(a, "once")
+	for _, s := range []Ref{shared, shared, once} {
+		if err := v.PushBackHandle(a, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.SetRoot(v.Off)
+	return p
+}
+
+// TestFromBytesLeavesBytesIdentical: adopting page bytes writes none of
+// them, so the adopted page is byte for byte its source.
+func TestFromBytesLeavesBytesIdentical(t *testing.T) {
+	p := markedPage(t)
+	clone := bytes.Clone(p.Data)
 	q, err := FromBytes(clone, NewRegistry())
 	if err != nil {
 		t.Fatalf("FromBytes: %v", err)
 	}
-	if q.Managed() {
-		t.Error("adopted page must be un-managed (frozen refcounts)")
+	if !bytes.Equal(q.Data, p.Data) {
+		t.Errorf("FromBytes changed the adopted bytes: first difference at offset %d", firstDiff(q.Data, p.Data))
 	}
+}
+
+// TestFromBytesUnmanaged: an adopted byte copy resumes allocation and
+// mark-keeping exactly like its original, so the same writes on both leave
+// the same bytes.
+func TestFromBytesUnmanaged(t *testing.T) {
+	p := markedPage(t)
+	q, err := FromBytes(bytes.Clone(p.Data), p.Reg)
+	if err != nil {
+		t.Fatalf("FromBytes: %v", err)
+	}
+	for _, page := range []*Page{p, q} {
+		a := NewAllocator(page)
+		root := AsVector(Ref{Page: page, Off: page.Root()})
+		s, err := MakeString(a, "later")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := root.PushBackHandle(a, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := root.PushBackHandle(a, root.HandleAt(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(q.Data, p.Data) {
+		t.Errorf("the copy diverged from its original at offset %d", firstDiff(q.Data, p.Data))
+	}
+	if m := AsVector(Ref{Page: q, Off: q.Root()}).HandleAt(2).RefCount(); m != 2 {
+		t.Errorf("mark of a string handled twice on the adopted page = %d, want 2", m)
+	}
+}
+
+// firstDiff returns the first offset at which a and b differ, or -1.
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
 }
 
 func TestBytesIsOccupiedPrefix(t *testing.T) {
@@ -181,17 +246,28 @@ func TestRetainMarkSaturates(t *testing.T) {
 	}
 }
 
-// TestUnmanagedPageFreezesCounts: Retain on an un-managed page leaves every
-// mark as the page's bytes carry it.
+// TestUnmanagedPageFreezesCounts: no page freezes its marks any more. Retain
+// on a page adopted with FromBytes raises each mark as on the page it was
+// copied from, starting from the marks the bytes carry.
 func TestUnmanagedPageFreezesCounts(t *testing.T) {
 	p, a := newTestPage(t, 4096)
-	s, _ := MakeString(a, "frozen")
+	s, _ := MakeString(a, "fresh")
 	once, _ := MakeString(a, "once")
 	once.Retain()
-	p.SetManaged(false)
-	s.Retain()
-	once.Retain()
+	q, err := FromBytes(bytes.Clone(p.Data), p.Reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, qonce := Ref{Page: q, Off: s.Off}, Ref{Page: q, Off: once.Off}
+	if qs.RefCount() != 0 || qonce.RefCount() != 1 {
+		t.Fatalf("adopted marks %d and %d, want the bytes' 0 and 1", qs.RefCount(), qonce.RefCount())
+	}
+	qs.Retain()
+	qonce.Retain()
+	if qs.RefCount() != 1 || qonce.RefCount() != 2 {
+		t.Errorf("Retain on an adopted page moved marks to %d and %d, want 1 and 2", qs.RefCount(), qonce.RefCount())
+	}
 	if s.RefCount() != 0 || once.RefCount() != 1 {
-		t.Errorf("Retain on unmanaged page moved marks to %d and %d, want 0 and 1", s.RefCount(), once.RefCount())
+		t.Error("Retain on the copy wrote the original page")
 	}
 }

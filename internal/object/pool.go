@@ -17,7 +17,7 @@ func (p *Page) Reset() {
 	p.setUsed(PageHeaderSize)
 	binary.LittleEndian.PutUint32(p.Data[8:12], 0)  // unused
 	binary.LittleEndian.PutUint32(p.Data[12:16], 0) // root
-	p.setFlags(flagManaged)
+	binary.LittleEndian.PutUint32(p.Data[16:20], 0) // unused
 	binary.LittleEndian.PutUint32(p.Data[20:24], 0) // reserved
 	if p.alloc != nil {
 		p.alloc.Page = nil
@@ -72,12 +72,14 @@ const poisonByte = 0xA5
 // Put returns a page whose data are dead. Pages of a different size are
 // dropped (the pool is homogeneous, like a buffer pool frame), and so is
 // any page that would take the list past the pages the pool has made.
-// Under -tags pagecheck every page, listed or dropped, is first overwritten
-// with poisonByte.
+// Under -tags pagecheck every page, listed or dropped, is first checked
+// against its Seal record, if it has one, and then overwritten with
+// poisonByte.
 func (pp *PagePool) Put(p *Page) {
 	if p == nil {
 		return
 	}
+	p.checkSeal()
 	if poisonReleased {
 		for i := range p.Data {
 			p.Data[i] = poisonByte

@@ -2,7 +2,9 @@ package object
 
 import (
 	"encoding/binary"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -15,14 +17,16 @@ func TestPageReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.SetRoot(s.Off)
-	p.SetManaged(false)
-	copy(p.Data[8:12], "\xff\xff\xff\xff") // the unused header word, dirtied
+	// Dirty the two unused header words and the reserved one.
+	copy(p.Data[8:12], "\xff\xff\xff\xff")
+	copy(p.Data[16:24], "\xff\xff\xff\xff\xff\xff\xff\xff")
 
 	p.Reset()
 	if p.Used() != PageHeaderSize {
 		t.Errorf("Used after reset = %d", p.Used())
 	}
-	if binary.LittleEndian.Uint32(p.Data[8:12]) != 0 || p.Root() != 0 || !p.Managed() {
+	if binary.LittleEndian.Uint32(p.Data[8:12]) != 0 || p.Root() != 0 ||
+		binary.LittleEndian.Uint64(p.Data[16:24]) != 0 {
 		t.Error("reset did not restore a pristine header")
 	}
 	// The page must be immediately reusable as an allocation block.
@@ -76,6 +80,43 @@ func TestPagePoolRecyclesWithoutDataBleed(t *testing.T) {
 	if int(p2.Used()) >= len(p2.Data) {
 		t.Error("recycled page should not be full")
 	}
+}
+
+// TestPagePoolChecksSeals: under -tags pagecheck, Put takes back a sealed
+// page whose bytes did not change, and panics, naming the offset, on one
+// written after Seal; the recycled frame starts unsealed.
+func TestPagePoolChecksSeals(t *testing.T) {
+	if !poisonReleased {
+		t.Skip("seals are checked only under -tags pagecheck")
+	}
+	reg := NewRegistry()
+	pool := NewPagePool(4096)
+	p := pool.Get(reg)
+	s, err := MakeString(NewAllocator(p), "sealed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Seal()
+	pool.Put(p)
+	q := pool.Get(reg)
+	if _, err := MakeString(NewAllocator(q), "fresh"); err != nil {
+		t.Fatal(err)
+	}
+	pool.Put(q) // written, but not sealed since it came back from the pool
+
+	p = pool.Get(reg)
+	if s, err = MakeString(NewAllocator(p), "sealed"); err != nil {
+		t.Fatal(err)
+	}
+	p.Seal()
+	p.Data[s.Off] ^= 1
+	defer func() {
+		want := fmt.Sprintf("offset %d", s.Off)
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+			t.Errorf("Put of a sealed page written at %d: panic %q, want one naming %q", s.Off, msg, want)
+		}
+	}()
+	pool.Put(p)
 }
 
 // TestPagePoolSurvivesGCAndHoldsAtMostMade: a page put back is still there

@@ -38,7 +38,6 @@ func TestSpillPoolRoundTrip(t *testing.T) {
 	sp := NewSpillPool(filepath.Join(t.TempDir(), "spill"), reg)
 
 	p := spillTestPage(t, reg, ti, 42)
-	p.SetManaged(false) // loaded pages come back un-managed; compare like images
 	want := append([]byte(nil), p.Bytes()...)
 	slot, err := sp.Spill(p)
 	if err != nil {

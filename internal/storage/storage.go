@@ -134,10 +134,11 @@ func (s *Server) CreateSet(db, set string) error {
 	return nil
 }
 
-// Append stores pages into a set (creating it if needed), un-managing each.
-// In disk mode each page's occupied prefix is written to its own file and
-// the server keeps no reference to the page, so the caller may reuse its
-// bytes once Append returns; memory mode keeps the pages themselves.
+// Append stores pages into a set (creating it if needed) and writes none of
+// their bytes. In disk mode each page's occupied prefix is written to its
+// own file and the server keeps no reference to the page, so the caller may
+// reuse its bytes once Append returns; memory mode keeps the pages
+// themselves.
 func (s *Server) Append(db, set string, pages []*object.Page) error {
 	if err := s.CreateSet(db, set); err != nil {
 		return err
@@ -146,7 +147,6 @@ func (s *Server) Append(db, set string, pages []*object.Page) error {
 	defer s.mu.Unlock()
 	sd := s.sets[setKey(db, set)]
 	for _, p := range pages {
-		p.SetManaged(false)
 		if s.dir != "" {
 			path := filepath.Join(s.setDir(db, set), fmt.Sprintf("page-%06d.pcp", sd.count))
 			b := p.Bytes()

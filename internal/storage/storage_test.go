@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -48,6 +49,33 @@ func TestMemoryModeRoundTrip(t *testing.T) {
 	v := object.AsVector(object.Ref{Page: pages[0], Off: pages[0].Root()})
 	if v.Len() != 3 || v.F64At(2) != 3 {
 		t.Error("contents lost in memory mode")
+	}
+}
+
+// TestAppendWritesNoPageBytes: storing a page, in memory or on disk, leaves
+// the caller's page as it was and stores its occupied bytes unchanged.
+func TestAppendWritesNoPageBytes(t *testing.T) {
+	reg := object.NewRegistry()
+	for _, dir := range []string{"", t.TempDir()} {
+		s, err := NewServer(dir, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := buildPage(t, reg, 1, 2, 3)
+		want := bytes.Clone(p.Data)
+		if err := s.Append("db", "set", []*object.Page{p}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p.Data, want) {
+			t.Errorf("dir %q: Append wrote the caller's page", dir)
+		}
+		pages, err := s.Pages("db", "set")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pages) != 1 || !bytes.Equal(pages[0].Bytes(), want[:p.Used()]) {
+			t.Errorf("dir %q: the stored page's bytes differ from the page appended", dir)
+		}
 	}
 }
 

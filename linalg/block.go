@@ -171,13 +171,6 @@ func (e *Engine) Fetch(m *DistMatrix) (*matrix.Dense, error) {
 // Drop removes a distributed matrix's backing set.
 func (e *Engine) Drop(m *DistMatrix) error { return e.Client.DropSet(e.Db, m.Set) }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // pairKey encodes a block coordinate as an aggregation key.
 func pairKey(r, c int32) int64 { return int64(r)<<20 | int64(uint32(c)&0xFFFFF) }
 
