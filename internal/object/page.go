@@ -17,8 +17,8 @@ const (
 	//   [8:12]  unused, always zero (ROADMAP item 30(b) retires it with
 	//           the next format bump)
 	//   [12:16] root object payload offset (0 = none)
-	//   [16:20] unused, written zero and ignored on read (it held a
-	//           managed flag; item 30(b) retires it with [8:12])
+	//   [16:20] unused, written zero and ignored on read (item 30(b)
+	//           retires it with [8:12])
 	//   [20:24] reserved
 	PageHeaderSize = 24
 

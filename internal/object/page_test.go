@@ -65,48 +65,16 @@ func markedPage(t *testing.T) *Page {
 	return p
 }
 
-// TestFromBytesLeavesBytesIdentical: adopting page bytes writes none of
-// them, so the adopted page is byte for byte its source.
-func TestFromBytesLeavesBytesIdentical(t *testing.T) {
+// TestFromBytesUnmanaged: adopting page bytes writes none of them, so the
+// adopted page is byte for byte its source.
+func TestFromBytesUnmanaged(t *testing.T) {
 	p := markedPage(t)
-	clone := bytes.Clone(p.Data)
-	q, err := FromBytes(clone, NewRegistry())
+	q, err := FromBytes(bytes.Clone(p.Data), NewRegistry())
 	if err != nil {
 		t.Fatalf("FromBytes: %v", err)
 	}
 	if !bytes.Equal(q.Data, p.Data) {
 		t.Errorf("FromBytes changed the adopted bytes: first difference at offset %d", firstDiff(q.Data, p.Data))
-	}
-}
-
-// TestFromBytesUnmanaged: an adopted byte copy resumes allocation and
-// mark-keeping exactly like its original, so the same writes on both leave
-// the same bytes.
-func TestFromBytesUnmanaged(t *testing.T) {
-	p := markedPage(t)
-	q, err := FromBytes(bytes.Clone(p.Data), p.Reg)
-	if err != nil {
-		t.Fatalf("FromBytes: %v", err)
-	}
-	for _, page := range []*Page{p, q} {
-		a := NewAllocator(page)
-		root := AsVector(Ref{Page: page, Off: page.Root()})
-		s, err := MakeString(a, "later")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := root.PushBackHandle(a, s); err != nil {
-			t.Fatal(err)
-		}
-		if err := root.PushBackHandle(a, root.HandleAt(2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(q.Data, p.Data) {
-		t.Errorf("the copy diverged from its original at offset %d", firstDiff(q.Data, p.Data))
-	}
-	if m := AsVector(Ref{Page: q, Off: q.Root()}).HandleAt(2).RefCount(); m != 2 {
-		t.Errorf("mark of a string handled twice on the adopted page = %d, want 2", m)
 	}
 }
 
@@ -246,28 +214,34 @@ func TestRetainMarkSaturates(t *testing.T) {
 	}
 }
 
-// TestUnmanagedPageFreezesCounts: no page freezes its marks any more. Retain
-// on a page adopted with FromBytes raises each mark as on the page it was
-// copied from, starting from the marks the bytes carry.
+// TestUnmanagedPageFreezesCounts: a page adopted with FromBytes resumes
+// allocation and mark-keeping exactly like its original, so the same writes
+// on both leave the same bytes, and a second handle written on the copy
+// raises its target's mark to 2.
 func TestUnmanagedPageFreezesCounts(t *testing.T) {
-	p, a := newTestPage(t, 4096)
-	s, _ := MakeString(a, "fresh")
-	once, _ := MakeString(a, "once")
-	once.Retain()
+	p := markedPage(t)
 	q, err := FromBytes(bytes.Clone(p.Data), p.Reg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("FromBytes: %v", err)
 	}
-	qs, qonce := Ref{Page: q, Off: s.Off}, Ref{Page: q, Off: once.Off}
-	if qs.RefCount() != 0 || qonce.RefCount() != 1 {
-		t.Fatalf("adopted marks %d and %d, want the bytes' 0 and 1", qs.RefCount(), qonce.RefCount())
+	for _, page := range []*Page{p, q} {
+		a := NewAllocator(page)
+		root := AsVector(Ref{Page: page, Off: page.Root()})
+		s, err := MakeString(a, "later")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := root.PushBackHandle(a, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := root.PushBackHandle(a, root.HandleAt(2)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	qs.Retain()
-	qonce.Retain()
-	if qs.RefCount() != 1 || qonce.RefCount() != 2 {
-		t.Errorf("Retain on an adopted page moved marks to %d and %d, want 1 and 2", qs.RefCount(), qonce.RefCount())
+	if !bytes.Equal(q.Data, p.Data) {
+		t.Errorf("the copy diverged from its original at offset %d", firstDiff(q.Data, p.Data))
 	}
-	if s.RefCount() != 0 || once.RefCount() != 1 {
-		t.Error("Retain on the copy wrote the original page")
+	if m := AsVector(Ref{Page: q, Off: q.Root()}).HandleAt(2).RefCount(); m != 2 {
+		t.Errorf("mark of a string handled twice on the adopted page = %d, want 2", m)
 	}
 }

@@ -1,9 +1,6 @@
 package object
 
-import (
-	"encoding/binary"
-	"sync"
-)
+import "sync"
 
 // Reset returns a page to its pristine state, rewriting all of its header
 // but not zeroing its body: "deallocating" a page of objects means
@@ -15,10 +12,7 @@ import (
 func (p *Page) Reset() {
 	copy(p.Data[0:4], pageMagic)
 	p.setUsed(PageHeaderSize)
-	binary.LittleEndian.PutUint32(p.Data[8:12], 0)  // unused
-	binary.LittleEndian.PutUint32(p.Data[12:16], 0) // root
-	binary.LittleEndian.PutUint32(p.Data[16:20], 0) // unused
-	binary.LittleEndian.PutUint32(p.Data[20:24], 0) // reserved
+	clear(p.Data[8:PageHeaderSize]) // the unused words, the root, the reserved word
 	if p.alloc != nil {
 		p.alloc.Page = nil
 		p.alloc = nil
